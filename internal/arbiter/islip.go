@@ -6,6 +6,15 @@
 // arbitration the CCFIT fairness analysis relies on.
 package arbiter
 
+import (
+	"fmt"
+	"math/bits"
+)
+
+// MaxPorts bounds the port count of one scheduler: request sets travel
+// as one uint64 bit per input port.
+const MaxPorts = 64
+
 // ISlip is an iSLIP scheduler instance for one switch. It keeps the
 // per-output grant pointers and per-input accept pointers across
 // cycles, as the algorithm requires ("desynchronisation" of pointers is
@@ -15,9 +24,8 @@ type ISlip struct {
 	grant          []int // per output: next input to favour
 	accept         []int // per input: next output to favour
 	// scratch, reused across Match calls to stay allocation-free
-	matchIn  []int // per input: matched output or -1
-	matchOut []int // per output: matched input or -1
-	granted  []int // per input: output that granted this iteration (-1)
+	matchIn []int // per input: matched output or -1
+	granted []int // per input: output that granted this iteration
 }
 
 // NewISlip returns a scheduler for in input ports and out output ports
@@ -28,67 +36,63 @@ func NewISlip(in, out, iters int) *ISlip {
 	if in <= 0 || out <= 0 || iters <= 0 {
 		panic("arbiter: NewISlip needs positive dimensions and iterations")
 	}
+	if in > MaxPorts || out > MaxPorts {
+		panic(fmt.Sprintf("arbiter: NewISlip(%d, %d): at most %d ports (request masks are one uint64)", in, out, MaxPorts))
+	}
 	return &ISlip{
 		in: in, out: out, iters: iters,
-		grant:    make([]int, out),
-		accept:   make([]int, in),
-		matchIn:  make([]int, in),
-		matchOut: make([]int, out),
-		granted:  make([]int, in),
+		grant:   make([]int, out),
+		accept:  make([]int, in),
+		matchIn: make([]int, in),
+		granted: make([]int, in),
 	}
 }
 
-// Match computes a matching. req(i,o) reports whether input i requests
-// output o this cycle. prio(i,o) optionally marks a request as high
-// priority (the paper gives BECN packets transmission priority): a
+// Match computes a matching. Bit i of req[o] says input i requests
+// output o this cycle; prio[o] is the subset of req[o] whose request is
+// high priority (the paper gives BECN packets transmission priority): a
 // requesting input with priority wins the grant round over
-// non-priority inputs at the same output. prio may be nil.
+// non-priority inputs at the same output. Neither slice is modified.
 //
 // The returned slice maps each input port to its matched output port,
 // or -1; it is valid until the next Match call.
-func (s *ISlip) Match(req func(in, out int) bool, prio func(in, out int) bool) []int {
+func (s *ISlip) Match(req, prio []uint64) []int {
 	for i := range s.matchIn {
 		s.matchIn[i] = -1
 	}
-	for o := range s.matchOut {
-		s.matchOut[o] = -1
-	}
+	freeIn := ^uint64(0) >> (64 - s.in)
+	matchedOut := uint64(0)
 
 	for it := 0; it < s.iters; it++ {
 		// Grant phase: each unmatched output picks among requesting
-		// unmatched inputs, preferring priority requests, then the
-		// round-robin pointer order.
-		for i := range s.granted {
-			s.granted[i] = -1
-		}
-		progress := false
+		// unmatched inputs — the priority subset when it is non-empty —
+		// the first one at or after its round-robin pointer. An input may
+		// collect several grants; it keeps the one closest to its accept
+		// pointer.
+		grantedIn := uint64(0)
 		for o := 0; o < s.out; o++ {
-			if s.matchOut[o] != -1 {
+			c := req[o] & freeIn
+			if c == 0 || matchedOut&(1<<o) != 0 {
 				continue
 			}
-			pick := s.pickInput(o, req, prio)
-			if pick >= 0 {
-				// Tentative grant; an input may collect several.
-				// Record the best grant per input in accept order later;
-				// here we just mark that o granted pick by storing in a
-				// per-output fashion: inputs resolve in the accept phase.
-				// We need all grants per input; store via granted list:
-				// if the input already holds a grant, keep both by
-				// resolving immediately in accept-pointer order.
-				if cur := s.granted[pick]; cur == -1 || s.closerOutput(pick, o, cur) {
-					s.granted[pick] = o
-				}
+			if p := prio[o] & c; p != 0 {
+				c = p
 			}
+			pick := firstFrom(c, s.grant[o])
+			if grantedIn&(1<<pick) == 0 || s.closerOutput(pick, o, s.granted[pick]) {
+				s.granted[pick] = o
+				grantedIn |= 1 << pick
+			}
+		}
+		if grantedIn == 0 {
+			break
 		}
 		// Accept phase: each input with a grant accepts it.
-		for i := 0; i < s.in; i++ {
+		for g := grantedIn; g != 0; g &= g - 1 {
+			i := bits.TrailingZeros64(g)
 			o := s.granted[i]
-			if o == -1 || s.matchIn[i] != -1 {
-				continue
-			}
 			s.matchIn[i] = o
-			s.matchOut[o] = i
-			progress = true
+			matchedOut |= 1 << o
 			if it == 0 {
 				// Pointers advance only for first-iteration matches
 				// (the iSLIP rule that prevents starvation).
@@ -96,30 +100,18 @@ func (s *ISlip) Match(req func(in, out int) bool, prio func(in, out int) bool) [
 				s.accept[i] = (o + 1) % s.out
 			}
 		}
-		if !progress {
-			break
-		}
+		freeIn &^= grantedIn
 	}
 	return s.matchIn
 }
 
-// pickInput selects which unmatched input output o grants to.
-func (s *ISlip) pickInput(o int, req, prio func(in, out int) bool) int {
-	pick, pickPrio := -1, false
-	for k := 0; k < s.in; k++ {
-		i := (s.grant[o] + k) % s.in
-		if s.matchIn[i] != -1 || !req(i, o) {
-			continue
-		}
-		p := prio != nil && prio(i, o)
-		if pick == -1 || (p && !pickPrio) {
-			pick, pickPrio = i, p
-			if pickPrio {
-				break // first priority input in pointer order wins
-			}
-		}
+// firstFrom returns the lowest set bit of c at or after position from,
+// wrapping to the lowest set bit overall. c must be non-zero.
+func firstFrom(c uint64, from int) int {
+	if hi := c >> from << from; hi != 0 {
+		return bits.TrailingZeros64(hi)
 	}
-	return pick
+	return bits.TrailingZeros64(c)
 }
 
 // closerOutput reports whether output a precedes output b in input i's
@@ -146,19 +138,6 @@ func NewRoundRobin(n int) *RoundRobin {
 	return &RoundRobin{n: n}
 }
 
-// Pick returns the first eligible slot starting from the pointer, and
-// advances the pointer past it; -1 if none is eligible.
-func (r *RoundRobin) Pick(eligible func(i int) bool) int {
-	for k := 0; k < r.n; k++ {
-		i := (r.next + k) % r.n
-		if eligible(i) {
-			r.next = (i + 1) % r.n
-			return i
-		}
-	}
-	return -1
-}
-
 // Pointer returns the current round-robin position without advancing.
 func (r *RoundRobin) Pointer() int { return r.next }
 
@@ -168,6 +147,5 @@ func (r *RoundRobin) Closer(a, b int) bool {
 	return (a-r.next+r.n)%r.n < (b-r.next+r.n)%r.n
 }
 
-// Served advances the pointer past slot i after it was chosen
-// externally (e.g. by a crossbar grant rather than Pick).
+// Served advances the pointer past slot i after it was chosen.
 func (r *RoundRobin) Served(i int) { r.next = (i + 1) % r.n }

@@ -121,7 +121,10 @@ func (q *Queue) TransferHead(dst *Queue) *pkt.Packet {
 }
 
 // minRing is the smallest ring allocated; rings never shrink below it.
-const minRing = 8
+// It covers the deepest queue MTU traffic can build (a 64 KB port RAM
+// holds 32 MTU packets, an AdVOQ 16), so in the paper's configurations
+// a ring is allocated once and steady state never resizes it.
+const minRing = 32
 
 func (q *Queue) grow() {
 	n := len(q.pkts) * 2

@@ -19,6 +19,7 @@ type entry[T any] struct {
 // Line indices are stable for the lifetime of an allocation.
 type CAM[T any] struct {
 	lines []entry[T]
+	free  int // unallocated lines, maintained by Alloc/Free
 }
 
 // New returns a CAM with the given number of lines.
@@ -26,22 +27,14 @@ func New[T any](lines int) *CAM[T] {
 	if lines < 0 {
 		panic("cam: negative line count")
 	}
-	return &CAM[T]{lines: make([]entry[T], lines)}
+	return &CAM[T]{lines: make([]entry[T], lines), free: lines}
 }
 
 // Size returns the total number of lines.
 func (c *CAM[T]) Size() int { return len(c.lines) }
 
 // FreeLines returns the number of unallocated lines.
-func (c *CAM[T]) FreeLines() int {
-	n := 0
-	for i := range c.lines {
-		if !c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *CAM[T]) FreeLines() int { return c.free }
 
 // Match returns the index of the first valid line containing dest,
 // or -1 if no line matches.
@@ -62,12 +55,16 @@ func (c *CAM[T]) Match(dest int) int {
 // Alloc claims a free line for the given destination set and payload.
 // It returns the line index, or -1 when the CAM is full (the FBICM
 // failure mode the paper studies: more congestion trees than lines).
+// dests is copied into storage the line keeps across allocations, so a
+// line that is freed and claimed again allocates nothing; a slice
+// obtained from Dests is therefore only stable until the line's Free.
 func (c *CAM[T]) Alloc(dests []int, payload T) int {
 	for i := range c.lines {
 		if c.lines[i].valid {
 			continue
 		}
-		c.lines[i] = entry[T]{valid: true, dests: append([]int(nil), dests...), payload: payload}
+		c.lines[i] = entry[T]{valid: true, dests: append(c.lines[i].dests[:0], dests...), payload: payload}
+		c.free--
 		return i
 	}
 	return -1
@@ -79,8 +76,8 @@ func (c *CAM[T]) Free(idx int) {
 	if !c.lines[idx].valid {
 		panic(fmt.Sprintf("cam: double free of line %d", idx))
 	}
-	var zero entry[T]
-	c.lines[idx] = zero
+	c.lines[idx] = entry[T]{dests: c.lines[idx].dests[:0]}
+	c.free++
 }
 
 // Valid reports whether line idx is allocated.
@@ -97,7 +94,7 @@ func (c *CAM[T]) Payload(idx int) *T {
 }
 
 // Dests returns the destination set of line idx (callers must not
-// mutate it).
+// mutate it, nor keep it past the line's Free).
 func (c *CAM[T]) Dests(idx int) []int {
 	if !c.lines[idx].valid {
 		panic(fmt.Sprintf("cam: dests of free line %d", idx))

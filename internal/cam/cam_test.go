@@ -160,6 +160,16 @@ func TestCAMMatchesModelProperty(t *testing.T) {
 					delete(model, dest)
 				}
 			}
+			// The free-line counter must agree with a scan of the lines.
+			scan := 0
+			for i := 0; i < c.Size(); i++ {
+				if !c.Valid(i) {
+					scan++
+				}
+			}
+			if c.FreeLines() != scan || scan != 4-len(model) {
+				return false
+			}
 			for d := 0; d < 16; d++ {
 				idx, ok := model[d]
 				if got := c.Match(d); (ok && got != idx) || (!ok && got != -1) {

@@ -60,15 +60,15 @@ type campaign struct {
 	id        string
 	sub       Submission
 	submitted time.Time
-	jobs      []runner.Job          // guarded by Scheduler.mu
-	status    Status                // guarded by Scheduler.mu
-	cancelled bool                  // guarded by Scheduler.mu; cancel requested (status flips when drained)
-	states    []jobState            // guarded by Scheduler.mu
-	results   []*experiments.Result // guarded by Scheduler.mu; jobs finished in this process
-	pending   int                   // guarded by Scheduler.mu; jobs not yet terminal
-	ctx       context.Context       // guarded by Scheduler.mu
-	cancel    context.CancelFunc    // guarded by Scheduler.mu
-	jl        *journal              // guarded by Scheduler.mu
+	jobs      []runner.Job            // guarded by Scheduler.mu
+	status    Status                  // guarded by Scheduler.mu
+	cancelled bool                    // guarded by Scheduler.mu; cancel requested (status flips when drained)
+	states    []jobState              // guarded by Scheduler.mu
+	results   []*experiments.Result   // guarded by Scheduler.mu; jobs finished in this process
+	pending   int                     // guarded by Scheduler.mu; jobs not yet terminal
+	ctx       context.Context         // guarded by Scheduler.mu
+	cancel    context.CancelFunc      // guarded by Scheduler.mu
+	jl        *journal                // guarded by Scheduler.mu
 	subs      map[chan Event]struct{} // guarded by Scheduler.mu
 }
 

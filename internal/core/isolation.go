@@ -225,29 +225,34 @@ func (u *IsolationUnit) detect(now sim.Cycle) bool {
 	return true
 }
 
-// Requests emits arbitration candidates: the NFQ head (guaranteed
+// Requests appends the arbitration candidates: the NFQ head (guaranteed
 // non-congested after Post) and every CFQ head whose downstream line is
 // in Go state. CFQ heads carry the direct downstream-CFQ target.
-func (u *IsolationUnit) Requests(_ sim.Cycle, emit func(Request)) {
+func (u *IsolationUnit) Requests(_ sim.Cycle, buf []Request) []Request {
 	if h := u.nfq.Head(); h != nil {
 		if h.Kind == pkt.BECN || u.cam.Match(h.Dst) < 0 {
-			emit(Request{QID: 0, Out: u.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+			buf = append(buf, Request{QID: 0, Out: u.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 		}
 	}
-	u.cam.Each(func(i int, _ []int, line *InLine) {
-		h := u.cfqs[i].Head()
-		if h == nil {
-			return
+	if u.cam.FreeLines() == len(u.cfqs) {
+		return buf
+	}
+	for i, q := range u.cfqs {
+		h := q.Head()
+		if h == nil || !u.cam.Valid(i) {
+			continue
 		}
+		out := u.cam.Payload(i).Out
 		direct := -1
-		if stopped, down, ok := u.env.OutLine(line.Out, h.Dst); ok {
+		if stopped, down, ok := u.env.OutLine(out, h.Dst); ok {
 			if stopped {
-				return // per-CFQ Stop/Go flow control holds us
+				continue // per-CFQ Stop/Go flow control holds us
 			}
 			direct = down
 		}
-		emit(Request{QID: i + 1, Out: line.Out, Pkt: h, DirectCFQ: direct})
-	})
+		buf = append(buf, Request{QID: i + 1, Out: out, Pkt: h, DirectCFQ: direct})
+	}
+	return buf
 }
 
 // Pop removes the head of queue qid (0 = NFQ, i+1 = CFQ i).

@@ -16,7 +16,8 @@ import (
 // congestion information from a given input port CAMs to upstream
 // input port CAMs").
 type OutCAM struct {
-	lines []outLine
+	lines  []outLine
+	active int // valid lines, so lookups on an empty CAM skip the scan
 	// stats
 	Allocs, Deallocs int
 }
@@ -43,7 +44,12 @@ func (o *OutCAM) Handle(m link.Control) {
 		if m.CFQ < 0 || m.CFQ >= len(o.lines) {
 			return
 		}
-		o.lines[m.CFQ] = outLine{valid: true, dests: append([]int(nil), m.Dests...)}
+		// Copy into the line's own storage (kept across deallocations):
+		// m.Dests belongs to the link.
+		if !o.lines[m.CFQ].valid {
+			o.active++
+		}
+		o.lines[m.CFQ] = outLine{valid: true, dests: append(o.lines[m.CFQ].dests[:0], m.Dests...)}
 		o.Allocs++
 	case link.CFQStop:
 		if o.valid(m.CFQ) {
@@ -55,7 +61,8 @@ func (o *OutCAM) Handle(m link.Control) {
 		}
 	case link.CFQDealloc:
 		if o.valid(m.CFQ) {
-			o.lines[m.CFQ] = outLine{}
+			o.lines[m.CFQ] = outLine{dests: o.lines[m.CFQ].dests[:0]}
+			o.active--
 			o.Deallocs++
 		}
 	default:
@@ -68,6 +75,9 @@ func (o *OutCAM) valid(i int) bool { return i >= 0 && i < len(o.lines) && o.line
 // Lookup finds the line covering dest. It returns the Stop state and
 // the downstream CFQ index for direct delivery.
 func (o *OutCAM) Lookup(dest int) (stopped bool, downCFQ int, ok bool) {
+	if o.active == 0 {
+		return false, -1, false
+	}
 	for i := range o.lines {
 		if !o.lines[i].valid {
 			continue
@@ -80,12 +90,4 @@ func (o *OutCAM) Lookup(dest int) (stopped bool, downCFQ int, ok bool) {
 }
 
 // ActiveLines returns the number of valid lines.
-func (o *OutCAM) ActiveLines() int {
-	n := 0
-	for i := range o.lines {
-		if o.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (o *OutCAM) ActiveLines() int { return o.active }

@@ -19,6 +19,9 @@ func TestOutCAMLifecycle(t *testing.T) {
 	if _, _, ok := o.Lookup(9); !ok {
 		t.Fatal("second dest not matched")
 	}
+	if o.ActiveLines() != 1 {
+		t.Fatalf("active = %d after one alloc", o.ActiveLines())
+	}
 	o.Handle(link.Control{Kind: link.CFQStop, CFQ: 1})
 	if stopped, _, _ := o.Lookup(4); !stopped {
 		t.Fatal("stop not applied")
@@ -30,6 +33,9 @@ func TestOutCAMLifecycle(t *testing.T) {
 	o.Handle(link.Control{Kind: link.CFQDealloc, CFQ: 1})
 	if _, _, ok := o.Lookup(4); ok {
 		t.Fatal("dealloc left the line matching")
+	}
+	if o.ActiveLines() != 0 {
+		t.Fatalf("active = %d after dealloc", o.ActiveLines())
 	}
 	if o.Allocs != 1 || o.Deallocs != 1 {
 		t.Fatalf("allocs=%d deallocs=%d", o.Allocs, o.Deallocs)

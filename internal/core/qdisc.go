@@ -74,8 +74,10 @@ type QDisc interface {
 	// Post runs per-cycle post-processing: congested-packet moves,
 	// congestion detection, CAM maintenance.
 	Post(now sim.Cycle)
-	// Requests emits the arbitration candidates for this cycle.
-	Requests(now sim.Cycle, emit func(Request))
+	// Requests appends this cycle's arbitration candidates to buf and
+	// returns the extended slice. Hosts pass their own scratch (reset to
+	// length 0) so enumeration allocates nothing per cycle.
+	Requests(now sim.Cycle, buf []Request) []Request
 	// Pop removes and returns the head of queue qid.
 	Pop(qid int) *pkt.Packet
 	// Update runs end-of-cycle housekeeping: Stop/Go transitions,
@@ -137,10 +139,11 @@ func (d *oneQ) Enqueue(p *pkt.Packet, _ int) {
 	d.q.Push(p)
 }
 func (d *oneQ) Post(sim.Cycle) {}
-func (d *oneQ) Requests(_ sim.Cycle, emit func(Request)) {
+func (d *oneQ) Requests(_ sim.Cycle, buf []Request) []Request {
 	if h := d.q.Head(); h != nil {
-		emit(Request{QID: 0, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+		buf = append(buf, Request{QID: 0, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 	}
+	return buf
 }
 func (d *oneQ) Pop(qid int) *pkt.Packet {
 	if qid != 0 {
@@ -185,12 +188,13 @@ func (d *voqSw) Enqueue(p *pkt.Packet, _ int) {
 	d.qs[d.env.Route(p.Dst)].Push(p)
 }
 func (d *voqSw) Post(sim.Cycle) {}
-func (d *voqSw) Requests(_ sim.Cycle, emit func(Request)) {
+func (d *voqSw) Requests(_ sim.Cycle, buf []Request) []Request {
 	for i, q := range d.qs {
 		if h := q.Head(); h != nil {
-			emit(Request{QID: i, Out: i, Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+			buf = append(buf, Request{QID: i, Out: i, Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 		}
 	}
+	return buf
 }
 func (d *voqSw) Pop(qid int) *pkt.Packet { return d.qs[qid].Pop() }
 
@@ -271,11 +275,12 @@ func (d *voqNet) Enqueue(p *pkt.Packet, _ int) {
 	}
 }
 func (d *voqNet) Post(sim.Cycle) {}
-func (d *voqNet) Requests(_ sim.Cycle, emit func(Request)) {
+func (d *voqNet) Requests(_ sim.Cycle, buf []Request) []Request {
 	for _, i := range d.active {
 		h := d.qs[i].Head()
-		emit(Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+		buf = append(buf, Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 	}
+	return buf
 }
 func (d *voqNet) Pop(qid int) *pkt.Packet {
 	p := d.qs[qid].Pop()
@@ -339,12 +344,13 @@ func (d *obqa) Enqueue(p *pkt.Packet, _ int) {
 	d.qs[d.queueFor(p.Dst)].Push(p)
 }
 func (d *obqa) Post(sim.Cycle) {}
-func (d *obqa) Requests(_ sim.Cycle, emit func(Request)) {
+func (d *obqa) Requests(_ sim.Cycle, buf []Request) []Request {
 	for i, q := range d.qs {
 		if h := q.Head(); h != nil {
-			emit(Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+			buf = append(buf, Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 		}
 	}
+	return buf
 }
 func (d *obqa) Pop(qid int) *pkt.Packet { return d.qs[qid].Pop() }
 func (d *obqa) Update(sim.Cycle)        {}
@@ -389,12 +395,13 @@ func (d *dbbm) Enqueue(p *pkt.Packet, _ int) {
 	d.qs[p.Dst%len(d.qs)].Push(p)
 }
 func (d *dbbm) Post(sim.Cycle) {}
-func (d *dbbm) Requests(_ sim.Cycle, emit func(Request)) {
+func (d *dbbm) Requests(_ sim.Cycle, buf []Request) []Request {
 	for i, q := range d.qs {
 		if h := q.Head(); h != nil {
-			emit(Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+			buf = append(buf, Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 		}
 	}
+	return buf
 }
 func (d *dbbm) Pop(qid int) *pkt.Packet { return d.qs[qid].Pop() }
 func (d *dbbm) Update(sim.Cycle)        {}

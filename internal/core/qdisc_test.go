@@ -50,11 +50,7 @@ func (e *fakeEnv) MarkCrossed(out int, above bool) {
 	e.crossings = append(e.crossings, crossing{out, above})
 }
 
-func collect(d QDisc) []Request {
-	var rs []Request
-	d.Requests(0, func(r Request) { rs = append(rs, r) })
-	return rs
-}
+func collect(d QDisc) []Request { return d.Requests(0, nil) }
 
 func mkdata(g *pkt.IDGen, dst, size int) *pkt.Packet {
 	return pkt.NewData(g, 0, dst, 0, size, 0)
@@ -246,7 +242,9 @@ func TestVOQNetActiveListChurn(t *testing.T) {
 	push := func(dst int) { d.Enqueue(mkdata(&g, dst, 64), -1) }
 	requests := func() map[int]bool {
 		out := map[int]bool{}
-		d.Requests(0, func(r Request) { out[r.QID] = true })
+		for _, r := range d.Requests(0, nil) {
+			out[r.QID] = true
+		}
 		return out
 	}
 	push(1)

@@ -19,6 +19,10 @@ type Throttler struct {
 	ccti  []int       // per destination
 	lti   []sim.Cycle // last time of injection per destination
 	armed []bool      // CCTI decrement timer armed per destination
+	// timers carries the armed destinations to their expiry. Every timer
+	// runs for the same CCTITimer, so expiries fire in arming order and
+	// one sim.Pipe serves them all without a closure per timer.
+	timers *sim.Pipe[int]
 
 	// Evaluation counters.
 	BECNs   int
@@ -38,6 +42,7 @@ func NewThrottler(eng *sim.Engine, p *Params, numEndpoints int) *Throttler {
 		lti:   make([]sim.Cycle, numEndpoints),
 		armed: make([]bool, numEndpoints),
 	}
+	t.timers = sim.NewPipe(eng, t.expire)
 	for i := range t.cct {
 		t.cct[i] = sim.Cycle(i) * p.IRDStep
 	}
@@ -71,7 +76,7 @@ func (t *Throttler) arm(dst int) {
 		return
 	}
 	t.armed[dst] = true
-	t.eng.After(t.p.CCTITimer, func() { t.expire(dst) })
+	t.timers.At(t.eng.Now()+t.p.CCTITimer, dst)
 }
 
 // expire is the CCTI_Timer tick: decrement the index and re-arm while

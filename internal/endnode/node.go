@@ -53,9 +53,9 @@ type Node struct {
 	tx        *link.Half
 	credits   *core.CreditPool
 	outCAM    *core.OutCAM
-	pending   []*pkt.Packet  // BECNs awaiting output-buffer space
+	pending   *buffer.Queue  // BECNs awaiting output-buffer space
 	lastBECN  []sim.Cycle    // per source: last BECN sent (pacing)
-	occupied  int            // AdVOQs currently holding packets
+	occupied  sim.ActiveSet  // AdVOQs currently holding packets
 	reqs      []core.Request // per-cycle arbitration scratch
 
 	// pausedUntil is the fault injector's injection freeze: while
@@ -90,7 +90,9 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 		advoqs:       make([]*buffer.Queue, numEndpoints),
 		advoqRR:      arbiter.NewRoundRobin(numEndpoints),
 		outCAM:       core.NewOutCAM(p.NumCFQs),
+		pending:      buffer.NewQueue("becn", nil),
 	}
+	n.occupied.Grow(numEndpoints)
 	for i := range n.advoqs {
 		n.advoqs[i] = buffer.NewQueue(fmt.Sprintf("advoq%d", i), nil)
 	}
@@ -176,10 +178,8 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 		n.stats.Rejected++
 		return false
 	}
-	if q.Empty() {
-		n.occupied++
-	}
 	q.Push(p)
+	n.occupied.Add(p.Dst)
 	n.stats.Offered++
 	n.stats.OfferedBytes += p.Size
 	n.wake()
@@ -216,10 +216,7 @@ func (n *Node) BufferedBytes() int {
 	for _, q := range n.advoqs {
 		b += q.Bytes()
 	}
-	for _, p := range n.pending {
-		b += p.Size
-	}
-	return b
+	return b + n.pending.Bytes()
 }
 
 // DescribeState summarises the node's injection side for diagnostic
@@ -237,7 +234,7 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 			}
 		}
 	}
-	s += fmt.Sprintf(" out=%dB pendingBECN=%d", n.disc.UsedBytes(), len(n.pending))
+	s += fmt.Sprintf(" out=%dB pendingBECN=%d", n.disc.UsedBytes(), n.pending.Len())
 	if n.credits != nil && n.tx != nil {
 		s += fmt.Sprintf(" uplink(down=%v)", n.tx.Down())
 	}
@@ -248,17 +245,16 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 // AdVOQ head past the throttling gate (IRD/LTI, Section III-D), then
 // runs the output buffer's post-processing.
 func (n *Node) post(now sim.Cycle) {
-	for len(n.pending) > 0 && n.disc.Fits(n.pending[0].Size) {
-		n.disc.Enqueue(n.pending[0], -1)
-		n.pending = n.pending[1:]
+	for h := n.pending.Head(); h != nil && n.disc.Fits(h.Size); h = n.pending.Head() {
+		n.disc.Enqueue(n.pending.Pop(), -1)
 	}
 	// Keep the output stage shallow so packets wait in per-destination
 	// AdVOQs where the throttling gate can still reorder service.
-	if n.occupied > 0 && n.stageHasRoom() {
+	if n.occupied.Len() > 0 && n.stageHasRoom() {
 		if i := n.pickAdVOQ(now); i >= 0 {
 			p := n.advoqs[i].Pop()
 			if n.advoqs[i].Empty() {
-				n.occupied--
+				n.occupied.Remove(i)
 			}
 			n.disc.Enqueue(p, -1)
 			if n.throttler != nil {
@@ -291,35 +287,39 @@ func (n *Node) stageHasRoom() bool {
 }
 
 // pickAdVOQ chooses the next admittance queue to serve: round-robin
-// over destinations, skipping empty queues, queues whose IRD has not
-// elapsed, heads the output buffer cannot admit, and destinations
-// whose share of the staging budget is already used.
+// over the occupied destinations (from the pointer to the end, then
+// wrapped), skipping destinations whose share of the staging budget is
+// already used, queues whose IRD has not elapsed, and heads the output
+// buffer cannot admit.
 func (n *Node) pickAdVOQ(now sim.Cycle) int {
 	perDest, _ := n.disc.(core.DestOccupancy)
 	stalled := false
-	//lint:ignore hotpath-alloc predicate closure is non-escaping (Pick never stores it); gc stack-allocates it — BenchmarkEngineStep shows zero allocs/op
-	i := n.advoqRR.Pick(func(i int) bool {
-		h := n.advoqs[i].Head()
-		if h == nil {
-			return false
+	ptr, wrapped := n.advoqRR.Pointer(), false
+	for i := n.occupied.Next(ptr); ; i = n.occupied.Next(i + 1) {
+		if i < 0 && !wrapped {
+			i, wrapped = n.occupied.Next(0), true
 		}
-		if perDest != nil {
-			// Per-destination output queues: stage at most one packet
-			// per destination so blocked destinations cannot hoard.
-			if perDest.DestBytes(i) > 0 {
-				return false
-			}
+		if i < 0 || (wrapped && i >= ptr) {
+			break
+		}
+		// Per-destination output queues: stage at most one packet per
+		// destination so blocked destinations cannot hoard.
+		if perDest != nil && perDest.DestBytes(i) > 0 {
+			continue
 		}
 		if n.throttler != nil && !n.throttler.MayInject(i, now) {
 			stalled = true
-			return false
+			continue
 		}
-		return n.disc.Fits(h.Size)
-	})
-	if i < 0 && stalled {
+		if n.disc.Fits(n.advoqs[i].Head().Size) {
+			n.advoqRR.Served(i)
+			return i
+		}
+	}
+	if stalled {
 		n.stats.ThrottleStalls++
 	}
-	return i
+	return -1
 }
 
 // arbitrate serves the output buffer onto the uplink: BECNs first, then
@@ -331,25 +331,21 @@ func (n *Node) arbitrate(now sim.Cycle) {
 	if n.tx == nil || !n.tx.Free(now) || n.disc.UsedBytes() == 0 {
 		return
 	}
-	reqs := n.reqs[:0]
-	//lint:ignore hotpath-alloc visitor closure is non-escaping (Requests only calls it); gc stack-allocates it
-	n.disc.Requests(now, func(r core.Request) {
-		if r.Pkt.Size <= n.credits.Avail(r.Pkt.Dst) {
-			reqs = append(reqs, r)
-		}
-	})
-	n.reqs = reqs[:0]
-	if len(reqs) == 0 {
-		return
-	}
+	n.reqs = n.disc.Requests(now, n.reqs[:0])
 	best := -1
-	for idx, r := range reqs {
-		if best == -1 || (r.Priority && !reqs[best].Priority) ||
-			(r.Priority == reqs[best].Priority && n.outRR.Closer(r.QID, reqs[best].QID)) {
+	for idx, r := range n.reqs {
+		if r.Pkt.Size > n.credits.Avail(r.Pkt.Dst) {
+			continue
+		}
+		if best == -1 || (r.Priority && !n.reqs[best].Priority) ||
+			(r.Priority == n.reqs[best].Priority && n.outRR.Closer(r.QID, n.reqs[best].QID)) {
 			best = idx
 		}
 	}
-	r := reqs[best]
+	if best == -1 {
+		return
+	}
+	r := n.reqs[best]
 	p := n.disc.Pop(r.QID)
 	if p != r.Pkt {
 		panic(fmt.Sprintf("endnode: node %d popped %v, selected %v", n.id, p, r.Pkt))
@@ -367,7 +363,7 @@ func (n *Node) arbitrate(now sim.Cycle) {
 // BECN generation) wakes it again.
 func (n *Node) update(now sim.Cycle) {
 	n.disc.Update(now)
-	if n.occupied == 0 && len(n.pending) == 0 && n.disc.Quiescent() {
+	if n.occupied.Len() == 0 && n.pending.Empty() && n.disc.Quiescent() {
 		n.hPost.Sleep()
 		n.hArb.Sleep()
 		n.hUpd.Sleep()
@@ -399,7 +395,7 @@ func (n *Node) ReceivePacket(p *pkt.Packet, _ int) {
 	if p.FECN {
 		n.stats.FECNSeen++
 		if n.p.ThrottlingEnabled && n.becnDue(p.Src, now) {
-			n.pending = append(n.pending, n.pool.NewBECN(n.ids, n.id, p.Src, n.id, now))
+			n.pending.Push(n.pool.NewBECN(n.ids, n.id, p.Src, n.id, now))
 			n.stats.BECNsSent++
 			n.wake() // the pending BECN needs post ticks to drain
 		}

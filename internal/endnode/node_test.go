@@ -1,6 +1,8 @@
 package endnode
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -298,4 +300,122 @@ func TestDoubleAttachPanics(t *testing.T) {
 	}()
 	tx := link.NewHalf(eng, "x", 64, 1)
 	n.AttachLink(tx, core.NewSharedCredits(1024))
+}
+
+// refPickAdVOQ is the predicate-driven scan pickAdVOQ ran before the
+// occupancy bitmap: every one of the N slots is probed in round-robin
+// order from the pointer. It has no side effects; it returns the slot
+// the scan would serve (-1 for none) and whether the IRD gate stalled
+// some head on the way.
+func refPickAdVOQ(n *Node, now sim.Cycle) (pick int, stalled bool) {
+	perDest, _ := n.disc.(core.DestOccupancy)
+	for k := 0; k < n.numEndpoints; k++ {
+		i := (n.advoqRR.Pointer() + k) % n.numEndpoints
+		h := n.advoqs[i].Head()
+		if h == nil {
+			continue
+		}
+		if perDest != nil && perDest.DestBytes(i) > 0 {
+			continue
+		}
+		if n.throttler != nil && !n.throttler.MayInject(i, now) {
+			stalled = true
+			continue
+		}
+		if n.disc.Fits(h.Size) {
+			return i, stalled
+		}
+	}
+	return -1, stalled
+}
+
+// The bitmap walk must pick exactly what the full predicate scan picked,
+// advance the pointer the same way and count the same throttle stalls —
+// over random occupancy, throttle and fit patterns, with the pointer
+// parked on and around the bitmap's word boundaries.
+func TestPickAdVOQEqualsPredicateScan(t *testing.T) {
+	for _, preset := range []core.Params{core.PresetCCFIT(), core.PresetVOQnet(), core.Preset1Q()} {
+		for _, size := range []int{63, 64, 65, 512} {
+			preset, size := preset, size
+			t.Run(fmt.Sprintf("%s/N=%d", preset.Name, size), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(size)))
+				p := preset
+				eng := sim.NewEngine(5)
+				ids := &pkt.IDGen{}
+				n := New(eng, 0, &p, size, ids, nil)
+				boundary := []int{0, 1, 62, 63, 64, size - 2, size - 1}
+				picks, misses, stalls := 0, 0, 0
+				for step := 0; step < 4000; step++ {
+					now := sim.Cycle(step * 7)
+					// Occupancy: a few offers with mixed sizes, biased to
+					// the slots next to word boundaries.
+					for k := rng.Intn(4); k > 0; k-- {
+						dst := 1 + rng.Intn(size-1)
+						if rng.Intn(3) == 0 {
+							dst = boundary[rng.Intn(len(boundary))]
+						}
+						if dst == 0 || dst >= size {
+							continue
+						}
+						n.Offer(pkt.NewData(ids, 0, dst, 0, 64+rng.Intn(pkt.MTU-63), now))
+					}
+					// Throttle state: BECNs raise a destination's IRD.
+					if n.throttler != nil && rng.Intn(2) == 0 {
+						n.throttler.OnBECN(1 + rng.Intn(size-1))
+					}
+					// Fit: fill or drain the output buffer behind the AdVOQs.
+					switch rng.Intn(3) {
+					case 0:
+						f := pkt.NewData(ids, 0, 1+rng.Intn(size-1), 0, pkt.MTU, now)
+						if n.disc.Fits(f.Size) {
+							n.disc.Enqueue(f, -1)
+						}
+					case 1:
+						if reqs := n.disc.Requests(now, nil); len(reqs) > 0 {
+							n.disc.Pop(reqs[rng.Intn(len(reqs))].QID)
+						}
+					}
+					// Pointer: sometimes park it on a word boundary.
+					if rng.Intn(4) == 0 {
+						n.advoqRR.Served((boundary[rng.Intn(len(boundary))] + size - 1) % size)
+					}
+
+					want, wantStalled := refPickAdVOQ(n, now)
+					stallsBefore := n.stats.ThrottleStalls
+					got := n.pickAdVOQ(now)
+					if got != want {
+						t.Fatalf("step %d: picked %d, predicate scan picks %d (pointer %d)", step, got, want, n.advoqRR.Pointer())
+					}
+					wantStalls := stallsBefore
+					if want < 0 && wantStalled {
+						wantStalls++
+						stalls++
+					}
+					if n.stats.ThrottleStalls != wantStalls {
+						t.Fatalf("step %d: ThrottleStalls %d, want %d", step, n.stats.ThrottleStalls, wantStalls)
+					}
+					if got < 0 {
+						misses++
+						continue
+					}
+					picks++
+					if ptr := n.advoqRR.Pointer(); ptr != (got+1)%size {
+						t.Fatalf("step %d: pointer %d after serving %d", step, ptr, got)
+					}
+					// What post does with a pick, minus the staging enqueue
+					// (the output buffer is driven independently above).
+					n.advoqs[got].Pop()
+					if n.advoqs[got].Empty() {
+						n.occupied.Remove(got)
+					}
+					if n.throttler != nil {
+						n.throttler.Injected(got, now)
+					}
+				}
+				if picks < 500 || misses == 0 || (n.throttler != nil && stalls == 0) {
+					t.Fatalf("pattern too thin: %d picks, %d misses, %d stalls", picks, misses, stalls)
+				}
+			})
+		}
+	}
 }

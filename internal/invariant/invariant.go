@@ -176,8 +176,7 @@ func (c *Checker) Violations() int { return c.violations }
 // wake event is the only trace the checker leaves on the schedule.
 func (c *Checker) tick(now sim.Cycle) {
 	c.check(now)
-	c.handle.Sleep()
-	c.eng.At(now+c.cfg.CheckEvery, c.handle.Wake)
+	c.handle.SleepUntil(now + c.cfg.CheckEvery)
 }
 
 // ledger sums the conservation equation's three terms.

@@ -70,7 +70,9 @@ type PacketReceiver interface {
 	ReceivePacket(p *pkt.Packet, cfq int)
 }
 
-// ControlReceiver consumes control messages at the far end.
+// ControlReceiver consumes control messages at the far end. m.Dests
+// belongs to the link and is recycled once ReceiveControl returns:
+// receivers that keep the destination set copy it.
 type ControlReceiver interface {
 	ReceiveControl(m Control)
 }
@@ -106,6 +108,18 @@ type Half struct {
 	epoch  uint32
 	onDrop func(p *pkt.Packet)
 	tamper TamperFunc
+
+	// Closure-free delivery: packets on the wire and control messages in
+	// propagation each travel through a sim.Pipe, which requires delivery
+	// cycles to be non-decreasing. They are: a packet arrives at
+	// busyUntil+delay and busyUntil strictly grows with every Send; a
+	// control message arrives at now+delay and the clock never runs
+	// backwards. delay is fixed at build, and Degrade only changes the
+	// serialization of future sends. ctlDests recycles the per-message
+	// copies of Control.Dests (see SendControl).
+	wire     *sim.Pipe[flight]
+	ctl      *sim.Pipe[Control]
+	ctlDests [][]int
 
 	// remote, when non-nil, marks this direction as cut by a network
 	// partition: the far end lives on a different shard engine, so
@@ -144,7 +158,18 @@ func NewHalf(eng *sim.Engine, name string, bytesPerCycle int, delay sim.Cycle) *
 	if delay < 0 {
 		panic("link: negative delay")
 	}
-	return &Half{eng: eng, name: name, bpc: bytesPerCycle, nominalBPC: bytesPerCycle, delay: delay}
+	h := &Half{eng: eng, name: name, bpc: bytesPerCycle, nominalBPC: bytesPerCycle, delay: delay}
+	h.wire = sim.NewPipe(eng, h.arrive)
+	h.ctl = sim.NewPipe(eng, h.deliverControl)
+	return h
+}
+
+// flight is one packet on the wire. epoch is the direction's epoch at
+// send time (see Half.epoch).
+type flight struct {
+	p     *pkt.Packet
+	cfq   int
+	epoch uint32
 }
 
 // SetReceivers attaches the far-end packet and control consumers.
@@ -208,19 +233,19 @@ func (h *Half) Send(now sim.Cycle, p *pkt.Packet, cfq int) sim.Cycle {
 	}
 	h.inFlightPkts++
 	h.inFlightBytes += p.Size
-	ep := h.epoch
-	h.eng.At(arrive, func() { h.arrive(p, cfq, ep) })
+	h.wire.At(arrive, flight{p: p, cfq: cfq, epoch: h.epoch})
 	return h.busyUntil
 }
 
-// arrive lands a packet at the far end, unless a DropInFlight between
-// send and arrival invalidated its epoch, in which case the packet is
-// counted dropped and handed to the drop handler (which owns returning
-// the sender's credit and releasing the packet).
-func (h *Half) arrive(p *pkt.Packet, cfq int, ep uint32) {
+// arrive lands the oldest packet on the wire at the far end, unless a
+// DropInFlight between send and arrival invalidated its epoch, in which
+// case the packet is counted dropped and handed to the drop handler
+// (which owns returning the sender's credit and releasing the packet).
+func (h *Half) arrive(f flight) {
+	p := f.p
 	h.inFlightPkts--
 	h.inFlightBytes -= p.Size
-	if ep != h.epoch {
+	if f.epoch != h.epoch {
 		h.droppedPkts++
 		h.droppedBytes += p.Size
 		if h.onDrop != nil {
@@ -228,7 +253,7 @@ func (h *Half) arrive(p *pkt.Packet, cfq int, ep uint32) {
 		}
 		return
 	}
-	h.pktRx.ReceivePacket(p, cfq)
+	h.pktRx.ReceivePacket(p, f.cfq)
 }
 
 // arriveRemote lands a packet that crossed a shard boundary. It runs on
@@ -329,24 +354,46 @@ func (h *Half) BusyCycles() sim.Cycle { return h.busyCycles }
 func (h *Half) Sent() (pkts, bytes int) { return h.sentPkts, h.sentBytes }
 
 // SendControl delivers m to the far end after the propagation delay,
-// consuming no data bandwidth.
+// consuming no data bandwidth. m.Dests is copied: the sender keeps
+// ownership of its slice and may reuse it at once. The cut-link and
+// tamper paths keep per-message closures (and a fresh Dests copy): the
+// former posts into another shard's mailbox, the latter adds a
+// per-message extra delay that breaks the FIFO argument, and both are
+// off the fault-free serial hot path.
 func (h *Half) SendControl(now sim.Cycle, m Control) {
 	if h.ctlRx == nil {
 		panic(fmt.Sprintf("link %s: no control receiver attached", h.name))
 	}
+	if h.remote == nil && h.tamper == nil {
+		if m.Dests != nil {
+			var buf []int
+			if n := len(h.ctlDests); n > 0 {
+				buf, h.ctlDests = h.ctlDests[n-1], h.ctlDests[:n-1]
+			}
+			m.Dests = append(buf, m.Dests...)
+		}
+		h.ctl.At(now+h.delay, m)
+		return
+	}
+	m.Dests = append([]int(nil), m.Dests...)
 	rx := h.ctlRx
 	if h.remote != nil {
 		// Cut direction (tamper is rejected there, so no fault path).
 		h.remote.Post(now+h.delay, func() { rx.ReceiveControl(m) })
 		return
 	}
-	if h.tamper != nil {
-		out, extra := h.tamper(m)
-		for _, mm := range out {
-			mm := mm
-			h.eng.At(now+h.delay+extra, func() { rx.ReceiveControl(mm) })
-		}
-		return
+	out, extra := h.tamper(m)
+	for _, mm := range out {
+		mm := mm
+		h.eng.At(now+h.delay+extra, func() { rx.ReceiveControl(mm) })
 	}
-	h.eng.At(now+h.delay, func() { rx.ReceiveControl(m) })
+}
+
+// deliverControl hands an untampered control message to the far end,
+// then takes its Dests copy back for the next message.
+func (h *Half) deliverControl(m Control) {
+	h.ctlRx.ReceiveControl(m)
+	if m.Dests != nil {
+		h.ctlDests = append(h.ctlDests, m.Dests[:0])
+	}
 }

@@ -168,3 +168,159 @@ func TestUnattachedReceiverPanics(t *testing.T) {
 	}()
 	h.Send(0, pkt.NewData(&g, 0, 1, 0, 64, 0), -1)
 }
+
+// The tests below pin the fault operations against the closure-free
+// delivery path: packets and control messages wait in FIFO pipes and
+// are matched to their delivery events by position alone.
+
+func TestDropInFlightCondemnsExactlyTheWire(t *testing.T) {
+	eng, h, s := setup(64, 100) // long wire: several packets in flight at once
+	var g pkt.IDGen
+	var dropped []*pkt.Packet
+	var droppedAt []sim.Cycle
+	h.SetDropHandler(func(p *pkt.Packet) {
+		dropped = append(dropped, p)
+		droppedAt = append(droppedAt, eng.Now())
+	})
+	var sent []*pkt.Packet
+	send := func() {
+		p := pkt.NewData(&g, 0, 1, 0, 64, eng.Now()) // one cycle of serialization
+		sent = append(sent, p)
+		h.Send(eng.Now(), p, len(sent))
+	}
+	for i := 0; i < 5; i++ {
+		send()
+		eng.RunFor(1)
+	}
+	eng.Run(10)
+	if got := h.DropInFlight(); got != 5 {
+		t.Fatalf("DropInFlight condemned %d packets, want the 5 on the wire", got)
+	}
+	for i := 0; i < 3; i++ { // sent after the drop: must arrive
+		send()
+		eng.RunFor(1)
+	}
+	if pk, _ := h.InFlight(); pk != 8 {
+		t.Fatalf("%d packets in flight, want 8", pk)
+	}
+	eng.Run(300)
+	if len(dropped) != 5 || len(s.pkts) != 3 {
+		t.Fatalf("dropped %d, delivered %d; want 5 and 3", len(dropped), len(s.pkts))
+	}
+	for i, p := range dropped {
+		// Condemned packets reach the drop handler at their would-be
+		// arrival cycle: sent at i, one cycle on the wire, 100 of delay.
+		if p != sent[i] || droppedAt[i] != sim.Cycle(i+1+100) {
+			t.Fatalf("drop %d: %v at %d, want %v at %d", i, p, droppedAt[i], sent[i], i+1+100)
+		}
+	}
+	for i, p := range s.pkts {
+		if p != sent[5+i] || s.cfqs[i] != 6+i || s.at[i] != sim.Cycle(10+i+1+100) {
+			t.Fatalf("delivery %d: %v cfq %d at %d, want %v cfq %d at %d",
+				i, p, s.cfqs[i], s.at[i], sent[5+i], 6+i, 10+i+1+100)
+		}
+	}
+	if pk, by := h.InFlight(); pk != 0 || by != 0 {
+		t.Fatalf("wire not empty after the run: %d packets, %d bytes", pk, by)
+	}
+	if pk, by := h.Dropped(); pk != 5 || by != 5*64 {
+		t.Fatalf("Dropped() = %d packets, %d bytes", pk, by)
+	}
+}
+
+func TestDegradeRestoreMidFlightKeepsArrivalOrder(t *testing.T) {
+	eng, h, s := setup(64, 50)
+	var g pkt.IDGen
+	var sent []*pkt.Packet
+	var wantAt []sim.Cycle
+	send := func(size int) {
+		eng.Run(h.FreeAt())
+		p := pkt.NewData(&g, 0, 1, 0, size, eng.Now())
+		sent = append(sent, p)
+		wantAt = append(wantAt, h.Send(eng.Now(), p, -1)+h.Delay())
+	}
+	send(2048) // 32 cycles at the nominal rate
+	h.Degrade(8)
+	send(2048) // 256 cycles, while the first is still propagating
+	send(64)
+	h.Restore()
+	send(2048) // nominal again, queued behind two slow ones
+	send(64)
+	eng.Run(1000)
+	if len(s.pkts) != len(sent) {
+		t.Fatalf("delivered %d of %d", len(s.pkts), len(sent))
+	}
+	for i := range sent {
+		if s.pkts[i] != sent[i] || s.at[i] != wantAt[i] {
+			t.Fatalf("arrival %d: %v at %d, want %v at %d", i, s.pkts[i], s.at[i], sent[i], wantAt[i])
+		}
+	}
+	if wantAt[1]-wantAt[0] != 256 || wantAt[3]-wantAt[2] != 32 {
+		t.Fatalf("degraded/restored serialization not applied: arrivals %v", wantAt)
+	}
+}
+
+// copySink keeps its own copy of each message's destination set, as the
+// ControlReceiver contract requires of receivers that retain it.
+type copySink struct{ sink }
+
+func (s *copySink) ReceiveControl(m Control) {
+	m.Dests = append([]int(nil), m.Dests...)
+	s.sink.ReceiveControl(m)
+}
+
+func TestTamperedControlInterleavesWithPipedCredits(t *testing.T) {
+	eng := sim.NewEngine(1)
+	h := NewHalf(eng, "t", 64, 5)
+	s := &copySink{sink{eng: eng}}
+	h.SetReceivers(s, s)
+	// The fault: CFQ messages are duplicated and 7 cycles late; credits
+	// pass through untouched (the lossless-aware policy).
+	tamper := func(m Control) ([]Control, sim.Cycle) {
+		if m.Kind == Credit {
+			return []Control{m}, 0
+		}
+		return []Control{m, m}, 7
+	}
+	h.SendControl(0, Control{Kind: Credit, Bytes: 1}) // piped: arrives 5
+	eng.Run(1)
+	h.SetControlTamper(tamper)
+	h.SendControl(1, Control{Kind: CFQStop, CFQ: 3})  // tampered: twice at 13
+	h.SendControl(1, Control{Kind: Credit, Bytes: 2}) // through the tamper path: 6
+	eng.Run(2)
+	h.SetControlTamper(nil)
+	h.SendControl(2, Control{Kind: Credit, Bytes: 3}) // piped: 7
+	eng.Run(3)
+	dests := []int{4, 9}
+	h.SendControl(3, Control{Kind: CFQAlloc, CFQ: 1, Dests: dests}) // piped: 8
+	dests[0], dests[1] = -1, -1                                     // the sender may reuse its slice at once
+	eng.Run(9)
+	h.SendControl(9, Control{Kind: CFQAlloc, CFQ: 2, Dests: []int{7}}) // reuses the recycled copy: 14
+	eng.Run(40)
+
+	type rx struct {
+		at    sim.Cycle
+		kind  CtlKind
+		bytes int
+		cfq   int
+	}
+	want := []rx{
+		{5, Credit, 1, 0}, {6, Credit, 2, 0}, {7, Credit, 3, 0},
+		{8, CFQAlloc, 0, 1}, {13, CFQStop, 0, 3}, {13, CFQStop, 0, 3}, {14, CFQAlloc, 0, 2},
+	}
+	if len(s.ctls) != len(want) {
+		t.Fatalf("delivered %d control messages, want %d: %+v", len(s.ctls), len(want), s.ctls)
+	}
+	for i, w := range want {
+		m := s.ctls[i]
+		if got := (rx{s.at[i], m.Kind, m.Bytes, m.CFQ}); got != w {
+			t.Fatalf("message %d: %+v, want %+v", i, got, w)
+		}
+	}
+	if d := s.ctls[3].Dests; len(d) != 2 || d[0] != 4 || d[1] != 9 {
+		t.Fatalf("CFQAlloc carried dests %v, want [4 9] (SendControl must copy)", d)
+	}
+	if d := s.ctls[6].Dests; len(d) != 1 || d[0] != 7 {
+		t.Fatalf("second CFQAlloc carried dests %v, want [7]", d)
+	}
+}

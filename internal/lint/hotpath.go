@@ -12,7 +12,11 @@ import (
 // per-cycle ticker, and inside their intra-package callees, it flags
 //
 //   - composite literals (except empty zeroing literals),
-//   - closures (each evaluation may heap-allocate its capture),
+//   - closures (each evaluation may heap-allocate its capture) — named
+//     specifically when the literal is an argument of an interface
+//     method call: dynamic dispatch defeats escape analysis, so that
+//     closure is heap-allocated on every tick no matter what the
+//     implementations do with it,
 //   - append into a slice that is not provably backed by preallocated
 //     or reused storage (fields, params, make-with-capacity, reslices),
 //   - implicit interface conversions at call sites (boxing).
@@ -111,6 +115,7 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 	}
 	info := pass.Pkg.Info
 	var panicSpans, reportedLits []span
+	viaInterface := map[*ast.FuncLit]bool{} // literals passed to interface method calls
 
 	// Pre-pass: regions exempt from the discipline (panic arguments).
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -148,10 +153,23 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 				"composite literal in per-cycle hot path: allocates (or copies) every tick",
 				"hoist the value to a struct field reused across cycles")
 		case *ast.FuncLit:
+			if viaInterface[n] {
+				pass.Report(n.Pos(),
+					"closure passed to an interface method in per-cycle hot path: it escapes through the dynamic call and is heap-allocated every tick",
+					"have the method append results into caller-owned scratch instead of calling back")
+				return true
+			}
 			pass.Report(n.Pos(),
 				"closure in per-cycle hot path: each evaluation may heap-allocate its captures",
 				"hoist to a method value or a closure field built once at construction")
 		case *ast.CallExpr:
+			if isInterfaceMethodCall(info, n) {
+				for _, arg := range n.Args {
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+						viaInterface[lit] = true
+					}
+				}
+			}
 			checkHotCall(pass, n)
 		}
 		return true
@@ -159,6 +177,17 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 }
 
 type span struct{ lo, hi token.Pos }
+
+// isInterfaceMethodCall reports whether call invokes a method through
+// an interface value (dynamic dispatch).
+func isInterfaceMethodCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := info.Selections[sel]
+	return s != nil && s.Kind() == types.MethodVal && types.IsInterface(s.Recv())
+}
 
 // checkHotCall flags growing appends and interface boxing at one call.
 func checkHotCall(pass *Pass, call *ast.CallExpr) {

@@ -7,12 +7,19 @@ import "repro/internal/sim"
 
 type event struct{ id, val int }
 
+// queue is a discipline seen through an interface, the way hosts see
+// their port queue organisations.
+type queue interface {
+	Each(visit func(int))
+}
+
 // Port is a fake per-cycle component. buf is preallocated scratch.
 type Port struct {
 	eng    *sim.Engine
 	h      *sim.TickerHandle
 	buf    []int
 	events []event
+	q      queue
 }
 
 // New registers a closure ticker whose body is a hot region.
@@ -20,6 +27,11 @@ func New(eng *sim.Engine) *Port {
 	p := &Port{eng: eng, buf: make([]int, 0, 64)}
 	p.h = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(func(now sim.Cycle) {
 		p.events = append(p.events, event{id: 2, val: int(now)}) // want hotpath-alloc "composite literal"
+		// A visitor closure handed to an interface method inside a
+		// registered tick: it only looks non-escaping — the dynamic call
+		// hides the callee from escape analysis, so it is heap-allocated
+		// every cycle.
+		p.q.Each(func(v int) { p.buf = append(p.buf, v) }) // want hotpath-alloc "closure passed to an interface method"
 	}))
 	return p
 }

@@ -20,12 +20,12 @@ import (
 )
 
 type fctRec struct {
-	size     int64     // flow size in bytes
-	start    sim.Cycle // first cycle the flow may inject
-	ideal    sim.Cycle // contention-free completion time, >= 1
+	size      int64     // flow size in bytes
+	start     sim.Cycle // first cycle the flow may inject
+	ideal     sim.Cycle // contention-free completion time, >= 1
 	delivered int64
-	finish   sim.Cycle
-	done     bool
+	finish    sim.Cycle
+	done      bool
 }
 
 // RegisterFlow declares a finite flow for FCT tracking: `size` bytes

@@ -103,6 +103,12 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 	if opt.BinCycles == 0 {
 		opt.BinCycles = sim.CyclesFromNS(50_000) // 50 us
 	}
+	for _, d := range t.Devices {
+		if d.Kind == topo.Switch && len(d.Ports) > switchfab.MaxPorts {
+			return nil, fmt.Errorf("network: switch %s has %d ports; the engine supports at most %d per switch (port sets are uint64 masks)",
+				d.Label, len(d.Ports), switchfab.MaxPorts)
+		}
+	}
 	tables, err := route.Compute(t, opt.TieBreak)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,6 +20,46 @@ func buildC1(t *testing.T, p core.Params) *Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// A switch wider than the engine's uint64 port masks is an input error:
+// Build must refuse it with an error naming the limit, not panic. The
+// endpoint count is unlimited, so the same leaf split over two switches
+// builds.
+func TestBuildRejectsSwitchWiderThan64Ports(t *testing.T) {
+	leaf := func(width int) *topo.Topology {
+		b := topo.NewBuilder("wide-leaf")
+		b.SetDefaultLink(sim.FlitBytes, topo.DefaultLinkDelay)
+		sw := b.AddSwitch("leaf", width)
+		for e := 0; e < width; e++ {
+			b.Connect(b.AddEndpoint(fmt.Sprintf("n%d", e)), 0, sw, e)
+		}
+		return b.MustBuild()
+	}
+	_, err := Build(leaf(65), core.Preset1Q(), Options{})
+	if err == nil {
+		t.Fatal("65-port switch accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "65 ports") || !strings.Contains(msg, "at most 64") {
+		t.Fatalf("error does not name the switch width and the limit: %v", err)
+	}
+	// 64 ports is the full mask width: traffic through port 63 exercises
+	// the top bit of every port set.
+	n, err := Build(leaf(64), core.PresetCCFIT(), Options{})
+	if err != nil {
+		t.Fatalf("64-port switch rejected: %v", err)
+	}
+	addFlows(t, n, []traffic.Flow{
+		{ID: 0, Src: 63, Dst: 0, Start: 0, End: 5_000, Rate: 1.0},
+		{ID: 1, Src: 0, Dst: 63, Start: 0, End: 5_000, Rate: 1.0},
+		{ID: 2, Src: 62, Dst: 63, Start: 0, End: 5_000, Rate: 1.0},
+	})
+	n.Run(40_000)
+	op, _ := n.TotalOffered()
+	dp, _ := n.TotalDelivered()
+	if dp == 0 || op != dp {
+		t.Fatalf("64-port switch: offered %d packets, delivered %d", op, dp)
+	}
 }
 
 func addFlows(t *testing.T, n *Network, flows []traffic.Flow) {

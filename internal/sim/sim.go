@@ -12,7 +12,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 )
 
@@ -105,18 +104,15 @@ func (f TickerFunc) Tick(now Cycle) { f(now) }
 // active list. Wake and Sleep are idempotent and O(1); components call
 // them on work-arrival and provably-idle transitions.
 type TickerHandle struct {
-	e   *Engine
-	p   Phase
-	idx int
+	e      *Engine
+	p      Phase
+	idx    int
+	wakeFn func() // h.Wake, bound on first SleepUntil
 }
 
 // Wake adds the ticker to its phase's active list (no-op when awake).
 func (h *TickerHandle) Wake() {
-	l := &h.e.phases[h.p]
-	w, b := h.idx>>6, uint64(1)<<(h.idx&63)
-	if l.bits[w]&b == 0 {
-		l.bits[w] |= b
-		l.awake++
+	if h.e.phases[h.p].active.Add(h.idx) {
 		h.e.awake++
 	}
 }
@@ -124,64 +120,50 @@ func (h *TickerHandle) Wake() {
 // Sleep removes the ticker from its phase's active list (no-op when
 // already sleeping).
 func (h *TickerHandle) Sleep() {
-	l := &h.e.phases[h.p]
-	w, b := h.idx>>6, uint64(1)<<(h.idx&63)
-	if l.bits[w]&b != 0 {
-		l.bits[w] &^= b
-		l.awake--
+	if h.e.phases[h.p].active.Remove(h.idx) {
 		h.e.awake--
 	}
 }
 
-// Awake reports whether the ticker is on the active list.
-func (h *TickerHandle) Awake() bool {
-	l := &h.e.phases[h.p]
-	return l.bits[h.idx>>6]&(uint64(1)<<(h.idx&63)) != 0
+// SleepUntil sleeps the ticker and schedules its wake-up at cycle c —
+// the self-pacing idiom of components that know when their next work is
+// due. The wake event reuses one method value per handle, so pacing
+// allocates nothing after the first call.
+func (h *TickerHandle) SleepUntil(c Cycle) {
+	h.Sleep()
+	if h.wakeFn == nil {
+		h.wakeFn = h.Wake
+	}
+	h.e.At(c, h.wakeFn)
 }
 
-// tickList is one phase's registered tickers plus the active-list
-// bitmap. The bitmap is indexed by registration order, so iterating set
-// bits low-to-high preserves the deterministic tick order of a dense
-// every-cycle fan-out.
+// Awake reports whether the ticker is on the active list.
+func (h *TickerHandle) Awake() bool { return h.e.phases[h.p].active.Has(h.idx) }
+
+// tickList is one phase's registered tickers plus the active list. The
+// list is indexed by registration order, so walking it low-to-high
+// preserves the deterministic tick order of a dense every-cycle fan-out.
 type tickList struct {
 	tickers []Ticker
-	bits    []uint64
-	awake   int
+	active  ActiveSet
 }
 
 func (l *tickList) add(t Ticker) int {
 	idx := len(l.tickers)
 	l.tickers = append(l.tickers, t)
-	if idx>>6 >= len(l.bits) {
-		l.bits = append(l.bits, 0)
-	}
+	l.active.Grow(len(l.tickers))
 	return idx
 }
 
-// tick runs every awake ticker in registration order. The bitmap is
-// re-read as iteration advances so a ticker woken mid-phase at a LATER
-// index still runs this cycle (exactly as it would have under the dense
-// fan-out), while wakes at already-passed indices wait for the next
-// cycle (as they would have: each callback runs at most once per phase).
+// tick runs every awake ticker in registration order. ActiveSet.Next
+// re-reads the bitmap as iteration advances, so a ticker woken mid-phase
+// at a LATER index still runs this cycle (exactly as it would have under
+// the dense fan-out), while wakes at already-passed indices wait for the
+// next cycle (as they would have: each callback runs at most once per
+// phase).
 func (l *tickList) tick(now Cycle) {
-	if l.awake == 0 {
-		return
-	}
-	for w := range l.bits {
-		mask := ^uint64(0)
-		for {
-			set := l.bits[w] & mask
-			if set == 0 {
-				break
-			}
-			b := bits.TrailingZeros64(set)
-			if b == 63 {
-				mask = 0
-			} else {
-				mask = ^uint64(0) << (b + 1)
-			}
-			l.tickers[w<<6|b].Tick(now)
-		}
+	for i := l.active.Next(0); i >= 0; i = l.active.Next(i + 1) {
+		l.tickers[i].Tick(now)
 	}
 }
 

@@ -9,6 +9,7 @@ package switchfab
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
@@ -49,19 +50,39 @@ type Switch struct {
 	// wedged scheduler. Zero (the default) never stalls.
 	stalledUntil sim.Cycle
 
-	// per-cycle scratch: candidate request per (input, output)
-	cand [][]core.Request
-	has  [][]bool
+	// Active sets, one bit per port (hence MaxPorts). The per-cycle ticks
+	// visit set bits in ascending port order — the order of the dense
+	// scans they replace — and skip everything else.
+	//
+	// liveIn: input ports whose discipline may need Post/Update/request
+	// ticks. Set by ReceivePacket (only Enqueue ends quiescence), cleared
+	// by update once disc.Quiescent() — which is by contract the state in
+	// which Post, Update and Requests are no-ops.
+	// stagedOut: output ports with a non-empty stage. Set when a crossbar
+	// transfer lands, cleared by the drain that empties the stage.
+	// inflight: crossbar transfers started but not yet landed, all ports.
+	liveIn    uint64
+	stagedOut uint64
+	inflight  int
 
-	// iSLIP request/priority predicates over cand/has, built once so
-	// arbitration does not allocate two closures per cycle.
-	matchHas, matchPrio func(i, o int) bool
+	// per-cycle arbitration scratch: the strongest candidate per (input,
+	// output), and the iSLIP masks over them — bit i of req[o] says
+	// cand[i][o] is this cycle's request, prio[o] the BECN-priority
+	// subset. reqOuts marks the outputs with a non-zero req mask, so only
+	// those are cleared for the next cycle.
+	cand      [][]core.Request
+	req, prio []uint64
+	reqOuts   uint64
 
 	// Tick handles: the switch sleeps while every input discipline is
 	// quiescent and every output stage is empty (nothing queued, nothing
 	// crossing the crossbar, no CAM housekeeping pending).
 	hPost, hArb, hUpd *sim.TickerHandle
 }
+
+// MaxPorts is the largest switch New accepts: live-port sets and iSLIP
+// request sets are one uint64 bit per port.
+const MaxPorts = arbiter.MaxPorts
 
 type inPort struct {
 	s         *Switch
@@ -70,6 +91,15 @@ type inPort struct {
 	busyUntil sim.Cycle
 	rr        *arbiter.RoundRobin // among this port's queues for one output
 	reqs      []core.Request      // per-cycle scratch
+
+	// The crossbar transfer in flight from this port. busyUntil gates the
+	// request scan, so a port launches at most one transfer at a time and
+	// a single slot (xferPkt != nil while occupied) replaces a per-launch
+	// completion closure; landFn is ip.land bound once at build.
+	xferOut *outPort
+	xferPkt *pkt.Packet
+	xferCFQ int
+	landFn  func()
 }
 
 type outPort struct {
@@ -84,7 +114,8 @@ type outPort struct {
 	// links in Config #1) from link serialization. inflight counts
 	// crossbar transfers that have started but not yet landed here;
 	// inflightBytes mirrors it in bytes for the conservation ledger.
-	stage         []staged
+	stage         [stageCap]staged
+	nstaged       int // occupied prefix of stage
 	inflight      int
 	inflightBytes int
 }
@@ -107,6 +138,9 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	if nports <= 0 {
 		panic("switchfab: switch needs ports")
 	}
+	if nports > MaxPorts {
+		panic(fmt.Sprintf("switchfab: switch %s has %d ports; the limit is %d (port sets are uint64 masks)", name, nports, MaxPorts))
+	}
 	if xbarBPC <= 0 {
 		panic("switchfab: crossbar bandwidth must be positive")
 	}
@@ -124,6 +158,7 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	s.out = make([]*outPort, nports)
 	for i := 0; i < nports; i++ {
 		ip := &inPort{s: s, idx: i}
+		ip.landFn = ip.land
 		ip.disc = core.NewQDisc(p, portEnv{s: s, port: i}, nports, numEndpoints)
 		ip.rr = arbiter.NewRoundRobin(ip.disc.QueueCount())
 		if iso, ok := ip.disc.(*core.IsolationUnit); ok {
@@ -138,13 +173,11 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 		}
 	}
 	s.cand = make([][]core.Request, nports)
-	s.has = make([][]bool, nports)
 	for i := range s.cand {
 		s.cand[i] = make([]core.Request, nports)
-		s.has[i] = make([]bool, nports)
 	}
-	s.matchHas = func(i, o int) bool { return s.has[i][o] }
-	s.matchPrio = func(i, o int) bool { return s.has[i][o] && s.cand[i][o].Priority }
+	s.req = make([]uint64, nports)
+	s.prio = make([]uint64, nports)
 	s.hPost = eng.AddTicker(sim.PhasePost, sim.TickerFunc(s.post))
 	s.hArb = eng.AddTicker(sim.PhaseArbitrate, sim.TickerFunc(s.arbitrate))
 	s.hUpd = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(s.update))
@@ -163,17 +196,7 @@ func (s *Switch) wake() {
 // Credit and CAM control arrivals are handled inline by ReceiveControl
 // and need no ticks, so they do not keep a switch awake.
 func (s *Switch) idle() bool {
-	for _, op := range s.out {
-		if len(op.stage) > 0 || op.inflight > 0 {
-			return false
-		}
-	}
-	for _, ip := range s.in {
-		if !ip.disc.Quiescent() {
-			return false
-		}
-	}
-	return true
+	return s.liveIn == 0 && s.stagedOut == 0 && s.inflight == 0
 }
 
 // ID returns the switch's device id.
@@ -220,16 +243,21 @@ func (s *Switch) ControlReceiver(i int) link.ControlReceiver { return s.out[i] }
 
 // post runs the per-port post-processing phase.
 func (s *Switch) post(now sim.Cycle) {
-	for _, ip := range s.in {
-		ip.disc.Post(now)
+	for live := s.liveIn; live != 0; live &= live - 1 {
+		s.in[bits.TrailingZeros64(live)].disc.Post(now)
 	}
 }
 
 // update runs the per-port housekeeping phase, then sleeps the switch
 // when it is provably idle; packet arrivals wake it again.
 func (s *Switch) update(now sim.Cycle) {
-	for _, ip := range s.in {
-		ip.disc.Update(now)
+	for live := s.liveIn; live != 0; live &= live - 1 {
+		i := bits.TrailingZeros64(live)
+		disc := s.in[i].disc
+		disc.Update(now)
+		if disc.Quiescent() {
+			s.liveIn &^= 1 << i
+		}
 	}
 	if s.idle() {
 		s.hPost.Sleep()
@@ -245,23 +273,18 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 	if now < s.stalledUntil {
 		return
 	}
-	for _, op := range s.out {
-		op.drain(now)
-	}
-	anyReq := false
-	for i, ip := range s.in {
-		for o := range s.has[i] {
-			s.has[i][o] = false
-		}
+	s.drainStaged(now)
+	for live := s.liveIn; live != 0; live &= live - 1 {
+		i := bits.TrailingZeros64(live)
+		ip := s.in[i]
 		if ip.busyUntil > now || ip.disc.UsedBytes() == 0 {
 			continue
 		}
-		ip.reqs = ip.reqs[:0]
-		//lint:ignore hotpath-alloc visitor closure is non-escaping (Requests only calls it); gc stack-allocates it
-		ip.disc.Requests(now, func(r core.Request) { ip.reqs = append(ip.reqs, r) })
+		ip.reqs = ip.disc.Requests(now, ip.reqs[:0])
+		bit := uint64(1) << i
 		for _, r := range ip.reqs {
 			op := s.out[r.Out]
-			if op.tx == nil || len(op.stage)+op.inflight >= stageCap {
+			if op.tx == nil || op.nstaged+op.inflight >= stageCap {
 				continue
 			}
 			if op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size {
@@ -269,18 +292,28 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 				continue
 			}
 			// Keep the strongest candidate per (input, output):
-			// priority first, then this input's queue round-robin.
-			if !s.has[i][r.Out] || s.better(ip, r, s.cand[i][r.Out]) {
+			// priority first, then this input's queue round-robin. A
+			// replacement never lowers the priority, so prio bits are
+			// only ever set.
+			if s.req[r.Out]&bit == 0 || s.better(ip, r, s.cand[i][r.Out]) {
 				s.cand[i][r.Out] = r
-				s.has[i][r.Out] = true
+				s.req[r.Out] |= bit
+				if r.Priority {
+					s.prio[r.Out] |= bit
+				}
+				s.reqOuts |= 1 << r.Out
 			}
-			anyReq = true
 		}
 	}
-	if !anyReq {
+	if s.reqOuts == 0 {
 		return
 	}
-	match := s.islip.Match(s.matchHas, s.matchPrio)
+	match := s.islip.Match(s.req, s.prio)
+	for outs := s.reqOuts; outs != 0; outs &= outs - 1 {
+		o := bits.TrailingZeros64(outs)
+		s.req[o], s.prio[o] = 0, 0
+	}
+	s.reqOuts = 0
 	for i, o := range match {
 		if o == -1 {
 			continue
@@ -289,19 +322,28 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 	}
 	// A transfer completing this cycle may have landed in an idle
 	// stage; push it out without waiting a cycle.
-	for _, op := range s.out {
-		op.drain(now)
+	s.drainStaged(now)
+}
+
+// drainStaged offers every non-empty output stage to its link.
+func (s *Switch) drainStaged(now sim.Cycle) {
+	for outs := s.stagedOut; outs != 0; outs &= outs - 1 {
+		s.out[bits.TrailingZeros64(outs)].drain(now)
 	}
 }
 
 // drain puts the next staged packet on the wire if the link is idle.
 func (op *outPort) drain(now sim.Cycle) {
-	if op.tx == nil || len(op.stage) == 0 || !op.tx.Free(now) {
+	if op.tx == nil || op.nstaged == 0 || !op.tx.Free(now) {
 		return
 	}
 	st := op.stage[0]
-	copy(op.stage, op.stage[1:])
-	op.stage = op.stage[:len(op.stage)-1]
+	copy(op.stage[:], op.stage[1:op.nstaged])
+	op.nstaged--
+	op.stage[op.nstaged] = staged{}
+	if op.nstaged == 0 {
+		op.s.stagedOut &^= 1 << op.idx
+	}
 	op.tx.Send(now, st.p, st.cfq)
 }
 
@@ -331,25 +373,36 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 	}
 	xfer := sim.Cycle((p.Size + s.xbar - 1) / s.xbar)
 	ip.busyUntil = now + xfer
+	if ip.xferPkt != nil {
+		panic(fmt.Sprintf("switchfab: %s port %d launched %v with %v still crossing the crossbar", s.name, ip.idx, p, ip.xferPkt))
+	}
+	ip.xferOut, ip.xferPkt, ip.xferCFQ = op, p, r.DirectCFQ
 	op.inflight++
 	op.inflightBytes += p.Size
-	cfq := r.DirectCFQ
-	//lint:ignore hotpath-alloc transfer-completion event: this scheduling closure is the one allocation per crossbar launch PR 2's overhaul budgeted for
-	s.eng.At(now+xfer, func() {
-		op.inflight--
-		op.inflightBytes -= p.Size
-		//lint:ignore hotpath-alloc staged{} is a two-word value appended into the field-backed stage ring; no heap allocation
-		op.stage = append(op.stage, staged{p: p, cfq: cfq})
-		s.wake() // defensive: the staged packet needs drain ticks
-	})
+	s.inflight++
+	s.eng.At(now+xfer, ip.landFn)
 	s.stats.Forwarded++
 	s.stats.ForwardedBytes += p.Size
 	// The packet left this input port's RAM: return credit upstream.
 	// Port ip.idx's transmit half reaches the upstream neighbor.
 	if up := s.out[ip.idx].tx; up != nil {
-		//lint:ignore hotpath-alloc link.Control is a value struct passed by value; no heap allocation
+		//lint:ignore hotpath-alloc link.Control is a value struct copied into the link's control ring; no heap allocation
 		up.SendControl(now, link.Control{Kind: link.Credit, Bytes: p.Size, Dest: p.Dst})
 	}
+}
+
+// land completes this port's crossbar transfer: the packet enters its
+// output stage for link serialization.
+func (ip *inPort) land() {
+	s, op, p := ip.s, ip.xferOut, ip.xferPkt
+	ip.xferOut, ip.xferPkt = nil, nil
+	op.inflight--
+	op.inflightBytes -= p.Size
+	s.inflight--
+	op.stage[op.nstaged] = staged{p: p, cfq: ip.xferCFQ}
+	op.nstaged++
+	s.stagedOut |= 1 << op.idx
+	s.wake() // defensive: the staged packet needs drain ticks
 }
 
 // Stall freezes arbitration (grants, drains, crossbar launches) for d
@@ -386,7 +439,7 @@ func (s *Switch) BufferedBytes() int {
 	}
 	for _, op := range s.out {
 		b += op.inflightBytes
-		for _, st := range op.stage {
+		for _, st := range op.stage[:op.nstaged] {
 			b += st.p.Size
 		}
 	}
@@ -411,12 +464,11 @@ func (s *Switch) DescribeBlocked(now sim.Cycle) []string {
 		if ip.busyUntil > now {
 			line += fmt.Sprintf("; crossbar busy until %d", ip.busyUntil)
 		}
-		nreq := 0
-		ip.disc.Requests(now, func(r core.Request) {
-			nreq++
+		reqs := ip.disc.Requests(now, nil)
+		for _, r := range reqs {
 			line += "; " + s.describeRequest(now, r)
-		})
-		if nreq == 0 {
+		}
+		if len(reqs) == 0 {
 			line += "; no eligible request (queues stopped or heads gated)"
 		}
 		out = append(out, line)
@@ -431,7 +483,7 @@ func (s *Switch) describeRequest(now sim.Cycle, r core.Request) string {
 	switch {
 	case op.tx == nil:
 		return head + " output unconnected"
-	case len(op.stage)+op.inflight >= stageCap:
+	case op.nstaged+op.inflight >= stageCap:
 		return head + " output stage full"
 	case op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size:
 		return fmt.Sprintf("%s no credits (have %d, need %d)", head, op.credits.Avail(r.Pkt.Dst), r.Pkt.Size)
@@ -446,6 +498,7 @@ func (s *Switch) describeRequest(now sim.Cycle, r core.Request) string {
 
 // ReceivePacket implements link.PacketReceiver for an input port.
 func (ip *inPort) ReceivePacket(p *pkt.Packet, cfq int) {
+	ip.s.liveIn |= 1 << ip.idx
 	ip.s.wake()
 	ip.disc.Enqueue(p, cfq)
 }

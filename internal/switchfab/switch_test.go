@@ -1,6 +1,8 @@
 package switchfab
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -25,12 +27,41 @@ func (p *peer) ReceivePacket(q *pkt.Packet, cfq int) {
 }
 func (p *peer) ReceiveControl(m link.Control) { p.ctls = append(p.ctls, m) }
 
+// idleScan is the full-scan idle test the live-port masks replaced:
+// every input discipline quiescent, every output stage empty, nothing
+// crossing the crossbar. It is the reference idle() is checked against.
+func (s *Switch) idleScan() bool {
+	for _, op := range s.out {
+		if op.nstaged > 0 || op.inflight > 0 {
+			return false
+		}
+	}
+	for _, ip := range s.in {
+		if !ip.disc.Quiescent() {
+			return false
+		}
+	}
+	return true
+}
+
 // rig builds one switch with nports ports, each wired to a recording
 // peer with the given credit bytes; routing sends dest d out port d.
+// Every cycle of every test that uses it asserts, after the switch's
+// own update tick, that the mask-based idle() agrees with the full scan
+// and that a sleeping switch is an idle one.
 func rig(t *testing.T, params core.Params, nports, xbar, credits int) (*sim.Engine, *Switch, []*peer) {
 	t.Helper()
 	eng := sim.NewEngine(9)
 	sw := New(eng, 100, "sw", nports, &params, func(d int) int { return d % nports }, 16, xbar)
+	eng.Register(sim.PhaseUpdate, func(now sim.Cycle) {
+		if got, want := sw.idle(), sw.idleScan(); got != want {
+			t.Fatalf("cycle %d: idle() = %v, full scan = %v (liveIn %b stagedOut %b inflight %d)",
+				now, got, want, sw.liveIn, sw.stagedOut, sw.inflight)
+		}
+		if !sw.hUpd.Awake() && !sw.idleScan() {
+			t.Fatalf("cycle %d: switch sleeps with work pending", now)
+		}
+	})
 	peers := make([]*peer, nports)
 	for i := range peers {
 		peers[i] = &peer{eng: eng}
@@ -329,4 +360,12 @@ func TestConstructorValidation(t *testing.T) {
 			fn()
 		}()
 	}
+	// The port limit is named in the message (network.Build reports the
+	// same limit as an error before it ever gets here).
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "65 ports") || !strings.Contains(msg, "limit is 64") {
+			t.Fatalf("65-port switch: panic %q does not name the limit", msg)
+		}
+	}()
+	New(eng, 1, "x", MaxPorts+1, &params, func(int) int { return 0 }, 4, 64)
 }

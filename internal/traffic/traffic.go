@@ -10,6 +10,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/endnode"
 	"repro/internal/pkt"
@@ -57,6 +58,16 @@ type Generator struct {
 	handle *sim.TickerHandle
 
 	flows []flowState
+
+	// Flow active set. byStart lists flow indices ordered by (Start,
+	// index); opened counts how many of them have been admitted to live,
+	// the set of flows whose window has opened and that are neither past
+	// End nor finished. A tick admits the newly opened flows, then walks
+	// live — in flow-index order, the order of the dense scan it replaces,
+	// which packet ids and Offer order depend on.
+	byStart []int
+	opened  int
+	live    sim.ActiveSet
 }
 
 type flowState struct {
@@ -102,8 +113,22 @@ func NewGenerator(eng *sim.Engine, nodes []*endnode.Node, nodeBPC []int, flows [
 		}
 		g.flows = append(g.flows, fs)
 	}
-	g.handle = eng.AddTicker(sim.PhaseInject, sim.TickerFunc(g.inject))
+	g.start()
 	return g, nil
+}
+
+// start indexes the flows by window opening and registers the generator
+// with its engine's injection phase. Construction-time only.
+func (g *Generator) start() {
+	g.byStart = make([]int, len(g.flows))
+	for i := range g.byStart {
+		g.byStart[i] = i
+	}
+	sort.SliceStable(g.byStart, func(a, b int) bool {
+		return g.flows[g.byStart[a]].Start < g.flows[g.byStart[b]].Start
+	})
+	g.live.Grow(len(g.flows))
+	g.handle = g.eng.AddTicker(sim.PhaseInject, sim.TickerFunc(g.inject))
 }
 
 // NewSharded builds one generator per shard engine over a common flow
@@ -143,8 +168,8 @@ func NewSharded(engines []*sim.Engine, shardOfNode []int, nodes []*endnode.Node,
 		}
 		gens[s].flows = append(gens[s].flows, fs)
 	}
-	for i := range gens {
-		gens[i].handle = engines[i].AddTicker(sim.PhaseInject, sim.TickerFunc(gens[i].inject))
+	for _, g := range gens {
+		g.start()
 	}
 	return gens, nil
 }
@@ -173,9 +198,13 @@ func validate(f Flow, n int) error {
 
 // inject runs once per cycle.
 func (g *Generator) inject(now sim.Cycle) {
-	for i := range g.flows {
+	for ; g.opened < len(g.byStart) && g.flows[g.byStart[g.opened]].Start <= now; g.opened++ {
+		g.live.Add(g.byStart[g.opened])
+	}
+	for i := g.live.Next(0); i >= 0; i = g.live.Next(i + 1) {
 		f := &g.flows[i]
-		if f.done() || now < f.Start || now >= f.End {
+		if now >= f.End {
+			g.live.Remove(i)
 			continue
 		}
 		f.acc += f.Rate * float64(g.bpc[f.Src])
@@ -204,44 +233,24 @@ func (g *Generator) inject(now sim.Cycle) {
 				g.hook(p)
 			}
 			if f.done() {
+				g.live.Remove(i)
 				break
 			}
 		}
 	}
-	// Between activation windows every tick is a no-op (window checks
-	// touch no state), so sleep and arm a wake event at the next window
-	// opening; with no window left, sleep for good.
-	if !g.anyActive(now) {
-		g.handle.Sleep()
-		if next, ok := g.nextStart(now); ok {
-			g.eng.At(next, g.handle.Wake)
+	// With no live flow every tick is a no-op until the next window
+	// opens (finished finite flows no longer count: once every flow is
+	// done the generator sleeps for good even if windows remain open), so
+	// sleep and arm a wake event at that opening; with no window left,
+	// sleep for good. A flow whose last cycle this was is still live here
+	// and retires on the next tick, which is the tick that sleeps.
+	if g.live.Len() == 0 {
+		if g.opened < len(g.byStart) {
+			g.handle.SleepUntil(g.flows[g.byStart[g.opened]].Start)
+		} else {
+			g.handle.Sleep()
 		}
 	}
-}
-
-// anyActive reports whether some flow's window covers `now` (finished
-// finite flows no longer count: once every flow is done the generator
-// sleeps for good even if windows remain open).
-func (g *Generator) anyActive(now sim.Cycle) bool {
-	for i := range g.flows {
-		f := &g.flows[i]
-		if !f.done() && now >= f.Start && now < f.End {
-			return true
-		}
-	}
-	return false
-}
-
-// nextStart returns the earliest window opening strictly after `now`.
-func (g *Generator) nextStart(now sim.Cycle) (sim.Cycle, bool) {
-	var next sim.Cycle
-	found := false
-	for i := range g.flows {
-		if s := g.flows[i].Start; s > now && (!found || s < next) {
-			next, found = s, true
-		}
-	}
-	return next, found
 }
 
 // FlowIDs returns the configured flow ids in order.
