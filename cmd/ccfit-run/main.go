@@ -49,7 +49,7 @@ import (
 
 func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	simWorkers := flag.Int("sim-workers", 1, "partitioned-engine shard workers per simulation (1 = serial; results are byte-identical at any value)")
+	simWorkers := flag.Int("sim-workers", 1, "worker goroutines per simulation: >1 runs it on the partitioned engine, the fabric cut into several shards per worker (1 = serial; results are byte-identical at any value)")
 	seed := flag.Int64("seed", 1, "base simulation seed")
 	seeds := flag.Int("seeds", 1, "replications per scheme (seeds seed..seed+N-1); >1 prints mean±sd tables")
 	schemesFlag := flag.String("schemes", "", "comma-separated scheme override (default: each experiment's own set)")

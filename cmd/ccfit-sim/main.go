@@ -34,7 +34,7 @@ func main() {
 	linksFlag := flag.Int("links", 0, "print the N most-utilized link directions to stderr")
 	faultsPath := flag.String("faults", "", "inject a deterministic fault script (JSON; see scripts/faults/)")
 	watchdog := flag.Int64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default 262144, -1 = disable)")
-	simWorkers := flag.Int("sim-workers", 1, "partitioned-engine worker goroutines (1 = serial; results are byte-identical)")
+	simWorkers := flag.Int("sim-workers", 1, "worker goroutines: >1 runs the partitioned engine, the fabric cut into several shards per worker (1 = serial; results are byte-identical)")
 	flag.Parse()
 
 	p, err := ccfit.Scheme(*scheme)

@@ -32,7 +32,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base seed for simulations and the fuzz generator")
 	fuzzIters := flag.Int("fuzz-iters", 0, "fuzz campaign size (0 = mode default: 25 quick, 200 full/fuzz)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel verification workers")
-	simWorkers := flag.Int("sim-workers", 1, "run the engine side of every differential under the partitioned engine with N shard workers (1 = serial; verdicts are identical either way)")
+	simWorkers := flag.Int("sim-workers", 1, "run the engine side of every differential under the partitioned engine on N worker goroutines (1 = serial; verdicts are identical either way)")
 	reproDir := flag.String("repro-dir", "", "write shrunk fuzz-failure repros (JSON) into this directory")
 	reproFile := flag.String("repro", "", "replay one repro file through the property suite and exit")
 	flag.Usage = func() {

@@ -213,8 +213,10 @@ func (n *Node) TxHalf() *link.Half { return n.tx }
 // deliveries are consumed on arrival).
 func (n *Node) BufferedBytes() int {
 	b := n.disc.UsedBytes()
-	for _, q := range n.advoqs {
-		b += q.Bytes()
+	// Only occupied AdVOQs hold bytes; on a 512-node fabric the audit
+	// would otherwise visit 512 x 512 queues to find a few hundred.
+	for i := n.occupied.Next(0); i >= 0; i = n.occupied.Next(i + 1) {
+		b += n.advoqs[i].Bytes()
 	}
 	return b + n.pending.Bytes()
 }

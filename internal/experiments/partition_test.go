@@ -11,8 +11,11 @@ import (
 // The partitioned engine's contract is byte-identity: the same
 // experiment, scheme and seed must produce the same digest at any
 // worker count. One experiment per network configuration (Table I's
-// three plus the 512-node Config #4), every scheme each evaluates,
-// SimWorkers ∈ {1, 2, 4}. Durations are scaled to keep the matrix
+// three plus the 512-node Config #4, and the leaf-spine fabric whose
+// long idle stretches exercise the quiescent skip), every scheme each
+// evaluates, SimWorkers ∈ {1, 2, 3, 4} — which, at several shards per
+// worker, is 2 to 16 shards depending on the fabric. Durations are
+// scaled to keep the matrix
 // tractable; identity must hold at any duration, so the scale is not
 // part of the contract, just the budget.
 var partitionCases = []struct {
@@ -67,7 +70,7 @@ func TestPartitionedDigestsMatchSerial(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", c.expID, scheme), func(t *testing.T) {
 				t.Parallel()
 				want := digestAtWorkers(t, c.expID, scheme, c.scale, 1)
-				for _, w := range []int{2, 4} {
+				for _, w := range []int{2, 3, 4} {
 					if got := digestAtWorkers(t, c.expID, scheme, c.scale, w); got != want {
 						t.Fatalf("workers=%d digest %s differs from serial %s", w, got, want)
 					}
@@ -88,7 +91,7 @@ func TestPartitionedFaultDigestsMatchSerial(t *testing.T) {
 	// Full duration so the 4 ms fault window actually fires; one scheme
 	// keeps the budget sane.
 	want := digestAtWorkers(t, "xfaultflap", "CCFIT", 1.0, 1)
-	for _, w := range []int{2, 4} {
+	for _, w := range []int{2, 3, 4} {
 		if got := digestAtWorkers(t, "xfaultflap", "CCFIT", 1.0, w); got != want {
 			t.Fatalf("workers=%d faulted digest %s differs from serial %s", w, got, want)
 		}

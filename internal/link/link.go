@@ -117,23 +117,35 @@ type Half struct {
 	// backwards. delay is fixed at build, and Degrade only changes the
 	// serialization of future sends. ctlDests recycles the per-message
 	// copies of Control.Dests (see SendControl).
-	wire     *sim.Pipe[flight]
+	wire     *sim.Pipe[Flight]
 	ctl      *sim.Pipe[Control]
 	ctlDests [][]int
 
-	// remote, when non-nil, marks this direction as cut by a network
-	// partition: the far end lives on a different shard engine, so
-	// arrivals are posted into the mailbox (drained at the next window
-	// barrier) instead of being scheduled with eng.At. All transmit-side
+	// remoteWire and remoteCtl, when non-nil, mark this direction as
+	// crossing a partition boundary: the far end lives on a different
+	// shard engine, so Cut rebuilt wire and ctl on that engine and sends
+	// post their records into these two mailboxes, which the window
+	// barrier drains into those pipes (remoteWire first, then remoteCtl
+	// — see Cut). All transmit-side
 	// state above stays owned by the sending shard; the arrival mirror
-	// below is owned by the receiving shard, and the pair is only read
-	// together (InFlight) at barriers, when both shards are parked.
-	// Fault operations are rejected on cut directions — see SetDown.
-	remote *sim.Mailbox
+	// and ctlReturned are owned by the receiving shard, and the two
+	// sides only meet at barriers (InFlight, RecycleRemote), when both
+	// shards are parked. Fault operations are rejected on cut
+	// directions — see SetDown.
+	remoteWire *sim.Mailbox[Flight]
+	remoteCtl  *sim.Mailbox[Control]
+	// posted points at this direction's flag in the barrier's list of
+	// cut directions: set on posting, so that the barrier visits only
+	// the mailboxes that hold something.
+	posted *bool
 	// remoteArrivedPkts/Bytes count packets landed at the far end of a
 	// cut direction (receiver-owned mirror of the in-flight ledger).
 	remoteArrivedPkts  int
 	remoteArrivedBytes int
+	// ctlReturned holds the Dests copies of control messages delivered
+	// on a cut direction until RecycleRemote hands them back to the
+	// sender's ctlDests.
+	ctlReturned [][]int
 
 	// In-flight accounting: bytes/packets sent but not yet arrived
 	// (the invariant checker's "on the wire" ledger term).
@@ -164,9 +176,11 @@ func NewHalf(eng *sim.Engine, name string, bytesPerCycle int, delay sim.Cycle) *
 	return h
 }
 
-// flight is one packet on the wire. epoch is the direction's epoch at
-// send time (see Half.epoch).
-type flight struct {
+// Flight is one packet on the wire. epoch is the direction's epoch at
+// send time (see Half.epoch). The type is exported only so that the
+// network can hold a cut direction's mailbox of them; its content is
+// the link's own business.
+type Flight struct {
 	p     *pkt.Packet
 	cfq   int
 	epoch uint32
@@ -178,13 +192,35 @@ func (h *Half) SetReceivers(p PacketReceiver, c ControlReceiver) {
 	h.ctlRx = c
 }
 
-// SetRemote marks the direction as cut by a partition: deliveries go
-// through mb (whose destination engine is the receiving shard's)
-// instead of the owning engine's event heap. Wiring-time only.
-func (h *Half) SetRemote(mb *sim.Mailbox) { h.remote = mb }
+// Cut marks the direction as crossing a partition boundary whose far
+// end runs on dst: arrivals are delivered by pipes on dst, fed through
+// the two returned mailboxes instead of straight from Send and
+// SendControl. Every post sets *posted; between windows the barrier
+// must, for each direction whose flag is set, clear it, drain wire,
+// then ctl, then call RecycleRemote. Draining wire first reproduces post order
+// for arrivals due in the same cycle: a packet takes at least one cycle
+// of serialization on top of the propagation delay a control message
+// takes alone, so the packet was always posted first. Wiring-time only.
+func (h *Half) Cut(dst *sim.Engine, capHint int, posted *bool) (wire *sim.Mailbox[Flight], ctl *sim.Mailbox[Control]) {
+	h.posted = posted
+	h.wire = sim.NewPipe(dst, h.arriveRemote)
+	h.ctl = sim.NewPipe(dst, h.deliverRemoteControl)
+	h.remoteWire = sim.NewMailbox(h.wire, capHint)
+	h.remoteCtl = sim.NewMailbox(h.ctl, capHint)
+	return h.remoteWire, h.remoteCtl
+}
+
+// markPosted tells the barrier this direction's mailboxes hold
+// something. The flags of all cut directions sit side by side and
+// other shards set theirs, so the store is skipped when already set.
+func (h *Half) markPosted() {
+	if !*h.posted {
+		*h.posted = true
+	}
+}
 
 // Remote reports whether the direction crosses a shard boundary.
-func (h *Half) Remote() bool { return h.remote != nil }
+func (h *Half) Remote() bool { return h.remoteWire != nil }
 
 // BytesPerCycle returns the direction's bandwidth.
 func (h *Half) BytesPerCycle() int { return h.bpc }
@@ -224,16 +260,17 @@ func (h *Half) Send(now sim.Cycle, p *pkt.Packet, cfq int) sim.Cycle {
 	h.sentPkts++
 	h.sentBytes += p.Size
 	arrive := h.busyUntil + h.delay
-	if h.remote != nil {
+	if h.Remote() {
 		// Cut direction: the in-flight ledger is sent − arrived (two
 		// single-writer counters, one per shard) instead of the local
 		// inFlight counters, which would need both shards to write.
-		h.remote.Post(arrive, func() { h.arriveRemote(p, cfq) })
+		h.remoteWire.Post(arrive, Flight{p: p, cfq: cfq})
+		h.markPosted()
 		return h.busyUntil
 	}
 	h.inFlightPkts++
 	h.inFlightBytes += p.Size
-	h.wire.At(arrive, flight{p: p, cfq: cfq, epoch: h.epoch})
+	h.wire.At(arrive, Flight{p: p, cfq: cfq, epoch: h.epoch})
 	return h.busyUntil
 }
 
@@ -241,7 +278,7 @@ func (h *Half) Send(now sim.Cycle, p *pkt.Packet, cfq int) sim.Cycle {
 // DropInFlight between send and arrival invalidated its epoch, in which
 // case the packet is counted dropped and handed to the drop handler
 // (which owns returning the sender's credit and releasing the packet).
-func (h *Half) arrive(f flight) {
+func (h *Half) arrive(f Flight) {
 	p := f.p
 	h.inFlightPkts--
 	h.inFlightBytes -= p.Size
@@ -260,10 +297,10 @@ func (h *Half) arrive(f flight) {
 // the receiving shard's engine, so it only touches the receiver-owned
 // arrival mirror — never the transmit-side counters. Cut directions
 // reject fault operations, so there is no epoch to check.
-func (h *Half) arriveRemote(p *pkt.Packet, cfq int) {
+func (h *Half) arriveRemote(f Flight) {
 	h.remoteArrivedPkts++
-	h.remoteArrivedBytes += p.Size
-	h.pktRx.ReceivePacket(p, cfq)
+	h.remoteArrivedBytes += f.p.Size
+	h.pktRx.ReceivePacket(f.p, f.cfq)
 }
 
 // SetDown fails (true) or restores (false) the direction. While down,
@@ -280,7 +317,7 @@ func (h *Half) SetDown(down bool) { h.rejectFaultIfCut("SetDown"); h.down = down
 // network.InjectFaults validates scripts up front and returns an error;
 // this panic is the backstop for direct API misuse.
 func (h *Half) rejectFaultIfCut(op string) {
-	if h.remote != nil {
+	if h.Remote() {
 		panic(fmt.Sprintf("link %s: %s on a partition-cut direction (fault injection is not supported on cut links)", h.name, op))
 	}
 }
@@ -334,7 +371,7 @@ func (h *Half) SetControlTamper(fn TamperFunc) {
 // receiver's arrival mirror, so it is only coherent at window barriers
 // (which is when the invariant checker reads it).
 func (h *Half) InFlight() (pkts, bytes int) {
-	if h.remote != nil {
+	if h.Remote() {
 		return h.sentPkts - h.remoteArrivedPkts, h.sentBytes - h.remoteArrivedBytes
 	}
 	return h.inFlightPkts, h.inFlightBytes
@@ -354,17 +391,16 @@ func (h *Half) BusyCycles() sim.Cycle { return h.busyCycles }
 func (h *Half) Sent() (pkts, bytes int) { return h.sentPkts, h.sentBytes }
 
 // SendControl delivers m to the far end after the propagation delay,
-// consuming no data bandwidth. m.Dests is copied: the sender keeps
-// ownership of its slice and may reuse it at once. The cut-link and
-// tamper paths keep per-message closures (and a fresh Dests copy): the
-// former posts into another shard's mailbox, the latter adds a
-// per-message extra delay that breaks the FIFO argument, and both are
-// off the fault-free serial hot path.
+// consuming no data bandwidth. m.Dests is copied into storage the link
+// recycles: the sender keeps ownership of its slice and may reuse it at
+// once. Only the tamper path keeps per-message closures (and a fresh
+// Dests copy): it adds a per-message extra delay that breaks the FIFO
+// argument, and it is off the fault-free hot path.
 func (h *Half) SendControl(now sim.Cycle, m Control) {
 	if h.ctlRx == nil {
 		panic(fmt.Sprintf("link %s: no control receiver attached", h.name))
 	}
-	if h.remote == nil && h.tamper == nil {
+	if h.tamper == nil {
 		if m.Dests != nil {
 			var buf []int
 			if n := len(h.ctlDests); n > 0 {
@@ -372,16 +408,17 @@ func (h *Half) SendControl(now sim.Cycle, m Control) {
 			}
 			m.Dests = append(buf, m.Dests...)
 		}
-		h.ctl.At(now+h.delay, m)
+		if h.Remote() {
+			h.remoteCtl.Post(now+h.delay, m)
+			h.markPosted()
+		} else {
+			h.ctl.At(now+h.delay, m)
+		}
 		return
 	}
+	// Tampered direction (never a cut one: SetControlTamper rejects it).
 	m.Dests = append([]int(nil), m.Dests...)
 	rx := h.ctlRx
-	if h.remote != nil {
-		// Cut direction (tamper is rejected there, so no fault path).
-		h.remote.Post(now+h.delay, func() { rx.ReceiveControl(m) })
-		return
-	}
 	out, extra := h.tamper(m)
 	for _, mm := range out {
 		mm := mm
@@ -396,4 +433,23 @@ func (h *Half) deliverControl(m Control) {
 	if m.Dests != nil {
 		h.ctlDests = append(h.ctlDests, m.Dests[:0])
 	}
+}
+
+// deliverRemoteControl is deliverControl on a cut direction. It runs on
+// the receiving shard, which must not touch the sender's ctlDests, so
+// the Dests copy waits in ctlReturned for the next barrier.
+func (h *Half) deliverRemoteControl(m Control) {
+	h.ctlRx.ReceiveControl(m)
+	if m.Dests != nil {
+		h.ctlReturned = append(h.ctlReturned, m.Dests[:0])
+	}
+}
+
+// RecycleRemote gives the Dests copies delivered on a cut direction
+// back to the sending side. Only the window barrier may call it, with
+// both shards parked.
+func (h *Half) RecycleRemote() {
+	h.ctlDests = append(h.ctlDests, h.ctlReturned...)
+	clear(h.ctlReturned)
+	h.ctlReturned = h.ctlReturned[:0]
 }

@@ -14,11 +14,14 @@ import (
 //     before its spawning function returns — a shard worker that
 //     outlives Run() could observe the next window's state.
 //  2. A worker closure may capture only synchronization plumbing
-//     (WaitGroups, channels, contexts). Everything else — engines,
-//     slices, counters — must arrive as a spawn-time parameter, so a
-//     reviewer can see at the go statement exactly which state the
-//     worker owns; a captured variable is shared across all workers by
-//     construction and is exactly how cross-shard mutation sneaks in.
+//     (WaitGroups, channels, contexts, sync/atomic values — the window
+//     hand-off is built from the latter). Everything else — engines,
+//     slices, plain counters — must arrive as a spawn-time parameter,
+//     so a reviewer can see at the go statement exactly which state
+//     the worker owns; a captured variable is shared across all workers
+//     by construction and is exactly how cross-shard mutation sneaks
+//     in. In particular a worker that claims shards receives the
+//     engines it may claim as a parameter, never by capture.
 //  3. Mailbox.Drain never runs inside a worker: cross-shard values
 //     travel via Mailbox post during the window and are drained
 //     single-threaded at the barrier, where the happens-before edge to
@@ -29,7 +32,7 @@ import (
 func ShardEscape() *Analyzer {
 	return &Analyzer{
 		Name:    "shard-escape",
-		Doc:     "bridge-file goroutines must be join-scoped closures that capture only sync plumbing and never drain mailboxes off the barrier",
+		Doc:     "bridge-file goroutines must be join-scoped closures that capture only sync plumbing (chan, WaitGroup, Context, sync/atomic) and never drain mailboxes off the barrier",
 		Applies: pkgHasBridgeFile,
 		Run:     runShardEscape,
 	}
@@ -113,7 +116,9 @@ func checkShardWorker(pass *Pass, fd *ast.FuncDecl, gs *ast.GoStmt) {
 
 // allowedCapture reports whether a captured variable's type is pure
 // synchronization plumbing: channels, sync.WaitGroup, context.Context
-// (each possibly behind one pointer).
+// and the sync/atomic value types (each possibly behind one pointer).
+// An atomic is shared on purpose and every access to it is ordered; a
+// plain int next to it is neither, and stays flagged.
 func allowedCapture(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -130,6 +135,8 @@ func allowedCapture(t types.Type) bool {
 		return true
 	case n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context":
 		return true
+	case n.Obj().Pkg().Path() == "sync/atomic":
+		return true // Int32, Uint64, Bool, Pointer[T], Value: all of its types are atomics
 	}
 	return false
 }

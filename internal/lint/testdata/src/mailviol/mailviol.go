@@ -6,14 +6,14 @@ package mailviol
 import "repro/internal/sim"
 
 // Barrier drains in dense index order: the blessed pattern.
-func Barrier(boxes []*sim.Mailbox) {
+func Barrier(boxes []*sim.Mailbox[int]) {
 	for _, mb := range boxes {
 		mb.Drain()
 	}
 }
 
 // BarrierIndexed uses a three-clause loop; the index fixes the order.
-func BarrierIndexed(boxes []*sim.Mailbox) {
+func BarrierIndexed(boxes []*sim.Mailbox[int]) {
 	for i := 0; i < len(boxes); i++ {
 		boxes[i].Drain()
 	}
@@ -21,13 +21,13 @@ func BarrierIndexed(boxes []*sim.Mailbox) {
 
 // AdHoc drains one mailbox from a bare call site: the next refactor
 // can reorder it against other drains without any diff noise.
-func AdHoc(mb *sim.Mailbox) {
+func AdHoc(mb *sim.Mailbox[int]) {
 	mb.Drain() // want mailbox-order "index-ordered loop"
 }
 
 // Conditional drains from a branch, so whether this mailbox's events
 // precede another's depends on control flow, not on index order.
-func Conditional(a, b *sim.Mailbox, swap bool) {
+func Conditional(a, b *sim.Mailbox[int], swap bool) {
 	if swap {
 		b.Drain() // want mailbox-order "index-ordered loop"
 	}

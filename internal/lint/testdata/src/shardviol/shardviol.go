@@ -9,6 +9,7 @@ package shardviol
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -76,7 +77,7 @@ func NamedWorker(mb *Mailbox) {
 	wg.Wait()
 }
 
-// CleanWindow is the parallel-engine shape: per-shard workers fed by
+// CleanWindow is the channel-fed shape: per-shard workers fed by
 // channels, joined before return, drains at the barrier only.
 func CleanWindow(shards []*Mailbox) {
 	var step sync.WaitGroup
@@ -99,6 +100,106 @@ func CleanWindow(shards []*Mailbox) {
 	for _, mb := range shards {
 		mb.Drain(func(int) {})
 	}
+}
+
+// ClaimWindow is the parallel-engine shape: workers pull shard indices
+// off an atomic ticket and count what they finished on another, the
+// shards they may claim arrive as a spawn-time parameter, every worker
+// is joined before return, drains at the barrier only. Capturing the
+// atomics is clean: they are shared on purpose and every access to them
+// is ordered.
+func ClaimWindow(shards []*Mailbox) {
+	var (
+		exit   sync.WaitGroup
+		ticket atomic.Int64
+		done   atomic.Int32
+	)
+	for w := 0; w < 2; w++ {
+		exit.Add(1)
+		go func(shards []*Mailbox) {
+			defer exit.Done()
+			for {
+				i := int(ticket.Add(1)) - 1
+				if i >= len(shards) {
+					return
+				}
+				shards[i].Post(i)
+				done.Add(1)
+			}
+		}(shards)
+	}
+	exit.Wait()
+	for _, mb := range shards {
+		mb.Drain(func(int) {})
+	}
+}
+
+// PlainTicket is ClaimWindow with the ticket demoted to a plain int:
+// nothing orders the workers' accesses to it any more.
+func PlainTicket(shards []*Mailbox) {
+	var exit sync.WaitGroup
+	ticket := 0
+	for w := 0; w < 2; w++ {
+		exit.Add(1)
+		go func(shards []*Mailbox) {
+			defer exit.Done()
+			for {
+				i := ticket // want shard-escape "captures ticket"
+				ticket++
+				if i >= len(shards) {
+					return
+				}
+				shards[i].Post(i)
+			}
+		}(shards)
+	}
+	exit.Wait()
+}
+
+// CapturedShards lets the claim loop reach the shards by capture: the
+// go statement no longer says which state the workers may touch.
+func CapturedShards(shards []*Mailbox) {
+	var (
+		exit   sync.WaitGroup
+		ticket atomic.Int64
+	)
+	for w := 0; w < 2; w++ {
+		exit.Add(1)
+		go func() {
+			defer exit.Done()
+			for {
+				i := int(ticket.Add(1)) - 1
+				if i >= len(shards) { // want shard-escape "captures shards"
+					return
+				}
+				shards[i].Post(i)
+			}
+		}()
+	}
+	exit.Wait()
+}
+
+// DrainingClaimer drains the shard it claimed instead of leaving that
+// to the barrier.
+func DrainingClaimer(shards []*Mailbox) {
+	var (
+		exit   sync.WaitGroup
+		ticket atomic.Int64
+	)
+	for w := 0; w < 2; w++ {
+		exit.Add(1)
+		go func(shards []*Mailbox) {
+			defer exit.Done()
+			for {
+				i := int(ticket.Add(1)) - 1
+				if i >= len(shards) {
+					return
+				}
+				shards[i].Drain(func(int) {}) // want shard-escape "Drain inside a worker goroutine"
+			}
+		}(shards)
+	}
+	exit.Wait()
 }
 
 // SuppressedCapture is the acknowledged exception shape: a reasoned

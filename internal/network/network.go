@@ -44,12 +44,12 @@ type Options struct {
 	// OnViolation consumes invariant violations (nil panics with the
 	// *invariant.Violation, which the runner recovers per job).
 	OnViolation func(*invariant.Violation)
-	// SimWorkers partitions the device graph across this many shard
-	// engines driven by worker goroutines, advancing in lockstep windows
-	// with deterministic barriers (DESIGN.md §9). Results are
-	// byte-identical to the serial engine. <= 1 (the default) builds the
-	// unchanged single-engine network; values above the switch count are
-	// capped.
+	// SimWorkers runs the simulation on this many worker goroutines: the
+	// device graph is cut into shard engines (several per worker, see
+	// MakePartition) that advance in lockstep windows with deterministic
+	// barriers (DESIGN.md §9). Results are byte-identical to the serial
+	// engine. <= 1 (the default) builds the unchanged single-engine
+	// network; values above the switch count are capped.
 	SimWorkers int
 }
 
@@ -84,12 +84,21 @@ type Network struct {
 	part      *Partition
 	par       *sim.Parallel
 	engines   []*sim.Engine
-	mailboxes []*sim.Mailbox       // cut-direction mailboxes in half-id order
+	cuts      []cutHalf            // cut directions in half-id order
+	cutPosted []bool               // cutPosted[i]: cuts[i] was posted into since the last barrier
 	shardIDs  []*pkt.IDGen         // per-shard id generators ([0] = &ids)
 	shardPool []*pkt.Pool          // per-shard packet free-lists ([0] = &pool)
 	shardCols []*metrics.Collector // per-shard collectors feeding the merged view
 	gens      []*traffic.Generator // per-shard generators (gens[0] == Gen)
 	nextAudit sim.Cycle            // next barrier cycle to run the invariant audit
+}
+
+// cutHalf is one link direction that crosses shards, with the two
+// mailboxes its sends post into (link.Half.Cut).
+type cutHalf struct {
+	half *link.Half
+	wire *sim.Mailbox[link.Flight]
+	ctl  *sim.Mailbox[link.Control]
 }
 
 // Build wires a network for the given topology and scheme parameters.
@@ -217,10 +226,14 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 	// sized to the far end's receive memory. Half ids are dense and
 	// stable: link li contributes halves[2*li] (A->B) and halves[2*li+1]
 	// (B->A). A direction whose ends live on different shards is a cut:
-	// it gets a mailbox into the receiving shard's engine, appended here
-	// in half-id order — the order the barrier drains them in.
+	// it delivers on the receiving shard's engine through mailboxes,
+	// appended here in half-id order — the order the barrier drains them
+	// in.
 	n.halves = make([]*link.Half, 0, 2*len(t.Links))
 	n.poolByHalf = make([]*core.CreditPool, 0, 2*len(t.Links))
+	if n.part != nil {
+		n.cutPosted = make([]bool, 2*n.part.CutLinks)
+	}
 	for li, ls := range t.Links {
 		engA := n.engines[n.shardOfDevice(ls.DevA)]
 		engB := n.engines[n.shardOfDevice(ls.DevB)]
@@ -235,12 +248,8 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 		n.halves = append(n.halves, ab, ba)
 		n.poolByHalf = append(n.poolByHalf, poolAB, poolBA)
 		if engA != engB {
-			hint := 4*int(n.part.Window) + 8
-			mab := sim.NewMailbox(engB, hint)
-			mba := sim.NewMailbox(engA, hint)
-			ab.SetRemote(mab)
-			ba.SetRemote(mba)
-			n.mailboxes = append(n.mailboxes, mab, mba)
+			n.cut(ab, engB)
+			n.cut(ba, engA)
 		}
 		ab.SetDropHandler(n.dropHandler(poolAB, n.shardPool[n.shardOfDevice(ls.DevA)]))
 		ba.SetDropHandler(n.dropHandler(poolBA, n.shardPool[n.shardOfDevice(ls.DevB)]))
@@ -266,9 +275,15 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 		}
 	}
 	if n.part != nil {
-		n.par = sim.NewParallel(n.engines, n.part.Window, n.barrier)
+		n.par = sim.NewParallel(n.engines, n.part.Workers, n.part.Window, n.barrier)
 	}
 	return n, nil
+}
+
+// cut registers h as the next cut direction, delivering on dst.
+func (n *Network) cut(h *link.Half, dst *sim.Engine) {
+	wire, ctl := h.Cut(dst, 4*int(n.part.Window)+8, &n.cutPosted[len(n.cuts)])
+	n.cuts = append(n.cuts, cutHalf{h, wire, ctl})
 }
 
 // shardOfDevice maps a device to its shard index (0 when serial).
@@ -285,8 +300,15 @@ func (n *Network) shardOfDevice(dev int) int {
 // simulation state) and runs the periodic whole-network invariant
 // audit, which is only coherent here.
 func (n *Network) barrier(now sim.Cycle) {
-	for _, mb := range n.mailboxes {
-		mb.Drain()
+	for i, posted := range n.cutPosted {
+		if !posted {
+			continue
+		}
+		n.cutPosted[i] = false
+		c := &n.cuts[i]
+		c.wire.Drain()
+		c.ctl.Drain()
+		c.half.RecycleRemote()
 	}
 	if n.Checker != nil && now >= n.nextAudit {
 		n.Checker.CheckAt(now)
@@ -303,9 +325,43 @@ func (n *Network) Partitioned() (bool, int) {
 	return true, n.part.N
 }
 
+// PartitionStats describes a partitioned network's cut and what its
+// coordinator has done so far. Everything in it is a pure function of
+// the simulation (the work figures are event and tick counts, not
+// times), but none of it is part of a Result or a digest.
+type PartitionStats struct {
+	Partition
+	// Windows run, and window-width rendezvous Skipped on top.
+	sim.ParallelStats
+	// WorkImbalance is the busiest shard's work (events fired plus ticks
+	// executed) over the mean shard's: 1 is a perfectly even cut, N a
+	// cut that left all the work in one of N shards. 0 before any work.
+	WorkImbalance float64
+}
+
+func (s *PartitionStats) String() string {
+	return fmt.Sprintf("partition: %d shards on %d workers, %d cut links, window %d cycles; %d windows run, %d skipped; shard work max/mean %.2f",
+		s.N, s.Workers, s.CutLinks, s.Window, s.Windows, s.Skipped, s.WorkImbalance)
+}
+
 // PartitionInfo returns the partition driving a partitioned network
-// (nil when serial) — diagnostics and tests.
-func (n *Network) PartitionInfo() *Partition { return n.part }
+// and its run-time counters (nil when serial) — diagnostics and tests.
+func (n *Network) PartitionInfo() *PartitionStats {
+	if n.part == nil {
+		return nil
+	}
+	s := &PartitionStats{Partition: *n.part, ParallelStats: n.par.Stats()}
+	var total, most uint64
+	for _, e := range n.engines {
+		w := e.Work()
+		total += w
+		most = max(most, w)
+	}
+	if total > 0 {
+		s.WorkImbalance = float64(most) * float64(len(n.engines)) / float64(total)
+	}
+	return s
+}
 
 // dropHandler builds the lossless-aware consumer for packets condemned
 // by a drop-policy link flap on h: the sender already took credit for

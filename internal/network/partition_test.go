@@ -1,11 +1,14 @@
 package network
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -22,8 +25,8 @@ func TestMakePartitionConfig1(t *testing.T) {
 	if part == nil {
 		t.Fatal("no partition for 2 workers over 2 switches")
 	}
-	if part.N != 2 {
-		t.Fatalf("N = %d, want 2", part.N)
+	if part.N != 2 || part.Workers != 2 {
+		t.Fatalf("N = %d on %d workers, want 2 on 2", part.N, part.Workers)
 	}
 	if sa, sb := part.ShardOf[topo.Config1SwitchA], part.ShardOf[topo.Config1SwitchB]; sa == sb {
 		t.Fatalf("both switches in shard %d", sa)
@@ -58,8 +61,117 @@ func TestMakePartitionDegenerateSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p == nil || p.N != 2 {
-		t.Fatalf("workers=64 over 2 switches: got %+v, want N=2", p)
+	if p == nil || p.N != 2 || p.Workers != 2 {
+		t.Fatalf("workers=64 over 2 switches: got %+v, want N=2 on 2 workers", p)
+	}
+}
+
+// More shards than workers: the cut is shardsPerWorker shards per
+// worker, every one of them non-empty, every endpoint rides with its
+// edge switch, and the window is the smallest delay among the links
+// that ended up cut — checked on a chain whose links all differ.
+func TestMakePartitionMoreShardsThanWorkers(t *testing.T) {
+	b := topo.NewBuilder("chain of 10 switches, one endpoint each")
+	b.SetDefaultLink(64, 2)
+	const n = 10
+	for i := 0; i < n; i++ {
+		b.AddEndpoint(fmt.Sprint("node", i))
+	}
+	var sw [n]int
+	for i := range sw {
+		sw[i] = b.AddSwitch(fmt.Sprint("sw", i), 3)
+		b.Connect(i, 0, sw[i], 0)
+	}
+	delays := []sim.Cycle{9, 8, 7, 6, 5, 11, 12, 13, 14}
+	for i, d := range delays {
+		b.ConnectLink(sw[i], 2, sw[i+1], 1, 64, d)
+	}
+	top := b.MustBuild()
+
+	part, err := MakePartition(top, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := MakePartition(top, 2); !reflect.DeepEqual(part, again) {
+		t.Fatal("two calls disagree")
+	}
+	if part.N != 2*shardsPerWorker || part.Workers != 2 {
+		t.Fatalf("%d shards on %d workers, want %d on 2", part.N, part.Workers, 2*shardsPerWorker)
+	}
+	switches := make([]int, part.N)
+	for _, d := range top.Devices {
+		switch d.Kind {
+		case topo.Switch:
+			switches[part.ShardOf[d.ID]]++
+		case topo.Endpoint:
+			if edge := d.Ports[0].Peer; part.ShardOf[d.ID] != part.ShardOf[edge] {
+				t.Fatalf("endpoint %d in shard %d, its switch %d in shard %d", d.ID, part.ShardOf[d.ID], edge, part.ShardOf[edge])
+			}
+		}
+	}
+	for s, c := range switches {
+		if c == 0 {
+			t.Fatalf("shard %d has no switch: %v", s, switches)
+		}
+	}
+	cuts, window := 0, sim.Cycle(0)
+	for _, l := range top.Links {
+		if part.ShardOf[l.DevA] != part.ShardOf[l.DevB] {
+			cuts++
+			if window == 0 || l.Delay < window {
+				window = l.Delay
+			}
+		}
+	}
+	// Eight shards over a chain of ten switches cut seven of its links.
+	if cuts != part.N-1 || part.CutLinks != cuts {
+		t.Fatalf("CutLinks = %d, counted %d, want %d", part.CutLinks, cuts, part.N-1)
+	}
+	if part.Window != window {
+		t.Fatalf("Window = %d, min delay over the cut links is %d", part.Window, window)
+	}
+	if window == 2 {
+		t.Fatal("an endpoint link (delay 2) was cut")
+	}
+}
+
+// PartitionInfo reports the cut plus what the coordinator did: on a
+// network with nothing to do nearly every window is skipped, and the
+// counters are the same on every run.
+func TestPartitionInfoCounters(t *testing.T) {
+	stats := func(flows []traffic.Flow) *PartitionStats {
+		n, err := Build(topo.Config3().Topology, core.PresetCCFIT(), Options{Seed: 3, SimWorkers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addFlows(t, n, flows)
+		n.Run(4000)
+		return n.PartitionInfo()
+	}
+	idle := stats(nil)
+	if idle.N != 8 || idle.Workers != 2 || idle.Window != topo.DefaultLinkDelay {
+		t.Fatalf("idle partition = %+v", idle.Partition)
+	}
+	// One window for the components to find out they have nothing to do
+	// and go to sleep, one for the rest of the run.
+	if idle.Windows != 2 || idle.Skipped != int64(4000/topo.DefaultLinkDelay)-2 {
+		t.Fatalf("idle network ran %d windows and skipped %d, want 2 and %d", idle.Windows, idle.Skipped, 4000/topo.DefaultLinkDelay-2)
+	}
+	flows := []traffic.Flow{{ID: 0, Src: 0, Dst: 63, Start: 0, End: 4000, Rate: 1.0}}
+	a, b := stats(flows), stats(flows)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two identical runs report different counters:\n%+v\n%+v", a, b)
+	}
+	if a.Windows+a.Skipped != int64(4000/topo.DefaultLinkDelay) || a.Windows < 2 {
+		t.Fatalf("busy network: %d windows + %d skipped, want %d in all", a.Windows, a.Skipped, 4000/topo.DefaultLinkDelay)
+	}
+	// One flow crosses few of the eight shards: the busiest shard did
+	// well over the mean shard's work.
+	if a.WorkImbalance <= 1.5 || a.WorkImbalance > 8 {
+		t.Fatalf("WorkImbalance = %.2f for a single flow over 8 shards", a.WorkImbalance)
+	}
+	if s := a.String(); !strings.Contains(s, "8 shards on 2 workers") {
+		t.Fatalf("String() = %q", s)
 	}
 }
 
@@ -79,6 +191,9 @@ func TestMakePartitionDeterministicAndBalanced(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("workers=%d: two runs disagree", workers)
+		}
+		if want := min(shardsPerWorker*workers, 48); a.N != want || a.Workers != workers {
+			t.Fatalf("workers=%d: %d shards on %d workers, want %d on %d", workers, a.N, a.Workers, want, workers)
 		}
 		weight := make([]int, a.N)
 		for dev, s := range a.ShardOf {

@@ -89,13 +89,14 @@ func (e *LocalExecutor) run(ctx context.Context, job Job, r resolved, emit func(
 		}
 	}
 	var (
-		res *experiments.Result
-		err error
+		res    *experiments.Result
+		engine string
+		err    error
 	)
 	attempts := 0
 	for {
 		attempts++
-		res, err = executeBounded(ctx, job, r, e.Timeout)
+		res, engine, err = executeBounded(ctx, job, r, e.Timeout)
 		if err == nil || invariant.IsViolation(err) || ctx.Err() != nil || attempts > e.Retries {
 			break
 		}
@@ -126,7 +127,7 @@ func (e *LocalExecutor) run(ctx context.Context, job Job, r resolved, emit func(
 			jr.CacheErr = fmt.Errorf("runner: %s ran but caching failed: %w", job, perr)
 		}
 	}
-	emit(Event{Type: JobDone, Job: job, JobElapsed: jr.Elapsed})
+	emit(Event{Type: JobDone, Job: job, JobElapsed: jr.Elapsed, Engine: engine})
 	return jr
 }
 

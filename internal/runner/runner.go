@@ -229,6 +229,11 @@ type Event struct {
 	// Worker names the remote worker involved in lease-lifecycle
 	// events (empty for local execution).
 	Worker string
+	// Engine, on the JobDone of a job that ran locally on the
+	// partitioned engine, describes the cut and what its coordinator did
+	// (network.PartitionStats). Telemetry only: it is not part of the
+	// Result, the cache or any digest.
+	Engine string
 }
 
 // resolved is a job after fail-fast validation.
@@ -376,15 +381,16 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 // worker can enforce the timeout and cancellation. The simulator has
 // no preemption points: an abandoned run keeps computing in the
 // background until it finishes, then its result is discarded.
-func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Duration) (*experiments.Result, error) {
+func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Duration) (*experiments.Result, string, error) {
 	type outcome struct {
-		res *experiments.Result
-		err error
+		res    *experiments.Result
+		engine string
+		err    error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := execute(r)
-		ch <- outcome{res, err}
+		res, engine, err := execute(r)
+		ch <- outcome{res, engine, err}
 	}()
 	var timer <-chan time.Time
 	if timeout > 0 {
@@ -394,20 +400,22 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 	}
 	select {
 	case o := <-ch:
-		return o.res, o.err
+		return o.res, o.engine, o.err
 	case <-timer:
-		return nil, fmt.Errorf("runner: %s exceeded the %v job timeout (simulation abandoned)", job, timeout)
+		return nil, "", fmt.Errorf("runner: %s exceeded the %v job timeout (simulation abandoned)", job, timeout)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, "", ctx.Err()
 	}
 }
 
 // execute builds, runs and harvests one simulation, converting a panic
-// anywhere in the stack into a job error. An invariant violation —
-// raised as a panic by the always-on checker or surfaced by the final
-// audit — comes back as the *invariant.Violation itself, so runOne can
-// quarantine it instead of retrying a deterministic failure.
-func execute(r resolved) (res *experiments.Result, err error) {
+// anywhere in the stack into a job error (the partitioned engine
+// re-raises a shard's panic on this goroutine, see sim.Parallel.Run).
+// An invariant violation — raised as a panic by the always-on checker
+// or surfaced by the final audit — comes back as the
+// *invariant.Violation itself, so runOne can quarantine it instead of
+// retrying a deterministic failure. engine is Event.Engine's text.
+func execute(r resolved) (res *experiments.Result, engine string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if v, ok := p.(*invariant.Violation); ok {
@@ -420,11 +428,11 @@ func execute(r resolved) (res *experiments.Result, err error) {
 	n, err := r.exp.Build(r.params, r.seed, r.exp.Bin, r.exp.Duration,
 		experiments.BuildOpts{SimWorkers: r.simWorkers})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if r.faults != nil {
 		if _, err := n.InjectFaults(r.faults); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
 	if r.watchdog != 0 && n.Checker != nil {
@@ -435,10 +443,13 @@ func execute(r resolved) (res *experiments.Result, err error) {
 		// Terminal audit: corruption inside the last check interval
 		// must not slip out as a plausible result.
 		if verr := n.Checker.Final(); verr != nil {
-			return nil, verr
+			return nil, "", verr
 		}
 	}
-	return experiments.Harvest(r.exp, r.scheme, r.seed, n), nil
+	if ps := n.PartitionInfo(); ps != nil {
+		engine = ps.String()
+	}
+	return experiments.Harvest(r.exp, r.scheme, r.seed, n), engine, nil
 }
 
 // EffectiveSimWorkers caps one job's partitioned-engine worker count

@@ -228,21 +228,22 @@ func BenchmarkEngineStep(b *testing.B) {
 			e.Step()
 		}
 	})
-	// The same 64-ticker load sharded across a coordinated engine group:
+	// The same 64-ticker load sharded over eight coordinated engines:
 	// per-cycle cost of the partitioned path, including window barriers.
 	// workers=1 isolates the coordinator's own overhead against busy64;
-	// on a multi-core host workers=4 shows the parallel speedup (on a
-	// single core it measures pure coordination cost instead).
+	// on a multi-core host workers=2 and 4 show the parallel speedup (on
+	// a single core they measure pure coordination cost instead).
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("busy64par/workers=%d", workers), func(b *testing.B) {
-			engines := NewEngineGroup(1, workers)
-			sinks := make([]int, workers)
+			const shards = 8
+			engines := NewEngineGroup(1, shards)
+			sinks := make([]int, shards)
 			for i := 0; i < 64; i++ {
-				e, s := engines[i%workers], &sinks[i%workers]
+				e, s := engines[i%shards], &sinks[i%shards]
 				p := Phase(i % int(numPhases))
 				e.AddTicker(p, TickerFunc(func(Cycle) { *s++ }))
 			}
-			par := NewParallel(engines, 64, nil)
+			par := NewParallel(engines, workers, 64, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			par.Run(Cycle(b.N))

@@ -1,13 +1,15 @@
 package sim
 
-// Mailbox carries events across a shard boundary in a partitioned run.
+// Mailbox carries values across a shard boundary in a partitioned run.
 // A component owned by one engine that needs to schedule work on a
-// different engine must not call the far engine's At directly — two
-// worker goroutines would race on the far heap, and the resulting seq
-// numbers would depend on goroutine interleaving. Instead it Posts the
-// event into a mailbox during its window, and the barrier (a single
-// goroutine, with every worker parked) Drains each mailbox into its
-// destination engine.
+// different engine must not touch the far engine directly — two workers
+// would race on the far heap, and the resulting seq numbers would
+// depend on goroutine interleaving. Instead it Posts a typed record
+// into a mailbox during its window, and the barrier (a single
+// goroutine, with every shard parked) Drains each mailbox into the
+// Pipe that delivers on the destination engine. Records are plain
+// values: posting allocates nothing once the mailbox has reached its
+// working size, and delivery reuses the pipe's one bound callback.
 //
 // Determinism: Post appends in call order, so one mailbox preserves the
 // sender's program order (per-link FIFO). The barrier drains all
@@ -15,49 +17,49 @@ package sim
 // the seq numbers assigned by the destination engine — and therefore
 // the firing order of same-cycle events — are a pure function of the
 // simulation state, never of the Go scheduler.
-type Mailbox struct {
-	dst     *Engine
-	entries []mailEntry
+type Mailbox[T any] struct {
+	dst     *Pipe[T]
+	entries []mailEntry[T]
 }
 
-type mailEntry struct {
+type mailEntry[T any] struct {
 	at Cycle
-	fn func()
+	v  T
 }
 
-// NewMailbox builds a mailbox delivering into dst, with room for
-// capHint pending events before the first growth.
-func NewMailbox(dst *Engine, capHint int) *Mailbox {
+// NewMailbox builds a mailbox draining into dst (a pipe on the
+// receiving shard's engine), with room for capHint pending records
+// before the first growth.
+func NewMailbox[T any](dst *Pipe[T], capHint int) *Mailbox[T] {
 	if dst == nil {
-		panic("sim: mailbox needs a destination engine")
+		panic("sim: mailbox needs a destination pipe")
 	}
 	if capHint < 0 {
 		capHint = 0
 	}
-	return &Mailbox{dst: dst, entries: make([]mailEntry, 0, capHint)}
+	return &Mailbox[T]{dst: dst, entries: make([]mailEntry[T], 0, capHint)}
 }
 
-// Post records fn for delivery at cycle at on the destination engine.
-// Called by the owning shard's worker during its window; the conservative
-// lookahead guarantees at is never in the destination's past by the time
-// the barrier drains it.
-func (m *Mailbox) Post(at Cycle, fn func()) {
-	m.entries = append(m.entries, mailEntry{at: at, fn: fn})
+// Post records v for delivery at cycle at on the destination engine.
+// Called by the owning shard's worker during its window; the
+// conservative lookahead guarantees at is never in the destination's
+// past by the time the barrier drains it. Like Pipe.At, successive
+// posts must not decrease at.
+func (m *Mailbox[T]) Post(at Cycle, v T) {
+	m.entries = append(m.entries, mailEntry[T]{at: at, v: v})
 }
 
-// Drain schedules every posted event on the destination engine in post
+// Drain schedules every posted record on the destination pipe in post
 // order and empties the mailbox (keeping its capacity). Only the
-// barrier goroutine may call this, after all workers have parked.
-func (m *Mailbox) Drain() {
+// barrier goroutine may call this, after all shards have parked.
+func (m *Mailbox[T]) Drain() {
+	var zero mailEntry[T]
 	for i := range m.entries {
-		m.dst.At(m.entries[i].at, m.entries[i].fn)
-		m.entries[i] = mailEntry{} // drop the closure reference for the GC
+		m.dst.At(m.entries[i].at, m.entries[i].v)
+		m.entries[i] = zero // drop references for the GC
 	}
 	m.entries = m.entries[:0]
 }
 
-// Len reports the number of undelivered events (tests, diagnostics).
-func (m *Mailbox) Len() int { return len(m.entries) }
-
-// Dst returns the destination engine.
-func (m *Mailbox) Dst() *Engine { return m.dst }
+// Len reports the number of undelivered records (tests, diagnostics).
+func (m *Mailbox[T]) Len() int { return len(m.entries) }

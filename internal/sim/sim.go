@@ -161,10 +161,12 @@ func (l *tickList) add(t Ticker) int {
 // the dense fan-out), while wakes at already-passed indices wait for the
 // next cycle (as they would have: each callback runs at most once per
 // phase).
-func (l *tickList) tick(now Cycle) {
+func (l *tickList) tick(now Cycle) (ran uint64) {
 	for i := l.active.Next(0); i >= 0; i = l.active.Next(i + 1) {
 		l.tickers[i].Tick(now)
+		ran++
 	}
+	return ran
 }
 
 // Engine drives the simulation. It is not safe for concurrent use; the
@@ -176,6 +178,10 @@ type Engine struct {
 	seq    uint64
 	phases [numPhases]tickList
 	awake  int // total awake tickers across all phases
+	// work counts events fired plus ticks executed: a deterministic
+	// measure of how busy the engine has been (no clock involved), which
+	// the partitioned coordinator uses to run heavy shards first.
+	work   uint64
 	seed   int64
 	rngSeq int64
 	// rngShared, when non-nil, replaces rngSeq as the stream-derivation
@@ -315,10 +321,11 @@ func (e *Engine) ActiveTickers() int { return e.awake }
 func (e *Engine) Step() {
 	for len(e.events) > 0 && e.events[0].at <= e.now {
 		e.popEvent()()
+		e.work++
 	}
 	if e.awake > 0 {
 		for p := range e.phases {
-			e.phases[p].tick(e.now)
+			e.work += e.phases[p].tick(e.now)
 		}
 	}
 	e.now++
@@ -349,3 +356,17 @@ func (e *Engine) RunFor(d Cycle) { e.Run(e.now + d) }
 
 // Pending reports how many scheduled events have not fired yet.
 func (e *Engine) Pending() int { return len(e.events) }
+
+// NextEvent returns the cycle of the earliest scheduled event, or false
+// when none is pending.
+func (e *Engine) NextEvent() (Cycle, bool) {
+	if len(e.events) == 0 {
+		return 0, false
+	}
+	return e.events[0].at, true
+}
+
+// Work returns the engine's lifetime work count: events fired plus
+// ticks executed. It is a pure function of the simulation, never of
+// wall-clock time.
+func (e *Engine) Work() uint64 { return e.work }
