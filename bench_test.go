@@ -291,7 +291,12 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			jobs := ccfit.JobGrid(exps, nil, []int64{1})
+			var jobs []ccfit.Job
+			for i := range exps {
+				for _, s := range exps[i].Schemes {
+					jobs = append(jobs, ccfit.Job{Scheme: s, Seed: 1, Exp: &exps[i]})
+				}
+			}
 			for i := 0; i < b.N; i++ {
 				results, err := ccfit.RunJobs(context.Background(), jobs, ccfit.RunOptions{Workers: workers})
 				if err != nil {

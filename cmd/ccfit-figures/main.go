@@ -2,204 +2,18 @@
 // table and figure (Table I, Figs. 7a-7c, 8a-8c, 9, 10), printing the
 // series the paper plots and, optionally, CSV files for plotting.
 //
-// The campaign executes through the parallel runner (internal/runner):
-// every (experiment, scheme, seed) simulation is independent, so
-// -workers N fans them across N cores while the rendered output stays
-// byte-identical to a serial run.
-//
-// Usage:
-//
-//	ccfit-figures [-workers N] [-seed N] [-seeds N] [-cache DIR]
-//	              [-csv DIR] [-summary] [-v] [experiment ...]
-//
-// With no experiment ids, all of them run in paper order. Unknown ids
-// fail before any simulation starts; -list prints the valid set.
+// It is ccfit-run's code (cli.Figures) under its own name: the same
+// flags, the same rendered bytes for the same arguments, and
+// "ccfit-figures" as the run manifest's tool. See ccfit-run for the
+// flags; with no experiment ids, all of the paper's run in paper order.
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"runtime"
-	"time"
 
-	ccfit "repro"
-	"repro/internal/prof"
-	"repro/internal/runner"
+	"repro/internal/cli"
 )
 
 func main() {
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	seed := flag.Int64("seed", 1, "simulation seed (identical seeds give identical runs)")
-	seeds := flag.Int("seeds", 1, "replications per scheme (seeds seed..seed+N-1); >1 prints mean±sd tables")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty = caching off)")
-	csvDir := flag.String("csv", "", "also write one CSV per experiment into this directory")
-	summary := flag.Bool("summary", true, "print per-scheme congestion-management counters")
-	list := flag.Bool("list", false, "list valid experiment ids and exit")
-	verbose := flag.Bool("v", false, "stream per-job progress lines to stderr")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-	memProfile := flag.String("memprofile", "", "write a post-campaign heap profile to this file")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ccfit-figures [flags] [experiment ...]\navailable experiments:\n")
-		printList(os.Stderr)
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *list {
-		printList(os.Stdout)
-		return
-	}
-
-	ids := flag.Args()
-	if len(ids) == 0 {
-		for _, e := range ccfit.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	}
-	// Fail fast on unknown ids — before any experiment runs.
-	exps, err := ccfit.ResolveExperimentIDs(ids)
-	if err != nil {
-		fatal(err)
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-	var seedList []int64
-	for i := 0; i < *seeds; i++ {
-		seedList = append(seedList, *seed+int64(i))
-	}
-
-	opt := ccfit.RunOptions{Workers: *workers}
-	if *cacheDir != "" {
-		cache, err := ccfit.OpenResultCache(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Cache = cache
-	}
-	if *verbose {
-		opt.Progress = ccfit.NewRunProgress(os.Stderr)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// One campaign for every runnable experiment; Table I renders
-	// statically in its paper position.
-	jobs := ccfit.JobGrid(exps, nil, seedList)
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-	startedAt := time.Now()
-	results, runErr := ccfit.RunJobs(ctx, jobs, opt)
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
-	if runErr != nil && results == nil {
-		fatal(runErr)
-	}
-	if *csvDir != "" {
-		m := runner.NewManifest("ccfit-figures", opt, startedAt, results)
-		if err := m.Write(filepath.Join(*csvDir, "manifest.json")); err != nil {
-			fatal(err)
-		}
-	}
-
-	cursor := 0
-	for _, exp := range exps {
-		if exp.ID == "table1" {
-			ccfit.RenderTable1(os.Stdout)
-			fmt.Println()
-			continue
-		}
-		perScheme := make([][]*ccfit.Result, 0, len(exp.Schemes))
-		ok := true
-		for range exp.Schemes {
-			var rs []*ccfit.Result
-			for range seedList {
-				jr := results[cursor]
-				cursor++
-				if jr.Err != nil {
-					ok = false
-					continue
-				}
-				rs = append(rs, jr.Result)
-			}
-			perScheme = append(perScheme, rs)
-		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ccfit-figures: skipping %s render: job failures (see below)\n", exp.ID)
-			continue
-		}
-		if *seeds > 1 {
-			var reps []*ccfit.Replication
-			for i, s := range exp.Schemes {
-				rep, err := ccfit.AggregateSeeds(exp, s, perScheme[i])
-				if err != nil {
-					fatal(err)
-				}
-				reps = append(reps, rep)
-			}
-			ccfit.RenderReplications(os.Stdout, exp, reps)
-			fmt.Println()
-			continue
-		}
-		rs := make([]*ccfit.Result, len(exp.Schemes))
-		for i := range exp.Schemes {
-			rs[i] = perScheme[i][0]
-		}
-		switch exp.FlowIDs {
-		case nil:
-			ccfit.RenderThroughput(os.Stdout, exp, rs)
-		default:
-			ccfit.RenderFlows(os.Stdout, exp, rs)
-		}
-		if *summary {
-			ccfit.RenderSummary(os.Stdout, rs)
-		}
-		if *csvDir != "" {
-			f, err := os.Create(filepath.Join(*csvDir, exp.ID+".csv"))
-			if err != nil {
-				fatal(err)
-			}
-			ccfit.WriteCSV(f, exp, rs)
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Println()
-	}
-
-	if failed := ccfit.FailedJobs(results); len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "ccfit-figures: %d job(s) failed:\n", len(failed))
-		for _, f := range failed {
-			fmt.Fprintf(os.Stderr, "  %s: %v\n", f.Job, f.Err)
-		}
-		os.Exit(1)
-	}
-	if runErr != nil {
-		fatal(runErr)
-	}
-}
-
-func printList(w *os.File) {
-	for _, e := range ccfit.Experiments() {
-		fmt.Fprintf(w, "  %-10s %s\n", e.ID, e.Title)
-	}
-	fmt.Fprintln(w, "extras (not run by default):")
-	for _, e := range ccfit.ExtraExperiments() {
-		fmt.Fprintf(w, "  %-10s %s\n", e.ID, e.Title)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccfit-figures:", err)
-	os.Exit(1)
+	os.Exit(cli.Figures("ccfit-figures", os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -17,129 +17,11 @@
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"strings"
-	"syscall"
 
-	ccfit "repro"
-	"repro/internal/campaign"
-	"repro/internal/experiments"
-	"repro/internal/topo"
+	"repro/internal/cli"
 )
 
 func main() {
-	cfg := flag.Int("config", 2, "network configuration (2 or 3)")
-	schemes := flag.String("schemes", "1Q,VOQsw,DBBM,OBQA,FBICM,VOQnet", "comma-separated scheme list")
-	msFlag := flag.Float64("ms", 1.0, "simulated milliseconds per point")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	points := flag.String("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", "offered loads (fraction of link rate)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty = caching off)")
-	serverURL := flag.String("server", "", "submit the sweep to a ccfit-serve instance at this URL instead of running in-process")
-	verbose := flag.Bool("v", false, "stream per-job progress lines to stderr")
-	flag.Parse()
-
-	var ft *topo.FatTree
-	switch *cfg {
-	case 2:
-		ft = topo.Config2()
-	case 3:
-		ft = topo.Config3()
-	default:
-		fatal(fmt.Errorf("config must be 2 or 3"))
-	}
-
-	var loads []float64
-	for _, s := range strings.Split(*points, ",") {
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &v); err != nil || v <= 0 || v > 1 {
-			fatal(fmt.Errorf("bad load %q", s))
-		}
-		loads = append(loads, v)
-	}
-	var schemeList []string
-	for _, s := range strings.Split(*schemes, ",") {
-		schemeList = append(schemeList, strings.TrimSpace(s))
-	}
-
-	// The declarative sweep: expansion is scheme-major then load, the
-	// same order the render cursor below walks.
-	sub := campaign.Submission{Spec: experiments.Spec{
-		Schemes: schemeList,
-		Seed:    *seed,
-		LoadCurve: &experiments.LoadCurveSpec{
-			Config: *cfg,
-			Loads:  loads,
-			MS:     *msFlag,
-		},
-		Label: fmt.Sprintf("loadcurve config %d", *cfg),
-	}}
-	jobs, err := sub.Jobs()
-	if err != nil {
-		fatal(err)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var results []ccfit.JobResult
-	if *serverURL != "" {
-		client := &campaign.Client{Base: *serverURL}
-		var fn func(campaign.Event) error
-		if *verbose {
-			fn = func(ev campaign.Event) error {
-				fmt.Fprintf(os.Stderr, "ccfit-loadcurve: [%d/%d] %-7s %s\n", ev.Done, ev.Total, ev.Type, ev.Job)
-				return nil
-			}
-		}
-		results, err = client.Run(ctx, sub, fn)
-	} else {
-		opt := ccfit.RunOptions{Workers: *workers}
-		if *cacheDir != "" {
-			cache, cerr := ccfit.OpenResultCache(*cacheDir)
-			if cerr != nil {
-				fatal(cerr)
-			}
-			opt.Cache = cache
-		}
-		if *verbose {
-			opt.Progress = ccfit.NewRunProgress(os.Stderr)
-		}
-		results, err = ccfit.RunJobs(ctx, jobs, opt)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("uniform load curve on %s (%g ms per point, seed %d, workers %d)\n", ft.Name, *msFlag, *seed, *workers)
-	fmt.Printf("%-8s %-8s %-10s %-12s %-12s\n", "scheme", "offered", "accepted", "p50lat(ns)", "p99lat(ns)")
-	cursor := 0
-	exitCode := 0
-	for _, name := range schemeList {
-		for _, load := range loads {
-			jr := results[cursor]
-			cursor++
-			if jr.Err != nil {
-				fmt.Fprintf(os.Stderr, "ccfit-loadcurve: %s: %v\n", jr.Job, jr.Err)
-				exitCode = 1
-				continue
-			}
-			r := jr.Result
-			// Steady state: skip the warm-up third.
-			accepted := experiments.SteadyMean(r.Normalized, 2.0/3.0)
-			fmt.Printf("%-8s %-8.2f %-10.3f %-12.0f %-12.0f\n",
-				name, load, accepted, r.Summary.P50LatencyNS, r.Summary.P99LatencyNS)
-		}
-	}
-	os.Exit(exitCode)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccfit-loadcurve:", err)
-	os.Exit(1)
+	os.Exit(cli.LoadCurve(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -34,55 +34,44 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/dispatch"
-	"repro/internal/runner"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	dataDir := flag.String("data", ".ccfit-serve", "state directory (journals under data/journal, cache under data/cache)")
-	cacheDir := flag.String("cache", "", "result cache directory override (default: <data>/cache; shared with ccfit-run)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
-	retries := flag.Int("retries", 0, "retry transient job failures up to N times")
-	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before the first retry (doubles per attempt)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
+	// The execution flags are the campaign tools' own, declared once in
+	// internal/cli; the cache defaults to <data>/cache here.
+	f := cli.Defaults()
+	f.Register(flag.CommandLine, "cache", "workers", "timeout", "retries", "retry-backoff", "cache-max-bytes")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open HTTP connections")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "remote worker lease TTL (a job whose worker stops heartbeating this long is reclaimed and requeued)")
 	maxReassign := flag.Int("max-reassign", 3, "give up on a job after this many lease reclaims (bounds crash-requeue loops)")
 	flag.Parse()
 
-	if *cacheDir == "" {
-		*cacheDir = filepath.Join(*dataDir, "cache")
+	if f.Cache == "" {
+		f.Cache = filepath.Join(*dataDir, "cache")
 	}
-	cache, err := runner.OpenCache(*cacheDir)
+	cache, err := f.OpenCache()
 	if err != nil {
 		fatal(err)
 	}
-	gc := func(when string) {
-		if *cacheMaxBytes <= 0 {
-			return
-		}
-		stats, gerr := cache.GC(*cacheMaxBytes)
-		if gerr != nil {
-			fmt.Fprintf(os.Stderr, "ccfit-serve: cache GC (%s): %v\n", when, gerr)
-			return
-		}
-		if stats.Evicted > 0 {
-			fmt.Fprintf(os.Stderr, "ccfit-serve: cache GC (%s): evicted %d entries, freed %d bytes\n",
-				when, stats.Evicted, stats.Freed)
-		}
-	}
-	gc("startup")
-
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ccfit-serve: "+format+"\n", args...)
 	}
+	// Bounds the cache at startup, periodically and at shutdown.
+	gc := func() {
+		if f.CacheMaxBytes > 0 {
+			f.SettleCache(cache, logf)
+		}
+	}
+	gc()
+
 	board := dispatch.NewBoard(dispatch.Options{
 		LeaseTTL:    *leaseTTL,
 		MaxReassign: *maxReassign,
@@ -91,10 +80,10 @@ func main() {
 	sched, err := campaign.Open(campaign.Options{
 		Dir:          filepath.Join(*dataDir, "journal"),
 		Cache:        cache,
-		Workers:      *workers,
-		Timeout:      *timeout,
-		Retries:      *retries,
-		RetryBackoff: *retryBackoff,
+		Workers:      f.Workers,
+		Timeout:      f.Timeout,
+		Retries:      f.Retries,
+		RetryBackoff: f.RetryBackoff,
 		Dispatch:     board,
 		Log:          logf,
 	})
@@ -122,14 +111,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Periodic GC so a busy server bounds its cache between restarts.
-	if *cacheMaxBytes > 0 {
+	if f.CacheMaxBytes > 0 {
 		go func() {
 			t := time.NewTicker(5 * time.Minute)
 			defer t.Stop()
 			for {
 				select {
 				case <-t.C:
-					gc("periodic")
+					gc()
 				case <-ctx.Done():
 					return
 				}
@@ -162,7 +151,7 @@ func main() {
 	// After the scheduler: in-flight remote jobs have delivered (or been
 	// withdrawn) by now, so closing the board strands nothing.
 	board.Close()
-	gc("shutdown")
+	gc()
 	fmt.Fprintln(os.Stderr, "ccfit-serve: drained")
 }
 

@@ -18,307 +18,11 @@
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 
-	ccfit "repro"
-	"repro/internal/campaign"
-	"repro/internal/experiments"
-	"repro/internal/sim"
+	"repro/internal/cli"
 )
 
-// sweep describes one tunable: the values to try and how to apply one.
-type sweep struct {
-	name   string
-	values []float64
-	apply  func(p *ccfit.Params, v float64)
-	label  func(v float64) string
-}
-
-func sweeps() []sweep {
-	num := func(v float64) string { return fmt.Sprintf("%g", v) }
-	return []sweep{
-		{
-			name:   "numcfqs",
-			values: []float64{1, 2, 4, 8},
-			apply:  func(p *ccfit.Params, v float64) { p.NumCFQs = int(v) },
-			label:  num,
-		},
-		{
-			name:   "stopgo",
-			values: []float64{6, 10, 16, 24}, // Stop threshold in MTUs; Go stays at 4
-			apply:  func(p *ccfit.Params, v float64) { p.StopThreshold = int(v) * ccfit.MTU },
-			label:  func(v float64) string { return fmt.Sprintf("stop=%gMTU", v) },
-		},
-		{
-			name:   "detection",
-			values: []float64{2, 4, 8, 16}, // detection threshold in MTUs
-			apply:  func(p *ccfit.Params, v float64) { p.DetectionThreshold = int(v) * ccfit.MTU },
-			label:  func(v float64) string { return fmt.Sprintf("%gMTU", v) },
-		},
-		{
-			name:   "markingrate",
-			values: []float64{0.25, 0.5, 0.85, 1.0},
-			apply:  func(p *ccfit.Params, v float64) { p.MarkingRate = v },
-			label:  num,
-		},
-		{
-			name:   "cctitimer",
-			values: []float64{2000, 4000, 8000, 16000}, // ns
-			apply:  func(p *ccfit.Params, v float64) { p.CCTITimer = sim.CyclesFromNS(v) },
-			label:  func(v float64) string { return fmt.Sprintf("%gns", v) },
-		},
-		{
-			name:   "irdstep",
-			values: []float64{4, 8, 16, 32}, // cycles per CCT index
-			apply:  func(p *ccfit.Params, v float64) { p.IRDStep = sim.Cycle(v) },
-			label:  func(v float64) string { return fmt.Sprintf("%gcyc", v) },
-		},
-		{
-			name:   "islip",
-			values: []float64{1, 2, 4},
-			apply:  func(p *ccfit.Params, v float64) { p.ISlipIters = int(v) },
-			label:  num,
-		},
-		{
-			name:   "becnpacing",
-			values: []float64{0, 2000, 4000, 8000}, // ns between BECNs per source
-			apply:  func(p *ccfit.Params, v float64) { p.BECNPacing = sim.CyclesFromNS(v) },
-			label:  func(v float64) string { return fmt.Sprintf("%gns", v) },
-		},
-	}
-}
-
 func main() {
-	expID := flag.String("exp", "fig8b", "experiment to sweep on")
-	scheme := flag.String("scheme", "CCFIT", "scheme preset to start from")
-	param := flag.String("param", "numcfqs", "parameter to sweep")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	seeds := flag.Int("seeds", 1, "replications per sweep point (seeds seed..seed+N-1)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty = caching off)")
-	serverURL := flag.String("server", "", "submit sweep points to a ccfit-serve instance at this URL (one campaign per point) instead of running in-process")
-	verbose := flag.Bool("v", false, "stream per-job progress lines to stderr")
-	flag.Parse()
-
-	exp, err := ccfit.ExperimentByID(*expID)
-	if err != nil {
-		fatal(err)
-	}
-	var sw *sweep
-	for _, s := range sweeps() {
-		if s.name == *param {
-			s := s
-			sw = &s
-			break
-		}
-	}
-	if sw == nil {
-		fatal(fmt.Errorf("unknown parameter %q", *param))
-	}
-	var seedList []int64
-	for i := 0; i < *seeds; i++ {
-		seedList = append(seedList, *seed+int64(i))
-	}
-
-	// One job per (valid sweep value, seed); invalid combinations are
-	// reported as rows without consuming a simulation.
-	type point struct {
-		label  string
-		params ccfit.Params
-		valid  bool
-		reason error
-		sub    campaign.Submission
-	}
-	var points []point
-	var jobs []ccfit.Job
-	for _, v := range sw.values {
-		p, err := ccfit.Scheme(*scheme)
-		if err != nil {
-			fatal(err)
-		}
-		sw.apply(&p, v)
-		pt := point{label: sw.label(v), params: p, valid: true}
-		if err := p.Validate(); err != nil {
-			pt.valid = false
-			pt.reason = err
-		} else {
-			for _, s := range seedList {
-				p := p
-				e := exp
-				jobs = append(jobs, ccfit.Job{ExpID: exp.ID, Scheme: *scheme, Seed: s, Params: &p, Exp: &e})
-			}
-			// The declarative twin of the jobs above: one campaign per
-			// sweep point, with the point's parameter override.
-			pp := p
-			pt.sub = campaign.Submission{Spec: experiments.Spec{
-				Experiments: []string{exp.ID},
-				Schemes:     []string{*scheme},
-				Seed:        *seed,
-				Seeds:       *seeds,
-				Params:      &pp,
-				Label:       fmt.Sprintf("sweep %s=%s on %s/%s", sw.name, pt.label, exp.ID, *scheme),
-			}}
-		}
-		points = append(points, pt)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	var results []ccfit.JobResult
-	if *serverURL != "" {
-		var subs []campaign.Submission
-		for _, pt := range points {
-			if pt.valid {
-				subs = append(subs, pt.sub)
-			}
-		}
-		results, err = runRemote(ctx, *serverURL, subs, *verbose)
-	} else {
-		opt := ccfit.RunOptions{Workers: *workers}
-		if *cacheDir != "" {
-			cache, err := ccfit.OpenResultCache(*cacheDir)
-			if err != nil {
-				fatal(err)
-			}
-			opt.Cache = cache
-		}
-		if *verbose {
-			opt.Progress = ccfit.NewRunProgress(os.Stderr)
-		}
-		results, err = ccfit.RunJobs(ctx, jobs, opt)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("ablation: %s on %s (%s), seeds %v, workers %d\n", sw.name, exp.ID, *scheme, seedList, *workers)
-	// Datacenter (finite-flow) experiments carry FCT stats; the sweep
-	// table gains slowdown columns only then, so CBR sweeps are
-	// unchanged.
-	hasFCT := false
-	for _, jr := range results {
-		if jr.Err == nil && jr.Result != nil && jr.Result.FCT != nil {
-			hasFCT = true
-			break
-		}
-	}
-	if *seeds > 1 {
-		fmt.Printf("%-12s %-16s %-10s %-16s", sw.name, "mean±sd", "worstBin", "delivered±sd")
-	} else {
-		fmt.Printf("%-12s %-10s %-10s %-10s", sw.name, "mean", "worstBin", "delivered")
-	}
-	if hasFCT {
-		fmt.Printf(" %-12s %-12s", "fctP50", "fctP99")
-	}
-	fmt.Println()
-	cursor := 0
-	exitCode := 0
-	for _, pt := range points {
-		if !pt.valid {
-			fmt.Printf("%-12s invalid: %v\n", pt.label, pt.reason)
-			continue
-		}
-		var rs []*ccfit.Result
-		failed := false
-		for range seedList {
-			jr := results[cursor]
-			cursor++
-			if jr.Err != nil {
-				fmt.Fprintf(os.Stderr, "ccfit-sweep: %s: %v\n", jr.Job, jr.Err)
-				failed = true
-				continue
-			}
-			rs = append(rs, jr.Result)
-		}
-		if failed || len(rs) == 0 {
-			fmt.Printf("%-12s failed\n", pt.label)
-			exitCode = 1
-			continue
-		}
-		// Replication statistics flow through the one shared path.
-		rep, err := ccfit.AggregateSeeds(exp, *scheme, rs)
-		if err != nil {
-			fatal(err)
-		}
-		// worstBin: the lowest per-bin normalized throughput, averaged
-		// across seeds.
-		worst := 0.0
-		for _, r := range rs {
-			w := 1.0
-			for _, x := range r.Normalized {
-				if x < w {
-					w = x
-				}
-			}
-			worst += w
-		}
-		worst /= float64(len(rs))
-		if *seeds > 1 {
-			fmt.Printf("%-12s %6.3f ±%5.3f   %-10.3f %8.0f ±%6.0f",
-				pt.label, rep.MeanNormalized, rep.StdNormalized, worst, rep.MeanDelivered, rep.StdDelivered)
-			if hasFCT && rep.HasFCT {
-				fmt.Printf(" %5.2f ±%4.2f %5.2f ±%4.2f", rep.MeanFCTP50, rep.StdFCTP50, rep.MeanFCTP99, rep.StdFCTP99)
-			}
-		} else {
-			fmt.Printf("%-12s %-10.3f %-10.3f %-10.0f", pt.label, rep.MeanNormalized, worst, rep.MeanDelivered)
-			if hasFCT && rep.HasFCT {
-				fmt.Printf(" %-12.2f %-12.2f", rep.MeanFCTP50, rep.MeanFCTP99)
-			}
-		}
-		fmt.Println()
-	}
-	os.Exit(exitCode)
-}
-
-// runRemote submits every sweep point as its own campaign (so the
-// server's pool interleaves them), then collects results in point
-// order — the same order the local job slice uses, so the render
-// cursor is unchanged.
-func runRemote(ctx context.Context, base string, subs []campaign.Submission, verbose bool) ([]ccfit.JobResult, error) {
-	client := &campaign.Client{Base: base}
-	if err := client.Healthz(ctx); err != nil {
-		return nil, fmt.Errorf("server %s unreachable: %w", base, err)
-	}
-	type submitted struct {
-		id   string
-		jobs []ccfit.Job
-	}
-	pending := make([]submitted, 0, len(subs))
-	for _, sub := range subs {
-		jobs, err := sub.Jobs()
-		if err != nil {
-			return nil, err
-		}
-		v, err := client.Submit(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-		if verbose {
-			fmt.Fprintf(os.Stderr, "ccfit-sweep: campaign %s: %s\n", v.ID, sub.Label)
-		}
-		pending = append(pending, submitted{id: v.ID, jobs: jobs})
-	}
-	var results []ccfit.JobResult
-	for _, p := range pending {
-		if _, err := client.Wait(ctx, p.id, nil); err != nil {
-			return nil, err
-		}
-		rs, err := client.Results(ctx, p.id, p.jobs)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, rs...)
-	}
-	return results, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccfit-sweep:", err)
-	os.Exit(1)
+	os.Exit(cli.Sweep(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -28,43 +28,41 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dispatch"
 	"repro/internal/runner"
 )
 
 func main() {
-	server := flag.String("server", "http://127.0.0.1:8080", "ccfit-serve base URL")
 	name := flag.String("name", hostname(), "worker label shown in the service's /workers and journal")
-	cacheDir := flag.String("cache", ".ccfit-worker-cache", "worker-local result cache directory ('' disables)")
 	jobs := flag.Int("jobs", 1, "jobs to run concurrently (each may itself use -sim-workers from the spec)")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
-	retries := flag.Int("retries", 0, "retry transient job failures up to N times")
-	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before the first retry (doubles per attempt)")
 	pollMax := flag.Duration("poll-max", 2*time.Second, "idle claim-poll backoff cap")
+	// The execution flags are the campaign tools' own, declared once in
+	// internal/cli; a worker defaults to a local service and a
+	// worker-local cache ('' disables it).
+	f := cli.Defaults()
+	f.Server, f.Cache = "http://127.0.0.1:8080", ".ccfit-worker-cache"
+	f.Register(flag.CommandLine, "server", "cache", "timeout", "retries", "retry-backoff")
 	flag.Parse()
 
-	var cache *runner.Cache
-	if *cacheDir != "" {
-		c, err := runner.OpenCache(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		cache = c
+	cache, err := f.OpenCache()
+	if err != nil {
+		fatal(err)
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ccfit-worker: "+format+"\n", args...)
 	}
 
 	w := &dispatch.Worker{
-		Client: &dispatch.Client{Base: *server},
+		Client: &dispatch.Client{Base: f.Server},
 		Opt: dispatch.WorkerOptions{
 			Name:  *name,
 			Slots: *jobs,
 			Exec: &runner.LocalExecutor{
 				Cache:        cache,
-				Timeout:      *timeout,
-				Retries:      *retries,
-				RetryBackoff: *retryBackoff,
+				Timeout:      f.Timeout,
+				Retries:      f.Retries,
+				RetryBackoff: f.RetryBackoff,
 			},
 			PollMax: *pollMax,
 			Log:     logf,
@@ -76,14 +74,12 @@ func main() {
 	// The line below is the startup handshake scripts parse; keep its
 	// shape stable.
 	fmt.Printf("ccfit-worker: %s polling %s (%d slot(s), GOMAXPROCS=%d)\n",
-		*name, *server, max(*jobs, 1), runtime.GOMAXPROCS(0))
+		*name, f.Server, max(*jobs, 1), runtime.GOMAXPROCS(0))
 
-	err := w.Run(ctx)
+	err = w.Run(ctx)
 	stop() // a second signal now kills the process immediately
 	if cache != nil {
-		if ferr := cache.FlushIndex(); ferr != nil {
-			logf("cache index flush: %v", ferr)
-		}
+		f.SettleCache(cache, logf)
 	}
 	if err != nil {
 		fatal(err)

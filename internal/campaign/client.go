@@ -153,12 +153,7 @@ const (
 func (c *Client) Wait(ctx context.Context, id string, fn func(Event) error) (View, error) {
 	failures := 0
 	for {
-		streamErr := c.Events(ctx, id, func(ev Event) error {
-			if fn != nil {
-				return fn(ev)
-			}
-			return nil
-		})
+		streamErr := c.Events(ctx, id, fn)
 		if ctx.Err() != nil {
 			return View{}, ctx.Err()
 		}
@@ -202,11 +197,7 @@ func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]r
 	out := make([]runner.JobResult, len(jobs))
 	for i, rr := range remote {
 		job := jobs[i]
-		expID := job.ExpID
-		if expID == "" && job.Exp != nil {
-			expID = job.Exp.ID
-		}
-		if rr.Experiment != expID || rr.Scheme != job.Scheme || rr.Seed != job.Seed {
+		if rr.Experiment != job.ExperimentID() || rr.Scheme != job.Scheme || rr.Seed != job.Seed {
 			return nil, fmt.Errorf("campaign: cell %d is %s/%s seed=%d on the server but %s locally — client/server spec mismatch",
 				i, rr.Experiment, rr.Scheme, rr.Seed, job)
 		}
@@ -229,20 +220,52 @@ func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]r
 	return out, nil
 }
 
-// Run submits a campaign, waits for it to finish (streaming progress
-// through fn) and returns the reassembled job results in cell order —
-// the remote equivalent of runner.Run over the same spec.
-func (c *Client) Run(ctx context.Context, sub Submission, fn func(Event) error) ([]runner.JobResult, error) {
-	jobs, err := sub.Jobs()
-	if err != nil {
-		return nil, err
+// Run is the remote equivalent of runner.Run over the same specs: it
+// submits every campaign up front (so the server's pool interleaves
+// them), waits for each in order, streaming progress through fn (may be
+// nil), and returns the reassembled job results, submission by
+// submission, in cell order. Every submission is validated before the
+// first is sent.
+// When ctx is cancelled the unfinished campaigns are cancelled on the
+// server, so their queued jobs are dropped.
+func (c *Client) Run(ctx context.Context, fn func(Event) error, subs ...Submission) ([]runner.JobResult, error) {
+	if err := c.Healthz(ctx); err != nil {
+		return nil, fmt.Errorf("server %s unreachable: %w", c.Base, err)
 	}
-	v, err := c.Submit(ctx, sub)
-	if err != nil {
-		return nil, err
+	jobs := make([][]runner.Job, len(subs))
+	for i, sub := range subs {
+		var err error
+		if jobs[i], err = sub.Jobs(); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := c.Wait(ctx, v.ID, fn); err != nil {
-		return nil, err
+	ids := make([]string, len(subs))
+	for i, sub := range subs {
+		v, err := c.Submit(ctx, sub)
+		if err != nil {
+			return nil, err
+		}
+		ids[i] = v.ID
 	}
-	return c.Results(ctx, v.ID, jobs)
+	var out []runner.JobResult
+	for i, id := range ids {
+		if _, err := c.Wait(ctx, id, fn); err != nil {
+			if ctx.Err() != nil {
+				// In-flight jobs drain on the server. Best-effort: the
+				// signal may race the server's own shutdown.
+				cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				for _, rest := range ids[i:] {
+					_, _ = c.Cancel(cctx, rest)
+				}
+				cancel()
+			}
+			return nil, err
+		}
+		rs, err := c.Results(ctx, id, jobs[i])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rs...)
+	}
+	return out, nil
 }

@@ -613,12 +613,8 @@ func (s *Scheduler) viewLocked(c *campaign, withJobs bool) View {
 		}
 		if withJobs && i < len(c.jobs) {
 			j := c.jobs[i]
-			expID := j.ExpID
-			if expID == "" && j.Exp != nil {
-				expID = j.Exp.ID
-			}
 			v.Jobs = append(v.Jobs, JobView{
-				Index: i, Job: j.String(), Experiment: expID, Scheme: j.Scheme,
+				Index: i, Job: j.String(), Experiment: j.ExperimentID(), Scheme: j.Scheme,
 				Seed: j.Seed, Status: st.Status, Key: st.Key,
 				ElapsedMS: st.ElapsedMS, Attempts: st.Attempts, Error: st.Error,
 			})

@@ -96,13 +96,9 @@ func NewServer(s *Scheduler) http.Handler {
 		v, _ := s.View(id, true)
 		for i, jr := range results {
 			rr := RemoteResult{
-				Index: i, Scheme: jr.Job.Scheme, Seed: jr.Job.Seed,
+				Index: i, Experiment: jr.Job.ExperimentID(), Scheme: jr.Job.Scheme, Seed: jr.Job.Seed,
 				Cached: jr.Cached, Key: jr.Key, Attempts: jr.Attempts,
 				Quarantined: jr.Quarantined,
-			}
-			rr.Experiment = jr.Job.ExpID
-			if rr.Experiment == "" && jr.Job.Exp != nil {
-				rr.Experiment = jr.Job.Exp.ID
 			}
 			if i < len(v.Jobs) {
 				rr.Status = v.Jobs[i].Status

@@ -37,10 +37,10 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []Event
-	results, err := client.Run(ctx, sub, func(ev Event) error {
+	results, err := client.Run(ctx, func(ev Event) error {
 		events = append(events, ev)
 		return nil
-	})
+	}, sub)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestHTTPRejectsBadSubmission(t *testing.T) {
 func TestHTTPMetrics(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 2})
 	ctx := context.Background()
-	if _, err := client.Run(ctx, Submission{Spec: quickSpec()}, nil); err != nil {
+	if _, err := client.Run(ctx, nil, Submission{Spec: quickSpec()}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := client.http().Get(client.url("/metrics"))

@@ -190,15 +190,6 @@ func (b *Board) Register(name, module string) (string, error) {
 	return id, nil
 }
 
-// HasLiveWorkers reports whether any registered worker has been seen
-// within the liveness window — the RemoteExecutor's dispatch-or-local
-// decision.
-func (b *Board) HasLiveWorkers() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.liveWorkersLocked(b.now()) > 0
-}
-
 func (b *Board) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range b.workers {

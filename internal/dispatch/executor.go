@@ -3,23 +3,20 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/runner"
 )
 
 // RemoteExecutor satisfies runner.Executor by offering jobs to the
 // worker fleet, degrading to local execution whenever the fleet cannot
-// take them: no live workers, an unserializable job (hand-built, no
-// source spec), or a job the board withdrew mid-wait. The service-side
-// cache stays authoritative — it is probed before dispatch and updated
-// after every successful remote run, so local and remote execution
-// share one dedup layer.
+// take them. The service-side cache stays authoritative — it is probed
+// before dispatch and updated after every successful remote run, so
+// local and remote execution share one dedup layer.
 type RemoteExecutor struct {
 	// Board is the lease table workers pull from.
 	Board *Board
-	// Local is the fallback executor (and the source of the cache-probe
-	// semantics); its Cache, when non-nil, is the shared service cache.
+	// Local owns the execution envelope and the fallback simulation; its
+	// Cache, when non-nil, is the shared service cache.
 	Local *runner.LocalExecutor
 	// Log, when non-nil, receives fallback notices.
 	Log func(format string, args ...any)
@@ -31,93 +28,43 @@ func (e *RemoteExecutor) logf(format string, args ...any) {
 	}
 }
 
-// Execute implements runner.Executor.
+// Execute implements runner.Executor: the shared envelope (cache probe,
+// JobStart/terminal events, store) is runner.LocalExecutor's; this type
+// only supplies how a cache miss is computed — on the fleet when it can
+// take the job, in-process otherwise.
 func (e *RemoteExecutor) Execute(ctx context.Context, job runner.Job, emit func(runner.Event)) runner.JobResult {
-	if emit == nil {
-		emit = func(runner.Event) {}
-	}
+	return e.Local.ExecuteVia(ctx, job, emit, e.offload)
+}
+
+// offload offers one job to the fleet. ok=false sends the envelope to
+// its in-process simulation: an unserializable job, no live workers, or
+// a job the board withdrew mid-wait.
+func (e *RemoteExecutor) offload(ctx context.Context, job runner.Job, key string, emit func(runner.Event)) (runner.JobResult, bool) {
 	wire, werr := runner.WireFromJob(job)
 	if werr != nil {
 		// Hand-built job (no source spec): local-only by construction.
 		e.logf("dispatch: %s: %v; executing locally", job, werr)
 		e.Board.cFallback.Add(1)
-		return e.Local.Execute(ctx, job, emit)
+		return runner.JobResult{}, false
 	}
-	if !e.Board.HasLiveWorkers() {
-		e.Board.cFallback.Add(1)
-		return e.Local.Execute(ctx, job, emit)
-	}
-
-	// From here the executor owns the JobStart/terminal envelope that
-	// LocalExecutor would otherwise emit; the fallback path below must
-	// therefore filter the duplicate JobStart out.
-	emit(runner.Event{Type: runner.JobStart, Job: job})
-	t0 := time.Now()
-
-	// Probe the service cache first — a hit must not burn a worker.
-	var key string
-	if e.Local.Cache != nil {
-		k, err := runner.JobKey(job)
-		if err != nil {
-			emit(runner.Event{Type: runner.JobFailed, Job: job, Err: err})
-			return runner.JobResult{Job: job, Err: err}
-		}
-		key = k
-		res, ok, gerr := e.Local.Cache.Get(key)
-		if ok {
-			jr := runner.JobResult{Job: job, Result: res, Cached: true, Elapsed: time.Since(t0), Key: key}
-			emit(runner.Event{Type: runner.JobCached, Job: job, JobElapsed: jr.Elapsed})
-			return jr
-		}
-		if gerr != nil {
-			emit(runner.Event{Type: runner.JobCacheCorrupt, Job: job, Err: gerr})
-			_ = e.Local.Cache.Remove(key)
-		}
-	}
-
 	jr, executed := e.Board.Enqueue(ctx, job, wire, emit)
 	if !executed {
-		// Withdrawn (fleet died while queued) or never offered: run it
-		// here, suppressing the JobStart the local executor re-emits —
-		// this job already started from the campaign's point of view.
-		e.logf("dispatch: no live workers for %s; executing locally", job)
+		// No live workers, or withdrawn because the fleet died while
+		// the job was queued (the board logs that).
 		e.Board.cFallback.Add(1)
-		return e.Local.Execute(ctx, job, func(ev runner.Event) {
-			if ev.Type == runner.JobStart {
-				return
-			}
-			emit(ev)
-		})
+		return runner.JobResult{}, false
 	}
-
-	jr.Elapsed = time.Since(t0)
-	if jr.Err != nil {
-		emit(runner.Event{Type: runner.JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
-		return jr
-	}
-	if e.Local.Cache != nil {
-		// The worker computed its key with its own build. A mismatch
-		// means version skew between service and worker binaries — the
-		// result bytes may differ from what this build would produce, so
-		// refuse it rather than poison the shared cache.
-		if jr.Key != "" && jr.Key != key {
-			e.Board.cMismatch.Add(1)
-			err := fmt.Errorf("dispatch: %s: worker cache key %s != service key %s (version skew between service and worker builds?); rejecting result", job, jr.Key, key)
-			emit(runner.Event{Type: runner.JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: err})
-			return runner.JobResult{Job: job, Err: err, Elapsed: jr.Elapsed, Key: key}
-		}
-		jr.Key = key
-		if jr.Result != nil {
-			// Even a worker-side cache hit is a service-side miss (we
-			// probed above), so always backfill the shared cache.
-			if perr := e.Local.Cache.Put(key, jr.Result); perr != nil {
-				jr.CacheErr = fmt.Errorf("runner: %s ran but caching failed: %w", job, perr)
-			}
-		}
+	// The worker computed its key with its own build. A mismatch means
+	// version skew between service and worker binaries — the result
+	// bytes may differ from what this build would produce, so refuse it
+	// rather than poison the shared cache.
+	if jr.Err == nil && key != "" && jr.Key != "" && jr.Key != key {
+		e.Board.cMismatch.Add(1)
+		return runner.JobResult{Err: fmt.Errorf("dispatch: %s: worker cache key %s != service key %s (version skew between service and worker builds?); rejecting result", job, jr.Key, key)}, true
 	}
 	// A worker-side cache hit is still a completed run from this
-	// campaign's point of view: the shared cache missed it.
+	// campaign's point of view: the shared cache missed it, and the
+	// envelope backfills it.
 	jr.Cached = false
-	emit(runner.Event{Type: runner.JobDone, Job: job, JobElapsed: jr.Elapsed})
-	return jr
+	return jr, true
 }

@@ -20,7 +20,7 @@ import (
 // line up with local runs.
 type Spec struct {
 	// Experiments lists registered experiment ids (ValidIDs). Static
-	// tables are skipped during expansion, mirroring the job grid.
+	// tables are skipped during expansion.
 	// Mutually exclusive with LoadCurve.
 	Experiments []string `json:"experiments,omitempty"`
 	// Schemes overrides the scheme set; nil uses each experiment's own.
@@ -102,9 +102,9 @@ func (s Spec) Validate() error {
 }
 
 // Expand resolves a spec into its cells in deterministic
-// experiment-major order (experiment, then scheme, then seed) — the
-// same order Grid produces, so remote renderers can walk results with
-// the same cursor logic as local ones. Every id, scheme and parameter
+// experiment-major order (experiment, then scheme, then seed), the
+// one order every renderer's cursor walks, locally and against a
+// server. Every id, scheme and parameter
 // set is validated before anything is returned (fail-fast: a typo in
 // a submitted campaign is a 4xx, never a mid-campaign failure).
 func (s Spec) Expand() ([]Cell, error) {

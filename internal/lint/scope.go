@@ -53,7 +53,6 @@ var simScope = map[string]string{
 	"network":     "topology wiring and simulated routing fabric",
 	"oracle":      "differential oracle re-executes the engine",
 	"pkt":         "packet/flit state is replayed byte-for-byte",
-	"probe":       "in-simulation sampling probes",
 	"route":       "deterministic routing decisions",
 	"sim":         "the event-driven engine itself",
 	"switchfab":   "switch fabric: ingress/egress pipeline state",
@@ -66,6 +65,7 @@ var simScope = map[string]string{
 // determinism family. The value documents why the exemption is sound.
 var serviceScope = map[string]string{
 	"campaign": "campaign service: HTTP serving, journals, worker pool — never inside a simulated cycle",
+	"cli":      "the campaign tools' front door: flags, signals, wall-clock manifests — never inside a simulated cycle",
 	"dispatch": "remote worker fleet: HTTP leases, heartbeats, wall-clock TTLs — never inside a simulated cycle",
 	"lint":     "this tool",
 	"prof":     "pprof plumbing, never inside a simulated cycle",

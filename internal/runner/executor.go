@@ -48,6 +48,21 @@ type LocalExecutor struct {
 // experiment, bad scheme or parameters) fail without consuming a
 // simulation.
 func (e *LocalExecutor) Execute(ctx context.Context, job Job, emit func(Event)) JobResult {
+	return e.ExecuteVia(ctx, job, emit, nil)
+}
+
+// Offload computes a job's result somewhere other than this process (a
+// worker fleet). key is the job's cache key ("" when caching is off).
+// ok=false means the job did not run there and must be simulated here.
+type Offload func(ctx context.Context, job Job, key string, emit func(Event)) (jr JobResult, ok bool)
+
+// ExecuteVia is the one envelope every execution path shares: resolve,
+// key derivation, cache probe with corrupt-entry recovery, JobStart and
+// exactly one terminal event, cache store. Only "how the result is
+// computed" varies: via (when non-nil) is offered the job on a cache
+// miss, and the in-process simulation — timeout, panic containment,
+// transient retries, quarantine — runs when via is nil or declines.
+func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event), via Offload) JobResult {
 	if emit == nil {
 		emit = func(Event) {}
 	}
@@ -56,28 +71,16 @@ func (e *LocalExecutor) Execute(ctx context.Context, job Job, emit func(Event)) 
 		emit(Event{Type: JobFailed, Job: job, Err: err})
 		return JobResult{Job: job, Err: err}
 	}
+	var key string
 	if e.Cache != nil {
-		// The watchdog window is deliberately NOT part of the key: it
-		// can only turn a run into a failure, and failures are never
-		// cached, so every cached result is watchdog-neutral.
-		var extra []string
-		if r.faults != nil {
-			extra = append(extra, "faults="+r.faults.Fingerprint())
-		}
-		r.key = Key(r.exp, r.scheme, job.Seed, r.params, extra...)
+		key = r.cacheKey()
 	}
-	return e.run(ctx, job, r, emit)
-}
-
-// run executes a resolved job: cache probe, simulation with timeout
-// and panic containment, transient retries, quarantine, cache store.
-func (e *LocalExecutor) run(ctx context.Context, job Job, r resolved, emit func(Event)) JobResult {
 	emit(Event{Type: JobStart, Job: job})
 	t0 := time.Now()
 	if e.Cache != nil {
-		res, ok, gerr := e.Cache.Get(r.key)
+		res, ok, gerr := e.Cache.Get(key)
 		if ok {
-			jr := JobResult{Job: job, Result: res, Cached: true, Elapsed: time.Since(t0), Key: r.key}
+			jr := JobResult{Job: job, Result: res, Cached: true, Elapsed: time.Since(t0), Key: key}
 			emit(Event{Type: JobCached, Job: job, JobElapsed: jr.Elapsed})
 			return jr
 		}
@@ -85,50 +88,65 @@ func (e *LocalExecutor) run(ctx context.Context, job Job, r resolved, emit func(
 			// Corrupt entry: log, drop it, recompute. The fresh Put
 			// below overwrites the slot.
 			emit(Event{Type: JobCacheCorrupt, Job: job, Err: gerr})
-			_ = e.Cache.Remove(r.key)
+			_ = e.Cache.Remove(key)
 		}
 	}
 	var (
-		res    *experiments.Result
+		jr     JobResult
 		engine string
-		err    error
+		ran    bool
 	)
-	attempts := 0
-	for {
-		attempts++
-		res, engine, err = executeBounded(ctx, job, r, e.Timeout)
-		if err == nil || invariant.IsViolation(err) || ctx.Err() != nil || attempts > e.Retries {
-			break
-		}
-		emit(Event{Type: JobRetry, Job: job, Err: err})
-		if e.RetryBackoff > 0 {
-			select {
-			case <-time.After(Backoff(e.RetryBackoff, attempts, MaxRetryBackoff)):
-			case <-ctx.Done():
-			}
-		}
+	if via != nil {
+		jr, ran = via(ctx, job, key, emit)
 	}
-	jr := JobResult{Job: job, Result: res, Err: err, Elapsed: time.Since(t0), Key: r.key, Attempts: attempts}
-	if err != nil {
-		var v *invariant.Violation
-		if errors.As(err, &v) {
-			jr.Quarantined = true
-			jr.Diagnostics = v.Snapshot
-		}
-		emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: err})
+	if !ran {
+		jr, engine = e.simulate(ctx, job, r, emit)
+	}
+	jr.Job, jr.Elapsed = job, time.Since(t0)
+	if e.Cache != nil {
+		jr.Key = key
+	}
+	if jr.Err != nil {
+		emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
 		return jr
 	}
-	if e.Cache != nil {
+	if e.Cache != nil && jr.Result != nil {
 		// A failed store only costs the next run a recompute: the job
 		// itself succeeded, so the result stays usable and the store
 		// failure is reported on its own channel instead of masquerading
 		// as a failed simulation.
-		if perr := e.Cache.Put(r.key, res); perr != nil {
+		if perr := e.Cache.Put(key, jr.Result); perr != nil {
 			jr.CacheErr = fmt.Errorf("runner: %s ran but caching failed: %w", job, perr)
 		}
 	}
 	emit(Event{Type: JobDone, Job: job, JobElapsed: jr.Elapsed, Engine: engine})
 	return jr
+}
+
+// simulate runs a resolved job in-process: timeout and panic
+// containment, transient retries, quarantine of invariant violations.
+// engine is the JobDone event's Engine text.
+func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved, emit func(Event)) (jr JobResult, engine string) {
+	for {
+		jr.Attempts++
+		jr.Result, engine, jr.Err = executeBounded(ctx, job, r, e.Timeout)
+		if jr.Err == nil || invariant.IsViolation(jr.Err) || ctx.Err() != nil || jr.Attempts > e.Retries {
+			break
+		}
+		emit(Event{Type: JobRetry, Job: job, Err: jr.Err})
+		if e.RetryBackoff > 0 {
+			select {
+			case <-time.After(Backoff(e.RetryBackoff, jr.Attempts, MaxRetryBackoff)):
+			case <-ctx.Done():
+			}
+		}
+	}
+	var v *invariant.Violation
+	if errors.As(jr.Err, &v) {
+		jr.Quarantined = true
+		jr.Diagnostics = v.Snapshot
+	}
+	return jr, engine
 }
 
 // MaxRetryBackoff caps the exponential retry doubling: beyond it every

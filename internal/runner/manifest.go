@@ -66,15 +66,12 @@ func NewManifest(tool string, opt Options, startedAt time.Time, results []JobRes
 	}
 	for _, r := range results {
 		run := ManifestRun{
-			Experiment: r.Job.ExpID,
+			Experiment: r.Job.ExperimentID(),
 			Scheme:     r.Job.Scheme,
 			Seed:       r.Job.Seed,
 			CacheKey:   r.Key,
 			ElapsedMS:  float64(r.Elapsed.Milliseconds()),
 			Attempts:   r.Attempts,
-		}
-		if run.Experiment == "" && r.Job.Exp != nil {
-			run.Experiment = r.Job.Exp.ID
 		}
 		if r.Job.Faults != nil {
 			run.Faults = r.Job.Faults.Name

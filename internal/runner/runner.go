@@ -83,17 +83,23 @@ type Job struct {
 	// exactly this job (set by FromSpec). It is what makes a job
 	// serializable for remote execution: the Exp closure cannot cross a
 	// process boundary, but the spec can, and expansion is
-	// deterministic on both sides. Jobs built by hand (Grid, tests)
+	// deterministic on both sides. Jobs built by hand (tests, benches)
 	// leave it nil and can only run locally.
 	Source *experiments.Spec
 }
 
+// ExperimentID names the job's experiment: ExpID, else the id of the
+// experiment supplied directly.
+func (j Job) ExperimentID() string {
+	if j.ExpID == "" && j.Exp != nil {
+		return j.Exp.ID
+	}
+	return j.ExpID
+}
+
 // String labels a job for telemetry and error messages.
 func (j Job) String() string {
-	id := j.ExpID
-	if id == "" && j.Exp != nil {
-		id = j.Exp.ID
-	}
+	id := j.ExperimentID()
 	scheme := j.Scheme
 	if scheme == "" && j.Params != nil {
 		scheme = j.Params.Name
@@ -242,7 +248,6 @@ type resolved struct {
 	params     core.Params
 	scheme     string
 	seed       int64
-	key        string
 	faults     *fault.Script
 	watchdog   sim.Cycle
 	simWorkers int
@@ -296,6 +301,18 @@ func resolve(j Job) (resolved, error) {
 	}
 	out.simWorkers = j.SimWorkers
 	return out, nil
+}
+
+// cacheKey is the job's content-addressed cache address. The watchdog
+// window is deliberately NOT part of it: it can only turn a run into a
+// failure, and failures are never cached, so every cached result is
+// watchdog-neutral.
+func (r resolved) cacheKey() string {
+	var extra []string
+	if r.faults != nil {
+		extra = append(extra, "faults="+r.faults.Fingerprint())
+	}
+	return Key(r.exp, r.scheme, r.seed, r.params, extra...)
 }
 
 // Run executes a campaign: it validates every job up front, fans the
@@ -495,34 +512,6 @@ func CapSimWorkers(jobs []Job, campaignWorkers, maxProcs int) []Job {
 		out[i].SimWorkers = eff
 	}
 	return out
-}
-
-// Grid expands experiments × schemes × seeds into a job list in
-// deterministic experiment-major order (matching paper render order).
-// A nil scheme list uses each experiment's own Schemes; ConfigTable
-// entries are skipped. An empty seed list defaults to seed 1.
-func Grid(exps []experiments.Experiment, schemes []string, seeds []int64) []Job {
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	var jobs []Job
-	for i := range exps {
-		exp := exps[i]
-		if exp.Kind == experiments.ConfigTable {
-			continue
-		}
-		ss := schemes
-		if ss == nil {
-			ss = exp.Schemes
-		}
-		for _, s := range ss {
-			for _, seed := range seeds {
-				e := exp
-				jobs = append(jobs, Job{ExpID: exp.ID, Scheme: s, Seed: seed, Exp: &e})
-			}
-		}
-	}
-	return jobs
 }
 
 // Failed filters a campaign's failures (nil when everything ran).

@@ -39,6 +39,25 @@ func scaledRegistry() []experiments.Experiment {
 	return out
 }
 
+// grid hand-builds experiments × schemes × seeds jobs (nil schemes =
+// each experiment's own) for the scaled copies above, which no spec can
+// name; registered experiments expand through FromSpec.
+func grid(exps []experiments.Experiment, schemes []string, seeds []int64) []Job {
+	var jobs []Job
+	for i := range exps {
+		ss := schemes
+		if ss == nil {
+			ss = exps[i].Schemes
+		}
+		for _, s := range ss {
+			for _, seed := range seeds {
+				jobs = append(jobs, Job{ExpID: exps[i].ID, Scheme: s, Seed: seed, Exp: &exps[i]})
+			}
+		}
+	}
+	return jobs
+}
+
 func encode(t *testing.T, r *experiments.Result) []byte {
 	t.Helper()
 	if r == nil {
@@ -70,7 +89,7 @@ func mustRun(t *testing.T, jobs []Job, opt Options) []JobResult {
 // produces byte-identical Result series to the serial one (workers=1)
 // under the same seed, and warm cache hits return identical data.
 func TestParallelMatchesSerial(t *testing.T) {
-	jobs := Grid(scaledRegistry(), nil, []int64{1})
+	jobs := grid(scaledRegistry(), nil, []int64{1})
 	if len(jobs) == 0 {
 		t.Fatal("empty grid")
 	}
@@ -255,7 +274,7 @@ func TestJobTimeout(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := Grid(scaledRegistry()[:1], nil, []int64{1})
+	jobs := grid(scaledRegistry()[:1], nil, []int64{1})
 	results, err := Run(ctx, jobs, Options{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -267,21 +286,31 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestGridShape pins FromSpec's expansion: experiment-major, static
+// tables skipped, scheme override and seed defaults applied.
 func TestGridShape(t *testing.T) {
-	reg := experiments.Registry() // includes table1 (skipped by Grid)
-	jobs := Grid(reg, nil, []int64{1, 2})
+	reg := experiments.Registry() // includes table1 (skipped by expansion)
+	var ids []string
 	want := 0
 	for _, e := range reg {
+		ids = append(ids, e.ID)
 		if e.Kind != experiments.ConfigTable {
 			want += len(e.Schemes) * 2
 		}
 	}
+	jobs, err := FromSpec(experiments.Spec{Experiments: ids, Seeds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(jobs) != want {
 		t.Fatalf("grid has %d jobs, want %d", len(jobs), want)
 	}
-	// Scheme override applies to every experiment; empty seeds default
-	// to seed 1.
-	jobs = Grid(reg[:2], []string{"CCFIT"}, nil)
+	// Scheme override applies to every experiment; an unset seed
+	// defaults to seed 1.
+	jobs, err = FromSpec(experiments.Spec{Experiments: ids[:3], Schemes: []string{"CCFIT"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range jobs {
 		if j.Scheme != "CCFIT" || j.Seed != 1 {
 			t.Fatalf("override broken: %+v", j)
@@ -292,7 +321,7 @@ func TestGridShape(t *testing.T) {
 func TestProgressTelemetry(t *testing.T) {
 	exp := scaledRegistry()[0]
 	exp.Duration = sim.CyclesFromMS(0.05)
-	jobs := Grid([]experiments.Experiment{exp}, nil, []int64{1})
+	jobs := grid([]experiments.Experiment{exp}, nil, []int64{1})
 	var events []Event
 	_ = mustRun(t, jobs, Options{Workers: 3, Progress: func(ev Event) { events = append(events, ev) }})
 	starts, finishes := 0, 0
@@ -333,7 +362,7 @@ func TestProgressTelemetry(t *testing.T) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	exp := scaledRegistry()[0]
-	jobs := Grid([]experiments.Experiment{exp}, []string{"CCFIT"}, []int64{1})
+	jobs := grid([]experiments.Experiment{exp}, []string{"CCFIT"}, []int64{1})
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +484,7 @@ func TestCacheMissOnCorruptEntry(t *testing.T) {
 // the repaired entry.
 func TestCorruptCacheEntryRecovers(t *testing.T) {
 	exp := scaledRegistry()[0]
-	jobs := Grid([]experiments.Experiment{exp}, []string{"CCFIT"}, []int64{1})
+	jobs := grid([]experiments.Experiment{exp}, []string{"CCFIT"}, []int64{1})
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

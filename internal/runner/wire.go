@@ -34,7 +34,7 @@ type WireJob struct {
 }
 
 // WireFromJob captures a job's serializable identity. Jobs built by
-// hand (Grid with synthetic experiments, tests) carry no source spec
+// hand (synthetic experiments, tests) carry no source spec
 // and cannot be shipped.
 func WireFromJob(j Job) (WireJob, error) {
 	if j.Source == nil {
@@ -128,9 +128,5 @@ func JobKey(job Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var extra []string
-	if r.faults != nil {
-		extra = append(extra, "faults="+r.faults.Fingerprint())
-	}
-	return Key(r.exp, r.scheme, job.Seed, r.params, extra...), nil
+	return r.cacheKey(), nil
 }

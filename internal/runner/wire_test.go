@@ -128,7 +128,7 @@ func TestWireJobCarriesServiceOptions(t *testing.T) {
 // serialization instead of shipping a guess.
 func TestWireJobRejectsHandBuilt(t *testing.T) {
 	reg := scaledRegistry()
-	job := Grid(reg[:1], nil, []int64{1})[0]
+	job := grid(reg[:1], nil, []int64{1})[0]
 	if _, err := WireFromJob(job); err == nil {
 		t.Fatal("WireFromJob accepted a job with no source spec")
 	}
@@ -203,7 +203,7 @@ func TestCacheErrKeepsResultUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := Grid(scaledRegistry()[:1], nil, []int64{1})
+	jobs := grid(scaledRegistry()[:1], nil, []int64{1})
 	// Sabotage the cache root after open: a regular file where the
 	// directory was makes Put's MkdirAll fail deterministically (works
 	// even as root, unlike chmod), while Get still sees a clean miss.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
@@ -40,13 +39,6 @@ func RunJobs(ctx context.Context, jobs []Job, opt RunOptions) ([]JobResult, erro
 	return runner.Run(ctx, jobs, opt)
 }
 
-// JobGrid expands experiments × schemes × seeds into a deterministic
-// experiment-major job list (nil schemes = each experiment's own set;
-// ConfigTable entries are skipped).
-func JobGrid(exps []Experiment, schemes []string, seeds []int64) []Job {
-	return runner.Grid(exps, schemes, seeds)
-}
-
 // OpenResultCache opens (creating if needed) an on-disk result cache.
 func OpenResultCache(dir string) (*ResultCache, error) {
 	return runner.OpenCache(dir)
@@ -56,36 +48,4 @@ func OpenResultCache(dir string) (*ResultCache, error) {
 // line per finished job to w.
 func NewRunProgress(w io.Writer) func(RunEvent) {
 	return runner.NewProgress(w)
-}
-
-// EffectiveSimWorkers caps one job's partitioned-engine worker count so
-// a campaign of campaignWorkers concurrent jobs cannot oversubscribe a
-// machine with maxProcs cores; it returns the count to use and whether
-// it was capped. RunJobs applies the same cap itself — CLIs call this
-// to log the adjustment instead of capping silently. Capping never
-// changes results: partitioned runs are byte-identical at any worker
-// count.
-func EffectiveSimWorkers(campaignWorkers, simWorkers, maxProcs int) (int, bool) {
-	return runner.EffectiveSimWorkers(campaignWorkers, simWorkers, maxProcs)
-}
-
-// FailedJobs filters a campaign's failures (nil when everything ran).
-func FailedJobs(results []JobResult) []JobResult {
-	return runner.Failed(results)
-}
-
-// ExperimentIDs returns every known experiment id (paper + extras).
-func ExperimentIDs() []string { return experiments.ValidIDs() }
-
-// ResolveExperimentIDs maps ids to experiments, reporting every
-// unknown id at once together with the valid set (fail-fast CLI
-// validation).
-func ResolveExperimentIDs(ids []string) ([]Experiment, error) {
-	return experiments.ResolveIDs(ids)
-}
-
-// AggregateSeeds builds replication statistics (mean ± sd) from
-// already-computed per-seed results of one (experiment, scheme) pair.
-func AggregateSeeds(exp Experiment, scheme string, results []*Result) (*Replication, error) {
-	return experiments.Aggregate(exp, scheme, results)
 }

@@ -35,6 +35,7 @@ awk '
     if (pkg == "repro/internal/lint")      floor = 75
     if (pkg == "repro/internal/campaign")  floor = 70
     if (pkg == "repro/internal/dispatch")  floor = 70
+    if (pkg == "repro/internal/cli")       floor = 70
     if (pkg == "repro/internal/traffic")   floor = 80
 
     if (cov + 0 < floor) {

@@ -22,29 +22,7 @@ workdir=$(mktemp -d)
 trap 'kill -9 $serve_pid $w1_pid $w2_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-worker ./cmd/ccfit-run
-
-start_server() {
-    : > "$workdir/serve.log"
-    "$workdir/ccfit-serve" -addr "$1" -data "$workdir/state" -workers 4 \
-        -lease-ttl 2s > "$workdir/serve.log" 2>&1 &
-    serve_pid=$!
-    url=""
-    i=0
-    while [ $i -lt 100 ]; do
-        url=$(sed -n 's/^ccfit-serve: listening on //p' "$workdir/serve.log")
-        [ -n "$url" ] && return 0
-        kill -0 "$serve_pid" 2>/dev/null || break
-        sleep 0.2
-        i=$((i + 1))
-    done
-    echo "FAIL: ccfit-serve did not come up"
-    cat "$workdir/serve.log"
-    exit 1
-}
-
-metric() {
-    curl -sf "$url/metrics" | sed -n "s/^ *\"$1\": \([0-9.]*\),*$/\1/p"
-}
+. "$(dirname "$0")/lib.sh"
 
 # busy reports (exit status) whether the named worker's /workers row
 # currently lists an active job ("active" is omitempty, so its presence
@@ -58,7 +36,7 @@ busy() {
     '
 }
 
-start_server 127.0.0.1:0
+start_server 127.0.0.1:0 -lease-ttl 2s
 
 echo "== two workers register"
 "$workdir/ccfit-worker" -server "$url" -name w1 -cache "$workdir/w1-cache" \

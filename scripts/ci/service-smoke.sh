@@ -7,7 +7,9 @@
 #      stdout to a plain local `ccfit-run fig7a`.
 #   2. Resubmitting the same campaign must be served entirely from the
 #      shared result cache (metrics assert zero fresh simulations).
-#   3. Kill-and-restart: the server is SIGTERMed mid-campaign (graceful
+#   3. ccfit-sweep and ccfit-loadcurve render byte-identical tables
+#      locally and through -server.
+#   4. Kill-and-restart: the server is SIGTERMed mid-campaign (graceful
 #      drain), restarted on the same address over the same journal and
 #      cache, and the waiting client rides through; the resumed
 #      campaign's rendered output must still be byte-identical to the
@@ -20,30 +22,8 @@ set -e
 workdir=$(mktemp -d)
 trap 'kill $serve_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run
-
-start_server() {
-    : > "$workdir/serve.log"
-    "$workdir/ccfit-serve" -addr "$1" -data "$workdir/state" -workers 4 \
-        > "$workdir/serve.log" 2>&1 &
-    serve_pid=$!
-    url=""
-    i=0
-    while [ $i -lt 100 ]; do
-        url=$(sed -n 's/^ccfit-serve: listening on //p' "$workdir/serve.log")
-        [ -n "$url" ] && return 0
-        kill -0 "$serve_pid" 2>/dev/null || break
-        sleep 0.2
-        i=$((i + 1))
-    done
-    echo "FAIL: ccfit-serve did not come up"
-    cat "$workdir/serve.log"
-    exit 1
-}
-
-metric() {
-    curl -sf "$url/metrics" | sed -n "s/^ *\"$1\": \([0-9.]*\),*$/\1/p"
-}
+go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run ./cmd/ccfit-sweep ./cmd/ccfit-loadcurve
+. "$(dirname "$0")/lib.sh"
 
 start_server 127.0.0.1:0
 
@@ -61,6 +41,14 @@ if [ "$done_before" != "$done_after" ]; then
     echo "FAIL: resubmission ran $((done_after - done_before)) fresh simulations, want 0"
     exit 1
 fi
+
+echo "== sweep and load curve render the same through the server"
+"$workdir/ccfit-sweep" -ms 0.5 -seeds 2 -exp fig7a -param islip > "$workdir/sweep-local.out"
+"$workdir/ccfit-sweep" -ms 0.5 -seeds 2 -exp fig7a -param islip -server "$url" > "$workdir/sweep-remote.out"
+diff "$workdir/sweep-local.out" "$workdir/sweep-remote.out"
+"$workdir/ccfit-loadcurve" -ms 0.5 -schemes 1Q,CCFIT -loads 0.4,0.9 > "$workdir/lc-local.out"
+"$workdir/ccfit-loadcurve" -ms 0.5 -schemes 1Q,CCFIT -loads 0.4,0.9 -server "$url" > "$workdir/lc-remote.out"
+diff "$workdir/lc-local.out" "$workdir/lc-remote.out"
 
 echo "== kill-and-restart mid-campaign"
 # A multi-seed campaign is long enough to interrupt; the client's Wait

@@ -18,6 +18,7 @@ workdir=$(mktemp -d)
 trap 'kill $serve_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run
+. "$(dirname "$0")/lib.sh"
 
 echo "== xleafincast renders FCT slowdown tables"
 "$workdir/ccfit-run" -ms 1 xleafincast > "$workdir/serial.out"
@@ -39,24 +40,7 @@ GOMAXPROCS=4 "$workdir/ccfit-run" -workers 1 -ms 1 -sim-workers 4 xleafincast > 
 diff "$workdir/serial.out" "$workdir/partitioned.out"
 
 echo "== remote campaign output is byte-identical to local"
-: > "$workdir/serve.log"
-"$workdir/ccfit-serve" -addr 127.0.0.1:0 -data "$workdir/state" -workers 4 \
-    > "$workdir/serve.log" 2>&1 &
-serve_pid=$!
-url=""
-i=0
-while [ $i -lt 100 ]; do
-    url=$(sed -n 's/^ccfit-serve: listening on //p' "$workdir/serve.log")
-    [ -n "$url" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.2
-    i=$((i + 1))
-done
-if [ -z "$url" ]; then
-    echo "FAIL: ccfit-serve did not come up"
-    cat "$workdir/serve.log"
-    exit 1
-fi
+start_server 127.0.0.1:0
 "$workdir/ccfit-run" -server "$url" -ms 1 xleafincast > "$workdir/remote.out"
 diff "$workdir/serial.out" "$workdir/remote.out"
 
