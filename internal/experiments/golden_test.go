@@ -24,15 +24,19 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_di
 
 const goldenPath = "testdata/golden_digests.json"
 
-// goldenCases picks one experiment per Table I config. Durations are
-// scaled to keep the test fast; the scale is part of the pinned input.
+// goldenCases picks one experiment per Table I config, plus the two
+// extras whose scheme lists reach the presets no paper figure runs
+// (DBBM, VOQsw-only, OBQA). Durations are scaled to keep the test fast;
+// the scale is part of the pinned input.
 var goldenCases = []struct {
 	expID string
 	scale float64
 }{
-	{"fig7a", 0.5},  // Config #1, throughput
-	{"fig8a", 0.25}, // Config #3, throughput, VOQnet included
-	{"fig9", 0.5},   // Config #1, per-flow bandwidth
+	{"fig7a", 0.5},      // Config #1, throughput
+	{"fig8a", 0.25},     // Config #3, throughput, VOQnet included
+	{"fig9", 0.5},       // Config #1, per-flow bandwidth
+	{"xqueueing", 0.25}, // Config #3, every static discipline + FBICM
+	{"xfairness", 0.25}, // Config #1, all eight schemes
 }
 
 func goldenDigest(t *testing.T, expID, scheme string, scale float64) string {
