@@ -34,9 +34,11 @@ const (
 	// Not evaluated in the paper's figures but cited as related work;
 	// included as an extra baseline.
 	DBBM
-	// OBQA is output-based queue assignment: queue = the output port
-	// requested at the next switch. Cited as related work [26]; extra
-	// baseline.
+	// OBQA is output-based queue assignment (Escudero-Sahuquillo et al.,
+	// Euro-Par 2010, cited as [26]): queue = the output port requested at
+	// the next switch, which in fat trees separates flows that diverge
+	// one hop ahead — fewer queues than VOQsw for comparable HoL
+	// reduction. Extra baseline.
 	OBQA
 	// NFQCFQ is the FBICM/CCFIT organisation: one normal-flow queue
 	// plus a small number of dynamically managed congested-flow queues
@@ -45,22 +47,10 @@ const (
 )
 
 func (d Discipline) String() string {
-	switch d {
-	case OneQ:
-		return "1Q"
-	case VOQSw:
-		return "VOQsw"
-	case VOQNet:
-		return "VOQnet"
-	case DBBM:
-		return "DBBM"
-	case OBQA:
-		return "OBQA"
-	case NFQCFQ:
-		return "NFQ+CFQ"
-	default:
-		return fmt.Sprintf("disc(%d)", uint8(d))
+	if int(d) < len(disciplines) {
+		return disciplines[d].name
 	}
+	return fmt.Sprintf("disc(%d)", uint8(d))
 }
 
 // Params bundles every tunable of the congestion-management machinery.
@@ -269,26 +259,45 @@ func PresetOBQA() Params {
 }
 
 // EffectivePortRAM returns the input-port memory for a port serving
-// numEndpoints destinations under this discipline (VOQnet scales with
-// network size; everything else uses PortRAM).
+// numEndpoints destinations under this discipline (a per-destination
+// one scales with network size; everything else uses PortRAM).
 func (p *Params) EffectivePortRAM(numEndpoints int) int {
-	if p.Disc == VOQNet {
+	if disciplines[p.Disc].perDest {
 		return p.VOQNetQueueRAM * numEndpoints
 	}
 	return p.PortRAM
 }
 
+// PortCredits builds the credit pool mirroring a switch input port's
+// receive memory: one shared counter, or Table I's VOQNetQueueRAM for
+// each of a per-destination discipline's queues.
+func (p *Params) PortCredits(numEndpoints int) *CreditPool {
+	if disciplines[p.Disc].perDest {
+		return NewPerDestCredits(numEndpoints, p.VOQNetQueueRAM)
+	}
+	return NewSharedCredits(p.PortRAM)
+}
+
+// IAParams returns the parameters of the input adapter's output buffer:
+// the organisation the scheme's row names, over IARAM.
+func (p *Params) IAParams() Params {
+	ia := *p
+	ia.PortRAM = p.IARAM
+	ia.Disc = disciplines[p.Disc].ia
+	return ia
+}
+
 // Validate rejects inconsistent parameter combinations.
 func (p *Params) Validate() error {
+	if int(p.Disc) >= len(disciplines) {
+		return fmt.Errorf("core: unknown discipline %v", p.Disc)
+	}
+	if row := &disciplines[p.Disc]; row.count != nil && row.count(p) <= 0 {
+		return fmt.Errorf("core: %s needs a positive queue count", row.name)
+	}
 	switch {
 	case p.PortRAM <= 0 || p.IARAM <= 0:
 		return fmt.Errorf("core: non-positive port memory")
-	case p.Disc == NFQCFQ && p.NumCFQs <= 0:
-		return fmt.Errorf("core: NFQ+CFQ needs at least one CFQ")
-	case p.Disc == DBBM && p.DBBMQueues <= 0:
-		return fmt.Errorf("core: DBBM needs a positive queue count")
-	case p.Disc == OBQA && p.OBQAQueues <= 0:
-		return fmt.Errorf("core: OBQA needs a positive queue count")
 	case p.GoThreshold >= p.StopThreshold:
 		return fmt.Errorf("core: Go threshold (%d) must be below Stop (%d)", p.GoThreshold, p.StopThreshold)
 	case p.LowThreshold >= p.HighThreshold:

@@ -79,6 +79,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		"no post":        func(p *Params) { p.PostMovesPerCycle = 0 },
 		"neg cctitimer":  func(p *Params) { p.CCTITimer = 0 },
 		"no dbbm queues": func(p *Params) { p.Disc = DBBM; p.DBBMQueues = 0 },
+		"unknown disc":   func(p *Params) { p.Disc = Discipline(len(disciplines)) },
 	}
 	for name, mut := range mutations {
 		p := PresetCCFIT()
@@ -91,7 +92,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 
 func TestDisciplineStrings(t *testing.T) {
 	for d, want := range map[Discipline]string{
-		OneQ: "1Q", VOQSw: "VOQsw", VOQNet: "VOQnet", DBBM: "DBBM",
+		OneQ: "1Q", VOQSw: "VOQsw", VOQNet: "VOQnet", DBBM: "DBBM", OBQA: "OBQA",
 		NFQCFQ: "NFQ+CFQ", Discipline(77): "disc(77)",
 	} {
 		if d.String() != want {

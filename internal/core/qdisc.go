@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/link"
@@ -61,8 +62,9 @@ type DiscStats struct {
 	MisroutedDirect int // direct-CFQ arrivals whose line had been recycled
 }
 
-// QDisc is a port queue organisation. Implementations: oneQ, voqSw,
-// voqNet, dbbm (this file) and IsolationUnit (isolation.go).
+// QDisc is a port queue organisation: a bank built from a row of the
+// disciplines table (this file), or the one dynamic organisation,
+// IsolationUnit (isolation.go).
 type QDisc interface {
 	// Fits reports whether a packet of the given size can be admitted
 	// (credit check performed by the upstream sender's mirror counter;
@@ -98,105 +100,154 @@ type QDisc interface {
 	Stats() *DiscStats
 }
 
+// discipline is one row of the disciplines table: everything the rest
+// of the simulator knows about a queue organisation. A static one is a
+// destination->queue map over FIFOs sharing the port RAM, so adding one
+// is adding a row.
+type discipline struct {
+	name string
+	// queues sizes a port with nOut local outputs among numEndpoints
+	// endpoints.
+	queues func(p *Params, nOut, numEndpoints int) int
+	// classify files a destination into one of the n queues; nil marks
+	// the dynamic organisation (NFQ+CFQ, isolation.go).
+	classify func(env PortEnv, dest, n int) int
+	// perDest: one queue per destination endpoint, VOQNetQueueRAM deep
+	// with its own credit; hosts may ask it for DestOccupancy.
+	perDest bool
+	// marks: queue i is output port i's, and its High/Low fill drives
+	// that port's congestion state (Section II).
+	marks bool
+	// ia is the input adapter's output buffer: Fig. 2 mirrors the switch
+	// port for the isolation schemes, VOQnet keeps its queues end to end,
+	// the rest (the zero value, OneQ) put a plain FIFO before the link.
+	ia Discipline
+	// count is the Params field the row is sized by, which Validate
+	// requires to be positive; nil when the topology alone sizes it.
+	count func(p *Params) int
+}
+
+var disciplines = [...]discipline{
+	OneQ: {
+		name:     "1Q",
+		queues:   func(*Params, int, int) int { return 1 },
+		classify: func(PortEnv, int, int) int { return 0 },
+	},
+	VOQSw: {
+		name:     "VOQsw",
+		queues:   func(_ *Params, nOut, _ int) int { return nOut },
+		classify: func(env PortEnv, dest, _ int) int { return env.Route(dest) },
+		marks:    true,
+	},
+	VOQNet: {
+		name:     "VOQnet",
+		queues:   func(_ *Params, _, numEndpoints int) int { return numEndpoints },
+		classify: func(_ PortEnv, dest, _ int) int { return dest },
+		perDest:  true,
+		ia:       VOQNet,
+	},
+	DBBM: {
+		name:     "DBBM",
+		queues:   func(p *Params, _, numEndpoints int) int { return min(p.DBBMQueues, numEndpoints) },
+		classify: func(_ PortEnv, dest, n int) int { return dest % n },
+		count:    func(p *Params) int { return p.DBBMQueues },
+	},
+	OBQA: {
+		name:     "OBQA",
+		queues:   func(p *Params, _, _ int) int { return p.OBQAQueues },
+		classify: func(env PortEnv, dest, n int) int { return env.Lookahead(env.Route(dest), dest) % n },
+		count:    func(p *Params) int { return p.OBQAQueues },
+	},
+	NFQCFQ: {
+		name:  "NFQ+CFQ",
+		ia:    NFQCFQ,
+		count: func(p *Params) int { return p.NumCFQs },
+	},
+}
+
 // NewQDisc builds the discipline selected by p.Disc for a port with
 // nOut local output ports in a network of numEndpoints endpoints.
 func NewQDisc(p *Params, env PortEnv, nOut, numEndpoints int) QDisc {
-	switch p.Disc {
-	case OneQ:
-		return newOneQ(p, env, numEndpoints)
-	case VOQSw:
-		return newVOQSw(p, env, nOut)
-	case VOQNet:
-		return newVOQNet(p, env, numEndpoints)
-	case DBBM:
-		return newDBBM(p, env, numEndpoints)
-	case OBQA:
-		return newOBQA(p, env)
-	case NFQCFQ:
+	row := &disciplines[p.Disc]
+	if row.classify == nil {
 		return NewIsolationUnit(p, env)
-	default:
-		panic(fmt.Sprintf("core: unknown discipline %v", p.Disc))
 	}
-}
-
-// ---------------------------------------------------------------------
-// 1Q: a single FIFO.
-
-type oneQ struct {
-	env   PortEnv
-	ram   *buffer.RAM
-	q     *buffer.Queue
-	stats DiscStats
-}
-
-func newOneQ(p *Params, env PortEnv, numEndpoints int) *oneQ {
-	ram := buffer.NewRAM(p.EffectivePortRAM(numEndpoints))
-	return &oneQ{env: env, ram: ram, q: buffer.NewQueue("1q", ram)}
-}
-
-func (d *oneQ) Fits(size int) bool { return d.ram.Fits(size) }
-func (d *oneQ) Enqueue(p *pkt.Packet, _ int) {
-	d.q.Push(p)
-}
-func (d *oneQ) Post(sim.Cycle) {}
-func (d *oneQ) Requests(_ sim.Cycle, buf []Request) []Request {
-	if h := d.q.Head(); h != nil {
-		buf = append(buf, Request{QID: 0, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
+	n := row.queues(p, nOut, numEndpoints)
+	if n <= 0 {
+		panic(fmt.Sprintf("core: %s needs at least one queue, got %d", row.name, n))
 	}
-	return buf
-}
-func (d *oneQ) Pop(qid int) *pkt.Packet {
-	if qid != 0 {
-		panic("core: 1Q has a single queue")
+	b := bank{
+		env:      env,
+		classify: row.classify,
+		ram:      buffer.NewRAM(p.EffectivePortRAM(numEndpoints)),
+		qs:       make([]*buffer.Queue, n),
 	}
-	return d.q.Pop()
+	b.occupied.Grow(n)
+	for i := range b.qs {
+		b.qs[i] = buffer.NewQueue(fmt.Sprintf("%s[%d]", row.name, i), b.ram)
+	}
+	switch {
+	case row.marks:
+		return &voqSw{bank: b, p: p, overHigh: make([]bool, n)}
+	case row.perDest:
+		return &destBank{b}
+	}
+	return &b
 }
-func (d *oneQ) Update(sim.Cycle)  {}
-func (d *oneQ) Quiescent() bool   { return d.ram.Used() == 0 }
-func (d *oneQ) UsedBytes() int    { return d.ram.Used() }
-func (d *oneQ) Capacity() int     { return d.ram.Capacity() }
-func (d *oneQ) QueueCount() int   { return 1 }
-func (d *oneQ) Stats() *DiscStats { return &d.stats }
 
-// ---------------------------------------------------------------------
-// VOQsw: one queue per local output port. Used by the ITh scheme; its
-// queues drive the two-threshold congestion state of their output port.
-
-type voqSw struct {
-	p        *Params
+// bank is every static discipline: FIFOs sharing one port RAM, each
+// arrival filed by the row's classifier. occupied holds the non-empty
+// queues (set by Enqueue, cleared by the Pop that empties one) and is
+// sized at build: Requests visits only queues with a head, in ascending
+// index order, and the steady state allocates nothing.
+type bank struct {
 	env      PortEnv
+	classify func(env PortEnv, dest, n int) int
 	ram      *buffer.RAM
 	qs       []*buffer.Queue
-	overHigh []bool
+	occupied sim.ActiveSet
 	stats    DiscStats
 }
 
-func newVOQSw(p *Params, env PortEnv, nOut int) *voqSw {
-	if nOut <= 0 {
-		panic("core: VOQsw needs at least one output port")
-	}
-	ram := buffer.NewRAM(p.PortRAM)
-	qs := make([]*buffer.Queue, nOut)
-	for i := range qs {
-		qs[i] = buffer.NewQueue(fmt.Sprintf("voq%d", i), ram)
-	}
-	return &voqSw{p: p, env: env, ram: ram, qs: qs, overHigh: make([]bool, nOut)}
+func (b *bank) Enqueue(p *pkt.Packet, _ int) {
+	i := b.classify(b.env, p.Dst, len(b.qs))
+	b.qs[i].Push(p)
+	b.occupied.Add(i)
 }
 
-func (d *voqSw) Fits(size int) bool { return d.ram.Fits(size) }
-func (d *voqSw) Enqueue(p *pkt.Packet, _ int) {
-	d.qs[d.env.Route(p.Dst)].Push(p)
-}
-func (d *voqSw) Post(sim.Cycle) {}
-func (d *voqSw) Requests(_ sim.Cycle, buf []Request) []Request {
-	for i, q := range d.qs {
-		if h := q.Head(); h != nil {
-			buf = append(buf, Request{QID: i, Out: i, Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
-		}
+func (b *bank) Requests(_ sim.Cycle, buf []Request) []Request {
+	for i := b.occupied.Next(0); i >= 0; i = b.occupied.Next(i + 1) {
+		h := b.qs[i].Head()
+		buf = append(buf, Request{QID: i, Out: b.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 	}
 	return buf
 }
-func (d *voqSw) Pop(qid int) *pkt.Packet { return d.qs[qid].Pop() }
+
+func (b *bank) Pop(qid int) *pkt.Packet {
+	p := b.qs[qid].Pop()
+	if p != nil && b.qs[qid].Empty() {
+		b.occupied.Remove(qid)
+	}
+	return p
+}
+
+func (b *bank) Fits(size int) bool { return b.ram.Fits(size) }
+func (b *bank) Post(sim.Cycle)     {}
+func (b *bank) Update(sim.Cycle)   {}
+func (b *bank) Quiescent() bool    { return b.ram.Used() == 0 }
+func (b *bank) UsedBytes() int     { return b.ram.Used() }
+func (b *bank) Capacity() int      { return b.ram.Capacity() }
+func (b *bank) QueueCount() int    { return len(b.qs) }
+func (b *bank) Stats() *DiscStats  { return &b.stats }
+
+// voqSw is the bank of a row that marks (VOQsw, which the ITh scheme
+// runs over): it adds the two-threshold congestion state of the output
+// port each queue feeds.
+type voqSw struct {
+	bank
+	p        *Params
+	overHigh []bool
+}
 
 // Update re-evaluates the per-VOQ High/Low hysteresis that drives the
 // output-port congestion state (Section II: IB-style detection mapped
@@ -220,84 +271,8 @@ func (d *voqSw) Update(sim.Cycle) {
 // Quiescent additionally requires every High/Low flag to be clear: a
 // still-set flag means the next Update must issue MarkCrossed(false).
 func (d *voqSw) Quiescent() bool {
-	if d.ram.Used() != 0 {
-		return false
-	}
-	for _, over := range d.overHigh {
-		if over {
-			return false
-		}
-	}
-	return true
+	return d.ram.Used() == 0 && !slices.Contains(d.overHigh, true)
 }
-func (d *voqSw) UsedBytes() int    { return d.ram.Used() }
-func (d *voqSw) Capacity() int     { return d.ram.Capacity() }
-func (d *voqSw) QueueCount() int   { return len(d.qs) }
-func (d *voqSw) Stats() *DiscStats { return &d.stats }
-
-// ---------------------------------------------------------------------
-// VOQnet: one queue per destination endpoint. Completely removes
-// HoL-blocking; needs memory proportional to network size.
-
-type voqNet struct {
-	env   PortEnv
-	ram   *buffer.RAM
-	qs    []*buffer.Queue
-	stats DiscStats
-	// active tracks non-empty queues so a 64-destination port does not
-	// scan every queue every cycle; pos[i] is i's index into active,
-	// or -1.
-	active []int
-	pos    []int
-}
-
-func newVOQNet(p *Params, env PortEnv, numEndpoints int) *voqNet {
-	if numEndpoints <= 0 {
-		panic("core: VOQnet needs endpoints")
-	}
-	ram := buffer.NewRAM(p.EffectivePortRAM(numEndpoints))
-	qs := make([]*buffer.Queue, numEndpoints)
-	pos := make([]int, numEndpoints)
-	for i := range qs {
-		qs[i] = buffer.NewQueue(fmt.Sprintf("dq%d", i), ram)
-		pos[i] = -1
-	}
-	return &voqNet{env: env, ram: ram, qs: qs, pos: pos}
-}
-
-func (d *voqNet) Fits(size int) bool { return d.ram.Fits(size) }
-func (d *voqNet) Enqueue(p *pkt.Packet, _ int) {
-	q := d.qs[p.Dst]
-	q.Push(p)
-	if d.pos[p.Dst] < 0 {
-		d.pos[p.Dst] = len(d.active)
-		d.active = append(d.active, p.Dst)
-	}
-}
-func (d *voqNet) Post(sim.Cycle) {}
-func (d *voqNet) Requests(_ sim.Cycle, buf []Request) []Request {
-	for _, i := range d.active {
-		h := d.qs[i].Head()
-		buf = append(buf, Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
-	}
-	return buf
-}
-func (d *voqNet) Pop(qid int) *pkt.Packet {
-	p := d.qs[qid].Pop()
-	if p != nil && d.qs[qid].Empty() {
-		// Remove qid from the active list (swap with the last entry).
-		ai := d.pos[qid]
-		last := d.active[len(d.active)-1]
-		d.active[ai] = last
-		d.pos[last] = ai
-		d.active = d.active[:len(d.active)-1]
-		d.pos[qid] = -1
-	}
-	return p
-}
-
-// DestBytes implements DestOccupancy: bytes queued for one destination.
-func (d *voqNet) DestBytes(dest int) int { return d.qs[dest].Bytes() }
 
 // DestOccupancy is implemented by disciplines with per-destination
 // queues; hosts use it to keep staging per-destination-shallow so one
@@ -306,107 +281,8 @@ type DestOccupancy interface {
 	DestBytes(dest int) int
 }
 
-// ---------------------------------------------------------------------
-// OBQA: output-based queue assignment (Escudero-Sahuquillo et al.,
-// Euro-Par 2010, cited as [26]): the queue is selected by the output
-// port the packet will request at the *next* switch, which in fat
-// trees separates flows that will diverge one hop ahead — fewer queues
-// than VOQsw for comparable HoL reduction. Not part of the paper's
-// evaluated set; included as an extra related-work baseline.
+// destBank is the bank of a per-destination row (VOQnet).
+type destBank struct{ bank }
 
-type obqa struct {
-	env   PortEnv
-	ram   *buffer.RAM
-	qs    []*buffer.Queue
-	stats DiscStats
-}
-
-func newOBQA(p *Params, env PortEnv) *obqa {
-	n := p.OBQAQueues
-	if n <= 0 {
-		panic("core: OBQA needs a positive queue count")
-	}
-	ram := buffer.NewRAM(p.PortRAM)
-	qs := make([]*buffer.Queue, n)
-	for i := range qs {
-		qs[i] = buffer.NewQueue(fmt.Sprintf("obqa%d", i), ram)
-	}
-	return &obqa{env: env, ram: ram, qs: qs}
-}
-
-func (d *obqa) queueFor(dest int) int {
-	out := d.env.Route(dest)
-	return d.env.Lookahead(out, dest) % len(d.qs)
-}
-
-func (d *obqa) Fits(size int) bool { return d.ram.Fits(size) }
-func (d *obqa) Enqueue(p *pkt.Packet, _ int) {
-	d.qs[d.queueFor(p.Dst)].Push(p)
-}
-func (d *obqa) Post(sim.Cycle) {}
-func (d *obqa) Requests(_ sim.Cycle, buf []Request) []Request {
-	for i, q := range d.qs {
-		if h := q.Head(); h != nil {
-			buf = append(buf, Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
-		}
-	}
-	return buf
-}
-func (d *obqa) Pop(qid int) *pkt.Packet { return d.qs[qid].Pop() }
-func (d *obqa) Update(sim.Cycle)        {}
-func (d *obqa) Quiescent() bool         { return d.ram.Used() == 0 }
-func (d *obqa) UsedBytes() int          { return d.ram.Used() }
-func (d *obqa) Capacity() int           { return d.ram.Capacity() }
-func (d *obqa) QueueCount() int         { return len(d.qs) }
-func (d *obqa) Stats() *DiscStats       { return &d.stats }
-
-func (d *voqNet) Update(sim.Cycle)  {}
-func (d *voqNet) Quiescent() bool   { return d.ram.Used() == 0 }
-func (d *voqNet) UsedBytes() int    { return d.ram.Used() }
-func (d *voqNet) Capacity() int     { return d.ram.Capacity() }
-func (d *voqNet) QueueCount() int   { return len(d.qs) }
-func (d *voqNet) Stats() *DiscStats { return &d.stats }
-
-// ---------------------------------------------------------------------
-// DBBM: destination-based buffer management, queue = dest mod N.
-
-type dbbm struct {
-	env   PortEnv
-	ram   *buffer.RAM
-	qs    []*buffer.Queue
-	stats DiscStats
-}
-
-func newDBBM(p *Params, env PortEnv, numEndpoints int) *dbbm {
-	n := p.DBBMQueues
-	if n > numEndpoints {
-		n = numEndpoints
-	}
-	ram := buffer.NewRAM(p.PortRAM)
-	qs := make([]*buffer.Queue, n)
-	for i := range qs {
-		qs[i] = buffer.NewQueue(fmt.Sprintf("dbbm%d", i), ram)
-	}
-	return &dbbm{env: env, ram: ram, qs: qs}
-}
-
-func (d *dbbm) Fits(size int) bool { return d.ram.Fits(size) }
-func (d *dbbm) Enqueue(p *pkt.Packet, _ int) {
-	d.qs[p.Dst%len(d.qs)].Push(p)
-}
-func (d *dbbm) Post(sim.Cycle) {}
-func (d *dbbm) Requests(_ sim.Cycle, buf []Request) []Request {
-	for i, q := range d.qs {
-		if h := q.Head(); h != nil {
-			buf = append(buf, Request{QID: i, Out: d.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
-		}
-	}
-	return buf
-}
-func (d *dbbm) Pop(qid int) *pkt.Packet { return d.qs[qid].Pop() }
-func (d *dbbm) Update(sim.Cycle)        {}
-func (d *dbbm) Quiescent() bool         { return d.ram.Used() == 0 }
-func (d *dbbm) UsedBytes() int          { return d.ram.Used() }
-func (d *dbbm) Capacity() int           { return d.ram.Capacity() }
-func (d *dbbm) QueueCount() int         { return len(d.qs) }
-func (d *dbbm) Stats() *DiscStats       { return &d.stats }
+// DestBytes implements DestOccupancy: bytes queued for one destination.
+func (d *destBank) DestBytes(dest int) int { return d.qs[dest].Bytes() }

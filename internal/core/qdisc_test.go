@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/link"
@@ -233,41 +234,120 @@ func TestFitsTracksRAM(t *testing.T) {
 	}
 }
 
-func TestVOQNetActiveListChurn(t *testing.T) {
-	// The non-empty queue tracking must survive arbitrary interleaving.
-	p := PresetVOQnet()
-	env := newFakeEnv()
-	d := NewQDisc(&p, env, 4, 8).(*voqNet)
-	var g pkt.IDGen
-	push := func(dst int) { d.Enqueue(mkdata(&g, dst, 64), -1) }
-	requests := func() map[int]bool {
-		out := map[int]bool{}
-		for _, r := range d.Requests(0, nil) {
-			out[r.QID] = true
+// bankOf unwraps the bank behind any static discipline.
+func bankOf(t *testing.T, d QDisc) *bank {
+	t.Helper()
+	switch d := d.(type) {
+	case *bank:
+		return d
+	case *voqSw:
+		return &d.bank
+	case *destBank:
+		return &d.bank
+	}
+	t.Fatalf("%T is not a bank", d)
+	return nil
+}
+
+// TestBankChurn drives every static row of the disciplines table through
+// random enqueue/pop interleavings against a per-queue FIFO model.
+func TestBankChurn(t *testing.T) {
+	const nOut = 4
+	cases := []struct {
+		name      string
+		disc      Discipline
+		tune      func(p *Params)
+		endpoints int
+		queues    int
+		want      func(dest int) int // fakeEnv: Route dest%4, Lookahead dest/4
+	}{
+		{"1Q", OneQ, nil, 8, 1, func(int) int { return 0 }},
+		{"VOQsw", VOQSw, nil, 8, nOut, func(d int) int { return d % 4 }},
+		{"VOQnet", VOQNet, nil, 70, 70, func(d int) int { return d }}, // two bitmap words
+		{"DBBM", DBBM, func(p *Params) { p.DBBMQueues = 4 }, 16, 4, func(d int) int { return d % 4 }},
+		{"DBBM more queues than endpoints", DBBM, func(p *Params) { p.DBBMQueues = 16 }, 6, 6, func(d int) int { return d }},
+		{"OBQA", OBQA, nil, 16, 4, func(d int) int { return d / 4 }},
+		{"OBQA modulo wrap", OBQA, func(p *Params) { p.OBQAQueues = 2 }, 32, 2, func(d int) int { return d / 4 % 2 }},
+	}
+	covered := map[Discipline]bool{}
+	for _, c := range cases {
+		covered[c.disc] = true
+		t.Run(c.name, func(t *testing.T) {
+			p := baseParams()
+			p.Disc = c.disc
+			if c.tune != nil {
+				c.tune(&p)
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			d := NewQDisc(&p, newFakeEnv(), nOut, c.endpoints)
+			b := bankOf(t, d)
+			if d.QueueCount() != c.queues {
+				t.Fatalf("queue count = %d, want %d", d.QueueCount(), c.queues)
+			}
+			if _, ok := d.(DestOccupancy); ok != disciplines[c.disc].perDest {
+				t.Fatalf("DestOccupancy = %v on a row with perDest = %v", ok, disciplines[c.disc].perDest)
+			}
+			model := make([][]*pkt.Packet, c.queues)
+			rng := rand.New(rand.NewSource(int64(c.disc) + 1))
+			var g pkt.IDGen
+			var reqs []Request
+			for step := 0; step < 4000; step++ {
+				size := []int{64, pkt.MTU}[rng.Intn(2)]
+				if rng.Intn(5) < 3 && d.Fits(size) {
+					dst := rng.Intn(c.endpoints)
+					pk := mkdata(&g, dst, size)
+					d.Enqueue(pk, -1)
+					model[c.want(dst)] = append(model[c.want(dst)], pk)
+				} else if len(reqs) > 0 {
+					r := reqs[rng.Intn(len(reqs))]
+					if got := d.Pop(r.QID); got != model[r.QID][0] {
+						t.Fatalf("step %d: queue %d popped %v, FIFO head is %v", step, r.QID, got, model[r.QID][0])
+					}
+					model[r.QID] = model[r.QID][1:]
+				}
+				// Requests: exactly the non-empty queues, ascending, each
+				// with its FIFO head; occupied and DestBytes agree.
+				reqs = d.Requests(0, reqs[:0])
+				k, used := 0, 0
+				for q, fifo := range model {
+					for _, pk := range fifo {
+						used += pk.Size
+					}
+					if b.occupied.Has(q) != (len(fifo) > 0) {
+						t.Fatalf("step %d: occupied[%d] = %v with %d queued", step, q, b.occupied.Has(q), len(fifo))
+					}
+					if len(fifo) == 0 {
+						continue
+					}
+					if k >= len(reqs) || reqs[k].QID != q || reqs[k].Pkt != fifo[0] || reqs[k].Out != fifo[0].Dst%4 {
+						t.Fatalf("step %d: request %d = %+v, want queue %d head %v", step, k, reqs, q, fifo[0])
+					}
+					k++
+				}
+				if k != len(reqs) {
+					t.Fatalf("step %d: %d requests for %d non-empty queues", step, len(reqs), k)
+				}
+				if d.UsedBytes() != used || d.Quiescent() != (used == 0) {
+					t.Fatalf("step %d: used %d (model %d), quiescent %v", step, d.UsedBytes(), used, d.Quiescent())
+				}
+				if do, ok := d.(DestOccupancy); ok {
+					dst := rng.Intn(c.endpoints)
+					want := 0
+					for _, pk := range model[dst] {
+						want += pk.Size
+					}
+					if do.DestBytes(dst) != want {
+						t.Fatalf("step %d: DestBytes(%d) = %d, want %d", step, dst, do.DestBytes(dst), want)
+					}
+				}
+			}
+		})
+	}
+	for disc, row := range disciplines {
+		if row.classify != nil && !covered[Discipline(disc)] {
+			t.Errorf("static discipline %s has no churn case", row.name)
 		}
-		return out
-	}
-	push(1)
-	push(5)
-	push(1)
-	if got := requests(); !got[1] || !got[5] || len(got) != 2 {
-		t.Fatalf("active %v", got)
-	}
-	d.Pop(5) // 5 becomes empty
-	if got := requests(); got[5] || !got[1] {
-		t.Fatalf("active after pop %v", got)
-	}
-	d.Pop(1)
-	d.Pop(1)
-	if got := requests(); len(got) != 0 {
-		t.Fatalf("active after drain %v", got)
-	}
-	push(5)
-	push(2)
-	if got := requests(); !got[5] || !got[2] || len(got) != 2 {
-		t.Fatalf("active after refill %v", got)
-	}
-	if d.DestBytes(5) != 64 || d.DestBytes(1) != 0 {
-		t.Fatal("DestBytes wrong")
 	}
 }

@@ -48,6 +48,7 @@ type Node struct {
 	advoqs    []*buffer.Queue
 	advoqRR   *arbiter.RoundRobin
 	disc      core.QDisc
+	perDest   core.DestOccupancy // disc's per-destination view; nil when its RAM is shared
 	outRR     *arbiter.RoundRobin
 	throttler *core.Throttler
 	tx        *link.Half
@@ -67,10 +68,9 @@ type Node struct {
 	// provably has nothing to do — no queued packets, no pending BECNs.
 	hPost, hArb, hUpd *sim.TickerHandle
 
-	// Stable parameter copies the output-buffer discipline points at
-	// (the IA RAM size differs from the switch PortRAM).
-	iaParams   core.Params
-	oneqParams core.Params
+	// iaParams is the stable copy the output-buffer discipline points at
+	// (its RAM size and organisation differ from the switch port's).
+	iaParams core.Params
 
 	onDeliver DeliverHook
 	stats     Stats
@@ -96,27 +96,12 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 	for i := range n.advoqs {
 		n.advoqs[i] = buffer.NewQueue(fmt.Sprintf("advoq%d", i), nil)
 	}
-	// The IA output buffer mirrors the switch organisation only for
-	// the isolation-based schemes (Fig. 2); other schemes use a plain
-	// FIFO in front of the link.
-	iaParams := *p
-	iaParams.PortRAM = p.IARAM
-	n.iaParams = iaParams
-	switch p.Disc {
-	case core.NFQCFQ:
-		iso := core.NewIsolationUnit(&n.iaParams, nodeEnv{n})
+	n.iaParams = p.IAParams()
+	n.disc = core.NewQDisc(&n.iaParams, nodeEnv{n}, 1, numEndpoints)
+	if iso, ok := n.disc.(*core.IsolationUnit); ok {
 		iso.SetTraceLabel(fmt.Sprintf("node%d", id))
-		n.disc = iso
-	case core.VOQNet:
-		// VOQnet keeps per-destination queues end to end: a blocked
-		// hot destination must never stall the whole adapter.
-		n.disc = core.NewQDisc(&n.iaParams, nodeEnv{n}, 1, numEndpoints)
-	default:
-		oneq := n.iaParams
-		oneq.Disc = core.OneQ
-		n.oneqParams = oneq
-		n.disc = core.NewQDisc(&n.oneqParams, nodeEnv{n}, 1, numEndpoints)
 	}
+	n.perDest, _ = n.disc.(core.DestOccupancy)
 	n.outRR = arbiter.NewRoundRobin(n.disc.QueueCount())
 	if p.ThrottlingEnabled {
 		n.throttler = core.NewThrottler(eng, p, numEndpoints)
@@ -282,10 +267,7 @@ func (n *Node) stagingLimit() int {
 // be skipped wholesale (per-destination buffers are gated per queue in
 // pickAdVOQ instead).
 func (n *Node) stageHasRoom() bool {
-	if _, ok := n.disc.(core.DestOccupancy); ok {
-		return true
-	}
-	return n.disc.UsedBytes() < n.stagingLimit()
+	return n.perDest != nil || n.disc.UsedBytes() < n.stagingLimit()
 }
 
 // pickAdVOQ chooses the next admittance queue to serve: round-robin
@@ -294,7 +276,6 @@ func (n *Node) stageHasRoom() bool {
 // already used, queues whose IRD has not elapsed, and heads the output
 // buffer cannot admit.
 func (n *Node) pickAdVOQ(now sim.Cycle) int {
-	perDest, _ := n.disc.(core.DestOccupancy)
 	stalled := false
 	ptr, wrapped := n.advoqRR.Pointer(), false
 	for i := n.occupied.Next(ptr); ; i = n.occupied.Next(i + 1) {
@@ -306,7 +287,7 @@ func (n *Node) pickAdVOQ(now sim.Cycle) int {
 		}
 		// Per-destination output queues: stage at most one packet per
 		// destination so blocked destinations cannot hoard.
-		if perDest != nil && perDest.DestBytes(i) > 0 {
+		if n.perDest != nil && n.perDest.DestBytes(i) > 0 {
 			continue
 		}
 		if n.throttler != nil && !n.throttler.MayInject(i, now) {

@@ -399,16 +399,12 @@ func (n *Network) HalfByEnds(from, to int) *link.Half {
 }
 
 // creditPool builds the credit pool mirroring dev's receive buffers:
-// shared RAM for endpoints and most disciplines, per-destination
-// queues (Table I: 4 KB each) when the receiver is a VOQnet switch.
+// shared RAM for an endpoint, the discipline's own shape for a switch.
 func (n *Network) creditPool(dev int) *core.CreditPool {
 	if n.Topo.Devices[dev].Kind == topo.Endpoint {
 		return core.NewSharedCredits(n.Params.IARAM)
 	}
-	if n.Params.Disc == core.VOQNet {
-		return core.NewPerDestCredits(n.Topo.NumEndpoints(), n.Params.VOQNetQueueRAM)
-	}
-	return core.NewSharedCredits(n.Params.EffectivePortRAM(n.Topo.NumEndpoints()))
+	return n.Params.PortCredits(n.Topo.NumEndpoints())
 }
 
 func (n *Network) pktRx(dev, port int) link.PacketReceiver {
