@@ -117,16 +117,23 @@ type jobState struct {
 
 // JobView is the API shape of one job's state.
 type JobView struct {
-	Index      int       `json:"index"`
-	Job        string    `json:"job"`
-	Experiment string    `json:"experiment"`
-	Scheme     string    `json:"scheme"`
-	Seed       int64     `json:"seed"`
-	Status     JobStatus `json:"status"`
-	Key        string    `json:"key,omitempty"`
-	ElapsedMS  float64   `json:"elapsed_ms,omitempty"`
-	Attempts   int       `json:"attempts,omitempty"`
-	Error      string    `json:"error,omitempty"`
+	Index      int    `json:"index"`
+	Job        string `json:"job"`
+	Experiment string `json:"experiment"`
+	Scheme     string `json:"scheme"`
+	Seed       int64  `json:"seed"`
+	jobState
+}
+
+// cellResult is one cell of GET /campaigns/{id}/results: the job's
+// identity, which the client checks against its own expansion of the
+// spec, and the same outcome record a worker reports to the board.
+type cellResult struct {
+	Index      int    `json:"index"`
+	Experiment string `json:"experiment"`
+	Scheme     string `json:"scheme"`
+	Seed       int64  `json:"seed"`
+	runner.WireResult
 }
 
 // View is the API shape of a campaign: GET /campaigns/{id}.

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
@@ -187,7 +186,7 @@ func (c *Client) Wait(ctx context.Context, id string, fn func(Event) error) (Vie
 // a mismatch is an error: it means client and server disagree about
 // the spec.
 func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]runner.JobResult, error) {
-	var remote []RemoteResult
+	var remote []cellResult
 	if err := c.do(ctx, http.MethodGet, "/campaigns/"+id+"/results", nil, &remote); err != nil {
 		return nil, err
 	}
@@ -201,21 +200,7 @@ func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]r
 			return nil, fmt.Errorf("campaign: cell %d is %s/%s seed=%d on the server but %s locally — client/server spec mismatch",
 				i, rr.Experiment, rr.Scheme, rr.Seed, job)
 		}
-		jr := runner.JobResult{
-			Job: job, Cached: rr.Cached, Key: rr.Key,
-			Attempts: rr.Attempts, Quarantined: rr.Quarantined,
-		}
-		if rr.Error != "" {
-			jr.Err = errors.New(rr.Error)
-		}
-		if len(rr.Result) > 0 {
-			var res experiments.Result
-			if err := json.Unmarshal(rr.Result, &res); err != nil {
-				return nil, fmt.Errorf("campaign: decoding result for cell %d: %w", i, err)
-			}
-			jr.Result = &res
-		}
-		out[i] = jr
+		out[i] = rr.JobResult(job)
 	}
 	return out, nil
 }

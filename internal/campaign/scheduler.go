@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
-	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
@@ -64,7 +63,7 @@ type campaign struct {
 	status    Status                  // guarded by Scheduler.mu
 	cancelled bool                    // guarded by Scheduler.mu; cancel requested (status flips when drained)
 	states    []jobState              // guarded by Scheduler.mu
-	results   []*experiments.Result   // guarded by Scheduler.mu; jobs finished in this process
+	finished  []*runner.JobResult     // guarded by Scheduler.mu; jobs finished in this process
 	pending   int                     // guarded by Scheduler.mu; jobs not yet terminal
 	ctx       context.Context         // guarded by Scheduler.mu
 	cancel    context.CancelFunc      // guarded by Scheduler.mu
@@ -219,7 +218,7 @@ func (s *Scheduler) resume() error {
 		c.jobs = s.capSimWorkers(c.id, jobs)
 		jobs = c.jobs
 		c.states = make([]jobState, len(jobs))
-		c.results = make([]*experiments.Result, len(jobs))
+		c.finished = make([]*runner.JobResult, len(jobs))
 		var requeue []int
 		for i := range jobs {
 			st, ok := rep.states[i]
@@ -344,7 +343,7 @@ func (s *Scheduler) Submit(sub Submission) (View, error) {
 		jobs:      jobs,
 		status:    StatusQueued,
 		states:    make([]jobState, len(jobs)),
-		results:   make([]*experiments.Result, len(jobs)),
+		finished:  make([]*runner.JobResult, len(jobs)),
 		pending:   len(jobs),
 		jl:        jl,
 		subs:      map[chan Event]struct{}{},
@@ -454,35 +453,32 @@ func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
 // counters, and completes the campaign when it was the last one.
 func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 	st := jobState{
+		Status:    JobStatus(jr.Outcome()),
 		Key:       jr.Key,
-		ElapsedMS: float64(jr.Elapsed.Milliseconds()),
+		ElapsedMS: jr.ElapsedMS(),
 		Attempts:  jr.Attempts,
 	}
-	switch {
-	case jr.Quarantined:
-		st.Status = JobQuarantined
+	if jr.Err != nil {
 		st.Error = jr.Err.Error()
+	}
+	switch jr.Outcome() {
+	case runner.OutcomeQuarantined:
 		s.metrics.JobsQuarantined.Add(1)
-	case errors.Is(jr.Err, context.Canceled) || errors.Is(jr.Err, context.DeadlineExceeded):
-		st.Status = JobCancelled
-		st.Error = jr.Err.Error()
+	case runner.OutcomeCancelled:
 		s.metrics.JobsCancelled.Add(1)
-	case jr.Err != nil:
-		st.Status = JobFailed
-		st.Error = jr.Err.Error()
+	case runner.OutcomeFailed:
 		s.metrics.JobsFailed.Add(1)
-	case jr.Cached:
-		st.Status = JobCached
+	case runner.OutcomeCached:
 		s.metrics.JobsCached.Add(1)
 	default:
-		st.Status = JobDone
+		st.Status = JobDone // the journal's name for runner.OutcomeOK
 		s.metrics.JobsDone.Add(1)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c.states[index] = st
-	c.results[index] = jr.Result
+	c.finished[index] = &jr
 	c.pending--
 	if c.jl != nil {
 		if err := c.jl.append(record{
@@ -615,18 +611,19 @@ func (s *Scheduler) viewLocked(c *campaign, withJobs bool) View {
 			j := c.jobs[i]
 			v.Jobs = append(v.Jobs, JobView{
 				Index: i, Job: j.String(), Experiment: j.ExperimentID(), Scheme: j.Scheme,
-				Seed: j.Seed, Status: st.Status, Key: st.Key,
-				ElapsedMS: st.ElapsedMS, Attempts: st.Attempts, Error: st.Error,
+				Seed: j.Seed, jobState: st,
 			})
 		}
 	}
 	return v
 }
 
-// Results assembles the campaign's job results in cell order. Results
-// finished in this process are in memory; results journaled by an
-// earlier process are loaded from the shared cache by key. A finished
-// job whose cache entry was evicted reports an error for that cell.
+// Results assembles the campaign's job results in cell order. A job
+// finished in this process is the executor's own record (result, elapsed
+// time, diagnostics, cache error); one journaled by an earlier process
+// is rebuilt from its journal state, its result loaded from the shared
+// cache by key. A finished job whose cache entry was evicted reports an
+// error for that cell.
 func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 	s.mu.Lock()
 	c := s.campaigns[id]
@@ -634,48 +631,48 @@ func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	type cell struct {
-		job runner.Job
-		st  jobState
-		res *experiments.Result
-	}
-	cells := make([]cell, len(c.jobs))
-	for i := range c.jobs {
-		cells[i] = cell{job: c.jobs[i], st: c.states[i], res: c.results[i]}
+	out := make([]runner.JobResult, len(c.jobs))
+	states := append([]jobState(nil), c.states...)
+	var journaled []int // cells not finished in this process
+	for i, job := range c.jobs {
+		if jr := c.finished[i]; jr != nil {
+			out[i] = *jr
+			continue
+		}
+		journaled = append(journaled, i)
+		st := states[i]
+		out[i] = runner.JobResult{
+			Job:         job,
+			Key:         st.Key,
+			Cached:      st.Status == JobCached,
+			Elapsed:     time.Duration(st.ElapsedMS * float64(time.Millisecond)),
+			Attempts:    st.Attempts,
+			Quarantined: st.Status == JobQuarantined,
+		}
 	}
 	s.mu.Unlock()
 
-	out := make([]runner.JobResult, len(cells))
-	for i, cl := range cells {
-		jr := runner.JobResult{
-			Job:      cl.job,
-			Result:   cl.res,
-			Key:      cl.st.Key,
-			Cached:   cl.st.Status == JobCached,
-			Attempts: cl.st.Attempts,
-		}
-		switch cl.st.Status {
-		case JobDone, JobCached:
-			if jr.Result == nil && cl.st.Key != "" {
-				res, ok, err := s.opt.Cache.Get(cl.st.Key)
-				switch {
-				case ok:
-					jr.Result = res
-				case err != nil:
-					jr.Err = err
-				default:
-					jr.Err = fmt.Errorf("campaign: result for %s evicted from cache; resubmit to recompute", cl.job)
-				}
+	for _, i := range journaled {
+		jr, st := &out[i], states[i]
+		switch {
+		case st.Status == JobDone || st.Status == JobCached:
+			if st.Key == "" {
+				break // ran under an executor that keeps no cache
 			}
-		case JobQuarantined:
-			jr.Quarantined = true
-			jr.Err = errors.New(cl.st.Error)
-		case JobFailed, JobCancelled:
-			jr.Err = errors.New(cl.st.Error)
+			res, ok, err := s.opt.Cache.Get(st.Key)
+			switch {
+			case ok:
+				jr.Result = res
+			case err != nil:
+				jr.Err = err
+			default:
+				jr.Err = fmt.Errorf("campaign: result for %s evicted from cache; resubmit to recompute", jr.Job)
+			}
+		case st.Status.Terminal():
+			jr.Err = errors.New(st.Error)
 		default:
-			jr.Err = fmt.Errorf("campaign: job %s still %s", cl.job, cl.st.Status)
+			jr.Err = fmt.Errorf("campaign: job %s still %s", jr.Job, st.Status)
 		}
-		out[i] = jr
 	}
 	return out, nil
 }

@@ -6,25 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-)
 
-// RemoteResult is the wire shape of one cell in
-// GET /campaigns/{id}/results: the job identity, its outcome, and the
-// full Result payload for finished cells. It exists so clients can
-// reconstruct []runner.JobResult without gob.
-type RemoteResult struct {
-	Index       int             `json:"index"`
-	Experiment  string          `json:"experiment"`
-	Scheme      string          `json:"scheme"`
-	Seed        int64           `json:"seed"`
-	Status      JobStatus       `json:"status"`
-	Cached      bool            `json:"cached"`
-	Key         string          `json:"key,omitempty"`
-	Attempts    int             `json:"attempts,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	Quarantined bool            `json:"quarantined,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
-}
+	"repro/internal/runner"
+)
 
 // NewServer wires the scheduler's HTTP+JSON surface:
 //
@@ -86,35 +70,17 @@ func NewServer(s *Scheduler) http.Handler {
 		writeJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /campaigns/{id}/results", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		results, err := s.Results(id)
+		results, err := s.Results(r.PathValue("id"))
 		if err != nil {
 			httpError(w, statusFor(err), err)
 			return
 		}
-		out := make([]RemoteResult, len(results))
-		v, _ := s.View(id, true)
+		out := make([]cellResult, len(results))
 		for i, jr := range results {
-			rr := RemoteResult{
+			out[i] = cellResult{
 				Index: i, Experiment: jr.Job.ExperimentID(), Scheme: jr.Job.Scheme, Seed: jr.Job.Seed,
-				Cached: jr.Cached, Key: jr.Key, Attempts: jr.Attempts,
-				Quarantined: jr.Quarantined,
+				WireResult: runner.WireFromResult(jr),
 			}
-			if i < len(v.Jobs) {
-				rr.Status = v.Jobs[i].Status
-			}
-			if jr.Err != nil {
-				rr.Error = jr.Err.Error()
-			}
-			if jr.Result != nil {
-				data, merr := json.Marshal(jr.Result)
-				if merr != nil {
-					httpError(w, http.StatusInternalServerError, merr)
-					return
-				}
-				rr.Result = data
-			}
-			out[i] = rr
 		}
 		writeJSON(w, http.StatusOK, out)
 	})

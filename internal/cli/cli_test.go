@@ -88,6 +88,66 @@ func TestServerRendersLikeLocal(t *testing.T) {
 	}
 }
 
+// TestManifestLikeLocal: a -server campaign's manifest records the same
+// job outcomes as the local one — status, a real elapsed time for every
+// fresh run (the results endpoint used to drop it), and the invariant
+// checker's snapshot of a quarantined job.
+func TestManifestLikeLocal(t *testing.T) {
+	stall := filepath.Join(t.TempDir(), "stall.json")
+	if err := os.WriteFile(stall, []byte(`{"name":"wedge","events":[{"kind":"switch-stall","at":1000,"switch":8}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		Status      string  `json:"status"`
+		ElapsedMS   float64 `json:"elapsed_ms"`
+		Diagnostics string  `json:"diagnostics"`
+	}
+	manifest := func(args ...string) []run {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "m.json")
+		_, _, stderr := drive(tools[0].run, append(args, "-manifest", path, "-ms", "0.5", "-schemes", "1Q,CCFIT", "fig7a")...)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("no manifest: %v; stderr:\n%s", err, stderr)
+		}
+		var m struct {
+			Runs []run `json:"runs"`
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Runs
+	}
+	cache, server := []string{"-cache", t.TempDir()}, []string{"-server", serve(t)}
+	for _, c := range []struct {
+		name   string
+		args   []string
+		status string
+	}{
+		{"fresh", nil, "ok"},
+		{"repeated", nil, "cached"},
+		{"wedged", []string{"-faults", stall, "-watchdog", "5000"}, "quarantined"},
+	} {
+		local, remote := manifest(append(cache, c.args...)...), manifest(append(server, c.args...)...)
+		if len(local) != 2 || len(remote) != 2 {
+			t.Fatalf("%s: %d local and %d remote runs, want 2 each", c.name, len(local), len(remote))
+		}
+		for i := range local {
+			for side, r := range map[string]run{"local": local[i], "-server": remote[i]} {
+				if r.Status != c.status {
+					t.Errorf("%s run %d %s: status %q, want %q", c.name, i, side, r.Status, c.status)
+				}
+				if c.status != "cached" && r.ElapsedMS <= 0 {
+					t.Errorf("%s run %d %s: elapsed_ms %v, want the job's wall-clock", c.name, i, side, r.ElapsedMS)
+				}
+				if (c.status == "quarantined") != strings.Contains(r.Diagnostics, "sw") {
+					t.Errorf("%s run %d %s: diagnostics %q", c.name, i, side, r.Diagnostics)
+				}
+			}
+		}
+	}
+}
+
 // TestFiguresIsRunUnderItsOwnName: same arguments, same bytes; only the
 // manifest's tool field tells the two apart.
 func TestFiguresIsRunUnderItsOwnName(t *testing.T) {

@@ -187,7 +187,7 @@ func (a *app) report(results []runner.JobResult) error {
 	}
 	msg := fmt.Sprintf("%d job(s) failed:", len(failed))
 	for _, f := range failed {
-		if f.Quarantined {
+		if f.Outcome() == runner.OutcomeQuarantined {
 			msg += fmt.Sprintf("\n  %s: QUARANTINED (deterministic, not retried): %v", f.Job, f.Err)
 			continue
 		}

@@ -1,9 +1,7 @@
 package runner
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"time"
 )
@@ -31,7 +29,7 @@ type ManifestRun struct {
 	Scheme     string  `json:"scheme"`
 	Seed       int64   `json:"seed"`
 	CacheKey   string  `json:"cache_key,omitempty"`
-	Status     string  `json:"status"` // "ok", "cached", "failed", "cancelled" or "quarantined"
+	Status     string  `json:"status"` // an Outcome
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	Attempts   int     `json:"attempts,omitempty"`
 	Error      string  `json:"error,omitempty"`
@@ -70,42 +68,30 @@ func NewManifest(tool string, opt Options, startedAt time.Time, results []JobRes
 			Scheme:     r.Job.Scheme,
 			Seed:       r.Job.Seed,
 			CacheKey:   r.Key,
-			ElapsedMS:  float64(r.Elapsed.Milliseconds()),
+			Status:     string(r.Outcome()),
+			ElapsedMS:  r.ElapsedMS(),
 			Attempts:   r.Attempts,
 		}
 		if r.Job.Faults != nil {
 			run.Faults = r.Job.Faults.Name
 		}
+		if r.Err != nil {
+			run.Error = r.Err.Error()
+		}
 		if r.CacheErr != nil {
 			run.CacheError = r.CacheErr.Error()
 		}
-		switch {
-		case r.Quarantined:
-			run.Status = "quarantined"
-			run.Error = r.Err.Error()
-			if d := r.Diagnostics; d != "" {
-				if len(d) > maxDiagnostics {
-					d = d[:maxDiagnostics] + "\n... (truncated)"
-				}
-				run.Diagnostics = d
-			}
+		if run.Diagnostics = r.Diagnostics; len(run.Diagnostics) > maxDiagnostics {
+			run.Diagnostics = run.Diagnostics[:maxDiagnostics] + "\n... (truncated)"
+		}
+		switch r.Outcome() {
+		case OutcomeQuarantined, OutcomeFailed:
 			m.Failed++
-		case errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded):
-			// An interrupted campaign still writes a valid manifest:
-			// jobs the shutdown drained away are recorded as cancelled,
-			// not conflated with real failures.
-			run.Status = "cancelled"
-			run.Error = r.Err.Error()
+		case OutcomeCancelled:
+			// An interrupted campaign still writes a valid manifest.
 			m.Cancelled++
-		case r.Err != nil:
-			run.Status = "failed"
-			run.Error = r.Err.Error()
-			m.Failed++
-		case r.Cached:
-			run.Status = "cached"
+		case OutcomeCached:
 			m.Cached++
-		default:
-			run.Status = "ok"
 		}
 		if r.Result != nil {
 			run.MeanNormalized = r.Result.Summary.MeanNormalized

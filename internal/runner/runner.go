@@ -30,6 +30,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -134,6 +135,41 @@ type JobResult struct {
 	// Diagnostics carries the invariant checker's snapshot for
 	// quarantined jobs (truncated for the manifest).
 	Diagnostics string
+}
+
+// Outcome is a finished job's classification; the values are the
+// manifest's runs[].status strings.
+type Outcome string
+
+const (
+	OutcomeOK          Outcome = "ok"
+	OutcomeCached      Outcome = "cached"
+	OutcomeFailed      Outcome = "failed"
+	OutcomeCancelled   Outcome = "cancelled"
+	OutcomeQuarantined Outcome = "quarantined"
+)
+
+// Outcome classifies the result. A job the shutdown drained away is
+// cancelled, not conflated with a real failure; an error that crossed
+// the wire as text is a failure.
+func (r JobResult) Outcome() Outcome {
+	switch {
+	case r.Quarantined:
+		return OutcomeQuarantined
+	case errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded):
+		return OutcomeCancelled
+	case r.Err != nil:
+		return OutcomeFailed
+	case r.Cached:
+		return OutcomeCached
+	}
+	return OutcomeOK
+}
+
+// ElapsedMS is Elapsed in fractional milliseconds, the unit of every
+// manifest, journal and wire record (a cached job takes well under one).
+func (r JobResult) ElapsedMS() float64 {
+	return float64(r.Elapsed) / float64(time.Millisecond)
 }
 
 // Options configure a campaign.

@@ -84,7 +84,7 @@ func WireFromResult(jr JobResult) WireResult {
 	w := WireResult{
 		Result:      jr.Result,
 		Cached:      jr.Cached,
-		ElapsedMS:   float64(jr.Elapsed) / float64(time.Millisecond),
+		ElapsedMS:   jr.ElapsedMS(),
 		Key:         jr.Key,
 		Attempts:    jr.Attempts,
 		Quarantined: jr.Quarantined,
