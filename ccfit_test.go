@@ -221,13 +221,9 @@ func TestHeadlineClaim(t *testing.T) {
 }
 
 func TestFacadeTracing(t *testing.T) {
-	ring := ccfit.NewTraceRing(1024)
-	counter := ccfit.NewTraceCounter()
+	ring := ccfit.NewTraceRing(1 << 16)
 	p := ccfit.CCFIT()
-	p.Tracer = ccfit.TraceAll(
-		ccfit.TraceOnly(ring, ccfit.EvDetect, ccfit.EvDealloc),
-		counter,
-	)
+	p.Tracer = ccfit.TraceOnly(ring, ccfit.EvDetect, ccfit.EvDealloc, ccfit.EvMark)
 	net, err := ccfit.Build(ccfit.Config1(), p, ccfit.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -242,20 +238,18 @@ func TestFacadeTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.RunMS(3)
-	if counter.Count(ccfit.EvDetect) == 0 || counter.Count(ccfit.EvMark) == 0 {
-		t.Fatal("counter saw no protocol events")
-	}
-	evs := ring.Events()
-	if len(evs) == 0 {
-		t.Fatal("ring empty")
-	}
-	for _, ev := range evs {
-		if ev.Kind != ccfit.EvDetect && ev.Kind != ccfit.EvDealloc {
+	counts := map[ccfit.TraceKind]int{}
+	for _, ev := range ring.Events() {
+		counts[ev.Kind]++
+		if ev.Kind != ccfit.EvDetect && ev.Kind != ccfit.EvDealloc && ev.Kind != ccfit.EvMark {
 			t.Fatalf("filter leaked %v", ev.Kind)
 		}
 		if ccfit.FormatTraceEvent(ev) == "" {
 			t.Fatal("empty format")
 		}
+	}
+	if counts[ccfit.EvDetect] == 0 || counts[ccfit.EvMark] == 0 {
+		t.Fatalf("ring saw no protocol events: %v", counts)
 	}
 }
 

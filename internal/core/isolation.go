@@ -8,6 +8,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // InLine is the payload of an input-port CAM line: the state of one
@@ -127,7 +128,7 @@ func (u *IsolationUnit) Post(now sim.Cycle) {
 				continue // head now matches; next iteration moves it
 			}
 			u.stats.CAMExhausted++
-			emit(u.p.Tracer, now, EvExhaust, u.label, h.Dst, -1)
+			emit(u.p.Tracer, now, trace.EvExhaust, u.label, h.Dst, -1)
 			return // no CFQ free: head proceeds as normal traffic
 		}
 		// Local congestion detection (Event #2 in Fig. 3).
@@ -161,7 +162,7 @@ func (u *IsolationUnit) allocFromDownstream(now sim.Cycle, out, dest int) bool {
 		return false
 	}
 	u.stats.LazyAllocs++
-	emit(u.p.Tracer, now, EvLazyAlloc, u.label, dest, li)
+	emit(u.p.Tracer, now, trace.EvLazyAlloc, u.label, dest, li)
 	return true
 }
 
@@ -217,11 +218,11 @@ func (u *IsolationUnit) detect(now sim.Cycle) bool {
 	li := u.cam.Alloc([]int{best}, InLine{Out: out, Root: root, LastActive: now})
 	if li < 0 {
 		u.stats.CAMExhausted++
-		emit(u.p.Tracer, now, EvExhaust, u.label, best, -1)
+		emit(u.p.Tracer, now, trace.EvExhaust, u.label, best, -1)
 		return false
 	}
 	u.stats.Detections++
-	emit(u.p.Tracer, now, EvDetect, u.label, best, li)
+	emit(u.p.Tracer, now, trace.EvDetect, u.label, best, li)
 	return true
 }
 
@@ -280,7 +281,7 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 		if !line.Announced && b >= u.p.PropagateThreshold {
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQAlloc, CFQ: i, Dests: dests})
 			line.Announced = true
-			emit(u.p.Tracer, now, EvPropagate, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvPropagate, u.label, dests[0], i)
 		}
 		if !line.Stopped && b >= u.p.StopThreshold {
 			if !line.Announced {
@@ -290,12 +291,12 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQStop, CFQ: i})
 			line.Stopped = true
 			u.stats.StopsSent++
-			emit(u.p.Tracer, now, EvStop, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvStop, u.label, dests[0], i)
 		} else if line.Stopped && b <= u.p.GoThreshold {
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQGo, CFQ: i})
 			line.Stopped = false
 			u.stats.GoesSent++
-			emit(u.p.Tracer, now, EvGo, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvGo, u.label, dests[0], i)
 		}
 		if u.p.MarkingEnabled && line.Root {
 			if !line.OverHigh && b >= u.p.HighThreshold {
@@ -317,7 +318,7 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 			u.cam.Free(i)
 			u.stats.Deallocs++
 			inUse--
-			emit(u.p.Tracer, now, EvDealloc, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvDealloc, u.label, dests[0], i)
 		}
 	})
 	if inUse > u.stats.MaxCFQsInUse {
@@ -342,7 +343,7 @@ func (u *IsolationUnit) DemoteRoot(out int, dests []int) {
 					line.OverHigh = false
 					u.env.MarkCrossed(line.Out, false)
 				}
-				emit(u.p.Tracer, line.LastActive, EvDemote, u.label, d, i)
+				emit(u.p.Tracer, line.LastActive, trace.EvDemote, u.label, d, i)
 				return
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // MarkState tracks the congestion state of one output port via the
@@ -46,7 +47,7 @@ func (m *MarkState) Crossed(above bool) {
 		m.count++
 		m.Crossings++
 		if m.count == 1 {
-			emit(m.p.Tracer, m.now(), EvCongestionOn, m.label, -1, m.count)
+			emit(m.p.Tracer, m.now(), trace.EvCongestionOn, m.label, -1, m.count)
 		}
 		return
 	}
@@ -55,7 +56,7 @@ func (m *MarkState) Crossed(above bool) {
 		panic("core: congestion-state counter underflow (unbalanced Crossed calls)")
 	}
 	if m.count == 0 {
-		emit(m.p.Tracer, m.now(), EvCongestionOff, m.label, -1, 0)
+		emit(m.p.Tracer, m.now(), trace.EvCongestionOff, m.label, -1, 0)
 	}
 }
 
@@ -78,6 +79,6 @@ func (m *MarkState) MaybeMark(p *pkt.Packet) bool {
 	}
 	p.FECN = true
 	m.Marked++
-	emit(m.p.Tracer, m.now(), EvMark, m.label, p.Dst, int(p.ID))
+	emit(m.p.Tracer, m.now(), trace.EvMark, m.label, p.Dst, int(p.ID))
 	return true
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Discipline selects the queue organisation of a port RAM.
@@ -136,7 +137,7 @@ type Params struct {
 	// Tracer, when non-nil, observes every congestion-management
 	// event (detections, CFQ lifecycle, Stop/Go, marking, BECNs); see
 	// the trace package for implementations. Nil disables tracing.
-	Tracer Tracer
+	Tracer trace.Tracer
 
 	// ISlipIters is the iSLIP iteration count per cycle.
 	ISlipIters int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Throttler is the injection-rate control an input adapter applies per
@@ -67,7 +68,7 @@ func (t *Throttler) OnBECN(dst int) {
 	if t.ccti[dst] > t.MaxCCTI {
 		t.MaxCCTI = t.ccti[dst]
 	}
-	emit(t.p.Tracer, t.eng.Now(), EvBECN, t.label, dst, t.ccti[dst])
+	emit(t.p.Tracer, t.eng.Now(), trace.EvBECN, t.label, dst, t.ccti[dst])
 	t.arm(dst)
 }
 

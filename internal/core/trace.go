@@ -1,86 +1,13 @@
 package core
 
-import "repro/internal/sim"
-
-// EventKind enumerates the congestion-management events a Tracer can
-// observe. These are the paper's protocol events (Figs. 3 and 4): the
-// rate is low (no per-packet events except marking), so tracing whole
-// runs is cheap.
-type EventKind uint8
-
-const (
-	// EvDetect: local congestion detection allocated a CFQ (Event #2).
-	EvDetect EventKind = iota
-	// EvLazyAlloc: a CFQ was allocated because downstream announced
-	// the congestion point.
-	EvLazyAlloc
-	// EvPropagate: congestion information sent upstream (CFQAlloc).
-	EvPropagate
-	// EvStop / EvGo: per-CFQ Stop/Go flow control (Events #4/#5).
-	EvStop
-	EvGo
-	// EvDealloc: CFQ and CAM line released (Event #6).
-	EvDealloc
-	// EvDemote: a root line demoted after a downstream announcement.
-	EvDemote
-	// EvCongestionOn / EvCongestionOff: an output port entered or left
-	// the congestion state (two-threshold scheme).
-	EvCongestionOn
-	EvCongestionOff
-	// EvMark: a packet was FECN-marked (Event #7).
-	EvMark
-	// EvBECN: an input adapter processed a BECN (CCTI raised).
-	EvBECN
-	// EvExhaust: a congested head found no free CFQ/CAM line.
-	EvExhaust
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-var eventNames = [...]string{
-	EvDetect:        "detect",
-	EvLazyAlloc:     "lazy-alloc",
-	EvPropagate:     "propagate",
-	EvStop:          "stop",
-	EvGo:            "go",
-	EvDealloc:       "dealloc",
-	EvDemote:        "demote",
-	EvCongestionOn:  "congestion-on",
-	EvCongestionOff: "congestion-off",
-	EvMark:          "mark",
-	EvBECN:          "becn",
-	EvExhaust:       "exhaust",
-}
-
-func (k EventKind) String() string {
-	if int(k) < len(eventNames) {
-		return eventNames[k]
-	}
-	return "event(?)"
-}
-
-// Event is one traced congestion-management event.
-type Event struct {
-	At   sim.Cycle
-	Kind EventKind
-	// Where identifies the component: a device label such as
-	// "sw<0,3>:p2" or "node17".
-	Where string
-	// Dest is the congested destination involved (-1 if n/a).
-	Dest int
-	// Arg carries a kind-specific value: CFQ index for CFQ events,
-	// CCTI for EvBECN, output port for congestion-state events.
-	Arg int
-}
-
-// Tracer observes congestion-management events. Implementations must
-// be cheap; they are called from the simulation hot path (guarded by a
-// nil check). See the trace package for ready-made tracers.
-type Tracer interface {
-	Trace(ev Event)
-}
-
 // emit is the internal helper every component uses.
-func emit(tr Tracer, at sim.Cycle, kind EventKind, where string, dest, arg int) {
+func emit(tr trace.Tracer, at sim.Cycle, kind trace.EventKind, where string, dest, arg int) {
 	if tr != nil {
-		tr.Trace(Event{At: at, Kind: kind, Where: where, Dest: dest, Arg: arg})
+		tr.Trace(trace.Event{At: at, Kind: kind, Where: where, Dest: dest, Arg: arg})
 	}
 }

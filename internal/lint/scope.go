@@ -57,7 +57,7 @@ var simScope = map[string]string{
 	"sim":         "the event-driven engine itself",
 	"switchfab":   "switch fabric: ingress/egress pipeline state",
 	"topo":        "topology construction must be seed-stable",
-	"trace":       "trace capture feeds replay verification",
+	"trace":       "event vocabulary core emits through, and tracers called inside the cycle",
 	"traffic":     "traffic generators draw from seeded PRNGs",
 }
 

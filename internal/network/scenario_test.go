@@ -113,19 +113,19 @@ func TestFig3SwitchOperation(t *testing.T) {
 	lastDealloc = -1
 	for _, ev := range ring.Events() {
 		switch ev.Kind {
-		case core.EvDetect:
+		case trace.EvDetect:
 			if firstDetect == 0 {
 				firstDetect = ev.At
 			}
-		case core.EvLazyAlloc:
+		case trace.EvLazyAlloc:
 			if firstLazy == 0 {
 				firstLazy = ev.At
 			}
-		case core.EvStop:
+		case trace.EvStop:
 			if firstStop == 0 {
 				firstStop = ev.At
 			}
-		case core.EvDealloc:
+		case trace.EvDealloc:
 			lastDealloc = ev.At
 		}
 	}

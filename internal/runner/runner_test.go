@@ -435,7 +435,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	// A tracer is an observer, not an input: it must not change the key.
 	p3 := p
-	p3.Tracer = trace.NewCounter()
+	p3.Tracer = trace.NewRing(1)
 	if k := Key(exp, "CCFIT", 1, p3); k != base {
 		t.Fatal("tracer leaked into the key")
 	}

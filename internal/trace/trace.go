@@ -1,21 +1,96 @@
-// Package trace provides ready-made implementations of core.Tracer for
-// observing the congestion-management protocol: a bounded ring buffer
-// for post-mortem inspection, a line writer for live logs, a per-kind
-// counter, plus filtering and fan-out combinators. Attach one via
-// Params.Tracer before building a network.
+// Package trace is the congestion-management event vocabulary (Event,
+// EventKind, the Tracer interface core emits through) and the ready-made
+// tracers: a bounded ring buffer for post-mortem inspection, a line
+// writer for live logs, and a kind filter. Attach one via Params.Tracer
+// before building a network.
 package trace
 
 import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
+// EventKind enumerates the congestion-management events a Tracer can
+// observe. These are the paper's protocol events (Figs. 3 and 4): the
+// rate is low (no per-packet events except marking), so tracing whole
+// runs is cheap.
+type EventKind uint8
+
+const (
+	// EvDetect: local congestion detection allocated a CFQ (Event #2).
+	EvDetect EventKind = iota
+	// EvLazyAlloc: a CFQ was allocated because downstream announced
+	// the congestion point.
+	EvLazyAlloc
+	// EvPropagate: congestion information sent upstream (CFQAlloc).
+	EvPropagate
+	// EvStop / EvGo: per-CFQ Stop/Go flow control (Events #4/#5).
+	EvStop
+	EvGo
+	// EvDealloc: CFQ and CAM line released (Event #6).
+	EvDealloc
+	// EvDemote: a root line demoted after a downstream announcement.
+	EvDemote
+	// EvCongestionOn / EvCongestionOff: an output port entered or left
+	// the congestion state (two-threshold scheme).
+	EvCongestionOn
+	EvCongestionOff
+	// EvMark: a packet was FECN-marked (Event #7).
+	EvMark
+	// EvBECN: an input adapter processed a BECN (CCTI raised).
+	EvBECN
+	// EvExhaust: a congested head found no free CFQ/CAM line.
+	EvExhaust
+)
+
+var eventNames = [...]string{
+	EvDetect:        "detect",
+	EvLazyAlloc:     "lazy-alloc",
+	EvPropagate:     "propagate",
+	EvStop:          "stop",
+	EvGo:            "go",
+	EvDealloc:       "dealloc",
+	EvDemote:        "demote",
+	EvCongestionOn:  "congestion-on",
+	EvCongestionOff: "congestion-off",
+	EvMark:          "mark",
+	EvBECN:          "becn",
+	EvExhaust:       "exhaust",
+}
+
+func (k EventKind) String() string {
+	if int(k) < len(eventNames) {
+		return eventNames[k]
+	}
+	return "event(?)"
+}
+
+// Event is one traced congestion-management event.
+type Event struct {
+	At   sim.Cycle
+	Kind EventKind
+	// Where identifies the component: a device label such as
+	// "sw<0,3>:p2" or "node17".
+	Where string
+	// Dest is the congested destination involved (-1 if n/a).
+	Dest int
+	// Arg carries a kind-specific value: CFQ index for CFQ events,
+	// CCTI for EvBECN, output port for congestion-state events.
+	Arg int
+}
+
+// Tracer observes congestion-management events. Implementations must
+// be cheap; they are called from the simulation hot path (guarded by a
+// nil check). Ring, Writer and Filter are the ready-made ones.
+type Tracer interface {
+	Trace(ev Event)
+}
+
 // Ring keeps the most recent capacity events.
 type Ring struct {
-	events []core.Event
+	events []Event
 	next   int
 	filled bool
 	total  int
@@ -26,11 +101,11 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("trace: ring capacity must be positive")
 	}
-	return &Ring{events: make([]core.Event, capacity)}
+	return &Ring{events: make([]Event, capacity)}
 }
 
-// Trace implements core.Tracer.
-func (r *Ring) Trace(ev core.Event) {
+// Trace implements Tracer.
+func (r *Ring) Trace(ev Event) {
 	r.events[r.next] = ev
 	r.next++
 	r.total++
@@ -44,11 +119,11 @@ func (r *Ring) Trace(ev core.Event) {
 func (r *Ring) Total() int { return r.total }
 
 // Events returns the retained events in arrival order.
-func (r *Ring) Events() []core.Event {
+func (r *Ring) Events() []Event {
 	if !r.filled {
-		return append([]core.Event(nil), r.events[:r.next]...)
+		return append([]Event(nil), r.events[:r.next]...)
 	}
-	out := make([]core.Event, 0, len(r.events))
+	out := make([]Event, 0, len(r.events))
 	out = append(out, r.events[r.next:]...)
 	out = append(out, r.events[:r.next]...)
 	return out
@@ -62,49 +137,35 @@ type Writer struct {
 // NewWriter returns a tracer printing to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Trace implements core.Tracer.
-func (t *Writer) Trace(ev core.Event) {
+// Trace implements Tracer.
+func (t *Writer) Trace(ev Event) {
 	fmt.Fprintln(t.w, Format(ev))
 }
 
 // Format renders an event as a human-readable line.
-func Format(ev core.Event) string {
+func Format(ev Event) string {
 	switch ev.Kind {
-	case core.EvCongestionOn, core.EvCongestionOff:
+	case EvCongestionOn, EvCongestionOff:
 		return fmt.Sprintf("%9.3fms %-14s %s", sim.MSFromCycles(ev.At), ev.Kind, ev.Where)
-	case core.EvBECN:
+	case EvBECN:
 		return fmt.Sprintf("%9.3fms %-14s %s dest=%d ccti=%d", sim.MSFromCycles(ev.At), ev.Kind, ev.Where, ev.Dest, ev.Arg)
-	case core.EvMark:
+	case EvMark:
 		return fmt.Sprintf("%9.3fms %-14s %s dest=%d pkt=%d", sim.MSFromCycles(ev.At), ev.Kind, ev.Where, ev.Dest, ev.Arg)
-	case core.EvExhaust:
+	case EvExhaust:
 		return fmt.Sprintf("%9.3fms %-14s %s dest=%d", sim.MSFromCycles(ev.At), ev.Kind, ev.Where, ev.Dest)
 	default:
 		return fmt.Sprintf("%9.3fms %-14s %s dest=%d cfq=%d", sim.MSFromCycles(ev.At), ev.Kind, ev.Where, ev.Dest, ev.Arg)
 	}
 }
 
-// Counter tallies events per kind.
-type Counter struct {
-	counts map[core.EventKind]int
-}
-
-// NewCounter returns a counting tracer.
-func NewCounter() *Counter { return &Counter{counts: map[core.EventKind]int{}} }
-
-// Trace implements core.Tracer.
-func (c *Counter) Trace(ev core.Event) { c.counts[ev.Kind]++ }
-
-// Count returns the tally for one kind.
-func (c *Counter) Count(k core.EventKind) int { return c.counts[k] }
-
 // Filter forwards only events accepted by the predicate.
 type Filter struct {
-	next core.Tracer
-	keep func(core.Event) bool
+	next Tracer
+	keep func(Event) bool
 }
 
 // NewFilter wraps next with a predicate.
-func NewFilter(next core.Tracer, keep func(core.Event) bool) *Filter {
+func NewFilter(next Tracer, keep func(Event) bool) *Filter {
 	if next == nil || keep == nil {
 		panic("trace: filter needs a tracer and a predicate")
 	}
@@ -112,32 +173,17 @@ func NewFilter(next core.Tracer, keep func(core.Event) bool) *Filter {
 }
 
 // Kinds builds a predicate accepting only the listed kinds.
-func Kinds(kinds ...core.EventKind) func(core.Event) bool {
-	set := map[core.EventKind]bool{}
+func Kinds(kinds ...EventKind) func(Event) bool {
+	set := map[EventKind]bool{}
 	for _, k := range kinds {
 		set[k] = true
 	}
-	return func(ev core.Event) bool { return set[ev.Kind] }
+	return func(ev Event) bool { return set[ev.Kind] }
 }
 
-// Trace implements core.Tracer.
-func (f *Filter) Trace(ev core.Event) {
+// Trace implements Tracer.
+func (f *Filter) Trace(ev Event) {
 	if f.keep(ev) {
 		f.next.Trace(ev)
-	}
-}
-
-// Multi fans one event stream out to several tracers.
-type Multi struct {
-	tracers []core.Tracer
-}
-
-// NewMulti combines tracers.
-func NewMulti(tracers ...core.Tracer) *Multi { return &Multi{tracers: tracers} }
-
-// Trace implements core.Tracer.
-func (m *Multi) Trace(ev core.Event) {
-	for _, t := range m.tracers {
-		t.Trace(ev)
 	}
 }

@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -9,17 +9,18 @@ import (
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
-func ev(at sim.Cycle, k core.EventKind, dest int) core.Event {
-	return core.Event{At: at, Kind: k, Where: "sw:p0", Dest: dest, Arg: 0}
+func ev(at sim.Cycle, k trace.EventKind, dest int) trace.Event {
+	return trace.Event{At: at, Kind: k, Where: "sw:p0", Dest: dest, Arg: 0}
 }
 
 func TestRingRetention(t *testing.T) {
-	r := NewRing(3)
+	r := trace.NewRing(3)
 	for i := 0; i < 5; i++ {
-		r.Trace(ev(sim.Cycle(i), core.EvDetect, i))
+		r.Trace(ev(sim.Cycle(i), trace.EvDetect, i))
 	}
 	if r.Total() != 5 {
 		t.Fatalf("total %d", r.Total())
@@ -34,8 +35,8 @@ func TestRingRetention(t *testing.T) {
 		}
 	}
 	// Partially filled ring.
-	r2 := NewRing(10)
-	r2.Trace(ev(0, core.EvStop, 1))
+	r2 := trace.NewRing(10)
+	r2.Trace(ev(0, trace.EvStop, 1))
 	if len(r2.Events()) != 1 {
 		t.Fatal("partial ring wrong")
 	}
@@ -47,15 +48,15 @@ func TestRingCapacityPanic(t *testing.T) {
 			t.Fatal("zero capacity accepted")
 		}
 	}()
-	NewRing(0)
+	trace.NewRing(0)
 }
 
 func TestWriterFormats(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Trace(ev(39063, core.EvDetect, 4)) // ~1 ms
-	w.Trace(core.Event{At: 0, Kind: core.EvBECN, Where: "node3", Dest: 4, Arg: 7})
-	w.Trace(core.Event{At: 0, Kind: core.EvCongestionOn, Where: "sw:p1"})
+	w := trace.NewWriter(&buf)
+	w.Trace(ev(39063, trace.EvDetect, 4)) // ~1 ms
+	w.Trace(trace.Event{At: 0, Kind: trace.EvBECN, Where: "node3", Dest: 4, Arg: 7})
+	w.Trace(trace.Event{At: 0, Kind: trace.EvCongestionOn, Where: "sw:p1"})
 	out := buf.String()
 	for _, want := range []string{"detect", "1.000ms", "becn", "ccti=7", "congestion-on"} {
 		if !strings.Contains(out, want) {
@@ -64,40 +65,40 @@ func TestWriterFormats(t *testing.T) {
 	}
 }
 
-func TestCounterAndFilter(t *testing.T) {
-	c := NewCounter()
-	f := NewFilter(c, Kinds(core.EvStop, core.EvGo))
-	f.Trace(ev(0, core.EvStop, 1))
-	f.Trace(ev(0, core.EvGo, 1))
-	f.Trace(ev(0, core.EvDetect, 1)) // filtered out
-	if c.Count(core.EvStop) != 1 || c.Count(core.EvGo) != 1 || c.Count(core.EvDetect) != 0 {
-		t.Fatal("filter/counter broken")
+// kinds tallies a ring's retained events per kind.
+func kinds(r *trace.Ring) map[trace.EventKind]int {
+	counts := map[trace.EventKind]int{}
+	for _, e := range r.Events() {
+		counts[e.Kind]++
 	}
+	return counts
 }
 
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewCounter(), NewCounter()
-	m := NewMulti(a, b)
-	m.Trace(ev(0, core.EvMark, 2))
-	if a.Count(core.EvMark) != 1 || b.Count(core.EvMark) != 1 {
-		t.Fatal("fan-out broken")
+func TestFilter(t *testing.T) {
+	r := trace.NewRing(8)
+	f := trace.NewFilter(r, trace.Kinds(trace.EvStop, trace.EvGo))
+	f.Trace(ev(0, trace.EvStop, 1))
+	f.Trace(ev(0, trace.EvGo, 1))
+	f.Trace(ev(0, trace.EvDetect, 1)) // filtered out
+	if c := kinds(r); c[trace.EvStop] != 1 || c[trace.EvGo] != 1 || c[trace.EvDetect] != 0 {
+		t.Fatalf("filter broken: %v", c)
 	}
 }
 
 func TestEventKindStrings(t *testing.T) {
-	names := map[core.EventKind]string{
-		core.EvDetect: "detect", core.EvLazyAlloc: "lazy-alloc",
-		core.EvPropagate: "propagate", core.EvStop: "stop", core.EvGo: "go",
-		core.EvDealloc: "dealloc", core.EvDemote: "demote",
-		core.EvCongestionOn: "congestion-on", core.EvCongestionOff: "congestion-off",
-		core.EvMark: "mark", core.EvBECN: "becn", core.EvExhaust: "exhaust",
+	names := map[trace.EventKind]string{
+		trace.EvDetect: "detect", trace.EvLazyAlloc: "lazy-alloc",
+		trace.EvPropagate: "propagate", trace.EvStop: "stop", trace.EvGo: "go",
+		trace.EvDealloc: "dealloc", trace.EvDemote: "demote",
+		trace.EvCongestionOn: "congestion-on", trace.EvCongestionOff: "congestion-off",
+		trace.EvMark: "mark", trace.EvBECN: "becn", trace.EvExhaust: "exhaust",
 	}
 	for k, want := range names {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	if core.EventKind(99).String() != "event(?)" {
+	if trace.EventKind(99).String() != "event(?)" {
 		t.Fatal("unknown kind")
 	}
 }
@@ -107,10 +108,9 @@ func TestEventKindStrings(t *testing.T) {
 // propagation before stop, marking only during the congestion state,
 // BECNs after marks, deallocation after the traffic stops.
 func TestEndToEndTrace(t *testing.T) {
-	ring := NewRing(4096)
-	counter := NewCounter()
+	ring := trace.NewRing(1 << 16)
 	p := core.PresetCCFIT()
-	p.Tracer = NewMulti(ring, counter)
+	p.Tracer = ring
 	n, err := network.Build(topo.Config1(), p, network.Options{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -125,37 +125,41 @@ func TestEndToEndTrace(t *testing.T) {
 	}
 	n.Run(200_000)
 
-	for _, k := range []core.EventKind{
-		core.EvDetect, core.EvPropagate, core.EvStop, core.EvGo,
-		core.EvCongestionOn, core.EvCongestionOff, core.EvMark,
-		core.EvBECN, core.EvDealloc,
+	if ring.Total() > len(ring.Events()) {
+		t.Fatalf("ring evicted: %d events traced", ring.Total())
+	}
+	counts := kinds(ring)
+	for _, k := range []trace.EventKind{
+		trace.EvDetect, trace.EvPropagate, trace.EvStop, trace.EvGo,
+		trace.EvCongestionOn, trace.EvCongestionOff, trace.EvMark,
+		trace.EvBECN, trace.EvDealloc,
 	} {
-		if counter.Count(k) == 0 {
+		if counts[k] == 0 {
 			t.Fatalf("no %v events in a congested CCFIT run", k)
 		}
 	}
 	// Ordering of firsts.
-	first := map[core.EventKind]sim.Cycle{}
+	first := map[trace.EventKind]sim.Cycle{}
 	for _, e := range ring.Events() {
 		if _, ok := first[e.Kind]; !ok {
 			first[e.Kind] = e.At
 		}
 	}
-	if !(first[core.EvDetect] <= first[core.EvPropagate]) {
+	if !(first[trace.EvDetect] <= first[trace.EvPropagate]) {
 		t.Fatal("propagation before any detection")
 	}
-	if !(first[core.EvCongestionOn] <= first[core.EvMark]) {
+	if !(first[trace.EvCongestionOn] <= first[trace.EvMark]) {
 		t.Fatal("mark before entering the congestion state")
 	}
-	if !(first[core.EvMark] < first[core.EvBECN]) {
+	if !(first[trace.EvMark] < first[trace.EvBECN]) {
 		t.Fatal("BECN before any mark")
 	}
 	// Every mark names the hot destination.
 	for _, e := range ring.Events() {
-		if e.Kind == core.EvMark && e.Dest != 4 {
+		if e.Kind == trace.EvMark && e.Dest != 4 {
 			t.Fatalf("marked a non-hot destination: %+v", e)
 		}
-		if e.Kind == core.EvBECN && e.Dest != 4 {
+		if e.Kind == trace.EvBECN && e.Dest != 4 {
 			t.Fatalf("BECN for a non-hot destination: %+v", e)
 		}
 	}

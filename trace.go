@@ -3,7 +3,6 @@ package ccfit
 import (
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -13,31 +12,29 @@ import (
 // values implementing the Tracer interface expected by Params.Tracer.
 type (
 	// TraceEvent is one congestion-management event.
-	TraceEvent = core.Event
+	TraceEvent = trace.Event
 	// TraceKind enumerates event types (EvDetect, EvStop, ...).
-	TraceKind = core.EventKind
+	TraceKind = trace.EventKind
 	// Tracer observes events; see NewTraceRing and friends.
-	Tracer = core.Tracer
+	Tracer = trace.Tracer
 	// TraceRing retains the most recent events.
 	TraceRing = trace.Ring
-	// TraceCounter tallies events per kind.
-	TraceCounter = trace.Counter
 )
 
 // Re-exported event kinds.
 const (
-	EvDetect        = core.EvDetect
-	EvLazyAlloc     = core.EvLazyAlloc
-	EvPropagate     = core.EvPropagate
-	EvStop          = core.EvStop
-	EvGo            = core.EvGo
-	EvDealloc       = core.EvDealloc
-	EvDemote        = core.EvDemote
-	EvCongestionOn  = core.EvCongestionOn
-	EvCongestionOff = core.EvCongestionOff
-	EvMark          = core.EvMark
-	EvBECN          = core.EvBECN
-	EvExhaust       = core.EvExhaust
+	EvDetect        = trace.EvDetect
+	EvLazyAlloc     = trace.EvLazyAlloc
+	EvPropagate     = trace.EvPropagate
+	EvStop          = trace.EvStop
+	EvGo            = trace.EvGo
+	EvDealloc       = trace.EvDealloc
+	EvDemote        = trace.EvDemote
+	EvCongestionOn  = trace.EvCongestionOn
+	EvCongestionOff = trace.EvCongestionOff
+	EvMark          = trace.EvMark
+	EvBECN          = trace.EvBECN
+	EvExhaust       = trace.EvExhaust
 )
 
 // NewTraceRing returns a tracer retaining the last capacity events.
@@ -46,16 +43,10 @@ func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
 // NewTraceWriter returns a tracer printing one line per event to w.
 func NewTraceWriter(w io.Writer) Tracer { return trace.NewWriter(w) }
 
-// NewTraceCounter returns a tracer tallying events per kind.
-func NewTraceCounter() *TraceCounter { return trace.NewCounter() }
-
 // TraceOnly filters a tracer down to the listed event kinds.
 func TraceOnly(next Tracer, kinds ...TraceKind) Tracer {
 	return trace.NewFilter(next, trace.Kinds(kinds...))
 }
-
-// TraceAll fans events out to several tracers.
-func TraceAll(tracers ...Tracer) Tracer { return trace.NewMulti(tracers...) }
 
 // FormatTraceEvent renders an event as a human-readable line.
 func FormatTraceEvent(ev TraceEvent) string { return trace.Format(ev) }
