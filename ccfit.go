@@ -12,7 +12,8 @@
 //     (congested-flow isolation), ITh (InfiniBand-style injection
 //     throttling over VOQsw), CCFIT (the paper's contribution:
 //     isolation + throttling), VOQnet (the near-ideal reference), and
-//     DBBM as an extra baseline;
+//     the related-work queue organisations as extra baselines (Schemes
+//     lists every preset);
 //   - the paper's complete evaluation as a registry of runnable
 //     experiments (Table I, Figs. 7-10), with text and CSV renderers.
 //
@@ -44,6 +45,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/network"
+	"repro/internal/pkt"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -99,7 +101,7 @@ type (
 const UniformDst = traffic.UniformDst
 
 // MTU is the packet maximum transfer unit (2048 bytes, Table I).
-const MTU = 2048
+const MTU = pkt.MTU
 
 // Build wires a network for a topology and scheme parameters.
 func Build(t *Topology, p Params, opt Options) (*Network, error) {

@@ -37,8 +37,6 @@ type Options struct {
 	// back to local execution when none are live. Ignored when Executor
 	// is set (an explicit executor owns the whole policy).
 	Dispatch *dispatch.Board
-	// Metrics receives counters; nil allocates a fresh set.
-	Metrics *Metrics
 	// Log, when non-nil, receives operational notices (e.g. a
 	// submission's sim-workers request being capped against the pool).
 	Log func(format string, args ...any)
@@ -123,15 +121,11 @@ func Open(opt Options) (*Scheduler, error) {
 			exec = local
 		}
 	}
-	m := opt.Metrics
-	if m == nil {
-		m = NewMetrics(opt.Workers)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		opt:       opt,
 		exec:      exec,
-		metrics:   m,
+		metrics:   NewMetrics(opt.Workers),
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: map[string]*campaign{},

@@ -19,8 +19,6 @@ type Options struct {
 	// requeued before the board fails it instead of looping forever.
 	// Default 3.
 	MaxReassign int
-	// SweepEvery is the reclaim scan interval. Default LeaseTTL/4.
-	SweepEvery time.Duration
 	// Liveness is how long a worker may go without any request before
 	// it is pruned and stops counting as available capacity. Default
 	// 2×LeaseTTL (comfortably above both the idle poll cap and the
@@ -36,9 +34,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxReassign <= 0 {
 		o.MaxReassign = 3
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = o.LeaseTTL / 4
 	}
 	if o.Liveness <= 0 {
 		o.Liveness = 2 * o.LeaseTTL
@@ -397,7 +392,7 @@ func (b *Board) requeueLocked(t *task, now time.Time) []runner.Event {
 // and withdraws queued work when the fleet is gone.
 func (b *Board) sweeper() {
 	defer close(b.sweepDone)
-	tick := time.NewTicker(b.opt.SweepEvery)
+	tick := time.NewTicker(b.opt.LeaseTTL / 4)
 	defer tick.Stop()
 	for {
 		select {

@@ -67,15 +67,13 @@ func (l *eventLog) count(t runner.EventType) int {
 	return n
 }
 
-// testBoard builds a board on a fake clock with the background sweeper
-// effectively disabled (tests drive sweep by hand).
+// testBoard builds a board on a fake clock. Its lease TTL is a minute or
+// more, so the background sweeper (every TTL/4 of real time) never fires
+// inside a test; tests drive sweep by hand.
 func testBoard(t *testing.T, opt Options) (*Board, *fakeClock) {
 	t.Helper()
 	if opt.LeaseTTL == 0 {
 		opt.LeaseTTL = time.Minute
-	}
-	if opt.SweepEvery == 0 {
-		opt.SweepEvery = time.Hour
 	}
 	if opt.Liveness == 0 {
 		opt.Liveness = 30 * time.Minute

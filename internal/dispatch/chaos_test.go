@@ -139,9 +139,6 @@ func startService(t *testing.T, dir string, ttl time.Duration) (*campaign.Schedu
 // returns a stop function that drains it.
 func startWorker(t *testing.T, srv *httptest.Server, opt dispatch.WorkerOptions, transport http.RoundTripper) (stop func()) {
 	t.Helper()
-	if opt.PollMin == 0 {
-		opt.PollMin = 5 * time.Millisecond
-	}
 	if opt.PollMax == 0 {
 		opt.PollMax = 50 * time.Millisecond
 	}

@@ -114,16 +114,21 @@ type WorkerOptions struct {
 	// LocalExecutor with its own cache/timeout/retry policy (tests
 	// inject blocking executors here).
 	Exec runner.Executor
-	// PollMin/PollMax bound the idle claim backoff (deterministic,
-	// jitter-free, doubling from min to max; reset on work). Defaults
-	// 100ms / 2s.
-	PollMin, PollMax time.Duration
-	// ResultRetries bounds delivery attempts for a finished job before
-	// the worker gives it up to lease reclamation. Default 5.
-	ResultRetries int
+	// PollMax caps the idle claim backoff (deterministic, jitter-free,
+	// doubling from pollMin; reset on work). Default 2s.
+	PollMax time.Duration
 	// Log, when non-nil, receives operational notices.
 	Log func(format string, args ...any)
 }
+
+const (
+	// pollMin is where the claim, registration and delivery backoffs
+	// start (a PollMax below it polls at PollMax flat).
+	pollMin = 100 * time.Millisecond
+	// resultRetries bounds delivery attempts for a finished job before
+	// the worker gives it up to lease reclamation.
+	resultRetries = 5
+)
 
 // Worker is the pull loop ccfit-worker runs: register, claim, execute
 // under a heartbeat, report, repeat. Run blocks until ctx is
@@ -150,14 +155,8 @@ func (w *Worker) opts() WorkerOptions {
 	if o.Slots <= 0 {
 		o.Slots = 1
 	}
-	if o.PollMin <= 0 {
-		o.PollMin = 100 * time.Millisecond
-	}
 	if o.PollMax <= 0 {
 		o.PollMax = 2 * time.Second
-	}
-	if o.ResultRetries <= 0 {
-		o.ResultRetries = 5
 	}
 	return o
 }
@@ -194,7 +193,7 @@ func (w *Worker) register(ctx context.Context, staleID string) (string, time.Dur
 		}
 		w.logf("dispatch: register failed (%v); retrying", err)
 		select {
-		case <-time.After(runner.Backoff(o.PollMin, attempt, o.PollMax)):
+		case <-time.After(runner.Backoff(pollMin, attempt, o.PollMax)):
 		case <-ctx.Done():
 			return "", 0, ctx.Err()
 		}
@@ -257,7 +256,7 @@ func (w *Worker) slot(ctx context.Context, o WorkerOptions, slot int) {
 		}
 		idle++
 		select {
-		case <-time.After(runner.Backoff(o.PollMin, idle, o.PollMax)):
+		case <-time.After(runner.Backoff(pollMin, idle, o.PollMax)):
 		case <-ctx.Done():
 			return
 		}
@@ -342,7 +341,7 @@ func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, t
 // requeueing.
 func (w *Worker) report(o WorkerOptions, workerID, leaseID string, res runner.WireResult, abandon bool) {
 	req := ResultRequest{WorkerID: workerID, LeaseID: leaseID, Abandon: abandon, Result: res}
-	for attempt := 1; attempt <= o.ResultRetries; attempt++ {
+	for attempt := 1; attempt <= resultRetries; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		resp, err := w.Client.Result(ctx, req)
 		cancel()
@@ -355,8 +354,8 @@ func (w *Worker) report(o WorkerOptions, workerID, leaseID string, res runner.Wi
 		case errors.Is(err, ErrLeaseGone), errors.Is(err, ErrUnknownWorker), errors.Is(err, ErrClosed):
 			return // nothing to retry toward
 		}
-		w.logf("dispatch: result delivery attempt %d/%d failed (%v)", attempt, o.ResultRetries, err)
-		time.Sleep(runner.Backoff(o.PollMin, attempt, o.PollMax))
+		w.logf("dispatch: result delivery attempt %d/%d failed (%v)", attempt, resultRetries, err)
+		time.Sleep(runner.Backoff(pollMin, attempt, o.PollMax))
 	}
-	w.logf("dispatch: giving up on delivering lease %s after %d attempts; the board will reclaim it", leaseID, o.ResultRetries)
+	w.logf("dispatch: giving up on delivering lease %s after %d attempts; the board will reclaim it", leaseID, resultRetries)
 }

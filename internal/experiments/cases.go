@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -203,15 +204,17 @@ func BuildConfig4(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*
 	return n, n.AddFlows(Case5(end))
 }
 
-// SchemeByName resolves a scheme preset: 1Q, FBICM, ITh, CCFIT, VOQnet
-// or DBBM (case-sensitive, as printed in the paper).
+// SchemeByName resolves a scheme preset by the name AllSchemes gives it
+// (case-sensitive, as printed in the paper).
 func SchemeByName(name string) (core.Params, error) {
+	var names []string
 	for _, p := range AllSchemes() {
 		if p.Name == name {
 			return p, nil
 		}
+		names = append(names, p.Name)
 	}
-	return core.Params{}, fmt.Errorf("experiments: unknown scheme %q (want 1Q, FBICM, ITh, CCFIT, VOQnet, DBBM, VOQsw or OBQA)", name)
+	return core.Params{}, fmt.Errorf("experiments: unknown scheme %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // AllSchemes returns every preset in presentation order: the paper's

@@ -43,8 +43,8 @@ func VOQswOnly() Params { return core.PresetVOQswOnly() }
 // extra fat-tree-oriented baseline using next-hop output ports.
 func OBQA() Params { return core.PresetOBQA() }
 
-// Scheme resolves a preset by its paper name: "1Q", "FBICM", "ITh",
-// "CCFIT", "VOQnet", "DBBM", "VOQsw" or "OBQA".
+// Scheme resolves a preset by its paper name, the Name of one of
+// Schemes().
 func Scheme(name string) (Params, error) { return experiments.SchemeByName(name) }
 
 // Schemes returns every preset in presentation order.
