@@ -25,6 +25,7 @@ awk '
 
     floor = 50
     if (pkg == "repro")                    floor = 55
+    if (pkg == "repro/internal/core")      floor = 80
     if (pkg == "repro/internal/invariant") floor = 1
     if (pkg == "repro/internal/fault")     floor = 30
     if (pkg == "repro/internal/link")      floor = 40
