@@ -17,13 +17,12 @@ type Metrics struct {
 	CampaignsCompleted atomic.Int64
 	CampaignsCancelled atomic.Int64
 
-	JobsEnqueued    atomic.Int64
-	JobsDone        atomic.Int64 // fresh simulations that finished ok
-	JobsCached      atomic.Int64 // served from the shared result cache
-	JobsFailed      atomic.Int64
-	JobsQuarantined atomic.Int64
-	JobsCancelled   atomic.Int64
-	JobsRetried     atomic.Int64
+	JobsEnqueued atomic.Int64
+	JobsRetried  atomic.Int64
+	// finished counts terminal jobs by status, shown as jobs_<status>:
+	// done is a fresh simulation that finished ok, cached one served from
+	// the shared result cache.
+	finished map[JobStatus]*atomic.Int64
 
 	// JournalErrors counts failed journal/index writes: durability is
 	// degraded (a crash may re-run work) but service continues.
@@ -37,7 +36,11 @@ type Metrics struct {
 
 // NewMetrics starts a metrics set for a pool of `workers` workers.
 func NewMetrics(workers int) *Metrics {
-	return &Metrics{start: time.Now(), workers: workers}
+	m := &Metrics{start: time.Now(), workers: workers, finished: map[JobStatus]*atomic.Int64{}}
+	for _, st := range []JobStatus{JobDone, JobCached, JobFailed, JobQuarantined, JobCancelled} {
+		m.finished[st] = new(atomic.Int64)
+	}
+	return m
 }
 
 // Snapshot renders the counters plus derived gauges. queueDepth is the
@@ -45,8 +48,8 @@ func NewMetrics(workers int) *Metrics {
 // lock-free).
 func (m *Metrics) Snapshot(queueDepth int) map[string]any {
 	uptime := time.Since(m.start)
-	done := m.JobsDone.Load()
-	cached := m.JobsCached.Load()
+	done := m.finished[JobDone].Load()
+	cached := m.finished[JobCached].Load()
 	hitRate := 0.0
 	if done+cached > 0 {
 		hitRate = float64(cached) / float64(done+cached)
@@ -55,7 +58,7 @@ func (m *Metrics) Snapshot(queueDepth int) map[string]any {
 	if m.workers > 0 && uptime > 0 {
 		util = float64(m.busyNS.Load()) / (float64(uptime.Nanoseconds()) * float64(m.workers))
 	}
-	return map[string]any{
+	snap := map[string]any{
 		"uptime_seconds":      uptime.Seconds(),
 		"workers":             m.workers,
 		"busy_workers":        m.busyWorkers.Load(),
@@ -66,15 +69,14 @@ func (m *Metrics) Snapshot(queueDepth int) map[string]any {
 		"campaigns_completed": m.CampaignsCompleted.Load(),
 		"campaigns_cancelled": m.CampaignsCancelled.Load(),
 		"jobs_enqueued":       m.JobsEnqueued.Load(),
-		"jobs_done":           done,
-		"jobs_cached":         cached,
-		"jobs_failed":         m.JobsFailed.Load(),
-		"jobs_quarantined":    m.JobsQuarantined.Load(),
-		"jobs_cancelled":      m.JobsCancelled.Load(),
 		"jobs_retried":        m.JobsRetried.Load(),
 		"journal_errors":      m.JournalErrors.Load(),
 		"cache_hit_rate":      hitRate,
 	}
+	for st, n := range m.finished {
+		snap["jobs_"+string(st)] = n.Load()
+	}
+	return snap
 }
 
 // jobTimer tracks one job's occupancy of a worker.

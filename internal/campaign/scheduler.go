@@ -452,22 +452,13 @@ func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 		ElapsedMS: jr.ElapsedMS(),
 		Attempts:  jr.Attempts,
 	}
+	if st.Status == JobStatus(runner.OutcomeOK) {
+		st.Status = JobDone // the journal's name for it
+	}
 	if jr.Err != nil {
 		st.Error = jr.Err.Error()
 	}
-	switch jr.Outcome() {
-	case runner.OutcomeQuarantined:
-		s.metrics.JobsQuarantined.Add(1)
-	case runner.OutcomeCancelled:
-		s.metrics.JobsCancelled.Add(1)
-	case runner.OutcomeFailed:
-		s.metrics.JobsFailed.Add(1)
-	case runner.OutcomeCached:
-		s.metrics.JobsCached.Add(1)
-	default:
-		st.Status = JobDone // the journal's name for runner.OutcomeOK
-		s.metrics.JobsDone.Add(1)
-	}
+	s.metrics.finished[st.Status].Add(1)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -550,7 +541,7 @@ func (s *Scheduler) Cancel(id string) (View, error) {
 		if c.states[i].Status == JobQueued {
 			c.states[i] = jobState{Status: JobCancelled}
 			c.pending--
-			s.metrics.JobsCancelled.Add(1)
+			s.metrics.finished[JobCancelled].Add(1)
 			s.emitLocked(c, Event{Type: "cancelled", Index: i, Job: c.jobs[i].String()})
 		}
 	}

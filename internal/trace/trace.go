@@ -1,8 +1,8 @@
 // Package trace is the congestion-management event vocabulary (Event,
 // EventKind, the Tracer interface core emits through) and the ready-made
 // tracers: a bounded ring buffer for post-mortem inspection, a line
-// writer for live logs, and a kind filter. Attach one via Params.Tracer
-// before building a network.
+// writer for live logs, and a kind filter (Only). Attach one via
+// Params.Tracer before building a network.
 package trace
 
 import (
@@ -83,7 +83,7 @@ type Event struct {
 
 // Tracer observes congestion-management events. Implementations must
 // be cheap; they are called from the simulation hot path (guarded by a
-// nil check). Ring, Writer and Filter are the ready-made ones.
+// nil check). Ring, Writer and Only are the ready-made ones.
 type Tracer interface {
 	Trace(ev Event)
 }
@@ -158,32 +158,26 @@ func Format(ev Event) string {
 	}
 }
 
-// Filter forwards only events accepted by the predicate.
-type Filter struct {
-	next Tracer
-	keep func(Event) bool
-}
-
-// NewFilter wraps next with a predicate.
-func NewFilter(next Tracer, keep func(Event) bool) *Filter {
-	if next == nil || keep == nil {
-		panic("trace: filter needs a tracer and a predicate")
+// Only returns a tracer forwarding to next the events of the listed
+// kinds.
+func Only(next Tracer, kinds ...EventKind) Tracer {
+	if next == nil {
+		panic("trace: filter needs a tracer")
 	}
-	return &Filter{next: next, keep: keep}
-}
-
-// Kinds builds a predicate accepting only the listed kinds.
-func Kinds(kinds ...EventKind) func(Event) bool {
-	set := map[EventKind]bool{}
+	f := &only{next: next}
 	for _, k := range kinds {
-		set[k] = true
+		f.kinds |= 1 << k
 	}
-	return func(ev Event) bool { return set[ev.Kind] }
+	return f
 }
 
-// Trace implements Tracer.
-func (f *Filter) Trace(ev Event) {
-	if f.keep(ev) {
+type only struct {
+	next  Tracer
+	kinds uint32 // bit k set: forward EventKind k
+}
+
+func (f *only) Trace(ev Event) {
+	if f.kinds&(1<<ev.Kind) != 0 {
 		f.next.Trace(ev)
 	}
 }

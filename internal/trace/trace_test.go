@@ -74,9 +74,9 @@ func kinds(r *trace.Ring) map[trace.EventKind]int {
 	return counts
 }
 
-func TestFilter(t *testing.T) {
+func TestOnly(t *testing.T) {
 	r := trace.NewRing(8)
-	f := trace.NewFilter(r, trace.Kinds(trace.EvStop, trace.EvGo))
+	f := trace.Only(r, trace.EvStop, trace.EvGo)
 	f.Trace(ev(0, trace.EvStop, 1))
 	f.Trace(ev(0, trace.EvGo, 1))
 	f.Trace(ev(0, trace.EvDetect, 1)) // filtered out

@@ -45,7 +45,7 @@ func NewTraceWriter(w io.Writer) Tracer { return trace.NewWriter(w) }
 
 // TraceOnly filters a tracer down to the listed event kinds.
 func TraceOnly(next Tracer, kinds ...TraceKind) Tracer {
-	return trace.NewFilter(next, trace.Kinds(kinds...))
+	return trace.Only(next, kinds...)
 }
 
 // FormatTraceEvent renders an event as a human-readable line.
