@@ -26,11 +26,7 @@ import (
 func main() {
 	cfg := flag.Int("config", 1, "network configuration (1, 2, 3 — Table I — or 4, the 512-node fat tree)")
 	caseNo := flag.Int("case", 0, "traffic case (default: the paper's case for the config)")
-	var schemes []string
-	for _, s := range ccfit.Schemes() {
-		schemes = append(schemes, s.Name)
-	}
-	scheme := flag.String("scheme", "CCFIT", "scheme: "+strings.Join(schemes, ", "))
+	scheme := flag.String("scheme", "CCFIT", "scheme: "+strings.Join(experiments.SchemeNames(), ", "))
 	msFlag := flag.Float64("ms", 10, "simulated milliseconds")
 	trees := flag.Int("trees", 1, "congestion trees for case #4")
 	seed := flag.Int64("seed", 1, "simulation seed")

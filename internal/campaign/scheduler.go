@@ -626,14 +626,13 @@ func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 		}
 		journaled = append(journaled, i)
 		st := states[i]
-		out[i] = runner.JobResult{
-			Job:         job,
+		out[i] = runner.WireResult{
 			Key:         st.Key,
 			Cached:      st.Status == JobCached,
-			Elapsed:     time.Duration(st.ElapsedMS * float64(time.Millisecond)),
+			ElapsedMS:   st.ElapsedMS,
 			Attempts:    st.Attempts,
 			Quarantined: st.Status == JobQuarantined,
-		}
+		}.JobResult(job)
 	}
 	s.mu.Unlock()
 

@@ -207,14 +207,22 @@ func BuildConfig4(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*
 // SchemeByName resolves a scheme preset by the name AllSchemes gives it
 // (case-sensitive, as printed in the paper).
 func SchemeByName(name string) (core.Params, error) {
-	var names []string
 	for _, p := range AllSchemes() {
 		if p.Name == name {
 			return p, nil
 		}
+	}
+	return core.Params{}, fmt.Errorf("experiments: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
+}
+
+// SchemeNames lists every preset's name in presentation order: the text
+// of help and error messages, so none of them keeps a list by hand.
+func SchemeNames() []string {
+	var names []string
+	for _, p := range AllSchemes() {
 		names = append(names, p.Name)
 	}
-	return core.Params{}, fmt.Errorf("experiments: unknown scheme %q (want one of %s)", name, strings.Join(names, ", "))
+	return names
 }
 
 // AllSchemes returns every preset in presentation order: the paper's

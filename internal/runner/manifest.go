@@ -63,12 +63,13 @@ func NewManifest(tool string, opt Options, startedAt time.Time, results []JobRes
 		m.CacheDir = opt.Cache.Dir()
 	}
 	for _, r := range results {
+		outcome := r.Outcome()
 		run := ManifestRun{
 			Experiment: r.Job.ExperimentID(),
 			Scheme:     r.Job.Scheme,
 			Seed:       r.Job.Seed,
 			CacheKey:   r.Key,
-			Status:     string(r.Outcome()),
+			Status:     string(outcome),
 			ElapsedMS:  r.ElapsedMS(),
 			Attempts:   r.Attempts,
 		}
@@ -84,7 +85,7 @@ func NewManifest(tool string, opt Options, startedAt time.Time, results []JobRes
 		if run.Diagnostics = r.Diagnostics; len(run.Diagnostics) > maxDiagnostics {
 			run.Diagnostics = run.Diagnostics[:maxDiagnostics] + "\n... (truncated)"
 		}
-		switch r.Outcome() {
+		switch outcome {
 		case OutcomeQuarantined, OutcomeFailed:
 			m.Failed++
 		case OutcomeCancelled:
