@@ -36,7 +36,7 @@ import (
 func main() {
 	name := flag.String("name", hostname(), "worker label shown in the service's /workers and journal")
 	jobs := flag.Int("jobs", 1, "jobs to run concurrently (each may itself use -sim-workers from the spec)")
-	pollMax := flag.Duration("poll-max", 2*time.Second, "idle claim-poll backoff cap")
+	pollMax := flag.Duration("poll-max", 2*time.Second, "backoff cap after a failed or refused request (idle claims park on the service; they do not poll)")
 	// The execution flags are the campaign tools' own, declared once in
 	// internal/cli; a worker defaults to a local service and a
 	// worker-local cache ('' disables it).

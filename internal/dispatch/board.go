@@ -21,7 +21,7 @@ type Options struct {
 	MaxReassign int
 	// Liveness is how long a worker may go without any request before
 	// it is pruned and stops counting as available capacity. Default
-	// 2×LeaseTTL (comfortably above both the idle poll cap and the
+	// 2×LeaseTTL (comfortably above both the claim hold and the
 	// heartbeat interval).
 	Liveness time.Duration
 	// Log, when non-nil, receives operational notices.
@@ -86,6 +86,12 @@ type workerRec struct {
 	lastSeen time.Time         // guarded by Board.mu
 	active   map[string]*lease // guarded by Board.mu; lease id -> lease
 	done     int64             // guarded by Board.mu
+	parked   int               // guarded by Board.mu; claims held open on an empty board
+}
+
+// live: seen within the liveness window, or holding a claim open now.
+func (w *workerRec) live(now time.Time, liveness time.Duration) bool {
+	return w.parked > 0 || now.Sub(w.lastSeen) <= liveness
 }
 
 // WorkerView is the API shape of one worker row in GET /workers.
@@ -115,6 +121,9 @@ type Board struct {
 	leaseSeq  uint64                // guarded by mu
 	workerSeq int                   // guarded by mu
 	closed    bool                  // guarded by mu
+	// wake is closed and replaced whenever work is queued or the board
+	// closes; a parked claim waits on the channel it read under mu.
+	wake chan struct{} // guarded by mu
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -138,6 +147,7 @@ type Board struct {
 	cFallback   atomic.Int64
 	cPruned     atomic.Int64
 	cMismatch   atomic.Int64
+	cEmpty      atomic.Int64
 }
 
 // NewBoard starts a board and its reclaim sweeper.
@@ -146,6 +156,7 @@ func NewBoard(opt Options) *Board {
 		opt:       opt.withDefaults(),
 		leases:    map[string]*lease{},
 		workers:   map[string]*workerRec{},
+		wake:      make(chan struct{}),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
 		now:       time.Now,
@@ -188,11 +199,17 @@ func (b *Board) Register(name, module string) (string, error) {
 func (b *Board) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range b.workers {
-		if now.Sub(w.lastSeen) <= b.opt.Liveness {
+		if w.live(now, b.opt.Liveness) {
 			n++
 		}
 	}
 	return n
+}
+
+// wakeLocked sends every parked claim back to the queue. Callers hold b.mu.
+func (b *Board) wakeLocked() {
+	close(b.wake)
+	b.wake = make(chan struct{})
 }
 
 // Enqueue offers one job to the fleet and blocks until it completes,
@@ -212,6 +229,7 @@ func (b *Board) Enqueue(ctx context.Context, job runner.Job, wire runner.WireJob
 	b.taskSeq++
 	t := &task{id: b.taskSeq, job: job, wire: wire, emit: emit, done: make(chan struct{})}
 	b.queue = append(b.queue, t)
+	b.wakeLocked()
 	b.mu.Unlock()
 
 	select {
@@ -265,19 +283,48 @@ func (b *Board) dropLeaseLocked(l *lease) {
 	}
 }
 
-// Claim hands the first queued job to a worker under a fresh lease.
-// ok=false with a nil error means no work is available.
+// maxClaimHold caps how long one claim parks: safely under the worker
+// client's 30 s HTTP timeout, whatever the lease TTL.
+const maxClaimHold = 20 * time.Second
+
+// Claim is ClaimWait with no hold: an empty board answers at once.
 func (b *Board) Claim(workerID string) (ClaimResponse, bool, error) {
+	return b.ClaimWait(context.Background(), workerID, 0)
+}
+
+// ClaimWait hands the first queued job to a worker under a fresh lease.
+// On an empty board the claim parks for up to min(wait, LeaseTTL/3,
+// maxClaimHold) and is answered the moment work is queued; ctx ending
+// (client gone) or Close releases it. ok=false, nil error: no work.
+func (b *Board) ClaimWait(ctx context.Context, workerID string, wait time.Duration) (ClaimResponse, bool, error) {
 	b.mu.Lock()
-	now := b.now()
 	w := b.workers[workerID]
 	if w == nil {
 		b.mu.Unlock()
 		return ClaimResponse{}, false, ErrUnknownWorker
 	}
+	now := b.now()
 	w.lastSeen = now
-	if len(b.queue) == 0 {
+	if wait = min(wait, b.opt.LeaseTTL/3, maxClaimHold); wait > 0 && len(b.queue) == 0 {
+		hold, cancel := context.WithTimeout(ctx, wait)
+		defer cancel()
+		w.parked++
+		for len(b.queue) == 0 && !b.closed && hold.Err() == nil {
+			wake := b.wake
+			b.mu.Unlock()
+			select {
+			case <-wake:
+			case <-hold.Done():
+			}
+			b.mu.Lock()
+		}
+		w.parked--
+		now = b.now()
+		w.lastSeen = now
+	}
+	if len(b.queue) == 0 || ctx.Err() != nil { // a vanished client gets no lease
 		b.mu.Unlock()
+		b.cEmpty.Add(1)
 		return ClaimResponse{}, false, nil
 	}
 	t := b.queue[0]
@@ -384,6 +431,7 @@ func (b *Board) requeueLocked(t *task, now time.Time) []runner.Event {
 	t.lease = nil
 	// Front of the queue: a reclaimed job has already waited its turn.
 	b.queue = append([]*task{t}, b.queue...)
+	b.wakeLocked()
 	b.cReclaimed.Add(1)
 	return []runner.Event{{Type: runner.JobReassigned, Job: t.job}}
 }
@@ -432,7 +480,7 @@ func (b *Board) sweep(now time.Time) {
 		}
 	}
 	for id, w := range b.workers {
-		if now.Sub(w.lastSeen) > b.opt.Liveness {
+		if !w.live(now, b.opt.Liveness) {
 			delete(b.workers, id)
 			b.cPruned.Add(1)
 			b.logf("dispatch: worker %s (%s) not seen for %v; pruned", w.name, id, now.Sub(w.lastSeen).Round(time.Millisecond))
@@ -485,6 +533,10 @@ func (b *Board) Snapshot() map[string]any {
 	live := b.liveWorkersLocked(b.now())
 	queued := len(b.queue)
 	leased := len(b.leases)
+	parked := 0
+	for _, w := range b.workers {
+		parked += w.parked
+	}
 	b.mu.Unlock()
 	return map[string]any{
 		"workers_connected":       live,
@@ -494,6 +546,8 @@ func (b *Board) Snapshot() map[string]any {
 		"dispatch_leased":         leased,
 		"leases_granted":          b.cGranted.Load(),
 		"leases_expired":          b.cExpired.Load(),
+		"claims_parked":           parked,
+		"claims_empty":            b.cEmpty.Load(),
 		"jobs_reclaimed":          b.cReclaimed.Load(),
 		"jobs_abandoned":          b.cAbandoned.Load(),
 		"jobs_reassign_exhausted": b.cExhausted.Load(),
@@ -518,6 +572,7 @@ func (b *Board) Close() {
 		return
 	}
 	b.closed = true
+	b.wakeLocked()
 	b.mu.Unlock()
 	close(b.sweepStop)
 	<-b.sweepDone

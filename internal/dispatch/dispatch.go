@@ -4,8 +4,8 @@
 // loop ccfit-worker runs against it.
 //
 // The model is pull-based with leases. Remote workers register, then
-// poll for work; a claim hands out one job under a lease with a TTL,
-// and the worker renews the lease by heartbeating while it executes.
+// ask for work; a claim parks until a job is queued, then hands it out
+// under a TTL lease the worker renews by heartbeating while it executes.
 // Every failure mode reduces to "the heartbeats stopped":
 //
 //   - worker crash (SIGKILL, OOM): no heartbeat, lease expires, the
@@ -72,6 +72,9 @@ type RegisterResponse struct {
 // ClaimRequest asks for one job.
 type ClaimRequest struct {
 	WorkerID string `json:"worker_id"`
+	// WaitMS asks the board to hold the claim up to this long when it has
+	// no work. Absent or 0 (or a board predating it): 204 at once.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // ClaimResponse grants a lease on one job (HTTP 204 means no work).

@@ -5,14 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // Handler exposes the board's worker-facing protocol:
 //
 //	POST /dispatch/register   RegisterRequest  -> 200 RegisterResponse
-//	POST /dispatch/claim      ClaimRequest     -> 200 ClaimResponse | 204 no work
+//	POST /dispatch/claim      ClaimRequest     -> 200 ClaimResponse | 204 no work (after the hold)
 //	POST /dispatch/heartbeat  HeartbeatRequest -> 200 | 410 lease gone
 //	POST /dispatch/result     ResultRequest    -> 200 ResultResponse
+//
+// A claim carrying wait_ms parks on an empty board and is answered 200
+// the moment a job is queued; 204 then means the hold (wait_ms, capped
+// by the board) elapsed. Without wait_ms 204 is immediate. The request
+// context releases a parked claim (client gone, server draining).
 //
 // Status mapping: 409 = unknown worker (re-register), 410 = lease gone
 // (drop the job), 503 = board closed. A result delivered under a dead
@@ -43,7 +49,7 @@ func (b *Board) Handler() http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
-		resp, ok, err := b.Claim(req.WorkerID)
+		resp, ok, err := b.ClaimWait(r.Context(), req.WorkerID, time.Duration(req.WaitMS)*time.Millisecond)
 		if err != nil {
 			httpError(w, statusFor(err), err)
 			return

@@ -25,13 +25,17 @@ type Client struct {
 	// HTTP is the transport; nil uses a client with a sane timeout.
 	// Tests inject flaky transports here.
 	HTTP *http.Client
+
+	once     sync.Once
+	fallback *http.Client // built once by http() when HTTP is nil
 }
 
 func (c *Client) http() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return &http.Client{Timeout: 30 * time.Second}
+	c.once.Do(func() { c.fallback = &http.Client{Timeout: 30 * time.Second} })
+	return c.fallback
 }
 
 // post sends one JSON request and decodes the response into out (when
@@ -51,7 +55,11 @@ func (c *Client) post(ctx context.Context, path string, in, out any) (bool, erro
 	if err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// net/http reuses a connection only when its body was read out.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+		_ = resp.Body.Close() // read-only body; nothing to report
+	}()
 	switch resp.StatusCode {
 	case http.StatusNoContent:
 		return false, nil
@@ -86,8 +94,13 @@ func (c *Client) Register(ctx context.Context, req RegisterRequest) (RegisterRes
 
 // Claim asks for one job; ok=false means none is queued.
 func (c *Client) Claim(ctx context.Context, workerID string) (ClaimResponse, bool, error) {
+	return c.ClaimWait(ctx, workerID, 0)
+}
+
+// ClaimWait is Claim held by an empty board for up to wait.
+func (c *Client) ClaimWait(ctx context.Context, workerID string, wait time.Duration) (ClaimResponse, bool, error) {
 	var resp ClaimResponse
-	ok, err := c.post(ctx, "/dispatch/claim", ClaimRequest{WorkerID: workerID}, &resp)
+	ok, err := c.post(ctx, "/dispatch/claim", ClaimRequest{WorkerID: workerID, WaitMS: wait.Milliseconds()}, &resp)
 	return resp, ok && err == nil, err
 }
 
@@ -114,8 +127,8 @@ type WorkerOptions struct {
 	// LocalExecutor with its own cache/timeout/retry policy (tests
 	// inject blocking executors here).
 	Exec runner.Executor
-	// PollMax caps the idle claim backoff (deterministic, jitter-free,
-	// doubling from pollMin; reset on work). Default 2s.
+	// PollMax caps the backoff after a failed or refused request
+	// (jitter-free doubling from pollMin); idle claims park. Default 2s.
 	PollMax time.Duration
 	// Log, when non-nil, receives operational notices.
 	Log func(format string, args ...any)
@@ -219,10 +232,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}(s)
 	}
 	wg.Wait()
-	if ctx.Err() != nil {
-		return nil // drained
-	}
-	return nil
+	return nil // drained
 }
 
 // slot is one claim-execute-report loop.
@@ -233,13 +243,17 @@ func (w *Worker) slot(ctx context.Context, o WorkerOptions, slot int) {
 		id, ttl := w.workerID, w.ttl
 		w.mu.Unlock()
 
-		claim, ok, err := w.Client.Claim(ctx, id)
+		wait, asked := min(ttl/3, maxClaimHold), time.Now()
+		claim, ok, err := w.Client.ClaimWait(ctx, id, wait)
 		switch {
 		case err == nil && ok:
 			idle = 0
 			w.runJob(ctx, o, id, ttl, claim)
 			continue
-		case err == nil: // 204: nothing queued
+		case err == nil && wait > 0 && time.Since(asked) >= wait/2:
+			idle = 0 // 204 after the hold: the board parked us; ask again
+			continue
+		case err == nil: // 204 sooner than asked (no wait_ms support, or closing): pace here
 		case errors.Is(err, ErrUnknownWorker):
 			// Service restarted or pruned us; re-register and resume.
 			if _, _, rerr := w.register(ctx, id); rerr != nil {

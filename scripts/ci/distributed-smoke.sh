@@ -5,14 +5,19 @@
 #   1. ccfit-serve starts with a short lease TTL; two ccfit-worker
 #      processes register over HTTP and show up in GET /workers.
 #   2. A multi-seed fig7a campaign is submitted through `ccfit-run
-#      -server`. Once worker w1 provably holds a lease (its /workers row
-#      lists an active job), it is SIGKILLed — no drain, no abandon
-#      message, exactly the crash the lease protocol exists for.
-#   3. The campaign must still complete, /metrics must show at least one
-#      reclaimed job, and the rendered output must be byte-identical to
-#      a plain local `ccfit-run` — a crashed worker costs latency, never
-#      bytes.
-#   4. The surviving worker is SIGTERMed and must drain gracefully.
+#      -server`. In its tail, once worker w1 provably holds a lease (its
+#      /workers row lists an active job), it is SIGKILLed — no drain, no
+#      abandon message, exactly the crash the lease protocol exists for.
+#   3. The survivor (default -poll-max) finishes the few cells left and
+#      parks on the board; when the sweep reclaims w1's job it must go
+#      straight to that parked claim, not wait for a poll.
+#   4. The campaign must still complete, /metrics must show at least one
+#      reclaimed job and a fleet that parked instead of polling
+#      (claims_empty far below leases_granted), and the rendered output
+#      must be byte-identical to a plain local `ccfit-run` — a crashed
+#      worker costs latency, never bytes.
+#   5. The surviving worker is SIGTERMed while parked and must drain
+#      gracefully, without a failed claim in its log.
 #
 # Everything here goes through the public surfaces only: the HTTP API,
 # the CLI flags, the handshake lines, signals.
@@ -58,9 +63,21 @@ if [ "${n:-0}" -lt 2 ]; then
     exit 1
 fi
 
-echo "== submit campaign, SIGKILL w1 mid-job"
+echo "== submit campaign, SIGKILL w1 mid-job in the campaign's tail"
 "$workdir/ccfit-run" -server "$url" -seeds 8 fig7a > "$workdir/remote.out" &
 client_pid=$!
+# Let the campaign run down to its last few cells first, so the survivor
+# is idle by the time w1's lease expires.
+i=0
+while [ $i -lt 600 ]; do
+    snap=$(curl -sf "$url/metrics") || snap=""
+    enqueued=$(echo "$snap" | field jobs_enqueued)
+    depth=$(echo "$snap" | field queue_depth)
+    if [ "${enqueued:-0}" -gt 0 ] && [ "${depth:-99}" -le 4 ]; then break; fi
+    kill -0 "$client_pid" 2>/dev/null || break
+    sleep 0.05
+    i=$((i + 1))
+done
 i=0
 while [ $i -lt 300 ]; do
     if busy w1; then break; fi
@@ -76,9 +93,47 @@ fi
 kill -9 "$w1_pid"
 wait "$w1_pid" 2>/dev/null || true
 
+echo "== the reclaimed job goes to the parked survivor at the sweep"
+# Sample /metrics until the reclaim shows. A survivor that was parked in
+# the sample before it is woken by the requeue itself, so the job must
+# be off the queue again at once — not at the survivor's next poll,
+# which at the default -poll-max would be up to 2 s away.
+parked_before=0
+i=0
+while [ $i -lt 400 ]; do
+    snap=$(curl -sf "$url/metrics") || snap=""
+    reclaimed=$(echo "$snap" | field jobs_reclaimed)
+    if [ "${reclaimed:-0}" -ge 1 ]; then break; fi
+    parked_before=$(echo "$snap" | field claims_parked)
+    kill -0 "$client_pid" 2>/dev/null || break
+    sleep 0.05
+    i=$((i + 1))
+done
+if [ "${parked_before:-0}" -ge 1 ]; then
+    sleep 0.1
+    queued=$(metric dispatch_queued)
+    if [ "${queued:-1}" -ne 0 ]; then
+        echo "FAIL: reclaimed job still queued ($queued) 100 ms after the sweep with the survivor parked"
+        curl -sf "$url/metrics" || true
+        exit 1
+    fi
+else
+    echo "note: survivor still busy when the reclaim landed; prompt re-lease not observable this run"
+fi
+
 if ! wait "$client_pid"; then
     echo "FAIL: campaign did not survive the worker crash"
     cat "$workdir/serve.log"
+    exit 1
+fi
+
+echo "== the fleet parked instead of polling"
+# A polling fleet reads about one empty claim per lease; a parked one
+# only one per elapsed hold (lease-ttl/3) of idle time.
+empty=$(metric claims_empty)
+granted=$(metric leases_granted)
+if [ -z "$empty" ] || [ $((empty * 2)) -ge "${granted:-0}" ]; then
+    echo "FAIL: claims_empty is ${empty:-missing} against leases_granted ${granted:-0}; the fleet is polling"
     exit 1
 fi
 
@@ -105,5 +160,10 @@ grep -q drained "$workdir/w2.log" || {
     cat "$workdir/w2.log"
     exit 1
 }
+if grep -q "claim failed" "$workdir/w2.log"; then
+    echo "FAIL: a worker SIGTERMed while parked logged a failed claim"
+    cat "$workdir/w2.log"
+    exit 1
+fi
 
-echo "distributed smoke: OK (reclaimed=$reclaimed remote_done=$remote_done)"
+echo "distributed smoke: OK (reclaimed=$reclaimed remote_done=$remote_done claims_empty=$empty/$granted leases)"

@@ -5,6 +5,7 @@
 #       over $workdir/state, wait for its handshake line, and set $url
 #       and $serve_pid (exits the script if the server never comes up)
 #   metric NAME                                one counter of GET /metrics
+#   field NAME                                 the same, from a /metrics body on stdin
 
 start_server() {
     addr=$1
@@ -27,6 +28,10 @@ start_server() {
     exit 1
 }
 
+field() {
+    sed -n "s/^ *\"$1\": \([0-9.]*\),*$/\1/p"
+}
+
 metric() {
-    curl -sf "$url/metrics" | sed -n "s/^ *\"$1\": \([0-9.]*\),*$/\1/p"
+    curl -sf "$url/metrics" | field "$1"
 }
