@@ -236,6 +236,47 @@ func BenchmarkExtraQueueing(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockedTree times the state the paper's evaluation is about
+// and the engine spends its cycles in: Config #3 under Case #4 with four
+// congestion trees standing (fig8b; the 20 000 measured cycles start at
+// 1.25 ms, inside the hot burst), most input ports blocked behind a hot
+// spot — what the port-granular elision (cool and parked ports, skipping
+// nodes) is for. Build and warm-up are untimed. Under -benchmem allocs/op
+// is the packet population still growing inside the burst (the sources
+// offer more than a blocked fabric delivers, and the free-list only
+// holds what was delivered): the windows that allocate nothing are
+// TestSteadyStateZeroAlloc's.
+func BenchmarkBlockedTree(b *testing.B) {
+	exp, err := ccfit.ExperimentByID("fig8b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, scheme := range []string{"1Q", "CCFIT"} {
+		b.Run(scheme, func(b *testing.B) {
+			p, err := ccfit.Scheme(scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
+			delivered := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n, err := exp.Build(p, 1, exp.Bin, exp.Duration, experiments.BuildOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n.Run(ccfit.MS(1.25))
+				before, _ := n.TotalDelivered()
+				b.StartTimer()
+				n.Run(20_000)
+				b.StopTimer()
+				after, _ := n.TotalDelivered()
+				delivered = after - before
+			}
+			b.ReportMetric(float64(delivered), "pkts")
+		})
+	}
+}
+
 // BenchmarkPartitionedEngine runs the 512-node Config #4
 // hotspot+victims scenario (x512hotspot, time-scaled) under the
 // partitioned engine at 1, 2 and 4 shard workers. Results are

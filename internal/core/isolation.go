@@ -104,20 +104,18 @@ func (u *IsolationUnit) Enqueue(p *pkt.Packet, cfq int) {
 // lazy CFQ allocation; an NFQ above the detection threshold triggers
 // congestion detection. Only non-congested packets remain at the head,
 // eliminating HoL-blocking.
-func (u *IsolationUnit) Post(now sim.Cycle) {
+func (u *IsolationUnit) Post(now sim.Cycle) (acted bool) {
 	for moves := 0; moves < u.p.PostMovesPerCycle; moves++ {
 		h := u.nfq.Head()
-		if h == nil {
-			return
-		}
 		// BECNs only use NFQs (Section III-B) and are never congested.
-		if h.Kind == pkt.BECN {
-			return
+		if h == nil || h.Kind == pkt.BECN {
+			return acted
 		}
 		if li := u.cam.Match(h.Dst); li >= 0 {
 			u.nfq.TransferHead(u.cfqs[li])
 			u.cam.Payload(li).LastActive = now
 			u.stats.PostMoves++
+			acted = true
 			continue
 		}
 		// Lazy allocation: downstream announced a congestion point
@@ -125,21 +123,27 @@ func (u *IsolationUnit) Post(now sim.Cycle) {
 		out := u.env.Route(h.Dst)
 		if _, _, ok := u.env.OutLine(out, h.Dst); ok {
 			if u.allocFromDownstream(now, out, h.Dst) {
+				acted = true
 				continue // head now matches; next iteration moves it
 			}
+			// Counted every cycle the head waits: an action, so that the
+			// port stays hot rather than owe the count to a replay.
 			u.stats.CAMExhausted++
 			emit(u.p.Tracer, now, trace.EvExhaust, u.label, h.Dst, -1)
-			return // no CFQ free: head proceeds as normal traffic
+			return true // no CFQ free: head proceeds as normal traffic
 		}
-		// Local congestion detection (Event #2 in Fig. 3).
+		// Local congestion detection (Event #2 in Fig. 3). A failed scan
+		// (and its CAMExhausted) recurs at detectRetry: due, not an action.
 		if u.nfq.Bytes() >= u.p.DetectionThreshold && now >= u.detectRetry {
 			if u.detect(now) {
+				acted = true
 				continue
 			}
 			u.detectRetry = now + detectBackoff
 		}
-		return
+		return acted
 	}
+	return acted
 }
 
 // detectBackoff is the scan-retry interval after a failed detection:
@@ -269,7 +273,7 @@ func (u *IsolationUnit) Pop(qid int) *pkt.Packet {
 // passes the propagation threshold), per-CFQ Stop/Go flow control,
 // root-CFQ High/Low crossings driving the output-port congestion state,
 // and the dynamic distributed deallocation (Event #6).
-func (u *IsolationUnit) Update(now sim.Cycle) {
+func (u *IsolationUnit) Update(now sim.Cycle) (acted bool) {
 	inUse := 0
 	u.cam.Each(func(i int, dests []int, line *InLine) {
 		inUse++
@@ -280,7 +284,7 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 		}
 		if !line.Announced && b >= u.p.PropagateThreshold {
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQAlloc, CFQ: i, Dests: dests})
-			line.Announced = true
+			line.Announced, acted = true, true
 			emit(u.p.Tracer, now, trace.EvPropagate, u.label, dests[0], i)
 		}
 		if !line.Stopped && b >= u.p.StopThreshold {
@@ -289,21 +293,21 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 				line.Announced = true
 			}
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQStop, CFQ: i})
-			line.Stopped = true
+			line.Stopped, acted = true, true
 			u.stats.StopsSent++
 			emit(u.p.Tracer, now, trace.EvStop, u.label, dests[0], i)
 		} else if line.Stopped && b <= u.p.GoThreshold {
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQGo, CFQ: i})
-			line.Stopped = false
+			line.Stopped, acted = false, true
 			u.stats.GoesSent++
 			emit(u.p.Tracer, now, trace.EvGo, u.label, dests[0], i)
 		}
 		if u.p.MarkingEnabled && line.Root {
 			if !line.OverHigh && b >= u.p.HighThreshold {
-				line.OverHigh = true
+				line.OverHigh, acted = true, true
 				u.env.MarkCrossed(line.Out, true)
 			} else if line.OverHigh && b <= u.p.LowThreshold {
-				line.OverHigh = false
+				line.OverHigh, acted = false, true
 				u.env.MarkCrossed(line.Out, false)
 			}
 		}
@@ -317,6 +321,7 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 			}
 			u.cam.Free(i)
 			u.stats.Deallocs++
+			acted = true
 			inUse--
 			emit(u.p.Tracer, now, trace.EvDealloc, u.label, dests[0], i)
 		}
@@ -324,6 +329,36 @@ func (u *IsolationUnit) Update(now sim.Cycle) {
 	if inUse > u.stats.MaxCFQsInUse {
 		u.stats.MaxCFQsInUse = inUse
 	}
+	return acted
+}
+
+// NextDue names the two things time alone brings about (every other
+// transition compares occupancy with a threshold, and occupancy moves
+// with an Enqueue, a Pop or a Post move): the detection retry while the
+// NFQ is over its threshold, the hold-down of every empty line in Go.
+func (u *IsolationUnit) NextDue(sim.Cycle) sim.Cycle {
+	due := sim.Never
+	if u.nfq.Bytes() >= u.p.DetectionThreshold {
+		due = u.detectRetry
+	}
+	u.cam.Each(func(i int, _ []int, line *InLine) {
+		if u.cfqs[i].Bytes() == 0 && !line.Stopped {
+			due = min(due, line.LastActive+u.p.HoldDown)
+		}
+	})
+	return due
+}
+
+// Resume replays the one thing a skipped Update writes without acting:
+// the LastActive stamp of every line whose CFQ holds bytes. It runs
+// before the waking event mutates a queue, so a packet that arrives in
+// an empty CFQ and is popped the same cycle leaves the old stamp.
+func (u *IsolationUnit) Resume(now sim.Cycle) {
+	u.cam.Each(func(i int, _ []int, line *InLine) {
+		if u.cfqs[i].Bytes() > 0 {
+			line.LastActive = now - 1
+		}
+	})
 }
 
 // DemoteRoot clears the Root flag of lines pointing at output port out

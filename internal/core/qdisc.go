@@ -74,8 +74,10 @@ type QDisc interface {
 	// CFQ (direct CFQ-to-CFQ forwarding), -1 the normal path.
 	Enqueue(p *pkt.Packet, cfq int)
 	// Post runs per-cycle post-processing: congested-packet moves,
-	// congestion detection, CAM maintenance.
-	Post(now sim.Cycle)
+	// congestion detection, CAM maintenance. It reports whether it acted
+	// (moved a packet, allocated a line, counted an exhausted CAM on the
+	// lazy path); a failed detection scan is not one, its retry is due.
+	Post(now sim.Cycle) bool
 	// Requests appends this cycle's arbitration candidates to buf and
 	// returns the extended slice. Hosts pass their own scratch (reset to
 	// length 0) so enumeration allocates nothing per cycle.
@@ -83,14 +85,25 @@ type QDisc interface {
 	// Pop removes and returns the head of queue qid.
 	Pop(qid int) *pkt.Packet
 	// Update runs end-of-cycle housekeeping: Stop/Go transitions,
-	// deallocation, congestion-state crossings.
-	Update(now sim.Cycle)
+	// deallocation, congestion-state crossings; reports whether one was.
+	Update(now sim.Cycle) bool
+	// NextDue is asked after a cycle in which neither Post nor Update
+	// acted: the first cycle at which one of them would act again with
+	// no Enqueue, Pop or control message in between (sim.Never when only
+	// such an event can make them). Until then a host may skip both; a
+	// cycle at or before now means "do not skip".
+	NextDue(now sim.Cycle) sim.Cycle
+	// Resume ends a stretch of skipped ticks: it is called at cycle now,
+	// before the event that ends the stretch mutates the discipline, and
+	// replays what the skipped Updates through now-1 would have stamped.
+	Resume(now sim.Cycle)
 	// UsedBytes returns the RAM occupancy.
 	UsedBytes() int
 	// Quiescent reports whether skipping this discipline's Post/Update
 	// ticks would be a no-op: no buffered bytes and no deferred
 	// housekeeping (allocated CAM lines awaiting hold-down, congestion
-	// state left to clear). Hosts use it to sleep idle ports.
+	// state left to clear). Hosts use it to sleep idle ports: the case of
+	// "did not act, nothing due" that not even a request can come out of.
 	Quiescent() bool
 	// Capacity returns the RAM size in bytes.
 	Capacity() int
@@ -231,14 +244,16 @@ func (b *bank) Pop(qid int) *pkt.Packet {
 	return p
 }
 
-func (b *bank) Fits(size int) bool { return b.ram.Fits(size) }
-func (b *bank) Post(sim.Cycle)     {}
-func (b *bank) Update(sim.Cycle)   {}
-func (b *bank) Quiescent() bool    { return b.ram.Used() == 0 }
-func (b *bank) UsedBytes() int     { return b.ram.Used() }
-func (b *bank) Capacity() int      { return b.ram.Capacity() }
-func (b *bank) QueueCount() int    { return len(b.qs) }
-func (b *bank) Stats() *DiscStats  { return &b.stats }
+func (b *bank) Fits(size int) bool          { return b.ram.Fits(size) }
+func (b *bank) Post(sim.Cycle) bool         { return false }
+func (b *bank) Update(sim.Cycle) bool       { return false }
+func (b *bank) NextDue(sim.Cycle) sim.Cycle { return sim.Never }
+func (b *bank) Resume(sim.Cycle)            {}
+func (b *bank) Quiescent() bool             { return b.ram.Used() == 0 }
+func (b *bank) UsedBytes() int              { return b.ram.Used() }
+func (b *bank) Capacity() int               { return b.ram.Capacity() }
+func (b *bank) QueueCount() int             { return len(b.qs) }
+func (b *bank) Stats() *DiscStats           { return &b.stats }
 
 // voqSw is the bank of a row that marks (VOQsw, which the ITh scheme
 // runs over): it adds the two-threshold congestion state of the output
@@ -251,21 +266,24 @@ type voqSw struct {
 
 // Update re-evaluates the per-VOQ High/Low hysteresis that drives the
 // output-port congestion state (Section II: IB-style detection mapped
-// to VOQ fill, with the two thresholds of [12]).
-func (d *voqSw) Update(sim.Cycle) {
+// to VOQ fill, with the two thresholds of [12]). Fill only moves with an
+// Enqueue or a Pop, so a crossing is the only action and there is never
+// a deadline (the bank's NextDue).
+func (d *voqSw) Update(sim.Cycle) (acted bool) {
 	if !d.p.MarkingEnabled {
-		return
+		return false
 	}
 	for i, q := range d.qs {
 		b := q.Bytes()
 		if !d.overHigh[i] && b >= d.p.HighThreshold {
-			d.overHigh[i] = true
+			d.overHigh[i], acted = true, true
 			d.env.MarkCrossed(i, true)
 		} else if d.overHigh[i] && b <= d.p.LowThreshold {
-			d.overHigh[i] = false
+			d.overHigh[i], acted = false, true
 			d.env.MarkCrossed(i, false)
 		}
 	}
+	return acted
 }
 
 // Quiescent additionally requires every High/Low flag to be clear: a

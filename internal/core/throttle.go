@@ -24,6 +24,9 @@ type Throttler struct {
 	// runs for the same CCTITimer, so expiries fire in arming order and
 	// one sim.Pipe serves them all without a closure per timer.
 	timers *sim.Pipe[int]
+	// OnExpire, when set, runs before each CCTI_Timer expiry lowers an
+	// index: the one change of an IRD no call of the host's brings about.
+	OnExpire func()
 
 	// Evaluation counters.
 	BECNs   int
@@ -83,6 +86,9 @@ func (t *Throttler) arm(dst int) {
 // expire is the CCTI_Timer tick: decrement the index and re-arm while
 // it remains positive.
 func (t *Throttler) expire(dst int) {
+	if t.OnExpire != nil {
+		t.OnExpire()
+	}
 	t.armed[dst] = false
 	if t.ccti[dst] > 0 {
 		t.ccti[dst]--
@@ -103,6 +109,10 @@ func (t *Throttler) CCTI(dst int) int { return t.ccti[dst] }
 func (t *Throttler) MayInject(dst int, now sim.Cycle) bool {
 	return now-t.lti[dst] >= t.IRD(dst)
 }
+
+// NextInject returns the first cycle MayInject(dst) holds at the current
+// CCTI (a cycle already past when it holds now).
+func (t *Throttler) NextInject(dst int) sim.Cycle { return t.lti[dst] + t.IRD(dst) }
 
 // Injected records an injection towards dst (updates LTI).
 func (t *Throttler) Injected(dst int, now sim.Cycle) { t.lti[dst] = now }

@@ -30,6 +30,8 @@ type Stats struct {
 	BECNsSent      int
 	BECNsReceived  int
 	ThrottleStalls int // AdVOQ head blocked by the IRD gate
+	// CyclesElided counts the awake node's skipped cycles (skipUntil).
+	CyclesElided int
 }
 
 // DeliverHook observes every sink delivery (metrics wiring).
@@ -67,6 +69,17 @@ type Node struct {
 	// Tick handles: the node sleeps (is skipped by the engine) while it
 	// provably has nothing to do — no queued packets, no pending BECNs.
 	hPost, hArb, hUpd *sim.TickerHandle
+
+	// A node that holds work it cannot move skips instead: after a cycle
+	// in which none of its ticks did anything (acted), update sets
+	// skipUntil to the first cycle time alone changes that (nextDue) and
+	// the ticks return on one compare until then. Everything else that can
+	// change it calls resume first: an accepted Offer, a BECN sent or
+	// received, a control message, a CCTI_Timer expiry, Pause, a credit
+	// refund. quietAt is the cycle the skip (or the last settle) follows;
+	// stalled, whether that cycle's post counted a ThrottleStall.
+	skipUntil, quietAt sim.Cycle
+	acted, stalled     bool
 
 	// iaParams is the stable copy the output-buffer discipline points at
 	// (its RAM size and organisation differ from the switch port's).
@@ -106,6 +119,7 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 	if p.ThrottlingEnabled {
 		n.throttler = core.NewThrottler(eng, p, numEndpoints)
 		n.throttler.SetTraceLabel(fmt.Sprintf("node%d", id))
+		n.throttler.OnExpire = n.resume
 	}
 	n.hPost = eng.AddTicker(sim.PhasePost, sim.TickerFunc(n.post))
 	n.hArb = eng.AddTicker(sim.PhaseArbitrate, sim.TickerFunc(n.arbitrate))
@@ -123,8 +137,35 @@ func (n *Node) wake() {
 // ID returns the endpoint id.
 func (n *Node) ID() int { return n.id }
 
-// Stats returns the node counters.
-func (n *Node) Stats() *Stats { return &n.stats }
+// Stats returns the node counters, brought up to the current cycle.
+func (n *Node) Stats() *Stats {
+	n.settle()
+	return &n.stats
+}
+
+// settle accounts for the cycles a skip in progress has skipped since
+// quietAt: state is constant, so each repeats that cycle's ThrottleStall.
+func (n *Node) settle() {
+	if last := n.eng.Now() - 1; n.skipUntil != 0 && last > n.quietAt {
+		elided := int(last - n.quietAt)
+		n.stats.CyclesElided += elided
+		if n.stalled {
+			n.stats.ThrottleStalls += elided
+		}
+		n.quietAt = last
+	}
+}
+
+// resume ends a skip, if one is in progress. Callers invoke it before
+// they mutate the node, so the output buffer first replays what its
+// skipped Updates would have stamped (QDisc.Resume).
+func (n *Node) resume() {
+	if n.skipUntil != 0 {
+		n.settle()
+		n.skipUntil = 0
+		n.disc.Resume(n.eng.Now())
+	}
+}
 
 // Throttler exposes the CCT machinery (nil when throttling is off).
 func (n *Node) Throttler() *core.Throttler { return n.throttler }
@@ -163,6 +204,7 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 		n.stats.Rejected++
 		return false
 	}
+	n.resume()
 	q.Push(p)
 	n.occupied.Add(p.Dst)
 	n.stats.Offered++
@@ -178,6 +220,7 @@ func (n *Node) AdVOQLen(dest int) int { return n.advoqs[dest].Len() }
 // fault model of a hung host. Overlapping pauses extend to the farthest
 // horizon. The sink side keeps consuming and returning credits.
 func (n *Node) Pause(d sim.Cycle) {
+	n.resume()
 	if until := n.eng.Now() + d; until > n.pausedUntil {
 		n.pausedUntil = until
 	}
@@ -232,11 +275,17 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 // AdVOQ head past the throttling gate (IRD/LTI, Section III-D), then
 // runs the output buffer's post-processing.
 func (n *Node) post(now sim.Cycle) {
+	if now < n.skipUntil {
+		return
+	}
+	n.resume()
 	for h := n.pending.Head(); h != nil && n.disc.Fits(h.Size); h = n.pending.Head() {
 		n.disc.Enqueue(n.pending.Pop(), -1)
+		n.acted = true
 	}
 	// Keep the output stage shallow so packets wait in per-destination
 	// AdVOQs where the throttling gate can still reorder service.
+	n.stalled = false
 	if n.occupied.Len() > 0 && n.stageHasRoom() {
 		if i := n.pickAdVOQ(now); i >= 0 {
 			p := n.advoqs[i].Pop()
@@ -247,9 +296,10 @@ func (n *Node) post(now sim.Cycle) {
 			if n.throttler != nil {
 				n.throttler.Injected(i, now)
 			}
+			n.acted = true
 		}
 	}
-	n.disc.Post(now)
+	n.acted = n.disc.Post(now) || n.acted
 }
 
 // stagingLimit bounds the output-buffer fill the IA aims for: enough to
@@ -302,13 +352,14 @@ func (n *Node) pickAdVOQ(now sim.Cycle) int {
 	if stalled {
 		n.stats.ThrottleStalls++
 	}
+	n.stalled = stalled
 	return -1
 }
 
 // arbitrate serves the output buffer onto the uplink: BECNs first, then
 // round-robin among the queues with eligible heads.
 func (n *Node) arbitrate(now sim.Cycle) {
-	if now < n.pausedUntil {
+	if now < n.skipUntil || now < n.pausedUntil {
 		return
 	}
 	if n.tx == nil || !n.tx.Free(now) || n.disc.UsedBytes() == 0 {
@@ -338,6 +389,7 @@ func (n *Node) arbitrate(now sim.Cycle) {
 	n.tx.Send(now, p, r.DirectCFQ)
 	n.stats.Sent++
 	n.stats.SentBytes += p.Size
+	n.acted = true
 }
 
 // update runs the output buffer housekeeping, then sleeps the node when
@@ -345,12 +397,47 @@ func (n *Node) arbitrate(now sim.Cycle) {
 // empty, fully deallocated output buffer. Every admission path (Offer,
 // BECN generation) wakes it again.
 func (n *Node) update(now sim.Cycle) {
-	n.disc.Update(now)
+	if now < n.skipUntil {
+		return
+	}
+	acted := n.disc.Update(now) || n.acted
+	n.acted = false
 	if n.occupied.Len() == 0 && n.pending.Empty() && n.disc.Quiescent() {
 		n.hPost.Sleep()
 		n.hArb.Sleep()
 		n.hUpd.Sleep()
+	} else if !acted {
+		if due := n.nextDue(now); due > now+1 {
+			n.skipUntil, n.quietAt = due, now
+		}
 	}
+}
+
+// nextDue returns the first cycle after the quiet cycle now at which a
+// tick could do something with no event in between: the uplink falling
+// idle, a closed IRD gate opening, the output buffer's own deadline, a
+// pause running out. Nobody announces a downed uplink's return: polled.
+func (n *Node) nextDue(now sim.Cycle) sim.Cycle {
+	if n.tx == nil || n.tx.Down() {
+		return now + 1
+	}
+	due := n.disc.NextDue(now)
+	if at := n.tx.FreeAt(); at > now {
+		due = min(due, at)
+	}
+	if n.pausedUntil > now {
+		due = min(due, n.pausedUntil)
+	}
+	// Only a post that counted a stall met a closed IRD gate; an open
+	// one stays open until the CCTI changes, which resumes.
+	if n.stalled {
+		for i := n.occupied.Next(0); i >= 0; i = n.occupied.Next(i + 1) {
+			if at := n.throttler.NextInject(i); at > now {
+				due = min(due, at)
+			}
+		}
+	}
+	return due
 }
 
 // ReceivePacket implements link.PacketReceiver: the sink. Packets are
@@ -364,6 +451,7 @@ func (n *Node) ReceivePacket(p *pkt.Packet, _ int) {
 	if p.Kind == pkt.BECN {
 		n.stats.BECNsReceived++
 		if n.throttler != nil {
+			n.resume()
 			n.throttler.OnBECN(p.CongDst)
 		}
 		n.pool.Release(p) // BECN consumed: nothing downstream holds it
@@ -378,6 +466,7 @@ func (n *Node) ReceivePacket(p *pkt.Packet, _ int) {
 	if p.FECN {
 		n.stats.FECNSeen++
 		if n.p.ThrottlingEnabled && n.becnDue(p.Src, now) {
+			n.resume()
 			n.pending.Push(n.pool.NewBECN(n.ids, n.id, p.Src, n.id, now))
 			n.stats.BECNsSent++
 			n.wake() // the pending BECN needs post ticks to drain
@@ -412,15 +501,23 @@ func (n *Node) becnDue(src int, now sim.Cycle) bool {
 // protocol from the switch input port one hop downstream.
 func (n *Node) ReceiveControl(m link.Control) {
 	if m.Kind == link.Credit {
-		n.credits.Give(m.Dest, m.Bytes)
+		n.RefundCredit(m.Dest, m.Bytes)
 		return
 	}
+	n.resume()
 	n.outCAM.Handle(m)
 	if m.Kind == link.CFQAlloc {
 		if iso, ok := n.disc.(*core.IsolationUnit); ok {
 			iso.DemoteRoot(0, m.Dests)
 		}
 	}
+}
+
+// RefundCredit returns bytes of uplink credit towards dest and ends a
+// skip: the control channel's returns and the fault path's refund alike.
+func (n *Node) RefundCredit(dest, bytes int) {
+	n.resume()
+	n.credits.Give(dest, bytes)
 }
 
 // nodeEnv adapts the node to core.PortEnv for its output buffer: a

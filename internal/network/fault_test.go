@@ -142,6 +142,31 @@ func TestFaultFlapDropPolicy(t *testing.T) {
 	}
 }
 
+// TestShippedDropScriptReachesTheRefund: scripts/faults/flap-drop-degrade.json
+// is the script the CLI-level comparisons replay to cover the refund of
+// dropped packets' credit (a switch's access port, a node's uplink and
+// the inter-switch link, the first under a degrade). It must actually
+// condemn packets, or those comparisons cover nothing.
+func TestShippedDropScriptReachesTheRefund(t *testing.T) {
+	script, err := fault.Load("../../scripts/faults/flap-drop-degrade.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := runFaulted(t, 41, script)
+	stats := n.FaultInjector().Stats()
+	if stats.Flaps != 3 || stats.Degrades != 1 || stats.Condemned < 3 {
+		t.Fatalf("script did not do its work: %+v", stats)
+	}
+	op, _ := n.TotalOffered()
+	dp, _ := n.TotalDelivered()
+	if dp+stats.Condemned != op {
+		t.Fatalf("offered %d != delivered %d + condemned %d", op, dp, stats.Condemned)
+	}
+	if err := n.Checker.Final(); err != nil {
+		t.Fatalf("post-run audit: %v", err)
+	}
+}
+
 // TestFaultDegradeRestores: a degrade window halves the inter-switch
 // bandwidth, then restores the nominal rate; traffic stays lossless
 // throughout.

@@ -73,12 +73,10 @@ type Network struct {
 
 	// halves is dense, indexed by stable half id assigned in wiring
 	// order: link li's A->B direction is halves[2*li], B->A is
-	// halves[2*li+1]. poolByHalf holds each direction's sender-side
-	// credit pool under the same ids (the drop-refund path and the
-	// fault injector resolve halves without map lookups).
-	halves     []*link.Half
-	poolByHalf []*core.CreditPool
-	injector   *fault.Injector
+	// halves[2*li+1] (the fault injector resolves halves without map
+	// lookups).
+	halves   []*link.Half
+	injector *fault.Injector
 
 	// Partitioned execution (nil/empty when serial).
 	part      *Partition
@@ -230,7 +228,6 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 	// appended here in half-id order — the order the barrier drains them
 	// in.
 	n.halves = make([]*link.Half, 0, 2*len(t.Links))
-	n.poolByHalf = make([]*core.CreditPool, 0, 2*len(t.Links))
 	if n.part != nil {
 		n.cutPosted = make([]bool, 2*n.part.CutLinks)
 	}
@@ -241,18 +238,15 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 		ba := link.NewHalf(engB, fmt.Sprintf("L%d:%d->%d", li, ls.DevB, ls.DevA), ls.BytesPerCycle, ls.Delay)
 		ab.SetReceivers(n.pktRx(ls.DevB, ls.PortB), n.ctlRx(ls.DevB, ls.PortB))
 		ba.SetReceivers(n.pktRx(ls.DevA, ls.PortA), n.ctlRx(ls.DevA, ls.PortA))
-		poolAB := n.creditPool(ls.DevB)
-		poolBA := n.creditPool(ls.DevA)
-		n.attach(ls.DevA, ls.PortA, ab, poolAB)
-		n.attach(ls.DevB, ls.PortB, ba, poolBA)
+		n.attach(ls.DevA, ls.PortA, ab, n.creditPool(ls.DevB))
+		n.attach(ls.DevB, ls.PortB, ba, n.creditPool(ls.DevA))
 		n.halves = append(n.halves, ab, ba)
-		n.poolByHalf = append(n.poolByHalf, poolAB, poolBA)
 		if engA != engB {
 			n.cut(ab, engB)
 			n.cut(ba, engA)
 		}
-		ab.SetDropHandler(n.dropHandler(poolAB, n.shardPool[n.shardOfDevice(ls.DevA)]))
-		ba.SetDropHandler(n.dropHandler(poolBA, n.shardPool[n.shardOfDevice(ls.DevB)]))
+		ab.SetDropHandler(n.dropHandler(ls.DevA, ls.PortA))
+		ba.SetDropHandler(n.dropHandler(ls.DevB, ls.PortB))
 	}
 
 	if !opt.DisableInvariants {
@@ -364,18 +358,20 @@ func (n *Network) PartitionInfo() *PartitionStats {
 }
 
 // dropHandler builds the lossless-aware consumer for packets condemned
-// by a drop-policy link flap on h: the sender already took credit for
-// receive-buffer space the packet will never occupy, so the credit is
-// refunded at the sender-side pool, and the packet (owned by the wire
-// at that point) is released into the sending shard's free-list. Both
-// pools are captured at wiring time — no map lookup on the drop path.
-func (n *Network) dropHandler(credits *core.CreditPool, pp *pkt.Pool) func(*pkt.Packet) {
-	return func(p *pkt.Packet) {
-		if credits != nil {
-			credits.Give(p.Dst, p.Size)
-		}
-		pp.Release(p)
+// by a drop-policy link flap on the direction port `port` of device dev
+// transmits on: the sender already took credit for receive-buffer space
+// the packet will never occupy, so the sending device gets it back
+// through its own RefundCredit (which restarts whatever waited for that
+// credit), and the packet, owned by the wire at that point, goes to the
+// sending shard's free-list. All captured at wiring time.
+func (n *Network) dropHandler(dev, port int) func(*pkt.Packet) {
+	pp := n.shardPool[n.shardOfDevice(dev)]
+	if d := n.Topo.Devices[dev]; d.Kind == topo.Endpoint {
+		nd := n.Nodes[d.EndpointID]
+		return func(p *pkt.Packet) { nd.RefundCredit(p.Dst, p.Size); pp.Release(p) }
 	}
+	sw := n.byDev[dev]
+	return func(p *pkt.Packet) { sw.RefundCredit(port, p.Dst, p.Size); pp.Release(p) }
 }
 
 // HalfByEnds resolves the transmit direction from device `from` to its
@@ -620,6 +616,19 @@ func (n *Network) TotalDelivered() (pkts, bytes int) {
 	for _, nd := range n.Nodes {
 		pkts += nd.Stats().Delivered
 		bytes += nd.Stats().DeliveredBytes
+	}
+	return
+}
+
+// Elided sums what the devices skipped inside their awake ticks: input
+// port cycles spent cool and end-node cycles skipped. A pure function of
+// the simulation, but telemetry only: in no Result and no digest.
+func (n *Network) Elided() (portCycles, nodeCycles int) {
+	for _, sw := range n.Switches {
+		portCycles += sw.Stats().PortCyclesElided
+	}
+	for _, nd := range n.Nodes {
+		nodeCycles += nd.Stats().CyclesElided
 	}
 	return
 }

@@ -12,8 +12,8 @@ import (
 //	[ 3/45] fig7a/CCFIT seed=1            1.52s  (elapsed 4.1s, eta 37s)
 //	[ 4/45] fig7b/CCFIT seed=1           cached  (elapsed 4.1s, eta 29s)
 //
-// A job that ran on the partitioned engine adds an indented line with
-// its Event.Engine text.
+// A job that ran locally (not cached, not remote) adds an indented line
+// with its Event.Engine text.
 // The runner serializes Progress calls, so the returned callback does
 // no locking of its own.
 func NewProgress(w io.Writer) func(Event) {

@@ -271,10 +271,11 @@ type Event struct {
 	// Worker names the remote worker involved in lease-lifecycle
 	// events (empty for local execution).
 	Worker string
-	// Engine, on the JobDone of a job that ran locally on the
-	// partitioned engine, describes the cut and what its coordinator did
-	// (network.PartitionStats). Telemetry only: it is not part of the
-	// Result, the cache or any digest.
+	// Engine, on the JobDone of a job that ran locally, says what the
+	// engine skipped inside awake ticks (network.Elided) and, on the
+	// partitioned engine, first describes the cut and what its
+	// coordinator did (network.PartitionStats). Telemetry only: it is not
+	// part of the Result, the cache or any digest.
 	Engine string
 }
 
@@ -499,8 +500,10 @@ func execute(r resolved) (res *experiments.Result, engine string, err error) {
 			return nil, "", verr
 		}
 	}
+	ports, nodes := n.Elided()
+	engine = fmt.Sprintf("elided: %d switch port-cycles, %d node-cycles", ports, nodes)
 	if ps := n.PartitionInfo(); ps != nil {
-		engine = ps.String()
+		engine = ps.String() + "; " + engine
 	}
 	return experiments.Harvest(r.exp, r.scheme, r.seed, n), engine, nil
 }

@@ -243,7 +243,7 @@ func TestShardPanicBecomesJobFailure(t *testing.T) {
 		if results[i].Err != nil || results[i].Result == nil {
 			t.Fatalf("job %d damaged by the neighbouring shard panic: %v", i, results[i].Err)
 		}
-		if !strings.HasPrefix(engine[i], "partition: 2 shards on 2 workers, 1 cut links") {
+		if !strings.HasPrefix(engine[i], "partition: 2 shards on 2 workers, 1 cut links") || !strings.Contains(engine[i], "; elided: ") {
 			t.Fatalf("job %d's JobDone describes its engine as %q", i, engine[i])
 		}
 	}
@@ -351,9 +351,10 @@ func TestProgressTelemetry(t *testing.T) {
 	for _, ev := range events {
 		render(ev)
 	}
+	// ... and under it, for a job that ran locally, its engine line.
 	lines := strings.Count(buf.String(), "\n")
-	if lines != len(jobs) {
-		t.Fatalf("progress rendered %d lines, want %d:\n%s", lines, len(jobs), buf.String())
+	if engine := strings.Count(buf.String(), "\n        elided: "); lines != 2*len(jobs) || engine != len(jobs) {
+		t.Fatalf("progress rendered %d lines (%d engine lines), want %d jobs with one each:\n%s", lines, engine, len(jobs), buf.String())
 	}
 	if !strings.Contains(buf.String(), "[4/4]") {
 		t.Fatalf("final progress line missing:\n%s", buf.String())

@@ -18,6 +18,10 @@ import (
 // Cycle is a point in simulated time (or a duration), measured in cycles.
 type Cycle int64
 
+// Never is the deadline of something only an event can bring about: it
+// compares later than every cycle a run reaches.
+const Never Cycle = math.MaxInt64
+
 // FlitBytes is the number of bytes moved per cycle by a baseline link.
 const FlitBytes = 64
 

@@ -1,0 +1,97 @@
+package switchfab
+
+import (
+	"math/bits"
+
+	"repro/internal/sim"
+)
+
+// RefCounts says how much skipped work a reference has executed on the
+// side, by kind — a suite that checked nothing proves nothing.
+type RefCounts struct {
+	Posts, Updates, Scans, Drains int
+}
+
+// InstallReference arms the test-only reference of the port-granular
+// elision on s (exported to the external test package, whose suites
+// build whole networks and so cannot live in this one). Wherever a tick
+// skips work the reference runs that work on the side:
+//
+//   - a cool port's Post and Update, which must report no action, move
+//     no counter and leave NextDue alone (a failed detection scan bumps
+//     only the retry cycle, and NextDue is where that shows);
+//   - a parked port's request scan, which must yield nothing grantable
+//     and count the CreditStalls it was parked with;
+//   - the drain of every staged output, whose link must not be free.
+//
+// The side Update stamps LastActive on lines holding bytes, which is
+// exactly what Resume replays, so the run under reference stays
+// byte-identical. fail reports a violation (t.Errorf-shaped).
+func InstallReference(s *Switch, fail func(format string, args ...any)) *RefCounts {
+	c := &RefCounts{}
+	// Registered after the switch, these run after its own tick of the
+	// phase; nothing else touches a switch during the phases, so the ports
+	// cool now (and, in update, not cooled this very cycle) are the ports
+	// that tick skipped, in the state it skipped them in.
+	cool := func(ph sim.Phase) {
+		s.eng.Register(ph, func(now sim.Cycle) {
+			for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
+				i := bits.TrailingZeros64(cool)
+				ip := s.in[i]
+				if ph == sim.PhaseUpdate && ip.coolAt == now {
+					continue
+				}
+				if ip.due <= now {
+					fail("%s p%d cycle %d: cool past its deadline %d", s.name, i, now, ip.due)
+				}
+				before, due := *ip.disc.Stats(), ip.disc.NextDue(now)
+				var acted bool
+				if ph == sim.PhasePost {
+					acted = ip.disc.Post(now)
+					c.Posts++
+				} else {
+					acted = ip.disc.Update(now)
+					c.Updates++
+				}
+				if acted || before != *ip.disc.Stats() || due != ip.disc.NextDue(now) {
+					fail("%s p%d cycle %d: elided tick of phase %d acted=%v stats %+v -> %+v due %d -> %d",
+						s.name, i, now, ph, acted, before, *ip.disc.Stats(), due, ip.disc.NextDue(now))
+				}
+			}
+		})
+	}
+	cool(sim.PhasePost)
+	cool(sim.PhaseUpdate)
+	s.ref = func(now sim.Cycle) {
+		for parked := s.parked; parked != 0; parked &= parked - 1 {
+			i := bits.TrailingZeros64(parked)
+			ip := s.in[i]
+			c.Scans++
+			stalls := 0
+			for _, r := range ip.disc.Requests(now, nil) {
+				op := s.out[r.Out]
+				switch {
+				case op.tx == nil, op.nstaged+op.inflight >= stageCap:
+				case op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size:
+					stalls++
+				default:
+					fail("%s p%d cycle %d: parked with a grantable request %v -> out%d", s.name, i, now, r.Pkt, r.Out)
+				}
+			}
+			if stalls != ip.parkStalls {
+				fail("%s p%d cycle %d: parked owing %d CreditStalls a scan, a scan counts %d", s.name, i, now, ip.parkStalls, stalls)
+			}
+			if ip.busyUntil > now {
+				fail("%s p%d cycle %d: parked while crossing the crossbar", s.name, i, now)
+			}
+		}
+		for outs := s.stagedOut; outs != 0; outs &= outs - 1 {
+			op := s.out[bits.TrailingZeros64(outs)]
+			c.Drains++
+			if op.tx.Free(now) {
+				fail("%s out%d cycle %d: staged packet not drained onto a free link (drainDue %d)", s.name, op.idx, now, s.drainDue)
+			}
+		}
+	}
+	return c
+}

@@ -24,6 +24,9 @@ type Stats struct {
 	ForwardedBytes int
 	Marked         int
 	CreditStalls   int // arbitration requests suppressed by missing credits
+	// PortCyclesElided counts the cycles input ports of the awake switch
+	// spent cool. Telemetry only: added up when a port heats, not per tick.
+	PortCyclesElided int
 }
 
 // Switch is one input-queued switch.
@@ -61,9 +64,30 @@ type Switch struct {
 	// stagedOut: output ports with a non-empty stage. Set when a crossbar
 	// transfer lands, cleared by the drain that empties the stage.
 	// inflight: crossbar transfers started but not yet landed, all ports.
-	liveIn    uint64
-	stagedOut uint64
-	inflight  int
+	// Within liveIn, ticks run only where their answer can have changed:
+	// hot ⊆ liveIn: ports whose disc.Post/Update run this cycle. heat sets
+	// the bit — before the event it announces mutates the port — on a
+	// packet arrival, on start popping from the port, on a non-credit
+	// control message at any output (the OutCAM and DemoteRoot feed every
+	// input's Post and Requests) and on the port's own deadline; update
+	// clears it (the port cools) after a cycle in which the discipline did
+	// not act and start did not pop, recording disc.NextDue as the deadline.
+	// parked ⊆ liveIn: ports whose last request scan found nothing
+	// grantable; the scan skips them. unpark clears the bit on a credit at,
+	// a drain freeing a stage slot of, or a start filling the stage of an
+	// output the port waits on (waitOut[o]: the inputs parked behind o), on
+	// heat, and at the end of a cycle the port acted in.
+	// acted: this cycle's ports whose Post/Update acted or start popped.
+	liveIn, hot, parked, acted uint64
+	stagedOut                  uint64
+	waitOut                    []uint64
+	inflight                   int
+	// minDue is no later than the earliest deadline of a cool port (one
+	// compare per post), drainDue the first cycle a staged packet can go
+	// (drainStaged). scans counts request scans: a port unparked n scans
+	// later is owed n times the CreditStalls its last scan counted.
+	minDue, drainDue sim.Cycle
+	scans            int64
 
 	// per-cycle arbitration scratch: the strongest candidate per (input,
 	// output), and the iSLIP masks over them — bit i of req[o] says
@@ -78,6 +102,11 @@ type Switch struct {
 	// quiescent and every output stage is empty (nothing queued, nothing
 	// crossing the crossbar, no CAM housekeeping pending).
 	hPost, hArb, hUpd *sim.TickerHandle
+
+	// ref, set by tests only, is called where arbitrate is about to skip
+	// parked ports and stages not due; the reference runs that work on the
+	// side and fails if it does anything (cool ports: from its own tickers).
+	ref func(now sim.Cycle)
 }
 
 // MaxPorts is the largest switch New accepts: live-port sets and iSLIP
@@ -100,6 +129,12 @@ type inPort struct {
 	xferPkt *pkt.Packet
 	xferCFQ int
 	landFn  func()
+
+	// Cool since coolAt, until due; parked at scan parkScan (Switch.scans),
+	// which counted parkStalls CreditStalls.
+	coolAt, due sim.Cycle
+	parkScan    int64
+	parkStalls  int
 }
 
 type outPort struct {
@@ -178,6 +213,7 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	}
 	s.req = make([]uint64, nports)
 	s.prio = make([]uint64, nports)
+	s.waitOut = make([]uint64, nports)
 	s.hPost = eng.AddTicker(sim.PhasePost, sim.TickerFunc(s.post))
 	s.hArb = eng.AddTicker(sim.PhaseArbitrate, sim.TickerFunc(s.arbitrate))
 	s.hUpd = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(s.update))
@@ -205,8 +241,19 @@ func (s *Switch) ID() int { return s.id }
 // Name returns the diagnostic name.
 func (s *Switch) Name() string { return s.name }
 
-// Stats returns the switch counters.
-func (s *Switch) Stats() *Stats { return &s.stats }
+// Stats returns the switch counters, brought up to the current cycle:
+// what parked and cool ports are owed so far is added first.
+func (s *Switch) Stats() *Stats {
+	s.settle(s.parked)
+	last := s.eng.Now() - 1
+	for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
+		if ip := s.in[bits.TrailingZeros64(cool)]; last > ip.coolAt {
+			s.stats.PortCyclesElided += int(last - ip.coolAt)
+			ip.coolAt = last
+		}
+	}
+	return &s.stats
+}
 
 // InputDisc exposes port i's queue discipline (diagnostics, tests).
 func (s *Switch) InputDisc(i int) core.QDisc { return s.in[i].disc }
@@ -241,24 +288,85 @@ func (s *Switch) PacketReceiver(i int) link.PacketReceiver { return s.in[i] }
 // ControlReceiver returns the sink for control arriving at port i.
 func (s *Switch) ControlReceiver(i int) link.ControlReceiver { return s.out[i] }
 
-// post runs the per-port post-processing phase.
+// post runs the post-processing phase of the hot ports, heating first
+// those whose deadline has come.
 func (s *Switch) post(now sim.Cycle) {
-	for live := s.liveIn; live != 0; live &= live - 1 {
-		s.in[bits.TrailingZeros64(live)].disc.Post(now)
+	if now >= s.minDue {
+		s.minDue = sim.Never
+		for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
+			i := bits.TrailingZeros64(cool)
+			if due := s.in[i].due; due > now {
+				s.minDue = min(s.minDue, due)
+			} else {
+				s.heat(i, now)
+			}
+		}
+	}
+	for hot := s.hot; hot != 0; hot &= hot - 1 {
+		i := bits.TrailingZeros64(hot)
+		if s.in[i].disc.Post(now) {
+			s.acted |= 1 << i
+		}
 	}
 }
 
-// update runs the per-port housekeeping phase, then sleeps the switch
-// when it is provably idle; packet arrivals wake it again.
+// heat makes input port i's Post and Update run and its requests be
+// scanned again. Every caller heats before it mutates the port: a cool
+// port first replays what its skipped Updates stamped (QDisc.Resume).
+func (s *Switch) heat(i int, now sim.Cycle) {
+	bit := uint64(1) << i
+	if s.liveIn&^s.hot&bit != 0 {
+		ip := s.in[i]
+		ip.disc.Resume(now)
+		s.stats.PortCyclesElided += int(now - 1 - ip.coolAt)
+	}
+	s.hot |= bit
+	s.unpark(bit)
+}
+
+// settle pays the parked ports in m the CreditStalls of the scans that
+// skipped them so far.
+func (s *Switch) settle(m uint64) {
+	for m &= s.parked; m != 0; m &= m - 1 {
+		ip := s.in[bits.TrailingZeros64(m)]
+		s.stats.CreditStalls += ip.parkStalls * int(s.scans-ip.parkScan)
+		ip.parkScan = s.scans
+	}
+}
+
+// unpark returns the ports in m to the request scan. Unparking a port
+// whose requests are still blocked is harmless: the scan parks it again.
+func (s *Switch) unpark(m uint64) {
+	s.settle(m)
+	s.parked &^= m
+}
+
+// update runs the housekeeping phase of the hot ports, cools those that
+// went a cycle without acting, then sleeps the switch when it is
+// provably idle; packet arrivals wake it again. A port start heated this
+// cycle runs Update without having run Post: cool means that was a no-op.
 func (s *Switch) update(now sim.Cycle) {
-	for live := s.liveIn; live != 0; live &= live - 1 {
-		i := bits.TrailingZeros64(live)
-		disc := s.in[i].disc
-		disc.Update(now)
-		if disc.Quiescent() {
-			s.liveIn &^= 1 << i
+	for hot := s.hot; hot != 0; hot &= hot - 1 {
+		i := bits.TrailingZeros64(hot)
+		bit := uint64(1) << i
+		ip := s.in[i]
+		if ip.disc.Update(now) {
+			s.acted |= bit
+		}
+		if ip.disc.Quiescent() {
+			s.liveIn, s.hot, s.parked = s.liveIn&^bit, s.hot&^bit, s.parked&^bit
+		} else if s.acted&bit == 0 {
+			if ip.due = ip.disc.NextDue(now); ip.due > now {
+				s.hot &^= bit
+				ip.coolAt = now
+				s.minDue = min(s.minDue, ip.due)
+			}
 		}
 	}
+	// A port that acted stays hot, and the next scan must see what its
+	// next Post does to its requests.
+	s.unpark(s.acted)
+	s.acted = 0
 	if s.idle() {
 		s.hPost.Sleep()
 		s.hArb.Sleep()
@@ -268,29 +376,51 @@ func (s *Switch) update(now sim.Cycle) {
 
 // arbitrate drains output stages onto their links, then collects
 // eligible requests, runs iSLIP, and starts the granted crossbar
-// transfers.
+// transfers. A port none of whose requests can be granted is parked,
+// owing parkStalls CreditStalls a scan: only a credit at or a stage slot
+// of an output it waits on, or a change of the port itself, can make the
+// next scan answer differently.
 func (s *Switch) arbitrate(now sim.Cycle) {
 	if now < s.stalledUntil {
 		return
 	}
-	s.drainStaged(now)
-	for live := s.liveIn; live != 0; live &= live - 1 {
+	if now >= s.drainDue {
+		s.drainStaged(now)
+	}
+	if s.ref != nil {
+		s.ref(now)
+	}
+	s.scans++
+	for live := s.liveIn &^ s.parked; live != 0; live &= live - 1 {
 		i := bits.TrailingZeros64(live)
 		ip := s.in[i]
-		if ip.busyUntil > now || ip.disc.UsedBytes() == 0 {
+		if ip.busyUntil > now {
 			continue
 		}
-		ip.reqs = ip.disc.Requests(now, ip.reqs[:0])
 		bit := uint64(1) << i
+		var wait uint64 // outputs a blocked request waits on
+		grantable := false
+		ip.parkStalls = 0
+		ip.reqs = ip.reqs[:0]
+		if ip.disc.UsedBytes() != 0 {
+			ip.reqs = ip.disc.Requests(now, ip.reqs)
+		}
 		for _, r := range ip.reqs {
 			op := s.out[r.Out]
-			if op.tx == nil || op.nstaged+op.inflight >= stageCap {
+			if op.tx == nil {
+				continue
+			}
+			if op.nstaged+op.inflight >= stageCap {
+				wait |= 1 << r.Out
 				continue
 			}
 			if op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size {
 				s.stats.CreditStalls++
+				ip.parkStalls++
+				wait |= 1 << r.Out
 				continue
 			}
+			grantable = true
 			// Keep the strongest candidate per (input, output):
 			// priority first, then this input's queue round-robin. A
 			// replacement never lowers the priority, so prio bits are
@@ -302,6 +432,13 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 					s.prio[r.Out] |= bit
 				}
 				s.reqOuts |= 1 << r.Out
+			}
+		}
+		if !grantable {
+			s.parked |= bit
+			ip.parkScan = s.scans
+			for ; wait != 0; wait &= wait - 1 {
+				s.waitOut[bits.TrailingZeros64(wait)] |= bit
 			}
 		}
 	}
@@ -320,19 +457,27 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 		}
 		s.start(now, s.in[i], s.out[o], s.cand[i][o])
 	}
-	// A transfer completing this cycle may have landed in an idle
-	// stage; push it out without waiting a cycle.
-	s.drainStaged(now)
 }
 
-// drainStaged offers every non-empty output stage to its link.
+// drainStaged offers every non-empty output stage to its link and sets
+// drainDue to the first cycle one of them can go: the earliest
+// tx.FreeAt() of the outputs still staged — a cycle already past for an
+// idle link that is down, which is therefore polled every cycle (nobody
+// announces SetDown(false)). A send makes its link busy and nothing lands
+// during the phases, so one poll per cycle is all there is to do.
 func (s *Switch) drainStaged(now sim.Cycle) {
+	s.drainDue = sim.Never
 	for outs := s.stagedOut; outs != 0; outs &= outs - 1 {
-		s.out[bits.TrailingZeros64(outs)].drain(now)
+		op := s.out[bits.TrailingZeros64(outs)]
+		op.drain(now)
+		if op.nstaged > 0 {
+			s.drainDue = min(s.drainDue, op.tx.FreeAt())
+		}
 	}
 }
 
-// drain puts the next staged packet on the wire if the link is idle.
+// drain puts the next staged packet on the wire if the link is idle,
+// and returns the inputs waiting for the freed stage slot to the scan.
 func (op *outPort) drain(now sim.Cycle) {
 	if op.tx == nil || op.nstaged == 0 || !op.tx.Free(now) {
 		return
@@ -345,6 +490,13 @@ func (op *outPort) drain(now sim.Cycle) {
 		op.s.stagedOut &^= 1 << op.idx
 	}
 	op.tx.Send(now, st.p, st.cfq)
+	op.wakeWaiters()
+}
+
+// wakeWaiters unparks the inputs parked behind this output.
+func (op *outPort) wakeWaiters() {
+	op.s.unpark(op.s.waitOut[op.idx])
+	op.s.waitOut[op.idx] = 0
 }
 
 // better reports whether request a should replace b as input ip's
@@ -362,6 +514,8 @@ func (s *Switch) better(ip *inPort, a, b core.Request) bool {
 // input queue, crosses the crossbar in size/xbar cycles, and lands in
 // the output stage for link serialization.
 func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
+	s.heat(ip.idx, now)
+	s.acted |= 1 << ip.idx // the pop changes what the next Post sees
 	p := ip.disc.Pop(r.QID)
 	if p != r.Pkt {
 		panic(fmt.Sprintf("switchfab: %s popped %v, granted %v", s.name, p, r.Pkt))
@@ -380,6 +534,11 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 	op.inflight++
 	op.inflightBytes += p.Size
 	s.inflight++
+	if op.nstaged+op.inflight >= stageCap {
+		// Still blocked, but a request the scan counted as a credit stall
+		// is now behind a full stage, which is not one: rescan.
+		op.wakeWaiters()
+	}
 	s.eng.At(now+xfer, ip.landFn)
 	s.stats.Forwarded++
 	s.stats.ForwardedBytes += p.Size
@@ -402,6 +561,7 @@ func (ip *inPort) land() {
 	op.stage[op.nstaged] = staged{p: p, cfq: ip.xferCFQ}
 	op.nstaged++
 	s.stagedOut |= 1 << op.idx
+	s.drainDue = min(s.drainDue, op.tx.FreeAt())
 	s.wake() // defensive: the staged packet needs drain ticks
 }
 
@@ -498,6 +658,7 @@ func (s *Switch) describeRequest(now sim.Cycle, r core.Request) string {
 
 // ReceivePacket implements link.PacketReceiver for an input port.
 func (ip *inPort) ReceivePacket(p *pkt.Packet, cfq int) {
+	ip.s.heat(ip.idx, ip.s.eng.Now())
 	ip.s.liveIn |= 1 << ip.idx
 	ip.s.wake()
 	ip.disc.Enqueue(p, cfq)
@@ -507,8 +668,13 @@ func (ip *inPort) ReceivePacket(p *pkt.Packet, cfq int) {
 // credits and the downstream CFQ protocol.
 func (op *outPort) ReceiveControl(m link.Control) {
 	if m.Kind == link.Credit {
-		op.credits.Give(m.Dest, m.Bytes)
+		op.s.RefundCredit(op.idx, m.Dest, m.Bytes)
 		return
+	}
+	// The OutCAM (and DemoteRoot below) feed the Post and the Requests of
+	// every input port, whichever output the message arrived at.
+	for live := op.s.liveIn; live != 0; live &= live - 1 {
+		op.s.heat(bits.TrailingZeros64(live), op.s.eng.Now())
 	}
 	op.cam.Handle(m)
 	if m.Kind == link.CFQAlloc {
@@ -520,6 +686,14 @@ func (op *outPort) ReceiveControl(m link.Control) {
 			}
 		}
 	}
+}
+
+// RefundCredit returns bytes of credit towards dest to output port i's
+// pool and unparks the inputs waiting on it: the control channel's
+// returns and the fault path's refund of a dropped packet alike.
+func (s *Switch) RefundCredit(i, dest, bytes int) {
+	s.out[i].credits.Give(dest, bytes)
+	s.out[i].wakeWaiters()
 }
 
 // portEnv adapts a switch port to core.PortEnv.
