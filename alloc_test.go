@@ -3,8 +3,8 @@ package ccfit_test
 import (
 	"testing"
 
-	ccfit "repro"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // TestSteadyStateZeroAlloc is the allocation gate of the per-cycle hot
@@ -28,11 +28,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		{"fig8b", "1Q", 2.6},
 	} {
 		t.Run(c.exp+"/"+c.scheme, func(t *testing.T) {
-			exp, err := ccfit.ExperimentByID(c.exp)
+			exp, err := experiments.ByID(c.exp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := ccfit.Scheme(c.scheme)
+			p, err := experiments.SchemeByName(c.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Run(ccfit.MS(c.warmupMS))
+			n.Run(sim.CyclesFromMS(c.warmupMS))
 			before, _ := n.TotalDelivered()
 			allocs := testing.AllocsPerRun(1, func() { n.Run(window) })
 			after, _ := n.TotalDelivered()

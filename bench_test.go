@@ -15,21 +15,27 @@ import (
 	"runtime"
 	"testing"
 
-	ccfit "repro"
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/network"
+	"repro/internal/pkt"
+	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // runExp executes one (experiment, scheme) pair and reports the mean
 // normalized throughput as the benchmark's figure-of-merit.
 func runExp(b *testing.B, expID, scheme string) {
 	b.Helper()
-	exp, err := ccfit.ExperimentByID(expID)
+	exp, err := experiments.ByID(expID)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		r, err := ccfit.RunExperiment(exp, scheme, 1)
+		r, err := experiments.Run(exp, scheme, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,14 +47,14 @@ func runExp(b *testing.B, expID, scheme string) {
 // runScaled executes a time-scaled copy of an experiment.
 func runScaled(b *testing.B, expID, scheme string, scale float64) {
 	b.Helper()
-	exp, err := ccfit.ExperimentByID(expID)
+	exp, err := experiments.ByID(expID)
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp.Duration = ccfit.Cycle(float64(exp.Duration) * scale)
+	exp.Duration = sim.Cycle(float64(exp.Duration) * scale)
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		p, err := ccfit.Scheme(scheme)
+		p, err := experiments.SchemeByName(scheme)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,18 +73,11 @@ func runScaled(b *testing.B, expID, scheme string, scale float64) {
 // Table I networks with routing tables under the CCFIT preset.
 func BenchmarkTable1Configs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, build := range []func() (*ccfit.Network, error){
-			func() (*ccfit.Network, error) {
-				return ccfit.Build(ccfit.Config1(), ccfit.CCFIT(), ccfit.Options{})
-			},
-			func() (*ccfit.Network, error) {
-				return ccfit.BuildFatTree(ccfit.Config2(), ccfit.CCFIT(), ccfit.Options{})
-			},
-			func() (*ccfit.Network, error) {
-				return ccfit.BuildFatTree(ccfit.Config3(), ccfit.CCFIT(), ccfit.Options{})
-			},
-		} {
-			if _, err := build(); err != nil {
+		if _, err := network.Build(topo.Config1(), core.PresetCCFIT(), network.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		for _, tree := range []*topo.FatTree{topo.Config2(), topo.Config3()} {
+			if _, err := network.Build(tree.Topology, core.PresetCCFIT(), network.Options{TieBreak: tree.DETTieBreak}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -127,7 +126,7 @@ func BenchmarkFig8c(b *testing.B) {
 // Fig. 9 / Fig. 10: per-flow fairness runs. The figure-of-merit is the
 // Jain index over the contributing flows' steady-state bandwidth.
 func benchFairness(b *testing.B, expID string, flows []int) {
-	exp, err := ccfit.ExperimentByID(expID)
+	exp, err := experiments.ByID(expID)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func benchFairness(b *testing.B, expID string, flows []int) {
 		b.Run(s, func(b *testing.B) {
 			var jain float64
 			for i := 0; i < b.N; i++ {
-				r, err := ccfit.RunExperiment(exp, s, 1)
+				r, err := experiments.Run(exp, s, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -143,11 +142,11 @@ func benchFairness(b *testing.B, expID string, flows []int) {
 				for _, f := range r.Flows {
 					for _, want := range flows {
 						if f.ID == want {
-							shares = append(shares, ccfit.WindowMean(r, f.GBs, 8, 10))
+							shares = append(shares, experiments.WindowMean(r, f.GBs, 8, 10))
 						}
 					}
 				}
-				jain = ccfit.JainIndex(shares)
+				jain = metrics.JainIndex(shares)
 			}
 			b.ReportMetric(jain, "jain")
 		})
@@ -166,14 +165,14 @@ func BenchmarkFig10(b *testing.B) {
 // Ablations: design-choice sensitivity on the Config #1 hot spot
 // (fast) — CFQ count, iSLIP iterations, BECN pacing, detection
 // threshold.
-func ablate(b *testing.B, mutate func(*ccfit.Params)) {
-	exp, err := ccfit.ExperimentByID("fig7a")
+func ablate(b *testing.B, mutate func(*core.Params)) {
+	exp, err := experiments.ByID("fig7a")
 	if err != nil {
 		b.Fatal(err)
 	}
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		p := ccfit.CCFIT()
+		p := core.PresetCCFIT()
 		mutate(&p)
 		if err := p.Validate(); err != nil {
 			b.Fatal(err)
@@ -191,7 +190,7 @@ func ablate(b *testing.B, mutate func(*ccfit.Params)) {
 func BenchmarkAblationNumCFQs(b *testing.B) {
 	for _, v := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cfqs=%d", v), func(b *testing.B) {
-			ablate(b, func(p *ccfit.Params) { p.NumCFQs = v })
+			ablate(b, func(p *core.Params) { p.NumCFQs = v })
 		})
 	}
 }
@@ -199,7 +198,7 @@ func BenchmarkAblationNumCFQs(b *testing.B) {
 func BenchmarkAblationISlip(b *testing.B) {
 	for _, v := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("iters=%d", v), func(b *testing.B) {
-			ablate(b, func(p *ccfit.Params) { p.ISlipIters = v })
+			ablate(b, func(p *core.Params) { p.ISlipIters = v })
 		})
 	}
 }
@@ -207,7 +206,7 @@ func BenchmarkAblationISlip(b *testing.B) {
 func BenchmarkAblationBECNPacing(b *testing.B) {
 	for _, ns := range []float64{0, 2000, 4000, 8000} {
 		b.Run(fmt.Sprintf("pace=%.0fns", ns), func(b *testing.B) {
-			ablate(b, func(p *ccfit.Params) { p.BECNPacing = ccfit.NS(ns) })
+			ablate(b, func(p *core.Params) { p.BECNPacing = sim.CyclesFromNS(ns) })
 		})
 	}
 }
@@ -215,7 +214,7 @@ func BenchmarkAblationBECNPacing(b *testing.B) {
 func BenchmarkAblationDetection(b *testing.B) {
 	for _, mtus := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("detect=%dMTU", mtus), func(b *testing.B) {
-			ablate(b, func(p *ccfit.Params) { p.DetectionThreshold = mtus * ccfit.MTU })
+			ablate(b, func(p *core.Params) { p.DetectionThreshold = mtus * pkt.MTU })
 		})
 	}
 }
@@ -223,7 +222,7 @@ func BenchmarkAblationDetection(b *testing.B) {
 func BenchmarkAblationStopThreshold(b *testing.B) {
 	for _, mtus := range []int{6, 10, 16, 24} {
 		b.Run(fmt.Sprintf("stop=%dMTU", mtus), func(b *testing.B) {
-			ablate(b, func(p *ccfit.Params) { p.StopThreshold = mtus * ccfit.MTU })
+			ablate(b, func(p *core.Params) { p.StopThreshold = mtus * pkt.MTU })
 		})
 	}
 }
@@ -247,13 +246,13 @@ func BenchmarkExtraQueueing(b *testing.B) {
 // holds what was delivered): the windows that allocate nothing are
 // TestSteadyStateZeroAlloc's.
 func BenchmarkBlockedTree(b *testing.B) {
-	exp, err := ccfit.ExperimentByID("fig8b")
+	exp, err := experiments.ByID("fig8b")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, scheme := range []string{"1Q", "CCFIT"} {
 		b.Run(scheme, func(b *testing.B) {
-			p, err := ccfit.Scheme(scheme)
+			p, err := experiments.SchemeByName(scheme)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -264,7 +263,7 @@ func BenchmarkBlockedTree(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				n.Run(ccfit.MS(1.25))
+				n.Run(sim.CyclesFromMS(1.25))
 				before, _ := n.TotalDelivered()
 				b.StartTimer()
 				n.Run(20_000)
@@ -285,11 +284,11 @@ func BenchmarkBlockedTree(b *testing.B) {
 // speedup; on a single core they price the window barriers and
 // mailbox hops instead.
 func BenchmarkPartitionedEngine(b *testing.B) {
-	exp, err := ccfit.ExperimentByID("x512hotspot")
+	exp, err := experiments.ByID("x512hotspot")
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp.Duration = ccfit.Cycle(float64(exp.Duration) * 0.1)
+	exp.Duration = sim.Cycle(float64(exp.Duration) * 0.1)
 	if exp.Bin > exp.Duration {
 		exp.Bin = exp.Duration
 	}
@@ -297,7 +296,7 @@ func BenchmarkPartitionedEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				p, err := ccfit.Scheme("CCFIT")
+				p, err := experiments.SchemeByName("CCFIT")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,26 +319,26 @@ func BenchmarkPartitionedEngine(b *testing.B) {
 // BENCH_*.json captures the parallel-orchestration speedup trajectory
 // alongside the per-figure numbers.
 func BenchmarkRunnerParallel(b *testing.B) {
-	var exps []ccfit.Experiment
+	var exps []experiments.Experiment
 	jobCount := 0
-	for _, e := range ccfit.Experiments() {
+	for _, e := range experiments.Registry() {
 		if e.ID == "table1" {
 			continue
 		}
-		e.Duration = ccfit.Cycle(float64(e.Duration) * 0.1)
+		e.Duration = sim.Cycle(float64(e.Duration) * 0.1)
 		exps = append(exps, e)
 		jobCount += len(e.Schemes)
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var jobs []ccfit.Job
+			var jobs []runner.Job
 			for i := range exps {
 				for _, s := range exps[i].Schemes {
-					jobs = append(jobs, ccfit.Job{Scheme: s, Seed: 1, Exp: &exps[i]})
+					jobs = append(jobs, runner.Job{Scheme: s, Seed: 1, Exp: &exps[i]})
 				}
 			}
 			for i := 0; i < b.N; i++ {
-				results, err := ccfit.RunJobs(context.Background(), jobs, ccfit.RunOptions{Workers: workers})
+				results, err := runner.Run(context.Background(), jobs, runner.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

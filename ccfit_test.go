@@ -1,23 +1,30 @@
 package ccfit_test
 
 import (
-	"path/filepath"
-
 	"bytes"
-	"repro/internal/experiments"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	ccfit "repro"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/fault"
+	"repro/internal/metrics"
+	"repro/internal/network"
+	"repro/internal/pkt"
+	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 func TestSchemePresets(t *testing.T) {
 	names := []string{"1Q", "FBICM", "ITh", "CCFIT", "VOQnet", "DBBM", "VOQsw", "OBQA"}
-	if got := len(ccfit.Schemes()); got != len(names) {
+	if got := len(experiments.AllSchemes()); got != len(names) {
 		t.Fatalf("%d presets, want %d", got, len(names))
 	}
 	for _, n := range names {
-		p, err := ccfit.Scheme(n)
+		p, err := experiments.SchemeByName(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,32 +35,32 @@ func TestSchemePresets(t *testing.T) {
 			t.Fatalf("%s: %v", n, err)
 		}
 	}
-	if _, err := ccfit.Scheme("nope"); err == nil {
+	if _, err := experiments.SchemeByName("nope"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 	// Direct constructors agree with the registry.
-	if ccfit.CCFIT().Name != "CCFIT" || ccfit.OneQ().Name != "1Q" ||
-		ccfit.FBICM().Name != "FBICM" || ccfit.ITh().Name != "ITh" ||
-		ccfit.VOQnet().Name != "VOQnet" || ccfit.DBBM().Name != "DBBM" ||
-		ccfit.VOQswOnly().Name != "VOQsw" || ccfit.OBQA().Name != "OBQA" {
+	if core.PresetCCFIT().Name != "CCFIT" || core.Preset1Q().Name != "1Q" ||
+		core.PresetFBICM().Name != "FBICM" || core.PresetITh().Name != "ITh" ||
+		core.PresetVOQnet().Name != "VOQnet" || core.PresetDBBM().Name != "DBBM" ||
+		core.PresetVOQswOnly().Name != "VOQsw" || core.PresetOBQA().Name != "OBQA" {
 		t.Fatal("preset constructors mislabeled")
 	}
 }
 
 func TestPublicBuildAndRun(t *testing.T) {
-	net, err := ccfit.Build(ccfit.Config1(), ccfit.CCFIT(), ccfit.Options{Seed: 1})
+	net, err := network.Build(topo.Config1(), core.PresetCCFIT(), network.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = net.AddFlows([]ccfit.Flow{
-		{ID: 0, Src: 0, Dst: 3, Start: 0, End: ccfit.MS(0.2), Rate: 1.0},
+	err = net.AddFlows([]traffic.Flow{
+		{ID: 0, Src: 0, Dst: 3, Start: 0, End: sim.CyclesFromMS(0.2), Rate: 1.0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.RunMS(0.4)
 	if net.Collector.DeliveredPkts == 0 {
-		t.Fatal("nothing delivered via the public API")
+		t.Fatal("nothing delivered")
 	}
 	op, _ := net.TotalOffered()
 	dp, _ := net.TotalDelivered()
@@ -63,20 +70,20 @@ func TestPublicBuildAndRun(t *testing.T) {
 }
 
 func TestPublicFatTree(t *testing.T) {
-	tree, err := ccfit.KaryNTree(2, 2, 64, 4)
+	tree, err := topo.KaryNTree(2, 2, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tree.NumEndpoints() != 4 {
 		t.Fatalf("2-ary 2-tree has %d endpoints", tree.NumEndpoints())
 	}
-	net, err := ccfit.BuildFatTree(tree, ccfit.FBICM(), ccfit.Options{Seed: 2})
+	net, err := network.Build(tree.Topology, core.PresetFBICM(), network.Options{Seed: 2, TieBreak: tree.DETTieBreak})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = net.AddFlows([]ccfit.Flow{
-		{ID: 0, Src: 0, Dst: 3, Start: 0, End: ccfit.MS(0.1), Rate: 1.0},
-		{ID: 1, Src: 1, Dst: ccfit.UniformDst, Start: 0, End: ccfit.MS(0.1), Rate: 0.5},
+	err = net.AddFlows([]traffic.Flow{
+		{ID: 0, Src: 0, Dst: 3, Start: 0, End: sim.CyclesFromMS(0.1), Rate: 1.0},
+		{ID: 1, Src: 1, Dst: traffic.UniformDst, Start: 0, End: sim.CyclesFromMS(0.1), Rate: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +97,7 @@ func TestPublicFatTree(t *testing.T) {
 }
 
 func TestPublicCustomTopology(t *testing.T) {
-	b := ccfit.NewTopology("dumbbell")
+	b := topo.NewBuilder("dumbbell")
 	n0 := b.AddEndpoint("n0")
 	n1 := b.AddEndpoint("n1")
 	s0 := b.AddSwitch("s0", 2)
@@ -102,11 +109,11 @@ func TestPublicCustomTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := ccfit.Build(topo, ccfit.OneQ(), ccfit.Options{})
+	net, err := network.Build(topo, core.Preset1Q(), network.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.AddFlows([]ccfit.Flow{{ID: 0, Src: 0, Dst: 1, Start: 0, End: 3200, Rate: 1}}); err != nil {
+	if err := net.AddFlows([]traffic.Flow{{ID: 0, Src: 0, Dst: 1, Start: 0, End: 3200, Rate: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	net.Run(6400)
@@ -115,44 +122,44 @@ func TestPublicCustomTopology(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistryViaFacade(t *testing.T) {
-	if len(ccfit.Experiments()) != 9 {
-		t.Fatalf("registry size %d", len(ccfit.Experiments()))
+func TestExperimentRegistry(t *testing.T) {
+	if len(experiments.Registry()) != 9 {
+		t.Fatalf("registry size %d", len(experiments.Registry()))
 	}
-	exp, err := ccfit.ExperimentByID("fig7a")
+	exp, err := experiments.ByID("fig7a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.Duration = ccfit.MS(0.3)
-	r, err := ccfit.RunExperiment(exp, "1Q", 3)
+	exp.Duration = sim.CyclesFromMS(0.3)
+	r, err := experiments.Run(exp, "1Q", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	ccfit.RenderThroughput(&buf, exp, []*ccfit.Result{r})
-	ccfit.RenderSummary(&buf, []*ccfit.Result{r})
-	ccfit.WriteCSV(&buf, exp, []*ccfit.Result{r})
+	experiments.RenderThroughput(&buf, exp, []*experiments.Result{r})
+	experiments.RenderSummary(&buf, []*experiments.Result{r})
+	experiments.WriteCSV(&buf, exp, []*experiments.Result{r})
 	if !strings.Contains(buf.String(), "1Q") {
 		t.Fatal("renderers produced nothing")
 	}
 	buf.Reset()
-	ccfit.RenderTable1(&buf)
+	experiments.RenderTable1(&buf)
 	if !strings.Contains(buf.String(), "Table I") {
 		t.Fatal("table renderer broken")
 	}
 }
 
 func TestUnitHelpers(t *testing.T) {
-	if ccfit.MS(1) != 39063 {
-		t.Fatalf("MS(1) = %d", ccfit.MS(1))
+	if sim.CyclesFromMS(1) != 39063 {
+		t.Fatalf("MS(1) = %d", sim.CyclesFromMS(1))
 	}
-	if ccfit.NS(25.6) != 1 {
-		t.Fatalf("NS(25.6) = %d", ccfit.NS(25.6))
+	if sim.CyclesFromNS(25.6) != 1 {
+		t.Fatalf("NS(25.6) = %d", sim.CyclesFromNS(25.6))
 	}
-	if j := ccfit.JainIndex([]float64{1, 1}); j != 1 {
+	if j := metrics.JainIndex([]float64{1, 1}); j != 1 {
 		t.Fatalf("JainIndex = %v", j)
 	}
-	if ccfit.MTU != 2048 {
+	if pkt.MTU != 2048 {
 		t.Fatal("MTU constant wrong")
 	}
 }
@@ -169,16 +176,16 @@ func TestHeadlineClaim(t *testing.T) {
 		jain   float64
 	}
 	run := func(name string) outcome {
-		p, err := ccfit.Scheme(name)
+		p, err := experiments.SchemeByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := ccfit.Build(ccfit.Config1(), p, ccfit.Options{Seed: 13})
+		net, err := network.Build(topo.Config1(), p, network.Options{Seed: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
-		end := ccfit.MS(4)
-		err = net.AddFlows([]ccfit.Flow{
+		end := sim.CyclesFromMS(4)
+		err = net.AddFlows([]traffic.Flow{
 			{ID: 0, Src: 0, Dst: 3, Start: 0, End: end, Rate: 1.0},
 			{ID: 1, Src: 1, Dst: 4, Start: 0, End: end, Rate: 1.0},
 			{ID: 2, Src: 2, Dst: 4, Start: 0, End: end, Rate: 1.0},
@@ -196,7 +203,7 @@ func TestHeadlineClaim(t *testing.T) {
 		}
 		return outcome{
 			victim: net.Collector.MeanFlowBandwidth(0, bins/2, bins),
-			jain:   ccfit.JainIndex(shares),
+			jain:   metrics.JainIndex(shares),
 		}
 	}
 	oneq := run("1Q")
@@ -220,16 +227,16 @@ func TestHeadlineClaim(t *testing.T) {
 	}
 }
 
-func TestFacadeTracing(t *testing.T) {
-	ring := ccfit.NewTraceRing(1 << 16)
-	p := ccfit.CCFIT()
-	p.Tracer = ccfit.TraceOnly(ring, ccfit.EvDetect, ccfit.EvDealloc, ccfit.EvMark)
-	net, err := ccfit.Build(ccfit.Config1(), p, ccfit.Options{Seed: 9})
+func TestTracing(t *testing.T) {
+	ring := trace.NewRing(1 << 16)
+	p := core.PresetCCFIT()
+	p.Tracer = trace.Only(ring, trace.EvDetect, trace.EvDealloc, trace.EvMark)
+	net, err := network.Build(topo.Config1(), p, network.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := ccfit.MS(2)
-	err = net.AddFlows([]ccfit.Flow{
+	end := sim.CyclesFromMS(2)
+	err = net.AddFlows([]traffic.Flow{
 		{ID: 1, Src: 1, Dst: 4, Start: 0, End: end, Rate: 1.0},
 		{ID: 2, Src: 2, Dst: 4, Start: 0, End: end, Rate: 1.0},
 		{ID: 5, Src: 5, Dst: 4, Start: 0, End: end, Rate: 1.0},
@@ -238,17 +245,17 @@ func TestFacadeTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.RunMS(3)
-	counts := map[ccfit.TraceKind]int{}
+	counts := map[trace.EventKind]int{}
 	for _, ev := range ring.Events() {
 		counts[ev.Kind]++
-		if ev.Kind != ccfit.EvDetect && ev.Kind != ccfit.EvDealloc && ev.Kind != ccfit.EvMark {
+		if ev.Kind != trace.EvDetect && ev.Kind != trace.EvDealloc && ev.Kind != trace.EvMark {
 			t.Fatalf("filter leaked %v", ev.Kind)
 		}
-		if ccfit.FormatTraceEvent(ev) == "" {
+		if trace.Format(ev) == "" {
 			t.Fatal("empty format")
 		}
 	}
-	if counts[ccfit.EvDetect] == 0 || counts[ccfit.EvMark] == 0 {
+	if counts[trace.EvDetect] == 0 || counts[trace.EvMark] == 0 {
 		t.Fatalf("ring saw no protocol events: %v", counts)
 	}
 }
@@ -261,9 +268,9 @@ func TestShippedFaultScriptsLoad(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no shipped fault scripts found: %v", err)
 	}
-	byName := map[string]*ccfit.FaultScript{}
+	byName := map[string]*fault.Script{}
 	for _, p := range paths {
-		s, err := ccfit.LoadFaultScript(p)
+		s, err := fault.Load(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

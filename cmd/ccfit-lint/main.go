@@ -2,9 +2,9 @@
 // (internal/lint) over the module and reports findings: the
 // determinism and hot-path rules guarding the simulation core
 // (determinism, hotpath-alloc, phase-discipline, pool-hygiene,
-// mailbox-order, unchecked-err) plus the concurrency family guarding
-// the service layer and the parallel engine (guarded-field,
-// lock-order, goroutine-lifecycle, shard-escape). CI runs it with no
+// unchecked-err) plus the concurrency family guarding the service
+// layer and the parallel engine (guarded-field, lock-order,
+// goroutine-lifecycle, partition-safety). CI runs it with no
 // flags and fails on any diagnostic; the same suite also runs as a go
 // test gate in internal/lint.
 //

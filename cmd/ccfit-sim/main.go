@@ -17,10 +17,12 @@ import (
 	"sort"
 	"strings"
 
-	ccfit "repro"
 	"repro/internal/experiments"
+	"repro/internal/fault"
+	"repro/internal/invariant"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -38,16 +40,16 @@ func main() {
 	simWorkers := flag.Int("sim-workers", 1, "worker goroutines: >1 runs the partitioned engine, the fabric cut into several shards per worker (1 = serial; results are byte-identical)")
 	flag.Parse()
 
-	p, err := ccfit.Scheme(*scheme)
+	p, err := experiments.SchemeByName(*scheme)
 	if err != nil {
 		fatal(err)
 	}
 	if *traceFlag {
 		// Exhaustion events can fire per cycle under heavy overload;
 		// keep the live log to the protocol milestones.
-		p.Tracer = ccfit.TraceOnly(ccfit.NewTraceWriter(os.Stderr),
-			ccfit.EvDetect, ccfit.EvPropagate, ccfit.EvStop, ccfit.EvGo,
-			ccfit.EvDealloc, ccfit.EvCongestionOn, ccfit.EvCongestionOff)
+		p.Tracer = trace.Only(trace.NewWriter(os.Stderr),
+			trace.EvDetect, trace.EvPropagate, trace.EvStop, trace.EvGo,
+			trace.EvDealloc, trace.EvCongestionOn, trace.EvCongestionOff)
 	}
 	end := sim.CyclesFromMS(*msFlag)
 	bin := sim.CyclesFromNS(*binUS * 1000)
@@ -74,7 +76,7 @@ func main() {
 		fatal(err)
 	}
 	if *faultsPath != "" {
-		script, err := ccfit.LoadFaultScript(*faultsPath)
+		script, err := fault.Load(*faultsPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -86,7 +88,14 @@ func main() {
 	if *watchdog != 0 && n.Checker != nil {
 		n.Checker.SetWatchdogWindow(sim.Cycle(*watchdog))
 	}
-	if err := runWithDiagnostics(n, end); err != nil {
+	// A violation mid-run or in the terminal audit prints its diagnostic
+	// snapshot instead of a bare stack trace or — worse — a
+	// plausible-looking CSV from a corrupted run.
+	if err := n.RunAudited(end); err != nil {
+		var v *invariant.Violation
+		if errors.As(err, &v) {
+			fmt.Fprint(os.Stderr, v.Snapshot)
+		}
 		fatal(err)
 	}
 
@@ -125,35 +134,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %-16s %5.1f%%  %8d pkts\n", l.Name, l.Utilization*100, l.Pkts)
 		}
 	}
-}
-
-// runWithDiagnostics runs the simulation under the invariant checker:
-// a violation mid-run (raised as a panic by the always-on checker) or
-// in the terminal audit prints its diagnostic snapshot to stderr and
-// comes back as an error, instead of a bare stack trace or — worse —
-// a plausible-looking CSV from a corrupted run.
-func runWithDiagnostics(n *network.Network, end sim.Cycle) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			v, ok := p.(*ccfit.InvariantViolation)
-			if !ok {
-				panic(p)
-			}
-			fmt.Fprint(os.Stderr, v.Snapshot)
-			err = v
-		}
-	}()
-	n.Run(end)
-	if n.Checker != nil {
-		if verr := n.Checker.Final(); verr != nil {
-			var v *ccfit.InvariantViolation
-			if errors.As(verr, &v) {
-				fmt.Fprint(os.Stderr, v.Snapshot)
-			}
-			return verr
-		}
-	}
-	return nil
 }
 
 func fatal(err error) {

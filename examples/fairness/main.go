@@ -13,7 +13,12 @@ import (
 	"fmt"
 	"log"
 
-	ccfit "repro"
+	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -21,16 +26,16 @@ func main() {
 	fmt.Printf("%-8s %7s %7s %7s %7s %9s %8s\n", "scheme", "F1", "F2", "F5", "F6", "hot total", "Jain")
 
 	for _, name := range []string{"1Q", "FBICM", "ITh", "CCFIT"} {
-		params, err := ccfit.Scheme(name)
+		params, err := experiments.SchemeByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		net, err := ccfit.Build(ccfit.Config1(), params, ccfit.Options{Seed: 11})
+		net, err := network.Build(topo.Config1(), params, network.Options{Seed: 11})
 		if err != nil {
 			log.Fatal(err)
 		}
-		end := ccfit.MS(8)
-		err = net.AddFlows([]ccfit.Flow{
+		end := sim.CyclesFromMS(8)
+		err = net.AddFlows([]traffic.Flow{
 			{ID: 1, Src: 1, Dst: 4, Start: 0, End: end, Rate: 1.0},
 			{ID: 2, Src: 2, Dst: 4, Start: 0, End: end, Rate: 1.0},
 			{ID: 5, Src: 5, Dst: 4, Start: 0, End: end, Rate: 1.0},
@@ -50,7 +55,7 @@ func main() {
 			total += v
 		}
 		fmt.Printf("%-8s %6.2fG %6.2fG %6.2fG %6.2fG %8.2fG %8.3f\n",
-			name, shares[0], shares[1], shares[2], shares[3], total, ccfit.JainIndex(shares))
+			name, shares[0], shares[1], shares[2], shares[3], total, metrics.JainIndex(shares))
 	}
 
 	fmt.Println()

@@ -11,7 +11,11 @@ import (
 	"fmt"
 	"log"
 
-	ccfit "repro"
+	"repro/internal/experiments"
+	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 const (
@@ -23,27 +27,27 @@ func main() {
 	fmt.Printf("%d-ary %d-tree: %d endpoints; uniform load + 3-tree burst in [0.5,1.0] ms\n\n", k, n, 1<<n)
 
 	for _, name := range []string{"FBICM", "CCFIT"} {
-		params, err := ccfit.Scheme(name)
+		params, err := experiments.SchemeByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tree, err := ccfit.KaryNTree(k, n, 64, 4)
+		tree, err := topo.KaryNTree(k, n, 64, 4)
 		if err != nil {
 			log.Fatal(err)
 		}
-		net, err := ccfit.BuildFatTree(tree, params, ccfit.Options{Seed: 5})
+		net, err := network.Build(tree.Topology, params, network.Options{Seed: 5, TieBreak: tree.DETTieBreak})
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		end := ccfit.MS(2)
-		var flows []ccfit.Flow
+		end := sim.CyclesFromMS(2)
+		var flows []traffic.Flow
 		numEP := tree.NumEndpoints()
 		// Three of every four nodes send uniform traffic all along.
 		for s := 0; s < numEP; s++ {
 			if s%4 != 3 {
-				flows = append(flows, ccfit.Flow{
-					ID: s, Src: s, Dst: ccfit.UniformDst, Start: 0, End: end, Rate: 1.0,
+				flows = append(flows, traffic.Flow{
+					ID: s, Src: s, Dst: traffic.UniformDst, Start: 0, End: end, Rate: 1.0,
 				})
 			}
 		}
@@ -52,9 +56,9 @@ func main() {
 		hot := 0
 		for s := 0; s < numEP; s++ {
 			if s%4 == 3 {
-				flows = append(flows, ccfit.Flow{
+				flows = append(flows, traffic.Flow{
 					ID: s, Src: s, Dst: hotDests[hot%len(hotDests)],
-					Start: ccfit.MS(0.5), End: ccfit.MS(1.0), Rate: 1.0,
+					Start: sim.CyclesFromMS(0.5), End: sim.CyclesFromMS(1.0), Rate: 1.0,
 				})
 				hot++
 			}

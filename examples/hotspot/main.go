@@ -12,7 +12,12 @@ import (
 	"fmt"
 	"log"
 
-	ccfit "repro"
+	"repro/internal/experiments"
+	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -20,26 +25,26 @@ func main() {
 	fmt.Printf("%-8s %9s %9s %8s %8s %8s %8s %8s %8s\n",
 		"scheme", "victim", "hotlink", "detect", "dealloc", "stops", "marked", "becns", "exhaust")
 
-	var ccfitTrace *ccfit.TraceRing
+	var ccfitTrace *trace.Ring
 	for _, name := range []string{"1Q", "DBBM", "ITh", "FBICM", "CCFIT", "VOQnet"} {
-		params, err := ccfit.Scheme(name)
+		params, err := experiments.SchemeByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if name == "CCFIT" {
 			// Capture the protocol milestones of the CCFIT run for the
 			// excerpt printed below.
-			ccfitTrace = ccfit.NewTraceRing(1 << 16)
-			params.Tracer = ccfit.TraceOnly(ccfitTrace,
-				ccfit.EvDetect, ccfit.EvPropagate, ccfit.EvStop, ccfit.EvGo,
-				ccfit.EvCongestionOn, ccfit.EvDealloc)
+			ccfitTrace = trace.NewRing(1 << 16)
+			params.Tracer = trace.Only(ccfitTrace,
+				trace.EvDetect, trace.EvPropagate, trace.EvStop, trace.EvGo,
+				trace.EvCongestionOn, trace.EvDealloc)
 		}
-		net, err := ccfit.Build(ccfit.Config1(), params, ccfit.Options{Seed: 7})
+		net, err := network.Build(topo.Config1(), params, network.Options{Seed: 7})
 		if err != nil {
 			log.Fatal(err)
 		}
-		end := ccfit.MS(5)
-		err = net.AddFlows([]ccfit.Flow{
+		end := sim.CyclesFromMS(5)
+		err = net.AddFlows([]traffic.Flow{
 			{ID: 0, Src: 0, Dst: 3, Start: 0, End: end, Rate: 1.0},
 			{ID: 1, Src: 1, Dst: 4, Start: 0, End: end, Rate: 1.0},
 			{ID: 2, Src: 2, Dst: 4, Start: 0, End: end, Rate: 1.0},
@@ -75,7 +80,7 @@ func main() {
 		if i >= 10 {
 			break
 		}
-		fmt.Println(" ", ccfit.FormatTraceEvent(ev))
+		fmt.Println(" ", trace.Format(ev))
 	}
 
 	fmt.Println()

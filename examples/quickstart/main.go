@@ -9,26 +9,30 @@ import (
 	"fmt"
 	"log"
 
-	ccfit "repro"
+	"repro/internal/core"
+	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 func main() {
 	// The paper's CCFIT preset: 2 CFQs per port, FECN/BECN throttling.
-	params := ccfit.CCFIT()
+	params := core.PresetCCFIT()
 
-	net, err := ccfit.Build(ccfit.Config1(), params, ccfit.Options{Seed: 42})
+	net, err := network.Build(topo.Config1(), params, network.Options{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	end := ccfit.MS(2)
-	err = net.AddFlows([]ccfit.Flow{
+	end := sim.CyclesFromMS(2)
+	err = net.AddFlows([]traffic.Flow{
 		// The victim: node 0 -> node 3 at 100% of its 2.5 GB/s link.
 		{ID: 0, Src: 0, Dst: 3, Start: 0, End: end, Rate: 1.0},
 		// Three contributors piling onto node 4 (the hot spot).
-		{ID: 1, Src: 1, Dst: 4, Start: ccfit.MS(0.5), End: end, Rate: 1.0},
-		{ID: 2, Src: 2, Dst: 4, Start: ccfit.MS(0.5), End: end, Rate: 1.0},
-		{ID: 3, Src: 5, Dst: 4, Start: ccfit.MS(0.5), End: end, Rate: 1.0},
+		{ID: 1, Src: 1, Dst: 4, Start: sim.CyclesFromMS(0.5), End: end, Rate: 1.0},
+		{ID: 2, Src: 2, Dst: 4, Start: sim.CyclesFromMS(0.5), End: end, Rate: 1.0},
+		{ID: 3, Src: 5, Dst: 4, Start: sim.CyclesFromMS(0.5), End: end, Rate: 1.0},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -15,11 +15,16 @@ import (
 // Update acted it runs neither until NextDue, and an event (Enqueue, Pop,
 // a change of the downstream lines) calls Resume first and ends the skip.
 type host struct {
+	t     *testing.T
 	d     QDisc
 	env   *fakeEnv
 	skip  bool
 	until sim.Cycle // skipping while now < until
 	log   testutil.Digest
+
+	// The two quiescence contracts against each other (see state).
+	ticked, acted          bool // this cycle: Post and Update ran; one of them acted
+	quiescent, afterActing int  // states with Quiescent(); those reached in an acting cycle
 }
 
 func (h *host) touch(now sim.Cycle) {
@@ -30,12 +35,14 @@ func (h *host) touch(now sim.Cycle) {
 }
 
 func (h *host) tick(now sim.Cycle) {
-	if now < h.until {
+	h.ticked = now >= h.until
+	if !h.ticked {
 		return
 	}
 	h.touch(now)
 	acted := h.d.Post(now)
 	acted = h.d.Update(now) || acted
+	h.acted = acted
 	if h.skip && !acted {
 		if due := h.d.NextDue(now); due > now {
 			h.until = due
@@ -44,6 +51,25 @@ func (h *host) tick(now sim.Cycle) {
 }
 
 func (h *host) state(now sim.Cycle) {
+	// Quiescent() (PR 2, whole-device sleep) is derivable from the step
+	// contract (PR 17): it implies "no bytes held, nothing due" in every
+	// state, and is implied by it after any cycle in which neither Post
+	// nor Update acted. What separates the two is only when the answer
+	// is available: Quiescent() is already true at the end of the cycle
+	// whose Update released the last line, the derived form one
+	// non-acting tick later (DESIGN.md §5).
+	derived := h.d.UsedBytes() == 0 && h.d.NextDue(now) == sim.Never
+	switch q := h.d.Quiescent(); {
+	case q && !derived:
+		h.t.Fatalf("cycle %d: Quiescent() with %d bytes held, next due %d", now, h.d.UsedBytes(), h.d.NextDue(now))
+	case !q && derived && h.ticked && !h.acted:
+		h.t.Fatalf("cycle %d: nothing held, nothing due and nothing done this cycle, yet not Quiescent()", now)
+	case q:
+		h.quiescent++
+		if h.ticked && h.acted {
+			h.afterActing++
+		}
+	}
 	h.log.Addf("%d stats %+v used %d up %v x %v", now, *h.d.Stats(), h.d.UsedBytes(), h.env.upstream, h.env.crossings)
 	for _, r := range h.d.Requests(now, nil) {
 		h.log.Addf("  req q%d out%d pkt %d direct %d", r.QID, r.Out, r.Pkt.ID, r.DirectCFQ)
@@ -68,11 +94,13 @@ func TestSkippingByNextDueEqualsEveryCycle(t *testing.T) {
 	for _, preset := range []Params{PresetCCFIT(), PresetFBICM(), PresetITh(), Preset1Q(), PresetVOQnet()} {
 		preset := preset
 		t.Run(preset.Name, func(t *testing.T) {
+			var acting int // Quiescent() states only an acting cycle's Update produced
+			var isolates bool
 			run := func(skip bool) (string, int) {
 				p := preset
 				rng := rand.New(rand.NewSource(7))
 				env := newFakeEnv()
-				h := &host{d: NewQDisc(&p, env, 4, 8), env: env, skip: skip}
+				h := &host{t: t, d: NewQDisc(&p, env, 4, 8), env: env, skip: skip}
 				var g pkt.IDGen
 				skipped := 0
 				for now := sim.Cycle(0); now < 30_000; now++ {
@@ -108,6 +136,11 @@ func TestSkippingByNextDueEqualsEveryCycle(t *testing.T) {
 					h.state(now)
 				}
 				h.log.Addf("final %s", fmt.Sprint(*h.d.Stats()))
+				if h.quiescent < 1_000 {
+					t.Fatalf("only %d quiescent states reached", h.quiescent)
+				}
+				acting = h.afterActing
+				_, isolates = h.d.(*IsolationUnit)
 				return h.log.String(), skipped
 			}
 			every, _ := run(false)
@@ -117,6 +150,12 @@ func TestSkippingByNextDueEqualsEveryCycle(t *testing.T) {
 			}
 			if skipped < 10_000 {
 				t.Fatalf("only %d of 30000 cycles skipped", skipped)
+			}
+			// Only the isolation unit turns quiescent by acting — the
+			// Update that releases its last line. (VOQsw clears a mark at
+			// Low, before its RAM is empty; the plain banks never act.)
+			if isolates != (acting > 0) {
+				t.Fatalf("%d Quiescent() states came out of an acting cycle", acting)
 			}
 		})
 	}

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -183,6 +185,47 @@ func TestRunTinyExperiment(t *testing.T) {
 	}
 	if _, err := Run(exp, "bogus", 1); err == nil {
 		t.Fatal("bogus scheme accepted")
+	}
+}
+
+// TestRunIsAudited: Run is the front door of RunAll, the oracle's
+// curves and the golden tests, so a corrupted run must come back as an
+// error, never as a Result (and never as a panic). A spurious 1-byte
+// credit return to an idle receiver is seeded early — the next periodic
+// audit, every 1024 cycles, raises it mid-run — and then after the last
+// periodic audit of the run, where only the terminal audit can see it.
+func TestRunIsAudited(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   sim.Cycle
+	}{
+		{"mid-run", 100},
+		{"after the last periodic audit", 3*1024 + 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			exp, err := ByID("fig7a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp.Duration = 3*1024 + 512
+			build := exp.Build
+			exp.Build = func(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
+				n, err := build(p, seed, bin, end, o)
+				if err == nil {
+					// Node 3 only receives: its uplink pool sits at capacity.
+					n.Eng.At(c.at, func() { n.Nodes[3].CreditPool().Give(0, 1) })
+				}
+				return n, err
+			}
+			r, err := Run(exp, "CCFIT", 1)
+			var v *invariant.Violation
+			if !errors.As(err, &v) || v.Check != "credit-bounds" {
+				t.Fatalf("Run returned (%v, %v), want a credit-bounds violation", r, err)
+			}
+			if !strings.Contains(v.Detail, "node 3") || v.Snapshot == "" {
+				t.Errorf("violation does not name the broken pool: %q / snapshot %d bytes", v.Detail, len(v.Snapshot))
+			}
+		})
 	}
 }
 

@@ -62,15 +62,10 @@ type Result struct {
 	Summary Summary
 }
 
-// Run executes one experiment under one scheme on the serial engine.
+// Run executes one experiment under one scheme on the serial engine,
+// audited: an invariant violation mid-run or in the terminal audit is
+// the returned error, never a plausible Result.
 func Run(exp Experiment, scheme string, seed int64) (*Result, error) {
-	return RunWith(exp, scheme, seed, BuildOpts{})
-}
-
-// RunWith executes one experiment under one scheme with explicit build
-// options (e.g. a partitioned engine). Results are byte-identical to
-// Run for any worker count.
-func RunWith(exp Experiment, scheme string, seed int64, o BuildOpts) (*Result, error) {
 	if exp.Kind == ConfigTable {
 		return nil, fmt.Errorf("experiments: %s is a static table; use RenderTable1", exp.ID)
 	}
@@ -78,11 +73,13 @@ func RunWith(exp Experiment, scheme string, seed int64, o BuildOpts) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	n, err := exp.Build(p, seed, exp.Bin, exp.Duration, o)
+	n, err := exp.Build(p, seed, exp.Bin, exp.Duration, BuildOpts{})
 	if err != nil {
 		return nil, err
 	}
-	n.Run(exp.Duration)
+	if err := n.RunAudited(exp.Duration); err != nil {
+		return nil, err
+	}
 	return Harvest(exp, scheme, seed, n), nil
 }
 

@@ -79,17 +79,41 @@ func (g *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
 // inside closures attribute to the declaring function: a closure runs
 // — at the earliest — where its enclosing function ran.
 func enclosingFunc(pkg *Package, pos token.Pos, file *ast.File) *types.Func {
+	if fd := enclosingFuncDecl(file, pos); fd != nil {
+		obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+		return obj
+	}
+	return nil
+}
+
+// enclosingFuncDecl is the declaration enclosingFunc resolves.
+func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
 	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		if fd.Pos() <= pos && pos < fd.End() {
-			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			return obj
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
+			return fd
 		}
 	}
 	return nil
+}
+
+// stmtInBlock locates the innermost block under root directly
+// containing target, and target's index there.
+func stmtInBlock(root ast.Node, target ast.Stmt) (*ast.BlockStmt, int) {
+	var blk *ast.BlockStmt
+	idx := -1
+	ast.Inspect(root, func(n ast.Node) bool {
+		b, ok := n.(*ast.BlockStmt)
+		if !ok {
+			return true
+		}
+		for i, s := range b.List {
+			if s == target {
+				blk, idx = b, i
+			}
+		}
+		return true
+	})
+	return blk, idx
 }
 
 // calleeFunc resolves a call expression's static callee, unwrapping
@@ -134,6 +158,45 @@ func funcFromExpr(info *types.Info, e ast.Expr) *types.Func {
 		return f
 	}
 	return nil
+}
+
+// isNamedType reports whether t is the named type pkgPath.name.
+func isNamedType(t types.Type, pkgPath, name string) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
+}
+
+// tickRoot resolves what will tick every cycle once e is handed to
+// (*sim.Engine).AddTicker / Register: a sim.TickerFunc(x) conversion
+// stands for x; x is then a function literal (lit), a declared function
+// or method value (fn) or, for a concrete sim.Ticker value, its Tick
+// method (fn). Both results are nil when e resolves to neither.
+func tickRoot(info *types.Info, e ast.Expr, simPath string) (fn *types.Func, lit *ast.FuncLit) {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && isNamedType(tv.Type, simPath, "TickerFunc") {
+			e = ast.Unparen(call.Args[0])
+		}
+	}
+	if lit, ok := e.(*ast.FuncLit); ok {
+		return nil, lit
+	}
+	if fn := funcFromExpr(info, e); fn != nil {
+		return fn, nil
+	}
+	t := info.TypeOf(e)
+	if t == nil {
+		return nil, nil
+	}
+	for _, typ := range []types.Type{t, types.NewPointer(t)} {
+		ms := types.NewMethodSet(typ)
+		for i := 0; i < ms.Len(); i++ {
+			if m, ok := ms.At(i).Obj().(*types.Func); ok && m.Name() == "Tick" {
+				return m, nil
+			}
+		}
+	}
+	return nil, nil
 }
 
 // isPkgFunc reports whether f is the function pkgPath.name (methods:

@@ -35,7 +35,7 @@ func runDeterminism(pass *Pass) {
 	info := pass.Pkg.Info
 	for i, f := range pass.Pkg.Files {
 		// Bridge files (the shard coordinator) keep every determinism
-		// check except the go-statement ban: the targeted shard-escape
+		// check except the go-statement ban: the targeted partition-safety
 		// rule owns goroutine discipline there instead of a blanket
 		// file-ignore.
 		bridge := fileScope(pass.Module, pass.Pkg.Path, pass.Pkg.Filenames[i]) == ScopeBridge
@@ -307,19 +307,11 @@ func (oc *orderCheck) targetOrderFree(lhs ast.Expr) bool {
 // slice must be passed to a sort.* or slices.* call later in the block
 // that encloses the range statement.
 func collectThenSortOK(pass *Pass, file *ast.File, rng *ast.RangeStmt, sliceObj types.Object) bool {
-	block := enclosingBlock(file, rng)
+	block, idx := stmtInBlock(file, rng)
 	if block == nil {
 		return false
 	}
-	after := false
-	for _, s := range block.List {
-		if s == ast.Stmt(rng) {
-			after = true
-			continue
-		}
-		if !after {
-			continue
-		}
+	for _, s := range block.List[idx+1:] {
 		sorted := false
 		ast.Inspect(s, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -352,26 +344,6 @@ func collectThenSortOK(pass *Pass, file *ast.File, rng *ast.RangeStmt, sliceObj 
 		}
 	}
 	return false
-}
-
-// enclosingBlock finds the innermost block statement containing n.
-func enclosingBlock(file *ast.File, target ast.Stmt) *ast.BlockStmt {
-	var best *ast.BlockStmt
-	ast.Inspect(file, func(n ast.Node) bool {
-		b, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		if b.Pos() <= target.Pos() && target.End() <= b.End() {
-			for _, s := range b.List {
-				if s == target {
-					best = b
-				}
-			}
-		}
-		return true
-	})
-	return best
 }
 
 func objOf(info *types.Info, id *ast.Ident) types.Object {

@@ -115,11 +115,15 @@ func TestGoldenGoroutineLifecycle(t *testing.T) { testGolden(t, "goroviol") }
 func TestGoldenGuardedField(t *testing.T)       { testGolden(t, "guardviol") }
 func TestGoldenHotpathAlloc(t *testing.T)       { testGolden(t, "hotviol") }
 func TestGoldenLockOrder(t *testing.T)          { testGolden(t, "lockordviol") }
-func TestGoldenMailboxOrder(t *testing.T)       { testGolden(t, "mailviol") }
 func TestGoldenPhaseDiscipline(t *testing.T)    { testGolden(t, "phaseviol") }
 func TestGoldenPoolHygiene(t *testing.T)        { testGolden(t, "poolviol") }
-func TestGoldenShardEscape(t *testing.T)        { testGolden(t, "shardviol") }
 func TestGoldenUncheckedErr(t *testing.T)       { testGolden(t, "errviol") }
+
+// partition-safety has two seeded packages, one per contract: mailbox
+// order over the real sim.Mailbox, shard escape in a declared bridge
+// file.
+func TestGoldenMailboxOrder(t *testing.T) { testGolden(t, "mailviol") }
+func TestGoldenShardEscape(t *testing.T)  { testGolden(t, "shardviol") }
 
 func testGolden(t *testing.T, name string) {
 	diags, file := runTestdata(t, name)

@@ -124,7 +124,7 @@ func collectJoinSignals(info *types.Info, files []*ast.File) joinSignals {
 }
 
 // gatherJoinSignals adds the Wait/receive/close sites under root to
-// sig, skipping the subtree rooted at skip (the shard-escape rule uses
+// sig, skipping the subtree rooted at skip (the partition-safety rule uses
 // this to exclude a goroutine's own body when asking what its spawning
 // function joins).
 func gatherJoinSignals(info *types.Info, root ast.Node, skip ast.Node, sig joinSignals) {
@@ -138,7 +138,7 @@ func gatherJoinSignals(info *types.Info, root ast.Node, skip ast.Node, sig joinS
 				sig.closed[obj] = true
 			}
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == "Wait" && isWaitGroup(info, sel.X) {
+				sel.Sel.Name == "Wait" && syncKindOf(info.TypeOf(sel.X)) == syncWaitGroup {
 				if obj := refObj(info, sel.X); obj != nil {
 					sig.waited[obj] = true
 				}
@@ -150,7 +150,7 @@ func gatherJoinSignals(info *types.Info, root ast.Node, skip ast.Node, sig joinS
 				}
 			}
 		case *ast.RangeStmt:
-			if isChanExpr(info, n.X) {
+			if syncKindOf(info.TypeOf(n.X)) == syncChan {
 				if obj := refObj(info, n.X); obj != nil {
 					sig.received[obj] = true
 				}
@@ -162,7 +162,7 @@ func gatherJoinSignals(info *types.Info, root ast.Node, skip ast.Node, sig joinS
 
 // hasJoinEvidence reports whether a goroutine body pairs with any join
 // signal in sig. allowCtx additionally accepts a <-ctx.Done() receive
-// (cancellation-scoped lifetime); the shard-escape rule turns that off
+// (cancellation-scoped lifetime); the partition-safety rule turns that off
 // because a bridge-file worker must not outlive its spawning call.
 func hasJoinEvidence(info *types.Info, body *ast.BlockStmt, sig joinSignals, allowCtx bool) bool {
 	found := false
@@ -174,7 +174,7 @@ func hasJoinEvidence(info *types.Info, body *ast.BlockStmt, sig joinSignals, all
 		case *ast.CallExpr:
 			// wg.Done() paired with a Wait() somewhere in the package.
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == "Done" && isWaitGroup(info, sel.X) {
+				sel.Sel.Name == "Done" && syncKindOf(info.TypeOf(sel.X)) == syncWaitGroup {
 				if obj := refObj(info, sel.X); obj != nil && sig.waited[obj] {
 					found = true
 				}
@@ -201,7 +201,7 @@ func hasJoinEvidence(info *types.Info, body *ast.BlockStmt, sig joinSignals, all
 				}
 			}
 		case *ast.RangeStmt:
-			if isChanExpr(info, n.X) {
+			if syncKindOf(info.TypeOf(n.X)) == syncChan {
 				if obj := refObj(info, n.X); obj != nil && sig.closed[obj] {
 					found = true
 				}
@@ -241,31 +241,6 @@ func closedChan(info *types.Info, call *ast.CallExpr) types.Object {
 	return refObj(info, call.Args[0])
 }
 
-// isWaitGroup reports whether e has type sync.WaitGroup (or a pointer
-// to it).
-func isWaitGroup(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "WaitGroup"
-}
-
-// isChanExpr reports whether e has channel type.
-func isChanExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok {
-		return false
-	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
-	return isChan
-}
-
 // isCtxDone reports whether e is a call of context.Context.Done.
 func isCtxDone(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
@@ -276,10 +251,5 @@ func isCtxDone(info *types.Info, e ast.Expr) bool {
 	if !ok || sel.Sel.Name != "Done" {
 		return false
 	}
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return false
-	}
-	n, ok := tv.Type.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
+	return syncKindOf(info.TypeOf(sel.X)) == syncContext
 }

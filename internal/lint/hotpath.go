@@ -52,15 +52,22 @@ func runHotpath(pass *Pass) {
 			if !ok {
 				return true
 			}
-			for _, arg := range tickerArgs(pkg.Info, call, simPath) {
-				switch a := ast.Unparen(arg).(type) {
-				case *ast.FuncLit:
-					rootLits[a] = true
-				default:
-					if fn := funcFromExpr(pkg.Info, arg); fn != nil && graph.decls[fn] != nil {
-						roots = append(roots, fn)
-					}
+			// The ticker argument of AddTicker / Register is a tick root,
+			// and so is a sim.TickerFunc(x) conversion wherever it appears
+			// (any other conversion resolves to nothing, or to a local Tick
+			// method that hotRootNames made a root already).
+			var arg ast.Expr = call
+			if tv, ok := pkg.Info.Types[call.Fun]; !ok || !tv.IsType() {
+				callee := calleeFunc(pkg.Info, call)
+				if len(call.Args) != 2 || !(isPkgFunc(callee, simPath, "Engine", "AddTicker") || isPkgFunc(callee, simPath, "Engine", "Register")) {
+					return true
 				}
+				arg = call.Args[1]
+			}
+			if fn, lit := tickRoot(pkg.Info, arg, simPath); lit != nil {
+				rootLits[lit] = true
+			} else if graph.decls[fn] != nil {
+				roots = append(roots, fn)
 			}
 			return true
 		})
@@ -80,30 +87,6 @@ func runHotpath(pass *Pass) {
 	for lit := range rootLits {
 		checkHotBody(pass, lit.Body)
 	}
-}
-
-// tickerArgs returns the function-valued arguments of call that become
-// per-cycle tick roots: sim.TickerFunc(x) conversions and the ticker
-// arguments of (*sim.Engine).AddTicker / Register.
-func tickerArgs(info *types.Info, call *ast.CallExpr, simPath string) []ast.Expr {
-	// Conversion sim.TickerFunc(x).
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if n, ok := tv.Type.(*types.Named); ok &&
-			n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == simPath && n.Obj().Name() == "TickerFunc" {
-			return call.Args
-		}
-		return nil
-	}
-	callee := calleeFunc(info, call)
-	if callee == nil {
-		return nil
-	}
-	if isPkgFunc(callee, simPath, "Engine", "AddTicker") || isPkgFunc(callee, simPath, "Engine", "Register") {
-		if len(call.Args) == 2 {
-			return call.Args[1:]
-		}
-	}
-	return nil
 }
 
 // checkHotBody walks one hot function body. For closures registered
@@ -340,15 +323,6 @@ func fileOf(pkg *Package, pos token.Pos) *ast.File {
 	for _, f := range pkg.Files {
 		if f.Pos() <= pos && pos <= f.End() {
 			return f
-		}
-	}
-	return nil
-}
-
-func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
-			return fd
 		}
 	}
 	return nil

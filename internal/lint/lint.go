@@ -97,10 +97,9 @@ func All() []*Analyzer {
 		GuardedField(),
 		HotpathAlloc(),
 		LockOrder(),
-		MailboxOrder(),
+		PartitionSafety(),
 		PhaseDiscipline(),
 		PoolHygiene(),
-		ShardEscape(),
 		UncheckedErr(),
 	}
 }

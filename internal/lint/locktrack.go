@@ -127,17 +127,56 @@ func effectiveHeld(mu types.Object, held, killed, entry heldSet) bool {
 	return entry[mu] && !killed[mu]
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex,
-// possibly behind one pointer.
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
+// syncKind classifies a type as synchronization or signalling plumbing:
+// the one table behind "is this a mutex" (lock tracking), "is this
+// lock-protected data" (guarded-field inference: anything but notSync
+// carries its own safety), "may a shard worker capture it"
+// (partition-safety) and "is this a join signal" (goroutine-lifecycle).
+type syncKind int
+
+const (
+	notSync       syncKind = iota
+	syncMutex              // sync.Mutex, sync.RWMutex
+	syncWaitGroup          // sync.WaitGroup
+	syncChan               // any channel
+	syncContext            // context.Context
+	syncAtomic             // every type of sync/atomic: Int32, Bool, Pointer[T], Value, ...
+	syncOther              // the rest of sync and context (Once, Cond, Pool, CancelFunc, ...)
+)
+
+// syncKindOf classifies t, looking through pointers. A nil type (an
+// expression the checker recorded nothing for) is notSync.
+func syncKindOf(t types.Type) syncKind {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
-		return false
+	if t == nil {
+		return notSync
 	}
-	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
+	if _, ok := t.Underlying().(*types.Chan); ok {
+		return syncChan
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return notSync
+	}
+	switch path, name := n.Obj().Pkg().Path(), n.Obj().Name(); {
+	case path == "sync" && (name == "Mutex" || name == "RWMutex"):
+		return syncMutex
+	case path == "sync" && name == "WaitGroup":
+		return syncWaitGroup
+	case path == "context" && name == "Context":
+		return syncContext
+	case path == "sync/atomic":
+		return syncAtomic
+	case path == "sync" || path == "context":
+		return syncOther
+	}
+	return notSync
 }
 
 // lockFactsCache memoizes per-package analysis across analyzers and
@@ -234,7 +273,7 @@ func (f *lockFacts) collectAnnotations() {
 		} else {
 			obj = lookupField(sd, ref)
 		}
-		if obj == nil || !isMutexType(obj.Type()) {
+		if obj == nil || syncKindOf(obj.Type()) != syncMutex {
 			return nil
 		}
 		return obj
@@ -249,7 +288,7 @@ func (f *lockFacts) collectAnnotations() {
 					continue
 				}
 				f.owner[obj] = sd.name
-				if isMutexType(obj.Type()) {
+				if syncKindOf(obj.Type()) == syncMutex {
 					mutexes = append(mutexes, obj)
 				}
 			}
@@ -278,7 +317,7 @@ func (f *lockFacts) collectAnnotations() {
 			}
 			for _, n := range fl.Names {
 				obj := fieldObj(n)
-				if obj == nil || isMutexType(obj.Type()) || isSyncType(obj.Type()) {
+				if obj == nil || syncKindOf(obj.Type()) != notSync {
 					continue
 				}
 				f.siblings[obj] = mutexes[0]
@@ -301,26 +340,6 @@ func guardedAnnotation(fl *ast.Field) (ref string, pos token.Pos, ok bool) {
 		}
 	}
 	return "", token.NoPos, false
-}
-
-// isSyncType reports whether t is a synchronization or signalling type
-// that the inference heuristic must not treat as lock-protected data:
-// anything from sync/atomic or sync, channels, and contexts.
-func isSyncType(t types.Type) bool {
-	switch u := t.(type) {
-	case *types.Pointer:
-		return isSyncType(u.Elem())
-	case *types.Chan:
-		return true
-	case *types.Named:
-		if pkg := u.Obj().Pkg(); pkg != nil {
-			switch pkg.Path() {
-			case "sync", "sync/atomic", "context":
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // scanFunctions builds one scanUnit per declared function and one per
@@ -554,11 +573,11 @@ func (f *lockFacts) mutexOp(call *ast.CallExpr) (types.Object, string) {
 	}
 	switch r := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
-		if s, ok := f.pkg.Info.Selections[r]; ok && s.Kind() == types.FieldVal && isMutexType(s.Obj().Type()) {
+		if s, ok := f.pkg.Info.Selections[r]; ok && s.Kind() == types.FieldVal && syncKindOf(s.Obj().Type()) == syncMutex {
 			return s.Obj(), op
 		}
 	case *ast.Ident:
-		if obj := objOf(f.pkg.Info, r); obj != nil && isMutexType(obj.Type()) {
+		if obj := objOf(f.pkg.Info, r); obj != nil && syncKindOf(obj.Type()) == syncMutex {
 			return obj, op
 		}
 	}

@@ -77,7 +77,7 @@ func runPhaseDiscipline(pass *Pass) {
 			if encl := enclosingFunc(pkg, as.Pos(), f); encl != nil {
 				reg.owner = recvNamed(encl)
 			}
-			reg.tick = registeredTickFunc(info, call.Args[1], simPath)
+			reg.tick, _ = tickRoot(info, call.Args[1], simPath)
 			regs = append(regs, reg)
 			byHandle[handleObj] = append(byHandle[handleObj], reg)
 			return true
@@ -149,37 +149,4 @@ func runPhaseDiscipline(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// registeredTickFunc resolves the ticker argument of AddTicker to the
-// function that will tick: a sim.TickerFunc(x) conversion yields x; a
-// concrete value yields its Tick method when declared in this package.
-func registeredTickFunc(info *types.Info, arg ast.Expr, simPath string) *types.Func {
-	arg = ast.Unparen(arg)
-	if call, ok := arg.(*ast.CallExpr); ok {
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-			if n, ok := tv.Type.(*types.Named); ok &&
-				n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == simPath && n.Obj().Name() == "TickerFunc" &&
-				len(call.Args) == 1 {
-				return funcFromExpr(info, call.Args[0])
-			}
-		}
-	}
-	// Concrete Ticker value: find its Tick method.
-	tv, ok := info.Types[arg]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	t := tv.Type
-	for _, typ := range []types.Type{t, types.NewPointer(t)} {
-		ms := types.NewMethodSet(typ)
-		for i := 0; i < ms.Len(); i++ {
-			if m := ms.At(i).Obj(); m.Name() == "Tick" {
-				if f, ok := m.(*types.Func); ok {
-					return f
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -339,23 +339,3 @@ func mergeStates(a, b ownState) ownState {
 	// than risk a false positive.
 	return stUnknown
 }
-
-// stmtInBlock locates the innermost block directly containing target
-// and its index there.
-func stmtInBlock(root *ast.BlockStmt, target ast.Stmt) (*ast.BlockStmt, int) {
-	var blk *ast.BlockStmt
-	idx := -1
-	ast.Inspect(root, func(n ast.Node) bool {
-		b, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range b.List {
-			if s == target {
-				blk, idx = b, i
-			}
-		}
-		return true
-	})
-	return blk, idx
-}

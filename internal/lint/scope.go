@@ -30,9 +30,9 @@ const (
 	// ScopeBridge marks individual FILES inside a simulation package
 	// that legitimately host goroutines to coordinate shards (the
 	// parallel engine). Bridge files keep every determinism rule except
-	// the blanket go-statement ban; in its place the targeted
-	// shard-escape rule applies, so cross-shard traffic is constrained
-	// rather than exempted.
+	// the blanket go-statement ban; in its place the shard-escape half
+	// of the partition-safety rule applies, so cross-shard traffic is
+	// constrained rather than exempted.
 	ScopeBridge
 )
 
@@ -81,8 +81,8 @@ var serviceScope = map[string]string{
 // ride in on the parallel engine's exemption by landing in a sibling
 // file.
 var bridgeScope = map[string]string{
-	"sim/parallel.go":        "shard coordinator: per-shard workers synchronized at the cycle barrier; shard-escape replaces the go-statement ban",
-	"shardviol/shardviol.go": "seeded-violation testdata for the shard-escape rule",
+	"sim/parallel.go":        "shard coordinator: per-shard workers synchronized at the cycle barrier; partition-safety replaces the go-statement ban",
+	"shardviol/shardviol.go": "seeded-violation testdata for the shard-escape half of partition-safety",
 }
 
 // testdataScope reclassifies testdata packages whose rule under test
@@ -160,17 +160,6 @@ func isBridgeFile(m *Module, pkgPath, filename string) bool {
 	}
 	_, ok = bridgeScope[top+"/"+path.Base(filepath.ToSlash(filename))]
 	return ok
-}
-
-// pkgHasBridgeFile is the Applies predicate of the shard-escape rule:
-// it runs only on packages that contain at least one bridge file.
-func pkgHasBridgeFile(m *Module, pkg *Package) bool {
-	for _, fn := range pkg.Filenames {
-		if isBridgeFile(m, pkg.Path, fn) {
-			return true
-		}
-	}
-	return false
 }
 
 // Unclassified returns the internal/ package paths in pkgs that appear

@@ -129,8 +129,6 @@ func TestSimScopeApplies(t *testing.T) {
 			continue // applies to sim code except internal/sim itself; cam is covered
 		case "goroutine-lifecycle":
 			continue // service-scope rule: sim packages may not spawn goroutines at all
-		case "shard-escape":
-			continue // bridge-file rule: fires only on packages with a declared bridge file
 		}
 		if a.Applies != nil && !a.Applies(m, cam) {
 			t.Errorf("rule %s does not apply to internal/cam; sim packages must keep full coverage", a.Name)
@@ -171,7 +169,8 @@ func TestBridgeFileScope(t *testing.T) {
 // TestConcurrencyRuleApplies pins the Applies scoping of the
 // concurrency family: guarded-field and lock-order run on every
 // internal package, goroutine-lifecycle only outside simulation scope,
-// and shard-escape only on packages containing a declared bridge file.
+// and partition-safety on every simulation package (its mailbox-order
+// half is not confined to bridge files) but on no service package.
 func TestConcurrencyRuleApplies(t *testing.T) {
 	m := testModule(t)
 	pkgByPath := make(map[string]*Package)
@@ -206,10 +205,15 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 	if !applies("goroutine-lifecycle", dispatch) {
 		t.Error("goroutine-lifecycle must apply to internal/dispatch")
 	}
-	if !applies("shard-escape", sim) {
-		t.Error("shard-escape must apply to internal/sim: it contains the declared bridge file")
+	if !applies("partition-safety", sim) || !applies("partition-safety", cam) {
+		t.Error("partition-safety must apply to every simulation package: a Mailbox can be drained from any of them")
 	}
-	if applies("shard-escape", cam) || applies("shard-escape", dispatch) {
-		t.Error("shard-escape must only apply to packages containing a bridge file")
+	if applies("partition-safety", dispatch) {
+		t.Error("partition-safety must not apply to service packages")
+	}
+	for _, gone := range []string{"mailbox-order", "shard-escape"} {
+		if _, err := ByName([]string{gone}); err == nil {
+			t.Errorf("rule %s merged into partition-safety and must be unknown", gone)
+		}
 	}
 }

@@ -1,5 +1,5 @@
-// Package mailviol seeds mailbox-order violations for the golden
-// tests: sim.Mailbox.Drain must only be called from a loop over an
+// Package mailviol seeds violations of the mailbox-order half of the
+// partition-safety rule: sim.Mailbox.Drain must only be called from a loop over an
 // index-ordered collection.
 package mailviol
 
@@ -22,14 +22,14 @@ func BarrierIndexed(boxes []*sim.Mailbox[int]) {
 // AdHoc drains one mailbox from a bare call site: the next refactor
 // can reorder it against other drains without any diff noise.
 func AdHoc(mb *sim.Mailbox[int]) {
-	mb.Drain() // want mailbox-order "index-ordered loop"
+	mb.Drain() // want partition-safety "index-ordered loop"
 }
 
 // Conditional drains from a branch, so whether this mailbox's events
 // precede another's depends on control flow, not on index order.
 func Conditional(a, b *sim.Mailbox[int], swap bool) {
 	if swap {
-		b.Drain() // want mailbox-order "index-ordered loop"
+		b.Drain() // want partition-safety "index-ordered loop"
 	}
-	a.Drain() // want mailbox-order "index-ordered loop"
+	a.Drain() // want partition-safety "index-ordered loop"
 }

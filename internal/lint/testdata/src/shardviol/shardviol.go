@@ -1,7 +1,8 @@
-// Package shardviol seeds shard-escape violations. Its single file is
+// Package shardviol seeds violations of the shard-escape half of the
+// partition-safety rule. Its single file is
 // declared a bridge file in bridgeScope, so the determinism rule's
 // go-statement ban is lifted here — the time.Now below proves every
-// OTHER determinism check still applies — and the shard-escape rule
+// OTHER determinism check still applies — and partition-safety
 // polices the goroutines instead: workers must be join-scoped inline
 // closures, may capture only sync plumbing, and never drain a mailbox
 // off the barrier.
@@ -13,8 +14,8 @@ import (
 	"time"
 )
 
-// Mailbox is a local stand-in for sim.Mailbox (testdata cannot import
-// internal/sim); shard-escape matches Drain by receiver type name.
+// Mailbox is a local stand-in for sim.Mailbox: partition-safety matches
+// Drain by receiver type name.
 type Mailbox struct{ q []int }
 
 // Post records one cross-shard value.
@@ -42,7 +43,7 @@ func Escapes(shards []*Mailbox) {
 		go func(mb *Mailbox) {
 			defer wg.Done()
 			mb.Post(1)
-			total++ // want shard-escape "captures total"
+			total++ // want partition-safety "captures total"
 		}(shards[i])
 	}
 	wg.Wait()
@@ -51,7 +52,7 @@ func Escapes(shards []*Mailbox) {
 
 // Unjoined spawns a worker nothing in this function waits for.
 func Unjoined(mb *Mailbox) {
-	go func(mb *Mailbox) { // want shard-escape "not joined inside Unjoined"
+	go func(mb *Mailbox) { // want partition-safety "not joined inside Unjoined"
 		mb.Post(1)
 	}(mb)
 }
@@ -62,7 +63,7 @@ func DrainOffBarrier(mb *Mailbox) {
 	wg.Add(1)
 	go func(mb *Mailbox) {
 		defer wg.Done()
-		mb.Drain(func(int) {}) // want shard-escape "Drain inside a worker goroutine"
+		mb.Drain(func(int) {}) // want partition-safety "Drain inside a worker goroutine"
 	}(mb)
 	wg.Wait()
 }
@@ -73,7 +74,7 @@ func runWorker(mb *Mailbox) { mb.Post(2) }
 func NamedWorker(mb *Mailbox) {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go runWorker(mb) // want shard-escape "inline function literal"
+	go runWorker(mb) // want partition-safety "inline function literal"
 	wg.Wait()
 }
 
@@ -144,7 +145,7 @@ func PlainTicket(shards []*Mailbox) {
 		go func(shards []*Mailbox) {
 			defer exit.Done()
 			for {
-				i := ticket // want shard-escape "captures ticket"
+				i := ticket // want partition-safety "captures ticket"
 				ticket++
 				if i >= len(shards) {
 					return
@@ -169,7 +170,7 @@ func CapturedShards(shards []*Mailbox) {
 			defer exit.Done()
 			for {
 				i := int(ticket.Add(1)) - 1
-				if i >= len(shards) { // want shard-escape "captures shards"
+				if i >= len(shards) { // want partition-safety "captures shards"
 					return
 				}
 				shards[i].Post(i)
@@ -195,7 +196,7 @@ func DrainingClaimer(shards []*Mailbox) {
 				if i >= len(shards) {
 					return
 				}
-				shards[i].Drain(func(int) {}) // want shard-escape "Drain inside a worker goroutine"
+				shards[i].Drain(func(int) {}) // want partition-safety "Drain inside a worker goroutine"
 			}
 		}(shards)
 	}
@@ -209,7 +210,7 @@ func SuppressedCapture(mb *Mailbox) {
 	count := 0
 	wg.Add(1)
 	go func() {
-		//lint:ignore shard-escape fixture: capture acknowledged with a reason
+		//lint:ignore partition-safety fixture: capture acknowledged with a reason
 		count++
 		wg.Done()
 	}()

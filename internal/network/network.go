@@ -310,15 +310,6 @@ func (n *Network) barrier(now sim.Cycle) {
 	}
 }
 
-// Partitioned reports whether the network runs on the partitioned
-// engine, and with how many shards (0 shards when serial).
-func (n *Network) Partitioned() (bool, int) {
-	if n.part == nil {
-		return false, 0
-	}
-	return true, n.part.N
-}
-
 // PartitionStats describes a partitioned network's cut and what its
 // coordinator has done so far. Everything in it is a pure function of
 // the simulation (the work figures are event and tick counts, not
@@ -596,11 +587,27 @@ func (n *Network) Run(d sim.Cycle) {
 	n.Collector = merged
 }
 
+// RunAudited is Run as every job front door runs it: a mid-run
+// *invariant.Violation panic comes back as the error (any other panic
+// propagates), and a clean run ends with the checker's terminal audit.
+func (n *Network) RunAudited(d sim.Cycle) (err error) {
+	defer func() {
+		p := recover()
+		if v, ok := p.(*invariant.Violation); ok {
+			err = v
+		} else if p != nil {
+			panic(p)
+		}
+	}()
+	n.Run(d)
+	if n.Checker == nil {
+		return nil
+	}
+	return n.Checker.Final()
+}
+
 // RunMS advances the simulation by ms milliseconds of simulated time.
 func (n *Network) RunMS(ms float64) { n.Run(sim.CyclesFromMS(ms)) }
-
-// EndpointBPC returns endpoint e's injection-link bandwidth.
-func (n *Network) EndpointBPC(e int) int { return n.linkBPC[e] }
 
 // TotalOffered sums packets accepted into AdVOQs across all nodes.
 func (n *Network) TotalOffered() (pkts, bytes int) {

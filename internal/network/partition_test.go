@@ -229,7 +229,7 @@ func TestPartitionedFaultRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := n.Partitioned(); !ok {
+		if n.PartitionInfo() == nil {
 			t.Fatal("build is not partitioned")
 		}
 		return n

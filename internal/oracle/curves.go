@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
@@ -70,15 +69,11 @@ type GoldenCurves struct {
 // curveKey names one curve in the golden map.
 func curveKey(fig, scheme string) string { return fig + "/" + scheme }
 
-// RunCurves executes every golden-curve figure under every scheme (in
-// parallel) and returns the results keyed like the golden map.
+// RunCurves executes every golden-curve figure under every scheme
+// (one runner campaign) and returns the results keyed like the golden
+// map.
 func RunCurves() (map[string]*experiments.Result, error) {
-	type job struct {
-		key    string
-		exp    experiments.Experiment
-		scheme string
-	}
-	var jobs []job
+	var jobs []runner.Job
 	for _, spec := range CurveSpecs() {
 		exp, err := experiments.ByID(spec.Fig)
 		if err != nil {
@@ -88,26 +83,19 @@ func RunCurves() (map[string]*experiments.Result, error) {
 			exp.Duration = sim.CyclesFromMS(spec.DurationMS)
 		}
 		for _, s := range spec.Schemes {
-			jobs = append(jobs, job{curveKey(spec.Fig, s), exp, s})
+			jobs = append(jobs, runner.Job{Scheme: s, Seed: CurveSeed, Exp: &exp})
 		}
 	}
+	results, err := runner.Run(context.Background(), jobs, runner.Options{})
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]*experiments.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	var mu sync.Mutex
-	runner.ForEach(context.Background(), len(jobs), 0, func(i int) {
-		r, err := experiments.Run(jobs[i].exp, jobs[i].scheme, CurveSeed)
-		if err != nil {
-			errs[i] = fmt.Errorf("oracle: %s: %w", jobs[i].key, err)
-			return
+	for _, jr := range results {
+		if jr.Err != nil {
+			return nil, fmt.Errorf("oracle: %s: %w", jr.Job, jr.Err)
 		}
-		mu.Lock()
-		out[jobs[i].key] = r
-		mu.Unlock()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		out[curveKey(jr.Job.Exp.ID, jr.Job.Scheme)] = jr.Result
 	}
 	return out, nil
 }

@@ -42,8 +42,7 @@ type EngineRun struct {
 	Rejected int // generator packets refused by a full AdVOQ
 	Drained  bool
 	// Violations collects every runtime invariant violation plus the
-	// terminal audit's finding (only when the caller did not install
-	// its own Options.OnViolation).
+	// terminal audit's finding.
 	Violations []string
 }
 
@@ -59,21 +58,18 @@ const maxDrainIters = 256
 // RunEngine executes the scenario on the real engine and drains it:
 // after the last activation window closes it keeps running in chunks
 // until every offered packet is delivered (or the iteration cap turns
-// a livelock into a reported non-drain). Unless the caller installs
-// its own opt.OnViolation, invariant violations — including the
-// terminal audit — are collected into EngineRun.Violations instead of
-// panicking, so harness layers can report them as findings.
+// a livelock into a reported non-drain). Invariant violations —
+// including the terminal audit — are collected into
+// EngineRun.Violations instead of panicking, so harness layers can
+// report them as findings.
 //
 // An optional tamper hook runs between Build and traffic
 // installation; the self-check uses it to seed a deliberate engine
 // bug and prove the harness notices.
 func RunEngine(t *topo.Topology, p core.Params, opt network.Options, flows []RefFlow, tamper ...func(*network.Network)) (*EngineRun, error) {
 	er := &EngineRun{Flows: map[int]*RefFlowStats{}}
-	collect := opt.OnViolation == nil
-	if collect {
-		opt.OnViolation = func(v *invariant.Violation) {
-			er.Violations = append(er.Violations, v.Error())
-		}
+	opt.OnViolation = func(v *invariant.Violation) {
+		er.Violations = append(er.Violations, v.Error())
 	}
 	n, err := network.Build(t, p, opt)
 	if err != nil {
@@ -129,21 +125,17 @@ func RunEngine(t *topo.Topology, p core.Params, opt network.Options, flows []Ref
 	for _, nd := range n.Nodes {
 		er.Rejected += nd.Stats().Rejected
 	}
+	// Let in-flight credit returns land, then audit restitution: an
+	// idle lossless network must hold exactly its as-built credit.
+	// CheckBounds only catches balances ABOVE capacity (spurious
+	// refunds); a leak leaves balances permanently below, which only
+	// this post-drain audit can see.
+	verr := n.RunAudited(drainChunk)
 	if er.Drained {
-		// Let in-flight credit returns land, then audit restitution: an
-		// idle lossless network must hold exactly its as-built credit.
-		// CheckBounds only catches balances ABOVE capacity (spurious
-		// refunds); a leak leaves balances permanently below, which only
-		// this post-drain audit can see.
-		n.Run(drainChunk)
-		if collect {
-			er.Violations = append(er.Violations, auditCredits(n, t.NumEndpoints())...)
-		}
+		er.Violations = append(er.Violations, auditCredits(n, t.NumEndpoints())...)
 	}
-	if collect && n.Checker != nil {
-		if verr := n.Checker.Final(); verr != nil {
-			er.Violations = append(er.Violations, verr.Error())
-		}
+	if verr != nil {
+		er.Violations = append(er.Violations, verr.Error())
 	}
 	return er, nil
 }

@@ -2,14 +2,11 @@ package oracle
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/route"
 	"repro/internal/runner"
@@ -17,17 +14,16 @@ import (
 	"repro/internal/topo"
 )
 
-// FuzzConfig is one randomly generated configuration: a named small
-// topology, a scheme, a seed and a set of fixed-destination flows. It
-// is the unit the property suite checks and the unit the shrinker
-// minimizes; the JSON form is the repro artifact a failing fuzz run
-// writes to disk, replayable with `ccfit-verify -repro FILE`.
+// FuzzConfig is one fuzzed configuration: a named small topology, a
+// scheme, a seed and a set of fixed-destination flows. It is the unit
+// the property suite checks; FuzzInput.Decode produces it from the
+// bytes the native fuzzer mutates and minimizes.
 type FuzzConfig struct {
-	Label  string    `json:"label"`
-	Topo   string    `json:"topo"`
-	Scheme string    `json:"scheme"`
-	Seed   int64     `json:"seed"`
-	Flows  []RefFlow `json:"flows"`
+	Label  string
+	Topo   string
+	Scheme string
+	Seed   int64
+	Flows  []RefFlow
 }
 
 // TopoByName resolves the fuzzer's topology namespace: "starN" (one
@@ -73,7 +69,7 @@ func TopoByName(name string) (*topo.Topology, route.TieBreak, error) {
 	}
 }
 
-// fuzzTopos and fuzzSchemes are the generator's choice pools. Schemes
+// fuzzTopos and fuzzSchemes are the decoder's choice pools. Schemes
 // include the related-work extras — the metamorphic relations are
 // scheme-independent, so every discipline should satisfy them.
 var (
@@ -85,234 +81,102 @@ var (
 // that do not divide any link bandwidth.
 var fuzzSizes = []int{256, 512, 700, 1024, 1337, 1500, 2048}
 
-// GenConfig draws one random configuration from rng. Generation is a
-// pure function of the rng stream, so a campaign seed reproduces the
-// exact config sequence. Flows may saturate sources or destinations —
-// the properties that need the unstalled regime detect and skip it.
-func GenConfig(rng *rand.Rand, index int) FuzzConfig {
+// flowRecord is the width of one flow in FuzzInput.Flows (src, dst,
+// start and length as little-endian uint16s, rate, size) and
+// maxFuzzFlows caps how many leading records decode; bytes beyond them
+// are ignored.
+const (
+	flowRecord   = 8
+	maxFuzzFlows = 6
+)
+
+// FuzzInput is FuzzProperties' argument list: what `go test -fuzz`
+// mutates and minimizes, what a corpus file under
+// testdata/fuzz/FuzzProperties stores, and what the fixed-seed sweep of
+// ccfit-verify draws from its rng.
+type FuzzInput struct {
+	Topo, Scheme uint8
+	Seed         uint32
+	Flows        []byte
+}
+
+// Decode is total: every input names one configuration CheckConfig can
+// run, and equal inputs name equal configurations. Each flow is one
+// fixed-width record, so a minimizer that cuts bytes drops whole flows.
+// Flows may saturate sources or destinations — the properties that need
+// the unstalled regime detect and skip it.
+func (in FuzzInput) Decode() FuzzConfig {
 	cfg := FuzzConfig{
-		Label:  fmt.Sprintf("fuzz-%05d", index),
-		Topo:   fuzzTopos[rng.Intn(len(fuzzTopos))],
-		Scheme: fuzzSchemes[rng.Intn(len(fuzzSchemes))],
-		Seed:   int64(rng.Intn(1_000_000) + 1),
+		Topo:   fuzzTopos[int(in.Topo)%len(fuzzTopos)],
+		Scheme: fuzzSchemes[int(in.Scheme)%len(fuzzSchemes)],
+		Seed:   int64(in.Seed%1_000_000) + 1,
 	}
 	t, _, err := TopoByName(cfg.Topo)
 	if err != nil {
-		panic(err) // generator and namespace ship together
+		panic(err) // decoder and namespace ship together
 	}
 	ne := t.NumEndpoints()
-	nflows := 2 + rng.Intn(5)
-	for i := 0; i < nflows; i++ {
-		src := rng.Intn(ne)
-		dst := rng.Intn(ne - 1)
+	for i := 0; i < maxFuzzFlows && (i+1)*flowRecord <= len(in.Flows); i++ {
+		rec := in.Flows[i*flowRecord:]
+		src := int(rec[0]) % ne
+		dst := int(rec[1]) % (ne - 1)
 		if dst >= src {
 			dst++
 		}
-		start := sim.Cycle(rng.Intn(20_000))
-		length := sim.Cycle(5_000 + rng.Intn(35_000))
+		start := sim.Cycle(binary.LittleEndian.Uint16(rec[2:]) % 20_000)
+		length := sim.Cycle(5_000 + int(binary.LittleEndian.Uint16(rec[4:]))%35_000)
 		cfg.Flows = append(cfg.Flows, RefFlow{
 			ID:    i,
 			Src:   src,
 			Dst:   dst,
 			Start: start,
 			End:   start + length,
-			Rate:  0.05 + 0.75*rng.Float64(),
-			Size:  fuzzSizes[rng.Intn(len(fuzzSizes))],
+			Rate:  0.05 + 0.75*float64(rec[6])/255,
+			Size:  fuzzSizes[int(rec[7])%len(fuzzSizes)],
 		})
 	}
 	return cfg
 }
 
-// FuzzFailure is one failing configuration with its shrunk form.
-type FuzzFailure struct {
-	Config FuzzConfig `json:"config"`
-	Shrunk FuzzConfig `json:"shrunk"`
-	// Errors holds the shrunk config's property violations (the
-	// original config's violations when shrinking went nowhere).
-	Errors []string `json:"errors"`
-	// ReproPath is where the failure was written (empty when no repro
-	// directory was configured).
-	ReproPath string `json:"-"`
+// Corpus renders the input as a `go test fuzz v1` corpus file: saved
+// under internal/oracle/testdata/fuzz/FuzzProperties/NAME it replays
+// with `go test -run 'FuzzProperties/NAME' ./internal/oracle`.
+func (in FuzzInput) Corpus() string {
+	return fmt.Sprintf("go test fuzz v1\nbyte(%q)\nbyte(%q)\nuint32(%d)\n[]byte(%q)\n",
+		in.Topo, in.Scheme, in.Seed, in.Flows)
 }
 
-// FuzzReport summarizes a campaign.
-type FuzzReport struct {
-	Iters    int
-	Failures []FuzzFailure
-}
-
-// FuzzOptions configure a campaign.
-type FuzzOptions struct {
-	// Iters is the number of configurations to generate and check.
-	Iters int
-	// Seed drives config generation (not the simulations' own seeds,
-	// which the generator draws from the same stream).
-	Seed int64
-	// Workers bounds the property-check pool (<=0: one per core).
-	Workers int
-	// ReproDir, when non-empty, receives one JSON file per shrunk
-	// failure.
-	ReproDir string
-	// ShrinkRuns bounds the shrinker's budget per failure (number of
-	// candidate re-checks; <=0 uses 64).
-	ShrinkRuns int
-	// Log, when non-nil, receives progress lines.
-	Log func(format string, args ...any)
-}
-
-// Fuzz runs a property-check campaign: Iters configurations generated
-// from Seed, checked in parallel, failures shrunk to minimal form and
-// written to ReproDir. The error is non-nil only for campaign-level
-// problems (an unwritable repro dir); property violations are data.
-func Fuzz(ctx context.Context, opt FuzzOptions) (*FuzzReport, error) {
-	if opt.Iters <= 0 {
-		opt.Iters = 100
-	}
-	if opt.ShrinkRuns <= 0 {
-		opt.ShrinkRuns = 64
-	}
-	logf := opt.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if opt.ReproDir != "" {
-		if err := os.MkdirAll(opt.ReproDir, 0o755); err != nil {
-			return nil, fmt.Errorf("oracle: repro dir: %w", err)
+// Sweep is the fixed-seed campaign of ccfit-verify and `go test`: iters
+// inputs drawn from seed (2 to 6 flows each), decoded and checked in
+// parallel. Each finding names the failing configuration, its property
+// violations and the corpus file that replays it.
+func Sweep(ctx context.Context, iters int, seed int64, workers int) ([]string, error) {
+	rng := rand.New(rand.NewSource(seed))
+	inputs := make([]FuzzInput, iters)
+	configs := make([]FuzzConfig, iters)
+	for i := range inputs {
+		in := FuzzInput{Topo: uint8(rng.Intn(256)), Scheme: uint8(rng.Intn(256)), Seed: rng.Uint32()}
+		in.Flows = make([]byte, flowRecord*(2+rng.Intn(5)))
+		for j := range in.Flows {
+			in.Flows[j] = byte(rng.Intn(256))
 		}
+		inputs[i], configs[i] = in, in.Decode()
 	}
-
-	rng := rand.New(rand.NewSource(opt.Seed))
-	configs := make([]FuzzConfig, opt.Iters)
-	for i := range configs {
-		configs[i] = GenConfig(rng, i)
-	}
-
-	rep := &FuzzReport{Iters: opt.Iters}
-	var mu sync.Mutex
-	runner.ForEach(ctx, len(configs), opt.Workers, func(i int) {
-		errs := CheckConfig(configs[i])
-		if len(errs) == 0 {
-			return
-		}
-		mu.Lock()
-		rep.Failures = append(rep.Failures, FuzzFailure{Config: configs[i]})
-		mu.Unlock()
-	})
+	failed := make([][]error, iters)
+	runner.ForEach(ctx, iters, workers, func(i int) { failed[i] = CheckConfig(configs[i]) })
 	if err := ctx.Err(); err != nil {
-		return rep, err
+		return nil, err
 	}
-
-	// Shrink and persist failures sequentially: there are few (usually
-	// zero), and deterministic order keeps repro files stable.
-	for fi := range rep.Failures {
-		f := &rep.Failures[fi]
-		logf("shrinking %s (%s/%s, %d flows)", f.Config.Label, f.Config.Topo, f.Config.Scheme, len(f.Config.Flows))
-		f.Shrunk = Shrink(f.Config, opt.ShrinkRuns, stillFails)
-		for _, e := range CheckConfig(f.Shrunk) {
-			f.Errors = append(f.Errors, e.Error())
+	var findings []string
+	for i, errs := range failed {
+		if len(errs) == 0 {
+			continue
 		}
-		if len(f.Errors) == 0 {
-			// A flaky shrink result must never mask the finding.
-			f.Shrunk = f.Config
-			for _, e := range CheckConfig(f.Config) {
-				f.Errors = append(f.Errors, e.Error())
-			}
+		line := fmt.Sprintf("config %d (%s/%s, %d flows)", i, configs[i].Topo, configs[i].Scheme, len(configs[i].Flows))
+		for _, e := range errs {
+			line += "\n    " + e.Error()
 		}
-		if opt.ReproDir != "" {
-			path := filepath.Join(opt.ReproDir, f.Shrunk.Label+".json")
-			if err := WriteRepro(path, *f); err != nil {
-				return rep, err
-			}
-			f.ReproPath = path
-			logf("wrote %s", path)
-		}
+		findings = append(findings, line+"\n    corpus file:\n"+inputs[i].Corpus())
 	}
-	return rep, nil
-}
-
-// stillFails re-checks a shrink candidate against the property suite.
-func stillFails(cfg FuzzConfig) bool { return len(CheckConfig(cfg)) > 0 }
-
-// Shrink minimizes a failing configuration greedily: repeatedly try
-// dropping one flow, then halving every activation window, keeping
-// any candidate that still satisfies fails, until a full pass changes
-// nothing or the run budget is spent. The result is the smallest
-// config the budget found — debugging starts from a two-flow 5k-cycle
-// repro, not a six-flow 40k-cycle one. The campaign passes the
-// property suite as fails; tests pass synthetic predicates.
-func Shrink(cfg FuzzConfig, maxRuns int, fails func(FuzzConfig) bool) FuzzConfig {
-	runs := 0
-	try := func(cand FuzzConfig) bool {
-		if runs >= maxRuns {
-			return false
-		}
-		runs++
-		return fails(cand)
-	}
-	cur := cfg
-	for {
-		improved := false
-		// Drop flows, shortest-lived first candidates being equal.
-		for i := 0; i < len(cur.Flows) && len(cur.Flows) > 1; i++ {
-			cand := cur
-			cand.Flows = append(append([]RefFlow{}, cur.Flows[:i]...), cur.Flows[i+1:]...)
-			cand.Label = cfg.Label + "-shrunk"
-			if try(cand) {
-				cur = cand
-				improved = true
-				i-- // the next flow shifted into this slot
-			}
-		}
-		// Halve every window.
-		cand := cur
-		cand.Flows = append([]RefFlow{}, cur.Flows...)
-		cand.Label = cfg.Label + "-shrunk"
-		shrunkAny := false
-		for i, f := range cand.Flows {
-			if length := f.End - f.Start; length >= 2 {
-				cand.Flows[i].End = f.Start + length/2
-				shrunkAny = true
-			}
-		}
-		if shrunkAny && try(cand) {
-			cur = cand
-			improved = true
-		}
-		if !improved || runs >= maxRuns {
-			return cur
-		}
-	}
-}
-
-// WriteRepro persists a failure as indented JSON.
-func WriteRepro(path string, f FuzzFailure) error {
-	b, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadRepro reads a repro file written by WriteRepro (or a bare
-// FuzzConfig JSON) and returns the config to replay — the shrunk one
-// when present.
-func LoadRepro(path string) (FuzzConfig, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return FuzzConfig{}, err
-	}
-	var f FuzzFailure
-	if err := json.Unmarshal(raw, &f); err == nil {
-		if len(f.Shrunk.Flows) > 0 {
-			return f.Shrunk, nil
-		}
-		if len(f.Config.Flows) > 0 {
-			return f.Config, nil
-		}
-	}
-	var cfg FuzzConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return FuzzConfig{}, fmt.Errorf("oracle: %s is neither a FuzzFailure nor a FuzzConfig: %w", path, err)
-	}
-	return cfg, nil
+	return findings, nil
 }

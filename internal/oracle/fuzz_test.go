@@ -1,64 +1,121 @@
 package oracle
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// TestFuzzQuick is the quick tier wired into `go test ./...`: a small
-// seeded campaign over every topology and scheme in the generator's
-// pools. ccfit-verify -mode=fuzz runs the same campaign at nightly
-// scale.
+// seedFlows is two flow records: enough traffic to exercise every
+// property, small enough that the fuzzer's first mutations stay cheap.
+var seedFlows = []byte{0, 1, 0x10, 0x00, 0x00, 0x20, 0x80, 3, 2, 0, 0x00, 0x08, 0x00, 0x40, 0xc0, 6}
+
+// FuzzProperties is the open-ended campaign over the metamorphic
+// property suite: the native fuzzer mutates a FuzzInput, minimizes a
+// failure (cutting bytes drops whole flow records) and writes it under
+// testdata/fuzz/FuzzProperties, from where plain `go test` replays it.
+// The nightly job runs it for 45 minutes; the seeds — one per topology
+// of the pool, each under a different scheme — run on every `go test`.
+func FuzzProperties(f *testing.F) {
+	for i := range fuzzTopos {
+		f.Add(uint8(i), uint8(i), uint32(i), seedFlows)
+	}
+	f.Fuzz(func(t *testing.T, topo, scheme uint8, seed uint32, flows []byte) {
+		cfg := FuzzInput{Topo: topo, Scheme: scheme, Seed: seed, Flows: flows}.Decode()
+		for _, err := range CheckConfig(cfg) {
+			t.Errorf("%s/%s seed %d, %d flow(s): %v", cfg.Topo, cfg.Scheme, cfg.Seed, len(cfg.Flows), err)
+		}
+	})
+}
+
+// TestFuzzQuick is the quick tier wired into `go test ./...`: the
+// fixed-seed sweep ccfit-verify runs, over every topology and scheme in
+// the decoder's pools.
 func TestFuzzQuick(t *testing.T) {
 	t.Parallel()
 	iters := 25
 	if testing.Short() {
 		iters = 8
 	}
-	rep, err := Fuzz(context.Background(), FuzzOptions{Iters: iters, Seed: 42, Log: t.Logf})
+	findings, err := Sweep(context.Background(), iters, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Iters != iters {
-		t.Errorf("campaign reported %d iters, want %d", rep.Iters, iters)
-	}
-	for _, f := range rep.Failures {
-		t.Errorf("fuzz failure %s (%s/%s): %v", f.Config.Label, f.Config.Topo, f.Config.Scheme, f.Errors)
+	for _, f := range findings {
+		t.Errorf("sweep failure: %s", f)
 	}
 }
 
-// TestGenConfigDeterministic: one campaign seed must reproduce the
-// exact config sequence, or repro labels mean nothing.
-func TestGenConfigDeterministic(t *testing.T) {
+// randomInput draws an input whose Flows length is anything from empty
+// to past the flow cap, record-aligned or not.
+func randomInput(rng *rand.Rand) FuzzInput {
+	in := FuzzInput{Topo: uint8(rng.Intn(256)), Scheme: uint8(rng.Intn(256)), Seed: rng.Uint32()}
+	in.Flows = make([]byte, rng.Intn(flowRecord*(maxFuzzFlows+2)))
+	rng.Read(in.Flows)
+	return in
+}
+
+// TestDecodeConfigDeterministic: the same bytes must name the same
+// configuration, or a corpus file replays something else than what
+// failed.
+func TestDecodeConfigDeterministic(t *testing.T) {
 	t.Parallel()
-	a := rand.New(rand.NewSource(99))
-	b := rand.New(rand.NewSource(99))
+	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 50; i++ {
-		ca, cb := GenConfig(a, i), GenConfig(b, i)
-		if !reflect.DeepEqual(ca, cb) {
-			t.Fatalf("config %d diverged between identical streams:\n%+v\n%+v", i, ca, cb)
+		in := randomInput(rng)
+		twin := in
+		twin.Flows = bytes.Clone(in.Flows)
+		if a, b := in.Decode(), twin.Decode(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("input %d decoded to two configs:\n%+v\n%+v", i, a, b)
 		}
 	}
 }
 
-// TestGenConfigValid: every generated config must name a resolvable
-// topology and carry in-range flows (sources/destinations exist,
-// windows non-empty, rates in (0,1]).
-func TestGenConfigValid(t *testing.T) {
+// TestDecodeConfigValid: the decoder is total. Every byte string names
+// a resolvable topology and in-range flows (sources/destinations exist,
+// windows non-empty, rates in (0,1]) — one per whole record up to the
+// cap — and the edge inputs run through the whole property suite.
+func TestDecodeConfigValid(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		cfg := GenConfig(rng, i)
+		in := randomInput(rng)
+		cfg := in.Decode()
 		tp, _, err := TopoByName(cfg.Topo)
 		if err != nil {
-			t.Fatalf("config %d: %v", i, err)
+			t.Fatalf("input %d: %v", i, err)
 		}
 		if _, err := NewRefSim(tp, cfg.Flows); err != nil {
-			t.Fatalf("config %d (%s): generated invalid flows: %v", i, cfg.Label, err)
+			t.Fatalf("input %d (%+v): decoded invalid flows: %v", i, in, err)
 		}
+		if want := min(len(in.Flows)/flowRecord, maxFuzzFlows); len(cfg.Flows) != want {
+			t.Fatalf("input %d: %d bytes decoded to %d flows, want %d", i, len(in.Flows), len(cfg.Flows), want)
+		}
+	}
+	for _, flows := range [][]byte{nil, make([]byte, flowRecord-1), bytes.Repeat([]byte{0xff}, 100)} {
+		in := FuzzInput{Topo: 0xff, Scheme: 0xff, Seed: 0xffffffff, Flows: flows}
+		if errs := CheckConfig(in.Decode()); len(errs) > 0 {
+			t.Errorf("edge input %+v: %v", in, errs)
+		}
+	}
+}
+
+// TestCorpusFile pins Corpus to the committed corpus entry: the file is
+// parsed by FuzzProperties on every `go test`, so equality here means
+// what the sweep prints is what the native driver reads.
+func TestCorpusFile(t *testing.T) {
+	t.Parallel()
+	in := FuzzInput{Topo: 7, Scheme: 3, Seed: 12, Flows: append(bytes.Clone(seedFlows), 0xfe, 0x80, 0x00)}
+	want, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzProperties", "leafspine-ccfit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := in.Corpus(); got != string(want) {
+		t.Errorf("Corpus() =\n%s\ncommitted file:\n%s", got, want)
 	}
 }
 
@@ -75,105 +132,8 @@ func TestTopoByName(t *testing.T) {
 			t.Errorf("%s: want error, got topology", name)
 		}
 	}
-}
-
-// TestShrink exercises the shrinker against a synthetic predicate, so
-// the test controls exactly what "fails" means: any config still
-// containing flow ID 3 fails. The shrinker must strip every other
-// flow and halve the survivor's window to the minimum the budget
-// reaches, and never return a passing config.
-func TestShrink(t *testing.T) {
-	t.Parallel()
-	cfg := FuzzConfig{Label: "shrinkme", Topo: "star6", Scheme: "1Q", Seed: 5}
-	for i := 0; i < 6; i++ {
-		cfg.Flows = append(cfg.Flows, RefFlow{
-			ID: i, Src: i % 6, Dst: (i + 1) % 6,
-			Start: 0, End: 40_000, Rate: 0.5, Size: 1024,
-		})
-	}
-	fails := func(c FuzzConfig) bool {
-		for _, f := range c.Flows {
-			if f.ID == 3 {
-				return true
-			}
-		}
-		return false
-	}
-	got := Shrink(cfg, 128, fails)
-	if !fails(got) {
-		t.Fatal("shrinker returned a PASSING config — the repro is useless")
-	}
-	if len(got.Flows) != 1 || got.Flows[0].ID != 3 {
-		t.Errorf("want exactly the culprit flow 3, got %d flows: %+v", len(got.Flows), got.Flows)
-	}
-	if w := got.Flows[0].End - got.Flows[0].Start; w >= 40_000 {
-		t.Errorf("window never shrank: still %d cycles", w)
-	}
-}
-
-// TestShrinkBudgetZero: with no run budget the shrinker must hand the
-// original config back untouched.
-func TestShrinkBudgetZero(t *testing.T) {
-	t.Parallel()
-	cfg := FuzzConfig{Label: "x", Topo: "star3", Scheme: "1Q",
-		Flows: []RefFlow{{ID: 0, Src: 0, Dst: 1, End: 100, Rate: 0.5, Size: 256}}}
-	got := Shrink(cfg, 0, func(FuzzConfig) bool { return true })
-	if !reflect.DeepEqual(got, cfg) {
-		t.Errorf("zero-budget shrink changed the config: %+v", got)
-	}
-}
-
-// TestReproRoundTrip: a persisted failure must replay from disk, and
-// LoadRepro must prefer the shrunk form.
-func TestReproRoundTrip(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	fail := FuzzFailure{
-		Config: FuzzConfig{Label: "orig", Topo: "star4", Scheme: "CCFIT", Seed: 9,
-			Flows: []RefFlow{
-				{ID: 0, Src: 0, Dst: 1, End: 5_000, Rate: 0.4, Size: 512},
-				{ID: 1, Src: 2, Dst: 3, End: 5_000, Rate: 0.3, Size: 1024},
-			}},
-		Shrunk: FuzzConfig{Label: "orig-shrunk", Topo: "star4", Scheme: "CCFIT", Seed: 9,
-			Flows: []RefFlow{{ID: 0, Src: 0, Dst: 1, End: 2_500, Rate: 0.4, Size: 512}}},
-		Errors: []string{"synthetic"},
-	}
-	path := filepath.Join(dir, "repro.json")
-	if err := WriteRepro(path, fail); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadRepro(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, fail.Shrunk) {
-		t.Errorf("LoadRepro returned %+v, want the shrunk config %+v", got, fail.Shrunk)
-	}
-
-	// A bare FuzzConfig must load too — hand-written repros are legal.
-	bare := filepath.Join(dir, "bare.json")
-	if err := WriteRepro(bare, FuzzFailure{Config: fail.Config}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = LoadRepro(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, fail.Config) {
-		t.Errorf("LoadRepro on shrink-less failure returned %+v, want the original config", got)
-	}
-}
-
-// TestFuzzWritesRepro: a campaign that hits a failure must shrink it
-// and write the repro artifact. The failure is induced with a seeded
-// engine bug via the campaign-level check path — here we simulate it
-// by checking a config against a topology namespace typo, the one
-// failure mode reachable without breaking the engine.
-func TestFuzzWritesRepro(t *testing.T) {
-	t.Parallel()
-	cfg := FuzzConfig{Label: "bad-topo", Topo: "mesh99", Scheme: "1Q", Seed: 1,
-		Flows: []RefFlow{{ID: 0, Src: 0, Dst: 1, End: 1_000, Rate: 0.5, Size: 256}}}
-	if errs := CheckConfig(cfg); len(errs) == 0 {
-		t.Fatal("config with unknown topology passed the property suite")
+	// A hand-written config with a namespace typo is a reported failure.
+	if errs := CheckConfig(FuzzConfig{Topo: "mesh99", Scheme: "1Q", Seed: 1}); len(errs) == 0 {
+		t.Error("config with unknown topology passed the property suite")
 	}
 }

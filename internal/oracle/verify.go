@@ -11,16 +11,13 @@ import (
 // command line maps onto this 1:1).
 type VerifyOptions struct {
 	// Mode is "quick" (differential + self-check + structural
-	// properties + a small fuzz campaign), "full" (everything quick
-	// runs, plus scheme dominance, IRD monotonicity, the golden-curve
-	// gate and a bigger fuzz campaign) or "fuzz" (only the fuzz
-	// campaign, sized by FuzzIters — the nightly job).
+	// properties + a 25-config fixed-seed sweep of the fuzzed property
+	// suite) or "full" (everything quick runs, plus scheme dominance,
+	// IRD monotonicity, the golden-curve gate and a 200-config sweep).
+	// The open-ended campaign is `go test -fuzz FuzzProperties`.
 	Mode string
-	// Seed drives every simulation and the fuzz generator.
+	// Seed drives every simulation and the sweep's inputs.
 	Seed int64
-	// FuzzIters overrides the mode's fuzz campaign size (0 = mode
-	// default: 25 quick, 200 full and fuzz).
-	FuzzIters int
 	// Workers bounds every worker pool (<=0: one per core).
 	Workers int
 	// SimWorkers runs the engine side of every differential pair under
@@ -29,8 +26,6 @@ type VerifyOptions struct {
 	// verdicts cannot depend on it — running quick mode with SimWorkers
 	// > 1 verifies exactly that.
 	SimWorkers int
-	// ReproDir receives shrunk fuzz failures (empty = don't persist).
-	ReproDir string
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -68,20 +63,17 @@ func (r *VerifyReport) Findings() int {
 }
 
 // Verify runs the oracle's gates per VerifyOptions.Mode. The error
-// return is infrastructural (unknown mode, unwritable repro dir, a
-// gate that failed to execute at all); findings are data in the
-// report.
+// return is infrastructural (unknown mode, a gate that failed to
+// execute at all); findings are data in the report.
 func Verify(ctx context.Context, opt VerifyOptions) (*VerifyReport, error) {
-	quick, full, fuzzOnly := false, false, false
+	full := false
 	switch opt.Mode {
 	case "", "quick":
-		opt.Mode, quick = "quick", true
+		opt.Mode = "quick"
 	case "full":
 		full = true
-	case "fuzz":
-		fuzzOnly = true
 	default:
-		return nil, fmt.Errorf("oracle: unknown verify mode %q (want quick, full or fuzz)", opt.Mode)
+		return nil, fmt.Errorf("oracle: unknown verify mode %q (want quick or full)", opt.Mode)
 	}
 	logf := opt.Log
 	if logf == nil {
@@ -104,42 +96,40 @@ func Verify(ctx context.Context, opt VerifyOptions) (*VerifyReport, error) {
 		return out
 	}
 
-	if !fuzzOnly {
-		// Differential: the reference simulator must agree exactly on
-		// delivery and within bands on latency, per scenario × scheme.
-		var findings []string
-		pairs := 0
-		for _, sc := range Scenarios() {
-			for _, scheme := range PaperSchemes {
-				if err := ctx.Err(); err != nil {
-					return rep, err
-				}
-				p, err := experiments.SchemeByName(scheme)
-				if err != nil {
-					return nil, err
-				}
-				dr, err := RunDiff(sc, scheme, p, opt.Seed, opt.SimWorkers, DefaultBand())
-				if err != nil {
-					return nil, err
-				}
-				pairs++
-				if !dr.OK() {
-					findings = append(findings, dr.String())
-				}
+	// Differential: the reference simulator must agree exactly on
+	// delivery and within bands on latency, per scenario × scheme.
+	var findings []string
+	pairs := 0
+	for _, sc := range Scenarios() {
+		for _, scheme := range PaperSchemes {
+			if err := ctx.Err(); err != nil {
+				return rep, err
+			}
+			p, err := experiments.SchemeByName(scheme)
+			if err != nil {
+				return nil, err
+			}
+			dr, err := RunDiff(sc, scheme, p, opt.Seed, opt.SimWorkers, DefaultBand())
+			if err != nil {
+				return nil, err
+			}
+			pairs++
+			if !dr.OK() {
+				findings = append(findings, dr.String())
 			}
 		}
-		section("differential", fmt.Sprintf("%d scenario×scheme pairs", pairs), findings)
-
-		// Self-check: seeded engine bugs must be caught.
-		var sc []string
-		if err := SelfCheck(opt.Seed); err != nil {
-			sc = append(sc, err.Error())
-		}
-		section("self-check", "2 seeded credit faults", sc)
-
-		// Structural properties (cheap, always on).
-		section("cct-table", "monotonicity over 6 CCTI depths", asStrings(CheckCCTMonotonic()))
 	}
+	section("differential", fmt.Sprintf("%d scenario×scheme pairs", pairs), findings)
+
+	// Self-check: seeded engine bugs must be caught.
+	var sc []string
+	if err := SelfCheck(opt.Seed); err != nil {
+		sc = append(sc, err.Error())
+	}
+	section("self-check", "2 seeded credit faults", sc)
+
+	// Structural properties (cheap, always on).
+	section("cct-table", "monotonicity over 6 CCTI depths", asStrings(CheckCCTMonotonic()))
 
 	if full {
 		section("dominance", "5 schemes × 0.75 ms hot-spot", asStrings(CheckSchemeDominance(opt.Seed, 0.05)))
@@ -152,35 +142,14 @@ func Verify(ctx context.Context, opt VerifyOptions) (*VerifyReport, error) {
 		section("curves", "Figs. 7a, 8a, 9 vs golden bands", asStrings(findings))
 	}
 
-	iters := opt.FuzzIters
-	if iters <= 0 {
-		if quick {
-			iters = 25
-		} else {
-			iters = 200
-		}
+	iters := 25
+	if full {
+		iters = 200
 	}
-	fr, err := Fuzz(ctx, FuzzOptions{
-		Iters:    iters,
-		Seed:     opt.Seed,
-		Workers:  opt.Workers,
-		ReproDir: opt.ReproDir,
-		Log:      logf,
-	})
+	swept, err := Sweep(ctx, iters, opt.Seed, opt.Workers)
 	if err != nil {
 		return rep, err
 	}
-	var ff []string
-	for _, f := range fr.Failures {
-		line := fmt.Sprintf("%s (%s/%s, %d flows)", f.Shrunk.Label, f.Shrunk.Topo, f.Shrunk.Scheme, len(f.Shrunk.Flows))
-		if f.ReproPath != "" {
-			line += " repro: " + f.ReproPath
-		}
-		for _, e := range f.Errors {
-			line += "\n    " + e
-		}
-		ff = append(ff, line)
-	}
-	section("fuzz", fmt.Sprintf("%d configs", fr.Iters), ff)
+	section("fuzz", fmt.Sprintf("%d configs", iters), swept)
 	return rep, nil
 }

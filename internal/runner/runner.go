@@ -41,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/invariant"
 	"repro/internal/sim"
 )
 
@@ -466,16 +465,12 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 // anywhere in the stack into a job error (the partitioned engine
 // re-raises a shard's panic on this goroutine, see sim.Parallel.Run).
 // An invariant violation — raised as a panic by the always-on checker
-// or surfaced by the final audit — comes back as the
+// or surfaced by the final audit — comes back from RunAudited as the
 // *invariant.Violation itself, so runOne can quarantine it instead of
 // retrying a deterministic failure. engine is Event.Engine's text.
 func execute(r resolved) (res *experiments.Result, engine string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if v, ok := p.(*invariant.Violation); ok {
-				err = v
-				return
-			}
 			err = fmt.Errorf("runner: job panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
@@ -492,13 +487,10 @@ func execute(r resolved) (res *experiments.Result, engine string, err error) {
 	if r.watchdog != 0 && n.Checker != nil {
 		n.Checker.SetWatchdogWindow(r.watchdog)
 	}
-	n.Run(r.exp.Duration)
-	if n.Checker != nil {
-		// Terminal audit: corruption inside the last check interval
-		// must not slip out as a plausible result.
-		if verr := n.Checker.Final(); verr != nil {
-			return nil, "", verr
-		}
+	// Terminal audit included: corruption inside the last check interval
+	// must not slip out as a plausible result.
+	if err := n.RunAudited(r.exp.Duration); err != nil {
+		return nil, "", err
 	}
 	ports, nodes := n.Elided()
 	engine = fmt.Sprintf("elided: %d switch port-cycles, %d node-cycles", ports, nodes)

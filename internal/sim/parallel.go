@@ -27,7 +27,7 @@
 // The exception is enforced, not waived: this file is declared a
 // bridge file (internal/lint/scope.go, bridgeScope), which lifts only
 // the determinism rule's go-statement ban and puts the targeted
-// shard-escape rule in its place — workers must be join-scoped
+// partition-safety rule in its place — workers must be join-scoped
 // closures that capture nothing but sync plumbing (channels,
 // WaitGroups, sync/atomic values), receive their engines as spawn-time
 // parameters and never drain mailboxes. Every other determinism check

@@ -5,12 +5,14 @@
 # adds one uncovered branch. Raise a floor when a package's coverage
 # moves up for good; never lower one to make CI pass.
 #
-# Known cross-package cases: internal/invariant and internal/fault are
-# exercised mostly through internal/network's suites, so their OWN
-# floors are low; the point of listing them is to notice if even that
-# residue disappears. internal/link joined that set when the
-# partitioned engine added its cut-half machinery, which only runs
-# under internal/network's and the digest matrix's suites.
+# Known cross-package cases: internal/fault is exercised mostly through
+# internal/network's suites, so its OWN floor is low; the point of
+# listing it is to notice if even that residue disappears.
+# internal/link joined that set when the partitioned engine added its
+# cut-half machinery, which only runs under internal/network's and the
+# digest matrix's suites. internal/invariant left it with its
+# seeded-violation table (80 % on its own). The root package holds no
+# statements ("coverage: [no statements]") and has no floor.
 set -e
 
 go test -cover -coverprofile=coverage.out ./... | tee coverage.txt
@@ -20,13 +22,12 @@ awk '
     pkg = $2
     cov = ""
     for (i = 3; i <= NF; i++) if ($i == "coverage:") { cov = $(i + 1); break }
-    if (cov == "") next
+    if (cov == "" || cov == "[no") next
     sub("%", "", cov)
 
     floor = 50
-    if (pkg == "repro")                    floor = 55
     if (pkg == "repro/internal/core")      floor = 80
-    if (pkg == "repro/internal/invariant") floor = 1
+    if (pkg == "repro/internal/invariant") floor = 70
     if (pkg == "repro/internal/fault")     floor = 30
     if (pkg == "repro/internal/link")      floor = 40
     if (pkg == "repro/internal/oracle")    floor = 70
