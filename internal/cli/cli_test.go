@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -263,6 +264,9 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 	}
 }
 
+// engineLine is the shape of the -v line under a simulated cell.
+var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+\}$`)
+
 // TestCacheSettledByEveryTool: a -cache run leaves the access-time
 // index on disk (it used to be flushed by ccfit-run alone), and a
 // second run is served from the cache with identical output.
@@ -277,6 +281,11 @@ func TestCacheSettledByEveryTool(t *testing.T) {
 			}
 			if _, err := os.Stat(filepath.Join(cache, "atime-index.json")); err != nil {
 				t.Errorf("cache index not flushed: %v", err)
+			}
+			// -v says, under every cell it simulated, what the engine skipped
+			// and what it ran instead.
+			if n := len(engineLine.FindAllString(stderr, -1)); n == 0 || n != strings.Count(stderr, "elided:") {
+				t.Errorf("%d well-formed engine lines of %d:\n%s", n, strings.Count(stderr, "elided:"), stderr)
 			}
 			_, warm, stderr := drive(tool.run, args...)
 			if warm != cold {

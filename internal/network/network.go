@@ -627,15 +627,25 @@ func (n *Network) TotalDelivered() (pkts, bytes int) {
 	return
 }
 
-// Elided sums what the devices skipped inside their awake ticks: input
-// port cycles spent cool and end-node cycles skipped. A pure function of
-// the simulation, but telemetry only: in no Result and no digest.
-func (n *Network) Elided() (portCycles, nodeCycles int) {
+// Elided says what a run skipped and what it ran instead. A pure function
+// of the simulation, but telemetry only: in no Result and no digest.
+type Elided struct {
+	CoolPortCycles, SwitchCyclesSlept, NodeCyclesSkipped int    // input ports cool, switches asleep, end nodes skipping, all holding packets
+	WheelEvents, HeapEvents, Ticks                       uint64 // the engines' Work: events fired by origin, ticks dispatched
+}
+
+// Elided sums the devices' and engines' counters.
+func (n *Network) Elided() (e Elided) {
 	for _, sw := range n.Switches {
-		portCycles += sw.Stats().PortCyclesElided
+		st := sw.Stats()
+		e.CoolPortCycles, e.SwitchCyclesSlept = e.CoolPortCycles+st.PortCyclesElided, e.SwitchCyclesSlept+st.CyclesNapped
 	}
 	for _, nd := range n.Nodes {
-		nodeCycles += nd.Stats().CyclesElided
+		e.NodeCyclesSkipped += nd.Stats().CyclesElided
+	}
+	for _, eng := range n.engines {
+		w, h, t := eng.Counts()
+		e.WheelEvents, e.HeapEvents, e.Ticks = e.WheelEvents+w, e.HeapEvents+h, e.Ticks+t
 	}
 	return
 }

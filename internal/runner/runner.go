@@ -492,8 +492,7 @@ func execute(r resolved) (res *experiments.Result, engine string, err error) {
 	if err := n.RunAudited(r.exp.Duration); err != nil {
 		return nil, "", err
 	}
-	ports, nodes := n.Elided()
-	engine = fmt.Sprintf("elided: %d switch port-cycles, %d node-cycles", ports, nodes)
+	engine = fmt.Sprintf("elided: %+v", n.Elided())
 	if ps := n.PartitionInfo(); ps != nil {
 		engine = ps.String() + "; " + engine
 	}

@@ -1,7 +1,7 @@
 // Package sim provides the cycle-level simulation engine used by every
-// other component of the CCFIT reproduction: a deterministic clock, an
-// event heap for scheduled callbacks, phased per-cycle ticking with
-// wake/sleep component elision, and seeded random-number streams.
+// other component of the CCFIT reproduction: a deterministic clock, a
+// calendar event queue for scheduled callbacks, phased per-cycle ticking
+// with wake/sleep component elision, and seeded random-number streams.
 //
 // One cycle is the time needed to move one flit (FlitBytes bytes) across
 // a baseline 2.5 GB/s link, i.e. 25.6 ns. All latencies, bandwidths and
@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -78,10 +79,20 @@ type event struct {
 	fn  func()
 }
 
+// wheelSize is the calendar's horizon in cycles, a power of two past
+// link delay + MTU serialisation: only timers and windows overflow it.
+const wheelSize, wheelMask = 512, 512 - 1
+
+// wheelEvent is one slab node of a bucket's chain.
+type wheelEvent struct {
+	fn   func()
+	next int32
+}
+
 // before is the strict total order on events: cycle first, then
 // scheduling order. Because (at, seq) pairs are unique, any correct
-// heap pops events in exactly one order — the engine's firing order is
-// independent of the heap's internal layout.
+// queue pops events in exactly one order — the engine's firing order is
+// independent of the queue's internal layout.
 func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -111,13 +122,15 @@ type TickerHandle struct {
 	e      *Engine
 	p      Phase
 	idx    int
-	wakeFn func() // h.Wake, bound on first SleepUntil
+	wakeFn func() // h.wakeDue, bound at registration
+	until  Cycle  // deadline of the SleepUntil in force; Never once woken
 }
 
 // Wake adds the ticker to its phase's active list (no-op when awake).
 func (h *TickerHandle) Wake() {
 	if h.e.phases[h.p].active.Add(h.idx) {
 		h.e.awake++
+		h.until = Never
 	}
 }
 
@@ -131,14 +144,22 @@ func (h *TickerHandle) Sleep() {
 
 // SleepUntil sleeps the ticker and schedules its wake-up at cycle c —
 // the self-pacing idiom of components that know when their next work is
-// due. The wake event reuses one method value per handle, so pacing
-// allocates nothing after the first call.
+// due (Never: a plain Sleep). The wake event reuses one method value per
+// handle, so pacing allocates nothing.
 func (h *TickerHandle) SleepUntil(c Cycle) {
 	h.Sleep()
-	if h.wakeFn == nil {
-		h.wakeFn = h.Wake
+	if h.until = c; c != Never {
+		h.e.At(c, h.wakeFn)
 	}
-	h.e.At(c, h.wakeFn)
+}
+
+// wakeDue is SleepUntil's event. It wakes the ticker only when that
+// sleep is still the one in force: a ticker woken early — and perhaps
+// asleep again behind a later deadline — drops the stale wake-up.
+func (h *TickerHandle) wakeDue() {
+	if h.until <= h.e.now {
+		h.Wake()
+	}
 }
 
 // Awake reports whether the ticker is on the active list.
@@ -148,15 +169,20 @@ func (h *TickerHandle) Awake() bool { return h.e.phases[h.p].active.Has(h.idx) }
 // list is indexed by registration order, so walking it low-to-high
 // preserves the deterministic tick order of a dense every-cycle fan-out.
 type tickList struct {
-	tickers []Ticker
-	active  ActiveSet
+	ticks  []func(Cycle)
+	active ActiveSet
 }
 
+// add unwraps a TickerFunc to the bare function, so that a tick is one
+// indirect call, not an interface dispatch around one.
 func (l *tickList) add(t Ticker) int {
-	idx := len(l.tickers)
-	l.tickers = append(l.tickers, t)
-	l.active.Grow(len(l.tickers))
-	return idx
+	fn, ok := t.(TickerFunc)
+	if !ok {
+		fn = t.Tick
+	}
+	l.ticks = append(l.ticks, fn)
+	l.active.Grow(len(l.ticks))
+	return len(l.ticks) - 1
 }
 
 // tick runs every awake ticker in registration order. ActiveSet.Next
@@ -167,7 +193,7 @@ func (l *tickList) add(t Ticker) int {
 // phase).
 func (l *tickList) tick(now Cycle) (ran uint64) {
 	for i := l.active.Next(0); i >= 0; i = l.active.Next(i + 1) {
-		l.tickers[i].Tick(now)
+		l.ticks[i](now)
 		ran++
 	}
 	return ran
@@ -177,17 +203,29 @@ func (l *tickList) tick(now Cycle) (ran uint64) {
 // whole simulator is single-goroutine by design so that runs are exactly
 // reproducible from a seed.
 type Engine struct {
-	now    Cycle
-	events []event // binary min-heap ordered by (at, seq)
+	now Cycle
+	// The event queue is a calendar wheel in front of a heap (DESIGN.md §5).
+	// An event due less than wheelSize cycles past cursor joins the chain of
+	// bucket at&wheelMask — O(1), in seq order by construction — and one
+	// farther off waits in the heap, from where fire runs it first. cursor
+	// is the oldest cycle whose bucket may hold events: now, or now-1 once a
+	// Step's phases have run (their At(now) fires first in the next Step).
+	// Chains are slab indices+1 (0 ends one), recycled through free, so the
+	// steady state allocates nothing; occ has a bit per non-empty bucket.
+	wheel  [wheelSize]struct{ head, tail int32 }
+	occ    [wheelSize / 64]uint64
+	slab   []wheelEvent
+	free   int32
+	queued int // events in the wheel
+	cursor Cycle
+	events []event // overflow: binary min-heap ordered by (at, seq)
 	seq    uint64
 	phases [numPhases]tickList
 	awake  int // total awake tickers across all phases
-	// work counts events fired plus ticks executed: a deterministic
-	// measure of how busy the engine has been (no clock involved), which
-	// the partitioned coordinator uses to run heavy shards first.
-	work   uint64
-	seed   int64
-	rngSeq int64
+	// Events fired from the heap and ticks executed, for Work and Counts.
+	heapFired, ticks uint64
+	seed             int64
+	rngSeq           int64
 	// rngShared, when non-nil, replaces rngSeq as the stream-derivation
 	// counter. Engines created by NewEngineGroup share one counter so
 	// that components built in a fixed global order draw exactly the
@@ -245,7 +283,50 @@ func (e *Engine) At(c Cycle, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d in the past (now %d)", c, e.now))
 	}
 	e.seq++
-	e.pushEvent(event{at: c, seq: e.seq, fn: fn})
+	if c-e.cursor >= wheelSize {
+		e.pushEvent(event{at: c, seq: e.seq, fn: fn})
+		return
+	}
+	if e.free == 0 {
+		if e.slab == nil {
+			e.slab = make([]wheelEvent, 0, 64) // skip append's first six doublings
+		}
+		e.slab = append(e.slab, wheelEvent{})
+		e.free = int32(len(e.slab))
+	}
+	i := e.free
+	e.free = e.slab[i-1].next
+	e.slab[i-1] = wheelEvent{fn: fn}
+	b := &e.wheel[c&wheelMask]
+	if b.head == 0 {
+		b.head = i
+		e.occ[c&wheelMask>>6] |= 1 << (c & 63)
+	} else {
+		e.slab[b.tail-1].next = i
+	}
+	b.tail = i
+	e.queued++
+}
+
+// fire runs the events of cycle c in (at, seq) order: the heap entries
+// that have come due, then the bucket's chain, cascades appended to it
+// meanwhile included. The heap's are the older ones: an event overflows
+// only while its cycle is beyond the horizon, which the cursor only ever
+// brings nearer, so whatever reached the bucket was scheduled later.
+func (e *Engine) fire(c Cycle) {
+	for len(e.events) > 0 && e.events[0].at <= c {
+		e.heapFired++
+		e.popEvent()()
+	}
+	b := &e.wheel[c&wheelMask]
+	for i := b.head; i != 0; i = b.head {
+		ev := &e.slab[i-1]
+		fn := ev.fn
+		b.head, ev.fn, ev.next, e.free = ev.next, nil, e.free, i
+		e.queued--
+		fn()
+	}
+	e.occ[c&wheelMask>>6] &^= 1 << (c & 63)
 }
 
 // After schedules fn to run d cycles from now.
@@ -303,6 +384,7 @@ func (e *Engine) AddTicker(p Phase, t Ticker) *TickerHandle {
 		panic(fmt.Sprintf("sim: invalid phase %d", p))
 	}
 	h := &TickerHandle{e: e, p: p, idx: e.phases[p].add(t)}
+	h.wakeFn = h.wakeDue
 	h.Wake()
 	return h
 }
@@ -323,13 +405,13 @@ func (e *Engine) ActiveTickers() int { return e.awake }
 // cycle from within an event), then tick every awake component phase by
 // phase.
 func (e *Engine) Step() {
-	for len(e.events) > 0 && e.events[0].at <= e.now {
-		e.popEvent()()
-		e.work++
+	for ; e.cursor < e.now; e.cursor++ {
+		e.fire(e.cursor)
 	}
+	e.fire(e.now)
 	if e.awake > 0 {
 		for p := range e.phases {
-			e.work += e.phases[p].tick(e.now)
+			e.ticks += e.phases[p].tick(e.now)
 		}
 	}
 	e.now++
@@ -341,13 +423,10 @@ func (e *Engine) Step() {
 // `until`) instead of stepping through them.
 func (e *Engine) Run(until Cycle) {
 	for e.now < until {
-		if e.awake == 0 && (len(e.events) == 0 || e.events[0].at > e.now) {
-			next := until
-			if len(e.events) > 0 && e.events[0].at < next {
-				next = e.events[0].at
-			}
-			if next > e.now {
-				e.now = next
+		if e.awake == 0 {
+			if next, _ := e.NextEvent(); min(next, until) > e.now {
+				e.now = min(next, until)
+				e.cursor = e.now
 				continue
 			}
 		}
@@ -359,18 +438,36 @@ func (e *Engine) Run(until Cycle) {
 func (e *Engine) RunFor(d Cycle) { e.Run(e.now + d) }
 
 // Pending reports how many scheduled events have not fired yet.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.queued + len(e.events) }
 
-// NextEvent returns the cycle of the earliest scheduled event, or false
-// when none is pending.
+// NextEvent returns the cycle of the earliest scheduled event, or Never
+// and false when none is pending: the first occupied bucket from cursor
+// round the wheel (a walk of the occupancy bitmap, not of the buckets),
+// or the heap's top.
 func (e *Engine) NextEvent() (Cycle, bool) {
-	if len(e.events) == 0 {
-		return 0, false
+	at := Never
+	if len(e.events) > 0 {
+		at = e.events[0].at
 	}
-	return e.events[0].at, true
+	// From cursor to the end of its word, then word by word: back in the
+	// first word, the bits left are the buckets behind cursor, a wheel on.
+	for c := e.cursor; e.queued > 0; c += 64 - c&63 {
+		if set := e.occ[c&wheelMask>>6] >> (c & 63); set != 0 {
+			at = min(at, c+Cycle(bits.TrailingZeros64(set)))
+			break
+		}
+	}
+	return at, at != Never
 }
 
-// Work returns the engine's lifetime work count: events fired plus
-// ticks executed. It is a pure function of the simulation, never of
-// wall-clock time.
-func (e *Engine) Work() uint64 { return e.work }
+// Work returns the engine's lifetime work count: events fired (every one
+// scheduled and no longer pending) plus ticks executed — a deterministic
+// measure of how busy the engine has been, never of wall-clock time,
+// which the partitioned coordinator uses to run heavy shards first.
+func (e *Engine) Work() uint64 { return e.seq - uint64(e.Pending()) + e.ticks }
+
+// Counts splits Work: events fired from the wheel, events fired from the
+// overflow heap, ticks dispatched.
+func (e *Engine) Counts() (wheel, heap, ticks uint64) {
+	return e.seq - uint64(e.Pending()) - e.heapFired, e.heapFired, e.ticks
+}

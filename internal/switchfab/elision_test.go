@@ -29,22 +29,26 @@ func (p tape) ReceiveControl(m link.Control) {
 }
 
 // edgeRig is one switch under a scripted scenario. With everyCycle set
-// the elision is defeated — before every cycle each live port is heated
-// and unparked and the drain poll is due — so every Post, Update,
-// request scan and drain runs as it did before ports could cool or
-// park: the stepped reference the elided run must match to the cycle.
+// the elision is defeated — before every cycle the switch is roused,
+// each live port is heated and unparked and the drain poll is due — so
+// every Post, Update, request scan and drain runs as it did before ports
+// could cool or park and switches nap: the stepped reference the elided
+// run must match to the cycle.
 type edgeRig struct {
-	t   *testing.T
-	eng *sim.Engine
-	sw  *Switch
-	ids pkt.IDGen
-	log strings.Builder
-	// cooled and parked count port-cycles spent cool / parked.
-	cooled, parked int
+	t          *testing.T
+	eng        *sim.Engine
+	sw         *Switch
+	everyCycle bool
+	ids        pkt.IDGen
+	log        strings.Builder
+	// cooled and parked count port-cycles spent cool / parked, napped the
+	// switch's ticks a nap skipped.
+	cooled, parked, napped int
+	stalls                 int // CreditStalls as last read mid-cycle
 }
 
 func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, everyCycle bool) *edgeRig {
-	r := &edgeRig{t: t, eng: sim.NewEngine(9)}
+	r := &edgeRig{t: t, eng: sim.NewEngine(9), everyCycle: everyCycle}
 	r.sw = New(r.eng, 100, "sw", nports, &params, func(d int) int { return d % nports }, 16, xbar)
 	for i := 0; i < nports; i++ {
 		tx := link.NewHalf(r.eng, "p", 64, 2)
@@ -53,6 +57,9 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 	}
 	r.eng.Register(sim.PhaseInject, func(now sim.Cycle) {
 		if everyCycle {
+			if r.sw.napAt != 0 {
+				r.sw.wake()
+			}
 			for live := r.sw.liveIn; live != 0; live &= live - 1 {
 				r.sw.heat(bits.TrailingZeros64(live), now)
 			}
@@ -61,7 +68,30 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 		r.cooled += bits.OnesCount64(r.sw.liveIn &^ r.sw.hot)
 		r.parked += bits.OnesCount64(r.sw.parked)
 	})
+	// After the switch's own update: a nap in progress that did not begin
+	// in this very cycle skipped this cycle's tick. Reading the counters
+	// here, as the invariant checker's tick does, settles a nap mid-cycle
+	// — the very cycle it began in included — and never takes a stall back.
+	r.eng.Register(sim.PhaseUpdate, func(now sim.Cycle) {
+		if r.sw.napAt != 0 && r.sw.napAt <= now {
+			r.napped++
+		}
+		if got := r.sw.Stats().CreditStalls; got < r.stalls {
+			t.Fatalf("cycle %d: CreditStalls fell from %d to %d", now, r.stalls, got)
+		} else {
+			r.stalls = got
+		}
+	})
 	return r
+}
+
+// mustNap requires the elided switch to be napping right now: what the
+// scenario does next starts from a sleeping device.
+func (r *edgeRig) mustNap(next string) {
+	r.t.Helper()
+	if !r.everyCycle && (r.sw.napAt == 0 || r.sw.hArb.Awake()) {
+		r.t.Fatalf("cycle %d: switch not napping before %s", r.eng.Now(), next)
+	}
 }
 
 func (r *edgeRig) recv(in, dst, cfq int) {
@@ -94,7 +124,7 @@ func (r *edgeRig) stepForwards(n int, why string) {
 // switch and when, the counters (less the elision's own), every line.
 func (r *edgeRig) transcript() string {
 	st := *r.sw.Stats()
-	st.PortCyclesElided = 0
+	st.PortCyclesElided, st.CyclesNapped = 0, 0
 	fmt.Fprintf(&r.log, "end %d stats %+v\n", r.eng.Now(), st)
 	for i := range r.sw.in {
 		fmt.Fprintf(&r.log, "p%d disc %+v used %d\n", i, *r.sw.InputDisc(i).Stats(), r.sw.InputDisc(i).UsedBytes())
@@ -121,9 +151,31 @@ func TestElisionEdges(t *testing.T) {
 		script                 func(r *edgeRig)
 	}{
 		{
+			// One packet through an empty switch: it sleeps while the packet
+			// crosses the crossbar, the land wakes it and the packet is on
+			// the wire that cycle; then it is idle, and no longer napping.
+			name: "land", params: core.Preset1Q(), nports: 2, xbar: 64, credits: 1 << 20,
+			script: func(r *edgeRig) {
+				r.recv(0, 1, -1)
+				r.stepForwards(1, "arrival on an idle switch")
+				r.eng.Run(pkt.MTU / 64)
+				r.mustNap("the land")
+				r.eng.Step()
+				if r.sw.stagedOut != 0 || r.sw.TxHalf(1).Free(r.eng.Now()) {
+					r.t.Fatalf("cycle %d: staged %b, link idle after the land's own cycle", r.eng.Now(), r.sw.stagedOut)
+				}
+				r.eng.RunFor(100)
+				if r.sw.napAt != 0 || r.sw.hPost.Awake() {
+					r.t.Fatalf("idle switch: napAt %d, awake %v", r.sw.napAt, r.sw.hPost.Awake())
+				}
+			},
+		},
+		{
 			// A parked input is granted in the very cycle its credit
-			// arrives; a credit during a Stall waits for the stall's end,
-			// and the stalled cycles count no CreditStalls.
+			// arrives, the switch napping with no deadline until then and
+			// CreditStalls keeping its every-cycle value across the nap; a
+			// Stall mid-nap wakes the switch, a credit during it waits for
+			// the stall's end, and the stalled cycles count no CreditStalls.
 			name: "credit", params: core.Preset1Q(), nports: 2, xbar: 64, credits: 2 * pkt.MTU,
 			wantCooled: true, wantParked: true,
 			script: func(r *edgeRig) {
@@ -131,14 +183,17 @@ func TestElisionEdges(t *testing.T) {
 					r.recv(0, 1, -1)
 				}
 				r.eng.Run(300)
+				r.mustNap("counting stalls")
 				stalls := r.sw.Stats().CreditStalls
 				r.eng.RunFor(100)
 				if got := r.sw.Stats().CreditStalls - stalls; got != 100 {
 					r.t.Fatalf("%d CreditStalls over 100 blocked cycles", got)
 				}
+				r.mustNap("the credit")
 				r.credit(1)
 				r.stepForwards(1, "credit arrived this cycle")
 				r.eng.RunFor(100)
+				r.mustNap("the stall")
 				r.sw.Stall(50)
 				r.eng.RunFor(10)
 				stalls = r.sw.Stats().CreditStalls
@@ -163,6 +218,8 @@ func TestElisionEdges(t *testing.T) {
 						r.recv(in, 3, -1)
 					}
 				}
+				r.eng.Run(50)
+				r.mustNap("the drain that frees a slot (the nap's own deadline)")
 				r.eng.Run(1000)
 				if r.sw.stats.Forwarded != 18 {
 					r.t.Fatalf("forwarded %d of 18", r.sw.stats.Forwarded)
@@ -172,7 +229,8 @@ func TestElisionEdges(t *testing.T) {
 		{
 			// CFQGo lifts a Stop: the held CFQ goes that cycle. Then the
 			// drained line deallocates (and tells upstream) at exactly
-			// LastActive+HoldDown, the port cool in between.
+			// LastActive+HoldDown, the port cool in between — and the switch
+			// asleep, woken by nothing but the wake-up it scheduled then.
 			name: "cfq go, hold-down", params: core.PresetFBICM(), nports: 2, xbar: 64, credits: 1 << 20,
 			wantCooled: true, wantParked: true,
 			script: func(r *edgeRig) {
@@ -183,10 +241,13 @@ func TestElisionEdges(t *testing.T) {
 				}
 				r.eng.Run(600)
 				held := r.sw.stats.Forwarded
+				r.mustNap("the Go")
 				r.ctl(1, link.Control{Kind: link.CFQGo, CFQ: 1})
 				r.stepForwards(1, "Go arrived this cycle")
-				for r.iso(0).UsedBytes() > 0 {
-					r.eng.Step()
+				for limit := r.eng.Now() + 10_000; r.iso(0).UsedBytes() > 0; r.eng.Step() {
+					if r.eng.Now() == limit {
+						r.t.Fatalf("cycle %d: the released CFQ never drained (a lost wake-up?)", limit)
+					}
 				}
 				if r.sw.stats.Forwarded != 6 || held > 1 {
 					r.t.Fatalf("forwarded %d (%d before Go)", r.sw.stats.Forwarded, held)
@@ -196,6 +257,7 @@ func TestElisionEdges(t *testing.T) {
 					r.t.Fatalf("cycle %d: drained line %+v", r.eng.Now(), line)
 				}
 				r.eng.Run(line.LastActive + r.sw.p.HoldDown)
+				r.mustNap("the hold-down runs out")
 				if r.iso(0).ActiveLines() != 1 {
 					r.t.Fatal("line gone before its hold-down")
 				}
@@ -282,8 +344,8 @@ func TestElisionEdges(t *testing.T) {
 				r.eng.Run(40)
 				r.sw.TxHalf(2).SetDown(true)
 				r.eng.RunFor(300)
-				if r.sw.stats.Forwarded != 3 || r.sw.stagedOut != 1<<2 {
-					r.t.Fatalf("forwarded %d, staged %b behind the downed link", r.sw.stats.Forwarded, r.sw.stagedOut)
+				if r.sw.stats.Forwarded != 3 || r.sw.stagedOut != 1<<2 || r.sw.napAt != 0 {
+					r.t.Fatalf("forwarded %d, staged %b behind the downed link, napAt %d (the poll must stay awake)", r.sw.stats.Forwarded, r.sw.stagedOut, r.sw.napAt)
 				}
 				r.sw.TxHalf(2).SetDown(false)
 				r.stepForwards(1, "link back: the drain frees a stage slot this cycle")
@@ -291,6 +353,7 @@ func TestElisionEdges(t *testing.T) {
 				if r.sw.stats.Forwarded != 5 {
 					r.t.Fatalf("forwarded %d with 5 MTUs of credit", r.sw.stats.Forwarded)
 				}
+				r.mustNap("the refund")
 				r.sw.RefundCredit(2, 2, pkt.MTU)
 				r.stepForwards(1, "refund arrived this cycle")
 				r.eng.RunFor(300)
@@ -328,10 +391,16 @@ func TestElisionEdges(t *testing.T) {
 			if stepped.cooled != 0 || stepped.parked != 0 {
 				t.Fatalf("reference rig elided: %d cool, %d parked port-cycles", stepped.cooled, stepped.parked)
 			}
-			if sc.wantCooled && elided.cooled == 0 || sc.wantParked && elided.parked == 0 {
-				t.Fatalf("scenario never exercised the elision: %d cool, %d parked port-cycles", elided.cooled, elided.parked)
+			if stepped.napped != 0 || stepped.sw.Stats().CyclesNapped != 0 {
+				t.Fatalf("reference rig napped: %d ticks skipped, CyclesNapped %d", stepped.napped, stepped.sw.Stats().CyclesNapped)
 			}
-			t.Logf("%d cool, %d parked port-cycles, %d elided", elided.cooled, elided.parked, elided.sw.Stats().PortCyclesElided)
+			if sc.wantCooled && elided.cooled == 0 || sc.wantParked && elided.parked == 0 || elided.napped == 0 {
+				t.Fatalf("scenario never exercised the elision: %d cool, %d parked port-cycles, %d ticks napped", elided.cooled, elided.parked, elided.napped)
+			}
+			if got := elided.sw.Stats().CyclesNapped; got != elided.napped {
+				t.Fatalf("CyclesNapped %d, the nap skipped %d ticks", got, elided.napped)
+			}
+			t.Logf("%d cool, %d parked port-cycles, %d elided; %d ticks napped", elided.cooled, elided.parked, elided.sw.Stats().PortCyclesElided, elided.napped)
 		})
 	}
 }

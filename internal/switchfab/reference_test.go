@@ -10,6 +10,8 @@ import (
 // side, by kind — a suite that checked nothing proves nothing.
 type RefCounts struct {
 	Posts, Updates, Scans, Drains int
+	// Naps counts the whole switch ticks a nap skipped.
+	Naps int
 }
 
 // InstallReference arms the test-only reference of the port-granular
@@ -22,7 +24,10 @@ type RefCounts struct {
 //     only the retry cycle, and NextDue is where that shows);
 //   - a parked port's request scan, which must yield nothing grantable
 //     and count the CreditStalls it was parked with;
-//   - the drain of every staged output, whose link must not be free.
+//   - the drain of every staged output, whose link must not be free;
+//   - every tick of a napping switch, from a ticker of the reference's
+//     own: the two checks above, and napIdle — nothing hot or due, no
+//     stall, every port the scan would visit crossing the crossbar.
 //
 // The side Update stamps LastActive on lines holding bytes, which is
 // exactly what Resume replays, so the run under reference stays
@@ -62,6 +67,16 @@ func InstallReference(s *Switch, fail func(format string, args ...any)) *RefCoun
 	}
 	cool(sim.PhasePost)
 	cool(sim.PhaseUpdate)
+	s.eng.Register(sim.PhaseArbitrate, func(now sim.Cycle) {
+		if s.napAt == 0 || s.napAt > now {
+			return // awake: arbitrate called s.ref itself
+		}
+		c.Naps++
+		if why := s.napIdle(now); why != "" {
+			fail("%s cycle %d: %s", s.name, now, why)
+		}
+		s.ref(now)
+	})
 	s.ref = func(now sim.Cycle) {
 		for parked := s.parked; parked != 0; parked &= parked - 1 {
 			i := bits.TrailingZeros64(parked)

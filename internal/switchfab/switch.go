@@ -27,6 +27,8 @@ type Stats struct {
 	// PortCyclesElided counts the cycles input ports of the awake switch
 	// spent cool. Telemetry only: added up when a port heats, not per tick.
 	PortCyclesElided int
+	// CyclesNapped counts the cycles the switch slept holding packets.
+	CyclesNapped int
 }
 
 // Switch is one input-queued switch.
@@ -88,6 +90,12 @@ type Switch struct {
 	// later is owed n times the CreditStalls its last scan counted.
 	minDue, drainDue sim.Cycle
 	scans            int64
+	// napAt is the first tick the nap in progress skips (0: not napping).
+	// A switch holding packets naps from update to min(minDue, drainDue)
+	// when nothing is hot, no stall is on and every unparked live port is
+	// crossing the crossbar. wake ends it first: wherever a port heats or
+	// leaves parked, on land, on ReceivePacket and on Stall.
+	napAt sim.Cycle
 
 	// per-cycle arbitration scratch: the strongest candidate per (input,
 	// output), and the iSLIP masks over them — bit i of req[o] says
@@ -220,11 +228,24 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	return s
 }
 
-// wake puts the switch back on the engine's active lists (idempotent).
+// wake puts the switch back on the engine's active lists (idempotent),
+// ending a nap.
 func (s *Switch) wake() {
+	s.napped()
+	s.napAt = 0
 	s.hPost.Wake()
 	s.hArb.Wake()
 	s.hUpd.Wake()
+}
+
+// napped credits the nap in progress, if any, with the ticks skipped so
+// far: each would have counted a scan, which parked ports are settled by.
+func (s *Switch) napped() {
+	if now := s.eng.Now(); s.napAt != 0 && now > s.napAt {
+		s.scans += int64(now - s.napAt)
+		s.stats.CyclesNapped += int(now - s.napAt)
+		s.napAt = now
+	}
 }
 
 // idle reports whether every tick would be a no-op: all input
@@ -244,6 +265,7 @@ func (s *Switch) Name() string { return s.name }
 // Stats returns the switch counters, brought up to the current cycle:
 // what parked and cool ports are owed so far is added first.
 func (s *Switch) Stats() *Stats {
+	s.napped()
 	s.settle(s.parked)
 	last := s.eng.Now() - 1
 	for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
@@ -291,6 +313,9 @@ func (s *Switch) ControlReceiver(i int) link.ControlReceiver { return s.out[i] }
 // post runs the post-processing phase of the hot ports, heating first
 // those whose deadline has come.
 func (s *Switch) post(now sim.Cycle) {
+	if s.napAt != 0 {
+		s.wake() // the nap's wake-up woke this tick only
+	}
 	if now >= s.minDue {
 		s.minDue = sim.Never
 		for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
@@ -314,6 +339,7 @@ func (s *Switch) post(now sim.Cycle) {
 // scanned again. Every caller heats before it mutates the port: a cool
 // port first replays what its skipped Updates stamped (QDisc.Resume).
 func (s *Switch) heat(i int, now sim.Cycle) {
+	s.wake()
 	bit := uint64(1) << i
 	if s.liveIn&^s.hot&bit != 0 {
 		ip := s.in[i]
@@ -337,14 +363,18 @@ func (s *Switch) settle(m uint64) {
 // unpark returns the ports in m to the request scan. Unparking a port
 // whose requests are still blocked is harmless: the scan parks it again.
 func (s *Switch) unpark(m uint64) {
-	s.settle(m)
-	s.parked &^= m
+	if m&s.parked != 0 {
+		s.wake()
+		s.settle(m)
+		s.parked &^= m
+	}
 }
 
 // update runs the housekeeping phase of the hot ports, cools those that
-// went a cycle without acting, then sleeps the switch when it is
-// provably idle; packet arrivals wake it again. A port start heated this
-// cycle runs Update without having run Post: cool means that was a no-op.
+// went a cycle without acting, then sleeps the switch when it is provably
+// idle (packet arrivals wake it again) or has a nap ahead of it (napAt). A
+// port start heated this cycle runs Update without having run Post: cool
+// means that was a no-op.
 func (s *Switch) update(now sim.Cycle) {
 	for hot := s.hot; hot != 0; hot &= hot - 1 {
 		i := bits.TrailingZeros64(hot)
@@ -367,11 +397,21 @@ func (s *Switch) update(now sim.Cycle) {
 	// next Post does to its requests.
 	s.unpark(s.acted)
 	s.acted = 0
-	if s.idle() {
-		s.hPost.Sleep()
-		s.hArb.Sleep()
-		s.hUpd.Sleep()
+	due := sim.Never
+	if !s.idle() {
+		if due = min(s.minDue, s.drainDue); s.hot != 0 || due <= now+1 || now+1 < s.stalledUntil {
+			return
+		}
+		for live := s.liveIn &^ s.parked; live != 0; live &= live - 1 {
+			if s.in[bits.TrailingZeros64(live)].busyUntil <= now+1 {
+				return
+			}
+		}
+		s.napAt = now + 1
 	}
+	s.hArb.Sleep()
+	s.hUpd.Sleep()
+	s.hPost.SleepUntil(due)
 }
 
 // arbitrate drains output stages onto their links, then collects
@@ -562,7 +602,7 @@ func (ip *inPort) land() {
 	op.nstaged++
 	s.stagedOut |= 1 << op.idx
 	s.drainDue = min(s.drainDue, op.tx.FreeAt())
-	s.wake() // defensive: the staged packet needs drain ticks
+	s.wake() // the staged packet needs drain ticks, the freed port a scan
 }
 
 // Stall freezes arbitration (grants, drains, crossbar launches) for d
@@ -571,6 +611,9 @@ func (ip *inPort) land() {
 // (they only queue), so buffers fill and backpressure propagates
 // upstream exactly as a real hung switch would cause.
 func (s *Switch) Stall(d sim.Cycle) {
+	if s.napAt != 0 {
+		s.wake() // no scan runs, so none is owed, under a stall
+	}
 	if until := s.eng.Now() + d; until > s.stalledUntil {
 		s.stalledUntil = until
 	}
@@ -658,9 +701,8 @@ func (s *Switch) describeRequest(now sim.Cycle, r core.Request) string {
 
 // ReceivePacket implements link.PacketReceiver for an input port.
 func (ip *inPort) ReceivePacket(p *pkt.Packet, cfq int) {
-	ip.s.heat(ip.idx, ip.s.eng.Now())
+	ip.s.heat(ip.idx, ip.s.eng.Now()) // wakes the switch
 	ip.s.liveIn |= 1 << ip.idx
-	ip.s.wake()
 	ip.disc.Enqueue(p, cfq)
 }
 

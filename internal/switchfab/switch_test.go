@@ -2,6 +2,7 @@ package switchfab
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -44,11 +45,37 @@ func (s *Switch) idleScan() bool {
 	return true
 }
 
+// napIdle says why the tick of cycle c, which the nap in progress skips,
+// would have done something (other than count a scan), or "": the
+// every-tick predicate the nap is checked against. Nothing may be hot or
+// due — so the nap's deadline, which is what ends it, is no later than
+// min(minDue, drainDue) — no stall may hide the scans the nap is credited
+// with, and every port the scan would visit must be crossing the crossbar.
+func (s *Switch) napIdle(c sim.Cycle) string {
+	switch {
+	case s.napAt == 0:
+		return "asleep, not idle and not napping"
+	case s.hot != 0:
+		return fmt.Sprintf("napping with hot ports %b", s.hot)
+	case c >= s.minDue || c >= s.drainDue:
+		return fmt.Sprintf("napping past a deadline (minDue %d, drainDue %d)", s.minDue, s.drainDue)
+	case c < s.stalledUntil:
+		return fmt.Sprintf("napping under a stall until %d", s.stalledUntil)
+	}
+	for live := s.liveIn &^ s.parked; live != 0; live &= live - 1 {
+		if ip := s.in[bits.TrailingZeros64(live)]; ip.busyUntil <= c {
+			return fmt.Sprintf("napping with p%d unparked and free (busy until %d)", ip.idx, ip.busyUntil)
+		}
+	}
+	return ""
+}
+
 // rig builds one switch with nports ports, each wired to a recording
 // peer with the given credit bytes; routing sends dest d out port d.
 // Every cycle of every test that uses it asserts, after the switch's
 // own update tick, that the mask-based idle() agrees with the full scan
-// and that a sleeping switch is an idle one.
+// and that a sleeping switch is an idle one — or one napping through a
+// tick that has nothing to do (napIdle).
 func rig(t *testing.T, params core.Params, nports, xbar, credits int) (*sim.Engine, *Switch, []*peer) {
 	t.Helper()
 	eng := sim.NewEngine(9)
@@ -59,7 +86,9 @@ func rig(t *testing.T, params core.Params, nports, xbar, credits int) (*sim.Engi
 				now, got, want, sw.liveIn, sw.stagedOut, sw.inflight)
 		}
 		if !sw.hUpd.Awake() && !sw.idleScan() {
-			t.Fatalf("cycle %d: switch sleeps with work pending", now)
+			if why := sw.napIdle(max(now, sw.napAt)); why != "" {
+				t.Fatalf("cycle %d: switch sleeps with work pending: %s", now, why)
+			}
 		}
 	})
 	peers := make([]*peer, nports)

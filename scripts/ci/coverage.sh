@@ -31,7 +31,7 @@ awk '
     if (pkg == "repro/internal/fault")     floor = 30
     if (pkg == "repro/internal/link")      floor = 40
     if (pkg == "repro/internal/oracle")    floor = 70
-    if (pkg == "repro/internal/sim")       floor = 90
+    if (pkg == "repro/internal/sim")       floor = 94
     if (pkg == "repro/internal/pkt")       floor = 90
     if (pkg == "repro/internal/experiments") floor = 80
     if (pkg == "repro/internal/lint")      floor = 75
