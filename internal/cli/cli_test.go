@@ -265,7 +265,7 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 }
 
 // engineLine is the shape of the -v line under a simulated cell.
-var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+\}$`)
+var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ FlowVisits:\d+ FlowCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+\}$`)
 
 // TestCacheSettledByEveryTool: a -cache run leaves the access-time
 // index on disk (it used to be flushed by ccfit-run alone), and a

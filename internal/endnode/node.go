@@ -81,6 +81,14 @@ type Node struct {
 	skipUntil, quietAt sim.Cycle
 	acted, stalled     bool
 
+	// Stalled sources park instead of offering every cycle: parkedN of
+	// them wait on full AdVOQs, room tells their generator of every pop
+	// meanwhile, and each is owed one Rejected per injection phase, counted
+	// through rejAt.
+	parkedN int
+	rejAt   sim.Cycle
+	room    func(src, dest int)
+
 	// iaParams is the stable copy the output-buffer discipline points at
 	// (its RAM size and organisation differ from the switch port's).
 	iaParams core.Params
@@ -104,6 +112,7 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 		advoqRR:      arbiter.NewRoundRobin(numEndpoints),
 		outCAM:       core.NewOutCAM(p.NumCFQs),
 		pending:      buffer.NewQueue("becn", nil),
+		rejAt:        -1,
 	}
 	n.occupied.Grow(numEndpoints)
 	for i := range n.advoqs {
@@ -146,6 +155,7 @@ func (n *Node) Stats() *Stats {
 // settle accounts for the cycles a skip in progress has skipped since
 // quietAt: state is constant, so each repeats that cycle's ThrottleStall.
 func (n *Node) settle() {
+	n.settleRejected(n.eng.Now() - 1)
 	if last := n.eng.Now() - 1; n.skipUntil != 0 && last > n.quietAt {
 		elided := int(last - n.quietAt)
 		n.stats.CyclesElided += elided
@@ -193,6 +203,46 @@ func (n *Node) AttachLink(tx *link.Half, credits *core.CreditPool) {
 	n.credits = credits
 }
 
+// SetRoomHook registers the source side's wake-up: fn(node id, dest)
+// runs at every AdVOQ pop while sources are parked on the node.
+func (n *Node) SetRoomHook(fn func(src, dest int)) { n.room = fn }
+
+// Full is a source's question before it builds a packet: would Offer
+// refuse one for dest? A refusal is counted as Offer counts it — at once,
+// or with park set by parking the source: it then owes this cycle's
+// refusal and one per cycle until it leaves again (Park).
+func (n *Node) Full(dest int, park bool) bool {
+	if n.advoqs[dest].Len() < n.p.AdVOQCap {
+		return false
+	}
+	if park {
+		n.Park(1)
+	} else {
+		n.stats.Rejected++
+	}
+	return true
+}
+
+// Park parks (by = 1) or releases (-1: woken by the room hook, or its
+// window closed) one source, as of the next injection phase to come.
+func (n *Node) Park(by int) {
+	n.settleRejected(n.eng.Now() - 1)
+	n.parkedN += by
+}
+
+// ParkedSources returns how many sources wait for room on this node.
+func (n *Node) ParkedSources() int { return n.parkedN }
+
+// settleRejected counts the refusals parked sources are owed for the
+// injection phases up to cycle upTo (never backwards: a read in the
+// cycle a source parked sees that cycle's refusal one cycle later).
+func (n *Node) settleRejected(upTo sim.Cycle) {
+	if upTo > n.rejAt {
+		n.stats.Rejected += n.parkedN * int(upTo-n.rejAt)
+		n.rejAt = upTo
+	}
+}
+
 // Offer admits a traffic-generator packet into its AdVOQ. It reports
 // false (source stall) when the AdVOQ is full.
 func (n *Node) Offer(p *pkt.Packet) bool {
@@ -200,8 +250,7 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 		panic(fmt.Sprintf("endnode: node %d offered packet with bad dest %d", n.id, p.Dst))
 	}
 	q := n.advoqs[p.Dst]
-	if q.Len() >= n.p.AdVOQCap {
-		n.stats.Rejected++
+	if n.Full(p.Dst, false) {
 		return false
 	}
 	n.resume()
@@ -256,6 +305,12 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 	if now < n.pausedUntil {
 		s += fmt.Sprintf(" [paused until %d]", n.pausedUntil)
 	}
+	if now < n.skipUntil {
+		s += fmt.Sprintf(" [skipping until %d]", n.skipUntil)
+	}
+	if n.parkedN > 0 {
+		s += fmt.Sprintf(" [%d sources parked]", n.parkedN)
+	}
 	for d, q := range n.advoqs {
 		if q.Len() > 0 {
 			s += fmt.Sprintf(" advoq[%d]=%dp/%dB", d, q.Len(), q.Bytes())
@@ -291,6 +346,12 @@ func (n *Node) post(now sim.Cycle) {
 			p := n.advoqs[i].Pop()
 			if n.advoqs[i].Empty() {
 				n.occupied.Remove(i)
+			}
+			if n.parkedN > 0 {
+				// Parked sources were refused this cycle too; those the
+				// hook wakes offer for themselves again from the next.
+				n.settleRejected(now)
+				n.room(n.id, i)
 			}
 			n.disc.Enqueue(p, -1)
 			if n.throttler != nil {

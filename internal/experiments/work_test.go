@@ -18,9 +18,9 @@ func TestEngineWorkPinned(t *testing.T) {
 		pending   int
 		delivered int
 	}{
-		{"CCFIT", 773217, 15, 9574},
-		{"1Q", 735792, 8, 9150},
-		{"ITh", 753970, 19, 9324},
+		{"CCFIT", 598492, 24, 9574},
+		{"1Q", 560814, 16, 9150},
+		{"ITh", 578438, 27, 9324},
 	} {
 		exp, err := ByID("fig7a")
 		if err != nil {

@@ -93,6 +93,9 @@ type Checker struct {
 	eng    *sim.Engine
 	cfg    Config
 	handle *sim.TickerHandle
+	// Sources are described in the snapshot after the switches: the
+	// traffic generators, appended by network.AddFlows once they exist.
+	Sources []interface{ DescribeState(sim.Cycle) string }
 
 	externalPkts  int
 	externalBytes int
@@ -265,19 +268,23 @@ func (c *Checker) check(now sim.Cycle) {
 
 	// 4. Forward progress: buffered traffic with zero movement across
 	// a full watchdog window is a deadlock (or a total livelock —
-	// indistinguishable from outside, equally fatal).
+	// indistinguishable from outside, equally fatal). So is a source left
+	// parked over a drained fabric: the wake-up it waits for was lost.
 	if c.cfg.WatchdogWindow > 0 && !c.fired {
-		p := c.progress()
+		p, parked := c.progress(), 0
+		for _, nd := range c.cfg.Nodes {
+			parked += nd.ParkedSources()
+		}
 		switch {
-		case buffered == 0 || p != c.lastProgress:
+		case buffered+parked == 0 || p != c.lastProgress:
 			c.stalledSince = -1
 		case c.stalledSince < 0:
 			c.stalledSince = now
 		case now-c.stalledSince >= c.cfg.WatchdogWindow:
 			c.fired = true
 			c.fail(now, "watchdog", fmt.Sprintf(
-				"no packet movement for %d cycles with %dB buffered (deadlock or livelock)",
-				now-c.stalledSince, buffered))
+				"no packet movement for %d cycles with %dB buffered and %d sources parked (deadlock or livelock)",
+				now-c.stalledSince, buffered, parked))
 		}
 		c.lastProgress = p
 	}

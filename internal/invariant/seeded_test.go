@@ -65,8 +65,23 @@ func TestSeededViolations(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A source's wake-up is lost (the nodes' room hook goes
+			// nowhere): the AdVOQs drain, nothing is buffered, and the
+			// sources stay parked on queues that have room. The victim's
+			// AdVOQ only ever fills behind a pause.
+			name: "a source nobody wakes", check: "watchdog", names: "flow1(1->4)@",
+			duration: sim.CyclesFromMS(1),
+			tune:     func(_ *core.Params, o *network.Options) { o.WatchdogWindow = 2048 },
+			seed: func(_ *testing.T, n *network.Network) {
+				for _, nd := range n.Nodes {
+					nd.SetRoomHook(func(int, int) {})
+				}
+				n.Nodes[0].Pause(1500)
+			},
+		},
 	} {
-		t.Run(c.check, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			build := func(onViolation func(*invariant.Violation)) *network.Network {
 				p, opt := core.PresetCCFIT(), network.Options{Seed: 1, OnViolation: onViolation}
 				if c.tune != nil {

@@ -52,8 +52,11 @@ func (c *Checker) Snapshot(now sim.Cycle) string {
 		}
 	}
 
+	for _, g := range c.Sources {
+		fmt.Fprintf(&b, "%s\n", g.DescribeState(now))
+	}
 	for _, nd := range c.cfg.Nodes {
-		if nd.BufferedBytes() == 0 && now >= nd.PausedUntil() {
+		if nd.BufferedBytes() == 0 && now >= nd.PausedUntil() && nd.ParkedSources() == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "%s\n", nd.DescribeState(now))

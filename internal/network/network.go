@@ -429,8 +429,8 @@ func (n *Network) AddFlows(flows []traffic.Flow) error {
 		if err != nil {
 			return err
 		}
-		n.Gen = gen
-		return n.registerFCT(flows)
+		n.gens, n.Gen = []*traffic.Generator{gen}, gen
+		return n.installed(flows)
 	}
 	// Partitioned: one generator per shard, each driving the flows whose
 	// source endpoint lives there, drawing uniform-destination RNGs in
@@ -447,8 +447,18 @@ func (n *Network) AddFlows(flows []traffic.Flow) error {
 	if err != nil {
 		return err
 	}
-	n.gens = gens
-	n.Gen = gens[0]
+	n.gens, n.Gen = gens, gens[0]
+	return n.installed(flows)
+}
+
+// installed shows the generators to the invariant snapshot and registers
+// the flows for completion-time tracking.
+func (n *Network) installed(flows []traffic.Flow) error {
+	for _, g := range n.gens {
+		if n.Checker != nil {
+			n.Checker.Sources = append(n.Checker.Sources, g)
+		}
+	}
 	return n.registerFCT(flows)
 }
 
@@ -631,6 +641,7 @@ func (n *Network) TotalDelivered() (pkts, bytes int) {
 // of the simulation, but telemetry only: in no Result and no digest.
 type Elided struct {
 	CoolPortCycles, SwitchCyclesSlept, NodeCyclesSkipped int    // input ports cool, switches asleep, end nodes skipping, all holding packets
+	FlowVisits, FlowCyclesSkipped                        int64  // flows the generators visited, and live flows they let lie for a cycle
 	WheelEvents, HeapEvents, Ticks                       uint64 // the engines' Work: events fired by origin, ticks dispatched
 }
 
@@ -642,6 +653,10 @@ func (n *Network) Elided() (e Elided) {
 	}
 	for _, nd := range n.Nodes {
 		e.NodeCyclesSkipped += nd.Stats().CyclesElided
+	}
+	for _, g := range n.gens {
+		v, sk := g.Visits()
+		e.FlowVisits, e.FlowCyclesSkipped = e.FlowVisits+v, e.FlowCyclesSkipped+sk
 	}
 	for _, eng := range n.engines {
 		w, h, t := eng.Counts()

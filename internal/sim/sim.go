@@ -266,15 +266,35 @@ func (e *Engine) Seed() int64 { return e.seed }
 
 // RNG returns a new deterministic random stream derived from the master
 // seed. Each component should take its own stream at build time so that
-// adding a component does not perturb the draws seen by others.
+// adding a component does not perturb the draws seen by others. The
+// sequence number is taken here; the generator behind it is built on the
+// first draw (most streams, one per switch output port, are never drawn).
 func (e *Engine) RNG() *rand.Rand {
 	seq := &e.rngSeq
 	if e.rngShared != nil {
 		seq = e.rngShared
 	}
 	*seq++
-	return rand.New(rand.NewSource(e.seed*1_000_003 + *seq))
+	return rand.New(&lazySource{seed: e.seed*1_000_003 + *seq})
 }
+
+// lazySource is rand.NewSource(seed) built at the first draw: seeding
+// math/rand's 607-word state costs ~5 kB and ~10 us a stream.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // At schedules fn to run at cycle c (before the phases of that cycle).
 // Scheduling in the past panics: it would silently corrupt causality.

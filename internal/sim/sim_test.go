@@ -2,6 +2,9 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +152,57 @@ func TestRNGDeterminism(t *testing.T) {
 	if same {
 		t.Fatal("two streams from one engine are identical")
 	}
+}
+
+// eagerRNG is what Engine.RNG handed out before streams were seeded on
+// first draw: the reference the lazy stream must equal bit for bit.
+func eagerRNG(seed, seq int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1_000_003 + seq))
+}
+
+// mixedDraws exercises every entry point components use: Int63-backed
+// (Intn, Float64, ExpFloat64, Perm) and the Source64 path (Uint64).
+func mixedDraws(r *rand.Rand) []any {
+	var out []any
+	for i := 0; i < 40; i++ {
+		out = append(out, r.Intn(7+i), r.Float64(), r.ExpFloat64(), r.Perm(5), r.Uint64(), r.Int63())
+	}
+	return out
+}
+
+func TestLazyRNGEqualsEagerStream(t *testing.T) {
+	pairs := rand.New(rand.NewSource(9))
+	for i := 0; i < 50; i++ {
+		seed, seq := pairs.Int63n(1<<40)-1<<39, int64(1+pairs.Intn(2000))
+		e := NewEngine(seed)
+		e.rngSeq = seq - 1
+		lazy, eager := e.RNG(), eagerRNG(seed, seq)
+		if got, want := mixedDraws(lazy), mixedDraws(eager); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d seq %d: lazy stream differs from rand.NewSource", seed, seq)
+		}
+		// Seed re-arms the stream, drawn or not.
+		lazy.Seed(seq)
+		eager.Seed(seq)
+		if got, want := mixedDraws(lazy), mixedDraws(eager); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d seq %d: streams differ after Seed", seed, seq)
+		}
+	}
+}
+
+func TestUndrawnRNGIsNearlyFree(t *testing.T) {
+	e := NewEngine(5)
+	var keep *rand.Rand
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		keep = e.RNG()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 100 {
+		t.Fatalf("an undrawn stream allocates %d bytes, want < 100", per)
+	}
+	_ = keep.Int63()
 }
 
 func TestRunForAdvances(t *testing.T) {

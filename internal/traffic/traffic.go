@@ -10,7 +10,6 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/endnode"
 	"repro/internal/pkt"
@@ -54,27 +53,46 @@ type Generator struct {
 	bpc   []int     // injection-link bytes/cycle per source node
 	hook  InjectHook
 
-	// handle sleeps the generator between flow activation windows.
+	// handle sleeps the generator while no flow is ready.
 	handle *sim.TickerHandle
 
 	flows []flowState
 
-	// Flow active set. byStart lists flow indices ordered by (Start,
-	// index); opened counts how many of them have been admitted to live,
-	// the set of flows whose window has opened and that are neither past
-	// End nor finished. A tick admits the newly opened flows, then walks
-	// live — in flow-index order, the order of the dense scan it replaces,
-	// which packet ids and Offer order depend on.
-	byStart []int
-	opened  int
-	live    sim.ActiveSet
+	// Sources run on deadlines (DESIGN.md §5): a flow is visited only in
+	// a cycle it can act. ready holds the flows to visit in the coming
+	// injection phase — walked in index order, an every-cycle scan's,
+	// which decides who takes the last AdVOQ slot — and is filled by the
+	// flows' own events (window opening and closing, the cycle the shaper
+	// covers a packet) and by room, which wakes the flows stalled on a full
+	// AdVOQ: parked lists those per source node.
+	ready  sim.ActiveSet
+	parked [][]int32
+
+	visits, skipped int64
 }
+
+// flowPhase is where a flow stands between visits.
+type flowPhase uint8
+
+const (
+	pending flowPhase = iota // window not open yet
+	due                      // accumulating to cycle last, or woken by room
+	parked                   // fixed destination, AdVOQ full: room wakes it, or End
+	hot                      // uniform destination, refused: redraws every cycle
+	retired
+)
 
 type flowState struct {
 	Flow
-	acc  float64
-	sent int64      // bytes emitted so far (finite flows deactivate at Bytes)
-	rng  *rand.Rand // only for uniform destinations
+	acc    float64
+	r, max float64    // arrivals per cycle (Rate x link bytes/cycle); stall clamp PktSize + r
+	sent   int64      // bytes emitted so far (finite flows deactivate at Bytes)
+	rng    *rand.Rand // only for uniform destinations
+	// acc is an every-cycle scan's value at the end of cycle last; seen
+	// is the cycle of the latest visit; wake marks the flow ready.
+	last, seen sim.Cycle
+	wake       func()
+	phase      flowPhase
 }
 
 // done reports whether a finite flow has emitted its full size.
@@ -91,6 +109,17 @@ func (f *flowState) pktSize() int {
 	return f.PktSize
 }
 
+// step is one cycle of the rate shaper. A stalled source does not bank
+// unbounded credit: it saturates at one packet's worth plus one cycle of
+// arrivals, and step reports that clamp, a fixed point of further steps.
+func (f *flowState) step() bool {
+	if f.acc += f.r; f.acc > f.max {
+		f.acc = f.max
+		return true
+	}
+	return false
+}
+
 // NewGenerator builds a generator and registers it with the engine's
 // injection phase. nodeBPC gives each endpoint's injection-link
 // bandwidth in bytes/cycle; pool is the network's packet free-list
@@ -101,34 +130,61 @@ func NewGenerator(eng *sim.Engine, nodes []*endnode.Node, nodeBPC []int, flows [
 	}
 	g := &Generator{eng: eng, nodes: nodes, ids: ids, pool: pool, bpc: nodeBPC, hook: hook}
 	for _, f := range flows {
-		if f.PktSize == 0 {
-			f.PktSize = pkt.MTU
-		}
-		if err := validate(f, len(nodes)); err != nil {
+		if err := g.add(f); err != nil {
 			return nil, err
 		}
-		fs := flowState{Flow: f}
-		if f.Dst == UniformDst {
-			fs.rng = eng.RNG()
-		}
-		g.flows = append(g.flows, fs)
 	}
 	g.start()
 	return g, nil
 }
 
-// start indexes the flows by window opening and registers the generator
-// with its engine's injection phase. Construction-time only.
-func (g *Generator) start() {
-	g.byStart = make([]int, len(g.flows))
-	for i := range g.byStart {
-		g.byStart[i] = i
+// add validates f and appends it, taking its random stream when it
+// draws destinations. Construction-time only.
+func (g *Generator) add(f Flow) error {
+	if f.PktSize == 0 {
+		f.PktSize = pkt.MTU
 	}
-	sort.SliceStable(g.byStart, func(a, b int) bool {
-		return g.flows[g.byStart[a]].Start < g.flows[g.byStart[b]].Start
-	})
-	g.live.Grow(len(g.flows))
+	if err := validate(f, len(g.nodes)); err != nil {
+		return err
+	}
+	// The first visit steps the shaper once, as the scan's first cycle did.
+	first := max(f.Start, g.eng.Now())
+	fs := flowState{Flow: f, last: first - 1, seen: first - 1}
+	fs.r = f.Rate * float64(g.bpc[f.Src])
+	fs.max = float64(f.PktSize) + fs.r
+	if f.Dst == UniformDst {
+		fs.rng = g.eng.RNG()
+	}
+	g.flows = append(g.flows, fs)
+	return nil
+}
+
+// start schedules every flow's window opening and closing, sizes the
+// parked lists (the steady state allocates nothing), hooks the nodes flows
+// can park on and registers with the injection phase. Construction-time only.
+func (g *Generator) start() {
 	g.handle = g.eng.AddTicker(sim.PhaseInject, sim.TickerFunc(g.inject))
+	g.ready.Grow(len(g.flows))
+	g.parked = make([][]int32, len(g.nodes))
+	fixed := make([]int, len(g.nodes))
+	for i := range g.flows {
+		f := &g.flows[i]
+		f.wake = func() {
+			g.ready.Add(i)
+			g.handle.Wake()
+		}
+		g.eng.At(f.seen+1, f.wake)
+		g.eng.At(max(f.End, f.seen+1), f.wake)
+		if f.Dst != UniformDst {
+			fixed[f.Src]++
+		}
+	}
+	for src, n := range fixed {
+		if n > 0 {
+			g.parked[src] = make([]int32, 0, n)
+			g.nodes[src].SetRoomHook(g.room)
+		}
+	}
 }
 
 // NewSharded builds one generator per shard engine over a common flow
@@ -152,21 +208,16 @@ func NewSharded(engines []*sim.Engine, shardOfNode []int, nodes []*endnode.Node,
 		gens[i] = &Generator{eng: engines[i], nodes: nodes, ids: ids[i], pool: pools[i], bpc: nodeBPC, hook: hooks[i]}
 	}
 	for _, f := range flows {
-		if f.PktSize == 0 {
-			f.PktSize = pkt.MTU
-		}
-		if err := validate(f, len(nodes)); err != nil {
-			return nil, err
+		if f.Src < 0 || f.Src >= len(nodes) {
+			return nil, validate(f, len(nodes))
 		}
 		s := shardOfNode[f.Src]
 		if s < 0 || s >= len(gens) {
 			return nil, fmt.Errorf("traffic: flow %d source %d maps to shard %d of %d", f.ID, f.Src, s, len(gens))
 		}
-		fs := flowState{Flow: f}
-		if f.Dst == UniformDst {
-			fs.rng = engines[s].RNG()
+		if err := gens[s].add(f); err != nil {
+			return nil, err
 		}
-		gens[s].flows = append(gens[s].flows, fs)
 	}
 	for _, g := range gens {
 		g.start()
@@ -196,61 +247,137 @@ func validate(f Flow, n int) error {
 	return nil
 }
 
-// inject runs once per cycle.
+// inject visits the ready flows in flow-index order.
 func (g *Generator) inject(now sim.Cycle) {
-	for ; g.opened < len(g.byStart) && g.flows[g.byStart[g.opened]].Start <= now; g.opened++ {
-		g.live.Add(g.byStart[g.opened])
+	for i := g.ready.Next(0); i >= 0; i = g.ready.Next(i + 1) {
+		g.ready.Remove(i)
+		g.visit(i, now)
 	}
-	for i := g.live.Next(0); i >= 0; i = g.live.Next(i + 1) {
+	if g.ready.Len() == 0 {
+		g.handle.Sleep()
+	}
+}
+
+// visit runs cycle now of flow i as an every-cycle scan would have: it
+// replays the cycles since the last visit on the accumulator with the
+// scan's own operations (never acc + k*r: rates are inexact floats and
+// the sums differ in the last bit), runs today's injection loop
+// unchanged, then keys the flow for its next visit.
+func (g *Generator) visit(i int, now sim.Cycle) {
+	f := &g.flows[i]
+	if f.phase == retired { // the closing event of a flow that finished early
+		return
+	}
+	node := g.nodes[f.Src]
+	g.skipped += int64(now - f.seen - 1)
+	f.seen = now
+	if now >= f.End {
+		if f.phase == parked { // unwoken to the end: room drops it from its list
+			node.Park(-1)
+		}
+		f.phase = retired
+		return
+	}
+	g.visits++
+	for ; f.last < now; f.last++ {
+		if f.step() {
+			f.last = now
+			break
+		}
+	}
+	for sz := f.pktSize(); f.acc >= float64(sz); sz = f.pktSize() {
+		dst := f.Dst
+		if dst == UniformDst {
+			dst = f.rng.Intn(len(g.nodes) - 1)
+			if dst >= f.Src {
+				dst++
+			}
+		}
+		// Ask before building: a refused attempt draws no packet id.
+		if node.Full(dst, f.Dst != UniformDst) {
+			if f.Dst == UniformDst {
+				f.phase = hot
+				g.ready.Add(i)
+			} else {
+				f.phase = parked
+				g.parked[f.Src] = append(g.parked[f.Src], int32(i))
+			}
+			return
+		}
+		p := g.pool.NewData(g.ids, f.Src, dst, f.ID, sz, now)
+		if !node.Offer(p) {
+			panic(fmt.Sprintf("traffic: node %d refused flow %d after reporting room", f.Src, f.ID))
+		}
+		f.acc -= float64(sz)
+		f.sent += int64(sz)
+		if g.hook != nil {
+			g.hook(p)
+		}
+		if f.done() {
+			f.phase = retired
+			return
+		}
+	}
+	// Accumulating: run the shaper forward to the first cycle it covers a
+	// packet (or to End, whose event is armed); acc then holds that cycle's
+	// value already and the visit replays nothing.
+	for sz := float64(f.pktSize()); f.acc < sz && f.last < f.End; f.last++ {
+		f.step()
+	}
+	if f.phase = due; f.last == now+1 {
+		g.ready.Add(i)
+	} else if f.last < f.End {
+		g.eng.At(f.last, f.wake)
+	}
+}
+
+// room is the nodes' hook: node src popped the full AdVOQ towards dst, so
+// the flows parked on it are visited in the next injection phase, the
+// first in which a scan's Offer could succeed (the lowest index takes the
+// one slot freed, the rest park again).
+func (g *Generator) room(src, dst int) {
+	keep := g.parked[src][:0]
+	for _, i := range g.parked[src] {
+		switch f := &g.flows[i]; {
+		case f.phase != parked: // retired at End meanwhile
+		case f.Dst == dst:
+			f.phase = due
+			g.ready.Add(int(i))
+			g.nodes[src].Park(-1)
+			g.handle.Wake()
+		default:
+			keep = append(keep, i)
+		}
+	}
+	g.parked[src] = keep
+}
+
+// Visits returns the visits made and the live-flow-cycles not visited.
+func (g *Generator) Visits() (visits, skipped int64) {
+	skipped = g.skipped
+	for i := range g.flows {
+		if f := &g.flows[i]; f.phase != retired && f.seen < g.eng.Now()-1 {
+			skipped += int64(g.eng.Now() - 1 - f.seen)
+		}
+	}
+	return g.visits, skipped
+}
+
+// DescribeState summarises the sources for diagnostic snapshots: flows
+// per state, earliest due cycle, who is parked since when (a lost wake).
+func (g *Generator) DescribeState(sim.Cycle) string {
+	var n [retired + 1]int
+	list, next := "", sim.Never
+	for i := range g.flows {
 		f := &g.flows[i]
-		if now >= f.End {
-			g.live.Remove(i)
-			continue
-		}
-		f.acc += f.Rate * float64(g.bpc[f.Src])
-		// A stalled source does not bank unbounded credit: it saturates
-		// at one packet's worth plus one cycle of arrivals.
-		max := float64(f.PktSize) + f.Rate*float64(g.bpc[f.Src])
-		if f.acc > max {
-			f.acc = max
-		}
-		for sz := f.pktSize(); f.acc >= float64(sz); sz = f.pktSize() {
-			dst := f.Dst
-			if dst == UniformDst {
-				dst = f.rng.Intn(len(g.nodes) - 1)
-				if dst >= f.Src {
-					dst++
-				}
-			}
-			p := g.pool.NewData(g.ids, f.Src, dst, f.ID, sz, now)
-			if !g.nodes[f.Src].Offer(p) {
-				g.pool.Release(p)
-				break // source stall: retry next cycle
-			}
-			f.acc -= float64(sz)
-			f.sent += int64(sz)
-			if g.hook != nil {
-				g.hook(p)
-			}
-			if f.done() {
-				g.live.Remove(i)
-				break
-			}
+		if n[f.phase]++; f.phase == parked && n[parked] <= 16 {
+			list += fmt.Sprintf(" flow%d(%d->%d)@%d", f.ID, f.Src, f.Dst, f.seen)
+		} else if f.phase == due {
+			next = min(next, f.last)
 		}
 	}
-	// With no live flow every tick is a no-op until the next window
-	// opens (finished finite flows no longer count: once every flow is
-	// done the generator sleeps for good even if windows remain open), so
-	// sleep and arm a wake event at that opening; with no window left,
-	// sleep for good. A flow whose last cycle this was is still live here
-	// and retires on the next tick, which is the tick that sleeps.
-	if g.live.Len() == 0 {
-		if g.opened < len(g.byStart) {
-			g.handle.SleepUntil(g.flows[g.byStart[g.opened]].Start)
-		} else {
-			g.handle.Sleep()
-		}
-	}
+	return fmt.Sprintf("sources: live=%d due=%d parked=%d hot=%d next=%d awake=%v parked since:%s",
+		n[due]+n[parked]+n[hot], n[due], n[parked], n[hot], next, g.handle.Awake(), list)
 }
 
 // FlowIDs returns the configured flow ids in order.
