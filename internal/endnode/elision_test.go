@@ -23,7 +23,18 @@ type edgeRig struct {
 	n       *Node
 	ids     pkt.IDGen
 	log     strings.Builder
-	skipped int // cycles spent skipping
+	skipped int  // cycles spent skipping
+	stepped bool // the reference: never skips, so never sleeps
+}
+
+// mustSleep requires the node to be asleep on all three ticks behind a
+// deadline still to come: what follows starts from a sleeping node.
+func (r *edgeRig) mustSleep(before string) {
+	r.t.Helper()
+	n := r.n
+	if !r.stepped && (n.hPost.Awake() || n.hArb.Awake() || n.hUpd.Awake() || n.skipUntil <= r.eng.Now()) {
+		r.t.Fatalf("cycle %d: node not asleep before %s (skipUntil %d)", r.eng.Now(), before, n.skipUntil)
+	}
 }
 
 func (r *edgeRig) ReceivePacket(p *pkt.Packet, cfq int) {
@@ -35,7 +46,7 @@ func (r *edgeRig) ReceiveControl(m link.Control) {
 }
 
 func newEdgeRig(t *testing.T, p core.Params, credits int, everyCycle bool) *edgeRig {
-	r := &edgeRig{t: t, eng: sim.NewEngine(3)}
+	r := &edgeRig{t: t, eng: sim.NewEngine(3), stepped: everyCycle}
 	r.n = New(r.eng, 0, &p, 8, &r.ids, nil)
 	tx := link.NewHalf(r.eng, "up", 64, 2)
 	tx.SetReceivers(r, r)
@@ -109,6 +120,7 @@ func TestSkipEdges(t *testing.T) {
 					r.t.Fatalf("%d ThrottleStalls over 150 gated cycles", got)
 				}
 				r.eng.Run(r.n.p.CCTITimer)
+				r.mustSleep("the CCTI_Timer expiry, ahead of the gate's deadline")
 				if r.n.stats.Sent != 1 || r.n.throttler.CCTI(4) != 20 {
 					r.t.Fatalf("cycle %d: sent %d, CCTI %d", r.eng.Now(), r.n.stats.Sent, r.n.throttler.CCTI(4))
 				}
@@ -127,11 +139,14 @@ func TestSkipEdges(t *testing.T) {
 				if r.n.stats.Sent != 2 {
 					r.t.Fatalf("sent %d with 2 MTUs of credit", r.n.stats.Sent)
 				}
+				r.mustSleep("the credit")
 				r.n.ReceiveControl(link.Control{Kind: link.Credit, Bytes: pkt.MTU, Dest: 3})
 				r.stepSends(1, "credit arrived this cycle")
 				r.eng.RunFor(100)
+				r.mustSleep("the pause")
 				r.n.Pause(60)
 				r.eng.RunFor(20)
+				r.mustSleep("the credit under pause")
 				r.n.ReceiveControl(link.Control{Kind: link.Credit, Bytes: pkt.MTU, Dest: 3})
 				r.stepSends(0, "paused")
 				r.eng.Run(r.n.PausedUntil())
@@ -153,6 +168,7 @@ func TestSkipEdges(t *testing.T) {
 					r.t.Fatalf("%d packets escaped a stopped CFQ", r.n.stats.Sent)
 				}
 				held := r.n.stats.Sent
+				r.mustSleep("the CFQGo")
 				r.n.ReceiveControl(link.Control{Kind: link.CFQGo, CFQ: 1})
 				r.stepSends(1, "Go arrived this cycle")
 				iso := r.n.disc.(*core.IsolationUnit)
@@ -190,8 +206,20 @@ func TestSkipEdges(t *testing.T) {
 				r.n.tx.SetDown(false)
 				r.stepSends(1, "uplink back this cycle")
 				r.eng.RunFor(300)
+				r.mustSleep("the refund")
 				r.n.RefundCredit(3, pkt.MTU)
 				r.stepSends(1, "refund arrived this cycle")
+				r.eng.RunFor(100)
+				// A flap the sleeping node never sees: it waits for credit,
+				// not for the link, and goes the cycle credit comes.
+				r.mustSleep("the flap")
+				r.n.tx.SetDown(true)
+				r.eng.RunFor(50)
+				r.n.tx.SetDown(false)
+				r.eng.RunFor(50)
+				r.mustSleep("the credit after the flap")
+				r.n.ReceiveControl(link.Control{Kind: link.Credit, Bytes: pkt.MTU, Dest: 3})
+				r.stepSends(1, "credit arrived this cycle")
 				r.eng.RunFor(100)
 			},
 		},
@@ -205,6 +233,7 @@ func TestSkipEdges(t *testing.T) {
 				r.eng.Run(200)
 				p := pkt.NewData(&r.ids, 6, 0, 6, pkt.MTU, r.eng.Now())
 				p.FECN = true
+				r.mustSleep("the FECN-marked delivery")
 				r.n.ReceivePacket(p, -1)
 				r.stepSends(1, "the BECN goes the cycle it is generated")
 				r.eng.RunFor(1200)

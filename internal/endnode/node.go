@@ -73,11 +73,11 @@ type Node struct {
 	// A node that holds work it cannot move skips instead: after a cycle
 	// in which none of its ticks did anything (acted), update sets
 	// skipUntil to the first cycle time alone changes that (nextDue) and
-	// the ticks return on one compare until then. Everything else that can
-	// change it calls resume first: an accepted Offer, a BECN sent or
-	// received, a control message, a CCTI_Timer expiry, Pause, a credit
-	// refund. quietAt is the cycle the skip (or the last settle) follows;
-	// stalled, whether that cycle's post counted a ThrottleStall.
+	// sleeps the three ticks until then. Everything else that can change
+	// it calls resume first: an accepted Offer, a BECN sent or received, a
+	// control message, a CCTI_Timer expiry, Pause, a credit refund. quietAt
+	// is the cycle the skip (or the last settle) follows; stalled, whether
+	// that cycle's post counted a ThrottleStall.
 	skipUntil, quietAt sim.Cycle
 	acted, stalled     bool
 
@@ -174,6 +174,7 @@ func (n *Node) resume() {
 		n.settle()
 		n.skipUntil = 0
 		n.disc.Resume(n.eng.Now())
+		n.wake()
 	}
 }
 
@@ -306,7 +307,7 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 		s += fmt.Sprintf(" [paused until %d]", n.pausedUntil)
 	}
 	if now < n.skipUntil {
-		s += fmt.Sprintf(" [skipping until %d]", n.skipUntil)
+		s += fmt.Sprintf(" [asleep until %d]", n.skipUntil)
 	}
 	if n.parkedN > 0 {
 		s += fmt.Sprintf(" [%d sources parked]", n.parkedN)
@@ -330,10 +331,7 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 // AdVOQ head past the throttling gate (IRD/LTI, Section III-D), then
 // runs the output buffer's post-processing.
 func (n *Node) post(now sim.Cycle) {
-	if now < n.skipUntil {
-		return
-	}
-	n.resume()
+	n.resume() // the deadline of a skip wakes this tick alone
 	for h := n.pending.Head(); h != nil && n.disc.Fits(h.Size); h = n.pending.Head() {
 		n.disc.Enqueue(n.pending.Pop(), -1)
 		n.acted = true
@@ -420,7 +418,7 @@ func (n *Node) pickAdVOQ(now sim.Cycle) int {
 // arbitrate serves the output buffer onto the uplink: BECNs first, then
 // round-robin among the queues with eligible heads.
 func (n *Node) arbitrate(now sim.Cycle) {
-	if now < n.skipUntil || now < n.pausedUntil {
+	if now < n.pausedUntil {
 		return
 	}
 	if n.tx == nil || !n.tx.Free(now) || n.disc.UsedBytes() == 0 {
@@ -458,9 +456,6 @@ func (n *Node) arbitrate(now sim.Cycle) {
 // empty, fully deallocated output buffer. Every admission path (Offer,
 // BECN generation) wakes it again.
 func (n *Node) update(now sim.Cycle) {
-	if now < n.skipUntil {
-		return
-	}
 	acted := n.disc.Update(now) || n.acted
 	n.acted = false
 	if n.occupied.Len() == 0 && n.pending.Empty() && n.disc.Quiescent() {
@@ -470,6 +465,9 @@ func (n *Node) update(now sim.Cycle) {
 	} else if !acted {
 		if due := n.nextDue(now); due > now+1 {
 			n.skipUntil, n.quietAt = due, now
+			n.hArb.Sleep()
+			n.hUpd.Sleep()
+			n.hPost.SleepUntil(due)
 		}
 	}
 }

@@ -18,9 +18,9 @@ func TestEngineWorkPinned(t *testing.T) {
 		pending   int
 		delivered int
 	}{
-		{"CCFIT", 598492, 24, 9574},
-		{"1Q", 560814, 16, 9150},
-		{"ITh", 578438, 27, 9324},
+		{"CCFIT", 285614, 30, 9574},
+		{"1Q", 256509, 16, 9150},
+		{"ITh", 269445, 34, 9324},
 	} {
 		exp, err := ByID("fig7a")
 		if err != nil {
