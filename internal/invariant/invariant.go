@@ -93,8 +93,7 @@ type Checker struct {
 	eng    *sim.Engine
 	cfg    Config
 	handle *sim.TickerHandle
-	// Sources are described in the snapshot after the switches: the
-	// traffic generators, appended by network.AddFlows once they exist.
+	// Sources are described in the snapshot: network.AddFlows' generators.
 	Sources []interface{ DescribeState(sim.Cycle) string }
 
 	externalPkts  int

@@ -429,34 +429,29 @@ func (n *Network) AddFlows(flows []traffic.Flow) error {
 		if err != nil {
 			return err
 		}
-		n.gens, n.Gen = []*traffic.Generator{gen}, gen
-		return n.installed(flows)
+		n.gens = []*traffic.Generator{gen}
+	} else {
+		// Partitioned: one generator per shard, each driving the flows whose
+		// source endpoint lives there, drawing uniform-destination RNGs in
+		// global flow order off the shared derivation counter.
+		shardOfNode := make([]int, len(n.Nodes))
+		for e := range n.Nodes {
+			shardOfNode[e] = n.shardOfDevice(n.Topo.EndpointDevice(e))
+		}
+		hooks := make([]traffic.InjectHook, len(n.engines))
+		for s := range hooks {
+			hooks[s] = n.shardCols[s].Injected
+		}
+		gens, err := traffic.NewSharded(n.engines, shardOfNode, n.Nodes, n.linkBPC, flows, n.shardIDs, n.shardPool, hooks)
+		if err != nil {
+			return err
+		}
+		n.gens = gens
 	}
-	// Partitioned: one generator per shard, each driving the flows whose
-	// source endpoint lives there, drawing uniform-destination RNGs in
-	// global flow order off the shared derivation counter.
-	shardOfNode := make([]int, len(n.Nodes))
-	for e := range n.Nodes {
-		shardOfNode[e] = n.shardOfDevice(n.Topo.EndpointDevice(e))
-	}
-	hooks := make([]traffic.InjectHook, len(n.engines))
-	for s := range hooks {
-		hooks[s] = n.shardCols[s].Injected
-	}
-	gens, err := traffic.NewSharded(n.engines, shardOfNode, n.Nodes, n.linkBPC, flows, n.shardIDs, n.shardPool, hooks)
-	if err != nil {
-		return err
-	}
-	n.gens, n.Gen = gens, gens[0]
-	return n.installed(flows)
-}
-
-// installed shows the generators to the invariant snapshot and registers
-// the flows for completion-time tracking.
-func (n *Network) installed(flows []traffic.Flow) error {
+	n.Gen = n.gens[0]
 	for _, g := range n.gens {
 		if n.Checker != nil {
-			n.Checker.Sources = append(n.Checker.Sources, g)
+			n.Checker.Sources = append(n.Checker.Sources, g) // for the snapshot
 		}
 	}
 	return n.registerFCT(flows)

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -87,6 +88,10 @@ type scenario struct {
 	// drain holds one byte per (epoch of drainEpoch cycles, node), used
 	// round robin: how that node's sink returns credit in that epoch.
 	drain []byte
+	// statsEvery spaces the reads of the nodes' Stats: every cycle, or far
+	// enough apart that what parked sources are owed is settled by the
+	// parking, waking and retiring themselves.
+	statsEvery sim.Cycle
 }
 
 const drainEpoch = 128
@@ -167,6 +172,21 @@ func buildSide(t testing.TB, sc scenario, reference bool) *side {
 			d.release(now, sc.drain[(int(now/drainEpoch)*sc.nodes+i)%len(sc.drain)])
 		}
 	})
+	// A same-cycle read, as the invariant checker's tick makes: it may lag
+	// the between-cycles figure by the cycle in progress, never run back.
+	rejected := make([]int, sc.nodes)
+	s.eng.Register(sim.PhaseUpdate, func(now sim.Cycle) {
+		if now%sc.statsEvery != 0 {
+			return
+		}
+		for i, n := range s.nodes {
+			if r := n.Stats().Rejected; r < rejected[i] {
+				t.Fatalf("cycle %d node %d: Rejected fell from %d to %d at a same-cycle read", now, i, rejected[i], r)
+			} else {
+				rejected[i] = r
+			}
+		}
+	})
 	hook := func(p *pkt.Packet) {
 		s.trace = append(s.trace, injection{s.eng.Now(), p.Flow, p.ID, p.Dst, p.Size})
 	}
@@ -213,6 +233,9 @@ func runPair(t testing.TB, sc scenario) (cov coverage) {
 			}
 		}
 		for i := range want.nodes {
+			if cyc%sc.statsEvery != 0 && cyc != sc.horizon-1 {
+				break
+			}
 			g, w := got.nodes[i].Stats(), want.nodes[i].Stats()
 			if g.Offered != w.Offered || g.Rejected != w.Rejected {
 				t.Fatalf("cycle %d node %d: offered %d rejected %d, full scan %d and %d\n%s",
@@ -229,6 +252,11 @@ func runPair(t testing.TB, sc scenario) (cov coverage) {
 		var onAdVOQ map[[2]int]int
 		for i := range got.gen.flows {
 			f := &got.gen.flows[i]
+			// The accumulator is the scan's, bit for bit, whenever it is
+			// current: after every visit that ran the shaper.
+			if w := &want.scan.flows[i]; f.last == cyc && (f.phase != retired || f.done()) && f.acc != w.acc {
+				t.Fatalf("cycle %d flow %d: accumulator %v, full scan %v", cyc, f.ID, f.acc, w.acc)
+			}
 			if wasParked[i] && f.phase == retired {
 				cov.endParked++
 			}
@@ -254,7 +282,8 @@ func runPair(t testing.TB, sc scenario) (cov coverage) {
 }
 
 // randomFlows draws n flows over `nodes` endpoints inside [0, horizon):
-// fractional rates (inexact floats: the replay must step, not multiply),
+// fractional rates (inexact floats: the replay must step, not multiply)
+// and a few integral ones (which may multiply),
 // overlapping windows, one-cycle windows (Start == End-1), finite flows
 // whose last packet is short, uniform destinations, and — when sparse —
 // long gaps the generator sleeps through.
@@ -268,6 +297,9 @@ func randomFlows(rng *rand.Rand, n, nodes int, horizon sim.Cycle) []Flow {
 		}
 		if rng.Intn(8) == 0 {
 			f.Dst = UniformDst
+		}
+		if rng.Intn(5) == 0 {
+			f.Rate = []float64{1, 0.5, 0.25}[rng.Intn(3)] // integral bytes per cycle: the shaper may jump
 		}
 		f.Start = sim.Cycle(rng.Int63n(int64(horizon)))
 		switch rng.Intn(4) {
@@ -327,6 +359,9 @@ func TestActiveSetEqualsFullScan(t *testing.T) {
 			// A long uniform flow stalls, redrawing, through every freeze.
 			sc.flows = append(sc.flows, Flow{ID: 9100, Src: 2, Dst: UniformDst, Rate: 0.9, Start: 10, End: c.horizon})
 			sc.drain = randomDrain(rng, int(sc.horizon)/drainEpoch*nodes)
+			sc.statsEvery = 97
+			runPair(t, sc)
+			sc.statsEvery = 1
 			cov := runPair(t, sc)
 			if cov.injections < c.flows || cov.asleep == 0 || cov.parked == 0 || cov.hot == 0 || cov.shared == 0 || cov.endParked == 0 {
 				t.Fatalf("scenario too thin: %+v", cov)
@@ -344,7 +379,7 @@ func decodeScenario(data []byte) scenario {
 		}
 		return 0
 	}
-	sc := scenario{nodes: 2 + at(0)%6, horizon: 4200}
+	sc := scenario{nodes: 2 + at(0)%6, horizon: 4200, statsEvery: 1 + sim.Cycle(at(0)>>3)*sim.Cycle(at(0)>>3)}
 	n := 1 + at(1)%24
 	for i := 0; i < n; i++ {
 		o := 2 + 8*i
@@ -354,7 +389,9 @@ func decodeScenario(data []byte) scenario {
 		}
 		f.Start = sim.Cycle(at(o+2) | at(o+3)&7<<8)
 		f.End = f.Start + 1 + sim.Cycle(at(o+4)|at(o+5)&7<<8)
-		f.Rate = float64(1+at(o+6)) / 257 // inexact on purpose
+		if f.Rate = float64(1+at(o+6)) / 257; at(o+6) >= 250 { // inexact on purpose
+			f.Rate = 1
+		}
 		f.PktSize = 1 + (8*at(o+7)+at(o+5)>>3)%pkt.MTU
 		if at(o+3)&8 != 0 {
 			f.Bytes = int64(1 + 37*at(o+4) + at(o+3)>>4*pkt.MTU)
@@ -374,4 +411,26 @@ func FuzzSourceSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runPair(t, decodeScenario(data))
 	})
+}
+
+// A source nobody wakes must be readable: on nodes whose uplinks go
+// nowhere the AdVOQs fill and stay full, and the generator's and the
+// node's descriptions name who waits since when.
+func TestSourceDescribeStateNamesParkedFlows(t *testing.T) {
+	sc := scenario{nodes: 3, drain: []byte{0}, statsEvery: 1, flows: []Flow{
+		{ID: 7, Src: 0, Dst: 1, Start: 0, End: 5000, Rate: 1},
+		{ID: 8, Src: 0, Dst: 1, Start: 40, End: 5000, Rate: 0.5},
+		{ID: 9, Src: 2, Dst: UniformDst, Start: 0, End: 5000, Rate: 1},
+	}}
+	s := buildSide(t, sc, false)
+	s.eng.Run(1000)
+	got := s.gen.DescribeState(s.eng.Now())
+	for _, want := range []string{"sources: live=3 due=0 parked=2 hot=1", "awake=true", " flow7(0->1)@", " flow8(0->1)@"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("generator state %q does not contain %q", got, want)
+		}
+	}
+	if n := s.nodes[0]; n.ParkedSources() != 2 || !strings.Contains(n.DescribeState(s.eng.Now()), "[2 sources parked]") {
+		t.Errorf("node 0: %d sources parked, state %q", n.ParkedSources(), n.DescribeState(s.eng.Now()))
+	}
 }

@@ -9,6 +9,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/endnode"
@@ -60,11 +61,10 @@ type Generator struct {
 
 	// Sources run on deadlines (DESIGN.md §5): a flow is visited only in
 	// a cycle it can act. ready holds the flows to visit in the coming
-	// injection phase — walked in index order, an every-cycle scan's,
-	// which decides who takes the last AdVOQ slot — and is filled by the
-	// flows' own events (window opening and closing, the cycle the shaper
-	// covers a packet) and by room, which wakes the flows stalled on a full
-	// AdVOQ: parked lists those per source node.
+	// injection phase — in index order, an every-cycle scan's, which
+	// decides who takes the last AdVOQ slot — filled by the flows' own
+	// events (window opening and closing, the cycle the shaper covers a
+	// packet) and by room, for the flows parked on a full AdVOQ of a node.
 	ready  sim.ActiveSet
 	parked [][]int32
 
@@ -86,6 +86,7 @@ type flowState struct {
 	Flow
 	acc    float64
 	r, max float64    // arrivals per cycle (Rate x link bytes/cycle); stall clamp PktSize + r
+	whole  bool       // r is integral: so is acc, always, and every sum of them is exact
 	sent   int64      // bytes emitted so far (finite flows deactivate at Bytes)
 	rng    *rand.Rand // only for uniform destinations
 	// acc is an every-cycle scan's value at the end of cycle last; seen
@@ -151,7 +152,7 @@ func (g *Generator) add(f Flow) error {
 	first := max(f.Start, g.eng.Now())
 	fs := flowState{Flow: f, last: first - 1, seen: first - 1}
 	fs.r = f.Rate * float64(g.bpc[f.Src])
-	fs.max = float64(f.PktSize) + fs.r
+	fs.max, fs.whole = float64(f.PktSize)+fs.r, fs.r == math.Trunc(fs.r)
 	if f.Dst == UniformDst {
 		fs.rng = g.eng.RNG()
 	}
@@ -160,8 +161,7 @@ func (g *Generator) add(f Flow) error {
 }
 
 // start schedules every flow's window opening and closing, sizes the
-// parked lists (the steady state allocates nothing), hooks the nodes flows
-// can park on and registers with the injection phase. Construction-time only.
+// parked lists and hooks the nodes flows can park on. Construction-time only.
 func (g *Generator) start() {
 	g.handle = g.eng.AddTicker(sim.PhaseInject, sim.TickerFunc(g.inject))
 	g.ready.Grow(len(g.flows))
@@ -320,8 +320,14 @@ func (g *Generator) visit(i int, now sim.Cycle) {
 	}
 	// Accumulating: run the shaper forward to the first cycle it covers a
 	// packet (or to End, whose event is armed); acc then holds that cycle's
-	// value already and the visit replays nothing.
-	for sz := float64(f.pktSize()); f.acc < sz && f.last < f.End; f.last++ {
+	// value already and the visit replays nothing. Integral rates (the
+	// paper's 100 %) may jump: with every partial sum exact, k steps are k*r.
+	sz := float64(f.pktSize())
+	if f.whole {
+		k := min((int64(sz-f.acc)+int64(f.r)-1)/int64(f.r), int64(f.End-f.last))
+		f.acc, f.last = f.acc+float64(k)*f.r, f.last+sim.Cycle(k)
+	}
+	for ; f.acc < sz && f.last < f.End; f.last++ {
 		f.step()
 	}
 	if f.phase = due; f.last == now+1 {

@@ -178,3 +178,17 @@ func TestFlowIDs(t *testing.T) {
 		t.Fatalf("flow ids %v", ids)
 	}
 }
+
+// An unobstructed source is visited once per packet, in the cycle its
+// shaper covers one, plus the visit that opens its window — also at a
+// fractional rate, where the shaper is stepped, not jumped.
+func TestSourceVisitsOncePerPacket(t *testing.T) {
+	for _, rate := range []float64{1, 0.3} {
+		eng, _, g, inj := rig(t, 4, []Flow{{ID: 0, Src: 0, Dst: 1, Start: 5, End: 6400, Rate: rate}})
+		eng.Run(6400)
+		visits, skipped := g.Visits()
+		if len(*inj) < 50 || visits != int64(len(*inj))+1 || visits+skipped != 6400-5 {
+			t.Fatalf("rate %v: %d packets in %d visits, %d flow-cycles skipped", rate, len(*inj), visits, skipped)
+		}
+	}
+}

@@ -38,7 +38,7 @@ awk '
     if (pkg == "repro/internal/campaign")  floor = 70
     if (pkg == "repro/internal/dispatch")  floor = 70
     if (pkg == "repro/internal/cli")       floor = 70
-    if (pkg == "repro/internal/traffic")   floor = 80
+    if (pkg == "repro/internal/traffic")   floor = 91
 
     if (cov + 0 < floor) {
         printf "FAIL coverage floor: %s at %s%% (floor %d%%)\n", pkg, cov, floor
