@@ -224,8 +224,8 @@ func (n *Node) Full(dest int, park bool) bool {
 	return true
 }
 
-// Park parks (by = 1) or releases (-1: woken by the room hook, or its
-// window closed) one source, as of the next injection phase to come.
+// Park parks one source (by = 1, in the injection phase that refused it)
+// or releases one (-1: woken by the room hook, or its window closed).
 func (n *Node) Park(by int) {
 	n.settleRejected(n.eng.Now() - 1)
 	n.parkedN += by

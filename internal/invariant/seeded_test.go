@@ -81,7 +81,7 @@ func TestSeededViolations(t *testing.T) {
 			},
 		},
 	} {
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.check, func(t *testing.T) {
 			build := func(onViolation func(*invariant.Violation)) *network.Network {
 				p, opt := core.PresetCCFIT(), network.Options{Seed: 1, OnViolation: onViolation}
 				if c.tune != nil {

@@ -449,8 +449,8 @@ func (n *Network) AddFlows(flows []traffic.Flow) error {
 		n.gens = gens
 	}
 	n.Gen = n.gens[0]
-	for _, g := range n.gens {
-		if n.Checker != nil {
+	if n.Checker != nil {
+		for _, g := range n.gens {
 			n.Checker.Sources = append(n.Checker.Sources, g) // for the snapshot
 		}
 	}

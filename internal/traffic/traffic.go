@@ -260,9 +260,9 @@ func (g *Generator) inject(now sim.Cycle) {
 
 // visit runs cycle now of flow i as an every-cycle scan would have: it
 // replays the cycles since the last visit on the accumulator with the
-// scan's own operations (never acc + k*r: rates are inexact floats and
-// the sums differ in the last bit), runs today's injection loop
-// unchanged, then keys the flow for its next visit.
+// scan's own operations (never acc + k*r where a sum can round: rates
+// are inexact floats and the sums differ in the last bit), runs today's
+// injection loop unchanged, then schedules the flow's next visit.
 func (g *Generator) visit(i int, now sim.Cycle) {
 	f := &g.flows[i]
 	if f.phase == retired { // the closing event of a flow that finished early
