@@ -177,7 +177,7 @@ func TestWorkerKilledMidJob(t *testing.T) {
 	// The victim first: it must win the first claim so the kill
 	// provably lands mid-job.
 	victim := &blockingExec{started: make(chan struct{})}
-	cut := &dispatch.CutTransport{}
+	cut := &CutTransport{}
 	stopVictim := startWorker(t, srv, dispatch.WorkerOptions{Name: "victim", Exec: victim, Log: t.Logf}, cut)
 	defer stopVictim()
 	waitRegistered(t, board, 1)
@@ -264,7 +264,7 @@ func TestFlakyTransportStillByteIdentical(t *testing.T) {
 	sched, board, srv := startService(t, dir, 500*time.Millisecond)
 	defer srv.Close()
 
-	flaky := &dispatch.FlakyTransport{
+	flaky := &FlakyTransport{
 		Drop:      []int{1, 4, 9},   // includes the first register attempt
 		Truncate:  []int{6, 13},     // torn mid-body responses
 		Duplicate: []int{7, 11, 15}, // at-least-once delivery

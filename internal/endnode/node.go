@@ -66,18 +66,18 @@ type Node struct {
 	// consuming — a paused host still drains its receive side).
 	pausedUntil sim.Cycle
 
-	// Tick handles: the node sleeps (is skipped by the engine) while it
+	// Tick handle: the node sleeps (is skipped by the engine) while it
 	// provably has nothing to do — no queued packets, no pending BECNs.
-	hPost, hArb, hUpd *sim.TickerHandle
+	h *sim.TickerHandle
 
 	// A node that holds work it cannot move skips instead: after a cycle
-	// in which none of its ticks did anything (acted), update sets
-	// skipUntil to the first cycle time alone changes that (nextDue) and
-	// sleeps the three ticks until then. Everything else that can change
-	// it calls resume first: an accepted Offer, a BECN sent or received, a
-	// control message, a CCTI_Timer expiry, Pause, a credit refund. quietAt
-	// is the cycle the skip (or the last settle) follows; stalled, whether
-	// that cycle's post counted a ThrottleStall.
+	// in which its tick did nothing (acted), update sets skipUntil to the
+	// first cycle time alone changes that (nextDue) and sleeps until then.
+	// Everything else that can change it calls resume first: an accepted
+	// Offer, a BECN sent or received, a control message, a CCTI_Timer
+	// expiry, Pause, a credit refund. quietAt is the cycle the skip (or the
+	// last settle) follows; stalled, whether that cycle's post counted a
+	// ThrottleStall.
 	skipUntil, quietAt sim.Cycle
 	acted, stalled     bool
 
@@ -130,18 +130,20 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 		n.throttler.SetTraceLabel(fmt.Sprintf("node%d", id))
 		n.throttler.OnExpire = n.resume
 	}
-	n.hPost = eng.AddTicker(sim.PhasePost, sim.TickerFunc(n.post))
-	n.hArb = eng.AddTicker(sim.PhaseArbitrate, sim.TickerFunc(n.arbitrate))
-	n.hUpd = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(n.update))
+	n.h = eng.AddTicker(sim.PhaseDevice, n.tick)
 	return n
 }
 
-// wake puts the node back on the engine's active lists (idempotent).
-func (n *Node) wake() {
-	n.hPost.Wake()
-	n.hArb.Wake()
-	n.hUpd.Wake()
+// tick is the node's cycle: the injection side's pipeline in order. Like
+// a switch's it touches the node's own state only (DESIGN.md §5).
+func (n *Node) tick(now sim.Cycle) {
+	n.post(now)
+	n.arbitrate(now)
+	n.update(now)
 }
+
+// wake puts the node back on the engine's active list (idempotent).
+func (n *Node) wake() { n.h.Wake() }
 
 // ID returns the endpoint id.
 func (n *Node) ID() int { return n.id }
@@ -306,7 +308,9 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 	if now < n.pausedUntil {
 		s += fmt.Sprintf(" [paused until %d]", n.pausedUntil)
 	}
-	if now < n.skipUntil {
+	if n.skipUntil == sim.Never {
+		s += " [asleep until an event]"
+	} else if now < n.skipUntil {
 		s += fmt.Sprintf(" [asleep until %d]", n.skipUntil)
 	}
 	if n.parkedN > 0 {
@@ -331,7 +335,7 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 // AdVOQ head past the throttling gate (IRD/LTI, Section III-D), then
 // runs the output buffer's post-processing.
 func (n *Node) post(now sim.Cycle) {
-	n.resume() // the deadline of a skip wakes this tick alone
+	n.resume() // a skip that ran to its deadline ends here
 	for h := n.pending.Head(); h != nil && n.disc.Fits(h.Size); h = n.pending.Head() {
 		n.disc.Enqueue(n.pending.Pop(), -1)
 		n.acted = true
@@ -459,15 +463,11 @@ func (n *Node) update(now sim.Cycle) {
 	acted := n.disc.Update(now) || n.acted
 	n.acted = false
 	if n.occupied.Len() == 0 && n.pending.Empty() && n.disc.Quiescent() {
-		n.hPost.Sleep()
-		n.hArb.Sleep()
-		n.hUpd.Sleep()
+		n.h.Sleep()
 	} else if !acted {
 		if due := n.nextDue(now); due > now+1 {
 			n.skipUntil, n.quietAt = due, now
-			n.hArb.Sleep()
-			n.hUpd.Sleep()
-			n.hPost.SleepUntil(due)
+			n.h.SleepUntil(due)
 		}
 	}
 }

@@ -6,22 +6,22 @@ import "repro/internal/sim"
 // (exported to the external test package, whose suite builds whole
 // networks and so cannot live in this one) and returns the count of
 // skipped cycles it checked. On every cycle the node sleeps through, a
-// ticker of the reference's own runs its three ticks on the side: no
-// pending BECN may fit the output buffer, the predicate AdVOQ scan may pick nothing and must see
-// the throttle stall the skip repeats, the uplink may carry nothing the
-// credits allow, and the output buffer's Post and Update must report no
-// action, move no counter and leave NextDue alone. The side Update
-// stamps LastActive on lines holding bytes, which is exactly what Resume
-// replays, so the run under reference stays byte-identical. fail reports
-// a violation (t.Errorf-shaped).
+// ticker of the reference's own runs its tick on the side: no pending
+// BECN may fit the output buffer, the predicate AdVOQ scan may pick
+// nothing and must see the throttle stall the skip repeats, the uplink
+// may carry nothing the credits allow, and the output buffer's Post and
+// Update must report no action, move no counter and leave NextDue alone.
+// The side Update stamps LastActive on lines holding bytes, which is
+// exactly what Resume replays, so the run under reference stays
+// byte-identical. fail reports a violation (t.Errorf-shaped).
 func InstallReference(n *Node, fail func(format string, args ...any)) *int {
 	checked := new(int)
-	// Registered after the node, this runs after its post tick would;
-	// skipUntil only moves in update or before the phases, so now <
-	// skipUntil says that tick — and the two to come — are slept through,
-	// in the state seen here.
-	n.eng.Register(sim.PhasePost, func(now sim.Cycle) {
-		if now >= n.skipUntil {
+	// Registered after the node, this runs after its tick would; skipUntil
+	// only moves in update or before the phases, so now < skipUntil says
+	// that tick is slept through, in the state seen here — but for the
+	// cycle whose update decided the skip (quietAt), which did tick.
+	n.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+		if now >= n.skipUntil || now == n.quietAt {
 			return
 		}
 		*checked++

@@ -1,5 +1,5 @@
 // Package invariant is the simulator's always-on runtime checker: a
-// low-frequency PhaseUpdate ticker that audits global correctness
+// low-frequency device-phase ticker that audits global correctness
 // properties no single component can see — packet conservation across
 // the whole fabric, credit balances bounded by receive-buffer
 // capacity, CAM/CFQ lines released after congestion trees tear down,
@@ -16,8 +16,8 @@
 // cycle-identical to an unchecked one. The golden-digest tests run
 // with the checker enabled to prove exactly that.
 //
-// Ledger accounting (bytes, sampled at PhaseUpdate when no intra-cycle
-// transfer can be mid-flight):
+// Ledger accounting (bytes, sampled after every device's tick, when no
+// intra-cycle transfer can be mid-flight):
 //
 //	created  = Σ node OfferedBytes + Σ node BECNsSent·BECNSize + externally minted
 //	consumed = Σ node DeliveredBytes + Σ node BECNsReceived·BECNSize + Σ link dropped
@@ -107,7 +107,7 @@ type Checker struct {
 	violations int
 }
 
-// Attach registers an always-on checker on eng's update phase. Call
+// Attach registers an always-on checker on eng's device phase. Call
 // after every component is built so the audit ticks after theirs.
 func Attach(eng *sim.Engine, cfg Config) *Checker {
 	if cfg.CheckEvery <= 0 {
@@ -120,7 +120,7 @@ func Attach(eng *sim.Engine, cfg Config) *Checker {
 		cfg.LeakWindow = 8192
 	}
 	c := Detached(eng, cfg)
-	c.handle = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(c.tick))
+	c.handle = eng.AddTicker(sim.PhaseDevice, c.tick)
 	return c
 }
 

@@ -26,21 +26,21 @@ func TestSeededViolations(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		check    string
-		names    string // what Detail + Snapshot must mention
+		names    []string // what Detail + Snapshot must mention
 		duration sim.Cycle
 		tune     func(*core.Params, *network.Options)
 		seed     func(*testing.T, *network.Network)
 		terminal bool
 	}{
 		{
-			name: "a packet minted and lost", check: "conservation", names: "external=1p/2048B",
+			name: "a packet minted and lost", check: "conservation", names: []string{"external=1p/2048B"},
 			duration: lastAudit + 512, terminal: true,
 			seed: func(_ *testing.T, n *network.Network) {
 				n.Eng.At(lastAudit+100, func() { n.NewPacket(0, 3, 99) }) // counted as created, never offered
 			},
 		},
 		{
-			name: "a spurious credit return", check: "credit-bounds", names: "node 3 uplink",
+			name: "a spurious credit return", check: "credit-bounds", names: []string{"node 3 uplink"},
 			duration: lastAudit + 512, terminal: true,
 			seed: func(_ *testing.T, n *network.Network) {
 				// Node 3 only receives: its uplink pool sits at capacity.
@@ -50,12 +50,15 @@ func TestSeededViolations(t *testing.T) {
 		{
 			// A hold-down that never expires is a deallocation that never
 			// happens: the trees' lines outlive the drained fabric.
-			name: "CAM lines never released", check: "cam-leak", names: "CAM line(s) after drain",
+			name: "CAM lines never released", check: "cam-leak", names: []string{"CAM line(s) after drain"},
 			duration: sim.CyclesFromMS(1),
 			tune:     func(p *core.Params, _ *network.Options) { p.HoldDown = 1 << 40 },
 		},
 		{
-			name: "a wedged switch", check: "watchdog", names: "switch swB",
+			// Nodes blocked on credits and sources parked behind them sleep
+			// until an event: the snapshot says so, not sim.Never's digits.
+			name: "a wedged switch", check: "watchdog",
+			names:    []string{"switch swB", "node1: [asleep until an event]", "next=never"},
 			duration: sim.CyclesFromMS(1),
 			tune:     func(_ *core.Params, o *network.Options) { o.WatchdogWindow = 4096 },
 			seed: func(t *testing.T, n *network.Network) {
@@ -70,7 +73,7 @@ func TestSeededViolations(t *testing.T) {
 			// nowhere): the AdVOQs drain, nothing is buffered, and the
 			// sources stay parked on queues that have room. The victim's
 			// AdVOQ only ever fills behind a pause.
-			name: "a source nobody wakes", check: "watchdog", names: "flow1(1->4)@",
+			name: "a source nobody wakes", check: "watchdog", names: []string{"flow1(1->4)@", "next=never"},
 			duration: sim.CyclesFromMS(1),
 			tune:     func(_ *core.Params, o *network.Options) { o.WatchdogWindow = 2048 },
 			seed: func(_ *testing.T, n *network.Network) {
@@ -114,8 +117,13 @@ func TestSeededViolations(t *testing.T) {
 			if v.Check != c.check {
 				t.Fatalf("check %q fired (%v), want %q", v.Check, v, c.check)
 			}
-			if !strings.HasPrefix(v.Snapshot, "=== invariant snapshot") || !strings.Contains(v.Detail+"\n"+v.Snapshot, c.names) {
-				t.Errorf("diagnostic does not name %q:\n%s\n%s", c.names, v.Detail, v.Snapshot)
+			if !strings.HasPrefix(v.Snapshot, "=== invariant snapshot") {
+				t.Errorf("no snapshot:\n%s\n%s", v.Detail, v.Snapshot)
+			}
+			for _, name := range c.names {
+				if !strings.Contains(v.Detail+"\n"+v.Snapshot, name) {
+					t.Errorf("diagnostic does not name %q:\n%s\n%s", name, v.Detail, v.Snapshot)
+				}
 			}
 
 			// The same breakage under a plain Run: the windowed checks

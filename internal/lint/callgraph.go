@@ -160,43 +160,14 @@ func funcFromExpr(info *types.Info, e ast.Expr) *types.Func {
 	return nil
 }
 
-// isNamedType reports whether t is the named type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
-}
-
 // tickRoot resolves what will tick every cycle once e is handed to
-// (*sim.Engine).AddTicker / Register: a sim.TickerFunc(x) conversion
-// stands for x; x is then a function literal (lit), a declared function
-// or method value (fn) or, for a concrete sim.Ticker value, its Tick
-// method (fn). Both results are nil when e resolves to neither.
-func tickRoot(info *types.Info, e ast.Expr, simPath string) (fn *types.Func, lit *ast.FuncLit) {
-	e = ast.Unparen(e)
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && isNamedType(tv.Type, simPath, "TickerFunc") {
-			e = ast.Unparen(call.Args[0])
-		}
-	}
-	if lit, ok := e.(*ast.FuncLit); ok {
+// (*sim.Engine).AddTicker: a function literal (lit) or a declared
+// function or method value (fn). Both results are nil when e is neither.
+func tickRoot(info *types.Info, e ast.Expr) (fn *types.Func, lit *ast.FuncLit) {
+	if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
 		return nil, lit
 	}
-	if fn := funcFromExpr(info, e); fn != nil {
-		return fn, nil
-	}
-	t := info.TypeOf(e)
-	if t == nil {
-		return nil, nil
-	}
-	for _, typ := range []types.Type{t, types.NewPointer(t)} {
-		ms := types.NewMethodSet(typ)
-		for i := 0; i < ms.Len(); i++ {
-			if m, ok := ms.At(i).Obj().(*types.Func); ok && m.Name() == "Tick" {
-				return m, nil
-			}
-		}
-	}
-	return nil, nil
+	return funcFromExpr(info, e), nil
 }
 
 // isPkgFunc reports whether f is the function pkgPath.name (methods:

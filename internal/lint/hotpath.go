@@ -8,8 +8,8 @@ import (
 
 // HotpathAlloc enforces the zero-alloc discipline of the cycle
 // engine's hot path (established by PR 2's overhaul): inside methods
-// named Tick, PhaseUpdate or Step, inside any function registered as a
-// per-cycle ticker, and inside their intra-package callees, it flags
+// named Tick or Step, inside any function registered as a per-cycle
+// ticker, and inside their intra-package callees, it flags
 //
 //   - composite literals (except empty zeroing literals),
 //   - closures (each evaluation may heap-allocate its capture) — named
@@ -32,7 +32,7 @@ func HotpathAlloc() *Analyzer {
 	}
 }
 
-var hotRootNames = map[string]bool{"Tick": true, "PhaseUpdate": true, "Step": true}
+var hotRootNames = map[string]bool{"Tick": true, "Step": true}
 
 func runHotpath(pass *Pass) {
 	pkg := pass.Pkg
@@ -52,19 +52,11 @@ func runHotpath(pass *Pass) {
 			if !ok {
 				return true
 			}
-			// The ticker argument of AddTicker / Register is a tick root,
-			// and so is a sim.TickerFunc(x) conversion wherever it appears
-			// (any other conversion resolves to nothing, or to a local Tick
-			// method that hotRootNames made a root already).
-			var arg ast.Expr = call
-			if tv, ok := pkg.Info.Types[call.Fun]; !ok || !tv.IsType() {
-				callee := calleeFunc(pkg.Info, call)
-				if len(call.Args) != 2 || !(isPkgFunc(callee, simPath, "Engine", "AddTicker") || isPkgFunc(callee, simPath, "Engine", "Register")) {
-					return true
-				}
-				arg = call.Args[1]
+			// The ticker argument of AddTicker is a tick root.
+			if len(call.Args) != 2 || !isPkgFunc(calleeFunc(pkg.Info, call), simPath, "Engine", "AddTicker") {
+				return true
 			}
-			if fn, lit := tickRoot(pkg.Info, arg, simPath); lit != nil {
+			if fn, lit := tickRoot(pkg.Info, call.Args[1]); lit != nil {
 				rootLits[lit] = true
 			} else if graph.decls[fn] != nil {
 				roots = append(roots, fn)

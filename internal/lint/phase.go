@@ -6,15 +6,15 @@ import (
 )
 
 // PhaseDiscipline checks the wake/sleep contract of the engine's
-// active lists. A component registers tick functions per phase via
-// (*sim.Engine).AddTicker and controls each registration through the
+// active lists. A component registers its tick function via
+// (*sim.Engine).AddTicker and controls the registration through the
 // returned *sim.TickerHandle. Two things make sleep-elision sound
-// (see sim.Ticker's contract: a sleeping tick must be a no-op):
+// (see sim.TickerHandle's contract: a sleeping tick must be a no-op):
 //
 //  1. Sleep decisions belong to the component's own registered tick
 //     functions — only there has it just proven itself idle. A Sleep
 //     reachable only from other entry points (setup, receive paths,
-//     another component's phase) can elide a tick that still had work.
+//     another component's tick) can elide a tick that still had work.
 //  2. A component manipulates only its own handles. Waking or sleeping
 //     a handle owned by a different component type couples their
 //     schedules invisibly.
@@ -47,7 +47,7 @@ func runPhaseDiscipline(pass *Pass) {
 	simPath := pass.Module.Name + "/internal/sim"
 	graph := buildCallGraph(pkg)
 
-	// Pass 1: collect handle registrations `X = eng.AddTicker(phase, t)`.
+	// Pass 1: collect handle registrations `X = eng.AddTicker(phase, fn)`.
 	var regs []*registration
 	byHandle := map[types.Object][]*registration{}
 	for _, f := range pkg.Files {
@@ -77,7 +77,7 @@ func runPhaseDiscipline(pass *Pass) {
 			if encl := enclosingFunc(pkg, as.Pos(), f); encl != nil {
 				reg.owner = recvNamed(encl)
 			}
-			reg.tick, _ = tickRoot(info, call.Args[1], simPath)
+			reg.tick, _ = tickRoot(info, call.Args[1])
 			regs = append(regs, reg)
 			byHandle[handleObj] = append(byHandle[handleObj], reg)
 			return true

@@ -25,20 +25,22 @@ type Port struct {
 // New registers a closure ticker whose body is a hot region.
 func New(eng *sim.Engine) *Port {
 	p := &Port{eng: eng, buf: make([]int, 0, 64)}
-	p.h = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(func(now sim.Cycle) {
+	p.h = eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
 		p.events = append(p.events, event{id: 2, val: int(now)}) // want hotpath-alloc "composite literal"
 		// A visitor closure handed to an interface method inside a
 		// registered tick: it only looks non-escaping — the dynamic call
 		// hides the callee from escape analysis, so it is heap-allocated
 		// every cycle.
 		p.q.Each(func(v int) { p.buf = append(p.buf, v) }) // want hotpath-alloc "closure passed to an interface method"
-	}))
+	})
 	return p
 }
 
-// Tick is hot by name; drain is hot as its intra-package callee.
+// Tick is hot by name; drain and update are hot as its intra-package
+// callees.
 func (p *Port) Tick(now sim.Cycle) {
 	p.drain(now)
+	p.update(now)
 }
 
 func (p *Port) drain(now sim.Cycle) {
@@ -47,8 +49,8 @@ func (p *Port) drain(now sim.Cycle) {
 	flush()
 }
 
-// PhaseUpdate grows an unsized local and boxes via its callee.
-func (p *Port) PhaseUpdate(now sim.Cycle) {
+// update grows an unsized local and boxes via its callee.
+func (p *Port) update(now sim.Cycle) {
 	var scratch []int
 	scratch = append(scratch, int(now)) // want hotpath-alloc "append to a non-preallocated slice"
 	p.buf = scratch

@@ -21,7 +21,7 @@ func New(eng *sim.Engine) *Pump {
 }
 
 func (p *Pump) attach() {
-	p.h = p.eng.AddTicker(sim.PhaseInject, sim.TickerFunc(p.tick))
+	p.h = p.eng.AddTicker(sim.PhaseInject, p.tick)
 }
 
 func (p *Pump) tick(now sim.Cycle) {

@@ -148,7 +148,7 @@ func TestChaosDirectCFQTags(t *testing.T) {
 	// Bypass the normal ingress: drop packets onto switch B's port 4
 	// with arbitrary cfq hints, as a buggy upstream would.
 	injected := 0
-	n.Eng.Register(sim.PhaseInject, func(now sim.Cycle) {
+	n.Eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
 		if now%64 != 0 || now > 50_000 {
 			return
 		}

@@ -259,7 +259,7 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 		}
 		if n.part == nil {
 			// Attached after every component so the audit ticks last in
-			// the update phase, seeing each cycle's settled state.
+			// the device phase, seeing each cycle's settled state.
 			n.Checker = invariant.Attach(eng, cfg)
 		} else {
 			// A per-engine ticker would only see one shard; instead the

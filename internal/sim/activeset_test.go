@@ -129,11 +129,11 @@ func TestSleepUntilWakesAtCycle(t *testing.T) {
 	var ticks [64]Cycle
 	n := 0
 	var h *TickerHandle
-	h = eng.AddTicker(PhaseUpdate, TickerFunc(func(now Cycle) {
+	h = eng.AddTicker(PhaseDevice, func(now Cycle) {
 		ticks[n] = now
 		n++
 		h.SleepUntil(now + 10)
-	}))
+	})
 	eng.Run(35)
 	if n != 4 || ticks[0] != 0 || ticks[1] != 10 || ticks[2] != 20 || ticks[3] != 30 {
 		t.Fatalf("ticked at %v, want [0 10 20 30]", ticks[:n])

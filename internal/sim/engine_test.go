@@ -12,7 +12,7 @@ func TestEventScheduledDuringStepForCurrentCycle(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Cycle
 	armed := false
-	e.Register(PhasePost, func(now Cycle) {
+	e.AddTicker(PhaseDevice, func(now Cycle) {
 		if now == 5 && !armed {
 			armed = true
 			e.At(now, func() { fired = append(fired, e.Now()) })
@@ -29,7 +29,7 @@ func TestEventScheduledDuringStepForCurrentCycle(t *testing.T) {
 func TestAtOnExactCurrentCycle(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.Register(PhaseInject, func(Cycle) { order = append(order, "inject") })
+	e.AddTicker(PhaseInject, func(Cycle) { order = append(order, "inject") })
 	e.At(e.Now(), func() { order = append(order, "event") })
 	e.Step()
 	if len(order) != 2 || order[0] != "event" || order[1] != "inject" {
@@ -66,7 +66,7 @@ func TestSameCycleFIFOAcross1000Events(t *testing.T) {
 // reflect exactly the events that have not fired.
 func TestPendingAfterIdleFastForward(t *testing.T) {
 	e := NewEngine(1)
-	h := e.AddTicker(PhasePost, TickerFunc(func(Cycle) {}))
+	h := e.AddTicker(PhaseDevice, func(Cycle) {})
 	h.Sleep()
 	var fired []Cycle
 	e.At(1_000, func() { fired = append(fired, e.Now()) })
@@ -102,19 +102,19 @@ func TestMidPhaseWakeOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var runs []string
 	var hEarly, hLate *TickerHandle
-	hEarly = e.AddTicker(PhasePost, TickerFunc(func(now Cycle) {
+	hEarly = e.AddTicker(PhaseDevice, func(now Cycle) {
 		runs = append(runs, "early")
-	}))
-	e.AddTicker(PhasePost, TickerFunc(func(now Cycle) {
+	})
+	e.AddTicker(PhaseDevice, func(now Cycle) {
 		runs = append(runs, "mid")
 		if now == 0 {
 			hEarly.Wake() // already passed this cycle: next cycle
 			hLate.Wake()  // still ahead this cycle: runs now
 		}
-	}))
-	hLate = e.AddTicker(PhasePost, TickerFunc(func(now Cycle) {
+	})
+	hLate = e.AddTicker(PhaseDevice, func(now Cycle) {
 		runs = append(runs, "late")
-	}))
+	})
 	hEarly.Sleep()
 	hLate.Sleep()
 	e.Step()
@@ -130,7 +130,7 @@ func TestMidPhaseWakeOrdering(t *testing.T) {
 
 func TestWakeSleepIdempotent(t *testing.T) {
 	e := NewEngine(1)
-	h := e.AddTicker(PhaseUpdate, TickerFunc(func(Cycle) {}))
+	h := e.AddTicker(PhaseDevice, func(Cycle) {})
 	if !h.Awake() || e.ActiveTickers() != 1 {
 		t.Fatal("tickers must start awake")
 	}
@@ -154,9 +154,9 @@ func TestActiveListAcrossBitmapWords(t *testing.T) {
 	handles := make([]*TickerHandle, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles[i] = e.AddTicker(PhaseInject, TickerFunc(func(Cycle) {
+		handles[i] = e.AddTicker(PhaseInject, func(Cycle) {
 			order = append(order, i)
-		}))
+		})
 	}
 	for i := 0; i < n; i++ {
 		if i%3 == 0 {
@@ -207,7 +207,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		e := NewEngine(1)
 		for i := 0; i < 64; i++ {
 			p := Phase(i % int(numPhases))
-			e.AddTicker(p, TickerFunc(func(Cycle) {})).Sleep()
+			e.AddTicker(p, func(Cycle) {}).Sleep()
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -220,7 +220,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		var sink int
 		for i := 0; i < 64; i++ {
 			p := Phase(i % int(numPhases))
-			e.AddTicker(p, TickerFunc(func(Cycle) { sink++ }))
+			e.AddTicker(p, func(Cycle) { sink++ })
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -241,7 +241,7 @@ func BenchmarkEngineStep(b *testing.B) {
 			for i := 0; i < 64; i++ {
 				e, s := engines[i%shards], &sinks[i%shards]
 				p := Phase(i % int(numPhases))
-				e.AddTicker(p, TickerFunc(func(Cycle) { *s++ }))
+				e.AddTicker(p, func(Cycle) { *s++ })
 			}
 			par := NewParallel(engines, workers, 64, nil)
 			b.ReportAllocs()

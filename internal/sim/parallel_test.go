@@ -183,7 +183,7 @@ func TestTypedMailboxMatchesClosureMailboxOrder(t *testing.T) {
 // quiescent and every window is exactly one window width.
 func busy(e *Engine) *int {
 	ticks := new(int)
-	e.Register(PhasePost, func(Cycle) { *ticks++ })
+	e.AddTicker(PhaseDevice, func(Cycle) { *ticks++ })
 	return ticks
 }
 
@@ -253,7 +253,7 @@ func TestParallelCrossShardDeliveryAtLookahead(t *testing.T) {
 	var got []Cycle // written by shard 1 only
 	box := NewMailbox(NewPipe(engines[1], func(int) { got = append(got, engines[1].Now()) }), 1)
 	// Shard 0 posts one record per cycle, due exactly one window later.
-	engines[0].Register(PhasePost, func(now Cycle) { box.Post(now+window, 0) })
+	engines[0].AddTicker(PhaseDevice, func(now Cycle) { box.Post(now+window, 0) })
 	p := NewParallel(engines, 2, window, func(Cycle) { box.Drain() })
 	p.Run(9)
 	// Cycles 0..8 each post one record due at now+3; those due before 9

@@ -132,7 +132,7 @@ type sleeper interface {
 type wheelEngine struct{ *Engine }
 
 func (w wheelEngine) ticker(p Phase, fn func(Cycle)) sleeper {
-	return w.AddTicker(p, TickerFunc(fn))
+	return w.AddTicker(p, fn)
 }
 
 // Script vocabulary: one op byte, then its argument bytes (missing bytes
@@ -154,7 +154,7 @@ const (
 // has entries in the heap.
 var deltas = []Cycle{0, 1, 2, 9, wheelSize - 1, wheelSize, wheelSize + 1, 3*wheelSize + 5, 10 * wheelSize, -1}
 
-const nTickers = 6 // three phases x two, so mid-phase wakes have both orders
+const nTickers = 6 // two phases x three, so mid-phase wakes have both orders
 
 // player runs one script on one queue and keeps the transcript.
 type player struct {
@@ -170,7 +170,7 @@ func newPlayer(q queue) *player {
 	p := &player{q: q}
 	for k := range p.tickers {
 		k := k
-		p.tickers[k] = q.ticker(Phase(1+k%3), func(now Cycle) {
+		p.tickers[k] = q.ticker(Phase(k%2), func(now Cycle) {
 			p.logf("tick %d", k)
 			verb := p.armed[k]
 			p.armed[k] = 0
@@ -361,12 +361,12 @@ func TestSleepUntilDropsStaleWake(t *testing.T) {
 	e := NewEngine(1)
 	var ticks []Cycle
 	var h *TickerHandle
-	h = e.AddTicker(PhasePost, TickerFunc(func(now Cycle) {
+	h = e.AddTicker(PhaseDevice, func(now Cycle) {
 		ticks = append(ticks, now)
 		if now == 5 {
 			h.SleepUntil(40)
 		}
-	}))
+	})
 	h.SleepUntil(20)
 	e.At(5, h.Wake)
 	e.Run(41)
@@ -398,7 +398,7 @@ func TestSleepUntilDropsStaleWake(t *testing.T) {
 func TestSleepUntilNever(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0
-	h := e.AddTicker(PhasePost, TickerFunc(func(Cycle) { ticks++ }))
+	h := e.AddTicker(PhaseDevice, func(Cycle) { ticks++ })
 	h.SleepUntil(Never)
 	e.Run(10 * wheelSize)
 	if h.Awake() || e.Pending() != 0 || ticks != 0 || e.Work() != 0 {
@@ -417,7 +417,7 @@ func TestSleepUntilNever(t *testing.T) {
 // which no test timeout outlasts.
 func TestCountsSplitWorkAndFastForwardMovesTheCursor(t *testing.T) {
 	e := NewEngine(1)
-	h := e.AddTicker(PhaseInject, TickerFunc(func(Cycle) {}))
+	h := e.AddTicker(PhaseInject, func(Cycle) {})
 	e.At(1<<40, func() {})
 	e.Step()
 	h.Sleep()

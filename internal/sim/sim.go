@@ -1,7 +1,8 @@
 // Package sim provides the cycle-level simulation engine used by every
 // other component of the CCFIT reproduction: a deterministic clock, a
-// calendar event queue for scheduled callbacks, phased per-cycle ticking
-// with wake/sleep component elision, and seeded random-number streams.
+// calendar event queue for scheduled callbacks, per-cycle ticking (sources,
+// then devices) with wake/sleep component elision, and seeded random-number
+// streams.
 //
 // One cycle is the time needed to move one flit (FlitBytes bytes) across
 // a baseline 2.5 GB/s link, i.e. 25.6 ns. All latencies, bandwidths and
@@ -52,23 +53,20 @@ func MSFromCycles(c Cycle) float64 {
 	return NSFromCycles(c) / 1e6
 }
 
-// Phase identifies one of the fixed per-cycle execution phases. Events
-// scheduled with At/After always fire before PhaseInject of their cycle,
-// so arrivals and control messages are visible to the same-cycle logic.
+// Phase identifies one of the two per-cycle orderings the model has:
+// sources act before devices. Events scheduled with At/After always fire
+// before PhaseInject of their cycle, so arrivals and control messages are
+// visible to the same-cycle logic.
 type Phase int
 
 const (
 	// PhaseInject runs traffic generation and source-side admission.
 	PhaseInject Phase = iota
-	// PhasePost runs queue post-processing, congestion detection and
-	// CAM maintenance at every port.
-	PhasePost
-	// PhaseArbitrate runs crossbar/injection arbitration and starts
-	// packet transfers.
-	PhaseArbitrate
-	// PhaseUpdate runs threshold re-evaluation, resource deallocation
-	// and metrics sampling.
-	PhaseUpdate
+	// PhaseDevice runs every switch and end node, one tick each: queue
+	// post-processing, arbitration, then threshold and CAM housekeeping —
+	// an order inside a device, which no other device's tick can observe
+	// (DESIGN.md §5). Observers registered last tick last.
+	PhaseDevice
 
 	numPhases
 )
@@ -100,24 +98,12 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// Ticker is a component that does per-cycle work in one phase. Tickers
-// register with AddTicker and are called once per cycle, in registration
-// order, while awake; a sleeping ticker is skipped entirely. Components
-// must only sleep when their tick would be a no-op, so that eliding it
-// cannot change simulated outcomes.
-type Ticker interface {
-	Tick(now Cycle)
-}
-
-// TickerFunc adapts a plain function to the Ticker interface.
-type TickerFunc func(Cycle)
-
-// Tick implements Ticker.
-func (f TickerFunc) Tick(now Cycle) { f(now) }
-
 // TickerHandle controls one registration's membership of its phase's
-// active list. Wake and Sleep are idempotent and O(1); components call
-// them on work-arrival and provably-idle transitions.
+// active list. A ticker is called once per cycle, in registration order,
+// while awake; a sleeping ticker is skipped entirely, so a component must
+// only sleep when its tick would be a no-op: eliding it cannot then change
+// simulated outcomes. Wake and Sleep are idempotent and O(1); components
+// call them on work-arrival and provably-idle transitions.
 type TickerHandle struct {
 	e      *Engine
 	p      Phase
@@ -171,18 +157,6 @@ func (h *TickerHandle) Awake() bool { return h.e.phases[h.p].active.Has(h.idx) }
 type tickList struct {
 	ticks  []func(Cycle)
 	active ActiveSet
-}
-
-// add unwraps a TickerFunc to the bare function, so that a tick is one
-// indirect call, not an interface dispatch around one.
-func (l *tickList) add(t Ticker) int {
-	fn, ok := t.(TickerFunc)
-	if !ok {
-		fn = t.Tick
-	}
-	l.ticks = append(l.ticks, fn)
-	l.active.Grow(len(l.ticks))
-	return len(l.ticks) - 1
 }
 
 // tick runs every awake ticker in registration order. ActiveSet.Next
@@ -397,23 +371,19 @@ func (e *Engine) popEvent() func() {
 	return fn
 }
 
-// AddTicker registers t for per-cycle ticks in phase p and returns the
+// AddTicker registers fn for per-cycle ticks in phase p and returns the
 // handle controlling its active-list membership. Tickers start awake.
-func (e *Engine) AddTicker(p Phase, t Ticker) *TickerHandle {
+func (e *Engine) AddTicker(p Phase, fn func(Cycle)) *TickerHandle {
 	if p < 0 || p >= numPhases {
 		panic(fmt.Sprintf("sim: invalid phase %d", p))
 	}
-	h := &TickerHandle{e: e, p: p, idx: e.phases[p].add(t)}
+	l := &e.phases[p]
+	l.ticks = append(l.ticks, fn)
+	l.active.Grow(len(l.ticks))
+	h := &TickerHandle{e: e, p: p, idx: len(l.ticks) - 1}
 	h.wakeFn = h.wakeDue
 	h.Wake()
 	return h
-}
-
-// Register adds a per-cycle callback for the given phase. Callbacks run
-// every cycle in registration order; they never sleep. Components that
-// can go idle should use AddTicker and manage their handle instead.
-func (e *Engine) Register(p Phase, fn func(Cycle)) {
-	e.AddTicker(p, TickerFunc(fn))
 }
 
 // ActiveTickers returns the number of awake tickers across all phases

@@ -63,7 +63,7 @@ func TestEventOrdering(t *testing.T) {
 func TestEventsFireBeforePhases(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	e.Register(PhaseInject, func(now Cycle) {
+	e.AddTicker(PhaseInject, func(now Cycle) {
 		if now == 4 {
 			trace = append(trace, "phase")
 		}
@@ -75,23 +75,28 @@ func TestEventsFireBeforePhases(t *testing.T) {
 	}
 }
 
+// A Step is events, then PhaseInject, then the device phase, each in
+// registration order — and a device an accepted Offer wakes from
+// PhaseInject ticks in that same cycle.
 func TestPhaseOrderWithinCycle(t *testing.T) {
 	e := NewEngine(1)
-	var trace []Phase
-	for _, p := range []Phase{PhaseUpdate, PhaseInject, PhaseArbitrate, PhasePost} {
-		p := p
-		e.Register(p, func(now Cycle) {
-			if now == 0 {
-				trace = append(trace, p)
-			}
-		})
+	var trace []string
+	log := func(s string) func(Cycle) {
+		return func(Cycle) { trace = append(trace, s) }
 	}
+	e.AddTicker(PhaseDevice, log("dev0"))
+	asleep := e.AddTicker(PhaseDevice, log("dev1"))
+	e.AddTicker(PhaseInject, func(Cycle) {
+		trace = append(trace, "src0")
+		asleep.Wake()
+	})
+	e.AddTicker(PhaseDevice, log("checker"))
+	e.AddTicker(PhaseInject, log("src1"))
+	asleep.Sleep()
+	e.At(0, func() { trace = append(trace, "event") })
 	e.Step()
-	want := []Phase{PhaseInject, PhasePost, PhaseArbitrate, PhaseUpdate}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("phase order %v, want %v", trace, want)
-		}
+	if want := []string{"event", "src0", "src1", "dev0", "dev1", "checker"}; !eq(trace, want) {
+		t.Fatalf("step order %v, want %v", trace, want)
 	}
 }
 
@@ -224,12 +229,12 @@ func TestRegisterInvalidPhasePanics(t *testing.T) {
 			t.Fatal("invalid phase did not panic")
 		}
 	}()
-	e.Register(Phase(99), func(Cycle) {})
+	e.AddTicker(Phase(99), func(Cycle) {})
 }
 
 func BenchmarkEngineIdleCycles(b *testing.B) {
 	e := NewEngine(1)
-	e.Register(PhasePost, func(Cycle) {})
+	e.AddTicker(PhaseDevice, func(Cycle) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()

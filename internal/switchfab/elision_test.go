@@ -55,7 +55,7 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 		tx.SetReceivers(tape{r, i}, tape{r, i})
 		r.sw.AttachLink(i, tx, core.NewSharedCredits(credits))
 	}
-	r.eng.Register(sim.PhaseInject, func(now sim.Cycle) {
+	r.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
 		if everyCycle {
 			if r.sw.napAt != 0 {
 				r.sw.wake()
@@ -68,11 +68,11 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 		r.cooled += bits.OnesCount64(r.sw.liveIn &^ r.sw.hot)
 		r.parked += bits.OnesCount64(r.sw.parked)
 	})
-	// After the switch's own update: a nap in progress that did not begin
+	// After the switch's own tick: a nap in progress that did not begin
 	// in this very cycle skipped this cycle's tick. Reading the counters
 	// here, as the invariant checker's tick does, settles a nap mid-cycle
 	// — the very cycle it began in included — and never takes a stall back.
-	r.eng.Register(sim.PhaseUpdate, func(now sim.Cycle) {
+	r.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
 		if r.sw.napAt != 0 && r.sw.napAt <= now {
 			r.napped++
 		}
@@ -89,7 +89,7 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 // scenario does next starts from a sleeping device.
 func (r *edgeRig) mustNap(next string) {
 	r.t.Helper()
-	if !r.everyCycle && (r.sw.napAt == 0 || r.sw.hArb.Awake()) {
+	if !r.everyCycle && (r.sw.napAt == 0 || r.sw.h.Awake()) {
 		r.t.Fatalf("cycle %d: switch not napping before %s", r.eng.Now(), next)
 	}
 }
@@ -165,8 +165,8 @@ func TestElisionEdges(t *testing.T) {
 					r.t.Fatalf("cycle %d: staged %b, link idle after the land's own cycle", r.eng.Now(), r.sw.stagedOut)
 				}
 				r.eng.RunFor(100)
-				if r.sw.napAt != 0 || r.sw.hPost.Awake() {
-					r.t.Fatalf("idle switch: napAt %d, awake %v", r.sw.napAt, r.sw.hPost.Awake())
+				if r.sw.napAt != 0 || r.sw.h.Awake() {
+					r.t.Fatalf("idle switch: napAt %d, awake %v", r.sw.napAt, r.sw.h.Awake())
 				}
 			},
 		},

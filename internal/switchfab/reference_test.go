@@ -26,7 +26,7 @@ type RefCounts struct {
 //     and count the CreditStalls it was parked with;
 //   - the drain of every staged output, whose link must not be free;
 //   - every tick of a napping switch, from a ticker of the reference's
-//     own: the two checks above, and napIdle — nothing hot or due, no
+//     own: the checks above, and napIdle — nothing hot or due, no
 //     stall, every port the scan would visit crossing the crossbar.
 //
 // The side Update stamps LastActive on lines holding bytes, which is
@@ -34,50 +34,55 @@ type RefCounts struct {
 // byte-identical. fail reports a violation (t.Errorf-shaped).
 func InstallReference(s *Switch, fail func(format string, args ...any)) *RefCounts {
 	c := &RefCounts{}
-	// Registered after the switch, these run after its own tick of the
-	// phase; nothing else touches a switch during the phases, so the ports
-	// cool now (and, in update, not cooled this very cycle) are the ports
-	// that tick skipped, in the state it skipped them in.
-	cool := func(ph sim.Phase) {
-		s.eng.Register(ph, func(now sim.Cycle) {
-			for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
-				i := bits.TrailingZeros64(cool)
-				ip := s.in[i]
-				if ph == sim.PhaseUpdate && ip.coolAt == now {
-					continue
-				}
-				if ip.due <= now {
-					fail("%s p%d cycle %d: cool past its deadline %d", s.name, i, now, ip.due)
-				}
-				before, due := *ip.disc.Stats(), ip.disc.NextDue(now)
-				var acted bool
-				if ph == sim.PhasePost {
-					acted = ip.disc.Post(now)
-					c.Posts++
-				} else {
-					acted = ip.disc.Update(now)
-					c.Updates++
-				}
-				if acted || before != *ip.disc.Stats() || due != ip.disc.NextDue(now) {
-					fail("%s p%d cycle %d: elided tick of phase %d acted=%v stats %+v -> %+v due %d -> %d",
-						s.name, i, now, ph, acted, before, *ip.disc.Stats(), due, ip.disc.NextDue(now))
-				}
+	// Registered after the switch, the ticker below runs after its tick;
+	// nothing else touches a switch during the device phase. The ports cool
+	// now, and not cooled by this very tick, are the ports update skipped, in
+	// the state it skipped them in. The ports post skipped are those cool
+	// between post and the scan, which may heat one (start): arbitrate's
+	// hook runs them — or, where that was not called (a stall), the ticker.
+	posted := sim.Cycle(-1) // the last cycle the skipped Posts were run in
+	cool := func(now sim.Cycle, post bool) {
+		if post {
+			posted = now
+		}
+		for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
+			i := bits.TrailingZeros64(cool)
+			ip := s.in[i]
+			if ip.coolAt == now {
+				continue
 			}
-		})
+			if ip.due <= now {
+				fail("%s p%d cycle %d: cool past its deadline %d", s.name, i, now, ip.due)
+			}
+			before, due := *ip.disc.Stats(), ip.disc.NextDue(now)
+			var acted bool
+			if post {
+				acted = ip.disc.Post(now)
+				c.Posts++
+			} else {
+				acted = ip.disc.Update(now)
+				c.Updates++
+			}
+			if acted || before != *ip.disc.Stats() || due != ip.disc.NextDue(now) {
+				fail("%s p%d cycle %d: elided tick (post: %v) acted=%v stats %+v -> %+v due %d -> %d",
+					s.name, i, now, post, acted, before, *ip.disc.Stats(), due, ip.disc.NextDue(now))
+			}
+		}
 	}
-	cool(sim.PhasePost)
-	cool(sim.PhaseUpdate)
-	s.eng.Register(sim.PhaseArbitrate, func(now sim.Cycle) {
-		if s.napAt == 0 || s.napAt > now {
-			return // awake: arbitrate called s.ref itself
+	s.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+		if s.napAt != 0 && s.napAt <= now {
+			c.Naps++
+			if why := s.napIdle(now); why != "" {
+				fail("%s cycle %d: %s", s.name, now, why)
+			}
+			s.ref(now)
+		} else if posted != now {
+			cool(now, true)
 		}
-		c.Naps++
-		if why := s.napIdle(now); why != "" {
-			fail("%s cycle %d: %s", s.name, now, why)
-		}
-		s.ref(now)
+		cool(now, false)
 	})
 	s.ref = func(now sim.Cycle) {
+		cool(now, true)
 		for parked := s.parked; parked != 0; parked &= parked - 1 {
 			i := bits.TrailingZeros64(parked)
 			ip := s.in[i]

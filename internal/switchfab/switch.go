@@ -106,14 +106,15 @@ type Switch struct {
 	req, prio []uint64
 	reqOuts   uint64
 
-	// Tick handles: the switch sleeps while every input discipline is
+	// Tick handle: the switch sleeps while every input discipline is
 	// quiescent and every output stage is empty (nothing queued, nothing
-	// crossing the crossbar, no CAM housekeeping pending).
-	hPost, hArb, hUpd *sim.TickerHandle
+	// crossing the crossbar, no CAM housekeeping pending), and naps.
+	h *sim.TickerHandle
 
 	// ref, set by tests only, is called where arbitrate is about to skip
 	// parked ports and stages not due; the reference runs that work on the
-	// side and fails if it does anything (cool ports: from its own tickers).
+	// side and fails if it does anything (a cool port's Update: from its own
+	// ticker).
 	ref func(now sim.Cycle)
 }
 
@@ -222,20 +223,25 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 	s.req = make([]uint64, nports)
 	s.prio = make([]uint64, nports)
 	s.waitOut = make([]uint64, nports)
-	s.hPost = eng.AddTicker(sim.PhasePost, sim.TickerFunc(s.post))
-	s.hArb = eng.AddTicker(sim.PhaseArbitrate, sim.TickerFunc(s.arbitrate))
-	s.hUpd = eng.AddTicker(sim.PhaseUpdate, sim.TickerFunc(s.update))
+	s.h = eng.AddTicker(sim.PhaseDevice, s.tick)
 	return s
 }
 
-// wake puts the switch back on the engine's active lists (idempotent),
+// tick is the switch's cycle, the port pipeline of the paper's Figs. 3-4
+// in order. It reads and writes the switch's own state only; whatever
+// reaches another device leaves as an event (DESIGN.md §5).
+func (s *Switch) tick(now sim.Cycle) {
+	s.post(now)
+	s.arbitrate(now)
+	s.update(now)
+}
+
+// wake puts the switch back on the engine's active list (idempotent),
 // ending a nap.
 func (s *Switch) wake() {
 	s.napped()
 	s.napAt = 0
-	s.hPost.Wake()
-	s.hArb.Wake()
-	s.hUpd.Wake()
+	s.h.Wake()
 }
 
 // napped credits the nap in progress, if any, with the ticks skipped so
@@ -310,11 +316,11 @@ func (s *Switch) PacketReceiver(i int) link.PacketReceiver { return s.in[i] }
 // ControlReceiver returns the sink for control arriving at port i.
 func (s *Switch) ControlReceiver(i int) link.ControlReceiver { return s.out[i] }
 
-// post runs the post-processing phase of the hot ports, heating first
+// post runs the post-processing step of the hot ports, heating first
 // those whose deadline has come.
 func (s *Switch) post(now sim.Cycle) {
 	if s.napAt != 0 {
-		s.wake() // the nap's wake-up woke this tick only
+		s.wake() // the nap ran to its deadline: settle it
 	}
 	if now >= s.minDue {
 		s.minDue = sim.Never
@@ -370,7 +376,7 @@ func (s *Switch) unpark(m uint64) {
 	}
 }
 
-// update runs the housekeeping phase of the hot ports, cools those that
+// update runs the housekeeping step of the hot ports, cools those that
 // went a cycle without acting, then sleeps the switch when it is provably
 // idle (packet arrivals wake it again) or has a nap ahead of it (napAt). A
 // port start heated this cycle runs Update without having run Post: cool
@@ -409,9 +415,7 @@ func (s *Switch) update(now sim.Cycle) {
 		}
 		s.napAt = now + 1
 	}
-	s.hArb.Sleep()
-	s.hUpd.Sleep()
-	s.hPost.SleepUntil(due)
+	s.h.SleepUntil(due)
 }
 
 // arbitrate drains output stages onto their links, then collects

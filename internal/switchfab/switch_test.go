@@ -73,19 +73,19 @@ func (s *Switch) napIdle(c sim.Cycle) string {
 // rig builds one switch with nports ports, each wired to a recording
 // peer with the given credit bytes; routing sends dest d out port d.
 // Every cycle of every test that uses it asserts, after the switch's
-// own update tick, that the mask-based idle() agrees with the full scan
+// own tick, that the mask-based idle() agrees with the full scan
 // and that a sleeping switch is an idle one — or one napping through a
 // tick that has nothing to do (napIdle).
 func rig(t *testing.T, params core.Params, nports, xbar, credits int) (*sim.Engine, *Switch, []*peer) {
 	t.Helper()
 	eng := sim.NewEngine(9)
 	sw := New(eng, 100, "sw", nports, &params, func(d int) int { return d % nports }, 16, xbar)
-	eng.Register(sim.PhaseUpdate, func(now sim.Cycle) {
+	eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
 		if got, want := sw.idle(), sw.idleScan(); got != want {
 			t.Fatalf("cycle %d: idle() = %v, full scan = %v (liveIn %b stagedOut %b inflight %d)",
 				now, got, want, sw.liveIn, sw.stagedOut, sw.inflight)
 		}
-		if !sw.hUpd.Awake() && !sw.idleScan() {
+		if !sw.h.Awake() && !sw.idleScan() {
 			if why := sw.napIdle(max(now, sw.napAt)); why != "" {
 				t.Fatalf("cycle %d: switch sleeps with work pending: %s", now, why)
 			}

@@ -39,7 +39,7 @@ func newScanGenerator(eng *sim.Engine, nodes []*endnode.Node, bpc []int, flows [
 		}
 		g.flows = append(g.flows, fs)
 	}
-	eng.Register(sim.PhaseInject, g.inject)
+	eng.AddTicker(sim.PhaseInject, g.inject)
 	return g
 }
 
@@ -164,7 +164,7 @@ func buildSide(t testing.TB, sc scenario, reference bool) *side {
 	}
 	// Registered before the generator: it sees the ticker as the events of
 	// this cycle left it, and both sides drain at the same point.
-	s.eng.Register(sim.PhaseInject, func(now sim.Cycle) {
+	s.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
 		if s.gen != nil {
 			s.awake = s.gen.handle.Awake()
 		}
@@ -175,7 +175,7 @@ func buildSide(t testing.TB, sc scenario, reference bool) *side {
 	// A same-cycle read, as the invariant checker's tick makes: it may lag
 	// the between-cycles figure by the cycle in progress, never run back.
 	rejected := make([]int, sc.nodes)
-	s.eng.Register(sim.PhaseUpdate, func(now sim.Cycle) {
+	s.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
 		if now%sc.statsEvery != 0 {
 			return
 		}
@@ -425,12 +425,12 @@ func TestSourceDescribeStateNamesParkedFlows(t *testing.T) {
 	s := buildSide(t, sc, false)
 	s.eng.Run(1000)
 	got := s.gen.DescribeState(s.eng.Now())
-	for _, want := range []string{"sources: live=3 due=0 parked=2 hot=1", "awake=true", " flow7(0->1)@", " flow8(0->1)@"} {
+	for _, want := range []string{"sources: live=3 due=0 parked=2 hot=1", "next=never", "awake=true", " flow7(0->1)@", " flow8(0->1)@"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("generator state %q does not contain %q", got, want)
 		}
 	}
-	if n := s.nodes[0]; n.ParkedSources() != 2 || !strings.Contains(n.DescribeState(s.eng.Now()), "[2 sources parked]") {
+	if n := s.nodes[0]; n.ParkedSources() != 2 || !strings.Contains(n.DescribeState(s.eng.Now()), "[asleep until an event] [2 sources parked]") {
 		t.Errorf("node 0: %d sources parked, state %q", n.ParkedSources(), n.DescribeState(s.eng.Now()))
 	}
 }

@@ -163,7 +163,7 @@ func (g *Generator) add(f Flow) error {
 // start schedules every flow's window opening and closing, sizes the
 // parked lists and hooks the nodes flows can park on. Construction-time only.
 func (g *Generator) start() {
-	g.handle = g.eng.AddTicker(sim.PhaseInject, sim.TickerFunc(g.inject))
+	g.handle = g.eng.AddTicker(sim.PhaseInject, g.inject)
 	g.ready.Grow(len(g.flows))
 	g.parked = make([][]int32, len(g.nodes))
 	fixed := make([]int, len(g.nodes))
@@ -373,7 +373,7 @@ func (g *Generator) Visits() (visits, skipped int64) {
 // per state, earliest due cycle, who is parked since when (a lost wake).
 func (g *Generator) DescribeState(sim.Cycle) string {
 	var n [retired + 1]int
-	list, next := "", sim.Never
+	list, next, when := "", sim.Never, "never"
 	for i := range g.flows {
 		f := &g.flows[i]
 		if n[f.phase]++; f.phase == parked && n[parked] <= 16 {
@@ -382,8 +382,11 @@ func (g *Generator) DescribeState(sim.Cycle) string {
 			next = min(next, f.last)
 		}
 	}
-	return fmt.Sprintf("sources: live=%d due=%d parked=%d hot=%d next=%d awake=%v parked since:%s",
-		n[due]+n[parked]+n[hot], n[due], n[parked], n[hot], next, g.handle.Awake(), list)
+	if next != sim.Never {
+		when = fmt.Sprint(next)
+	}
+	return fmt.Sprintf("sources: live=%d due=%d parked=%d hot=%d next=%s awake=%v parked since:%s",
+		n[due]+n[parked]+n[hot], n[due], n[parked], n[hot], when, g.handle.Awake(), list)
 }
 
 // FlowIDs returns the configured flow ids in order.
