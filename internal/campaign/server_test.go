@@ -88,8 +88,9 @@ func TestHTTPStatusAndList(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsBadSubmission: malformed JSON and invalid specs are
-// 400s, and unknown fields are rejected (catching client/server schema
+// TestHTTPRejectsBadSubmission: malformed JSON and invalid specs —
+// durations that are no positive cycle count, unbounded cell counts —
+// are 400s, and unknown fields are rejected (catching client/server schema
 // drift early).
 func TestHTTPRejectsBadSubmission(t *testing.T) {
 	_, client := testServer(t, Options{Workers: 1})
@@ -101,7 +102,15 @@ func TestHTTPRejectsBadSubmission(t *testing.T) {
 		t.Error("invalid spec accepted")
 	}
 
-	for _, body := range []string{"{not json", `{"unknown_field": 1}`} {
+	for _, body := range []string{"{not json", `{"unknown_field": 1}`,
+		// Specs Expand once accepted (201) and every cell then failed, or
+		// whose expansion crashed the handler.
+		`{"experiments":["fig7a"],"ms":1e30}`,
+		`{"experiments":["fig7a"],"ms":1e-9}`,
+		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5],"ms":1e-9}}`,
+		`{"experiments":["fig7a"],"seeds":4611686018427387904}`,
+		`{"experiments":["fig7a"],"seeds":100000000}`,
+	} {
 		resp, err := client.http().Post(client.url("/campaigns"), "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 type Stats struct {
 	Offered        int // packets accepted into AdVOQs
 	OfferedBytes   int
-	Rejected       int // traffic-generator packets refused (AdVOQ full)
+	Rejected       int // source attempts refused (AdVOQ full); see Full
 	Sent           int // packets put on the wire
 	SentBytes      int
 	Delivered      int // packets consumed by the sink
@@ -29,7 +29,6 @@ type Stats struct {
 	FECNSeen       int // FECN-marked deliveries
 	BECNsSent      int
 	BECNsReceived  int
-	ThrottleStalls int // AdVOQ head blocked by the IRD gate
 	// CyclesElided counts the awake node's skipped cycles (skipUntil).
 	CyclesElided int
 }
@@ -76,17 +75,15 @@ type Node struct {
 	// Everything else that can change it calls resume first: an accepted
 	// Offer, a BECN sent or received, a control message, a CCTI_Timer
 	// expiry, Pause, a credit refund. quietAt is the cycle the skip (or the
-	// last settle) follows; stalled, whether that cycle's post counted a
-	// ThrottleStall.
+	// last settle) follows; stalled, whether that cycle's post found an AdVOQ
+	// head the IRD gate held and nothing to move (nextDue reads it).
 	skipUntil, quietAt sim.Cycle
 	acted, stalled     bool
 
 	// Stalled sources park instead of offering every cycle: parkedN of
-	// them wait on full AdVOQs, room tells their generator of every pop
-	// meanwhile, and each is owed one Rejected per injection phase, counted
-	// through rejAt.
+	// them wait on full AdVOQs, and room tells their generator of every pop
+	// meanwhile.
 	parkedN int
-	rejAt   sim.Cycle
 	room    func(src, dest int)
 
 	// iaParams is the stable copy the output-buffer discipline points at
@@ -112,7 +109,6 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 		advoqRR:      arbiter.NewRoundRobin(numEndpoints),
 		outCAM:       core.NewOutCAM(p.NumCFQs),
 		pending:      buffer.NewQueue("becn", nil),
-		rejAt:        -1,
 	}
 	n.occupied.Grow(numEndpoints)
 	for i := range n.advoqs {
@@ -154,16 +150,10 @@ func (n *Node) Stats() *Stats {
 	return &n.stats
 }
 
-// settle accounts for the cycles a skip in progress has skipped since
-// quietAt: state is constant, so each repeats that cycle's ThrottleStall.
+// settle counts the cycles a skip in progress has skipped since quietAt.
 func (n *Node) settle() {
-	n.settleRejected(n.eng.Now() - 1)
 	if last := n.eng.Now() - 1; n.skipUntil != 0 && last > n.quietAt {
-		elided := int(last - n.quietAt)
-		n.stats.CyclesElided += elided
-		if n.stalled {
-			n.stats.ThrottleStalls += elided
-		}
+		n.stats.CyclesElided += int(last - n.quietAt)
 		n.quietAt = last
 	}
 }
@@ -211,40 +201,23 @@ func (n *Node) AttachLink(tx *link.Half, credits *core.CreditPool) {
 func (n *Node) SetRoomHook(fn func(src, dest int)) { n.room = fn }
 
 // Full is a source's question before it builds a packet: would Offer
-// refuse one for dest? A refusal is counted as Offer counts it — at once,
-// or with park set by parking the source: it then owes this cycle's
-// refusal and one per cycle until it leaves again (Park).
-func (n *Node) Full(dest int, park bool) bool {
+// refuse one for dest? Each refused attempt counts one Rejected: a source
+// that parks on the answer is counted once, one that asks again every
+// cycle once a cycle.
+func (n *Node) Full(dest int) bool {
 	if n.advoqs[dest].Len() < n.p.AdVOQCap {
 		return false
 	}
-	if park {
-		n.Park(1)
-	} else {
-		n.stats.Rejected++
-	}
+	n.stats.Rejected++
 	return true
 }
 
 // Park parks one source (by = 1, in the injection phase that refused it)
 // or releases one (-1: woken by the room hook, or its window closed).
-func (n *Node) Park(by int) {
-	n.settleRejected(n.eng.Now() - 1)
-	n.parkedN += by
-}
+func (n *Node) Park(by int) { n.parkedN += by }
 
 // ParkedSources returns how many sources wait for room on this node.
 func (n *Node) ParkedSources() int { return n.parkedN }
-
-// settleRejected counts the refusals parked sources are owed for the
-// injection phases up to cycle upTo (never backwards: a read in the
-// cycle a source parked sees that cycle's refusal one cycle later).
-func (n *Node) settleRejected(upTo sim.Cycle) {
-	if upTo > n.rejAt {
-		n.stats.Rejected += n.parkedN * int(upTo-n.rejAt)
-		n.rejAt = upTo
-	}
-}
 
 // Offer admits a traffic-generator packet into its AdVOQ. It reports
 // false (source stall) when the AdVOQ is full.
@@ -253,7 +226,7 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 		panic(fmt.Sprintf("endnode: node %d offered packet with bad dest %d", n.id, p.Dst))
 	}
 	q := n.advoqs[p.Dst]
-	if n.Full(p.Dst, false) {
+	if n.Full(p.Dst) {
 		return false
 	}
 	n.resume()
@@ -350,9 +323,7 @@ func (n *Node) post(now sim.Cycle) {
 				n.occupied.Remove(i)
 			}
 			if n.parkedN > 0 {
-				// Parked sources were refused this cycle too; those the
-				// hook wakes offer for themselves again from the next.
-				n.settleRejected(now)
+				// The sources the hook wakes offer again from the next cycle.
 				n.room(n.id, i)
 			}
 			n.disc.Enqueue(p, -1)
@@ -411,9 +382,6 @@ func (n *Node) pickAdVOQ(now sim.Cycle) int {
 			n.advoqRR.Served(i)
 			return i
 		}
-	}
-	if stalled {
-		n.stats.ThrottleStalls++
 	}
 	n.stalled = stalled
 	return -1

@@ -12,15 +12,21 @@ import (
 )
 
 // wire is a test double for the switch at the far end of the node's
-// uplink: it records packets and control messages the node sends.
+// uplink: it records packets, when they arrive, and control messages the
+// node sends.
 type wire struct {
 	eng  *sim.Engine
 	pkts []*pkt.Packet
+	at   []sim.Cycle
 	ctls []link.Control
 }
 
-func (w *wire) ReceivePacket(p *pkt.Packet, cfq int) { w.pkts = append(w.pkts, p) }
-func (w *wire) ReceiveControl(m link.Control)        { w.ctls = append(w.ctls, m) }
+func (w *wire) ReceivePacket(p *pkt.Packet, cfq int) {
+	w.pkts = append(w.pkts, p)
+	w.at = append(w.at, w.eng.Now())
+}
+
+func (w *wire) ReceiveControl(m link.Control) { w.ctls = append(w.ctls, m) }
 
 // rig builds a node attached to a recording wire.
 func rig(t *testing.T, p core.Params) (*sim.Engine, *Node, *wire, *pkt.IDGen) {
@@ -224,25 +230,37 @@ func TestNoBECNWithoutThrottling(t *testing.T) {
 	}
 }
 
+// BECNs towards dest 4 raise its IRD above an MTU's serialization time, so
+// the gate, not the link, spaces a burst's packets: each after the first
+// reaches the wire later than it does without the BECNs.
 func TestBECNReceiptThrottlesFlow(t *testing.T) {
-	eng, n, w, ids := rig(t, core.PresetCCFIT())
-	// Receive a BECN telling this node to slow towards dest 4.
-	n.ReceivePacket(pkt.NewBECN(ids, 4, 0, 4, 0), -1)
-	if n.Throttler().CCTI(4) != 1 {
-		t.Fatalf("CCTI[4] = %d after BECN", n.Throttler().CCTI(4))
+	const becns = 4
+	arrivals := func(becns int) []sim.Cycle {
+		eng, n, w, ids := rig(t, core.PresetCCFIT())
+		for i := 0; i < becns; i++ {
+			n.ReceivePacket(pkt.NewBECN(ids, 4, 0, 4, 0), -1)
+		}
+		if n.Throttler().CCTI(4) != becns || n.Stats().BECNsReceived != becns {
+			t.Fatalf("CCTI[4] = %d, %d BECNs counted after %d", n.Throttler().CCTI(4), n.Stats().BECNsReceived, becns)
+		}
+		for i := 0; i < 4; i++ {
+			n.Offer(pkt.NewData(ids, 0, 4, 0, pkt.MTU, 0))
+		}
+		eng.Run(1000)
+		if len(w.at) != 4 {
+			t.Fatalf("%d BECNs: %d of 4 packets on the wire", becns, len(w.at))
+		}
+		return w.at
 	}
-	if n.Stats().BECNsReceived != 1 {
-		t.Fatal("BECN not counted")
+	gated, free := arrivals(becns), arrivals(0)
+	if gated[0] != free[0] {
+		t.Errorf("first packet at %d, %d without BECNs: the gate held a packet no injection preceded", gated[0], free[0])
 	}
-	// Offer a burst to dest 4: the IRD gate spaces out injections.
-	for i := 0; i < 4; i++ {
-		n.Offer(pkt.NewData(ids, 0, 4, 0, pkt.MTU, 0))
+	for i := 1; i < len(gated); i++ {
+		if gated[i] <= free[i] {
+			t.Errorf("packet %d at %d, %d without BECNs: the gate did not delay it", i, gated[i], free[i])
+		}
 	}
-	eng.Run(20)
-	if n.Stats().ThrottleStalls == 0 {
-		t.Skip("IRD shorter than serialization; nothing observable")
-	}
-	_ = w
 }
 
 func TestThrottledDestDoesNotBlockOthers(t *testing.T) {
@@ -330,7 +348,8 @@ func refPickAdVOQ(n *Node, now sim.Cycle) (pick int, stalled bool) {
 }
 
 // The bitmap walk must pick exactly what the full predicate scan picked,
-// advance the pointer the same way and count the same throttle stalls —
+// advance the pointer the same way and, on a miss, report the same IRD
+// stall (nextDue reads it) —
 // over random occupancy, throttle and fit patterns, with the pointer
 // parked on and around the bitmap's word boundaries.
 func TestPickAdVOQEqualsPredicateScan(t *testing.T) {
@@ -381,20 +400,17 @@ func TestPickAdVOQEqualsPredicateScan(t *testing.T) {
 					}
 
 					want, wantStalled := refPickAdVOQ(n, now)
-					stallsBefore := n.stats.ThrottleStalls
 					got := n.pickAdVOQ(now)
 					if got != want {
 						t.Fatalf("step %d: picked %d, predicate scan picks %d (pointer %d)", step, got, want, n.advoqRR.Pointer())
 					}
-					wantStalls := stallsBefore
-					if want < 0 && wantStalled {
-						wantStalls++
-						stalls++
-					}
-					if n.stats.ThrottleStalls != wantStalls {
-						t.Fatalf("step %d: ThrottleStalls %d, want %d", step, n.stats.ThrottleStalls, wantStalls)
-					}
 					if got < 0 {
+						if n.stalled != wantStalled {
+							t.Fatalf("step %d: missed with stalled %v, predicate scan %v", step, n.stalled, wantStalled)
+						}
+						if wantStalled {
+							stalls++
+						}
 						misses++
 						continue
 					}

@@ -78,16 +78,23 @@ type Cell struct {
 	Source Spec
 }
 
-// SeedList returns the seeds a spec covers.
-func (s Spec) SeedList() []int64 {
-	base := s.Seed
+// MaxCells bounds the cells a spec may expand to: far above the largest
+// campaign in the repo (240 cells), far below a count whose cells would
+// exhaust memory before the first one runs.
+const MaxCells = 1 << 16
+
+// seedRange returns the first seed a spec covers and how many.
+func (s Spec) seedRange() (base int64, n int) {
+	base, n = s.Seed, s.Seeds
 	if base == 0 {
 		base = 1
 	}
-	n := s.Seeds
-	if n <= 0 {
-		n = 1
-	}
+	return base, max(n, 1)
+}
+
+// SeedList returns the seeds a spec covers.
+func (s Spec) SeedList() []int64 {
+	base, n := s.seedRange()
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = base + int64(i)
@@ -104,9 +111,10 @@ func (s Spec) Validate() error {
 // Expand resolves a spec into its cells in deterministic
 // experiment-major order (experiment, then scheme, then seed), the
 // one order every renderer's cursor walks, locally and against a
-// server. Every id, scheme and parameter
-// set is validated before anything is returned (fail-fast: a typo in
-// a submitted campaign is a 4xx, never a mid-campaign failure).
+// server. Every id, scheme, parameter set, seed range and duration,
+// and the cell count (at most MaxCells), is validated before anything
+// is returned (fail-fast: a typo in a submitted campaign is a 4xx, never
+// a mid-campaign failure).
 func (s Spec) Expand() ([]Cell, error) {
 	if s.LoadCurve != nil && len(s.Experiments) > 0 {
 		return nil, fmt.Errorf("experiments: spec mixes experiments and load_curve; use one")
@@ -121,9 +129,16 @@ func (s Spec) Expand() ([]Cell, error) {
 			return nil, err
 		}
 	}
-	seeds := s.SeedList()
+	base, nseeds := s.seedRange()
+	if nseeds > MaxCells {
+		return nil, fmt.Errorf("experiments: %d seeds; a spec expands to at most %d cells", nseeds, MaxCells)
+	}
+	// A cell's Source names its one seed, and Seed 0 names the default.
+	if last := base + int64(nseeds-1); last < base || base < 0 && last >= 0 {
+		return nil, fmt.Errorf("experiments: seeds from %d to %d overflow or cover seed 0", base, last)
+	}
 	if s.LoadCurve != nil {
-		return s.expandLoadCurve(seeds)
+		return s.expandLoadCurve(nseeds)
 	}
 	if len(s.Experiments) == 0 {
 		return nil, fmt.Errorf("experiments: spec names no experiments")
@@ -132,20 +147,28 @@ func (s Spec) Expand() ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
+	var duration sim.Cycle
+	if s.MS > 0 {
+		if duration, err = msCycles("ms", s.MS); err != nil {
+			return nil, err
+		}
+	}
+	seeds := s.SeedList()
 	var cells []Cell
 	for _, e := range exps {
 		if e.Kind == ConfigTable {
 			continue
 		}
-		if s.MS > 0 {
-			e.Duration = sim.CyclesFromMS(s.MS)
-			if e.Bin > e.Duration {
-				e.Bin = e.Duration
-			}
+		if duration > 0 {
+			e.Duration = duration
+			e.Bin = min(e.Bin, duration)
 		}
 		schemes := s.Schemes
 		if schemes == nil {
 			schemes = e.Schemes
+		}
+		if _, err := addCells(len(cells), len(schemes), nseeds); err != nil {
+			return nil, err
 		}
 		for _, scheme := range schemes {
 			for _, seed := range seeds {
@@ -170,7 +193,7 @@ func (s Spec) Expand() ([]Cell, error) {
 	return cells, nil
 }
 
-func (s Spec) expandLoadCurve(seeds []int64) ([]Cell, error) {
+func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
 	lc := s.LoadCurve
 	if len(s.Schemes) == 0 {
 		return nil, fmt.Errorf("experiments: load_curve spec must name schemes")
@@ -182,12 +205,20 @@ func (s Spec) expandLoadCurve(seeds []int64) ([]Cell, error) {
 	if ms <= 0 {
 		ms = 1.0
 	}
-	end := sim.CyclesFromMS(ms)
-	bin := sim.CyclesFromNS(50_000)
-	if bin > end {
-		bin = end
+	end, err := msCycles("load_curve.ms", ms)
+	if err != nil {
+		return nil, err
 	}
-	var cells []Cell
+	bin := min(sim.CyclesFromNS(50_000), end)
+	ncells, err := addCells(0, len(s.Schemes), len(lc.Loads))
+	if err == nil {
+		ncells, err = addCells(0, ncells, nseeds)
+	}
+	if err != nil {
+		return nil, err
+	}
+	seeds := s.SeedList()
+	cells := make([]Cell, 0, ncells)
 	for _, scheme := range s.Schemes {
 		for _, load := range lc.Loads {
 			e, err := LoadPoint(lc.Config, load, end, bin)
@@ -210,6 +241,30 @@ func (s Spec) expandLoadCurve(seeds []int64) ([]Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// msCycles converts a spec's simulated milliseconds to cycles, rejecting a
+// duration that rounds to no cycle or does not fit the clock (a float
+// conversion out of int64's range is not an error in Go, just garbage).
+func msCycles(field string, ms float64) (sim.Cycle, error) {
+	if c := ms * 1e6 / sim.CycleNS; !(c >= 0.5 && c < maxSpecCycles) {
+		return 0, fmt.Errorf("experiments: %s %g rounds to no cycle or past %d cycles", field, ms, maxSpecCycles)
+	}
+	return sim.CyclesFromMS(ms), nil
+}
+
+// maxSpecCycles bounds a spec's durations: 2^40 cycles (~7.8 simulated
+// hours) leaves the clock room for every deadline a run adds to its end.
+const maxSpecCycles = 1 << 40
+
+// addCells returns total plus groups×per cells, or an error past MaxCells,
+// before anything is allocated for them; it cannot overflow, whatever the
+// factors.
+func addCells(total, groups, per int) (int, error) {
+	if per > 0 && groups > (MaxCells-total)/per {
+		return 0, fmt.Errorf("experiments: spec expands to more than %d cells", MaxCells)
+	}
+	return total + groups*per, nil
 }
 
 // LoadPoint builds the synthetic experiment for one offered-load point

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -97,6 +100,14 @@ func TestSpecValidation(t *testing.T) {
 		{"loadcurve without loads", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2}}},
 		{"loadcurve bad config", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 7, Loads: []float64{0.5}}}},
 		{"loadcurve bad load", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{1.5}}}},
+		{"ms past the clock", Spec{Experiments: []string{"fig7a"}, MS: 1e30}},
+		{"ms below a cycle", Spec{Experiments: []string{"fig7a"}, MS: 1e-9}},
+		{"loadcurve ms below a cycle", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: 1e-9}}},
+		{"seeds past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: 1 << 62}},
+		{"cells past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: MaxCells}},
+		{"loadcurve cells past the bound", Spec{Schemes: []string{"1Q", "CCFIT"}, Seeds: MaxCells/2 + 1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
+		{"seeds across seed 0", Spec{Experiments: []string{"fig7a"}, Seed: -1, Seeds: 2}},
+		{"seeds past the last seed", Spec{Experiments: []string{"fig7a"}, Seed: math.MaxInt64, Seeds: 2}},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {
@@ -143,4 +154,41 @@ func TestSpecSeedList(t *testing.T) {
 	if got := (Spec{Seed: 7, Seeds: 3}).SeedList(); len(got) != 3 || got[0] != 7 || got[2] != 9 {
 		t.Errorf("SeedList = %v, want [7 8 9]", got)
 	}
+}
+
+// FuzzSpec decodes arbitrary JSON into a Spec (seed corpus:
+// testdata/fuzz/FuzzSpec, the bodies POST /campaigns once answered 201
+// or crashed on): Expand never panics, and what it accepts is bounded,
+// has a positive bin no longer than the run, and re-expands cell by cell
+// from each Source — the contract WireJob.Job relies on.
+func FuzzSpec(f *testing.F) {
+	f.Add([]byte(`{"experiments":["fig7a"],"schemes":["CCFIT"],"seeds":2,"ms":0.5}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		cells, err := s.Expand()
+		if err != nil {
+			return
+		}
+		if len(cells) > MaxCells {
+			t.Fatalf("%d cells, bound %d", len(cells), MaxCells)
+		}
+		for i, c := range cells {
+			if c.Exp.Bin < 1 || c.Exp.Bin > c.Exp.Duration {
+				t.Fatalf("cell %d: bin %d, duration %d", i, c.Exp.Bin, c.Exp.Duration)
+			}
+			again, err := c.Source.Expand()
+			if err != nil || len(again) != 1 {
+				t.Fatalf("cell %d: Source %+v re-expands to %d cells (%v)", i, c.Source, len(again), err)
+			}
+			a, b := again[0], c
+			if a.Exp.ID != b.Exp.ID || a.Exp.Duration != b.Exp.Duration || a.Exp.Bin != b.Exp.Bin ||
+				a.Scheme != b.Scheme || a.Seed != b.Seed || a.Params != b.Params || a.SimWorkers != b.SimWorkers ||
+				!reflect.DeepEqual(a.Source, b.Source) {
+				t.Fatalf("cell %d: Source re-expands to %s/%s@%d, not %s/%s@%d", i, a.Exp.ID, a.Scheme, a.Seed, b.Exp.ID, b.Scheme, b.Seed)
+			}
+		}
+	})
 }

@@ -39,7 +39,7 @@ type DiffScenario struct {
 type EngineRun struct {
 	Net      *network.Network
 	Flows    map[int]*RefFlowStats
-	Rejected int // generator packets refused by a full AdVOQ
+	Rejected int // source attempts refused by a full AdVOQ
 	Drained  bool
 	// Violations collects every runtime invariant violation plus the
 	// terminal audit's finding.

@@ -44,7 +44,6 @@ type edgeRig struct {
 	// cooled and parked count port-cycles spent cool / parked, napped the
 	// switch's ticks a nap skipped.
 	cooled, parked, napped int
-	stalls                 int // CreditStalls as last read mid-cycle
 }
 
 func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, everyCycle bool) *edgeRig {
@@ -70,17 +69,13 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 	})
 	// After the switch's own tick: a nap in progress that did not begin
 	// in this very cycle skipped this cycle's tick. Reading the counters
-	// here, as the invariant checker's tick does, settles a nap mid-cycle
-	// — the very cycle it began in included — and never takes a stall back.
+	// here, as the invariant checker's tick does, settles a nap mid-cycle,
+	// the very cycle it began in included.
 	r.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
 		if r.sw.napAt != 0 && r.sw.napAt <= now {
 			r.napped++
 		}
-		if got := r.sw.Stats().CreditStalls; got < r.stalls {
-			t.Fatalf("cycle %d: CreditStalls fell from %d to %d", now, r.stalls, got)
-		} else {
-			r.stalls = got
-		}
+		r.sw.Stats()
 	})
 	return r
 }
@@ -172,23 +167,16 @@ func TestElisionEdges(t *testing.T) {
 		},
 		{
 			// A parked input is granted in the very cycle its credit
-			// arrives, the switch napping with no deadline until then and
-			// CreditStalls keeping its every-cycle value across the nap; a
-			// Stall mid-nap wakes the switch, a credit during it waits for
-			// the stall's end, and the stalled cycles count no CreditStalls.
+			// arrives, the switch napping with no deadline until then; a
+			// Stall mid-nap wakes the switch, and a credit during it waits
+			// for the stall's end.
 			name: "credit", params: core.Preset1Q(), nports: 2, xbar: 64, credits: 2 * pkt.MTU,
 			wantCooled: true, wantParked: true,
 			script: func(r *edgeRig) {
 				for i := 0; i < 6; i++ {
 					r.recv(0, 1, -1)
 				}
-				r.eng.Run(300)
-				r.mustNap("counting stalls")
-				stalls := r.sw.Stats().CreditStalls
-				r.eng.RunFor(100)
-				if got := r.sw.Stats().CreditStalls - stalls; got != 100 {
-					r.t.Fatalf("%d CreditStalls over 100 blocked cycles", got)
-				}
+				r.eng.Run(400)
 				r.mustNap("the credit")
 				r.credit(1)
 				r.stepForwards(1, "credit arrived this cycle")
@@ -196,13 +184,9 @@ func TestElisionEdges(t *testing.T) {
 				r.mustNap("the stall")
 				r.sw.Stall(50)
 				r.eng.RunFor(10)
-				stalls = r.sw.Stats().CreditStalls
 				r.credit(1)
 				r.stepForwards(0, "switch stalled")
 				r.eng.Run(r.sw.StalledUntil())
-				if got := r.sw.Stats().CreditStalls; got != stalls {
-					r.t.Fatalf("CreditStalls moved %d -> %d during a stall", stalls, got)
-				}
 				r.stepForwards(1, "first cycle after the stall")
 				r.eng.RunFor(300)
 			},

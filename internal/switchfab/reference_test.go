@@ -22,8 +22,7 @@ type RefCounts struct {
 //   - a cool port's Post and Update, which must report no action, move
 //     no counter and leave NextDue alone (a failed detection scan bumps
 //     only the retry cycle, and NextDue is where that shows);
-//   - a parked port's request scan, which must yield nothing grantable
-//     and count the CreditStalls it was parked with;
+//   - a parked port's request scan, which must yield nothing grantable;
 //   - the drain of every staged output, whose link must not be free;
 //   - every tick of a napping switch, from a ticker of the reference's
 //     own: the checks above, and napIdle — nothing hot or due, no
@@ -87,19 +86,11 @@ func InstallReference(s *Switch, fail func(format string, args ...any)) *RefCoun
 			i := bits.TrailingZeros64(parked)
 			ip := s.in[i]
 			c.Scans++
-			stalls := 0
 			for _, r := range ip.disc.Requests(now, nil) {
 				op := s.out[r.Out]
-				switch {
-				case op.tx == nil, op.nstaged+op.inflight >= stageCap:
-				case op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size:
-					stalls++
-				default:
+				if op.tx != nil && op.nstaged+op.inflight < stageCap && op.credits.Avail(r.Pkt.Dst) >= r.Pkt.Size {
 					fail("%s p%d cycle %d: parked with a grantable request %v -> out%d", s.name, i, now, r.Pkt, r.Out)
 				}
-			}
-			if stalls != ip.parkStalls {
-				fail("%s p%d cycle %d: parked owing %d CreditStalls a scan, a scan counts %d", s.name, i, now, ip.parkStalls, stalls)
 			}
 			if ip.busyUntil > now {
 				fail("%s p%d cycle %d: parked while crossing the crossbar", s.name, i, now)

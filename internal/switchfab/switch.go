@@ -23,7 +23,6 @@ type Stats struct {
 	Forwarded      int
 	ForwardedBytes int
 	Marked         int
-	CreditStalls   int // arbitration requests suppressed by missing credits
 	// PortCyclesElided counts the cycles input ports of the awake switch
 	// spent cool. Telemetry only: added up when a port heats, not per tick.
 	PortCyclesElided int
@@ -75,10 +74,11 @@ type Switch struct {
 	// clears it (the port cools) after a cycle in which the discipline did
 	// not act and start did not pop, recording disc.NextDue as the deadline.
 	// parked ⊆ liveIn: ports whose last request scan found nothing
-	// grantable; the scan skips them. unpark clears the bit on a credit at,
-	// a drain freeing a stage slot of, or a start filling the stage of an
-	// output the port waits on (waitOut[o]: the inputs parked behind o), on
-	// heat, and at the end of a cycle the port acted in.
+	// grantable; the scan skips them. unpark clears the bit on a credit at
+	// or a drain freeing a stage slot of an output the port waits on
+	// (waitOut[o]: the inputs parked behind o) — the only events that can
+	// make a request to o grantable — on heat, and at the end of a cycle
+	// the port acted in.
 	// acted: this cycle's ports whose Post/Update acted or start popped.
 	liveIn, hot, parked, acted uint64
 	stagedOut                  uint64
@@ -86,10 +86,8 @@ type Switch struct {
 	inflight                   int
 	// minDue is no later than the earliest deadline of a cool port (one
 	// compare per post), drainDue the first cycle a staged packet can go
-	// (drainStaged). scans counts request scans: a port unparked n scans
-	// later is owed n times the CreditStalls its last scan counted.
+	// (drainStaged).
 	minDue, drainDue sim.Cycle
-	scans            int64
 	// napAt is the first tick the nap in progress skips (0: not napping).
 	// A switch holding packets naps from update to min(minDue, drainDue)
 	// when nothing is hot, no stall is on and every unparked live port is
@@ -139,11 +137,8 @@ type inPort struct {
 	xferCFQ int
 	landFn  func()
 
-	// Cool since coolAt, until due; parked at scan parkScan (Switch.scans),
-	// which counted parkStalls CreditStalls.
+	// Cool since coolAt, until due.
 	coolAt, due sim.Cycle
-	parkScan    int64
-	parkStalls  int
 }
 
 type outPort struct {
@@ -244,11 +239,9 @@ func (s *Switch) wake() {
 	s.h.Wake()
 }
 
-// napped credits the nap in progress, if any, with the ticks skipped so
-// far: each would have counted a scan, which parked ports are settled by.
+// napped counts the ticks the nap in progress, if any, skipped so far.
 func (s *Switch) napped() {
 	if now := s.eng.Now(); s.napAt != 0 && now > s.napAt {
-		s.scans += int64(now - s.napAt)
 		s.stats.CyclesNapped += int(now - s.napAt)
 		s.napAt = now
 	}
@@ -269,10 +262,9 @@ func (s *Switch) ID() int { return s.id }
 func (s *Switch) Name() string { return s.name }
 
 // Stats returns the switch counters, brought up to the current cycle:
-// what parked and cool ports are owed so far is added first.
+// what the nap and the cool ports are owed so far is added first.
 func (s *Switch) Stats() *Stats {
 	s.napped()
-	s.settle(s.parked)
 	last := s.eng.Now() - 1
 	for cool := s.liveIn &^ s.hot; cool != 0; cool &= cool - 1 {
 		if ip := s.in[bits.TrailingZeros64(cool)]; last > ip.coolAt {
@@ -356,22 +348,11 @@ func (s *Switch) heat(i int, now sim.Cycle) {
 	s.unpark(bit)
 }
 
-// settle pays the parked ports in m the CreditStalls of the scans that
-// skipped them so far.
-func (s *Switch) settle(m uint64) {
-	for m &= s.parked; m != 0; m &= m - 1 {
-		ip := s.in[bits.TrailingZeros64(m)]
-		s.stats.CreditStalls += ip.parkStalls * int(s.scans-ip.parkScan)
-		ip.parkScan = s.scans
-	}
-}
-
 // unpark returns the ports in m to the request scan. Unparking a port
 // whose requests are still blocked is harmless: the scan parks it again.
 func (s *Switch) unpark(m uint64) {
 	if m&s.parked != 0 {
 		s.wake()
-		s.settle(m)
 		s.parked &^= m
 	}
 }
@@ -420,10 +401,9 @@ func (s *Switch) update(now sim.Cycle) {
 
 // arbitrate drains output stages onto their links, then collects
 // eligible requests, runs iSLIP, and starts the granted crossbar
-// transfers. A port none of whose requests can be granted is parked,
-// owing parkStalls CreditStalls a scan: only a credit at or a stage slot
-// of an output it waits on, or a change of the port itself, can make the
-// next scan answer differently.
+// transfers. A port none of whose requests can be granted is parked:
+// only a credit at or a stage slot of an output it waits on, or a change
+// of the port itself, can make the next scan answer differently.
 func (s *Switch) arbitrate(now sim.Cycle) {
 	if now < s.stalledUntil {
 		return
@@ -434,7 +414,6 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 	if s.ref != nil {
 		s.ref(now)
 	}
-	s.scans++
 	for live := s.liveIn &^ s.parked; live != 0; live &= live - 1 {
 		i := bits.TrailingZeros64(live)
 		ip := s.in[i]
@@ -444,7 +423,6 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 		bit := uint64(1) << i
 		var wait uint64 // outputs a blocked request waits on
 		grantable := false
-		ip.parkStalls = 0
 		ip.reqs = ip.reqs[:0]
 		if ip.disc.UsedBytes() != 0 {
 			ip.reqs = ip.disc.Requests(now, ip.reqs)
@@ -454,13 +432,7 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 			if op.tx == nil {
 				continue
 			}
-			if op.nstaged+op.inflight >= stageCap {
-				wait |= 1 << r.Out
-				continue
-			}
-			if op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size {
-				s.stats.CreditStalls++
-				ip.parkStalls++
+			if op.nstaged+op.inflight >= stageCap || op.credits.Avail(r.Pkt.Dst) < r.Pkt.Size {
 				wait |= 1 << r.Out
 				continue
 			}
@@ -480,7 +452,6 @@ func (s *Switch) arbitrate(now sim.Cycle) {
 		}
 		if !grantable {
 			s.parked |= bit
-			ip.parkScan = s.scans
 			for ; wait != 0; wait &= wait - 1 {
 				s.waitOut[bits.TrailingZeros64(wait)] |= bit
 			}
@@ -578,11 +549,6 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 	op.inflight++
 	op.inflightBytes += p.Size
 	s.inflight++
-	if op.nstaged+op.inflight >= stageCap {
-		// Still blocked, but a request the scan counted as a credit stall
-		// is now behind a full stage, which is not one: rescan.
-		op.wakeWaiters()
-	}
 	s.eng.At(now+xfer, ip.landFn)
 	s.stats.Forwarded++
 	s.stats.ForwardedBytes += p.Size
@@ -616,7 +582,7 @@ func (ip *inPort) land() {
 // upstream exactly as a real hung switch would cause.
 func (s *Switch) Stall(d sim.Cycle) {
 	if s.napAt != 0 {
-		s.wake() // no scan runs, so none is owed, under a stall
+		s.wake() // a nap never spans a stall: the contract napIdle checks
 	}
 	if until := s.eng.Now() + d; until > s.stalledUntil {
 		s.stalledUntil = until

@@ -46,11 +46,11 @@ func (s *Switch) idleScan() bool {
 }
 
 // napIdle says why the tick of cycle c, which the nap in progress skips,
-// would have done something (other than count a scan), or "": the
-// every-tick predicate the nap is checked against. Nothing may be hot or
-// due — so the nap's deadline, which is what ends it, is no later than
-// min(minDue, drainDue) — no stall may hide the scans the nap is credited
-// with, and every port the scan would visit must be crossing the crossbar.
+// would have done something, or "": the every-tick predicate the nap is
+// checked against. Nothing may be hot or due — so the nap's deadline,
+// which is what ends it, is no later than min(minDue, drainDue) — no stall
+// may be on, and every port the scan would visit must be crossing the
+// crossbar.
 func (s *Switch) napIdle(c sim.Cycle) string {
 	switch {
 	case s.napAt == 0:
@@ -145,8 +145,8 @@ func TestCreditExhaustionBlocks(t *testing.T) {
 	if len(peers[1].pkts) != 2 {
 		t.Fatalf("forwarded %d with 2 MTUs of credit, want 2", len(peers[1].pkts))
 	}
-	if sw.Stats().CreditStalls == 0 {
-		t.Fatal("credit stalls not counted")
+	if got := strings.Join(sw.DescribeBlocked(eng.Now()), "\n"); !strings.Contains(got, "no credits") {
+		t.Fatalf("a credit-blocked port describes itself as %q", got)
 	}
 	// Return one credit; one more packet goes.
 	sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.Credit, Bytes: pkt.MTU, Dest: 1})

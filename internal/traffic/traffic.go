@@ -294,11 +294,12 @@ func (g *Generator) visit(i int, now sim.Cycle) {
 			}
 		}
 		// Ask before building: a refused attempt draws no packet id.
-		if node.Full(dst, f.Dst != UniformDst) {
+		if node.Full(dst) {
 			if f.Dst == UniformDst {
 				f.phase = hot
 				g.ready.Add(i)
 			} else {
+				node.Park(1)
 				f.phase = parked
 				g.parked[f.Src] = append(g.parked[f.Src], int32(i))
 			}
