@@ -276,43 +276,6 @@ func BenchmarkBlockedTree(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionedEngine runs the 512-node Config #4
-// hotspot+victims scenario (x512hotspot, time-scaled) under the
-// partitioned engine at 1, 2 and 4 shard workers. Results are
-// byte-identical across worker counts, so ns/op is the only thing that
-// moves: on a multi-core host the >1 variants show the parallel
-// speedup; on a single core they price the window barriers and
-// mailbox hops instead.
-func BenchmarkPartitionedEngine(b *testing.B) {
-	exp, err := experiments.ByID("x512hotspot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	exp.Duration = sim.Cycle(float64(exp.Duration) * 0.1)
-	if exp.Bin > exp.Duration {
-		exp.Bin = exp.Duration
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				p, err := experiments.SchemeByName("CCFIT")
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, err := exp.Build(p, 1, exp.Bin, exp.Duration, experiments.BuildOpts{SimWorkers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n.Run(exp.Duration)
-				r := experiments.Harvest(exp, "CCFIT", 1, n)
-				mean = r.Summary.MeanNormalized
-			}
-			b.ReportMetric(mean, "norm-throughput")
-		})
-	}
-}
-
 // BenchmarkRunnerParallel measures the figure campaign (every paper
 // experiment × scheme, time-scaled like the Fig. 8 benches) executed
 // through the runner at 1 worker versus one worker per core, so

@@ -3,8 +3,7 @@
 // determinism and hot-path rules guarding the simulation core
 // (determinism, hotpath-alloc, phase-discipline, pool-hygiene,
 // unchecked-err) plus the concurrency family guarding the service
-// layer and the parallel engine (guarded-field, lock-order,
-// goroutine-lifecycle, partition-safety). CI runs it with no
+// layer (guarded-field, lock-order, goroutine-lifecycle). CI runs it with no
 // flags and fails on any diagnostic; the same suite also runs as a go
 // test gate in internal/lint.
 //

@@ -36,7 +36,6 @@ func main() {
 	mode := flag.String("mode", "quick", "verification depth: quick or full")
 	seed := flag.Int64("seed", 1, "base seed for simulations and the fuzzed-config sweep")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel verification workers")
-	simWorkers := flag.Int("sim-workers", 1, "run the engine side of every differential under the partitioned engine on N worker goroutines (1 = serial; verdicts are identical either way)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ccfit-verify [flags]\n")
 		flag.PrintDefaults()
@@ -51,10 +50,9 @@ func main() {
 	defer stop()
 
 	rep, err := oracle.Verify(ctx, oracle.VerifyOptions{
-		Mode:       *mode,
-		Seed:       *seed,
-		Workers:    *workers,
-		SimWorkers: *simWorkers,
+		Mode:    *mode,
+		Seed:    *seed,
+		Workers: *workers,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ccfit-verify: "+format+"\n", args...)
 		},

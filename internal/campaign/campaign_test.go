@@ -398,6 +398,44 @@ func TestRestartResumesFromJournal(t *testing.T) {
 	}
 }
 
+// TestJournalWithSimWorkersResumes: a journal whose submit record
+// carries "sim_workers" — a spec field of the deleted partitioned engine
+// — still replays (journal decoding ignores unknown fields), and its
+// campaign renders the bytes of one journaled without it.
+func TestJournalWithSimWorkersResumes(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"c000000", "c000001"}
+	for i, sub := range []string{
+		`{"experiments":["fig7a"],"ms":0.2,"sim_workers":2}`,
+		`{"experiments":["fig7a"],"ms":0.2}`,
+	} {
+		rec := `{"t":"submit","at":"2026-01-01T00:00:00Z","id":"` + ids[i] + `","sub":` + sub + "}\n"
+		if err := os.WriteFile(journalPath(jdir, ids[i]), []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openScheduler(t, dir, Options{Workers: 2})
+	defer s.Close()
+	if got := s.Metrics().CampaignsResumed.Load(); got != 2 {
+		t.Fatalf("CampaignsResumed = %d, want 2", got)
+	}
+	want := localDigest(t, Submission{Spec: quickSpec()})
+	for _, id := range ids {
+		waitTerminal(t, s, id)
+		results, err := s.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultsDigest(t, results); got != want {
+			t.Errorf("%s: resumed digest %s != local digest %s", id, got, want)
+		}
+	}
+}
+
 // TestSubmitValidation: a bad spec is rejected up front, before any
 // job is enqueued or journaled.
 func TestSubmitValidation(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,8 +36,8 @@ type Options struct {
 	// back to local execution when none are live. Ignored when Executor
 	// is set (an explicit executor owns the whole policy).
 	Dispatch *dispatch.Board
-	// Log, when non-nil, receives operational notices (e.g. a
-	// submission's sim-workers request being capped against the pool).
+	// Log, when non-nil, receives operational notices (e.g. a remote
+	// job falling back to local execution).
 	Log func(format string, args ...any)
 }
 
@@ -209,8 +208,7 @@ func (s *Scheduler) resume() error {
 			s.order = append(s.order, c.id)
 			continue
 		}
-		c.jobs = s.capSimWorkers(c.id, jobs)
-		jobs = c.jobs
+		c.jobs = jobs
 		c.states = make([]jobState, len(jobs))
 		c.finished = make([]*runner.JobResult, len(jobs))
 		var requeue []int
@@ -263,23 +261,6 @@ func (s *Scheduler) resume() error {
 	return nil
 }
 
-// capSimWorkers holds a campaign's per-job partitioned-engine worker
-// counts to what the executor pool leaves available (the scheduler
-// drains jobs through its own workers, so runner.Run's automatic cap
-// never sees them), logging the adjustment. Capping never changes
-// results — partitioned runs are byte-identical at any worker count.
-func (s *Scheduler) capSimWorkers(id string, jobs []runner.Job) []runner.Job {
-	capped := runner.CapSimWorkers(jobs, s.opt.Workers, runtime.GOMAXPROCS(0))
-	if capped == nil {
-		return jobs
-	}
-	if s.opt.Log != nil {
-		s.opt.Log("campaign %s: capping per-job sim-workers: %d pool workers on GOMAXPROCS=%d",
-			id, s.opt.Workers, runtime.GOMAXPROCS(0))
-	}
-	return capped
-}
-
 // parseID extracts the sequence number from a "c%06d" campaign id.
 func parseID(id string) (int, bool) {
 	rest, ok := strings.CutPrefix(id, "c")
@@ -324,7 +305,6 @@ func (s *Scheduler) Submit(sub Submission) (View, error) {
 	}
 	id := fmt.Sprintf("c%06d", s.seq)
 	s.seq++
-	jobs = s.capSimWorkers(id, jobs)
 	now := time.Now()
 	jl, err := createJournal(s.opt.Dir, id, sub, now)
 	if err != nil {

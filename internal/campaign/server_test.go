@@ -110,6 +110,8 @@ func TestHTTPRejectsBadSubmission(t *testing.T) {
 		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5],"ms":1e-9}}`,
 		`{"experiments":["fig7a"],"seeds":4611686018427387904}`,
 		`{"experiments":["fig7a"],"seeds":100000000}`,
+		// The field of the deleted partitioned engine is unknown now.
+		`{"experiments":["fig7a"],"sim_workers":2}`,
 	} {
 		resp, err := client.http().Post(client.url("/campaigns"), "application/json", strings.NewReader(body))
 		if err != nil {

@@ -149,6 +149,39 @@ func TestManifestLikeLocal(t *testing.T) {
 	}
 }
 
+// TestSimWorkersIgnored: -sim-workers is parsed and ignored, locally and
+// against a server. Each command line prints what it prints at
+// -sim-workers 1, fault scripts included: control noise on every switch,
+// and a flap on an inter-switch link of Config #3 (sw<0,2> to sw<1,0>,
+// devices 66 and 80).
+func TestSimWorkersIgnored(t *testing.T) {
+	flap := filepath.Join(t.TempDir(), "trunk-flap.json")
+	script := `{"name":"trunk-flap","events":[{"kind":"link-flap","at_ms":0.1,"duration_ms":0.1,"link":{"from":66,"to":80}}]}`
+	if err := os.WriteFile(flap, []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	url := serve(t)
+	for _, args := range [][]string{
+		{"-ms", "0.1", "x512hotspot"},
+		{"-ms", "0.2", "-schemes", "CCFIT", "-faults", "../../scripts/faults/ctl-noise.json", "fig7a"},
+		{"-ms", "0.5", "-schemes", "CCFIT", "-faults", flap, "fig8b"},
+	} {
+		for _, where := range [][]string{nil, {"-server", url}} {
+			stdout := func(simWorkers string) string {
+				line := append(append([]string{"-workers", "1", "-sim-workers", simWorkers}, where...), args...)
+				code, stdout, stderr := drive(tools[0].run, line...)
+				if code != 0 || stdout == "" {
+					t.Fatalf("%v: exit %d, stderr:\n%s", line, code, stderr)
+				}
+				return stdout
+			}
+			if two, one := stdout("2"), stdout("1"); two != one {
+				t.Errorf("%v %v: -sim-workers 2 stdout differs from -sim-workers 1\n--- 2\n%s--- 1\n%s", where, args, two, one)
+			}
+		}
+	}
+}
+
 // TestFiguresIsRunUnderItsOwnName: same arguments, same bytes; only the
 // manifest's tool field tells the two apart.
 func TestFiguresIsRunUnderItsOwnName(t *testing.T) {

@@ -19,13 +19,12 @@ import (
 // flags it accepts.
 type Flags struct {
 	// grid: which cells the campaign covers
-	Seed       int64
-	Seeds      int
-	Schemes    string
-	MS         float64
-	SimWorkers int
-	Faults     string
-	Watchdog   int64
+	Seed     int64
+	Seeds    int
+	Schemes  string
+	MS       float64
+	Faults   string
+	Watchdog int64
 	// execution: how and where the cells run
 	Workers       int
 	Cache         string
@@ -46,7 +45,7 @@ type Flags struct {
 
 // Defaults returns the shared flags' default values.
 func Defaults() Flags {
-	return Flags{Seed: 1, Seeds: 1, SimWorkers: 1, Workers: runtime.GOMAXPROCS(0),
+	return Flags{Seed: 1, Seeds: 1, Workers: runtime.GOMAXPROCS(0),
 		RetryBackoff: 100 * time.Millisecond, Summary: true}
 }
 
@@ -59,7 +58,8 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	all.IntVar(&f.Seeds, "seeds", f.Seeds, "replications per scheme or sweep point (seeds seed..seed+N-1); >1 prints mean±sd tables")
 	all.StringVar(&f.Schemes, "schemes", f.Schemes, "comma-separated scheme list (empty = each experiment's own set)")
 	all.Float64Var(&f.MS, "ms", f.MS, "simulated milliseconds per cell: truncates registered experiments (0 = full length; distinct cache keys)")
-	all.IntVar(&f.SimWorkers, "sim-workers", f.SimWorkers, "worker goroutines per simulation: >1 runs it on the partitioned engine (results are byte-identical at any value)")
+	// Kept only for bench/'s command lines; the benchmark PR of ROADMAP.md item 1(b) deletes it.
+	all.Int("sim-workers", 1, "ignored: every simulation runs on one engine (accepted so existing command lines still parse)")
 	all.StringVar(&f.Faults, "faults", f.Faults, "inject a deterministic fault script into every job (JSON; see scripts/faults/)")
 	all.Int64Var(&f.Watchdog, "watchdog", f.Watchdog, "forward-progress watchdog window in cycles (0 = default 262144, -1 = disable)")
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -81,7 +80,7 @@ func (a *app) parse(args []string) (err error) {
 
 // submission completes a tool's spec with the shared grid flags.
 func (a *app) submission(spec experiments.Spec) campaign.Submission {
-	spec.Seed, spec.Seeds, spec.SimWorkers = a.Seed, a.Seeds, a.SimWorkers
+	spec.Seed, spec.Seeds = a.Seed, a.Seeds
 	return campaign.Submission{Spec: spec, Faults: a.faults, Watchdog: a.Watchdog}
 }
 
@@ -116,12 +115,6 @@ func (a *app) Run(subs ...campaign.Submission) ([]runner.JobResult, error) {
 		var err error
 		if opt.Cache, err = a.OpenCache(); err != nil {
 			return nil, err
-		}
-		// The runner applies the same cap itself; computing it here too
-		// makes the adjustment visible instead of silent.
-		if eff, capped := runner.EffectiveSimWorkers(a.Workers, a.SimWorkers, runtime.GOMAXPROCS(0)); capped {
-			a.logf("capping -sim-workers %d -> %d per job: %d campaign workers x %d sim workers would oversubscribe GOMAXPROCS=%d",
-				a.SimWorkers, eff, a.Workers, a.SimWorkers, runtime.GOMAXPROCS(0))
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -288,12 +287,6 @@ func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, t
 		w.report(o, workerID, claim.LeaseID, runner.WireResult{Err: err.Error()}, false)
 		return
 	}
-	// One slot hosts one job: cap its engine workers as a campaign of
-	// o.Slots concurrent jobs would be capped locally.
-	if eff, capped := runner.EffectiveSimWorkers(o.Slots, job.SimWorkers, runtime.GOMAXPROCS(0)); capped {
-		job.SimWorkers = eff
-	}
-
 	// The job context ends when the lease dies (reclaimed elsewhere) or
 	// the worker drains; the heartbeat goroutine owns the former.
 	jobCtx, cancel := context.WithCancel(ctx)

@@ -180,9 +180,7 @@ func (n *Node) Disc() core.QDisc { return n.disc }
 func (n *Node) SetDeliverHook(h DeliverHook) { n.onDeliver = h }
 
 // DeliverHook returns the currently registered observer, so harnesses
-// can chain a recorder in front of it. Chaining via this getter (rather
-// than assuming which collector is installed) keeps the hook shard-local
-// under the partitioned engine.
+// can chain a recorder in front of it.
 func (n *Node) DeliverHook() DeliverHook { return n.onDeliver }
 
 // AttachLink wires the node's uplink: tx is the transmit direction

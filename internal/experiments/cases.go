@@ -153,8 +153,8 @@ func Case5(end sim.Cycle) []traffic.Flow {
 }
 
 // BuildConfig1 wires Configuration #1 with the scheme and Case #1.
-func BuildConfig1(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
-	n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin, SimWorkers: o.SimWorkers})
+func BuildConfig1(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
+	n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin})
 	if err != nil {
 		return nil, err
 	}
@@ -163,9 +163,9 @@ func BuildConfig1(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*
 
 // BuildConfig2 wires Configuration #2 with the scheme and the chosen
 // case (2 or 3).
-func BuildConfig2(p core.Params, seed int64, bin, end sim.Cycle, caseNo int, o BuildOpts) (*network.Network, error) {
+func BuildConfig2(p core.Params, seed int64, bin, end sim.Cycle, caseNo int, _ BuildOpts) (*network.Network, error) {
 	f := topo.Config2()
-	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak, SimWorkers: o.SimWorkers})
+	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak})
 	if err != nil {
 		return nil, err
 	}
@@ -180,9 +180,9 @@ func BuildConfig2(p core.Params, seed int64, bin, end sim.Cycle, caseNo int, o B
 }
 
 // BuildConfig3 wires Configuration #3 with the scheme and Case #4.
-func BuildConfig3(p core.Params, seed int64, bin, end sim.Cycle, trees int, o BuildOpts) (*network.Network, error) {
+func BuildConfig3(p core.Params, seed int64, bin, end sim.Cycle, trees int, _ BuildOpts) (*network.Network, error) {
 	f := topo.Config3()
-	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak, SimWorkers: o.SimWorkers})
+	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak})
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +195,9 @@ func BuildConfig3(p core.Params, seed int64, bin, end sim.Cycle, trees int, o Bu
 
 // BuildConfig4 wires Configuration #4 (512-node 8-ary 3-tree) with the
 // scheme and the hotspot+victims scenario.
-func BuildConfig4(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
+func BuildConfig4(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
 	f := topo.Config4()
-	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak, SimWorkers: o.SimWorkers})
+	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak})
 	if err != nil {
 		return nil, err
 	}

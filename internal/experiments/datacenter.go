@@ -73,14 +73,12 @@ func dcLeafSpine() (*topo.LeafSpine, error) {
 // of data-mining-sized flows at 0.05 load per source (0.75 of the sink
 // link in aggregate) onto the 2:1 leaf-spine fabric, arrivals over the
 // first three quarters of the run.
-func BuildLeafIncast(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
+func BuildLeafIncast(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
 	ls, err := dcLeafSpine()
 	if err != nil {
 		return nil, err
 	}
-	n, err := network.Build(ls.Topology, p, network.Options{
-		Seed: seed, BinCycles: bin, TieBreak: ls.DETTieBreak, SimWorkers: o.SimWorkers,
-	})
+	n, err := network.Build(ls.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ls.DETTieBreak})
 	if err != nil {
 		return nil, err
 	}
@@ -94,14 +92,12 @@ func BuildLeafIncast(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts)
 // BuildLeafShuffle wires the xleafshuffle experiment: a staggered
 // all-to-all shuffle of 64 KB blocks on the same fabric, waves spread
 // over the first three quarters of the run.
-func BuildLeafShuffle(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
+func BuildLeafShuffle(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
 	ls, err := dcLeafSpine()
 	if err != nil {
 		return nil, err
 	}
-	n, err := network.Build(ls.Topology, p, network.Options{
-		Seed: seed, BinCycles: bin, TieBreak: ls.DETTieBreak, SimWorkers: o.SimWorkers,
-	})
+	n, err := network.Build(ls.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ls.DETTieBreak})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func mustNarrowCDF(t *testing.T) *traffic.CDF {
 }
 
 // runScaled executes an experiment at a fraction of its registered
-// duration — the same budget trick the partition matrix uses.
+// duration — the same budget trick the golden digests use.
 func runScaled(t *testing.T, expID, scheme string, scale float64, seed int64) (*Result, Experiment) {
 	t.Helper()
 	exp, err := ByID(expID)

@@ -23,13 +23,11 @@ const (
 	ConfigTable
 )
 
-// BuildOpts carries run-shape options threaded from the CLI or a
-// campaign spec into the network build. Everything here is
-// outcome-neutral by construction (a partitioned run is byte-identical
-// to a serial one), so none of it belongs in result cache keys.
+// BuildOpts is the last parameter of every Build function. Nothing reads
+// it: builders take it as _ BuildOpts.
 type BuildOpts struct {
-	// SimWorkers is the partitioned-engine worker count handed to
-	// network.Options.SimWorkers (0 or 1 = the serial engine).
+	// SimWorkers is kept only for bench/, which sets it; the benchmark PR
+	// of ROADMAP.md item 1(b) deletes it.
 	SimWorkers int
 }
 

@@ -40,8 +40,8 @@ func Extras() []Experiment {
 			Duration: ms(6),
 			Bin:      bin,
 			FlowIDs:  []int{1, 2, 5, 6},
-			Build: func(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
-				n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin, SimWorkers: o.SimWorkers})
+			Build: func(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
+				n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin})
 				if err != nil {
 					return nil, err
 				}

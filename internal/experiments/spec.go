@@ -41,10 +41,6 @@ type Spec struct {
 	// LoadCurve expands into synthetic uniform-traffic load points
 	// instead of registered experiments.
 	LoadCurve *LoadCurveSpec `json:"load_curve,omitempty"`
-	// SimWorkers requests the partitioned engine for every cell (0 or 1
-	// = serial). Outcome-neutral — partitioned runs are byte-identical —
-	// so it is deliberately NOT part of the result cache fingerprint.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Label is a free-form display label (sweep point, submitter note).
 	Label string `json:"label,omitempty"`
 }
@@ -67,8 +63,6 @@ type Cell struct {
 	Scheme string
 	Seed   int64
 	Params *core.Params
-	// SimWorkers is the spec's requested engine worker count.
-	SimWorkers int
 	// Source is a one-cell spec that re-expands to exactly this cell.
 	// It is what makes a cell serializable — an Experiment carries a
 	// Build closure that cannot cross a process boundary, but the spec
@@ -173,7 +167,7 @@ func (s Spec) Expand() ([]Cell, error) {
 		for _, scheme := range schemes {
 			for _, seed := range seeds {
 				cells = append(cells, Cell{
-					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params, SimWorkers: s.SimWorkers,
+					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params,
 					Source: Spec{
 						Experiments: []string{e.ID},
 						Schemes:     []string{scheme},
@@ -181,7 +175,6 @@ func (s Spec) Expand() ([]Cell, error) {
 						Seeds:       1,
 						MS:          s.MS,
 						Params:      s.Params,
-						SimWorkers:  s.SimWorkers,
 					},
 				})
 			}
@@ -227,14 +220,13 @@ func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
 			}
 			for _, seed := range seeds {
 				cells = append(cells, Cell{
-					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params, SimWorkers: s.SimWorkers,
+					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params,
 					Source: Spec{
-						Schemes:    []string{scheme},
-						Seed:       seed,
-						Seeds:      1,
-						Params:     s.Params,
-						SimWorkers: s.SimWorkers,
-						LoadCurve:  &LoadCurveSpec{Config: lc.Config, Loads: []float64{load}, MS: lc.MS},
+						Schemes:   []string{scheme},
+						Seed:      seed,
+						Seeds:     1,
+						Params:    s.Params,
+						LoadCurve: &LoadCurveSpec{Config: lc.Config, Loads: []float64{load}, MS: lc.MS},
 					},
 				})
 			}
@@ -291,10 +283,8 @@ func LoadPoint(config int, load float64, end, bin sim.Cycle) (Experiment, error)
 		Kind:     Throughput,
 		Duration: end,
 		Bin:      bin,
-		Build: func(p core.Params, seed int64, bin, end sim.Cycle, o BuildOpts) (*network.Network, error) {
-			n, err := network.Build(ft.Topology, p, network.Options{
-				Seed: seed, BinCycles: bin, TieBreak: ft.DETTieBreak, SimWorkers: o.SimWorkers,
-			})
+		Build: func(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
+			n, err := network.Build(ft.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ft.DETTieBreak})
 			if err != nil {
 				return nil, err
 			}

@@ -185,7 +185,7 @@ func FuzzSpec(f *testing.F) {
 			}
 			a, b := again[0], c
 			if a.Exp.ID != b.Exp.ID || a.Exp.Duration != b.Exp.Duration || a.Exp.Bin != b.Exp.Bin ||
-				a.Scheme != b.Scheme || a.Seed != b.Seed || a.Params != b.Params || a.SimWorkers != b.SimWorkers ||
+				a.Scheme != b.Scheme || a.Seed != b.Seed || a.Params != b.Params ||
 				!reflect.DeepEqual(a.Source, b.Source) {
 				t.Fatalf("cell %d: Source re-expands to %s/%s@%d, not %s/%s@%d", i, a.Exp.ID, a.Scheme, a.Seed, b.Exp.ID, b.Scheme, b.Seed)
 			}

@@ -3,9 +3,8 @@ package experiments
 import "testing"
 
 // Engine.Work — events fired plus ticks dispatched — and the events
-// pending at a fixed cycle are a pure function of the simulation, and the
-// partition coordinator orders shards by Work, so neither may drift
-// silently: a change that moves them re-takes the pin once, deliberately,
+// pending at a fixed cycle are a pure function of the simulation, so
+// neither may drift silently: a change that moves them re-takes the pin once, deliberately,
 // with the old and new figures in CHANGES.md. The split (Counts) is pinned
 // beside the sum: an awake device-cycle is one tick, so a change that
 // moves ticks and no event changed how devices sleep, not what they do.

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/endnode"
 	"repro/internal/link"
@@ -41,17 +40,9 @@ type Stats struct {
 // time through engine events pinned to script cycles; replaying the
 // same seed + script is cycle-exact.
 type Injector struct {
-	eng *sim.Engine
-	rng *rand.Rand
-
-	// Stats are the only injector state touched at run time by the
-	// rng-free fault kinds, which partitioned runs execute on multiple
-	// worker goroutines; the mutex keeps the ledger race-free there.
-	// The counters are all commutative sums, so the final totals do not
-	// depend on arrival order. mu and stats are pointers so WithEngine
-	// views share one ledger.
-	mu    *sync.Mutex
-	stats *Stats
+	eng   *sim.Engine
+	rng   *rand.Rand
+	stats Stats
 }
 
 // NewInjector builds an injector whose random stream is derived from
@@ -63,46 +54,17 @@ func NewInjector(eng *sim.Engine, runSeed, scriptSeed int64) *Injector {
 	x ^= x >> 30
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return &Injector{
-		eng:   eng,
-		rng:   rand.New(rand.NewSource(int64(x))),
-		mu:    new(sync.Mutex),
-		stats: new(Stats),
-	}
-}
-
-// WithEngine returns a view of the injector that schedules on eng —
-// partitioned runs pin each fault event onto the engine of the shard
-// owning its target component so the closure fires on that shard's
-// worker. The view shares the parent's random stream and stats ledger;
-// callers must only route rng-free kinds through shard engines (the
-// network layer rejects the rng-using kinds under partitioning).
-func (in *Injector) WithEngine(eng *sim.Engine) *Injector {
-	if eng == in.eng {
-		return in
-	}
-	return &Injector{eng: eng, rng: in.rng, mu: in.mu, stats: in.stats}
+	return &Injector{eng: eng, rng: rand.New(rand.NewSource(int64(x)))}
 }
 
 // Stats returns what the injector has done so far.
-func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return *in.stats
-}
-
-// bump applies one ledger update under the shared mutex.
-func (in *Injector) bump(f func(*Stats)) {
-	in.mu.Lock()
-	f(in.stats)
-	in.mu.Unlock()
-}
+func (in *Injector) Stats() Stats { return in.stats }
 
 // ScheduleLinkDegrade reduces h's bandwidth to bpc over [at, at+dur).
 // dur 0 degrades for the rest of the run.
 func (in *Injector) ScheduleLinkDegrade(at, dur sim.Cycle, h *link.Half, bpc int) {
 	in.eng.At(at, func() {
-		in.bump(func(s *Stats) { s.Degrades++ })
+		in.stats.Degrades++
 		h.Degrade(bpc)
 	})
 	if dur > 0 {
@@ -116,14 +78,10 @@ func (in *Injector) ScheduleLinkDegrade(at, dur sim.Cycle, h *link.Half, bpc int
 func (in *Injector) ScheduleLinkFlap(at, dur sim.Cycle, h *link.Half, drop bool) {
 	in.eng.At(at, func() {
 		h.SetDown(true)
-		dropped := 0
+		in.stats.Flaps++
 		if drop {
-			dropped = h.DropInFlight()
+			in.stats.Condemned += h.DropInFlight()
 		}
-		in.bump(func(s *Stats) {
-			s.Flaps++
-			s.Condemned += dropped
-		})
 	})
 	if dur > 0 {
 		in.eng.At(at+dur, func() { h.SetDown(false) })
@@ -136,7 +94,7 @@ func (in *Injector) ScheduleSwitchStall(at, dur sim.Cycle, sw *switchfab.Switch)
 		dur = forever
 	}
 	in.eng.At(at, func() {
-		in.bump(func(s *Stats) { s.Stalls++ })
+		in.stats.Stalls++
 		sw.Stall(dur)
 	})
 }
@@ -147,7 +105,7 @@ func (in *Injector) ScheduleNodePause(at, dur sim.Cycle, nd *endnode.Node) {
 		dur = forever
 	}
 	in.eng.At(at, func() {
-		in.bump(func(s *Stats) { s.Pauses++ })
+		in.stats.Pauses++
 		nd.Pause(dur)
 	})
 }
@@ -191,7 +149,7 @@ func (in *Injector) ScheduleCtlNoise(at, dur sim.Cycle, targets []*switchfab.Swi
 			m.Dests = []int{in.rng.Intn(numEndpoints)}
 		}
 		sw.ControlReceiver(p).ReceiveControl(m)
-		in.bump(func(s *Stats) { s.NoiseSent++ })
+		in.stats.NoiseSent++
 		in.eng.At(now+sim.Cycle(period), tick)
 	}
 	in.eng.At(at, tick)
@@ -215,7 +173,7 @@ func (in *Injector) ScheduleCtlTamper(at, dur sim.Cycle, h *link.Half, kind Kind
 			if m.Kind == link.Credit || in.rng.Float64() >= prob {
 				return []link.Control{m}, 0
 			}
-			in.bump(func(s *Stats) { s.Corrupted++ })
+			in.stats.Corrupted++
 			m.CFQ = in.rng.Intn(numCFQs+4) - 2
 			return []link.Control{m}, 0
 		}
@@ -224,7 +182,7 @@ func (in *Injector) ScheduleCtlTamper(at, dur sim.Cycle, h *link.Half, kind Kind
 			if m.Kind == link.Credit || in.rng.Float64() >= prob {
 				return []link.Control{m}, 0
 			}
-			in.bump(func(s *Stats) { s.Duplicated++ })
+			in.stats.Duplicated++
 			return []link.Control{m, m}, 0
 		}
 	case CtlDelay:
@@ -232,7 +190,7 @@ func (in *Injector) ScheduleCtlTamper(at, dur sim.Cycle, h *link.Half, kind Kind
 			if m.Kind == link.Credit || in.rng.Float64() >= prob {
 				return []link.Control{m}, 0
 			}
-			in.bump(func(s *Stats) { s.Delayed++ })
+			in.stats.Delayed++
 			return []link.Control{m}, delay
 		}
 	default:

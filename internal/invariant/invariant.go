@@ -119,39 +119,10 @@ func Attach(eng *sim.Engine, cfg Config) *Checker {
 	if cfg.LeakWindow <= 0 {
 		cfg.LeakWindow = 8192
 	}
-	c := Detached(eng, cfg)
+	c := &Checker{eng: eng, cfg: cfg, stalledSince: -1, drainedSince: -1}
 	c.handle = eng.AddTicker(sim.PhaseDevice, c.tick)
 	return c
 }
-
-// Detached builds a checker that is not registered on any tick list.
-// Partitioned runs use it: a self-pacing per-engine ticker would only
-// see one shard, so instead the window barrier — the one point where
-// every shard is parked and cross-shard state (in-flight ledgers on cut
-// links) is coherent — calls CheckAt on the whole-network checker. eng
-// is the reference clock for Final (all shards share the same cycle at
-// run end).
-func Detached(eng *sim.Engine, cfg Config) *Checker {
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 1024
-	}
-	if cfg.WatchdogWindow == 0 {
-		cfg.WatchdogWindow = 262_144
-	}
-	if cfg.LeakWindow <= 0 {
-		cfg.LeakWindow = 8192
-	}
-	return &Checker{eng: eng, cfg: cfg, stalledSince: -1, drainedSince: -1}
-}
-
-// CheckAt runs one full audit at cycle now. Only detached checkers use
-// it (attached ones pace themselves); the caller is responsible for
-// invoking it at quiescent points, roughly every CheckEvery cycles.
-func (c *Checker) CheckAt(now sim.Cycle) { c.check(now) }
-
-// CheckEvery returns the configured audit interval, for callers pacing
-// a detached checker.
-func (c *Checker) CheckEvery() sim.Cycle { return c.cfg.CheckEvery }
 
 // SetWatchdogWindow adjusts the watchdog at run time (runner jobs can
 // tighten or disable it per job); w < 0 disables.

@@ -117,35 +117,9 @@ type Half struct {
 	// backwards. delay is fixed at build, and Degrade only changes the
 	// serialization of future sends. ctlDests recycles the per-message
 	// copies of Control.Dests (see SendControl).
-	wire     *sim.Pipe[Flight]
+	wire     *sim.Pipe[flight]
 	ctl      *sim.Pipe[Control]
 	ctlDests [][]int
-
-	// remoteWire and remoteCtl, when non-nil, mark this direction as
-	// crossing a partition boundary: the far end lives on a different
-	// shard engine, so Cut rebuilt wire and ctl on that engine and sends
-	// post their records into these two mailboxes, which the window
-	// barrier drains into those pipes (remoteWire first, then remoteCtl
-	// — see Cut). All transmit-side
-	// state above stays owned by the sending shard; the arrival mirror
-	// and ctlReturned are owned by the receiving shard, and the two
-	// sides only meet at barriers (InFlight, RecycleRemote), when both
-	// shards are parked. Fault operations are rejected on cut
-	// directions — see SetDown.
-	remoteWire *sim.Mailbox[Flight]
-	remoteCtl  *sim.Mailbox[Control]
-	// posted points at this direction's flag in the barrier's list of
-	// cut directions: set on posting, so that the barrier visits only
-	// the mailboxes that hold something.
-	posted *bool
-	// remoteArrivedPkts/Bytes count packets landed at the far end of a
-	// cut direction (receiver-owned mirror of the in-flight ledger).
-	remoteArrivedPkts  int
-	remoteArrivedBytes int
-	// ctlReturned holds the Dests copies of control messages delivered
-	// on a cut direction until RecycleRemote hands them back to the
-	// sender's ctlDests.
-	ctlReturned [][]int
 
 	// In-flight accounting: bytes/packets sent but not yet arrived
 	// (the invariant checker's "on the wire" ledger term).
@@ -176,11 +150,9 @@ func NewHalf(eng *sim.Engine, name string, bytesPerCycle int, delay sim.Cycle) *
 	return h
 }
 
-// Flight is one packet on the wire. epoch is the direction's epoch at
-// send time (see Half.epoch). The type is exported only so that the
-// network can hold a cut direction's mailbox of them; its content is
-// the link's own business.
-type Flight struct {
+// flight is one packet on the wire. epoch is the direction's epoch at
+// send time (see Half.epoch).
+type flight struct {
 	p     *pkt.Packet
 	cfq   int
 	epoch uint32
@@ -191,36 +163,6 @@ func (h *Half) SetReceivers(p PacketReceiver, c ControlReceiver) {
 	h.pktRx = p
 	h.ctlRx = c
 }
-
-// Cut marks the direction as crossing a partition boundary whose far
-// end runs on dst: arrivals are delivered by pipes on dst, fed through
-// the two returned mailboxes instead of straight from Send and
-// SendControl. Every post sets *posted; between windows the barrier
-// must, for each direction whose flag is set, clear it, drain wire,
-// then ctl, then call RecycleRemote. Draining wire first reproduces post order
-// for arrivals due in the same cycle: a packet takes at least one cycle
-// of serialization on top of the propagation delay a control message
-// takes alone, so the packet was always posted first. Wiring-time only.
-func (h *Half) Cut(dst *sim.Engine, capHint int, posted *bool) (wire *sim.Mailbox[Flight], ctl *sim.Mailbox[Control]) {
-	h.posted = posted
-	h.wire = sim.NewPipe(dst, h.arriveRemote)
-	h.ctl = sim.NewPipe(dst, h.deliverRemoteControl)
-	h.remoteWire = sim.NewMailbox(h.wire, capHint)
-	h.remoteCtl = sim.NewMailbox(h.ctl, capHint)
-	return h.remoteWire, h.remoteCtl
-}
-
-// markPosted tells the barrier this direction's mailboxes hold
-// something. The flags of all cut directions sit side by side and
-// other shards set theirs, so the store is skipped when already set.
-func (h *Half) markPosted() {
-	if !*h.posted {
-		*h.posted = true
-	}
-}
-
-// Remote reports whether the direction crosses a shard boundary.
-func (h *Half) Remote() bool { return h.remoteWire != nil }
 
 // BytesPerCycle returns the direction's bandwidth.
 func (h *Half) BytesPerCycle() int { return h.bpc }
@@ -259,18 +201,9 @@ func (h *Half) Send(now sim.Cycle, p *pkt.Packet, cfq int) sim.Cycle {
 	h.busyCycles += tx
 	h.sentPkts++
 	h.sentBytes += p.Size
-	arrive := h.busyUntil + h.delay
-	if h.Remote() {
-		// Cut direction: the in-flight ledger is sent − arrived (two
-		// single-writer counters, one per shard) instead of the local
-		// inFlight counters, which would need both shards to write.
-		h.remoteWire.Post(arrive, Flight{p: p, cfq: cfq})
-		h.markPosted()
-		return h.busyUntil
-	}
 	h.inFlightPkts++
 	h.inFlightBytes += p.Size
-	h.wire.At(arrive, Flight{p: p, cfq: cfq, epoch: h.epoch})
+	h.wire.At(h.busyUntil+h.delay, flight{p: p, cfq: cfq, epoch: h.epoch})
 	return h.busyUntil
 }
 
@@ -278,7 +211,7 @@ func (h *Half) Send(now sim.Cycle, p *pkt.Packet, cfq int) sim.Cycle {
 // DropInFlight between send and arrival invalidated its epoch, in which
 // case the packet is counted dropped and handed to the drop handler
 // (which owns returning the sender's credit and releasing the packet).
-func (h *Half) arrive(f Flight) {
+func (h *Half) arrive(f flight) {
 	p := f.p
 	h.inFlightPkts--
 	h.inFlightBytes -= p.Size
@@ -293,34 +226,12 @@ func (h *Half) arrive(f Flight) {
 	h.pktRx.ReceivePacket(p, f.cfq)
 }
 
-// arriveRemote lands a packet that crossed a shard boundary. It runs on
-// the receiving shard's engine, so it only touches the receiver-owned
-// arrival mirror — never the transmit-side counters. Cut directions
-// reject fault operations, so there is no epoch to check.
-func (h *Half) arriveRemote(f Flight) {
-	h.remoteArrivedPkts++
-	h.remoteArrivedBytes += f.p.Size
-	h.pktRx.ReceivePacket(f.p, f.cfq)
-}
-
 // SetDown fails (true) or restores (false) the direction. While down,
 // Free reports false so no new packet starts; packets already on the
 // wire still arrive unless DropInFlight is also called (the scripted
 // flap policy chooses preserve vs. drop). Control messages keep
 // flowing — see the field comment on down.
-func (h *Half) SetDown(down bool) { h.rejectFaultIfCut("SetDown"); h.down = down }
-
-// rejectFaultIfCut panics when a fault operation targets a cut
-// direction: fault state (down, epoch, bandwidth, tamper) is read on
-// the send path by the owning shard, and arrival-side drop handling
-// refunds sender-side credit — both would race across the boundary.
-// network.InjectFaults validates scripts up front and returns an error;
-// this panic is the backstop for direct API misuse.
-func (h *Half) rejectFaultIfCut(op string) {
-	if h.Remote() {
-		panic(fmt.Sprintf("link %s: %s on a partition-cut direction (fault injection is not supported on cut links)", h.name, op))
-	}
-}
+func (h *Half) SetDown(down bool) { h.down = down }
 
 // Down reports whether the direction is currently failed.
 func (h *Half) Down() bool { return h.down }
@@ -330,7 +241,6 @@ func (h *Half) Down() bool { return h.down }
 // handler at its would-be arrival cycle (so ledger accounting stays
 // cycle-accurate).
 func (h *Half) DropInFlight() int {
-	h.rejectFaultIfCut("DropInFlight")
 	h.epoch++
 	return h.inFlightPkts
 }
@@ -344,7 +254,6 @@ func (h *Half) SetDropHandler(fn func(p *pkt.Packet)) { h.onDrop = fn }
 // lane / lowered width). In-progress serialization keeps its original
 // timing; only future sends see the degraded rate.
 func (h *Half) Degrade(bytesPerCycle int) {
-	h.rejectFaultIfCut("Degrade")
 	if bytesPerCycle <= 0 {
 		panic("link: degraded bandwidth must be positive")
 	}
@@ -359,23 +268,10 @@ func (h *Half) NominalBPC() int { return h.nominalBPC }
 
 // SetControlTamper installs (or, with nil, removes) a control-channel
 // fault. While installed every SendControl passes through fn.
-func (h *Half) SetControlTamper(fn TamperFunc) {
-	if fn != nil {
-		h.rejectFaultIfCut("SetControlTamper")
-	}
-	h.tamper = fn
-}
+func (h *Half) SetControlTamper(fn TamperFunc) { h.tamper = fn }
 
-// InFlight returns the packets and bytes currently on the wire. On a
-// cut direction this combines the sender's sent counters with the
-// receiver's arrival mirror, so it is only coherent at window barriers
-// (which is when the invariant checker reads it).
-func (h *Half) InFlight() (pkts, bytes int) {
-	if h.Remote() {
-		return h.sentPkts - h.remoteArrivedPkts, h.sentBytes - h.remoteArrivedBytes
-	}
-	return h.inFlightPkts, h.inFlightBytes
-}
+// InFlight returns the packets and bytes currently on the wire.
+func (h *Half) InFlight() (pkts, bytes int) { return h.inFlightPkts, h.inFlightBytes }
 
 // Dropped returns the packets and bytes condemned by DropInFlight.
 func (h *Half) Dropped() (pkts, bytes int) { return h.droppedPkts, h.droppedBytes }
@@ -408,15 +304,9 @@ func (h *Half) SendControl(now sim.Cycle, m Control) {
 			}
 			m.Dests = append(buf, m.Dests...)
 		}
-		if h.Remote() {
-			h.remoteCtl.Post(now+h.delay, m)
-			h.markPosted()
-		} else {
-			h.ctl.At(now+h.delay, m)
-		}
+		h.ctl.At(now+h.delay, m)
 		return
 	}
-	// Tampered direction (never a cut one: SetControlTamper rejects it).
 	m.Dests = append([]int(nil), m.Dests...)
 	rx := h.ctlRx
 	out, extra := h.tamper(m)
@@ -433,23 +323,4 @@ func (h *Half) deliverControl(m Control) {
 	if m.Dests != nil {
 		h.ctlDests = append(h.ctlDests, m.Dests[:0])
 	}
-}
-
-// deliverRemoteControl is deliverControl on a cut direction. It runs on
-// the receiving shard, which must not touch the sender's ctlDests, so
-// the Dests copy waits in ctlReturned for the next barrier.
-func (h *Half) deliverRemoteControl(m Control) {
-	h.ctlRx.ReceiveControl(m)
-	if m.Dests != nil {
-		h.ctlReturned = append(h.ctlReturned, m.Dests[:0])
-	}
-}
-
-// RecycleRemote gives the Dests copies delivered on a cut direction
-// back to the sending side. Only the window barrier may call it, with
-// both shards parked.
-func (h *Half) RecycleRemote() {
-	h.ctlDests = append(h.ctlDests, h.ctlReturned...)
-	clear(h.ctlReturned)
-	h.ctlReturned = h.ctlReturned[:0]
 }

@@ -33,18 +33,10 @@ func Determinism() *Analyzer {
 
 func runDeterminism(pass *Pass) {
 	info := pass.Pkg.Info
-	for i, f := range pass.Pkg.Files {
-		// Bridge files (the shard coordinator) keep every determinism
-		// check except the go-statement ban: the targeted partition-safety
-		// rule owns goroutine discipline there instead of a blanket
-		// file-ignore.
-		bridge := fileScope(pass.Module, pass.Pkg.Path, pass.Pkg.Filenames[i]) == ScopeBridge
+	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if bridge {
-					return true
-				}
 				pass.Report(n.Pos(),
 					"go statement in simulation package: the engine is single-goroutine by design; scheduling on the Go runtime is not replayable",
 					"move concurrency to internal/runner (job level) or schedule work with Engine.At")

@@ -119,12 +119,6 @@ func TestGoldenPhaseDiscipline(t *testing.T)    { testGolden(t, "phaseviol") }
 func TestGoldenPoolHygiene(t *testing.T)        { testGolden(t, "poolviol") }
 func TestGoldenUncheckedErr(t *testing.T)       { testGolden(t, "errviol") }
 
-// partition-safety has two seeded packages, one per contract: mailbox
-// order over the real sim.Mailbox, shard escape in a declared bridge
-// file.
-func TestGoldenMailboxOrder(t *testing.T) { testGolden(t, "mailviol") }
-func TestGoldenShardEscape(t *testing.T)  { testGolden(t, "shardviol") }
-
 func testGolden(t *testing.T, name string) {
 	diags, file := runTestdata(t, name)
 	checkGolden(t, diags, file, parseWants(t, name))

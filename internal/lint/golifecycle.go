@@ -59,7 +59,7 @@ func runGoroutineLifecycle(pass *Pass) {
 					"wrap the call in a closure that signals a WaitGroup or done-channel owned by this package")
 				return true
 			}
-			if hasJoinEvidence(info, body, sig, true) {
+			if hasJoinEvidence(info, body, sig) {
 				return true
 			}
 			pass.Report(gs.Pos(),
@@ -104,67 +104,52 @@ func goStmtBody(pkg *Package, bodies map[*types.Func]*ast.BlockStmt, call *ast.C
 	return nil, "a function value"
 }
 
-func newJoinSignals() joinSignals {
-	return joinSignals{
+// collectJoinSignals gathers the package-wide join evidence — the
+// Wait/receive/close sites — from every file (goroutine bodies included:
+// a pipeline stage may legitimately be joined by the next stage's
+// goroutine).
+func collectJoinSignals(info *types.Info, files []*ast.File) joinSignals {
+	sig := joinSignals{
 		waited:   map[types.Object]bool{},
 		received: map[types.Object]bool{},
 		closed:   map[types.Object]bool{},
 	}
-}
-
-// collectJoinSignals gathers the package-wide join evidence from every
-// file (goroutine bodies included: a pipeline stage may legitimately
-// be joined by the next stage's goroutine).
-func collectJoinSignals(info *types.Info, files []*ast.File) joinSignals {
-	sig := newJoinSignals()
 	for _, f := range files {
-		gatherJoinSignals(info, f, nil, sig)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if obj := closedChan(info, n); obj != nil {
+					sig.closed[obj] = true
+				}
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
+					sel.Sel.Name == "Wait" && syncKindOf(info.TypeOf(sel.X)) == syncWaitGroup {
+					if obj := refObj(info, sel.X); obj != nil {
+						sig.waited[obj] = true
+					}
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					if obj := refObj(info, n.X); obj != nil {
+						sig.received[obj] = true
+					}
+				}
+			case *ast.RangeStmt:
+				if syncKindOf(info.TypeOf(n.X)) == syncChan {
+					if obj := refObj(info, n.X); obj != nil {
+						sig.received[obj] = true
+					}
+				}
+			}
+			return true
+		})
 	}
 	return sig
 }
 
-// gatherJoinSignals adds the Wait/receive/close sites under root to
-// sig, skipping the subtree rooted at skip (the partition-safety rule uses
-// this to exclude a goroutine's own body when asking what its spawning
-// function joins).
-func gatherJoinSignals(info *types.Info, root ast.Node, skip ast.Node, sig joinSignals) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if skip != nil && n == skip {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if obj := closedChan(info, n); obj != nil {
-				sig.closed[obj] = true
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == "Wait" && syncKindOf(info.TypeOf(sel.X)) == syncWaitGroup {
-				if obj := refObj(info, sel.X); obj != nil {
-					sig.waited[obj] = true
-				}
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				if obj := refObj(info, n.X); obj != nil {
-					sig.received[obj] = true
-				}
-			}
-		case *ast.RangeStmt:
-			if syncKindOf(info.TypeOf(n.X)) == syncChan {
-				if obj := refObj(info, n.X); obj != nil {
-					sig.received[obj] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
 // hasJoinEvidence reports whether a goroutine body pairs with any join
-// signal in sig. allowCtx additionally accepts a <-ctx.Done() receive
-// (cancellation-scoped lifetime); the partition-safety rule turns that off
-// because a bridge-file worker must not outlive its spawning call.
-func hasJoinEvidence(info *types.Info, body *ast.BlockStmt, sig joinSignals, allowCtx bool) bool {
+// signal in sig, or exits on a <-ctx.Done() receive (cancellation-scoped
+// lifetime).
+func hasJoinEvidence(info *types.Info, body *ast.BlockStmt, sig joinSignals) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -191,7 +176,7 @@ func hasJoinEvidence(info *types.Info, body *ast.BlockStmt, sig joinSignals, all
 		case *ast.UnaryExpr:
 			// <-ctx.Done(): the goroutine exits on cancellation.
 			if n.Op == token.ARROW {
-				if allowCtx && isCtxDone(info, n.X) {
+				if isCtxDone(info, n.X) {
 					found = true
 				}
 				// <-ch where the package closes ch: a consumer loop that

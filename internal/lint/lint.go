@@ -97,7 +97,6 @@ func All() []*Analyzer {
 		GuardedField(),
 		HotpathAlloc(),
 		LockOrder(),
-		PartitionSafety(),
 		PhaseDiscipline(),
 		PoolHygiene(),
 		UncheckedErr(),

@@ -130,8 +130,8 @@ func effectiveHeld(mu types.Object, held, killed, entry heldSet) bool {
 // syncKind classifies a type as synchronization or signalling plumbing:
 // the one table behind "is this a mutex" (lock tracking), "is this
 // lock-protected data" (guarded-field inference: anything but notSync
-// carries its own safety), "may a shard worker capture it"
-// (partition-safety) and "is this a join signal" (goroutine-lifecycle).
+// carries its own safety) and "is this a join signal"
+// (goroutine-lifecycle).
 type syncKind int
 
 const (
@@ -140,8 +140,7 @@ const (
 	syncWaitGroup          // sync.WaitGroup
 	syncChan               // any channel
 	syncContext            // context.Context
-	syncAtomic             // every type of sync/atomic: Int32, Bool, Pointer[T], Value, ...
-	syncOther              // the rest of sync and context (Once, Cond, Pool, CancelFunc, ...)
+	syncOther              // the rest of sync and context, and all of sync/atomic (Once, Cond, CancelFunc, Int32, ...)
 )
 
 // syncKindOf classifies t, looking through pointers. A nil type (an
@@ -171,9 +170,7 @@ func syncKindOf(t types.Type) syncKind {
 		return syncWaitGroup
 	case path == "context" && name == "Context":
 		return syncContext
-	case path == "sync/atomic":
-		return syncAtomic
-	case path == "sync" || path == "context":
+	case path == "sync" || path == "sync/atomic" || path == "context":
 		return syncOther
 	}
 	return notSync

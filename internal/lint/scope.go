@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"path"
-	"path/filepath"
-	"strings"
-)
+import "strings"
 
 // Package scoping: every internal/ package is explicitly classified as
 // either simulation code (single-goroutine deterministic engine — the
@@ -27,13 +23,6 @@ const (
 	// scope-independent rules (unchecked-err, and the concurrency
 	// family) apply.
 	ScopeService
-	// ScopeBridge marks individual FILES inside a simulation package
-	// that legitimately host goroutines to coordinate shards (the
-	// parallel engine). Bridge files keep every determinism rule except
-	// the blanket go-statement ban; in its place the shard-escape half
-	// of the partition-safety rule applies, so cross-shard traffic is
-	// constrained rather than exempted.
-	ScopeBridge
 )
 
 // simScope declares the simulation packages, keyed by top-level
@@ -71,18 +60,6 @@ var serviceScope = map[string]string{
 	"prof":     "pprof plumbing, never inside a simulated cycle",
 	"runner":   "parallel campaign orchestration: goroutines + wall-clock by design",
 	"testutil": "test helpers",
-}
-
-// bridgeScope declares the bridge files, keyed by
-// "<top-level dir under internal/>/<file basename>". The value
-// documents why the file may spawn goroutines inside a simulation
-// package. Per-file, not per-package: everything else in the package
-// stays under the full determinism rule set, so a new goroutine cannot
-// ride in on the parallel engine's exemption by landing in a sibling
-// file.
-var bridgeScope = map[string]string{
-	"sim/parallel.go":        "shard coordinator: per-shard workers synchronized at the cycle barrier; partition-safety replaces the go-statement ban",
-	"shardviol/shardviol.go": "seeded-violation testdata for the shard-escape half of partition-safety",
 }
 
 // testdataScope reclassifies testdata packages whose rule under test
@@ -134,33 +111,6 @@ func isInternal(m *Module, path string) bool {
 // simPkgScope is the Applies predicate shared by the determinism
 // family of rules.
 func simPkgScope(m *Module, pkg *Package) bool { return isSimPackage(m, pkg.Path) }
-
-// fileScope classifies one file: a declared bridge file is
-// ScopeBridge; every other file inherits its package's class.
-func fileScope(m *Module, pkgPath, filename string) ScopeClass {
-	if isBridgeFile(m, pkgPath, filename) {
-		return ScopeBridge
-	}
-	class, _ := scopeOf(m, pkgPath)
-	return class
-}
-
-// isBridgeFile reports whether filename (within the package at
-// pkgPath) is declared in bridgeScope. Matching is by import-path top
-// directory plus file basename, so a testdata package loaded under a
-// synthetic internal/ path classifies exactly like a real one.
-func isBridgeFile(m *Module, pkgPath, filename string) bool {
-	rest, ok := strings.CutPrefix(pkgPath, m.Name+"/internal/")
-	if !ok {
-		return false
-	}
-	top := rest
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		top = rest[:i]
-	}
-	_, ok = bridgeScope[top+"/"+path.Base(filepath.ToSlash(filename))]
-	return ok
-}
 
 // Unclassified returns the internal/ package paths in pkgs that appear
 // in neither scope table, sorted. A non-empty result means someone

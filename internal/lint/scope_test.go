@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -27,17 +28,8 @@ func TestScopeComplete(t *testing.T) {
 	for name := range serviceScope {
 		assertDirExists(t, name)
 	}
-	// Bridge files and testdata reclassifications must point at files
-	// that still exist — a stale entry would silently widen an exemption.
-	for key := range bridgeScope {
-		if _, err := os.Stat(filepath.Join("..", filepath.FromSlash(key))); err == nil {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join("testdata", "src", filepath.FromSlash(key))); err == nil {
-			continue
-		}
-		t.Errorf("bridgeScope names %q but no such file exists under internal/ or testdata/src/", key)
-	}
+	// Testdata reclassifications must point at packages that still exist
+	// — a stale entry would silently widen an exemption.
 	for name := range testdataScope {
 		if _, err := os.Stat(filepath.Join("testdata", "src", name)); err != nil {
 			t.Errorf("testdataScope names %q but the testdata package is missing: %v", name, err)
@@ -143,34 +135,37 @@ func TestSimScopeApplies(t *testing.T) {
 	}
 }
 
-// TestBridgeFileScope pins the per-file bridge classification: exactly
-// the declared parallel-engine file is ScopeBridge, while its sibling
-// files in the same package keep plain simulation scope. A bridge
-// exemption must never leak from one file to the rest of its package.
+// TestBridgeFileScope pins that there is no per-file exemption any more:
+// a file of a simulation package — here one named after the old bridge
+// file, sim/parallel.go — that spawns a goroutine is a determinism
+// finding like any other.
 func TestBridgeFileScope(t *testing.T) {
 	m := testModule(t)
-	simPath := m.Name + "/internal/sim"
-	if got := fileScope(m, simPath, filepath.Join(m.Root, "internal", "sim", "parallel.go")); got != ScopeBridge {
-		t.Errorf("fileScope(sim/parallel.go) = %v, want ScopeBridge", got)
+	dir := t.TempDir()
+	src := "package bridge\n\nfunc Spawn(done chan struct{}) {\n\tgo func() { close(done) }()\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "parallel.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := fileScope(m, simPath, filepath.Join(m.Root, "internal", "sim", "sim.go")); got != ScopeSim {
-		t.Errorf("fileScope(sim/sim.go) = %v, want ScopeSim", got)
+	pkg, err := m.LoadDir(dir, m.Name+"/internal/sim/bridge")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Basename matching must not promote a parallel.go in a different
-	// package: the key is top-dir qualified.
-	if got := fileScope(m, m.Name+"/internal/cam", "parallel.go"); got != ScopeSim {
-		t.Errorf("fileScope(cam/parallel.go) = %v, want ScopeSim (bridge keys are package-qualified)", got)
+	if !isSimPackage(m, pkg.Path) {
+		t.Fatalf("%s does not classify as simulation code", pkg.Path)
 	}
-	if fileScope(m, "other/module/pkg", "parallel.go") != ScopeService {
-		t.Error("fileScope outside internal/ must fall back to the package class")
+	as, err := ByName([]string{"determinism"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run(m, []*Package{pkg}, as)
+	if len(diags) != 1 || diags[0].Line != 4 || !strings.Contains(diags[0].Message, "go statement") {
+		t.Fatalf("want one go-statement finding on parallel.go:4, got %v", diags)
 	}
 }
 
 // TestConcurrencyRuleApplies pins the Applies scoping of the
 // concurrency family: guarded-field and lock-order run on every
-// internal package, goroutine-lifecycle only outside simulation scope,
-// and partition-safety on every simulation package (its mailbox-order
-// half is not confined to bridge files) but on no service package.
+// internal package, goroutine-lifecycle only outside simulation scope.
 func TestConcurrencyRuleApplies(t *testing.T) {
 	m := testModule(t)
 	pkgByPath := make(map[string]*Package)
@@ -205,15 +200,9 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 	if !applies("goroutine-lifecycle", dispatch) {
 		t.Error("goroutine-lifecycle must apply to internal/dispatch")
 	}
-	if !applies("partition-safety", sim) || !applies("partition-safety", cam) {
-		t.Error("partition-safety must apply to every simulation package: a Mailbox can be drained from any of them")
-	}
-	if applies("partition-safety", dispatch) {
-		t.Error("partition-safety must not apply to service packages")
-	}
 	for _, gone := range []string{"mailbox-order", "shard-escape"} {
 		if _, err := ByName([]string{gone}); err == nil {
-			t.Errorf("rule %s merged into partition-safety and must be unknown", gone)
+			t.Errorf("rule %s is retired and must be unknown", gone)
 		}
 	}
 }

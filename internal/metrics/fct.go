@@ -4,11 +4,6 @@
 // hot path accumulates per-flow delivered bytes and stamps the finish
 // cycle when the last byte lands. FCTStats then reports slowdown
 // (measured FCT / ideal FCT) percentiles by flow-size bucket.
-//
-// Registration happens only on the collector of the shard owning the
-// flow's destination endpoint — every delivery of a flow lands there —
-// so Collector.Merge unions disjoint record sets and a merged
-// partitioned run reproduces the serial collector exactly.
 package metrics
 
 import (
@@ -59,41 +54,6 @@ func (c *Collector) observeFCT(flow int, size int, now sim.Cycle) {
 	if r.delivered >= r.size {
 		r.done = true
 		r.finish = now
-	}
-}
-
-// mergeFCT unions other's records into c. Record sets from a
-// partitioned run are disjoint (a flow registers only on its
-// destination's shard), but the merge is written to be commutative and
-// exact for any split: delivered bytes sum, completion takes the
-// earliest finish, and metadata must agree.
-func (c *Collector) mergeFCT(other *Collector) {
-	if other.fct == nil {
-		return
-	}
-	if c.fct == nil {
-		c.fct = make(map[int]*fctRec)
-	}
-	ids := make([]int, 0, len(other.fct))
-	for id := range other.fct {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		o := other.fct[id]
-		r, ok := c.fct[id]
-		if !ok {
-			cp := *o
-			c.fct[id] = &cp
-			continue
-		}
-		if r.size != o.size || r.start != o.start || r.ideal != o.ideal {
-			panic(fmt.Sprintf("metrics: merging flow %d with conflicting registration", id))
-		}
-		r.delivered += o.delivered
-		if o.done && (!r.done || o.finish < r.finish) {
-			r.done, r.finish = true, o.finish
-		}
 	}
 }
 

@@ -110,68 +110,6 @@ func TestFCTPercentilesExact(t *testing.T) {
 	}
 }
 
-// TestFCTMergeExact pins the shard-merge identity: splitting the same
-// delivery stream across two collectors (by destination, as the
-// partitioned engine does) and merging must reproduce the serial
-// collector's stats field for field.
-func TestFCTMergeExact(t *testing.T) {
-	type ev struct {
-		flow, size int
-		now        sim.Cycle
-	}
-	regs := []struct {
-		flow  int
-		size  int64
-		start sim.Cycle
-		ideal sim.Cycle
-	}{
-		{0, 4096, 0, 64}, {1, 2048, 10, 32}, {2, 500_000, 0, 7_900}, {3, 1000, 5, 20},
-	}
-	evs := []ev{
-		{0, 2048, 100}, {1, 2048, 90}, {2, 2048, 50}, {0, 2048, 130},
-		{3, 1000, 40}, {2, 2048, 70}, // flow 2 stays incomplete
-	}
-	serial := New(100, 4, 64)
-	shards := []*Collector{New(100, 4, 64), New(100, 4, 64)}
-	shardOf := func(flow int) int { return flow % 2 }
-	for _, r := range regs {
-		serial.RegisterFlow(r.flow, r.size, r.start, r.ideal)
-		shards[shardOf(r.flow)].RegisterFlow(r.flow, r.size, r.start, r.ideal)
-	}
-	for _, e := range evs {
-		deliver(serial, e.flow, e.size, e.now)
-		deliver(shards[shardOf(e.flow)], e.flow, e.size, e.now)
-	}
-	merged := New(100, 4, 64)
-	merged.Merge(shards[0])
-	merged.Merge(shards[1])
-	a, b := serial.FCTStats(), merged.FCTStats()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("merged FCT stats differ from serial:\n%+v\nvs\n%+v", a, b)
-	}
-	if a.Completed != 3 || a.Incomplete != 1 {
-		t.Fatalf("scenario drifted: %+v", a)
-	}
-	// Merging must deep-copy: mutating a shard afterwards may not move
-	// the merged view.
-	deliver(shards[0], 2, 2048, 200)
-	if c := merged.FCTStats().Completed; c != 3 {
-		t.Fatalf("merged view aliased shard state (completed %d)", c)
-	}
-}
-
-func TestFCTMergeConflictPanics(t *testing.T) {
-	a, b := New(100, 4, 64), New(100, 4, 64)
-	a.RegisterFlow(1, 1000, 0, 10)
-	b.RegisterFlow(1, 2000, 0, 10) // same id, different size
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting registration merged silently")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestFCTRegisterTwicePanics(t *testing.T) {
 	c := New(100, 4, 64)
 	c.RegisterFlow(1, 1000, 0, 10)

@@ -83,24 +83,6 @@ func (h *Histogram) Percentile(p float64) sim.Cycle {
 	return h.max
 }
 
-// Merge folds other's samples into h (elementwise bucket sums plus
-// min/max — exact, see Collector.Merge).
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // PercentileNS returns Percentile in nanoseconds.
 func (h *Histogram) PercentileNS(p float64) float64 {
 	return sim.NSFromCycles(h.Percentile(p))

@@ -178,47 +178,6 @@ func (c *Collector) MeanFlowBandwidth(flow, fromBin, toBin int) float64 {
 	return sum / float64(toBin-fromBin)
 }
 
-// Merge folds other's counts into c. Every statistic is an integer sum,
-// an elementwise bin sum, or a max, so merging per-shard collectors
-// from a partitioned run reproduces the serial collector exactly —
-// byte-identical digests, not approximately-equal ones. The collectors
-// must share bin width and normalisation parameters.
-func (c *Collector) Merge(other *Collector) {
-	if other == nil {
-		return
-	}
-	if c.binCycles != other.binCycles || c.numEndpoints != other.numEndpoints || c.linkBPC != other.linkBPC {
-		panic(fmt.Sprintf("metrics: merging incompatible collectors (bin %d/%d, endpoints %d/%d, bpc %d/%d)",
-			c.binCycles, other.binCycles, c.numEndpoints, other.numEndpoints, c.linkBPC, other.linkBPC))
-	}
-	c.InjectedPkts += other.InjectedPkts
-	c.InjectedBytes += other.InjectedBytes
-	c.DeliveredPkts += other.DeliveredPkts
-	c.DeliveredBytes += other.DeliveredBytes
-	c.totalBins = mergeBins(c.totalBins, other.totalBins)
-	for id, bins := range other.flowBins {
-		c.flowBins[id] = mergeBins(c.flowBins[id], bins)
-	}
-	c.latencySum += other.latencySum
-	c.latencyCount += other.latencyCount
-	if other.latencyMax > c.latencyMax {
-		c.latencyMax = other.latencyMax
-	}
-	c.latencyHist.Merge(other.latencyHist)
-	c.mergeFCT(other)
-}
-
-func mergeBins(dst, src []int64) []int64 {
-	if len(src) == 0 {
-		return dst
-	}
-	dst = grow(dst, len(src)-1)
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
-}
-
 // JainIndex computes Jain's fairness index over a set of values:
 // (sum x)^2 / (n * sum x^2); 1.0 is perfectly fair.
 func JainIndex(xs []float64) float64 {

@@ -33,39 +33,20 @@ func (n *Network) InjectFaults(s *fault.Script) (*fault.Injector, error) {
 			if h == nil {
 				return nil, fmt.Errorf("network: event %d (%s): no link %s", i, e.Kind, e.Link)
 			}
-			if n.part != nil && h.Remote() {
-				return nil, fmt.Errorf("network: event %d (%s): link %s is a partition cut link; fault injection on cut links is not supported under partitioned execution",
-					i, e.Kind, e.Link)
-			}
 			switch e.Kind {
 			case fault.LinkDegrade:
 				if e.Params.BytesPerCycle > h.NominalBPC() {
 					return nil, fmt.Errorf("network: event %d: degraded bandwidth %d exceeds nominal %d",
 						i, e.Params.BytesPerCycle, h.NominalBPC())
 				}
-				in.WithEngine(n.engineFor(e.Link.From)).ScheduleLinkDegrade(at, dur, h, e.Params.BytesPerCycle)
+				in.ScheduleLinkDegrade(at, dur, h, e.Params.BytesPerCycle)
 			case fault.LinkFlap:
-				in.WithEngine(n.engineFor(e.Link.From)).ScheduleLinkFlap(at, dur, h, e.Params.Drop)
+				in.ScheduleLinkFlap(at, dur, h, e.Params.Drop)
 			default:
-				// The tamper closures draw from the injector's single random
-				// stream at message time; under partitioning that stream would
-				// be shared across worker goroutines and the draw order would
-				// depend on scheduling.
-				if n.part != nil {
-					return nil, fmt.Errorf("network: event %d (%s): control tampering is not supported under partitioned execution (run with one sim worker)",
-						i, e.Kind)
-				}
 				in.ScheduleCtlTamper(at, dur, h, e.Kind, e.Params.Prob,
 					sim.Cycle(e.Params.Delay), n.Params.NumCFQs)
 			}
 		case fault.CtlNoise:
-			// Noise draws targets, ports and payloads from the injector's
-			// random stream at tick time — same cross-shard ordering problem
-			// as tampering, so it is serial-only.
-			if n.part != nil {
-				return nil, fmt.Errorf("network: event %d (%s): control noise is not supported under partitioned execution (run with one sim worker)",
-					i, e.Kind)
-			}
 			targets := n.Switches
 			port := -1
 			if e.Switch != nil {
@@ -90,27 +71,17 @@ func (n *Network) InjectFaults(s *fault.Script) (*fault.Injector, error) {
 			if sw == nil {
 				return nil, fmt.Errorf("network: event %d (%s): no switch with device id %d", i, e.Kind, *e.Switch)
 			}
-			in.WithEngine(n.engineFor(*e.Switch)).ScheduleSwitchStall(at, dur, sw)
+			in.ScheduleSwitchStall(at, dur, sw)
 		case fault.NodePause:
 			nd := n.nodeByRef(*e.Node)
 			if nd == nil {
 				return nil, fmt.Errorf("network: event %d (%s): no endpoint %d", i, e.Kind, *e.Node)
 			}
-			in.WithEngine(n.engineFor(n.Topo.EndpointDevice(*e.Node))).ScheduleNodePause(at, dur, nd)
+			in.ScheduleNodePause(at, dur, nd)
 		}
 	}
 	n.injector = in
 	return in, nil
-}
-
-// engineFor returns the engine that owns dev's shard (the lone engine
-// for serial runs). Link faults route through the sender device: the
-// from→to half lives on the sender's shard.
-func (n *Network) engineFor(dev int) *sim.Engine {
-	if n.part == nil {
-		return n.Eng
-	}
-	return n.engines[n.shardOfDevice(dev)]
 }
 
 // FaultInjector returns the injector installed by InjectFaults (nil

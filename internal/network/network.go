@@ -44,13 +44,6 @@ type Options struct {
 	// OnViolation consumes invariant violations (nil panics with the
 	// *invariant.Violation, which the runner recovers per job).
 	OnViolation func(*invariant.Violation)
-	// SimWorkers runs the simulation on this many worker goroutines: the
-	// device graph is cut into shard engines (several per worker, see
-	// MakePartition) that advance in lockstep windows with deterministic
-	// barriers (DESIGN.md §9). Results are byte-identical to the serial
-	// engine. <= 1 (the default) builds the unchanged single-engine
-	// network; values above the switch count are capped.
-	SimWorkers int
 }
 
 // Network is a fully wired simulation instance.
@@ -66,10 +59,9 @@ type Network struct {
 	Checker   *invariant.Checker // nil when Options.DisableInvariants
 
 	ids     pkt.IDGen
-	pool    pkt.Pool // shard 0's packet free-list (the only one when serial)
+	pool    pkt.Pool // packet free-list shared by sources, nodes and links
 	byDev   map[int]*switchfab.Switch
 	linkBPC []int // injection bandwidth per endpoint
-	minBPC  int   // slowest endpoint link (collector normalisation)
 
 	// halves is dense, indexed by stable half id assigned in wiring
 	// order: link li's A->B direction is halves[2*li], B->A is
@@ -77,26 +69,6 @@ type Network struct {
 	// lookups).
 	halves   []*link.Half
 	injector *fault.Injector
-
-	// Partitioned execution (nil/empty when serial).
-	part      *Partition
-	par       *sim.Parallel
-	engines   []*sim.Engine
-	cuts      []cutHalf            // cut directions in half-id order
-	cutPosted []bool               // cutPosted[i]: cuts[i] was posted into since the last barrier
-	shardIDs  []*pkt.IDGen         // per-shard id generators ([0] = &ids)
-	shardPool []*pkt.Pool          // per-shard packet free-lists ([0] = &pool)
-	shardCols []*metrics.Collector // per-shard collectors feeding the merged view
-	gens      []*traffic.Generator // per-shard generators (gens[0] == Gen)
-	nextAudit sim.Cycle            // next barrier cycle to run the invariant audit
-}
-
-// cutHalf is one link direction that crosses shards, with the two
-// mailboxes its sends post into (link.Half.Cut).
-type cutHalf struct {
-	half *link.Half
-	wire *sim.Mailbox[link.Flight]
-	ctl  *sim.Mailbox[link.Control]
 }
 
 // Build wires a network for the given topology and scheme parameters.
@@ -121,30 +93,12 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{
+		Eng:    sim.NewEngine(opt.Seed),
 		Topo:   t,
 		Tables: tables,
 		Params: p,
 		byDev:  make(map[int]*switchfab.Switch),
 	}
-
-	// Partitioned mode: cut the device graph and build one engine per
-	// shard, all sharing seed and RNG-derivation counter so that the
-	// serial global build order below hands out exactly the serial
-	// random streams. MakePartition returns nil for topologies too small
-	// to shard, falling back to the unchanged serial engine.
-	if opt.SimWorkers > 1 {
-		part, perr := MakePartition(t, opt.SimWorkers)
-		if perr != nil {
-			return nil, perr
-		}
-		n.part = part
-	}
-	if n.part != nil {
-		n.engines = sim.NewEngineGroup(opt.Seed, n.part.N)
-	} else {
-		n.engines = []*sim.Engine{sim.NewEngine(opt.Seed)}
-	}
-	n.Eng = n.engines[0]
 	eng := n.Eng
 	ne := t.NumEndpoints()
 
@@ -159,33 +113,13 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 			minBPC = l.BytesPerCycle
 		}
 	}
-	n.minBPC = minBPC
-
-	// Per-shard packet plumbing. Serial keeps the embedded ids/pool and
-	// the single collector; partitioned shards each get their own (ids
-	// are behavior-neutral — nothing orders on packet id — and the
-	// collectors merge exactly, so the digest cannot tell the difference).
-	n.shardIDs = []*pkt.IDGen{&n.ids}
-	n.shardPool = []*pkt.Pool{&n.pool}
 	n.Collector = metrics.New(opt.BinCycles, ne, minBPC)
-	n.shardCols = []*metrics.Collector{n.Collector}
-	for s := 1; s < len(n.engines); s++ {
-		n.shardIDs = append(n.shardIDs, &pkt.IDGen{})
-		n.shardPool = append(n.shardPool, &pkt.Pool{})
-		n.shardCols = append(n.shardCols, metrics.New(opt.BinCycles, ne, minBPC))
-	}
-	if n.part != nil {
-		// The exported Collector becomes the merged view, rebuilt after
-		// every Run; the per-shard collectors are the live sinks.
-		n.Collector = metrics.New(opt.BinCycles, ne, minBPC)
-	}
 
 	// Devices.
 	n.Nodes = make([]*endnode.Node, ne)
 	for e := 0; e < ne; e++ {
-		s := n.shardOfDevice(t.EndpointDevice(e))
-		node := endnode.New(n.engines[s], e, &n.Params, ne, n.shardIDs[s], n.shardPool[s])
-		node.SetDeliverHook(n.shardCols[s].Delivered)
+		node := endnode.New(eng, e, &n.Params, ne, &n.ids, &n.pool)
+		node.SetDeliverHook(n.Collector.Delivered)
 		n.Nodes[e] = node
 	}
 	for _, d := range t.Devices {
@@ -202,7 +136,7 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 				xbar = t.Links[c.Link].BytesPerCycle
 			}
 		}
-		sw := switchfab.New(n.engines[n.shardOfDevice(dev)], dev, d.Label, len(d.Ports), &n.Params,
+		sw := switchfab.New(eng, dev, d.Label, len(d.Ports), &n.Params,
 			func(dest int) int { return tables.OutPort(dev, dest) }, ne, xbar)
 		ports := d.Ports
 		sw.SetLookahead(func(out, dest int) int {
@@ -223,146 +157,59 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 	// Links: one Half per direction, receivers at the far end, credits
 	// sized to the far end's receive memory. Half ids are dense and
 	// stable: link li contributes halves[2*li] (A->B) and halves[2*li+1]
-	// (B->A). A direction whose ends live on different shards is a cut:
-	// it delivers on the receiving shard's engine through mailboxes,
-	// appended here in half-id order — the order the barrier drains them
-	// in.
+	// (B->A).
 	n.halves = make([]*link.Half, 0, 2*len(t.Links))
-	if n.part != nil {
-		n.cutPosted = make([]bool, 2*n.part.CutLinks)
-	}
 	for li, ls := range t.Links {
-		engA := n.engines[n.shardOfDevice(ls.DevA)]
-		engB := n.engines[n.shardOfDevice(ls.DevB)]
-		ab := link.NewHalf(engA, fmt.Sprintf("L%d:%d->%d", li, ls.DevA, ls.DevB), ls.BytesPerCycle, ls.Delay)
-		ba := link.NewHalf(engB, fmt.Sprintf("L%d:%d->%d", li, ls.DevB, ls.DevA), ls.BytesPerCycle, ls.Delay)
+		ab := link.NewHalf(eng, fmt.Sprintf("L%d:%d->%d", li, ls.DevA, ls.DevB), ls.BytesPerCycle, ls.Delay)
+		ba := link.NewHalf(eng, fmt.Sprintf("L%d:%d->%d", li, ls.DevB, ls.DevA), ls.BytesPerCycle, ls.Delay)
 		ab.SetReceivers(n.pktRx(ls.DevB, ls.PortB), n.ctlRx(ls.DevB, ls.PortB))
 		ba.SetReceivers(n.pktRx(ls.DevA, ls.PortA), n.ctlRx(ls.DevA, ls.PortA))
 		n.attach(ls.DevA, ls.PortA, ab, n.creditPool(ls.DevB))
 		n.attach(ls.DevB, ls.PortB, ba, n.creditPool(ls.DevA))
 		n.halves = append(n.halves, ab, ba)
-		if engA != engB {
-			n.cut(ab, engB)
-			n.cut(ba, engA)
-		}
 		ab.SetDropHandler(n.dropHandler(ls.DevA, ls.PortA))
 		ba.SetDropHandler(n.dropHandler(ls.DevB, ls.PortB))
 	}
 
 	if !opt.DisableInvariants {
-		cfg := invariant.Config{
+		// Attached after every component so the audit ticks last in the
+		// device phase, seeing each cycle's settled state.
+		n.Checker = invariant.Attach(eng, invariant.Config{
 			Nodes:          n.Nodes,
 			Switches:       n.Switches,
 			Halves:         n.halves,
 			WatchdogWindow: opt.WatchdogWindow,
 			OnViolation:    opt.OnViolation,
-		}
-		if n.part == nil {
-			// Attached after every component so the audit ticks last in
-			// the device phase, seeing each cycle's settled state.
-			n.Checker = invariant.Attach(eng, cfg)
-		} else {
-			// A per-engine ticker would only see one shard; instead the
-			// window barrier audits the whole network at its quiescent
-			// points, paced to roughly the same interval.
-			n.Checker = invariant.Detached(eng, cfg)
-		}
-	}
-	if n.part != nil {
-		n.par = sim.NewParallel(n.engines, n.part.Workers, n.part.Window, n.barrier)
+		})
 	}
 	return n, nil
 }
 
-// cut registers h as the next cut direction, delivering on dst.
-func (n *Network) cut(h *link.Half, dst *sim.Engine) {
-	wire, ctl := h.Cut(dst, 4*int(n.part.Window)+8, &n.cutPosted[len(n.cuts)])
-	n.cuts = append(n.cuts, cutHalf{h, wire, ctl})
-}
-
-// shardOfDevice maps a device to its shard index (0 when serial).
-func (n *Network) shardOfDevice(dev int) int {
-	if n.part == nil {
-		return 0
-	}
-	return n.part.ShardOf[dev]
-}
-
-// barrier runs single-threaded between lockstep windows with every
-// shard parked at cycle now: it drains the cut-link mailboxes in dense
-// half-id order (making cross-shard delivery order a pure function of
-// simulation state) and runs the periodic whole-network invariant
-// audit, which is only coherent here.
-func (n *Network) barrier(now sim.Cycle) {
-	for i, posted := range n.cutPosted {
-		if !posted {
-			continue
-		}
-		n.cutPosted[i] = false
-		c := &n.cuts[i]
-		c.wire.Drain()
-		c.ctl.Drain()
-		c.half.RecycleRemote()
-	}
-	if n.Checker != nil && now >= n.nextAudit {
-		n.Checker.CheckAt(now)
-		n.nextAudit = now + n.Checker.CheckEvery()
-	}
-}
-
-// PartitionStats describes a partitioned network's cut and what its
-// coordinator has done so far. Everything in it is a pure function of
-// the simulation (the work figures are event and tick counts, not
-// times), but none of it is part of a Result or a digest.
+// PartitionStats is the shape bench/ reads from PartitionInfo. Kept only
+// for bench/; the benchmark PR of ROADMAP.md item 1(b) deletes it.
 type PartitionStats struct {
-	Partition
-	// Windows run, and window-width rendezvous Skipped on top.
-	sim.ParallelStats
-	// WorkImbalance is the busiest shard's work (events fired plus ticks
-	// executed) over the mean shard's: 1 is a perfectly even cut, N a
-	// cut that left all the work in one of N shards. 0 before any work.
-	WorkImbalance float64
+	N, CutLinks int
+	Window      sim.Cycle
 }
 
-func (s *PartitionStats) String() string {
-	return fmt.Sprintf("partition: %d shards on %d workers, %d cut links, window %d cycles; %d windows run, %d skipped; shard work max/mean %.2f",
-		s.N, s.Workers, s.CutLinks, s.Window, s.Windows, s.Skipped, s.WorkImbalance)
-}
-
-// PartitionInfo returns the partition driving a partitioned network
-// and its run-time counters (nil when serial) — diagnostics and tests.
-func (n *Network) PartitionInfo() *PartitionStats {
-	if n.part == nil {
-		return nil
-	}
-	s := &PartitionStats{Partition: *n.part, ParallelStats: n.par.Stats()}
-	var total, most uint64
-	for _, e := range n.engines {
-		w := e.Work()
-		total += w
-		most = max(most, w)
-	}
-	if total > 0 {
-		s.WorkImbalance = float64(most) * float64(len(n.engines)) / float64(total)
-	}
-	return s
-}
+// PartitionInfo always returns nil: a network runs on one engine. Kept
+// only for bench/; the benchmark PR of ROADMAP.md item 1(b) deletes it.
+func (n *Network) PartitionInfo() *PartitionStats { return nil }
 
 // dropHandler builds the lossless-aware consumer for packets condemned
 // by a drop-policy link flap on the direction port `port` of device dev
 // transmits on: the sender already took credit for receive-buffer space
 // the packet will never occupy, so the sending device gets it back
 // through its own RefundCredit (which restarts whatever waited for that
-// credit), and the packet, owned by the wire at that point, goes to the
-// sending shard's free-list. All captured at wiring time.
+// credit), and the packet, owned by the wire at that point, goes back to
+// the free-list. All captured at wiring time.
 func (n *Network) dropHandler(dev, port int) func(*pkt.Packet) {
-	pp := n.shardPool[n.shardOfDevice(dev)]
 	if d := n.Topo.Devices[dev]; d.Kind == topo.Endpoint {
 		nd := n.Nodes[d.EndpointID]
-		return func(p *pkt.Packet) { nd.RefundCredit(p.Dst, p.Size); pp.Release(p) }
+		return func(p *pkt.Packet) { nd.RefundCredit(p.Dst, p.Size); n.pool.Release(p) }
 	}
 	sw := n.byDev[dev]
-	return func(p *pkt.Packet) { sw.RefundCredit(port, p.Dst, p.Size); pp.Release(p) }
+	return func(p *pkt.Packet) { sw.RefundCredit(port, p.Dst, p.Size); n.pool.Release(p) }
 }
 
 // HalfByEnds resolves the transmit direction from device `from` to its
@@ -424,44 +271,19 @@ func (n *Network) AddFlows(flows []traffic.Flow) error {
 	if n.Gen != nil {
 		return fmt.Errorf("network: flows already installed")
 	}
-	if n.part == nil {
-		gen, err := traffic.NewGenerator(n.Eng, n.Nodes, n.linkBPC, flows, &n.ids, &n.pool, n.Collector.Injected)
-		if err != nil {
-			return err
-		}
-		n.gens = []*traffic.Generator{gen}
-	} else {
-		// Partitioned: one generator per shard, each driving the flows whose
-		// source endpoint lives there, drawing uniform-destination RNGs in
-		// global flow order off the shared derivation counter.
-		shardOfNode := make([]int, len(n.Nodes))
-		for e := range n.Nodes {
-			shardOfNode[e] = n.shardOfDevice(n.Topo.EndpointDevice(e))
-		}
-		hooks := make([]traffic.InjectHook, len(n.engines))
-		for s := range hooks {
-			hooks[s] = n.shardCols[s].Injected
-		}
-		gens, err := traffic.NewSharded(n.engines, shardOfNode, n.Nodes, n.linkBPC, flows, n.shardIDs, n.shardPool, hooks)
-		if err != nil {
-			return err
-		}
-		n.gens = gens
+	gen, err := traffic.NewGenerator(n.Eng, n.Nodes, n.linkBPC, flows, &n.ids, &n.pool, n.Collector.Injected)
+	if err != nil {
+		return err
 	}
-	n.Gen = n.gens[0]
+	n.Gen = gen
 	if n.Checker != nil {
-		for _, g := range n.gens {
-			n.Checker.Sources = append(n.Checker.Sources, g) // for the snapshot
-		}
+		n.Checker.Sources = append(n.Checker.Sources, gen) // for the snapshot
 	}
 	return n.registerFCT(flows)
 }
 
 // registerFCT declares every finite fixed-destination flow for
-// completion-time tracking. A flow registers on the collector of the
-// shard owning its *destination* endpoint — the shard that observes
-// every one of its deliveries — so per-shard FCT records stay disjoint
-// and Collector.Merge reproduces the serial stats exactly.
+// completion-time tracking.
 func (n *Network) registerFCT(flows []traffic.Flow) error {
 	var seen map[int]bool
 	for _, f := range flows {
@@ -479,8 +301,7 @@ func (n *Network) registerFCT(flows []traffic.Flow) error {
 		if err != nil {
 			return err
 		}
-		s := n.shardOfDevice(n.Topo.EndpointDevice(f.Dst))
-		n.shardCols[s].RegisterFlow(f.ID, f.Bytes, f.Start, ideal)
+		n.Collector.RegisterFlow(f.ID, f.Bytes, f.Start, ideal)
 	}
 	return nil
 }
@@ -563,13 +384,7 @@ func (n *Network) LinkLoads() []LinkLoad {
 // the Generator. The invariant checker is told about it so manual
 // injection stays conservation-clean.
 func (n *Network) NewPacket(src, dst, flow int) *pkt.Packet {
-	// Chaos tests mint packets with out-of-range sources on purpose;
-	// those (and serial runs) draw from shard 0.
-	s := 0
-	if n.part != nil && src >= 0 && src < n.Topo.NumEndpoints() {
-		s = n.shardOfDevice(n.Topo.EndpointDevice(src))
-	}
-	p := n.shardPool[s].NewData(n.shardIDs[s], src, dst, flow, pkt.MTU, n.Eng.Now())
+	p := n.pool.NewData(&n.ids, src, dst, flow, pkt.MTU, n.Eng.Now())
 	if n.Checker != nil {
 		n.Checker.ExternalInjected(p)
 	}
@@ -577,20 +392,7 @@ func (n *Network) NewPacket(src, dst, flow int) *pkt.Packet {
 }
 
 // Run advances the simulation by d cycles.
-func (n *Network) Run(d sim.Cycle) {
-	if n.par == nil {
-		n.Eng.RunFor(d)
-		return
-	}
-	n.par.RunFor(d)
-	// The shard collectors are cumulative, so the merged view is rebuilt
-	// from scratch after every advance.
-	merged := metrics.New(n.Collector.BinCycles(), n.Topo.NumEndpoints(), n.minBPC)
-	for _, c := range n.shardCols {
-		merged.Merge(c)
-	}
-	n.Collector = merged
-}
+func (n *Network) Run(d sim.Cycle) { n.Eng.RunFor(d) }
 
 // RunAudited is Run as every job front door runs it: a mid-run
 // *invariant.Violation panic comes back as the error (any other panic
@@ -637,10 +439,10 @@ func (n *Network) TotalDelivered() (pkts, bytes int) {
 type Elided struct {
 	CoolPortCycles, SwitchCyclesSlept, NodeCyclesSkipped int    // input ports cool, switches asleep, end nodes skipping, all holding packets
 	FlowVisits, FlowCyclesSkipped                        int64  // flows the generators visited, and live flows they let lie for a cycle
-	WheelEvents, HeapEvents, Ticks                       uint64 // the engines' Work: events fired by origin, ticks dispatched
+	WheelEvents, HeapEvents, Ticks                       uint64 // the engine's Work: events fired by origin, ticks dispatched
 }
 
-// Elided sums the devices' and engines' counters.
+// Elided sums the devices' counters and splits the engine's.
 func (n *Network) Elided() (e Elided) {
 	for _, sw := range n.Switches {
 		st := sw.Stats()
@@ -649,14 +451,10 @@ func (n *Network) Elided() (e Elided) {
 	for _, nd := range n.Nodes {
 		e.NodeCyclesSkipped += nd.Stats().CyclesElided
 	}
-	for _, g := range n.gens {
-		v, sk := g.Visits()
-		e.FlowVisits, e.FlowCyclesSkipped = e.FlowVisits+v, e.FlowCyclesSkipped+sk
+	if n.Gen != nil {
+		e.FlowVisits, e.FlowCyclesSkipped = n.Gen.Visits()
 	}
-	for _, eng := range n.engines {
-		w, h, t := eng.Counts()
-		e.WheelEvents, e.HeapEvents, e.Ticks = e.WheelEvents+w, e.HeapEvents+h, e.Ticks+t
-	}
+	e.WheelEvents, e.HeapEvents, e.Ticks = n.Eng.Counts()
 	return
 }
 

@@ -90,10 +90,7 @@ func RunEngine(t *topo.Topology, p core.Params, opt network.Options, flows []Ref
 
 	// Chain an exact-latency recorder in front of each node's metrics
 	// hook: the Collector keeps log-bucketed histograms, but the
-	// differential needs the raw values. Chain each node's own hook (in
-	// a partitioned build that is its shard's collector): every flow has
-	// one destination, so each *RefFlowStats is written by exactly one
-	// node — one shard goroutine — and the map itself is only read.
+	// differential needs the raw values.
 	for _, nd := range n.Nodes {
 		prev := nd.DeliverHook()
 		nd.SetDeliverHook(func(pk *pkt.Packet, now sim.Cycle) {
@@ -226,10 +223,7 @@ func (r *DiffReport) String() string {
 // RunDiff executes one scenario under one scheme on both simulators
 // and compares them: exact per-flow offered/delivered counts and
 // bytes, banded latency distributions, and the analytic floor.
-// simWorkers selects the engine's partitioned mode (<=1 = serial);
-// partitioned runs are byte-identical, so the differential gate
-// doubles as an end-to-end check of the parallel engine.
-func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64, simWorkers int, band LatencyBand) (*DiffReport, error) {
+func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64, band LatencyBand) (*DiffReport, error) {
 	t, tb := sc.Build()
 	rep := &DiffReport{Scenario: sc.Name, Scheme: schemeName}
 
@@ -245,7 +239,7 @@ func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64, simW
 		return nil, fmt.Errorf("oracle: %s: reference did not drain (scenario bug)", sc.Name)
 	}
 
-	eng, err := RunEngine(t, p, network.Options{Seed: seed, TieBreak: tb, SimWorkers: simWorkers}, sc.Flows)
+	eng, err := RunEngine(t, p, network.Options{Seed: seed, TieBreak: tb}, sc.Flows)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s/%s: engine build: %w", sc.Name, schemeName, err)
 	}

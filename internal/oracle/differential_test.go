@@ -21,7 +21,7 @@ func TestDifferentialAllSchemes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := RunDiff(sc, name, p, 1, 1, DefaultBand())
+				rep, err := RunDiff(sc, name, p, 1, DefaultBand())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -34,41 +34,6 @@ func TestDifferentialAllSchemes(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestDifferentialPartitionedEngine re-runs a scenario subset with the
-// engine in partitioned mode: the reference comparison must come out
-// identical to the serial differential, because SimWorkers never
-// changes results.
-func TestDifferentialPartitionedEngine(t *testing.T) {
-	scenarios := Scenarios()
-	if len(scenarios) > 2 {
-		scenarios = scenarios[:2]
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			p, err := experiments.SchemeByName("CCFIT")
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := RunDiff(sc, "CCFIT", p, 1, 1, DefaultBand())
-			if err != nil {
-				t.Fatal(err)
-			}
-			part, err := RunDiff(sc, "CCFIT", p, 1, 2, DefaultBand())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !part.OK() {
-				t.Error(part)
-			}
-			if part.EngPkts != serial.EngPkts || part.RefPkts != serial.RefPkts {
-				t.Errorf("partitioned engine delivered %d pkts, serial %d", part.EngPkts, serial.EngPkts)
-			}
-		})
 	}
 }
 

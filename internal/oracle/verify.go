@@ -20,12 +20,6 @@ type VerifyOptions struct {
 	Seed int64
 	// Workers bounds every worker pool (<=0: one per core).
 	Workers int
-	// SimWorkers runs the engine side of every differential pair under
-	// the partitioned engine with that many shard workers (<=1 =
-	// serial). Results are byte-identical either way, so the gates'
-	// verdicts cannot depend on it — running quick mode with SimWorkers
-	// > 1 verifies exactly that.
-	SimWorkers int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -109,7 +103,7 @@ func Verify(ctx context.Context, opt VerifyOptions) (*VerifyReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			dr, err := RunDiff(sc, scheme, p, opt.Seed, opt.SimWorkers, DefaultBand())
+			dr, err := RunDiff(sc, scheme, p, opt.Seed, DefaultBand())
 			if err != nil {
 				return nil, err
 			}

@@ -190,7 +190,7 @@ func FromSpec(s experiments.Spec) ([]Job, error) {
 	for _, c := range cells {
 		e := c.Exp
 		src := c.Source
-		jobs = append(jobs, Job{ExpID: e.ID, Scheme: c.Scheme, Seed: c.Seed, Params: c.Params, Exp: &e, SimWorkers: c.SimWorkers, Source: &src})
+		jobs = append(jobs, Job{ExpID: e.ID, Scheme: c.Scheme, Seed: c.Seed, Params: c.Params, Exp: &e, Source: &src})
 	}
 	return jobs, nil
 }

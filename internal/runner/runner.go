@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -73,12 +72,6 @@ type Job struct {
 	// window for this job: 0 keeps the default, <0 disables, >0 sets
 	// the window in cycles.
 	Watchdog sim.Cycle
-	// SimWorkers asks for the partitioned cycle engine (0 or 1 =
-	// serial). Partitioned runs are byte-identical to serial ones, so
-	// the value is outcome-neutral and deliberately NOT part of the
-	// cache key. Run caps it per job when the campaign pool would
-	// oversubscribe the machine (see EffectiveSimWorkers).
-	SimWorkers int
 	// Source, when non-nil, is a one-cell spec that re-expands to
 	// exactly this job (set by FromSpec). It is what makes a job
 	// serializable for remote execution: the Exp closure cannot cross a
@@ -271,22 +264,19 @@ type Event struct {
 	// events (empty for local execution).
 	Worker string
 	// Engine, on the JobDone of a job that ran locally, says what the
-	// engine skipped inside awake ticks (network.Elided) and, on the
-	// partitioned engine, first describes the cut and what its
-	// coordinator did (network.PartitionStats). Telemetry only: it is not
-	// part of the Result, the cache or any digest.
+	// engine skipped inside awake ticks (network.Elided). Telemetry only:
+	// it is not part of the Result, the cache or any digest.
 	Engine string
 }
 
 // resolved is a job after fail-fast validation.
 type resolved struct {
-	exp        experiments.Experiment
-	params     core.Params
-	scheme     string
-	seed       int64
-	faults     *fault.Script
-	watchdog   sim.Cycle
-	simWorkers int
+	exp      experiments.Experiment
+	params   core.Params
+	scheme   string
+	seed     int64
+	faults   *fault.Script
+	watchdog sim.Cycle
 }
 
 // resolve validates one job: the experiment must exist and be
@@ -332,10 +322,6 @@ func resolve(j Job) (resolved, error) {
 		out.faults = j.Faults
 	}
 	out.watchdog = j.Watchdog
-	if j.SimWorkers < 0 {
-		return out, fmt.Errorf("sim workers must be >= 0, got %d", j.SimWorkers)
-	}
-	out.simWorkers = j.SimWorkers
 	return out, nil
 }
 
@@ -366,19 +352,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 	if len(invalid) > 0 {
 		return nil, fmt.Errorf("runner: %d invalid job(s):\n  %s\nvalid experiment ids: %s",
 			len(invalid), strings.Join(invalid, "\n  "), strings.Join(experiments.ValidIDs(), " "))
-	}
-
-	// Oversubscription guard: the pool already saturates the machine at
-	// one goroutine per worker, so per-job engine workers beyond
-	// GOMAXPROCS/pool only add scheduling churn. Jobs are capped on a
-	// copy — results are byte-identical at any worker count, so this
-	// changes nothing but wall-clock behavior.
-	pool := opt.Workers
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
-	if capped := CapSimWorkers(jobs, pool, runtime.GOMAXPROCS(0)); capped != nil {
-		jobs = capped
 	}
 
 	var (
@@ -462,9 +435,7 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 }
 
 // execute builds, runs and harvests one simulation, converting a panic
-// anywhere in the stack into a job error (the partitioned engine
-// re-raises a shard's panic on this goroutine, see sim.Parallel.Run).
-// An invariant violation — raised as a panic by the always-on checker
+// anywhere in the stack into a job error. An invariant violation — raised as a panic by the always-on checker
 // or surfaced by the final audit — comes back from RunAudited as the
 // *invariant.Violation itself, so runOne can quarantine it instead of
 // retrying a deterministic failure. engine is Event.Engine's text.
@@ -474,8 +445,7 @@ func execute(r resolved) (res *experiments.Result, engine string, err error) {
 			err = fmt.Errorf("runner: job panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	n, err := r.exp.Build(r.params, r.seed, r.exp.Bin, r.exp.Duration,
-		experiments.BuildOpts{SimWorkers: r.simWorkers})
+	n, err := r.exp.Build(r.params, r.seed, r.exp.Bin, r.exp.Duration, experiments.BuildOpts{})
 	if err != nil {
 		return nil, "", err
 	}
@@ -493,55 +463,7 @@ func execute(r resolved) (res *experiments.Result, engine string, err error) {
 		return nil, "", err
 	}
 	engine = fmt.Sprintf("elided: %+v", n.Elided())
-	if ps := n.PartitionInfo(); ps != nil {
-		engine = ps.String() + "; " + engine
-	}
 	return experiments.Harvest(r.exp, r.scheme, r.seed, n), engine, nil
-}
-
-// EffectiveSimWorkers caps one job's partitioned-engine worker count
-// so a campaign cannot oversubscribe the machine: campaignWorkers jobs
-// run concurrently, each ticking simWorkers goroutines, and the product
-// is held to maxProcs. It returns the count to use and whether it was
-// capped. Capping never changes results — partitioned runs are
-// byte-identical at any worker count.
-func EffectiveSimWorkers(campaignWorkers, simWorkers, maxProcs int) (int, bool) {
-	if simWorkers <= 1 {
-		return simWorkers, false
-	}
-	if campaignWorkers < 1 {
-		campaignWorkers = 1
-	}
-	if maxProcs < 1 {
-		maxProcs = 1
-	}
-	if campaignWorkers*simWorkers <= maxProcs {
-		return simWorkers, false
-	}
-	eff := maxProcs / campaignWorkers
-	if eff < 1 {
-		eff = 1
-	}
-	return eff, true
-}
-
-// CapSimWorkers applies EffectiveSimWorkers across a job list, returning
-// a capped copy — or nil when no job needed capping (callers keep the
-// original slice untouched either way).
-func CapSimWorkers(jobs []Job, campaignWorkers, maxProcs int) []Job {
-	var out []Job
-	for i, j := range jobs {
-		eff, capped := EffectiveSimWorkers(campaignWorkers, j.SimWorkers, maxProcs)
-		if !capped {
-			continue
-		}
-		if out == nil {
-			out = make([]Job, len(jobs))
-			copy(out, jobs)
-		}
-		out[i].SimWorkers = eff
-	}
-	return out
 }
 
 // Failed filters a campaign's failures (nil when everything ran).

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,9 +155,23 @@ func syntheticExp(id string, build func(core.Params, int64, sim.Cycle, sim.Cycle
 	}
 }
 
+// TestPanicBecomesJobFailure: a panic in Build, or mid-run inside a
+// device's tick, comes out as one failed job — not quarantined, and with
+// no engine line on its event — while the job beside it completes.
 func TestPanicBecomesJobFailure(t *testing.T) {
 	boom := syntheticExp("xpanic", func(core.Params, int64, sim.Cycle, sim.Cycle, experiments.BuildOpts) (*network.Network, error) {
 		panic("synthetic crash")
+	})
+	// Every sink panics on its first delivery, inside a node's tick.
+	midRun := syntheticExp("xpanicrun", func(p core.Params, seed int64, bin, end sim.Cycle, o experiments.BuildOpts) (*network.Network, error) {
+		n, err := experiments.BuildConfig1(p, seed, bin, end, o)
+		if err != nil {
+			return nil, err
+		}
+		for _, node := range n.Nodes {
+			node.SetDeliverHook(func(*pkt.Packet, sim.Cycle) { panic("synthetic crash mid-run") })
+		}
+		return n, nil
 	})
 	good, err := experiments.ByID("fig7a")
 	if err != nil {
@@ -168,90 +181,31 @@ func TestPanicBecomesJobFailure(t *testing.T) {
 	jobs := []Job{
 		{Scheme: "CCFIT", Seed: 1, Exp: boom},
 		{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1, Exp: &good},
+		{Scheme: "CCFIT", Seed: 1, Exp: midRun},
 	}
-	results, err := Run(context.Background(), jobs, Options{Workers: 2})
+	engine := map[int]string{}
+	results, err := Run(context.Background(), jobs, Options{Workers: 2, Progress: func(ev Event) {
+		if ev.Type.Terminal() {
+			engine[ev.Index] = ev.Engine
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panicked") {
-		t.Fatalf("panic not converted to failure: %v", results[0].Err)
+	for _, i := range []int{0, 2} {
+		if results[i].Err == nil || !strings.Contains(results[i].Err.Error(), "panicked") || results[i].Quarantined {
+			t.Fatalf("job %d: panic not converted to a plain failure: %v (quarantined %v)", i, results[i].Err, results[i].Quarantined)
+		}
+		if engine[i] != "" {
+			t.Fatalf("job %d: the failed job's event carries an engine line: %q", i, engine[i])
+		}
 	}
 	// The crash must not take the campaign down with it.
 	if results[1].Err != nil || results[1].Result == nil {
 		t.Fatalf("healthy job damaged by neighbouring panic: %v", results[1].Err)
 	}
-}
-
-// A panic inside a shard of the partitioned engine — raised on whatever
-// goroutine was advancing that shard — must come out as one failed job
-// like any other panic: the process survives and the jobs around it
-// complete.
-func TestShardPanicBecomesJobFailure(t *testing.T) {
-	boom := syntheticExp("xshardpanic", func(p core.Params, seed int64, bin, end sim.Cycle, _ experiments.BuildOpts) (*network.Network, error) {
-		// SimWorkers is set here, not taken from the job: the runner
-		// caps a job's value on small hosts, and this test is about the
-		// partitioned engine wherever it runs.
-		n, err := experiments.BuildConfig3(p, seed, bin, end, 1, experiments.BuildOpts{SimWorkers: 2})
-		if err != nil {
-			return nil, err
-		}
-		part := n.PartitionInfo()
-		if part == nil || part.N < 4 {
-			t.Errorf("xshardpanic did not build partitioned: %+v", part)
-			return n, nil
-		}
-		// Every sink outside shard 0 panics on its first delivery, inside
-		// its shard's advance.
-		for e, node := range n.Nodes {
-			if shard := part.ShardOf[n.Topo.EndpointDevice(e)]; shard != 0 {
-				node.SetDeliverHook(func(*pkt.Packet, sim.Cycle) {
-					panic(fmt.Sprintf("synthetic crash in shard %d", shard))
-				})
-			}
-		}
-		return n, nil
-	})
-	// The healthy neighbours run partitioned too (again forced in Build),
-	// and say so on their JobDone.
-	sharded := syntheticExp("xsharded", func(p core.Params, seed int64, bin, end sim.Cycle, _ experiments.BuildOpts) (*network.Network, error) {
-		return experiments.BuildConfig1(p, seed, bin, end, experiments.BuildOpts{SimWorkers: 2})
-	})
-	jobs := []Job{
-		{Scheme: "CCFIT", Seed: 1, Exp: sharded},
-		{Scheme: "CCFIT", Seed: 1, Exp: boom},
-		{Scheme: "CCFIT", Seed: 2, Exp: sharded},
-	}
-	var progress bytes.Buffer
-	engine := map[int]string{}
-	print := NewProgress(&progress)
-	results, err := Run(context.Background(), jobs, Options{Workers: 1, Progress: func(ev Event) {
-		if ev.Type.Terminal() {
-			engine[ev.Index] = ev.Engine
-		}
-		print(ev)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := results[1].Err; e == nil || !strings.Contains(e.Error(), "panicked") || !strings.Contains(e.Error(), "synthetic crash in shard") {
-		t.Fatalf("shard panic not converted to a job failure: %v", e)
-	}
-	if results[1].Quarantined {
-		t.Fatal("a plain shard panic was quarantined as an invariant violation")
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err != nil || results[i].Result == nil {
-			t.Fatalf("job %d damaged by the neighbouring shard panic: %v", i, results[i].Err)
-		}
-		if !strings.HasPrefix(engine[i], "partition: 2 shards on 2 workers, 1 cut links") || !strings.Contains(engine[i], "; elided: ") {
-			t.Fatalf("job %d's JobDone describes its engine as %q", i, engine[i])
-		}
-	}
-	if engine[1] != "" {
-		t.Fatalf("the failed job's event carries an engine line: %q", engine[1])
-	}
-	if got := strings.Count(progress.String(), "\n        partition: 2 shards on 2 workers"); got != 2 {
-		t.Fatalf("-v output has %d partition lines, want one under each partitioned job:\n%s", got, progress.String())
+	if !strings.HasPrefix(engine[1], "elided: ") {
+		t.Fatalf("the healthy job's JobDone describes its engine as %q", engine[1])
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // An event scheduled from inside Step (here: from a phase tick) for the
 // current cycle must not be lost: phases run after the event pass, so
@@ -228,25 +225,4 @@ func BenchmarkEngineStep(b *testing.B) {
 			e.Step()
 		}
 	})
-	// The same 64-ticker load sharded over eight coordinated engines:
-	// per-cycle cost of the partitioned path, including window barriers.
-	// workers=1 isolates the coordinator's own overhead against busy64;
-	// on a multi-core host workers=2 and 4 show the parallel speedup (on
-	// a single core they measure pure coordination cost instead).
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("busy64par/workers=%d", workers), func(b *testing.B) {
-			const shards = 8
-			engines := NewEngineGroup(1, shards)
-			sinks := make([]int, shards)
-			for i := 0; i < 64; i++ {
-				e, s := engines[i%shards], &sinks[i%shards]
-				p := Phase(i % int(numPhases))
-				e.AddTicker(p, func(Cycle) { *s++ })
-			}
-			par := NewParallel(engines, workers, 64, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			par.Run(Cycle(b.N))
-		})
-	}
 }

@@ -200,36 +200,11 @@ type Engine struct {
 	heapFired, ticks uint64
 	seed             int64
 	rngSeq           int64
-	// rngShared, when non-nil, replaces rngSeq as the stream-derivation
-	// counter. Engines created by NewEngineGroup share one counter so
-	// that components built in a fixed global order draw exactly the
-	// streams a single serial engine would have handed out, no matter
-	// which shard engine each component is built on. The counter is only
-	// touched at build time (RNG is a construction-time API), so sharing
-	// it needs no synchronization.
-	rngShared *int64
 }
 
 // NewEngine returns an engine whose random streams derive from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{seed: seed}
-}
-
-// NewEngineGroup returns n engines with the same seed sharing a single
-// RNG-derivation counter: interleaving RNG() calls across the group in
-// some global order yields exactly the stream sequence one engine would
-// produce under the same order of calls. Partitioned builds use this to
-// keep per-component random streams byte-identical to the serial build.
-func NewEngineGroup(seed int64, n int) []*Engine {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: engine group size %d", n))
-	}
-	shared := new(int64)
-	engines := make([]*Engine, n)
-	for i := range engines {
-		engines[i] = &Engine{seed: seed, rngShared: shared}
-	}
-	return engines
 }
 
 // Now returns the current cycle.
@@ -244,12 +219,8 @@ func (e *Engine) Seed() int64 { return e.seed }
 // sequence number is taken here; the generator behind it is built on the
 // first draw (most streams, one per switch output port, are never drawn).
 func (e *Engine) RNG() *rand.Rand {
-	seq := &e.rngSeq
-	if e.rngShared != nil {
-		seq = e.rngShared
-	}
-	*seq++
-	return rand.New(&lazySource{seed: e.seed*1_000_003 + *seq})
+	e.rngSeq++
+	return rand.New(&lazySource{seed: e.seed*1_000_003 + e.rngSeq})
 }
 
 // lazySource is rand.NewSource(seed) built at the first draw: seeding
@@ -452,8 +423,7 @@ func (e *Engine) NextEvent() (Cycle, bool) {
 
 // Work returns the engine's lifetime work count: events fired (every one
 // scheduled and no longer pending) plus ticks executed — a deterministic
-// measure of how busy the engine has been, never of wall-clock time,
-// which the partitioned coordinator uses to run heavy shards first.
+// measure of how busy the engine has been, never of wall-clock time.
 func (e *Engine) Work() uint64 { return e.seq - uint64(e.Pending()) + e.ticks }
 
 // Counts splits Work: events fired from the wheel, events fired from the

@@ -62,9 +62,7 @@ func Config3() *FatTree {
 
 // Config4 builds the scale configuration beyond the paper's Table I: an
 // 8-ary 3-tree with 512 endpoints and 192 switches (16 ports each), all
-// links 2.5 GB/s. Large enough that the partitioned engine has real
-// work per shard, and the fabric the serial-vs-parallel benchmarks run
-// on.
+// links 2.5 GB/s: the largest fabric the benchmarks run on.
 func Config4() *FatTree {
 	f, err := KaryNTree(8, 3, sim.FlitBytes, DefaultLinkDelay)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // schedule is drawn from a throwaway engine seeded with seed^salt, so
 // adding or removing open-loop sources never shifts any simulation
 // stream, and the schedule itself is a pure function of (seed, spec) —
-// independent of shard count, build order, or anything else.
+// independent of build order or anything else.
 const openLoopSalt = 0x6f70656e6c6f6f70 // "openloop"
 
 // OpenLoop describes a CDF-driven open-loop workload: each source runs
@@ -21,10 +21,10 @@ const openLoopSalt = 0x6f70656e6c6f6f70 // "openloop"
 // every arrival is a finite flow whose size is drawn from an empirical
 // flow-size CDF — the standard datacenter traffic model (ns-3 CONGA
 // recipe). Flows() pre-computes the whole schedule deterministically;
-// the result feeds NewGenerator or NewSharded unchanged.
+// the result feeds NewGenerator unchanged.
 type OpenLoop struct {
 	// Sources lists the injecting endpoints, in order; each gets its own
-	// RNG stream so the schedule shards cleanly.
+	// RNG stream.
 	Sources []int
 	// NumEndpoints is the endpoint count of the fabric (needed to draw
 	// uniform destinations and validate Dst).
@@ -64,8 +64,7 @@ func (o *OpenLoop) Rate() float64 {
 
 // Flows builds the full deterministic schedule. Each source draws from
 // its own RNG stream (derived in Sources order from the salted
-// schedule engine), so the result is byte-identical across runs and
-// independent of how the simulation is later sharded.
+// schedule engine), so the result is byte-identical across runs.
 func (o *OpenLoop) Flows() ([]Flow, error) {
 	if o.CDF == nil {
 		return nil, fmt.Errorf("traffic: open-loop spec has no CDF")
@@ -119,7 +118,7 @@ func (o *OpenLoop) Flows() ([]Flow, error) {
 			dst := o.Dst
 			if dst == UniformDst {
 				// Drawn here (not per-packet in the generator) so the
-				// schedule — including destinations — is shard-independent.
+				// schedule — including destinations — is fixed before the run.
 				dst = rng.Intn(o.NumEndpoints - 1)
 				if dst >= src {
 					dst++

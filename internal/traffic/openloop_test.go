@@ -3,7 +3,6 @@ package traffic
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -174,97 +173,6 @@ func TestOpenLoopUniformDestinations(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("uniform destinations hit %d endpoints, want 7", len(seen))
-	}
-}
-
-// injRec is one observed injection, enough to compare traces exactly.
-type injRec struct {
-	Cycle sim.Cycle
-	Flow  int
-	Src   int
-	Dst   int
-	Size  int
-}
-
-func sortTrace(tr []injRec) {
-	sort.Slice(tr, func(i, j int) bool {
-		a, b := tr[i], tr[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
-		}
-		return a.Flow < b.Flow
-	})
-}
-
-// TestOpenLoopShardedIdentity drives the same open-loop schedule
-// through one serial generator and through NewSharded over 2 engines,
-// and demands the injection traces be identical packet for packet —
-// the traffic half of the serial-vs-partitioned byte-identity claim.
-func TestOpenLoopShardedIdentity(t *testing.T) {
-	const T = 200_000
-	spec := OpenLoop{
-		Sources: []int{0, 1, 2}, NumEndpoints: 4, Dst: 3,
-		CDF: narrowCDF(t), Load: 0.1, BytesPerCycle: 64,
-		Start: 0, End: T / 2, Seed: 11,
-	}
-	flows, err := spec.Flows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.Preset1Q()
-	p.AdVOQCap = 1 << 20
-
-	run := func(build func(record func(*pkt.Packet)) error) []injRec {
-		var trace []injRec
-		if err := build(func(q *pkt.Packet) {
-			trace = append(trace, injRec{q.Injected, q.Flow, q.Src, q.Dst, q.Size})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sortTrace(trace)
-		return trace
-	}
-
-	serial := run(func(record func(*pkt.Packet)) error {
-		eng := sim.NewEngine(3)
-		ids := &pkt.IDGen{}
-		nodes := make([]*endnode.Node, spec.NumEndpoints)
-		for i := range nodes {
-			nodes[i] = endnode.New(eng, i, &p, spec.NumEndpoints, ids, nil)
-		}
-		bpc := []int{64, 64, 64, 64}
-		if _, err := NewGenerator(eng, nodes, bpc, flows, ids, nil, record); err != nil {
-			return err
-		}
-		eng.Run(T)
-		return nil
-	})
-
-	sharded := run(func(record func(*pkt.Packet)) error {
-		engines := sim.NewEngineGroup(3, 2)
-		shardOfNode := []int{0, 0, 1, 1}
-		nodes := make([]*endnode.Node, spec.NumEndpoints)
-		ids := []*pkt.IDGen{{}, {}}
-		for i := range nodes {
-			s := shardOfNode[i]
-			nodes[i] = endnode.New(engines[s], i, &p, spec.NumEndpoints, ids[s], nil)
-		}
-		bpc := []int{64, 64, 64, 64}
-		hooks := []InjectHook{record, record}
-		if _, err := NewSharded(engines, shardOfNode, nodes, bpc, flows, ids, []*pkt.Pool{nil, nil}, hooks); err != nil {
-			return err
-		}
-		for _, e := range engines {
-			e.Run(T)
-		}
-		return nil
-	})
-
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("serial and 2-shard injection traces differ: %d vs %d packets", len(serial), len(sharded))
-	}
-	if len(serial) == 0 {
-		t.Fatal("no packets injected")
 	}
 }
 

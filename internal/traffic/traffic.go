@@ -187,44 +187,6 @@ func (g *Generator) start() {
 	}
 }
 
-// NewSharded builds one generator per shard engine over a common flow
-// list for a partitioned run: each flow is driven on its source
-// endpoint's shard. Flows are walked in global list order, so the
-// uniform-destination RNG streams are drawn in exactly the sequence a
-// single serial generator would draw them — the engines must come from
-// sim.NewEngineGroup (one shared derivation counter) for that to hold.
-// shardOfNode maps endpoint id -> shard index; ids, pools and hooks are
-// per-shard. Shards with no flows still get a generator (it sleeps
-// immediately), keeping per-shard wiring uniform.
-func NewSharded(engines []*sim.Engine, shardOfNode []int, nodes []*endnode.Node, nodeBPC []int, flows []Flow, ids []*pkt.IDGen, pools []*pkt.Pool, hooks []InjectHook) ([]*Generator, error) {
-	if len(nodes) != len(nodeBPC) {
-		return nil, fmt.Errorf("traffic: %d nodes but %d bandwidths", len(nodes), len(nodeBPC))
-	}
-	if len(nodes) != len(shardOfNode) {
-		return nil, fmt.Errorf("traffic: %d nodes but %d shard assignments", len(nodes), len(shardOfNode))
-	}
-	gens := make([]*Generator, len(engines))
-	for i := range engines {
-		gens[i] = &Generator{eng: engines[i], nodes: nodes, ids: ids[i], pool: pools[i], bpc: nodeBPC, hook: hooks[i]}
-	}
-	for _, f := range flows {
-		if f.Src < 0 || f.Src >= len(nodes) {
-			return nil, validate(f, len(nodes))
-		}
-		s := shardOfNode[f.Src]
-		if s < 0 || s >= len(gens) {
-			return nil, fmt.Errorf("traffic: flow %d source %d maps to shard %d of %d", f.ID, f.Src, s, len(gens))
-		}
-		if err := gens[s].add(f); err != nil {
-			return nil, err
-		}
-	}
-	for _, g := range gens {
-		g.start()
-	}
-	return gens, nil
-}
-
 func validate(f Flow, n int) error {
 	switch {
 	case f.Src < 0 || f.Src >= n:

@@ -8,11 +8,8 @@
 # Known cross-package cases: internal/fault is exercised mostly through
 # internal/network's suites, so its OWN floor is low; the point of
 # listing it is to notice if even that residue disappears.
-# internal/link joined that set when the partitioned engine added its
-# cut-half machinery, which only runs under internal/network's and the
-# digest matrix's suites. internal/invariant left it with its
-# seeded-violation table (80 % on its own). The root package holds no
-# statements ("coverage: [no statements]") and has no floor.
+# The root package holds no statements ("coverage: [no statements]") and
+# has no floor.
 set -e
 
 go test -cover -coverprofile=coverage.out ./... | tee coverage.txt
@@ -29,7 +26,7 @@ awk '
     if (pkg == "repro/internal/core")      floor = 80
     if (pkg == "repro/internal/invariant") floor = 70
     if (pkg == "repro/internal/fault")     floor = 30
-    if (pkg == "repro/internal/link")      floor = 40
+    if (pkg == "repro/internal/link")      floor = 80
     if (pkg == "repro/internal/oracle")    floor = 70
     if (pkg == "repro/internal/sim")       floor = 94
     if (pkg == "repro/internal/pkt")       floor = 90
