@@ -251,6 +251,75 @@ func TestFaultCtlTamper(t *testing.T) {
 	}
 }
 
+// TestPartitionedFaultRejections: the faults a partitioned build had to
+// refuse — any fault on the link it cut (Config #1's trunk) and the
+// rng-driven control noise — are accepted by every build now that a
+// network runs on one engine, and each takes effect, as does the
+// endpoint-link flap the partition always accepted.
+func TestPartitionedFaultRejections(t *testing.T) {
+	trunk := &fault.LinkRef{From: topo.Config1SwitchA, To: topo.Config1SwitchB}
+	for _, c := range []struct {
+		name    string
+		ev      fault.Event
+		applied func(fault.Stats) bool
+	}{
+		{"trunk degrade", fault.Event{Kind: fault.LinkDegrade, At: 40_000, Duration: 40_000, Link: trunk,
+			Params: fault.Params{BytesPerCycle: 64}}, func(s fault.Stats) bool { return s.Degrades == 1 }},
+		{"trunk flap", fault.Event{Kind: fault.LinkFlap, At: 40_000, Duration: 20_000, Link: trunk},
+			func(s fault.Stats) bool { return s.Flaps == 1 }},
+		{"control noise", fault.Event{Kind: fault.CtlNoise, At: 10_000, Duration: 30_000},
+			func(s fault.Stats) bool { return s.NoiseSent > 0 }},
+		{"edge flap", fault.Event{Kind: fault.LinkFlap, At: 40_000, Duration: 20_000,
+			Link: &fault.LinkRef{From: topo.Config1SwitchB, To: 4}}, func(s fault.Stats) bool { return s.Flaps == 1 }},
+	} {
+		n := runFaulted(t, 7, &fault.Script{Name: c.name, Events: []fault.Event{c.ev}})
+		if st := n.FaultInjector().Stats(); !c.applied(st) {
+			t.Fatalf("%s: not applied: %+v", c.name, st)
+		}
+		if err := n.Checker.Final(); err != nil {
+			t.Fatalf("%s: post-run audit: %v", c.name, err)
+		}
+	}
+}
+
+// Chaos-style end-to-end check (run with -race in CI): a congested run
+// with both a trunk flap and an endpoint-link flap must stay lossless and
+// agree byte for byte with an identical second run.
+func TestPartitionedFaultedRunDeterministicAndLossless(t *testing.T) {
+	run := func() *Network {
+		n, err := Build(topo.Config1(), core.PresetCCFIT(), Options{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addFlows(t, n, hotspotFlows(40_000))
+		if _, err := n.InjectFaults(&fault.Script{Name: "flap", Events: []fault.Event{
+			{Kind: fault.LinkFlap, AtMS: 0.004, DurationMS: 0.004,
+				Link: &fault.LinkRef{From: topo.Config1SwitchB, To: 4}},
+			{Kind: fault.LinkFlap, AtMS: 0.2, DurationMS: 0.1,
+				Link: &fault.LinkRef{From: topo.Config1SwitchA, To: topo.Config1SwitchB}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(80_000)
+		if err := n.Checker.Final(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a := run()
+	if st := a.FaultInjector().Stats(); st.Flaps != 2 {
+		t.Fatalf("flaps not applied: %+v", st)
+	}
+	op, _ := a.TotalOffered()
+	dp, _ := a.TotalDelivered()
+	if dp == 0 || op != dp {
+		t.Fatalf("lossless violated under faults: offered %d, delivered %d", op, dp)
+	}
+	if da, db := digest(t, a), digest(t, run()); da != db {
+		t.Fatalf("two identical faulted runs disagree at %s", testutil.FirstDiff(da, db))
+	}
+}
+
 // TestFaultNodePause: a paused hot-spot source stops injecting for the
 // window and resumes; nothing is lost.
 func TestFaultNodePause(t *testing.T) {

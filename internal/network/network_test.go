@@ -63,6 +63,41 @@ func TestBuildRejectsSwitchWiderThan64Ports(t *testing.T) {
 	}
 }
 
+// PartitionInfo, kept for bench/, reports no partition on any build —
+// Config #3 is the fat tree it used to report eight shards for — and the
+// one engine's own counters say what the run did: an idle network goes to
+// sleep at once and fast-forwards the rest of the run, and two identical
+// busy runs count exactly the same work.
+func TestPartitionInfoCounters(t *testing.T) {
+	run := func(flows []traffic.Flow) *Network {
+		n, err := Build(topo.Config3().Topology, core.PresetCCFIT(), Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addFlows(t, n, flows)
+		n.Run(4000)
+		if part := n.PartitionInfo(); part != nil {
+			t.Fatalf("a one-engine network reports a partition: %+v", part)
+		}
+		return n
+	}
+	idle := run(nil)
+	_, _, idleTicks := idle.Eng.Counts()
+	if devices := len(idle.Topo.Devices); idleTicks > uint64(2*devices) || idle.Eng.ActiveTickers() != 0 {
+		t.Fatalf("idle network: %d ticks over %d devices, %d tickers still awake", idleTicks, devices, idle.Eng.ActiveTickers())
+	}
+	flows := []traffic.Flow{{ID: 0, Src: 0, Dst: 63, Start: 0, End: 4000, Rate: 1.0}}
+	a, b := run(flows), run(flows)
+	wa, ha, ta := a.Eng.Counts()
+	wb, hb, tb := b.Eng.Counts()
+	if wa != wb || ha != hb || ta != tb {
+		t.Fatalf("two identical runs count different work: (%d, %d, %d) vs (%d, %d, %d)", wa, ha, ta, wb, hb, tb)
+	}
+	if ta <= idleTicks {
+		t.Fatalf("busy network ticked %d times, the idle one %d", ta, idleTicks)
+	}
+}
+
 func addFlows(t *testing.T, n *Network, flows []traffic.Flow) {
 	t.Helper()
 	if err := n.AddFlows(flows); err != nil {

@@ -155,23 +155,9 @@ func syntheticExp(id string, build func(core.Params, int64, sim.Cycle, sim.Cycle
 	}
 }
 
-// TestPanicBecomesJobFailure: a panic in Build, or mid-run inside a
-// device's tick, comes out as one failed job — not quarantined, and with
-// no engine line on its event — while the job beside it completes.
 func TestPanicBecomesJobFailure(t *testing.T) {
 	boom := syntheticExp("xpanic", func(core.Params, int64, sim.Cycle, sim.Cycle, experiments.BuildOpts) (*network.Network, error) {
 		panic("synthetic crash")
-	})
-	// Every sink panics on its first delivery, inside a node's tick.
-	midRun := syntheticExp("xpanicrun", func(p core.Params, seed int64, bin, end sim.Cycle, o experiments.BuildOpts) (*network.Network, error) {
-		n, err := experiments.BuildConfig1(p, seed, bin, end, o)
-		if err != nil {
-			return nil, err
-		}
-		for _, node := range n.Nodes {
-			node.SetDeliverHook(func(*pkt.Packet, sim.Cycle) { panic("synthetic crash mid-run") })
-		}
-		return n, nil
 	})
 	good, err := experiments.ByID("fig7a")
 	if err != nil {
@@ -181,31 +167,73 @@ func TestPanicBecomesJobFailure(t *testing.T) {
 	jobs := []Job{
 		{Scheme: "CCFIT", Seed: 1, Exp: boom},
 		{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1, Exp: &good},
-		{Scheme: "CCFIT", Seed: 1, Exp: midRun},
 	}
-	engine := map[int]string{}
-	results, err := Run(context.Background(), jobs, Options{Workers: 2, Progress: func(ev Event) {
-		if ev.Type.Terminal() {
-			engine[ev.Index] = ev.Engine
-		}
-	}})
+	results, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err == nil || !strings.Contains(results[i].Err.Error(), "panicked") || results[i].Quarantined {
-			t.Fatalf("job %d: panic not converted to a plain failure: %v (quarantined %v)", i, results[i].Err, results[i].Quarantined)
-		}
-		if engine[i] != "" {
-			t.Fatalf("job %d: the failed job's event carries an engine line: %q", i, engine[i])
-		}
+	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panicked") {
+		t.Fatalf("panic not converted to failure: %v", results[0].Err)
 	}
 	// The crash must not take the campaign down with it.
 	if results[1].Err != nil || results[1].Result == nil {
 		t.Fatalf("healthy job damaged by neighbouring panic: %v", results[1].Err)
 	}
-	if !strings.HasPrefix(engine[1], "elided: ") {
-		t.Fatalf("the healthy job's JobDone describes its engine as %q", engine[1])
+}
+
+// A panic raised mid-run, inside a node's tick — where the partitioned
+// engine's shards used to raise it — must come out as one failed job like
+// any other panic: not quarantined, with no engine line on its event,
+// while the jobs around it complete and report theirs.
+func TestShardPanicBecomesJobFailure(t *testing.T) {
+	// Every sink panics on its first delivery.
+	boom := syntheticExp("xpanicrun", func(p core.Params, seed int64, bin, end sim.Cycle, o experiments.BuildOpts) (*network.Network, error) {
+		n, err := experiments.BuildConfig1(p, seed, bin, end, o)
+		if err != nil {
+			return nil, err
+		}
+		for _, node := range n.Nodes {
+			node.SetDeliverHook(func(*pkt.Packet, sim.Cycle) { panic("synthetic crash mid-run") })
+		}
+		return n, nil
+	})
+	healthy := syntheticExp("xhealthy", experiments.BuildConfig1)
+	jobs := []Job{
+		{Scheme: "CCFIT", Seed: 1, Exp: healthy},
+		{Scheme: "CCFIT", Seed: 1, Exp: boom},
+		{Scheme: "CCFIT", Seed: 2, Exp: healthy},
+	}
+	var progress bytes.Buffer
+	engine := map[int]string{}
+	print := NewProgress(&progress)
+	results, err := Run(context.Background(), jobs, Options{Workers: 1, Progress: func(ev Event) {
+		if ev.Type.Terminal() {
+			engine[ev.Index] = ev.Engine
+		}
+		print(ev)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := results[1].Err; e == nil || !strings.Contains(e.Error(), "panicked") || !strings.Contains(e.Error(), "synthetic crash mid-run") {
+		t.Fatalf("mid-run panic not converted to a job failure: %v", e)
+	}
+	if results[1].Quarantined {
+		t.Fatal("a plain mid-run panic was quarantined as an invariant violation")
+	}
+	if engine[1] != "" {
+		t.Fatalf("the failed job's event carries an engine line: %q", engine[1])
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || results[i].Result == nil {
+			t.Fatalf("job %d damaged by the neighbouring panic: %v", i, results[i].Err)
+		}
+		if !strings.HasPrefix(engine[i], "elided: ") {
+			t.Fatalf("job %d's JobDone describes its engine as %q", i, engine[i])
+		}
+	}
+	if got := strings.Count(progress.String(), "\n        elided: "); got != 2 {
+		t.Fatalf("-v output has %d engine lines, want one under each healthy job:\n%s", got, progress.String())
 	}
 }
 

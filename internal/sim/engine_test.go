@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // An event scheduled from inside Step (here: from a phase tick) for the
 // current cycle must not be lost: phases run after the event pass, so
@@ -174,6 +177,140 @@ func TestActiveListAcrossBitmapWords(t *testing.T) {
 	if len(order) != n-(n+2)/3 {
 		t.Fatalf("%d tickers ran, want %d", len(order), n-(n+2)/3)
 	}
+}
+
+// The tests named TestParallel* keep the names of the partitioned
+// coordinator's tests: each property they held for a group of engines
+// advanced in lockstep windows, Run now holds alone.
+
+// busy registers a ticker that never sleeps, so the engine is never
+// quiescent and Run steps every cycle.
+func busy(e *Engine) *int {
+	ticks := new(int)
+	e.AddTicker(PhaseDevice, func(Cycle) { *ticks++ })
+	return ticks
+}
+
+// witness registers a sleeping ticker that each event passed its wake
+// handle rouses for one tick: the cycles it logs are the cycles Run
+// stepped with work to do.
+func witness(e *Engine) (*TickerHandle, *[]Cycle) {
+	log := new([]Cycle)
+	var h *TickerHandle
+	h = e.AddTicker(PhaseDevice, func(now Cycle) {
+		*log = append(*log, now)
+		h.Sleep()
+	})
+	h.Sleep()
+	return h, log
+}
+
+// Running a busy engine in windows of width 4 — Run(4), Run(8), Run(10) —
+// stops exactly at each bound having ticked every cycle once, the last
+// window truncated to its until. An event due at the stop cycle has not
+// fired (until is exclusive), and a resumed run picks it up.
+func TestParallelWindowBoundaries(t *testing.T) {
+	e := NewEngine(1)
+	ticks := busy(e)
+	for _, until := range []Cycle{4, 8, 10} {
+		e.Run(until)
+		if e.Now() != until || Cycle(*ticks) != until {
+			t.Fatalf("Run(%d) stopped at %d after %d ticks", until, e.Now(), *ticks)
+		}
+	}
+	fired := false
+	e.At(10, func() { fired = true })
+	if fired {
+		t.Fatal("event at the stop cycle fired early")
+	}
+	e.Run(11)
+	if !fired {
+		t.Fatal("event at the stop cycle lost after resume")
+	}
+}
+
+// A record posted each cycle T through a Pipe for cycle T+W (a link of
+// delay W) fires at exactly T+W, in posting order.
+func TestParallelCrossShardDeliveryAtLookahead(t *testing.T) {
+	e := NewEngine(7)
+	const window = Cycle(3)
+	var got []Cycle
+	pipe := NewPipe(e, func(int) { got = append(got, e.Now()) })
+	e.AddTicker(PhaseDevice, func(now Cycle) { pipe.At(now+window, 0) })
+	e.Run(9)
+	// Cycles 0..8 each post one record due at now+3; those due before 9
+	// (posted in cycles 0..5) must have fired, in cycle order.
+	if len(got) != 6 {
+		t.Fatalf("fired %d piped events, want 6: %v", len(got), got)
+	}
+	for i, c := range got {
+		if c != Cycle(i)+window {
+			t.Fatalf("event %d fired at %d, want %d", i, c, Cycle(i)+window)
+		}
+	}
+}
+
+// The quiescent skip: with every ticker asleep, Run jumps from event to
+// event — only their cycles do any work — and it stops at until even
+// inside a skipped span.
+func TestParallelQuiescentSkip(t *testing.T) {
+	const window = Cycle(4)
+
+	t.Run("event at H, then one at the barrier", func(t *testing.T) {
+		e := NewEngine(1)
+		h, stepped := witness(e)
+		var fired []Cycle
+		for _, at := range []Cycle{100, 100 + window} {
+			e.At(at, func() { fired = append(fired, e.Now()); h.Wake() })
+		}
+		e.Run(1000)
+		if want := []Cycle{100, 104}; !reflect.DeepEqual(fired, want) || !reflect.DeepEqual(*stepped, want) {
+			t.Fatalf("events fired at %v, the witness ticked at %v; want %v for both", fired, *stepped, want)
+		}
+		if e.Now() != 1000 || e.ActiveTickers() != 0 {
+			t.Fatalf("stopped at %d with %d tickers awake, want 1000 and none", e.Now(), e.ActiveTickers())
+		}
+	})
+
+	t.Run("cut message sent at H lands at H+W", func(t *testing.T) {
+		e := NewEngine(1)
+		h, stepped := witness(e)
+		var landed []Cycle
+		pipe := NewPipe(e, func(int) { landed = append(landed, e.Now()); h.Wake() })
+		// The tightest case: a message sent at H over a link whose delay
+		// is exactly the window, with nothing else scheduled in between.
+		e.At(100, func() { pipe.At(e.Now()+window, 1) })
+		e.Run(1000)
+		if want := []Cycle{104}; !reflect.DeepEqual(landed, want) || !reflect.DeepEqual(*stepped, want) {
+			t.Fatalf("message landed at %v, the witness ticked at %v; want %v for both", landed, *stepped, want)
+		}
+	})
+
+	t.Run("until inside the skipped span", func(t *testing.T) {
+		e := NewEngine(1)
+		fired := Cycle(-1)
+		e.At(100, func() { fired = e.Now() })
+		e.Run(50)
+		if e.Now() != 50 || fired != -1 {
+			t.Fatalf("stopped at %d with the event fired at %d, want 50 and not fired", e.Now(), fired)
+		}
+		e.Run(1000)
+		if fired != 100 || e.Now() != 1000 {
+			t.Fatalf("event fired at %d after resume, stopped at %d; want 100 and 1000", fired, e.Now())
+		}
+	})
+
+	t.Run("one awake ticker anywhere forbids the skip", func(t *testing.T) {
+		e := NewEngine(1)
+		witness(e)
+		ticks := busy(e)
+		fired := false
+		e.At(100, func() { fired = true })
+		e.Run(12)
+		if e.Now() != 12 || *ticks != 12 || fired {
+			t.Fatalf("stopped at %d after %d ticks, event fired %v; want 12 ticks, one a cycle, and no event", e.Now(), *ticks, fired)
+		}
+	})
 }
 
 func eq(a, b []string) bool {

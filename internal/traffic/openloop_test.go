@@ -176,6 +176,72 @@ func TestOpenLoopUniformDestinations(t *testing.T) {
 	}
 }
 
+// injRec is one observed injection, enough to compare traces exactly.
+type injRec struct {
+	Cycle sim.Cycle
+	Flow  int
+	Src   int
+	Dst   int
+	Size  int
+}
+
+// TestOpenLoopShardedIdentity: each source's injection trace is a
+// function of its own flows alone — the property a partition of the
+// sources over engines relies on. Split the open-loop schedule by
+// source, run each part through its own generator on its own engine,
+// and every part's trace is the combined run's trace for that source,
+// packet for packet.
+func TestOpenLoopShardedIdentity(t *testing.T) {
+	const T = 200_000
+	spec := OpenLoop{
+		Sources: []int{0, 1, 2}, NumEndpoints: 4, Dst: 3,
+		CDF: narrowCDF(t), Load: 0.1, BytesPerCycle: 64,
+		Start: 0, End: T / 2, Seed: 11,
+	}
+	flows, err := spec.Flows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Preset1Q()
+	p.AdVOQCap = 1 << 20
+
+	// run returns the injection trace of flows, per source.
+	run := func(flows []Flow) map[int][]injRec {
+		trace := map[int][]injRec{}
+		eng := sim.NewEngine(3)
+		ids := &pkt.IDGen{}
+		nodes := make([]*endnode.Node, spec.NumEndpoints)
+		for i := range nodes {
+			nodes[i] = endnode.New(eng, i, &p, spec.NumEndpoints, ids, nil)
+		}
+		bpc := []int{64, 64, 64, 64}
+		if _, err := NewGenerator(eng, nodes, bpc, flows, ids, nil, func(q *pkt.Packet) {
+			trace[q.Src] = append(trace[q.Src], injRec{q.Injected, q.Flow, q.Src, q.Dst, q.Size})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(T)
+		return trace
+	}
+
+	all := run(flows)
+	for _, src := range spec.Sources {
+		var own []Flow
+		for _, f := range flows {
+			if f.Src == src {
+				own = append(own, f)
+			}
+		}
+		alone := run(own)[src]
+		if len(alone) == 0 {
+			t.Fatalf("source %d injected nothing", src)
+		}
+		if !reflect.DeepEqual(all[src], alone) {
+			t.Fatalf("source %d: %d packets in the combined run, %d on its own, traces differ", src, len(all[src]), len(alone))
+		}
+	}
+}
+
 func TestFiniteFlowExactBytes(t *testing.T) {
 	// 5000 bytes at MTU 2048 → 2048 + 2048 + 904, then silence even
 	// though the window stays open.
