@@ -84,6 +84,27 @@ func BenchmarkTable1Configs(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild512 measures building the largest fabric with its
+// traffic installed: x512hotspot (Config #4, 512 endpoints) under CCFIT.
+// Per-destination state is created on first use, so allocs/op counts
+// what a build wires, not the 512 × 512 AdVOQ and throttle matrix.
+func BenchmarkBuild512(b *testing.B) {
+	exp, err := experiments.ByID("x512hotspot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := experiments.SchemeByName("CCFIT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.Build(p, 1, exp.Bin, exp.Duration, experiments.BuildOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Fig. 7: throughput versus time on Configs #1 and #2.
 func BenchmarkFig7a(b *testing.B) {
 	for _, s := range []string{"1Q", "ITh", "FBICM", "CCFIT"} {

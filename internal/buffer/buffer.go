@@ -13,9 +13,9 @@ import (
 )
 
 // Queue is a FIFO of packets with byte-occupancy accounting. The zero
-// value is usable; attach a RAM with SetRAM to share a byte pool.
+// value is an unpooled queue; NewQueue and NewQueues build queues that
+// share a RAM's byte pool.
 type Queue struct {
-	name  string
 	ram   *RAM
 	pkts  []*pkt.Packet // ring buffer
 	head  int
@@ -24,12 +24,17 @@ type Queue struct {
 }
 
 // NewQueue returns an empty queue drawing from ram (nil for unpooled).
-func NewQueue(name string, ram *RAM) *Queue {
-	return &Queue{name: name, ram: ram}
-}
+func NewQueue(ram *RAM) *Queue { return &Queue{ram: ram} }
 
-// Name returns the queue's diagnostic name.
-func (q *Queue) Name() string { return q.name }
+// NewQueues returns n empty queues drawing from ram, held by value in one
+// allocation (a port's queue bank).
+func NewQueues(n int, ram *RAM) []Queue {
+	qs := make([]Queue, n)
+	for i := range qs {
+		qs[i].ram = ram
+	}
+	return qs
+}
 
 // Len returns the number of queued packets.
 func (q *Queue) Len() int { return q.count }

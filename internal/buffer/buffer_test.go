@@ -13,7 +13,7 @@ func mk(size int) *pkt.Packet {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	q := NewQueue("q", nil)
+	q := NewQueue(nil)
 	var g pkt.IDGen
 	var want []uint64
 	for i := 0; i < 100; i++ {
@@ -40,7 +40,7 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestInterleavedPushPop(t *testing.T) {
 	// Exercise the ring buffer wrap-around.
-	q := NewQueue("q", nil)
+	q := NewQueue(nil)
 	var g pkt.IDGen
 	next := uint64(1)
 	for round := 0; round < 50; round++ {
@@ -61,7 +61,7 @@ func TestInterleavedPushPop(t *testing.T) {
 }
 
 func TestAtIndexes(t *testing.T) {
-	q := NewQueue("q", nil)
+	q := NewQueue(nil)
 	var g pkt.IDGen
 	for i := 0; i < 10; i++ {
 		q.Push(pkt.NewData(&g, 0, i, 0, 64, 0))
@@ -80,7 +80,7 @@ func TestAtIndexes(t *testing.T) {
 
 func TestRAMAccounting(t *testing.T) {
 	ram := NewRAM(1024)
-	q := NewQueue("q", ram)
+	q := NewQueue(ram)
 	q.Push(mk(512))
 	if ram.Used() != 512 || ram.Free() != 512 {
 		t.Fatalf("used=%d free=%d", ram.Used(), ram.Free())
@@ -96,8 +96,8 @@ func TestRAMAccounting(t *testing.T) {
 
 func TestRAMSharedAcrossQueues(t *testing.T) {
 	ram := NewRAM(1000)
-	a := NewQueue("a", ram)
-	b := NewQueue("b", ram)
+	a := NewQueue(ram)
+	b := NewQueue(ram)
 	a.Push(mk(400))
 	b.Push(mk(400))
 	if ram.Free() != 200 {
@@ -110,7 +110,7 @@ func TestRAMSharedAcrossQueues(t *testing.T) {
 
 func TestRAMOverflowPanics(t *testing.T) {
 	ram := NewRAM(100)
-	q := NewQueue("q", ram)
+	q := NewQueue(ram)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow did not panic")
@@ -121,8 +121,8 @@ func TestRAMOverflowPanics(t *testing.T) {
 
 func TestTransferHeadSamePool(t *testing.T) {
 	ram := NewRAM(1024)
-	nfq := NewQueue("nfq", ram)
-	cfq := NewQueue("cfq", ram)
+	qs := NewQueues(2, ram) // a port's bank: one pool, queues by value
+	nfq, cfq := &qs[0], &qs[1]
 	p := mk(512)
 	nfq.Push(p)
 	got := nfq.TransferHead(cfq)
@@ -145,8 +145,8 @@ func TestTransferHeadSamePool(t *testing.T) {
 
 func TestTransferHeadAcrossPools(t *testing.T) {
 	ra, rb := NewRAM(1024), NewRAM(1024)
-	a := NewQueue("a", ra)
-	b := NewQueue("b", rb)
+	a := NewQueue(ra)
+	b := NewQueue(rb)
 	a.Push(mk(256))
 	a.TransferHead(b)
 	if ra.Used() != 0 || rb.Used() != 256 {
@@ -155,8 +155,8 @@ func TestTransferHeadAcrossPools(t *testing.T) {
 }
 
 func TestTransferHeadEmpty(t *testing.T) {
-	a := NewQueue("a", nil)
-	b := NewQueue("b", nil)
+	a := NewQueue(nil)
+	b := NewQueue(nil)
 	if a.TransferHead(b) != nil {
 		t.Fatal("transfer from empty queue returned a packet")
 	}
@@ -167,7 +167,7 @@ func TestTransferHeadEmpty(t *testing.T) {
 func TestQueueInvariantsProperty(t *testing.T) {
 	f := func(ops []bool, sizes []uint8) bool {
 		ram := NewRAM(1 << 20)
-		q := NewQueue("q", ram)
+		q := NewQueue(ram)
 		var g pkt.IDGen
 		var model []*pkt.Packet
 		si := 0
@@ -206,7 +206,7 @@ func TestQueueInvariantsProperty(t *testing.T) {
 }
 
 func TestRingShrinksAfterDrain(t *testing.T) {
-	q := NewQueue("q", nil)
+	q := NewQueue(nil)
 	for i := 0; i < 1000; i++ {
 		q.Push(mk(64))
 	}

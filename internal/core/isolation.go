@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/buffer"
 	"repro/internal/cam"
 	"repro/internal/link"
@@ -43,7 +41,7 @@ type IsolationUnit struct {
 	label string
 	ram   *buffer.RAM
 	nfq   *buffer.Queue
-	cfqs  []*buffer.Queue
+	cfqs  []buffer.Queue
 	cam   *cam.CAM[InLine]
 	stats DiscStats
 
@@ -61,18 +59,15 @@ type IsolationUnit struct {
 // NewIsolationUnit builds the NFQ+CFQ organisation for one port.
 func NewIsolationUnit(p *Params, env PortEnv) *IsolationUnit {
 	ram := buffer.NewRAM(p.PortRAM)
-	u := &IsolationUnit{
+	qs := buffer.NewQueues(1+p.NumCFQs, ram) // the NFQ, then the CFQs
+	return &IsolationUnit{
 		p:    p,
 		env:  env,
 		ram:  ram,
-		nfq:  buffer.NewQueue("nfq", ram),
-		cfqs: make([]*buffer.Queue, p.NumCFQs),
+		nfq:  &qs[0],
+		cfqs: qs[1:],
 		cam:  cam.New[InLine](p.NumCFQs),
 	}
-	for i := range u.cfqs {
-		u.cfqs[i] = buffer.NewQueue(fmt.Sprintf("cfq%d", i), ram)
-	}
-	return u
 }
 
 // SetTraceLabel names this unit in traced events (e.g. "sw<0,1>:p3").
@@ -112,7 +107,7 @@ func (u *IsolationUnit) Post(now sim.Cycle) (acted bool) {
 			return acted
 		}
 		if li := u.cam.Match(h.Dst); li >= 0 {
-			u.nfq.TransferHead(u.cfqs[li])
+			u.nfq.TransferHead(&u.cfqs[li])
 			u.cam.Payload(li).LastActive = now
 			u.stats.PostMoves++
 			acted = true
@@ -242,8 +237,8 @@ func (u *IsolationUnit) Requests(_ sim.Cycle, buf []Request) []Request {
 	if u.cam.FreeLines() == len(u.cfqs) {
 		return buf
 	}
-	for i, q := range u.cfqs {
-		h := q.Head()
+	for i := range u.cfqs {
+		h := u.cfqs[i].Head()
 		if h == nil || !u.cam.Valid(i) {
 			continue
 		}
@@ -277,7 +272,7 @@ func (u *IsolationUnit) Update(now sim.Cycle) (acted bool) {
 	inUse := 0
 	u.cam.Each(func(i int, dests []int, line *InLine) {
 		inUse++
-		q := u.cfqs[i]
+		q := &u.cfqs[i]
 		b := q.Bytes()
 		if b > 0 {
 			line.LastActive = now

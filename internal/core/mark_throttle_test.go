@@ -186,15 +186,70 @@ func TestThrottlerCCTIClamped(t *testing.T) {
 	}
 }
 
+// A throttler allocates its per-destination rows at first use, so a fresh
+// one must answer exactly what a table built up front held: CCTI 0, IRD 0,
+// and an LTI of -2^30, which opens the gate at any cycle the engine runs.
+func TestThrottlerFreshAnswersLikeEager(t *testing.T) {
+	const never = sim.Cycle(-1 << 30) // the eager table's initial LTI
+	eng := sim.NewEngine(1)
+	p := PresetCCFIT()
+	th := NewThrottler(eng, &p, 8)
+	for dst := 0; dst < 8; dst++ {
+		if th.CCTI(dst) != 0 || th.IRD(dst) != 0 || th.NextInject(dst) != never {
+			t.Fatalf("fresh dest %d: CCTI %d, IRD %d, NextInject %d; want 0, 0, %d",
+				dst, th.CCTI(dst), th.IRD(dst), th.NextInject(dst), never)
+		}
+		for _, now := range []sim.Cycle{0, 1, 1000, 1 << 29} {
+			if !th.MayInject(dst, now) {
+				t.Fatalf("fresh dest %d gated at cycle %d", dst, now)
+			}
+		}
+	}
+	// An injection towards one destination leaves the others fresh.
+	th.Injected(2, 100)
+	if !th.MayInject(2, 100) || th.NextInject(2) != 100 {
+		t.Fatalf("after Injected(2, 100): MayInject %v, NextInject %d", th.MayInject(2, 100), th.NextInject(2))
+	}
+	if th.NextInject(3) != never || th.CCTI(3) != 0 {
+		t.Fatalf("Injected(2) moved dest 3: NextInject %d, CCTI %d", th.NextInject(3), th.CCTI(3))
+	}
+}
+
+// The first call a node makes may be OnBECN (a BECN arrives before the
+// node ever injected towards that destination): it raises the CCTI, arms
+// the decay timer, and leaves the gate open to the first injection.
+func TestThrottlerBECNBeforeInjection(t *testing.T) {
+	eng := sim.NewEngine(1)
+	p := PresetCCFIT()
+	th := NewThrottler(eng, &p, 8)
+	th.OnBECN(5)
+	if th.CCTI(5) != p.CCTIIncrease || th.IRD(5) != sim.Cycle(p.CCTIIncrease)*p.IRDStep {
+		t.Fatalf("CCTI %d, IRD %d after one BECN", th.CCTI(5), th.IRD(5))
+	}
+	if !th.MayInject(5, 0) || th.NextInject(5) != -1<<30+th.IRD(5) {
+		t.Fatalf("no injection behind dest 5, yet MayInject %v, NextInject %d", th.MayInject(5, 0), th.NextInject(5))
+	}
+	if th.CCTI(4) != 0 || th.NextInject(4) != -1<<30 {
+		t.Fatalf("BECN for 5 moved dest 4: CCTI %d, NextInject %d", th.CCTI(4), th.NextInject(4))
+	}
+	eng.Run(p.CCTITimer + 1)
+	if th.CCTI(5) != p.CCTIIncrease-1 {
+		t.Fatalf("CCTI %d one timer period after the BECN, want %d", th.CCTI(5), p.CCTIIncrease-1)
+	}
+}
+
+// IRD is the linear table's entry, CCTI·IRDStep, at every index a run of
+// BECNs reaches, the index clamped at CCTEntries−1.
 func TestThrottlerLinearCCT(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := PresetCCFIT()
+	p.CCTIIncrease = 1
 	th := NewThrottler(eng, &p, 4)
-	for i := 0; i < 5; i++ {
+	for becns := 1; becns <= p.CCTEntries+2; becns++ {
 		th.OnBECN(1)
-		want := sim.Cycle(i+1) * p.IRDStep
-		if th.IRD(1) != want {
-			t.Fatalf("IRD after %d BECNs = %d, want %d", i+1, th.IRD(1), want)
+		i := min(becns, p.CCTEntries-1)
+		if th.CCTI(1) != i || th.IRD(1) != sim.Cycle(i)*p.IRDStep {
+			t.Fatalf("after %d BECNs: CCTI %d, IRD %d; want %d, %d", becns, th.CCTI(1), th.IRD(1), i, sim.Cycle(i)*p.IRDStep)
 		}
 	}
 }

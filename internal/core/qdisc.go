@@ -189,16 +189,9 @@ func NewQDisc(p *Params, env PortEnv, nOut, numEndpoints int) QDisc {
 	if n <= 0 {
 		panic(fmt.Sprintf("core: %s needs at least one queue, got %d", row.name, n))
 	}
-	b := bank{
-		env:      env,
-		classify: row.classify,
-		ram:      buffer.NewRAM(p.EffectivePortRAM(numEndpoints)),
-		qs:       make([]*buffer.Queue, n),
-	}
+	ram := buffer.NewRAM(p.EffectivePortRAM(numEndpoints))
+	b := bank{env: env, classify: row.classify, ram: ram, qs: buffer.NewQueues(n, ram)}
 	b.occupied.Grow(n)
-	for i := range b.qs {
-		b.qs[i] = buffer.NewQueue(fmt.Sprintf("%s[%d]", row.name, i), b.ram)
-	}
 	switch {
 	case row.marks:
 		return &voqSw{bank: b, p: p, overHigh: make([]bool, n)}
@@ -217,7 +210,7 @@ type bank struct {
 	env      PortEnv
 	classify func(env PortEnv, dest, n int) int
 	ram      *buffer.RAM
-	qs       []*buffer.Queue
+	qs       []buffer.Queue
 	occupied sim.ActiveSet
 	stats    DiscStats
 }
@@ -273,8 +266,8 @@ func (d *voqSw) Update(sim.Cycle) (acted bool) {
 	if !d.p.MarkingEnabled {
 		return false
 	}
-	for i, q := range d.qs {
-		b := q.Bytes()
+	for i := range d.qs {
+		b := d.qs[i].Bytes()
 		if !d.overHigh[i] && b >= d.p.HighThreshold {
 			d.overHigh[i], acted = true, true
 			d.env.MarkCrossed(i, true)

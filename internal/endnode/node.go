@@ -45,7 +45,9 @@ type Node struct {
 	ids          *pkt.IDGen
 	pool         *pkt.Pool // packet free-list (nil = plain allocation)
 
-	// Injection side.
+	// Injection side. advoqs[d] stays nil, an empty queue, until the first
+	// Offer to d: a 512-node fabric would otherwise build 512 × 512 queues
+	// to use a few dozen.
 	advoqs    []*buffer.Queue
 	advoqRR   *arbiter.RoundRobin
 	disc      core.QDisc
@@ -108,22 +110,24 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 		advoqs:       make([]*buffer.Queue, numEndpoints),
 		advoqRR:      arbiter.NewRoundRobin(numEndpoints),
 		outCAM:       core.NewOutCAM(p.NumCFQs),
-		pending:      buffer.NewQueue("becn", nil),
+		pending:      buffer.NewQueue(nil),
 	}
 	n.occupied.Grow(numEndpoints)
-	for i := range n.advoqs {
-		n.advoqs[i] = buffer.NewQueue(fmt.Sprintf("advoq%d", i), nil)
+	// Trace events name the node; with tracing off nothing reads the name.
+	label := ""
+	if p.Tracer != nil {
+		label = fmt.Sprintf("node%d", id)
 	}
 	n.iaParams = p.IAParams()
 	n.disc = core.NewQDisc(&n.iaParams, nodeEnv{n}, 1, numEndpoints)
 	if iso, ok := n.disc.(*core.IsolationUnit); ok {
-		iso.SetTraceLabel(fmt.Sprintf("node%d", id))
+		iso.SetTraceLabel(label)
 	}
 	n.perDest, _ = n.disc.(core.DestOccupancy)
 	n.outRR = arbiter.NewRoundRobin(n.disc.QueueCount())
 	if p.ThrottlingEnabled {
 		n.throttler = core.NewThrottler(eng, p, numEndpoints)
-		n.throttler.SetTraceLabel(fmt.Sprintf("node%d", id))
+		n.throttler.SetTraceLabel(label)
 		n.throttler.OnExpire = n.resume
 	}
 	n.h = eng.AddTicker(sim.PhaseDevice, n.tick)
@@ -203,7 +207,7 @@ func (n *Node) SetRoomHook(fn func(src, dest int)) { n.room = fn }
 // that parks on the answer is counted once, one that asks again every
 // cycle once a cycle.
 func (n *Node) Full(dest int) bool {
-	if n.advoqs[dest].Len() < n.p.AdVOQCap {
+	if n.AdVOQLen(dest) < n.p.AdVOQCap {
 		return false
 	}
 	n.stats.Rejected++
@@ -223,9 +227,13 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 	if p.Dst < 0 || p.Dst >= n.numEndpoints || p.Dst == n.id {
 		panic(fmt.Sprintf("endnode: node %d offered packet with bad dest %d", n.id, p.Dst))
 	}
-	q := n.advoqs[p.Dst]
 	if n.Full(p.Dst) {
 		return false
+	}
+	q := n.advoqs[p.Dst]
+	if q == nil {
+		q = new(buffer.Queue)
+		n.advoqs[p.Dst] = q
 	}
 	n.resume()
 	q.Push(p)
@@ -236,8 +244,13 @@ func (n *Node) Offer(p *pkt.Packet) bool {
 	return true
 }
 
-// AdVOQLen returns the depth of the admittance queue for dest (tests).
-func (n *Node) AdVOQLen(dest int) int { return n.advoqs[dest].Len() }
+// AdVOQLen returns the depth of the admittance queue for dest.
+func (n *Node) AdVOQLen(dest int) int {
+	if q := n.advoqs[dest]; q != nil {
+		return q.Len()
+	}
+	return 0
+}
 
 // Pause freezes the node's transmit side for d cycles from now — the
 // fault model of a hung host. Overlapping pauses extend to the farthest
@@ -288,7 +301,7 @@ func (n *Node) DescribeState(now sim.Cycle) string {
 		s += fmt.Sprintf(" [%d sources parked]", n.parkedN)
 	}
 	for d, q := range n.advoqs {
-		if q.Len() > 0 {
+		if q != nil && q.Len() > 0 {
 			s += fmt.Sprintf(" advoq[%d]=%dp/%dB", d, q.Len(), q.Bytes())
 			if n.throttler != nil && n.throttler.CCTI(d) > 0 {
 				s += fmt.Sprintf("(ccti=%d)", n.throttler.CCTI(d))

@@ -3,6 +3,7 @@ package endnode
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -60,6 +61,41 @@ func TestOfferAndAdVOQCap(t *testing.T) {
 	}
 	if n.AdVOQLen(3) != 2 {
 		t.Fatalf("advoq len = %d", n.AdVOQLen(3))
+	}
+}
+
+// An AdVOQ exists from the first Offer to its destination on; before that
+// every question about it answers as an empty queue would.
+func TestUnofferedDestinationIsEmpty(t *testing.T) {
+	eng, n, _, ids := rig(t, core.PresetCCFIT())
+	eng.Run(1)
+	for d := 1; d < 8; d++ {
+		if n.Full(d) || n.AdVOQLen(d) != 0 || n.advoqs[d] != nil {
+			t.Fatalf("dest %d never offered to: Full %v, AdVOQLen %d, queue built %v", d, n.Full(d), n.AdVOQLen(d), n.advoqs[d] != nil)
+		}
+	}
+	if s := n.DescribeState(eng.Now()); strings.Contains(s, "advoq") || n.BufferedBytes() != 0 || n.Stats().Rejected != 0 {
+		t.Fatalf("fresh node: %q, %d bytes buffered, %d rejected", s, n.BufferedBytes(), n.Stats().Rejected)
+	}
+	if !n.Offer(pkt.NewData(ids, 0, 3, 0, pkt.MTU, eng.Now())) {
+		t.Fatal("first offer to dest 3 refused")
+	}
+	if n.advoqs[3] == nil || n.AdVOQLen(3) != 1 || n.BufferedBytes() != pkt.MTU {
+		t.Fatalf("after the first offer: AdVOQLen %d, %d bytes buffered", n.AdVOQLen(3), n.BufferedBytes())
+	}
+	s := n.DescribeState(eng.Now())
+	if want := fmt.Sprintf(" advoq[3]=1p/%dB ", pkt.MTU); !strings.Contains(s, want) || strings.Count(s, "advoq") != 1 {
+		t.Fatalf("DescribeState %q, want exactly one AdVOQ, %q", s, want)
+	}
+	for d := 1; d < 8; d++ {
+		if built := n.advoqs[d] != nil; built != (d == 3) {
+			t.Fatalf("dest %d: queue built %v after an offer to 3 only", d, built)
+		}
+	}
+	// Once its packet is on the wire the built queue reads empty again.
+	eng.Run(eng.Now() + 100)
+	if s := n.DescribeState(eng.Now()); strings.Contains(s, "advoq") || n.AdVOQLen(3) != 0 || n.BufferedBytes() != 0 {
+		t.Fatalf("after the packet left: %q, AdVOQLen %d, %d bytes buffered", s, n.AdVOQLen(3), n.BufferedBytes())
 	}
 }
 
@@ -329,10 +365,11 @@ func refPickAdVOQ(n *Node, now sim.Cycle) (pick int, stalled bool) {
 	perDest, _ := n.disc.(core.DestOccupancy)
 	for k := 0; k < n.numEndpoints; k++ {
 		i := (n.advoqRR.Pointer() + k) % n.numEndpoints
-		h := n.advoqs[i].Head()
-		if h == nil {
+		q := n.advoqs[i] // nil until the first Offer to i: empty
+		if q == nil || q.Empty() {
 			continue
 		}
+		h := q.Head()
 		if perDest != nil && perDest.DestBytes(i) > 0 {
 			continue
 		}

@@ -53,6 +53,7 @@ func Compute(t *topo.Topology, tb TieBreak) (*Tables, error) {
 
 	dist := make([]int, nd)
 	queue := make([]int, 0, nd)
+	var cands []int
 	for dest := 0; dest < ne; dest++ {
 		destDev := t.EndpointDevice(dest)
 		// Reverse BFS from the destination. Endpoints other than the
@@ -62,10 +63,11 @@ func Compute(t *topo.Topology, tb TieBreak) (*Tables, error) {
 			dist[i] = -1
 		}
 		dist[destDev] = 0
+		// Read through a head index: a device is queued at most once, so
+		// the nd-long queue never regrows and is reused across destinations.
 		queue = append(queue[:0], destDev)
-		for len(queue) > 0 {
-			d := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			d := queue[head]
 			if t.Devices[d].Kind == topo.Endpoint && d != destDev {
 				continue
 			}
@@ -77,7 +79,6 @@ func Compute(t *topo.Topology, tb TieBreak) (*Tables, error) {
 			}
 		}
 		// Pick a next hop everywhere.
-		var cands []int
 		for dev := 0; dev < nd; dev++ {
 			if dev == destDev {
 				continue

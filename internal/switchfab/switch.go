@@ -200,15 +200,20 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 		ip.landFn = ip.land
 		ip.disc = core.NewQDisc(p, portEnv{s: s, port: i}, nports, numEndpoints)
 		ip.rr = arbiter.NewRoundRobin(ip.disc.QueueCount())
+		// Trace events name the port; with tracing off nothing reads the name.
+		label := ""
+		if p.Tracer != nil {
+			label = fmt.Sprintf("%s:p%d", name, i)
+		}
 		if iso, ok := ip.disc.(*core.IsolationUnit); ok {
-			iso.SetTraceLabel(fmt.Sprintf("%s:p%d", name, i))
+			iso.SetTraceLabel(label)
 		}
 		s.in[i] = ip
 		s.out[i] = &outPort{
 			s:    s,
 			idx:  i,
 			cam:  core.NewOutCAM(p.NumCFQs),
-			mark: core.NewMarkState(p, eng.RNG(), eng, fmt.Sprintf("%s:p%d", name, i)),
+			mark: core.NewMarkState(p, eng.RNG(), eng, label),
 		}
 	}
 	s.cand = make([][]core.Request, nports)

@@ -38,6 +38,10 @@ func digitsOf(v, k, nd int) []int {
 	return d
 }
 
+// digit returns radix-k digit i of v (0 = least significant) without
+// decomposing the rest.
+func digit(v, k, i int) int { return v / pow(k, i) % k }
+
 func valueOf(d []int, k int) int {
 	v := 0
 	for i := len(d) - 1; i >= 0; i-- {
@@ -120,10 +124,9 @@ func (f *FatTree) InSubtree(dev, e int) bool {
 	if l < 0 {
 		return false
 	}
-	ed := digitsOf(e, f.K, f.N)
 	w := f.windx[dev]
 	for i := l + 1; i < f.N; i++ {
-		if ed[i] != w[i-1] {
+		if digit(e, f.K, i) != w[i-1] {
 			return false
 		}
 	}
@@ -144,7 +147,7 @@ func (f *FatTree) DETTieBreak(dev, dest int, candidates []int) int {
 	if l < 0 || len(candidates) == 1 {
 		return candidates[0]
 	}
-	want := f.K + digitsOf(dest, f.K, f.N)[l]
+	want := f.K + digit(dest, f.K, l)
 	for _, p := range candidates {
 		if p == want {
 			return p
