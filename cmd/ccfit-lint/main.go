@@ -1,8 +1,7 @@
 // Command ccfit-lint runs the repo's static-analysis suite
 // (internal/lint) over the module and reports findings: the
 // determinism and hot-path rules guarding the simulation core
-// (determinism, hotpath-alloc, phase-discipline, pool-hygiene,
-// unchecked-err) plus the concurrency family guarding the service
+// (determinism, hotpath-alloc, pool-hygiene, unchecked-err) plus the concurrency family guarding the service
 // layer (guarded-field, lock-order, goroutine-lifecycle). CI runs it with no
 // flags and fails on any diagnostic; the same suite also runs as a go
 // test gate in internal/lint.

@@ -51,13 +51,14 @@ func newEdgeRig(t *testing.T, p core.Params, credits int, everyCycle bool) *edge
 	tx := link.NewHalf(r.eng, "up", 64, 2)
 	tx.SetReceivers(r, r)
 	r.n.AttachLink(tx, core.NewSharedCredits(credits))
-	r.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
+	r.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) sim.Cycle {
 		if everyCycle {
 			r.n.resume()
 		}
 		if now < r.n.skipUntil {
 			r.skipped++
 		}
+		return now + 1
 	})
 	return r
 }

@@ -136,10 +136,10 @@ func New(eng *sim.Engine, id int, p *core.Params, numEndpoints int, ids *pkt.IDG
 
 // tick is the node's cycle: the injection side's pipeline in order. Like
 // a switch's it touches the node's own state only (DESIGN.md §5).
-func (n *Node) tick(now sim.Cycle) {
+func (n *Node) tick(now sim.Cycle) sim.Cycle {
 	n.post(now)
 	n.arbitrate(now)
-	n.update(now)
+	return n.update(now)
 }
 
 // wake puts the node back on the engine's active list (idempotent).
@@ -434,21 +434,23 @@ func (n *Node) arbitrate(now sim.Cycle) {
 	n.acted = true
 }
 
-// update runs the output buffer housekeeping, then sleeps the node when
-// it is provably idle: no staged AdVOQ packets, no pending BECNs, and an
-// empty, fully deallocated output buffer. Every admission path (Offer,
-// BECN generation) wakes it again.
-func (n *Node) update(now sim.Cycle) {
+// update runs the output buffer housekeeping and returns the cycle the
+// node next ticks: Never when it is provably idle — no staged AdVOQ
+// packets, no pending BECNs, an empty, fully deallocated output buffer;
+// every admission path (Offer, BECN generation) wakes it again.
+func (n *Node) update(now sim.Cycle) sim.Cycle {
 	acted := n.disc.Update(now) || n.acted
 	n.acted = false
 	if n.occupied.Len() == 0 && n.pending.Empty() && n.disc.Quiescent() {
-		n.h.Sleep()
-	} else if !acted {
+		return sim.Never
+	}
+	if !acted {
 		if due := n.nextDue(now); due > now+1 {
 			n.skipUntil, n.quietAt = due, now
-			n.h.SleepUntil(due)
+			return due
 		}
 	}
+	return now + 1
 }
 
 // nextDue returns the first cycle after the quiet cycle now at which a

@@ -20,9 +20,9 @@ func InstallReference(n *Node, fail func(format string, args ...any)) *int {
 	// only moves in update or before the phases, so now < skipUntil says
 	// that tick is slept through, in the state seen here — but for the
 	// cycle whose update decided the skip (quietAt), which did tick.
-	n.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+	n.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) sim.Cycle {
 		if now >= n.skipUntil || now == n.quietAt {
-			return
+			return now + 1
 		}
 		*checked++
 		if h := n.pending.Head(); h != nil && n.disc.Fits(h.Size) {
@@ -49,6 +49,7 @@ func InstallReference(n *Node, fail func(format string, args ...any)) *int {
 			fail("node%d cycle %d: elided ticks acted=%v stats %+v -> %+v due %d -> %d",
 				n.id, now, acted, before, *n.disc.Stats(), due, n.disc.NextDue(now))
 		}
+		return now + 1
 	})
 	return checked
 }

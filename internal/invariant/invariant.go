@@ -90,9 +90,8 @@ type Config struct {
 
 // Checker audits the invariants. Build one per network via Attach.
 type Checker struct {
-	eng    *sim.Engine
-	cfg    Config
-	handle *sim.TickerHandle
+	eng *sim.Engine
+	cfg Config
 	// Sources are described in the snapshot: network.AddFlows' generators.
 	Sources []interface{ DescribeState(sim.Cycle) string }
 
@@ -120,7 +119,7 @@ func Attach(eng *sim.Engine, cfg Config) *Checker {
 		cfg.LeakWindow = 8192
 	}
 	c := &Checker{eng: eng, cfg: cfg, stalledSince: -1, drainedSince: -1}
-	c.handle = eng.AddTicker(sim.PhaseDevice, c.tick)
+	eng.AddTicker(sim.PhaseDevice, c.tick)
 	return c
 }
 
@@ -144,12 +143,12 @@ func (c *Checker) ExternalInjected(p *pkt.Packet) {
 // Violations returns how many violations have been reported.
 func (c *Checker) Violations() int { return c.violations }
 
-// tick is the self-pacing audit: check, sleep, re-arm. Sleeping
-// between checks keeps the engine's idle fast-forward intact — the
-// wake event is the only trace the checker leaves on the schedule.
-func (c *Checker) tick(now sim.Cycle) {
+// tick is the self-pacing audit: check, then sleep until the next one.
+// Sleeping between checks keeps the engine's idle fast-forward intact —
+// the wake event is the only trace the checker leaves on the schedule.
+func (c *Checker) tick(now sim.Cycle) sim.Cycle {
 	c.check(now)
-	c.handle.SleepUntil(now + c.cfg.CheckEvery)
+	return now + c.cfg.CheckEvery
 }
 
 // ledger sums the conservation equation's three terms.

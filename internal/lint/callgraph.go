@@ -74,19 +74,8 @@ func (g *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
 	return seen
 }
 
-// enclosingFunc returns the *types.Func of the innermost FuncDecl
-// containing pos, or nil (package-level var initializer). Statements
-// inside closures attribute to the declaring function: a closure runs
-// — at the earliest — where its enclosing function ran.
-func enclosingFunc(pkg *Package, pos token.Pos, file *ast.File) *types.Func {
-	if fd := enclosingFuncDecl(file, pos); fd != nil {
-		obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-		return obj
-	}
-	return nil
-}
-
-// enclosingFuncDecl is the declaration enclosingFunc resolves.
+// enclosingFuncDecl returns the FuncDecl of file containing pos, or nil
+// (package-level var initializer).
 func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
 	for _, decl := range file.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {

@@ -97,7 +97,6 @@ func All() []*Analyzer {
 		GuardedField(),
 		HotpathAlloc(),
 		LockOrder(),
-		PhaseDiscipline(),
 		PoolHygiene(),
 		UncheckedErr(),
 	}

@@ -17,7 +17,7 @@ type ScopeClass int
 
 const (
 	// ScopeSim marks deterministic simulation code: the determinism,
-	// hotpath-alloc, phase-discipline and pool-hygiene rules apply.
+	// hotpath-alloc and pool-hygiene rules apply.
 	ScopeSim ScopeClass = iota
 	// ScopeService marks orchestration/serving/tooling code: only the
 	// scope-independent rules (unchecked-err, and the concurrency

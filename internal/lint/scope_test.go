@@ -90,7 +90,7 @@ func TestCampaignScope(t *testing.T) {
 		return a.Applies == nil || a.Applies(m, campaign)
 	}
 
-	for _, rule := range []string{"determinism", "hotpath-alloc", "phase-discipline", "pool-hygiene"} {
+	for _, rule := range []string{"determinism", "hotpath-alloc", "pool-hygiene"} {
 		if applies(rule) {
 			t.Errorf("rule %s applies to internal/campaign; service code must be exempt from the determinism family", rule)
 		}
@@ -116,22 +116,12 @@ func TestSimScopeApplies(t *testing.T) {
 		t.Fatal("module load did not find internal/cam")
 	}
 	for _, a := range All() {
-		switch a.Name {
-		case "phase-discipline":
-			continue // applies to sim code except internal/sim itself; cam is covered
-		case "goroutine-lifecycle":
+		if a.Name == "goroutine-lifecycle" {
 			continue // service-scope rule: sim packages may not spawn goroutines at all
 		}
 		if a.Applies != nil && !a.Applies(m, cam) {
 			t.Errorf("rule %s does not apply to internal/cam; sim packages must keep full coverage", a.Name)
 		}
-	}
-	as, err := ByName([]string{"phase-discipline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !as[0].Applies(m, cam) {
-		t.Error("phase-discipline does not apply to internal/cam")
 	}
 }
 

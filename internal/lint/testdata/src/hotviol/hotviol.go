@@ -25,13 +25,14 @@ type Port struct {
 // New registers a closure ticker whose body is a hot region.
 func New(eng *sim.Engine) *Port {
 	p := &Port{eng: eng, buf: make([]int, 0, 64)}
-	p.h = eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+	p.h = eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) sim.Cycle {
 		p.events = append(p.events, event{id: 2, val: int(now)}) // want hotpath-alloc "composite literal"
 		// A visitor closure handed to an interface method inside a
 		// registered tick: it only looks non-escaping — the dynamic call
 		// hides the callee from escape analysis, so it is heap-allocated
 		// every cycle.
 		p.q.Each(func(v int) { p.buf = append(p.buf, v) }) // want hotpath-alloc "closure passed to an interface method"
+		return now + 1
 	})
 	return p
 }

@@ -148,13 +148,14 @@ func TestChaosDirectCFQTags(t *testing.T) {
 	// Bypass the normal ingress: drop packets onto switch B's port 4
 	// with arbitrary cfq hints, as a buggy upstream would.
 	injected := 0
-	n.Eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
+	n.Eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) sim.Cycle {
 		if now%64 != 0 || now > 50_000 {
-			return
+			return now + 1
 		}
 		pk := n.NewPacket(9, 3, injected)
 		sw.PacketReceiver(4).ReceivePacket(pk, rng.Intn(5)-2)
 		injected++
+		return now + 1
 	})
 	n.Run(200_000)
 	if got := n.Nodes[3].Stats().Delivered; got != injected {

@@ -124,15 +124,14 @@ func TestPipeRejectsDecreasingDelivery(t *testing.T) {
 	p.At(9, 2)
 }
 
-func TestSleepUntilWakesAtCycle(t *testing.T) {
+func TestReturnedDeadlineWakesAtCycle(t *testing.T) {
 	eng := NewEngine(1)
 	var ticks [64]Cycle
 	n := 0
-	var h *TickerHandle
-	h = eng.AddTicker(PhaseDevice, func(now Cycle) {
+	eng.AddTicker(PhaseDevice, func(now Cycle) Cycle {
 		ticks[n] = now
 		n++
-		h.SleepUntil(now + 10)
+		return now + 10
 	})
 	eng.Run(35)
 	if n != 4 || ticks[0] != 0 || ticks[1] != 10 || ticks[2] != 20 || ticks[3] != 30 {

@@ -12,11 +12,12 @@ func TestEventScheduledDuringStepForCurrentCycle(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Cycle
 	armed := false
-	e.AddTicker(PhaseDevice, func(now Cycle) {
+	e.AddTicker(PhaseDevice, func(now Cycle) Cycle {
 		if now == 5 && !armed {
 			armed = true
 			e.At(now, func() { fired = append(fired, e.Now()) })
 		}
+		return now + 1
 	})
 	e.Run(8)
 	if len(fired) != 1 || fired[0] != 6 {
@@ -29,7 +30,7 @@ func TestEventScheduledDuringStepForCurrentCycle(t *testing.T) {
 func TestAtOnExactCurrentCycle(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.AddTicker(PhaseInject, func(Cycle) { order = append(order, "inject") })
+	e.AddTicker(PhaseInject, func(now Cycle) Cycle { order = append(order, "inject"); return now + 1 })
 	e.At(e.Now(), func() { order = append(order, "event") })
 	e.Step()
 	if len(order) != 2 || order[0] != "event" || order[1] != "inject" {
@@ -66,8 +67,7 @@ func TestSameCycleFIFOAcross1000Events(t *testing.T) {
 // reflect exactly the events that have not fired.
 func TestPendingAfterIdleFastForward(t *testing.T) {
 	e := NewEngine(1)
-	h := e.AddTicker(PhaseDevice, func(Cycle) {})
-	h.Sleep()
+	e.AddTicker(PhaseDevice, func(Cycle) Cycle { return Never })
 	var fired []Cycle
 	e.At(1_000, func() { fired = append(fired, e.Now()) })
 	e.At(500_000, func() { fired = append(fired, e.Now()) })
@@ -102,35 +102,38 @@ func TestMidPhaseWakeOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var runs []string
 	var hEarly, hLate *TickerHandle
-	hEarly = e.AddTicker(PhaseDevice, func(now Cycle) {
+	hEarly = e.AddTicker(PhaseDevice, func(Cycle) Cycle {
 		runs = append(runs, "early")
+		return Never
 	})
-	e.AddTicker(PhaseDevice, func(now Cycle) {
+	e.AddTicker(PhaseDevice, func(now Cycle) Cycle {
 		runs = append(runs, "mid")
-		if now == 0 {
+		if now == 1 {
 			hEarly.Wake() // already passed this cycle: next cycle
 			hLate.Wake()  // still ahead this cycle: runs now
 		}
+		return now + 1
 	})
-	hLate = e.AddTicker(PhaseDevice, func(now Cycle) {
+	hLate = e.AddTicker(PhaseDevice, func(Cycle) Cycle {
 		runs = append(runs, "late")
+		return Never
 	})
-	hEarly.Sleep()
-	hLate.Sleep()
+	e.Step() // early and late tick once and sleep
+	runs = nil
 	e.Step()
 	if want := []string{"mid", "late"}; !eq(runs, want) {
-		t.Fatalf("cycle 0 runs = %v, want %v", runs, want)
+		t.Fatalf("cycle 1 runs = %v, want %v", runs, want)
 	}
 	runs = nil
 	e.Step()
-	if want := []string{"early", "mid", "late"}; !eq(runs, want) {
-		t.Fatalf("cycle 1 runs = %v, want %v", runs, want)
+	if want := []string{"early", "mid"}; !eq(runs, want) {
+		t.Fatalf("cycle 2 runs = %v, want %v", runs, want)
 	}
 }
 
 func TestWakeSleepIdempotent(t *testing.T) {
 	e := NewEngine(1)
-	h := e.AddTicker(PhaseDevice, func(Cycle) {})
+	h := e.AddTicker(PhaseDevice, func(Cycle) Cycle { return Never })
 	if !h.Awake() || e.ActiveTickers() != 1 {
 		t.Fatal("tickers must start awake")
 	}
@@ -139,10 +142,47 @@ func TestWakeSleepIdempotent(t *testing.T) {
 	if e.ActiveTickers() != 1 {
 		t.Fatalf("double Wake counted twice: ActiveTickers = %d", e.ActiveTickers())
 	}
-	h.Sleep()
-	h.Sleep()
+	e.Step()
+	e.Step()
 	if h.Awake() || e.ActiveTickers() != 0 {
-		t.Fatalf("double Sleep: Awake=%v ActiveTickers=%d", h.Awake(), e.ActiveTickers())
+		t.Fatalf("after returning Never: Awake=%v ActiveTickers=%d", h.Awake(), e.ActiveTickers())
+	}
+	h.Wake()
+	h.Wake()
+	if !h.Awake() || e.ActiveTickers() != 1 {
+		t.Fatalf("double Wake of a sleeper: Awake=%v ActiveTickers=%d", h.Awake(), e.ActiveTickers())
+	}
+}
+
+// What a tick returns decides alone whether it schedules anything: now+1
+// or earlier keeps the ticker awake and the queue untouched, Never sleeps
+// it with nothing scheduled, and only a later cycle queues a wake-up.
+func TestReturnedCycleSchedulesOnlyLaterDeadlines(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		next           func(now Cycle) Cycle
+		ticks, pending int
+		awake          bool
+	}{
+		{"now-1", func(now Cycle) Cycle { return now - 1 }, 100, 0, true},
+		{"now", func(now Cycle) Cycle { return now }, 100, 0, true},
+		{"now+1", func(now Cycle) Cycle { return now + 1 }, 100, 0, true},
+		{"now+2", func(now Cycle) Cycle { return now + 2 }, 50, 1, false},
+		{"Never", func(Cycle) Cycle { return Never }, 1, 0, false},
+	} {
+		e := NewEngine(1)
+		ticks := 0
+		h := e.AddTicker(PhaseDevice, func(now Cycle) Cycle {
+			ticks++
+			if e.Pending() != 0 {
+				t.Fatalf("%s: %d events pending at tick %d", c.name, e.Pending(), now)
+			}
+			return c.next(now)
+		})
+		e.Run(100)
+		if ticks != c.ticks || e.Pending() != c.pending || h.Awake() != c.awake {
+			t.Errorf("%s: %d ticks, %d pending, awake %v; want %d, %d, %v", c.name, ticks, e.Pending(), h.Awake(), c.ticks, c.pending, c.awake)
+		}
 	}
 }
 
@@ -151,18 +191,18 @@ func TestActiveListAcrossBitmapWords(t *testing.T) {
 	e := NewEngine(1)
 	const n = 130
 	var order []int
-	handles := make([]*TickerHandle, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles[i] = e.AddTicker(PhaseInject, func(Cycle) {
+		e.AddTicker(PhaseInject, func(now Cycle) Cycle {
 			order = append(order, i)
+			if i%3 == 0 {
+				return Never
+			}
+			return now + 1
 		})
 	}
-	for i := 0; i < n; i++ {
-		if i%3 == 0 {
-			handles[i].Sleep()
-		}
-	}
+	e.Step() // every third ticker ticks once and sleeps
+	order = nil
 	e.Step()
 	want := 0
 	for _, v := range order {
@@ -187,21 +227,19 @@ func TestActiveListAcrossBitmapWords(t *testing.T) {
 // quiescent and Run steps every cycle.
 func busy(e *Engine) *int {
 	ticks := new(int)
-	e.AddTicker(PhaseDevice, func(Cycle) { *ticks++ })
+	e.AddTicker(PhaseDevice, func(now Cycle) Cycle { *ticks++; return now + 1 })
 	return ticks
 }
 
-// witness registers a sleeping ticker that each event passed its wake
-// handle rouses for one tick: the cycles it logs are the cycles Run
-// stepped with work to do.
+// witness registers a ticker whose every tick returns Never: it ticks in
+// the cycle it is registered in, then once for each event passed its wake
+// handle. The cycles it logs are the cycles Run stepped with work to do.
 func witness(e *Engine) (*TickerHandle, *[]Cycle) {
 	log := new([]Cycle)
-	var h *TickerHandle
-	h = e.AddTicker(PhaseDevice, func(now Cycle) {
+	h := e.AddTicker(PhaseDevice, func(now Cycle) Cycle {
 		*log = append(*log, now)
-		h.Sleep()
+		return Never
 	})
-	h.Sleep()
 	return h, log
 }
 
@@ -236,7 +274,7 @@ func TestParallelCrossShardDeliveryAtLookahead(t *testing.T) {
 	const window = Cycle(3)
 	var got []Cycle
 	pipe := NewPipe(e, func(int) { got = append(got, e.Now()) })
-	e.AddTicker(PhaseDevice, func(now Cycle) { pipe.At(now+window, 0) })
+	e.AddTicker(PhaseDevice, func(now Cycle) Cycle { pipe.At(now+window, 0); return now + 1 })
 	e.Run(9)
 	// Cycles 0..8 each post one record due at now+3; those due before 9
 	// (posted in cycles 0..5) must have fired, in cycle order.
@@ -264,8 +302,8 @@ func TestParallelQuiescentSkip(t *testing.T) {
 			e.At(at, func() { fired = append(fired, e.Now()); h.Wake() })
 		}
 		e.Run(1000)
-		if want := []Cycle{100, 104}; !reflect.DeepEqual(fired, want) || !reflect.DeepEqual(*stepped, want) {
-			t.Fatalf("events fired at %v, the witness ticked at %v; want %v for both", fired, *stepped, want)
+		if want := []Cycle{100, 104}; !reflect.DeepEqual(fired, want) || !reflect.DeepEqual(*stepped, append([]Cycle{0}, want...)) {
+			t.Fatalf("events fired at %v, the witness ticked at %v; want %v, and cycle 0 before them for the witness", fired, *stepped, want)
 		}
 		if e.Now() != 1000 || e.ActiveTickers() != 0 {
 			t.Fatalf("stopped at %d with %d tickers awake, want 1000 and none", e.Now(), e.ActiveTickers())
@@ -281,8 +319,8 @@ func TestParallelQuiescentSkip(t *testing.T) {
 		// is exactly the window, with nothing else scheduled in between.
 		e.At(100, func() { pipe.At(e.Now()+window, 1) })
 		e.Run(1000)
-		if want := []Cycle{104}; !reflect.DeepEqual(landed, want) || !reflect.DeepEqual(*stepped, want) {
-			t.Fatalf("message landed at %v, the witness ticked at %v; want %v for both", landed, *stepped, want)
+		if want := []Cycle{104}; !reflect.DeepEqual(landed, want) || !reflect.DeepEqual(*stepped, append([]Cycle{0}, want...)) {
+			t.Fatalf("message landed at %v, the witness ticked at %v; want %v, and cycle 0 before it for the witness", landed, *stepped, want)
 		}
 	})
 
@@ -341,8 +379,9 @@ func BenchmarkEngineStep(b *testing.B) {
 		e := NewEngine(1)
 		for i := 0; i < 64; i++ {
 			p := Phase(i % int(numPhases))
-			e.AddTicker(p, func(Cycle) {}).Sleep()
+			e.AddTicker(p, func(Cycle) Cycle { return Never })
 		}
+		e.Step()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -354,7 +393,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		var sink int
 		for i := 0; i < 64; i++ {
 			p := Phase(i % int(numPhases))
-			e.AddTicker(p, func(Cycle) { sink++ })
+			e.AddTicker(p, func(now Cycle) Cycle { sink++; return now + 1 })
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

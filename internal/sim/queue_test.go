@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -10,8 +11,8 @@ import (
 // reference the wheel is checked against: every event in one (at, seq)
 // order — a sorted slice here, the order is all that matters — popped
 // while due at the top of Step, dense per-phase ticker lists, and the
-// same deadline-on-the-handle rule for SleepUntil. It shares no code
-// with Engine.
+// same deadline-on-the-handle rule for the cycle a tick returns. It shares
+// no code with Engine.
 type heapEngine struct {
 	now    Cycle
 	seq    uint64
@@ -21,7 +22,7 @@ type heapEngine struct {
 
 type heapHandle struct {
 	e     *heapEngine
-	fn    func(Cycle)
+	fn    func(Cycle) Cycle
 	awake bool
 	until Cycle
 }
@@ -31,10 +32,14 @@ func (h *heapHandle) Wake() {
 		h.awake, h.until = true, -1
 	}
 }
-func (h *heapHandle) Sleep()      { h.awake = false }
 func (h *heapHandle) Awake() bool { return h.awake }
-func (h *heapHandle) SleepUntil(c Cycle) {
+
+// sleep is what a tick returning c past the next cycle does to its ticker.
+func (h *heapHandle) sleep(c Cycle) {
 	h.awake, h.until = false, c
+	if c == Never {
+		return
+	}
 	h.e.At(c, func() {
 		if h.until >= 0 && h.until <= h.e.now {
 			h.Wake()
@@ -65,7 +70,9 @@ func (e *heapEngine) Step() {
 	for p := range e.phases {
 		for _, h := range e.phases[p] {
 			if h.awake {
-				h.fn(e.now)
+				if next := h.fn(e.now); next > e.now+1 {
+					h.sleep(next)
+				}
 			}
 		}
 	}
@@ -105,7 +112,7 @@ func (e *heapEngine) NextEvent() (Cycle, bool) {
 	return e.events[0].at, true
 }
 
-func (e *heapEngine) ticker(p Phase, fn func(Cycle)) sleeper {
+func (e *heapEngine) ticker(p Phase, fn func(Cycle) Cycle) waker {
 	h := &heapHandle{e: e, fn: fn, awake: true, until: -1}
 	e.phases[p] = append(e.phases[p], h)
 	return h
@@ -119,19 +126,17 @@ type queue interface {
 	Run(Cycle)
 	Pending() int
 	NextEvent() (Cycle, bool)
-	ticker(Phase, func(Cycle)) sleeper
+	ticker(Phase, func(Cycle) Cycle) waker
 }
 
-type sleeper interface {
+type waker interface {
 	Wake()
-	Sleep()
-	SleepUntil(Cycle)
 	Awake() bool
 }
 
 type wheelEngine struct{ *Engine }
 
-func (w wheelEngine) ticker(p Phase, fn func(Cycle)) sleeper {
+func (w wheelEngine) ticker(p Phase, fn func(Cycle) Cycle) waker {
 	return w.AddTicker(p, fn)
 }
 
@@ -141,7 +146,7 @@ const (
 	opAt     = iota // delta, behaviour: schedule an event
 	opStep          // one Step
 	opRun           // delta: Run(now + delta)
-	opHandle        // ticker, verb: Wake / Sleep / SleepUntil from outside the phases
+	opHandle        // ticker, verb: Wake (or a sleep verb: no-op) from outside the phases
 	opArm           // ticker, verb: what the ticker does on its next tick
 	opPast          // At(now-1): must panic
 	numOps
@@ -159,7 +164,7 @@ const nTickers = 6 // two phases x three, so mid-phase wakes have both orders
 // player runs one script on one queue and keeps the transcript.
 type player struct {
 	q       queue
-	tickers [nTickers]sleeper
+	tickers [nTickers]waker
 	armed   [nTickers]byte // verb for the ticker's next tick (0: none)
 	nextID  int
 	mark    Cycle // due cycle of the latest overflow event
@@ -170,13 +175,13 @@ func newPlayer(q queue) *player {
 	p := &player{q: q}
 	for k := range p.tickers {
 		k := k
-		p.tickers[k] = q.ticker(Phase(k%2), func(now Cycle) {
+		p.tickers[k] = q.ticker(Phase(k%2), func(now Cycle) Cycle {
 			p.logf("tick %d", k)
 			verb := p.armed[k]
 			p.armed[k] = 0
-			p.act(k, verb)
+			return p.act(k, verb)
 		})
-		p.tickers[k].Sleep()
+		p.armed[k] = 5 // tickers start awake: the first tick returns Never
 	}
 	return p
 }
@@ -206,28 +211,33 @@ func (p *player) schedule(c Cycle, behaviour byte) {
 	})
 }
 
-// act is what an event or a tick does beyond logging, on ticker k.
-func (p *player) act(k int, verb byte) {
+// act is what an event or a tick does beyond logging, on ticker k. It
+// returns what a tick acting so returns, the cycle its ticker next runs:
+// the sleep verbs (5-8) act through that alone, so from an event or from
+// outside the phases they do nothing.
+func (p *player) act(k int, verb byte) Cycle {
+	now := p.q.Now()
 	switch verb % 10 {
 	case 1:
-		p.schedule(p.q.Now(), 0) // a cascade (from an event) or a late At(now) (from a phase)
+		p.schedule(now, 0) // a cascade (from an event) or a late At(now) (from a phase)
 	case 2:
-		p.schedule(p.q.Now()+1, 1) // ... whose child cascades in turn
+		p.schedule(now+1, 1) // ... whose child cascades in turn
 	case 3:
-		p.schedule(p.q.Now()+wheelSize, 0) // overflow from inside the firing loop
+		p.schedule(now+wheelSize, 0) // overflow from inside the firing loop
 	case 4:
 		p.tickers[k].Wake()
 	case 5:
-		p.tickers[k].Sleep()
+		return Never
 	case 6:
-		p.tickers[k].SleepUntil(p.q.Now() + 3)
+		return now + 2 // the nearest deadline that sleeps
 	case 7:
-		p.tickers[k].SleepUntil(p.q.Now() + wheelSize + 2)
+		return now + wheelSize + 2
 	case 8:
-		p.tickers[k].SleepUntil(p.q.Now())
+		return now // stays awake, as now+1 does
 	case 9:
-		p.schedule(max(p.mark, p.q.Now()), 0) // beside the overflow entries of that cycle
+		p.schedule(max(p.mark, now), 0) // beside the overflow entries of that cycle
 	}
+	return now + 1
 }
 
 // play runs one op and returns the rest of the script.
@@ -317,16 +327,16 @@ var queueScripts = []struct {
 	{"At(now) from inside each phase", []byte{
 		opArm, 0, 1, opArm, 1, 1, opArm, 2, 1, opHandle, 0, 0, opHandle, 1, 0, opHandle, 2, 0,
 		opAt, 1, 0, opStep, opStep, opStep}, "1: event 1"},
-	{"SleepUntil, early wake, later deadline", []byte{
-		opHandle, 3, 2, opRun, 1, opHandle, 3, 0, opArm, 3, 7, opStep, opRun, 3, opRun, 7, opRun, 1}, "517: tick 3"},
-	{"SleepUntil(now) from a tick and from outside", []byte{opHandle, 4, 4, opStep, opArm, 4, 8, opStep, opStep, opStep}, "2: tick 4"},
+	{"a returned deadline, early wake, later deadline", []byte{
+		opArm, 3, 6, opStep, opHandle, 3, 0, opArm, 3, 7, opStep, opRun, 3, opRun, 7, opRun, 1}, "515: tick 3"},
+	{"a tick returning now stays awake", []byte{opArm, 4, 8, opStep, opStep, opStep}, "2: tick 4"},
 	{"gaps of 0, 1, wheelSize-1, wheelSize and 10 wheels, all asleep", []byte{
 		opAt, 8, 0, opRun, 0, opRun, 1, opRun, 4, opAt, 1, 0, opRun, 5, opRun, 8, opRun, 8}, "5120: event 0"},
 	{"overflow due in a cycle whose bucket is not empty", []byte{
 		opAt, 7, 0, opAt, 7, 9, opRun, 5, opAt, 9, 0, opAt, 9, 9, opRun, 8}, "1541: event 4"},
 	{"overflow scheduled by a firing event, met by a later bucket entry", []byte{opAt, 1, 3, opRun, 3, opAt, 9, 0, opRun, 5, opRun, 1}, "513: event 2"},
 	{"scheduling in the past panics", []byte{opRun, 3, opPast, opAt, 0, 0, opStep}, "9: past: panic true"},
-	{"stale wake-ups keep Pending until they fire", []byte{opHandle, 5, 3, opHandle, 5, 0, opHandle, 5, 1, opRun, 8}, ""},
+	{"stale wake-ups keep Pending until they fire", []byte{opArm, 5, 7, opStep, opHandle, 5, 0, opArm, 5, 5, opStep, opRun, 8}, "1: tick 5"},
 }
 
 func TestEngineQueue(t *testing.T) {
@@ -354,60 +364,60 @@ func FuzzEventOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) { replay(t, script) })
 }
 
-// A ticker woken before its SleepUntil deadline and put back to sleep
-// behind a later one is not woken at the old deadline: the stale wake-up
+// A ticker woken before the deadline its tick returned, whose next tick
+// returns a later one, is not woken at the old deadline: the stale wake-up
 // fires (it is an event like any other) and does nothing.
-func TestSleepUntilDropsStaleWake(t *testing.T) {
+func TestReturnedDeadlineDropsStaleWake(t *testing.T) {
 	e := NewEngine(1)
 	var ticks []Cycle
-	var h *TickerHandle
-	h = e.AddTicker(PhaseDevice, func(now Cycle) {
+	start := Cycle(0)
+	h := e.AddTicker(PhaseDevice, func(now Cycle) Cycle {
 		ticks = append(ticks, now)
-		if now == 5 {
-			h.SleepUntil(40)
+		switch now - start {
+		case 0:
+			return start + 20
+		case 5:
+			return start + 40
 		}
+		return now + 1
 	})
-	h.SleepUntil(20)
 	e.At(5, h.Wake)
 	e.Run(41)
-	if len(ticks) != 2 || ticks[0] != 5 || ticks[1] != 40 {
-		t.Fatalf("ticked at %v, want [5 40]", ticks)
+	if want := []Cycle{0, 5, 40}; !reflect.DeepEqual(ticks, want) {
+		t.Fatalf("ticked at %v, want %v", ticks, want)
 	}
 	if e.Pending() != 0 || !h.Awake() {
 		t.Fatalf("after 40: %d events pending, awake %v", e.Pending(), h.Awake())
 	}
 	// The same dance as a steady state allocates nothing.
 	wake := h.Wake
-	ticks = ticks[:0]
 	period := func() {
-		now := e.Now()
-		h.SleepUntil(now + 20)
-		e.At(now+5, wake)
-		e.Run(now + 6)
-		h.SleepUntil(now + 40)
-		e.Run(now + 41)
-		ticks = ticks[:0]
+		start, ticks = e.Now(), ticks[:0]
+		e.At(start+5, wake)
+		e.Run(start + 41)
 	}
 	if allocs := testing.AllocsPerRun(10, period); allocs != 0 {
 		t.Fatalf("sleep, early wake, sleep again allocates %v per period", allocs)
 	}
+	if want := []Cycle{start, start + 5, start + 40}; !reflect.DeepEqual(ticks, want) {
+		t.Fatalf("a steady-state period ticked at %v, want %v", ticks, want)
+	}
 }
 
-// SleepUntil(Never) is a plain Sleep: it schedules nothing, so a run with
-// nothing else to do fast-forwards, and only Wake ends it.
-func TestSleepUntilNever(t *testing.T) {
+// A tick returning Never sleeps its ticker with nothing scheduled, so a run
+// with nothing else to do fast-forwards, and only Wake ends the sleep.
+func TestReturnedNeverSleepsUntilWake(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0
-	h := e.AddTicker(PhaseDevice, func(Cycle) { ticks++ })
-	h.SleepUntil(Never)
+	h := e.AddTicker(PhaseDevice, func(Cycle) Cycle { ticks++; return Never })
 	e.Run(10 * wheelSize)
-	if h.Awake() || e.Pending() != 0 || ticks != 0 || e.Work() != 0 {
-		t.Fatalf("awake %v, %d pending, %d ticks, work %d after sleeping until Never", h.Awake(), e.Pending(), ticks, e.Work())
+	if h.Awake() || e.Pending() != 0 || ticks != 1 || e.Work() != 1 {
+		t.Fatalf("awake %v, %d pending, %d ticks, work %d after returning Never", h.Awake(), e.Pending(), ticks, e.Work())
 	}
 	h.Wake()
 	e.Step()
-	if ticks != 1 {
-		t.Fatalf("%d ticks after Wake", ticks)
+	if ticks != 2 {
+		t.Fatalf("%d ticks after Wake, want 2", ticks)
 	}
 }
 
@@ -417,10 +427,9 @@ func TestSleepUntilNever(t *testing.T) {
 // which no test timeout outlasts.
 func TestCountsSplitWorkAndFastForwardMovesTheCursor(t *testing.T) {
 	e := NewEngine(1)
-	h := e.AddTicker(PhaseInject, func(Cycle) {})
+	e.AddTicker(PhaseInject, func(Cycle) Cycle { return Never })
 	e.At(1<<40, func() {})
 	e.Step()
-	h.Sleep()
 	e.Run(1<<40 + 1)
 	e.At(e.Now()+1, func() {})
 	e.Run(e.Now() + 2)

@@ -98,18 +98,19 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// TickerHandle controls one registration's membership of its phase's
-// active list. A ticker is called once per cycle, in registration order,
-// while awake; a sleeping ticker is skipped entirely, so a component must
-// only sleep when its tick would be a no-op: eliding it cannot then change
-// simulated outcomes. Wake and Sleep are idempotent and O(1); components
-// call them on work-arrival and provably-idle transitions.
+// TickerHandle is one ticker's membership of its phase's active list. An
+// awake ticker is called once per cycle, in registration order; a sleeping
+// one is skipped entirely. Only the ticker's own tick puts it to sleep, by
+// what it returns (AddTicker), so a ticker sleeps only where its tick has
+// just proven the skipped ticks no-ops. Anyone may Wake it: a spurious wake
+// costs one tick that does nothing. Wake is idempotent and O(1).
 type TickerHandle struct {
 	e      *Engine
 	p      Phase
 	idx    int
+	fn     func(Cycle) Cycle
 	wakeFn func() // h.wakeDue, bound at registration
-	until  Cycle  // deadline of the SleepUntil in force; Never once woken
+	until  Cycle  // deadline of the sleep in force; Never once woken
 }
 
 // Wake adds the ticker to its phase's active list (no-op when awake).
@@ -120,28 +121,21 @@ func (h *TickerHandle) Wake() {
 	}
 }
 
-// Sleep removes the ticker from its phase's active list (no-op when
-// already sleeping).
-func (h *TickerHandle) Sleep() {
-	if h.e.phases[h.p].active.Remove(h.idx) {
-		h.e.awake--
-	}
-}
-
-// SleepUntil sleeps the ticker and schedules its wake-up at cycle c —
-// the self-pacing idiom of components that know when their next work is
-// due (Never: a plain Sleep). The wake event reuses one method value per
-// handle, so pacing allocates nothing.
-func (h *TickerHandle) SleepUntil(c Cycle) {
-	h.Sleep()
+// sleep takes the ticker, which has just ticked and so is awake, off the
+// active list and schedules its wake-up at cycle c (Never: none, only a
+// Wake ends it). The wake event reuses one method value per handle, so
+// pacing allocates nothing.
+func (h *TickerHandle) sleep(c Cycle) {
+	h.e.phases[h.p].active.Remove(h.idx)
+	h.e.awake--
 	if h.until = c; c != Never {
 		h.e.At(c, h.wakeFn)
 	}
 }
 
-// wakeDue is SleepUntil's event. It wakes the ticker only when that
-// sleep is still the one in force: a ticker woken early — and perhaps
-// asleep again behind a later deadline — drops the stale wake-up.
+// wakeDue is sleep's event. It wakes the ticker only when that sleep is
+// still the one in force: a ticker woken early — and perhaps asleep again
+// behind a later deadline — drops the stale wake-up.
 func (h *TickerHandle) wakeDue() {
 	if h.until <= h.e.now {
 		h.Wake()
@@ -155,19 +149,22 @@ func (h *TickerHandle) Awake() bool { return h.e.phases[h.p].active.Has(h.idx) }
 // list is indexed by registration order, so walking it low-to-high
 // preserves the deterministic tick order of a dense every-cycle fan-out.
 type tickList struct {
-	ticks  []func(Cycle)
-	active ActiveSet
+	handles []*TickerHandle
+	active  ActiveSet
 }
 
-// tick runs every awake ticker in registration order. ActiveSet.Next
-// re-reads the bitmap as iteration advances, so a ticker woken mid-phase
-// at a LATER index still runs this cycle (exactly as it would have under
-// the dense fan-out), while wakes at already-passed indices wait for the
-// next cycle (as they would have: each callback runs at most once per
-// phase).
+// tick runs every awake ticker in registration order and sleeps those
+// whose next work lies past the next cycle. ActiveSet.Next re-reads the
+// bitmap as iteration advances, so a ticker woken mid-phase at a LATER
+// index still runs this cycle (exactly as it would have under the dense
+// fan-out), while wakes at already-passed indices wait for the next cycle
+// (as they would have: each callback runs at most once per phase).
 func (l *tickList) tick(now Cycle) (ran uint64) {
 	for i := l.active.Next(0); i >= 0; i = l.active.Next(i + 1) {
-		l.ticks[i](now)
+		h := l.handles[i]
+		if next := h.fn(now); next > now+1 {
+			h.sleep(next)
+		}
 		ran++
 	}
 	return ran
@@ -249,7 +246,7 @@ func (e *Engine) At(c Cycle, fn func()) {
 	}
 	e.seq++
 	if c-e.cursor >= wheelSize {
-		e.pushEvent(event{at: c, seq: e.seq, fn: fn})
+		e.pushEvent(c, fn)
 		return
 	}
 	if e.free == 0 {
@@ -260,8 +257,8 @@ func (e *Engine) At(c Cycle, fn func()) {
 		e.free = int32(len(e.slab))
 	}
 	i := e.free
-	e.free = e.slab[i-1].next
-	e.slab[i-1] = wheelEvent{fn: fn}
+	ev := &e.slab[i-1]
+	e.free, ev.fn, ev.next = ev.next, fn, 0
 	b := &e.wheel[c&wheelMask]
 	if b.head == 0 {
 		b.head = i
@@ -297,12 +294,13 @@ func (e *Engine) fire(c Cycle) {
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 
-// pushEvent sifts a new event up a hand-rolled monomorphic heap. Unlike
-// container/heap this never boxes the event into an interface, so the
-// only allocation on the scheduling hot path is the caller's closure.
-func (e *Engine) pushEvent(ev event) {
-	h := append(e.events, ev)
+// pushEvent sifts event (at, e.seq, fn) up a hand-rolled monomorphic
+// heap. Unlike container/heap this never boxes it into an interface, so
+// the only allocation on the scheduling hot path is the caller's closure.
+func (e *Engine) pushEvent(at Cycle, fn func()) {
+	h := append(e.events, event{})
 	i := len(h) - 1
+	h[i].at, h[i].seq, h[i].fn = at, e.seq, fn
 	for i > 0 {
 		p := (i - 1) / 2
 		if !h[i].before(h[p]) {
@@ -343,16 +341,19 @@ func (e *Engine) popEvent() func() {
 }
 
 // AddTicker registers fn for per-cycle ticks in phase p and returns the
-// handle controlling its active-list membership. Tickers start awake.
-func (e *Engine) AddTicker(p Phase, fn func(Cycle)) *TickerHandle {
+// handle that wakes it. Tickers start awake. A tick returns the first
+// cycle it has work in: now+1 or earlier keeps the ticker awake, a later
+// cycle sleeps it until then (an earlier Wake ends the sleep, and the
+// deadline's wake-up is dropped), Never sleeps it until a Wake.
+func (e *Engine) AddTicker(p Phase, fn func(Cycle) Cycle) *TickerHandle {
 	if p < 0 || p >= numPhases {
 		panic(fmt.Sprintf("sim: invalid phase %d", p))
 	}
 	l := &e.phases[p]
-	l.ticks = append(l.ticks, fn)
-	l.active.Grow(len(l.ticks))
-	h := &TickerHandle{e: e, p: p, idx: len(l.ticks) - 1}
+	h := &TickerHandle{e: e, p: p, idx: len(l.handles), fn: fn}
 	h.wakeFn = h.wakeDue
+	l.handles = append(l.handles, h)
+	l.active.Grow(len(l.handles))
 	h.Wake()
 	return h
 }

@@ -63,10 +63,11 @@ func TestEventOrdering(t *testing.T) {
 func TestEventsFireBeforePhases(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	e.AddTicker(PhaseInject, func(now Cycle) {
+	e.AddTicker(PhaseInject, func(now Cycle) Cycle {
 		if now == 4 {
 			trace = append(trace, "phase")
 		}
+		return now + 1
 	})
 	e.At(4, func() { trace = append(trace, "event") })
 	e.Run(6)
@@ -81,19 +82,27 @@ func TestEventsFireBeforePhases(t *testing.T) {
 func TestPhaseOrderWithinCycle(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	log := func(s string) func(Cycle) {
-		return func(Cycle) { trace = append(trace, s) }
+	log := func(s string) func(Cycle) Cycle {
+		return func(now Cycle) Cycle { trace = append(trace, s); return now + 1 }
 	}
 	e.AddTicker(PhaseDevice, log("dev0"))
-	asleep := e.AddTicker(PhaseDevice, log("dev1"))
-	e.AddTicker(PhaseInject, func(Cycle) {
+	asleep := e.AddTicker(PhaseDevice, func(Cycle) Cycle {
+		trace = append(trace, "dev1")
+		return Never
+	})
+	e.AddTicker(PhaseInject, func(now Cycle) Cycle {
 		trace = append(trace, "src0")
 		asleep.Wake()
+		return now + 1
 	})
 	e.AddTicker(PhaseDevice, log("checker"))
 	e.AddTicker(PhaseInject, log("src1"))
-	asleep.Sleep()
-	e.At(0, func() { trace = append(trace, "event") })
+	e.Step()
+	if asleep.Awake() {
+		t.Fatal("dev1 awake after its tick returned Never")
+	}
+	trace = nil
+	e.At(1, func() { trace = append(trace, "event") })
 	e.Step()
 	if want := []string{"event", "src0", "src1", "dev0", "dev1", "checker"}; !eq(trace, want) {
 		t.Fatalf("step order %v, want %v", trace, want)
@@ -229,12 +238,12 @@ func TestRegisterInvalidPhasePanics(t *testing.T) {
 			t.Fatal("invalid phase did not panic")
 		}
 	}()
-	e.AddTicker(Phase(99), func(Cycle) {})
+	e.AddTicker(Phase(99), func(Cycle) Cycle { return Never })
 }
 
 func BenchmarkEngineIdleCycles(b *testing.B) {
 	e := NewEngine(1)
-	e.AddTicker(PhaseDevice, func(Cycle) {})
+	e.AddTicker(PhaseDevice, func(now Cycle) Cycle { return now + 1 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()

@@ -54,7 +54,7 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 		tx.SetReceivers(tape{r, i}, tape{r, i})
 		r.sw.AttachLink(i, tx, core.NewSharedCredits(credits))
 	}
-	r.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
+	r.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) sim.Cycle {
 		if everyCycle {
 			if r.sw.napAt != 0 {
 				r.sw.wake()
@@ -66,16 +66,18 @@ func newEdgeRig(t *testing.T, params core.Params, nports, xbar, credits int, eve
 		}
 		r.cooled += bits.OnesCount64(r.sw.liveIn &^ r.sw.hot)
 		r.parked += bits.OnesCount64(r.sw.parked)
+		return now + 1
 	})
 	// After the switch's own tick: a nap in progress that did not begin
 	// in this very cycle skipped this cycle's tick. Reading the counters
 	// here, as the invariant checker's tick does, settles a nap mid-cycle,
 	// the very cycle it began in included.
-	r.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+	r.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) sim.Cycle {
 		if r.sw.napAt != 0 && r.sw.napAt <= now {
 			r.napped++
 		}
 		r.sw.Stats()
+		return now + 1
 	})
 	return r
 }

@@ -68,7 +68,7 @@ func InstallReference(s *Switch, fail func(format string, args ...any)) *RefCoun
 			}
 		}
 	}
-	s.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+	s.eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) sim.Cycle {
 		if s.napAt != 0 && s.napAt <= now {
 			c.Naps++
 			if why := s.napIdle(now); why != "" {
@@ -79,6 +79,7 @@ func InstallReference(s *Switch, fail func(format string, args ...any)) *RefCoun
 			cool(now, true)
 		}
 		cool(now, false)
+		return now + 1
 	})
 	s.ref = func(now sim.Cycle) {
 		cool(now, true)

@@ -230,10 +230,10 @@ func New(eng *sim.Engine, id int, name string, nports int, p *core.Params, route
 // tick is the switch's cycle, the port pipeline of the paper's Figs. 3-4
 // in order. It reads and writes the switch's own state only; whatever
 // reaches another device leaves as an event (DESIGN.md §5).
-func (s *Switch) tick(now sim.Cycle) {
+func (s *Switch) tick(now sim.Cycle) sim.Cycle {
 	s.post(now)
 	s.arbitrate(now)
-	s.update(now)
+	return s.update(now)
 }
 
 // wake puts the switch back on the engine's active list (idempotent),
@@ -363,11 +363,12 @@ func (s *Switch) unpark(m uint64) {
 }
 
 // update runs the housekeeping step of the hot ports, cools those that
-// went a cycle without acting, then sleeps the switch when it is provably
-// idle (packet arrivals wake it again) or has a nap ahead of it (napAt). A
+// went a cycle without acting, then returns when the switch next ticks:
+// Never when it is provably idle (packet arrivals wake it again), its
+// deadline when it has a nap ahead of it (napAt), else the next cycle. A
 // port start heated this cycle runs Update without having run Post: cool
 // means that was a no-op.
-func (s *Switch) update(now sim.Cycle) {
+func (s *Switch) update(now sim.Cycle) sim.Cycle {
 	for hot := s.hot; hot != 0; hot &= hot - 1 {
 		i := bits.TrailingZeros64(hot)
 		bit := uint64(1) << i
@@ -392,16 +393,16 @@ func (s *Switch) update(now sim.Cycle) {
 	due := sim.Never
 	if !s.idle() {
 		if due = min(s.minDue, s.drainDue); s.hot != 0 || due <= now+1 || now+1 < s.stalledUntil {
-			return
+			return now + 1
 		}
 		for live := s.liveIn &^ s.parked; live != 0; live &= live - 1 {
 			if s.in[bits.TrailingZeros64(live)].busyUntil <= now+1 {
-				return
+				return now + 1
 			}
 		}
 		s.napAt = now + 1
 	}
-	s.h.SleepUntil(due)
+	return due
 }
 
 // arbitrate drains output stages onto their links, then collects

@@ -80,7 +80,7 @@ func rig(t *testing.T, params core.Params, nports, xbar, credits int) (*sim.Engi
 	t.Helper()
 	eng := sim.NewEngine(9)
 	sw := New(eng, 100, "sw", nports, &params, func(d int) int { return d % nports }, 16, xbar)
-	eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) {
+	eng.AddTicker(sim.PhaseDevice, func(now sim.Cycle) sim.Cycle {
 		if got, want := sw.idle(), sw.idleScan(); got != want {
 			t.Fatalf("cycle %d: idle() = %v, full scan = %v (liveIn %b stagedOut %b inflight %d)",
 				now, got, want, sw.liveIn, sw.stagedOut, sw.inflight)
@@ -90,6 +90,7 @@ func rig(t *testing.T, params core.Params, nports, xbar, credits int) (*sim.Engi
 				t.Fatalf("cycle %d: switch sleeps with work pending: %s", now, why)
 			}
 		}
+		return now + 1
 	})
 	peers := make([]*peer, nports)
 	for i := range peers {

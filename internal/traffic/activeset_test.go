@@ -43,7 +43,7 @@ func newScanGenerator(eng *sim.Engine, nodes []*endnode.Node, bpc []int, flows [
 	return g
 }
 
-func (g *scanGenerator) inject(now sim.Cycle) {
+func (g *scanGenerator) inject(now sim.Cycle) sim.Cycle {
 	for i := range g.flows {
 		f := &g.flows[i]
 		if f.done() || now < f.Start || now >= f.End {
@@ -76,6 +76,7 @@ func (g *scanGenerator) inject(now sim.Cycle) {
 			}
 		}
 	}
+	return now + 1
 }
 
 // scenario is one differential run: flows over wired nodes whose uplinks
@@ -160,13 +161,14 @@ func buildSide(t testing.TB, sc scenario, reference bool) *side {
 	}
 	// Registered before the generator: it sees the ticker as the events of
 	// this cycle left it, and both sides drain at the same point.
-	s.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) {
+	s.eng.AddTicker(sim.PhaseInject, func(now sim.Cycle) sim.Cycle {
 		if s.gen != nil {
 			s.awake = s.gen.handle.Awake()
 		}
 		for i, d := range sinks {
 			d.release(now, sc.drain[(int(now/drainEpoch)*sc.nodes+i)%len(sc.drain)])
 		}
+		return now + 1
 	})
 	hook := func(p *pkt.Packet) {
 		s.trace = append(s.trace, injection{s.eng.Now(), p.Flow, p.ID, p.Dst, p.Size})

@@ -54,7 +54,7 @@ type Generator struct {
 	bpc   []int     // injection-link bytes/cycle per source node
 	hook  InjectHook
 
-	// handle sleeps the generator while no flow is ready.
+	// handle wakes the generator: it sleeps while no flow is ready.
 	handle *sim.TickerHandle
 
 	flows []flowState
@@ -210,14 +210,15 @@ func validate(f Flow, n int) error {
 }
 
 // inject visits the ready flows in flow-index order.
-func (g *Generator) inject(now sim.Cycle) {
+func (g *Generator) inject(now sim.Cycle) sim.Cycle {
 	for i := g.ready.Next(0); i >= 0; i = g.ready.Next(i + 1) {
 		g.ready.Remove(i)
 		g.visit(i, now)
 	}
 	if g.ready.Len() == 0 {
-		g.handle.Sleep()
+		return sim.Never
 	}
+	return now + 1
 }
 
 // visit runs cycle now of flow i as an every-cycle scan would have: it
