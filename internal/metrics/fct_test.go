@@ -3,11 +3,20 @@ package metrics
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
+
+// register declares finite flow id as network.AddFlows does.
+func register(t *testing.T, c *Collector, flow int, size int64, start, ideal sim.Cycle) {
+	t.Helper()
+	if err := c.Declare(flow, size, start, start+1, ideal); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func deliver(c *Collector, flow, size int, now sim.Cycle) {
 	c.Delivered(&pkt.Packet{Flow: flow, Size: size, Injected: now}, now)
@@ -23,7 +32,7 @@ func TestFCTNoneRegistered(t *testing.T) {
 
 func TestFCTSingleFlow(t *testing.T) {
 	c := New(100, 4, 64)
-	c.RegisterFlow(7, 5000, 10, 100)
+	register(t, c, 7, 5000, 10, 100)
 	deliver(c, 7, 2048, 50)
 	deliver(c, 7, 2048, 80)
 	st := c.FCTStats()
@@ -56,8 +65,8 @@ func TestFCTSingleFlow(t *testing.T) {
 
 func TestFCTZeroCompleted(t *testing.T) {
 	c := New(100, 4, 64)
-	c.RegisterFlow(1, 1000, 0, 50)
-	c.RegisterFlow(2, 2000, 0, 50)
+	register(t, c, 1, 1000, 0, 50)
+	register(t, c, 2, 2000, 0, 50)
 	st := c.FCTStats()
 	if st.Completed != 0 || st.Incomplete != 2 {
 		t.Fatalf("stats %+v", st)
@@ -75,9 +84,9 @@ func TestFCTBucketBoundaries(t *testing.T) {
 	// 10_001 is medium.
 	sizes := []int64{10_000, 10_001, 1_000_000, 1_000_001}
 	for i, sz := range sizes {
-		c.RegisterFlow(i, sz, 0, 10)
+		register(t, c, i, sz, 0, 10)
 		deliver(c, i, int(sz%2048)+1, 20) // partial
-		r := c.fct[i]
+		r := &c.recs[c.index[i]]
 		r.delivered = sz // finish it directly; byte math tested elsewhere
 		r.done, r.finish = true, 30
 	}
@@ -95,7 +104,7 @@ func TestFCTPercentilesExact(t *testing.T) {
 	c := New(100, 4, 64)
 	// 100 flows with slowdowns 1.0, 2.0, ..., 100.0 (ideal 10, FCT 10*i).
 	for i := 1; i <= 100; i++ {
-		c.RegisterFlow(i, 2048, 0, 10)
+		register(t, c, i, 2048, 0, 10)
 		deliver(c, i, 2048, sim.Cycle(10*i))
 	}
 	st := c.FCTStats()
@@ -110,13 +119,19 @@ func TestFCTPercentilesExact(t *testing.T) {
 	}
 }
 
-func TestFCTRegisterTwicePanics(t *testing.T) {
+// A finite flow's id is declared once: a second finite declaration is
+// the error network.AddFlows returns, and leaves the first one standing.
+// A CBR flow may share an id, as it always could.
+func TestFCTDeclareTwiceFails(t *testing.T) {
 	c := New(100, 4, 64)
-	c.RegisterFlow(1, 1000, 0, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration accepted")
-		}
-	}()
-	c.RegisterFlow(1, 1000, 0, 10)
+	register(t, c, 1, 1000, 0, 10)
+	if err := c.Declare(1, 2000, 5, 6, 20); err == nil || !strings.Contains(err.Error(), "share id 1") {
+		t.Fatalf("second finite declaration of flow 1: %v", err)
+	}
+	if err := c.Declare(1, 0, 0, 1, 0); err != nil {
+		t.Fatalf("CBR declaration sharing a finite flow's id: %v", err)
+	}
+	if r := c.recs[c.index[1]]; len(c.recs) != 1 || r.size != 1000 || r.ideal != 10 {
+		t.Fatalf("records after the duplicates: %+v", c.recs)
+	}
 }

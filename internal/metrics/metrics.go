@@ -20,7 +20,11 @@ type Collector struct {
 	numEndpoints int
 	linkBPC      int
 
-	flowBins  map[int][]int64 // flow id -> delivered bytes per bin
+	// One record per flow (fct.go): Declare fills one slab sized by
+	// Expect, and a delivery from an undeclared flow appends its own.
+	recs      []flowRec
+	index     map[int]int32 // flow id -> recs index
+	roomBins  int           // see Declare
 	totalBins []int64
 
 	InjectedPkts   int64
@@ -32,10 +36,6 @@ type Collector struct {
 	latencyCount int64
 	latencyMax   sim.Cycle
 	latencyHist  *Histogram
-
-	// fct tracks registered finite flows for completion-time stats
-	// (nil until the first RegisterFlow; see fct.go).
-	fct map[int]*fctRec
 }
 
 // New builds a collector. binCycles is the time-bin width; linkBPC the
@@ -48,7 +48,6 @@ func New(binCycles sim.Cycle, numEndpoints, linkBPC int) *Collector {
 		binCycles:    binCycles,
 		numEndpoints: numEndpoints,
 		linkBPC:      linkBPC,
-		flowBins:     make(map[int][]int64),
 		latencyHist:  NewHistogram(),
 	}
 }
@@ -70,15 +69,10 @@ func (c *Collector) Delivered(p *pkt.Packet, now sim.Cycle) {
 	c.DeliveredPkts++
 	c.DeliveredBytes += int64(p.Size)
 	bin := int(now / c.binCycles)
-	c.totalBins = grow(c.totalBins, bin)
+	c.totalBins = extend(c.totalBins, bin, c.roomBins)
 	c.totalBins[bin] += int64(p.Size)
 	if p.Flow >= 0 {
-		fb := grow(c.flowBins[p.Flow], bin)
-		fb[bin] += int64(p.Size)
-		c.flowBins[p.Flow] = fb
-		if c.fct != nil {
-			c.observeFCT(p.Flow, p.Size, now)
-		}
+		c.record(p.Flow).deliver(p.Size, bin, now, c.roomBins)
 	}
 	lat := now - p.Injected
 	c.latencySum += int64(lat)
@@ -87,24 +81,6 @@ func (c *Collector) Delivered(p *pkt.Packet, now sim.Cycle) {
 		c.latencyMax = lat
 	}
 	c.latencyHist.Observe(lat)
-}
-
-func grow(s []int64, idx int) []int64 {
-	for len(s) <= idx {
-		s = append(s, 0)
-	}
-	return s
-}
-
-// Flows returns the ids of all flows that delivered at least one
-// packet, in ascending order.
-func (c *Collector) Flows() []int {
-	ids := make([]int, 0, len(c.flowBins))
-	for id := range c.flowBins {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // gbPerSec converts bytes-per-bin to GB/s.
@@ -116,12 +92,28 @@ func (c *Collector) gbPerSec(bytes int64) float64 {
 // FlowSeries returns flow id's bandwidth in GB/s per bin, padded to
 // `bins` entries (pass 0 to use the natural length).
 func (c *Collector) FlowSeries(flow, bins int) []float64 {
-	return c.series(c.flowBins[flow], bins)
+	if i, ok := c.index[flow]; ok {
+		return c.series(c.recs[i].first, c.recs[i].bins, bins)
+	}
+	return c.series(0, nil, bins)
 }
 
 // TotalSeries returns aggregate delivered bandwidth in GB/s per bin.
 func (c *Collector) TotalSeries(bins int) []float64 {
-	return c.series(c.totalBins, bins)
+	return c.series(0, c.totalBins, bins)
+}
+
+// Flows returns the ids of all flows that delivered at least one
+// packet, in ascending order.
+func (c *Collector) Flows() []int {
+	ids := make([]int, 0, len(c.recs))
+	for i := range c.recs {
+		if c.recs[i].bins != nil {
+			ids = append(ids, c.recs[i].id)
+		}
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // NormalizedSeries returns network throughput per bin as a fraction of
@@ -136,14 +128,12 @@ func (c *Collector) NormalizedSeries(bins int) []float64 {
 	return out
 }
 
-func (c *Collector) series(bins []int64, want int) []float64 {
-	n := len(bins)
-	if want > n {
-		n = want
-	}
-	out := make([]float64, n)
+// series converts bins that start at bin first, zero before and padded
+// to want entries.
+func (c *Collector) series(first int, bins []int64, want int) []float64 {
+	out := make([]float64, max(first+len(bins), want))
 	for i, b := range bins {
-		out[i] = c.gbPerSec(b)
+		out[first+i] = c.gbPerSec(b)
 	}
 	return out
 }

@@ -279,29 +279,24 @@ func (n *Network) AddFlows(flows []traffic.Flow) error {
 	if n.Checker != nil {
 		n.Checker.Sources = append(n.Checker.Sources, gen) // for the snapshot
 	}
-	return n.registerFCT(flows)
+	return n.declare(flows)
 }
 
-// registerFCT declares every finite fixed-destination flow for
-// completion-time tracking.
-func (n *Network) registerFCT(flows []traffic.Flow) error {
-	var seen map[int]bool
+// declare gives every flow its collector record, the finite
+// fixed-destination ones tracked for completion time.
+func (n *Network) declare(flows []traffic.Flow) error {
+	n.Collector.Expect(len(flows))
 	for _, f := range flows {
-		if f.Bytes <= 0 || f.Dst == traffic.UniformDst {
-			continue
+		bytes, ideal, err := int64(0), sim.Cycle(0), error(nil)
+		if f.Bytes > 0 && f.Dst != traffic.UniformDst {
+			if ideal, err = n.IdealFCT(f.Src, f.Dst, f.Bytes, f.PktSize); err != nil {
+				return err
+			}
+			bytes = f.Bytes
 		}
-		if seen == nil {
-			seen = make(map[int]bool)
-		}
-		if seen[f.ID] {
-			return fmt.Errorf("network: finite flows share id %d; FCT tracking needs unique ids", f.ID)
-		}
-		seen[f.ID] = true
-		ideal, err := n.IdealFCT(f.Src, f.Dst, f.Bytes, f.PktSize)
-		if err != nil {
+		if err = n.Collector.Declare(f.ID, bytes, f.Start, f.End, ideal); err != nil {
 			return err
 		}
-		n.Collector.RegisterFlow(f.ID, f.Bytes, f.Start, ideal)
 	}
 	return nil
 }

@@ -321,6 +321,27 @@ func TestDoubleAddFlowsRejected(t *testing.T) {
 	}
 }
 
+// FCT tracking needs one record per finite flow: two finite flows under
+// one id are AddFlows' error. A CBR or uniform-destination flow may share
+// a finite flow's id, as it always could.
+func TestFiniteFlowsShareIDRejected(t *testing.T) {
+	finite := traffic.Flow{ID: 4, Src: 0, Dst: 3, Start: 0, End: 100, Rate: 1, Bytes: 4096}
+	for _, c := range []struct {
+		name  string
+		other traffic.Flow
+		want  string
+	}{
+		{"finite", traffic.Flow{ID: 4, Src: 1, Dst: 4, Start: 10, End: 100, Rate: 1, Bytes: 2048}, "finite flows share id 4"},
+		{"CBR", traffic.Flow{ID: 4, Src: 1, Dst: 4, Start: 0, End: 100, Rate: 1}, ""},
+		{"uniform", traffic.Flow{ID: 4, Src: 1, Dst: traffic.UniformDst, Start: 0, End: 100, Rate: 1, Bytes: 2048}, ""},
+	} {
+		err := buildC1(t, core.Preset1Q()).AddFlows([]traffic.Flow{finite, c.other})
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s flow sharing a finite flow's id: AddFlows returned %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestFatTreeUniformTraffic(t *testing.T) {
 	f := topo.Config2()
 	p := core.PresetCCFIT()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 )
 
 // TestWireJobRoundTrip proves the serialization contract remote
@@ -232,4 +234,102 @@ func TestCacheErrKeepsResultUsable(t *testing.T) {
 	if !strings.Contains(m.Runs[0].CacheError, "caching failed") {
 		t.Fatalf("cache_error lost its context: %q", m.Runs[0].CacheError)
 	}
+}
+
+// FuzzWireJob decodes arbitrary JSON into a WireJob, what a worker reads
+// from a claim (seed corpus: the jobs of the round-trip tests above):
+// Job never panics, and a job it accepts keys the cache and survives a
+// second trip over the wire with the same key.
+func FuzzWireJob(f *testing.F) {
+	sw := 0
+	for _, w := range []WireJob{
+		{Spec: experiments.Spec{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: 2, MS: 0.1}},
+		{Spec: experiments.Spec{Schemes: []string{"CCFIT"}, Seed: 1,
+			LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4}, MS: 0.1}}},
+		{Spec: experiments.Spec{Experiments: []string{"fig7a"}, Schemes: []string{"1Q"}, MS: 0.1}, Watchdog: -1,
+			Faults: &fault.Script{Name: "stall-sw0", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Duration: 100, Switch: &sw}}}},
+	} {
+		data, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w WireJob
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		job, err := w.Job()
+		if err != nil {
+			return
+		}
+		key, err := JobKey(job)
+		if err != nil {
+			return
+		}
+		again, err := WireFromJob(job)
+		if err != nil {
+			t.Fatalf("accepted job %s cannot go back on the wire: %v", job, err)
+		}
+		data, err = json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back WireJob
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		job2, err := back.Job()
+		if err != nil {
+			t.Fatalf("%s: the second trip over the wire fails: %v", job, err)
+		}
+		if key2, err := JobKey(job2); err != nil || key2 != key {
+			t.Fatalf("%s: cache key %s after a second trip, %s before (%v)", job, key2, key, err)
+		}
+	})
+}
+
+// FuzzWireResult decodes arbitrary JSON into a WireResult, what the
+// service reads from a worker's report (seed corpus: the result of
+// TestWireResultRoundTrip, with and without a Result): JobResult never
+// panics, and the decoded value re-encodes to bytes that decode and
+// encode to themselves.
+func FuzzWireResult(f *testing.F) {
+	for _, w := range []WireResult{
+		WireFromResult(JobResult{Err: errors.New("boom"), CacheErr: errors.New("disk full"), Cached: true,
+			Elapsed: 1500 * time.Millisecond, Key: "k123", Attempts: 3, Quarantined: true, Diagnostics: "snapshot"}),
+		{Key: "k1", ElapsedMS: 12.5, Attempts: 1, Result: &experiments.Result{
+			ExpID: "xleafincast", Scheme: "CCFIT", Seed: 1, BinMS: 0.05,
+			TimeMS: []float64{0, 0.05}, Normalized: []float64{0.1, 0.2}, TotalGBs: []float64{1, 2},
+			Flows: []experiments.FlowSeries{{ID: 3, GBs: []float64{0.5, 0}}},
+			FCT: &metrics.FCTStats{Registered: 2, Completed: 1, Incomplete: 1,
+				Overall: metrics.FCTBucket{Label: "all", MaxBytes: math.MaxInt64, Completed: 1, MeanSlowdown: 1.5}},
+			Summary: experiments.Summary{DeliveredPkts: 10, FCTCompleted: 1, FCTSlowdownP99: 1.5},
+		}},
+	} {
+		data, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w WireResult
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		w.JobResult(Job{})
+		first, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("decoded result does not re-encode: %v", err)
+		}
+		var back WireResult
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("re-encoded result does not decode: %v\n%s", err, first)
+		}
+		if second, err := json.Marshal(back); err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("re-encoding is not stable (%v):\n%s\n%s", err, first, second)
+		}
+	})
 }

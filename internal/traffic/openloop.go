@@ -97,7 +97,10 @@ func (o *OpenLoop) Flows() ([]Flow, error) {
 	// One throwaway engine derives all schedule streams; it is never
 	// ticked, only used for RNG() derivation.
 	sched := sim.NewEngine(o.Seed ^ openLoopSalt)
-	var flows []Flow
+	// Room for the expected arrivals plus three standard deviations, so
+	// the schedule rarely outgrows it, and for no more than 64k up front.
+	expect := lambda * float64(o.End-o.Start) * float64(len(o.Sources))
+	flows := make([]Flow, 0, int(min(expect+3*math.Sqrt(expect)+1, 1<<16)))
 	id := o.BaseID
 	for _, src := range o.Sources {
 		if src < 0 || src >= o.NumEndpoints {

@@ -8,9 +8,11 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/endnode"
 	"repro/internal/pkt"
@@ -62,11 +64,16 @@ type Generator struct {
 	// Sources run on deadlines (DESIGN.md §5): a flow is visited only in
 	// a cycle it can act. ready holds the flows to visit in the coming
 	// injection phase — in index order, an every-cycle scan's, which
-	// decides who takes the last AdVOQ slot — filled by the flows' own
-	// events (window opening and closing, the cycle the shaper covers a
-	// packet) and by room, for the flows parked on a full AdVOQ of a node.
+	// decides who takes the last AdVOQ slot — filled by the window edges,
+	// by the flows' own events (the cycle the shaper covers a packet) and
+	// by room, for the flows parked on a full AdVOQ of a node.
 	ready  sim.ActiveSet
 	parked [][]int32
+
+	// edges lists every flow's window opening and closing by cycle; one
+	// pending engine event (edgeFn) fires the next.
+	edges  []edge
+	edgeFn func()
 
 	visits, skipped int64
 }
@@ -81,6 +88,11 @@ const (
 	hot                      // uniform destination, refused: redraws every cycle
 	retired
 )
+
+type edge struct {
+	at   sim.Cycle
+	flow int32
+}
 
 type flowState struct {
 	Flow
@@ -129,7 +141,7 @@ func NewGenerator(eng *sim.Engine, nodes []*endnode.Node, nodeBPC []int, flows [
 	if len(nodes) != len(nodeBPC) {
 		return nil, fmt.Errorf("traffic: %d nodes but %d bandwidths", len(nodes), len(nodeBPC))
 	}
-	g := &Generator{eng: eng, nodes: nodes, ids: ids, pool: pool, bpc: nodeBPC, hook: hook}
+	g := &Generator{eng: eng, nodes: nodes, ids: ids, pool: pool, bpc: nodeBPC, hook: hook, flows: make([]flowState, 0, len(flows))}
 	for _, f := range flows {
 		if err := g.add(f); err != nil {
 			return nil, err
@@ -160,12 +172,13 @@ func (g *Generator) add(f Flow) error {
 	return nil
 }
 
-// start schedules every flow's window opening and closing, sizes the
-// parked lists and hooks the nodes flows can park on. Construction-time only.
+// start sorts the window edges and arms the first, sizes the parked
+// lists and hooks the nodes flows can park on. Construction-time only.
 func (g *Generator) start() {
 	g.handle = g.eng.AddTicker(sim.PhaseInject, g.inject)
 	g.ready.Grow(len(g.flows))
 	g.parked = make([][]int32, len(g.nodes))
+	g.edges = make([]edge, 0, 2*len(g.flows))
 	fixed := make([]int, len(g.nodes))
 	for i := range g.flows {
 		f := &g.flows[i]
@@ -173,17 +186,32 @@ func (g *Generator) start() {
 			g.ready.Add(i)
 			g.handle.Wake()
 		}
-		g.eng.At(f.seen+1, f.wake)
-		g.eng.At(max(f.End, f.seen+1), f.wake)
+		g.edges = append(g.edges, edge{f.seen + 1, int32(i)}, edge{max(f.End, f.seen+1), int32(i)})
 		if f.Dst != UniformDst {
 			fixed[f.Src]++
 		}
+	}
+	slices.SortFunc(g.edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	if g.edgeFn = g.edge; len(g.edges) > 0 {
+		g.eng.At(g.edges[0].at, g.edgeFn)
 	}
 	for src, n := range fixed {
 		if n > 0 {
 			g.parked[src] = make([]int32, 0, n)
 			g.nodes[src].SetRoomHook(g.room)
 		}
+	}
+}
+
+// edge readies the flows whose window opens or closes now and arms the
+// next edge.
+func (g *Generator) edge() {
+	for ; len(g.edges) > 0 && g.edges[0].at <= g.eng.Now(); g.edges = g.edges[1:] {
+		g.ready.Add(int(g.edges[0].flow))
+	}
+	g.handle.Wake()
+	if len(g.edges) > 0 {
+		g.eng.At(g.edges[0].at, g.edgeFn)
 	}
 }
 
@@ -228,7 +256,7 @@ func (g *Generator) inject(now sim.Cycle) sim.Cycle {
 // injection loop unchanged, then schedules the flow's next visit.
 func (g *Generator) visit(i int, now sim.Cycle) {
 	f := &g.flows[i]
-	if f.phase == retired { // the closing event of a flow that finished early
+	if f.phase == retired { // the closing edge of a flow that finished early
 		return
 	}
 	node := g.nodes[f.Src]
@@ -283,7 +311,7 @@ func (g *Generator) visit(i int, now sim.Cycle) {
 		}
 	}
 	// Accumulating: run the shaper forward to the first cycle it covers a
-	// packet (or to End, whose event is armed); acc then holds that cycle's
+	// packet (or to End, whose edge is armed); acc then holds that cycle's
 	// value already and the visit replays nothing. Integral rates (the
 	// paper's 100 %) may jump: with every partial sum exact, k steps are k*r.
 	sz := float64(f.pktSize())
@@ -351,13 +379,4 @@ func (g *Generator) DescribeState(sim.Cycle) string {
 	}
 	return fmt.Sprintf("sources: live=%d due=%d parked=%d hot=%d next=%s awake=%v parked since:%s",
 		n[due]+n[parked]+n[hot], n[due], n[parked], n[hot], when, g.handle.Awake(), list)
-}
-
-// FlowIDs returns the configured flow ids in order.
-func (g *Generator) FlowIDs() []int {
-	out := make([]int, len(g.flows))
-	for i := range g.flows {
-		out[i] = g.flows[i].ID
-	}
-	return out
 }

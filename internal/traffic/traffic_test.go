@@ -168,17 +168,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestFlowIDs(t *testing.T) {
-	_, _, g, _ := rig(t, 4, []Flow{
-		{ID: 7, Src: 0, Dst: 1, Start: 0, End: 10, Rate: 1},
-		{ID: 3, Src: 1, Dst: 2, Start: 0, End: 10, Rate: 1},
-	})
-	ids := g.FlowIDs()
-	if len(ids) != 2 || ids[0] != 7 || ids[1] != 3 {
-		t.Fatalf("flow ids %v", ids)
-	}
-}
-
 // An unobstructed source is visited once per packet, in the cycle its
 // shaper covers one, plus the visit that opens its window — also at a
 // fractional rate, where the shaper is stepped, not jumped.
