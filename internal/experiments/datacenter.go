@@ -82,7 +82,8 @@ func BuildLeafIncast(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts)
 	if err != nil {
 		return nil, err
 	}
-	flows, err := IncastFlows(ls.NumEndpoints(), 0, sim.FlitBytes, traffic.DataMiningCDF(), 0.05, end*3/4, end, seed)
+	// Arrivals draw on the engine's seed, so the run counts as seeded.
+	flows, err := IncastFlows(ls.NumEndpoints(), 0, sim.FlitBytes, traffic.DataMiningCDF(), 0.05, end*3/4, end, n.Eng.Seed())
 	if err != nil {
 		return nil, err
 	}

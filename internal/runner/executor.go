@@ -1,9 +1,12 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -30,7 +33,8 @@ type Executor interface {
 // has always had: content-addressed cache probe (recovering from
 // corrupt entries), wall-clock timeout, panic recovery, transient
 // retries with exponential backoff, and quarantine of deterministic
-// invariant violations.
+// invariant violations. A run that never observed its seed serves its
+// cell's other seeds as cache hits (seedFreeTable).
 type LocalExecutor struct {
 	// Cache, when non-nil, is consulted before running and updated
 	// after a successful run.
@@ -42,6 +46,46 @@ type LocalExecutor struct {
 	// (doubling per attempt).
 	Retries      int
 	RetryBackoff time.Duration
+	seedFree     seedFreeTable
+}
+
+// seedFreeEntries bounds the table a worker's executor keeps across
+// campaigns; a cell's seeds expand side by side, so a few serve one.
+const seedFreeEntries = 64
+
+// seedFreeTable holds the results of runs that never observed their seed
+// (sim.Engine.SeedSeen), keyed by the cache key with the seed left out.
+// Entries are gob bytes, so each hit decodes a Result of its own; a full
+// table starts afresh.
+type seedFreeTable struct {
+	mu sync.Mutex
+	m  map[string][]byte // guarded by mu
+}
+
+// get returns key's result with Seed restamped, or nil.
+func (t *seedFreeTable) get(key string, seed int64) *experiments.Result {
+	t.mu.Lock()
+	b, ok := t.m[key]
+	t.mu.Unlock()
+	var r experiments.Result
+	if !ok || gob.NewDecoder(bytes.NewReader(b)).Decode(&r) != nil {
+		return nil
+	}
+	r.Seed = seed
+	return &r
+}
+
+func (t *seedFreeTable) put(key string, r *experiments.Result) {
+	var b bytes.Buffer
+	if gob.NewEncoder(&b).Encode(r) != nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.m) == 0 || len(t.m) >= seedFreeEntries {
+		t.m = make(map[string][]byte)
+	}
+	t.m[key] = b.Bytes()
 }
 
 // Execute validates, resolves and runs one job. Invalid jobs (unknown
@@ -57,9 +101,9 @@ func (e *LocalExecutor) Execute(ctx context.Context, job Job, emit func(Event)) 
 type Offload func(ctx context.Context, job Job, key string, emit func(Event)) (jr JobResult, ok bool)
 
 // ExecuteVia is the one envelope every execution path shares: resolve,
-// key derivation, cache probe with corrupt-entry recovery, JobStart and
-// exactly one terminal event, cache store. Only "how the result is
-// computed" varies: via (when non-nil) is offered the job on a cache
+// key derivation, cache and seed-free probes (corrupt entries recovered),
+// JobStart and exactly one terminal event, cache store. Only "how the
+// result is computed" varies: via (when non-nil) is offered the job on a
 // miss, and the in-process simulation — timeout, panic containment,
 // transient retries, quarantine — runs when via is nil or declines.
 func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event), via Offload) JobResult {
@@ -73,7 +117,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	}
 	var key string
 	if e.Cache != nil {
-		key = r.cacheKey()
+		key = r.key(r.seed)
 	}
 	emit(Event{Type: JobStart, Job: job})
 	t0 := time.Now()
@@ -91,16 +135,21 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 			_ = e.Cache.Remove(key)
 		}
 	}
+	free := r.key(0)
 	var (
-		jr     JobResult
-		engine string
-		ran    bool
+		jr   JobResult
+		o    outcome
+		ran  bool
+		done = JobDone
 	)
-	if via != nil {
+	if jr.Result = e.seedFree.get(free, r.seed); jr.Result != nil {
+		jr.Cached, ran, done = true, true, JobCached
+	}
+	if !ran && via != nil {
 		jr, ran = via(ctx, job, key, emit)
 	}
 	if !ran {
-		jr, engine = e.simulate(ctx, job, r, emit)
+		jr, o = e.simulate(ctx, job, r, emit)
 	}
 	jr.Job, jr.Elapsed = job, time.Since(t0)
 	if e.Cache != nil {
@@ -109,6 +158,9 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	if jr.Err != nil {
 		emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
 		return jr
+	}
+	if o.seedFree {
+		e.seedFree.put(free, jr.Result)
 	}
 	if e.Cache != nil && jr.Result != nil {
 		// A failed store only costs the next run a recompute: the job
@@ -119,17 +171,18 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 			jr.CacheErr = fmt.Errorf("runner: %s ran but caching failed: %w", job, perr)
 		}
 	}
-	emit(Event{Type: JobDone, Job: job, JobElapsed: jr.Elapsed, Engine: engine})
+	emit(Event{Type: done, Job: job, JobElapsed: jr.Elapsed, Engine: o.engine})
 	return jr
 }
 
 // simulate runs a resolved job in-process: timeout and panic
 // containment, transient retries, quarantine of invariant violations.
-// engine is the JobDone event's Engine text.
-func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved, emit func(Event)) (jr JobResult, engine string) {
+// o is the last attempt's outcome.
+func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved, emit func(Event)) (jr JobResult, o outcome) {
 	for {
 		jr.Attempts++
-		jr.Result, engine, jr.Err = executeBounded(ctx, job, r, e.Timeout)
+		o = executeBounded(ctx, job, r, e.Timeout)
+		jr.Result, jr.Err = o.res, o.err
 		if jr.Err == nil || invariant.IsViolation(jr.Err) || ctx.Err() != nil || jr.Attempts > e.Retries {
 			break
 		}
@@ -146,7 +199,7 @@ func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved, emit 
 		jr.Quarantined = true
 		jr.Diagnostics = v.Snapshot
 	}
-	return jr, engine
+	return jr, o
 }
 
 // MaxRetryBackoff caps the exponential retry doubling: beyond it every

@@ -325,16 +325,17 @@ func resolve(j Job) (resolved, error) {
 	return out, nil
 }
 
-// cacheKey is the job's content-addressed cache address. The watchdog
+// key is the job's content-addressed cache address when run at seed
+// (key(0), the seed-free table's, stands for every seed). The watchdog
 // window is deliberately NOT part of it: it can only turn a run into a
 // failure, and failures are never cached, so every cached result is
 // watchdog-neutral.
-func (r resolved) cacheKey() string {
+func (r resolved) key(seed int64) string {
 	var extra []string
 	if r.faults != nil {
 		extra = append(extra, "faults="+r.faults.Fingerprint())
 	}
-	return Key(r.exp, r.scheme, r.seed, r.params, extra...)
+	return Key(r.exp, r.scheme, seed, r.params, extra...)
 }
 
 // Run executes a campaign: it validates every job up front, fans the
@@ -403,21 +404,22 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 	return out, nil
 }
 
+// outcome is one simulation's: its result, Event.Engine's text, and
+// whether every seed would have produced res (sim.Engine.SeedSeen).
+type outcome struct {
+	res      *experiments.Result
+	engine   string
+	seedFree bool
+	err      error
+}
+
 // executeBounded runs the simulation in its own goroutine so the
 // worker can enforce the timeout and cancellation. The simulator has
 // no preemption points: an abandoned run keeps computing in the
 // background until it finishes, then its result is discarded.
-func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Duration) (*experiments.Result, string, error) {
-	type outcome struct {
-		res    *experiments.Result
-		engine string
-		err    error
-	}
+func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Duration) outcome {
 	ch := make(chan outcome, 1)
-	go func() {
-		res, engine, err := execute(r)
-		ch <- outcome{res, engine, err}
-	}()
+	go func() { ch <- execute(r) }()
 	var timer <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -426,11 +428,11 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 	}
 	select {
 	case o := <-ch:
-		return o.res, o.engine, o.err
+		return o
 	case <-timer:
-		return nil, "", fmt.Errorf("runner: %s exceeded the %v job timeout (simulation abandoned)", job, timeout)
+		return outcome{err: fmt.Errorf("runner: %s exceeded the %v job timeout (simulation abandoned)", job, timeout)}
 	case <-ctx.Done():
-		return nil, "", ctx.Err()
+		return outcome{err: ctx.Err()}
 	}
 }
 
@@ -438,20 +440,20 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 // anywhere in the stack into a job error. An invariant violation — raised as a panic by the always-on checker
 // or surfaced by the final audit — comes back from RunAudited as the
 // *invariant.Violation itself, so runOne can quarantine it instead of
-// retrying a deterministic failure. engine is Event.Engine's text.
-func execute(r resolved) (res *experiments.Result, engine string, err error) {
+// retrying a deterministic failure.
+func execute(r resolved) (o outcome) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("runner: job panicked: %v\n%s", p, debug.Stack())
+			o = outcome{err: fmt.Errorf("runner: job panicked: %v\n%s", p, debug.Stack())}
 		}
 	}()
 	n, err := r.exp.Build(r.params, r.seed, r.exp.Bin, r.exp.Duration, experiments.BuildOpts{})
 	if err != nil {
-		return nil, "", err
+		return outcome{err: err}
 	}
 	if r.faults != nil {
 		if _, err := n.InjectFaults(r.faults); err != nil {
-			return nil, "", err
+			return outcome{err: err}
 		}
 	}
 	if r.watchdog != 0 && n.Checker != nil {
@@ -460,10 +462,10 @@ func execute(r resolved) (res *experiments.Result, engine string, err error) {
 	// Terminal audit included: corruption inside the last check interval
 	// must not slip out as a plausible result.
 	if err := n.RunAudited(r.exp.Duration); err != nil {
-		return nil, "", err
+		return outcome{err: err}
 	}
-	engine = fmt.Sprintf("elided: %+v", n.Elided())
-	return experiments.Harvest(r.exp, r.scheme, r.seed, n), engine, nil
+	engine := fmt.Sprintf("elided: %+v", n.Elided())
+	return outcome{res: experiments.Harvest(r.exp, r.scheme, r.seed, n), engine: engine, seedFree: !n.Eng.SeedSeen()}
 }
 
 // Failed filters a campaign's failures (nil when everything ran).

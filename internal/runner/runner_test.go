@@ -205,10 +205,11 @@ func TestShardPanicBecomesJobFailure(t *testing.T) {
 	}
 	var progress bytes.Buffer
 	engine := map[int]string{}
+	terminal := map[int]EventType{}
 	print := NewProgress(&progress)
 	results, err := Run(context.Background(), jobs, Options{Workers: 1, Progress: func(ev Event) {
 		if ev.Type.Terminal() {
-			engine[ev.Index] = ev.Engine
+			engine[ev.Index], terminal[ev.Index] = ev.Engine, ev.Type
 		}
 		print(ev)
 	}})
@@ -228,12 +229,22 @@ func TestShardPanicBecomesJobFailure(t *testing.T) {
 		if results[i].Err != nil || results[i].Result == nil {
 			t.Fatalf("job %d damaged by the neighbouring panic: %v", i, results[i].Err)
 		}
-		if !strings.HasPrefix(engine[i], "elided: ") {
-			t.Fatalf("job %d's JobDone describes its engine as %q", i, engine[i])
-		}
 	}
-	if got := strings.Count(progress.String(), "\n        elided: "); got != 2 {
-		t.Fatalf("-v output has %d engine lines, want one under each healthy job:\n%s", got, progress.String())
+	if !strings.HasPrefix(engine[0], "elided: ") {
+		t.Fatalf("job 0's JobDone describes its engine as %q", engine[0])
+	}
+	// The healthy cell never observes its seed, so its seed-2 job is job
+	// 0's result served from the seed-free table: cached, no engine line.
+	if terminal[2] != JobCached || engine[2] != "" || !results[2].Cached {
+		t.Fatalf("job 2 ended with event %d, engine %q; want a seed-free cache hit", terminal[2], engine[2])
+	}
+	want := *results[0].Result
+	want.Seed = 2
+	if !bytes.Equal(encode(t, &want), encode(t, results[2].Result)) {
+		t.Fatal("job 2's result is not job 0's with Seed 2")
+	}
+	if got := strings.Count(progress.String(), "\n        elided: "); got != 1 {
+		t.Fatalf("-v output has %d engine lines, want one under the simulated healthy job:\n%s", got, progress.String())
 	}
 }
 

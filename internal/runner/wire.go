@@ -128,5 +128,5 @@ func JobKey(job Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.cacheKey(), nil
+	return r.key(r.seed), nil
 }

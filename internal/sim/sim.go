@@ -197,6 +197,7 @@ type Engine struct {
 	heapFired, ticks uint64
 	seed             int64
 	rngSeq           int64
+	seedSeen         bool // Seed called or a stream drawn: SeedSeen
 }
 
 // NewEngine returns an engine whose random streams derive from seed.
@@ -207,36 +208,48 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Seed returns the master seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
+// Seed returns the master seed the engine was created with, and marks it
+// observed (SeedSeen).
+func (e *Engine) Seed() int64 {
+	e.seedSeen = true
+	return e.seed
+}
+
+// SeedSeen reports whether Seed was called or a stream drawn. A model
+// reaches its seed only through its engine, so a run that ends with this
+// false would have rendered the same result under every seed.
+func (e *Engine) SeedSeen() bool { return e.seedSeen }
 
 // RNG returns a new deterministic random stream derived from the master
 // seed. Each component should take its own stream at build time so that
 // adding a component does not perturb the draws seen by others. The
 // sequence number is taken here; the generator behind it is built on the
-// first draw (most streams, one per switch output port, are never drawn).
+// first draw, which observes the seed (most streams, one per switch
+// output port, are never drawn).
 func (e *Engine) RNG() *rand.Rand {
 	e.rngSeq++
-	return rand.New(&lazySource{seed: e.seed*1_000_003 + e.rngSeq})
+	return rand.New(&lazySource{e: e, seq: e.rngSeq})
 }
 
-// lazySource is rand.NewSource(seed) built at the first draw: seeding
-// math/rand's 607-word state costs ~5 kB and ~10 us a stream.
+// lazySource is rand.NewSource(seed*1_000_003+seq) built at the first draw
+// (~5 kB and ~10 us a stream); at 24 bytes an undrawn stream costs 72 B.
 type lazySource struct {
-	seed int64
-	src  rand.Source64
+	e   *Engine
+	seq int64
+	r   *rand.Rand
 }
 
-func (s *lazySource) source() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+func (s *lazySource) rand() *rand.Rand {
+	if s.r == nil {
+		s.e.seedSeen = true
+		s.r = rand.New(rand.NewSource(s.e.seed*1_000_003 + s.seq))
 	}
-	return s.src
+	return s.r
 }
 
-func (s *lazySource) Int63() int64    { return s.source().Int63() }
-func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+func (s *lazySource) Int63() int64    { return s.rand().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.rand().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.r = rand.New(rand.NewSource(seed)) }
 
 // At schedules fn to run at cycle c (before the phases of that cycle).
 // Scheduling in the past panics: it would silently corrupt causality.

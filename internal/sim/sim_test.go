@@ -219,6 +219,30 @@ func TestUndrawnRNGIsNearlyFree(t *testing.T) {
 	_ = keep.Int63()
 }
 
+func TestSeedSeen(t *testing.T) {
+	e := NewEngine(5)
+	r := e.RNG()
+	e.RunFor(10)
+	if e.SeedSeen() {
+		t.Fatal("an undrawn stream counts as observing the seed")
+	}
+	r.Intn(3)
+	if !e.SeedSeen() {
+		t.Fatal("a stream's first draw does not count as observing the seed")
+	}
+	e = NewEngine(5)
+	if e.Seed() != 5 || !e.SeedSeen() {
+		t.Fatal("Seed() does not count as observing the seed")
+	}
+	e = NewEngine(5)
+	r = e.RNG()
+	r.Seed(9)
+	r.Intn(3)
+	if e.SeedSeen() {
+		t.Fatal("a stream re-seeded by hand counts as observing the engine's seed")
+	}
+}
+
 func TestRunForAdvances(t *testing.T) {
 	e := NewEngine(1)
 	e.RunFor(10)
