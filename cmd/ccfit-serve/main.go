@@ -2,9 +2,14 @@
 // campaign submissions (the same experiment/sweep specs ccfit-run
 // consumes) over HTTP+JSON, expands them into jobs, and schedules them
 // across a worker pool with the content-addressed result cache as the
-// shared dedup layer. Campaigns are journaled to disk and resume after
-// a crash or restart; overlapping or resubmitted campaigns skip every
-// already-computed cell for free.
+// shared dedup layer. A campaign on disk is its spec file plus, once
+// cancelled, a cancel mark under data/campaigns; the cache under
+// data/cache holds every finished cell — results and quarantined
+// outcomes — so a campaign resumes after a crash or restart, and
+// overlapping or resubmitted campaigns skip every already-computed cell
+// for free. Transient failures are not stored: they rerun after a
+// restart. Journals an older build wrote under data/journal are not read;
+// resubmitting such a campaign costs only cache hits.
 //
 // Usage:
 //
@@ -20,8 +25,8 @@
 // local pool.
 //
 // On SIGINT/SIGTERM the server drains gracefully: in-flight jobs
-// finish and are journaled, queued jobs stay journaled for the next
-// process, and the cache's access-time index is flushed.
+// finish and are cached, queued jobs resume in the next process, and
+// the cache's access-time index is flushed.
 package main
 
 import (
@@ -44,7 +49,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	dataDir := flag.String("data", ".ccfit-serve", "state directory (journals under data/journal, cache under data/cache)")
+	dataDir := flag.String("data", ".ccfit-serve", "state directory (campaign specs under data/campaigns, cache under data/cache)")
 	// The execution flags are the campaign tools' own, declared once in
 	// internal/cli; the cache defaults to <data>/cache here.
 	f := cli.Defaults()
@@ -78,7 +83,7 @@ func main() {
 		Log:         logf,
 	})
 	sched, err := campaign.Open(campaign.Options{
-		Dir:          filepath.Join(*dataDir, "journal"),
+		Dir:          filepath.Join(*dataDir, "campaigns"),
 		Cache:        cache,
 		Workers:      f.Workers,
 		Timeout:      f.Timeout,

@@ -34,7 +34,7 @@ import (
 )
 
 func main() {
-	name := flag.String("name", hostname(), "worker label shown in the service's /workers and journal")
+	name := flag.String("name", hostname(), "worker label shown in the service's /workers and lease events")
 	jobs := flag.Int("jobs", 1, "jobs to run concurrently")
 	pollMax := flag.Duration("poll-max", 2*time.Second, "backoff cap after a failed or refused request (idle claims park on the service; they do not poll)")
 	// The execution flags are the campaign tools' own, declared once in

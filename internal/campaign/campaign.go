@@ -4,13 +4,16 @@
 // (the same shape the CLI flags express) expanded into runner jobs,
 // scheduled FIFO across a worker pool, executed through the shared
 // runner.Executor semantics (cache probe, timeout, panic recovery,
-// retry vs quarantine), and journaled to disk so a crashed or drained
-// server resumes half-finished campaigns on restart.
+// retry vs quarantine). On disk a campaign is a spec file and, once
+// cancelled, a cancel mark (store.go), so a crashed or drained server
+// resumes half-finished campaigns on restart.
 //
-// The content-addressed result cache is the shared dedup layer: cache
-// keys fingerprint config + faults, so a resubmitted or overlapping
-// campaign skips every finished cell for free, and a resumed campaign
-// recomputes only the cells whose results are not already on disk.
+// The content-addressed result cache is the shared dedup layer and the
+// only durable store of outcomes: cache keys fingerprint config +
+// faults, so a resubmitted or overlapping campaign skips every finished
+// cell for free, and a resumed campaign recomputes only the cells the
+// cache holds neither a result nor a quarantined outcome for.
+// Transient failures are not stored and rerun after a restart.
 // Simulations themselves stay single-goroutine and bit-deterministic;
 // the service only decides when and where they run, so a campaign
 // served with N workers — even across a server restart — produces
@@ -106,7 +109,7 @@ func (s JobStatus) Terminal() bool {
 	return false
 }
 
-// jobState is the scheduler's per-job record (also the journal's).
+// jobState is the scheduler's per-job record.
 type jobState struct {
 	Status    JobStatus `json:"status"`
 	Key       string    `json:"key,omitempty"`

@@ -4,13 +4,16 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/testutil"
+	"repro/internal/topo"
 )
 
 // quickSpec is the suite's standard small campaign: fig7a truncated to
@@ -23,7 +26,7 @@ func quickSpec() experiments.Spec {
 func openScheduler(t *testing.T, dir string, opt Options) *Scheduler {
 	t.Helper()
 	if opt.Dir == "" {
-		opt.Dir = filepath.Join(dir, "journal")
+		opt.Dir = filepath.Join(dir, "campaigns")
 	}
 	if opt.Cache == nil {
 		cache, err := runner.OpenCache(filepath.Join(dir, "cache"))
@@ -259,7 +262,8 @@ func TestCancelMidRun(t *testing.T) {
 	if err != nil || again.Status != StatusCancelled {
 		t.Fatalf("re-cancel: %+v, %v", again, err)
 	}
-	// A canceled campaign's journal must not resurrect the jobs.
+	// A cancelled campaign's cancel mark must keep the jobs from
+	// resurrecting.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +301,11 @@ func (e *gateExecutor) Execute(ctx context.Context, job runner.Job, emit func(ru
 	return e.inner.Execute(ctx, job, emit)
 }
 
-// TestRestartResumesFromJournal is the crash-consistency proof: a
+// TestRestartResumesFromSpec is the crash-consistency proof: a
 // scheduler drained halfway through a campaign is reopened over the
-// same journal and cache, resumes the unfinished jobs, and the final
+// same spec files and cache, resumes the unfinished jobs, and the final
 // results are byte-identical to an uninterrupted local run.
-func TestRestartResumesFromJournal(t *testing.T) {
+func TestRestartResumesFromSpec(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := runner.OpenCache(filepath.Join(dir, "cache"))
 	if err != nil {
@@ -328,8 +332,8 @@ func TestRestartResumesFromJournal(t *testing.T) {
 	}
 	// Graceful drain with the third job in flight: Close flips the
 	// scheduler to draining first, then the gate release lets the
-	// in-flight job finish and be journaled; everything behind it
-	// stays queued on disk.
+	// in-flight job finish and be cached; everything behind it is
+	// left for the next process.
 	closeErr := make(chan error, 1)
 	go func() { closeErr <- s1.Close() }()
 	for !s1.Draining() {
@@ -340,17 +344,14 @@ func TestRestartResumesFromJournal(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Simulate a torn final write: journal replay must tolerate a
-	// partial trailing line.
-	jpath := journalPath(filepath.Join(dir, "journal"), v.ID)
-	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	// A crash mid-Submit leaves a temp file, which Open ignores; a spec
+	// that does not decode reads as a failed campaign and never makes
+	// Open fail.
+	sdir := filepath.Join(dir, "campaigns")
+	if err := os.WriteFile(filepath.Join(sdir, "c000008.spec.json.tmp-1"), []byte(`{"id":"c0000`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"t":"job","i":9`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(sdir, "c000007.spec.json"), []byte("\x00garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -358,6 +359,22 @@ func TestRestartResumesFromJournal(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Metrics().CampaignsResumed.Load(); got != 1 {
 		t.Errorf("CampaignsResumed = %d, want 1", got)
+	}
+	if got := len(s2.List()); got != 2 {
+		t.Errorf("reopened with %d campaigns, want the resumed one and the garbage one", got)
+	}
+	bad, err := s2.View("c000007", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.Status != StatusFailed || bad.Failed != 1 {
+		t.Errorf("garbage spec reads %+v, want a failed campaign", bad)
+	}
+	s2.mu.Lock()
+	why := s2.campaigns["c000007"].states[0].Error
+	s2.mu.Unlock()
+	if !strings.Contains(why, "c000007.spec.json") {
+		t.Errorf("garbage spec's failure %q does not carry the decode error", why)
 	}
 	waitTerminal(t, s2, v.ID)
 	final, err := s2.View(v.ID, false)
@@ -394,18 +411,21 @@ func TestRestartResumesFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := resultsDigest(t, r3), localDigest(t, sub); got != want {
-		t.Errorf("journal-only results digest %s != local digest %s", got, want)
+		t.Errorf("cache-only results digest %s != local digest %s", got, want)
+	}
+	if next, err := s3.Submit(sub); err != nil || next.ID != "c000008" {
+		t.Errorf("next submission is %q (%v), want c000008 after the garbage c000007", next.ID, err)
 	}
 }
 
-// TestJournalWithSimWorkersResumes: a journal whose submit record
-// carries "sim_workers" — a spec field of the deleted partitioned engine
-// — still replays (journal decoding ignores unknown fields), and its
-// campaign renders the bytes of one journaled without it.
-func TestJournalWithSimWorkersResumes(t *testing.T) {
+// TestSpecWithSimWorkersResumes: a spec file whose submission carries
+// "sim_workers" — a spec field of the deleted partitioned engine — still
+// resumes (spec decoding ignores unknown fields), and its campaign
+// renders the bytes of one stored without it.
+func TestSpecWithSimWorkersResumes(t *testing.T) {
 	dir := t.TempDir()
-	jdir := filepath.Join(dir, "journal")
-	if err := os.MkdirAll(jdir, 0o755); err != nil {
+	sdir := filepath.Join(dir, "campaigns")
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	ids := []string{"c000000", "c000001"}
@@ -413,8 +433,8 @@ func TestJournalWithSimWorkersResumes(t *testing.T) {
 		`{"experiments":["fig7a"],"ms":0.2,"sim_workers":2}`,
 		`{"experiments":["fig7a"],"ms":0.2}`,
 	} {
-		rec := `{"t":"submit","at":"2026-01-01T00:00:00Z","id":"` + ids[i] + `","sub":` + sub + "}\n"
-		if err := os.WriteFile(journalPath(jdir, ids[i]), []byte(rec), 0o644); err != nil {
+		spec := `{"id":"` + ids[i] + `","at":"2026-01-01T00:00:00Z","sub":` + sub + "}"
+		if err := os.WriteFile(filepath.Join(sdir, ids[i]+".spec.json"), []byte(spec), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +457,7 @@ func TestJournalWithSimWorkersResumes(t *testing.T) {
 }
 
 // TestSubmitValidation: a bad spec is rejected up front, before any
-// job is enqueued or journaled.
+// job is enqueued or stored.
 func TestSubmitValidation(t *testing.T) {
 	dir := t.TempDir()
 	s := openScheduler(t, dir, Options{Workers: 1})
@@ -455,12 +475,38 @@ func TestSubmitValidation(t *testing.T) {
 	if got := len(s.List()); got != 0 {
 		t.Fatalf("invalid submissions left %d campaigns behind", got)
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "journal"))
+	entries, err := os.ReadDir(filepath.Join(dir, "campaigns"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
-		t.Fatalf("invalid submissions left %d journal files behind", len(entries))
+		t.Fatalf("invalid submissions left %d files in the spec directory", len(entries))
+	}
+}
+
+// TestSubmitNeverOverwritesSpec: a spec file that appeared under the
+// next id after Open (another process on the same directory) fails the
+// submission and survives it; the one after takes a fresh id.
+func TestSubmitNeverOverwritesSpec(t *testing.T) {
+	dir := t.TempDir()
+	s := openScheduler(t, dir, Options{Workers: 1, Executor: &blockingExecutor{started: make(chan string, 1)}})
+	defer s.Close()
+	path := filepath.Join(dir, "campaigns", "c000000.spec.json")
+	if err := os.WriteFile(path, []byte("theirs"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Submit(Submission{Spec: quickSpec()}); err == nil {
+		t.Fatalf("Submit overwrote an existing spec as %s", v.ID)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "theirs" {
+		t.Fatalf("existing spec reads %q (%v) after the refused submission", data, err)
+	}
+	v, err := s.Submit(Submission{Spec: quickSpec()})
+	if err != nil || v.ID != "c000001" {
+		t.Fatalf("next submission: %q, %v; want c000001", v.ID, err)
+	}
+	if _, err := s.Cancel(v.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -480,5 +526,99 @@ func TestUnknownCampaign(t *testing.T) {
 	}
 	if _, _, _, err := s.Subscribe("c999999"); err != ErrNotFound {
 		t.Errorf("Subscribe: %v, want ErrNotFound", err)
+	}
+}
+
+// countingExecutor counts the jobs handed to it.
+type countingExecutor struct {
+	inner runner.Executor
+	n     atomic.Int32
+}
+
+func (e *countingExecutor) Execute(ctx context.Context, job runner.Job, emit func(runner.Event)) runner.JobResult {
+	e.n.Add(1)
+	return e.inner.Execute(ctx, job, emit)
+}
+
+// TestQuarantineSurvivesRestart: a campaign whose cells all quarantine
+// (switch A wedged for good under a short watchdog) reads the same after
+// a restart — every cell quarantined, the checker's snapshot included —
+// with no job run, because the quarantines are cache entries. They are
+// keyed by the watchdog window: the same cells at the default window
+// are not answered from them.
+func TestQuarantineSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := runner.OpenCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swA := topo.Config1SwitchA
+	sub := Submission{
+		Spec:     experiments.Spec{Experiments: []string{"fig7a"}, MS: 0.5},
+		Faults:   &fault.Script{Name: "wedge-swA", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Switch: &swA}}},
+		Watchdog: 5_000,
+	}
+	s1 := openScheduler(t, dir, Options{Workers: 2, Cache: cache})
+	v, err := s1.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s1, v.ID)
+	first, err := s1.Results(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range first {
+		if !jr.Quarantined || jr.Attempts != 1 || !strings.Contains(jr.Diagnostics, "swA") {
+			t.Fatalf("%s: quarantined=%v attempts=%d, diagnostics:\n%s", jr.Job, jr.Quarantined, jr.Attempts, jr.Diagnostics)
+		}
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	exec := &countingExecutor{inner: &runner.LocalExecutor{Cache: cache}}
+	s2 := openScheduler(t, dir, Options{Workers: 2, Cache: cache, Executor: exec})
+	defer s2.Close()
+	view, err := s2.View(v.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != StatusFailed || view.Failed != view.Total {
+		t.Errorf("after restart: %+v, want every cell failed", view)
+	}
+	for _, jv := range view.Jobs {
+		if jv.Status != JobQuarantined {
+			t.Errorf("%s reads %s after restart, want quarantined", jv.Job, jv.Status)
+		}
+	}
+	again, err := s2.Results(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range again {
+		if !jr.Quarantined || jr.Diagnostics != first[i].Diagnostics || jr.Err == nil || jr.Err.Error() != first[i].Err.Error() {
+			t.Errorf("%s after restart: quarantined=%v err=%v, diagnostics:\n%s", jr.Job, jr.Quarantined, jr.Err, jr.Diagnostics)
+		}
+	}
+	if n := exec.n.Load(); n != 0 {
+		t.Errorf("the restart ran %d jobs, want 0", n)
+	}
+
+	def := sub
+	def.Watchdog = 0
+	v2, err := s2.Submit(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s2, v2.ID)
+	ran, err := s2.Results(v2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range ran {
+		if jr.Attempts == 0 {
+			t.Errorf("%s at the default watchdog was answered from the cache (quarantined=%v)", jr.Job, jr.Quarantined)
+		}
 	}
 }

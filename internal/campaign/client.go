@@ -146,7 +146,7 @@ const (
 // Wait blocks until the campaign reaches a terminal status, streaming
 // events through fn (may be nil) while the stream lasts and falling
 // back to polling when it drops. A server restart mid-campaign is
-// ridden out: the journal resumes the campaign on the other side, and
+// ridden out: the campaign resumes from its spec on the other side, and
 // Wait keeps re-subscribing for up to a minute of consecutive
 // unreachability before reporting the errors.
 func (c *Client) Wait(ctx context.Context, id string, fn func(Event) error) (View, error) {

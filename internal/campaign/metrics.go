@@ -24,8 +24,9 @@ type Metrics struct {
 	// the shared result cache.
 	finished map[JobStatus]*atomic.Int64
 
-	// JournalErrors counts failed journal/index writes: durability is
-	// degraded (a crash may re-run work) but service continues.
+	// JournalErrors counts failed cache-index flushes at campaign
+	// completion: GC ordering degrades (it falls back to mtimes) but
+	// service continues. Spec and cancel-mark writes fail their request.
 	JournalErrors atomic.Int64
 
 	// busyNS accumulates worker wall-clock spent executing jobs; the

@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,11 +18,12 @@ import (
 
 // Options configure a Scheduler.
 type Options struct {
-	// Dir is the journal directory (created if needed). Required.
+	// Dir holds each campaign's spec file and cancel mark (created if
+	// needed). Required.
 	Dir string
 	// Cache is the shared content-addressed result cache. Required:
-	// it is both the dedup layer and the durable result store the
-	// journal points into.
+	// it is both the dedup layer and the durable store of every
+	// finished cell a restart reports.
 	Cache *runner.Cache
 	// Workers is the executor pool size; <= 0 means 1.
 	Workers int
@@ -64,13 +67,12 @@ type campaign struct {
 	pending   int                     // guarded by Scheduler.mu; jobs not yet terminal
 	ctx       context.Context         // guarded by Scheduler.mu
 	cancel    context.CancelFunc      // guarded by Scheduler.mu
-	jl        *journal                // guarded by Scheduler.mu
 	subs      map[chan Event]struct{} // guarded by Scheduler.mu
 }
 
 // Scheduler owns the durable queue: campaigns expand into jobs,
-// workers drain the FIFO queue through a runner.Executor, terminal
-// transitions are journaled, and subscribers stream progress events.
+// workers drain the FIFO queue through a runner.Executor, and
+// subscribers stream progress events.
 type Scheduler struct {
 	opt     Options
 	exec    runner.Executor
@@ -89,10 +91,10 @@ type Scheduler struct {
 	wg        sync.WaitGroup
 }
 
-// Open starts a scheduler over dir, replaying any journals found
-// there: campaigns with unfinished jobs are re-expanded from their
-// specs and requeued (finished cells come back from the cache, so a
-// resume only recomputes what is actually missing).
+// Open starts a scheduler over dir, resuming every campaign found
+// there: its spec is re-expanded, each cell the cache holds is
+// finished, and the rest are requeued — so a resume only recomputes
+// what is actually missing.
 func Open(opt Options) (*Scheduler, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("campaign: Options.Dir is required")
@@ -101,7 +103,7 @@ func Open(opt Options) (*Scheduler, error) {
 		return nil, errors.New("campaign: Options.Cache is required (shared dedup layer)")
 	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: journal dir: %w", err)
+		return nil, fmt.Errorf("campaign: spec dir: %w", err)
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
@@ -163,7 +165,7 @@ func (s *Scheduler) Draining() bool {
 	return s.closed
 }
 
-// resume replays every journal in the data directory.
+// resume rebuilds every campaign in the data directory.
 //
 // It runs from Open before any worker goroutine exists, so it could
 // not race today — but it mutates the same queue/campaign state every
@@ -175,88 +177,71 @@ func (s *Scheduler) Draining() bool {
 func (s *Scheduler) resume() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	paths, err := listJournals(s.opt.Dir)
+	// Sorted by id; stray temp files of an interrupted write do not match.
+	paths, err := filepath.Glob(filepath.Join(s.opt.Dir, "*.spec.json"))
 	if err != nil {
 		return err
 	}
 	for _, path := range paths {
-		rep, err := replayJournal(path)
-		if err != nil {
-			return fmt.Errorf("campaign: replaying %s: %w", path, err)
-		}
-		if n, ok := parseID(rep.id); ok && n >= s.seq {
+		id := strings.TrimSuffix(filepath.Base(path), ".spec.json")
+		if n, ok := parseID(id); ok && n >= s.seq {
 			s.seq = n + 1
 		}
+		var sf specFile
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &sf)
+		}
+		if err != nil {
+			err = fmt.Errorf("campaign: reading %s: %w", path, err)
+		}
+		_, cerr := os.Stat(filepath.Join(s.opt.Dir, id+".cancel"))
 		c := &campaign{
-			id:        rep.id,
-			sub:       rep.sub,
-			submitted: rep.submitted,
-			cancelled: rep.cancelled,
+			id:        id,
+			sub:       sf.Sub,
+			submitted: sf.At,
+			cancelled: cerr == nil,
 			subs:      map[chan Event]struct{}{},
 		}
 		c.ctx, c.cancel = context.WithCancel(s.ctx)
-		jobs, jerr := rep.sub.Jobs()
-		if jerr != nil {
-			// The spec no longer expands (registry drift across
-			// versions): surface the campaign as failed rather than
-			// wedging the whole service.
+		s.campaigns[c.id] = c
+		s.order = append(s.order, c.id)
+		var jobs []runner.Job
+		if err == nil {
+			jobs, err = c.sub.Jobs()
+		}
+		if err != nil {
+			// The spec does not decode, or no longer expands (registry
+			// drift across versions): surface the campaign as failed
+			// rather than wedging the whole service.
 			c.status = StatusFailed
-			c.states = []jobState{{Status: JobFailed, Error: jerr.Error()}}
-			c.jobs = nil
+			c.states = []jobState{{Status: JobFailed, Error: err.Error()}}
 			c.cancel()
-			s.campaigns[c.id] = c
-			s.order = append(s.order, c.id)
 			continue
 		}
 		c.jobs = jobs
 		c.states = make([]jobState, len(jobs))
 		c.finished = make([]*runner.JobResult, len(jobs))
-		var requeue []int
-		for i := range jobs {
-			st, ok := rep.states[i]
-			switch {
-			case ok && (st.Status == JobDone || st.Status == JobCached) && st.Key != "" && !s.opt.Cache.Has(st.Key):
-				// Finished once, but the result was evicted since:
-				// recompute rather than serve a dangling pointer.
-				c.states[i] = jobState{Status: JobQueued}
-				requeue = append(requeue, i)
-			case ok && st.Status.Terminal():
-				c.states[i] = st
-			case rep.cancelled:
-				c.states[i] = jobState{Status: JobCancelled}
+		for i, job := range jobs {
+			switch held := s.opt.Cache.Holds(job); {
+			case held != "":
+				c.states[i].Status = JobStatus(held) // cached or quarantined
+			case c.cancelled:
+				c.states[i].Status = JobCancelled
 			default:
-				// Queued or in-flight at shutdown: run it (again). A
-				// cell that actually finished is a free cache hit.
-				c.states[i] = jobState{Status: JobQueued}
-				requeue = append(requeue, i)
+				c.states[i].Status = JobQueued
+				s.queue = append(s.queue, item{id: c.id, index: i})
+				c.pending++
 			}
-		}
-		c.pending = len(requeue)
-		if rep.cancelled {
-			c.pending = 0
-			for _, i := range requeue {
-				c.states[i] = jobState{Status: JobCancelled}
-			}
-			requeue = nil
 		}
 		if c.pending == 0 {
 			c.status = terminalStatus(c)
 			c.cancel()
-		} else {
-			c.status = StatusQueued
-			jl, jlerr := openJournal(s.opt.Dir, c.id)
-			if jlerr != nil {
-				return jlerr
-			}
-			c.jl = jl
-			for _, i := range requeue {
-				s.queue = append(s.queue, item{id: c.id, index: i})
-			}
-			s.metrics.JobsEnqueued.Add(int64(len(requeue)))
-			s.metrics.CampaignsResumed.Add(1)
+			continue
 		}
-		s.campaigns[c.id] = c
-		s.order = append(s.order, c.id)
+		c.status = StatusQueued
+		s.metrics.JobsEnqueued.Add(int64(c.pending))
+		s.metrics.CampaignsResumed.Add(1)
 	}
 	return nil
 }
@@ -290,9 +275,9 @@ func terminalStatus(c *campaign) Status {
 	return StatusDone
 }
 
-// Submit validates, journals and enqueues a campaign, returning its
-// view. The submit record is synced before the call returns: an
-// accepted campaign survives an immediate crash.
+// Submit validates, stores and enqueues a campaign, returning its
+// view. The spec file is on disk before the call returns: an accepted
+// campaign survives an immediate crash.
 func (s *Scheduler) Submit(sub Submission) (View, error) {
 	jobs, err := sub.Jobs()
 	if err != nil {
@@ -306,8 +291,7 @@ func (s *Scheduler) Submit(sub Submission) (View, error) {
 	id := fmt.Sprintf("c%06d", s.seq)
 	s.seq++
 	now := time.Now()
-	jl, err := createJournal(s.opt.Dir, id, sub, now)
-	if err != nil {
+	if err := writeSpec(s.opt.Dir, specFile{ID: id, At: now, Sub: sub}); err != nil {
 		return View{}, err
 	}
 	c := &campaign{
@@ -319,7 +303,6 @@ func (s *Scheduler) Submit(sub Submission) (View, error) {
 		states:    make([]jobState, len(jobs)),
 		finished:  make([]*runner.JobResult, len(jobs)),
 		pending:   len(jobs),
-		jl:        jl,
 		subs:      map[chan Event]struct{}{},
 	}
 	for i := range c.states {
@@ -351,7 +334,7 @@ func (s *Scheduler) worker() {
 			return
 		}
 		if s.closed {
-			// Draining: leave queued work journal-resumable.
+			// Draining: leave queued work for the next process.
 			s.mu.Unlock()
 			return
 		}
@@ -387,11 +370,11 @@ func (s *Scheduler) worker() {
 
 // forward relays mid-job executor telemetry to subscribers (terminal
 // events are emitted by finish, with campaign counters attached).
-// Lease-lifecycle events from the remote dispatcher are additionally
-// journaled: they are the audit trail that proves a reclaimed job was
-// requeued rather than lost, and they survive a service restart.
+// Lease-lifecycle events from the remote dispatcher, each naming its
+// worker, are the audit trail that proves a reclaimed job was requeued
+// rather than lost; /metrics counts the same transitions.
 func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
-	var typ, leaseState string
+	var typ string
 	switch ev.Type {
 	case runner.JobRetry:
 		s.metrics.JobsRetried.Add(1)
@@ -399,23 +382,16 @@ func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
 	case runner.JobCacheCorrupt:
 		typ = "cache-corrupt"
 	case runner.JobLeased:
-		typ, leaseState = "lease", "granted"
+		typ = "lease"
 	case runner.JobLeaseExpired:
-		typ, leaseState = "lease-expired", "expired"
+		typ = "lease-expired"
 	case runner.JobReassigned:
-		typ, leaseState = "requeued", "reclaimed"
+		typ = "requeued"
 	default:
 		return // start is emitted at dispatch, terminal events by finish
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if leaseState != "" && c.jl != nil {
-		if err := c.jl.append(record{
-			T: "lease", Index: index, W: ev.Worker, LS: leaseState,
-		}, false); err != nil {
-			s.metrics.JournalErrors.Add(1)
-		}
-	}
 	e := Event{Type: typ, Index: index, Job: c.jobs[index].String(), Worker: ev.Worker}
 	if ev.Err != nil {
 		e.Error = ev.Err.Error()
@@ -423,8 +399,8 @@ func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
 	s.emitLocked(c, e)
 }
 
-// finish records one job's terminal state, journals it, updates
-// counters, and completes the campaign when it was the last one.
+// finish records one job's terminal state, updates counters, and
+// completes the campaign when it was the last one.
 func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 	st := jobState{
 		Status:    JobStatus(jr.Outcome()),
@@ -433,7 +409,7 @@ func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 		Attempts:  jr.Attempts,
 	}
 	if st.Status == JobStatus(runner.OutcomeOK) {
-		st.Status = JobDone // the journal's name for it
+		st.Status = JobDone // the campaign's name for it
 	}
 	if jr.Err != nil {
 		st.Error = jr.Err.Error()
@@ -445,14 +421,6 @@ func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 	c.states[index] = st
 	c.finished[index] = &jr
 	c.pending--
-	if c.jl != nil {
-		if err := c.jl.append(record{
-			T: "job", Index: index, Status: st.Status, Key: st.Key,
-			ElapsedMS: st.ElapsedMS, Attempts: st.Attempts, Error: st.Error,
-		}, false); err != nil {
-			s.metrics.JournalErrors.Add(1)
-		}
-	}
 	ev := Event{Type: string(st.Status), Index: index, Job: jr.Job.String(), ElapsedMS: st.ElapsedMS}
 	if st.Error != "" {
 		ev.Error = st.Error
@@ -467,14 +435,6 @@ func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 func (s *Scheduler) completeLocked(c *campaign) {
 	c.status = terminalStatus(c)
 	c.cancel() // release the campaign's context resources
-	if c.jl != nil {
-		// Through the journal's own locked method, not c.jl.f.Sync()
-		// directly: reaching around journal.mu to its file handle races
-		// any concurrent append's write-then-sync sequence.
-		if err := c.jl.sync(); err != nil {
-			s.metrics.JournalErrors.Add(1)
-		}
-	}
 	switch c.status {
 	case StatusCancelled:
 		s.metrics.CampaignsCancelled.Add(1)
@@ -490,8 +450,9 @@ func (s *Scheduler) completeLocked(c *campaign) {
 }
 
 // Cancel cancels a campaign: queued jobs are dropped immediately,
-// in-flight jobs get their context cancelled and drain. Cancelling a
-// terminal campaign is a no-op.
+// in-flight jobs get their context cancelled and drain. The cancel
+// mark is on disk before anything changes, and a failure to write it
+// changes nothing. Cancelling a terminal campaign is a no-op.
 func (s *Scheduler) Cancel(id string) (View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -502,13 +463,11 @@ func (s *Scheduler) Cancel(id string) (View, error) {
 	if c.status.Terminal() {
 		return s.viewLocked(c, true), nil
 	}
+	if err := writeDurable(s.opt.Dir, id+".cancel", nil); err != nil {
+		return View{}, fmt.Errorf("campaign: writing cancel mark: %w", err)
+	}
 	c.cancelled = true
 	c.cancel()
-	if c.jl != nil {
-		if err := c.jl.append(record{T: "cancel", At: time.Now()}, true); err != nil {
-			s.metrics.JournalErrors.Add(1)
-		}
-	}
 	// Drop queued jobs of this campaign from the FIFO.
 	keep := s.queue[:0]
 	for _, it := range s.queue {
@@ -585,10 +544,10 @@ func (s *Scheduler) viewLocked(c *campaign, withJobs bool) View {
 
 // Results assembles the campaign's job results in cell order. A job
 // finished in this process is the executor's own record (result, elapsed
-// time, diagnostics, cache error); one journaled by an earlier process
-// is rebuilt from its journal state, its result loaded from the shared
-// cache by key. A finished job whose cache entry was evicted reports an
-// error for that cell.
+// time, diagnostics, cache error); one an earlier process finished is
+// rebuilt from the cache: its result, or its quarantined outcome with
+// the checker's snapshot. A cell whose entry was evicted since reports
+// an error.
 func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 	s.mu.Lock()
 	c := s.campaigns[id]
@@ -597,45 +556,28 @@ func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 		return nil, ErrNotFound
 	}
 	out := make([]runner.JobResult, len(c.jobs))
-	states := append([]jobState(nil), c.states...)
-	var journaled []int // cells not finished in this process
+	states := make([]JobStatus, len(c.jobs))
 	for i, job := range c.jobs {
 		if jr := c.finished[i]; jr != nil {
 			out[i] = *jr
-			continue
+		} else {
+			out[i] = runner.JobResult{Job: job}
+			states[i] = c.states[i].Status
 		}
-		journaled = append(journaled, i)
-		st := states[i]
-		out[i] = runner.WireResult{
-			Key:         st.Key,
-			Cached:      st.Status == JobCached,
-			ElapsedMS:   st.ElapsedMS,
-			Attempts:    st.Attempts,
-			Quarantined: st.Status == JobQuarantined,
-		}.JobResult(job)
 	}
 	s.mu.Unlock()
 
-	for _, i := range journaled {
-		jr, st := &out[i], states[i]
-		switch {
-		case st.Status == JobDone || st.Status == JobCached:
-			if st.Key == "" {
-				break // ran under an executor that keeps no cache
-			}
-			res, ok, err := s.opt.Cache.Get(st.Key)
-			switch {
-			case ok:
-				jr.Result = res
-			case err != nil:
-				jr.Err = err
-			default:
+	for i, st := range states {
+		jr := &out[i]
+		switch st {
+		case "": // finished in this process
+		case JobCached, JobQuarantined:
+			var ok bool
+			if *jr, ok = s.opt.Cache.Recall(jr.Job); !ok {
 				jr.Err = fmt.Errorf("campaign: result for %s evicted from cache; resubmit to recompute", jr.Job)
 			}
-		case st.Status.Terminal():
-			jr.Err = errors.New(st.Error)
 		default:
-			jr.Err = fmt.Errorf("campaign: job %s still %s", jr.Job, st.Status)
+			jr.Err = fmt.Errorf("campaign: job %s is %s", jr.Job, st)
 		}
 	}
 	return out, nil
@@ -696,9 +638,9 @@ func (s *Scheduler) emitLocked(c *campaign, ev Event) {
 }
 
 // Close drains the scheduler gracefully: no new campaigns are
-// accepted, queued jobs stay journaled for the next process, in-flight
-// jobs run to completion and are recorded, journals and the cache
-// index are flushed. Safe to call once.
+// accepted, queued jobs are left for the next process, in-flight jobs
+// run to completion and are recorded, and the cache index is flushed.
+// Safe to call once.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -713,23 +655,13 @@ func (s *Scheduler) Close() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstErr error
 	for _, id := range s.order {
-		c := s.campaigns[id]
-		if c.jl != nil {
-			if err := c.jl.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			c.jl = nil
-		}
 		// Wake any subscriber still streaming a non-terminal campaign.
+		c := s.campaigns[id]
 		for ch := range c.subs {
 			close(ch)
 			delete(c.subs, ch)
 		}
 	}
-	if err := s.opt.Cache.FlushIndex(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return s.opt.Cache.FlushIndex()
 }

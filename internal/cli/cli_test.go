@@ -51,7 +51,7 @@ func serve(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := campaign.Open(campaign.Options{Dir: filepath.Join(dir, "journal"), Cache: cache, Workers: 2})
+	sched, err := campaign.Open(campaign.Options{Dir: filepath.Join(dir, "campaigns"), Cache: cache, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,14 @@ package dispatch_test
 // friendly) or a flaky network injecting drops, torn responses and
 // duplicated deliveries. The acceptance bar is the repo's core
 // guarantee: the campaign completes and its results are byte-identical
-// to a local serial run, with the reclaim path proven by journal
-// records rather than assumed.
+// to a local serial run, with the reclaim path proven by the campaign's
+// lease events rather than assumed.
 
 import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,9 +107,21 @@ func (e *blockingExec) Execute(ctx context.Context, job runner.Job, emit func(ru
 	return runner.JobResult{Job: job, Err: ctx.Err()}
 }
 
+// heldExec starts no job before hold is closed.
+type heldExec struct {
+	inner runner.Executor
+	hold  <-chan struct{}
+}
+
+func (e *heldExec) Execute(ctx context.Context, job runner.Job, emit func(runner.Event)) runner.JobResult {
+	<-e.hold
+	return e.inner.Execute(ctx, job, emit)
+}
+
 // startService boots a campaign scheduler with a dispatch board behind
-// an httptest server. Shutdown order matters and is the caller's job.
-func startService(t *testing.T, dir string, ttl time.Duration) (*campaign.Scheduler, *dispatch.Board, *httptest.Server) {
+// an httptest server; with a non-nil hold, no job reaches the board
+// before hold is closed. Shutdown order matters and is the caller's job.
+func startService(t *testing.T, dir string, ttl time.Duration, hold <-chan struct{}) (*campaign.Scheduler, *dispatch.Board, *httptest.Server) {
 	t.Helper()
 	cache, err := runner.OpenCache(filepath.Join(dir, "cache"))
 	if err != nil {
@@ -121,13 +131,20 @@ func startService(t *testing.T, dir string, ttl time.Duration) (*campaign.Schedu
 		LeaseTTL: ttl,
 		Log:      t.Logf,
 	})
-	sched, err := campaign.Open(campaign.Options{
-		Dir:      filepath.Join(dir, "journal"),
+	opt := campaign.Options{
+		Dir:      filepath.Join(dir, "campaigns"),
 		Cache:    cache,
 		Workers:  4,
 		Dispatch: board,
 		Log:      t.Logf,
-	})
+	}
+	if hold != nil {
+		opt.Executor = &heldExec{
+			inner: &dispatch.RemoteExecutor{Board: board, Local: &runner.LocalExecutor{Cache: cache}, Log: t.Logf},
+			hold:  hold,
+		}
+	}
+	sched, err := campaign.Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +185,11 @@ func startWorker(t *testing.T, srv *httptest.Server, opt dispatch.WorkerOptions,
 // lease expires, the board reclaims and requeues, the surviving worker
 // finishes everything, and the campaign's bytes match a local serial
 // run exactly. The reclaim is proven twice over: board metrics and the
-// campaign journal's lease records.
+// campaign's lease events.
 func TestWorkerKilledMidJob(t *testing.T) {
 	dir := t.TempDir()
-	sched, board, srv := startService(t, dir, 500*time.Millisecond)
+	hold := make(chan struct{})
+	sched, board, srv := startService(t, dir, 500*time.Millisecond, hold)
 	defer srv.Close()
 
 	// The victim first: it must win the first claim so the kill
@@ -191,6 +209,14 @@ func TestWorkerKilledMidJob(t *testing.T) {
 	if v.Total < 2 {
 		t.Fatalf("chaos spec expands to %d jobs, want >= 2 so the survivor has work too", v.Total)
 	}
+	// Attached before any job reaches the board: the stream holds the
+	// campaign's whole lease history.
+	_, events, unsubscribe, err := sched.Subscribe(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsubscribe()
+	close(hold)
 
 	select {
 	case <-victim.started:
@@ -234,16 +260,20 @@ func TestWorkerKilledMidJob(t *testing.T) {
 		t.Fatalf("fewer remote completions (%v) than campaign done count (%d)", snap["remote_jobs_done"], final.Done)
 	}
 
-	// The journal must carry the audit trail: a lease granted to the
-	// victim, its expiry, and the reclaim.
-	data, err := os.ReadFile(filepath.Join(dir, "journal", v.ID+".jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	if snap["leases_expired"].(int64) < 1 {
+		t.Fatalf("no lease expiry recorded despite the kill: %v", snap)
 	}
-	journal := string(data)
-	for _, want := range []string{`"ls":"granted"`, `"ls":"expired"`, `"ls":"reclaimed"`, `"w":"victim"`} {
-		if !strings.Contains(journal, want) {
-			t.Fatalf("journal missing %s:\n%s", want, journal)
+	// The event stream carries the audit trail: a lease granted to the
+	// victim, its expiry, and the reclaim, each naming the victim.
+	seen := map[string]bool{}
+	for ev := range events { // closed by the complete event
+		if ev.Worker == "victim" {
+			seen[ev.Type] = true
+		}
+	}
+	for _, want := range []string{"lease", "lease-expired", "requeued"} {
+		if !seen[want] {
+			t.Fatalf("no %q event names the victim (saw %v)", want, seen)
 		}
 	}
 
@@ -261,7 +291,7 @@ func TestWorkerKilledMidJob(t *testing.T) {
 // board's idempotent delivery path end to end.
 func TestFlakyTransportStillByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	sched, board, srv := startService(t, dir, 500*time.Millisecond)
+	sched, board, srv := startService(t, dir, 500*time.Millisecond, nil)
 	defer srv.Close()
 
 	flaky := &FlakyTransport{

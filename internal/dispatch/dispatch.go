@@ -17,7 +17,8 @@
 //     the board requeues immediately instead of waiting out the TTL;
 //   - service restart: the new process has an empty board; workers get
 //     "unknown worker" on their next request, re-register and carry
-//     on, while the campaign journal resumes the jobs themselves.
+//     on, while the campaign's spec file and the cache resume the jobs
+//     themselves.
 //
 // A job is reassigned at most Options.MaxReassign times before the
 // board gives up and fails it — a job that kills every worker it
@@ -51,7 +52,7 @@ const Protocol = 1
 
 // RegisterRequest announces a worker to the board.
 type RegisterRequest struct {
-	// Name labels the worker in /workers and the journal (defaults to
+	// Name labels the worker in /workers and lease events (defaults to
 	// its id when empty).
 	Name string `json:"name,omitempty"`
 	// Protocol must match the board's Protocol constant.

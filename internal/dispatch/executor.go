@@ -57,8 +57,9 @@ func (e *RemoteExecutor) offload(ctx context.Context, job runner.Job, key string
 	// The worker computed its key with its own build. A mismatch means
 	// version skew between service and worker binaries — the result
 	// bytes may differ from what this build would produce, so refuse it
-	// rather than poison the shared cache.
-	if jr.Err == nil && key != "" && jr.Key != "" && jr.Key != key {
+	// rather than poison the shared cache, which stores quarantined
+	// outcomes as well as results.
+	if (jr.Err == nil || jr.Quarantined) && key != "" && jr.Key != "" && jr.Key != key {
 		e.Board.cMismatch.Add(1)
 		return runner.JobResult{Err: fmt.Errorf("dispatch: %s: worker cache key %s != service key %s (version skew between service and worker builds?); rejecting result", job, jr.Key, key)}, true
 	}

@@ -31,7 +31,7 @@ func (instantExec) Execute(_ context.Context, job runner.Job, _ func(runner.Even
 }
 
 // slowStore stands in for what a real result costs the service between
-// a delivery and the next Enqueue (cache write, journal append): a few
+// a delivery and the next Enqueue (cache write, event fan-out): a few
 // milliseconds in which the scheduler slot's next job is not yet queued.
 type slowStore struct{ runner.Executor }
 
@@ -53,7 +53,7 @@ func TestParkedFleetDoesNotPoll(t *testing.T) {
 	}
 	board := dispatch.NewBoard(dispatch.Options{Log: t.Logf})
 	sched, err := campaign.Open(campaign.Options{
-		Dir: filepath.Join(dir, "journal"), Cache: cache, Workers: 2, Dispatch: board, Log: t.Logf,
+		Dir: filepath.Join(dir, "campaigns"), Cache: cache, Workers: 2, Dispatch: board, Log: t.Logf,
 		Executor: slowStore{&dispatch.RemoteExecutor{Board: board, Local: &runner.LocalExecutor{Cache: cache}}},
 	})
 	if err != nil {

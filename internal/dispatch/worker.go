@@ -118,7 +118,7 @@ func (c *Client) Result(ctx context.Context, req ResultRequest) (ResultResponse,
 
 // WorkerOptions configure one worker process.
 type WorkerOptions struct {
-	// Name labels the worker in the service's /workers and journal.
+	// Name labels the worker in the service's /workers and lease events.
 	Name string
 	// Slots is how many jobs run concurrently; <=0 means 1.
 	Slots int

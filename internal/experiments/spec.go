@@ -14,10 +14,10 @@ import (
 // Spec is the declarative form of a campaign: which experiments, which
 // schemes, how many seeds — the same shape every campaign CLI already
 // accepts as flags, made serializable so a campaign can be submitted
-// to a service, journaled, and re-expanded after a restart. Expansion
+// to a service, stored, and re-expanded after a restart. Expansion
 // is deterministic: the same Spec always yields the same cells in the
-// same order, which is what makes journal replay and remote rendering
-// line up with local runs.
+// same order, which is what makes a resume and remote rendering line
+// up with local runs.
 type Spec struct {
 	// Experiments lists registered experiment ids (ValidIDs). Static
 	// tables are skipped during expansion.

@@ -53,7 +53,7 @@ var simScope = map[string]string{
 // serviceScope declares the service packages — exempt from the
 // determinism family. The value documents why the exemption is sound.
 var serviceScope = map[string]string{
-	"campaign": "campaign service: HTTP serving, journals, worker pool — never inside a simulated cycle",
+	"campaign": "campaign service: HTTP serving, spec files, worker pool — never inside a simulated cycle",
 	"cli":      "the campaign tools' front door: flags, signals, wall-clock manifests — never inside a simulated cycle",
 	"dispatch": "remote worker fleet: HTTP leases, heartbeats, wall-clock TTLs — never inside a simulated cycle",
 	"lint":     "this tool",

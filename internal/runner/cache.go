@@ -22,7 +22,8 @@ import (
 const schemaVersion = 1
 
 // Cache is a content-addressed on-disk result store: one gob-encoded
-// experiments.Result per key, laid out as dir/<key[:2]>/<key>.gob.
+// experiments.Result per key — or, at a quarantine key, one
+// quarantine — laid out as dir/<key[:2]>/<key>.gob.
 // Entries are written atomically (temp file + rename), reads treat a
 // missing or corrupt entry as a miss, and the zero-size guarantee is
 // that a hit decodes to the byte-identical Result the original run
@@ -91,21 +92,39 @@ func (c *Cache) path(key string) string {
 // so the caller can log it, Remove the entry and recompute instead of
 // failing the job.
 func (c *Cache) Get(key string) (*experiments.Result, bool, error) {
-	f, err := os.Open(c.path(key))
-	if err != nil {
-		return nil, false, nil // clean miss
-	}
-	defer f.Close()
 	var r experiments.Result
-	if err := gob.NewDecoder(f).Decode(&r); err != nil {
-		return nil, false, fmt.Errorf("runner: corrupt cache entry %s: %w", key, err)
+	if ok, err := c.get(key, &r); !ok {
+		return nil, false, err
 	}
-	c.touch(key)
 	return &r, true, nil
 }
 
+// quarantine is a cached quarantined outcome: the invariant violation's
+// text and the checker's snapshot. A violation is as deterministic as a
+// result, but it depends on the watchdog window a result leaves out, so
+// it is stored at its job's quarantine key (resolved.quarantineKey).
+type quarantine struct {
+	Err         string
+	Diagnostics string
+}
+
+// get decodes key's entry into v, with Get's miss-versus-corrupt
+// contract.
+func (c *Cache) get(key string, v any) (bool, error) {
+	f, err := os.Open(c.path(key))
+	if err != nil {
+		return false, nil // clean miss
+	}
+	defer f.Close()
+	if err := gob.NewDecoder(f).Decode(v); err != nil {
+		return false, fmt.Errorf("runner: corrupt cache entry %s: %w", key, err)
+	}
+	c.touch(key)
+	return true, nil
+}
+
 // Has reports whether an entry exists on disk for key, without
-// decoding it — the campaign service's cheap resume-time probe.
+// decoding it.
 func (c *Cache) Has(key string) bool {
 	_, err := os.Stat(c.path(key))
 	return err == nil
@@ -123,6 +142,11 @@ func (c *Cache) Remove(key string) error {
 
 // Put stores a result atomically under key.
 func (c *Cache) Put(key string, r *experiments.Result) error {
+	return c.put(key, r)
+}
+
+// put stores v atomically under key.
+func (c *Cache) put(key string, v any) error {
 	dir := filepath.Dir(c.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -131,7 +155,7 @@ func (c *Cache) Put(key string, r *experiments.Result) error {
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(tmp).Encode(r); err != nil {
+	if err := gob.NewEncoder(tmp).Encode(v); err != nil {
 		_ = tmp.Close()
 		_ = os.Remove(tmp.Name())
 		return err
@@ -183,4 +207,45 @@ func ModuleVersion() string {
 		}
 	})
 	return modVer
+}
+
+// jobResult is the outcome a cached quarantine reports for job, whose
+// result key is key.
+func (q quarantine) jobResult(job Job, key string) JobResult {
+	return JobResult{Job: job, Err: errors.New(q.Err), Key: key, Quarantined: true, Diagnostics: q.Diagnostics}
+}
+
+// Holds reports, without decoding anything, what the cache holds for
+// job: OutcomeCached for its result, OutcomeQuarantined for a
+// quarantined outcome at its watchdog window, "" for neither (or for a
+// job that no longer resolves).
+func (c *Cache) Holds(job Job) Outcome {
+	r, err := resolve(job)
+	switch {
+	case err != nil:
+	case c.Has(r.key(r.seed)):
+		return OutcomeCached
+	case c.Has(r.quarantineKey()):
+		return OutcomeQuarantined
+	}
+	return ""
+}
+
+// Recall rebuilds job's outcome from the cache alone: its result as a
+// hit, or its quarantined outcome with the checker's snapshot. ok is
+// false when the cache holds neither, a corrupt entry included.
+func (c *Cache) Recall(job Job) (jr JobResult, ok bool) {
+	r, err := resolve(job)
+	if err != nil {
+		return JobResult{Job: job, Err: err}, false
+	}
+	key := r.key(r.seed)
+	if res, ok, _ := c.Get(key); ok {
+		return JobResult{Job: job, Result: res, Cached: true, Key: key}, true
+	}
+	var q quarantine
+	if ok, _ := c.get(r.quarantineKey(), &q); ok {
+		return q.jobResult(job, key), true
+	}
+	return JobResult{Job: job, Key: key}, false
 }

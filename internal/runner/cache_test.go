@@ -11,10 +11,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// FuzzCacheGet writes arbitrary bytes as a cache entry file (seed corpus:
-// a valid entry, the same entry truncated, an empty file): Get never
-// panics, an entry it cannot decode is (nil, false, err), and one it can
-// decode goes through a Put and a Get unchanged.
+// FuzzCacheGet writes arbitrary bytes as a cache entry file, once for
+// each reader — Get at a result key, the quarantine reader at another
+// (seed corpus: a valid result entry, the same entry truncated, an empty
+// file, a valid quarantine entry). Neither reader panics, an entry it
+// cannot decode reads as a miss with the error, and one it can decode
+// goes through a store and a read unchanged.
 func FuzzCacheGet(f *testing.F) {
 	c, err := OpenCache(f.TempDir())
 	if err != nil {
@@ -35,10 +37,39 @@ func FuzzCacheGet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	qkey := strings.Repeat("9a", 32)
+	if err := c.put(qkey, quarantine{Err: "invariant watchdog violated", Diagnostics: "swA: wedged"}); err != nil {
+		f.Fatal(err)
+	}
+	validQ, err := os.ReadFile(c.path(qkey))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
+	f.Add(validQ)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(c.path(qkey), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var q quarantine
+		ok, err := c.get(qkey, &q)
+		switch {
+		case !ok && err == nil:
+			t.Fatalf("a quarantine entry that does not decode reads as a clean miss")
+		case ok && err != nil:
+			t.Fatalf("a quarantine hit reads (%+v, true, %v)", q, err)
+		case ok:
+			if err := c.put(qkey, q); err != nil {
+				t.Fatal(err)
+			}
+			var back quarantine
+			if ok, err := c.get(qkey, &back); !ok || err != nil || back != q {
+				t.Fatalf("a stored quarantine reads back as (%+v, %v, %v), want %+v", back, ok, err, q)
+			}
+		}
+
 		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
 			t.Fatal(err)
 		}

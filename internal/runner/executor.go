@@ -102,7 +102,9 @@ type Offload func(ctx context.Context, job Job, key string, emit func(Event)) (j
 
 // ExecuteVia is the one envelope every execution path shares: resolve,
 // key derivation, cache and seed-free probes (corrupt entries recovered),
-// JobStart and exactly one terminal event, cache store. Only "how the
+// JobStart and exactly one terminal event, cache store. A quarantined
+// outcome is cached too, at the job's quarantine key, and a later probe
+// there answers it without a simulation. Only "how the
 // result is computed" varies: via (when non-nil) is offered the job on a
 // miss, and the in-process simulation — timeout, panic containment,
 // transient retries, quarantine — runs when via is nil or declines.
@@ -115,25 +117,38 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		emit(Event{Type: JobFailed, Job: job, Err: err})
 		return JobResult{Job: job, Err: err}
 	}
-	var key string
+	var key, qkey string
 	if e.Cache != nil {
 		key = r.key(r.seed)
 	}
 	emit(Event{Type: JobStart, Job: job})
 	t0 := time.Now()
 	if e.Cache != nil {
+		// A corrupt entry is logged, dropped and recomputed; the fresh
+		// store below overwrites the slot.
+		corrupt := func(k string, err error) {
+			if err != nil {
+				emit(Event{Type: JobCacheCorrupt, Job: job, Err: err})
+				_ = e.Cache.Remove(k)
+			}
+		}
 		res, ok, gerr := e.Cache.Get(key)
 		if ok {
 			jr := JobResult{Job: job, Result: res, Cached: true, Elapsed: time.Since(t0), Key: key}
 			emit(Event{Type: JobCached, Job: job, JobElapsed: jr.Elapsed})
 			return jr
 		}
-		if gerr != nil {
-			// Corrupt entry: log, drop it, recompute. The fresh Put
-			// below overwrites the slot.
-			emit(Event{Type: JobCacheCorrupt, Job: job, Err: gerr})
-			_ = e.Cache.Remove(key)
+		corrupt(key, gerr)
+		qkey = r.quarantineKey()
+		var q quarantine
+		ok, qerr := e.Cache.get(qkey, &q)
+		if ok {
+			jr := q.jobResult(job, key)
+			jr.Elapsed = time.Since(t0)
+			emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
+			return jr
 		}
+		corrupt(qkey, qerr)
 	}
 	free := r.key(0)
 	var (
@@ -156,6 +171,11 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		jr.Key = key
 	}
 	if jr.Err != nil {
+		if jr.Quarantined && e.Cache != nil {
+			if perr := e.Cache.put(qkey, quarantine{Err: jr.Err.Error(), Diagnostics: jr.Diagnostics}); perr != nil {
+				jr.CacheErr = fmt.Errorf("runner: %s quarantined but caching failed: %w", job, perr)
+			}
+		}
 		emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
 		return jr
 	}

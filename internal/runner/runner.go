@@ -159,7 +159,7 @@ func (r JobResult) Outcome() Outcome {
 }
 
 // ElapsedMS is Elapsed in fractional milliseconds, the unit of every
-// manifest, journal and wire record (a cached job takes well under one).
+// manifest and wire record (a cached job takes well under one).
 func (r JobResult) ElapsedMS() float64 {
 	return float64(r.Elapsed) / float64(time.Millisecond)
 }
@@ -326,16 +326,22 @@ func resolve(j Job) (resolved, error) {
 }
 
 // key is the job's content-addressed cache address when run at seed
-// (key(0), the seed-free table's, stands for every seed). The watchdog
-// window is deliberately NOT part of it: it can only turn a run into a
-// failure, and failures are never cached, so every cached result is
+// (key(0), the seed-free table's, stands for every seed), with facets
+// appended after the fault script's. The watchdog window is
+// deliberately NOT part of it: it can only turn a run into a failure,
+// and a failure is never cached as a result, so every cached result is
 // watchdog-neutral.
-func (r resolved) key(seed int64) string {
-	var extra []string
+func (r resolved) key(seed int64, facets ...string) string {
 	if r.faults != nil {
-		extra = append(extra, "faults="+r.faults.Fingerprint())
+		facets = append([]string{"faults=" + r.faults.Fingerprint()}, facets...)
 	}
-	return Key(r.exp, r.scheme, seed, r.params, extra...)
+	return Key(r.exp, r.scheme, seed, r.params, facets...)
+}
+
+// quarantineKey is where the job's quarantined outcome is cached: the
+// result key plus the watchdog window, which a violation depends on.
+func (r resolved) quarantineKey() string {
+	return r.key(r.seed, fmt.Sprintf("watchdog=%d", r.watchdog))
 }
 
 // Run executes a campaign: it validates every job up front, fans the

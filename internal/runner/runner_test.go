@@ -610,6 +610,99 @@ func TestQuarantineOnInvariantViolation(t *testing.T) {
 	}
 }
 
+// TestQuarantineIsCached: a quarantined outcome is stored at the job's
+// quarantine key, and the next run of the job at the same watchdog
+// window reports it — error text and snapshot — without building a
+// network. Another window misses it, and a corrupt entry is dropped and
+// recomputed.
+func TestQuarantineIsCached(t *testing.T) {
+	var builds atomic.Int32
+	wedged := syntheticExp("xwedged-cached", func(p core.Params, seed int64, bin, end sim.Cycle, _ experiments.BuildOpts) (*network.Network, error) {
+		builds.Add(1)
+		n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin})
+		if err != nil {
+			return nil, err
+		}
+		return n, n.AddFlows([]traffic.Flow{{ID: 0, Src: 0, Dst: 3, Start: 0, End: 5_000, Rate: 1.0}})
+	})
+	wedged.Duration = 200_000
+	swA := topo.Config1SwitchA
+	job := Job{Scheme: "CCFIT", Seed: 1, Exp: wedged, Watchdog: 10_000, Faults: &fault.Script{
+		Name: "wedge-swA", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Switch: &swA}},
+	}}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &LocalExecutor{Cache: cache}
+	first := e.Execute(context.Background(), job, nil)
+	if !first.Quarantined || first.Attempts != 1 || builds.Load() != 1 {
+		t.Fatalf("first run: quarantined=%v attempts=%d builds=%d", first.Quarantined, first.Attempts, builds.Load())
+	}
+	if got := cache.Holds(job); got != OutcomeQuarantined {
+		t.Fatalf("cache holds %q for the job, want quarantined", got)
+	}
+	var terminal []EventType
+	hit := e.Execute(context.Background(), job, func(ev Event) {
+		if ev.Type.Terminal() {
+			terminal = append(terminal, ev.Type)
+		}
+	})
+	if !hit.Quarantined || hit.Attempts != 0 || builds.Load() != 1 {
+		t.Fatalf("second run: quarantined=%v attempts=%d builds=%d, want a cached quarantine", hit.Quarantined, hit.Attempts, builds.Load())
+	}
+	if hit.Err == nil || hit.Err.Error() != first.Err.Error() || hit.Diagnostics != first.Diagnostics {
+		t.Fatalf("cached quarantine reads %v / %q, want the first run's", hit.Err, hit.Diagnostics)
+	}
+	if len(terminal) != 1 || terminal[0] != JobFailed {
+		t.Fatalf("terminal events %v, want one JobFailed", terminal)
+	}
+	if back, ok := cache.Recall(job); !ok || !back.Quarantined || back.Diagnostics != first.Diagnostics {
+		t.Fatalf("Recall: ok=%v quarantined=%v", ok, back.Quarantined)
+	}
+
+	other := job
+	other.Watchdog = 20_000
+	if got := cache.Holds(other); got != "" {
+		t.Fatalf("cache holds %q at another watchdog window", got)
+	}
+	if jr := e.Execute(context.Background(), other, nil); jr.Attempts != 1 || builds.Load() != 2 {
+		t.Fatalf("another window: attempts=%d builds=%d, want a fresh run", jr.Attempts, builds.Load())
+	}
+
+	r, err := resolve(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache.path(r.quarantineKey()), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := 0
+	jr := e.Execute(context.Background(), job, func(ev Event) {
+		if ev.Type == JobCacheCorrupt {
+			corrupt++
+		}
+	})
+	if corrupt != 1 || !jr.Quarantined || jr.Attempts != 1 || builds.Load() != 3 {
+		t.Fatalf("corrupt entry: %d corrupt events, quarantined=%v attempts=%d builds=%d", corrupt, jr.Quarantined, jr.Attempts, builds.Load())
+	}
+
+	// A quarantine an Offload returns is cached like a local one.
+	remote := job
+	remote.Seed = 2
+	offload := func(_ context.Context, _ Job, key string, _ func(Event)) (JobResult, bool) {
+		return JobResult{Err: errors.New("remote violation"), Quarantined: true, Diagnostics: "swA on a worker", Key: key, Attempts: 1}, true
+	}
+	e.ExecuteVia(context.Background(), remote, nil, offload)
+	refuse := func(context.Context, Job, string, func(Event)) (JobResult, bool) {
+		t.Fatal("a cached remote quarantine was offloaded again")
+		return JobResult{}, false
+	}
+	if jr := e.ExecuteVia(context.Background(), remote, nil, refuse); !jr.Quarantined || jr.Diagnostics != "swA on a worker" || builds.Load() != 3 {
+		t.Fatalf("remote quarantine reads quarantined=%v %q, builds=%d", jr.Quarantined, jr.Diagnostics, builds.Load())
+	}
+}
+
 // TestFaultScriptInCacheKey: a faulted run must never collide with the
 // fault-free run of the same grid point.
 func TestFaultScriptInCacheKey(t *testing.T) {

@@ -10,10 +10,11 @@
 #   3. ccfit-sweep and ccfit-loadcurve render byte-identical tables
 #      locally and through -server.
 #   4. Kill-and-restart: the server is SIGTERMed mid-campaign (graceful
-#      drain), restarted on the same address over the same journal and
-#      cache, and the waiting client rides through; the resumed
+#      drain), restarted on the same address over the same state
+#      directory, and the waiting client rides through; the resumed
 #      campaign's rendered output must still be byte-identical to the
-#      local run.
+#      local run. A campaign's durable state is its spec file under
+#      state/campaigns plus the result cache: no journal is written.
 #
 # Everything here goes through the public surfaces only: the HTTP API,
 # the CLI flags, the handshake line, SIGTERM.
@@ -52,11 +53,18 @@ diff "$workdir/lc-local.out" "$workdir/lc-remote.out"
 
 echo "== kill-and-restart mid-campaign"
 # A multi-seed campaign is long enough to interrupt; the client's Wait
-# polls through the restart window.
+# polls through the restart window. The server is stopped once the
+# campaign's first fresh simulation has finished (or after about 2 s),
+# so on a fast host the restart still lands mid-campaign.
 port=${url##*:}
+done_before=$(metric jobs_done)
 "$workdir/ccfit-run" -server "$url" -seeds 8 fig7a > "$workdir/restart-remote.out" &
 client_pid=$!
-sleep 1
+i=0
+while [ "$(metric jobs_done)" = "$done_before" ] && [ $i -lt 40 ]; do
+    sleep 0.05
+    i=$((i + 1))
+done
 kill -TERM "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 grep -q drained "$workdir/serve.log" || {
@@ -75,6 +83,16 @@ fi
 diff "$workdir/restart-local.out" "$workdir/restart-remote.out"
 if [ "${resumed:-0}" = "0" ]; then
     echo "NOTE: campaign finished before the restart window (nothing resumed)"
+fi
+if ! ls "$workdir/state/campaigns/"*.spec.json > /dev/null 2>&1; then
+    echo "FAIL: no campaign spec files under state/campaigns"
+    ls -R "$workdir/state"
+    exit 1
+fi
+if [ -n "$(find "$workdir/state" -name '*.jsonl')" ]; then
+    echo "FAIL: the service wrote a journal:"
+    find "$workdir/state" -name '*.jsonl'
+    exit 1
 fi
 
 echo "service smoke: OK"
