@@ -1,9 +1,9 @@
-// Command ccfit-run executes arbitrary experiment job grids through
-// the parallel runner: every requested (experiment, scheme, seed)
-// combination is validated up front, fanned across a worker pool,
-// served from the on-disk result cache when warm, and rendered in
-// deterministic order (parallel campaigns print byte-identical
-// results to serial ones).
+// Command ccfit-run is the one client. Without a verb it executes
+// arbitrary experiment job grids through the parallel runner: every
+// requested (experiment, scheme, seed) combination is validated up
+// front, fanned across a worker pool, served from the on-disk result
+// cache when warm, and rendered in deterministic order (parallel
+// campaigns print byte-identical results to serial ones).
 //
 // Usage:
 //
@@ -13,6 +13,14 @@
 //	ccfit-run -server http://127.0.0.1:8080 fig7a   # run on a ccfit-serve instance
 //	ccfit-run -list                            # valid experiment ids
 //
+// A first argument that names a verb runs that tool instead; each takes
+// the shared flags it needs and prints its own usage under -h:
+//
+//	ccfit-run sweep -exp fig8b -param numcfqs  # ablation: one parameter swept
+//	ccfit-run loadcurve -config 2              # accepted versus offered load
+//	ccfit-run sim -config 1 -ms 10             # one simulation's series as CSV
+//	ccfit-run verify -mode=full                # the oracle harness
+//
 // With -csv DIR each experiment also writes a CSV, and a JSON run
 // manifest (runs, outcomes, timings, cache keys) lands in
 // DIR/manifest.json (or wherever -manifest points).
@@ -21,7 +29,7 @@
 // instance instead of running in-process: the spec is expanded by both
 // sides with the same deterministic function, results stream back in
 // the same cell order, and the rendered output is byte-identical to a
-// local run of the same spec.
+// local run of the same spec. sweep and loadcurve take -server too.
 //
 // SIGINT/SIGTERM cancel the campaign gracefully: in-flight jobs stop,
 // completed results still render, and the manifest (with cancelled
@@ -35,5 +43,5 @@ import (
 )
 
 func main() {
-	os.Exit(cli.Figures("ccfit-run", os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(cli.Main(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -105,10 +105,7 @@ func main() {
 	// Shutdown is not stuck behind a subscriber for the drain timeout.
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
-	srv := &http.Server{
-		Handler:     campaign.NewServer(sched),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
-	}
+	srv := newServer(campaign.NewServer(sched), baseCtx)
 	// The line below is the startup handshake scripts parse; keep its
 	// shape stable.
 	fmt.Printf("ccfit-serve: listening on http://%s\n", ln.Addr())
@@ -158,6 +155,22 @@ func main() {
 	board.Close()
 	gc()
 	fmt.Fprintln(os.Stderr, "ccfit-serve: drained")
+}
+
+// newServer bounds what a client may hold open without sending: the
+// request header, and an idle keep-alive connection. It sets no
+// ReadTimeout and no WriteTimeout, because both would cut requests that
+// are meant to last: net/http leaves ReadTimeout's deadline armed while
+// the handler runs, and when it fires the background read cancels the
+// request context — that ends a parked worker claim (held up to 20 s)
+// and every event stream; WriteTimeout would cut the same two.
+func newServer(h http.Handler, base context.Context) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 func fatal(err error) {

@@ -1,0 +1,72 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"testing"
+	"time"
+)
+
+// TestSlowHeaderDisconnected: a client that opens a connection and
+// never finishes its request header is dropped once the header timeout
+// passes, instead of holding the connection for as long as it likes.
+func TestSlowHeaderDisconnected(t *testing.T) {
+	served := make(chan struct{}, 1)
+	srv := newServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { served <- struct{}{} }), context.Background())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout %v, WriteTimeout %v: either would cut parked claims and event streams", srv.ReadTimeout, srv.WriteTimeout)
+	}
+	const timeout = 200 * time.Millisecond
+	srv.ReadHeaderTimeout = timeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			t.Error(err)
+		}
+	})
+
+	start := time.Now()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The header block never gets its closing blank line.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: ccfit\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(10 * timeout)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 512))
+	var ne net.Error
+	switch {
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatalf("connection still open after %v (header timeout %v)", time.Since(start), timeout)
+	case err == nil:
+		t.Fatalf("server answered %d bytes to an unfinished header", n)
+	}
+	// The server's clock starts after the dial's, so this bound is exact.
+	if elapsed := time.Since(start); elapsed < timeout {
+		t.Errorf("disconnected after %v, before the header timeout %v", elapsed, timeout)
+	}
+	select {
+	case <-served:
+		t.Error("the handler ran for an unfinished header")
+	default:
+	}
+}

@@ -18,21 +18,28 @@ import (
 	"repro/internal/runner"
 )
 
-// tools drives each front door in-process at a tiny -ms. args is a
-// campaign of a few cells; every case sets -workers so the sweep and
-// load-curve headers do not depend on the host.
+// verb runs ccfit-run with the named verb in front of the arguments.
+func verb(name string) func(args []string, stdout, stderr io.Writer) int {
+	return func(a []string, o, e io.Writer) int { return Main(append([]string{name}, a...), o, e) }
+}
+
+// tools drives each campaign front door in-process at a tiny -ms. args
+// is a campaign of a few cells; every case sets -workers so the sweep and
+// load-curve headers do not depend on the host. A case's name is its
+// subtest name, so the sweep and loadcurve verbs keep their former
+// binaries' names here.
 var tools = []struct {
 	name string
 	run  func(args []string, stdout, stderr io.Writer) int
 	args []string
 }{
-	{"ccfit-run", func(a []string, o, e io.Writer) int { return Figures("ccfit-run", a, o, e) },
+	{"ccfit-run", Main,
 		[]string{"-workers", "2", "-ms", "0.05", "-schemes", "1Q,CCFIT", "table1", "fig7a", "fig9"}},
 	{"ccfit-figures", func(a []string, o, e io.Writer) int { return Figures("ccfit-figures", a, o, e) },
 		[]string{"-workers", "2", "-ms", "0.05", "-seeds", "2", "-schemes", "1Q,CCFIT", "fig7a", "xleafincast"}},
-	{"ccfit-sweep", Sweep,
+	{"ccfit-sweep", verb("sweep"),
 		[]string{"-workers", "2", "-ms", "0.05", "-seeds", "2", "-exp", "fig7a", "-param", "stopgo"}},
-	{"ccfit-loadcurve", LoadCurve,
+	{"ccfit-loadcurve", verb("loadcurve"),
 		[]string{"-workers", "2", "-ms", "0.05", "-schemes", "1Q,CCFIT", "-loads", "0.4,0.9"}},
 }
 
@@ -338,12 +345,13 @@ func TestCacheSettledByEveryTool(t *testing.T) {
 // the table to paste.
 func TestReadmeFlagTable(t *testing.T) {
 	accepts := map[string][]string{}
-	for _, tool := range []struct {
+	fronts := append([]struct {
 		name string
-		body func(*app, []string) error
-	}{{"run", (*app).figures}, {"figures", (*app).figures}, {"sweep", (*app).sweep}, {"loadcurve", (*app).loadCurve}} {
+		run  func(*app, []string) error
+	}{{"run", (*app).figures}, {"figures", (*app).figures}}, verbs...)
+	for _, tool := range fronts {
 		a := newApp(tool.name, io.Discard, io.Discard)
-		_ = tool.body(a, []string{"-h"}) // registers the tool's flags, then stops at the usage text
+		_ = tool.run(a, []string{"-h"}) // registers the tool's flags, then stops at the usage text
 		a.fs.VisitAll(func(f *flag.Flag) { accepts[f.Name] = append(accepts[f.Name], tool.name) })
 	}
 	def, all := Defaults(), flag.NewFlagSet("", flag.ContinueOnError)

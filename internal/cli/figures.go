@@ -12,10 +12,10 @@ import (
 	"repro/internal/runner"
 )
 
-// Figures is ccfit-run and ccfit-figures (documented in cmd/ccfit-run;
-// tool names the binary in messages and the manifest): the requested
-// experiments run as one campaign and render in request order. It
-// returns the process exit status.
+// Figures is ccfit-run without a verb, and ccfit-figures (documented in
+// cmd/ccfit-run; tool names the binary in messages and the manifest): the
+// requested experiments run as one campaign and render in request order.
+// It returns the process exit status.
 func Figures(tool string, args []string, stdout, stderr io.Writer) int {
 	a := newApp(tool, stdout, stderr)
 	return a.exit(a.figures(args))
@@ -27,6 +27,9 @@ func (a *app) figures(args []string) error {
 		fmt.Fprintf(a.stderr, "usage: %s [flags] [experiment ...]\n", a.tool)
 		a.fs.PrintDefaults()
 		fmt.Fprintf(a.stderr, "run '%s -list' for the valid experiment ids\n", a.tool)
+		if a.tool == mainTool {
+			fmt.Fprint(a.stderr, verbUsage)
+		}
 	}
 	if err := a.parse(args); err != nil {
 		return err

@@ -1,7 +1,8 @@
-// Package cli is the campaign tools' one front door: every shared flag
-// is declared once here, Run holds the repo's only local-vs-`-server`
-// switch, and ccfit-run, ccfit-figures, ccfit-sweep and ccfit-loadcurve
-// are entry points that build campaign.Submissions and render tables.
+// Package cli is ccfit-run, the one client: every shared flag is
+// declared once here, Run holds the repo's only local-vs-`-server`
+// switch, and Main dispatches on the first argument — the verbs sweep,
+// loadcurve, sim and verify, else the figures (which ccfit-figures also
+// runs, under its own name).
 package cli
 
 import (

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -10,19 +9,30 @@ import (
 	"repro/internal/topo"
 )
 
-// LoadCurve is ccfit-loadcurve (documented in cmd/ccfit-loadcurve): the
-// whole curve is one submission, one table row per (scheme, load). It
-// returns the process exit status.
-func LoadCurve(args []string, stdout, stderr io.Writer) int {
-	a := newApp("ccfit-loadcurve", stdout, stderr)
-	return a.exit(a.loadCurve(args))
-}
+const loadCurveDoc = `Produces the classic accepted-versus-offered load curve: uniform
+traffic on a chosen configuration is swept from light load to
+saturation, and for each offered load the delivered (normalized)
+throughput and latency percentiles are reported per scheme. This
+locates each scheme's saturation point — context the paper assumes when
+it injects "at 100% of the link bandwidth".
 
+Every (scheme, load) point is an independent simulation, declared
+through the same experiments.Spec the campaign service accepts, so the
+sweep runs identically in-process or on a ccfit-serve instance
+(-server URL).
+
+  ccfit-run loadcurve -config 2 -schemes 1Q,VOQsw,VOQnet,FBICM,CCFIT
+  ccfit-run loadcurve -config 2 -server http://127.0.0.1:8080
+`
+
+// loadCurve is ccfit-run loadcurve: the whole curve is one submission,
+// one table row per (scheme, load).
 func (a *app) loadCurve(args []string) error {
 	cfg := a.fs.Int("config", 2, "network configuration (2 or 3)")
 	points := a.fs.String("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", "offered loads (fraction of link rate)")
 	a.Schemes, a.MS = "1Q,VOQsw,DBBM,OBQA,FBICM,VOQnet", 1.0
 	a.Register(a.fs, "seed", "schemes", "ms", "workers", "cache", "server", "v")
+	a.usage(loadCurveDoc)
 	if err := a.parse(args); err != nil {
 		return err
 	}

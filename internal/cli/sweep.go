@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"repro/internal/campaign"
@@ -35,19 +34,31 @@ var sweeps = map[string]sweep{
 	"becnpacing":  {[]float64{0, 2000, 4000, 8000}, "%gns", func(p *core.Params, v float64) { p.BECNPacing = sim.CyclesFromNS(v) }},
 }
 
-// Sweep is ccfit-sweep (documented in cmd/ccfit-sweep): one submission
-// per valid value of the swept parameter, one table row per point. It
-// returns the process exit status.
-func Sweep(args []string, stdout, stderr io.Writer) int {
-	a := newApp("ccfit-sweep", stdout, stderr)
-	return a.exit(a.sweep(args))
-}
+const sweepDoc = `Runs the ablation studies: it sweeps one design parameter of a scheme
+across a range of values on a chosen experiment and reports the
+steady-state (or burst-window) normalized throughput, exposing how
+sensitive each mechanism is to its tuning — the discussion of Section
+III-E.
 
+The sweep points are independent simulations, so they execute in
+parallel through the runner; -seeds N replicates every point and prints
+mean±sd.
+
+  ccfit-run sweep -exp fig8b -scheme CCFIT -param numcfqs
+  ccfit-run sweep -exp fig7a -scheme ITh -param markingrate -workers 4 -seeds 3
+
+Parameters: numcfqs, stopgo, detection, markingrate, cctitimer,
+irdstep, islip, becnpacing.
+`
+
+// sweep is ccfit-run sweep: one submission per valid value of the swept
+// parameter, one table row per point.
 func (a *app) sweep(args []string) error {
 	expID := a.fs.String("exp", "fig8b", "experiment to sweep on")
 	scheme := a.fs.String("scheme", "CCFIT", "scheme preset to start from")
 	param := a.fs.String("param", "numcfqs", "parameter to sweep")
 	a.Register(a.fs, "seed", "seeds", "ms", "workers", "cache", "server", "v")
+	a.usage(sweepDoc)
 	if err := a.parse(args); err != nil {
 		return err
 	}

@@ -25,7 +25,6 @@ var bannedRandFuncs = map[string]bool{
 func Determinism() *Analyzer {
 	return &Analyzer{
 		Name:    "determinism",
-		Doc:     "bans time.Now/time.Since, global math/rand, go statements and unordered map iteration in simulation packages",
 		Applies: simPkgScope,
 		Run:     runDeterminism,
 	}
@@ -48,9 +47,9 @@ func runDeterminism(pass *Pass) {
 				switch callee.Pkg().Path() {
 				case "time":
 					if callee.Name() == "Now" || callee.Name() == "Since" {
-						pass.Reportf(n.Pos(),
-							"call to time.%s in simulation package: wall-clock time differs across runs and breaks golden-digest replay",
-							callee.Name())
+						pass.Report(n.Pos(),
+							"call to time."+callee.Name()+" in simulation package: wall-clock time differs across runs and breaks golden-digest replay",
+							"read simulated time from sim.Engine.Now(); time a job's wall clock in internal/runner")
 					}
 				case "math/rand", "math/rand/v2":
 					if recvNamed(callee) == nil && bannedRandFuncs[callee.Name()] {

@@ -24,7 +24,6 @@ import (
 func UncheckedErr() *Analyzer {
 	return &Analyzer{
 		Name: "unchecked-err",
-		Doc:  "error-returning calls in internal/ packages must not be silently discarded",
 		Applies: func(m *Module, pkg *Package) bool {
 			return isInternal(m, pkg.Path)
 		},

@@ -137,6 +137,18 @@ func TestGoldenSuppressed(t *testing.T) {
 	checkGolden(t, diags, file, wants)
 }
 
+// rule is the suite's analyzer with the given id.
+func rule(t *testing.T, name string) *Analyzer {
+	t.Helper()
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no rule %q in the suite", name)
+	return nil
+}
+
 // TestModuleSelfClean is the gate: the simulator's own source must
 // produce zero diagnostics with every rule enabled, and the load must
 // have type-checked completely (a partial load could hide findings).
@@ -145,9 +157,12 @@ func TestModuleSelfClean(t *testing.T) {
 	if len(m.TypeErrors) > 0 {
 		t.Fatalf("module did not fully type-check:\n%s", strings.Join(m.TypeErrors, "\n"))
 	}
-	diags := Run(m, m.Packages, All())
-	for _, d := range diags {
-		t.Errorf("module must lint clean, found: %s", d)
+	for _, d := range Run(m, m.Packages, All()) {
+		msg := d.String()
+		if d.Suggestion != "" {
+			msg += "\n\tfix: " + d.Suggestion
+		}
+		t.Errorf("module must lint clean, found: %s", msg)
 	}
 }
 
@@ -190,18 +205,5 @@ func TestSortDiagnostics(t *testing.T) {
 		if in[i] != wantOrder[i] {
 			t.Errorf("position %d: got %s, want %s", i, in[i], wantOrder[i])
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	as, err := ByName([]string{"determinism", "pool-hygiene"})
-	if err != nil || len(as) != 2 {
-		t.Fatalf("ByName(valid) = %v analyzers, err %v", len(as), err)
-	}
-	if _, err := ByName([]string{"no-such-rule"}); err == nil {
-		t.Error("ByName must reject unknown rule ids")
-	}
-	if _, err := ByName(nil); err == nil {
-		t.Error("ByName must reject an empty selection")
 	}
 }

@@ -24,7 +24,6 @@ import (
 func GoroutineLifecycle() *Analyzer {
 	return &Analyzer{
 		Name: "goroutine-lifecycle",
-		Doc:  "every go statement in service scope needs a provable join: WaitGroup Done/Wait pairing, an owned done-channel, or context cancellation",
 		Applies: func(m *Module, pkg *Package) bool {
 			return !isSimPackage(m, pkg.Path)
 		},

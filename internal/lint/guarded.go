@@ -30,7 +30,6 @@ import (
 func GuardedField() *Analyzer {
 	return &Analyzer{
 		Name: "guarded-field",
-		Doc:  "fields annotated `// guarded by <mu>` are only accessed with the mutex provably held; mixed locked/unlocked use of unannotated fields is flagged for annotation",
 		Applies: func(m *Module, pkg *Package) bool {
 			return isInternal(m, pkg.Path)
 		},

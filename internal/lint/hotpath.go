@@ -26,7 +26,6 @@ import (
 func HotpathAlloc() *Analyzer {
 	return &Analyzer{
 		Name:    "hotpath-alloc",
-		Doc:     "flags allocation sources (composite literals, closures, growing appends, interface boxing) in per-cycle hot paths",
 		Applies: simPkgScope,
 		Run:     runHotpath,
 	}

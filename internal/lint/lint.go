@@ -48,7 +48,6 @@ func (d Diagnostic) String() string {
 // Analyzer is one pluggable rule.
 type Analyzer struct {
 	Name string // rule id, used in output and //lint:ignore directives
-	Doc  string // one-line description
 
 	// Applies reports whether the analyzer should run on pkg at all
 	// (scope filtering: most rules only cover simulation packages).
@@ -84,11 +83,6 @@ func (p *Pass) Report(pos token.Pos, msg, suggestion string) {
 	})
 }
 
-// Reportf is Report with formatting and no suggestion.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(pos, fmt.Sprintf(format, args...), "")
-}
-
 // All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -100,33 +94,6 @@ func All() []*Analyzer {
 		PoolHygiene(),
 		UncheckedErr(),
 	}
-}
-
-// ByName selects analyzers from the suite by rule id (comma-separated
-// order does not matter). Unknown names are an error so a CI config
-// typo cannot silently disable a rule.
-func ByName(names []string) ([]*Analyzer, error) {
-	all := All()
-	byName := map[string]*Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown rule %q", n)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no rules selected")
-	}
-	return out, nil
 }
 
 // KnownRules returns the rule ids a suppression directive may name.

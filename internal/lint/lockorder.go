@@ -27,7 +27,6 @@ import (
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lock-order",
-		Doc:  "the per-package lock-acquisition graph must be acyclic; a cycle is a potential deadlock and is reported with both acquisition chains",
 		Applies: func(m *Module, pkg *Package) bool {
 			return isInternal(m, pkg.Path)
 		},

@@ -20,7 +20,6 @@ import (
 func PoolHygiene() *Analyzer {
 	return &Analyzer{
 		Name:    "pool-hygiene",
-		Doc:     "every pkt.Pool acquisition is released or ownership-transferred on all paths, and never released twice",
 		Applies: simPkgScope,
 		Run:     runPoolHygiene,
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,11 +83,7 @@ func TestCampaignScope(t *testing.T) {
 	}
 
 	applies := func(name string) bool {
-		as, err := ByName([]string{name})
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		a := as[0]
+		a := rule(t, name)
 		return a.Applies == nil || a.Applies(m, campaign)
 	}
 
@@ -143,11 +140,7 @@ func TestBridgeFileScope(t *testing.T) {
 	if !isSimPackage(m, pkg.Path) {
 		t.Fatalf("%s does not classify as simulation code", pkg.Path)
 	}
-	as, err := ByName([]string{"determinism"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(m, []*Package{pkg}, as)
+	diags := Run(m, []*Package{pkg}, []*Analyzer{rule(t, "determinism")})
 	if len(diags) != 1 || diags[0].Line != 4 || !strings.Contains(diags[0].Message, "go statement") {
 		t.Fatalf("want one go-statement finding on parallel.go:4, got %v", diags)
 	}
@@ -169,12 +162,9 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 		t.Fatal("module load is missing internal/sim, internal/cam, or internal/dispatch")
 	}
 
-	applies := func(rule string, pkg *Package) bool {
-		as, err := ByName([]string{rule})
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", rule, err)
-		}
-		return as[0].Applies == nil || as[0].Applies(m, pkg)
+	applies := func(name string, pkg *Package) bool {
+		a := rule(t, name)
+		return a.Applies == nil || a.Applies(m, pkg)
 	}
 
 	for _, rule := range []string{"guarded-field", "lock-order"} {
@@ -191,7 +181,7 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 		t.Error("goroutine-lifecycle must apply to internal/dispatch")
 	}
 	for _, gone := range []string{"mailbox-order", "shard-escape"} {
-		if _, err := ByName([]string{gone}); err == nil {
+		if slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == gone }) {
 			t.Errorf("rule %s is retired and must be unknown", gone)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 
 // goldenCurvesJSON pins the tolerance-banded reference curves for the
 // paper's headline figures. Embedding (rather than reading testdata at
-// run time) lets ccfit-verify check the curves from any working
+// run time) lets ccfit-run verify check the curves from any working
 // directory. Regenerate with:
 //
 //	go test ./internal/oracle -run TestGoldenCurves -update

@@ -93,7 +93,7 @@ const (
 // FuzzInput is FuzzProperties' argument list: what `go test -fuzz`
 // mutates and minimizes, what a corpus file under
 // testdata/fuzz/FuzzProperties stores, and what the fixed-seed sweep of
-// ccfit-verify draws from its rng.
+// ccfit-run verify draws from its rng.
 type FuzzInput struct {
 	Topo, Scheme uint8
 	Seed         uint32
@@ -146,7 +146,7 @@ func (in FuzzInput) Corpus() string {
 		in.Topo, in.Scheme, in.Seed, in.Flows)
 }
 
-// Sweep is the fixed-seed campaign of ccfit-verify and `go test`: iters
+// Sweep is the fixed-seed campaign of ccfit-run verify and `go test`: iters
 // inputs drawn from seed (2 to 6 flows each), decoded and checked in
 // parallel. Each finding names the failing configuration, its property
 // violations and the corpus file that replays it.

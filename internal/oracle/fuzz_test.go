@@ -33,7 +33,7 @@ func FuzzProperties(f *testing.F) {
 }
 
 // TestFuzzQuick is the quick tier wired into `go test ./...`: the
-// fixed-seed sweep ccfit-verify runs, over every topology and scheme in
+// fixed-seed sweep ccfit-run verify runs, over every topology and scheme in
 // the decoder's pools.
 func TestFuzzQuick(t *testing.T) {
 	t.Parallel()

@@ -3,7 +3,7 @@
 // differentially tested against, a metamorphic property suite over
 // fuzzed configurations, and tolerance-banded golden curves for the
 // paper's headline figures. Every future refactor or performance PR is
-// judged against this package (cmd/ccfit-verify runs it standalone;
+// judged against this package (ccfit-run verify runs it standalone;
 // the quick tier runs inside `go test ./...`).
 //
 // The reference simulator (RefSim) shares only the pkt and topo types

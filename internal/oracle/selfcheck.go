@@ -11,7 +11,7 @@ import (
 // bugs and requires the harness to catch each one. A validation
 // harness that has never been seen failing proves nothing — this is
 // the demonstration that the checks have teeth, runnable on demand
-// (ccfit-verify -mode=full) and pinned by a test.
+// (ccfit-run verify -mode=full) and pinned by a test.
 //
 // Two faults are seeded through the credit pool's test-only skew
 // knob, one in each direction:

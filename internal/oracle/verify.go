@@ -7,7 +7,7 @@ import (
 	"repro/internal/experiments"
 )
 
-// VerifyOptions configure a verification campaign (the ccfit-verify
+// VerifyOptions configure a verification campaign (the ccfit-run verify
 // command line maps onto this 1:1).
 type VerifyOptions struct {
 	// Mode is "quick" (differential + self-check + structural

@@ -9,7 +9,10 @@
 # internal/network's suites, so its OWN floor is low; the point of
 # listing it is to notice if even that residue disappears.
 # The root package holds no statements ("coverage: [no statements]") and
-# has no floor.
+# has no floor. cmd/ccfit-serve's test covers only newServer (its
+# timeouts); main's wiring is exercised by the process-level smoke
+# scripts, which coverage does not see, so its floor sits just under
+# today's 3.2 %.
 set -e
 
 go test -cover -coverprofile=coverage.out ./... | tee coverage.txt
@@ -36,6 +39,7 @@ awk '
     if (pkg == "repro/internal/dispatch")  floor = 70
     if (pkg == "repro/internal/cli")       floor = 70
     if (pkg == "repro/internal/traffic")   floor = 91
+    if (pkg == "repro/cmd/ccfit-serve")    floor = 3
 
     if (cov + 0 < floor) {
         printf "FAIL coverage floor: %s at %s%% (floor %d%%)\n", pkg, cov, floor

@@ -7,8 +7,8 @@
 #      stdout to a plain local `ccfit-run fig7a`.
 #   2. Resubmitting the same campaign must be served entirely from the
 #      shared result cache (metrics assert zero fresh simulations).
-#   3. ccfit-sweep and ccfit-loadcurve render byte-identical tables
-#      locally and through -server.
+#   3. `ccfit-run sweep` and `ccfit-run loadcurve` render byte-identical
+#      tables locally and through -server.
 #   4. Kill-and-restart: the server is SIGTERMed mid-campaign (graceful
 #      drain), restarted on the same address over the same state
 #      directory, and the waiting client rides through; the resumed
@@ -23,7 +23,7 @@ set -e
 workdir=$(mktemp -d)
 trap 'kill $serve_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run ./cmd/ccfit-sweep ./cmd/ccfit-loadcurve
+go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run
 . "$(dirname "$0")/lib.sh"
 
 start_server 127.0.0.1:0
@@ -44,11 +44,11 @@ if [ "$done_before" != "$done_after" ]; then
 fi
 
 echo "== sweep and load curve render the same through the server"
-"$workdir/ccfit-sweep" -ms 0.5 -seeds 2 -exp fig7a -param islip > "$workdir/sweep-local.out"
-"$workdir/ccfit-sweep" -ms 0.5 -seeds 2 -exp fig7a -param islip -server "$url" > "$workdir/sweep-remote.out"
+"$workdir/ccfit-run" sweep -ms 0.5 -seeds 2 -exp fig7a -param islip > "$workdir/sweep-local.out"
+"$workdir/ccfit-run" sweep -ms 0.5 -seeds 2 -exp fig7a -param islip -server "$url" > "$workdir/sweep-remote.out"
 diff "$workdir/sweep-local.out" "$workdir/sweep-remote.out"
-"$workdir/ccfit-loadcurve" -ms 0.5 -schemes 1Q,CCFIT -loads 0.4,0.9 > "$workdir/lc-local.out"
-"$workdir/ccfit-loadcurve" -ms 0.5 -schemes 1Q,CCFIT -loads 0.4,0.9 -server "$url" > "$workdir/lc-remote.out"
+"$workdir/ccfit-run" loadcurve -ms 0.5 -schemes 1Q,CCFIT -loads 0.4,0.9 > "$workdir/lc-local.out"
+"$workdir/ccfit-run" loadcurve -ms 0.5 -schemes 1Q,CCFIT -loads 0.4,0.9 -server "$url" > "$workdir/lc-remote.out"
 diff "$workdir/lc-local.out" "$workdir/lc-remote.out"
 
 echo "== kill-and-restart mid-campaign"

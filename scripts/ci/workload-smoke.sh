@@ -8,11 +8,12 @@
 #   2. Remote identity: the same campaign submitted through a real
 #      ccfit-serve instance must render byte-identical stdout, FCT
 #      tables included.
-#   3. Fault replay: ccfit-sim under scripts/faults/flap-drop-degrade.json
+#   3. Fault replay: `ccfit-run sim` under scripts/faults/flap-drop-degrade.json
 #      (three drop-policy flaps, one under a degrade) must print the
 #      committed CSV byte for byte — the only process-level run that
 #      reaches the refund of a dropped packet's credit, which has to
 #      restart whatever input port or end node was waiting for it.
+#      go test makes the same check in-process (internal/cli TestSimGolden).
 #
 # Everything here goes through the public surfaces only: the CLI flags,
 # the HTTP API, stdout.
@@ -21,7 +22,7 @@ set -e
 workdir=$(mktemp -d)
 trap 'kill $serve_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run ./cmd/ccfit-sim
+go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-run
 . "$(dirname "$0")/lib.sh"
 
 echo "== xleafincast renders FCT slowdown tables"
@@ -42,7 +43,7 @@ start_server 127.0.0.1:0
 diff "$workdir/serial.out" "$workdir/remote.out"
 
 echo "== drop-policy flaps replay to the committed output"
-"$workdir/ccfit-sim" -config 1 -ms 6 -faults scripts/faults/flap-drop-degrade.json \
+"$workdir/ccfit-run" sim -config 1 -ms 6 -faults scripts/faults/flap-drop-degrade.json \
     > "$workdir/faults.csv" 2> "$workdir/faults.err" || { cat "$workdir/faults.err"; exit 1; }
 cmp "$workdir/faults.csv" "$(dirname "$0")/testdata/flap-drop-degrade.csv"
 
