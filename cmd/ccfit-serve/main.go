@@ -25,8 +25,9 @@
 // local pool.
 //
 // On SIGINT/SIGTERM the server drains gracefully: in-flight jobs
-// finish and are cached, queued jobs resume in the next process, and
-// the cache's access-time index is flushed.
+// finish and are cached, and queued jobs resume in the next process.
+// The cache needs no flush: an entry's mtime is its last access, which
+// orders -cache-max-bytes eviction.
 package main
 
 import (
@@ -53,7 +54,7 @@ func main() {
 	// The execution flags are the campaign tools' own, declared once in
 	// internal/cli; the cache defaults to <data>/cache here.
 	f := cli.Defaults()
-	f.Register(flag.CommandLine, "cache", "workers", "timeout", "retries", "retry-backoff", "cache-max-bytes")
+	f.Register(flag.CommandLine, "cache", "workers", "timeout", "cache-max-bytes")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open HTTP connections")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "remote worker lease TTL (a job whose worker stops heartbeating this long is reclaimed and requeued)")
 	maxReassign := flag.Int("max-reassign", 3, "give up on a job after this many lease reclaims (bounds crash-requeue loops)")
@@ -70,12 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccfit-serve: "+format+"\n", args...)
 	}
 	// Bounds the cache at startup, periodically and at shutdown.
-	gc := func() {
-		if f.CacheMaxBytes > 0 {
-			f.SettleCache(cache, logf)
-		}
-	}
-	gc()
+	f.SettleCache(cache, logf)
 
 	board := dispatch.NewBoard(dispatch.Options{
 		LeaseTTL:    *leaseTTL,
@@ -83,14 +79,12 @@ func main() {
 		Log:         logf,
 	})
 	sched, err := campaign.Open(campaign.Options{
-		Dir:          filepath.Join(*dataDir, "campaigns"),
-		Cache:        cache,
-		Workers:      f.Workers,
-		Timeout:      f.Timeout,
-		Retries:      f.Retries,
-		RetryBackoff: f.RetryBackoff,
-		Dispatch:     board,
-		Log:          logf,
+		Dir:      filepath.Join(*dataDir, "campaigns"),
+		Cache:    cache,
+		Workers:  f.Workers,
+		Timeout:  f.Timeout,
+		Dispatch: board,
+		Log:      logf,
 	})
 	if err != nil {
 		fatal(err)
@@ -120,7 +114,7 @@ func main() {
 			for {
 				select {
 				case <-t.C:
-					gc()
+					f.SettleCache(cache, logf)
 				case <-ctx.Done():
 					return
 				}
@@ -153,7 +147,7 @@ func main() {
 	// After the scheduler: in-flight remote jobs have delivered (or been
 	// withdrawn) by now, so closing the board strands nothing.
 	board.Close()
-	gc()
+	f.SettleCache(cache, logf)
 	fmt.Fprintln(os.Stderr, "ccfit-serve: drained")
 }
 

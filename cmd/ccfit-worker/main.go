@@ -1,9 +1,10 @@
 // Command ccfit-worker is the remote execution agent for ccfit-serve:
 // it registers with a running service, pulls simulation jobs under
 // lease-based claims, executes them with the full local-runner
-// semantics (its own result cache, timeout, panic containment, retries,
-// quarantine) and reports content-addressed results back, heartbeating
-// while it works so the service knows the job is alive.
+// semantics (its own result cache, timeout, panic containment,
+// quarantine; a job runs once) and reports content-addressed results
+// back, heartbeating while it works so the service knows the job is
+// alive.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ func main() {
 	// worker-local cache ('' disables it).
 	f := cli.Defaults()
 	f.Server, f.Cache = "http://127.0.0.1:8080", ".ccfit-worker-cache"
-	f.Register(flag.CommandLine, "server", "cache", "timeout", "retries", "retry-backoff")
+	f.Register(flag.CommandLine, "server", "cache", "timeout")
 	flag.Parse()
 
 	cache, err := f.OpenCache()
@@ -56,14 +57,9 @@ func main() {
 	w := &dispatch.Worker{
 		Client: &dispatch.Client{Base: f.Server},
 		Opt: dispatch.WorkerOptions{
-			Name:  *name,
-			Slots: *jobs,
-			Exec: &runner.LocalExecutor{
-				Cache:        cache,
-				Timeout:      f.Timeout,
-				Retries:      f.Retries,
-				RetryBackoff: f.RetryBackoff,
-			},
+			Name:    *name,
+			Slots:   *jobs,
+			Exec:    &runner.LocalExecutor{Cache: cache, Timeout: f.Timeout},
 			PollMax: *pollMax,
 			Log:     logf,
 		},
@@ -78,9 +74,6 @@ func main() {
 
 	err = w.Run(ctx)
 	stop() // a second signal now kills the process immediately
-	if cache != nil {
-		f.SettleCache(cache, logf)
-	}
 	if err != nil {
 		fatal(err)
 	}

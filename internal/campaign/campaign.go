@@ -4,7 +4,7 @@
 // (the same shape the CLI flags express) expanded into runner jobs,
 // scheduled FIFO across a worker pool, executed through the shared
 // runner.Executor semantics (cache probe, timeout, panic recovery,
-// retry vs quarantine). On disk a campaign is a spec file and, once
+// quarantine). On disk a campaign is a spec file and, once
 // cancelled, a cancel mark (store.go), so a crashed or drained server
 // resumes half-finished campaigns on restart.
 //
@@ -160,7 +160,7 @@ type View struct {
 // status.
 type Event struct {
 	Campaign  string  `json:"campaign"`
-	Type      string  `json:"type"` // snapshot|start|done|cached|failed|retry|cache-corrupt|cancelled|complete|lease|lease-expired|requeued
+	Type      string  `json:"type"` // snapshot|start|done|cached|failed|cache-corrupt|cancelled|complete|lease|lease-expired|requeued
 	Index     int     `json:"index,omitempty"`
 	Job       string  `json:"job,omitempty"`
 	Status    Status  `json:"status,omitempty"` // snapshot and complete

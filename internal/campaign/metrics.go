@@ -18,16 +18,10 @@ type Metrics struct {
 	CampaignsCancelled atomic.Int64
 
 	JobsEnqueued atomic.Int64
-	JobsRetried  atomic.Int64
 	// finished counts terminal jobs by status, shown as jobs_<status>:
 	// done is a fresh simulation that finished ok, cached one served from
 	// the shared result cache.
 	finished map[JobStatus]*atomic.Int64
-
-	// JournalErrors counts failed cache-index flushes at campaign
-	// completion: GC ordering degrades (it falls back to mtimes) but
-	// service continues. Spec and cancel-mark writes fail their request.
-	JournalErrors atomic.Int64
 
 	// busyNS accumulates worker wall-clock spent executing jobs; the
 	// utilization gauge divides it by workers × uptime.
@@ -70,8 +64,6 @@ func (m *Metrics) Snapshot(queueDepth int) map[string]any {
 		"campaigns_completed": m.CampaignsCompleted.Load(),
 		"campaigns_cancelled": m.CampaignsCancelled.Load(),
 		"jobs_enqueued":       m.JobsEnqueued.Load(),
-		"jobs_retried":        m.JobsRetried.Load(),
-		"journal_errors":      m.JournalErrors.Load(),
 		"cache_hit_rate":      hitRate,
 	}
 	for st, n := range m.finished {

@@ -27,11 +27,9 @@ type Options struct {
 	Cache *runner.Cache
 	// Workers is the executor pool size; <= 0 means 1.
 	Workers int
-	// Timeout, Retries, RetryBackoff configure the default local
-	// executor (ignored when Executor is set).
-	Timeout      time.Duration
-	Retries      int
-	RetryBackoff time.Duration
+	// Timeout configures the default local executor (ignored when
+	// Executor is set).
+	Timeout time.Duration
 	// Executor overrides job execution (tests, remote backends).
 	Executor runner.Executor
 	// Dispatch, when non-nil, is the remote worker fleet's lease board:
@@ -110,12 +108,7 @@ func Open(opt Options) (*Scheduler, error) {
 	}
 	exec := opt.Executor
 	if exec == nil {
-		local := &runner.LocalExecutor{
-			Cache:        opt.Cache,
-			Timeout:      opt.Timeout,
-			Retries:      opt.Retries,
-			RetryBackoff: opt.RetryBackoff,
-		}
+		local := &runner.LocalExecutor{Cache: opt.Cache, Timeout: opt.Timeout}
 		if opt.Dispatch != nil {
 			exec = &dispatch.RemoteExecutor{Board: opt.Dispatch, Local: local, Log: opt.Log}
 		} else {
@@ -376,9 +369,6 @@ func (s *Scheduler) worker() {
 func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
 	var typ string
 	switch ev.Type {
-	case runner.JobRetry:
-		s.metrics.JobsRetried.Add(1)
-		typ = "retry"
 	case runner.JobCacheCorrupt:
 		typ = "cache-corrupt"
 	case runner.JobLeased:
@@ -440,11 +430,6 @@ func (s *Scheduler) completeLocked(c *campaign) {
 		s.metrics.CampaignsCancelled.Add(1)
 	default:
 		s.metrics.CampaignsCompleted.Add(1)
-	}
-	// Persist cache access times at natural quiesce points so a crash
-	// costs at most one campaign's worth of LRU accuracy.
-	if err := s.opt.Cache.FlushIndex(); err != nil {
-		s.metrics.JournalErrors.Add(1)
 	}
 	s.emitLocked(c, Event{Type: "complete", Status: c.status})
 }
@@ -639,8 +624,9 @@ func (s *Scheduler) emitLocked(c *campaign, ev Event) {
 
 // Close drains the scheduler gracefully: no new campaigns are
 // accepted, queued jobs are left for the next process, in-flight jobs
-// run to completion and are recorded, and the cache index is flushed.
-// Safe to call once.
+// run to completion and are recorded. Safe to call more than once. It
+// returns nil: nothing is left to persist (the error keeps Close an
+// io.Closer).
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -663,5 +649,5 @@ func (s *Scheduler) Close() error {
 			delete(c.subs, ch)
 		}
 	}
-	return s.opt.Cache.FlushIndex()
+	return nil
 }

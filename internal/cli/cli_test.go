@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -283,6 +284,9 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 		{3, []string{"-loads", "0.5,1.5"}, `bad load "1.5"`, 1},
 		{3, []string{"-loads", "NaN"}, `bad load "NaN"`, 1},
 		{0, []string{"-no-such-flag"}, "flag provided but not defined", 2},
+		// A job runs once: the retry flags are gone.
+		{0, []string{"-retries", "2", "fig7a"}, "flag provided but not defined: -retries", 2},
+		{1, []string{"-retry-backoff", "1s", "fig7a"}, "flag provided but not defined: -retry-backoff", 2},
 		// -seeds N <= 0 used to panic after running the grid (ccfit-run,
 		// ccfit-figures) or print every point as failed (ccfit-sweep).
 		{0, []string{"-seeds", "0", "fig7a"}, "-seeds must be at least 1", 1},
@@ -307,9 +311,9 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 // engineLine is the shape of the -v line under a simulated cell.
 var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ FlowVisits:\d+ FlowCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+\}$`)
 
-// TestCacheSettledByEveryTool: a -cache run leaves the access-time
-// index on disk (it used to be flushed by ccfit-run alone), and a
-// second run is served from the cache with identical output.
+// TestCacheSettledByEveryTool: a -cache run leaves nothing in the cache
+// directory but <xx>/<key>.gob entries, and a second run is served from
+// the cache with identical output.
 func TestCacheSettledByEveryTool(t *testing.T) {
 	for _, tool := range tools {
 		t.Run(tool.name, func(t *testing.T) {
@@ -319,9 +323,7 @@ func TestCacheSettledByEveryTool(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 			}
-			if _, err := os.Stat(filepath.Join(cache, "atime-index.json")); err != nil {
-				t.Errorf("cache index not flushed: %v", err)
-			}
+			onlyEntries(t, cache)
 			// -v says, under every cell it simulated, what the engine skipped
 			// and what it ran instead.
 			if n := len(engineLine.FindAllString(stderr, -1)); n == 0 || n != strings.Count(stderr, "elided:") {
@@ -337,6 +339,26 @@ func TestCacheSettledByEveryTool(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// onlyEntries fails the test for any file under the cache directory dir
+// other than an <xx>/<key>.gob entry.
+func onlyEntries(t *testing.T, dir string) {
+	t.Helper()
+	entry := regexp.MustCompile(`^([0-9a-f]{2})/([0-9a-f]{64})\.gob$`)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if m := entry.FindStringSubmatch(filepath.ToSlash(rel)); m == nil || !strings.HasPrefix(m[2], m[1]) {
+			t.Errorf("cache holds %s, not a <xx>/<key>.gob entry", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -31,8 +31,6 @@ type Flags struct {
 	Cache         string
 	CacheMaxBytes int64
 	Timeout       time.Duration
-	Retries       int
-	RetryBackoff  time.Duration
 	Server        string
 	Verbose       bool
 	CPUProfile    string
@@ -46,8 +44,7 @@ type Flags struct {
 
 // Defaults returns the shared flags' default values.
 func Defaults() Flags {
-	return Flags{Seed: 1, Seeds: 1, Workers: runtime.GOMAXPROCS(0),
-		RetryBackoff: 100 * time.Millisecond, Summary: true}
+	return Flags{Seed: 1, Seeds: 1, Workers: runtime.GOMAXPROCS(0), Summary: true}
 }
 
 // Register is the one declaration of every shared flag. It binds the
@@ -68,8 +65,6 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	all.StringVar(&f.Cache, "cache", f.Cache, "content-addressed result cache directory (empty = caching off; ccfit-serve: <data>/cache)")
 	all.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", f.CacheMaxBytes, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
 	all.DurationVar(&f.Timeout, "timeout", f.Timeout, "per-job wall-clock timeout (0 = none)")
-	all.IntVar(&f.Retries, "retries", f.Retries, "retry transient job failures up to N times (invariant violations are never retried)")
-	all.DurationVar(&f.RetryBackoff, "retry-backoff", f.RetryBackoff, "base delay before the first retry (doubles per attempt)")
 	all.StringVar(&f.Server, "server", f.Server, "ccfit-serve base URL: run the campaign there instead of in-process (ccfit-worker: the service to pull jobs from)")
 	all.BoolVar(&f.Verbose, "v", f.Verbose, "stream per-job progress lines to stderr")
 	all.StringVar(&f.CPUProfile, "cpuprofile", f.CPUProfile, "write a CPU profile of the campaign to this file")
@@ -94,14 +89,11 @@ func (f *Flags) OpenCache() (*runner.Cache, error) {
 	return runner.OpenCache(f.Cache)
 }
 
-// SettleCache is the cache upkeep a tool owes after running with it:
-// persist the access-time index, or — under -cache-max-bytes — evict
-// least-recently-used entries beyond the bound (which flushes it too).
+// SettleCache is the cache upkeep a tool owes under -cache-max-bytes:
+// evict least-recently-used entries beyond the bound. Without the flag
+// there is nothing to do — the entry files are the cache's whole state.
 func (f *Flags) SettleCache(cache *runner.Cache, logf func(format string, args ...any)) {
 	if f.CacheMaxBytes <= 0 {
-		if err := cache.FlushIndex(); err != nil {
-			logf("cache index: %v", err)
-		}
 		return
 	}
 	stats, err := cache.GC(f.CacheMaxBytes)

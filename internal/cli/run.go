@@ -114,13 +114,13 @@ func (a *app) submission(spec experiments.Spec) campaign.Submission {
 // index i is the same cell either way. SIGINT/SIGTERM cancel the
 // campaign: a local run still returns its results (unstarted jobs carry
 // the context's error), a remote one is cancelled on the server and is
-// an error. Cache upkeep, the profiles and the run manifest are handled
-// here for every tool.
+// an error. Cache GC (under -cache-max-bytes), the profiles and the run
+// manifest are handled here for every tool.
 func (a *app) Run(subs ...campaign.Submission) ([]runner.JobResult, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := runner.Options{Workers: a.Workers, Timeout: a.Timeout, Retries: a.Retries, RetryBackoff: a.RetryBackoff}
+	opt := runner.Options{Workers: a.Workers, Timeout: a.Timeout}
 	if a.Verbose {
 		opt.Progress = runner.NewProgress(a.stderr)
 	}
@@ -202,7 +202,7 @@ func (a *app) report(results []runner.JobResult) error {
 	msg := fmt.Sprintf("%d job(s) failed:", len(failed))
 	for _, f := range failed {
 		if f.Outcome() == runner.OutcomeQuarantined {
-			msg += fmt.Sprintf("\n  %s: QUARANTINED (deterministic, not retried): %v", f.Job, f.Err)
+			msg += fmt.Sprintf("\n  %s: QUARANTINED (deterministic): %v", f.Job, f.Err)
 			continue
 		}
 		msg += fmt.Sprintf("\n  %s: %v", f.Job, f.Err)

@@ -29,7 +29,7 @@
 //
 // Execution semantics on the worker are the full LocalExecutor stack —
 // cache probe against the worker's own cache, timeout, panic
-// containment, retries, quarantine — and results carry the
+// containment, quarantine — and results carry the
 // content-addressed cache key, so the service's cache remains the
 // single shared dedup layer and a campaign served by any mix of local
 // and remote execution renders byte-identical output.

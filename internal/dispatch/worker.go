@@ -123,7 +123,7 @@ type WorkerOptions struct {
 	// Slots is how many jobs run concurrently; <=0 means 1.
 	Slots int
 	// Exec runs claimed jobs. Nil is invalid — the caller builds a
-	// LocalExecutor with its own cache/timeout/retry policy (tests
+	// LocalExecutor with its own cache and timeout (tests
 	// inject blocking executors here).
 	Exec runner.Executor
 	// PollMax caps the backoff after a failed or refused request

@@ -29,16 +29,11 @@ const schemaVersion = 1
 // that a hit decodes to the byte-identical Result the original run
 // produced (gob round-trips float64 exactly).
 //
-// The cache additionally keeps a last-access index (see gc.go) so a
-// long-lived server can bound its size with GC: every hit and store
-// touches the key in memory, FlushIndex persists the index, and GC
-// evicts least-recently-used entries first.
+// An entry's mtime is its last access: a store stamps it and a hit
+// moves it forward, so GC can bound a long-lived cache by evicting
+// least-recently-used entries first. The files are the whole state.
 type Cache struct {
 	dir string
-
-	mu    sync.Mutex
-	atime map[string]int64 // guarded by mu; key -> last access, unix nanoseconds
-	now   func() time.Time
 }
 
 // OpenCache opens (creating if needed) a cache rooted at dir.
@@ -49,9 +44,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: opening cache: %w", err)
 	}
-	c := &Cache{dir: dir, now: time.Now}
-	c.loadIndex()
-	return c, nil
+	return &Cache{dir: dir}, nil
 }
 
 // Dir returns the cache root.
@@ -119,7 +112,10 @@ func (c *Cache) get(key string, v any) (bool, error) {
 	if err := gob.NewDecoder(f).Decode(v); err != nil {
 		return false, fmt.Errorf("runner: corrupt cache entry %s: %w", key, err)
 	}
-	c.touch(key)
+	// The hit is GC's access order. Best effort: a failure costs only
+	// eviction accuracy.
+	now := time.Now()
+	_ = os.Chtimes(c.path(key), now, now)
 	return true, nil
 }
 
@@ -164,11 +160,7 @@ func (c *Cache) put(key string, v any) error {
 		_ = os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		return err
-	}
-	c.touch(key)
-	return nil
+	return os.Rename(tmp.Name(), c.path(key))
 }
 
 var (

@@ -16,12 +16,12 @@ import (
 // Executor runs one job to completion. It is the seam between
 // campaign-level scheduling (who runs what, in which order, under
 // which cancellation scope) and job-level execution semantics (cache
-// probe, timeout, panic containment, retry vs quarantine): Run fans a
+// probe, timeout, panic containment, quarantine): Run fans a
 // fixed slice of jobs over one, the campaign service's queue feeds one
 // job at a time from many campaigns into the same implementation.
 //
 // emit, when non-nil, receives job-scoped telemetry (JobStart,
-// JobRetry, JobCacheCorrupt and the terminal event). The executor
+// JobCacheCorrupt and the terminal event). The executor
 // leaves campaign-level fields (Index, Done, Total, campaign Elapsed,
 // ETA) zero — the caller owns campaign accounting and decorates the
 // events it forwards.
@@ -31,22 +31,17 @@ type Executor interface {
 
 // LocalExecutor executes jobs in-process with the semantics runner.Run
 // has always had: content-addressed cache probe (recovering from
-// corrupt entries), wall-clock timeout, panic recovery, transient
-// retries with exponential backoff, and quarantine of deterministic
-// invariant violations. A run that never observed its seed serves its
-// cell's other seeds as cache hits (seedFreeTable).
+// corrupt entries), wall-clock timeout, panic recovery, and quarantine
+// of deterministic invariant violations. A job runs once: its seed is
+// fixed, so a failure would repeat. A run that never observed its seed
+// serves its cell's other seeds as cache hits (seedFreeTable).
 type LocalExecutor struct {
 	// Cache, when non-nil, is consulted before running and updated
 	// after a successful run.
 	Cache *Cache
 	// Timeout bounds each job's wall-clock time; 0 disables.
-	Timeout time.Duration
-	// Retries is how many times a transiently failed job is
-	// re-attempted; RetryBackoff the pause before the first retry
-	// (doubling per attempt).
-	Retries      int
-	RetryBackoff time.Duration
-	seedFree     seedFreeTable
+	Timeout  time.Duration
+	seedFree seedFreeTable
 }
 
 // seedFreeEntries bounds the table a worker's executor keeps across
@@ -107,7 +102,7 @@ type Offload func(ctx context.Context, job Job, key string, emit func(Event)) (j
 // there answers it without a simulation. Only "how the
 // result is computed" varies: via (when non-nil) is offered the job on a
 // miss, and the in-process simulation — timeout, panic containment,
-// transient retries, quarantine — runs when via is nil or declines.
+// quarantine — runs when via is nil or declines.
 func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event), via Offload) JobResult {
 	if emit == nil {
 		emit = func(Event) {}
@@ -164,7 +159,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		jr, ran = via(ctx, job, key, emit)
 	}
 	if !ran {
-		jr, o = e.simulate(ctx, job, r, emit)
+		jr, o = e.simulate(ctx, job, r)
 	}
 	jr.Job, jr.Elapsed = job, time.Since(t0)
 	if e.Cache != nil {
@@ -195,25 +190,11 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	return jr
 }
 
-// simulate runs a resolved job in-process: timeout and panic
-// containment, transient retries, quarantine of invariant violations.
-// o is the last attempt's outcome.
-func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved, emit func(Event)) (jr JobResult, o outcome) {
-	for {
-		jr.Attempts++
-		o = executeBounded(ctx, job, r, e.Timeout)
-		jr.Result, jr.Err = o.res, o.err
-		if jr.Err == nil || invariant.IsViolation(jr.Err) || ctx.Err() != nil || jr.Attempts > e.Retries {
-			break
-		}
-		emit(Event{Type: JobRetry, Job: job, Err: jr.Err})
-		if e.RetryBackoff > 0 {
-			select {
-			case <-time.After(Backoff(e.RetryBackoff, jr.Attempts, MaxRetryBackoff)):
-			case <-ctx.Done():
-			}
-		}
-	}
+// simulate runs a resolved job in-process, once: timeout and panic
+// containment, quarantine of invariant violations.
+func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved) (jr JobResult, o outcome) {
+	o = executeBounded(ctx, job, r, e.Timeout)
+	jr.Result, jr.Err, jr.Attempts = o.res, o.err, 1
 	var v *invariant.Violation
 	if errors.As(jr.Err, &v) {
 		jr.Quarantined = true
@@ -222,16 +203,10 @@ func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved, emit 
 	return jr, o
 }
 
-// MaxRetryBackoff caps the exponential retry doubling: beyond it every
-// further attempt waits the same bounded pause instead of shifting the
-// base into overflow (a 100 ms base left-shifted 60 times is garbage).
-const MaxRetryBackoff = 30 * time.Second
-
 // Backoff returns the pause before 1-based retry `attempt`: base
-// doubled per prior attempt, saturating at max (overflow-safe). It is
-// shared by the local executor's retry loop and the remote worker's
-// poll loop — both deliberately jitter-free, so a replayed schedule is
-// deterministic.
+// doubled per prior attempt, saturating at max (overflow-safe). It
+// paces the remote worker's loops, deliberately jitter-free so a
+// replayed schedule is deterministic.
 func Backoff(base time.Duration, attempt int, max time.Duration) time.Duration {
 	if base <= 0 {
 		return 0

@@ -1,87 +1,14 @@
 package runner
 
 import (
-	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 )
-
-// indexFile is the access-time index kept at the cache root. Entries
-// record the last time a key was read or written, so a long-lived
-// server can evict least-recently-used results first. The index is
-// advisory: when it is missing, corrupt, or missing a key (a crash
-// before a flush), GC falls back to the entry file's mtime, so the
-// cache never becomes un-collectable.
-const indexFile = "atime-index.json"
-
-// atimeIndex is the on-disk shape of the index.
-type atimeIndex struct {
-	Version int              `json:"version"`
-	Atime   map[string]int64 `json:"atime"` // key -> unix nanoseconds
-}
-
-// touch records an access to key (Get hit or Put). The update is
-// in-memory; FlushIndex persists it.
-func (c *Cache) touch(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.atime == nil {
-		c.atime = map[string]int64{}
-	}
-	c.atime[key] = c.now().UnixNano()
-}
-
-// loadIndex reads the access-time index, tolerating absence and
-// corruption: either way the cache opens with an empty index and GC
-// degrades to mtime ordering.
-func (c *Cache) loadIndex() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.atime = map[string]int64{}
-	data, err := os.ReadFile(filepath.Join(c.dir, indexFile))
-	if err != nil {
-		return
-	}
-	var idx atimeIndex
-	if err := json.Unmarshal(data, &idx); err != nil || idx.Atime == nil {
-		return // corrupt index: start fresh, mtimes still order GC
-	}
-	c.atime = idx.Atime
-}
-
-// FlushIndex persists the access-time index atomically. Call it when a
-// campaign finishes or the process drains; a crash in between only
-// costs accuracy (GC falls back to mtimes), never correctness.
-func (c *Cache) FlushIndex() error {
-	c.mu.Lock()
-	idx := atimeIndex{Version: 1, Atime: make(map[string]int64, len(c.atime))}
-	for k, v := range c.atime {
-		idx.Atime[k] = v
-	}
-	c.mu.Unlock()
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(c.dir, indexFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(c.dir, indexFile))
-}
 
 // GCStats reports what one GC pass did.
 type GCStats struct {
@@ -95,28 +22,21 @@ type GCStats struct {
 
 // GC evicts least-recently-used entries until the cache's total size
 // is at most maxBytes (<= 0 means unlimited: the pass only reports
-// size). Access order comes from the atime index; entries the index
-// does not know (crash before flush, index corruption) order by file
-// mtime, ties break on key so the eviction order is deterministic.
-// The index is flushed after an evicting pass.
+// size). Access order is each entry file's mtime — a store's rename
+// stamps it and a hit moves it forward — so the order survives a crash
+// and every handle on the directory sees every other handle's reads.
+// Ties break on key so the eviction order is deterministic.
 func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	type entry struct {
 		key   string
 		path  string
 		size  int64
-		atime int64
+		mtime time.Time
 	}
 	var (
 		stats   GCStats
 		entries []entry
 	)
-	c.mu.Lock()
-	atime := make(map[string]int64, len(c.atime))
-	for k, v := range c.atime {
-		atime[k] = v
-	}
-	c.mu.Unlock()
-
 	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".gob") {
 			return err
@@ -126,11 +46,7 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 			return nil // raced with a concurrent Remove: skip
 		}
 		key := strings.TrimSuffix(filepath.Base(path), ".gob")
-		at, ok := atime[key]
-		if !ok {
-			at = info.ModTime().UnixNano()
-		}
-		entries = append(entries, entry{key: key, path: path, size: info.Size(), atime: at})
+		entries = append(entries, entry{key: key, path: path, size: info.Size(), mtime: info.ModTime()})
 		stats.Bytes += info.Size()
 		return nil
 	})
@@ -143,8 +59,8 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	}
 
 	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].atime != entries[j].atime {
-			return entries[i].atime < entries[j].atime
+		if !entries[i].mtime.Equal(entries[j].mtime) {
+			return entries[i].mtime.Before(entries[j].mtime)
 		}
 		return entries[i].key < entries[j].key
 	})
@@ -159,9 +75,6 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		remaining -= e.size
 		stats.Evicted++
 		stats.Freed += e.size
-		c.mu.Lock()
-		delete(c.atime, e.key)
-		c.mu.Unlock()
 	}
-	return stats, c.FlushIndex()
+	return stats, nil
 }

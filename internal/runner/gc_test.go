@@ -2,21 +2,11 @@ package runner
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 )
-
-// fakeClock returns a monotonically advancing deterministic clock.
-func fakeClock() func() time.Time {
-	t := time.Unix(1_000_000, 0)
-	return func() time.Time {
-		t = t.Add(time.Second)
-		return t
-	}
-}
 
 func putResult(t *testing.T, c *Cache, key string) {
 	t.Helper()
@@ -39,40 +29,57 @@ func cacheHas(t *testing.T, c *Cache, key string) bool {
 	return ok
 }
 
+// ageEntries stamps each key's entry with an mtime in the past, ten
+// seconds apart and oldest first, and returns the newest stamp.
+func ageEntries(t *testing.T, c *Cache, keys ...string) time.Time {
+	t.Helper()
+	var mt time.Time
+	for i, k := range keys {
+		mt = time.Unix(2_000_000+int64(i)*10, 0)
+		if err := os.Chtimes(c.path(k), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mt
+}
+
 // TestGCEvictionOrder pins LRU semantics: entries are evicted in
-// last-access order, and re-touching an old entry saves it.
+// last-access order (entry mtimes), and a hit on an old entry moves its
+// mtime forward and saves it.
 func TestGCEvictionOrder(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.now = fakeClock()
 	for _, k := range gcKeys {
 		putResult(t, c, k)
 	}
+	newest := ageEntries(t, c, gcKeys...)
 	// Touch the oldest entry so it becomes the newest.
 	if !cacheHas(t, c, gcKeys[0]) {
 		t.Fatal("entry aa11 missing before GC")
 	}
-
-	// Entry sizes are equal; keep room for roughly half.
-	stats, err := c.GC(1)
+	info, err := os.Stat(c.path(gcKeys[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Entries != len(gcKeys) {
-		t.Fatalf("GC saw %d entries, want %d", stats.Entries, len(gcKeys))
+	if !info.ModTime().After(newest) {
+		t.Fatalf("a hit left aa11's mtime at %v, not past %v", info.ModTime(), newest)
 	}
-	if stats.Evicted == 0 || stats.Freed == 0 {
-		t.Fatalf("GC evicted nothing: %+v", stats)
+
+	// Entry sizes are equal; keep room for half.
+	stats, err := c.GC(2 * info.Size())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// bb22 (the least recently used after aa11 was touched) must go
-	// before aa11.
-	if cacheHas(t, c, "bb22") {
-		t.Error("bb22 survived GC but was least recently used")
+	if stats.Entries != len(gcKeys) || stats.Evicted != 2 || stats.Freed != 2*info.Size() {
+		t.Fatalf("GC stats %+v, want %d entries and 2 evicted", stats, len(gcKeys))
 	}
-	if stats.Evicted < len(gcKeys) && !cacheHas(t, c, gcKeys[0]) {
-		t.Error("aa11 was evicted despite being most recently touched")
+	// bb22 and cc33 are the least recently used once aa11 was read.
+	for k, want := range map[string]bool{"aa11": true, "bb22": false, "cc33": false, "dd44": true} {
+		if c.Has(k) != want {
+			t.Errorf("after GC, %s present = %v, want %v", k, c.Has(k), want)
+		}
 	}
 }
 
@@ -82,7 +89,6 @@ func TestGCUnderLimitIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.now = fakeClock()
 	putResult(t, c, "aa11")
 	stats, err := c.GC(1 << 30)
 	if err != nil {
@@ -96,89 +102,33 @@ func TestGCUnderLimitIsNoop(t *testing.T) {
 	}
 }
 
-// TestGCIndexPersistence: the flushed index survives a reopen, so a
-// restarted server keeps its LRU ordering.
-func TestGCIndexPersistence(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
+// TestGCTiesBreakOnKey: entries with equal mtimes are evicted in key
+// order, so two passes over the same directory agree.
+func TestGCTiesBreakOnKey(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.now = fakeClock()
-	for _, k := range gcKeys {
+	mt := time.Unix(2_000_000, 0)
+	for _, k := range []string{"dd44", "bb22", "cc33"} {
 		putResult(t, c, k)
-	}
-	if err := c.FlushIndex(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.now = fakeClock()
-	if len(c2.atime) != len(gcKeys) {
-		t.Fatalf("reopened index has %d entries, want %d", len(c2.atime), len(gcKeys))
-	}
-	if _, err := c2.GC(1); err != nil {
-		t.Fatal(err)
-	}
-	// aa11 was the oldest access in the persisted index: it must be
-	// the first eviction.
-	if cacheHas(t, c2, "aa11") {
-		t.Error("aa11 survived GC despite oldest persisted atime")
-	}
-}
-
-// TestGCCorruptIndexRecovery: a garbage index file neither fails
-// OpenCache nor GC; eviction falls back to file mtimes.
-func TestGCCorruptIndexRecovery(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.now = fakeClock()
-	for i, k := range gcKeys {
-		putResult(t, c, k)
-		// Distinct mtimes so the fallback ordering is well-defined.
-		mt := time.Unix(2_000_000+int64(i)*10, 0)
 		if err := os.Chtimes(c.path(k), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatalf("OpenCache with corrupt index: %v", err)
-	}
-	c2.now = fakeClock()
-	if len(c2.atime) != 0 {
-		t.Fatalf("corrupt index should load empty, got %d entries", len(c2.atime))
-	}
-	stats, err := c2.GC(1)
-	if err != nil {
-		t.Fatalf("GC after corrupt index: %v", err)
-	}
-	if stats.Evicted == 0 {
-		t.Fatalf("GC evicted nothing after index recovery: %+v", stats)
-	}
-	// Oldest mtime (aa11) goes first under the fallback ordering.
-	if cacheHas(t, c2, "aa11") {
-		t.Error("aa11 survived GC despite oldest mtime under fallback ordering")
-	}
-	// The evicting pass rewrites a valid index.
-	if _, err := os.ReadFile(filepath.Join(dir, indexFile)); err != nil {
-		t.Errorf("index not rewritten after GC: %v", err)
-	}
-	c3, err := OpenCache(dir)
+	info, err := os.Stat(c.path("bb22"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.atime == nil {
-		t.Error("rewritten index failed to load")
+	// Room for all but one entry.
+	stats, err := c.GC(3*info.Size() - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Evicted != 1 {
+		t.Fatalf("GC evicted %d entries, want 1: %+v", stats.Evicted, stats)
+	}
+	if c.Has("bb22") || !c.Has("cc33") || !c.Has("dd44") {
+		t.Errorf("tie not broken on key: bb22 %v, cc33 %v, dd44 %v", c.Has("bb22"), c.Has("cc33"), c.Has("dd44"))
 	}
 }

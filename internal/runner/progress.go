@@ -28,9 +28,6 @@ func NewProgress(w io.Writer) func(Event) {
 			outcome = "cached"
 		case JobFailed:
 			outcome = "FAILED"
-		case JobRetry:
-			fmt.Fprintf(w, "        %s: retrying after %v\n", ev.Job, ev.Err)
-			return
 		case JobCacheCorrupt:
 			fmt.Fprintf(w, "        %s: %v (recomputing)\n", ev.Job, ev.Err)
 			return

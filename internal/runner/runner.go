@@ -117,12 +117,12 @@ type JobResult struct {
 	CacheErr error
 	// Key is the cache key (empty when caching is disabled).
 	Key string
-	// Attempts counts simulation attempts (1 + retries; 0 for cache
-	// hits and jobs cancelled before starting).
+	// Attempts counts simulations: 1 for a job that ran, 0 for a cache
+	// hit and for a job cancelled before starting.
 	Attempts int
 	// Quarantined marks a deterministic invariant violation: the same
-	// seed and script fail identically every time, so the job was not
-	// retried and must not be until the code or the script changes.
+	// seed and script fail identically every time, so the outcome is
+	// cached like a result until the code or the script changes.
 	Quarantined bool
 	// Diagnostics carries the invariant checker's snapshot for
 	// quarantined jobs (truncated for the manifest).
@@ -179,17 +179,10 @@ type Options struct {
 	// Progress, when non-nil, receives telemetry events. Calls are
 	// serialized by the runner; the callback need not be thread-safe.
 	Progress func(Event)
-	// Retries is how many times a transiently failed job (panic,
-	// timeout — anything except an invariant violation, which is
-	// deterministic and quarantined instead) is re-attempted.
-	Retries int
-	// RetryBackoff is the pause before the first retry, doubling each
-	// further attempt; 0 retries immediately.
-	RetryBackoff time.Duration
 	// Executor, when non-nil, overrides how individual jobs run (a
 	// remote or instrumented backend). Nil uses a LocalExecutor built
-	// from the fields above; when set, Timeout/Cache/Retries/
-	// RetryBackoff are the executor's own business.
+	// from the fields above; when set, Timeout and Cache are the
+	// executor's own business.
 	Executor Executor
 }
 
@@ -198,12 +191,7 @@ func (o Options) executor() Executor {
 	if o.Executor != nil {
 		return o.Executor
 	}
-	return &LocalExecutor{
-		Cache:        o.Cache,
-		Timeout:      o.Timeout,
-		Retries:      o.Retries,
-		RetryBackoff: o.RetryBackoff,
-	}
+	return &LocalExecutor{Cache: o.Cache, Timeout: o.Timeout}
 }
 
 // EventType classifies a telemetry event.
@@ -219,9 +207,6 @@ const (
 	// JobFailed fires when a job errors, panics, times out or is
 	// cancelled.
 	JobFailed
-	// JobRetry fires when a transiently failed job is about to be
-	// re-attempted (Err carries the failure being retried).
-	JobRetry
 	// JobCacheCorrupt fires when a cache entry exists but cannot be
 	// decoded; the entry is removed and the job recomputes.
 	JobCacheCorrupt
@@ -238,7 +223,7 @@ const (
 
 // Terminal reports whether an event type ends a job (exactly one
 // terminal event is emitted per executed job). Campaign accounting
-// counts these and only these — retries, cache-corruption notices and
+// counts these and only these — cache-corruption notices and
 // lease-lifecycle events are mid-flight telemetry.
 func (t EventType) Terminal() bool {
 	return t == JobDone || t == JobCached || t == JobFailed
@@ -374,8 +359,8 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 		ev.Total = len(jobs)
 		switch {
 		case ev.Type.Terminal():
-			// Only terminal events advance the campaign cursor: a retry
-			// or a lease bounce is the same job still in flight, and
+			// Only terminal events advance the campaign cursor: a lease
+			// bounce is the same job still in flight, and
 			// counting it would inflate Done past Total.
 			done++
 			ev.Done = done
@@ -445,8 +430,7 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 // execute builds, runs and harvests one simulation, converting a panic
 // anywhere in the stack into a job error. An invariant violation — raised as a panic by the always-on checker
 // or surfaced by the final audit — comes back from RunAudited as the
-// *invariant.Violation itself, so runOne can quarantine it instead of
-// retrying a deterministic failure.
+// *invariant.Violation itself, so simulate can quarantine it.
 func execute(r resolved) (o outcome) {
 	defer func() {
 		if p := recover(); p != nil {

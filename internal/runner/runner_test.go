@@ -521,47 +521,34 @@ func TestCorruptCacheEntryRecovers(t *testing.T) {
 	}
 }
 
-// TestRetryTransientFailure: a job that crashes twice and then
-// succeeds is healed by Retries without poisoning the campaign.
-func TestRetryTransientFailure(t *testing.T) {
-	var calls atomic.Int32
-	flaky := syntheticExp("xflaky", func(p core.Params, seed int64, bin, end sim.Cycle, _ experiments.BuildOpts) (*network.Network, error) {
-		if calls.Add(1) < 3 {
-			panic("synthetic transient crash")
-		}
-		n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin})
+// TestPanicRunsOnce: a job runs once — a Build that panics is built
+// exactly once, with and without a timeout (a fixed-seed panic would
+// repeat on every attempt), and reports one attempt.
+func TestPanicRunsOnce(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		var builds atomic.Int32
+		crash := syntheticExp("xcrash", func(core.Params, int64, sim.Cycle, sim.Cycle, experiments.BuildOpts) (*network.Network, error) {
+			builds.Add(1)
+			panic("synthetic crash")
+		})
+		results, err := Run(context.Background(), []Job{{Scheme: "CCFIT", Seed: 1, Exp: crash}}, Options{Workers: 1, Timeout: timeout})
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return n, n.AddFlows([]traffic.Flow{{ID: 0, Src: 0, Dst: 3, Start: 0, End: end, Rate: 0.5}})
-	})
-	retries := 0
-	results, err := Run(context.Background(),
-		[]Job{{Scheme: "CCFIT", Seed: 1, Exp: flaky}},
-		Options{Workers: 1, Retries: 3, RetryBackoff: time.Millisecond, Progress: func(ev Event) {
-			if ev.Type == JobRetry {
-				retries++
-			}
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := results[0]
-	if r.Err != nil {
-		t.Fatalf("retries did not heal the job: %v", r.Err)
-	}
-	if r.Attempts != 3 || retries != 2 {
-		t.Fatalf("Attempts=%d retry events=%d, want 3 and 2", r.Attempts, retries)
-	}
-	if r.Result == nil || r.Quarantined {
-		t.Fatalf("healed job carries bad state: %+v", r)
+		r := results[0]
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "synthetic crash") || r.Quarantined {
+			t.Fatalf("timeout %v: want a contained panic, got err=%v quarantined=%v", timeout, r.Err, r.Quarantined)
+		}
+		if n := builds.Load(); n != 1 || r.Attempts != 1 {
+			t.Fatalf("timeout %v: %d builds, Attempts=%d; want 1 and 1", timeout, n, r.Attempts)
+		}
 	}
 }
 
 // TestQuarantineOnInvariantViolation: a scripted switch wedge trips
 // the forward-progress watchdog; the violation is deterministic, so
-// the job is quarantined on the first attempt — never retried — with
-// the diagnostic snapshot attached and a "quarantined" manifest row.
+// the job is quarantined after its one attempt, with the diagnostic
+// snapshot attached and a "quarantined" manifest row.
 func TestQuarantineOnInvariantViolation(t *testing.T) {
 	wedged := syntheticExp("xwedged", func(p core.Params, seed int64, bin, end sim.Cycle, _ experiments.BuildOpts) (*network.Network, error) {
 		n, err := network.Build(topo.Config1(), p, network.Options{Seed: seed, BinCycles: bin})
@@ -576,12 +563,7 @@ func TestQuarantineOnInvariantViolation(t *testing.T) {
 	script := &fault.Script{Name: "wedge-swA", Events: []fault.Event{
 		{Kind: fault.SwitchStall, At: 1_000, Switch: &swA}, // Duration 0: wedged for good
 	}}
-	retries := 0
-	opt := Options{Workers: 1, Retries: 3, Progress: func(ev Event) {
-		if ev.Type == JobRetry {
-			retries++
-		}
-	}}
+	opt := Options{Workers: 1}
 	start := time.Now()
 	results, err := Run(context.Background(),
 		[]Job{{Scheme: "CCFIT", Seed: 1, Exp: wedged, Faults: script, Watchdog: 10_000}}, opt)
@@ -595,8 +577,8 @@ func TestQuarantineOnInvariantViolation(t *testing.T) {
 	if !strings.Contains(r.Err.Error(), "watchdog") {
 		t.Fatalf("want the watchdog to fire, got %v", r.Err)
 	}
-	if !r.Quarantined || r.Attempts != 1 || retries != 0 {
-		t.Fatalf("violation not quarantined: quarantined=%v attempts=%d retries=%d", r.Quarantined, r.Attempts, retries)
+	if !r.Quarantined || r.Attempts != 1 {
+		t.Fatalf("violation not quarantined: quarantined=%v attempts=%d", r.Quarantined, r.Attempts)
 	}
 	if !strings.Contains(r.Diagnostics, "swA") {
 		t.Fatalf("diagnostics do not name the wedged switch:\n%s", r.Diagnostics)

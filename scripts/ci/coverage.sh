@@ -5,14 +5,17 @@
 # adds one uncovered branch. Raise a floor when a package's coverage
 # moves up for good; never lower one to make CI pass.
 #
-# Known cross-package cases: internal/fault is exercised mostly through
-# internal/network's suites, so its OWN floor is low; the point of
-# listing it is to notice if even that residue disappears.
+# Known cross-package case: internal/fault's own tests replay every
+# shipped script (scripts/faults) through a Config #1 network, so its
+# floor sits just under today's 67.8 %; the switch-stall, node-pause and
+# control-tamper paths are exercised by internal/network's suites, which
+# its own number does not see.
 # The root package holds no statements ("coverage: [no statements]") and
-# has no floor. cmd/ccfit-serve's test covers only newServer (its
-# timeouts); main's wiring is exercised by the process-level smoke
-# scripts, which coverage does not see, so its floor sits just under
-# today's 3.2 %.
+# has no floor. The cmd/ tests cover newServer (its timeouts) and main's
+# flag handling, which they reach by re-running the test binary as the
+# tool; main's wiring past its flags is exercised by the process-level
+# smoke scripts, which coverage does not see, so the floors sit just
+# under today's 18.0 % (ccfit-serve) and 44.4 % (ccfit-worker).
 set -e
 
 go test -cover -coverprofile=coverage.out ./... | tee coverage.txt
@@ -28,7 +31,7 @@ awk '
     floor = 50
     if (pkg == "repro/internal/core")      floor = 80
     if (pkg == "repro/internal/invariant") floor = 70
-    if (pkg == "repro/internal/fault")     floor = 30
+    if (pkg == "repro/internal/fault")     floor = 65
     if (pkg == "repro/internal/link")      floor = 80
     if (pkg == "repro/internal/oracle")    floor = 70
     if (pkg == "repro/internal/sim")       floor = 94
@@ -39,7 +42,8 @@ awk '
     if (pkg == "repro/internal/dispatch")  floor = 70
     if (pkg == "repro/internal/cli")       floor = 70
     if (pkg == "repro/internal/traffic")   floor = 91
-    if (pkg == "repro/cmd/ccfit-serve")    floor = 3
+    if (pkg == "repro/cmd/ccfit-serve")    floor = 16
+    if (pkg == "repro/cmd/ccfit-worker")   floor = 42
 
     if (cov + 0 < floor) {
         printf "FAIL coverage floor: %s at %s%% (floor %d%%)\n", pkg, cov, floor

@@ -17,7 +17,8 @@
 #      must be byte-identical to a plain local `ccfit-run` — a crashed
 #      worker costs latency, never bytes.
 #   5. The surviving worker is SIGTERMed while parked and must drain
-#      gracefully, without a failed claim in its log.
+#      gracefully, without a failed claim in its log, leaving only
+#      <xx>/<key>.gob entries in its cache.
 #
 # Everything here goes through the public surfaces only: the HTTP API,
 # the CLI flags, the handshake lines, signals.
@@ -163,6 +164,13 @@ grep -q drained "$workdir/w2.log" || {
 if grep -q "claim failed" "$workdir/w2.log"; then
     echo "FAIL: a worker SIGTERMed while parked logged a failed claim"
     cat "$workdir/w2.log"
+    exit 1
+fi
+# A worker's cache is its entry files; a drain leaves nothing else.
+stray=$(cd "$workdir/w2-cache" && find . -type f | grep -Ev '^\./[0-9a-f]{2}/[0-9a-f]{64}\.gob$' || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: the drained worker's cache holds more than <xx>/<key>.gob entries:"
+    echo "$stray"
     exit 1
 fi
 

@@ -13,8 +13,9 @@
 #      drain), restarted on the same address over the same state
 #      directory, and the waiting client rides through; the resumed
 #      campaign's rendered output must still be byte-identical to the
-#      local run. A campaign's durable state is its spec file under
-#      state/campaigns plus the result cache: no journal is written.
+#      local run. A campaign's durable state is its spec file (and
+#      cancel mark) under state/campaigns plus the result cache's entry
+#      files: no journal and no cache index is written.
 #
 # Everything here goes through the public surfaces only: the HTTP API,
 # the CLI flags, the handshake line, SIGTERM.
@@ -89,9 +90,13 @@ if ! ls "$workdir/state/campaigns/"*.spec.json > /dev/null 2>&1; then
     ls -R "$workdir/state"
     exit 1
 fi
-if [ -n "$(find "$workdir/state" -name '*.jsonl')" ]; then
-    echo "FAIL: the service wrote a journal:"
-    find "$workdir/state" -name '*.jsonl'
+# The durable state is spec files, cancel marks and cache entries, and
+# nothing else: no journal, no cache index.
+stray=$(cd "$workdir/state" && find . -type f |
+    grep -Ev '^\./(campaigns/[^/]+\.(spec\.json|cancel)|cache/[0-9a-f]{2}/[0-9a-f]{64}\.gob)$' || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: the service wrote state beyond spec files, cancel marks and cache entries:"
+    echo "$stray"
     exit 1
 fi
 
