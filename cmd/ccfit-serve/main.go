@@ -24,6 +24,14 @@
 // at GET /workers, and with no workers attached jobs simply run in the
 // local pool.
 //
+// -workers N also caps the jobs in flight on the remote fleet: each of
+// the scheduler's N goroutines blocks in Board.Enqueue until its remote
+// result returns, so a fleet with more slots than N sits partly idle.
+// On the datacenter workload's command line with two `ccfit-worker
+// -jobs 1` (a shared 2-vCPU host), -workers 1 took 2.75-3.17 s against
+// 1.72-1.98 s at -workers 2. Give the service at least as many workers
+// as the fleet has slots; DESIGN §10 names the real fix.
+//
 // On SIGINT/SIGTERM the server drains gracefully: in-flight jobs
 // finish and are cached, and queued jobs resume in the next process.
 // The cache needs no flush: an entry's mtime is its last access, which

@@ -61,7 +61,7 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	all.StringVar(&f.Faults, "faults", f.Faults, "inject a deterministic fault script into every job (JSON; see scripts/faults/)")
 	all.Int64Var(&f.Watchdog, "watchdog", f.Watchdog, "forward-progress watchdog window in cycles (0 = default 262144, -1 = disable)")
 
-	all.IntVar(&f.Workers, "workers", f.Workers, "parallel simulation workers")
+	all.IntVar(&f.Workers, "workers", f.Workers, "parallel simulation workers (ccfit-serve: also the cap on jobs in flight, remote ones included)")
 	all.StringVar(&f.Cache, "cache", f.Cache, "content-addressed result cache directory (empty = caching off; ccfit-serve: <data>/cache)")
 	all.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", f.CacheMaxBytes, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
 	all.DurationVar(&f.Timeout, "timeout", f.Timeout, "per-job wall-clock timeout (0 = none)")

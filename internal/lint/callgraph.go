@@ -11,7 +11,8 @@ import (
 // same package. Calls through interfaces or function values are not
 // resolved (the simulator's cross-component calls all cross package
 // boundaries anyway); the graph exists to answer "is this statement
-// reachable from a hot-path or tick root inside this package".
+// reachable from a hot-path or tick root inside this package", and its
+// decls table gives goroutine-lifecycle the body a `go f()` runs.
 type callGraph struct {
 	pkg   *Package
 	decls map[*types.Func]*ast.FuncDecl

@@ -43,7 +43,7 @@ type joinSignals struct {
 func runGoroutineLifecycle(pass *Pass) {
 	info := pass.Pkg.Info
 	sig := collectJoinSignals(info, pass.Pkg.Files)
-	bodies := declBodies(pass.Pkg)
+	decls := buildCallGraph(pass.Pkg).decls
 
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -51,7 +51,7 @@ func runGoroutineLifecycle(pass *Pass) {
 			if !ok {
 				return true
 			}
-			body, opaque := goStmtBody(pass.Pkg, bodies, gs.Call)
+			body, opaque := goStmtBody(pass.Pkg, decls, gs.Call)
 			if opaque != "" {
 				pass.Report(gs.Pos(),
 					"goroutine runs "+opaque+", which this package cannot see into: its lifetime is unprovable",
@@ -69,34 +69,18 @@ func runGoroutineLifecycle(pass *Pass) {
 	}
 }
 
-// declBodies maps each declared function of the package to its body,
-// so `go x.method()` resolves to analyzable statements.
-func declBodies(pkg *Package) map[*types.Func]*ast.BlockStmt {
-	out := map[*types.Func]*ast.BlockStmt{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					out[fn] = fd.Body
-				}
-			}
-		}
-	}
-	return out
-}
-
 // goStmtBody resolves the statements a go statement runs: the literal
 // body for `go func(){...}()`, the declared body for a same-package
 // function or method. opaque names the callee when it cannot be
 // resolved (cross-package call, function value).
-func goStmtBody(pkg *Package, bodies map[*types.Func]*ast.BlockStmt, call *ast.CallExpr) (*ast.BlockStmt, string) {
+func goStmtBody(pkg *Package, decls map[*types.Func]*ast.FuncDecl, call *ast.CallExpr) (*ast.BlockStmt, string) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return lit.Body, ""
 	}
 	callee := calleeFunc(pkg.Info, call)
 	if callee != nil {
-		if body, ok := bodies[callee]; ok {
-			return body, ""
+		if fd, ok := decls[callee]; ok {
+			return fd.Body, ""
 		}
 		return nil, callee.FullName()
 	}

@@ -21,6 +21,8 @@ type Package struct {
 	Filenames []string // parallel to Files, absolute, sorted
 	Types     *types.Package
 	Info      *types.Info
+
+	locks *lockFacts // built on first use by the concurrency rules
 }
 
 // Module is the loaded module: every non-test package, parsed and

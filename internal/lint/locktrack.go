@@ -9,8 +9,10 @@ import (
 	"strings"
 )
 
-// Lock tracking shared by the concurrency rule family (guarded-field,
-// lock-order). The model is deliberately simple and package-local:
+// Lock tracking shared by the concurrency rule family: guarded-field
+// asks whether a mutex is held at each field access, lock-order whether
+// one is held at each acquisition. The model is deliberately simple and
+// package-local:
 //
 //   - A mutex is identified by its declaring object (a struct field or
 //     a variable of type sync.Mutex / sync.RWMutex, possibly behind a
@@ -176,19 +178,13 @@ func syncKindOf(t types.Type) syncKind {
 	return notSync
 }
 
-// lockFactsCache memoizes per-package analysis across analyzers and
-// repeated Run calls on the same loaded module. Engine execution is
-// single-goroutine, and nothing here iterates the map, so the cache
-// cannot perturb diagnostic order.
-var lockFactsCache = map[*Package]*lockFacts{}
-
+// lockFactsFor returns pkg's lock facts, built once per package and
+// shared by every analyzer and repeated Run call on the same load.
 func lockFactsFor(pkg *Package) *lockFacts {
-	if f, ok := lockFactsCache[pkg]; ok {
-		return f
+	if pkg.locks == nil {
+		pkg.locks = buildLockFacts(pkg)
 	}
-	f := buildLockFacts(pkg)
-	lockFactsCache[pkg] = f
-	return f
+	return pkg.locks
 }
 
 var guardedByRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)`)

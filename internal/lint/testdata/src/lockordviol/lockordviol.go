@@ -1,9 +1,10 @@
-// Package lockordviol seeds lock-order violations: an AB/BA inversion
-// reported with both acquisition chains, a double-lock self-cycle, an
-// inversion reached through an intra-package call (the mayAcquire
-// propagation), and a suppressed cycle. Consistent nested orders stay
-// silent. Package-level mutex variables keep the fixture invisible to
-// the guarded-field rule, which only reasons about struct fields.
+// Package lockordviol seeds lock-order violations: both halves of an
+// AB/BA inversion, a double lock, an inversion reached through an
+// intra-package call (the mayAcquire propagation), a suppressed
+// nesting, and a consistent nesting, which the rule reports too: it
+// forbids holding two package mutexes at once. Package-level mutex
+// variables keep the fixture invisible to the guarded-field rule, which
+// only reasons about struct fields.
 package lockordviol
 
 import "sync"
@@ -18,21 +19,21 @@ var (
 
 func aThenB() {
 	muA.Lock()
-	muB.Lock() // want lock-order "lock-order cycle: muA acquired before muB"
+	muB.Lock() // want lock-order "mutex muB is acquired while muA is held"
 	muB.Unlock()
 	muA.Unlock()
 }
 
 func bThenA() {
 	muB.Lock()
-	muA.Lock()
+	muA.Lock() // want lock-order "mutex muA is acquired while muB is held"
 	muA.Unlock()
 	muB.Unlock()
 }
 
 func doubleLock() {
 	muC.Lock()
-	muC.Lock() // want lock-order "muC is acquired at lockordviol.go"
+	muC.Lock() // want lock-order "mutex muC is acquired while muC is already held"
 	muC.Unlock()
 	muC.Unlock()
 }
@@ -45,46 +46,47 @@ func lockE() {
 }
 
 // A second lock-free caller keeps lockE's entry-held set empty, so the
-// muD→muE edge materializes at dThenE's call site (pure mayAcquire
-// propagation) rather than inside lockE via the entry fixpoint.
+// finding lands at dThenE's call site (pure mayAcquire propagation)
+// rather than inside lockE via the entry fixpoint.
 func lockEAlone() {
 	lockE()
 }
 
 func dThenE() {
 	muD.Lock()
-	lockE() // want lock-order "lock-order cycle: muD acquired before muE"
+	lockE() // want lock-order "call to lockE may acquire muE while muD is held"
 	muD.Unlock()
 }
 
 func eThenD() {
 	muE.Lock()
-	muD.Lock()
+	muD.Lock() // want lock-order "mutex muD is acquired while muE is held"
 	muD.Unlock()
 	muE.Unlock()
 }
 
-// The muB-under-muC inversion below is acknowledged with a reasoned
-// line-level suppression at the cycle's anchor site.
+// A nesting acknowledged with a reasoned line-level suppression.
 func suppressedCThenB() {
 	muC.Lock()
-	//lint:ignore lock-order fixture proves cycle suppression at the anchor site
+	//lint:ignore lock-order fixture proves suppression at the nesting site
 	muB.Lock()
 	muB.Unlock()
 	muC.Unlock()
 }
 
+// The other half of the suppressed pair is still reported.
 func bThenC() {
 	muB.Lock()
-	muC.Lock()
+	muC.Lock() // want lock-order "mutex muC is acquired while muB is held"
 	muC.Unlock()
 	muB.Unlock()
 }
 
-// Consistent order everywhere: never reported.
+// A consistent order (muA is never taken under muD) is reported all
+// the same: the rule keeps no graph to tell it apart from an inversion.
 func cleanNested() {
 	muA.Lock()
-	muD.Lock()
+	muD.Lock() // want lock-order "mutex muD is acquired while muA is held"
 	muD.Unlock()
 	muA.Unlock()
 }
