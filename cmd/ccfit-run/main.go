@@ -19,7 +19,9 @@
 //	ccfit-run sweep -exp fig8b -param numcfqs  # ablation: one parameter swept
 //	ccfit-run loadcurve -config 2              # accepted versus offered load
 //	ccfit-run sim -config 1 -ms 10             # one simulation's series as CSV
-//	ccfit-run verify -mode=full                # the oracle harness
+//
+// The oracle harness that checks the engine has no verb: it is the
+// tests of internal/oracle (go test ./internal/oracle).
 //
 // With -csv DIR each experiment also writes a CSV, and a JSON run
 // manifest (runs, outcomes, timings, cache keys) lands in

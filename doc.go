@@ -34,7 +34,11 @@
 // Or reproduce a figure directly:
 //
 //	exp, _ := experiments.ByID("fig8b")
-//	results, _ := experiments.RunAll(exp, 1)
+//	var results []*experiments.Result
+//	for _, scheme := range exp.Schemes {
+//		r, _ := experiments.Run(exp, scheme, 1)
+//		results = append(results, r)
+//	}
 //	experiments.RenderThroughput(os.Stdout, exp, results)
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the

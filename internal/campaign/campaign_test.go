@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -223,6 +226,63 @@ func (e *blockingExecutor) Execute(ctx context.Context, job runner.Job, emit fun
 	}
 	<-ctx.Done()
 	return runner.JobResult{Job: job, Err: ctx.Err()}
+}
+
+// relayExecutor waits for release, then reports every mid-job event a
+// remote dispatcher can raise, each naming worker w1 and its reason,
+// before it fails the job.
+type relayExecutor struct {
+	release chan struct{}
+}
+
+var relayed = []runner.EventType{runner.JobStart, runner.JobCacheCorrupt, runner.JobLeased, runner.JobLeaseExpired, runner.JobReassigned}
+
+func (e *relayExecutor) Execute(ctx context.Context, job runner.Job, emit func(runner.Event)) runner.JobResult {
+	select {
+	case <-e.release:
+	case <-ctx.Done():
+		return runner.JobResult{Job: job, Err: ctx.Err()}
+	}
+	for i, typ := range relayed {
+		emit(runner.Event{Type: typ, Job: job, Worker: "w1", Err: fmt.Errorf("reason %d", i)})
+	}
+	return runner.JobResult{Job: job, Err: errors.New("stub executor")}
+}
+
+// TestForwardRelaysLeaseEvents: a subscriber sees the executor's
+// cache-corrupt and lease-lifecycle events in the order they happened,
+// each with the worker's name and the error text, and nothing for the
+// start event the scheduler emits itself at dispatch.
+func TestForwardRelaysLeaseEvents(t *testing.T) {
+	exec := &relayExecutor{release: make(chan struct{})}
+	s := openScheduler(t, t.TempDir(), Options{Workers: 1, Executor: exec})
+	defer s.Close()
+	spec := quickSpec()
+	spec.Schemes = []string{"CCFIT"}
+	v, err := s.Submit(Submission{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ch, cancel, err := s.Subscribe(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	close(exec.release)
+	var got []string
+	for ev := range ch {
+		if ev.Type == "failed" || ev.Type == "complete" || ev.Type == "start" && ev.Worker == "" {
+			continue // the scheduler's own dispatch and terminal events
+		}
+		if ev.Index != 0 || ev.Job != v.Jobs[0].Job {
+			t.Errorf("%s event for job %d %q, want job 0 %q", ev.Type, ev.Index, ev.Job, v.Jobs[0].Job)
+		}
+		got = append(got, ev.Type+" "+ev.Worker+" "+ev.Error)
+	}
+	want := []string{"cache-corrupt w1 reason 1", "lease w1 reason 2", "lease-expired w1 reason 3", "requeued w1 reason 4"}
+	if !slices.Equal(got, want) {
+		t.Errorf("relayed events %q, want %q", got, want)
+	}
 }
 
 // TestCancelMidRun: cancelling a running campaign drops its queued

@@ -41,14 +41,6 @@ func newApp(tool string, stdout, stderr io.Writer) *app {
 // printed the reason and the usage text.
 var errUsage = errors.New("bad command line")
 
-// errFindings is a verify run whose report, already on stdout, holds
-// findings.
-var errFindings = errors.New("verification findings")
-
-// infraError is a failure of the tool itself rather than of what it
-// checked: verify exits 2 on it.
-type infraError struct{ error }
-
 // logf prints one diagnostic line to stderr under the tool's name.
 func (a *app) logf(format string, args ...any) {
 	fmt.Fprintf(a.stderr, a.tool+": "+format+"\n", args...)
@@ -61,13 +53,8 @@ func (a *app) exit(err error) int {
 		return 0
 	case errors.Is(err, errUsage):
 		return 2
-	case errors.Is(err, errFindings):
-		return 1
 	}
 	a.logf("%v", err)
-	if errors.As(err, new(infraError)) {
-		return 2
-	}
 	return 1
 }
 

@@ -9,11 +9,11 @@ const mainTool = "ccfit-run"
 // No experiment id is a verb name (a test pins it), so the first
 // argument decides without ambiguity. Only Main reads this table, so a
 // binary that calls Figures alone (ccfit-figures, which the benchmark
-// builds and times) links neither the verbs nor the oracle behind verify.
+// builds and times) does not link the verbs.
 var verbs = []struct {
 	name string
 	run  func(*app, []string) error
-}{{"sweep", (*app).sweep}, {"loadcurve", (*app).loadCurve}, {"sim", (*app).sim}, {"verify", (*app).verify}}
+}{{"sweep", (*app).sweep}, {"loadcurve", (*app).loadCurve}, {"sim", (*app).sim}}
 
 // verbUsage ends ccfit-run -h.
 const verbUsage = `
@@ -21,7 +21,6 @@ verbs (ccfit-run VERB -h for a verb's flags):
   ccfit-run sweep     [flags]  sweep one scheme parameter on one experiment (ablation)
   ccfit-run loadcurve [flags]  accepted versus offered load under uniform traffic
   ccfit-run sim       [flags]  one simulation's throughput series as CSV on stdout
-  ccfit-run verify    [flags]  the oracle harness: differential, property and golden-curve gates
 `
 
 // Main is ccfit-run (documented in cmd/ccfit-run): a first argument

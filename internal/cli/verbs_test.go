@@ -13,7 +13,7 @@ import (
 // declaration — an unknown flag is a usage error (exit 2), -h prints
 // the verb's usage and exits 0 — and ccfit-run -h lists the verbs.
 func TestVerbFlags(t *testing.T) {
-	docs := map[string]string{"sweep": sweepDoc, "loadcurve": loadCurveDoc, "sim": simDoc, "verify": verifyDoc}
+	docs := map[string]string{"sweep": sweepDoc, "loadcurve": loadCurveDoc, "sim": simDoc}
 	for _, v := range verbs {
 		t.Run(v.name, func(t *testing.T) {
 			code, stdout, stderr := drive(verb(v.name), "-no-such-flag")
@@ -48,6 +48,24 @@ func TestNoExperimentIsAVerb(t *testing.T) {
 	for _, v := range verbs {
 		if slices.Contains(ids, v.name) {
 			t.Errorf("experiment id %q is also a verb", v.name)
+		}
+	}
+}
+
+// TestRemovedVerbs: a verb that is gone is an experiment id nobody
+// registered — an error before anything simulates, not a silent figure
+// run.
+func TestRemovedVerbs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		// The oracle's gates are its tests: go test ./internal/oracle.
+		{[]string{"verify", "-mode=full"}, "unknown experiment id(s) verify, -mode=full"},
+	} {
+		code, stdout, stderr := drive(Main, c.args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q (want %q)", c.args, code, stdout, stderr, c.want)
 		}
 	}
 }
@@ -106,27 +124,6 @@ func TestSimRejects(t *testing.T) {
 		code, stdout, stderr := drive(verb("sim"), c.args...)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q (want %q)", c.args, code, stdout, stderr, c.want)
-		}
-	}
-}
-
-// TestVerifyGolden: the quick gates pass — one ok line per gate, then
-// the verdict under the verb's name — and verify keeps its exit
-// statuses: 2 on a harness error or a stray argument.
-func TestVerifyGolden(t *testing.T) {
-	code, stdout, stderr := drive(verb("verify"), "-workers", "2")
-	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
-	if code != 0 || lines[len(lines)-1] != "ccfit-run verify: quick mode: all gates passed" {
-		t.Fatalf("exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	for _, gate := range []string{"differential", "self-check", "cct-table", "fuzz"} {
-		if !strings.Contains(stdout, "ok    "+gate) || !strings.Contains(stderr, "ccfit-run verify: "+gate) {
-			t.Errorf("gate %s missing from stdout or its progress line from stderr", gate)
-		}
-	}
-	for _, args := range [][]string{{"-mode", "bogus"}, {"extra"}} {
-		if code, stdout, stderr := drive(verb("verify"), args...); code != 2 || stdout != "" {
-			t.Errorf("%v: exit %d (want 2), stdout %q, stderr %q", args, code, stdout, stderr)
 		}
 	}
 }

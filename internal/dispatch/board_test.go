@@ -359,6 +359,33 @@ func TestEnqueueCancellation(t *testing.T) {
 	}
 }
 
+// TestEnqueueCancelledWhileQueued: a job cancelled before any worker
+// claims it leaves the queue with the context error, so a later claim
+// by a worker that was registered all along finds nothing to run.
+func TestEnqueueCancelledWhileQueued(t *testing.T) {
+	b, _ := testBoard(t, Options{LeaseTTL: time.Hour})
+	w := mustRegister(t, b, "late")
+	ctx, cancel := context.WithCancel(context.Background())
+	_, ch := enqueue(ctx, b, &eventLog{})
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Snapshot()["dispatch_queued"].(int) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if got := <-ch; !got.executed || !errors.Is(got.jr.Err, context.Canceled) {
+		t.Fatalf("cancelled queued job: executed=%v err=%v", got.executed, got.jr.Err)
+	}
+	if q := b.Snapshot()["dispatch_queued"].(int); q != 0 {
+		t.Fatalf("dispatch_queued %d after the cancel, want 0", q)
+	}
+	if resp, ok, err := b.Claim(w); ok || err != nil {
+		t.Fatalf("claim after the cancel: ok=%v err=%v lease %q", ok, err, resp.LeaseID)
+	}
+}
+
 // TestCloseWithdrawsQueued: closing the board hands queued jobs back to
 // the local path instead of stranding their enqueuers forever.
 func TestCloseWithdrawsQueued(t *testing.T) {

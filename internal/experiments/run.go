@@ -83,19 +83,6 @@ func Run(exp Experiment, scheme string, seed int64) (*Result, error) {
 	return Harvest(exp, scheme, seed, n), nil
 }
 
-// RunAll executes an experiment under every scheme it evaluates.
-func RunAll(exp Experiment, seed int64) ([]*Result, error) {
-	var out []*Result
-	for _, s := range exp.Schemes {
-		r, err := Run(exp, s, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Harvest extracts a Result from a network that has finished running
 // an experiment (exported for custom/ablation runs that bypass Run).
 func Harvest(exp Experiment, scheme string, seed int64, n *network.Network) *Result {

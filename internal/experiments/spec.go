@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -297,23 +296,4 @@ func LoadPoint(config int, load float64, end, bin sim.Cycle) (Experiment, error)
 			return n, n.AddFlows(flows)
 		},
 	}, nil
-}
-
-// Fingerprint summarizes a spec for display and duplicate detection:
-// a stable, human-readable one-liner (ids, schemes, seeds, overrides).
-func (s Spec) Fingerprint() string {
-	ids := s.Experiments
-	if s.LoadCurve != nil {
-		ids = []string{fmt.Sprintf("loadcurve-c%d×%d", s.LoadCurve.Config, len(s.LoadCurve.Loads))}
-	}
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
-	fp := fmt.Sprintf("exps=%v schemes=%v seeds=%v", sorted, s.Schemes, s.SeedList())
-	if s.MS > 0 {
-		fp += fmt.Sprintf(" ms=%g", s.MS)
-	}
-	if s.Params != nil {
-		fp += fmt.Sprintf(" params=%s", s.Params.Name)
-	}
-	return fp
 }

@@ -2,31 +2,16 @@ package oracle
 
 import (
 	"context"
-	_ "embed"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
-	"strconv"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
-// goldenCurvesJSON pins the tolerance-banded reference curves for the
-// paper's headline figures. Embedding (rather than reading testdata at
-// run time) lets ccfit-run verify check the curves from any working
-// directory. Regenerate with:
-//
-//	go test ./internal/oracle -run TestGoldenCurves -update
-//
-//go:embed testdata/curves.json
-var goldenCurvesJSON []byte
-
-// CurveSeed fixes the seed golden curves are recorded and checked at;
-// the engine is deterministic per seed, so the bands only need to
-// absorb intentional engine changes, not run-to-run noise.
+// CurveSeed fixes the seed the golden-curve runs use; the engine is
+// deterministic per seed, so TestGoldenCurves pins each run's result
+// exactly.
 const CurveSeed int64 = 1
 
 // CurveSpec selects one figure's curves. DurationMS, when non-zero,
@@ -50,28 +35,11 @@ func CurveSpecs() []CurveSpec {
 	}
 }
 
-// Curve is one (figure, scheme) series set as persisted in the golden
-// file: the network-wide normalized throughput plus, for per-flow
-// figures, each tracked flow's bandwidth in GB/s keyed by flow id.
-type Curve struct {
-	BinMS      float64              `json:"bin_ms"`
-	Normalized []float64            `json:"normalized"`
-	Flows      map[string][]float64 `json:"flows,omitempty"`
-}
-
-// GoldenCurves is the testdata/curves.json schema.
-type GoldenCurves struct {
-	Note   string           `json:"note"`
-	Seed   int64            `json:"seed"`
-	Curves map[string]Curve `json:"curves"`
-}
-
-// curveKey names one curve in the golden map.
+// curveKey names one (figure, scheme) run.
 func curveKey(fig, scheme string) string { return fig + "/" + scheme }
 
 // RunCurves executes every golden-curve figure under every scheme
-// (one runner campaign) and returns the results keyed like the golden
-// map.
+// (one runner campaign) and returns the results keyed "fig/scheme".
 func RunCurves() (map[string]*experiments.Result, error) {
 	var jobs []runner.Job
 	for _, spec := range CurveSpecs() {
@@ -100,140 +68,12 @@ func RunCurves() (map[string]*experiments.Result, error) {
 	return out, nil
 }
 
-// CurvesToGolden converts run results into the persistable form.
-func CurvesToGolden(results map[string]*experiments.Result) *GoldenCurves {
-	g := &GoldenCurves{
-		Note: "Reference curves for Figs. 7a, 8a (3 ms) and 9 at seed 1. " +
-			"Regenerate: go test ./internal/oracle -run TestGoldenCurves -update",
-		Seed:   CurveSeed,
-		Curves: map[string]Curve{},
-	}
-	for key, r := range results {
-		c := Curve{BinMS: r.BinMS, Normalized: r.Normalized}
-		if len(r.Flows) > 0 {
-			c.Flows = map[string][]float64{}
-			for _, f := range r.Flows {
-				c.Flows[strconv.Itoa(f.ID)] = f.GBs
-			}
-		}
-		g.Curves[key] = c
-	}
-	return g
-}
-
-// LoadGoldenCurves decodes the embedded golden file.
-func LoadGoldenCurves() (*GoldenCurves, error) {
-	var g GoldenCurves
-	if err := json.Unmarshal(goldenCurvesJSON, &g); err != nil {
-		return nil, fmt.Errorf("oracle: embedded curves.json: %w", err)
-	}
-	if len(g.Curves) == 0 {
-		return nil, fmt.Errorf("oracle: embedded curves.json holds no curves — regenerate with -update")
-	}
-	return &g, nil
-}
-
-// WriteGoldenCurves persists the golden file (the -update path).
-func WriteGoldenCurves(path string, results map[string]*experiments.Result) error {
-	b, err := json.MarshalIndent(CurvesToGolden(results), "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// CurveBand tolerances: a bin passes when |got-want| <= ATol +
-// RTol*peak(want series); the series additionally must keep its mean
-// absolute error under MAE. Peak-relative (not bin-relative) slack
-// keeps near-zero bins from demanding impossible precision while a
-// systematic drift across the whole curve still trips the MAE gate.
-type CurveBand struct {
-	RTol float64
-	ATol float64
-	MAE  float64
-}
-
-// DefaultCurveBand absorbs benign scheduling-tweak wiggle; a curve
-// that moves by more than ~10% of its peak in any bin, or drifts by
-// 3% of peak on average, is reported.
-func DefaultCurveBand() CurveBand { return CurveBand{RTol: 0.10, ATol: 0.02, MAE: 0.03} }
-
-// compareSeries applies the band to one series pair.
-func compareSeries(name string, got, want []float64, band CurveBand) []error {
-	var errs []error
-	if len(got) != len(want) {
-		return []error{fmt.Errorf("%s: series length %d, golden has %d (duration or bin changed — regenerate with -update)",
-			name, len(got), len(want))}
-	}
-	peak := 0.0
-	for _, v := range want {
-		if v > peak {
-			peak = v
-		}
-	}
-	limit := band.ATol + band.RTol*peak
-	mae, worst, worstAt := 0.0, 0.0, -1
-	for i := range want {
-		d := got[i] - want[i]
-		if d < 0 {
-			d = -d
-		}
-		mae += d
-		if d > worst {
-			worst, worstAt = d, i
-		}
-	}
-	mae /= float64(len(want))
-	if worst > limit {
-		errs = append(errs, fmt.Errorf("%s: bin %d off by %.4f (band %.4f; got %.4f, golden %.4f)",
-			name, worstAt, worst, limit, got[worstAt], want[worstAt]))
-	}
-	if maeLimit := band.MAE * peak; mae > maeLimit {
-		errs = append(errs, fmt.Errorf("%s: mean abs error %.4f exceeds %.4f — curve drifted as a whole",
-			name, mae, maeLimit))
-	}
-	return errs
-}
-
-// CompareCurves checks every run series against the golden file.
-func CompareCurves(results map[string]*experiments.Result, g *GoldenCurves, band CurveBand) []error {
-	var errs []error
-	for _, key := range sortedKeys(results) {
-		r := results[key]
-		want, ok := g.Curves[key]
-		if !ok {
-			errs = append(errs, fmt.Errorf("%s: no golden curve recorded — regenerate with -update", key))
-			continue
-		}
-		errs = append(errs, compareSeries(key, r.Normalized, want.Normalized, band)...)
-		for _, f := range r.Flows {
-			id := strconv.Itoa(f.ID)
-			wf, ok := want.Flows[id]
-			if !ok {
-				errs = append(errs, fmt.Errorf("%s: flow %s missing from golden file", key, id))
-				continue
-			}
-			errs = append(errs, compareSeries(key+"/F"+id, f.GBs, wf, band)...)
-		}
-	}
-	return errs
-}
-
-func sortedKeys(m map[string]*experiments.Result) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // CheckCurveShapes asserts the figures' QUALITATIVE claims directly on
-// fresh runs, independent of the golden file — these are the paper's
-// sentences turned into inequalities, with thresholds set from
-// measured values with ~25% headroom. The golden bands catch drift;
-// these catch a world where the drift was regenerated into the golden
-// file without anyone noticing the physics changed.
+// fresh runs, independent of the golden digests — these are the
+// paper's sentences turned into inequalities, with thresholds set from
+// measured values with ~25% headroom. The digests catch any change;
+// these catch a world where a change was regenerated into the digests
+// without anyone noticing the physics changed.
 func CheckCurveShapes(results map[string]*experiments.Result) []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -419,22 +259,4 @@ func allNonNil(m map[string]*experiments.Result) bool {
 		}
 	}
 	return true
-}
-
-// CheckCurves is the full golden-curve gate: run every figure, check
-// the tolerance bands against the embedded golden file, then the
-// qualitative shapes. Returned errors are findings; the error return
-// is infrastructural (a figure failed to run, no golden file).
-func CheckCurves(band CurveBand) ([]error, error) {
-	results, err := RunCurves()
-	if err != nil {
-		return nil, err
-	}
-	g, err := LoadGoldenCurves()
-	if err != nil {
-		return nil, err
-	}
-	findings := CompareCurves(results, g, band)
-	findings = append(findings, CheckCurveShapes(results)...)
-	return findings, nil
 }

@@ -3,16 +3,17 @@ package oracle
 import (
 	"flag"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
-var updateCurves = flag.Bool("update", false, "regenerate testdata/curves.json from the current engine")
+var updateCurves = flag.Bool("update", false, "rewrite testdata/curve_digests.json from the current engine")
 
-// TestGoldenCurves runs Figs. 7a, 8a and 9 under every scheme and
-// holds the curves inside the tolerance bands of the embedded golden
-// file, then re-asserts the figures' qualitative claims on the fresh
-// runs. With -update it rewrites testdata/curves.json instead (shape
-// checks still run, so a broken engine cannot silently mint new
-// goldens).
+// TestGoldenCurves runs Figs. 7a, 8a and 9 under every scheme,
+// re-asserts the figures' qualitative claims on the fresh runs, then
+// pins each run's Result exactly by its JSON digest. With -update it
+// rewrites testdata/curve_digests.json instead — only once the shape
+// checks pass, so a broken engine cannot silently mint new digests.
 func TestGoldenCurves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("13 figure runs (~6 s wall); skipped in -short")
@@ -24,54 +25,12 @@ func TestGoldenCurves(t *testing.T) {
 	for _, err := range CheckCurveShapes(results) {
 		t.Error(err)
 	}
-	if *updateCurves {
-		if t.Failed() {
-			t.Fatal("refusing to regenerate golden curves while shape checks fail")
-		}
-		if err := WriteGoldenCurves("testdata/curves.json", results); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("rewrote testdata/curves.json")
-		return
+	if *updateCurves && t.Failed() {
+		t.Fatal("refusing to rewrite the curve digests while shape checks fail")
 	}
-	g, err := LoadGoldenCurves()
-	if err != nil {
-		t.Fatal(err)
+	got := make(map[string]string, len(results))
+	for key, r := range results {
+		got[key] = testutil.MustJSONDigest(t, r)
 	}
-	for _, err := range CompareCurves(results, g, DefaultCurveBand()) {
-		t.Error(err)
-	}
-}
-
-// TestCompareSeriesBands pins the band arithmetic itself on synthetic
-// series, so a tolerance bug can't quietly turn the curve gate into a
-// no-op.
-func TestCompareSeriesBands(t *testing.T) {
-	t.Parallel()
-	band := CurveBand{RTol: 0.10, ATol: 0.02, MAE: 0.03}
-	want := []float64{0, 0.5, 1.0, 0.5, 0}
-
-	if errs := compareSeries("same", want, want, band); len(errs) != 0 {
-		t.Errorf("identical series flagged: %v", errs)
-	}
-	// One bin off by just under the limit (0.02 + 0.10*1.0 = 0.12).
-	ok := []float64{0, 0.5, 1.11, 0.5, 0}
-	if errs := compareSeries("inband", ok, want, band); len(errs) != 0 {
-		t.Errorf("in-band wiggle flagged: %v", errs)
-	}
-	// One bin past the limit.
-	bad := []float64{0, 0.5, 1.2, 0.5, 0}
-	if errs := compareSeries("spike", bad, want, band); len(errs) == 0 {
-		t.Error("out-of-band spike not flagged")
-	}
-	// Every bin slightly off: each inside the per-bin band, but the
-	// systematic drift trips the MAE gate (0.03 * peak = 0.03).
-	drift := []float64{0.1, 0.6, 1.1, 0.6, 0.1}
-	if errs := compareSeries("drift", drift, want, band); len(errs) == 0 {
-		t.Error("systematic drift not flagged")
-	}
-	// Length mismatch is its own finding.
-	if errs := compareSeries("len", []float64{1}, want, band); len(errs) != 1 {
-		t.Errorf("length mismatch: got %v", errs)
-	}
+	testutil.CompareGoldenMap(t, "testdata/curve_digests.json", got, *updateCurves)
 }

@@ -32,16 +32,15 @@ func FuzzProperties(f *testing.F) {
 	})
 }
 
-// TestFuzzQuick is the quick tier wired into `go test ./...`: the
-// fixed-seed sweep ccfit-run verify runs, over every topology and scheme in
-// the decoder's pools.
+// TestFuzzQuick runs Sweep over every topology and scheme in the
+// decoder's pools: 200 configurations, 8 under -short.
 func TestFuzzQuick(t *testing.T) {
 	t.Parallel()
-	iters := 25
+	iters := 200
 	if testing.Short() {
 		iters = 8
 	}
-	findings, err := Sweep(context.Background(), iters, 42, 0)
+	findings, err := Sweep(context.Background(), iters)
 	if err != nil {
 		t.Fatal(err)
 	}

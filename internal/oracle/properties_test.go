@@ -80,7 +80,7 @@ func TestIRDStepMonotonic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run hot-spot scenario; skipped in -short")
 	}
-	for _, err := range CheckIRDStepMonotonic(1, 0.05) {
+	for _, err := range CheckIRDStepMonotonic() {
 		t.Error(err)
 	}
 }
@@ -94,7 +94,7 @@ func TestSchemeDominance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five 0.75 ms hot-spot runs; skipped in -short")
 	}
-	for _, err := range CheckSchemeDominance(1, 0.05) {
+	for _, err := range CheckSchemeDominance() {
 		t.Error(err)
 	}
 }

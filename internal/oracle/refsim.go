@@ -1,10 +1,11 @@
-// Package oracle is the simulator's standing correctness harness: a
-// deliberately simple reference simulator the optimized engine is
-// differentially tested against, a metamorphic property suite over
-// fuzzed configurations, and tolerance-banded golden curves for the
-// paper's headline figures. Every future refactor or performance PR is
-// judged against this package (ccfit-run verify runs it standalone;
-// the quick tier runs inside `go test ./...`).
+// Package oracle is the simulator's standing correctness harness, and
+// its tests are the harness's only front door: a deliberately simple
+// reference simulator the optimized engine is differentially tested
+// against, a metamorphic property suite over fuzzed configurations, and
+// the paper's headline figures pinned by exact digests plus their
+// qualitative claims as inequalities. Every refactor or performance
+// change is judged by `go test ./internal/oracle` (-short keeps the
+// cheap gates and an 8-config sweep).
 //
 // The reference simulator (RefSim) shares only the pkt and topo types
 // with the real engine. It is store-and-forward with a single
@@ -13,9 +14,16 @@
 // no congestion management — a few hundred lines whose behaviour can
 // be checked by eye. On non-saturating traffic both simulators are
 // lossless and source-limited, so per-flow delivered counts and bytes
-// must agree EXACTLY; latencies agree within modelling bands (virtual
-// cut-through pipelines a packet across hops, store-and-forward
-// serializes it per hop).
+// must agree EXACTLY; latencies agree only within bands. The engine
+// forwards whole packets too (a link lands a packet's tail at the end
+// of its serialization plus propagation, and a switch forwards it only
+// once received), so the gap is not cut-through: at zero load an
+// engine packet takes the reference's time plus one crossbar transfer,
+// ceil(size/xbar) cycles, per switch (the reference switches in zero
+// time), and on tree22 the reference's lowest-port routes put flows
+// the engine's DET tie-break spreads over two roots onto one
+// oversubscribed uplink, where its FIFO queues. Engine/reference mean
+// ratios on the stock scenarios span 0.29–1.64.
 package oracle
 
 import (

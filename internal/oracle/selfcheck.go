@@ -10,8 +10,7 @@ import (
 // SelfCheck turns the oracle on itself: it seeds deliberate engine
 // bugs and requires the harness to catch each one. A validation
 // harness that has never been seen failing proves nothing — this is
-// the demonstration that the checks have teeth, runnable on demand
-// (ccfit-run verify -mode=full) and pinned by a test.
+// the demonstration that the checks have teeth, pinned by TestSelfCheck.
 //
 // Two faults are seeded through the credit pool's test-only skew
 // knob, one in each direction:

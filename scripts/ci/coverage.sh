@@ -11,6 +11,8 @@
 # tool; main's wiring past its flags is exercised by the process-level
 # smoke scripts, which coverage does not see, so the floors sit just
 # under today's 18.0 % (ccfit-serve) and 44.4 % (ccfit-worker).
+# internal/oracle's floor sits just under its 84.5 %: the harness has no
+# front door but its tests, so a gate whose test stops running shows here.
 set -e
 
 go test -cover -coverprofile=coverage.out ./... | tee coverage.txt
@@ -28,7 +30,7 @@ awk '
     if (pkg == "repro/internal/invariant") floor = 85
     if (pkg == "repro/internal/fault")     floor = 90
     if (pkg == "repro/internal/link")      floor = 80
-    if (pkg == "repro/internal/oracle")    floor = 70
+    if (pkg == "repro/internal/oracle")    floor = 84
     if (pkg == "repro/internal/sim")       floor = 94
     if (pkg == "repro/internal/pkt")       floor = 90
     if (pkg == "repro/internal/experiments") floor = 80
