@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -73,17 +72,6 @@ func (g *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
 		walk(r)
 	}
 	return seen
-}
-
-// enclosingFuncDecl returns the FuncDecl of file containing pos, or nil
-// (package-level var initializer).
-func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
-			return fd
-		}
-	}
-	return nil
 }
 
 // stmtInBlock locates the innermost block under root directly

@@ -19,9 +19,9 @@ var bannedRandFuncs = map[string]bool{
 
 // Determinism bans the constructs that break byte-identical replay
 // from (seed, config) in simulation packages: wall-clock time, the
-// global math/rand stream, goroutines, and ranging over maps (unless
-// the loop provably only accumulates into an order-insensitive sink,
-// or collects keys that are sorted immediately after).
+// global math/rand stream, goroutines, and ranging over maps — except
+// the collect-then-sort idiom, a loop whose whole body appends to a
+// slice that is sorted after it.
 func Determinism() *Analyzer {
 	return &Analyzer{
 		Name:    "determinism",
@@ -66,8 +66,9 @@ func runDeterminism(pass *Pass) {
 	}
 }
 
-// checkMapRange flags `for ... := range m` over a map unless the body
-// is provably order-insensitive or the keys-then-sort idiom.
+// checkMapRange flags `for ... := range m` over a map unless the loop
+// is the collect-then-sort idiom: a body that is exactly
+// `s = append(s, …)`, with s sorted later in the enclosing block.
 func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 	tv, ok := pass.Pkg.Info.Types[rng.X]
 	if !ok {
@@ -76,225 +77,43 @@ func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 		return
 	}
-	ob := newOrderCheck(pass.Pkg.Info, rng)
-	if ob.bodyOK(rng.Body.List) {
-		return
-	}
-	if ob.sortedAfter != nil && collectThenSortOK(pass, file, rng, ob.sortedAfter) {
+	if s := collectedSlice(pass.Pkg.Info, rng.Body); s != nil && collectThenSortOK(pass, file, rng, s) {
 		return
 	}
 	pass.Report(rng.Pos(),
 		"range over map in simulation package: iteration order is randomized per run, so any order-sensitive effect diverges across replays",
-		"iterate sorted keys, or restructure the body into order-insensitive accumulation (commutative ops, writes keyed by the range key)")
+		"iterate sorted keys: collect them with a lone `keys = append(keys, k)` body and sort keys right after the loop")
 }
 
-// orderCheck decides whether a map-range body is order-insensitive.
-// Allowed statements:
-//   - x++ / x--
-//   - compound assignment with a commutative-associative op
-//     (+=, *=, |=, &=, ^=)
-//   - := defines (fresh per-iteration locals) and any assignment whose
-//     target is such a local (or a field/element of one)
-//   - assignment to a map element indexed by the range key (distinct
-//     keys cannot collide, so write order is irrelevant)
-//   - if/for/range statements whose bodies satisfy the same rules
-//   - `s = append(s, ...)` appearances are recorded as a candidate for
-//     the keys-then-sort idiom and judged by the caller
-type orderCheck struct {
-	info        *types.Info
-	keyObj      types.Object // the range key variable, if an ident
-	locals      map[types.Object]bool
-	sortedAfter types.Object // slice appended to, for collect-then-sort
-	appends     int
+// collectedSlice returns the variable s when body is exactly the one
+// statement `s = append(s, …)`, else nil.
+func collectedSlice(info *types.Info, body *ast.BlockStmt) types.Object {
+	if len(body.List) != 1 {
+		return nil
+	}
+	as, ok := body.List[0].(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok || !isBuiltinAppend(info, call) || len(call.Args) == 0 {
+		return nil
+	}
+	dst, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	src, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if obj := objOf(info, dst); obj != nil && obj == objOf(info, src) {
+		return obj
+	}
+	return nil
 }
 
-func newOrderCheck(info *types.Info, rng *ast.RangeStmt) *orderCheck {
-	oc := &orderCheck{info: info, locals: map[types.Object]bool{}}
-	if id, ok := rng.Key.(*ast.Ident); ok {
-		oc.keyObj = info.Defs[id]
-		if oc.keyObj == nil {
-			oc.keyObj = info.Uses[id]
-		}
-	}
-	// The range value variable is itself per-iteration state.
-	if id, ok := rng.Value.(*ast.Ident); ok && id.Name != "_" {
-		if obj := info.Defs[id]; obj != nil {
-			oc.locals[obj] = true
-		}
-	}
-	return oc
-}
-
-func (oc *orderCheck) bodyOK(stmts []ast.Stmt) bool {
-	for _, s := range stmts {
-		if !oc.stmtOK(s) {
-			return false
-		}
-	}
-	// A body that only appends (plus other fine statements) is not
-	// order-insensitive by itself; it is only acceptable as the
-	// collect-then-sort idiom, which the caller validates.
-	return oc.appends == 0
-}
-
-func (oc *orderCheck) stmtOK(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.IncDecStmt:
-		return true
-	case *ast.ExprStmt:
-		// Calls for effect: order across iterations is unknowable.
-		return false
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return false
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				return false
-			}
-			for _, n := range vs.Names {
-				if obj := oc.info.Defs[n]; obj != nil {
-					oc.locals[obj] = true
-				}
-			}
-		}
-		return true
-	case *ast.AssignStmt:
-		return oc.assignOK(s)
-	case *ast.IfStmt:
-		if s.Init != nil && !oc.stmtOK(s.Init) {
-			return false
-		}
-		if !oc.blockOK(s.Body) {
-			return false
-		}
-		if s.Else != nil {
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				return oc.blockOK(e)
-			case *ast.IfStmt:
-				return oc.stmtOK(e)
-			}
-		}
-		return true
-	case *ast.ForStmt:
-		// Nested plain loop: same statement rules apply to its body.
-		return oc.blockOK(s.Body)
-	case *ast.RangeStmt:
-		// Nested range over a map inside a map range is checked (and
-		// flagged) on its own; here only the body rules matter. Its
-		// key/value are fresh per-iteration locals.
-		if id, ok := s.Key.(*ast.Ident); ok {
-			if obj := oc.info.Defs[id]; obj != nil {
-				oc.locals[obj] = true
-			}
-		}
-		if id, ok := s.Value.(*ast.Ident); ok {
-			if obj := oc.info.Defs[id]; obj != nil {
-				oc.locals[obj] = true
-			}
-		}
-		return oc.blockOK(s.Body)
-	case *ast.BlockStmt:
-		return oc.blockOK(s)
-	case *ast.BranchStmt:
-		// continue is harmless; break/goto make order observable.
-		return s.Tok == token.CONTINUE
-	default:
-		// break, return, goto, select, send, go, defer, ...: all make
-		// the iteration order observable (or are banned outright).
-		return false
-	}
-}
-
-func (oc *orderCheck) blockOK(b *ast.BlockStmt) bool {
-	for _, s := range b.List {
-		if !oc.stmtOK(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func (oc *orderCheck) assignOK(a *ast.AssignStmt) bool {
-	switch a.Tok.String() {
-	case ":=":
-		for _, lhs := range a.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				return false
-			}
-			if obj := oc.info.Defs[id]; obj != nil {
-				oc.locals[obj] = true
-			}
-		}
-		return true
-	case "+=", "*=", "|=", "&=", "^=":
-		return true
-	case "=":
-		if len(a.Lhs) != 1 || len(a.Rhs) != 1 {
-			return false
-		}
-		lhs := a.Lhs[0]
-		// Storing a compile-time constant is order-insensitive: every
-		// iteration that writes at all writes the same value (the
-		// `found = true` / `drained = false` latch idiom).
-		if tv, ok := oc.info.Types[a.Rhs[0]]; ok && tv.Value != nil {
-			if id, isID := ast.Unparen(lhs).(*ast.Ident); isID && objOf(oc.info, id) != nil {
-				return true
-			}
-			if _, isSel := ast.Unparen(lhs).(*ast.SelectorExpr); isSel {
-				return true
-			}
-		}
-		// Self-append: candidate for the collect-then-sort idiom.
-		if call, ok := ast.Unparen(a.Rhs[0]).(*ast.CallExpr); ok {
-			if isBuiltinAppend(oc.info, call) {
-				if tid, ok := ast.Unparen(lhs).(*ast.Ident); ok && len(call.Args) >= 1 {
-					if aid, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok &&
-						objOf(oc.info, tid) != nil && objOf(oc.info, tid) == objOf(oc.info, aid) {
-						obj := objOf(oc.info, tid)
-						if oc.locals[obj] {
-							return true // appending into a per-iteration local
-						}
-						oc.appends++
-						if oc.sortedAfter == nil {
-							oc.sortedAfter = obj
-						}
-						return true
-					}
-				}
-			}
-		}
-		return oc.targetOrderFree(lhs)
-	default:
-		return false
-	}
-}
-
-// targetOrderFree reports whether writing lhs is order-insensitive:
-// a per-iteration local (or a field/element of one), or a map element
-// indexed by the range key itself.
-func (oc *orderCheck) targetOrderFree(lhs ast.Expr) bool {
-	lhs = ast.Unparen(lhs)
-	if ix, ok := lhs.(*ast.IndexExpr); ok {
-		// m[key] = ... where key is the range key: distinct iterations
-		// write distinct elements.
-		if id, ok := ast.Unparen(ix.Index).(*ast.Ident); ok && oc.keyObj != nil && objOf(oc.info, id) == oc.keyObj {
-			return true
-		}
-	}
-	if root := rootIdent(lhs); root != nil {
-		if obj := objOf(oc.info, root); obj != nil && oc.locals[obj] {
-			return true
-		}
-	}
-	return false
-}
-
-// collectThenSortOK validates the keys-then-sort idiom: the appended
+// collectThenSortOK validates the collect-then-sort idiom: the appended
 // slice must be passed to a sort.* or slices.* call later in the block
 // that encloses the range statement.
 func collectThenSortOK(pass *Pass, file *ast.File, rng *ast.RangeStmt, sliceObj types.Object) bool {
@@ -342,25 +161,6 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// rootIdent returns the base identifier of an lvalue chain
-// (x, x.f, x[i].g → x), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch t := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return t
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		default:
-			return nil
-		}
-	}
 }
 
 // isBuiltinAppend reports whether call invokes the builtin append.

@@ -17,8 +17,9 @@ import (
 //     method call: dynamic dispatch defeats escape analysis, so that
 //     closure is heap-allocated on every tick no matter what the
 //     implementations do with it,
-//   - append into a slice that is not provably backed by preallocated
-//     or reused storage (fields, params, make-with-capacity, reslices),
+//   - append whose target is a bare identifier (a local, parameter or
+//     package slice): only field- or element-backed storage (x.buf,
+//     x.bins[i]) counts as preallocated scratch reused across cycles,
 //   - implicit interface conversions at call sites (boxing).
 //
 // Everything inside a panic(...) argument is exempt: a dying run may
@@ -167,10 +168,15 @@ func isInterfaceMethodCall(info *types.Info, call *ast.CallExpr) bool {
 func checkHotCall(pass *Pass, call *ast.CallExpr) {
 	info := pass.Pkg.Info
 	if isBuiltinAppend(info, call) {
-		if len(call.Args) >= 1 && !appendTargetPreallocated(pass, call.Args[0]) {
-			pass.Report(call.Pos(),
-				"append to a non-preallocated slice in per-cycle hot path: grows (reallocates) under load",
-				"preallocate with make(cap) at construction, or reuse a field-backed scratch slice")
+		// Only storage reached through a field or element (x.buf,
+		// x.bins[i]) is reused across cycles; a bare identifier — a
+		// local, a parameter or a package variable — is not.
+		if len(call.Args) >= 1 {
+			if _, bare := ast.Unparen(call.Args[0]).(*ast.Ident); bare {
+				pass.Report(call.Pos(),
+					"append to a non-preallocated slice in per-cycle hot path: only field-backed storage is reused across cycles, so this one grows (reallocates) under load",
+					"append into a field-backed scratch slice preallocated with make(cap) at construction")
+			}
 		}
 		return
 	}
@@ -236,87 +242,6 @@ func concreteNonNil(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	return !types.IsInterface(tv.Type)
-}
-
-// appendTargetPreallocated reports whether the slice being appended to
-// is backed by storage the hot path is allowed to grow: a struct field
-// or indexed element (reused across cycles by PR 2's discipline), a
-// parameter or package-level slice (caller/owner preallocates), or a
-// local whose definition in the enclosing function is a
-// make-with-length/capacity or a reslice of such storage.
-func appendTargetPreallocated(pass *Pass, target ast.Expr) bool {
-	target = ast.Unparen(target)
-	id, ok := target.(*ast.Ident)
-	if !ok {
-		// Fields (x.buf), elements (x.bins[i]), etc.: reused storage.
-		return true
-	}
-	obj := objOf(pass.Pkg.Info, id)
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	if v.IsField() || v.Parent() == pass.Pkg.Types.Scope() {
-		return true
-	}
-	// Local: find its defining assignments in the enclosing function.
-	file := fileOf(pass.Pkg, id.Pos())
-	if file == nil {
-		return false
-	}
-	fd := enclosingFuncDecl(file, id.Pos())
-	if fd == nil {
-		return false
-	}
-	if paramOf(pass.Pkg.Info, fd, v) {
-		return true
-	}
-	ok = false
-	ast.Inspect(fd, func(n ast.Node) bool {
-		as, isAssign := n.(*ast.AssignStmt)
-		if !isAssign || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			lid, isID := ast.Unparen(lhs).(*ast.Ident)
-			if !isID || objOf(pass.Pkg.Info, lid) != v {
-				continue
-			}
-			switch rhs := ast.Unparen(as.Rhs[i]).(type) {
-			case *ast.CallExpr:
-				if fid, isID := ast.Unparen(rhs.Fun).(*ast.Ident); isID && fid.Name == "make" && len(rhs.Args) >= 2 {
-					ok = true
-				}
-			case *ast.SliceExpr:
-				ok = true // reslice of existing storage (x[:0] scratch reuse)
-			}
-		}
-		return true
-	})
-	return ok
-}
-
-func paramOf(info *types.Info, fd *ast.FuncDecl, v *types.Var) bool {
-	if fd.Type.Params == nil {
-		return false
-	}
-	for _, f := range fd.Type.Params.List {
-		for _, n := range f.Names {
-			if info.Defs[n] == v {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func fileOf(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			return f
-		}
-	}
-	return nil
 }
 
 func isBuiltinPanic(info *types.Info, call *ast.CallExpr) bool {

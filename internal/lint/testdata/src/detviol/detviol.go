@@ -53,10 +53,11 @@ func Emit(m map[int]int, emit func(int)) {
 	}
 }
 
-// Total is order-insensitive: commutative accumulation only.
+// Total only accumulates, which no iteration order changes; the rule
+// still flags it: only collect-then-sort is admitted.
 func Total(m map[int]int64) int64 {
 	var sum int64
-	for _, v := range m {
+	for _, v := range m { // want determinism "range over map"
 		sum += v
 	}
 	return sum
@@ -72,22 +73,57 @@ func Keys(m map[int]bool) []int {
 	return keys
 }
 
-// Scale writes each element keyed by the range key: distinct
-// iterations touch distinct elements, so order cannot matter.
+// Scale writes each element keyed by the range key, so distinct
+// iterations touch distinct elements; flagged all the same.
 func Scale(m map[int]int) {
-	for k := range m {
+	for k := range m { // want determinism "range over map"
 		m[k] *= 2
 	}
 }
 
-// AnyPending uses the constant-store latch: every iteration that
-// writes at all writes the same value.
+// AnyPending is a constant-store latch (every iteration that writes
+// at all writes the same value); flagged all the same.
 func AnyPending(m map[int]bool) bool {
 	found := false
-	for _, v := range m {
+	for _, v := range m { // want determinism "range over map"
 		if v {
 			found = true
 		}
 	}
 	return found
+}
+
+// KeysCounted sorts its keys, but the body does more than append: only
+// a lone append is the idiom.
+func KeysCounted(m map[int]bool) ([]int, int) {
+	keys := make([]int, 0, len(m))
+	n := 0
+	for k := range m { // want determinism "range over map"
+		keys = append(keys, k)
+		n++
+	}
+	sort.Ints(keys)
+	return keys, n
+}
+
+// KeysCrossed appends to one slice and assigns another: t's contents
+// depend on which key came last.
+func KeysCrossed(m map[int]bool, s []int) []int {
+	var t []int
+	for k := range m { // want determinism "range over map"
+		t = append(s, k)
+	}
+	sort.Ints(s)
+	sort.Ints(t)
+	return t
+}
+
+// KeysUnsorted collects keys and sorts a different slice.
+func KeysUnsorted(m map[int]bool, other []int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m { // want determinism "range over map"
+		keys = append(keys, k)
+	}
+	sort.Ints(other)
+	return keys
 }

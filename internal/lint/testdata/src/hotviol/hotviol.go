@@ -64,11 +64,12 @@ func (p *Port) record(now sim.Cycle) {
 
 func sink(v any) { _ = v }
 
-// Step sticks to the sanctioned patterns: make-with-capacity locals
-// and field-backed scratch reuse allocate nothing per cycle.
+// Step's local make-with-capacity slice is flagged even though this
+// append fits: only field-backed scratch (p.buf) is the sanctioned
+// pattern, and it allocates nothing per cycle.
 func (p *Port) Step() {
 	tmp := make([]int, 0, 8)
-	tmp = append(tmp, 1)
+	tmp = append(tmp, 1) // want hotpath-alloc "append to a non-preallocated slice"
 	p.buf = p.buf[:0]
 	p.buf = append(p.buf, tmp...)
 	if len(p.buf) > 8 {

@@ -121,10 +121,12 @@ func CheckCurveShapes(results map[string]*experiments.Result) []error {
 	// [1,2] ms: 1Q 0.132, ITh 0.201, FBICM 0.624, CCFIT 0.651,
 	// VOQnet 0.756; post [2.25,3] ms: 1Q 0.310, CCFIT 0.600.
 	var schemes8 = map[string]*experiments.Result{}
+	all8 := true
 	for _, s := range []string{"1Q", "ITh", "FBICM", "CCFIT", "VOQnet"} {
 		schemes8[s] = get("fig8a", s)
+		all8 = all8 && schemes8[s] != nil
 	}
-	if allNonNil(schemes8) {
+	if all8 {
 		burst := func(s string) float64 {
 			r := schemes8[s]
 			return win(r, r.Normalized, 1, 2)
@@ -249,14 +251,4 @@ func relDiff(a, b float64) float64 {
 		return d
 	}
 	return d / b
-}
-
-func allNonNil(m map[string]*experiments.Result) bool {
-	//lint:ignore determinism existential check over values; the boolean result is independent of iteration order
-	for _, r := range m {
-		if r == nil {
-			return false
-		}
-	}
-	return true
 }

@@ -375,8 +375,8 @@ func (s *RefSim) Run(until sim.Cycle) *RefResult {
 		ev.fn()
 	}
 	s.res.Drained = true
-	for _, st := range s.res.Flows {
-		if st.DeliveredPkts != st.OfferedPkts {
+	for _, id := range flowIDs(s.res.Flows) {
+		if st := s.res.Flows[id]; st.DeliveredPkts != st.OfferedPkts {
 			s.res.Drained = false
 		}
 	}

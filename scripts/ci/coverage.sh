@@ -13,6 +13,9 @@
 # under today's 18.0 % (ccfit-serve) and 44.4 % (ccfit-worker).
 # internal/oracle's floor sits just under its 84.5 %: the harness has no
 # front door but its tests, so a gate whose test stops running shows here.
+# internal/lint's floor sits just under its 90.6 %: its rules hold only
+# what the module's code and the seeded testdata reach, so a rule branch
+# nothing exercises is code to delete, not a gap to tolerate.
 set -e
 
 go test -cover -coverprofile=coverage.out ./... | tee coverage.txt
@@ -34,7 +37,7 @@ awk '
     if (pkg == "repro/internal/sim")       floor = 94
     if (pkg == "repro/internal/pkt")       floor = 90
     if (pkg == "repro/internal/experiments") floor = 80
-    if (pkg == "repro/internal/lint")      floor = 75
+    if (pkg == "repro/internal/lint")      floor = 90
     if (pkg == "repro/internal/campaign")  floor = 70
     if (pkg == "repro/internal/dispatch")  floor = 70
     if (pkg == "repro/internal/cli")       floor = 70
