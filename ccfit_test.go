@@ -14,7 +14,6 @@ import (
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -161,102 +160,6 @@ func TestUnitHelpers(t *testing.T) {
 	}
 	if pkt.MTU != 2048 {
 		t.Fatal("MTU constant wrong")
-	}
-}
-
-// TestHeadlineClaim is the paper's abstract in one test: CCFIT gives
-// (a) immediate HoL removal like FBICM, (b) fairness like ITh, and
-// (c) higher overall goodput than either alone under a hot spot.
-func TestHeadlineClaim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-scheme comparison")
-	}
-	type outcome struct {
-		victim float64
-		jain   float64
-	}
-	run := func(name string) outcome {
-		p, err := experiments.SchemeByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := network.Build(topo.Config1(), p, network.Options{Seed: 13})
-		if err != nil {
-			t.Fatal(err)
-		}
-		end := sim.CyclesFromMS(4)
-		err = net.AddFlows([]traffic.Flow{
-			{ID: 0, Src: 0, Dst: 3, Start: 0, End: end, Rate: 1.0},
-			{ID: 1, Src: 1, Dst: 4, Start: 0, End: end, Rate: 1.0},
-			{ID: 2, Src: 2, Dst: 4, Start: 0, End: end, Rate: 1.0},
-			{ID: 5, Src: 5, Dst: 4, Start: 0, End: end, Rate: 1.0},
-			{ID: 6, Src: 6, Dst: 4, Start: 0, End: end, Rate: 1.0},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.RunMS(4)
-		bins := len(net.Collector.TotalSeries(0))
-		var shares []float64
-		for _, f := range []int{1, 2, 5, 6} {
-			shares = append(shares, net.Collector.MeanFlowBandwidth(f, bins/2, bins))
-		}
-		return outcome{
-			victim: net.Collector.MeanFlowBandwidth(0, bins/2, bins),
-			jain:   metrics.JainIndex(shares),
-		}
-	}
-	oneq := run("1Q")
-	fbicm := run("FBICM")
-	ith := run("ITh")
-	cc := run("CCFIT")
-
-	// (a) victim protection: CCFIT ~ FBICM, both >> 1Q.
-	if cc.victim < 2.0 || fbicm.victim < 2.0 {
-		t.Fatalf("victim not protected: ccfit %.2f fbicm %.2f", cc.victim, fbicm.victim)
-	}
-	if oneq.victim > cc.victim*0.5 {
-		t.Fatalf("1Q victim %.2f not visibly HoL-blocked vs %.2f", oneq.victim, cc.victim)
-	}
-	// (b) fairness: CCFIT ~ ITh, both clearly fairer than FBICM.
-	if cc.jain < 0.97 || ith.jain < 0.97 {
-		t.Fatalf("throttling schemes unfair: ccfit %.3f ith %.3f", cc.jain, ith.jain)
-	}
-	if fbicm.jain > 0.95 {
-		t.Fatalf("FBICM unexpectedly fair (%.3f): parking lot not reproduced", fbicm.jain)
-	}
-}
-
-func TestTracing(t *testing.T) {
-	ring := trace.NewRing(1 << 16)
-	p := core.PresetCCFIT()
-	p.Tracer = trace.Only(ring, trace.EvDetect, trace.EvDealloc, trace.EvMark)
-	net, err := network.Build(topo.Config1(), p, network.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := sim.CyclesFromMS(2)
-	err = net.AddFlows([]traffic.Flow{
-		{ID: 1, Src: 1, Dst: 4, Start: 0, End: end, Rate: 1.0},
-		{ID: 2, Src: 2, Dst: 4, Start: 0, End: end, Rate: 1.0},
-		{ID: 5, Src: 5, Dst: 4, Start: 0, End: end, Rate: 1.0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.RunMS(3)
-	counts := map[trace.EventKind]int{}
-	for _, ev := range ring.Events() {
-		counts[ev.Kind]++
-		if ev.Kind != trace.EvDetect && ev.Kind != trace.EvDealloc && ev.Kind != trace.EvMark {
-			t.Fatalf("filter leaked %v", ev.Kind)
-		}
-		if trace.Format(ev) == "" {
-			t.Fatal("empty format")
-		}
-	}
-	if counts[trace.EvDetect] == 0 || counts[trace.EvMark] == 0 {
-		t.Fatalf("ring saw no protocol events: %v", counts)
 	}
 }
 

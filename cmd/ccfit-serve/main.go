@@ -30,7 +30,9 @@
 // On the datacenter workload's command line with two `ccfit-worker
 // -jobs 1` (a shared 2-vCPU host), -workers 1 took 2.75-3.17 s against
 // 1.72-1.98 s at -workers 2. Give the service at least as many workers
-// as the fleet has slots; DESIGN §10 names the real fix.
+// as the fleet has slots. The real fix, one queue that local and remote
+// workers claim from alike, waits on the benchmark's service probe;
+// DESIGN §10 says why.
 //
 // On SIGINT/SIGTERM the server drains gracefully: in-flight jobs
 // finish and are cached, and queued jobs resume in the next process.

@@ -3,7 +3,7 @@
 // Interconnection Networks" (Escudero-Sahuquillo et al., ICPP 2011).
 //
 // The root package holds no code: the library lives under internal/,
-// and the examples, the tools under cmd/ and the tests here all import
+// and the tools under cmd/ and the examples and tests here all import
 // the same packages. It provides:
 //
 //   - a deterministic cycle-level simulator of lossless, credit-based
@@ -23,15 +23,13 @@
 //
 // # Quick start
 //
-//	net, err := network.Build(topo.Config1(), core.PresetCCFIT(), network.Options{Seed: 1})
-//	if err != nil { ... }
-//	err = net.AddFlows([]traffic.Flow{
-//		{ID: 0, Src: 0, Dst: 3, Start: 0, End: sim.CyclesFromMS(10), Rate: 1.0},
-//	})
-//	net.RunMS(10)
-//	fmt.Println(net.Collector.TotalSeries(0))
+// Example_quickstart (example_test.go) runs a victim flow beside a hot
+// spot on Configuration #1 under CCFIT and prints the victim's
+// bandwidth; Example_hotspot and Example_fattree compare the schemes.
+// Their output is pinned and a test beside each asserts its claim:
+// go test -run Example_ -v .
 //
-// Or reproduce a figure directly:
+// To reproduce a figure directly:
 //
 //	exp, _ := experiments.ByID("fig8b")
 //	var results []*experiments.Result

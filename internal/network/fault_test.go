@@ -285,7 +285,7 @@ func TestPartitionedFaultRejections(t *testing.T) {
 // Chaos-style end-to-end check (run with -race in CI): a congested run
 // with both a trunk flap and an endpoint-link flap must stay lossless and
 // agree byte for byte with an identical second run.
-func TestPartitionedFaultedRunDeterministicAndLossless(t *testing.T) {
+func TestFaultedRunDeterministicAndLossless(t *testing.T) {
 	run := func() *Network {
 		n, err := Build(topo.Config1(), core.PresetCCFIT(), Options{Seed: 11})
 		if err != nil {

@@ -39,13 +39,10 @@ func TestDifferentialAllSchemes(t *testing.T) {
 	}
 }
 
-// TestDifferentialPartitionedEngine re-runs a scenario subset, as it did
-// when it compared the partitioned engine with the serial one. With one
-// engine left, the claim it guarded — a re-run reproduces the comparison
-// exactly — is checked on the raw values: the differential passes, and a
-// second engine run delivers every flow's packets with exactly the same
-// latencies.
-func TestDifferentialPartitionedEngine(t *testing.T) {
+// TestEngineRerunExact checks that the engine is a function of its
+// inputs: two runs of the same scenario (CCFIT, seed 1) deliver every
+// flow's packets with exactly the same latencies.
+func TestEngineRerunExact(t *testing.T) {
 	scenarios := Scenarios()
 	if len(scenarios) > 2 {
 		scenarios = scenarios[:2]
@@ -58,13 +55,6 @@ func TestDifferentialPartitionedEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := RunDiff(sc, "CCFIT", p, 1, DefaultBand())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.OK() {
-				t.Error(rep)
-			}
 			top, tb := sc.Build()
 			runs := make([]*EngineRun, 2)
 			for i := range runs {
@@ -74,13 +64,6 @@ func TestDifferentialPartitionedEngine(t *testing.T) {
 			}
 			if len(runs[0].Flows) == 0 || !reflect.DeepEqual(runs[0].Flows, runs[1].Flows) {
 				t.Fatalf("two engine runs of %s disagree on per-flow deliveries", sc.Name)
-			}
-			delivered := 0
-			for _, f := range runs[0].Flows {
-				delivered += f.DeliveredPkts
-			}
-			if delivered != rep.EngPkts {
-				t.Fatalf("engine run delivered %d pkts, the differential's %d", delivered, rep.EngPkts)
 			}
 		})
 	}
