@@ -31,8 +31,8 @@
 // -jobs 1` (a shared 2-vCPU host), -workers 1 took 2.75-3.17 s against
 // 1.72-1.98 s at -workers 2. Give the service at least as many workers
 // as the fleet has slots. The real fix, one queue that local and remote
-// workers claim from alike, waits on the benchmark's service probe;
-// DESIGN §10 says why.
+// workers claim from alike, must keep the executor path the benchmark's
+// service probe times; DESIGN §10 says why.
 //
 // On SIGINT/SIGTERM the server drains gracefully: in-flight jobs
 // finish and are cached, and queued jobs resume in the next process.

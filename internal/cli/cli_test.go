@@ -309,7 +309,7 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 }
 
 // engineLine is the shape of the -v line under a simulated cell.
-var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ FlowVisits:\d+ FlowCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+\}$`)
+var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ FlowVisits:\d+ FlowCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+ PacketsFresh:\d+ PacketsReused:\d+\}$`)
 
 // TestCacheSettledByEveryTool: a -cache run leaves nothing in the cache
 // directory but <xx>/<key>.gob entries, and a second run is served from

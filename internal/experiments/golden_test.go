@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,8 +19,10 @@ import (
 //
 // Regenerate (only when an intentional behaviour change is made) with:
 //
-//	go test ./internal/experiments -run TestGoldenDigests -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json")
+//	go test ./internal/experiments -run 'TestGoldenDigests|TestWorkLedger' -update-golden
+//
+// which also rewrites the work ledger's measured values (ledger_test.go).
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json and the values measured in testdata/work_ledger.json")
 
 const goldenPath = "testdata/golden_digests.json"
 
@@ -39,23 +41,69 @@ var goldenCases = []struct {
 	{"xfairness", 0.25}, // Config #1, all eight schemes
 }
 
-func goldenDigest(t *testing.T, expID, scheme string, scale float64) string {
-	t.Helper()
-	exp, err := ByID(expID)
-	if err != nil {
-		t.Fatal(err)
+// goldenCell is what one golden run pins: its Result's digest here, its
+// counts in the work ledger (ledger_test.go).
+type goldenCell struct {
+	key, digest string
+	row         ledgerRow
+}
+
+// A goldenJob runs its cell at most once per test binary, however many
+// tests read it.
+type goldenJob struct {
+	key string
+	run func() (goldenCell, error)
+}
+
+var goldenJobs = sync.OnceValue(func() (jobs []goldenJob) {
+	for _, c := range goldenCases {
+		exp, err := ByID(c.expID)
+		if err != nil {
+			panic(err)
+		}
+		exp.Duration = sim.Cycle(float64(exp.Duration) * c.scale)
+		for _, s := range exp.Schemes {
+			key := c.expID + "/" + s
+			jobs = append(jobs, goldenJob{key, sync.OnceValues(func() (goldenCell, error) {
+				p, err := SchemeByName(s)
+				if err != nil {
+					return goldenCell{}, err
+				}
+				n, err := exp.Build(p, 1, exp.Bin, exp.Duration, BuildOpts{})
+				if err != nil {
+					return goldenCell{}, err
+				}
+				n.Run(exp.Duration)
+				digest, err := testutil.JSONDigest(Harvest(exp, s, 1, n))
+				return goldenCell{key, digest, workRow(n)}, err
+			})})
+		}
 	}
-	exp.Duration = sim.Cycle(float64(exp.Duration) * scale)
-	p, err := SchemeByName(scheme)
-	if err != nil {
-		t.Fatal(err)
+	return jobs
+})
+
+// runGolden runs the golden cells as parallel subtests of t/runs and
+// returns them in goldenCases order. Every run is an independent
+// single-goroutine simulation, so they can execute concurrently without
+// perturbing each other's digests or counts.
+func runGolden(t *testing.T) []goldenCell {
+	jobs := goldenJobs()
+	cells := make([]goldenCell, len(jobs))
+	if !t.Run("runs", func(t *testing.T) {
+		for i, j := range jobs {
+			t.Run(j.key, func(t *testing.T) {
+				t.Parallel()
+				c, err := j.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells[i] = c
+			})
+		}
+	}) {
+		t.FailNow()
 	}
-	n, err := exp.Build(p, 1, exp.Bin, exp.Duration, BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(exp.Duration)
-	return testutil.MustJSONDigest(t, Harvest(exp, scheme, 1, n))
+	return cells
 }
 
 func TestGoldenDigests(t *testing.T) {
@@ -63,38 +111,8 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden runs take a few seconds")
 	}
 	got := make(map[string]string)
-	type job struct{ key, expID, scheme string }
-	var jobs []job
-	for _, c := range goldenCases {
-		exp, err := ByID(c.expID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range exp.Schemes {
-			jobs = append(jobs, job{fmt.Sprintf("%s/%s", c.expID, s), c.expID, s})
-		}
+	for _, c := range runGolden(t) {
+		got[c.key] = c.digest
 	}
-	// Every run is an independent single-goroutine simulation, so they
-	// can execute concurrently without perturbing each other's digests.
-	results := make([]string, len(jobs))
-	t.Run("runs", func(t *testing.T) {
-		for i, j := range jobs {
-			i, j := i, j
-			scale := 0.0
-			for _, c := range goldenCases {
-				if c.expID == j.expID {
-					scale = c.scale
-				}
-			}
-			t.Run(j.key, func(t *testing.T) {
-				t.Parallel()
-				results[i] = goldenDigest(t, j.expID, j.scheme, scale)
-			})
-		}
-	})
-	for i, j := range jobs {
-		got[j.key] = results[i]
-	}
-
 	testutil.CompareGoldenMap(t, goldenPath, got, *updateGolden)
 }

@@ -434,10 +434,11 @@ func (n *Network) TotalDelivered() (pkts, bytes int) {
 type Elided struct {
 	CoolPortCycles, SwitchCyclesSlept, NodeCyclesSkipped int    // input ports cool, switches asleep, end nodes skipping, all holding packets
 	FlowVisits, FlowCyclesSkipped                        int64  // flows the generators visited, and live flows they let lie for a cycle
-	WheelEvents, HeapEvents, Ticks                       uint64 // the engine's Work: events fired by origin, ticks dispatched
+	WheelEvents, HeapEvents, Ticks                       uint64 // the engine's work: events fired by origin, ticks dispatched
+	PacketsFresh, PacketsReused                          int    // packets the pool allocated, and served from its free-list
 }
 
-// Elided sums the devices' counters and splits the engine's.
+// Elided sums the devices' counters, splits the engine's, reads the pool's.
 func (n *Network) Elided() (e Elided) {
 	for _, sw := range n.Switches {
 		st := sw.Stats()
@@ -450,6 +451,7 @@ func (n *Network) Elided() (e Elided) {
 		e.FlowVisits, e.FlowCyclesSkipped = n.Gen.Visits()
 	}
 	e.WheelEvents, e.HeapEvents, e.Ticks = n.Eng.Counts()
+	e.PacketsFresh, e.PacketsReused = n.pool.Allocs, n.pool.Reuses
 	return
 }
 

@@ -193,7 +193,7 @@ type Engine struct {
 	seq    uint64
 	phases [numPhases]tickList
 	awake  int // total awake tickers across all phases
-	// Events fired from the heap and ticks executed, for Work and Counts.
+	// Events fired from the heap and ticks executed, for Counts.
 	heapFired, ticks uint64
 	seed             int64
 	rngSeq           int64
@@ -435,13 +435,10 @@ func (e *Engine) NextEvent() (Cycle, bool) {
 	return at, at != Never
 }
 
-// Work returns the engine's lifetime work count: events fired (every one
-// scheduled and no longer pending) plus ticks executed — a deterministic
-// measure of how busy the engine has been, never of wall-clock time.
-func (e *Engine) Work() uint64 { return e.seq - uint64(e.Pending()) + e.ticks }
-
-// Counts splits Work: events fired from the wheel, events fired from the
-// overflow heap, ticks dispatched.
+// Counts returns the engine's lifetime work: events fired from the wheel,
+// events fired from the overflow heap (together, every one scheduled and
+// no longer pending), ticks dispatched — a deterministic measure of how
+// busy the engine has been, never of wall-clock time.
 func (e *Engine) Counts() (wheel, heap, ticks uint64) {
 	return e.seq - uint64(e.Pending()) - e.heapFired, e.heapFired, e.ticks
 }
