@@ -19,7 +19,7 @@ import (
 //
 // Regenerate (only when an intentional behaviour change is made) with:
 //
-//	go test ./internal/experiments -run 'TestGoldenDigests|TestWorkLedger' -update-golden
+//	go test ./internal/experiments -run 'TestGoldenDigests|Pinned' -update-golden
 //
 // which also rewrites the work ledger's measured values (ledger_test.go).
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json and the values measured in testdata/work_ledger.json")

@@ -125,6 +125,45 @@ func keys[V any](a, b map[string]V) []string {
 	return ks
 }
 
+// rowKind names the test that owns a ledger row: "build" and "cell" rows
+// are allocation rows, and a golden cell's row has no prefix.
+func rowKind(name string) string {
+	if kind, _, ok := strings.Cut(name, " "); ok {
+		return kind
+	}
+	return ""
+}
+
+// checkLedgerRows compares got with the ledger's rows of one kind. On
+// -update-golden it rewrites those rows and keeps every other row as it is.
+func checkLedgerRows(t *testing.T, kind string, got map[string]ledgerRow) {
+	t.Helper()
+	ledger := make(map[string]ledgerRow)
+	if _, err := os.Stat(ledgerPath); err == nil || !*updateGolden {
+		testutil.ReadGoldenJSON(t, ledgerPath, &ledger)
+	}
+	want := make(map[string]ledgerRow)
+	for name, row := range ledger {
+		if rowKind(name) == kind {
+			want[name] = row
+			delete(ledger, name)
+		}
+	}
+	next, diff, failures := checkLedger(want, got, *updateGolden)
+	for _, f := range failures {
+		t.Error(f)
+	}
+	if *updateGolden {
+		for _, d := range diff {
+			t.Log(d)
+		}
+		for name, row := range next {
+			ledger[name] = row
+		}
+		testutil.WriteGoldenJSON(t, ledgerPath, ledger)
+	}
+}
+
 // allocCases are the allocation rows: a build measures Build alone, a cell
 // the whole job.
 var allocCases = []struct{ kind, exp, scheme string }{
@@ -138,13 +177,14 @@ var allocCases = []struct{ kind, exp, scheme string }{
 	{"cell", "xleafshuffle", "CCFIT"},
 }
 
-// measureAllocs adds the allocation rows to got. MemStats deltas are
-// process-wide, so it runs while no other test does. Under -race the
-// detector allocates on its own and a cell's bytes do not hold, so the
-// cell rows are carried over from want unmeasured.
-func measureAllocs(t *testing.T, want, got map[string]ledgerRow) {
+// measureAllocs measures the allocation rows of one kind. MemStats deltas
+// are process-wide, so it runs while no other test does.
+func measureAllocs(t *testing.T, kind string) map[string]ledgerRow {
+	got := make(map[string]ledgerRow)
 	for _, c := range allocCases {
-		name := fmt.Sprintf("%s %s/%s", c.kind, c.exp, c.scheme)
+		if c.kind != kind {
+			continue
+		}
 		exp, err := ByID(c.exp)
 		if err != nil {
 			t.Fatal(err)
@@ -160,46 +200,41 @@ func measureAllocs(t *testing.T, want, got map[string]ledgerRow) {
 			}
 			return n
 		}
-		switch {
-		case c.kind == "build":
+		name := fmt.Sprintf("%s %s/%s", c.kind, c.exp, c.scheme)
+		if kind == "build" {
 			got[name] = ledgerRow{"Allocs": int64(testing.AllocsPerRun(1, func() { build() }))}
-		case raceEnabled:
-			got[name] = want[name]
-		default:
-			cell := func() {
-				n := build()
-				if err := n.RunAudited(exp.Duration); err != nil {
-					t.Fatal(err)
-				}
-				Harvest(exp, c.scheme, 1, n)
-			}
-			cell() // warm-up: state a process builds once (type caches, pools)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			cell()
-			runtime.ReadMemStats(&after)
-			got[name] = ledgerRow{"Allocs": int64(after.Mallocs - before.Mallocs), "KB": int64(after.TotalAlloc-before.TotalAlloc) / 1000}
+			continue
 		}
+		cell := func() {
+			n := build()
+			if err := n.RunAudited(exp.Duration); err != nil {
+				t.Fatal(err)
+			}
+			Harvest(exp, c.scheme, 1, n)
+		}
+		cell() // warm-up: state a process builds once (type caches, pools)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cell()
+		runtime.ReadMemStats(&after)
+		got[name] = ledgerRow{"Allocs": int64(after.Mallocs - before.Mallocs), "KB": int64(after.TotalAlloc-before.TotalAlloc) / 1000}
 	}
-}
-
-func TestWorkLedger(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the ledger reads the golden runs")
-	}
-	var want map[string]ledgerRow
-	if _, err := os.Stat(ledgerPath); err == nil || !*updateGolden {
-		testutil.ReadGoldenJSON(t, ledgerPath, &want)
-	}
-	got := make(map[string]ledgerRow)
-	measureAllocs(t, want, got)
 	for name, row := range got {
 		for f, v := range row {
-			if v <= 0 && !strings.HasSuffix(f, ceiling) {
+			if v <= 0 {
 				t.Errorf("%s %s measured %d: the measurement is broken", name, f, v)
 			}
 		}
 	}
+	return got
+}
+
+// TestEngineWorkPinned checks every golden cell's row of the work ledger.
+func TestEngineWorkPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the ledger reads the golden runs")
+	}
+	got := make(map[string]ledgerRow)
 	for _, c := range runGolden(t) {
 		got[c.key] = c.row
 		// A row proves something only where the engine skipped work and
@@ -214,16 +249,21 @@ func TestWorkLedger(t *testing.T) {
 			t.Errorf("%s: %d heap events against %d from the wheel", c.key, r["HeapEvents"], r["WheelEvents"])
 		}
 	}
-	next, diff, failures := checkLedger(want, got, *updateGolden)
-	for _, f := range failures {
-		t.Error(f)
+	checkLedgerRows(t, "", got)
+}
+
+// TestBuildAllocsPinned holds each build row under its ceiling.
+func TestBuildAllocsPinned(t *testing.T) {
+	checkLedgerRows(t, "build", measureAllocs(t, "build"))
+}
+
+// TestCellAllocsPinned holds each cell row's allocations and kB under their
+// ceilings.
+func TestCellAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
 	}
-	if *updateGolden {
-		for _, d := range diff {
-			t.Log(d)
-		}
-		testutil.WriteGoldenJSON(t, ledgerPath, next)
-	}
+	checkLedgerRows(t, "cell", measureAllocs(t, "cell"))
 }
 
 func TestCheckLedger(t *testing.T) {
