@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"flag"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -16,24 +15,27 @@ import (
 // of the normalized and per-flow series, all latency statistics, and
 // all congestion-management counters — so any change to event ordering,
 // RNG stream assignment, or component tick order shows up immediately.
+// The same runs feed the work ledger's golden rows (ledger_test.go).
 //
 // Regenerate (only when an intentional behaviour change is made) with:
 //
-//	go test ./internal/experiments -run 'TestGoldenDigests|Pinned' -update-golden
+//	go test ./internal/experiments -run TestGoldenDigests -update-golden
 //
-// which also rewrites the work ledger's measured values (ledger_test.go).
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json and the values measured in testdata/work_ledger.json")
+// which also rewrites the ledger's golden rows, never its ceilings.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json and the golden rows of testdata/work_ledger.json")
 
 const goldenPath = "testdata/golden_digests.json"
+
+type goldenCase struct {
+	expID string
+	scale float64
+}
 
 // goldenCases picks one experiment per Table I config, plus the two
 // extras whose scheme lists reach the presets no paper figure runs
 // (DBBM, VOQsw-only, OBQA). Durations are scaled to keep the test fast;
 // the scale is part of the pinned input.
-var goldenCases = []struct {
-	expID string
-	scale float64
-}{
+var goldenCases = []goldenCase{
 	{"fig7a", 0.5},      // Config #1, throughput
 	{"fig8a", 0.25},     // Config #3, throughput, VOQnet included
 	{"fig9", 0.5},       // Config #1, per-flow bandwidth
@@ -41,78 +43,71 @@ var goldenCases = []struct {
 	{"xfairness", 0.25}, // Config #1, all eight schemes
 }
 
-// goldenCell is what one golden run pins: its Result's digest here, its
-// counts in the work ledger (ledger_test.go).
-type goldenCell struct {
-	key, digest string
-	row         ledgerRow
-}
-
-// A goldenJob runs its cell at most once per test binary, however many
-// tests read it.
-type goldenJob struct {
-	key string
-	run func() (goldenCell, error)
-}
-
-var goldenJobs = sync.OnceValue(func() (jobs []goldenJob) {
-	for _, c := range goldenCases {
-		exp, err := ByID(c.expID)
-		if err != nil {
-			panic(err)
-		}
-		exp.Duration = sim.Cycle(float64(exp.Duration) * c.scale)
-		for _, s := range exp.Schemes {
-			key := c.expID + "/" + s
-			jobs = append(jobs, goldenJob{key, sync.OnceValues(func() (goldenCell, error) {
-				p, err := SchemeByName(s)
-				if err != nil {
-					return goldenCell{}, err
-				}
-				n, err := exp.Build(p, 1, exp.Bin, exp.Duration, BuildOpts{})
-				if err != nil {
-					return goldenCell{}, err
-				}
-				n.Run(exp.Duration)
-				digest, err := testutil.JSONDigest(Harvest(exp, s, 1, n))
-				return goldenCell{key, digest, workRow(n)}, err
-			})})
-		}
+// runGolden runs every scheme of each case as a parallel subtest of
+// t/runs and returns each cell's digest and work-ledger row by
+// "exp/scheme". Every run is an independent single-goroutine simulation,
+// so they can execute concurrently without perturbing each other's
+// digests or counts.
+func runGolden(t *testing.T, cases []goldenCase) (digests map[string]string, rows map[string]ledgerRow) {
+	type cell struct {
+		key, digest string
+		row         ledgerRow
 	}
-	return jobs
-})
-
-// runGolden runs the golden cells as parallel subtests of t/runs and
-// returns them in goldenCases order. Every run is an independent
-// single-goroutine simulation, so they can execute concurrently without
-// perturbing each other's digests or counts.
-func runGolden(t *testing.T) []goldenCell {
-	jobs := goldenJobs()
-	cells := make([]goldenCell, len(jobs))
+	var cells []*cell
 	if !t.Run("runs", func(t *testing.T) {
-		for i, j := range jobs {
-			t.Run(j.key, func(t *testing.T) {
-				t.Parallel()
-				c, err := j.run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cells[i] = c
-			})
+		for _, c := range cases {
+			exp, err := ByID(c.expID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp.Duration = sim.Cycle(float64(exp.Duration) * c.scale)
+			for _, s := range exp.Schemes {
+				out := &cell{key: c.expID + "/" + s}
+				cells = append(cells, out)
+				t.Run(out.key, func(t *testing.T) {
+					t.Parallel()
+					p, err := SchemeByName(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, err := exp.Build(p, 1, exp.Bin, exp.Duration, BuildOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					n.Run(exp.Duration)
+					out.digest = testutil.MustJSONDigest(t, Harvest(exp, s, 1, n))
+					out.row = workRow(n)
+				})
+			}
 		}
 	}) {
 		t.FailNow()
 	}
-	return cells
+	digests, rows = make(map[string]string), make(map[string]ledgerRow)
+	for _, c := range cells {
+		digests[c.key], rows[c.key] = c.digest, c.row
+	}
+	return digests, rows
 }
 
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs take a few seconds")
 	}
-	got := make(map[string]string)
-	for _, c := range runGolden(t) {
-		got[c.key] = c.digest
-	}
-	testutil.CompareGoldenMap(t, goldenPath, got, *updateGolden)
+	digests, rows := runGolden(t, goldenCases)
+	t.Run("digests", func(t *testing.T) {
+		testutil.CompareGoldenMap(t, goldenPath, digests, *updateGolden)
+	})
+	t.Run("ledger", func(t *testing.T) {
+		assertWorkRows(t, rows)
+		if !*updateGolden {
+			for _, d := range diffLedger(readLedger(t, ledgerPath).Golden, rows) {
+				t.Error(d)
+			}
+			return
+		}
+		for _, d := range updateLedger(t, ledgerPath, rows) {
+			t.Log(d)
+		}
+	})
 }

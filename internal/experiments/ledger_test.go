@@ -3,7 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -13,42 +13,62 @@ import (
 	"repro/internal/testutil"
 )
 
-// The work ledger pins every count the engine's speed-ups rest on, one row
-// per golden cell, read off the runs TestGoldenDigests makes: the engine's
-// events by origin and ticks, the events pending at the end, what the
-// devices and generators skipped (network.Elided) and how many packets the
-// pool allocated and reused. A golden digest says what a run computed;
-// its row says how much work the engine did to compute it, so a change
-// that keeps every digest and costs more work (a port that never cools, a
-// switch that never naps, a pool that keeps nothing) fails here by name.
+// The work ledger pins every count the engine's speed-ups rest on, one
+// golden row per golden cell, read off the runs TestGoldenDigests makes:
+// the engine's events by origin and ticks, the events pending at the end,
+// what the devices and generators skipped (network.Elided) and how many
+// packets the pool allocated and reused. A golden digest says what a run
+// computed; its row says how much work the engine did to compute it, so a
+// change that keeps every digest and costs more work (a port that never
+// cools, a switch that never naps, a pool that keeps nothing) fails here
+// by name. Golden rows compare exactly; -update-golden rewrites them and
+// logs each "cell field old → new".
 //
-// Beside them sit eight allocation rows. A network's per-destination state
-// (AdVOQs, throttle rows) is created on first use and a port's queues are
-// one allocation, so what a build allocates grows with the ports and links
-// it wires, not with endpoints squared; one allocation per (node,
-// destination) pair adds back 512² = 262 144 on Config #4, 64² = 4 096 on
-// Config #3 and 256 on the leaf-spine fabric. A short finite-flow cell —
-// Build, RunAudited and Harvest, as a job runs it — costs its network plus
-// one collector record, one wake-up closure and two window edges a flow
-// (with per-flow series grown one bin at a time in a map, FCT records in a
-// second map and two engine events armed a flow, the two cells cost 5 887
-// allocations of 1 110 kB and 4 783 of 748 kB).
-//
-// Counts compare exactly. Allocations and kB depend on the toolchain, so
-// they are held under the ceiling beside them, a few per cent above the
-// value measured when it was set. -update-golden rewrites the measured
-// values and logs each "row field old → new"; it never writes a ceiling:
-// lower one when a change lowers its count, raise one by hand only with the
-// reason in CHANGES.md.
+// Beside them sit eight allocation ceilings. A network's per-destination
+// state (AdVOQs, throttle rows) is created on first use and a port's
+// queues are one allocation, so what a build allocates grows with the
+// ports and links it wires, not with endpoints squared; one allocation per
+// (node, destination) pair adds back 512² = 262 144 on Config #4, 64² =
+// 4 096 on Config #3 and 256 on the leaf-spine fabric. A short finite-flow
+// cell — Build, RunAudited and Harvest, as a job runs it — costs its
+// network plus one collector record, one wake-up closure and two window
+// edges a flow (with per-flow series grown one bin at a time in a map, FCT
+// records in a second map and two engine events armed a flow, the two
+// cells cost 5 887 allocations of 1 110 kB and 4 783 of 748 kB).
+// Allocations and kB depend on the toolchain, so each is held under a
+// ceiling a few per cent above the count measured when it was set (-v
+// logs today's). Nothing rewrites a ceiling: lower one when a change
+// lowers its count, raise one only with the reason in CHANGES.md.
 const ledgerPath = "testdata/work_ledger.json"
 
-// A ledgerRow maps a field to its value. A field F beside F+ceiling is a
-// measurement held under that ceiling; every other field is exact.
+type workLedger struct {
+	Golden        map[string]ledgerRow // exact, by golden cell
+	BuildCeilings map[string]ledgerRow // Build's allocations, by exp/scheme
+	CellCeilings  map[string]ledgerRow // a whole cell's allocations and kB
+}
+
+// A ledgerRow maps a field to its value.
 type ledgerRow map[string]int64
 
-const ceiling = "Ceiling"
+func readLedger(t *testing.T, path string) workLedger {
+	t.Helper()
+	var l workLedger
+	testutil.ReadGoldenJSON(t, path, &l)
+	return l
+}
 
-// workRow reads a finished run's ledger row.
+// updateLedger replaces the golden rows of the ledger at path with rows,
+// keeping its ceilings, and returns what moved.
+func updateLedger(t *testing.T, path string, rows map[string]ledgerRow) (diff []string) {
+	t.Helper()
+	l := readLedger(t, path)
+	diff = diffLedger(l.Golden, rows)
+	l.Golden = rows
+	testutil.WriteGoldenJSON(t, path, l)
+	return diff
+}
+
+// workRow reads a finished run's golden row.
 func workRow(n *network.Network) ledgerRow {
 	b, err := json.Marshal(n.Elided())
 	if err != nil {
@@ -62,52 +82,42 @@ func workRow(n *network.Network) ledgerRow {
 	return row
 }
 
-// checkLedger compares measured rows against pinned ones. It returns the
-// ledger to write on an update (got's values under want's ceilings), one
-// "row field old → new" line for every value that moved, and the
-// failures: a measurement above its ceiling, and — unless update is set —
-// an exact value that moved or a row or field only one side has.
-func checkLedger(want, got map[string]ledgerRow, update bool) (next map[string]ledgerRow, diff, failures []string) {
-	next = make(map[string]ledgerRow, len(got))
-	moved := func(line string, exact bool) {
-		diff = append(diff, line)
-		if exact && !update {
-			failures = append(failures, line)
-		}
-	}
+// diffLedger returns one "row field old → new" line for every value that
+// moved from want to got, and one for every row or field only one side
+// has.
+func diffLedger(want, got map[string]ledgerRow) (diff []string) {
 	for _, name := range keys(want, got) {
 		w, g := want[name], got[name]
-		if g == nil {
-			moved(name+": pinned but not measured", true)
+		if w == nil || g == nil {
+			diff = append(diff, fmt.Sprintf("%s: pinned %v, measured %v", name, w, g))
 			continue
 		}
-		row := make(ledgerRow, len(g))
 		for _, f := range keys(w, g) {
-			v, measured := g[f]
 			old, pinned := w[f]
+			v, measured := g[f]
 			switch {
-			case strings.HasSuffix(f, ceiling):
-				continue
-			case !measured:
-				moved(fmt.Sprintf("%s %s: pinned but not measured", name, f), true)
-				continue
-			case !pinned:
-				moved(fmt.Sprintf("%s %s: measured %d, not pinned", name, f, v), true)
+			case !pinned || !measured:
+				diff = append(diff, fmt.Sprintf("%s %s: pinned %t, measured %t", name, f, pinned, measured))
 			case v != old:
-				_, bounded := w[f+ceiling]
-				moved(fmt.Sprintf("%s %s %d → %d", name, f, old, v), !bounded)
-			}
-			row[f] = v
-			if c, ok := w[f+ceiling]; ok {
-				row[f+ceiling] = c
-				if v > c {
-					failures = append(failures, fmt.Sprintf("%s %s %d is above its ceiling %d", name, f, v, c))
-				}
+				diff = append(diff, fmt.Sprintf("%s %s %d → %d", name, f, old, v))
 			}
 		}
-		next[name] = row
 	}
-	return next, diff, failures
+	return diff
+}
+
+// overCeiling returns a failure for every field of got above its ceiling,
+// and for every ceiling got did not measure or measured as nothing.
+func overCeiling(name string, got, ceilings ledgerRow) (failures []string) {
+	for _, f := range keys(ceilings, nil) {
+		switch v, c := got[f], ceilings[f]; {
+		case v <= 0:
+			failures = append(failures, fmt.Sprintf("%s %s measured %d: the measurement is broken", name, f, v))
+		case v > c:
+			failures = append(failures, fmt.Sprintf("%s %s %d is above its ceiling %d", name, f, v, c))
+		}
+	}
+	return failures
 }
 
 // keys returns the row or field names of a and b, sorted.
@@ -125,184 +135,146 @@ func keys[V any](a, b map[string]V) []string {
 	return ks
 }
 
-// rowKind names the test that owns a ledger row: "build" and "cell" rows
-// are allocation rows, and a golden cell's row has no prefix.
-func rowKind(name string) string {
-	if kind, _, ok := strings.Cut(name, " "); ok {
-		return kind
-	}
-	return ""
-}
-
-// checkLedgerRows compares got with the ledger's rows of one kind. On
-// -update-golden it rewrites those rows and keeps every other row as it is.
-func checkLedgerRows(t *testing.T, kind string, got map[string]ledgerRow) {
+// assertWorkRows holds what makes a golden row worth pinning: the engine
+// skipped work and the pool recycled packets (end nodes may never skip:
+// DBBM, OBQA and VOQsw on Config #3 do not), and the overflow heap takes
+// the few far timers only.
+func assertWorkRows(t *testing.T, rows map[string]ledgerRow) {
 	t.Helper()
-	ledger := make(map[string]ledgerRow)
-	if _, err := os.Stat(ledgerPath); err == nil || !*updateGolden {
-		testutil.ReadGoldenJSON(t, ledgerPath, &ledger)
-	}
-	want := make(map[string]ledgerRow)
-	for name, row := range ledger {
-		if rowKind(name) == kind {
-			want[name] = row
-			delete(ledger, name)
+	for _, name := range keys(rows, nil) {
+		r := rows[name]
+		if r["CoolPortCycles"] == 0 || r["SwitchCyclesSlept"] == 0 || r["PacketsReused"] == 0 {
+			t.Errorf("%s: nothing elided or reused (%v): the row proves nothing", name, r)
+		}
+		if r["HeapEvents"] == 0 || r["HeapEvents"]*20 > r["WheelEvents"] {
+			t.Errorf("%s: %d heap events against %d from the wheel", name, r["HeapEvents"], r["WheelEvents"])
 		}
 	}
-	next, diff, failures := checkLedger(want, got, *updateGolden)
-	for _, f := range failures {
-		t.Error(f)
+}
+
+// TestEngineWorkPinned runs fig7a's golden cells on their own, -short
+// included, and checks their rows; TestGoldenDigests checks all 27.
+func TestEngineWorkPinned(t *testing.T) {
+	_, got := runGolden(t, goldenCases[:1])
+	assertWorkRows(t, got)
+	pinned, want := readLedger(t, ledgerPath).Golden, make(map[string]ledgerRow)
+	for name := range got {
+		want[name] = pinned[name]
 	}
+	report := t.Errorf
 	if *updateGolden {
-		for _, d := range diff {
-			t.Log(d)
-		}
-		for name, row := range next {
-			ledger[name] = row
-		}
-		testutil.WriteGoldenJSON(t, ledgerPath, ledger)
+		report = t.Logf // TestGoldenDigests rewrites the rows
+	}
+	for _, d := range diffLedger(want, got) {
+		report("%s", d)
 	}
 }
 
-// allocCases are the allocation rows: a build measures Build alone, a cell
-// the whole job.
-var allocCases = []struct{ kind, exp, scheme string }{
-	{"build", "x512hotspot", "1Q"},
-	{"build", "x512hotspot", "ITh"},
-	{"build", "x512hotspot", "FBICM"},
-	{"build", "x512hotspot", "CCFIT"},
-	{"build", "fig8b", "1Q"},
-	{"build", "xleafincast", "CCFIT"},
-	{"cell", "xleafincast", "CCFIT"},
-	{"cell", "xleafshuffle", "CCFIT"},
+// allocCell builds the named exp/scheme cell's network.
+func allocCell(t *testing.T, name string) (Experiment, func() *network.Network) {
+	t.Helper()
+	id, scheme, _ := strings.Cut(name, "/")
+	exp, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := SchemeByName(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp, func() *network.Network {
+		n, err := exp.Build(p, 1, exp.Bin, exp.Duration, BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 }
 
-// measureAllocs measures the allocation rows of one kind. MemStats deltas
-// are process-wide, so it runs while no other test does.
-func measureAllocs(t *testing.T, kind string) map[string]ledgerRow {
-	got := make(map[string]ledgerRow)
-	for _, c := range allocCases {
-		if c.kind != kind {
-			continue
+// TestBuildAllocsPinned holds each build under its ceiling.
+func TestBuildAllocsPinned(t *testing.T) {
+	ceilings := readLedger(t, ledgerPath).BuildCeilings
+	for _, name := range keys(ceilings, nil) {
+		_, build := allocCell(t, name)
+		allocs := int64(testing.AllocsPerRun(1, func() { build() }))
+		t.Logf("%s: Build makes %d allocations", name, allocs)
+		for _, f := range overCeiling(name, ledgerRow{"Allocs": allocs}, ceilings[name]) {
+			t.Error(f)
 		}
-		exp, err := ByID(c.exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := SchemeByName(c.scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		build := func() *network.Network {
-			n, err := exp.Build(p, 1, exp.Bin, exp.Duration, BuildOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n
-		}
-		name := fmt.Sprintf("%s %s/%s", c.kind, c.exp, c.scheme)
-		if kind == "build" {
-			got[name] = ledgerRow{"Allocs": int64(testing.AllocsPerRun(1, func() { build() }))}
-			continue
-		}
+	}
+}
+
+// TestCellAllocsPinned holds each whole cell's allocations and kB under
+// their ceilings. MemStats deltas are process-wide, so it measures while
+// no other test runs.
+func TestCellAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ceilings := readLedger(t, ledgerPath).CellCeilings
+	for _, name := range keys(ceilings, nil) {
+		exp, build := allocCell(t, name)
+		_, scheme, _ := strings.Cut(name, "/")
 		cell := func() {
 			n := build()
 			if err := n.RunAudited(exp.Duration); err != nil {
 				t.Fatal(err)
 			}
-			Harvest(exp, c.scheme, 1, n)
+			Harvest(exp, scheme, 1, n)
 		}
 		cell() // warm-up: state a process builds once (type caches, pools)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		cell()
 		runtime.ReadMemStats(&after)
-		got[name] = ledgerRow{"Allocs": int64(after.Mallocs - before.Mallocs), "KB": int64(after.TotalAlloc-before.TotalAlloc) / 1000}
-	}
-	for name, row := range got {
-		for f, v := range row {
-			if v <= 0 {
-				t.Errorf("%s %s measured %d: the measurement is broken", name, f, v)
-			}
+		got := ledgerRow{"Allocs": int64(after.Mallocs - before.Mallocs), "KB": int64(after.TotalAlloc-before.TotalAlloc) / 1000}
+		t.Logf("%s: a cell makes %d allocations of %d kB", name, got["Allocs"], got["KB"])
+		for _, f := range overCeiling(name, got, ceilings[name]) {
+			t.Error(f)
 		}
 	}
-	return got
-}
-
-// TestEngineWorkPinned checks every golden cell's row of the work ledger.
-func TestEngineWorkPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the ledger reads the golden runs")
-	}
-	got := make(map[string]ledgerRow)
-	for _, c := range runGolden(t) {
-		got[c.key] = c.row
-		// A row proves something only where the engine skipped work and
-		// the pool recycled packets (end nodes may never skip: DBBM, OBQA
-		// and VOQsw on Config #3 do not), and the overflow heap takes the
-		// few far timers only.
-		r := c.row
-		if r["CoolPortCycles"] == 0 || r["SwitchCyclesSlept"] == 0 || r["PacketsReused"] == 0 {
-			t.Errorf("%s: nothing elided or reused (%v): the row proves nothing", c.key, r)
-		}
-		if r["HeapEvents"] == 0 || r["HeapEvents"]*20 > r["WheelEvents"] {
-			t.Errorf("%s: %d heap events against %d from the wheel", c.key, r["HeapEvents"], r["WheelEvents"])
-		}
-	}
-	checkLedgerRows(t, "", got)
-}
-
-// TestBuildAllocsPinned holds each build row under its ceiling.
-func TestBuildAllocsPinned(t *testing.T) {
-	checkLedgerRows(t, "build", measureAllocs(t, "build"))
-}
-
-// TestCellAllocsPinned holds each cell row's allocations and kB under their
-// ceilings.
-func TestCellAllocsPinned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
-	checkLedgerRows(t, "cell", measureAllocs(t, "cell"))
 }
 
 func TestCheckLedger(t *testing.T) {
-	want := map[string]ledgerRow{
-		"fig7a/CCFIT":            {"Ticks": 66980, "Pending": 22},
-		"cell xleafincast/CCFIT": {"Allocs": 3192, "AllocsCeiling": 3300, "KB": 538, "KBCeiling": 595},
+	want := map[string]ledgerRow{"fig7a/CCFIT": {"Ticks": 66980, "Pending": 22}}
+	moved := map[string]ledgerRow{"fig7a/CCFIT": {"Ticks": 66981, "Pending": 22}}
+	if diff := diffLedger(want, want); len(diff) != 0 {
+		t.Errorf("a row at its pins: %q", diff)
 	}
-	measured := func(ticks, allocs int64) map[string]ledgerRow {
-		return map[string]ledgerRow{
-			"fig7a/CCFIT":            {"Ticks": ticks, "Pending": 22},
-			"cell xleafincast/CCFIT": {"Allocs": allocs, "KB": 538},
-		}
+	if diff := diffLedger(want, moved); len(diff) != 1 || diff[0] != "fig7a/CCFIT Ticks 66980 → 66981" {
+		t.Errorf("an exact field moved by 1: %q", diff)
 	}
-	if _, diff, failures := checkLedger(want, measured(66980, 3300), false); len(failures) != 0 {
-		t.Errorf("a ledger at its pins and ceilings fails: %q (diff %q)", failures, diff)
+	if diff := diffLedger(want, map[string]ledgerRow{"fig7a/1Q": {"Ticks": 66980, "Pending": 22}}); len(diff) != 2 {
+		t.Errorf("a row only one side has: %q", diff)
 	}
-	if _, _, failures := checkLedger(want, measured(66981, 3192), false); len(failures) != 1 || failures[0] != "fig7a/CCFIT Ticks 66980 → 66981" {
-		t.Errorf("an exact field moved by 1: failures %q", failures)
+	if diff := diffLedger(want, map[string]ledgerRow{"fig7a/CCFIT": {"Ticks": 66980}}); len(diff) != 1 {
+		t.Errorf("a field only one side has: %q", diff)
 	}
-	if _, _, failures := checkLedger(want, measured(66980, 3301), false); len(failures) != 1 || failures[0] != "cell xleafincast/CCFIT Allocs 3301 is above its ceiling 3300" {
-		t.Errorf("an allocation row one above its ceiling: failures %q", failures)
+
+	ceilings := ledgerRow{"Allocs": 3300, "KB": 595}
+	if f := overCeiling("xleafincast/CCFIT", ledgerRow{"Allocs": 3300, "KB": 595}, ceilings); len(f) != 0 {
+		t.Errorf("a cell at its ceilings: %q", f)
 	}
-	next, diff, failures := checkLedger(want, measured(66981, 3250), true)
-	if len(failures) != 0 || len(diff) != 2 {
-		t.Errorf("update: failures %q, diff %q", failures, diff)
+	if f := overCeiling("xleafincast/CCFIT", ledgerRow{"Allocs": 3301, "KB": 538}, ceilings); len(f) != 1 || f[0] != "xleafincast/CCFIT Allocs 3301 is above its ceiling 3300" {
+		t.Errorf("an allocation row one above its ceiling: %q", f)
 	}
-	if got := next["fig7a/CCFIT"]["Ticks"]; got != 66981 {
+	if f := overCeiling("xleafincast/CCFIT", ledgerRow{"Allocs": 3192}, ceilings); len(f) != 1 {
+		t.Errorf("a ceiling with nothing measured: %q", f)
+	}
+
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	testutil.WriteGoldenJSON(t, path, workLedger{
+		Golden:       want,
+		CellCeilings: map[string]ledgerRow{"xleafincast/CCFIT": ceilings},
+	})
+	if diff := updateLedger(t, path, moved); len(diff) != 1 {
+		t.Errorf("update: %q", diff)
+	}
+	l := readLedger(t, path)
+	if got := l.Golden["fig7a/CCFIT"]["Ticks"]; got != 66981 {
 		t.Errorf("update wrote Ticks %d, want the measured 66981", got)
 	}
-	if row := next["cell xleafincast/CCFIT"]; row["Allocs"] != 3250 || row["AllocsCeiling"] != 3300 || row["KBCeiling"] != 595 {
-		t.Errorf("update wrote %v: the measured value moves, the ceilings stay", row)
-	}
-	if _, _, failures := checkLedger(want, measured(66980, 3301), true); len(failures) != 1 {
-		t.Errorf("update above a ceiling: failures %q; an update never raises one", failures)
-	}
-	got := measured(66980, 3192)
-	delete(got, "fig7a/CCFIT")
-	got["fig7a/1Q"] = ledgerRow{"Ticks": 1}
-	if _, _, failures := checkLedger(want, got, false); len(failures) != 2 {
-		t.Errorf("a row only one side has: failures %q", failures)
+	if got := l.CellCeilings["xleafincast/CCFIT"]; len(got) != 2 || got["Allocs"] != 3300 || got["KB"] != 595 {
+		t.Errorf("update wrote the ceilings %v: it never writes one", got)
 	}
 }
