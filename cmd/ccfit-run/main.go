@@ -1,9 +1,9 @@
 // Command ccfit-run is the one client. Without a verb it executes
 // arbitrary experiment job grids through the parallel runner: every
 // requested (experiment, scheme, seed) combination is validated up
-// front, fanned across a worker pool, served from the on-disk result
-// cache when warm, and rendered in deterministic order (parallel
-// campaigns print byte-identical results to serial ones).
+// front, fanned across -workers in-process slots, served from the
+// on-disk result cache when warm, and rendered in deterministic order
+// (parallel campaigns print byte-identical results to serial ones).
 //
 // Usage:
 //

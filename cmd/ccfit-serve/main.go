@@ -1,15 +1,16 @@
 // Command ccfit-serve is the long-running campaign service: it accepts
 // campaign submissions (the same experiment/sweep specs ccfit-run
-// consumes) over HTTP+JSON, expands them into jobs, and schedules them
-// across a worker pool with the content-addressed result cache as the
-// shared dedup layer. A campaign on disk is its spec file plus, once
-// cancelled, a cancel mark under data/campaigns; the cache under
-// data/cache holds every finished cell — results and quarantined
-// outcomes — so a campaign resumes after a crash or restart, and
-// overlapping or resubmitted campaigns skip every already-computed cell
-// for free. Transient failures are not stored: they rerun after a
-// restart. Journals an older build wrote under data/journal are not read;
-// resubmitting such a campaign costs only cache hits.
+// consumes) over HTTP+JSON and expands them into jobs on one queue that
+// its in-process slots and remote workers claim from, with the
+// content-addressed result cache as the shared dedup layer. A campaign
+// on disk is its spec file plus, once cancelled, a cancel mark under
+// data/campaigns; the cache under data/cache holds every finished cell
+// — results and quarantined outcomes — so a campaign resumes after a
+// crash or restart, and overlapping or resubmitted campaigns skip every
+// already-computed cell for free. Transient failures are not stored:
+// they rerun after a restart. Journals an older build wrote under
+// data/journal are not read; resubmitting such a campaign costs only
+// cache hits.
 //
 // Usage:
 //
@@ -21,21 +22,12 @@
 // DELETE /campaigns/{id}, GET /metrics, GET /healthz. Remote workers
 // (ccfit-worker) attach through POST /dispatch/* under lease-based
 // claims (-lease-ttl, -max-reassign); the connected fleet is visible
-// at GET /workers, and with no workers attached jobs simply run in the
-// local pool.
+// at GET /workers. The -workers in-process slots take jobs only while
+// no worker is live, so with none attached jobs simply run in-process.
 //
-// -workers N also caps the jobs in flight on the remote fleet: each of
-// the scheduler's N goroutines blocks in Board.Enqueue until its remote
-// result returns, so a fleet with more slots than N sits partly idle.
-// On the datacenter workload's command line with two `ccfit-worker
-// -jobs 1` (a shared 2-vCPU host), -workers 1 took 2.75-3.17 s against
-// 1.72-1.98 s at -workers 2. Give the service at least as many workers
-// as the fleet has slots. The real fix, one queue that local and remote
-// workers claim from alike, must keep the executor path the benchmark's
-// service probe times; DESIGN §10 says why.
-//
-// On SIGINT/SIGTERM the server drains gracefully: in-flight jobs
-// finish and are cached, and queued jobs resume in the next process.
+// On SIGINT/SIGTERM the server drains gracefully: in-flight jobs —
+// remote ones too, while the server still takes their results — finish
+// and are cached, and queued jobs resume in the next process.
 // The cache needs no flush: an entry's mtime is its last access, which
 // orders -cache-max-bytes eviction.
 package main
@@ -145,17 +137,18 @@ func main() {
 	stop() // a second signal now kills the process immediately
 	fmt.Fprintln(os.Stderr, "ccfit-serve: draining (in-flight jobs finish; queued jobs resume next start)")
 
-	baseCancel() // release long-lived event streams
+	baseCancel() // release long-lived event streams and parked claims
+	// The scheduler drains while HTTP still serves, so a worker's
+	// in-flight job can deliver; the board closes after it, with no
+	// lease left to hand back.
+	if err := sched.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "ccfit-serve: scheduler close: %v\n", err)
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "ccfit-serve: http shutdown: %v\n", err)
 	}
-	if err := sched.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ccfit-serve: scheduler close: %v\n", err)
-	}
-	// After the scheduler: in-flight remote jobs have delivered (or been
-	// withdrawn) by now, so closing the board strands nothing.
 	board.Close()
 	f.SettleCache(cache, logf)
 	fmt.Fprintln(os.Stderr, "ccfit-serve: drained")

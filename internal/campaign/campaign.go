@@ -1,22 +1,15 @@
-// Package campaign is the serving layer over the parallel runner: a
-// queued, resumable, multi-worker campaign scheduler plus its
-// HTTP+JSON surface. A campaign is a declarative experiments.Spec
-// (the same shape the CLI flags express) expanded into runner jobs,
-// scheduled FIFO across a worker pool, executed through the shared
-// runner.Executor semantics (cache probe, timeout, panic recovery,
-// quarantine). On disk a campaign is a spec file and, once
-// cancelled, a cancel mark (store.go), so a crashed or drained server
-// resumes half-finished campaigns on restart.
-//
-// The content-addressed result cache is the shared dedup layer and the
-// only durable store of outcomes: cache keys fingerprint config +
-// faults, so a resubmitted or overlapping campaign skips every finished
-// cell for free, and a resumed campaign recomputes only the cells the
-// cache holds neither a result nor a quarantined outcome for.
-// Transient failures are not stored and rerun after a restart.
-// Simulations themselves stay single-goroutine and bit-deterministic;
-// the service only decides when and where they run, so a campaign
-// served with N workers — even across a server restart — produces
+// Package campaign is the serving layer over the runner: a resumable
+// campaign scheduler plus its HTTP+JSON surface. A campaign is a
+// declarative experiments.Spec (what the CLI flags express) expanded
+// into jobs on one runner.Queue, which the scheduler's in-process slots
+// and a dispatch.Board's remote workers claim from alike, each job run
+// through a runner.Executor (cache probe, timeout, panic recovery,
+// quarantine). On disk a campaign is its spec file and, once cancelled,
+// a cancel mark (store.go); the content-addressed result cache is the
+// only store of outcomes and the dedup layer, so a restarted server
+// resumes a campaign by recomputing just the cells the cache lacks, and
+// an overlapping campaign skips every finished cell. A campaign served
+// by any mix of slots and workers, across restarts, renders
 // byte-identical results to a local serial run.
 package campaign
 
@@ -35,18 +28,13 @@ import (
 // service-level options that ride along with every job.
 type Submission struct {
 	experiments.Spec
-	// Faults, when non-nil, injects this deterministic fault script
-	// into every job (its fingerprint enters the cache keys).
-	Faults *fault.Script `json:"faults,omitempty"`
-	// Watchdog overrides the invariant checker's forward-progress
-	// window in cycles (0 default, <0 disable).
-	Watchdog int64 `json:"watchdog,omitempty"`
+	Faults   *fault.Script `json:"faults,omitempty"`   // injected into every job
+	Watchdog int64         `json:"watchdog,omitempty"` // forward-progress window in cycles: 0 default, <0 off
 }
 
-// Jobs expands the submission into runner jobs in deterministic cell
-// order, applying the service-level options. The expansion validates
-// everything up front, so an invalid submission is rejected before a
-// single simulation runs.
+// Jobs expands the submission into runner jobs in cell order, with the
+// service-level options applied; an invalid submission fails here,
+// before anything runs.
 func (s Submission) Jobs() ([]runner.Job, error) {
 	if s.Faults != nil {
 		if err := s.Faults.Validate(); err != nil {
@@ -68,18 +56,11 @@ func (s Submission) Jobs() ([]runner.Job, error) {
 type Status string
 
 const (
-	// StatusQueued: submitted, no job has started yet.
-	StatusQueued Status = "queued"
-	// StatusRunning: at least one job started, not all terminal.
-	StatusRunning Status = "running"
-	// StatusDone: every job finished ok (fresh or cached).
-	StatusDone Status = "done"
-	// StatusFailed: every job terminal, at least one failed or was
-	// quarantined.
-	StatusFailed Status = "failed"
-	// StatusCancelled: the campaign was cancelled; queued jobs were
-	// dropped and in-flight jobs drained.
-	StatusCancelled Status = "cancelled"
+	StatusQueued    Status = "queued"    // no job has started yet
+	StatusRunning   Status = "running"   // a job started, not all are terminal
+	StatusDone      Status = "done"      // every job finished ok (fresh or cached)
+	StatusFailed    Status = "failed"    // all terminal, one failed or was quarantined
+	StatusCancelled Status = "cancelled" // cancelled; in-flight jobs drained
 )
 
 // Terminal reports whether a campaign status is final.
@@ -101,13 +82,7 @@ const (
 )
 
 // Terminal reports whether a job status is final.
-func (s JobStatus) Terminal() bool {
-	switch s {
-	case JobDone, JobCached, JobFailed, JobQuarantined, JobCancelled:
-		return true
-	}
-	return false
-}
+func (s JobStatus) Terminal() bool { return s != JobQueued && s != JobRunning }
 
 // jobState is the scheduler's per-job record.
 type jobState struct {
@@ -129,8 +104,8 @@ type JobView struct {
 }
 
 // cellResult is one cell of GET /campaigns/{id}/results: the job's
-// identity, which the client checks against its own expansion of the
-// spec, and the same outcome record a worker reports to the board.
+// identity, which the client checks against its own expansion, and
+// the outcome record a worker reports to the board.
 type cellResult struct {
 	Index      int    `json:"index"`
 	Experiment string `json:"experiment"`
@@ -154,10 +129,8 @@ type View struct {
 	Jobs []JobView `json:"jobs,omitempty"`
 }
 
-// Event is one progress tick streamed by GET /campaigns/{id}/events,
-// one JSON object per line. "snapshot" opens every stream with the
-// campaign's current counters; "complete" closes it with the final
-// status.
+// Event is one progress tick of GET /campaigns/{id}/events, one JSON
+// object per line; "snapshot" opens every stream, "complete" closes it.
 type Event struct {
 	Campaign  string  `json:"campaign"`
 	Type      string  `json:"type"` // snapshot|start|done|cached|failed|cache-corrupt|cancelled|complete|lease|lease-expired|requeued

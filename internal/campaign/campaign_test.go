@@ -682,3 +682,43 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 		}
 	}
 }
+
+// noopExecutor finishes every job at once without simulating.
+type noopExecutor struct{}
+
+func (noopExecutor) Execute(_ context.Context, job runner.Job, _ func(runner.Event)) runner.JobResult {
+	return runner.JobResult{Job: job, Result: &experiments.Result{}}
+}
+
+// TestMaxCellsDrains: a campaign of experiments.MaxCells cells through
+// an executor that does nothing drains in seconds — an event costs the
+// scheduler O(1), not a rescan of every job state — and the stream's
+// Done never falls and ends at Total on the complete event.
+func TestMaxCellsDrains(t *testing.T) {
+	s := openScheduler(t, t.TempDir(), Options{Workers: 2, Executor: noopExecutor{}})
+	defer s.Close()
+	spec := quickSpec() // fig7a: four schemes
+	spec.Seeds = experiments.MaxCells / 4
+	t0 := time.Now()
+	v, err := s.Submit(Submission{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Total != experiments.MaxCells {
+		t.Fatalf("%d cells, want %d", v.Total, experiments.MaxCells)
+	}
+	snap, events := watch(t, s, v.ID)
+	if took := time.Since(t0); took > 10*time.Second {
+		t.Errorf("%d cells took %v to drain, want under 10 s", v.Total, took)
+	}
+	last := snap.Done
+	for _, ev := range events {
+		if ev.Done < last {
+			t.Fatalf("%s event reads done %d after %d", ev.Type, ev.Done, last)
+		}
+		last = ev.Done
+	}
+	if n := len(events); n > 0 && (events[n-1].Type != "complete" || last != v.Total) {
+		t.Fatalf("stream ended on %+v, want complete at %d", events[n-1], v.Total)
+	}
+}

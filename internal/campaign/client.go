@@ -3,6 +3,7 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,28 +16,21 @@ import (
 	"repro/internal/runner"
 )
 
-// Client talks to a ccfit-serve instance. The zero HTTP client uses
-// http.DefaultClient; Base is the server root, e.g.
-// "http://127.0.0.1:8080".
+// Client talks to a ccfit-serve instance at Base (e.g.
+// "http://127.0.0.1:8080"); a nil HTTP uses http.DefaultClient.
 type Client struct {
 	Base string
 	HTTP *http.Client
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
+func (c *Client) http() *http.Client { return cmp.Or(c.HTTP, http.DefaultClient) }
 
 func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// do issues one JSON request and decodes the response into out
-// (skipped when out is nil). Non-2xx responses decode the server's
-// error payload.
+// do issues one JSON request and decodes the response into out (when
+// non-nil); a non-2xx response reports the server's error payload.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -100,9 +94,8 @@ func (c *Client) Cancel(ctx context.Context, id string) (View, error) {
 	return v, err
 }
 
-// Events streams a campaign's progress, invoking fn per event until
-// the stream ends (terminal event), fn returns an error, or ctx is
-// cancelled. Heartbeats are filtered out.
+// Events streams a campaign's progress to fn (heartbeats filtered out)
+// until the stream ends, fn fails or ctx is cancelled.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/campaigns/"+id+"/events"), nil)
 	if err != nil {
@@ -135,20 +128,16 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 	return sc.Err()
 }
 
-// waitGrace bounds how long Wait tolerates a completely unreachable
-// server (restart window) before giving up: consecutive failed polls
-// at waitPoll intervals.
+// Wait polls every waitPoll and gives up after waitGrace consecutive
+// failures (~60 s of an unreachable server: a restart window).
 const (
 	waitPoll  = 500 * time.Millisecond
-	waitGrace = 120 // ~60 s of consecutive unreachability
+	waitGrace = 120
 )
 
-// Wait blocks until the campaign reaches a terminal status, streaming
-// events through fn (may be nil) while the stream lasts and falling
-// back to polling when it drops. A server restart mid-campaign is
-// ridden out: the campaign resumes from its spec on the other side, and
-// Wait keeps re-subscribing for up to a minute of consecutive
-// unreachability before reporting the errors.
+// Wait blocks until the campaign is terminal, streaming events to fn
+// (may be nil) and re-subscribing when the stream drops, so a server
+// restart mid-campaign (which resumes it from its spec) is ridden out.
 func (c *Client) Wait(ctx context.Context, id string, fn func(Event) error) (View, error) {
 	failures := 0
 	for {
@@ -168,8 +157,7 @@ func (c *Client) Wait(ctx context.Context, id string, fn func(Event) error) (Vie
 				return View{}, errors.Join(streamErr, verr)
 			}
 		}
-		// Stream dropped mid-campaign (restart, proxy timeout): pause
-		// briefly, then re-subscribe.
+		// Stream dropped mid-campaign (restart, proxy timeout).
 		select {
 		case <-ctx.Done():
 			return View{}, ctx.Err()
@@ -178,13 +166,10 @@ func (c *Client) Wait(ctx context.Context, id string, fn func(Event) error) (Vie
 	}
 }
 
-// Results fetches the campaign's per-cell results and reassembles them
-// as []runner.JobResult against the locally expanded job list — the
-// caller expands the same Submission with the same deterministic
-// function, so index i is the same cell on both sides. Cells are
-// verified against the local expansion (experiment, scheme, seed) and
-// a mismatch is an error: it means client and server disagree about
-// the spec.
+// Results fetches the campaign's per-cell results as JobResults against
+// the caller's own expansion of the same Submission; a cell whose
+// experiment, scheme or seed differs means client and server disagree
+// about the spec, and is an error.
 func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]runner.JobResult, error) {
 	var remote []cellResult
 	if err := c.do(ctx, http.MethodGet, "/campaigns/"+id+"/results", nil, &remote); err != nil {
@@ -205,14 +190,11 @@ func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]r
 	return out, nil
 }
 
-// Run is the remote equivalent of runner.Run over the same specs: it
-// submits every campaign up front (so the server's pool interleaves
-// them), waits for each in order, streaming progress through fn (may be
-// nil), and returns the reassembled job results, submission by
-// submission, in cell order. Every submission is validated before the
-// first is sent.
-// When ctx is cancelled the unfinished campaigns are cancelled on the
-// server, so their queued jobs are dropped.
+// Run is runner.Run on the server: it validates every submission,
+// submits them all up front (so the server's queue interleaves them),
+// waits for each in order, streaming progress to fn (may be nil), and
+// returns the job results submission by submission in cell order. When
+// ctx is cancelled the unfinished campaigns are cancelled on the server.
 func (c *Client) Run(ctx context.Context, fn func(Event) error, subs ...Submission) ([]runner.JobResult, error) {
 	if err := c.Healthz(ctx); err != nil {
 		return nil, fmt.Errorf("server %s unreachable: %w", c.Base, err)
@@ -236,8 +218,7 @@ func (c *Client) Run(ctx context.Context, fn func(Event) error, subs ...Submissi
 	for i, id := range ids {
 		if _, err := c.Wait(ctx, id, fn); err != nil {
 			if ctx.Err() != nil {
-				// In-flight jobs drain on the server. Best-effort: the
-				// signal may race the server's own shutdown.
+				// Best effort: this may race the server's own shutdown.
 				cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				for _, rest := range ids[i:] {
 					_, _ = c.Cancel(cctx, rest)

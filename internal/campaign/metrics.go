@@ -5,9 +5,7 @@ import (
 	"time"
 )
 
-// Metrics are the service's expvar-style counters, exposed as JSON at
-// /metrics. All fields are monotonic counters except the gauges the
-// scheduler derives live (queue depth, busy workers).
+// Metrics are the service's counters, exposed as JSON at /metrics.
 type Metrics struct {
 	start   time.Time
 	workers int
@@ -18,18 +16,15 @@ type Metrics struct {
 	CampaignsCancelled atomic.Int64
 
 	JobsEnqueued atomic.Int64
-	// finished counts terminal jobs by status, shown as jobs_<status>:
-	// done is a fresh simulation that finished ok, cached one served from
-	// the shared result cache.
-	finished map[JobStatus]*atomic.Int64
+	finished     map[JobStatus]*atomic.Int64 // terminal jobs by status: jobs_<status>
 
-	// busyNS accumulates worker wall-clock spent executing jobs; the
-	// utilization gauge divides it by workers × uptime.
+	// busyNS accumulates wall clock spent executing jobs, a remote
+	// worker's included; utilization divides it by workers × uptime.
 	busyNS      atomic.Int64
 	busyWorkers atomic.Int64
 }
 
-// NewMetrics starts a metrics set for a pool of `workers` workers.
+// NewMetrics starts a metrics set for `workers` in-process slots.
 func NewMetrics(workers int) *Metrics {
 	m := &Metrics{start: time.Now(), workers: workers, finished: map[JobStatus]*atomic.Int64{}}
 	for _, st := range []JobStatus{JobDone, JobCached, JobFailed, JobQuarantined, JobCancelled} {
@@ -38,9 +33,7 @@ func NewMetrics(workers int) *Metrics {
 	return m
 }
 
-// Snapshot renders the counters plus derived gauges. queueDepth is the
-// scheduler's current queue length (passed in so Metrics itself stays
-// lock-free).
+// Snapshot renders the counters and gauges, at queue depth queueDepth.
 func (m *Metrics) Snapshot(queueDepth int) map[string]any {
 	uptime := time.Since(m.start)
 	done := m.finished[JobDone].Load()
@@ -72,7 +65,7 @@ func (m *Metrics) Snapshot(queueDepth int) map[string]any {
 	return snap
 }
 
-// jobTimer tracks one job's occupancy of a worker.
+// jobTimer tracks one running job.
 func (m *Metrics) jobTimer() func() {
 	t0 := time.Now()
 	m.busyWorkers.Add(1)

@@ -21,78 +21,63 @@ type Options struct {
 	// Dir holds each campaign's spec file and cancel mark (created if
 	// needed). Required.
 	Dir string
-	// Cache is the shared content-addressed result cache. Required:
-	// it is both the dedup layer and the durable store of every
-	// finished cell a restart reports.
+	// Cache is the shared result cache (required): the dedup layer and
+	// the store of every finished cell a restart reports.
 	Cache *runner.Cache
-	// Workers is the executor pool size; <= 0 means 1.
-	Workers int
-	// Timeout configures the default local executor (ignored when
-	// Executor is set).
-	Timeout time.Duration
-	// Executor overrides job execution (tests, remote backends).
-	Executor runner.Executor
-	// Dispatch, when non-nil, is the remote worker fleet's lease board:
-	// jobs are offered to connected ccfit-worker processes and fall
-	// back to local execution when none are live. Ignored when Executor
-	// is set (an explicit executor owns the whole policy).
+	// Workers is the number of in-process slots; <= 0 means 1. With
+	// Dispatch they run jobs only while no remote worker is live, and
+	// the fleet claims jobs however many slots there are.
+	Workers  int
+	Timeout  time.Duration   // the default executor's per-job timeout
+	Executor runner.Executor // overrides job execution (tests, instrumented backends)
+	// Dispatch, when non-nil, is the fleet's lease board: jobs go on
+	// its queue, where ccfit-worker processes claim them, and the
+	// default executor is a dispatch.RemoteExecutor over it. An explicit
+	// Executor runs remote claims too, so it should offload as that does.
 	Dispatch *dispatch.Board
-	// Log, when non-nil, receives operational notices (e.g. a remote
-	// job falling back to local execution).
-	Log func(format string, args ...any)
+	Log      func(format string, args ...any) // operational notices, when non-nil
 }
 
-// item is one queued unit: a job index inside a campaign.
-type item struct {
-	id    string
-	index int
-}
-
-// campaign is the scheduler's in-memory record of one campaign. The
-// identity fields (id, sub, submitted) are immutable after
-// construction; every mutable field is guarded by the owning
-// scheduler's mutex — the nested-ownership design the guarded-field
-// rule's Type.mu annotation form exists for.
+// campaign is the scheduler's record of one campaign: id, sub and
+// submitted are fixed, the rest is guarded by the scheduler's mutex.
 type campaign struct {
 	id        string
 	sub       Submission
 	submitted time.Time
 	jobs      []runner.Job            // guarded by Scheduler.mu
 	status    Status                  // guarded by Scheduler.mu
-	cancelled bool                    // guarded by Scheduler.mu; cancel requested (status flips when drained)
+	cancelled bool                    // guarded by Scheduler.mu; status flips when drained
 	states    []jobState              // guarded by Scheduler.mu
 	finished  []*runner.JobResult     // guarded by Scheduler.mu; jobs finished in this process
-	pending   int                     // guarded by Scheduler.mu; jobs not yet terminal
+	pending   int                     // guarded by Scheduler.mu; jobs not yet terminal (Total - Done)
 	ctx       context.Context         // guarded by Scheduler.mu
 	cancel    context.CancelFunc      // guarded by Scheduler.mu
 	subs      map[chan Event]struct{} // guarded by Scheduler.mu
 }
 
-// Scheduler owns the durable queue: campaigns expand into jobs,
-// workers drain the FIFO queue through a runner.Executor, and
-// subscribers stream progress events.
+// Scheduler is the campaign bookkeeping over one long-lived
+// runner.Queue: campaigns expand into tasks, whoever claims one (a slot
+// or a remote worker) runs it through the runner.Executor, and
+// subscribers stream progress events. Lock order: Scheduler.mu, then
+// the queue's.
 type Scheduler struct {
 	opt     Options
 	exec    runner.Executor
 	metrics *Metrics
+	queue   *runner.Queue
 
 	ctx    context.Context // hard-stop scope for every job
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	campaigns map[string]*campaign // guarded by mu
 	order     []string             // guarded by mu
-	queue     []item               // guarded by mu
 	seq       int                  // guarded by mu
 	closed    bool                 // guarded by mu
-	wg        sync.WaitGroup
 }
 
-// Open starts a scheduler over dir, resuming every campaign found
-// there: its spec is re-expanded, each cell the cache holds is
-// finished, and the rest are requeued — so a resume only recomputes
-// what is actually missing.
+// Open starts a scheduler over opt.Dir, resuming every campaign found
+// there, and its opt.Workers in-process slots.
 func Open(opt Options) (*Scheduler, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("campaign: Options.Dir is required")
@@ -106,67 +91,56 @@ func Open(opt Options) (*Scheduler, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	exec := opt.Executor
-	if exec == nil {
-		local := &runner.LocalExecutor{Cache: opt.Cache, Timeout: opt.Timeout}
-		if opt.Dispatch != nil {
+	exec, queue := opt.Executor, runner.NewQueue()
+	local := &runner.LocalExecutor{Cache: opt.Cache, Timeout: opt.Timeout}
+	if opt.Dispatch != nil {
+		queue = opt.Dispatch.Queue()
+		if exec == nil {
 			exec = &dispatch.RemoteExecutor{Board: opt.Dispatch, Local: local, Log: opt.Log}
-		} else {
-			exec = local
 		}
+	}
+	if exec == nil {
+		exec = local
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		opt:       opt,
 		exec:      exec,
 		metrics:   NewMetrics(opt.Workers),
+		queue:     queue,
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: map[string]*campaign{},
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if err := s.resume(); err != nil {
 		cancel()
 		return nil, err
 	}
-	for w := 0; w < opt.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	queue.Serve(opt.Workers)
 	return s, nil
 }
 
 // Metrics returns the scheduler's counters.
 func (s *Scheduler) Metrics() *Metrics { return s.metrics }
 
-// Board returns the remote dispatch board, nil when the scheduler runs
-// purely locally.
+// Board returns the remote dispatch board, nil when there is none.
 func (s *Scheduler) Board() *dispatch.Board { return s.opt.Dispatch }
 
 // QueueDepth returns the number of queued (not yet running) jobs.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
+func (s *Scheduler) QueueDepth() int { return s.queue.Len() }
 
 // Draining reports whether Close has begun: no new campaigns are
-// accepted and each worker exits once its in-flight job completes.
+// accepted and no further job starts.
 func (s *Scheduler) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
 }
 
-// resume rebuilds every campaign in the data directory.
-//
-// It runs from Open before any worker goroutine exists, so it could
-// not race today — but it mutates the same queue/campaign state every
-// other writer touches under s.mu, and "safe because of who calls me"
-// is exactly the invariant a later refactor (background re-scan, hot
-// reload) breaks without noticing. Holding the lock costs nothing here
-// and lets the guarded-field rule prove the discipline instead of
-// trusting the call graph's history.
+// resume rebuilds every campaign in the data directory: each cell the
+// cache holds is finished, a cancelled campaign's others are
+// cancelled, and the rest are queued. It holds s.mu like every other
+// writer of campaign state, though no slot exists yet.
 func (s *Scheduler) resume() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,54 +163,59 @@ func (s *Scheduler) resume() error {
 			err = fmt.Errorf("campaign: reading %s: %w", path, err)
 		}
 		_, cerr := os.Stat(filepath.Join(s.opt.Dir, id+".cancel"))
-		c := &campaign{
-			id:        id,
-			sub:       sf.Sub,
-			submitted: sf.At,
-			cancelled: cerr == nil,
-			subs:      map[chan Event]struct{}{},
-		}
-		c.ctx, c.cancel = context.WithCancel(s.ctx)
-		s.campaigns[c.id] = c
-		s.order = append(s.order, c.id)
-		var jobs []runner.Job
+		c := &campaign{id: id, sub: sf.Sub, submitted: sf.At, cancelled: cerr == nil}
 		if err == nil {
-			jobs, err = c.sub.Jobs()
+			c.jobs, err = c.sub.Jobs()
 		}
 		if err != nil {
 			// The spec does not decode, or no longer expands (registry
-			// drift across versions): surface the campaign as failed
-			// rather than wedging the whole service.
-			c.status = StatusFailed
-			c.states = []jobState{{Status: JobFailed, Error: err.Error()}}
-			c.cancel()
-			continue
-		}
-		c.jobs = jobs
-		c.states = make([]jobState, len(jobs))
-		c.finished = make([]*runner.JobResult, len(jobs))
-		for i, job := range jobs {
-			switch held := s.opt.Cache.Holds(job); {
-			case held != "":
-				c.states[i].Status = JobStatus(held) // cached or quarantined
-			case c.cancelled:
-				c.states[i].Status = JobCancelled
-			default:
-				c.states[i].Status = JobQueued
-				s.queue = append(s.queue, item{id: c.id, index: i})
-				c.pending++
+			// drift across versions): a failed campaign, not a wedged
+			// service.
+			c.jobs, c.states = nil, []jobState{{Status: JobFailed, Error: err.Error()}}
+		} else {
+			c.states = make([]jobState, len(c.jobs))
+			for i, job := range c.jobs {
+				switch held := s.opt.Cache.Holds(job); {
+				case held != "":
+					c.states[i].Status = JobStatus(held) // cached or quarantined
+				case c.cancelled:
+					c.states[i].Status = JobCancelled
+				default:
+					c.states[i].Status = JobQueued
+				}
 			}
 		}
-		if c.pending == 0 {
-			c.status = terminalStatus(c)
-			c.cancel()
-			continue
+		if s.addLocked(c) > 0 {
+			s.metrics.CampaignsResumed.Add(1)
 		}
-		c.status = StatusQueued
-		s.metrics.JobsEnqueued.Add(int64(c.pending))
-		s.metrics.CampaignsResumed.Add(1)
 	}
 	return nil
+}
+
+// addLocked registers c, whose jobs and states are set, and queues its
+// JobQueued jobs, returning how many. A campaign with none is complete
+// at once. Callers hold s.mu.
+func (s *Scheduler) addLocked(c *campaign) int {
+	c.ctx, c.cancel = context.WithCancel(s.ctx)
+	c.subs = map[chan Event]struct{}{}
+	c.finished = make([]*runner.JobResult, len(c.jobs))
+	s.campaigns[c.id] = c
+	s.order = append(s.order, c.id)
+	var tasks []*runner.Task
+	for i := range c.jobs {
+		if c.states[i].Status == JobQueued {
+			tasks = append(tasks, s.task(c, i))
+		}
+	}
+	c.pending = len(tasks)
+	s.queue.Push(tasks...)
+	s.metrics.JobsEnqueued.Add(int64(c.pending))
+	c.status = StatusQueued
+	if c.pending == 0 {
+		c.status = terminalStatus(c)
+		c.cancel()
+	}
+	return c.pending
 }
 
 // parseID extracts the sequence number from a "c%06d" campaign id.
@@ -281,104 +260,66 @@ func (s *Scheduler) Submit(sub Submission) (View, error) {
 	if s.closed {
 		return View{}, errors.New("campaign: scheduler is draining")
 	}
-	id := fmt.Sprintf("c%06d", s.seq)
+	c := &campaign{id: fmt.Sprintf("c%06d", s.seq), sub: sub, submitted: time.Now(), jobs: jobs}
 	s.seq++
-	now := time.Now()
-	if err := writeSpec(s.opt.Dir, specFile{ID: id, At: now, Sub: sub}); err != nil {
+	if err := writeSpec(s.opt.Dir, specFile{ID: c.id, At: c.submitted, Sub: sub}); err != nil {
 		return View{}, err
 	}
-	c := &campaign{
-		id:        id,
-		sub:       sub,
-		submitted: now,
-		jobs:      jobs,
-		status:    StatusQueued,
-		states:    make([]jobState, len(jobs)),
-		finished:  make([]*runner.JobResult, len(jobs)),
-		pending:   len(jobs),
-		subs:      map[chan Event]struct{}{},
-	}
+	c.states = make([]jobState, len(jobs))
 	for i := range c.states {
-		c.states[i] = jobState{Status: JobQueued}
+		c.states[i].Status = JobQueued
 	}
-	c.ctx, c.cancel = context.WithCancel(s.ctx)
-	s.campaigns[id] = c
-	s.order = append(s.order, id)
-	for i := range jobs {
-		s.queue = append(s.queue, item{id: id, index: i})
-	}
+	s.addLocked(c)
 	s.metrics.CampaignsSubmitted.Add(1)
-	s.metrics.JobsEnqueued.Add(int64(len(jobs)))
-	s.cond.Broadcast()
 	return s.viewLocked(c, true), nil
 }
 
-// worker drains the queue until the scheduler closes and the queue is
-// empty (graceful drain leaves requeued work for the next process).
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
+// task is job index of campaign c as the queue runs it, whoever claims
+// it. A job whose remote lease was lost comes back runner.ErrRequeued
+// and is left to its next claim; one cancelled meanwhile is skipped.
+func (s *Scheduler) task(c *campaign, index int) *runner.Task {
+	job := c.jobs[index]
+	return &runner.Task{Job: job, Ctx: c.ctx, Run: func(ctx context.Context) {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
+		if c.states[index].Status.Terminal() {
 			s.mu.Unlock()
 			return
 		}
-		if s.closed {
-			// Draining: leave queued work for the next process.
-			s.mu.Unlock()
-			return
-		}
-		it := s.queue[0]
-		s.queue = s.queue[1:]
-		c := s.campaigns[it.id]
-		if c == nil || c.states[it.index].Status != JobQueued {
-			s.mu.Unlock()
-			continue
-		}
-		c.states[it.index].Status = JobRunning
+		c.states[index].Status = JobRunning
 		if c.status == StatusQueued {
 			c.status = StatusRunning
 		}
-		job := c.jobs[it.index]
-		ctx := c.ctx
-		s.emitLocked(c, Event{Type: "start", Index: it.index, Job: job.String()})
+		s.emitLocked(c, Event{Type: "start", Index: index, Job: job.String()})
 		s.mu.Unlock()
 
-		var jr runner.JobResult
-		if ctx.Err() != nil {
-			jr = runner.JobResult{Job: job, Err: ctx.Err()}
-		} else {
+		jr := runner.JobResult{Job: job, Err: ctx.Err()}
+		if jr.Err == nil {
 			stop := s.metrics.jobTimer()
 			jr = s.exec.Execute(ctx, job, func(ev runner.Event) {
-				s.forward(c, it.index, ev)
+				s.forward(c, index, ev)
 			})
 			stop()
 		}
-		s.finish(c, it.index, jr)
-	}
+		if !errors.Is(jr.Err, runner.ErrRequeued) {
+			s.finish(c, index, jr)
+		}
+	}}
 }
 
-// forward relays mid-job executor telemetry to subscribers (terminal
-// events are emitted by finish, with campaign counters attached).
-// Lease-lifecycle events from the remote dispatcher, each naming its
-// worker, are the audit trail that proves a reclaimed job was requeued
-// rather than lost; /metrics counts the same transitions.
+// forwarded names the executor events forward relays.
+var forwarded = map[runner.EventType]string{
+	runner.JobCacheCorrupt: "cache-corrupt", runner.JobLeased: "lease",
+	runner.JobLeaseExpired: "lease-expired", runner.JobReassigned: "requeued",
+}
+
+// forward relays mid-job executor telemetry to subscribers (start and
+// terminal events are the scheduler's own). Lease events, each naming
+// its worker, are the audit trail that a reclaimed job was requeued,
+// not lost.
 func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
-	var typ string
-	switch ev.Type {
-	case runner.JobCacheCorrupt:
-		typ = "cache-corrupt"
-	case runner.JobLeased:
-		typ = "lease"
-	case runner.JobLeaseExpired:
-		typ = "lease-expired"
-	case runner.JobReassigned:
-		typ = "requeued"
-	default:
-		return // start is emitted at dispatch, terminal events by finish
+	typ, ok := forwarded[ev.Type]
+	if !ok {
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -389,8 +330,8 @@ func (s *Scheduler) forward(c *campaign, index int, ev runner.Event) {
 	s.emitLocked(c, e)
 }
 
-// finish records one job's terminal state, updates counters, and
-// completes the campaign when it was the last one.
+// finish records one job's terminal state and completes the campaign
+// after its last.
 func (s *Scheduler) finish(c *campaign, index int, jr runner.JobResult) {
 	st := jobState{
 		Status:    JobStatus(jr.Outcome()),
@@ -434,10 +375,10 @@ func (s *Scheduler) completeLocked(c *campaign) {
 	s.emitLocked(c, Event{Type: "complete", Status: c.status})
 }
 
-// Cancel cancels a campaign: queued jobs are dropped immediately,
-// in-flight jobs get their context cancelled and drain. The cancel
-// mark is on disk before anything changes, and a failure to write it
-// changes nothing. Cancelling a terminal campaign is a no-op.
+// Cancel cancels a campaign: queued jobs read cancelled at once (their
+// tasks are skipped when claimed), in-flight ones get their context
+// cancelled and drain. The cancel mark is on disk before anything
+// changes. Cancelling a terminal campaign is a no-op.
 func (s *Scheduler) Cancel(id string) (View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -453,14 +394,6 @@ func (s *Scheduler) Cancel(id string) (View, error) {
 	}
 	c.cancelled = true
 	c.cancel()
-	// Drop queued jobs of this campaign from the FIFO.
-	keep := s.queue[:0]
-	for _, it := range s.queue {
-		if it.id != id {
-			keep = append(keep, it)
-		}
-	}
-	s.queue = keep
 	for i := range c.states {
 		if c.states[i].Status == JobQueued {
 			c.states[i] = jobState{Status: JobCancelled}
@@ -475,7 +408,7 @@ func (s *Scheduler) Cancel(id string) (View, error) {
 	return s.viewLocked(c, true), nil
 }
 
-// View returns one campaign's state (withJobs includes per-job rows).
+// View returns one campaign's state, with per-job rows if withJobs.
 func (s *Scheduler) View(id string, withJobs bool) (View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -527,12 +460,10 @@ func (s *Scheduler) viewLocked(c *campaign, withJobs bool) View {
 	return v
 }
 
-// Results assembles the campaign's job results in cell order. A job
-// finished in this process is the executor's own record (result, elapsed
-// time, diagnostics, cache error); one an earlier process finished is
-// rebuilt from the cache: its result, or its quarantined outcome with
-// the checker's snapshot. A cell whose entry was evicted since reports
-// an error.
+// Results assembles the campaign's job results in cell order: the
+// executor's own record for a job finished in this process, the cache's
+// (result, or quarantined outcome with its snapshot) for one an earlier
+// process finished, an error for a cell evicted since.
 func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 	s.mu.Lock()
 	c := s.campaigns[id]
@@ -561,6 +492,8 @@ func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 			if *jr, ok = s.opt.Cache.Recall(jr.Job); !ok {
 				jr.Err = fmt.Errorf("campaign: result for %s evicted from cache; resubmit to recompute", jr.Job)
 			}
+		case JobCancelled: // never started: its outcome is the cancellation
+			jr.Err = fmt.Errorf("campaign: job %s is cancelled: %w", jr.Job, context.Canceled)
 		default:
 			jr.Err = fmt.Errorf("campaign: job %s is %s", jr.Job, st)
 		}
@@ -570,10 +503,7 @@ func (s *Scheduler) Results(id string) ([]runner.JobResult, error) {
 
 // Subscribe registers a progress listener for a campaign, returning
 // the current snapshot, a buffered event channel and a cancel
-// function. The snapshot and the channel are registered atomically:
-// no event between them is lost. Slow consumers drop events rather
-// than stall the scheduler; the terminal "complete" event is always
-// the last one delivered (or visible in the snapshot itself).
+// function, atomically: no event between them is lost.
 func (s *Scheduler) Subscribe(id string) (View, <-chan Event, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,67 +513,59 @@ func (s *Scheduler) Subscribe(id string) (View, <-chan Event, func(), error) {
 	}
 	snap := s.viewLocked(c, false)
 	ch := make(chan Event, 1024)
-	if !snap.Status.Terminal() {
-		c.subs[ch] = struct{}{}
-	} else {
+	c.subs[ch] = struct{}{}
+	if snap.Status.Terminal() {
 		close(ch)
+		delete(c.subs, ch)
 	}
-	cancel := func() {
+	return snap, ch, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		delete(c.subs, ch)
-	}
-	return snap, ch, cancel, nil
+	}, nil
 }
 
 // emitLocked fans one event to the campaign's subscribers. Callers
-// hold s.mu. The terminal complete event closes every subscription.
+// hold s.mu, the only sender. A slow consumer loses events rather than
+// stall the scheduler — except the terminal complete, which takes the
+// place of the oldest one buffered and then closes the subscription.
 func (s *Scheduler) emitLocked(c *campaign, ev Event) {
 	ev.Campaign = c.id
 	ev.Total = len(c.jobs)
-	done := 0
-	for _, st := range c.states {
-		if st.Status.Terminal() {
-			done++
-		}
-	}
-	ev.Done = done
+	ev.Done = len(c.jobs) - c.pending
+	last := ev.Type == "complete"
 	for ch := range c.subs {
 		select {
 		case ch <- ev:
-		default: // slow consumer: drop rather than stall the pool
+		default:
+			if last {
+				select {
+				case <-ch:
+				default:
+				}
+				ch <- ev
+			}
 		}
-	}
-	if ev.Type == "complete" {
-		for ch := range c.subs {
+		if last {
 			close(ch)
 			delete(c.subs, ch)
 		}
 	}
 }
 
-// Close drains the scheduler gracefully: no new campaigns are
-// accepted, queued jobs are left for the next process, in-flight jobs
-// run to completion and are recorded. Safe to call more than once. It
-// returns nil: nothing is left to persist (the error keeps Close an
-// io.Closer).
+// Close drains the scheduler: no new campaigns are accepted, queued
+// jobs are left for the next process, and jobs already claimed — by a
+// slot or a remote worker — run to completion and are recorded. Safe
+// to call more than once; the nil error keeps it an io.Closer.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.queue.Close()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		// Wake any subscriber still streaming a non-terminal campaign.
-		c := s.campaigns[id]
+	for _, c := range s.campaigns { // end the streams of unfinished campaigns
 		for ch := range c.subs {
 			close(ch)
 			delete(c.subs, ch)

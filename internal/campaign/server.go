@@ -21,10 +21,9 @@ import (
 //	GET    /metrics              counters (JSON)
 //	GET    /healthz              liveness
 //
-// When the scheduler carries a dispatch board, the worker protocol and
-// fleet view mount alongside:
+// and, with a dispatch board, the worker protocol and fleet view:
 //
-//	POST   /dispatch/{register,claim,heartbeat,result}  worker protocol
+//	POST   /dispatch/{register,claim,heartbeat,result}
 //	GET    /workers              connected worker fleet (JSON)
 func NewServer(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
@@ -105,14 +104,14 @@ func NewServer(s *Scheduler) http.Handler {
 			}
 			return true
 		}
-		first := Event{Campaign: snap.ID, Type: "snapshot", Status: snap.Status,
-			Done: snap.Done + snap.Cached + snap.Failed + snap.Cancelled, Total: snap.Total}
-		if !send(first) {
+		at := func(typ string, v View) Event {
+			return Event{Campaign: v.ID, Type: typ, Status: v.Status, Done: v.Done + v.Cached + v.Failed + v.Cancelled, Total: v.Total}
+		}
+		if !send(at("snapshot", snap)) {
 			return
 		}
 		if snap.Status.Terminal() {
-			send(Event{Campaign: snap.ID, Type: "complete", Status: snap.Status,
-				Done: first.Done, Total: snap.Total})
+			send(at("complete", snap))
 			return
 		}
 		heartbeat := time.NewTicker(15 * time.Second)
@@ -120,20 +119,13 @@ func NewServer(s *Scheduler) http.Handler {
 		for {
 			select {
 			case ev, ok := <-ch:
-				if !ok {
-					// Scheduler drained mid-stream: report the current
-					// status so the client can decide to poll.
-					v, verr := s.View(snap.ID, false)
-					if verr == nil {
-						send(Event{Campaign: snap.ID, Type: "complete", Status: v.Status,
-							Done: v.Done + v.Cached + v.Failed + v.Cancelled, Total: v.Total})
+				if !ok { // drained mid-stream: report the current status
+					if v, err := s.View(snap.ID, false); err == nil {
+						send(at("complete", v))
 					}
 					return
 				}
-				if !send(ev) {
-					return
-				}
-				if ev.Type == "complete" {
+				if !send(ev) || ev.Type == "complete" {
 					return
 				}
 			case <-heartbeat.C:
@@ -148,8 +140,7 @@ func NewServer(s *Scheduler) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Metrics().Snapshot(s.QueueDepth())
 		if b := s.Board(); b != nil {
-			// Board counters merge under the same flat namespace; the
-			// two sets share no keys by construction.
+			// The two sets of counters share no keys.
 			for k, v := range b.Snapshot() {
 				snap[k] = v
 			}

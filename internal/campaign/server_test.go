@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
 )
 
 func testServer(t *testing.T, opt Options) (*Scheduler, *Client) {
@@ -173,5 +175,49 @@ func TestHTTPEventStreamTerminalSnapshot(t *testing.T) {
 	}
 	if len(types) != 2 || types[0] != "snapshot" || types[1] != "complete" {
 		t.Errorf("terminal stream = %v, want [snapshot complete]", types)
+	}
+}
+
+// TestCancelledCellsReadCancelledRemotely: one client runs a campaign
+// while a second client DELETEs it. The first client's results read
+// cancelled for the cell that was running and for every cell that never
+// started, not failed: the outcome crosses the wire with the error text.
+func TestCancelledCellsReadCancelledRemotely(t *testing.T) {
+	exec := &blockingExecutor{started: make(chan string, 1)}
+	s, first := testServer(t, Options{Workers: 1, Executor: exec})
+	second := &Client{Base: first.Base, HTTP: first.HTTP}
+	ctx := context.Background()
+	type outcome struct {
+		results []runner.JobResult
+		err     error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		results, err := first.Run(ctx, nil, Submission{Spec: quickSpec()})
+		done <- outcome{results, err}
+	}()
+	select {
+	case <-exec.started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no job started")
+	}
+	ids := s.List()
+	if len(ids) != 1 {
+		t.Fatalf("%d campaigns on the server, want 1", len(ids))
+	}
+	if _, err := second.Cancel(ctx, ids[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if len(got.results) < 2 {
+		t.Fatalf("%d results, want the running cell and at least one unstarted", len(got.results))
+	}
+	for _, jr := range got.results {
+		if o := jr.Outcome(); o != runner.OutcomeCancelled {
+			t.Errorf("%s reads %s (%v), want cancelled", jr.Job, o, jr.Err)
+		}
 	}
 }

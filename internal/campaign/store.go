@@ -9,12 +9,9 @@ import (
 )
 
 // A campaign on disk is two files in Options.Dir: <id>.spec.json, the
-// submission as accepted, and — once it is cancelled — an empty
-// <id>.cancel. Everything else a restart needs is in the result cache:
-// each cell of the re-expanded spec is cached (its result), quarantined
-// (its quarantined outcome at the submission's watchdog window), or else
-// cancelled under a cancel mark and queued again without one. Both
-// files are on disk before Submit or Cancel returns.
+// submission as accepted, and once cancelled an empty <id>.cancel, each
+// on disk before Submit or Cancel returns. Everything else a restart
+// needs is in the result cache.
 
 // specFile is the content of <id>.spec.json.
 type specFile struct {

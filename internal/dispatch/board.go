@@ -15,14 +15,12 @@ type Options struct {
 	// LeaseTTL is how long a claimed job may go without a heartbeat
 	// before it is reclaimed. Default 15s.
 	LeaseTTL time.Duration
-	// MaxReassign bounds how many times one job is reclaimed and
-	// requeued before the board fails it instead of looping forever.
-	// Default 3.
+	// MaxReassign bounds how often one job is requeued before the board
+	// fails it instead of looping forever. Default 3.
 	MaxReassign int
 	// Liveness is how long a worker may go without any request before
-	// it is pruned and stops counting as available capacity. Default
-	// 2×LeaseTTL (comfortably above both the claim hold and the
-	// heartbeat interval).
+	// it is pruned and stops counting as live. Default 2×LeaseTTL (above
+	// both the claim hold and the heartbeat interval).
 	Liveness time.Duration
 	// Log, when non-nil, receives operational notices.
 	Log func(format string, args ...any)
@@ -41,52 +39,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// taskState is one dispatched job's lifecycle on the board.
-type taskState uint8
-
-const (
-	taskQueued taskState = iota
-	taskLeased
-	taskDone      // terminal: result (success or failure) is set
-	taskWithdrawn // terminal: no live workers; caller runs it locally
-	taskCancelled // terminal: the enqueueing context was cancelled
-)
-
-// task is one job waiting on, or moving through, the worker fleet.
-// Identity fields (id, job, wire, emit, done) are immutable after
-// Enqueue; the lifecycle fields are guarded by the owning board's
-// mutex.
-type task struct {
-	id        uint64
-	job       runner.Job
-	wire      runner.WireJob
-	emit      func(runner.Event)
-	state     taskState        // guarded by Board.mu
-	lease     *lease           // guarded by Board.mu
-	reassigns int              // guarded by Board.mu
-	result    runner.JobResult // guarded by Board.mu
-	done      chan struct{}    // closed on taskDone and taskWithdrawn
-}
-
-// lease is one grant of one task to one worker. id/task/worker are
-// fixed at grant time; only the expiry moves (heartbeat extensions),
-// under the board's mutex.
+// lease is one grant of one task to one worker; only the expiry moves
+// (heartbeats). Whoever takes the lease off the board — a delivery, a
+// reclaim, Close — sends its one outcome.
 type lease struct {
 	id      string
-	task    *task
+	task    *runner.Task
 	worker  *workerRec
-	expires time.Time // guarded by Board.mu
+	emit    func(runner.Event)
+	expires time.Time             // guarded by Board.mu
+	outcome chan runner.JobResult // buffered: the result, or runner.ErrRequeued
 }
 
 // workerRec is the board's view of one registered worker.
 type workerRec struct {
-	id       string
-	name     string
-	module   string
+	id, name string
 	lastSeen time.Time         // guarded by Board.mu
 	active   map[string]*lease // guarded by Board.mu; lease id -> lease
 	done     int64             // guarded by Board.mu
-	parked   int               // guarded by Board.mu; claims held open on an empty board
+	parked   int               // guarded by Board.mu; claims held open now
 }
 
 // live: seen within the liveness window, or holding a claim open now.
@@ -96,71 +67,52 @@ func (w *workerRec) live(now time.Time, liveness time.Duration) bool {
 
 // WorkerView is the API shape of one worker row in GET /workers.
 type WorkerView struct {
-	ID   string `json:"id"`
-	Name string `json:"name"`
-	// LastSeenMS is how long ago the worker last made any request.
-	LastSeenMS float64 `json:"last_seen_ms"`
-	// Active lists the jobs the worker currently holds leases on.
-	Active []string `json:"active,omitempty"`
-	// Done counts results this worker delivered and the board accepted.
-	Done int64 `json:"jobs_done"`
+	ID         string   `json:"id"`
+	Name       string   `json:"name"`
+	LastSeenMS float64  `json:"last_seen_ms"`     // since the worker's last request
+	Active     []string `json:"active,omitempty"` // the jobs it holds leases on
+	Done       int64    `json:"jobs_done"`        // results it delivered and the board accepted
 }
 
-// Board is the service-side lease table: jobs enqueued by the
-// RemoteExecutor, workers pulling them under TTL leases, and a sweeper
-// that reclaims whatever stops heartbeating. All exported methods are
-// safe for concurrent use.
+// Board is the remote side of the service's one job queue: the worker
+// registry, the TTL leases workers' claims take, and a sweeper that
+// reclaims whatever stops heartbeating. It keeps the queue's remote
+// count at the number of live workers. Safe for concurrent use. Lock
+// order: Board.mu, then the queue's (which never calls out held).
 type Board struct {
 	opt Options
-
-	mu        sync.Mutex
-	queue     []*task               // guarded by mu
-	leases    map[string]*lease     // guarded by mu
-	workers   map[string]*workerRec // guarded by mu
-	taskSeq   uint64                // guarded by mu
-	leaseSeq  uint64                // guarded by mu
-	workerSeq int                   // guarded by mu
-	closed    bool                  // guarded by mu
-	// wake is closed and replaced whenever work is queued or the board
-	// closes; a parked claim waits on the channel it read under mu.
-	wake chan struct{} // guarded by mu
-
-	sweepStop chan struct{}
+	q   *runner.Queue
+	// life ends at Close: it stops the sweeper, releases parked claims
+	// and refuses new ones.
+	life      context.Context
+	end       context.CancelFunc
 	sweepDone chan struct{}
-
-	// now is the board's clock, time.Now outside tests. Expiry and
-	// liveness decisions all flow through it so the lease lifecycle is
-	// testable without wall-clock sleeps.
+	// now is the board's clock (time.Now outside tests), so the lease
+	// lifecycle is testable without wall-clock sleeps.
 	now func() time.Time
 
+	mu        sync.Mutex
+	leases    map[string]*lease     // guarded by mu
+	workers   map[string]*workerRec // guarded by mu
+	leaseSeq  uint64                // guarded by mu
+	workerSeq int                   // guarded by mu
+
 	// Counters (see Snapshot for the /metrics keys).
-	cRegistered atomic.Int64
-	cGranted    atomic.Int64
-	cExpired    atomic.Int64
-	cReclaimed  atomic.Int64
-	cExhausted  atomic.Int64
-	cDuplicate  atomic.Int64
-	cAbandoned  atomic.Int64
-	cRemoteDone atomic.Int64
-	cRemoteFail atomic.Int64
-	cWithdrawn  atomic.Int64
-	cFallback   atomic.Int64
-	cPruned     atomic.Int64
-	cMismatch   atomic.Int64
-	cEmpty      atomic.Int64
+	cRegistered, cGranted, cExpired, cReclaimed, cExhausted, cDuplicate, cAbandoned atomic.Int64
+	cRemoteDone, cRemoteFail, cFallback, cPruned, cMismatch, cEmpty                 atomic.Int64
 }
 
-// NewBoard starts a board and its reclaim sweeper.
+// NewBoard starts a board, its queue and its reclaim sweeper.
 func NewBoard(opt Options) *Board {
 	b := &Board{
 		opt:       opt.withDefaults(),
-		leases:    map[string]*lease{},
-		workers:   map[string]*workerRec{},
-		wake:      make(chan struct{}),
-		sweepStop: make(chan struct{}),
+		q:         runner.NewQueue(),
 		sweepDone: make(chan struct{}),
 		now:       time.Now,
+		leases:    map[string]*lease{},
+		workers:   map[string]*workerRec{},
 	}
+	b.life, b.end = context.WithCancel(context.Background())
 	go b.sweeper()
 	return b
 }
@@ -171,13 +123,14 @@ func (b *Board) logf(format string, args ...any) {
 	}
 }
 
-// LeaseTTL returns the configured lease TTL.
-func (b *Board) LeaseTTL() time.Duration { return b.opt.LeaseTTL }
+// Queue is the queue the board's workers claim from; a campaign
+// scheduler handed the board queues its jobs there.
+func (b *Board) Queue() *runner.Queue { return b.q }
 
 // Register adds a worker and returns its assigned id.
 func (b *Board) Register(name, module string) (string, error) {
 	b.mu.Lock()
-	if b.closed {
+	if b.life.Err() != nil {
 		b.mu.Unlock()
 		return "", ErrClosed
 	}
@@ -186,13 +139,11 @@ func (b *Board) Register(name, module string) (string, error) {
 	if name == "" {
 		name = id
 	}
-	b.workers[id] = &workerRec{
-		id: id, name: name, module: module,
-		lastSeen: b.now(), active: map[string]*lease{},
-	}
+	b.workers[id] = &workerRec{id: id, name: name, lastSeen: b.now(), active: map[string]*lease{}}
+	b.q.SetRemote(b.liveWorkersLocked(b.now()))
 	b.mu.Unlock()
 	b.cRegistered.Add(1)
-	b.logf("dispatch: worker %s (%s) registered", name, id)
+	b.logf("dispatch: worker %s (%s, build %s) registered", name, id, module)
 	return id, nil
 }
 
@@ -206,148 +157,113 @@ func (b *Board) liveWorkersLocked(now time.Time) int {
 	return n
 }
 
-// wakeLocked sends every parked claim back to the queue. Callers hold b.mu.
-func (b *Board) wakeLocked() {
-	close(b.wake)
-	b.wake = make(chan struct{})
-}
-
-// Enqueue offers one job to the fleet and blocks until it completes,
-// the context is cancelled, or the board withdraws it because no live
-// workers remain. executed=false means the job never ran remotely and
-// the caller should execute it locally.
-func (b *Board) Enqueue(ctx context.Context, job runner.Job, wire runner.WireJob, emit func(runner.Event)) (runner.JobResult, bool) {
-	if emit == nil {
-		emit = func(runner.Event) {}
-	}
-	b.mu.Lock()
-	now := b.now()
-	if b.closed || b.liveWorkersLocked(now) == 0 {
-		b.mu.Unlock()
-		return runner.JobResult{}, false
-	}
-	b.taskSeq++
-	t := &task{id: b.taskSeq, job: job, wire: wire, emit: emit, done: make(chan struct{})}
-	b.queue = append(b.queue, t)
-	b.wakeLocked()
-	b.mu.Unlock()
-
-	select {
-	case <-t.done:
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if t.state == taskWithdrawn {
-			return runner.JobResult{}, false
-		}
-		return t.result, true
-	case <-ctx.Done():
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		switch t.state {
-		case taskDone:
-			return t.result, true // finished concurrently: keep the real result
-		case taskWithdrawn:
-			return runner.JobResult{}, false
-		case taskQueued:
-			b.removeQueuedLocked(t)
-		case taskLeased:
-			// Drop the lease: the worker's eventual delivery lands on a
-			// spent lease and is dropped as a duplicate.
-			b.dropLeaseLocked(t.lease)
-		}
-		t.state = taskCancelled
-		return runner.JobResult{Job: job, Err: ctx.Err()}, true
-	}
-}
-
-// removeQueuedLocked deletes a task from the FIFO. Callers hold b.mu.
-func (b *Board) removeQueuedLocked(t *task) {
-	for i, q := range b.queue {
-		if q == t {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// dropLeaseLocked forgets a lease without touching its task. Callers
-// hold b.mu.
+// dropLeaseLocked takes a lease off the board. Callers hold b.mu.
 func (b *Board) dropLeaseLocked(l *lease) {
-	if l == nil {
-		return
-	}
 	delete(b.leases, l.id)
 	delete(l.worker.active, l.id)
-	if l.task.lease == l {
-		l.task.lease = nil
-	}
 }
 
 // maxClaimHold caps how long one claim parks: safely under the worker
 // client's 30 s HTTP timeout, whatever the lease TTL.
 const maxClaimHold = 20 * time.Second
 
-// Claim is ClaimWait with no hold: an empty board answers at once.
-func (b *Board) Claim(workerID string) (ClaimResponse, bool, error) {
-	return b.ClaimWait(context.Background(), workerID, 0)
+// claimKey keys the claimant in the context a claimed task runs under.
+type claimKey struct{}
+
+// claimant is a worker's claim holding a task; the task's envelope
+// answers it through grant when it offers the job to the fleet.
+type claimant struct {
+	task   *runner.Task
+	worker *workerRec
+	grant  chan ClaimResponse // buffered: the claim's one answer
 }
 
-// ClaimWait hands the first queued job to a worker under a fresh lease.
-// On an empty board the claim parks for up to min(wait, LeaseTTL/3,
-// maxClaimHold) and is answered the moment work is queued; ctx ending
-// (client gone) or Close releases it. ok=false, nil error: no work.
+// ClaimWait takes the first queued job for a worker. The claim runs the
+// task's envelope on the service, and answers with a fresh lease when
+// the envelope offers the job to the fleet; a task the service settles
+// itself (a cache hit) sends the claim on to the next. On an empty
+// queue the claim parks for up to min(wait, LeaseTTL/3, maxClaimHold);
+// ctx ending (client gone) or Close releases it. ok=false, nil error:
+// no work.
 func (b *Board) ClaimWait(ctx context.Context, workerID string, wait time.Duration) (ClaimResponse, bool, error) {
+	wait = min(wait, b.opt.LeaseTTL/3, maxClaimHold)
 	b.mu.Lock()
 	w := b.workers[workerID]
 	if w == nil {
 		b.mu.Unlock()
 		return ClaimResponse{}, false, ErrUnknownWorker
 	}
-	now := b.now()
-	w.lastSeen = now
-	if wait = min(wait, b.opt.LeaseTTL/3, maxClaimHold); wait > 0 && len(b.queue) == 0 {
-		hold, cancel := context.WithTimeout(ctx, wait)
-		defer cancel()
+	w.lastSeen = b.now()
+	if wait > 0 {
 		w.parked++
-		for len(b.queue) == 0 && !b.closed && hold.Err() == nil {
-			wake := b.wake
-			b.mu.Unlock()
-			select {
-			case <-wake:
-			case <-hold.Done():
-			}
-			b.mu.Lock()
+	}
+	b.mu.Unlock()
+	defer func() {
+		b.mu.Lock()
+		if wait > 0 {
+			w.parked--
 		}
-		w.parked--
-		now = b.now()
-		w.lastSeen = now
-	}
-	if len(b.queue) == 0 || ctx.Err() != nil { // a vanished client gets no lease
+		w.lastSeen = b.now()
 		b.mu.Unlock()
-		b.cEmpty.Add(1)
-		return ClaimResponse{}, false, nil
+	}()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(b.life, cancel)()
+	for b.life.Err() == nil {
+		t := b.q.Claim(ctx, wait)
+		if t == nil {
+			break
+		}
+		c := &claimant{task: t, worker: w, grant: make(chan ClaimResponse, 1)}
+		done := b.q.Start(context.WithValue(t.Ctx, claimKey{}, c), t)
+		select {
+		case resp := <-c.grant:
+			return resp, true, nil
+		case <-done: // settled on the service: take the next one
+		}
 	}
-	t := b.queue[0]
-	b.queue = b.queue[1:]
+	b.cEmpty.Add(1)
+	return ClaimResponse{}, false, nil
+}
+
+// offer leases job to the worker whose claim its task runs under and
+// waits for the outcome: the worker's result, a failure once the job's
+// leases ran out, runner.ErrRequeued when the lease was lost and the
+// task queued again, or ctx's error. executed=false: ctx carries no
+// claim (an in-process slot runs the task); the caller runs the job.
+func (b *Board) offer(ctx context.Context, job runner.Job, wire runner.WireJob, emit func(runner.Event)) (runner.JobResult, bool) {
+	c, _ := ctx.Value(claimKey{}).(*claimant)
+	if c == nil {
+		return runner.JobResult{}, false
+	}
+	if emit == nil {
+		emit = func(runner.Event) {}
+	}
+	b.mu.Lock()
 	b.leaseSeq++
 	l := &lease{
-		id:      fmt.Sprintf("l%08d", b.leaseSeq),
-		task:    t,
-		worker:  w,
-		expires: now.Add(b.opt.LeaseTTL),
+		id: fmt.Sprintf("l%08d", b.leaseSeq), task: c.task, worker: c.worker, emit: emit,
+		expires: b.now().Add(b.opt.LeaseTTL), outcome: make(chan runner.JobResult, 1),
 	}
-	t.state = taskLeased
-	t.lease = l
 	b.leases[l.id] = l
-	w.active[l.id] = l
-	resp := ClaimResponse{LeaseID: l.id, TTLMS: b.opt.LeaseTTL.Milliseconds(), Job: t.wire}
-	emit := t.emit
-	worker := w.name
+	c.worker.active[l.id] = l
 	b.mu.Unlock()
-
 	b.cGranted.Add(1)
-	emit(runner.Event{Type: runner.JobLeased, Job: t.job, Worker: worker})
-	return resp, true, nil
+	emit(runner.Event{Type: runner.JobLeased, Job: job, Worker: c.worker.name})
+	c.grant <- ClaimResponse{LeaseID: l.id, TTLMS: b.opt.LeaseTTL.Milliseconds(), Job: wire}
+	select {
+	case jr := <-l.outcome:
+		return jr, true
+	case <-ctx.Done():
+	}
+	b.mu.Lock()
+	_, held := b.leases[l.id]
+	b.dropLeaseLocked(l) // a later delivery lands on a spent lease: a duplicate
+	b.mu.Unlock()
+	if !held {
+		return <-l.outcome, true // taken off the board as ctx ended: keep what it sent
+	}
+	return runner.JobResult{Job: job, Err: ctx.Err()}, true
 }
 
 // Heartbeat renews a lease. ErrLeaseGone tells the worker its job was
@@ -370,81 +286,66 @@ func (b *Board) Heartbeat(workerID, leaseID string) error {
 }
 
 // Complete delivers a job's result (or abandons it). A delivery under
-// a reclaimed lease is counted and dropped — the job either already
-// ran elsewhere or is queued to; accepting a second result would
-// double-count it.
+// a reclaimed lease is counted and dropped: the job ran elsewhere or is
+// queued to, and a second result would double-count it.
 func (b *Board) Complete(workerID, leaseID string, wres runner.WireResult, abandon bool) error {
 	b.mu.Lock()
-	now := b.now()
-	w := b.workers[workerID]
-	if w == nil {
-		b.mu.Unlock()
-		b.cDuplicate.Add(1)
-		return ErrUnknownWorker
+	w, l := b.workers[workerID], b.leases[leaseID]
+	if w != nil {
+		w.lastSeen = b.now()
 	}
-	w.lastSeen = now
-	l := b.leases[leaseID]
-	if l == nil || l.worker != w {
+	if w == nil || l == nil || l.worker != w {
 		b.mu.Unlock()
 		b.cDuplicate.Add(1)
+		if w == nil {
+			return ErrUnknownWorker
+		}
 		return ErrLeaseGone
 	}
-	t := l.task
 	b.dropLeaseLocked(l)
+	if !abandon {
+		w.done++
+	}
+	b.mu.Unlock()
 	if abandon {
 		b.cAbandoned.Add(1)
-		emits := b.requeueLocked(t, now)
-		b.mu.Unlock()
-		b.logf("dispatch: worker %s abandoned %s (draining); requeued", w.name, t.job)
-		for _, e := range emits {
-			t.emit(e)
-		}
+		b.logf("dispatch: worker %s abandoned %s (draining); requeued", w.name, l.task.Job)
+		b.reclaim(l)
 		return nil
 	}
-	t.state = taskDone
-	t.result = wres.JobResult(t.job)
-	w.done++
-	if t.result.Err != nil {
+	jr := wres.JobResult(l.task.Job)
+	if jr.Err != nil {
 		b.cRemoteFail.Add(1)
 	} else {
 		b.cRemoteDone.Add(1)
 	}
-	close(t.done)
-	b.mu.Unlock()
+	l.outcome <- jr
 	return nil
 }
 
-// requeueLocked returns a reclaimed task to the front of the queue (or
-// fails it once the reassignment budget is spent), returning the
-// events to emit after b.mu is released. Callers hold b.mu.
-func (b *Board) requeueLocked(t *task, now time.Time) []runner.Event {
-	t.reassigns++
-	if t.reassigns > b.opt.MaxReassign {
-		t.state = taskDone
-		t.result = runner.JobResult{Job: t.job, Err: fmt.Errorf(
-			"dispatch: %s: lease lost %d times (worker crashes, stalls or partitions); giving up", t.job, t.reassigns)}
-		b.cExhausted.Add(1)
-		close(t.done)
-		return []runner.Event{{Type: runner.JobFailed, Job: t.job, Err: t.result.Err}}
+// reclaim returns a lost lease's task (already off the board) to the
+// front of the queue, or fails the job once MaxReassign are spent.
+func (b *Board) reclaim(l *lease) {
+	job := l.task.Job
+	if b.q.Requeue(l.task, b.opt.MaxReassign) {
+		b.cReclaimed.Add(1)
+		l.emit(runner.Event{Type: runner.JobReassigned, Job: job, Worker: l.worker.name})
+		l.outcome <- runner.JobResult{Job: job, Err: runner.ErrRequeued}
+		return
 	}
-	t.state = taskQueued
-	t.lease = nil
-	// Front of the queue: a reclaimed job has already waited its turn.
-	b.queue = append([]*task{t}, b.queue...)
-	b.wakeLocked()
-	b.cReclaimed.Add(1)
-	return []runner.Event{{Type: runner.JobReassigned, Job: t.job}}
+	b.cExhausted.Add(1)
+	l.outcome <- runner.JobResult{Job: job, Err: fmt.Errorf(
+		"dispatch: %s: lease lost %d times (worker crashes, stalls or partitions); giving up", job, b.opt.MaxReassign+1)}
 }
 
-// sweeper periodically reclaims expired leases, prunes dead workers
-// and withdraws queued work when the fleet is gone.
+// sweeper reclaims expired leases and prunes dead workers every TTL/4.
 func (b *Board) sweeper() {
 	defer close(b.sweepDone)
 	tick := time.NewTicker(b.opt.LeaseTTL / 4)
 	defer tick.Stop()
 	for {
 		select {
-		case <-b.sweepStop:
+		case <-b.life.Done():
 			return
 		case <-tick.C:
 			b.sweep(b.now())
@@ -452,31 +353,15 @@ func (b *Board) sweeper() {
 	}
 }
 
-// sweep runs one reclaim pass. Split out (and time-parameterized) for
-// tests.
+// sweep runs one reclaim pass (time-parameterized for tests).
 func (b *Board) sweep(now time.Time) {
-	type emission struct {
-		emit func(runner.Event)
-		ev   runner.Event
-	}
-	var emits []emission
-
+	var lost []*lease
 	b.mu.Lock()
 	for id, l := range b.leases {
-		if !now.After(l.expires) {
-			continue
-		}
-		t := l.task
-		worker := l.worker.name
-		delete(b.leases, id)
-		delete(l.worker.active, id)
-		t.lease = nil
-		b.cExpired.Add(1)
-		b.logf("dispatch: lease %s on %s expired (worker %s stopped heartbeating); reclaiming", id, t.job, worker)
-		emits = append(emits, emission{t.emit, runner.Event{Type: runner.JobLeaseExpired, Job: t.job, Worker: worker}})
-		for _, ev := range b.requeueLocked(t, now) {
-			ev.Worker = worker
-			emits = append(emits, emission{t.emit, ev})
+		if now.After(l.expires) {
+			b.dropLeaseLocked(l)
+			lost = append(lost, l)
+			b.logf("dispatch: lease %s on %s expired (worker %s stopped heartbeating); reclaiming", id, l.task.Job, l.worker.name)
 		}
 	}
 	for id, w := range b.workers {
@@ -486,54 +371,39 @@ func (b *Board) sweep(now time.Time) {
 			b.logf("dispatch: worker %s (%s) not seen for %v; pruned", w.name, id, now.Sub(w.lastSeen).Round(time.Millisecond))
 		}
 	}
-	if b.liveWorkersLocked(now) == 0 && len(b.queue) > 0 {
-		n := len(b.queue)
-		for _, t := range b.queue {
-			t.state = taskWithdrawn
-			b.cWithdrawn.Add(1)
-			close(t.done)
-		}
-		b.queue = b.queue[:0]
-		b.logf("dispatch: no live workers; withdrew %d queued job(s) for local execution", n)
-	}
+	b.q.SetRemote(b.liveWorkersLocked(now))
 	b.mu.Unlock()
 
-	for _, e := range emits {
-		e.emit(e.ev)
+	for _, l := range lost {
+		b.cExpired.Add(1)
+		l.emit(runner.Event{Type: runner.JobLeaseExpired, Job: l.task.Job, Worker: l.worker.name})
+		b.reclaim(l)
 	}
 }
 
 // Workers returns the current fleet view in registration order.
 func (b *Board) Workers() []WorkerView {
 	b.mu.Lock()
-	now := b.now()
 	defer b.mu.Unlock()
+	now := b.now()
 	out := make([]WorkerView, 0, len(b.workers))
 	for i := 0; i < b.workerSeq; i++ {
-		w := b.workers[fmt.Sprintf("w%04d", i)]
-		if w == nil {
-			continue
+		if w := b.workers[fmt.Sprintf("w%04d", i)]; w != nil {
+			v := WorkerView{ID: w.id, Name: w.name, LastSeenMS: float64(now.Sub(w.lastSeen)) / float64(time.Millisecond), Done: w.done}
+			for _, l := range w.active {
+				v.Active = append(v.Active, l.task.Job.String())
+			}
+			out = append(out, v)
 		}
-		v := WorkerView{
-			ID: w.id, Name: w.name,
-			LastSeenMS: float64(now.Sub(w.lastSeen)) / float64(time.Millisecond),
-			Done:       w.done,
-		}
-		for _, l := range w.active {
-			v.Active = append(v.Active, l.task.job.String())
-		}
-		out = append(out, v)
 	}
 	return out
 }
 
 // Snapshot renders the board's counters for the /metrics surface.
 func (b *Board) Snapshot() map[string]any {
+	queued := b.q.Len()
 	b.mu.Lock()
-	live := b.liveWorkersLocked(b.now())
-	queued := len(b.queue)
-	leased := len(b.leases)
-	parked := 0
+	live, leased, parked := b.liveWorkersLocked(b.now()), len(b.leases), 0
 	for _, w := range b.workers {
 		parked += w.parked
 	}
@@ -554,37 +424,28 @@ func (b *Board) Snapshot() map[string]any {
 		"results_duplicate":       b.cDuplicate.Load(),
 		"remote_jobs_done":        b.cRemoteDone.Load(),
 		"remote_jobs_failed":      b.cRemoteFail.Load(),
-		"jobs_withdrawn":          b.cWithdrawn.Load(),
 		"local_fallbacks":         b.cFallback.Load(),
 		"result_key_mismatches":   b.cMismatch.Load(),
 	}
 }
 
-// Close stops the sweeper and rejects further registrations and
-// enqueues. Call it after the campaign scheduler has drained: leases
-// already granted can still complete, but nothing reclaims them once
-// the sweeper stops.
+// Close releases parked claims, refuses further registrations and
+// claims, and stops the sweeper. Leases still out go back to the front
+// of the queue: a serving process runs them in its own slots, a
+// draining one (queue closed) leaves them for the next.
 func (b *Board) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.sweepDone
-		return
+	b.end()
+	b.q.SetRemote(0)
+	var held []*lease
+	for _, l := range b.leases {
+		b.dropLeaseLocked(l)
+		held = append(held, l)
 	}
-	b.closed = true
-	b.wakeLocked()
 	b.mu.Unlock()
-	close(b.sweepStop)
 	<-b.sweepDone
-	// One final pass so queued tasks are not stranded: with the board
-	// closed no claim will ever come, so hand everything back to the
-	// local path regardless of fleet liveness.
-	b.mu.Lock()
-	for _, t := range b.queue {
-		t.state = taskWithdrawn
-		b.cWithdrawn.Add(1)
-		close(t.done)
+	for _, l := range held {
+		b.q.Requeue(l.task, 0)
+		l.outcome <- runner.JobResult{Job: l.task.Job, Err: runner.ErrRequeued}
 	}
-	b.queue = nil
-	b.mu.Unlock()
 }

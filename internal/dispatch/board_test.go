@@ -90,35 +90,42 @@ type enqueued struct {
 	executed bool
 }
 
-// enqueue offers a job on a background goroutine and returns the
+// enqueue pushes a job onto the board's queue whose run offers it to
+// the claiming worker, as RemoteExecutor's envelope does (a lost lease
+// ends the run and the next claim runs it again), and returns the
 // channel its outcome lands on.
 func enqueue(ctx context.Context, b *Board, log *eventLog) (runner.Job, <-chan enqueued) {
 	job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1}
-	ch := make(chan enqueued, 1)
-	go func() {
-		jr, ex := b.Enqueue(ctx, job, runner.WireJob{}, log.emit)
-		ch <- enqueued{jr, ex}
-	}()
-	return job, ch
+	return job, push(ctx, b, job, runner.WireJob{}, log.emit)
 }
 
-// claimSoon polls Claim until the queued task is visible to the worker
-// (the Enqueue goroutine needs a moment to append it).
+func push(ctx context.Context, b *Board, job runner.Job, wire runner.WireJob, emit func(runner.Event)) <-chan enqueued {
+	ch := make(chan enqueued, 1)
+	b.Queue().Push(&runner.Task{Job: job, Ctx: ctx, Run: func(ctx context.Context) {
+		jr, executed := b.offer(ctx, job, wire, emit)
+		if !errors.Is(jr.Err, runner.ErrRequeued) {
+			ch <- enqueued{jr, executed}
+		}
+	}})
+	return ch
+}
+
+// claimSoon claims the queued job for a worker, failing when there is none.
 func claimSoon(t *testing.T, b *Board, workerID string) ClaimResponse {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, ok, err := b.Claim(workerID)
-		if err != nil {
-			t.Fatalf("Claim: %v", err)
-		}
-		if ok {
-			return resp
-		}
-		time.Sleep(time.Millisecond)
+	resp, ok, err := b.ClaimWait(context.Background(), workerID, 0)
+	if err != nil || !ok {
+		t.Fatalf("Claim: ok=%v err=%v", ok, err)
 	}
-	t.Fatal("no claimable job appeared")
-	return ClaimResponse{}
+	return resp
+}
+
+// claimNone asserts a worker's claim finds no job.
+func claimNone(t *testing.T, b *Board, workerID string) {
+	t.Helper()
+	if resp, ok, err := b.ClaimWait(context.Background(), workerID, 0); ok || err != nil {
+		t.Fatalf("claim: ok=%v err=%v lease %q", ok, err, resp.LeaseID)
+	}
 }
 
 func mustRegister(t *testing.T, b *Board, name string) string {
@@ -146,9 +153,7 @@ func TestLeaseExpiryReclaimRequeue(t *testing.T) {
 	// must stay within liveness, so heartbeat its registration by
 	// claiming (a no-work claim refreshes lastSeen).
 	clock.Advance(61 * time.Second)
-	if _, ok, _ := b.Claim(healthy); ok {
-		t.Fatal("job claimable before sweep reclaimed it")
-	}
+	claimNone(t, b, healthy)
 	b.sweep(clock.Now())
 
 	second := claimSoon(t, b, healthy)
@@ -193,9 +198,7 @@ func TestDuplicateResultDropped(t *testing.T) {
 
 	stale := claimSoon(t, b, slow)
 	clock.Advance(61 * time.Second)
-	if _, ok, _ := b.Claim(fast); ok {
-		t.Fatal("premature claim")
-	}
+	claimNone(t, b, fast)
 	b.sweep(clock.Now())
 	fresh := claimSoon(t, b, fast)
 	if err := b.Complete(fast, fresh.LeaseID, runner.WireResult{Key: "good"}, false); err != nil {
@@ -239,47 +242,45 @@ func TestMaxReassignExhaustion(t *testing.T) {
 		t.Fatalf("want a lease-lost failure, got %v", got.jr.Err)
 	}
 	snap := b.Snapshot()
-	if snap["jobs_reassign_exhausted"].(int64) != 1 {
+	if snap["jobs_reassign_exhausted"].(int64) != 1 || snap["jobs_reclaimed"].(int64) != 2 {
 		t.Fatalf("exhaustion not counted: %v", snap)
 	}
-	if n := log.count(runner.JobFailed); n != 1 {
-		t.Fatalf("JobFailed events = %d, want 1", n)
+	// The failure is the envelope's to report: the board emits no
+	// terminal event of its own.
+	if n := log.count(runner.JobFailed); n != 0 {
+		t.Fatalf("JobFailed events = %d from the board, want 0", n)
 	}
+	claimNone(t, b, w)
 }
 
-// TestNoWorkersFallsBack covers both degradation paths: Enqueue with
-// an empty fleet refuses immediately, and a queued job whose last
-// worker dies is withdrawn so the caller can run it locally.
+// TestNoWorkersFallsBack covers both degradation paths: with an empty
+// fleet the in-process slot takes a job at once, and a queued job whose
+// last worker dies goes to the slot at the sweep that prunes it.
 func TestNoWorkersFallsBack(t *testing.T) {
 	b, clock := testBoard(t, Options{LeaseTTL: time.Minute, Liveness: 2 * time.Minute})
+	b.Queue().Serve(1)
+	t.Cleanup(b.Queue().Close)
 	log := &eventLog{}
 
-	// Empty fleet: immediate refusal.
-	jr, executed := b.Enqueue(context.Background(), runner.Job{ExpID: "x"}, runner.WireJob{}, log.emit)
-	if executed {
-		t.Fatalf("Enqueue with no workers claimed to execute: %+v", jr)
+	// Empty fleet: the slot runs it.
+	if got := <-push(context.Background(), b, runner.Job{ExpID: "x"}, runner.WireJob{}, log.emit); got.executed {
+		t.Fatalf("a job with no workers went remote: %+v", got.jr)
 	}
 
-	// Fleet dies while the job is queued: withdraw.
+	// Fleet dies while the job is queued: the sweep hands it to the slot.
 	mustRegister(t, b, "fleeting")
 	_, ch := enqueue(context.Background(), b, log)
-	// Wait until the task is actually queued before killing the fleet.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Snapshot()["dispatch_queued"].(int) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never queued")
-		}
-		time.Sleep(time.Millisecond)
+	time.Sleep(10 * time.Millisecond)
+	if q := b.Snapshot()["dispatch_queued"].(int); q != 1 {
+		t.Fatalf("dispatch_queued %d with a worker live, want the job left to it", q)
 	}
 	clock.Advance(3 * time.Minute) // past liveness: worker is dead
 	b.sweep(clock.Now())
-	got := <-ch
-	if got.executed {
-		t.Fatal("withdrawn job reported executed")
+	if got := <-ch; got.executed {
+		t.Fatal("job ran remotely with the fleet gone")
 	}
-	snap := b.Snapshot()
-	if snap["jobs_withdrawn"].(int64) != 1 || snap["workers_pruned"].(int64) != 1 {
-		t.Fatalf("withdraw not visible in metrics: %v", snap)
+	if snap := b.Snapshot(); snap["workers_pruned"].(int64) != 1 || snap["leases_granted"].(int64) != 0 {
+		t.Fatalf("fallback not visible in metrics: %v", snap)
 	}
 }
 
@@ -359,49 +360,77 @@ func TestEnqueueCancellation(t *testing.T) {
 	}
 }
 
-// TestEnqueueCancelledWhileQueued: a job cancelled before any worker
-// claims it leaves the queue with the context error, so a later claim
-// by a worker that was registered all along finds nothing to run.
+// TestEnqueueCancelledWhileQueued: a job whose context ends before any
+// worker claims it is never leased — the claim runs it, and its run
+// sees the cancellation — so a worker registered all along gets nothing
+// to run.
 func TestEnqueueCancelledWhileQueued(t *testing.T) {
 	b, _ := testBoard(t, Options{LeaseTTL: time.Hour})
 	w := mustRegister(t, b, "late")
 	ctx, cancel := context.WithCancel(context.Background())
-	_, ch := enqueue(ctx, b, &eventLog{})
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Snapshot()["dispatch_queued"].(int) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never queued")
+	job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1}
+	ch := make(chan error, 1)
+	b.Queue().Push(&runner.Task{Job: job, Ctx: ctx, Run: func(ctx context.Context) {
+		if err := ctx.Err(); err != nil {
+			ch <- err // what a campaign's task does with a cancelled job
+			return
 		}
-		time.Sleep(time.Millisecond)
-	}
+		b.offer(ctx, job, runner.WireJob{}, nil)
+	}})
 	cancel()
-	if got := <-ch; !got.executed || !errors.Is(got.jr.Err, context.Canceled) {
-		t.Fatalf("cancelled queued job: executed=%v err=%v", got.executed, got.jr.Err)
+	claimNone(t, b, w)
+	if err := <-ch; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled queued job: %v", err)
 	}
-	if q := b.Snapshot()["dispatch_queued"].(int); q != 0 {
-		t.Fatalf("dispatch_queued %d after the cancel, want 0", q)
-	}
-	if resp, ok, err := b.Claim(w); ok || err != nil {
-		t.Fatalf("claim after the cancel: ok=%v err=%v lease %q", ok, err, resp.LeaseID)
+	if n := b.Snapshot()["leases_granted"].(int64); n != 0 {
+		t.Fatalf("leases_granted = %d for a cancelled job", n)
 	}
 }
 
-// TestCloseWithdrawsQueued: closing the board hands queued jobs back to
-// the local path instead of stranding their enqueuers forever.
+// TestCloseWithdrawsQueued: closing the board hands its queued and its
+// leased jobs to the in-process slots — none is stranded — a late
+// delivery on a lease it dropped is refused, and under a closed queue
+// (a draining service) the handed-back job stays queued.
 func TestCloseWithdrawsQueued(t *testing.T) {
 	b, _ := testBoard(t, Options{LeaseTTL: time.Hour})
-	mustRegister(t, b, "idle")
-	log := &eventLog{}
-	_, ch := enqueue(context.Background(), b, log)
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Snapshot()["dispatch_queued"].(int) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never queued")
-		}
-		time.Sleep(time.Millisecond)
+	w := mustRegister(t, b, "idle")
+	_, leased := enqueue(context.Background(), b, &eventLog{})
+	claim := claimSoon(t, b, w)
+	_, queued := enqueue(context.Background(), b, &eventLog{})
+	b.Queue().Serve(1)
+	t.Cleanup(b.Queue().Close)
+	time.Sleep(10 * time.Millisecond)
+	if q := b.Snapshot()["dispatch_queued"].(int); q != 1 {
+		t.Fatalf("dispatch_queued %d before Close, want 1", q)
 	}
 	b.Close()
-	if got := <-ch; got.executed {
-		t.Fatal("queued job not withdrawn on Close")
+	for _, ch := range []<-chan enqueued{leased, queued} {
+		if got := <-ch; got.executed {
+			t.Fatal("a job went remote after Close")
+		}
+	}
+	if err := b.Complete(w, claim.LeaseID, runner.WireResult{Key: "late"}, false); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("delivery after Close: %v, want ErrLeaseGone", err)
+	}
+
+	// A draining service closes its queue first: the leased job the
+	// board hands back stays queued for the next process, unrun.
+	d, _ := testBoard(t, Options{LeaseTTL: time.Hour})
+	_, leased = enqueue(context.Background(), d, &eventLog{})
+	claimSoon(t, d, mustRegister(t, d, "busy"))
+	drained := make(chan struct{})
+	go func() {
+		d.Queue().Close() // waits for the leased run
+		close(drained)
+	}()
+	d.Close()
+	<-drained
+	if n := d.Queue().Len(); n != 1 {
+		t.Fatalf("%d jobs queued after the drain, want the leased one", n)
+	}
+	select {
+	case got := <-leased:
+		t.Fatalf("the handed-back job reported %+v", got)
+	default:
 	}
 }

@@ -336,3 +336,81 @@ func TestFlakyTransportStillByteIdentical(t *testing.T) {
 	}
 	board.Close()
 }
+
+// gatedExec reports each job it starts, then holds it until release
+// closes (or its lease dies).
+type gatedExec struct {
+	started chan<- string
+	release <-chan struct{}
+}
+
+func (e *gatedExec) Execute(ctx context.Context, job runner.Job, _ func(runner.Event)) runner.JobResult {
+	e.started <- job.String()
+	select {
+	case <-e.release:
+	case <-ctx.Done():
+	}
+	return runner.JobResult{Job: job, Result: &experiments.Result{}}
+}
+
+// TestWorkersDoNotCapFleet: a service with one in-process slot still
+// keeps both of a two-worker fleet busy — the workers claim from the
+// service's queue directly, not through its slots.
+func TestWorkersDoNotCapFleet(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := runner.OpenCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := dispatch.NewBoard(dispatch.Options{Log: t.Logf})
+	sched, err := campaign.Open(campaign.Options{
+		Dir: filepath.Join(dir, "campaigns"), Cache: cache, Workers: 1, Dispatch: board, Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(campaign.NewServer(sched))
+	defer srv.Close()
+	started, release := make(chan string, 16), make(chan struct{})
+	var stops []func()
+	for _, name := range []string{"a", "b"} {
+		exec := &gatedExec{started: started, release: release}
+		stops = append(stops, startWorker(t, srv, dispatch.WorkerOptions{Name: name, Slots: 1, Exec: exec, Log: t.Logf}, nil))
+	}
+	waitRegistered(t, board, 2)
+
+	v, err := sched.Submit(campaign.Submission{Spec: chaosSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("only %d of 2 workers got a job from a service with one slot", i)
+		}
+	}
+	busy := 0
+	for _, w := range board.Workers() {
+		if len(w.Active) == 1 {
+			busy++
+		}
+	}
+	if busy != 2 {
+		t.Fatalf("%d workers hold a lease, want both: %+v", busy, board.Workers())
+	}
+	close(release)
+	if final := waitDone(t, sched, v.ID); final.Status != campaign.StatusDone {
+		t.Fatalf("campaign: %+v", final)
+	}
+	if n := board.Snapshot()["local_fallbacks"].(int64); n != 0 {
+		t.Errorf("local_fallbacks = %d with the fleet live", n)
+	}
+	for _, stop := range stops {
+		stop()
+	}
+	if err := sched.Close(); err != nil {
+		t.Fatal(err)
+	}
+	board.Close()
+}

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -10,13 +11,12 @@ import (
 	"repro/internal/runner"
 )
 
-// TestFallbackStaysInsideOneEnvelope: a job the board withdraws
-// mid-wait falls back to in-process simulation inside the same
-// envelope it started in — one JobStart, one terminal event, and the
-// one cache probe made before dispatch. The second claim is checked by
-// planting the job's entry while it sits in the queue: a second probe
-// on fallback would serve it as a hit.
-func TestFallbackStaysInsideOneEnvelope(t *testing.T) {
+// TestLostLeaseFallsBackInProcess: a leased job whose worker dies is
+// requeued at the sweep that expires its lease, and with the fleet gone
+// the in-process slot runs it. The first envelope ends at the requeue
+// with no terminal event; the second simulates once and emits the one
+// terminal event.
+func TestLostLeaseFallsBackInProcess(t *testing.T) {
 	b, clock := testBoard(t, Options{LeaseTTL: time.Minute, Liveness: 2 * time.Minute})
 	cache, err := runner.OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
@@ -31,38 +31,36 @@ func TestFallbackStaysInsideOneEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := (&runner.LocalExecutor{}).Execute(context.Background(), job, nil)
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
-	}
 
 	exec := &RemoteExecutor{Board: b, Local: &runner.LocalExecutor{Cache: cache}}
-	mustRegister(t, b, "fleeting")
+	w := mustRegister(t, b, "fleeting") // before the slot exists: the job is the fleet's
 	log := &eventLog{}
 	done := make(chan runner.JobResult, 1)
-	go func() { done <- exec.Execute(context.Background(), job, log.emit) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Snapshot()["dispatch_queued"].(int) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never queued")
+	b.Queue().Push(&runner.Task{Job: job, Ctx: context.Background(), Run: func(ctx context.Context) {
+		if jr := exec.Execute(ctx, job, log.emit); !errors.Is(jr.Err, runner.ErrRequeued) {
+			done <- jr
 		}
-		time.Sleep(time.Millisecond)
+	}})
+	b.Queue().Serve(1)
+	t.Cleanup(b.Queue().Close)
+	claim := claimSoon(t, b, w)
+	if claim.Job.Spec.Experiments[0] != "fig7a" {
+		t.Fatalf("leased %+v", claim.Job)
 	}
-	if err := cache.Put(key, ref.Result); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(3 * time.Minute) // past liveness: the fleet is dead
+	clock.Advance(3 * time.Minute) // past the TTL and liveness: the worker is dead
 	b.sweep(clock.Now())
 
 	jr := <-done
 	if jr.Err != nil || jr.Cached || jr.Attempts != 1 || jr.Key != key {
 		t.Fatalf("fallback result: err=%v cached=%v attempts=%d key=%q", jr.Err, jr.Cached, jr.Attempts, jr.Key)
 	}
-	if n := log.count(runner.JobStart); n != 1 {
-		t.Errorf("%d JobStart events, want exactly 1: %v", n, log.types())
-	}
-	if done, cached := log.count(runner.JobDone), log.count(runner.JobCached); done != 1 || cached != 0 {
-		t.Errorf("terminal events: %d done, %d cached, want 1 and 0 (a second cache probe?): %v", done, cached, log.types())
+	for typ, want := range map[runner.EventType]int{
+		runner.JobStart: 2, runner.JobLeased: 1, runner.JobLeaseExpired: 1, runner.JobReassigned: 1,
+		runner.JobDone: 1, runner.JobCached: 0, runner.JobFailed: 0,
+	} {
+		if n := log.count(typ); n != want {
+			t.Errorf("%d events of type %d, want %d: %v", n, typ, want, log.types())
+		}
 	}
 	if n := b.Snapshot()["local_fallbacks"].(int64); n != 1 {
 		t.Errorf("local_fallbacks = %d, want 1", n)

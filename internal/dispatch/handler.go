@@ -44,51 +44,46 @@ func (b *Board) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, RegisterResponse{WorkerID: id, LeaseTTLMS: b.opt.LeaseTTL.Milliseconds()})
 	})
-	mux.HandleFunc("POST /dispatch/claim", func(w http.ResponseWriter, r *http.Request) {
-		var req ClaimRequest
-		if !decode(w, r, &req) {
-			return
-		}
+	route(mux, "/dispatch/claim", func(r *http.Request, req ClaimRequest) (any, error) {
 		resp, ok, err := b.ClaimWait(r.Context(), req.WorkerID, time.Duration(req.WaitMS)*time.Millisecond)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
+		if !ok || err != nil {
+			return nil, err
 		}
-		if !ok {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		return resp, nil
 	})
-	mux.HandleFunc("POST /dispatch/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := b.Heartbeat(req.WorkerID, req.LeaseID); err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	route(mux, "/dispatch/heartbeat", func(_ *http.Request, req HeartbeatRequest) (any, error) {
+		return map[string]string{"status": "ok"}, b.Heartbeat(req.WorkerID, req.LeaseID)
 	})
-	mux.HandleFunc("POST /dispatch/result", func(w http.ResponseWriter, r *http.Request) {
-		var req ResultRequest
-		if !decode(w, r, &req) {
-			return
-		}
+	route(mux, "/dispatch/result", func(_ *http.Request, req ResultRequest) (any, error) {
 		err := b.Complete(req.WorkerID, req.LeaseID, req.Result, req.Abandon)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, ResultResponse{Accepted: true})
-		case errors.Is(err, ErrLeaseGone):
+		if errors.Is(err, ErrLeaseGone) {
 			// Duplicate or late delivery: acknowledged so the worker
 			// stops retrying, not accepted so nothing double-counts.
-			writeJSON(w, http.StatusOK, ResultResponse{Accepted: false})
-		default:
-			httpError(w, statusFor(err), err)
+			return ResultResponse{Accepted: false}, nil
 		}
+		return ResultResponse{Accepted: true}, err
 	})
 	return mux
+}
+
+// route serves POST path: the bounded JSON body decoded into a Req
+// (400 when it does not decode), then fn's answer as 200, a nil answer
+// as 204, or fn's error as its status.
+func route[Req any](mux *http.ServeMux, path string, fn func(*http.Request, Req) (any, error)) {
+	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decode(w, r, &req) {
+			return
+		}
+		switch resp, err := fn(r, req); {
+		case err != nil:
+			httpError(w, statusFor(err), err)
+		case resp == nil:
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			writeJSON(w, http.StatusOK, resp)
+		}
+	})
 }
 
 // decode parses a bounded JSON body, reporting 400 on failure.

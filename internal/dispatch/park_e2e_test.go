@@ -22,17 +22,16 @@ import (
 )
 
 // instantExec finishes every job at once, so a worker's next claim
-// always beats the scheduler slot it just freed to the board — the race
-// a polling worker loses into a nap, once per job.
+// comes before the service has stored its last result — the race a
+// polling worker loses into a nap, once per job.
 type instantExec struct{}
 
 func (instantExec) Execute(_ context.Context, job runner.Job, _ func(runner.Event)) runner.JobResult {
 	return runner.JobResult{Job: job, Result: &experiments.Result{}}
 }
 
-// slowStore stands in for what a real result costs the service between
-// a delivery and the next Enqueue (cache write, event fan-out): a few
-// milliseconds in which the scheduler slot's next job is not yet queued.
+// slowStore stands in for what a real result costs the service after a
+// delivery (cache write, event fan-out): a few milliseconds.
 type slowStore struct{ runner.Executor }
 
 func (e slowStore) Execute(ctx context.Context, job runner.Job, emit func(runner.Event)) runner.JobResult {
@@ -41,10 +40,10 @@ func (e slowStore) Execute(ctx context.Context, job runner.Job, emit func(runner
 	return jr
 }
 
-// TestParkedFleetDoesNotPoll: the scheduler keeps exactly as many jobs
-// on the board as the fleet has slots, and the workers run at the
-// default PollMax. Claims answered 204 must stay a small constant, not
-// grow with the campaign (a polling fleet reads one per job here).
+// TestParkedFleetDoesNotPoll: the fleet claims every job from the
+// service's queue, and the workers run at the default PollMax. Claims
+// answered 204 must stay a small constant, not grow with the campaign
+// (a polling fleet reads one per job here).
 func TestParkedFleetDoesNotPoll(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := runner.OpenCache(filepath.Join(dir, "cache"))

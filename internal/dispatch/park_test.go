@@ -212,8 +212,8 @@ func TestParkReleasedByClose(t *testing.T) {
 }
 
 // TestParkKeepsWorkerLive: a worker whose only sign of life is an open
-// claim is capacity — the sweep must not prune it and Enqueue must not
-// decline — and leaving the park counts as having been seen.
+// claim is capacity — the sweep must not prune it, and the job queued
+// next goes to it — and leaving the park counts as having been seen.
 func TestParkKeepsWorkerLive(t *testing.T) {
 	b, clock := testBoard(t, Options{Liveness: 2 * time.Minute})
 	w := mustRegister(t, b, "patient")
@@ -227,7 +227,7 @@ func TestParkKeepsWorkerLive(t *testing.T) {
 	_, done := enqueue(context.Background(), b, &eventLog{})
 	c := answer(t, ch)
 	if !c.ok {
-		t.Fatal("Enqueue declined (or never woke) the parked worker")
+		t.Fatal("the queued job never woke the parked worker")
 	}
 	if age := b.Workers()[0].LastSeenMS; age != 0 {
 		t.Fatalf("last seen %v ms ago right after leaving the park", age)
@@ -261,17 +261,11 @@ func TestParkExactlyOnce(t *testing.T) {
 	}
 	waitGauge(t, b, "claims_parked", claimants)
 
-	var enq sync.WaitGroup
+	var outcomes []<-chan enqueued
 	for i := 0; i < jobs; i++ {
-		enq.Add(1)
-		go func(seed int64) {
-			defer enq.Done()
-			job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: seed}
-			wire := runner.WireJob{Watchdog: seed} // tells the jobs apart on the wire
-			if _, executed := b.Enqueue(ctx, job, wire, nil); !executed {
-				t.Errorf("job %d was declined", seed)
-			}
-		}(int64(i))
+		job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: int64(i)}
+		wire := runner.WireJob{Watchdog: int64(i)} // tells the jobs apart on the wire
+		outcomes = append(outcomes, push(ctx, b, job, wire, nil))
 	}
 	seen := map[string]bool{}
 	for i := 0; i < jobs; i++ {
@@ -289,9 +283,13 @@ func TestParkExactlyOnce(t *testing.T) {
 	if n := b.Snapshot()["leases_granted"].(int64); n != jobs {
 		t.Fatalf("leases_granted = %d, want %d", n, jobs)
 	}
-	cancel() // releases the surplus claimants and the enqueuers
+	cancel() // releases the surplus claimants and the leased jobs
 	wg.Wait()
-	enq.Wait()
+	for i, ch := range outcomes {
+		if got := <-ch; !got.executed {
+			t.Errorf("job %d was declined", i)
+		}
+	}
 	for i := jobs; i < claimants; i++ {
 		if c := <-answers; c.ok {
 			t.Fatalf("surplus claimant got lease %s", c.resp.LeaseID)

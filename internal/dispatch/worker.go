@@ -15,15 +15,11 @@ import (
 	"repro/internal/runner"
 )
 
-// Client is the worker-side view of the board's HTTP protocol. It maps
-// the handler's status codes back onto the package sentinels, so the
-// worker loop branches on errors.Is instead of status numbers.
+// Client is the worker side of the board's HTTP protocol; it maps the
+// handler's status codes back onto the package sentinels.
 type Client struct {
-	// Base is the service root, e.g. "http://127.0.0.1:8080".
-	Base string
-	// HTTP is the transport; nil uses a client with a sane timeout.
-	// Tests inject flaky transports here.
-	HTTP *http.Client
+	Base string       // the service root, e.g. "http://127.0.0.1:8080"
+	HTTP *http.Client // nil: one with a 30 s timeout
 
 	once     sync.Once
 	fallback *http.Client // built once by http() when HTTP is nil
@@ -38,7 +34,7 @@ func (c *Client) http() *http.Client {
 }
 
 // post sends one JSON request and decodes the response into out (when
-// non-nil). A 204 returns (false, nil); any 2xx returns (true, nil).
+// non-nil): (false, nil) for a 204, (true, nil) for any other 2xx.
 func (c *Client) post(ctx context.Context, path string, in, out any) (bool, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -84,7 +80,7 @@ func (c *Client) post(ctx context.Context, path string, in, out any) (bool, erro
 	return true, nil
 }
 
-// Register announces the worker; the response carries its identity.
+// Register announces the worker and returns its identity.
 func (c *Client) Register(ctx context.Context, req RegisterRequest) (RegisterResponse, error) {
 	var resp RegisterResponse
 	_, err := c.post(ctx, "/dispatch/register", req, &resp)
@@ -118,35 +114,24 @@ func (c *Client) Result(ctx context.Context, req ResultRequest) (ResultResponse,
 
 // WorkerOptions configure one worker process.
 type WorkerOptions struct {
-	// Name labels the worker in the service's /workers and lease events.
-	Name string
-	// Slots is how many jobs run concurrently; <=0 means 1.
-	Slots int
-	// Exec runs claimed jobs. Nil is invalid — the caller builds a
-	// LocalExecutor with its own cache and timeout (tests
-	// inject blocking executors here).
-	Exec runner.Executor
+	Name  string          // in the service's /workers and lease events
+	Slots int             // jobs run concurrently; <=0 means 1
+	Exec  runner.Executor // required: a LocalExecutor with the worker's own cache and timeout
 	// PollMax caps the backoff after a failed or refused request
-	// (jitter-free doubling from pollMin); idle claims park. Default 2s.
+	// (doubling from pollMin); idle claims park. Default 2s.
 	PollMax time.Duration
-	// Log, when non-nil, receives operational notices.
-	Log func(format string, args ...any)
+	Log     func(format string, args ...any) // operational notices, when non-nil
 }
 
 const (
-	// pollMin is where the claim, registration and delivery backoffs
-	// start (a PollMax below it polls at PollMax flat).
-	pollMin = 100 * time.Millisecond
-	// resultRetries bounds delivery attempts for a finished job before
-	// the worker gives it up to lease reclamation.
-	resultRetries = 5
+	pollMin       = 100 * time.Millisecond // where every backoff starts
+	resultRetries = 5                      // deliveries tried before the lease is left to expire
 )
 
 // Worker is the pull loop ccfit-worker runs: register, claim, execute
-// under a heartbeat, report, repeat. Run blocks until ctx is
-// cancelled; cancellation drains gracefully — in-flight jobs are
-// reported abandoned so the board requeues them immediately instead of
-// waiting out the lease TTL.
+// under a heartbeat, report, repeat, until ctx is cancelled. The drain
+// reports in-flight jobs abandoned, so the board requeues them at once
+// instead of waiting out the lease TTL.
 type Worker struct {
 	Client *Client
 	Opt    WorkerOptions
@@ -174,8 +159,8 @@ func (w *Worker) opts() WorkerOptions {
 }
 
 // register (re-)announces the worker, retrying with capped backoff
-// until it succeeds or ctx ends. Concurrent slots share one identity:
-// whoever notices the stale id first re-registers for everyone.
+// until it succeeds or ctx ends. The slots share one identity: whoever
+// notices the stale id first re-registers for all.
 func (w *Worker) register(ctx context.Context, staleID string) (string, time.Duration, error) {
 	o := w.opts()
 	w.mu.Lock()
@@ -212,8 +197,8 @@ func (w *Worker) register(ctx context.Context, staleID string) (string, time.Dur
 	}
 }
 
-// Run executes the worker loop until ctx is cancelled. It returns nil
-// on a clean drain.
+// Run executes the worker loop until ctx is cancelled; nil on a clean
+// drain.
 func (w *Worker) Run(ctx context.Context) error {
 	o := w.opts()
 	if o.Exec == nil {
@@ -276,19 +261,16 @@ func (w *Worker) slot(ctx context.Context, o WorkerOptions, slot int) {
 	}
 }
 
-// runJob executes one claimed job under a heartbeat and reports the
-// outcome.
+// runJob executes one claimed job under a heartbeat and reports it.
 func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, ttl time.Duration, claim ClaimResponse) {
 	job, err := claim.Job.Job()
-	if err != nil {
-		// Registry drift between builds: report the failure rather than
-		// guessing which cell was meant.
+	if err != nil { // registry drift between builds: report, do not guess
 		w.logf("dispatch: undecodable job on lease %s: %v", claim.LeaseID, err)
 		w.report(o, workerID, claim.LeaseID, runner.WireResult{Err: err.Error()}, false)
 		return
 	}
-	// The job context ends when the lease dies (reclaimed elsewhere) or
-	// the worker drains; the heartbeat goroutine owns the former.
+	// The job context ends when the lease dies (the heartbeat notices)
+	// or the worker drains.
 	jobCtx, cancel := context.WithCancel(ctx)
 	var leaseLost bool
 	var hbWG sync.WaitGroup
@@ -310,16 +292,13 @@ func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, t
 				switch {
 				case err == nil:
 				case errors.Is(err, ErrLeaseGone), errors.Is(err, ErrUnknownWorker):
-					// The board reclaimed the job (or forgot us): stop
-					// burning cycles on a result nobody will accept.
+					// Reclaimed (or we were forgotten): nobody will
+					// accept the result.
 					w.logf("dispatch: lease %s on %s gone; cancelling", claim.LeaseID, job)
 					leaseLost = true
 					cancel()
 					return
-				default:
-					// Transient transport trouble: keep trying — the
-					// lease survives as long as one renewal lands per
-					// TTL.
+				default: // transient: one renewal per TTL keeps the lease
 					w.logf("dispatch: heartbeat for %s failed (%v)", job, err)
 				}
 			}
@@ -331,11 +310,8 @@ func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, t
 	hbWG.Wait()
 
 	switch {
-	case leaseLost:
-		// Nothing to report: the lease is dead and the handler would
-		// drop the delivery anyway.
-	case ctx.Err() != nil && jr.Err != nil:
-		// Draining: hand the job back immediately.
+	case leaseLost: // the board would drop the delivery
+	case ctx.Err() != nil && jr.Err != nil: // draining: hand the job back now
 		w.logf("dispatch: draining; abandoning %s", job)
 		w.report(o, workerID, claim.LeaseID, runner.WireResult{}, true)
 	default:
@@ -343,9 +319,8 @@ func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, t
 	}
 }
 
-// report delivers a result with bounded retries on an independent
-// context — a drain must not stop the abandon message that speeds up
-// requeueing.
+// report delivers a result with bounded retries, on a context of its
+// own: a drain must not stop the abandon message.
 func (w *Worker) report(o WorkerOptions, workerID, leaseID string, res runner.WireResult, abandon bool) {
 	req := ResultRequest{WorkerID: workerID, LeaseID: leaseID, Abandon: abandon, Result: res}
 	for attempt := 1; attempt <= resultRetries; attempt++ {

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/route"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -151,8 +150,8 @@ func (in FuzzInput) Corpus() string {
 const sweepSeed = 1
 
 // Sweep is the fixed-seed campaign TestFuzzQuick runs: iters inputs
-// drawn from sweepSeed (2 to 6 flows each), decoded and checked on
-// every core. Each finding names the failing configuration, its
+// drawn from sweepSeed (2 to 6 flows each), decoded and checked one
+// after another until ctx ends. Each finding names the failing configuration, its
 // property violations and the corpus file that replays it.
 func Sweep(ctx context.Context, iters int) ([]string, error) {
 	rng := rand.New(rand.NewSource(sweepSeed))
@@ -167,7 +166,9 @@ func Sweep(ctx context.Context, iters int) ([]string, error) {
 		inputs[i], configs[i] = in, in.Decode()
 	}
 	failed := make([][]error, iters)
-	runner.ForEach(ctx, iters, 0, func(i int) { failed[i] = CheckConfig(configs[i]) })
+	for i := 0; i < iters && ctx.Err() == nil; i++ {
+		failed[i] = CheckConfig(configs[i])
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -16,22 +16,17 @@ import (
 	"repro/internal/experiments"
 )
 
-// schemaVersion is bumped whenever the Result encoding or the
-// simulation semantics change incompatibly; it invalidates every
-// existing cache entry.
+// schemaVersion is bumped when the Result encoding or the simulation
+// semantics change incompatibly, invalidating every entry.
 const schemaVersion = 1
 
 // Cache is a content-addressed on-disk result store: one gob-encoded
-// experiments.Result per key — or, at a quarantine key, one
-// quarantine — laid out as dir/<key[:2]>/<key>.gob.
-// Entries are written atomically (temp file + rename), reads treat a
-// missing or corrupt entry as a miss, and the zero-size guarantee is
-// that a hit decodes to the byte-identical Result the original run
-// produced (gob round-trips float64 exactly).
-//
-// An entry's mtime is its last access: a store stamps it and a hit
-// moves it forward, so GC can bound a long-lived cache by evicting
-// least-recently-used entries first. The files are the whole state.
+// experiments.Result per key — or, at a quarantine key, one quarantine
+// — at dir/<key[:2]>/<key>.gob. Entries are written atomically (temp
+// file + rename), a missing or corrupt entry reads as a miss, and a hit
+// decodes to the byte-identical Result the run produced. An entry's
+// mtime is its last access (a store stamps it, a hit moves it), which
+// orders GC's evictions; the files are the whole state.
 type Cache struct {
 	dir string
 }
@@ -51,18 +46,16 @@ func OpenCache(dir string) (*Cache, error) {
 func (c *Cache) Dir() string { return c.dir }
 
 // Fingerprint is the canonical pre-hash description of one run: the
-// experiment identity (id, durations, kind, flow set), the scheme
-// label, the seed, every congestion-management parameter, and the
-// module version. Two runs with equal fingerprints produce identical
-// Results; anything that could change the output must appear here —
-// extra carries additional outcome-affecting facets (a fault script's
-// fingerprint). The Build closure itself cannot be fingerprinted —
-// synthetic experiments carrying different traffic must use distinct
-// IDs.
+// experiment identity (id, durations, kind, flow set), the scheme, the
+// seed, every congestion-management parameter and the module version,
+// plus extra outcome-affecting facets (a fault script's fingerprint).
+// Equal fingerprints mean identical Results. The Build closure cannot
+// be fingerprinted: synthetic experiments with different traffic must
+// use distinct IDs.
 func Fingerprint(exp experiments.Experiment, scheme string, seed int64, p core.Params, extra ...string) string {
 	p.Tracer = nil // observers don't affect results and can't be serialized
 	fp := fmt.Sprintf("ccfit-result-v%d|mod=%s|exp=%s|dur=%d|bin=%d|kind=%d|flows=%v|scheme=%s|seed=%d|params=%+v",
-		schemaVersion, moduleVersion(), exp.ID, exp.Duration, exp.Bin, exp.Kind, exp.FlowIDs, scheme, seed, p)
+		schemaVersion, ModuleVersion(), exp.ID, exp.Duration, exp.Bin, exp.Kind, exp.FlowIDs, scheme, seed, p)
 	for _, e := range extra {
 		fp += "|" + e
 	}
@@ -79,11 +72,10 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".gob")
 }
 
-// Get loads a cached result. A clean miss (no entry) reports !ok with
-// a nil error; an entry that exists but fails to decode — truncated
-// write, bit rot, stale encoding — reports !ok with the decode error
-// so the caller can log it, Remove the entry and recompute instead of
-// failing the job.
+// Get loads a cached result. A clean miss reports !ok with a nil
+// error; an entry that fails to decode (truncated write, bit rot,
+// stale encoding) reports !ok with the error, so the caller can log
+// it, Remove the entry and recompute.
 func (c *Cache) Get(key string) (*experiments.Result, bool, error) {
 	var r experiments.Result
 	if ok, err := c.get(key, &r); !ok {
@@ -92,17 +84,15 @@ func (c *Cache) Get(key string) (*experiments.Result, bool, error) {
 	return &r, true, nil
 }
 
-// quarantine is a cached quarantined outcome: the invariant violation's
-// text and the checker's snapshot. A violation is as deterministic as a
-// result, but it depends on the watchdog window a result leaves out, so
-// it is stored at its job's quarantine key (resolved.quarantineKey).
+// quarantine is a cached quarantined outcome: the violation's text and
+// the checker's snapshot, at the job's quarantine key (it depends on
+// the watchdog window a result key leaves out).
 type quarantine struct {
 	Err         string
 	Diagnostics string
 }
 
-// get decodes key's entry into v, with Get's miss-versus-corrupt
-// contract.
+// get decodes key's entry into v, with Get's contract.
 func (c *Cache) get(key string, v any) (bool, error) {
 	f, err := os.Open(c.path(key))
 	if err != nil {
@@ -112,22 +102,18 @@ func (c *Cache) get(key string, v any) (bool, error) {
 	if err := gob.NewDecoder(f).Decode(v); err != nil {
 		return false, fmt.Errorf("runner: corrupt cache entry %s: %w", key, err)
 	}
-	// The hit is GC's access order. Best effort: a failure costs only
-	// eviction accuracy.
-	now := time.Now()
+	now := time.Now() // GC's access order; a failure costs only its accuracy
 	_ = os.Chtimes(c.path(key), now, now)
 	return true, nil
 }
 
-// Has reports whether an entry exists on disk for key, without
-// decoding it.
+// Has reports whether an entry exists for key, without decoding it.
 func (c *Cache) Has(key string) bool {
 	_, err := os.Stat(c.path(key))
 	return err == nil
 }
 
-// Remove deletes a cache entry (a no-op when absent) so a corrupt
-// file cannot shadow the slot after recovery.
+// Remove deletes a cache entry (a no-op when absent).
 func (c *Cache) Remove(key string) error {
 	err := os.Remove(c.path(key))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -168,18 +154,12 @@ var (
 	modVer  string
 )
 
-// moduleVersion identifies the code that produced a result: the main
-// module version when built from a released module, the VCS revision
-// when built from a checkout, "devel" otherwise (a dev tree cannot
-// distinguish its own edits; schemaVersion covers deliberate breaks).
-func moduleVersion() string {
-	return ModuleVersion()
-}
-
-// ModuleVersion exposes the build identity (it is part of every cache
-// key) so remote workers can announce theirs at registration — a mixed
-// fleet shows up in the service log before the key-mismatch guard
-// rejects its results.
+// ModuleVersion identifies the code that produced a result, and is part
+// of every cache key: the main module version of a released build, the
+// VCS revision of a checkout, "devel" otherwise (a dev tree cannot
+// tell its own edits apart; schemaVersion covers deliberate breaks).
+// Workers announce it at registration, so a mixed fleet shows in the
+// service log before the key-mismatch guard rejects its results.
 func ModuleVersion() string {
 	modOnce.Do(func() {
 		modVer = "devel"
@@ -201,16 +181,13 @@ func ModuleVersion() string {
 	return modVer
 }
 
-// jobResult is the outcome a cached quarantine reports for job, whose
-// result key is key.
+// jobResult is what a cached quarantine reports for job (result key key).
 func (q quarantine) jobResult(job Job, key string) JobResult {
 	return JobResult{Job: job, Err: errors.New(q.Err), Key: key, Quarantined: true, Diagnostics: q.Diagnostics}
 }
 
-// Holds reports, without decoding anything, what the cache holds for
-// job: OutcomeCached for its result, OutcomeQuarantined for a
-// quarantined outcome at its watchdog window, "" for neither (or for a
-// job that no longer resolves).
+// Holds reports, decoding nothing, what the cache holds for job:
+// OutcomeCached, OutcomeQuarantined (at its watchdog window), or "".
 func (c *Cache) Holds(job Job) Outcome {
 	r, err := resolve(job)
 	switch {
@@ -224,8 +201,7 @@ func (c *Cache) Holds(job Job) Outcome {
 }
 
 // Recall rebuilds job's outcome from the cache alone: its result as a
-// hit, or its quarantined outcome with the checker's snapshot. ok is
-// false when the cache holds neither, a corrupt entry included.
+// hit, or its quarantined outcome; ok=false for neither (or corrupt).
 func (c *Cache) Recall(job Job) (jr JobResult, ok bool) {
 	r, err := resolve(job)
 	if err != nil {

@@ -13,45 +13,35 @@ import (
 	"repro/internal/invariant"
 )
 
-// Executor runs one job to completion. It is the seam between
-// campaign-level scheduling (who runs what, in which order, under
-// which cancellation scope) and job-level execution semantics (cache
-// probe, timeout, panic containment, quarantine): Run fans a
-// fixed slice of jobs over one, the campaign service's queue feeds one
-// job at a time from many campaigns into the same implementation.
-//
-// emit, when non-nil, receives job-scoped telemetry (JobStart,
-// JobCacheCorrupt and the terminal event). The executor
-// leaves campaign-level fields (Index, Done, Total, campaign Elapsed,
-// ETA) zero — the caller owns campaign accounting and decorates the
-// events it forwards.
+// Executor runs one job to completion: the seam between who runs what
+// (whoever claims the job from a Queue) and how a job runs (cache
+// probe, timeout, panic containment, quarantine). emit, when non-nil,
+// receives job-scoped telemetry (JobStart, JobCacheCorrupt, lease
+// events, the terminal event); campaign-level fields (Index, Done,
+// Total, Elapsed, ETA) stay zero for the caller to fill in.
 type Executor interface {
 	Execute(ctx context.Context, job Job, emit func(Event)) JobResult
 }
 
-// LocalExecutor executes jobs in-process with the semantics runner.Run
-// has always had: content-addressed cache probe (recovering from
-// corrupt entries), wall-clock timeout, panic recovery, and quarantine
-// of deterministic invariant violations. A job runs once: its seed is
-// fixed, so a failure would repeat. A run that never observed its seed
-// serves its cell's other seeds as cache hits (seedFreeTable).
+// LocalExecutor executes jobs in-process: cache probe (recovering from
+// corrupt entries), wall-clock timeout, panic recovery and quarantine
+// of invariant violations. A job runs once: its seed is fixed, so a
+// failure would repeat. A run that never observed its seed serves its
+// cell's other seeds as cache hits (seedFreeTable).
 type LocalExecutor struct {
-	// Cache, when non-nil, is consulted before running and updated
-	// after a successful run.
-	Cache *Cache
-	// Timeout bounds each job's wall-clock time; 0 disables.
-	Timeout  time.Duration
+	Cache    *Cache        // probed before a run, stored after, when non-nil
+	Timeout  time.Duration // per-job wall clock; 0: none
 	seedFree seedFreeTable
 }
 
-// seedFreeEntries bounds the table a worker's executor keeps across
-// campaigns; a cell's seeds expand side by side, so a few serve one.
+// seedFreeEntries bounds the seed-free table; a cell's seeds expand
+// side by side, so a few entries serve one.
 const seedFreeEntries = 64
 
-// seedFreeTable holds the results of runs that never observed their seed
-// (sim.Engine.SeedSeen), keyed by the cache key with the seed left out.
-// Entries are gob bytes, so each hit decodes a Result of its own; a full
-// table starts afresh.
+// seedFreeTable holds the results of runs that never observed their
+// seed (sim.Engine.SeedSeen), keyed by the cache key at seed 0, as gob
+// bytes so each hit decodes a Result of its own; a full table starts
+// afresh.
 type seedFreeTable struct {
 	mu sync.Mutex
 	m  map[string][]byte // guarded by mu
@@ -83,26 +73,23 @@ func (t *seedFreeTable) put(key string, r *experiments.Result) {
 	t.m[key] = b.Bytes()
 }
 
-// Execute validates, resolves and runs one job. Invalid jobs (unknown
-// experiment, bad scheme or parameters) fail without consuming a
-// simulation.
+// Execute validates, resolves and runs one job in-process.
 func (e *LocalExecutor) Execute(ctx context.Context, job Job, emit func(Event)) JobResult {
 	return e.ExecuteVia(ctx, job, emit, nil)
 }
 
-// Offload computes a job's result somewhere other than this process (a
-// worker fleet). key is the job's cache key ("" when caching is off).
-// ok=false means the job did not run there and must be simulated here.
+// Offload computes a job's result outside this process (a remote
+// worker); key is its cache key ("" when caching is off). ok=false:
+// simulate it here.
 type Offload func(ctx context.Context, job Job, key string, emit func(Event)) (jr JobResult, ok bool)
 
 // ExecuteVia is the one envelope every execution path shares: resolve,
-// key derivation, cache and seed-free probes (corrupt entries recovered),
-// JobStart and exactly one terminal event, cache store. A quarantined
-// outcome is cached too, at the job's quarantine key, and a later probe
-// there answers it without a simulation. Only "how the
-// result is computed" varies: via (when non-nil) is offered the job on a
-// miss, and the in-process simulation — timeout, panic containment,
-// quarantine — runs when via is nil or declines.
+// cache and seed-free probes (corrupt entries recovered), JobStart and
+// exactly one terminal event, cache store (a quarantined outcome too,
+// at its quarantine key). Only how a miss is computed varies: via, when
+// non-nil, is offered the job, and the in-process simulation runs when
+// via is nil or declines. A via answering ErrRequeued ends the envelope
+// with no terminal event and no store.
 func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event), via Offload) JobResult {
 	if emit == nil {
 		emit = func(Event) {}
@@ -119,8 +106,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	emit(Event{Type: JobStart, Job: job})
 	t0 := time.Now()
 	if e.Cache != nil {
-		// A corrupt entry is logged, dropped and recomputed; the fresh
-		// store below overwrites the slot.
+		// A corrupt entry is reported, dropped and recomputed.
 		corrupt := func(k string, err error) {
 			if err != nil {
 				emit(Event{Type: JobCacheCorrupt, Job: job, Err: err})
@@ -156,7 +142,9 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		jr.Cached, ran, done = true, true, JobCached
 	}
 	if !ran && via != nil {
-		jr, ran = via(ctx, job, key, emit)
+		if jr, ran = via(ctx, job, key, emit); errors.Is(jr.Err, ErrRequeued) {
+			return jr // queued again: the task's next claim runs a fresh envelope
+		}
 	}
 	if !ran {
 		jr, o = e.simulate(ctx, job, r)
@@ -178,10 +166,8 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		e.seedFree.put(free, jr.Result)
 	}
 	if e.Cache != nil && jr.Result != nil {
-		// A failed store only costs the next run a recompute: the job
-		// itself succeeded, so the result stays usable and the store
-		// failure is reported on its own channel instead of masquerading
-		// as a failed simulation.
+		// A failed store costs only the next run's recompute: reported
+		// apart, not as a failed simulation.
 		if perr := e.Cache.Put(key, jr.Result); perr != nil {
 			jr.CacheErr = fmt.Errorf("runner: %s ran but caching failed: %w", job, perr)
 		}
@@ -190,8 +176,8 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	return jr
 }
 
-// simulate runs a resolved job in-process, once: timeout and panic
-// containment, quarantine of invariant violations.
+// simulate runs a resolved job in-process, once, quarantining an
+// invariant violation.
 func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved) (jr JobResult, o outcome) {
 	o = executeBounded(ctx, job, r, e.Timeout)
 	jr.Result, jr.Err, jr.Attempts = o.res, o.err, 1
@@ -203,10 +189,9 @@ func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved) (jr J
 	return jr, o
 }
 
-// Backoff returns the pause before 1-based retry `attempt`: base
-// doubled per prior attempt, saturating at max (overflow-safe). It
-// paces the remote worker's loops, deliberately jitter-free so a
-// replayed schedule is deterministic.
+// Backoff returns the pause before 1-based retry attempt: base doubled
+// per prior attempt, saturating at max (overflow-safe), jitter-free so
+// a replayed schedule is deterministic.
 func Backoff(base time.Duration, attempt int, max time.Duration) time.Duration {
 	if base <= 0 {
 		return 0
@@ -224,11 +209,9 @@ func Backoff(base time.Duration, attempt int, max time.Duration) time.Duration {
 	return d
 }
 
-// FromSpec expands a declarative campaign spec into runner jobs, in
-// the spec's deterministic cell order. It is the bridge the campaign
-// service and the -server CLIs share with local runs: both sides
-// expand the same Spec with the same function, so result index i
-// means the same (experiment, scheme, seed) everywhere.
+// FromSpec expands a declarative spec into runner jobs in its cell
+// order: local runs, the service and its clients all expand a Spec
+// with it, so result index i is the same cell everywhere.
 func FromSpec(s experiments.Spec) ([]Job, error) {
 	cells, err := s.Expand()
 	if err != nil {

@@ -21,11 +21,9 @@ type GCStats struct {
 }
 
 // GC evicts least-recently-used entries until the cache's total size
-// is at most maxBytes (<= 0 means unlimited: the pass only reports
-// size). Access order is each entry file's mtime — a store's rename
-// stamps it and a hit moves it forward — so the order survives a crash
-// and every handle on the directory sees every other handle's reads.
-// Ties break on key so the eviction order is deterministic.
+// is at most maxBytes (<= 0: only report the size). Access order is
+// each entry's mtime, so it survives a crash and every handle on the
+// directory sees the others' reads; ties break on key.
 func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	type entry struct {
 		key   string

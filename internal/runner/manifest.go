@@ -25,25 +25,19 @@ type Manifest struct {
 
 // ManifestRun records one job's outcome.
 type ManifestRun struct {
-	Experiment string  `json:"experiment"`
-	Scheme     string  `json:"scheme"`
-	Seed       int64   `json:"seed"`
-	CacheKey   string  `json:"cache_key,omitempty"`
-	Status     string  `json:"status"` // an Outcome
-	ElapsedMS  float64 `json:"elapsed_ms"`
-	Attempts   int     `json:"attempts,omitempty"`
-	Error      string  `json:"error,omitempty"`
-	// CacheError records a "ran fine but storing the result failed"
-	// outcome: the run's Status stays ok and its result is real, only
-	// the dedup layer missed it.
-	CacheError     string  `json:"cache_error,omitempty"`
+	Experiment     string  `json:"experiment"`
+	Scheme         string  `json:"scheme"`
+	Seed           int64   `json:"seed"`
+	CacheKey       string  `json:"cache_key,omitempty"`
+	Status         string  `json:"status"` // an Outcome
+	ElapsedMS      float64 `json:"elapsed_ms"`
+	Attempts       int     `json:"attempts,omitempty"`
+	Error          string  `json:"error,omitempty"`
+	CacheError     string  `json:"cache_error,omitempty"` // it ran; storing its result failed
 	MeanNormalized float64 `json:"mean_normalized,omitempty"`
 	DeliveredPkts  int64   `json:"delivered_pkts,omitempty"`
-	// Faults labels a job that ran under a fault script.
-	Faults string `json:"faults,omitempty"`
-	// Diagnostics is the invariant checker's snapshot for quarantined
-	// jobs, truncated to keep the manifest readable.
-	Diagnostics string `json:"diagnostics,omitempty"`
+	Faults         string  `json:"faults,omitempty"`      // the fault script's name
+	Diagnostics    string  `json:"diagnostics,omitempty"` // a quarantined job's snapshot, truncated
 }
 
 // maxDiagnostics bounds the snapshot carried per manifest run.
@@ -53,7 +47,7 @@ const maxDiagnostics = 4096
 func NewManifest(tool string, opt Options, startedAt time.Time, results []JobResult) *Manifest {
 	m := &Manifest{
 		Tool:      tool,
-		Module:    moduleVersion(),
+		Module:    ModuleVersion(),
 		StartedAt: startedAt,
 		ElapsedMS: float64(time.Since(startedAt).Milliseconds()),
 		Workers:   opt.Workers,

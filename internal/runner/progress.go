@@ -7,15 +7,11 @@ import (
 )
 
 // NewProgress returns a Progress callback that streams one line per
-// finished job to w (the -v output of the CLIs):
+// finished job to w (the -v output of the CLIs), plus an indented line
+// with the Event.Engine text of a job that ran locally:
 //
 //	[ 3/45] fig7a/CCFIT seed=1            1.52s  (elapsed 4.1s, eta 37s)
 //	[ 4/45] fig7b/CCFIT seed=1           cached  (elapsed 4.1s, eta 29s)
-//
-// A job that ran locally (not cached, not remote) adds an indented line
-// with its Event.Engine text.
-// The runner serializes Progress calls, so the returned callback does
-// no locking of its own.
 func NewProgress(w io.Writer) func(Event) {
 	return func(ev Event) {
 		var outcome string

@@ -1,30 +1,16 @@
-// Package runner orchestrates campaigns of independent simulation
-// jobs. Every run the repo cares about — the 8 paper figures × up to
-// 5 schemes × N seeds, the ablation sweeps, the load curves — is an
-// independent single-goroutine simulation, so the runner fans a job
-// grid across a worker pool sized by the caller (default: one worker
-// per core) while keeping each simulation itself single-goroutine and
-// bit-deterministic.
+// Package runner runs campaigns of independent simulation jobs. Every
+// run the repo cares about — the paper's figures × schemes × seeds, the
+// ablation sweeps, the load curves — is an independent single-goroutine
+// simulation, so the runner fans the grid out while each simulation
+// stays single-goroutine and bit-deterministic.
 //
-// The runner provides the operational layer the ad-hoc CLI for-loops
-// lacked:
-//
-//   - fail-fast validation: every job's experiment id, scheme and
-//     parameter set are resolved before anything runs, so a typo is
-//     reported up front with the list of valid ids instead of erroring
-//     mid-campaign;
-//   - context.Context cancellation and optional per-job wall-clock
-//     timeouts;
-//   - per-job panic recovery, converting a crashed simulation into a
-//     reported job failure instead of killing the whole campaign;
-//   - a content-addressed on-disk result cache (see Cache) keyed by
-//     experiment id, durations, scheme, seed, the full parameter set
-//     and the module version, so re-renders skip completed runs;
-//   - progress telemetry (jobs done/total, per-job elapsed, campaign
-//     ETA) through a callback, plus a JSON run manifest (see Manifest)
-//     written next to the CSVs.
-//
-// Results come back in job order regardless of completion order, so a
+// Jobs wait in one FIFO, Queue, which in-process slots and (in the
+// campaign service) remote workers claim from alike; Run is an
+// ephemeral queue with Options.Workers slots. Whoever claims a job runs
+// it through an Executor: fail-fast validation, a content-addressed
+// result cache (Cache), per-job timeouts, panic recovery and the
+// quarantine of invariant violations. Progress reaches a callback and
+// a JSON run manifest (Manifest). Results come back in job order, so a
 // parallel campaign renders identically to a serial one.
 package runner
 
@@ -46,43 +32,30 @@ import (
 // Job is one unit of work: an experiment run under one scheme and one
 // seed, optionally with overridden parameters (ablation sweeps).
 type Job struct {
-	// ExpID names a registered experiment (experiments.ByID). Ignored
-	// when Exp is set.
-	ExpID string
-	// Scheme is the preset name ("CCFIT", "ITh", ...). When Params is
-	// set the preset is not consulted, but the name still labels the
-	// result (defaulting to Params.Name).
+	ExpID string // a registered experiment (experiments.ByID), unless Exp is set
+	// Scheme is the preset name ("CCFIT", "ITh", ...). With Params set
+	// it only labels the result (defaulting to Params.Name).
 	Scheme string
-	// Seed drives every random stream of the simulation.
-	Seed int64
-	// Params, when non-nil, overrides the scheme preset — the ablation
-	// path. The override is part of the cache key.
-	Params *core.Params
-	// Exp, when non-nil, supplies the experiment directly: synthetic
-	// experiments (load curves) and time-scaled copies (tests,
-	// benches). Distinct traffic must use distinct IDs/durations, since
-	// those — not the Build closure — enter the cache key.
+	Seed   int64        // drives every random stream of the simulation
+	Params *core.Params // overrides the preset (ablations); in the cache key
+	// Exp, when non-nil, supplies the experiment directly (load curves,
+	// time-scaled copies). Distinct traffic needs distinct IDs or
+	// durations: those, not the Build closure, enter the cache key.
 	Exp *experiments.Experiment
 	// Faults, when non-nil, is a deterministic fault script injected
-	// after Build and before Run. Its fingerprint is part of the cache
-	// key, so faulted and fault-free runs of the same grid point never
-	// collide.
+	// after Build and before Run; its fingerprint is in the cache key.
 	Faults *fault.Script
-	// Watchdog overrides the invariant checker's forward-progress
-	// window for this job: 0 keeps the default, <0 disables, >0 sets
-	// the window in cycles.
+	// Watchdog is the invariant checker's forward-progress window in
+	// cycles: 0 default, <0 disabled.
 	Watchdog sim.Cycle
 	// Source, when non-nil, is a one-cell spec that re-expands to
-	// exactly this job (set by FromSpec). It is what makes a job
-	// serializable for remote execution: the Exp closure cannot cross a
-	// process boundary, but the spec can, and expansion is
-	// deterministic on both sides. Jobs built by hand (tests, benches)
-	// leave it nil and can only run locally.
+	// exactly this job (set by FromSpec): what lets a job cross a
+	// process boundary, which the Exp closure cannot. Hand-built jobs
+	// leave it nil and run only locally.
 	Source *experiments.Spec
 }
 
-// ExperimentID names the job's experiment: ExpID, else the id of the
-// experiment supplied directly.
+// ExperimentID names the job's experiment: ExpID, else Exp's id.
 func (j Job) ExperimentID() string {
 	if j.ExpID == "" && j.Exp != nil {
 		return j.Exp.ID
@@ -100,33 +73,24 @@ func (j Job) String() string {
 	return fmt.Sprintf("%s/%s seed=%d", id, scheme, j.Seed)
 }
 
-// JobResult is the outcome of one job. Exactly one of Result/Err is
-// meaningful; Err covers build failures, panics, timeouts and
-// cancellation.
+// JobResult is the outcome of one job: Result, or Err (build failure,
+// panic, timeout, cancellation).
 type JobResult struct {
 	Job     Job
 	Result  *experiments.Result
 	Err     error
 	Cached  bool
 	Elapsed time.Duration
-	// CacheErr reports that the job ran fine but storing its result in
-	// the cache failed — Result is still valid and Err stays nil, the
-	// only cost is that the next identical run recomputes. Kept apart
-	// from Err so downstream failure accounting does not count a full
-	// disk as a failed simulation.
+	// CacheErr reports that the job ran but storing its result failed:
+	// Result is valid and Err nil, so a full disk does not count as a
+	// failed simulation; the next identical run recomputes.
 	CacheErr error
-	// Key is the cache key (empty when caching is disabled).
-	Key string
-	// Attempts counts simulations: 1 for a job that ran, 0 for a cache
-	// hit and for a job cancelled before starting.
-	Attempts int
-	// Quarantined marks a deterministic invariant violation: the same
-	// seed and script fail identically every time, so the outcome is
-	// cached like a result until the code or the script changes.
+	Key      string // the cache key ("" with caching off)
+	Attempts int    // simulations run: 1, or 0 for a hit or an unstarted job
+	// Quarantined marks a deterministic invariant violation, cached
+	// like a result: the same seed and script fail the same way.
 	Quarantined bool
-	// Diagnostics carries the invariant checker's snapshot for
-	// quarantined jobs (truncated for the manifest).
-	Diagnostics string
+	Diagnostics string // the checker's snapshot of a quarantined job
 }
 
 // Outcome is a finished job's classification; the values are the
@@ -141,9 +105,7 @@ const (
 	OutcomeQuarantined Outcome = "quarantined"
 )
 
-// Outcome classifies the result. A job the shutdown drained away is
-// cancelled, not conflated with a real failure; an error that crossed
-// the wire as text is a failure.
+// Outcome classifies the result; a cancelled job is not a failure.
 func (r JobResult) Outcome() Outcome {
 	switch {
 	case r.Quarantined:
@@ -159,98 +121,60 @@ func (r JobResult) Outcome() Outcome {
 }
 
 // ElapsedMS is Elapsed in fractional milliseconds, the unit of every
-// manifest and wire record (a cached job takes well under one).
+// manifest and wire record.
 func (r JobResult) ElapsedMS() float64 {
 	return float64(r.Elapsed) / float64(time.Millisecond)
 }
 
 // Options configure a campaign.
 type Options struct {
-	// Workers is the pool size; <=0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// Timeout bounds each job's wall-clock time; 0 disables. A timed
-	// out simulation is abandoned (its goroutine finishes in the
-	// background and the result is discarded) and reported as a job
-	// failure.
-	Timeout time.Duration
-	// Cache, when non-nil, is consulted before running a job and
-	// updated after a successful run.
-	Cache *Cache
-	// Progress, when non-nil, receives telemetry events. Calls are
-	// serialized by the runner; the callback need not be thread-safe.
-	Progress func(Event)
-	// Executor, when non-nil, overrides how individual jobs run (a
-	// remote or instrumented backend). Nil uses a LocalExecutor built
-	// from the fields above; when set, Timeout and Cache are the
-	// executor's own business.
+	Workers int // in-process slots; <=0 means runtime.GOMAXPROCS(0)
+	// Timeout bounds each job's wall-clock time (0: none); a timed out
+	// simulation is abandoned and reported as a job failure.
+	Timeout  time.Duration
+	Cache    *Cache      // probed before a job runs, stored after, when non-nil
+	Progress func(Event) // telemetry, one call at a time, when non-nil
+	// Executor, when non-nil, overrides how jobs run (Timeout and Cache
+	// are then its business); nil is a LocalExecutor from the above.
 	Executor Executor
-}
-
-// executor returns the configured Executor, defaulting to a local one.
-func (o Options) executor() Executor {
-	if o.Executor != nil {
-		return o.Executor
-	}
-	return &LocalExecutor{Cache: o.Cache, Timeout: o.Timeout}
 }
 
 // EventType classifies a telemetry event.
 type EventType uint8
 
 const (
-	// JobStart fires when a worker picks a job up.
-	JobStart EventType = iota
-	// JobDone fires when a job's simulation completes.
-	JobDone
-	// JobCached fires when a job is satisfied from the cache.
-	JobCached
-	// JobFailed fires when a job errors, panics, times out or is
-	// cancelled.
-	JobFailed
-	// JobCacheCorrupt fires when a cache entry exists but cannot be
-	// decoded; the entry is removed and the job recomputes.
+	JobStart  EventType = iota // a claimant picked the job up
+	JobDone                    // its simulation completed
+	JobCached                  // the cache satisfied it
+	JobFailed                  // it errored, panicked, timed out or was cancelled
+	// JobCacheCorrupt: an entry exists but does not decode; it is
+	// removed and the job recomputes.
 	JobCacheCorrupt
-	// JobLeased fires when a remote dispatcher grants a job's lease to
-	// a worker (Worker names it).
-	JobLeased
-	// JobLeaseExpired fires when a leased job's heartbeats stop and the
-	// lease times out (worker crash, network partition).
-	JobLeaseExpired
-	// JobReassigned fires when an expired job is reclaimed and requeued
-	// for another worker.
-	JobReassigned
+	JobLeased       // a remote worker (Event.Worker) holds its lease
+	JobLeaseExpired // the lease's heartbeats stopped (crash, partition)
+	JobReassigned   // the job went back to the front of the queue
 )
 
-// Terminal reports whether an event type ends a job (exactly one
-// terminal event is emitted per executed job). Campaign accounting
-// counts these and only these — cache-corruption notices and
-// lease-lifecycle events are mid-flight telemetry.
+// Terminal reports whether an event type ends a job: exactly one is
+// emitted per job, and campaign accounting counts only these.
 func (t EventType) Terminal() bool {
 	return t == JobDone || t == JobCached || t == JobFailed
 }
 
 // Event is one telemetry tick: which job, how far along the campaign
-// is, and — for finished jobs — per-job elapsed time and a campaign
-// ETA extrapolated from throughput so far.
+// is, and for finished jobs their elapsed time and a campaign ETA.
 type Event struct {
-	Type  EventType
-	Job   Job
-	Index int
-	// Done counts finished jobs (including this one for finish
-	// events); Total is the campaign size.
-	Done, Total int
-	// JobElapsed is this job's wall-clock time (finish events).
-	JobElapsed time.Duration
-	// Elapsed is campaign wall-clock so far; ETA estimates what
-	// remains (0 when unknown).
+	Type        EventType
+	Job         Job
+	Index       int
+	Done, Total int           // finished jobs (this one included) and campaign size
+	JobElapsed  time.Duration // this job's wall clock (finish events)
+	// Elapsed is campaign wall clock so far; ETA estimates what remains.
 	Elapsed, ETA time.Duration
 	Err          error
-	// Worker names the remote worker involved in lease-lifecycle
-	// events (empty for local execution).
-	Worker string
-	// Engine, on the JobDone of a job that ran locally, says what the
-	// engine skipped inside awake ticks (network.Elided). Telemetry only:
-	// it is not part of the Result, the cache or any digest.
+	Worker       string // the remote worker of a lease event
+	// Engine, on the JobDone of a local run, is what the engine skipped
+	// (network.Elided): telemetry, in no Result, cache entry or digest.
 	Engine string
 }
 
@@ -264,58 +188,45 @@ type resolved struct {
 	watchdog sim.Cycle
 }
 
-// resolve validates one job: the experiment must exist and be
-// runnable, the scheme/params must be valid.
-func resolve(j Job) (resolved, error) {
-	var out resolved
+// resolve validates one job: a runnable experiment, valid scheme and
+// parameters.
+func resolve(j Job) (r resolved, err error) {
+	r = resolved{scheme: j.Scheme, seed: j.Seed, watchdog: j.Watchdog}
 	if j.Exp != nil {
-		out.exp = *j.Exp
-	} else {
-		e, err := experiments.ByID(j.ExpID)
-		if err != nil {
-			return out, err
-		}
-		out.exp = e
+		r.exp = *j.Exp
+	} else if r.exp, err = experiments.ByID(j.ExpID); err != nil {
+		return r, err
 	}
-	if out.exp.Kind == experiments.ConfigTable {
-		return out, fmt.Errorf("%s is a static table, not a runnable experiment", out.exp.ID)
-	}
-	if out.exp.Build == nil {
-		return out, fmt.Errorf("%s has no Build function", out.exp.ID)
+	switch {
+	case r.exp.Kind == experiments.ConfigTable:
+		return r, fmt.Errorf("%s is a static table, not a runnable experiment", r.exp.ID)
+	case r.exp.Build == nil:
+		return r, fmt.Errorf("%s has no Build function", r.exp.ID)
 	}
 	if j.Params != nil {
-		out.params = *j.Params
-	} else {
-		p, err := experiments.SchemeByName(j.Scheme)
-		if err != nil {
-			return out, err
-		}
-		out.params = p
+		r.params = *j.Params
+	} else if r.params, err = experiments.SchemeByName(j.Scheme); err != nil {
+		return r, err
 	}
-	if err := out.params.Validate(); err != nil {
-		return out, err
+	if err := r.params.Validate(); err != nil {
+		return r, err
 	}
-	out.scheme = j.Scheme
-	if out.scheme == "" {
-		out.scheme = out.params.Name
+	if r.scheme == "" {
+		r.scheme = r.params.Name
 	}
-	out.seed = j.Seed
 	if j.Faults != nil {
 		if err := j.Faults.Validate(); err != nil {
-			return out, err
+			return r, err
 		}
-		out.faults = j.Faults
+		r.faults = j.Faults
 	}
-	out.watchdog = j.Watchdog
-	return out, nil
+	return r, nil
 }
 
-// key is the job's content-addressed cache address when run at seed
-// (key(0), the seed-free table's, stands for every seed), with facets
-// appended after the fault script's. The watchdog window is
-// deliberately NOT part of it: it can only turn a run into a failure,
-// and a failure is never cached as a result, so every cached result is
-// watchdog-neutral.
+// key is the job's cache address when run at seed (key(0), the
+// seed-free table's, stands for every seed), facets after the fault
+// script's. The watchdog window is not in it: it can only turn a run
+// into a failure, which is never cached as a result.
 func (r resolved) key(seed int64, facets ...string) string {
 	if r.faults != nil {
 		facets = append([]string{"faults=" + r.faults.Fingerprint()}, facets...)
@@ -329,11 +240,11 @@ func (r resolved) quarantineKey() string {
 	return r.key(r.seed, fmt.Sprintf("watchdog=%d", r.watchdog))
 }
 
-// Run executes a campaign: it validates every job up front, fans the
-// valid grid across the worker pool, and returns one JobResult per
-// job in input order. The returned error is non-nil only for campaign
-// setup problems (invalid jobs) or context cancellation; individual
-// job failures are reported in their JobResult.Err.
+// Run executes a campaign: it validates every job up front, runs the
+// grid through an ephemeral Queue with opt.Workers slots, and returns
+// one JobResult per job in input order. The error is non-nil only for
+// invalid jobs or cancellation (a job claimed after ctx ended reports
+// it without running); job failures are in their JobResult.Err.
 func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 	var invalid []string
 	for i, j := range jobs {
@@ -345,54 +256,52 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 		return nil, fmt.Errorf("runner: %d invalid job(s):\n  %s\nvalid experiment ids: %s",
 			len(invalid), strings.Join(invalid, "\n  "), strings.Join(experiments.ValidIDs(), " "))
 	}
-
+	exec := opt.Executor
+	if exec == nil {
+		exec = &LocalExecutor{Cache: opt.Cache, Timeout: opt.Timeout}
+	}
 	var (
-		out = make([]JobResult, len(jobs))
-
-		mu       sync.Mutex // serializes done counting and Progress calls
-		done     int
-		campaign = time.Now()
+		out   = make([]JobResult, len(jobs))
+		mu    sync.Mutex // serializes done counting and Progress calls
+		done  int
+		start = time.Now()
+		wg    sync.WaitGroup
 	)
 	emit := func(ev Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		ev.Total = len(jobs)
-		switch {
-		case ev.Type.Terminal():
-			// Only terminal events advance the campaign cursor: a lease
-			// bounce is the same job still in flight, and
-			// counting it would inflate Done past Total.
+		if ev.Type.Terminal() { // lease events are the same job still in flight
 			done++
-			ev.Done = done
-			ev.Elapsed = time.Since(campaign)
-			if done > 0 && done < len(jobs) {
+			ev.Elapsed = time.Since(start)
+			if done < len(jobs) {
 				ev.ETA = time.Duration(float64(ev.Elapsed) / float64(done) * float64(len(jobs)-done))
 			}
-		default:
-			ev.Done = done
 		}
+		ev.Done = done
 		if opt.Progress != nil {
 			opt.Progress(ev)
 		}
 	}
-
-	exec := opt.executor()
-	started := ForEach(ctx, len(jobs), opt.Workers, func(i int) {
-		out[i] = exec.Execute(ctx, jobs[i], func(ev Event) {
-			ev.Index = i
-			emit(ev)
-		})
-	})
-
-	if err := ctx.Err(); err != nil {
-		for i := range out {
-			if !started[i] {
-				out[i] = JobResult{Job: jobs[i], Err: err}
+	q := NewQueue()
+	wg.Add(len(jobs))
+	for i, job := range jobs {
+		q.Push(&Task{Job: job, Ctx: ctx, Run: func(ctx context.Context) {
+			defer wg.Done()
+			if out[i].Err = ctx.Err(); out[i].Err != nil {
+				out[i].Job = job
+				return
 			}
-		}
-		return out, err
+			out[i] = exec.Execute(ctx, job, func(ev Event) {
+				ev.Index = i
+				emit(ev)
+			})
+		}})
 	}
-	return out, nil
+	q.Serve(opt.Workers)
+	wg.Wait()
+	q.Close()
+	return out, ctx.Err()
 }
 
 // outcome is one simulation's: its result, Event.Engine's text, and
@@ -404,10 +313,9 @@ type outcome struct {
 	err      error
 }
 
-// executeBounded runs the simulation in its own goroutine so the
-// worker can enforce the timeout and cancellation. The simulator has
-// no preemption points: an abandoned run keeps computing in the
-// background until it finishes, then its result is discarded.
+// executeBounded runs the simulation on its own goroutine to enforce
+// the timeout and cancellation; an abandoned run (the simulator has no
+// preemption points) finishes in the background, unread.
 func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Duration) outcome {
 	ch := make(chan outcome, 1)
 	go func() { ch <- execute(r) }()
@@ -428,9 +336,9 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 }
 
 // execute builds, runs and harvests one simulation, converting a panic
-// anywhere in the stack into a job error. An invariant violation — raised as a panic by the always-on checker
-// or surfaced by the final audit — comes back from RunAudited as the
-// *invariant.Violation itself, so simulate can quarantine it.
+// anywhere in the stack into a job error. An invariant violation —
+// raised by the always-on checker or the final audit — comes back from
+// RunAudited as the *invariant.Violation itself, for quarantine.
 func execute(r resolved) (o outcome) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -10,32 +11,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Wire (de)serialization for remote execution. A Job cannot cross a
-// process boundary directly — its Experiment carries a Build closure —
-// so the wire form carries the job's one-cell source spec instead and
-// both sides expand it with the same deterministic function. That is
-// the same trick the campaign client already plays for results: shared
-// expansion means index i, cache key and rendered bytes agree between
-// the service and every worker.
+// A Job cannot cross a process boundary (its Experiment carries a Build
+// closure), so the wire form carries its one-cell source spec, which
+// both sides expand with the same deterministic function: cell, cache
+// key and rendered bytes agree between the service and every worker.
 
-// WireJob is the serializable identity of one Job: the one-cell spec
-// it was expanded from plus the service-level options that ride along
-// with it (fault script, watchdog window). Decoding re-expands the
-// spec, so an undecodable job — registry drift between service and
-// worker builds — fails loudly instead of running the wrong cell.
+// WireJob is the serializable identity of one Job: its one-cell spec
+// and the service-level options (fault script, watchdog window).
+// Registry drift between builds fails the decode, never runs the wrong
+// cell.
 type WireJob struct {
-	Spec experiments.Spec `json:"spec"`
-	// Faults is the deterministic fault script injected into the job;
-	// its fingerprint is part of the cache key on both sides.
-	Faults *fault.Script `json:"faults,omitempty"`
-	// Watchdog is the invariant checker's forward-progress override in
-	// cycles (0 default, <0 disable).
-	Watchdog int64 `json:"watchdog,omitempty"`
+	Spec     experiments.Spec `json:"spec"`
+	Faults   *fault.Script    `json:"faults,omitempty"`
+	Watchdog int64            `json:"watchdog,omitempty"` // cycles: 0 default, <0 disable
 }
 
-// WireFromJob captures a job's serializable identity. Jobs built by
-// hand (synthetic experiments, tests) carry no source spec
-// and cannot be shipped.
+// WireFromJob captures a job's serializable identity; a hand-built job
+// has no source spec and cannot be shipped.
 func WireFromJob(j Job) (WireJob, error) {
 	if j.Source == nil {
 		return WireJob{}, fmt.Errorf("runner: job %s carries no source spec and cannot be serialized for remote execution", j)
@@ -46,9 +38,8 @@ func WireFromJob(j Job) (WireJob, error) {
 }
 
 // Job re-expands the wire form into a runnable Job. The spec must
-// expand to exactly one cell — anything else means the two sides
-// disagree about what a cell is, and running a guess would poison the
-// shared cache.
+// expand to exactly one cell: anything else means the sides disagree
+// about what a cell is.
 func (w WireJob) Job() (Job, error) {
 	jobs, err := FromSpec(w.Spec)
 	if err != nil {
@@ -64,11 +55,12 @@ func (w WireJob) Job() (Job, error) {
 }
 
 // WireResult is the serializable form of a JobResult. Errors travel as
-// strings (they are terminal facts by the time they cross the wire),
-// and the invariant checker's diagnostic snapshot rides along so a
-// quarantined job's evidence survives the round trip.
+// text beside the outcome they meant, so a cancelled cell still reads
+// cancelled on the other side; a quarantined job's snapshot rides
+// along.
 type WireResult struct {
 	Result      *experiments.Result `json:"result,omitempty"`
+	Outcome     Outcome             `json:"outcome,omitempty"`
 	Err         string              `json:"error,omitempty"`
 	CacheErr    string              `json:"cache_error,omitempty"`
 	Cached      bool                `json:"cached,omitempty"`
@@ -83,6 +75,7 @@ type WireResult struct {
 func WireFromResult(jr JobResult) WireResult {
 	w := WireResult{
 		Result:      jr.Result,
+		Outcome:     jr.Outcome(),
 		Cached:      jr.Cached,
 		ElapsedMS:   jr.ElapsedMS(),
 		Key:         jr.Key,
@@ -111,7 +104,10 @@ func (w WireResult) JobResult(job Job) JobResult {
 		Quarantined: w.Quarantined,
 		Diagnostics: w.Diagnostics,
 	}
-	if w.Err != "" {
+	switch {
+	case w.Err != "" && w.Outcome == OutcomeCancelled:
+		jr.Err = cancelledError(w.Err)
+	case w.Err != "":
 		jr.Err = errors.New(w.Err)
 	}
 	if w.CacheErr != "" {
@@ -120,9 +116,14 @@ func (w WireResult) JobResult(job Job) JobResult {
 	return jr
 }
 
-// JobKey resolves a job and computes its content-addressed cache key —
-// the same key LocalExecutor uses, exposed so a remote dispatcher can
-// probe the service-side cache before shipping the job anywhere.
+// cancelledError is a cancellation that crossed the wire as text: it
+// reads as the text and matches context.Canceled.
+type cancelledError string
+
+func (e cancelledError) Error() string      { return string(e) }
+func (cancelledError) Is(target error) bool { return target == context.Canceled }
+
+// JobKey resolves a job and computes the cache key LocalExecutor uses.
 func JobKey(job Job) (string, error) {
 	r, err := resolve(job)
 	if err != nil {

@@ -2,8 +2,10 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -307,6 +309,7 @@ func FuzzWireResult(f *testing.F) {
 				Overall: metrics.FCTBucket{Label: "all", MaxBytes: math.MaxInt64, Completed: 1, MeanSlowdown: 1.5}},
 			Summary: experiments.Summary{DeliveredPkts: 10, FCTCompleted: 1, FCTSlowdownP99: 1.5},
 		}},
+		WireFromResult(JobResult{Err: fmt.Errorf("campaign: job x is cancelled: %w", context.Canceled)}),
 	} {
 		data, err := json.Marshal(w)
 		if err != nil {
@@ -319,7 +322,10 @@ func FuzzWireResult(f *testing.F) {
 		if json.Unmarshal(data, &w) != nil {
 			return
 		}
-		w.JobResult(Job{})
+		jr := w.JobResult(Job{})
+		if w.Err != "" && w.Outcome == OutcomeCancelled && !w.Quarantined && jr.Outcome() != OutcomeCancelled {
+			t.Fatalf("a cancelled result decodes as %s", jr.Outcome())
+		}
 		first, err := json.Marshal(w)
 		if err != nil {
 			t.Fatalf("decoded result does not re-encode: %v", err)

@@ -2,12 +2,15 @@
 # Distributed smoke test: proves the worker fleet end to end, at the
 # process level, the way a user runs it.
 #
-#   1. ccfit-serve starts with a short lease TTL; two ccfit-worker
-#      processes register over HTTP and show up in GET /workers.
+#   1. ccfit-serve starts with a short lease TTL and one in-process
+#      slot (-workers 1); two ccfit-worker processes register over HTTP
+#      and show up in GET /workers.
 #   2. A multi-seed fig7a campaign is submitted through `ccfit-run
-#      -server`. In its tail, once worker w1 provably holds a lease (its
-#      /workers row lists an active job), it is SIGKILLed — no drain, no
-#      abandon message, exactly the crash the lease protocol exists for.
+#      -server`. Both workers must hold a lease at once at least once:
+#      the service's one slot does not cap the fleet. In the campaign's
+#      tail, once worker w1 provably holds a lease (its /workers row
+#      lists an active job), it is SIGKILLed — no drain, no abandon
+#      message, exactly the crash the lease protocol exists for.
 #   3. The survivor (default -poll-max) finishes the few cells left and
 #      parks on the board; when the sweep reclaims w1's job it must go
 #      straight to that parked claim, not wait for a poll.
@@ -30,19 +33,19 @@ trap 'kill -9 $serve_pid $w1_pid $w2_pid 2>/dev/null || true; rm -rf "$workdir"'
 go build -o "$workdir" ./cmd/ccfit-serve ./cmd/ccfit-worker ./cmd/ccfit-run
 . "$(dirname "$0")/lib.sh"
 
-# busy reports (exit status) whether the named worker's /workers row
-# currently lists an active job ("active" is omitempty, so its presence
-# means a held lease).
+# busy reports (exit status) whether every named worker's /workers row
+# lists an active job in one snapshot ("active" is omitempty, so its
+# presence means a held lease).
 busy() {
-    curl -sf "$url/workers" | awk -v want="\"$1\"," '
-        $1 == "\"name\":" && $2 == want { inw = 1 }
-        inw && $1 == "\"active\":"      { found = 1 }
-        /^  \}/                         { inw = 0 }
-        END { exit !found }
+    curl -sf "$url/workers" | awk -v names=" $* " '
+        $1 == "\"name\":" { n = $2; gsub(/[",]/, "", n); inw = index(names, " " n " ") > 0 }
+        inw && $1 == "\"active\":" { found[n] = 1 }
+        /^  \}/ { inw = 0 }
+        END { k = split(names, want, " "); for (i = 1; i <= k; i++) if (!(want[i] in found)) exit 1 }
     '
 }
 
-start_server 127.0.0.1:0 -lease-ttl 2s
+start_server 127.0.0.1:0 -lease-ttl 2s -workers 1
 
 echo "== two workers register"
 "$workdir/ccfit-worker" -server "$url" -name w1 -cache "$workdir/w1-cache" \
@@ -68,9 +71,12 @@ echo "== submit campaign, SIGKILL w1 mid-job in the campaign's tail"
 "$workdir/ccfit-run" -server "$url" -seeds 8 fig7a > "$workdir/remote.out" &
 client_pid=$!
 # Let the campaign run down to its last few cells first, so the survivor
-# is idle by the time w1's lease expires.
+# is idle by the time w1's lease expires. On the way, both workers must
+# be seen busy at once.
+both=0
 i=0
 while [ $i -lt 600 ]; do
+    if [ "$both" -eq 0 ] && busy w1 w2; then both=1; fi
     snap=$(curl -sf "$url/metrics") || snap=""
     enqueued=$(echo "$snap" | field jobs_enqueued)
     depth=$(echo "$snap" | field queue_depth)
@@ -81,6 +87,7 @@ while [ $i -lt 600 ]; do
 done
 i=0
 while [ $i -lt 300 ]; do
+    if [ "$both" -eq 0 ] && busy w1 w2; then both=1; fi
     if busy w1; then break; fi
     kill -0 "$client_pid" 2>/dev/null || break
     sleep 0.1
@@ -88,6 +95,11 @@ while [ $i -lt 300 ]; do
 done
 if ! busy w1; then
     echo "FAIL: w1 never held a lease (campaign too fast or fleet idle)"
+    curl -sf "$url/workers" || true
+    exit 1
+fi
+if [ "$both" -eq 0 ]; then
+    echo "FAIL: w1 and w2 never held a lease at the same time under ccfit-serve -workers 1"
     curl -sf "$url/workers" || true
     exit 1
 fi
