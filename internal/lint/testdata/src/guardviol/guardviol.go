@@ -90,3 +90,96 @@ func (g *gauge) set(v int) {
 func (g *gauge) peek() int {
 	return g.val // want guarded-field "written with gauge.mu held elsewhere"
 }
+
+// The shapes below pin the statement walker: each branch of an
+// if/switch/select/for is scanned on a copy of the lock state, an
+// Unlock releases a mutex held at entry as well as one taken locally,
+// and a deferred call hands its callee no lock state.
+
+// ledger repeats the annotated pair, so these shapes leave counter's
+// entry sets alone.
+type ledger struct {
+	mu  sync.Mutex
+	sum int // guarded by mu
+}
+
+// releaseLocked is entered with mu held (its only caller holds it) and
+// releases it: the write after the Unlock races.
+func (l *ledger) releaseLocked() {
+	l.mu.Unlock()
+	l.sum = 0 // want guarded-field "guarded by ledger.mu but written here without it held"
+}
+
+func (l *ledger) release() {
+	l.mu.Lock()
+	l.releaseLocked()
+}
+
+// addChecked is the early-exit shape: the Unlock in the branch does not
+// leak into the fallthrough path, which still holds mu.
+func (l *ledger) addChecked(d int) {
+	l.mu.Lock()
+	if d < 0 {
+		l.mu.Unlock()
+		return
+	}
+	l.sum += d
+	l.mu.Unlock()
+}
+
+// addMaybe locks only inside a branch: the Lock does not leak out.
+func (l *ledger) addMaybe(d int, lock bool) {
+	if lock {
+		l.mu.Lock()
+	}
+	l.sum += d // want guarded-field "guarded by ledger.mu but written here without it held"
+	if lock {
+		l.mu.Unlock()
+	}
+}
+
+// settle releases mu in one switch case and one select arm; the arms
+// after them start from the state before the switch or select.
+func (l *ledger) settle(k int, ch chan int) {
+	l.mu.Lock()
+	switch k {
+	case 0:
+		l.mu.Unlock()
+		l.sum = 0 // want guarded-field "guarded by ledger.mu but written here without it held"
+		return
+	default:
+		l.sum++
+	}
+	select {
+	default:
+		l.mu.Unlock()
+		l.sum = 1 // want guarded-field "guarded by ledger.mu but written here without it held"
+		return
+	case v := <-ch:
+		l.sum += v
+	}
+	l.mu.Unlock()
+}
+
+// drain drops mu around each step of a loop body.
+func (l *ledger) drain(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := 0; i < n; i++ {
+		l.mu.Unlock()
+		l.sum-- // want guarded-field "guarded by ledger.mu but written here without it held"
+		l.mu.Lock()
+	}
+}
+
+// clearLocked's only call site is a defer, which runs after reset has
+// released mu: the deferred call hands it no lock state.
+func (l *ledger) clearLocked() {
+	l.sum = 0 // want guarded-field "guarded by ledger.mu but written here without it held"
+}
+
+func (l *ledger) reset() {
+	l.mu.Lock()
+	defer l.clearLocked()
+	l.mu.Unlock()
+}
