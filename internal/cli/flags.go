@@ -56,7 +56,7 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	all.IntVar(&f.Seeds, "seeds", f.Seeds, "replications per scheme or sweep point (seeds seed..seed+N-1); >1 prints mean±sd tables; a cell that never observes its seed runs once per process (per worker on -server) and its other seeds read cached")
 	all.StringVar(&f.Schemes, "schemes", f.Schemes, "comma-separated scheme list (empty = each experiment's own set)")
 	all.Float64Var(&f.MS, "ms", f.MS, "simulated milliseconds per cell: truncates registered experiments (0 = full length; distinct cache keys)")
-	// Kept only for bench/'s command lines; the benchmark PR of ROADMAP.md item 1(b) deletes it.
+	// Kept only for bench/'s command lines (DESIGN.md §9 lists the bench-only names).
 	all.Int("sim-workers", 1, "ignored: every simulation runs on one engine (accepted so existing command lines still parse)")
 	all.StringVar(&f.Faults, "faults", f.Faults, "inject a deterministic fault script into every job (JSON; see scripts/faults/)")
 	all.Int64Var(&f.Watchdog, "watchdog", f.Watchdog, "forward-progress watchdog window in cycles (0 = default 262144, -1 = disable)")

@@ -26,8 +26,8 @@ const (
 // BuildOpts is the last parameter of every Build function. Nothing reads
 // it: builders take it as _ BuildOpts.
 type BuildOpts struct {
-	// SimWorkers is kept only for bench/, which sets it; the benchmark PR
-	// of ROADMAP.md item 1(b) deletes it.
+	// SimWorkers is kept only for bench/, which sets it (DESIGN.md §9
+	// lists the bench-only names).
 	SimWorkers int
 }
 

@@ -43,7 +43,7 @@ func buildCallGraph(pkg *Package) *callGraph {
 			if !ok {
 				return true
 			}
-			if callee := calleeFunc(pkg.Info, call); callee != nil {
+			if callee := funcFromExpr(pkg.Info, call.Fun); callee != nil {
 				if _, local := g.decls[callee]; local {
 					g.calls[obj] = append(g.calls[obj], callee)
 				}
@@ -94,21 +94,6 @@ func stmtInBlock(root ast.Node, target ast.Stmt) (*ast.BlockStmt, int) {
 	return blk, idx
 }
 
-// calleeFunc resolves a call expression's static callee, unwrapping
-// parens. Returns nil for builtins, type conversions, and calls of
-// function values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
-}
-
 // recvNamed returns the named type of f's receiver (through pointers),
 // or nil for plain functions.
 func recvNamed(f *types.Func) *types.Named {
@@ -125,7 +110,9 @@ func recvNamed(f *types.Func) *types.Named {
 }
 
 // funcFromExpr resolves an expression denoting a function or method
-// value (n.post, tickFn) to its *types.Func, or nil.
+// (n.post, tickFn; a call's Fun) to its *types.Func, unwrapping
+// parens. Returns nil for builtins, type conversions and function
+// values.
 func funcFromExpr(info *types.Info, e ast.Expr) *types.Func {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:

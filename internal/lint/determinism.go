@@ -40,7 +40,7 @@ func runDeterminism(pass *Pass) {
 					"go statement in simulation package: the engine is single-goroutine by design; scheduling on the Go runtime is not replayable",
 					"move concurrency to internal/runner (job level) or schedule work with Engine.At")
 			case *ast.CallExpr:
-				callee := calleeFunc(info, n)
+				callee := funcFromExpr(info, n.Fun)
 				if callee == nil || callee.Pkg() == nil {
 					return true
 				}
@@ -128,7 +128,7 @@ func collectThenSortOK(pass *Pass, file *ast.File, rng *ast.RangeStmt, sliceObj 
 			if !ok {
 				return true
 			}
-			callee := calleeFunc(pass.Pkg.Info, call)
+			callee := funcFromExpr(pass.Pkg.Info, call.Fun)
 			if callee == nil || callee.Pkg() == nil {
 				return true
 			}

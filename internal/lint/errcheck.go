@@ -47,7 +47,7 @@ func runUncheckedErr(pass *Pass) {
 				return true
 			}
 			name := "call"
-			if f := calleeFunc(info, call); f != nil {
+			if f := funcFromExpr(info, call.Fun); f != nil {
 				name = f.Name()
 			}
 			pass.Report(call.Pos(),
@@ -83,7 +83,7 @@ func isErrorType(t types.Type) bool {
 
 // errExempt implements the documented exemption list.
 func errExempt(info *types.Info, call *ast.CallExpr) bool {
-	f := calleeFunc(info, call)
+	f := funcFromExpr(info, call.Fun)
 	if f == nil || f.Pkg() == nil {
 		return false
 	}

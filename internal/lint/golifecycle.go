@@ -77,7 +77,7 @@ func goStmtBody(pkg *Package, decls map[*types.Func]*ast.FuncDecl, call *ast.Cal
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return lit.Body, ""
 	}
-	callee := calleeFunc(pkg.Info, call)
+	callee := funcFromExpr(pkg.Info, call.Fun)
 	if callee != nil {
 		if fd, ok := decls[callee]; ok {
 			return fd.Body, ""

@@ -44,15 +44,11 @@ func runGuardedField(pass *Pass) {
 			"name a sibling mutex field (`// guarded by mu`) or a same-package struct's field (`// guarded by Type.mu`)")
 	}
 
-	// Annotated fields: every access must be effectively held.
+	// Annotated fields: every access must hold the named mutex.
 	for _, u := range facts.units {
-		entry := facts.entryFor(u)
 		for _, a := range u.accesses {
 			mu, ok := facts.guards[a.obj]
-			if !ok {
-				continue
-			}
-			if effectiveHeld(mu, a.held, a.killed, entry) {
+			if !ok || a.held[mu] {
 				continue
 			}
 			verb := "read"
@@ -60,8 +56,8 @@ func runGuardedField(pass *Pass) {
 				verb = "written"
 			}
 			pass.Report(a.pos,
-				"field "+facts.fieldName(a.obj)+" is guarded by "+facts.mutexName(mu)+" but "+verb+" here without it held",
-				"acquire "+facts.mutexName(mu)+" around this access, or hoist the access into a caller that holds it")
+				"field "+facts.name(a.obj)+" is guarded by "+facts.name(mu)+" but "+verb+" here without it held",
+				"acquire "+facts.name(mu)+" around this access, or hoist the access into a caller that holds it")
 		}
 	}
 
@@ -74,7 +70,6 @@ func runGuardedField(pass *Pass) {
 	}
 	ev := map[types.Object]*evidence{}
 	for _, u := range facts.units {
-		entry := facts.entryFor(u)
 		for _, a := range u.accesses {
 			mu, ok := facts.siblings[a.obj]
 			if !ok {
@@ -85,7 +80,7 @@ func runGuardedField(pass *Pass) {
 				e = &evidence{}
 				ev[a.obj] = e
 			}
-			if effectiveHeld(mu, a.held, a.killed, entry) {
+			if a.held[mu] {
 				if a.write {
 					e.lockedWrite = true
 				}
@@ -112,7 +107,7 @@ func runGuardedField(pass *Pass) {
 			verb = "written"
 		}
 		pass.Report(e.unheldPos,
-			"field "+facts.fieldName(obj)+" is written with "+facts.mutexName(mu)+" held elsewhere but "+verb+" here without it: annotate it `// guarded by "+mu.Name()+"` (and fix this access) or move every mutation out of the critical section",
+			"field "+facts.name(obj)+" is written with "+facts.name(mu)+" held elsewhere but "+verb+" here without it: annotate it `// guarded by "+mu.Name()+"` (and fix this access) or move every mutation out of the critical section",
 			"if the field is immutable after construction, writing it under the lock is misleading; otherwise this access races")
 	}
 }

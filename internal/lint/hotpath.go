@@ -53,7 +53,7 @@ func runHotpath(pass *Pass) {
 				return true
 			}
 			// The ticker argument of AddTicker is a tick root.
-			if len(call.Args) != 2 || !isPkgFunc(calleeFunc(pkg.Info, call), simPath, "Engine", "AddTicker") {
+			if len(call.Args) != 2 || !isPkgFunc(funcFromExpr(pkg.Info, call.Fun), simPath, "Engine", "AddTicker") {
 				return true
 			}
 			if fn, lit := tickRoot(pkg.Info, call.Args[1]); lit != nil {

@@ -34,10 +34,9 @@ func runLockOrder(pass *Pass) {
 	facts := lockFactsFor(pass.Pkg)
 	may := mayAcquire(facts)
 	for _, u := range facts.units {
-		entry := facts.entryFor(u)
 		for _, a := range u.acquires {
-			for _, h := range heldAt(facts, a.held, a.killed, entry) {
-				reportNested(pass, a.pos, "mutex "+facts.mutexName(a.mu)+" is acquired", facts.mutexName(h), h == a.mu)
+			for _, h := range facts.sorted(a.held) {
+				reportNested(pass, a.pos, "mutex "+facts.name(a.mu)+" is acquired", facts.name(h), h == a.mu)
 			}
 		}
 		for _, cs := range u.calls {
@@ -46,12 +45,12 @@ func runLockOrder(pass *Pass) {
 				continue
 			}
 			var names []string
-			for _, mu := range facts.sortedMutexNames(inner) {
-				names = append(names, facts.mutexName(mu))
+			for _, mu := range facts.sorted(inner) {
+				names = append(names, facts.name(mu))
 			}
 			what := "call to " + cs.callee.Name() + " may acquire " + strings.Join(names, ", ")
-			for _, h := range heldAt(facts, cs.held, cs.killed, entry) {
-				reportNested(pass, cs.pos, what, facts.mutexName(h), inner[h])
+			for _, h := range facts.sorted(cs.held) {
+				reportNested(pass, cs.pos, what, facts.name(h), inner[h])
 			}
 		}
 	}
@@ -67,21 +66,6 @@ func reportNested(pass *Pass, pos token.Pos, what, name string, same bool) {
 	}
 	pass.Report(pos, fmt.Sprintf("%s while %s is held: nested package mutexes can deadlock against any site taking them in the other order", what, name),
 		"release "+name+" first, or move the inner critical section out of the outer one")
-}
-
-// heldAt lists, in name order, the mutexes effectively held at a point
-// observed with (held, killed) in a unit whose entry set is entry.
-func heldAt(facts *lockFacts, held, killed, entry heldSet) []types.Object {
-	set := map[types.Object]bool{}
-	for mu := range held {
-		set[mu] = true
-	}
-	for mu := range entry {
-		if !killed[mu] {
-			set[mu] = true
-		}
-	}
-	return facts.sortedMutexNames(set)
 }
 
 // mayAcquire maps each declared function to the mutexes its own body

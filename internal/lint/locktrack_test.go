@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/token"
 	"go/types"
 	"path/filepath"
 	"testing"
@@ -31,7 +30,7 @@ func findEntry(t *testing.T, f *lockFacts, name string) (*types.Func, heldSet) {
 	t.Helper()
 	for _, u := range f.units {
 		if u.fn != nil && u.fn.Name() == name {
-			return u.fn, f.entryFor(u)
+			return u.fn, f.entry[u.fn]
 		}
 	}
 	t.Fatalf("no scan unit for function %q", name)
@@ -51,7 +50,7 @@ func TestEntryFixpoint(t *testing.T) {
 		t.Fatalf("entry[addLocked] has %d mutexes, want exactly 1", len(entry))
 	}
 	for mu := range entry {
-		if got := f.mutexName(mu); got != "counter.mu" {
+		if got := f.name(mu); got != "counter.mu" {
 			t.Errorf("entry[addLocked] holds %s, want counter.mu", got)
 		}
 	}
@@ -65,31 +64,6 @@ func TestEntryFixpoint(t *testing.T) {
 	}
 }
 
-// TestEffectiveHeld pins the three-way interaction of locally-acquired,
-// entry-held, and locally-released ("killed") lock state.
-func TestEffectiveHeld(t *testing.T) {
-	mu := types.NewVar(token.NoPos, nil, "mu", types.Typ[types.Int])
-	none := heldSet{}
-	with := heldSet{mu: true}
-
-	if effectiveHeld(mu, none, none, none) {
-		t.Error("nothing held, nothing at entry: must be unheld")
-	}
-	if !effectiveHeld(mu, with, none, none) {
-		t.Error("locally acquired: must be held")
-	}
-	if !effectiveHeld(mu, none, none, with) {
-		t.Error("entry-held and not released: must be held")
-	}
-	if effectiveHeld(mu, none, with, with) {
-		t.Error("entry-held but killed by a local Unlock: must be unheld")
-	}
-	// A re-acquisition after a kill wins: local held state dominates.
-	if !effectiveHeld(mu, with, with, with) {
-		t.Error("re-acquired after a local Unlock: must be held")
-	}
-}
-
 // TestGuardTables pins annotation resolution on the fixture: the
 // guarded-by table must map counter.n to counter.mu and entry.hits to
 // registry.mu (the Type.mu outer-lock form), the typo annotation must
@@ -100,7 +74,7 @@ func TestGuardTables(t *testing.T) {
 
 	guardsByName := map[string]string{}
 	for field, mu := range f.guards {
-		guardsByName[f.fieldName(field)] = f.mutexName(mu)
+		guardsByName[f.name(field)] = f.name(mu)
 	}
 	if got := guardsByName["counter.n"]; got != "counter.mu" {
 		t.Errorf("guard of counter.n = %q, want counter.mu", got)
@@ -114,7 +88,7 @@ func TestGuardTables(t *testing.T) {
 
 	siblingsByName := map[string]string{}
 	for field, mu := range f.siblings {
-		siblingsByName[f.fieldName(field)] = f.mutexName(mu)
+		siblingsByName[f.name(field)] = f.name(mu)
 	}
 	if got := siblingsByName["gauge.val"]; got != "gauge.mu" {
 		t.Errorf("sibling mutex of gauge.val = %q, want gauge.mu", got)

@@ -43,12 +43,12 @@ func runPoolHygiene(pass *Pass) {
 }
 
 func isPoolAcquire(info *types.Info, call *ast.CallExpr, pktPath string) bool {
-	callee := calleeFunc(info, call)
+	callee := funcFromExpr(info, call.Fun)
 	return isPkgFunc(callee, pktPath, "Pool", "NewData") || isPkgFunc(callee, pktPath, "Pool", "NewBECN")
 }
 
 func isPoolRelease(info *types.Info, call *ast.CallExpr, pktPath string) bool {
-	return isPkgFunc(calleeFunc(info, call), pktPath, "Pool", "Release")
+	return isPkgFunc(funcFromExpr(info, call.Fun), pktPath, "Pool", "Release")
 }
 
 // checkPoolInFunc finds acquisitions in one function and runs the path

@@ -186,14 +186,14 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 }
 
 // PartitionStats is the shape bench/ reads from PartitionInfo. Kept only
-// for bench/; the benchmark PR of ROADMAP.md item 1(b) deletes it.
+// for bench/, with the other names DESIGN.md §9 lists as bench-only.
 type PartitionStats struct {
 	N, CutLinks int
 	Window      sim.Cycle
 }
 
 // PartitionInfo always returns nil: a network runs on one engine. Kept
-// only for bench/; the benchmark PR of ROADMAP.md item 1(b) deletes it.
+// only for bench/, with the other names DESIGN.md §9 lists as bench-only.
 func (n *Network) PartitionInfo() *PartitionStats { return nil }
 
 // dropHandler builds the lossless-aware consumer for packets condemned
