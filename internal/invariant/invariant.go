@@ -19,14 +19,15 @@
 // Ledger accounting (bytes, sampled after every device's tick, when no
 // intra-cycle transfer can be mid-flight):
 //
-//	created  = Σ node OfferedBytes + Σ node BECNsSent·BECNSize + externally minted
-//	consumed = Σ node DeliveredBytes + Σ node BECNsReceived·BECNSize + Σ link dropped
+//	out      = bytes the network's pkt.Pool has handed out and not got back
 //	buffered = Σ node BufferedBytes + Σ switch BufferedBytes + Σ link in-flight
 //
-// and the invariant is created == consumed + buffered. The only legal
-// drop is a scripted link-flap with the drop policy (package fault);
-// anything else that loses or duplicates a packet breaks the equation
-// within one check interval.
+// and the invariant is out == buffered. Every packet is born in the
+// pool (traffic generators, BECNs, Network.NewPacket) and dies back into
+// it (the sink, BECN consumption, and the drop handler of a scripted
+// link flap with the drop policy, the only legal drop); a packet lost,
+// duplicated, released while still buffered or minted outside the pool
+// breaks the equation within one check interval.
 //
 //lint:file-ignore hotpath-alloc checker self-paces (runs every CheckEvery cycles, sleeping in between) and formats diagnostics only on violation; it is not on the per-cycle hot path
 package invariant
@@ -70,6 +71,9 @@ type Config struct {
 	Nodes    []*endnode.Node
 	Switches []*switchfab.Switch
 	Halves   []*link.Half
+	// Pool is the network's packet free-list, the ledger's out side
+	// (nil audits a pool with nothing out).
+	Pool *pkt.Pool
 
 	// CheckEvery is the audit interval in cycles (default 1024). The
 	// checker wakes, audits, and sleeps again, so the cost is one
@@ -94,9 +98,6 @@ type Checker struct {
 	cfg Config
 	// Sources are described in the snapshot: network.AddFlows' generators.
 	Sources []interface{ DescribeState(sim.Cycle) string }
-
-	externalPkts  int
-	externalBytes int
 
 	lastProgress int64     // watchdog: progress counter at last check
 	stalledSince sim.Cycle // first check cycle with no progress (-1 = moving)
@@ -132,14 +133,6 @@ func (c *Checker) SetWatchdogWindow(w sim.Cycle) {
 	c.cfg.WatchdogWindow = w
 }
 
-// ExternalInjected records a packet minted outside the traffic
-// generator (tools and tests injecting by hand), keeping the
-// conservation ledger honest for manual traffic.
-func (c *Checker) ExternalInjected(p *pkt.Packet) {
-	c.externalPkts++
-	c.externalBytes += p.Size
-}
-
 // Violations returns how many violations have been reported.
 func (c *Checker) Violations() int { return c.violations }
 
@@ -151,25 +144,20 @@ func (c *Checker) tick(now sim.Cycle) sim.Cycle {
 	return now + c.cfg.CheckEvery
 }
 
-// ledger sums the conservation equation's three terms.
-func (c *Checker) ledger() (created, consumed, buffered int) {
-	created = c.externalBytes
+// buffered sums the bytes the fabric holds: the ledger side the pool's
+// bytes out must equal.
+func (c *Checker) buffered() (b int) {
 	for _, nd := range c.cfg.Nodes {
-		st := nd.Stats()
-		created += st.OfferedBytes + st.BECNsSent*pkt.BECNSize
-		consumed += st.DeliveredBytes + st.BECNsReceived*pkt.BECNSize
-		buffered += nd.BufferedBytes()
+		b += nd.BufferedBytes()
 	}
 	for _, sw := range c.cfg.Switches {
-		buffered += sw.BufferedBytes()
+		b += sw.BufferedBytes()
 	}
 	for _, h := range c.cfg.Halves {
 		_, fly := h.InFlight()
-		buffered += fly
-		_, drop := h.Dropped()
-		consumed += drop
+		b += fly
 	}
-	return
+	return b
 }
 
 // progress is the watchdog's movement counter: any packet operation
@@ -186,23 +174,22 @@ func (c *Checker) progress() int64 {
 	return p
 }
 
-// check audits every invariant once.
-func (c *Checker) check(now sim.Cycle) {
+// audit runs the two checks the periodic and the terminal audit share,
+// packet conservation and credit bounds, and returns the first
+// violation (nil if both hold) with the fabric's buffered bytes.
+func (c *Checker) audit(now sim.Cycle) (*Violation, int) {
 	// 1. Packet conservation.
-	created, consumed, buffered := c.ledger()
-	if created != consumed+buffered {
-		c.fail(now, "conservation", fmt.Sprintf(
-			"created %dB != consumed %dB + buffered %dB (leak of %dB)",
-			created, consumed, buffered, created-consumed-buffered))
-		return
+	out, buffered := c.cfg.Pool.BytesOut(), c.buffered()
+	if out != buffered {
+		return c.violation(now, "conservation", fmt.Sprintf(
+			"pool out %dB != buffered %dB (off by %+dB)", out, buffered, out-buffered)), buffered
 	}
 
 	// 2. Credit balances bounded by receive capacity.
 	for _, nd := range c.cfg.Nodes {
 		if cp := nd.CreditPool(); cp != nil {
 			if err := cp.CheckBounds(); err != nil {
-				c.fail(now, "credit-bounds", fmt.Sprintf("node %d uplink: %v", nd.ID(), err))
-				return
+				return c.violation(now, "credit-bounds", fmt.Sprintf("node %d uplink: %v", nd.ID(), err)), buffered
 			}
 		}
 	}
@@ -210,11 +197,21 @@ func (c *Checker) check(now sim.Cycle) {
 		for i := 0; i < sw.NumPorts(); i++ {
 			if cp := sw.CreditPoolAt(i); cp != nil {
 				if err := cp.CheckBounds(); err != nil {
-					c.fail(now, "credit-bounds", fmt.Sprintf("%s p%d: %v", sw.Name(), i, err))
-					return
+					return c.violation(now, "credit-bounds", fmt.Sprintf("%s p%d: %v", sw.Name(), i, err)), buffered
 				}
 			}
 		}
+	}
+	return nil, buffered
+}
+
+// check audits every invariant once: the shared audit, then the two
+// windowed checks that need a running clock.
+func (c *Checker) check(now sim.Cycle) {
+	v, buffered := c.audit(now)
+	if v != nil {
+		c.fail(v)
+		return
 	}
 
 	// 3. CAM/CFQ leaks: once the fabric has been fully drained for
@@ -227,7 +224,7 @@ func (c *Checker) check(now sim.Cycle) {
 			c.drainedSince = now
 		} else if now-c.drainedSince >= c.cfg.LeakWindow {
 			if leak := c.findCAMLeak(); leak != "" {
-				c.fail(now, "cam-leak", leak)
+				c.fail(c.violation(now, "cam-leak", leak))
 				return
 			}
 		}
@@ -251,15 +248,15 @@ func (c *Checker) check(now sim.Cycle) {
 			c.stalledSince = now
 		case now-c.stalledSince >= c.cfg.WatchdogWindow:
 			c.fired = true
-			c.fail(now, "watchdog", fmt.Sprintf(
+			c.fail(c.violation(now, "watchdog", fmt.Sprintf(
 				"no packet movement for %d cycles with %dB buffered and %d sources parked (deadlock or livelock)",
-				now-c.stalledSince, buffered, parked))
+				now-c.stalledSince, buffered, parked)))
 		}
 		c.lastProgress = p
 	}
 }
 
-// camLeakCheck names an allocated input-side CAM line, or "" if clean.
+// findCAMLeak names an allocated input-side CAM line, or "" if clean.
 func (c *Checker) findCAMLeak() string {
 	for _, sw := range c.cfg.Switches {
 		for i := 0; i < sw.NumPorts(); i++ {
@@ -279,11 +276,15 @@ func (c *Checker) findCAMLeak() string {
 // camHolder is the slice of IsolationUnit the leak check needs.
 type camHolder interface{ ActiveLines() int }
 
-// fail records a violation with its snapshot and hands it to the
-// configured consumer (panicking by default).
-func (c *Checker) fail(now sim.Cycle, check, detail string) {
-	v := &Violation{Cycle: now, Check: check, Detail: detail, Snapshot: c.Snapshot(now)}
+// violation counts a failed check and captures its snapshot.
+func (c *Checker) violation(now sim.Cycle, check, detail string) *Violation {
 	c.violations++
+	return &Violation{Cycle: now, Check: check, Detail: detail, Snapshot: c.Snapshot(now)}
+}
+
+// fail hands a violation to the configured consumer (panicking by
+// default).
+func (c *Checker) fail(v *Violation) {
 	if c.cfg.OnViolation != nil {
 		c.cfg.OnViolation(v)
 		return
@@ -297,33 +298,8 @@ func (c *Checker) fail(now sim.Cycle, check, detail string) {
 // OnViolation. The runner calls it after every job so corruption in
 // the last check interval cannot slip out.
 func (c *Checker) Final() error {
-	now := c.eng.Now()
-	created, consumed, buffered := c.ledger()
-	if created != consumed+buffered {
-		c.violations++
-		return &Violation{Cycle: now, Check: "conservation", Snapshot: c.Snapshot(now),
-			Detail: fmt.Sprintf("created %dB != consumed %dB + buffered %dB (leak of %dB)",
-				created, consumed, buffered, created-consumed-buffered)}
-	}
-	for _, nd := range c.cfg.Nodes {
-		if cp := nd.CreditPool(); cp != nil {
-			if e := cp.CheckBounds(); e != nil {
-				c.violations++
-				return &Violation{Cycle: now, Check: "credit-bounds", Snapshot: c.Snapshot(now),
-					Detail: fmt.Sprintf("node %d uplink: %v", nd.ID(), e)}
-			}
-		}
-	}
-	for _, sw := range c.cfg.Switches {
-		for i := 0; i < sw.NumPorts(); i++ {
-			if cp := sw.CreditPoolAt(i); cp != nil {
-				if e := cp.CheckBounds(); e != nil {
-					c.violations++
-					return &Violation{Cycle: now, Check: "credit-bounds", Snapshot: c.Snapshot(now),
-						Detail: fmt.Sprintf("%s p%d: %v", sw.Name(), i, e)}
-				}
-			}
-		}
+	if v, _ := c.audit(c.eng.Now()); v != nil {
+		return v
 	}
 	return nil
 }

@@ -21,9 +21,9 @@ func TestIsViolation(t *testing.T) {
 }
 
 func TestViolationError(t *testing.T) {
-	v := &Violation{Cycle: 42, Check: "conservation", Detail: "created 10 != consumed 8 + buffered 1"}
+	v := &Violation{Cycle: 42, Check: "conservation", Detail: "pool out 10B != buffered 8B (off by +2B)"}
 	msg := v.Error()
-	for _, want := range []string{"conservation", "42", "created 10"} {
+	for _, want := range []string{"conservation", "42", "pool out 10B"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q misses %q", msg, want)
 		}

@@ -12,10 +12,11 @@ import (
 )
 
 // TestCheckerPacing pins what the checker costs the engine on an idle
-// Config #1 network. A packet minted and never offered leaves the ledger
-// one packet short, so every audit reports, and the violations' cycles are
-// the audit cycles. The devices tick once, at cycle 0, and sleep; after
-// that only the checker runs.
+// Config #1 network. A seeded fault that nothing repairs makes every audit
+// report, so the violations' cycles are the audit cycles: a packet minted
+// and never offered (the pool has it out, no buffer holds it), or a
+// spurious credit return to a pool already at capacity. The devices tick
+// once, at cycle 0, and sleep; after that only the checker runs.
 func TestCheckerPacing(t *testing.T) {
 	// At the default interval each audit's tick returns a deadline past the
 	// calendar wheel: one heap event a period, nothing else.
@@ -44,7 +45,8 @@ func TestCheckerPacing(t *testing.T) {
 	})
 
 	// At an interval of one cycle the tick returns the next cycle: the
-	// checker stays awake and schedules nothing.
+	// checker stays awake and schedules nothing. This checker is built
+	// without the network's pool, so the credit bound is what fails.
 	t.Run("every cycle", func(t *testing.T) {
 		const cycles = 100
 		n, err := network.Build(topo.Config1(), core.PresetCCFIT(), network.Options{Seed: 1, DisableInvariants: true})
@@ -52,13 +54,13 @@ func TestCheckerPacing(t *testing.T) {
 			t.Fatal(err)
 		}
 		audits := 0
-		c := invariant.Attach(n.Eng, invariant.Config{
+		invariant.Attach(n.Eng, invariant.Config{
 			Nodes:       n.Nodes,
 			Switches:    n.Switches,
 			CheckEvery:  1,
 			OnViolation: func(*invariant.Violation) { audits++ },
 		})
-		c.ExternalInjected(n.NewPacket(0, 3, 0))
+		n.Nodes[3].CreditPool().Give(0, 1) // node 3's idle uplink pool sits at capacity
 		n.Run(cycles)
 		devices := uint64(len(n.Nodes) + len(n.Switches))
 		if wheel, heap, ticks := n.Eng.Counts(); audits != cycles || wheel != 0 || heap != 0 || ticks != devices+cycles {

@@ -33,10 +33,10 @@ func TestSeededViolations(t *testing.T) {
 		terminal bool
 	}{
 		{
-			name: "a packet minted and lost", check: "conservation", names: []string{"external=1p/2048B"},
+			name: "a packet minted and lost", check: "conservation", names: []string{"ledger: pool out=2048B buffered=0B", "off by +2048B"},
 			duration: lastAudit + 512, terminal: true,
 			seed: func(_ *testing.T, n *network.Network) {
-				n.Eng.At(lastAudit+100, func() { n.NewPacket(0, 3, 99) }) // counted as created, never offered
+				n.Eng.At(lastAudit+100, func() { n.NewPacket(0, 3, 99) }) // out of the pool, never offered
 			},
 		},
 		{

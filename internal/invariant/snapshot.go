@@ -19,9 +19,7 @@ func (c *Checker) Snapshot(now sim.Cycle) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== invariant snapshot @ cycle %d ===\n", now)
 
-	created, consumed, buffered := c.ledger()
-	fmt.Fprintf(&b, "ledger: created=%dB consumed=%dB buffered=%dB external=%dp/%dB\n",
-		created, consumed, buffered, c.externalPkts, c.externalBytes)
+	fmt.Fprintf(&b, "ledger: pool out=%dB buffered=%dB\n", c.cfg.Pool.BytesOut(), c.buffered())
 
 	for _, h := range c.cfg.Halves {
 		flyP, flyB := h.InFlight()

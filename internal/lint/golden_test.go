@@ -115,7 +115,6 @@ func TestGoldenGoroutineLifecycle(t *testing.T) { testGolden(t, "goroviol") }
 func TestGoldenGuardedField(t *testing.T)       { testGolden(t, "guardviol") }
 func TestGoldenHotpathAlloc(t *testing.T)       { testGolden(t, "hotviol") }
 func TestGoldenLockOrder(t *testing.T)          { testGolden(t, "lockordviol") }
-func TestGoldenPoolHygiene(t *testing.T)        { testGolden(t, "poolviol") }
 func TestGoldenUncheckedErr(t *testing.T)       { testGolden(t, "errviol") }
 
 func testGolden(t *testing.T, name string) {

@@ -91,7 +91,6 @@ func All() []*Analyzer {
 		GuardedField(),
 		HotpathAlloc(),
 		LockOrder(),
-		PoolHygiene(),
 		UncheckedErr(),
 	}
 }

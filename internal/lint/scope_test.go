@@ -87,7 +87,7 @@ func TestCampaignScope(t *testing.T) {
 		return a.Applies == nil || a.Applies(m, campaign)
 	}
 
-	for _, rule := range []string{"determinism", "hotpath-alloc", "pool-hygiene"} {
+	for _, rule := range []string{"determinism", "hotpath-alloc"} {
 		if applies(rule) {
 			t.Errorf("rule %s applies to internal/campaign; service code must be exempt from the determinism family", rule)
 		}

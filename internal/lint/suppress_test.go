@@ -14,7 +14,7 @@ func parseSuppressSrc(t *testing.T, src string) ([]suppression, []Diagnostic) {
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
-	known := map[string]bool{"determinism": true, "hotpath-alloc": true, "pool-hygiene": true}
+	known := map[string]bool{"determinism": true, "hotpath-alloc": true, "unchecked-err": true}
 	return parseFileSuppressions(fset, f, known)
 }
 
@@ -26,7 +26,7 @@ func TestParseSuppressionsValid(t *testing.T) {
 func f() {
 	//lint:ignore hotpath-alloc scratch literal, hoisted in PR 9
 	_ = 1
-	_ = 2 //lint:ignore determinism,pool-hygiene both rules misfire on generated code
+	_ = 2 //lint:ignore determinism,unchecked-err both rules misfire on generated code
 }
 `
 	supps, bad := parseSuppressSrc(t, src)
@@ -48,7 +48,7 @@ func f() {
 		t.Errorf("reason lost: %q", single.reason)
 	}
 	multi := supps[2]
-	if !multi.rules["determinism"] || !multi.rules["pool-hygiene"] || len(multi.rules) != 2 || multi.line != 8 {
+	if !multi.rules["determinism"] || !multi.rules["unchecked-err"] || len(multi.rules) != 2 || multi.line != 8 {
 		t.Errorf("comma-list ignore parsed wrong: %+v", multi)
 	}
 }
@@ -121,7 +121,7 @@ func TestSuppressedMatching(t *testing.T) {
 	if !suppressed(diag(999, "determinism", rel), []suppression{wide}) {
 		t.Error("file-wide suppression must cover every line of the file")
 	}
-	if suppressed(diag(999, "pool-hygiene", rel), []suppression{wide}) {
+	if suppressed(diag(999, "unchecked-err", rel), []suppression{wide}) {
 		t.Error("file-wide suppression must still be rule-scoped")
 	}
 }

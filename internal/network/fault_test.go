@@ -117,8 +117,10 @@ func TestFaultFlapPreservePolicy(t *testing.T) {
 
 // TestFaultFlapDropPolicy: with Drop, packets on the wire at failure
 // time are condemned, counted, credit-refunded and released exactly
-// once — the conservation ledger and the pool double-release sentinel
-// both audit the cleanup, and the rest of the fabric keeps flowing.
+// once — the conservation ledger (the pool's bytes out, audited every
+// 1024 cycles during the run and once more here) and the pool
+// double-release sentinel both audit the cleanup, and the rest of the
+// fabric keeps flowing.
 func TestFaultFlapDropPolicy(t *testing.T) {
 	n := runFaulted(t, 41, interSwitchFlap(true))
 	stats := n.FaultInjector().Stats()
@@ -129,13 +131,6 @@ func TestFaultFlapDropPolicy(t *testing.T) {
 	dp, _ := n.TotalDelivered()
 	if dp+stats.Condemned != op {
 		t.Fatalf("offered %d != delivered %d + condemned %d", op, dp, stats.Condemned)
-	}
-	// The dropped packets were released back to the pool exactly once:
-	// a second release would have panicked (pkt sentinel), and a missed
-	// release would break the allocs/releases balance after drain.
-	if n.pool.Releases != n.pool.Allocs+n.pool.Reuses {
-		t.Fatalf("pool imbalance after drain: allocs=%d reuses=%d releases=%d",
-			n.pool.Allocs, n.pool.Reuses, n.pool.Releases)
 	}
 	if err := n.Checker.Final(); err != nil {
 		t.Fatalf("post-run audit: %v", err)

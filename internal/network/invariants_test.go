@@ -2,10 +2,12 @@ package network
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -275,6 +277,38 @@ func TestThroughputConservation(t *testing.T) {
 		if n.Collector.LatencyPercentileNS(0.5) <= 0 {
 			t.Fatalf("%s: no latency percentile", p.Name)
 		}
+	}
+}
+
+// TestReleaseWhileBufferedFailsConservation seeds a release after
+// handoff: node 0 holds a packet (paused, so it cannot send it) whose
+// owner released it to the pool anyway. The pool's bytes out fall below
+// the bytes the fabric buffers, and the next periodic audit says so.
+func TestReleaseWhileBufferedFailsConservation(t *testing.T) {
+	var seen []*invariant.Violation
+	n, err := Build(topo.Config1(), core.PresetCCFIT(), Options{
+		Seed:        1,
+		OnViolation: func(v *invariant.Violation) { seen = append(seen, v) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Nodes[0].Pause(4096)
+	p := n.NewPacket(0, 3, 0)
+	if !n.Nodes[0].Offer(p) {
+		t.Fatal("node 0 refused the packet")
+	}
+	n.Eng.At(100, func() { n.pool.Release(p) })
+	n.Run(2048)
+	if len(seen) == 0 {
+		t.Fatal("release while buffered passed every audit")
+	}
+	v := seen[0]
+	if v.Check != "conservation" || v.Cycle != 1024 {
+		t.Fatalf("first violation %v, want conservation at the audit of cycle 1024", v)
+	}
+	if want := "ledger: pool out=0B buffered=2048B"; !strings.Contains(v.Snapshot, want) {
+		t.Fatalf("snapshot does not show %q:\n%s", want, v.Snapshot)
 	}
 }
 

@@ -178,6 +178,7 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 			Nodes:          n.Nodes,
 			Switches:       n.Switches,
 			Halves:         n.halves,
+			Pool:           &n.pool,
 			WatchdogWindow: opt.WatchdogWindow,
 			OnViolation:    opt.OnViolation,
 		})
@@ -376,14 +377,11 @@ func (n *Network) LinkLoads() []LinkLoad {
 
 // NewPacket mints an MTU-sized data packet with a network-unique id,
 // timestamped now — for tools and tests that inject traffic outside
-// the Generator. The invariant checker is told about it so manual
-// injection stays conservation-clean.
+// the Generator. It comes from the network's pool, so the invariant
+// checker's ledger counts it out until the fabric sinks it: a packet
+// minted here and never offered fails conservation at the next audit.
 func (n *Network) NewPacket(src, dst, flow int) *pkt.Packet {
-	p := n.pool.NewData(&n.ids, src, dst, flow, pkt.MTU, n.Eng.Now())
-	if n.Checker != nil {
-		n.Checker.ExternalInjected(p)
-	}
-	return p
+	return n.pool.NewData(&n.ids, src, dst, flow, pkt.MTU, n.Eng.Now())
 }
 
 // Run advances the simulation by d cycles.

@@ -106,23 +106,32 @@ func NewBECN(g *IDGen, from, to, congDst int, now sim.Cycle) *Packet {
 //
 // Ownership rule: a packet obtained from NewData/NewBECN is owned by
 // exactly one queue or in-flight event at a time; the final consumer
-// (the end-node sink for data, BECN processing for notifications) calls
-// Release. Releasing while any reference is still live corrupts the
-// simulation — Release scrubs the packet so stale readers fail loudly
-// rather than silently aliasing two live packets.
+// (the end-node sink for data, BECN processing for notifications, a
+// drop-policy link flap's drop handler) calls Release. Releasing while
+// any reference is still live corrupts the simulation — Release scrubs
+// the packet so stale readers fail loudly rather than silently aliasing
+// two live packets. The pool is also the fabric's conservation ledger:
+// it counts the bytes it has handed out and not got back (BytesOut),
+// and the invariant checker requires that to equal the bytes buffered
+// in nodes, switches and links at every audit, so a packet leaked,
+// released early or minted behind the fabric's back fails the run.
 type Pool struct {
 	free []*Packet
+	out  int // bytes handed out by NewData/NewBECN and not yet released
 
 	// Allocs counts packets newly allocated; Reuses counts packets
 	// served from the free-list; Releases counts packets returned.
 	Allocs, Reuses, Releases int
 }
 
-func (pl *Pool) get() *Packet {
-	if pl == nil || len(pl.free) == 0 {
-		if pl != nil {
-			pl.Allocs++
-		}
+// get hands out a packet of size bytes, counting them out.
+func (pl *Pool) get(size int) *Packet {
+	if pl == nil {
+		return &Packet{}
+	}
+	pl.out += size
+	if len(pl.free) == 0 {
+		pl.Allocs++
 		return &Packet{}
 	}
 	n := len(pl.free) - 1
@@ -146,6 +155,7 @@ func (pl *Pool) Release(p *Packet) {
 	if p.pooled {
 		panic(fmt.Sprintf("pkt: double release of %s (already on free-list)", p))
 	}
+	pl.out -= p.Size
 	*p = Packet{pooled: true} // scrub: use-after-release reads zeros, not stale state
 	pl.free = append(pl.free, p)
 	pl.Releases++
@@ -159,9 +169,18 @@ func (pl *Pool) FreeLen() int {
 	return len(pl.free)
 }
 
+// BytesOut returns the bytes of every packet handed out and not yet
+// released: the bytes the fabric must be holding. 0 on a nil pool.
+func (pl *Pool) BytesOut() int {
+	if pl == nil {
+		return 0
+	}
+	return pl.out
+}
+
 // NewData builds a data packet, reusing a released one when possible.
 func (pl *Pool) NewData(g *IDGen, src, dst, flow, size int, now sim.Cycle) *Packet {
-	p := pl.get()
+	p := pl.get(size)
 	*p = Packet{
 		ID:       g.Next(),
 		Kind:     Data,
@@ -177,7 +196,7 @@ func (pl *Pool) NewData(g *IDGen, src, dst, flow, size int, now sim.Cycle) *Pack
 // NewBECN builds a congestion notification packet, reusing a released
 // one when possible. See the package function NewBECN for semantics.
 func (pl *Pool) NewBECN(g *IDGen, from, to, congDst int, now sim.Cycle) *Packet {
-	p := pl.get()
+	p := pl.get(BECNSize)
 	*p = Packet{
 		ID:       g.Next(),
 		Kind:     BECN,

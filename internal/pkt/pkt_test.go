@@ -94,14 +94,14 @@ func TestPoolReuseAndScrub(t *testing.T) {
 	var pl Pool
 	var g IDGen
 	p1 := pl.NewData(&g, 0, 3, 7, 512, 100)
-	if pl.Allocs != 1 || pl.Reuses != 0 {
-		t.Fatalf("Allocs=%d Reuses=%d after first get", pl.Allocs, pl.Reuses)
+	if pl.Allocs != 1 || pl.Reuses != 0 || pl.BytesOut() != 512 {
+		t.Fatalf("Allocs=%d Reuses=%d BytesOut=%d after first get", pl.Allocs, pl.Reuses, pl.BytesOut())
 	}
 	p1.FECN = true
 	p1.Delivered = 200
 	pl.Release(p1)
-	if pl.FreeLen() != 1 || pl.Releases != 1 {
-		t.Fatalf("FreeLen=%d Releases=%d after release", pl.FreeLen(), pl.Releases)
+	if pl.FreeLen() != 1 || pl.Releases != 1 || pl.BytesOut() != 0 {
+		t.Fatalf("FreeLen=%d Releases=%d BytesOut=%d after release", pl.FreeLen(), pl.Releases, pl.BytesOut())
 	}
 	if (*p1 != Packet{pooled: true}) {
 		t.Fatalf("released packet not scrubbed: %+v", *p1)
@@ -110,8 +110,8 @@ func TestPoolReuseAndScrub(t *testing.T) {
 	if p2 != p1 {
 		t.Fatal("free-list did not reuse the released packet")
 	}
-	if pl.Reuses != 1 || pl.FreeLen() != 0 {
-		t.Fatalf("Reuses=%d FreeLen=%d after reuse", pl.Reuses, pl.FreeLen())
+	if pl.Reuses != 1 || pl.FreeLen() != 0 || pl.BytesOut() != BECNSize {
+		t.Fatalf("Reuses=%d FreeLen=%d BytesOut=%d after reuse", pl.Reuses, pl.FreeLen(), pl.BytesOut())
 	}
 	if p2.Kind != BECN || p2.ID != 2 || p2.FECN || p2.Delivered != 0 {
 		t.Fatalf("reused packet carries stale state: %+v", *p2)
@@ -132,8 +132,8 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("double release did not panic")
 		}
-		if pl.Releases != 1 || pl.FreeLen() != 1 {
-			t.Fatalf("double release corrupted the free-list: Releases=%d FreeLen=%d", pl.Releases, pl.FreeLen())
+		if pl.Releases != 1 || pl.FreeLen() != 1 || pl.BytesOut() != 0 {
+			t.Fatalf("double release corrupted the free-list: Releases=%d FreeLen=%d BytesOut=%d", pl.Releases, pl.FreeLen(), pl.BytesOut())
 		}
 	}()
 	pl.Release(p)
@@ -166,8 +166,8 @@ func TestPoolNilSafe(t *testing.T) {
 	}
 	pl.Release(p) // must not panic
 	pl.Release(nil)
-	if pl.FreeLen() != 0 {
-		t.Fatal("nil pool reports free packets")
+	if pl.FreeLen() != 0 || pl.BytesOut() != 0 {
+		t.Fatal("nil pool reports free packets or bytes out")
 	}
 }
 
