@@ -15,19 +15,7 @@ type CreditPool struct {
 	// quota); a balance above it means someone returned credit that was
 	// never taken — the invariant checker's bound.
 	capacity int
-	// debugSkew is a TEST-ONLY fault: extra bytes added to every Give,
-	// emulating an off-by-N credit refund. The oracle harness uses it
-	// to demonstrate that a seeded engine bug is actually caught (see
-	// internal/oracle); nothing else may set it.
-	debugSkew int
 }
-
-// SetDebugSkew arms the test-only refund fault: every subsequent Give
-// returns n extra bytes (n < 0 leaks credit instead). Positive skew
-// inflates balances past capacity until CheckBounds trips; negative
-// skew slowly strangles the link until the forward-progress watchdog
-// or a conservation audit notices. Harness use only.
-func (c *CreditPool) SetDebugSkew(n int) { c.debugSkew = n }
 
 // NewSharedCredits returns a single-counter pool of n bytes.
 func NewSharedCredits(n int) *CreditPool {
@@ -97,7 +85,6 @@ func (c *CreditPool) Take(dest, n int) {
 
 // Give returns n bytes of credit for dest.
 func (c *CreditPool) Give(dest, n int) {
-	n += c.debugSkew
 	if c.perDest != nil {
 		c.perDest[dest] += n
 		return

@@ -114,7 +114,6 @@ func TestGoldenDeterminism(t *testing.T)        { testGolden(t, "detviol") }
 func TestGoldenGoroutineLifecycle(t *testing.T) { testGolden(t, "goroviol") }
 func TestGoldenGuardedField(t *testing.T)       { testGolden(t, "guardviol") }
 func TestGoldenHotpathAlloc(t *testing.T)       { testGolden(t, "hotviol") }
-func TestGoldenLockOrder(t *testing.T)          { testGolden(t, "lockordviol") }
 func TestGoldenUncheckedErr(t *testing.T)       { testGolden(t, "errviol") }
 
 func testGolden(t *testing.T, name string) {

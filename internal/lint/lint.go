@@ -90,7 +90,6 @@ func All() []*Analyzer {
 		GoroutineLifecycle(),
 		GuardedField(),
 		HotpathAlloc(),
-		LockOrder(),
 		UncheckedErr(),
 	}
 }

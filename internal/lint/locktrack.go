@@ -5,14 +5,12 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
 	"strings"
 )
 
 // Lock tracking shared by the concurrency rule family: guarded-field
-// asks whether a mutex is held at each field access, lock-order whether
-// one is held at each acquisition. The model is deliberately simple and
-// package-local:
+// asks whether a mutex is held at each field access. The model is
+// deliberately simple and package-local:
 //
 //   - A mutex is identified by its declaring object (a struct field or
 //     a variable of type sync.Mutex / sync.RWMutex, possibly behind a
@@ -498,20 +496,4 @@ func (f *lockFacts) name(obj types.Object) string {
 		return owner + "." + obj.Name()
 	}
 	return obj.Name()
-}
-
-// sorted returns a mutex set in name order.
-func (f *lockFacts) sorted(set heldSet) []types.Object {
-	out := make([]types.Object, 0, len(set))
-	for mu := range set {
-		out = append(out, mu)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := f.name(out[i]), f.name(out[j])
-		if a != b {
-			return a < b
-		}
-		return out[i].Pos() < out[j].Pos()
-	})
-	return out
 }

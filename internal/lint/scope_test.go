@@ -147,8 +147,8 @@ func TestBridgeFileScope(t *testing.T) {
 }
 
 // TestConcurrencyRuleApplies pins the Applies scoping of the
-// concurrency family: guarded-field and lock-order run on every
-// internal package, goroutine-lifecycle only outside simulation scope.
+// concurrency family: guarded-field runs on every internal package,
+// goroutine-lifecycle only outside simulation scope.
 func TestConcurrencyRuleApplies(t *testing.T) {
 	m := testModule(t)
 	pkgByPath := make(map[string]*Package)
@@ -167,11 +167,9 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 		return a.Applies == nil || a.Applies(m, pkg)
 	}
 
-	for _, rule := range []string{"guarded-field", "lock-order"} {
-		for _, pkg := range []*Package{sim, cam, dispatch} {
-			if !applies(rule, pkg) {
-				t.Errorf("rule %s must apply to %s: lock discipline is scope-independent", rule, pkg.Path)
-			}
+	for _, pkg := range []*Package{sim, cam, dispatch} {
+		if !applies("guarded-field", pkg) {
+			t.Errorf("rule guarded-field must apply to %s: lock discipline is scope-independent", pkg.Path)
 		}
 	}
 	if applies("goroutine-lifecycle", sim) || applies("goroutine-lifecycle", cam) {
@@ -180,7 +178,7 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 	if !applies("goroutine-lifecycle", dispatch) {
 		t.Error("goroutine-lifecycle must apply to internal/dispatch")
 	}
-	for _, gone := range []string{"mailbox-order", "shard-escape"} {
+	for _, gone := range []string{"mailbox-order", "shard-escape", "lock-order"} {
 		if slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == gone }) {
 			t.Errorf("rule %s is retired and must be unknown", gone)
 		}

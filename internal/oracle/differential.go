@@ -62,10 +62,6 @@ const maxDrainIters = 256
 // including the terminal audit — are collected into
 // EngineRun.Violations instead of panicking, so harness layers can
 // report them as findings.
-//
-// An optional tamper hook runs between Build and traffic
-// installation; the self-check uses it to seed a deliberate engine
-// bug and prove the harness notices.
 func RunEngine(t *topo.Topology, p core.Params, opt network.Options, flows []RefFlow, tamper ...func(*network.Network)) (*EngineRun, error) {
 	er := &EngineRun{Flows: map[int]*RefFlowStats{}}
 	opt.OnViolation = func(v *invariant.Violation) {

@@ -99,30 +99,17 @@ func TestSchemeDominance(t *testing.T) {
 	}
 }
 
-// TestSelfCheck proves the harness has teeth: both seeded credit-pool
-// faults (spurious refund, leaking refund) must be caught.
-func TestSelfCheck(t *testing.T) {
-	t.Parallel()
-	if err := SelfCheck(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// runWithSkew executes the star scenario under CCFIT with the
-// credit-pool refund fault armed on every endpoint (skew 0 = healthy).
-func runWithSkew(t *testing.T, sc DiffScenario, skew int) *EngineRun {
+// runTampered executes the star scenario under CCFIT, handing the built
+// network to tamper before any traffic is installed.
+func runTampered(t *testing.T, tamper func(*network.Network)) *EngineRun {
 	t.Helper()
 	p, err := experiments.SchemeByName("CCFIT")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := Scenarios()[0]
 	tp, tb := sc.Build()
-	run, err := RunEngine(tp, p, network.Options{Seed: 1, TieBreak: tb}, sc.Flows,
-		func(n *network.Network) {
-			for _, nd := range n.Nodes {
-				nd.CreditPool().SetDebugSkew(skew)
-			}
-		})
+	run, err := RunEngine(tp, p, network.Options{Seed: 1, TieBreak: tb}, sc.Flows, tamper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,20 +117,27 @@ func runWithSkew(t *testing.T, sc DiffScenario, skew int) *EngineRun {
 }
 
 // TestSelfCheckFaultsAreDirectional pins WHICH mechanism catches each
-// seeded fault, so a refactor can't silently route both faults through
-// one check (or none): the spurious refund must trip the runtime
-// credit-bounds invariant, the leak the post-drain restitution audit.
+// seeded credit fault, so a refactor can't silently route both through
+// one check (or none): a spurious 1 B refund must trip the runtime
+// credit-bounds invariant, 256 B taken and never returned the
+// post-drain restitution audit, and only that. The kill matrix
+// (internal/mutants) holds the same checks against credit mutants in
+// CreditPool.Give itself.
 func TestSelfCheckFaultsAreDirectional(t *testing.T) {
 	t.Parallel()
-	sc := Scenarios()[0]
 	for _, tc := range []struct {
-		skew int
-		want string
+		name   string
+		tamper func(*network.Network)
+		want   string
+		only   bool // the one violation of the run
 	}{
-		{+1, "exceeds capacity"},
-		{-256, "credit leaked"},
+		{"spurious refund", func(n *network.Network) { n.Nodes[0].CreditPool().Give(0, 1) }, "exceeds capacity", false},
+		{"leaked credit", func(n *network.Network) { n.Nodes[0].CreditPool().Take(0, 256) }, "256 B of credit leaked", true},
 	} {
-		run := runWithSkew(t, sc, tc.skew)
+		run := runTampered(t, tc.tamper)
+		if tc.only && len(run.Violations) != 1 {
+			t.Errorf("%s: %d violations, want 1: %q", tc.name, len(run.Violations), run.Violations)
+		}
 		found := false
 		for _, v := range run.Violations {
 			if strings.Contains(v, tc.want) {
@@ -152,18 +146,27 @@ func TestSelfCheckFaultsAreDirectional(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("skew %+d: no violation mentioning %q; got %q", tc.skew, tc.want, run.Violations)
+			t.Errorf("%s: no violation mentioning %q; got %q", tc.name, tc.want, run.Violations)
 		}
 	}
 }
 
-// TestHealthyRunHasNoViolations is the self-check's control group: the
-// same scenario with no seeded fault must produce zero violations,
-// drain, and reject nothing — otherwise the fault tests above prove
-// only that the harness complains about everything.
+// TestHealthyRunHasNoViolations is the control group of the seeded
+// faults above: the same scenario untampered must produce zero
+// violations, drain, and reject nothing — otherwise the fault tests
+// prove only that the harness complains about everything.
 func TestHealthyRunHasNoViolations(t *testing.T) {
 	t.Parallel()
-	run := runWithSkew(t, Scenarios()[0], 0)
+	p, err := experiments.SchemeByName("CCFIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenarios()[0]
+	tp, tb := sc.Build()
+	run, err := RunEngine(tp, p, network.Options{Seed: 1, TieBreak: tb}, sc.Flows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(run.Violations) != 0 || !run.Drained || run.Rejected != 0 {
 		t.Fatalf("healthy control run: violations=%q drained=%v rejected=%d",
 			run.Violations, run.Drained, run.Rejected)
