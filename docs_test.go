@@ -20,9 +20,10 @@ var citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/s
 
 // TestDocsCiteLiveNames fails, by file and line, on any name a document
 // cites that the tree no longer has: an internal/… or cmd/… path, a
-// Test/Benchmark/Example/Fuzz function, a ccfit-run verb or flag, an
-// experiment id, or a DESIGN.md section (Go comments' citations
-// included). A line that cites CHANGES.md may name what is gone.
+// Test/Benchmark/Example/Fuzz function, a ccfit-run verb or flag, a
+// ccfit-serve or ccfit-worker flag, an experiment id, a kill-matrix row
+// or a DESIGN.md section (Go comments' citations included). A line that
+// cites CHANGES.md may name what is gone.
 func TestDocsCiteLiveNames(t *testing.T) {
 	live := loadLiveNames(t)
 	for _, doc := range citingDocs {
@@ -44,11 +45,13 @@ func TestDocsCiteLiveNames(t *testing.T) {
 		doc := "A planted doc.\n" +
 			"See `internal/nosuch/gone.go` and `go test -run TestNoSuchThing ./internal/sim`.\n" +
 			"Run `ccfit-run -nosuchflag fig7a`, then `ccfit-run fig99`.\n" +
+			"Serve with `ccfit-serve -addr :0 -nosuchflag 1`.\n" +
+			"Matrix row `no-such-row` is gone, `ccfit-marking-rate` is not.\n" +
 			"DESIGN.md §" + "12 explains it.\n" +
 			"`TestGoneLong` went in an entry of CHANGES.md.\n"
 		got := live.scan("planted.md", doc)
-		if len(got) != 5 {
-			t.Errorf("%d findings, want 5:\n%s", len(got), strings.Join(got, "\n"))
+		if len(got) != 7 {
+			t.Errorf("%d findings, want 7:\n%s", len(got), strings.Join(got, "\n"))
 		}
 	})
 }
@@ -56,14 +59,15 @@ func TestDocsCiteLiveNames(t *testing.T) {
 // liveNames is what the tree has for a document to cite.
 type liveNames struct {
 	tests    map[string]bool
-	flags    map[string]map[string]bool // tool ("" = the figures) → flag → takes a value
+	flags    map[string]map[string]bool // tool ("" = the figures, a verb, ccfit-serve or ccfit-worker) → flag → takes a value
 	ids      map[string]bool
+	rows     map[string]bool // kill-matrix rows
 	headings map[string]bool
 }
 
 func loadLiveNames(t *testing.T) liveNames {
 	t.Helper()
-	live := liveNames{tests: map[string]bool{}, flags: map[string]map[string]bool{}, ids: map[string]bool{}, headings: map[string]bool{}}
+	live := liveNames{tests: map[string]bool{}, flags: map[string]map[string]bool{}, ids: map[string]bool{}, rows: map[string]bool{}, headings: map[string]bool{}}
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example|Fuzz)\w*)\(`)
 	eachFile(t, "_test.go", func(_, text string) {
 		for _, m := range testFunc.FindAllStringSubmatch(text, -1) {
@@ -90,6 +94,44 @@ func loadLiveNames(t *testing.T) liveNames {
 	}
 	if len(tools) < 2 || len(live.flags[""]) < 4 {
 		t.Fatalf("read verbs %q and figure flags %v off ccfit-run -h", tools, live.flags[""])
+	}
+
+	// The servers' flags are their main.go's flag.* declarations plus the
+	// shared flags they register, which the figures take too.
+	decl := regexp.MustCompile(`flag\.(\w+)\((?:&[\w.]+, )?"([\w-]+)"`)
+	register := regexp.MustCompile(`\.Register\(flag\.CommandLine((?:, "[\w-]+")+)\)`)
+	quoted := regexp.MustCompile(`"([\w-]+)"`)
+	for _, tool := range []string{"ccfit-serve", "ccfit-worker"} {
+		src, err := os.ReadFile(filepath.Join("cmd", tool, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := map[string]bool{"h": false, "help": false}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			flags[m[2]] = !strings.HasPrefix(m[1], "Bool")
+		}
+		for _, m := range register.FindAllStringSubmatch(string(src), -1) {
+			for _, q := range quoted.FindAllStringSubmatch(m[1], -1) {
+				flags[q[1]] = live.flags[""][q[1]]
+			}
+		}
+		if len(flags) < 5 {
+			t.Fatalf("read flags %v off %s's main.go", flags, tool)
+		}
+		live.flags[tool] = flags
+	}
+
+	// A row is a matrix line that is neither comment nor gate, up to the
+	// first "== " summary section.
+	matrix, err := os.ReadFile(filepath.Join("internal", "mutants", "testdata", "kill_matrix.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, _ := strings.Cut(string(matrix), "\n== ")
+	for _, line := range strings.Split(rows, "\n") {
+		if line != "" && line[0] != '#' && line[0] != '\t' {
+			live.rows[line] = true
+		}
 	}
 
 	for _, e := range append(experiments.Registry(), experiments.Extras()...) {
@@ -134,7 +176,8 @@ var (
 	repoPath = regexp.MustCompile(`(?:^|[^\w-])((?:internal|cmd)/[\w./-]*)`)
 	testName = regexp.MustCompile(`(^|[^\w.])((?:Test|Benchmark|Example|Fuzz)\w+)(\*?)`)
 	runArg   = regexp.MustCompile(`-(?:run|bench|fuzz)(?:=|\s+)'?[^'\s]+`)
-	command  = regexp.MustCompile(`ccfit-(run|figures)(?:\s|$)`)
+	command  = regexp.MustCompile(`ccfit-(run|figures|serve|worker)(?:\s|$)`)
+	rowName  = regexp.MustCompile(`^[a-z0-9]+(?:-[a-z0-9]+)+$`)
 	idShaped = regexp.MustCompile(`^((?:fig|table)\d+[a-z]?|x[a-z0-9]+)(?:/\w+)?$`)
 	idWord   = regexp.MustCompile(`^[a-z0-9]+$`)
 	field    = regexp.MustCompile(`\S+`)
@@ -191,6 +234,10 @@ func (live liveNames) scan(doc, text string) []string {
 	rest := fence.ReplaceAllStringFunc(text, func(s string) string { return strings.Repeat(" ", len(s)) })
 	for _, m := range span.FindAllStringSubmatchIndex(rest, -1) {
 		code = append(code, [2]int{m[2], m[3]})
+		if name := text[m[2]:m[3]]; rowName.MatchString(name) && !command.MatchString(name) &&
+			!live.rows[name] && citesRow(text, m[2]) {
+			report(m[2], "no kill-matrix row %s", name)
+		}
 	}
 
 	for _, c := range code {
@@ -210,17 +257,18 @@ func (live liveNames) scan(doc, text string) []string {
 			report(c[0], "no experiment %s", m[1])
 		}
 		for _, m := range command.FindAllStringSubmatchIndex(seg, -1) {
-			live.command(seg[m[1]:], c[0]+m[1], m[2] < m[3] && seg[m[2]:m[3]] == "run", report)
+			live.command(seg[m[1]:], c[0]+m[1], seg[m[2]:m[3]], report)
 		}
 	}
 	return out
 }
 
-// command checks one ccfit-run (verbs allowed) or ccfit-figures command
-// line, args being the text after the tool's name and off its offset.
-// Positional arguments of the figures are experiment ids; a word that is
-// not lower-case letters and digits is a placeholder.
-func (live liveNames) command(args string, off int, verbs bool, report func(int, string, ...any)) {
+// command checks one ccfit-run (verbs allowed), ccfit-figures,
+// ccfit-serve or ccfit-worker command line: bin is the part of the
+// binary's name after "ccfit-", args the text after the name and off its
+// offset. Positional arguments of the figures are experiment ids; a word
+// that is not lower-case letters and digits is a placeholder.
+func (live liveNames) command(args string, off int, bin string, report func(int, string, ...any)) {
 	var fields []string
 	var at []int
 	for _, m := range field.FindAllStringIndex(args, -1) {
@@ -230,9 +278,13 @@ func (live liveNames) command(args string, off int, verbs bool, report func(int,
 		}
 		fields, at = append(fields, f), append(at, off+m[0])
 	}
-	tool := ""
-	if verbs && len(fields) > 0 && live.flags[fields[0]] != nil {
+	tool, who := "", "ccfit-"+bin
+	switch {
+	case bin == "serve" || bin == "worker":
+		tool = who
+	case bin == "run" && len(fields) > 0 && live.flags[fields[0]] != nil:
 		tool, fields, at = fields[0], fields[1:], at[1:]
+		who += " " + tool
 	}
 	for i := 0; i < len(fields); i++ {
 		f := fields[i]
@@ -244,7 +296,7 @@ func (live liveNames) command(args string, off int, verbs bool, report func(int,
 		}
 		name, _, hasValue := strings.Cut(strings.TrimLeft(f, "-"), "=")
 		if takes, ok := live.flags[tool][name]; !ok {
-			report(at[i], "ccfit-run %s has no flag -%s", tool, name)
+			report(at[i], "%s has no flag -%s", who, name)
 		} else if takes && !hasValue {
 			i++
 		}
@@ -277,6 +329,19 @@ func (live liveNames) sections(file, text string, cite *regexp.Regexp) []string 
 		}
 	}
 	return out
+}
+
+// citesRow reports whether the line holding offset off of text, or the
+// line above it (a citation may wrap), says "matrix row": a span there
+// shaped like a row name names a kill-matrix row.
+func citesRow(text string, off int) bool {
+	start := strings.LastIndexByte(text[:off], '\n')
+	start = strings.LastIndexByte(text[:max(start, 0)], '\n') + 1
+	end := strings.IndexByte(text[off:], '\n')
+	if end < 0 {
+		end = len(text) - off
+	}
+	return strings.Contains(strings.ToLower(text[start:off+end]), "matrix row")
 }
 
 // finding is "file:line: what" for a dead name at offset off of text, or

@@ -3,7 +3,9 @@ package cli
 import (
 	"bufio"
 	"errors"
+	"flag"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,6 +24,9 @@ under one scheme and traffic case, emitting the throughput time series
   ccfit-run sim -config 3 -case 4 -trees 4 -scheme FBICM -ms 4
 `
 
+// simCases lists the traffic cases each config runs, its default first.
+var simCases = map[int][]int{1: {1}, 2: {2, 3}, 3: {4}, 4: {5}}
+
 // sim is ccfit-run sim: one network built, run under the invariant
 // checker and printed as CSV, with a one-line summary on stderr.
 func (a *app) sim(args []string) error {
@@ -37,6 +42,20 @@ func (a *app) sim(args []string) error {
 	a.usage(simDoc)
 	if err := a.parse(args); err != nil {
 		return err
+	}
+	cases, ok := simCases[*cfg]
+	if !ok {
+		return fmt.Errorf("unknown config %d", *cfg)
+	}
+	if *caseNo == 0 {
+		*caseNo = cases[0]
+	} else if !slices.Contains(cases, *caseNo) {
+		return fmt.Errorf("config %d runs case %v, not %d", *cfg, cases, *caseNo)
+	}
+	treesSet := false
+	a.fs.Visit(func(f *flag.Flag) { treesSet = treesSet || f.Name == "trees" })
+	if treesSet && *cfg != 3 {
+		return errors.New("-trees shapes case 4, which only config 3 runs")
 	}
 
 	p, err := experiments.SchemeByName(*scheme)
@@ -59,17 +78,11 @@ func (a *app) sim(args []string) error {
 	case 1:
 		n, err = experiments.BuildConfig1(p, a.Seed, bin, end, bo)
 	case 2:
-		c := *caseNo
-		if c == 0 {
-			c = 2
-		}
-		n, err = experiments.BuildConfig2(p, a.Seed, bin, end, c, bo)
+		n, err = experiments.BuildConfig2(p, a.Seed, bin, end, *caseNo, bo)
 	case 3:
 		n, err = experiments.BuildConfig3(p, a.Seed, bin, end, *trees, bo)
 	case 4:
 		n, err = experiments.BuildConfig4(p, a.Seed, bin, end, bo)
-	default:
-		return fmt.Errorf("unknown config %d", *cfg)
 	}
 	if err != nil {
 		return err

@@ -118,6 +118,10 @@ func TestSimRejects(t *testing.T) {
 		want string
 	}{
 		{[]string{"-config", "9"}, "ccfit-run sim: unknown config 9"},
+		{[]string{"-config", "1", "-case", "3", "-trees", "5", "-ms", "0.1"}, "config 1 runs case [1], not 3"},
+		{[]string{"-config", "3", "-case", "2"}, "config 3 runs case [4], not 2"},
+		{[]string{"-config", "4", "-case", "2", "-trees", "9"}, "config 4 runs case [5], not 2"},
+		{[]string{"-config", "4", "-trees", "9"}, "-trees shapes case 4, which only config 3 runs"},
 		{[]string{"-scheme", "BOGUS"}, "unknown scheme \"BOGUS\""},
 		{[]string{"-faults", "no-such-script.json"}, "ccfit-run sim: "},
 	} {

@@ -78,8 +78,8 @@ func (h *host) state(now sim.Cycle) {
 		// LastActive is only comparable where the replay has caught up.
 		h.touch(now + 1)
 		for i := 0; i < u.p.NumCFQs; i++ {
-			if line, dests, ok := u.LineInfo(i); ok {
-				h.log.Addf("  line %d %+v %v", i, line, dests)
+			if line, ok := u.LineInfo(i); ok {
+				h.log.Addf("  line %d %+v", i, line)
 			}
 		}
 	}

@@ -1,19 +1,22 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/buffer"
-	"repro/internal/cam"
 	"repro/internal/link"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// InLine is the payload of an input-port CAM line: the state of one
-// congestion tree isolated in the CFQ of the same index.
+// InLine is one input-port CAM line: the state of one congestion tree
+// isolated in the CFQ of the same index (Section III-A).
 type InLine struct {
-	// Out is the local output port every destination of this line
-	// routes through.
+	// Dest is the congestion point: the destination whose packets the
+	// line isolates (DESIGN §3: one destination per line).
+	Dest int
+	// Out is the local output port Dest routes through.
 	Out int
 	// Root marks a CFQ 1 hop from the congested point (allocated by
 	// local detection with no downstream line): only root CFQs drive
@@ -27,23 +30,26 @@ type InLine struct {
 	OverHigh bool
 	// LastActive is the last cycle the CFQ held a packet (hold-down).
 	LastActive sim.Cycle
+
+	valid bool // allocated
 }
 
 // IsolationUnit is the NFQ+CFQ queue organisation of FBICM and CCFIT
 // (Fig. 1 of the paper): one normal-flow queue, NumCFQs congested-flow
 // queues, and a CAM whose line i describes the congestion tree isolated
-// in CFQ i. It implements QDisc; the CCFIT behaviour of Section III-C
-// (detection, post-processing, propagation, Stop/Go, deallocation,
-// marking feed) lives here.
+// in CFQ i; packets match a line by destination. It implements QDisc;
+// the CCFIT behaviour of Section III-C (detection, post-processing,
+// propagation, Stop/Go, deallocation, marking feed) lives here.
 type IsolationUnit struct {
-	p     *Params
-	env   PortEnv
-	label string
-	ram   *buffer.RAM
-	nfq   *buffer.Queue
-	cfqs  []buffer.Queue
-	cam   *cam.CAM[InLine]
-	stats DiscStats
+	p      *Params
+	env    PortEnv
+	label  string
+	ram    *buffer.RAM
+	nfq    *buffer.Queue
+	cfqs   []buffer.Queue
+	lines  []InLine // the CAM: line i describes CFQ i
+	active int      // allocated lines
+	stats  DiscStats
 
 	// detectRetry throttles repeated detection scans: a failed scan is
 	// not retried until this cycle (the NFQ composition rarely changes
@@ -61,12 +67,12 @@ func NewIsolationUnit(p *Params, env PortEnv) *IsolationUnit {
 	ram := buffer.NewRAM(p.PortRAM)
 	qs := buffer.NewQueues(1+p.NumCFQs, ram) // the NFQ, then the CFQs
 	return &IsolationUnit{
-		p:    p,
-		env:  env,
-		ram:  ram,
-		nfq:  &qs[0],
-		cfqs: qs[1:],
-		cam:  cam.New[InLine](p.NumCFQs),
+		p:     p,
+		env:   env,
+		ram:   ram,
+		nfq:   &qs[0],
+		cfqs:  qs[1:],
+		lines: make([]InLine, p.NumCFQs),
 	}
 }
 
@@ -82,7 +88,7 @@ func (u *IsolationUnit) Fits(size int) bool { return u.ram.Fits(size) }
 // back to the NFQ (post-processing will re-sort it).
 func (u *IsolationUnit) Enqueue(p *pkt.Packet, cfq int) {
 	if cfq >= 0 && cfq < len(u.cfqs) && p.Kind != pkt.BECN &&
-		u.cam.Valid(cfq) && destIn(u.cam.Dests(cfq), p.Dst) {
+		u.lines[cfq].valid && u.lines[cfq].Dest == p.Dst {
 		u.cfqs[cfq].Push(p)
 		u.stats.DirectArrivals++
 		return
@@ -106,9 +112,9 @@ func (u *IsolationUnit) Post(now sim.Cycle) (acted bool) {
 		if h == nil || h.Kind == pkt.BECN {
 			return acted
 		}
-		if li := u.cam.Match(h.Dst); li >= 0 {
+		if li := u.match(h.Dst); li >= 0 {
 			u.nfq.TransferHead(&u.cfqs[li])
-			u.cam.Payload(li).LastActive = now
+			u.lines[li].LastActive = now
 			u.stats.PostMoves++
 			acted = true
 			continue
@@ -155,8 +161,7 @@ func (u *IsolationUnit) allocFromDownstream(now sim.Cycle, out, dest int) bool {
 	if !ok {
 		return false
 	}
-	dests := []int{dest}
-	li := u.cam.Alloc(dests, InLine{Out: out, Root: false, LastActive: now})
+	li := u.alloc(InLine{Dest: dest, Out: out, Root: false, LastActive: now})
 	if li < 0 {
 		return false
 	}
@@ -178,7 +183,7 @@ func (u *IsolationUnit) detect(now sim.Cycle) bool {
 	}
 	for i := 0; i < n; i++ {
 		p := u.nfq.At(i)
-		if p.Kind == pkt.BECN || u.cam.Match(p.Dst) >= 0 {
+		if p.Kind == pkt.BECN || u.match(p.Dst) >= 0 {
 			continue
 		}
 		found := false
@@ -214,7 +219,7 @@ func (u *IsolationUnit) detect(now sim.Cycle) bool {
 	// further downstream and this line must not drive marking.
 	_, _, downstream := u.env.OutLine(out, best)
 	root := !downstream && u.env.OutCredits(out, best) >= pkt.MTU
-	li := u.cam.Alloc([]int{best}, InLine{Out: out, Root: root, LastActive: now})
+	li := u.alloc(InLine{Dest: best, Out: out, Root: root, LastActive: now})
 	if li < 0 {
 		u.stats.CAMExhausted++
 		emit(u.p.Tracer, now, trace.EvExhaust, u.label, best, -1)
@@ -230,19 +235,19 @@ func (u *IsolationUnit) detect(now sim.Cycle) bool {
 // in Go state. CFQ heads carry the direct downstream-CFQ target.
 func (u *IsolationUnit) Requests(_ sim.Cycle, buf []Request) []Request {
 	if h := u.nfq.Head(); h != nil {
-		if h.Kind == pkt.BECN || u.cam.Match(h.Dst) < 0 {
+		if h.Kind == pkt.BECN || u.match(h.Dst) < 0 {
 			buf = append(buf, Request{QID: 0, Out: u.env.Route(h.Dst), Pkt: h, DirectCFQ: -1, Priority: h.Kind == pkt.BECN})
 		}
 	}
-	if u.cam.FreeLines() == len(u.cfqs) {
+	if u.active == 0 {
 		return buf
 	}
 	for i := range u.cfqs {
 		h := u.cfqs[i].Head()
-		if h == nil || !u.cam.Valid(i) {
+		if h == nil || !u.lines[i].valid {
 			continue
 		}
-		out := u.cam.Payload(i).Out
+		out := u.lines[i].Out
 		direct := -1
 		if stopped, down, ok := u.env.OutLine(out, h.Dst); ok {
 			if stopped {
@@ -269,33 +274,35 @@ func (u *IsolationUnit) Pop(qid int) *pkt.Packet {
 // root-CFQ High/Low crossings driving the output-port congestion state,
 // and the dynamic distributed deallocation (Event #6).
 func (u *IsolationUnit) Update(now sim.Cycle) (acted bool) {
-	inUse := 0
-	u.cam.Each(func(i int, dests []int, line *InLine) {
-		inUse++
+	for i := range u.lines {
+		line := &u.lines[i]
+		if !line.valid {
+			continue
+		}
 		q := &u.cfqs[i]
 		b := q.Bytes()
 		if b > 0 {
 			line.LastActive = now
 		}
 		if !line.Announced && b >= u.p.PropagateThreshold {
-			u.env.NotifyUpstream(link.Control{Kind: link.CFQAlloc, CFQ: i, Dests: dests})
+			u.env.NotifyUpstream(link.Control{Kind: link.CFQAlloc, CFQ: i, Dest: line.Dest})
 			line.Announced, acted = true, true
-			emit(u.p.Tracer, now, trace.EvPropagate, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvPropagate, u.label, line.Dest, i)
 		}
 		if !line.Stopped && b >= u.p.StopThreshold {
 			if !line.Announced {
-				u.env.NotifyUpstream(link.Control{Kind: link.CFQAlloc, CFQ: i, Dests: dests})
+				u.env.NotifyUpstream(link.Control{Kind: link.CFQAlloc, CFQ: i, Dest: line.Dest})
 				line.Announced = true
 			}
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQStop, CFQ: i})
 			line.Stopped, acted = true, true
 			u.stats.StopsSent++
-			emit(u.p.Tracer, now, trace.EvStop, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvStop, u.label, line.Dest, i)
 		} else if line.Stopped && b <= u.p.GoThreshold {
 			u.env.NotifyUpstream(link.Control{Kind: link.CFQGo, CFQ: i})
 			line.Stopped, acted = false, true
 			u.stats.GoesSent++
-			emit(u.p.Tracer, now, trace.EvGo, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvGo, u.label, line.Dest, i)
 		}
 		if u.p.MarkingEnabled && line.Root {
 			if !line.OverHigh && b >= u.p.HighThreshold {
@@ -314,15 +321,14 @@ func (u *IsolationUnit) Update(now sim.Cycle) (acted bool) {
 			if line.Announced {
 				u.env.NotifyUpstream(link.Control{Kind: link.CFQDealloc, CFQ: i})
 			}
-			u.cam.Free(i)
 			u.stats.Deallocs++
 			acted = true
-			inUse--
-			emit(u.p.Tracer, now, trace.EvDealloc, u.label, dests[0], i)
+			emit(u.p.Tracer, now, trace.EvDealloc, u.label, line.Dest, i)
+			u.free(i)
 		}
-	})
-	if inUse > u.stats.MaxCFQsInUse {
-		u.stats.MaxCFQsInUse = inUse
+	}
+	if u.active > u.stats.MaxCFQsInUse {
+		u.stats.MaxCFQsInUse = u.active
 	}
 	return acted
 }
@@ -336,11 +342,11 @@ func (u *IsolationUnit) NextDue(sim.Cycle) sim.Cycle {
 	if u.nfq.Bytes() >= u.p.DetectionThreshold {
 		due = u.detectRetry
 	}
-	u.cam.Each(func(i int, _ []int, line *InLine) {
-		if u.cfqs[i].Bytes() == 0 && !line.Stopped {
+	for i, line := range u.lines {
+		if line.valid && u.cfqs[i].Bytes() == 0 && !line.Stopped {
 			due = min(due, line.LastActive+u.p.HoldDown)
 		}
-	})
+	}
 	return due
 }
 
@@ -349,35 +355,30 @@ func (u *IsolationUnit) NextDue(sim.Cycle) sim.Cycle {
 // before the waking event mutates a queue, so a packet that arrives in
 // an empty CFQ and is popped the same cycle leaves the old stamp.
 func (u *IsolationUnit) Resume(now sim.Cycle) {
-	u.cam.Each(func(i int, _ []int, line *InLine) {
-		if u.cfqs[i].Bytes() > 0 {
-			line.LastActive = now - 1
+	for i := range u.lines {
+		if u.lines[i].valid && u.cfqs[i].Bytes() > 0 {
+			u.lines[i].LastActive = now - 1
 		}
-	})
+	}
 }
 
-// DemoteRoot clears the Root flag of lines pointing at output port out
-// whose destinations overlap dests: the downstream hop announced its
-// own CFQ for the tree, so the congested point is more than one hop
-// away and this port must no longer drive the congestion state
-// (Section III-C: only 1-hop CFQs move ports into the congestion state).
-func (u *IsolationUnit) DemoteRoot(out int, dests []int) {
-	u.cam.Each(func(i int, lineDests []int, line *InLine) {
-		if !line.Root || line.Out != out {
-			return
-		}
-		for _, d := range lineDests {
-			if destIn(dests, d) {
-				line.Root = false
-				if line.OverHigh {
-					line.OverHigh = false
-					u.env.MarkCrossed(line.Out, false)
-				}
-				emit(u.p.Tracer, line.LastActive, trace.EvDemote, u.label, d, i)
-				return
+// DemoteRoot clears the Root flag of the lines for dest pointing at
+// output port out: the downstream hop announced its own CFQ for the
+// tree, so the congested point is more than one hop away and this port
+// must no longer drive the congestion state (Section III-C: only 1-hop
+// CFQs move ports into the congestion state).
+func (u *IsolationUnit) DemoteRoot(out, dest int) {
+	for i := range u.lines {
+		line := &u.lines[i]
+		if line.valid && line.Root && line.Out == out && line.Dest == dest {
+			line.Root = false
+			if line.OverHigh {
+				line.OverHigh = false
+				u.env.MarkCrossed(line.Out, false)
 			}
+			emit(u.p.Tracer, line.LastActive, trace.EvDemote, u.label, dest, i)
 		}
-	})
+	}
 }
 
 // UsedBytes returns the RAM occupancy.
@@ -388,7 +389,7 @@ func (u *IsolationUnit) UsedBytes() int { return u.ram.Used() }
 // line still needs Update ticks to run its hold-down deallocation (and
 // the upstream CFQDealloc that goes with it).
 func (u *IsolationUnit) Quiescent() bool {
-	return u.ram.Used() == 0 && u.cam.FreeLines() == len(u.cfqs)
+	return u.ram.Used() == 0 && u.active == 0
 }
 
 // Capacity returns the RAM size.
@@ -407,22 +408,43 @@ func (u *IsolationUnit) NFQBytes() int { return u.nfq.Bytes() }
 func (u *IsolationUnit) CFQBytes(i int) int { return u.cfqs[i].Bytes() }
 
 // ActiveLines returns how many CAM lines are allocated.
-func (u *IsolationUnit) ActiveLines() int { return u.p.NumCFQs - u.cam.FreeLines() }
+func (u *IsolationUnit) ActiveLines() int { return u.active }
 
 // LineInfo returns a copy of CAM line i's state for diagnostics, and
 // whether the line is allocated.
-func (u *IsolationUnit) LineInfo(i int) (InLine, []int, bool) {
-	if !u.cam.Valid(i) {
-		return InLine{}, nil, false
-	}
-	return *u.cam.Payload(i), u.cam.Dests(i), true
-}
+func (u *IsolationUnit) LineInfo(i int) (InLine, bool) { return u.lines[i], u.lines[i].valid }
 
-func destIn(dests []int, d int) bool {
-	for _, x := range dests {
-		if x == d {
-			return true
+// match returns the allocated line for dest, or -1 if none matches.
+func (u *IsolationUnit) match(dest int) int {
+	for i := range u.lines {
+		if u.lines[i].valid && u.lines[i].Dest == dest {
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// alloc claims the first free line for line and returns its index, or
+// -1 when every line is taken (the FBICM failure mode the paper
+// studies: more congestion trees than lines).
+func (u *IsolationUnit) alloc(line InLine) int {
+	for i := range u.lines {
+		if !u.lines[i].valid {
+			line.valid = true
+			u.lines[i] = line
+			u.active++
+			return i
+		}
+	}
+	return -1
+}
+
+// free releases line i. Freeing a free line panics: it is a
+// double deallocation in the congestion-tree teardown protocol.
+func (u *IsolationUnit) free(i int) {
+	if !u.lines[i].valid {
+		panic(fmt.Sprintf("core: double free of CAM line %d", i))
+	}
+	u.lines[i] = InLine{}
+	u.active--
 }

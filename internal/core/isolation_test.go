@@ -32,9 +32,9 @@ func TestDetectionAllocatesRootCFQ(t *testing.T) {
 	if u.ActiveLines() != 1 {
 		t.Fatalf("active lines = %d, want 1", u.ActiveLines())
 	}
-	line, dests, ok := u.LineInfo(0)
-	if !ok || len(dests) != 1 || dests[0] != 2 {
-		t.Fatalf("line dests = %v, want [2]", dests)
+	line, ok := u.LineInfo(0)
+	if !ok || line.Dest != 2 {
+		t.Fatalf("line = %+v, want dest 2", line)
 	}
 	if !line.Root {
 		t.Fatal("locally detected line with no downstream line must be root")
@@ -120,7 +120,7 @@ func TestLazyAllocFromDownstreamLine(t *testing.T) {
 	if u.ActiveLines() != 1 {
 		t.Fatalf("lazy alloc did not happen")
 	}
-	line, _, _ := u.LineInfo(0)
+	line, _ := u.LineInfo(0)
 	if line.Root {
 		t.Fatal("lazy-allocated line must not be root")
 	}
@@ -206,8 +206,8 @@ func TestPropagationAnnouncesUpstream(t *testing.T) {
 	if len(allocs) != 1 {
 		t.Fatalf("CFQAllocs = %d, want 1 (%v)", len(allocs), env.upstream)
 	}
-	if len(allocs[0].Dests) != 1 || allocs[0].Dests[0] != 2 {
-		t.Fatalf("alloc dests = %v", allocs[0].Dests)
+	if allocs[0].Dest != 2 {
+		t.Fatalf("alloc dest = %d, want 2", allocs[0].Dest)
 	}
 	u.Update(11)
 	count := 0
@@ -307,7 +307,7 @@ func TestNoDeallocWhileStopped(t *testing.T) {
 	// must survive until Go is signalled (dealloc requires Go status).
 	for u.Pop(1) != nil {
 	}
-	line, _, _ := u.LineInfo(0)
+	line, _ := u.LineInfo(0)
 	if !line.Stopped {
 		t.Skip("line never reached Stop in this configuration")
 	}
@@ -385,12 +385,20 @@ func TestDemoteRoot(t *testing.T) {
 		u.Post(c)
 		u.Update(c)
 	}
-	line, _, _ := u.LineInfo(0)
+	line, _ := u.LineInfo(0)
 	if !line.Root || !line.OverHigh {
 		t.Fatalf("precondition: root overhigh line, got %+v", line)
 	}
-	u.DemoteRoot(2, []int{2})
-	line, _, _ = u.LineInfo(0)
+	// A downstream line for another destination through the same output
+	// leaves the line alone.
+	crossings := len(env.crossings)
+	u.DemoteRoot(2, 99)
+	line, _ = u.LineInfo(0)
+	if !line.Root || !line.OverHigh || len(env.crossings) != crossings {
+		t.Fatalf("demote for dest 99 touched the dest-2 line: %+v, crossings %v", line, env.crossings[crossings:])
+	}
+	u.DemoteRoot(2, 2)
+	line, _ = u.LineInfo(0)
 	if line.Root {
 		t.Fatal("line still root after downstream announcement")
 	}
@@ -399,8 +407,6 @@ func TestDemoteRoot(t *testing.T) {
 	if last.above {
 		t.Fatalf("no below-crossing on demote: %v", env.crossings)
 	}
-	// Demote for an unrelated dest must not touch other lines.
-	u.DemoteRoot(2, []int{99})
 }
 
 func TestDirectCFQDelivery(t *testing.T) {

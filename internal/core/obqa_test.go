@@ -113,9 +113,9 @@ func TestIsolationReallocCycle(t *testing.T) {
 		u.Post(c)
 		u.Update(c)
 	}
-	line, dests, ok := u.LineInfo(0)
-	if !ok || dests[0] != 9 {
-		t.Fatalf("recycled line %+v dests %v", line, dests)
+	line, ok := u.LineInfo(0)
+	if !ok || line.Dest != 9 {
+		t.Fatalf("recycled line %+v", line)
 	}
 	if line.Stopped || line.OverHigh || line.Announced || !line.Root {
 		t.Fatalf("recycled line carries stale state: %+v", line)
@@ -132,9 +132,9 @@ func TestIsolationDetectScanBounded(t *testing.T) {
 	fill(u, &g, 1, 4) // prefix: 4 MTUs to dest 1
 	fill(u, &g, 2, 8) // deeper: 8 MTUs to dest 2 (unseen)
 	u.Post(0)
-	_, dests, ok := u.LineInfo(0)
-	if !ok || dests[0] != 1 {
-		t.Fatalf("detection saw beyond the scan window: %v", dests)
+	line, ok := u.LineInfo(0)
+	if !ok || line.Dest != 1 {
+		t.Fatalf("detection saw beyond the scan window: %+v", line)
 	}
 }
 

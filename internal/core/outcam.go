@@ -9,7 +9,7 @@ import (
 // OutCAM is the CAM a switch keeps at each output port (and an input
 // adapter at its uplink) to mirror the congestion state of the
 // downstream input port it feeds: one line per downstream CFQ, holding
-// the congestion point's destination set and the Stop/Go state of the
+// the congestion point's destination and the Stop/Go state of the
 // per-CFQ flow control. It is maintained exclusively by the control
 // messages the downstream input port sends upstream (Section III-A:
 // "CCFIT requires a CAM per output port, in order to propagate
@@ -18,13 +18,11 @@ import (
 type OutCAM struct {
 	lines  []outLine
 	active int // valid lines, so lookups on an empty CAM skip the scan
-	// stats
-	Allocs, Deallocs int
 }
 
 type outLine struct {
 	valid   bool
-	dests   []int
+	dest    int
 	stopped bool
 }
 
@@ -44,13 +42,10 @@ func (o *OutCAM) Handle(m link.Control) {
 		if m.CFQ < 0 || m.CFQ >= len(o.lines) {
 			return
 		}
-		// Copy into the line's own storage (kept across deallocations):
-		// m.Dests belongs to the link.
 		if !o.lines[m.CFQ].valid {
 			o.active++
 		}
-		o.lines[m.CFQ] = outLine{valid: true, dests: append(o.lines[m.CFQ].dests[:0], m.Dests...)}
-		o.Allocs++
+		o.lines[m.CFQ] = outLine{valid: true, dest: m.Dest}
 	case link.CFQStop:
 		if o.valid(m.CFQ) {
 			o.lines[m.CFQ].stopped = true
@@ -61,9 +56,8 @@ func (o *OutCAM) Handle(m link.Control) {
 		}
 	case link.CFQDealloc:
 		if o.valid(m.CFQ) {
-			o.lines[m.CFQ] = outLine{dests: o.lines[m.CFQ].dests[:0]}
+			o.lines[m.CFQ] = outLine{}
 			o.active--
-			o.Deallocs++
 		}
 	default:
 		panic(fmt.Sprintf("core: OutCAM cannot handle %v", m.Kind))
@@ -79,10 +73,7 @@ func (o *OutCAM) Lookup(dest int) (stopped bool, downCFQ int, ok bool) {
 		return false, -1, false
 	}
 	for i := range o.lines {
-		if !o.lines[i].valid {
-			continue
-		}
-		if destIn(o.lines[i].dests, dest) {
+		if o.lines[i].valid && o.lines[i].dest == dest {
 			return o.lines[i].stopped, i, true
 		}
 	}

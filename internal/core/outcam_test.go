@@ -11,13 +11,13 @@ func TestOutCAMLifecycle(t *testing.T) {
 	if _, _, ok := o.Lookup(4); ok {
 		t.Fatal("empty CAM matched")
 	}
-	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 1, Dests: []int{4, 9}})
+	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 1, Dest: 4})
 	stopped, down, ok := o.Lookup(4)
 	if !ok || stopped || down != 1 {
 		t.Fatalf("lookup(4) = %v %v %v", stopped, down, ok)
 	}
-	if _, _, ok := o.Lookup(9); !ok {
-		t.Fatal("second dest not matched")
+	if _, _, ok := o.Lookup(9); ok {
+		t.Fatal("another dest matched")
 	}
 	if o.ActiveLines() != 1 {
 		t.Fatalf("active = %d after one alloc", o.ActiveLines())
@@ -37,9 +37,6 @@ func TestOutCAMLifecycle(t *testing.T) {
 	if o.ActiveLines() != 0 {
 		t.Fatalf("active = %d after dealloc", o.ActiveLines())
 	}
-	if o.Allocs != 1 || o.Deallocs != 1 {
-		t.Fatalf("allocs=%d deallocs=%d", o.Allocs, o.Deallocs)
-	}
 }
 
 func TestOutCAMIgnoresStaleMessages(t *testing.T) {
@@ -48,7 +45,7 @@ func TestOutCAMIgnoresStaleMessages(t *testing.T) {
 	o.Handle(link.Control{Kind: link.CFQStop, CFQ: 0})
 	o.Handle(link.Control{Kind: link.CFQGo, CFQ: 1})
 	o.Handle(link.Control{Kind: link.CFQDealloc, CFQ: 0})
-	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 7, Dests: []int{1}})
+	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 7, Dest: 1})
 	if o.ActiveLines() != 0 {
 		t.Fatal("stale messages changed state")
 	}
@@ -56,12 +53,12 @@ func TestOutCAMIgnoresStaleMessages(t *testing.T) {
 
 func TestOutCAMReallocReplaces(t *testing.T) {
 	o := NewOutCAM(1)
-	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{4}})
+	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 4})
 	o.Handle(link.Control{Kind: link.CFQStop, CFQ: 0})
 	// Downstream recycled CFQ 0 for a new tree: fresh line, Go state.
-	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{6}})
+	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 6})
 	if _, _, ok := o.Lookup(4); ok {
-		t.Fatal("old dests survived realloc")
+		t.Fatal("old dest survived realloc")
 	}
 	stopped, _, ok := o.Lookup(6)
 	if !ok || stopped {
@@ -80,14 +77,4 @@ func TestOutCAMRejectsCreditKind(t *testing.T) {
 		}
 	}()
 	o.Handle(link.Control{Kind: link.Credit, Bytes: 64})
-}
-
-func TestOutCAMAllocCopiesDests(t *testing.T) {
-	o := NewOutCAM(1)
-	d := []int{5}
-	o.Handle(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: d})
-	d[0] = 9
-	if _, _, ok := o.Lookup(5); !ok {
-		t.Fatal("OutCAM aliased the message's dest slice")
-	}
 }

@@ -157,7 +157,7 @@ func TestSkipEdges(t *testing.T) {
 			// at LastActive+HoldDown with the node skipping in between.
 			name: "ia cfq go, hold-down", params: core.PresetCCFIT(), credits: 64 << 10,
 			script: func(r *edgeRig) {
-				r.n.ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 1, Dests: []int{5}})
+				r.n.ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 1, Dest: 5})
 				r.n.ReceiveControl(link.Control{Kind: link.CFQStop, CFQ: 1})
 				r.offer(5, 3)
 				r.eng.Run(500)
@@ -172,7 +172,7 @@ func TestSkipEdges(t *testing.T) {
 				for iso.UsedBytes() > 0 {
 					r.eng.Step()
 				}
-				line, _, ok := iso.LineInfo(0)
+				line, ok := iso.LineInfo(0)
 				if !ok || r.n.stats.Sent != 3 || held > 1 {
 					r.t.Fatalf("line %+v ok=%v, sent %d", line, ok, r.n.stats.Sent)
 				}

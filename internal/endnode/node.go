@@ -548,7 +548,7 @@ func (n *Node) ReceiveControl(m link.Control) {
 	n.outCAM.Handle(m)
 	if m.Kind == link.CFQAlloc {
 		if iso, ok := n.disc.(*core.IsolationUnit); ok {
-			iso.DemoteRoot(0, m.Dests)
+			iso.DemoteRoot(0, m.Dest)
 		}
 	}
 }

@@ -323,7 +323,7 @@ func TestIsolationAtIAOutputBuffer(t *testing.T) {
 	// CCFIT IAs have NFQ+CFQs (Fig. 2): when the switch announces a
 	// congestion point via CFQAlloc, the IA isolates matching packets.
 	eng, n, _, ids := rig(t, core.PresetCCFIT())
-	n.ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{4}})
+	n.ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 4})
 	n.Offer(pkt.NewData(ids, 0, 4, 0, pkt.MTU, 0))
 	eng.Run(10)
 	iso, ok := n.Disc().(*core.IsolationUnit)

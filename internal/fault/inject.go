@@ -146,7 +146,7 @@ func (in *Injector) ScheduleCtlNoise(at, dur sim.Cycle, targets []*switchfab.Swi
 			CFQ: in.rng.Intn(numCFQs+4) - 2,
 		}
 		if m.Kind == link.CFQAlloc {
-			m.Dests = []int{in.rng.Intn(numEndpoints)}
+			m.Dest = in.rng.Intn(numEndpoints)
 		}
 		sw.ControlReceiver(p).ReceiveControl(m)
 		in.stats.NoiseSent++

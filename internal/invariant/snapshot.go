@@ -68,8 +68,8 @@ func (c *Checker) Snapshot(now sim.Cycle) string {
 // describeCAM renders every allocated line of an isolation unit.
 func describeCAM(iso *core.IsolationUnit) string {
 	var parts []string
-	for i := 0; i < iso.QueueCount(); i++ { // line count <= queue count
-		line, dests, ok := iso.LineInfo(i)
+	for i := 0; i < iso.QueueCount()-1; i++ { // the NumCFQs lines: queue 0 is the NFQ
+		line, ok := iso.LineInfo(i)
 		if !ok {
 			continue
 		}
@@ -80,8 +80,8 @@ func describeCAM(iso *core.IsolationUnit) string {
 		if line.Stopped {
 			flags += " STOPPED"
 		}
-		parts = append(parts, fmt.Sprintf("line%d out%d dests=%v bytes=%d lastActive=%d%s",
-			i, line.Out, dests, iso.CFQBytes(i), line.LastActive, flags))
+		parts = append(parts, fmt.Sprintf("line%d out%d dest=%d bytes=%d lastActive=%d%s",
+			i, line.Out, line.Dest, iso.CFQBytes(i), line.LastActive, flags))
 	}
 	if len(parts) == 0 {
 		return "(none)"

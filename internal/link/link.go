@@ -23,8 +23,8 @@ const (
 	// port, implementing credit-based flow control (Table I).
 	Credit CtlKind = iota
 	// CFQAlloc tells the upstream output port that the downstream
-	// input port allocated CFQ index CFQ for the congestion point
-	// described by Dests; the upstream allocates an output CAM line.
+	// input port allocated CFQ index CFQ for the congestion point at
+	// destination Dest; the upstream allocates an output CAM line.
 	CFQAlloc
 	// CFQStop stops forwarding into downstream CFQ index CFQ.
 	CFQStop
@@ -56,10 +56,11 @@ func (k CtlKind) String() string {
 // direction carries its information in packet headers, e.g. FECN).
 type Control struct {
 	Kind  CtlKind
-	Bytes int   // Credit: freed bytes
-	Dest  int   // Credit: destination queue (per-destination flow control)
-	CFQ   int   // CFQ index at the *sending* (downstream) input port
-	Dests []int // CFQAlloc: congestion-point destination set
+	Bytes int // Credit: freed bytes
+	// Dest is, for a Credit, the destination queue (per-destination
+	// flow control); for a CFQAlloc, the congestion point.
+	Dest int
+	CFQ  int // CFQ index at the *sending* (downstream) input port
 }
 
 // PacketReceiver consumes packets at the far end of a link direction.
@@ -70,9 +71,7 @@ type PacketReceiver interface {
 	ReceivePacket(p *pkt.Packet, cfq int)
 }
 
-// ControlReceiver consumes control messages at the far end. m.Dests
-// belongs to the link and is recycled once ReceiveControl returns:
-// receivers that keep the destination set copy it.
+// ControlReceiver consumes control messages at the far end.
 type ControlReceiver interface {
 	ReceiveControl(m Control)
 }
@@ -115,11 +114,9 @@ type Half struct {
 	// busyUntil+delay and busyUntil strictly grows with every Send; a
 	// control message arrives at now+delay and the clock never runs
 	// backwards. delay is fixed at build, and Degrade only changes the
-	// serialization of future sends. ctlDests recycles the per-message
-	// copies of Control.Dests (see SendControl).
-	wire     *sim.Pipe[flight]
-	ctl      *sim.Pipe[Control]
-	ctlDests [][]int
+	// serialization of future sends.
+	wire *sim.Pipe[flight]
+	ctl  *sim.Pipe[Control]
 
 	// In-flight accounting: bytes/packets sent but not yet arrived
 	// (the invariant checker's "on the wire" ledger term).
@@ -287,27 +284,17 @@ func (h *Half) BusyCycles() sim.Cycle { return h.busyCycles }
 func (h *Half) Sent() (pkts, bytes int) { return h.sentPkts, h.sentBytes }
 
 // SendControl delivers m to the far end after the propagation delay,
-// consuming no data bandwidth. m.Dests is copied into storage the link
-// recycles: the sender keeps ownership of its slice and may reuse it at
-// once. Only the tamper path keeps per-message closures (and a fresh
-// Dests copy): it adds a per-message extra delay that breaks the FIFO
+// consuming no data bandwidth. Only the tamper path keeps per-message
+// closures: it adds a per-message extra delay that breaks the FIFO
 // argument, and it is off the fault-free hot path.
 func (h *Half) SendControl(now sim.Cycle, m Control) {
 	if h.ctlRx == nil {
 		panic(fmt.Sprintf("link %s: no control receiver attached", h.name))
 	}
 	if h.tamper == nil {
-		if m.Dests != nil {
-			var buf []int
-			if n := len(h.ctlDests); n > 0 {
-				buf, h.ctlDests = h.ctlDests[n-1], h.ctlDests[:n-1]
-			}
-			m.Dests = append(buf, m.Dests...)
-		}
 		h.ctl.At(now+h.delay, m)
 		return
 	}
-	m.Dests = append([]int(nil), m.Dests...)
 	rx := h.ctlRx
 	out, extra := h.tamper(m)
 	for _, mm := range out {
@@ -316,11 +303,5 @@ func (h *Half) SendControl(now sim.Cycle, m Control) {
 	}
 }
 
-// deliverControl hands an untampered control message to the far end,
-// then takes its Dests copy back for the next message.
-func (h *Half) deliverControl(m Control) {
-	h.ctlRx.ReceiveControl(m)
-	if m.Dests != nil {
-		h.ctlDests = append(h.ctlDests, m.Dests[:0])
-	}
-}
+// deliverControl hands an untampered control message to the far end.
+func (h *Half) deliverControl(m Control) { h.ctlRx.ReceiveControl(m) }

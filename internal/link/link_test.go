@@ -260,19 +260,10 @@ func TestDegradeRestoreMidFlightKeepsArrivalOrder(t *testing.T) {
 	}
 }
 
-// copySink keeps its own copy of each message's destination set, as the
-// ControlReceiver contract requires of receivers that retain it.
-type copySink struct{ sink }
-
-func (s *copySink) ReceiveControl(m Control) {
-	m.Dests = append([]int(nil), m.Dests...)
-	s.sink.ReceiveControl(m)
-}
-
 func TestTamperedControlInterleavesWithPipedCredits(t *testing.T) {
 	eng := sim.NewEngine(1)
 	h := NewHalf(eng, "t", 64, 5)
-	s := &copySink{sink{eng: eng}}
+	s := &sink{eng: eng}
 	h.SetReceivers(s, s)
 	// The fault: CFQ messages are duplicated and 7 cycles late; credits
 	// pass through untouched (the lossless-aware policy).
@@ -291,11 +282,9 @@ func TestTamperedControlInterleavesWithPipedCredits(t *testing.T) {
 	h.SetControlTamper(nil)
 	h.SendControl(2, Control{Kind: Credit, Bytes: 3}) // piped: 7
 	eng.Run(3)
-	dests := []int{4, 9}
-	h.SendControl(3, Control{Kind: CFQAlloc, CFQ: 1, Dests: dests}) // piped: 8
-	dests[0], dests[1] = -1, -1                                     // the sender may reuse its slice at once
+	h.SendControl(3, Control{Kind: CFQAlloc, CFQ: 1, Dest: 4}) // piped: 8
 	eng.Run(9)
-	h.SendControl(9, Control{Kind: CFQAlloc, CFQ: 2, Dests: []int{7}}) // reuses the recycled copy: 14
+	h.SendControl(9, Control{Kind: CFQAlloc, CFQ: 2, Dest: 7}) // piped: 14
 	eng.Run(40)
 
 	type rx struct {
@@ -303,24 +292,19 @@ func TestTamperedControlInterleavesWithPipedCredits(t *testing.T) {
 		kind  CtlKind
 		bytes int
 		cfq   int
+		dest  int
 	}
 	want := []rx{
-		{5, Credit, 1, 0}, {6, Credit, 2, 0}, {7, Credit, 3, 0},
-		{8, CFQAlloc, 0, 1}, {13, CFQStop, 0, 3}, {13, CFQStop, 0, 3}, {14, CFQAlloc, 0, 2},
+		{5, Credit, 1, 0, 0}, {6, Credit, 2, 0, 0}, {7, Credit, 3, 0, 0},
+		{8, CFQAlloc, 0, 1, 4}, {13, CFQStop, 0, 3, 0}, {13, CFQStop, 0, 3, 0}, {14, CFQAlloc, 0, 2, 7},
 	}
 	if len(s.ctls) != len(want) {
 		t.Fatalf("delivered %d control messages, want %d: %+v", len(s.ctls), len(want), s.ctls)
 	}
 	for i, w := range want {
 		m := s.ctls[i]
-		if got := (rx{s.at[i], m.Kind, m.Bytes, m.CFQ}); got != w {
+		if got := (rx{s.at[i], m.Kind, m.Bytes, m.CFQ, m.Dest}); got != w {
 			t.Fatalf("message %d: %+v, want %+v", i, got, w)
 		}
-	}
-	if d := s.ctls[3].Dests; len(d) != 2 || d[0] != 4 || d[1] != 9 {
-		t.Fatalf("CFQAlloc carried dests %v, want [4 9] (SendControl must copy)", d)
-	}
-	if d := s.ctls[6].Dests; len(d) != 1 || d[0] != 7 {
-		t.Fatalf("second CFQAlloc carried dests %v, want [7]", d)
 	}
 }

@@ -32,8 +32,7 @@ const (
 var simScope = map[string]string{
 	"arbiter":     "port/VC arbitration inside the simulated cycle",
 	"buffer":      "per-VC queue occupancy is replayed state",
-	"cam":         "congested-flow CAM: the paper's isolation core",
-	"core":        "engine scaffolding: clock, params, event loop",
+	"core":        "congestion management: queue disciplines, CAMs, credits, marking and throttling",
 	"endnode":     "injection queues and throttling state machines",
 	"experiments": "figure/table definitions; expansion feeds cache keys",
 	"fault":       "scripted fault injection is part of the replayed run",

@@ -102,22 +102,22 @@ func TestCampaignScope(t *testing.T) {
 // scope config cannot silently shrink coverage.
 func TestSimScopeApplies(t *testing.T) {
 	m := testModule(t)
-	var cam *Package
+	var core *Package
 	for _, pkg := range m.Packages {
-		if pkg.Path == m.Name+"/internal/cam" {
-			cam = pkg
+		if pkg.Path == m.Name+"/internal/core" {
+			core = pkg
 			break
 		}
 	}
-	if cam == nil {
-		t.Fatal("module load did not find internal/cam")
+	if core == nil {
+		t.Fatal("module load did not find internal/core")
 	}
 	for _, a := range All() {
 		if a.Name == "goroutine-lifecycle" {
 			continue // service-scope rule: sim packages may not spawn goroutines at all
 		}
-		if a.Applies != nil && !a.Applies(m, cam) {
-			t.Errorf("rule %s does not apply to internal/cam; sim packages must keep full coverage", a.Name)
+		if a.Applies != nil && !a.Applies(m, core) {
+			t.Errorf("rule %s does not apply to internal/core; sim packages must keep full coverage", a.Name)
 		}
 	}
 }
@@ -156,10 +156,10 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 		pkgByPath[pkg.Path] = pkg
 	}
 	sim := pkgByPath[m.Name+"/internal/sim"]
-	cam := pkgByPath[m.Name+"/internal/cam"]
+	core := pkgByPath[m.Name+"/internal/core"]
 	dispatch := pkgByPath[m.Name+"/internal/dispatch"]
-	if sim == nil || cam == nil || dispatch == nil {
-		t.Fatal("module load is missing internal/sim, internal/cam, or internal/dispatch")
+	if sim == nil || core == nil || dispatch == nil {
+		t.Fatal("module load is missing internal/sim, internal/core, or internal/dispatch")
 	}
 
 	applies := func(name string, pkg *Package) bool {
@@ -167,12 +167,12 @@ func TestConcurrencyRuleApplies(t *testing.T) {
 		return a.Applies == nil || a.Applies(m, pkg)
 	}
 
-	for _, pkg := range []*Package{sim, cam, dispatch} {
+	for _, pkg := range []*Package{sim, core, dispatch} {
 		if !applies("guarded-field", pkg) {
 			t.Errorf("rule guarded-field must apply to %s: lock discipline is scope-independent", pkg.Path)
 		}
 	}
-	if applies("goroutine-lifecycle", sim) || applies("goroutine-lifecycle", cam) {
+	if applies("goroutine-lifecycle", sim) || applies("goroutine-lifecycle", core) {
 		t.Error("goroutine-lifecycle must not apply to simulation packages; determinism already bans their goroutines")
 	}
 	if !applies("goroutine-lifecycle", dispatch) {

@@ -155,6 +155,14 @@ var table = []mutant{
 
 	// The isolation protocol's parameters and the reference model.
 	{
+		name:   "demote-root-any-dest",
+		reason: "a downstream CFQAlloc demotes every root line on its output, whatever the line's destination",
+		edits: []edit{{"internal/core/isolation.go",
+			"\t\tif line.valid && line.Root && line.Out == out && line.Dest == dest {\n",
+			"\t\tif line.valid && line.Root && line.Out == out {\n"}},
+		gates: []gate{digests, ledger},
+	},
+	{
 		name:   "ccfit-marking-rate",
 		reason: "the CCFIT preset marks at 0.80 instead of 0.85",
 		edits: []edit{{"internal/core/params.go",

@@ -47,12 +47,12 @@ func TestFig3SwitchOperation(t *testing.T) {
 
 	// --- Events #1..#3: detection and isolation at switch B.
 	n.Run(20_000)
-	line, dests, ok := isoB.LineInfo(0)
+	line, ok := isoB.LineInfo(0)
 	if !ok {
 		t.Fatal("no CAM line at switch B port 4 after sustained congestion")
 	}
-	if len(dests) != 1 || dests[0] != 4 {
-		t.Fatalf("line tracks %v, want the hot destination 4", dests)
+	if line.Dest != 4 {
+		t.Fatalf("line tracks %d, want the hot destination 4", line.Dest)
 	}
 	if !line.Root {
 		t.Fatal("switch B's CFQ must be the tree root (1 hop from node 4)")
@@ -68,7 +68,7 @@ func TestFig3SwitchOperation(t *testing.T) {
 	if swA.OutCAM(3).ActiveLines() == 0 {
 		t.Fatal("switch A's output CAM (port 3 to B) has no line: propagation failed")
 	}
-	lineA, _, okA := isoA1.LineInfo(0)
+	lineA, okA := isoA1.LineInfo(0)
 	if !okA {
 		t.Fatal("switch A input port 1 did not isolate the congested flow")
 	}

@@ -25,7 +25,7 @@ func (p tape) ReceivePacket(q *pkt.Packet, cfq int) {
 }
 
 func (p tape) ReceiveControl(m link.Control) {
-	fmt.Fprintf(&p.r.log, "%d out%d ctl %v bytes %d cfq %d dests %v\n", p.r.eng.Now(), p.port, m.Kind, m.Bytes, m.CFQ, m.Dests)
+	fmt.Fprintf(&p.r.log, "%d out%d ctl %v bytes %d cfq %d dest %d\n", p.r.eng.Now(), p.port, m.Kind, m.Bytes, m.CFQ, m.Dest)
 }
 
 // edgeRig is one switch under a scripted scenario. With everyCycle set
@@ -127,8 +127,8 @@ func (r *edgeRig) transcript() string {
 		fmt.Fprintf(&r.log, "p%d disc %+v used %d\n", i, *r.sw.InputDisc(i).Stats(), r.sw.InputDisc(i).UsedBytes())
 		if iso, ok := r.sw.InputDisc(i).(*core.IsolationUnit); ok {
 			for li := 0; li < 2; li++ {
-				if line, dests, ok := iso.LineInfo(li); ok {
-					fmt.Fprintf(&r.log, "p%d line %d %+v %v\n", i, li, line, dests)
+				if line, ok := iso.LineInfo(li); ok {
+					fmt.Fprintf(&r.log, "p%d line %d %+v\n", i, li, line)
 				}
 			}
 		}
@@ -220,7 +220,7 @@ func TestElisionEdges(t *testing.T) {
 			name: "cfq go, hold-down", params: core.PresetFBICM(), nports: 2, xbar: 64, credits: 1 << 20,
 			wantCooled: true, wantParked: true,
 			script: func(r *edgeRig) {
-				r.ctl(1, link.Control{Kind: link.CFQAlloc, CFQ: 1, Dests: []int{1}})
+				r.ctl(1, link.Control{Kind: link.CFQAlloc, CFQ: 1, Dest: 1})
 				r.ctl(1, link.Control{Kind: link.CFQStop, CFQ: 1})
 				for i := 0; i < 6; i++ {
 					r.recv(0, 1, -1)
@@ -238,7 +238,7 @@ func TestElisionEdges(t *testing.T) {
 				if r.sw.stats.Forwarded != 6 || held > 1 {
 					r.t.Fatalf("forwarded %d (%d before Go)", r.sw.stats.Forwarded, held)
 				}
-				line, _, _ := r.iso(0).LineInfo(0)
+				line, _ := r.iso(0).LineInfo(0)
 				if !line.Announced || line.LastActive != r.eng.Now()-2 {
 					r.t.Fatalf("cycle %d: drained line %+v", r.eng.Now(), line)
 				}
@@ -260,18 +260,18 @@ func TestElisionEdges(t *testing.T) {
 			name: "direct arrival popped at once", params: core.PresetFBICM(), nports: 2, xbar: 64, credits: 1 << 20,
 			wantCooled: true,
 			script: func(r *edgeRig) {
-				r.ctl(1, link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{1}})
+				r.ctl(1, link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 1})
 				for i := 0; i < 3; i++ {
 					r.recv(0, 1, -1)
 				}
 				r.eng.Run(120)
-				line, _, ok := r.iso(0).LineInfo(0)
+				line, ok := r.iso(0).LineInfo(0)
 				if !ok || r.iso(0).UsedBytes() != 0 {
 					r.t.Fatalf("line %+v ok=%v used %d", line, ok, r.iso(0).UsedBytes())
 				}
 				r.recv(0, 1, 0)
 				r.stepForwards(1, "direct arrival on an idle port")
-				if got, _, _ := r.iso(0).LineInfo(0); got.LastActive != line.LastActive || r.iso(0).Stats().DirectArrivals != 1 {
+				if got, _ := r.iso(0).LineInfo(0); got.LastActive != line.LastActive || r.iso(0).Stats().DirectArrivals != 1 {
 					r.t.Fatalf("LastActive %d -> %d, stats %+v", line.LastActive, got.LastActive, r.iso(0).Stats())
 				}
 				r.eng.Run(line.LastActive + r.sw.p.HoldDown)
@@ -302,8 +302,8 @@ func TestElisionEdges(t *testing.T) {
 				if got := r.iso(0).Stats().CAMExhausted - before; got != 100 || r.iso(0).ActiveLines() != 2 {
 					r.t.Fatalf("%d CAMExhausted over 1600 cycles of failed detection (every %d), %d lines", got, 16, r.iso(0).ActiveLines())
 				}
-				r.ctl(3, link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{3}})
-				r.ctl(4, link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{4}})
+				r.ctl(3, link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 3})
+				r.ctl(4, link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 4})
 				before = r.iso(0).Stats().CAMExhausted
 				r.eng.RunFor(300)
 				if got := r.iso(0).Stats().CAMExhausted - before; got != 300 {

@@ -700,7 +700,7 @@ func (op *outPort) ReceiveControl(m link.Control) {
 		// below: input CFQs feeding this output stop being tree roots.
 		for _, ip := range op.s.in {
 			if iso, ok := ip.disc.(*core.IsolationUnit); ok {
-				iso.DemoteRoot(op.idx, m.Dests)
+				iso.DemoteRoot(op.idx, m.Dest)
 			}
 		}
 	}

@@ -260,7 +260,7 @@ func TestCFQProtocolAllocStopGoDealloc(t *testing.T) {
 	eng, sw, peers := rig(t, params, 2, 64, 1<<20)
 	var g pkt.IDGen
 	// Downstream (peer of port 1) announces its CFQ 1 for dest 1.
-	sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 1, Dests: []int{1}})
+	sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 1, Dest: 1})
 	sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.CFQStop, CFQ: 1})
 	for i := 0; i < 6; i++ {
 		sw.PacketReceiver(0).ReceivePacket(pkt.NewData(&g, 9, 1, 0, pkt.MTU, 0), -1)
@@ -306,13 +306,13 @@ func TestDemoteRootOnDownstreamAlloc(t *testing.T) {
 	}
 	eng.Run(50)
 	iso := sw.InputDisc(0).(*core.IsolationUnit)
-	line, _, ok := iso.LineInfo(0)
+	line, ok := iso.LineInfo(0)
 	if !ok || !line.Root {
 		t.Skipf("no root line formed (line=%+v ok=%v)", line, ok)
 	}
 	// Downstream announces its own CFQ for the tree: our line demotes.
-	sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dests: []int{1}})
-	line, _, _ = iso.LineInfo(0)
+	sw.ControlReceiver(1).ReceiveControl(link.Control{Kind: link.CFQAlloc, CFQ: 0, Dest: 1})
+	line, _ = iso.LineInfo(0)
 	if line.Root {
 		t.Fatal("line still root after downstream alloc")
 	}

@@ -1,15 +1,10 @@
 package traffic
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // CDF is an empirical flow-size distribution: a piecewise-linear
@@ -111,58 +106,6 @@ func (c *CDF) Mean() float64 {
 		mean += (c.P[i] - c.P[i-1]) * float64(c.Sizes[i-1]+c.Sizes[i]) / 2
 	}
 	return mean
-}
-
-// ParseCDF reads the ns-2/CONGA flow-size CDF file format: one point
-// per line, "<size_bytes> <index> <cumulative_probability>" (the middle
-// column is ignored, as the exemplar generators do); '#' starts a
-// comment. Lines must be ascending in both size and probability and
-// end at probability 1.
-func ParseCDF(name string, r io.Reader) (*CDF, error) {
-	c := &CDF{Name: name}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
-		fields := strings.Fields(text)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("traffic: cdf %q line %d: want 3 fields \"size index prob\", got %d", name, line, len(fields))
-		}
-		sz, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: cdf %q line %d: bad size %q", name, line, fields[0])
-		}
-		p, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: cdf %q line %d: bad probability %q", name, line, fields[2])
-		}
-		c.Sizes = append(c.Sizes, int64(math.Ceil(sz)))
-		c.P = append(c.P, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// LoadCDF reads a CDF file from disk (see ParseCDF for the format).
-func LoadCDF(path string) (*CDF, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseCDF(path, f)
 }
 
 // WebSearchCDF is the DCTCP web-search workload (Alizadeh et al.,

@@ -3,7 +3,6 @@ package traffic
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -64,34 +63,6 @@ func TestCDFAt(t *testing.T) {
 	} {
 		if got := c.At(tc.x); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("At(%d) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestParseCDF(t *testing.T) {
-	// The ns-2/CONGA file format, with comments and blank lines.
-	src := `# web-search style fragment
-1000 0 0        # smallest flow
-10000 1 0.5
-
-30000000 2 1
-`
-	c, err := ParseCDF("frag", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Sizes) != 3 || c.Sizes[1] != 10000 || c.P[1] != 0.5 {
-		t.Fatalf("parsed %+v", c)
-	}
-	for name, bad := range map[string]string{
-		"wrong field count": "1000 0.5\n",
-		"bad size":          "abc 0 0.5\n2000 1 1\n",
-		"bad prob":          "1000 0 xyz\n2000 1 1\n",
-		"not monotone":      "1000 0 0.9\n2000 1 0.5\n3000 2 1\n",
-		"no terminal 1":     "1000 0 0.5\n",
-	} {
-		if _, err := ParseCDF(name, strings.NewReader(bad)); err == nil {
-			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -43,7 +43,7 @@ awk '
     if (pkg == "repro/internal/campaign")  floor = 70
     if (pkg == "repro/internal/dispatch")  floor = 70
     if (pkg == "repro/internal/cli")       floor = 70
-    if (pkg == "repro/internal/traffic")   floor = 91
+    if (pkg == "repro/internal/traffic")   floor = 94
     if (pkg == "repro/cmd/ccfit-serve")    floor = 16
     if (pkg == "repro/cmd/ccfit-worker")   floor = 42
 
