@@ -17,7 +17,7 @@ import (
 // share a RAM's byte pool.
 type Queue struct {
 	ram   *RAM
-	pkts  []*pkt.Packet // ring buffer
+	pkts  []*pkt.Packet // ring buffer; its length is 0 or a power of two
 	head  int
 	count int
 	bytes int
@@ -58,7 +58,7 @@ func (q *Queue) At(i int) *pkt.Packet {
 	if i < 0 || i >= q.count {
 		return nil
 	}
-	return q.pkts[(q.head+i)%len(q.pkts)]
+	return q.pkts[(q.head+i)&(len(q.pkts)-1)]
 }
 
 // Push appends p. It accounts p.Size bytes against the shared RAM; the
@@ -72,7 +72,7 @@ func (q *Queue) Push(p *pkt.Packet) {
 	if q.count == len(q.pkts) {
 		q.grow()
 	}
-	q.pkts[(q.head+q.count)%len(q.pkts)] = p
+	q.pkts[(q.head+q.count)&(len(q.pkts)-1)] = p
 	q.count++
 	q.bytes += p.Size
 }
@@ -85,7 +85,7 @@ func (q *Queue) Pop() *pkt.Packet {
 	}
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
-	q.head = (q.head + 1) % len(q.pkts)
+	q.head = (q.head + 1) & (len(q.pkts) - 1)
 	q.count--
 	q.bytes -= p.Size
 	if q.ram != nil {
@@ -106,14 +106,14 @@ func (q *Queue) TransferHead(dst *Queue) *pkt.Packet {
 	if q.ram == dst.ram && q.ram != nil {
 		p := q.pkts[q.head]
 		q.pkts[q.head] = nil
-		q.head = (q.head + 1) % len(q.pkts)
+		q.head = (q.head + 1) & (len(q.pkts) - 1)
 		q.count--
 		q.bytes -= p.Size
 		q.maybeShrink()
 		if dst.count == len(dst.pkts) {
 			dst.grow()
 		}
-		dst.pkts[(dst.head+dst.count)%len(dst.pkts)] = p
+		dst.pkts[(dst.head+dst.count)&(len(dst.pkts)-1)] = p
 		dst.count++
 		dst.bytes += p.Size
 		return p
@@ -128,7 +128,9 @@ func (q *Queue) TransferHead(dst *Queue) *pkt.Packet {
 // minRing is the smallest ring allocated; rings never shrink below it.
 // It covers the deepest queue MTU traffic can build (a 64 KB port RAM
 // holds 32 MTU packets, an AdVOQ 16), so in the paper's configurations
-// a ring is allocated once and steady state never resizes it.
+// a ring is allocated once and steady state never resizes it. Rings
+// start at it and only double or halve, so it must be a power of two:
+// every ring index wraps with a mask.
 const minRing = 32
 
 func (q *Queue) grow() {
@@ -138,7 +140,7 @@ func (q *Queue) grow() {
 	}
 	np := make([]*pkt.Packet, n)
 	for i := 0; i < q.count; i++ {
-		np[i] = q.pkts[(q.head+i)%len(q.pkts)]
+		np[i] = q.pkts[(q.head+i)&(len(q.pkts)-1)]
 	}
 	q.pkts = np
 	q.head = 0
@@ -155,7 +157,7 @@ func (q *Queue) maybeShrink() {
 	}
 	np := make([]*pkt.Packet, n/2)
 	for i := 0; i < q.count; i++ {
-		np[i] = q.pkts[(q.head+i)%n]
+		np[i] = q.pkts[(q.head+i)&(n-1)]
 	}
 	q.pkts = np
 	q.head = 0

@@ -162,8 +162,9 @@ func TestTransferHeadEmpty(t *testing.T) {
 	}
 }
 
-// Property: any sequence of pushes and pops keeps byte accounting exact
-// and preserves FIFO order.
+// Property: any sequence of pushes and pops keeps byte accounting exact,
+// preserves FIFO order and keeps the ring's length zero or a power of
+// two.
 func TestQueueInvariantsProperty(t *testing.T) {
 	f := func(ops []bool, sizes []uint8) bool {
 		ram := NewRAM(1 << 20)
@@ -195,6 +196,9 @@ func TestQueueInvariantsProperty(t *testing.T) {
 				wantBytes += p.Size
 			}
 			if q.Bytes() != wantBytes || q.Len() != len(model) || ram.Used() != wantBytes {
+				return false
+			}
+			if n := q.RingCap(); n&(n-1) != 0 { // the ring indexes with a mask
 				return false
 			}
 		}

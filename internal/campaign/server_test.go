@@ -110,6 +110,9 @@ func TestHTTPRejectsBadSubmission(t *testing.T) {
 		`{"experiments":["fig7a"],"ms":1e30}`,
 		`{"experiments":["fig7a"],"ms":1e-9}`,
 		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5],"ms":1e-9}}`,
+		// Negative durations once ran at full length (default length for a load curve).
+		`{"experiments":["fig7a"],"ms":-1}`,
+		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5],"ms":-1}}`,
 		`{"experiments":["fig7a"],"seeds":4611686018427387904}`,
 		`{"experiments":["fig7a"],"seeds":100000000}`,
 		// The field of the deleted partitioned engine is unknown now.

@@ -292,6 +292,11 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 		{0, []string{"-seeds", "0", "fig7a"}, "-seeds must be at least 1", 1},
 		{1, []string{"-seeds", "0", "fig7a"}, "-seeds must be at least 1", 1},
 		{2, []string{"-seeds", "-3"}, "-seeds must be at least 1", 1},
+		// A negative or NaN -ms used to run every cell at full length.
+		{0, []string{"-ms", "-1", "fig7a"}, "ms -1", 1},
+		{1, []string{"-ms", "NaN", "fig7a"}, "ms NaN", 1},
+		{2, []string{"-ms", "-1"}, "ms -1", 1},
+		{3, []string{"-ms", "-1"}, "load_curve.ms -1", 1},
 	}
 	for _, c := range cases {
 		tool := tools[c.tool]
@@ -301,7 +306,7 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 			if code != c.code || stdout != "" || !strings.Contains(stderr, c.want) {
 				t.Errorf("exit %d (want %d), stdout %q, stderr %q (want %q)", code, c.code, stdout, stderr, c.want)
 			}
-			if entries, _ := filepath.Glob(filepath.Join(cache, "*", "*.gob")); len(entries) > 0 {
+			if entries, _ := filepath.Glob(filepath.Join(cache, "*", "*")); len(entries) > 0 {
 				t.Errorf("rejected request still simulated: %v", entries)
 			}
 		})
@@ -312,7 +317,7 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 var engineLine = regexp.MustCompile(`(?m)^        elided: \{CoolPortCycles:\d+ SwitchCyclesSlept:\d+ NodeCyclesSkipped:\d+ FlowVisits:\d+ FlowCyclesSkipped:\d+ WheelEvents:\d+ HeapEvents:\d+ Ticks:\d+ PacketsFresh:\d+ PacketsReused:\d+\}$`)
 
 // TestCacheSettledByEveryTool: a -cache run leaves nothing in the cache
-// directory but <xx>/<key>.gob entries, and a second run is served from
+// directory but <xx>/<key>.json entries, and a second run is served from
 // the cache with identical output.
 func TestCacheSettledByEveryTool(t *testing.T) {
 	for _, tool := range tools {
@@ -343,17 +348,17 @@ func TestCacheSettledByEveryTool(t *testing.T) {
 }
 
 // onlyEntries fails the test for any file under the cache directory dir
-// other than an <xx>/<key>.gob entry.
+// other than an <xx>/<key>.json entry.
 func onlyEntries(t *testing.T, dir string) {
 	t.Helper()
-	entry := regexp.MustCompile(`^([0-9a-f]{2})/([0-9a-f]{64})\.gob$`)
+	entry := regexp.MustCompile(`^([0-9a-f]{2})/([0-9a-f]{64})\.json$`)
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
 		rel, _ := filepath.Rel(dir, path)
 		if m := entry.FindStringSubmatch(filepath.ToSlash(rel)); m == nil || !strings.HasPrefix(m[2], m[1]) {
-			t.Errorf("cache holds %s, not a <xx>/<key>.gob entry", rel)
+			t.Errorf("cache holds %s, not a <xx>/<key>.json entry", rel)
 		}
 		return nil
 	})

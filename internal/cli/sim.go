@@ -69,8 +69,10 @@ func (a *app) sim(args []string) error {
 			trace.EvDetect, trace.EvPropagate, trace.EvStop, trace.EvGo,
 			trace.EvDealloc, trace.EvCongestionOn, trace.EvCongestionOff)
 	}
-	end := sim.CyclesFromMS(a.MS)
-	bin := sim.CyclesFromNS(*binUS * 1000)
+	end, bin := sim.CyclesFromMS(a.MS), sim.CyclesFromNS(*binUS*1000)
+	if !(end > 0 && bin > 0) { // a NaN converts to no positive count either
+		return fmt.Errorf("-ms %g and -bin %g must each span a cycle", a.MS, *binUS)
+	}
 
 	var n *network.Network
 	bo := experiments.BuildOpts{}

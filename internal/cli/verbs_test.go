@@ -124,6 +124,12 @@ func TestSimRejects(t *testing.T) {
 		{[]string{"-config", "4", "-trees", "9"}, "-trees shapes case 4, which only config 3 runs"},
 		{[]string{"-scheme", "BOGUS"}, "unknown scheme \"BOGUS\""},
 		{[]string{"-faults", "no-such-script.json"}, "ccfit-run sim: "},
+		// A negative or NaN -ms once printed an empty run, and a -bin of 0 or
+		// less panicked.
+		{[]string{"-ms", "-1"}, "-ms -1 and -bin 50 must each span a cycle"},
+		{[]string{"-ms", "NaN"}, "-ms NaN and -bin 50 must each span a cycle"},
+		{[]string{"-bin", "0"}, "-ms 10 and -bin 0 must each span a cycle"},
+		{[]string{"-bin", "-5"}, "-ms 10 and -bin -5 must each span a cycle"},
 	} {
 		code, stdout, stderr := drive(verb("sim"), c.args...)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {

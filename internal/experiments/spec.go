@@ -30,7 +30,8 @@ type Spec struct {
 	Seed  int64 `json:"seed,omitempty"`
 	Seeds int   `json:"seeds,omitempty"`
 	// MS, when > 0, truncates every experiment to this many simulated
-	// milliseconds (quick previews, service smoke tests). The duration
+	// milliseconds (quick previews, service smoke tests); 0 keeps the
+	// full length, and a negative or NaN MS is invalid. The duration
 	// is part of the cache fingerprint, so truncated and full runs
 	// never collide.
 	MS float64 `json:"ms,omitempty"`
@@ -51,7 +52,7 @@ type LoadCurveSpec struct {
 	Config int `json:"config"`
 	// Loads are offered loads in (0, 1], fractions of the link rate.
 	Loads []float64 `json:"loads"`
-	// MS is the simulated milliseconds per point (default 1.0).
+	// MS is the simulated milliseconds per point (0: default 1.0).
 	MS float64 `json:"ms,omitempty"`
 }
 
@@ -141,7 +142,7 @@ func (s Spec) Expand() ([]Cell, error) {
 		return nil, err
 	}
 	var duration sim.Cycle
-	if s.MS > 0 {
+	if s.MS != 0 { // 0: full length; a negative or NaN MS fails msCycles
 		if duration, err = msCycles("ms", s.MS); err != nil {
 			return nil, err
 		}
@@ -194,7 +195,7 @@ func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
 		return nil, fmt.Errorf("experiments: load_curve spec has no loads")
 	}
 	ms := lc.MS
-	if ms <= 0 {
+	if ms == 0 { // the default; a negative or NaN MS fails msCycles
 		ms = 1.0
 	}
 	end, err := msCycles("load_curve.ms", ms)
@@ -235,11 +236,11 @@ func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
 }
 
 // msCycles converts a spec's simulated milliseconds to cycles, rejecting a
-// duration that rounds to no cycle or does not fit the clock (a float
+// negative, NaN or sub-cycle duration and one past the clock (a float
 // conversion out of int64's range is not an error in Go, just garbage).
 func msCycles(field string, ms float64) (sim.Cycle, error) {
 	if c := ms * 1e6 / sim.CycleNS; !(c >= 0.5 && c < maxSpecCycles) {
-		return 0, fmt.Errorf("experiments: %s %g rounds to no cycle or past %d cycles", field, ms, maxSpecCycles)
+		return 0, fmt.Errorf("experiments: %s %g is not a duration of 1 to %d cycles", field, ms, maxSpecCycles)
 	}
 	return sim.CyclesFromMS(ms), nil
 }

@@ -103,6 +103,10 @@ func TestSpecValidation(t *testing.T) {
 		{"ms past the clock", Spec{Experiments: []string{"fig7a"}, MS: 1e30}},
 		{"ms below a cycle", Spec{Experiments: []string{"fig7a"}, MS: 1e-9}},
 		{"loadcurve ms below a cycle", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: 1e-9}}},
+		{"negative ms", Spec{Experiments: []string{"fig7a"}, MS: -1}},
+		{"NaN ms", Spec{Experiments: []string{"fig7a"}, MS: math.NaN()}},
+		{"loadcurve negative ms", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: -1}}},
+		{"loadcurve NaN ms", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: math.NaN()}}},
 		{"seeds past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: 1 << 62}},
 		{"cells past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: MaxCells}},
 		{"loadcurve cells past the bound", Spec{Schemes: []string{"1Q", "CCFIT"}, Seeds: MaxCells/2 + 1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},

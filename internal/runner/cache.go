@@ -2,8 +2,8 @@ package runner
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,15 +18,16 @@ import (
 
 // schemaVersion is bumped when the Result encoding or the simulation
 // semantics change incompatibly, invalidating every entry.
-const schemaVersion = 1
+const schemaVersion = 2
 
-// Cache is a content-addressed on-disk result store: one gob-encoded
-// experiments.Result per key — or, at a quarantine key, one quarantine
-// — at dir/<key[:2]>/<key>.gob. Entries are written atomically (temp
-// file + rename), a missing or corrupt entry reads as a miss, and a hit
-// decodes to the byte-identical Result the run produced. An entry's
-// mtime is its last access (a store stamps it, a hit moves it), which
-// orders GC's evictions; the files are the whole state.
+// Cache is a content-addressed on-disk store of job outcomes: one
+// WireResult in JSON per key at dir/<key[:2]>/<key>.json — {Result} at
+// a result key, {Err, Quarantined, Diagnostics} at a quarantine key.
+// Entries are written atomically (temp file + rename), a missing or
+// corrupt entry reads as a miss, and a hit decodes to the
+// byte-identical Result the run produced. An entry's mtime is its last
+// access (a store stamps it, a hit moves it), which orders GC's
+// evictions; the files are the whole state.
 type Cache struct {
 	dir string
 }
@@ -69,42 +70,36 @@ func Key(exp experiments.Experiment, scheme string, seed int64, p core.Params, e
 }
 
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".gob")
+	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
 // Get loads a cached result. A clean miss reports !ok with a nil
-// error; an entry that fails to decode (truncated write, bit rot,
-// stale encoding) reports !ok with the error, so the caller can log
-// it, Remove the entry and recompute.
+// error; an entry that fails to decode or holds no Result (truncated
+// write, bit rot, stale encoding) reports !ok with the error, so the
+// caller can log it, Remove the entry and recompute.
 func (c *Cache) Get(key string) (*experiments.Result, bool, error) {
-	var r experiments.Result
-	if ok, err := c.get(key, &r); !ok {
-		return nil, false, err
+	w, ok, err := c.get(key, false)
+	return w.Result, ok, err
+}
+
+// get reads key's entry with Get's contract. An entry is whole when it
+// holds what its key stores: a Result at a result key, a quarantined
+// error at a quarantine key.
+func (c *Cache) get(key string, quarantine bool) (w WireResult, ok bool, err error) {
+	b, rerr := os.ReadFile(c.path(key))
+	if rerr != nil {
+		return w, false, nil // clean miss
 	}
-	return &r, true, nil
-}
-
-// quarantine is a cached quarantined outcome: the violation's text and
-// the checker's snapshot, at the job's quarantine key (it depends on
-// the watchdog window a result key leaves out).
-type quarantine struct {
-	Err         string
-	Diagnostics string
-}
-
-// get decodes key's entry into v, with Get's contract.
-func (c *Cache) get(key string, v any) (bool, error) {
-	f, err := os.Open(c.path(key))
+	err = json.Unmarshal(b, &w)
+	if err == nil && (quarantine && (!w.Quarantined || w.Err == "") || !quarantine && w.Result == nil) {
+		err = errors.New("no outcome")
+	}
 	if err != nil {
-		return false, nil // clean miss
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return false, fmt.Errorf("runner: corrupt cache entry %s: %w", key, err)
+		return WireResult{}, false, fmt.Errorf("runner: corrupt cache entry %s: %w", key, err)
 	}
 	now := time.Now() // GC's access order; a failure costs only its accuracy
 	_ = os.Chtimes(c.path(key), now, now)
-	return true, nil
+	return w, true, nil
 }
 
 // Has reports whether an entry exists for key, without decoding it.
@@ -124,11 +119,15 @@ func (c *Cache) Remove(key string) error {
 
 // Put stores a result atomically under key.
 func (c *Cache) Put(key string, r *experiments.Result) error {
-	return c.put(key, r)
+	return c.put(key, WireResult{Result: r})
 }
 
-// put stores v atomically under key.
-func (c *Cache) put(key string, v any) error {
+// put stores w atomically under key.
+func (c *Cache) put(key string, w WireResult) error {
+	b, err := json.Marshal(w)
+	if err != nil {
+		return err
+	}
 	dir := filepath.Dir(c.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -137,12 +136,11 @@ func (c *Cache) put(key string, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(tmp).Encode(v); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		_ = os.Remove(tmp.Name())
 		return err
 	}
@@ -181,11 +179,6 @@ func ModuleVersion() string {
 	return modVer
 }
 
-// jobResult is what a cached quarantine reports for job (result key key).
-func (q quarantine) jobResult(job Job, key string) JobResult {
-	return JobResult{Job: job, Err: errors.New(q.Err), Key: key, Quarantined: true, Diagnostics: q.Diagnostics}
-}
-
 // Holds reports, decoding nothing, what the cache holds for job:
 // OutcomeCached, OutcomeQuarantined (at its watchdog window), or "".
 func (c *Cache) Holds(job Job) Outcome {
@@ -211,9 +204,10 @@ func (c *Cache) Recall(job Job) (jr JobResult, ok bool) {
 	if res, ok, _ := c.Get(key); ok {
 		return JobResult{Job: job, Result: res, Cached: true, Key: key}, true
 	}
-	var q quarantine
-	if ok, _ := c.get(r.quarantineKey(), &q); ok {
-		return q.jobResult(job, key), true
+	if w, ok, _ := c.get(r.quarantineKey(), true); ok {
+		jr = w.JobResult(job)
+		jr.Key = key
+		return jr, true
 	}
 	return JobResult{Job: job, Key: key}, false
 }

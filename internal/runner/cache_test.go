@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"strings"
@@ -13,10 +14,11 @@ import (
 
 // FuzzCacheGet writes arbitrary bytes as a cache entry file, once for
 // each reader — Get at a result key, the quarantine reader at another
-// (seed corpus: a valid result entry, the same entry truncated, an empty
-// file, a valid quarantine entry). Neither reader panics, an entry it
-// cannot decode reads as a miss with the error, and one it can decode
-// goes through a store and a read unchanged.
+// (seed corpus: a result entry and a quarantine entry, each whole and
+// truncated, an empty file, null, {} and a whole entry with trailing
+// bytes). Neither reader panics, an entry it cannot decode reads as a
+// miss with the error, and one it can decode goes through a store and
+// a read with identical JSON bytes.
 func FuzzCacheGet(f *testing.F) {
 	c, err := OpenCache(f.TempDir())
 	if err != nil {
@@ -38,23 +40,22 @@ func FuzzCacheGet(f *testing.F) {
 		f.Fatal(err)
 	}
 	qkey := strings.Repeat("9a", 32)
-	if err := c.put(qkey, quarantine{Err: "invariant watchdog violated", Diagnostics: "swA: wedged"}); err != nil {
+	if err := c.put(qkey, WireResult{Err: "invariant watchdog violated", Quarantined: true, Diagnostics: "swA: wedged"}); err != nil {
 		f.Fatal(err)
 	}
 	validQ, err := os.ReadFile(c.path(qkey))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add(validQ)
+	for _, seed := range [][]byte{valid, valid[:len(valid)/2], validQ, validQ[:len(validQ)/2],
+		{}, []byte("null"), []byte("{}"), append(append([]byte{}, valid...), " {}"...)} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(c.path(qkey), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var q quarantine
-		ok, err := c.get(qkey, &q)
+		q, ok, err := c.get(qkey, true)
 		switch {
 		case !ok && err == nil:
 			t.Fatalf("a quarantine entry that does not decode reads as a clean miss")
@@ -64,8 +65,8 @@ func FuzzCacheGet(f *testing.F) {
 			if err := c.put(qkey, q); err != nil {
 				t.Fatal(err)
 			}
-			var back quarantine
-			if ok, err := c.get(qkey, &back); !ok || err != nil || back != q {
+			back, ok, err := c.get(qkey, true)
+			if !ok || err != nil || !bytes.Equal(jsonBytes(t, back), jsonBytes(t, q)) {
 				t.Fatalf("a stored quarantine reads back as (%+v, %v, %v), want %+v", back, ok, err, q)
 			}
 		}
@@ -90,8 +91,34 @@ func FuzzCacheGet(f *testing.F) {
 		if !ok || err != nil {
 			t.Fatalf("a stored entry reads back as (ok %v, %v)", ok, err)
 		}
-		if !bytes.Equal(gobBytes(t, res), gobBytes(t, back)) {
+		if !bytes.Equal(jsonBytes(t, res), jsonBytes(t, back)) {
 			t.Fatal("Put then Get changed the result")
 		}
 	})
+}
+
+// TestCacheHoldsTheRun: the entry a run stores reads back, through Get
+// and Recall, as a Result with the run's own JSON bytes.
+func TestCacheHoldsTheRun(t *testing.T) {
+	jobs, err := FromSpec(experiments.Spec{Experiments: []string{"xleafincast"}, Schemes: []string{"CCFIT"}, MS: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := (&LocalExecutor{Cache: c}).Execute(context.Background(), jobs[0], nil)
+	if run.Err != nil || run.Cached {
+		t.Fatalf("cold run: cached %v, err %v", run.Cached, run.Err)
+	}
+	want := jsonBytes(t, run.Result)
+	got, ok, err := c.Get(run.Key)
+	if !ok || err != nil || !bytes.Equal(jsonBytes(t, got), want) {
+		t.Fatalf("Get reads (ok %v, %v), or a Result other than the run's", ok, err)
+	}
+	jr, ok := c.Recall(jobs[0])
+	if !ok || !jr.Cached || jr.Key != run.Key || !bytes.Equal(jsonBytes(t, jr.Result), want) {
+		t.Fatalf("Recall reads (ok %v, cached %v, key %q), or a Result other than the run's", ok, jr.Cached, jr.Key)
+	}
 }

@@ -1,9 +1,8 @@
 package runner
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,9 +38,9 @@ type LocalExecutor struct {
 const seedFreeEntries = 64
 
 // seedFreeTable holds the results of runs that never observed their
-// seed (sim.Engine.SeedSeen), keyed by the cache key at seed 0, as gob
-// bytes so each hit decodes a Result of its own; a full table starts
-// afresh.
+// seed (sim.Engine.SeedSeen), keyed by the cache key at seed 0, as the
+// JSON a cache entry holds, so each hit decodes a Result of its own; a
+// full table starts afresh.
 type seedFreeTable struct {
 	mu sync.Mutex
 	m  map[string][]byte // guarded by mu
@@ -53,7 +52,7 @@ func (t *seedFreeTable) get(key string, seed int64) *experiments.Result {
 	b, ok := t.m[key]
 	t.mu.Unlock()
 	var r experiments.Result
-	if !ok || gob.NewDecoder(bytes.NewReader(b)).Decode(&r) != nil {
+	if !ok || json.Unmarshal(b, &r) != nil {
 		return nil
 	}
 	r.Seed = seed
@@ -61,8 +60,8 @@ func (t *seedFreeTable) get(key string, seed int64) *experiments.Result {
 }
 
 func (t *seedFreeTable) put(key string, r *experiments.Result) {
-	var b bytes.Buffer
-	if gob.NewEncoder(&b).Encode(r) != nil {
+	b, err := json.Marshal(r)
+	if err != nil {
 		return
 	}
 	t.mu.Lock()
@@ -70,7 +69,7 @@ func (t *seedFreeTable) put(key string, r *experiments.Result) {
 	if len(t.m) == 0 || len(t.m) >= seedFreeEntries {
 		t.m = make(map[string][]byte)
 	}
-	t.m[key] = b.Bytes()
+	t.m[key] = b
 }
 
 // Execute validates, resolves and runs one job in-process.
@@ -121,11 +120,10 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		}
 		corrupt(key, gerr)
 		qkey = r.quarantineKey()
-		var q quarantine
-		ok, qerr := e.Cache.get(qkey, &q)
+		w, ok, qerr := e.Cache.get(qkey, true)
 		if ok {
-			jr := q.jobResult(job, key)
-			jr.Elapsed = time.Since(t0)
+			jr := w.JobResult(job)
+			jr.Key, jr.Elapsed = key, time.Since(t0)
 			emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
 			return jr
 		}
@@ -155,7 +153,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	}
 	if jr.Err != nil {
 		if jr.Quarantined && e.Cache != nil {
-			if perr := e.Cache.put(qkey, quarantine{Err: jr.Err.Error(), Diagnostics: jr.Diagnostics}); perr != nil {
+			if perr := e.Cache.put(qkey, WireResult{Err: jr.Err.Error(), Quarantined: true, Diagnostics: jr.Diagnostics}); perr != nil {
 				jr.CacheErr = fmt.Errorf("runner: %s quarantined but caching failed: %w", job, perr)
 			}
 		}

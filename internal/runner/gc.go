@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -20,13 +19,16 @@ type GCStats struct {
 	Freed   int64
 }
 
-// GC evicts least-recently-used entries until the cache's total size
-// is at most maxBytes (<= 0: only report the size). Access order is
-// each entry's mtime, so it survives a crash and every handle on the
-// directory sees the others' reads; ties break on key.
+// GC evicts least-recently-used files until the cache's total size is
+// at most maxBytes (<= 0: only report the size). Every regular file
+// under the root counts, so a temp file a crashed store left behind or
+// an entry in an older encoding is sized and evicted like an entry.
+// Access order is each file's mtime, so it survives a crash and every
+// handle on the directory sees the others' reads; ties break on the
+// file name.
 func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	type entry struct {
-		key   string
+		name  string
 		path  string
 		size  int64
 		mtime time.Time
@@ -36,15 +38,14 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		entries []entry
 	)
 	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".gob") {
+		if err != nil || !d.Type().IsRegular() {
 			return err
 		}
 		info, ierr := d.Info()
 		if ierr != nil {
 			return nil // raced with a concurrent Remove: skip
 		}
-		key := strings.TrimSuffix(filepath.Base(path), ".gob")
-		entries = append(entries, entry{key: key, path: path, size: info.Size(), mtime: info.ModTime()})
+		entries = append(entries, entry{name: d.Name(), path: path, size: info.Size(), mtime: info.ModTime()})
 		stats.Bytes += info.Size()
 		return nil
 	})
@@ -60,7 +61,7 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		if !entries[i].mtime.Equal(entries[j].mtime) {
 			return entries[i].mtime.Before(entries[j].mtime)
 		}
-		return entries[i].key < entries[j].key
+		return entries[i].name < entries[j].name
 	})
 	remaining := stats.Bytes
 	for _, e := range entries {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -130,5 +131,63 @@ func TestGCTiesBreakOnKey(t *testing.T) {
 	}
 	if c.Has("bb22") || !c.Has("cc33") || !c.Has("dd44") {
 		t.Errorf("tie not broken on key: bb22 %v, cc33 %v, dd44 %v", c.Has("bb22"), c.Has("cc33"), c.Has("dd44"))
+	}
+}
+
+// TestGCCountsStrayFiles: GC sizes every file under the root, not only
+// entries — a temp file a crashed store left and an entry in an older
+// encoding are counted and, being older, evicted before any entry.
+func TestGCCountsStrayFiles(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range gcKeys[:2] {
+		putResult(t, c, k)
+	}
+	ageEntries(t, c, gcKeys[:2]...)
+	strays := []string{
+		filepath.Join(c.Dir(), "cc", "cc33.tmp-123"),
+		filepath.Join(c.Dir(), "dd", "dd44.gob"),
+	}
+	var all, strayBytes int64
+	for i, p := range strays {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, make([]byte, 100+i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mt := time.Unix(1_000_000+int64(i), 0) // older than every entry
+		if err := os.Chtimes(p, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+		strayBytes += int64(100 + i)
+	}
+	for _, k := range gcKeys[:2] {
+		info, err := os.Stat(c.path(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all += info.Size()
+	}
+	all += strayBytes
+
+	stats, err := c.GC(all - strayBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Entries != 4 || stats.Bytes != all || stats.Evicted != 2 || stats.Freed != strayBytes {
+		t.Fatalf("GC stats %+v, want 4 files of %d bytes and the two strays (%d bytes) evicted", stats, all, strayBytes)
+	}
+	for _, p := range strays {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("stray %s survived GC (%v)", p, err)
+		}
+	}
+	for _, k := range gcKeys[:2] {
+		if !c.Has(k) {
+			t.Errorf("entry %s evicted before the older strays", k)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func TestGCSeesEveryHandlesHits(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt := time.Unix(2_000_000+int64(i)*10, 0)
-		if err := os.Chtimes(filepath.Join(dir, k[:2], k+".gob"), mt, mt); err != nil {
+		if err := os.Chtimes(filepath.Join(dir, k[:2], k+".json"), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func TestGCSeesEveryHandlesHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(filepath.Join(dir, "cc", "cc33.gob"))
+	info, err := os.Stat(filepath.Join(dir, "cc", "cc33.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

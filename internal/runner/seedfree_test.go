@@ -3,7 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,13 +11,13 @@ import (
 	"repro/internal/experiments"
 )
 
-func gobBytes(t *testing.T, r *experiments.Result) []byte {
+func jsonBytes(t *testing.T, v any) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(r); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return b
 }
 
 // seedFreeCells is the measured set of experiment/scheme cells whose
@@ -67,7 +67,7 @@ func TestSeedFreeMeansSeedIndependent(t *testing.T) {
 				t.Fatalf("%s at seed 1014: %v", job, other.err)
 			}
 			other.res.Seed = o.res.Seed
-			if !bytes.Equal(gobBytes(t, o.res), gobBytes(t, other.res)) {
+			if !bytes.Equal(jsonBytes(t, o.res), jsonBytes(t, other.res)) {
 				t.Errorf("%s reports seed-free, but seed 1014 renders a different result", job)
 			}
 		}
@@ -93,7 +93,7 @@ func TestSeedFreeCellsRunOnce(t *testing.T) {
 	for _, jr := range mustRun(t, jobs, Options{Workers: 1}) {
 		outcomes = append(outcomes, jr.Outcome())
 		fresh := mustRun(t, []Job{jr.Job}, Options{Workers: 1})[0]
-		if fresh.Cached || !bytes.Equal(gobBytes(t, jr.Result), gobBytes(t, fresh.Result)) {
+		if fresh.Cached || !bytes.Equal(jsonBytes(t, jr.Result), jsonBytes(t, fresh.Result)) {
 			t.Errorf("%s: result differs from a fresh executor's", jr.Job)
 		}
 	}
@@ -136,7 +136,7 @@ func TestSeedFreeHitSharesNothing(t *testing.T) {
 			t.Errorf("job %d: no cache entry under its own key", i)
 		}
 		jr.Result.Seed = 0
-		if got := gobBytes(t, jr.Result); want == nil {
+		if got := jsonBytes(t, jr.Result); want == nil {
 			want = got
 		} else if !bytes.Equal(got, want) {
 			t.Fatalf("job %d: an earlier job's edit reached this result", i)
@@ -156,7 +156,7 @@ func TestSeedFreeTableUnderWorkers(t *testing.T) {
 	}
 	serial := mustRun(t, jobs, Options{Workers: 1})
 	for i, jr := range mustRun(t, jobs, Options{Workers: 4}) {
-		if !bytes.Equal(gobBytes(t, jr.Result), gobBytes(t, serial[i].Result)) {
+		if !bytes.Equal(jsonBytes(t, jr.Result), jsonBytes(t, serial[i].Result)) {
 			t.Errorf("%s: result differs from the serial campaign's", jr.Job)
 		}
 	}

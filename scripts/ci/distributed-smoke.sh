@@ -21,7 +21,7 @@
 #      worker costs latency, never bytes.
 #   5. The surviving worker is SIGTERMed while parked and must drain
 #      gracefully, without a failed claim in its log, leaving only
-#      <xx>/<key>.gob entries in its cache.
+#      <xx>/<key>.json entries in its cache.
 #
 # Everything here goes through the public surfaces only: the HTTP API,
 # the CLI flags, the handshake lines, signals.
@@ -179,9 +179,9 @@ if grep -q "claim failed" "$workdir/w2.log"; then
     exit 1
 fi
 # A worker's cache is its entry files; a drain leaves nothing else.
-stray=$(cd "$workdir/w2-cache" && find . -type f | grep -Ev '^\./[0-9a-f]{2}/[0-9a-f]{64}\.gob$' || true)
+stray=$(cd "$workdir/w2-cache" && find . -type f | grep -Ev '^\./[0-9a-f]{2}/[0-9a-f]{64}\.json$' || true)
 if [ -n "$stray" ]; then
-    echo "FAIL: the drained worker's cache holds more than <xx>/<key>.gob entries:"
+    echo "FAIL: the drained worker's cache holds more than <xx>/<key>.json entries:"
     echo "$stray"
     exit 1
 fi

@@ -93,7 +93,7 @@ fi
 # The durable state is spec files, cancel marks and cache entries, and
 # nothing else: no journal, no cache index.
 stray=$(cd "$workdir/state" && find . -type f |
-    grep -Ev '^\./(campaigns/[^/]+\.(spec\.json|cancel)|cache/[0-9a-f]{2}/[0-9a-f]{64}\.gob)$' || true)
+    grep -Ev '^\./(campaigns/[^/]+\.(spec\.json|cancel)|cache/[0-9a-f]{2}/[0-9a-f]{64}\.json)$' || true)
 if [ -n "$stray" ]; then
     echo "FAIL: the service wrote state beyond spec files, cancel marks and cache entries:"
     echo "$stray"
