@@ -69,10 +69,14 @@ func (a *app) sim(args []string) error {
 			trace.EvDetect, trace.EvPropagate, trace.EvStop, trace.EvGo,
 			trace.EvDealloc, trace.EvCongestionOn, trace.EvCongestionOff)
 	}
-	end, bin := sim.CyclesFromMS(a.MS), sim.CyclesFromNS(*binUS*1000)
-	if !(end > 0 && bin > 0) { // a NaN converts to no positive count either
-		return fmt.Errorf("-ms %g and -bin %g must each span a cycle", a.MS, *binUS)
+	end, err := experiments.MSCycles("-ms", a.MS)
+	if err != nil {
+		return err
 	}
+	if b := *binUS * 1000 / sim.CycleNS; !(b >= 0.5 && b <= float64(end)) { // NaN too
+		return fmt.Errorf("-bin %g is not a width of 1 cycle to the run's length", *binUS)
+	}
+	bin := sim.CyclesFromNS(*binUS * 1000)
 
 	var n *network.Network
 	bo := experiments.BuildOpts{}

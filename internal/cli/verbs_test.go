@@ -126,10 +126,13 @@ func TestSimRejects(t *testing.T) {
 		{[]string{"-faults", "no-such-script.json"}, "ccfit-run sim: "},
 		// A negative or NaN -ms once printed an empty run, and a -bin of 0 or
 		// less panicked.
-		{[]string{"-ms", "-1"}, "-ms -1 and -bin 50 must each span a cycle"},
-		{[]string{"-ms", "NaN"}, "-ms NaN and -bin 50 must each span a cycle"},
-		{[]string{"-bin", "0"}, "-ms 10 and -bin 0 must each span a cycle"},
-		{[]string{"-bin", "-5"}, "-ms 10 and -bin -5 must each span a cycle"},
+		{[]string{"-ms", "-1"}, "-ms -1 is not a duration of 1 to"},
+		{[]string{"-ms", "NaN"}, "-ms NaN is not a duration of 1 to"},
+		{[]string{"-ms", "1e30"}, "-ms 1e+30 is not a duration of 1 to"},
+		{[]string{"-bin", "0"}, "-bin 0 is not a width of 1 cycle to the run's length"},
+		{[]string{"-bin", "-5"}, "-bin -5 is not a width of 1 cycle to the run's length"},
+		{[]string{"-bin", "NaN"}, "-bin NaN is not a width of 1 cycle to the run's length"},
+		{[]string{"-ms", "0.1", "-bin", "200"}, "-bin 200 is not a width of 1 cycle to the run's length"},
 	} {
 		code, stdout, stderr := drive(verb("sim"), c.args...)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {

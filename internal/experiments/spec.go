@@ -142,8 +142,8 @@ func (s Spec) Expand() ([]Cell, error) {
 		return nil, err
 	}
 	var duration sim.Cycle
-	if s.MS != 0 { // 0: full length; a negative or NaN MS fails msCycles
-		if duration, err = msCycles("ms", s.MS); err != nil {
+	if s.MS != 0 { // 0: full length; a negative or NaN MS fails MSCycles
+		if duration, err = MSCycles("ms", s.MS); err != nil {
 			return nil, err
 		}
 	}
@@ -195,10 +195,10 @@ func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
 		return nil, fmt.Errorf("experiments: load_curve spec has no loads")
 	}
 	ms := lc.MS
-	if ms == 0 { // the default; a negative or NaN MS fails msCycles
+	if ms == 0 { // the default; a negative or NaN MS fails MSCycles
 		ms = 1.0
 	}
-	end, err := msCycles("load_curve.ms", ms)
+	end, err := MSCycles("load_curve.ms", ms)
 	if err != nil {
 		return nil, err
 	}
@@ -235,10 +235,10 @@ func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
 	return cells, nil
 }
 
-// msCycles converts a spec's simulated milliseconds to cycles, rejecting a
-// negative, NaN or sub-cycle duration and one past the clock (a float
-// conversion out of int64's range is not an error in Go, just garbage).
-func msCycles(field string, ms float64) (sim.Cycle, error) {
+// MSCycles converts the run length field (a spec's or a flag's) to
+// cycles, rejecting a negative, NaN or sub-cycle duration and one past
+// the clock (a float conversion out of int64's range is just garbage).
+func MSCycles(field string, ms float64) (sim.Cycle, error) {
 	if c := ms * 1e6 / sim.CycleNS; !(c >= 0.5 && c < maxSpecCycles) {
 		return 0, fmt.Errorf("experiments: %s %g is not a duration of 1 to %d cycles", field, ms, maxSpecCycles)
 	}

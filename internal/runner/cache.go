@@ -22,7 +22,8 @@ const schemaVersion = 2
 
 // Cache is a content-addressed on-disk store of job outcomes: one
 // WireResult in JSON per key at dir/<key[:2]>/<key>.json — {Result} at
-// a result key, {Err, Quarantined, Diagnostics} at a quarantine key.
+// a result key, {Err, Quarantined, Diagnostics, Key} at a quarantine
+// key, where Key is the result key the quarantined job reports.
 // Entries are written atomically (temp file + rename), a missing or
 // corrupt entry reads as a miss, and a hit decodes to the
 // byte-identical Result the run produced. An entry's mtime is its last
@@ -84,14 +85,14 @@ func (c *Cache) Get(key string) (*experiments.Result, bool, error) {
 
 // get reads key's entry with Get's contract. An entry is whole when it
 // holds what its key stores: a Result at a result key, a quarantined
-// error at a quarantine key.
+// error and its result key at a quarantine key.
 func (c *Cache) get(key string, quarantine bool) (w WireResult, ok bool, err error) {
 	b, rerr := os.ReadFile(c.path(key))
 	if rerr != nil {
 		return w, false, nil // clean miss
 	}
 	err = json.Unmarshal(b, &w)
-	if err == nil && (quarantine && (!w.Quarantined || w.Err == "") || !quarantine && w.Result == nil) {
+	if err == nil && (quarantine && (!w.Quarantined || w.Err == "" || w.Key == "") || !quarantine && w.Result == nil) {
 		err = errors.New("no outcome")
 	}
 	if err != nil {
@@ -205,9 +206,7 @@ func (c *Cache) Recall(job Job) (jr JobResult, ok bool) {
 		return JobResult{Job: job, Result: res, Cached: true, Key: key}, true
 	}
 	if w, ok, _ := c.get(r.quarantineKey(), true); ok {
-		jr = w.JobResult(job)
-		jr.Key = key
-		return jr, true
+		return w.JobResult(job), true
 	}
 	return JobResult{Job: job, Key: key}, false
 }

@@ -40,7 +40,7 @@ func FuzzCacheGet(f *testing.F) {
 		f.Fatal(err)
 	}
 	qkey := strings.Repeat("9a", 32)
-	if err := c.put(qkey, WireResult{Err: "invariant watchdog violated", Quarantined: true, Diagnostics: "swA: wedged"}); err != nil {
+	if err := c.put(qkey, WireResult{Err: "invariant watchdog violated", Quarantined: true, Diagnostics: "swA: wedged", Key: key}); err != nil {
 		f.Fatal(err)
 	}
 	validQ, err := os.ReadFile(c.path(qkey))

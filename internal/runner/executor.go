@@ -38,9 +38,9 @@ type LocalExecutor struct {
 const seedFreeEntries = 64
 
 // seedFreeTable holds the results of runs that never observed their
-// seed (sim.Engine.SeedSeen), keyed by the cache key at seed 0, as the
-// JSON a cache entry holds, so each hit decodes a Result of its own; a
-// full table starts afresh.
+// seed (sim.Engine.SeedSeen), keyed by the cache key at seed 0, as each
+// Result's JSON, so each hit decodes a Result of its own; a full table
+// starts afresh.
 type seedFreeTable struct {
 	mu sync.Mutex
 	m  map[string][]byte // guarded by mu
@@ -123,7 +123,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		w, ok, qerr := e.Cache.get(qkey, true)
 		if ok {
 			jr := w.JobResult(job)
-			jr.Key, jr.Elapsed = key, time.Since(t0)
+			jr.Elapsed = time.Since(t0)
 			emit(Event{Type: JobFailed, Job: job, JobElapsed: jr.Elapsed, Err: jr.Err})
 			return jr
 		}
@@ -153,7 +153,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	}
 	if jr.Err != nil {
 		if jr.Quarantined && e.Cache != nil {
-			if perr := e.Cache.put(qkey, WireResult{Err: jr.Err.Error(), Quarantined: true, Diagnostics: jr.Diagnostics}); perr != nil {
+			if perr := e.Cache.put(qkey, WireResult{Err: jr.Err.Error(), Quarantined: true, Diagnostics: jr.Diagnostics, Key: key}); perr != nil {
 				jr.CacheErr = fmt.Errorf("runner: %s quarantined but caching failed: %w", job, perr)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -20,37 +21,32 @@ type GCStats struct {
 }
 
 // GC evicts least-recently-used files until the cache's total size is
-// at most maxBytes (<= 0: only report the size). Every regular file
-// under the root counts, so a temp file a crashed store left behind or
-// an entry in an older encoding is sized and evicted like an entry.
-// Access order is each file's mtime, so it survives a crash and every
-// handle on the directory sees the others' reads; ties break on the
-// file name.
+// at most maxBytes (<= 0: only report the size). It sizes every file of
+// the cache's layout (xx/xx…), so a stray temp file or an entry of an
+// older encoding counts like an entry, and touches no other file under
+// the root. Access order is each file's mtime, so it survives a crash
+// and every handle on the directory sees the others' reads; ties break
+// on the file name.
 func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	type entry struct {
-		name  string
 		path  string
 		size  int64
 		mtime time.Time
 	}
-	var (
-		stats   GCStats
-		entries []entry
-	)
-	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.Type().IsRegular() {
-			return err
-		}
-		info, ierr := d.Info()
-		if ierr != nil {
-			return nil // raced with a concurrent Remove: skip
-		}
-		entries = append(entries, entry{name: d.Name(), path: path, size: info.Size(), mtime: info.ModTime()})
-		stats.Bytes += info.Size()
-		return nil
-	})
+	var stats GCStats
+	var entries []entry
+	// Each p is "xx/<file>" (rooted so c.dir is no pattern): shard p[:2].
+	paths, err := fs.Glob(os.DirFS(c.dir), "[0-9a-f][0-9a-f]/*")
 	if err != nil {
 		return stats, err
+	}
+	for _, p := range paths {
+		info, err := os.Lstat(filepath.Join(c.dir, p))
+		if err != nil || !info.Mode().IsRegular() || !strings.HasPrefix(p[3:], p[:2]) {
+			continue // raced with a concurrent Remove, or not the cache's file
+		}
+		entries = append(entries, entry{path: filepath.Join(c.dir, p), size: info.Size(), mtime: info.ModTime()})
+		stats.Bytes += info.Size()
 	}
 	stats.Entries = len(entries)
 	if maxBytes <= 0 || stats.Bytes <= maxBytes {
@@ -61,17 +57,15 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		if !entries[i].mtime.Equal(entries[j].mtime) {
 			return entries[i].mtime.Before(entries[j].mtime)
 		}
-		return entries[i].name < entries[j].name
+		return filepath.Base(entries[i].path) < filepath.Base(entries[j].path)
 	})
-	remaining := stats.Bytes
 	for _, e := range entries {
-		if remaining <= maxBytes {
+		if stats.Bytes-stats.Freed <= maxBytes {
 			break
 		}
 		if rerr := os.Remove(e.path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
 			return stats, rerr
 		}
-		remaining -= e.size
 		stats.Evicted++
 		stats.Freed += e.size
 	}

@@ -134,9 +134,13 @@ func TestGCTiesBreakOnKey(t *testing.T) {
 	}
 }
 
-// TestGCCountsStrayFiles: GC sizes every file under the root, not only
-// entries — a temp file a crashed store left and an entry in an older
-// encoding are counted and, being older, evicted before any entry.
+// TestGCCountsStrayFiles: GC sizes every file of the cache's layout,
+// not only entries — a temp file a crashed store left and an entry in
+// an older encoding are counted and, being older, evicted before any
+// entry. Files the cache never wrote (at the root, in another
+// directory, in a shard under another prefix) are older still, yet GC
+// neither counts nor removes them: the root may be a directory the
+// user shares with other data.
 func TestGCCountsStrayFiles(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -150,19 +154,31 @@ func TestGCCountsStrayFiles(t *testing.T) {
 		filepath.Join(c.Dir(), "cc", "cc33.tmp-123"),
 		filepath.Join(c.Dir(), "dd", "dd44.gob"),
 	}
-	var all, strayBytes int64
-	for i, p := range strays {
+	foreign := []string{
+		filepath.Join(c.Dir(), "notes.txt"),
+		filepath.Join(c.Dir(), "campaigns", "x.spec.json"),
+		filepath.Join(c.Dir(), "zz", "zz55.json"),
+		filepath.Join(c.Dir(), "aa", "bb66.json"),
+	}
+	writeOld := func(p string, size int, mt time.Time) {
+		t.Helper()
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(p, make([]byte, 100+i), 0o644); err != nil {
+		if err := os.WriteFile(p, make([]byte, size), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mt := time.Unix(1_000_000+int64(i), 0) // older than every entry
 		if err := os.Chtimes(p, mt, mt); err != nil {
 			t.Fatal(err)
 		}
+	}
+	var all, strayBytes int64
+	for i, p := range strays {
+		writeOld(p, 100+i, time.Unix(1_000_000+int64(i), 0)) // older than every entry
 		strayBytes += int64(100 + i)
+	}
+	for _, p := range foreign {
+		writeOld(p, 1000, time.Unix(500_000, 0)) // older than every stray
 	}
 	for _, k := range gcKeys[:2] {
 		info, err := os.Stat(c.path(k))
@@ -183,6 +199,11 @@ func TestGCCountsStrayFiles(t *testing.T) {
 	for _, p := range strays {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("stray %s survived GC (%v)", p, err)
+		}
+	}
+	for _, p := range foreign {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("GC removed %s, a file the cache never wrote (%v)", p, err)
 		}
 	}
 	for _, k := range gcKeys[:2] {

@@ -633,14 +633,14 @@ func TestQuarantineIsCached(t *testing.T) {
 	if !hit.Quarantined || hit.Attempts != 0 || builds.Load() != 1 {
 		t.Fatalf("second run: quarantined=%v attempts=%d builds=%d, want a cached quarantine", hit.Quarantined, hit.Attempts, builds.Load())
 	}
-	if hit.Err == nil || hit.Err.Error() != first.Err.Error() || hit.Diagnostics != first.Diagnostics {
-		t.Fatalf("cached quarantine reads %v / %q, want the first run's", hit.Err, hit.Diagnostics)
+	if hit.Err == nil || hit.Err.Error() != first.Err.Error() || hit.Diagnostics != first.Diagnostics || hit.Key != first.Key || first.Key == "" {
+		t.Fatalf("cached quarantine reads %v / %q / key %q, want the first run's (key %q)", hit.Err, hit.Diagnostics, hit.Key, first.Key)
 	}
 	if len(terminal) != 1 || terminal[0] != JobFailed {
 		t.Fatalf("terminal events %v, want one JobFailed", terminal)
 	}
-	if back, ok := cache.Recall(job); !ok || !back.Quarantined || back.Diagnostics != first.Diagnostics {
-		t.Fatalf("Recall: ok=%v quarantined=%v", ok, back.Quarantined)
+	if back, ok := cache.Recall(job); !ok || !back.Quarantined || back.Diagnostics != first.Diagnostics || back.Key != first.Key {
+		t.Fatalf("Recall: ok=%v quarantined=%v key %q, want key %q", ok, back.Quarantined, back.Key, first.Key)
 	}
 
 	other := job
