@@ -48,8 +48,9 @@ func (e *RemoteExecutor) offload(ctx context.Context, job runner.Job, key string
 	}
 	// A key the worker's build computed differently means version skew:
 	// its bytes may differ from this build's, so refuse them rather than
-	// poison the shared cache (quarantines included).
-	if (jr.Err == nil || jr.Quarantined) && key != "" && jr.Key != "" && jr.Key != key {
+	// poison the shared cache (quarantines included). Every worker of
+	// this build reports a key, cache or not; one without a key is older.
+	if (jr.Err == nil || jr.Quarantined) && key != "" && jr.Key != key {
 		e.Board.cMismatch.Add(1)
 		return runner.JobResult{Err: fmt.Errorf("dispatch: %s: worker cache key %s != service key %s (version skew between service and worker builds?); rejecting result", job, jr.Key, key)}, true
 	}

@@ -315,6 +315,11 @@ func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, t
 		w.logf("dispatch: draining; abandoning %s", job)
 		w.report(o, workerID, claim.LeaseID, runner.WireResult{}, true)
 	default:
+		if jr.Key == "" {
+			// An executor without a cache keys nothing; the service's
+			// version-skew guard needs this build's key all the same.
+			jr.Key, _ = runner.JobKey(job)
+		}
 		w.report(o, workerID, claim.LeaseID, runner.WireFromResult(jr), false)
 	}
 }

@@ -28,8 +28,6 @@
 // link flap with the drop policy, the only legal drop); a packet lost,
 // duplicated, released while still buffered or minted outside the pool
 // breaks the equation within one check interval.
-//
-//lint:file-ignore hotpath-alloc checker self-paces (runs every CheckEvery cycles, sleeping in between) and formats diagnostics only on violation; it is not on the per-cycle hot path
 package invariant
 
 import (
@@ -79,10 +77,6 @@ type Config struct {
 	// checker wakes, audits, and sleeps again, so the cost is one
 	// component walk per interval regardless of network activity.
 	CheckEvery sim.Cycle
-	// WatchdogWindow is how long buffered traffic may sit with zero
-	// global progress before the watchdog declares deadlock (default
-	// 262144 cycles ≈ 0.67 ms of simulated time; <0 disables).
-	WatchdogWindow sim.Cycle
 	// LeakWindow is how long the fabric may sit fully drained with
 	// CAM/CFQ lines still allocated before they are declared leaked
 	// (default 8192 cycles, comfortably past the hold-down).
@@ -99,6 +93,7 @@ type Checker struct {
 	// Sources are described in the snapshot: network.AddFlows' generators.
 	Sources []interface{ DescribeState(sim.Cycle) string }
 
+	watchdog     sim.Cycle // see SetWatchdogWindow
 	lastProgress int64     // watchdog: progress counter at last check
 	stalledSince sim.Cycle // first check cycle with no progress (-1 = moving)
 	drainedSince sim.Cycle // first check cycle with empty fabric (-1 = busy)
@@ -113,24 +108,27 @@ func Attach(eng *sim.Engine, cfg Config) *Checker {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 1024
 	}
-	if cfg.WatchdogWindow == 0 {
-		cfg.WatchdogWindow = 262_144
-	}
 	if cfg.LeakWindow <= 0 {
 		cfg.LeakWindow = 8192
 	}
-	c := &Checker{eng: eng, cfg: cfg, stalledSince: -1, drainedSince: -1}
+	c := &Checker{eng: eng, cfg: cfg, watchdog: defaultWatchdog, stalledSince: -1, drainedSince: -1}
 	eng.AddTicker(sim.PhaseDevice, c.tick)
 	return c
 }
 
-// SetWatchdogWindow adjusts the watchdog at run time (runner jobs can
-// tighten or disable it per job); w < 0 disables.
+// defaultWatchdog is the watchdog window of a new checker: 262 144
+// cycles ≈ 0.67 ms of simulated time.
+const defaultWatchdog sim.Cycle = 262_144
+
+// SetWatchdogWindow sets how long buffered traffic may sit with zero
+// global progress before the watchdog declares deadlock (runner jobs
+// tighten or disable it per job): w == 0 restores the default, w < 0
+// disables.
 func (c *Checker) SetWatchdogWindow(w sim.Cycle) {
 	if w == 0 {
-		w = 262_144
+		w = defaultWatchdog
 	}
-	c.cfg.WatchdogWindow = w
+	c.watchdog = w
 }
 
 // Violations returns how many violations have been reported.
@@ -236,7 +234,7 @@ func (c *Checker) check(now sim.Cycle) {
 	// a full watchdog window is a deadlock (or a total livelock —
 	// indistinguishable from outside, equally fatal). So is a source left
 	// parked over a drained fabric: the wake-up it waits for was lost.
-	if c.cfg.WatchdogWindow > 0 && !c.fired {
+	if c.watchdog > 0 && !c.fired {
 		p, parked := c.progress(), 0
 		for _, nd := range c.cfg.Nodes {
 			parked += nd.ParkedSources()
@@ -246,7 +244,7 @@ func (c *Checker) check(now sim.Cycle) {
 			c.stalledSince = -1
 		case c.stalledSince < 0:
 			c.stalledSince = now
-		case now-c.stalledSince >= c.cfg.WatchdogWindow:
+		case now-c.stalledSince >= c.watchdog:
 			c.fired = true
 			c.fail(c.violation(now, "watchdog", fmt.Sprintf(
 				"no packet movement for %d cycles with %dB buffered and %d sources parked (deadlock or livelock)",

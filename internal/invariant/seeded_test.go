@@ -28,7 +28,7 @@ func TestSeededViolations(t *testing.T) {
 		check    string
 		names    []string // what Detail + Snapshot must mention
 		duration sim.Cycle
-		tune     func(*core.Params, *network.Options)
+		tune     func(*core.Params)
 		seed     func(*testing.T, *network.Network)
 		terminal bool
 	}{
@@ -52,7 +52,7 @@ func TestSeededViolations(t *testing.T) {
 			// happens: the trees' lines outlive the drained fabric.
 			name: "CAM lines never released", check: "cam-leak", names: []string{"CAM line(s) after drain"},
 			duration: sim.CyclesFromMS(1),
-			tune:     func(p *core.Params, _ *network.Options) { p.HoldDown = 1 << 40 },
+			tune:     func(p *core.Params) { p.HoldDown = 1 << 40 },
 		},
 		{
 			// Nodes blocked on credits and sources parked behind them sleep
@@ -60,8 +60,8 @@ func TestSeededViolations(t *testing.T) {
 			name: "a wedged switch", check: "watchdog",
 			names:    []string{"switch swB", "node1: [asleep until an event]", "next=never"},
 			duration: sim.CyclesFromMS(1),
-			tune:     func(_ *core.Params, o *network.Options) { o.WatchdogWindow = 4096 },
 			seed: func(t *testing.T, n *network.Network) {
+				n.Checker.SetWatchdogWindow(4096)
 				script := &fault.Script{Name: "wedge", Events: []fault.Event{{Kind: fault.SwitchStall, At: 2000, Switch: &stalled}}}
 				if _, err := n.InjectFaults(script); err != nil {
 					t.Fatal(err)
@@ -75,8 +75,8 @@ func TestSeededViolations(t *testing.T) {
 			// AdVOQ only ever fills behind a pause.
 			name: "a source nobody wakes", check: "watchdog", names: []string{"flow1(1->4)@", "next=never"},
 			duration: sim.CyclesFromMS(1),
-			tune:     func(_ *core.Params, o *network.Options) { o.WatchdogWindow = 2048 },
 			seed: func(_ *testing.T, n *network.Network) {
+				n.Checker.SetWatchdogWindow(2048)
 				for _, nd := range n.Nodes {
 					nd.SetRoomHook(func(int, int) {})
 				}
@@ -86,11 +86,11 @@ func TestSeededViolations(t *testing.T) {
 	} {
 		t.Run(c.check, func(t *testing.T) {
 			build := func(onViolation func(*invariant.Violation)) *network.Network {
-				p, opt := core.PresetCCFIT(), network.Options{Seed: 1, OnViolation: onViolation}
+				p := core.PresetCCFIT()
 				if c.tune != nil {
-					c.tune(&p, &opt)
+					c.tune(&p)
 				}
-				n, err := network.Build(topo.Config1(), p, opt)
+				n, err := network.Build(topo.Config1(), p, network.Options{Seed: 1, OnViolation: onViolation})
 				if err != nil {
 					t.Fatal(err)
 				}

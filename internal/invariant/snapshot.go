@@ -1,4 +1,3 @@
-//lint:file-ignore hotpath-alloc snapshot rendering runs only after a violation is detected; allocation is irrelevant there
 package invariant
 
 import (

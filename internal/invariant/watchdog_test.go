@@ -21,12 +21,13 @@ import (
 func wedged(t *testing.T, got *[]*invariant.Violation) *network.Network {
 	t.Helper()
 	n, err := network.Build(topo.Config1(), core.PresetCCFIT(), network.Options{
-		Seed: 1, WatchdogWindow: 4096,
+		Seed:        1,
 		OnViolation: func(v *invariant.Violation) { *got = append(*got, v) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Checker.SetWatchdogWindow(4096)
 	var flows []traffic.Flow
 	for id, f := range [][2]int{{0, 3}, {1, 4}, {2, 4}, {5, 4}} {
 		flows = append(flows, traffic.Flow{ID: id, Src: f[0], Dst: f[1], End: sim.CyclesFromMS(0.25), Rate: 1})
@@ -43,7 +44,7 @@ func wedged(t *testing.T, got *[]*invariant.Violation) *network.Network {
 
 // TestSetWatchdogWindow: a window of 0 restores the 262 144-cycle
 // default (the wedge is reported after that long, not after the 4096
-// the network was built with), and a negative window never trips however
+// that wedged sets), and a negative window never trips however
 // long the fabric stays stalled, until a positive one is set again.
 func TestSetWatchdogWindow(t *testing.T) {
 	const def = 262_144

@@ -113,7 +113,6 @@ func checkGolden(t *testing.T, diags []Diagnostic, file string, wants []want) {
 func TestGoldenDeterminism(t *testing.T)        { testGolden(t, "detviol") }
 func TestGoldenGoroutineLifecycle(t *testing.T) { testGolden(t, "goroviol") }
 func TestGoldenGuardedField(t *testing.T)       { testGolden(t, "guardviol") }
-func TestGoldenHotpathAlloc(t *testing.T)       { testGolden(t, "hotviol") }
 func TestGoldenUncheckedErr(t *testing.T)       { testGolden(t, "errviol") }
 
 func testGolden(t *testing.T, name string) {

@@ -43,7 +43,7 @@ type joinSignals struct {
 func runGoroutineLifecycle(pass *Pass) {
 	info := pass.Pkg.Info
 	sig := collectJoinSignals(info, pass.Pkg.Files)
-	decls := buildCallGraph(pass.Pkg).decls
+	decls := funcDecls(pass.Pkg)
 
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -1,5 +1,5 @@
-// Package lint is the repo's determinism and hot-path static-analysis
-// suite: a stdlib-only engine (go/parser + go/types + go/importer, no
+// Package lint is the repo's determinism, error and concurrency
+// static-analysis suite: a stdlib-only engine (go/parser + go/types + go/importer, no
 // x/tools dependency) that loads every package in the module and runs
 // a pluggable set of analyzers over the type-checked ASTs.
 //
@@ -89,7 +89,6 @@ func All() []*Analyzer {
 		Determinism(),
 		GoroutineLifecycle(),
 		GuardedField(),
-		HotpathAlloc(),
 		UncheckedErr(),
 	}
 }

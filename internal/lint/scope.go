@@ -16,9 +16,9 @@ import "strings"
 type ScopeClass int
 
 const (
-	// ScopeSim marks deterministic simulation code: the determinism and
-	// hotpath-alloc rules apply. (Packet-pool ownership is audited at run
-	// time by the invariant checker's conservation ledger.)
+	// ScopeSim marks deterministic simulation code: the determinism rule
+	// applies. (Packet-pool ownership is audited at run time by the
+	// invariant checker's conservation ledger.)
 	ScopeSim ScopeClass = iota
 	// ScopeService marks orchestration/serving/tooling code: only the
 	// scope-independent rules (unchecked-err, and the concurrency

@@ -14,7 +14,7 @@ func parseSuppressSrc(t *testing.T, src string) ([]suppression, []Diagnostic) {
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
-	known := map[string]bool{"determinism": true, "hotpath-alloc": true, "unchecked-err": true}
+	known := map[string]bool{"determinism": true, "guarded-field": true, "unchecked-err": true}
 	return parseFileSuppressions(fset, f, known)
 }
 
@@ -24,7 +24,7 @@ func TestParseSuppressionsValid(t *testing.T) {
 //lint:file-ignore determinism fixture is wall-clock test scaffolding
 
 func f() {
-	//lint:ignore hotpath-alloc scratch literal, hoisted in PR 9
+	//lint:ignore guarded-field read before the mutex exists
 	_ = 1
 	_ = 2 //lint:ignore determinism,unchecked-err both rules misfire on generated code
 }
@@ -41,10 +41,10 @@ func f() {
 		t.Errorf("file-ignore parsed wrong: %+v", fileWide)
 	}
 	single := supps[1]
-	if single.fileWide || !single.rules["hotpath-alloc"] || len(single.rules) != 1 || single.line != 6 {
+	if single.fileWide || !single.rules["guarded-field"] || len(single.rules) != 1 || single.line != 6 {
 		t.Errorf("line ignore parsed wrong: %+v", single)
 	}
-	if single.reason != "scratch literal, hoisted in PR 9" {
+	if single.reason != "read before the mutex exists" {
 		t.Errorf("reason lost: %q", single.reason)
 	}
 	multi := supps[2]
@@ -107,7 +107,7 @@ func TestSuppressedMatching(t *testing.T) {
 		{"line below", diag(11, "determinism", rel), true},
 		{"two below", diag(12, "determinism", rel), false},
 		{"line above", diag(9, "determinism", rel), false},
-		{"other rule", diag(10, "hotpath-alloc", rel), false},
+		{"other rule", diag(10, "guarded-field", rel), false},
 		{"other file", diag(10, "determinism", "internal/y/x.go"), false},
 	}
 	for _, c := range cases {

@@ -243,27 +243,27 @@ var table = []mutant{
 			"\treturn e.seq - uint64(e.Pending()) - e.heapFired, e.heapFired, e.ticks\n}\n\nfunc sumValues(m map[int]int) (sum int) {\n\tfor _, v := range m {\n\t\tsum += v\n\t}\n\treturn sum\n}\n"}},
 	},
 	{
-		name:   "switch-tick-local-append",
-		reason: "the switch's registered ticker appends to a local slice every cycle",
+		name:   "switch-tick-sprint",
+		reason: "the switch's registered ticker formats the cycle number every cycle",
 		edits: []edit{{"internal/switchfab/switch.go",
 			"func (s *Switch) tick(now sim.Cycle) sim.Cycle {\n\ts.post(now)\n",
-			"func (s *Switch) tick(now sim.Cycle) sim.Cycle {\n\ttmp := make([]int, 0, 8)\n\ttmp = append(tmp, int(now))\n\ts.post(now)\n"}},
+			"func (s *Switch) tick(now sim.Cycle) sim.Cycle {\n\t_ = fmt.Sprint(now)\n\ts.post(now)\n"}},
 		gates: []gate{zeroAlloc},
 	},
 	{
-		name:   "switch-arbitrate-closure",
-		reason: "Switch.arbitrate builds a closure every cycle",
+		name:   "switch-arbitrate-escaping-closure",
+		reason: "Switch.arbitrate rebinds each live port's crossbar-landing closure every cycle",
 		edits: []edit{{"internal/switchfab/switch.go",
-			"func (s *Switch) arbitrate(now sim.Cycle) {\n\tif now < s.stalledUntil {\n",
-			"func (s *Switch) arbitrate(now sim.Cycle) {\n\tstalled := func() bool { return now < s.stalledUntil }\n\tif stalled() {\n"}},
+			"\t\tip := s.in[i]\n\t\tif ip.busyUntil > now {\n",
+			"\t\tip := s.in[i]\n\t\tip.landFn = func() { ip.land() }\n\t\tif ip.busyUntil > now {\n"}},
 		gates: []gate{zeroAlloc},
 	},
 	{
-		name:   "wheel-slab-literal",
-		reason: "Engine.At writes the wheel's slab node back as a composite literal",
+		name:   "wheel-event-heap-closure",
+		reason: "Engine.At wraps each wheel event's function in a fresh heap closure instead of storing it in the slab node",
 		edits: []edit{{"internal/sim/sim.go",
 			"\te.free, ev.fn, ev.next = ev.next, fn, 0\n",
-			"\te.free = ev.next\n\t*ev = wheelEvent{fn: fn}\n"}},
+			"\te.free, ev.fn, ev.next = ev.next, func() { fn() }, 0\n"}},
 		gates: []gate{zeroAlloc},
 	},
 	{

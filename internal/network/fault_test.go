@@ -346,8 +346,7 @@ func TestFaultNodePause(t *testing.T) {
 func TestWatchdogNamesBlockedPorts(t *testing.T) {
 	var got *invariant.Violation
 	n, err := Build(topo.Config1(), core.PresetCCFIT(), Options{
-		Seed:           41,
-		WatchdogWindow: 10_000,
+		Seed: 41,
 		OnViolation: func(v *invariant.Violation) {
 			if got == nil {
 				got = v
@@ -357,6 +356,7 @@ func TestWatchdogNamesBlockedPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Checker.SetWatchdogWindow(10_000)
 	addFlows(t, n, hotspotFlows(5_000))
 	swB := topo.Config1SwitchB
 	if _, err := n.InjectFaults(&fault.Script{

@@ -37,10 +37,6 @@ type Options struct {
 	// should leave it on — it audits once per ~1k cycles and is
 	// outcome-neutral).
 	DisableInvariants bool
-	// WatchdogWindow overrides the forward-progress watchdog: cycles
-	// of buffered-but-motionless traffic before declaring deadlock
-	// (0 = checker default, <0 = watchdog off).
-	WatchdogWindow sim.Cycle
 	// OnViolation consumes invariant violations (nil panics with the
 	// *invariant.Violation, which the runner recovers per job).
 	OnViolation func(*invariant.Violation)
@@ -175,12 +171,11 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 		// Attached after every component so the audit ticks last in the
 		// device phase, seeing each cycle's settled state.
 		n.Checker = invariant.Attach(eng, invariant.Config{
-			Nodes:          n.Nodes,
-			Switches:       n.Switches,
-			Halves:         n.halves,
-			Pool:           &n.pool,
-			WatchdogWindow: opt.WatchdogWindow,
-			OnViolation:    opt.OnViolation,
+			Nodes:       n.Nodes,
+			Switches:    n.Switches,
+			Halves:      n.halves,
+			Pool:        &n.pool,
+			OnViolation: opt.OnViolation,
 		})
 	}
 	return n, nil

@@ -561,7 +561,6 @@ func (s *Switch) start(now sim.Cycle, ip *inPort, op *outPort, r core.Request) {
 	// The packet left this input port's RAM: return credit upstream.
 	// Port ip.idx's transmit half reaches the upstream neighbor.
 	if up := s.out[ip.idx].tx; up != nil {
-		//lint:ignore hotpath-alloc link.Control is a value struct copied into the link's control ring; no heap allocation
 		up.SendControl(now, link.Control{Kind: link.Credit, Bytes: p.Size, Dest: p.Dst})
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // CDF is an empirical flow-size distribution: a piecewise-linear
 // cumulative distribution over sizes in bytes, the form datacenter
-// traffic studies publish (the DCTCP web-search and VL2 data-mining
-// curves) and the form ns-2/ns-3 generators consume. Sampling is by
+// traffic studies publish (the VL2 data-mining curve, for one) and the
+// form ns-2/ns-3 generators consume. Sampling is by
 // inverse transform with linear interpolation between points, so the
 // sampled distribution converges to exactly this curve — which is what
 // the KS-style generator tests assert.
@@ -108,31 +108,17 @@ func (c *CDF) Mean() float64 {
 	return mean
 }
 
-// WebSearchCDF is the DCTCP web-search workload (Alizadeh et al.,
-// SIGCOMM 2010, Fig. 4): mostly sub-100KB query/short-message traffic
-// with a heavy tail of multi-MB background flows. Mean ~= 1.6 MB.
-func WebSearchCDF() *CDF {
-	c, err := NewCDF("websearch",
-		[]int64{1_000, 10_000, 20_000, 30_000, 50_000, 80_000, 200_000,
-			1_000_000, 2_000_000, 5_000_000, 10_000_000, 30_000_000},
-		[]float64{0, 0.15, 0.20, 0.30, 0.40, 0.53, 0.60, 0.70, 0.80, 0.90, 0.97, 1})
-	if err != nil {
-		panic(err) // embedded tables ship with their validator
-	}
-	return c
-}
-
 // DataMiningCDF is the VL2 data-mining workload (Greenberg et al.,
 // SIGCOMM 2009, as tabulated by the CONGA/ns-3 generators): about half
 // the flows are tiny control messages, with a tail out to ~700 KB.
-// Mean ~= 5 KB, so a given offered load produces far more concurrent
-// flows than web-search — the CAM/CFQ stress regime.
+// Mean ~= 5 KB, so a given offered load produces many concurrent
+// flows — the CAM/CFQ stress regime.
 func DataMiningCDF() *CDF {
 	c, err := NewCDF("datamining",
 		[]int64{1, 2, 3, 7, 267, 2_107, 66_667, 666_667},
 		[]float64{0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 1})
 	if err != nil {
-		panic(err)
+		panic(err) // embedded tables ship with their validator
 	}
 	return c
 }

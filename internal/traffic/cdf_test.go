@@ -41,10 +41,7 @@ func TestCDFMean(t *testing.T) {
 	if got := c.Mean(); math.Abs(got-437.5) > 1e-9 {
 		t.Fatalf("mean %v, want 437.5", got)
 	}
-	// Embedded tables: sanity-check the documented scale.
-	if m := WebSearchCDF().Mean(); m < 1e6 || m > 3e6 {
-		t.Fatalf("web-search mean %v outside the expected ~1.6MB scale", m)
-	}
+	// The embedded table: sanity-check the documented scale.
 	if m := DataMiningCDF().Mean(); m < 3e3 || m > 8e3 {
 		t.Fatalf("data-mining mean %v outside the expected ~5KB scale", m)
 	}
@@ -95,20 +92,18 @@ func ksDeviation(c *CDF, n int, seed int64) float64 {
 }
 
 func TestSampleMatchesCDF(t *testing.T) {
-	// Fixed seeds make these exact regression checks, not flaky
+	// A fixed seed makes this an exact regression check, not flaky
 	// statistics: the bound 0.015 is ~2.4x the 50k-sample KS 95% radius.
 	const n, bound = 50_000, 0.015
-	for _, c := range []*CDF{WebSearchCDF(), DataMiningCDF()} {
-		if dev := ksDeviation(c, n, 12345); dev > bound {
-			t.Errorf("%s: KS deviation %.4f exceeds %.3f", c.Name, dev, bound)
-		}
+	if dev := ksDeviation(DataMiningCDF(), n, 12345); dev > bound {
+		t.Errorf("KS deviation %.4f exceeds %.3f", dev, bound)
 	}
 }
 
 func TestSampleRangeAndMean(t *testing.T) {
 	// Every sample stays inside the configured support, and the sample
-	// mean lands near the analytic mean (data-mining's tail is the
-	// widest of the embedded tables, so its tolerance is the loosest).
+	// mean lands near the analytic mean (data-mining's tail is wide, so
+	// the tolerance is loose).
 	rng := rand.New(rand.NewSource(99))
 	c := DataMiningCDF()
 	const n = 200_000

@@ -58,7 +58,7 @@ func TestOpenLoopValidation(t *testing.T) {
 func TestOpenLoopDeterminism(t *testing.T) {
 	spec := OpenLoop{
 		Sources: []int{1, 2, 3}, NumEndpoints: 8, Dst: UniformDst,
-		CDF: WebSearchCDF(), Load: 0.4, BytesPerCycle: 64,
+		CDF: DataMiningCDF(), Load: 0.4, BytesPerCycle: 64,
 		Start: 100, End: 200_000, Horizon: 500_000, BaseID: 1000, Seed: 42,
 	}
 	a, err := spec.Flows()
