@@ -12,7 +12,9 @@ import (
 // slice and free-list has reached its high-water mark), advancing the
 // network allocates nothing. fig7a/CCFIT exercises the isolation unit,
 // CAMs, FECN/BECN and throttling on Config #1; fig8b/1Q saturates the
-// 64-endpoint fat tree under uniform traffic plus four hot spots.
+// 64-endpoint fat tree under uniform traffic plus four hot spots;
+// fig7c under CCFIT and FBICM runs the tie-break between queues of one
+// input port (Switch.better).
 //
 // Every preset of experiments.SchemeNames is measured on xfairness, the
 // Config #1 parking lot whose contributors inject at a steady rate: there
@@ -41,6 +43,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		// room to the horizon from their first delivery on.
 		{"fig7a", "CCFIT", "@3ms", 3},
 		{"fig8b", "1Q", "@3ms", 3},
+		// fig7c (Config #2, Case #3) is the case whose input ports hold a
+		// CFQ and the NFQ bidding for one output, the tie Switch.better
+		// breaks, in steady state: over 100 calls per window at 7 ms.
+		{"fig7c", "CCFIT", "@7ms", 7},
+		{"fig7c", "FBICM", "@7ms", 7},
 	}
 	for _, name := range experiments.SchemeNames() {
 		cases = append(cases, allocCase{"xfairness", name, "@3ms", 3})

@@ -318,7 +318,7 @@ func BenchmarkRunnerParallel(b *testing.B) {
 			var jobs []runner.Job
 			for i := range exps {
 				for _, s := range exps[i].Schemes {
-					jobs = append(jobs, runner.Job{Scheme: s, Seed: 1, Exp: &exps[i]})
+					jobs = append(jobs, runner.Job{Scheme: s, Seed: 1, Exp: exps[i]})
 				}
 			}
 			for i := 0; i < b.N; i++ {

@@ -15,41 +15,23 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fault"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
-// Submission is the body of POST /campaigns: a declarative spec plus
-// service-level options that ride along with every job.
+// Submission is the body of POST /campaigns and the spec file a
+// campaign resumes from: a declarative spec. It keeps its one embedded
+// field for bench/, which builds Submission{Spec: ...}.
 type Submission struct {
 	experiments.Spec
-	Faults   *fault.Script `json:"faults,omitempty"`   // injected into every job
-	Watchdog int64         `json:"watchdog,omitempty"` // forward-progress window in cycles: 0 default, <0 off
 }
 
-// Jobs expands the submission into runner jobs in cell order, with the
-// service-level options applied; an invalid submission fails here,
-// before anything runs.
+// Jobs expands the submission into runner jobs in cell order; an
+// invalid submission fails here, before anything runs.
 func (s Submission) Jobs() ([]runner.Job, error) {
-	if s.Faults != nil {
-		if err := s.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("campaign: fault script: %w", err)
-		}
-	}
-	jobs, err := runner.FromSpec(s.Spec)
-	if err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		jobs[i].Faults = s.Faults
-		jobs[i].Watchdog = sim.Cycle(s.Watchdog)
-	}
-	return jobs, nil
+	return runner.FromSpec(s.Spec)
 }
 
 // Status is a campaign's lifecycle state.

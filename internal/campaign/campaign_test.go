@@ -613,11 +613,11 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	swA := topo.Config1SwitchA
-	sub := Submission{
-		Spec:     experiments.Spec{Experiments: []string{"fig7a"}, MS: 0.5},
+	sub := Submission{experiments.Spec{
+		Experiments: []string{"fig7a"}, MS: 0.5,
 		Faults:   &fault.Script{Name: "wedge-swA", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Switch: &swA}}},
 		Watchdog: 5_000,
-	}
+	}}
 	s1 := openScheduler(t, dir, Options{Workers: 2, Cache: cache})
 	v, err := s1.Submit(sub)
 	if err != nil {

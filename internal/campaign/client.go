@@ -181,7 +181,7 @@ func (c *Client) Results(ctx context.Context, id string, jobs []runner.Job) ([]r
 	out := make([]runner.JobResult, len(jobs))
 	for i, rr := range remote {
 		job := jobs[i]
-		if rr.Experiment != job.ExperimentID() || rr.Scheme != job.Scheme || rr.Seed != job.Seed {
+		if rr.Experiment != job.Exp.ID || rr.Scheme != job.Scheme || rr.Seed != job.Seed {
 			return nil, fmt.Errorf("campaign: cell %d is %s/%s seed=%d on the server but %s locally — client/server spec mismatch",
 				i, rr.Experiment, rr.Scheme, rr.Seed, job)
 		}

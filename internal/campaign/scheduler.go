@@ -452,7 +452,7 @@ func (s *Scheduler) viewLocked(c *campaign, withJobs bool) View {
 		if withJobs && i < len(c.jobs) {
 			j := c.jobs[i]
 			v.Jobs = append(v.Jobs, JobView{
-				Index: i, Job: j.String(), Experiment: j.ExperimentID(), Scheme: j.Scheme,
+				Index: i, Job: j.String(), Experiment: j.Exp.ID, Scheme: j.Scheme,
 				Seed: j.Seed, jobState: st,
 			})
 		}

@@ -77,7 +77,7 @@ func NewServer(s *Scheduler) http.Handler {
 		out := make([]cellResult, len(results))
 		for i, jr := range results {
 			out[i] = cellResult{
-				Index: i, Experiment: jr.Job.ExperimentID(), Scheme: jr.Job.Scheme, Seed: jr.Job.Seed,
+				Index: i, Experiment: jr.Job.Exp.ID, Scheme: jr.Job.Scheme, Seed: jr.Job.Seed,
 				WireResult: runner.WireFromResult(jr),
 			}
 		}

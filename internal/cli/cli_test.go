@@ -296,7 +296,7 @@ func TestRejectedBeforeSimulating(t *testing.T) {
 		{0, []string{"-ms", "-1", "fig7a"}, "ms -1", 1},
 		{1, []string{"-ms", "NaN", "fig7a"}, "ms NaN", 1},
 		{2, []string{"-ms", "-1"}, "ms -1", 1},
-		{3, []string{"-ms", "-1"}, "load_curve.ms -1", 1},
+		{3, []string{"-ms", "-1"}, "ms -1", 1},
 	}
 	for _, c := range cases {
 		tool := tools[c.tool]
@@ -417,7 +417,7 @@ func TestNextRejectsMisalignedResults(t *testing.T) {
 	}
 	for name, cursor := range map[string][]runner.JobResult{
 		"short":      {{Job: jobs[0]}},
-		"hand-built": {{Job: runner.Job{ExpID: "fig7a"}}, {Job: jobs[1]}},
+		"hand-built": {{Job: runner.Job{Exp: jobs[0].Exp}}, {Job: jobs[1]}},
 	} {
 		if _, _, ok, err := next(&cursor, 2); err == nil || ok {
 			t.Errorf("%s results: ok %v, err %v; want an error", name, ok, err)

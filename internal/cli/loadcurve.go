@@ -49,35 +49,36 @@ func (a *app) loadCurve(args []string) error {
 		ft = topo.Config3()
 	}
 
-	// Expansion is scheme-major then load, the order the render cursor
-	// below walks; it also rejects any other -config.
+	// Expansion is load-major then scheme; the table below is
+	// scheme-major, so it reads each point by (load, scheme). Expansion
+	// also rejects any other -config.
 	schemes := a.schemeList()
 	results, err := a.Run(a.submission(experiments.Spec{
 		Schemes:   schemes,
-		LoadCurve: &experiments.LoadCurveSpec{Config: *cfg, Loads: loads, MS: a.MS},
+		MS:        a.MS,
+		LoadCurve: &experiments.LoadCurveSpec{Config: *cfg, Loads: loads},
 		Label:     fmt.Sprintf("loadcurve config %d", *cfg),
 	}))
 	if err != nil {
 		return err
 	}
+	if len(results) != len(loads)*len(schemes) {
+		return fmt.Errorf("render needs %d spec-expanded cell(s), results hold %d", len(loads)*len(schemes), len(results))
+	}
 
 	w := a.stdout
 	fmt.Fprintf(w, "uniform load curve on %s (%g ms per point, seed %d, workers %d)\n", ft.Name, a.MS, a.Seed, a.Workers)
 	fmt.Fprintf(w, "%-8s %-8s %-10s %-12s %-12s\n", "scheme", "offered", "accepted", "p50lat(ns)", "p99lat(ns)")
-	cursor := results
-	for _, name := range schemes {
-		for _, load := range loads {
-			_, rs, ok, err := next(&cursor, 1)
-			if err != nil {
-				return err
-			}
-			if !ok {
+	for si, name := range schemes {
+		for li, load := range loads {
+			jr := results[li*len(schemes)+si]
+			if jr.Err != nil {
 				continue
 			}
 			// Steady state: skip the warm-up third.
-			accepted := experiments.SteadyMean(rs[0].Normalized, 2.0/3.0)
+			accepted := experiments.SteadyMean(jr.Result.Normalized, 2.0/3.0)
 			fmt.Fprintf(w, "%-8s %-8.2f %-10.3f %-12.0f %-12.0f\n",
-				name, load, accepted, rs[0].Summary.P50LatencyNS, rs[0].Summary.P99LatencyNS)
+				name, load, accepted, jr.Result.Summary.P50LatencyNS, jr.Result.Summary.P99LatencyNS)
 		}
 	}
 	return a.report(results)

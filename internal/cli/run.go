@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/prof"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // app is one invocation of a ccfit-run tool: figures or a verb.
@@ -89,7 +90,8 @@ func (a *app) parse(args []string) (err error) {
 // submission completes a tool's spec with the shared grid flags.
 func (a *app) submission(spec experiments.Spec) campaign.Submission {
 	spec.Seed, spec.Seeds = a.Seed, a.Seeds
-	return campaign.Submission{Spec: spec, Faults: a.faults, Watchdog: a.Watchdog}
+	spec.Faults, spec.Watchdog = a.faults, sim.Cycle(a.Watchdog)
+	return campaign.Submission{Spec: spec}
 }
 
 // Run executes the submissions as one campaign and returns their job
@@ -203,7 +205,7 @@ func (a *app) report(results []runner.JobResult) error {
 // Results that do not line up with the cells the renderer expanded are
 // an error, not a panic.
 func next(cursor *[]runner.JobResult, n int) (exp experiments.Experiment, rs []*experiments.Result, ok bool, err error) {
-	if len(*cursor) < n || (*cursor)[0].Job.Exp == nil {
+	if len(*cursor) < n || (*cursor)[0].Job.Source == nil {
 		return exp, nil, false, fmt.Errorf("render needs %d more spec-expanded cell(s), results hold %d", n, len(*cursor))
 	}
 	cells := (*cursor)[:n]
@@ -216,5 +218,5 @@ func next(cursor *[]runner.JobResult, n int) (exp experiments.Experiment, rs []*
 		}
 		rs = append(rs, jr.Result)
 	}
-	return *cells[0].Job.Exp, rs, ok, nil
+	return cells[0].Job.Exp, rs, ok, nil
 }

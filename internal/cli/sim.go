@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/invariant"
 	"repro/internal/network"
@@ -78,33 +79,27 @@ func (a *app) sim(args []string) error {
 	}
 	bin := sim.CyclesFromNS(*binUS * 1000)
 
-	var n *network.Network
-	bo := experiments.BuildOpts{}
-	switch *cfg {
-	case 1:
-		n, err = experiments.BuildConfig1(p, a.Seed, bin, end, bo)
-	case 2:
-		n, err = experiments.BuildConfig2(p, a.Seed, bin, end, *caseNo, bo)
-	case 3:
-		n, err = experiments.BuildConfig3(p, a.Seed, bin, end, *trees, bo)
-	case 4:
-		n, err = experiments.BuildConfig4(p, a.Seed, bin, end, bo)
-	}
-	if err != nil {
-		return err
-	}
-	if a.faults != nil {
-		if _, err := n.InjectFaults(a.faults); err != nil {
-			return err
+	// The run goes through Cell.Simulate like every job; sim keeps it
+	// in-process because it prints from the network itself.
+	build := func(p core.Params, seed int64, bin, end sim.Cycle, bo experiments.BuildOpts) (*network.Network, error) {
+		switch *cfg {
+		case 1:
+			return experiments.BuildConfig1(p, seed, bin, end, bo)
+		case 2:
+			return experiments.BuildConfig2(p, seed, bin, end, *caseNo, bo)
+		case 3:
+			return experiments.BuildConfig3(p, seed, bin, end, *trees, bo)
 		}
+		return experiments.BuildConfig4(p, seed, bin, end, bo)
 	}
-	if a.Watchdog != 0 && n.Checker != nil {
-		n.Checker.SetWatchdogWindow(sim.Cycle(a.Watchdog))
-	}
+	n, err := experiments.Cell{
+		Exp:    experiments.Experiment{ID: "sim", Duration: end, Bin: bin, Build: build},
+		Scheme: p.Name, Seed: a.Seed, Params: &p, Faults: a.faults, Watchdog: sim.Cycle(a.Watchdog),
+	}.Simulate()
 	// A violation mid-run or in the terminal audit prints its diagnostic
 	// snapshot instead of a bare stack trace or — worse — a
 	// plausible-looking CSV from a corrupted run.
-	if err := n.RunAudited(end); err != nil {
+	if err != nil {
 		var v *invariant.Violation
 		if errors.As(err, &v) {
 			fmt.Fprint(a.stderr, v.Snapshot)

@@ -226,12 +226,13 @@ func (b *Board) ClaimWait(ctx context.Context, workerID string, wait time.Durati
 	return ClaimResponse{}, false, nil
 }
 
-// offer leases job to the worker whose claim its task runs under and
-// waits for the outcome: the worker's result, a failure once the job's
-// leases ran out, runner.ErrRequeued when the lease was lost and the
-// task queued again, or ctx's error. executed=false: ctx carries no
-// claim (an in-process slot runs the task); the caller runs the job.
-func (b *Board) offer(ctx context.Context, job runner.Job, wire runner.WireJob, emit func(runner.Event)) (runner.JobResult, bool) {
+// offer leases job, as its Source, to the worker whose claim its task
+// runs under and waits for the outcome: the worker's result, a failure
+// once the job's leases ran out, runner.ErrRequeued when the lease was
+// lost and the task queued again, or ctx's error. executed=false: ctx
+// carries no claim (an in-process slot runs the task); the caller runs
+// the job.
+func (b *Board) offer(ctx context.Context, job runner.Job, emit func(runner.Event)) (runner.JobResult, bool) {
 	c, _ := ctx.Value(claimKey{}).(*claimant)
 	if c == nil {
 		return runner.JobResult{}, false
@@ -250,7 +251,7 @@ func (b *Board) offer(ctx context.Context, job runner.Job, wire runner.WireJob, 
 	b.mu.Unlock()
 	b.cGranted.Add(1)
 	emit(runner.Event{Type: runner.JobLeased, Job: job, Worker: c.worker.name})
-	c.grant <- ClaimResponse{LeaseID: l.id, TTLMS: b.opt.LeaseTTL.Milliseconds(), Job: wire}
+	c.grant <- ClaimResponse{LeaseID: l.id, TTLMS: b.opt.LeaseTTL.Milliseconds(), Job: *job.Source}
 	select {
 	case jr := <-l.outcome:
 		return jr, true

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
@@ -95,14 +96,23 @@ type enqueued struct {
 // ends the run and the next claim runs it again), and returns the
 // channel its outcome lands on.
 func enqueue(ctx context.Context, b *Board, log *eventLog) (runner.Job, <-chan enqueued) {
-	job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1}
-	return job, push(ctx, b, job, runner.WireJob{}, log.emit)
+	job := leasable(1)
+	return job, push(ctx, b, job, log.emit)
 }
 
-func push(ctx context.Context, b *Board, job runner.Job, wire runner.WireJob, emit func(runner.Event)) <-chan enqueued {
+// leasable is a fig7a/CCFIT job at seed as far as a lease needs it: its
+// one-cell Source is what the claim carries.
+func leasable(seed int64) runner.Job {
+	return runner.Job{
+		Exp: experiments.Experiment{ID: "fig7a"}, Scheme: "CCFIT", Seed: seed,
+		Source: &experiments.Spec{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: seed, Seeds: 1},
+	}
+}
+
+func push(ctx context.Context, b *Board, job runner.Job, emit func(runner.Event)) <-chan enqueued {
 	ch := make(chan enqueued, 1)
 	b.Queue().Push(&runner.Task{Job: job, Ctx: ctx, Run: func(ctx context.Context) {
-		jr, executed := b.offer(ctx, job, wire, emit)
+		jr, executed := b.offer(ctx, job, emit)
 		if !errors.Is(jr.Err, runner.ErrRequeued) {
 			ch <- enqueued{jr, executed}
 		}
@@ -263,7 +273,7 @@ func TestNoWorkersFallsBack(t *testing.T) {
 	log := &eventLog{}
 
 	// Empty fleet: the slot runs it.
-	if got := <-push(context.Background(), b, runner.Job{ExpID: "x"}, runner.WireJob{}, log.emit); got.executed {
+	if got := <-push(context.Background(), b, leasable(1), log.emit); got.executed {
 		t.Fatalf("a job with no workers went remote: %+v", got.jr)
 	}
 
@@ -368,14 +378,14 @@ func TestEnqueueCancelledWhileQueued(t *testing.T) {
 	b, _ := testBoard(t, Options{LeaseTTL: time.Hour})
 	w := mustRegister(t, b, "late")
 	ctx, cancel := context.WithCancel(context.Background())
-	job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1}
+	job := leasable(1)
 	ch := make(chan error, 1)
 	b.Queue().Push(&runner.Task{Job: job, Ctx: ctx, Run: func(ctx context.Context) {
 		if err := ctx.Err(); err != nil {
 			ch <- err // what a campaign's task does with a cancelled job
 			return
 		}
-		b.offer(ctx, job, runner.WireJob{}, nil)
+		b.offer(ctx, job, nil)
 	}})
 	cancel()
 	claimNone(t, b, w)

@@ -30,12 +30,14 @@ package dispatch
 import (
 	"errors"
 
+	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
 // Protocol is the wire-protocol version; a worker speaking another is
-// refused at registration rather than handed a misdecoded job.
-const Protocol = 1
+// refused at registration rather than handed a misdecoded job. A
+// version 2 claim carries the job's one-cell source spec.
+const Protocol = 2
 
 // The wire messages of the four worker endpoints, all POST and JSON.
 
@@ -63,10 +65,13 @@ type ClaimRequest struct {
 }
 
 // ClaimResponse grants a lease on one job (HTTP 204 means no work).
+// Job is the job's Source, which the worker runs through
+// experiments.Spec.OneCell: registry drift between builds fails there,
+// never runs the wrong cell.
 type ClaimResponse struct {
-	LeaseID string         `json:"lease_id"`
-	TTLMS   int64          `json:"ttl_ms"`
-	Job     runner.WireJob `json:"job"`
+	LeaseID string           `json:"lease_id"`
+	TTLMS   int64            `json:"ttl_ms"`
+	Job     experiments.Spec `json:"job"`
 }
 
 // HeartbeatRequest renews a lease mid-execution.

@@ -31,16 +31,15 @@ func (e *RemoteExecutor) Execute(ctx context.Context, job runner.Job, emit func(
 
 // offload hands one job to the worker claiming it. ok=false sends the
 // envelope to its in-process simulation: an in-process slot runs the
-// job (no worker is live), or the job cannot be serialized.
+// job (no worker is live), or the job is hand-built and has no source
+// spec to ship.
 func (e *RemoteExecutor) offload(ctx context.Context, job runner.Job, key string, emit func(runner.Event)) (runner.JobResult, bool) {
-	wire, err := runner.WireFromJob(job)
 	var jr runner.JobResult
-	executed := err == nil
+	executed := job.Source != nil
 	if executed {
-		jr, executed = e.Board.offer(ctx, job, wire, emit)
+		jr, executed = e.Board.offer(ctx, job, emit)
 	} else if e.Log != nil {
-		// Hand-built job (no source spec): local-only by construction.
-		e.Log("dispatch: %s: %v; executing locally", job, err)
+		e.Log("dispatch: %s carries no source spec; executing locally", job)
 	}
 	if !executed {
 		e.Board.cFallback.Add(1)

@@ -52,7 +52,7 @@ func TestLostLeaseFallsBackInProcess(t *testing.T) {
 	b.Queue().Serve(1)
 	t.Cleanup(b.Queue().Close)
 	claim := claimSoon(t, b, w)
-	if claim.Job.Spec.Experiments[0] != "fig7a" {
+	if claim.Job.Experiments[0] != "fig7a" {
 		t.Fatalf("leased %+v", claim.Job)
 	}
 	clock.Advance(3 * time.Minute) // past the TTL and liveness: the worker is dead

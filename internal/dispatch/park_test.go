@@ -263,9 +263,7 @@ func TestParkExactlyOnce(t *testing.T) {
 
 	var outcomes []<-chan enqueued
 	for i := 0; i < jobs; i++ {
-		job := runner.Job{ExpID: "fig7a", Scheme: "CCFIT", Seed: int64(i)}
-		wire := runner.WireJob{Watchdog: int64(i)} // tells the jobs apart on the wire
-		outcomes = append(outcomes, push(ctx, b, job, wire, nil))
+		outcomes = append(outcomes, push(ctx, b, leasable(int64(i)), nil))
 	}
 	seen := map[string]bool{}
 	for i := 0; i < jobs; i++ {
@@ -273,7 +271,7 @@ func TestParkExactlyOnce(t *testing.T) {
 		if !c.ok {
 			t.Fatalf("claimant released empty-handed with %d job(s) still to place", jobs-i)
 		}
-		job := fmt.Sprint("job ", c.resp.Job.Watchdog)
+		job := fmt.Sprint("job ", c.resp.Job.Seed)
 		if seen[c.resp.LeaseID] || seen[job] {
 			t.Fatalf("lease %s / %s handed out twice", c.resp.LeaseID, job)
 		}

@@ -263,7 +263,7 @@ func (w *Worker) slot(ctx context.Context, o WorkerOptions, slot int) {
 
 // runJob executes one claimed job under a heartbeat and reports it.
 func (w *Worker) runJob(ctx context.Context, o WorkerOptions, workerID string, ttl time.Duration, claim ClaimResponse) {
-	job, err := claim.Job.Job()
+	job, err := claim.Job.OneCell()
 	if err != nil { // registry drift between builds: report, do not guess
 		w.logf("dispatch: undecodable job on lease %s: %v", claim.LeaseID, err)
 		w.report(o, workerID, claim.LeaseID, runner.WireResult{Err: err.Error()}, false)

@@ -38,11 +38,7 @@ func TestRunWaitsForAbandonReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := runner.WireFromJob(jobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	push(context.Background(), b, jobs[0], wire, (&eventLog{}).emit)
+	push(context.Background(), b, jobs[0], (&eventLog{}).emit)
 
 	exec := &slowStopExec{started: make(chan struct{})}
 	w := &Worker{Client: &Client{Base: srv.URL}, Opt: WorkerOptions{Name: "w", Exec: exec, PollMax: 50 * time.Millisecond}}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -179,21 +180,23 @@ func ValidIDs() []string {
 	return ids
 }
 
-// ResolveIDs maps experiment ids to experiments, reporting every
-// unknown id at once (instead of erroring mid-campaign after earlier
-// experiments already ran) together with the list of valid ids.
+// ResolveIDs maps experiment ids to experiments, building the registry
+// once and reporting every unknown id at once (instead of erroring
+// mid-campaign after earlier experiments already ran) together with
+// the list of valid ids.
 func ResolveIDs(ids []string) ([]Experiment, error) {
+	all := append(Registry(), Extras()...)
 	var (
 		exps    []Experiment
 		unknown []string
 	)
 	for _, id := range ids {
-		e, err := ByID(id)
-		if err != nil {
+		i := slices.IndexFunc(all, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
 			unknown = append(unknown, id)
 			continue
 		}
-		exps = append(exps, e)
+		exps = append(exps, all[i])
 	}
 	if len(unknown) > 0 {
 		return nil, fmt.Errorf("experiments: unknown experiment id(s) %s (valid: %s)",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/metrics"
@@ -63,21 +62,11 @@ type Result struct {
 }
 
 // Run executes one experiment under one scheme on the serial engine,
-// audited: an invariant violation mid-run or in the terminal audit is
-// the returned error, never a plausible Result.
+// audited (Cell.Simulate): an invariant violation mid-run or in the
+// terminal audit is the returned error, never a plausible Result.
 func Run(exp Experiment, scheme string, seed int64) (*Result, error) {
-	if exp.Kind == ConfigTable {
-		return nil, fmt.Errorf("experiments: %s is a static table; use RenderTable1", exp.ID)
-	}
-	p, err := SchemeByName(scheme)
+	n, err := Cell{Exp: exp, Scheme: scheme, Seed: seed}.Simulate()
 	if err != nil {
-		return nil, err
-	}
-	n, err := exp.Build(p, seed, exp.Bin, exp.Duration, BuildOpts{})
-	if err != nil {
-		return nil, err
-	}
-	if err := n.RunAudited(exp.Duration); err != nil {
 		return nil, err
 	}
 	return Harvest(exp, scheme, seed, n), nil

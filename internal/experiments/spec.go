@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -29,11 +30,11 @@ type Spec struct {
 	// (default 1), covering Seed..Seed+Seeds-1.
 	Seed  int64 `json:"seed,omitempty"`
 	Seeds int   `json:"seeds,omitempty"`
-	// MS, when > 0, truncates every experiment to this many simulated
+	// MS, when > 0, sets every experiment's run length in simulated
 	// milliseconds (quick previews, service smoke tests); 0 keeps the
-	// full length, and a negative or NaN MS is invalid. The duration
-	// is part of the cache fingerprint, so truncated and full runs
-	// never collide.
+	// full length (1 ms for a load point), and a negative or NaN MS is
+	// invalid. The duration is part of the cache fingerprint, so
+	// truncated and full runs never collide.
 	MS float64 `json:"ms,omitempty"`
 	// Params, when non-nil, overrides the scheme preset for every cell
 	// (the ablation path). The named scheme still labels results.
@@ -43,6 +44,12 @@ type Spec struct {
 	LoadCurve *LoadCurveSpec `json:"load_curve,omitempty"`
 	// Label is a free-form display label (sweep point, submitter note).
 	Label string `json:"label,omitempty"`
+	// Faults, when non-nil, is a deterministic fault script injected
+	// into every cell after Build; its fingerprint is in the cache key.
+	Faults *fault.Script `json:"faults,omitempty"`
+	// Watchdog is every cell's forward-progress window in cycles: 0 the
+	// invariant checker's default, <0 disabled.
+	Watchdog sim.Cycle `json:"watchdog,omitempty"`
 }
 
 // LoadCurveSpec describes an accepted-vs-offered load sweep: uniform
@@ -52,24 +59,70 @@ type LoadCurveSpec struct {
 	Config int `json:"config"`
 	// Loads are offered loads in (0, 1], fractions of the link rate.
 	Loads []float64 `json:"loads"`
-	// MS is the simulated milliseconds per point (0: default 1.0).
-	MS float64 `json:"ms,omitempty"`
 }
 
-// Cell is one expanded unit of a Spec: a concrete experiment, scheme
-// and seed (plus the optional parameter override shared by the spec).
+// Cell is one expanded unit of a Spec, and the one description of a
+// job: a concrete experiment, scheme and seed, plus the spec's
+// parameter override, fault script and watchdog window.
 type Cell struct {
-	Exp    Experiment
+	Exp Experiment
+	// Scheme is the preset name ("CCFIT", "ITh", ...). With Params set
+	// it only labels the result (defaulting to Params.Name).
 	Scheme string
-	Seed   int64
-	Params *core.Params
-	// Source is a one-cell spec that re-expands to exactly this cell.
-	// It is what makes a cell serializable — an Experiment carries a
-	// Build closure that cannot cross a process boundary, but the spec
-	// that produced it can, and expansion is deterministic, so a remote
-	// worker expanding Source recovers the identical cell (and hence
-	// the identical cache key).
-	Source Spec
+	Seed   int64        // drives every random stream of the simulation
+	Params *core.Params // overrides the preset (ablations); in the cache key
+	Faults *fault.Script
+	// Watchdog is the invariant checker's forward-progress window in
+	// cycles: 0 default, <0 disabled.
+	Watchdog sim.Cycle
+	// Source is a one-cell spec that re-expands to exactly this cell
+	// (OneCell), nil for a hand-built cell: the Build closure cannot
+	// cross a process boundary, but the spec can, and a worker expanding
+	// it recovers the identical cell and cache key.
+	Source *Spec
+}
+
+// String labels a cell for telemetry and error messages.
+func (c Cell) String() string {
+	scheme := c.Scheme
+	if scheme == "" && c.Params != nil {
+		scheme = c.Params.Name
+	}
+	return fmt.Sprintf("%s/%s seed=%d", c.Exp.ID, scheme, c.Seed)
+}
+
+// Simulate is the one run path of every simulation: it builds the
+// cell's network under its Params, else its scheme's preset, injects
+// its fault script, sets its watchdog window and runs it audited — an
+// invariant violation mid-run or in the terminal audit is the returned
+// error (the *invariant.Violation itself), never a plausible network.
+func (c Cell) Simulate() (*network.Network, error) {
+	if c.Exp.Build == nil {
+		return nil, fmt.Errorf("experiments: %s is not a runnable experiment", c.Exp.ID)
+	}
+	p, err := SchemeByName(c.Scheme)
+	if c.Params != nil {
+		p, err = *c.Params, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	n, err := c.Exp.Build(p, c.Seed, c.Exp.Bin, c.Exp.Duration, BuildOpts{})
+	if err != nil {
+		return nil, err
+	}
+	if c.Faults != nil {
+		if _, err := n.InjectFaults(c.Faults); err != nil {
+			return nil, err
+		}
+	}
+	if c.Watchdog != 0 && n.Checker != nil {
+		n.Checker.SetWatchdogWindow(c.Watchdog)
+	}
+	if err := n.RunAudited(c.Exp.Duration); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // MaxCells bounds the cells a spec may expand to: far above the largest
@@ -102,20 +155,36 @@ func (s Spec) Validate() error {
 	return err
 }
 
-// Expand resolves a spec into its cells in deterministic
-// experiment-major order (experiment, then scheme, then seed), the
-// one order every renderer's cursor walks, locally and against a
-// server. Every id, scheme, parameter set, seed range and duration,
-// and the cell count (at most MaxCells), is validated before anything
-// is returned (fail-fast: a typo in a submitted campaign is a 4xx, never
-// a mid-campaign failure).
-func (s Spec) Expand() ([]Cell, error) {
-	if s.LoadCurve != nil && len(s.Experiments) > 0 {
-		return nil, fmt.Errorf("experiments: spec mixes experiments and load_curve; use one")
+// OneCell expands a spec that must name exactly one cell — a cell's
+// Source, as a remote worker receives it. Anything else means the two
+// sides disagree about what a cell is.
+func (s Spec) OneCell() (Cell, error) {
+	cells, err := s.Expand()
+	if err != nil {
+		return Cell{}, err
 	}
+	if len(cells) != 1 {
+		return Cell{}, fmt.Errorf("experiments: spec expands to %d cells, want exactly 1", len(cells))
+	}
+	return cells[0], nil
+}
+
+// Expand resolves a spec into its cells in deterministic
+// experiment-major order (experiment or load point, then scheme, then
+// seed), the one order every renderer's cursor walks, locally and
+// against a server. Every id, scheme, parameter set, fault script, seed
+// range and duration, and the cell count (at most MaxCells), is
+// validated before anything is returned (fail-fast: a typo in a
+// submitted campaign is a 4xx, never a mid-campaign failure).
+func (s Spec) Expand() ([]Cell, error) {
 	if s.Params != nil {
 		if err := s.Params.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: spec params: %w", err)
+		}
+	}
+	if s.Faults != nil {
+		if err := s.Faults.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: fault script: %w", err)
 		}
 	}
 	for _, name := range s.Schemes {
@@ -131,25 +200,20 @@ func (s Spec) Expand() ([]Cell, error) {
 	if last := base + int64(nseeds-1); last < base || base < 0 && last >= 0 {
 		return nil, fmt.Errorf("experiments: seeds from %d to %d overflow or cover seed 0", base, last)
 	}
-	if s.LoadCurve != nil {
-		return s.expandLoadCurve(nseeds)
-	}
-	if len(s.Experiments) == 0 {
-		return nil, fmt.Errorf("experiments: spec names no experiments")
-	}
-	exps, err := ResolveIDs(s.Experiments)
-	if err != nil {
-		return nil, err
-	}
 	var duration sim.Cycle
 	if s.MS != 0 { // 0: full length; a negative or NaN MS fails MSCycles
+		var err error
 		if duration, err = MSCycles("ms", s.MS); err != nil {
 			return nil, err
 		}
 	}
+	exps, err := s.experimentList(nseeds)
+	if err != nil {
+		return nil, err
+	}
 	seeds := s.SeedList()
 	var cells []Cell
-	for _, e := range exps {
+	for i, e := range exps {
 		if e.Kind == ConfigTable {
 			continue
 		}
@@ -166,16 +230,18 @@ func (s Spec) Expand() ([]Cell, error) {
 		}
 		for _, scheme := range schemes {
 			for _, seed := range seeds {
+				one := &Spec{
+					Schemes: []string{scheme}, Seed: seed, Seeds: 1, MS: s.MS,
+					Params: s.Params, Faults: s.Faults, Watchdog: s.Watchdog,
+				}
+				if s.LoadCurve != nil {
+					one.LoadCurve = &LoadCurveSpec{Config: s.LoadCurve.Config, Loads: []float64{s.LoadCurve.Loads[i]}}
+				} else {
+					one.Experiments = []string{e.ID}
+				}
 				cells = append(cells, Cell{
 					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params,
-					Source: Spec{
-						Experiments: []string{e.ID},
-						Schemes:     []string{scheme},
-						Seed:        seed,
-						Seeds:       1,
-						MS:          s.MS,
-						Params:      s.Params,
-					},
+					Faults: s.Faults, Watchdog: s.Watchdog, Source: one,
 				})
 			}
 		}
@@ -186,53 +252,42 @@ func (s Spec) Expand() ([]Cell, error) {
 	return cells, nil
 }
 
-func (s Spec) expandLoadCurve(nseeds int) ([]Cell, error) {
+// experimentList returns the experiments a spec names, registry ids or
+// load points, one per entry in order, refusing a list whose cells
+// would pass MaxCells before resolving or building any of them: every
+// runnable id yields at least one cell, and a load point exactly
+// len(Schemes)×nseeds.
+func (s Spec) experimentList(nseeds int) ([]Experiment, error) {
 	lc := s.LoadCurve
-	if len(s.Schemes) == 0 {
+	switch {
+	case lc != nil && len(s.Experiments) > 0:
+		return nil, fmt.Errorf("experiments: spec mixes experiments and load_curve; use one")
+	case lc == nil && len(s.Experiments) == 0:
+		return nil, fmt.Errorf("experiments: spec names no experiments")
+	case lc == nil:
+		if _, err := addCells(0, len(s.Experiments), 1); err != nil {
+			return nil, err
+		}
+		return ResolveIDs(s.Experiments)
+	case len(s.Schemes) == 0:
 		return nil, fmt.Errorf("experiments: load_curve spec must name schemes")
-	}
-	if len(lc.Loads) == 0 {
+	case len(lc.Loads) == 0:
 		return nil, fmt.Errorf("experiments: load_curve spec has no loads")
 	}
-	ms := lc.MS
-	if ms == 0 { // the default; a negative or NaN MS fails MSCycles
-		ms = 1.0
-	}
-	end, err := MSCycles("load_curve.ms", ms)
-	if err != nil {
-		return nil, err
-	}
-	bin := min(sim.CyclesFromNS(50_000), end)
-	ncells, err := addCells(0, len(s.Schemes), len(lc.Loads))
+	ncells, err := addCells(0, len(lc.Loads), len(s.Schemes))
 	if err == nil {
-		ncells, err = addCells(0, ncells, nseeds)
+		_, err = addCells(0, ncells, nseeds)
 	}
 	if err != nil {
 		return nil, err
 	}
-	seeds := s.SeedList()
-	cells := make([]Cell, 0, ncells)
-	for _, scheme := range s.Schemes {
-		for _, load := range lc.Loads {
-			e, err := LoadPoint(lc.Config, load, end, bin)
-			if err != nil {
-				return nil, err
-			}
-			for _, seed := range seeds {
-				cells = append(cells, Cell{
-					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params,
-					Source: Spec{
-						Schemes:   []string{scheme},
-						Seed:      seed,
-						Seeds:     1,
-						Params:    s.Params,
-						LoadCurve: &LoadCurveSpec{Config: lc.Config, Loads: []float64{load}, MS: lc.MS},
-					},
-				})
-			}
+	exps := make([]Experiment, len(lc.Loads))
+	for i, load := range lc.Loads {
+		if exps[i], err = LoadPoint(lc.Config, load); err != nil {
+			return nil, err
 		}
 	}
-	return cells, nil
+	return exps, nil
 }
 
 // MSCycles converts the run length field (a spec's or a flag's) to
@@ -261,10 +316,11 @@ func addCells(total, groups, per int) (int, error) {
 
 // LoadPoint builds the synthetic experiment for one offered-load point
 // of the uniform load curve: every endpoint sends uniform traffic at
-// `load` of the link rate on the chosen configuration. The load is
-// baked into the id because it changes the traffic — and hence the
+// `load` of the link rate on the chosen configuration for 1 ms. The
+// exact load is baked into the id (%g reads back to the same float64)
+// because it changes the traffic — and the id is where it enters the
 // cache key.
-func LoadPoint(config int, load float64, end, bin sim.Cycle) (Experiment, error) {
+func LoadPoint(config int, load float64) (Experiment, error) {
 	if load <= 0 || load > 1 {
 		return Experiment{}, fmt.Errorf("experiments: offered load must be in (0, 1], got %g", load)
 	}
@@ -278,11 +334,11 @@ func LoadPoint(config int, load float64, end, bin sim.Cycle) (Experiment, error)
 		return Experiment{}, fmt.Errorf("experiments: load curve runs on config 2 or 3, got %d", config)
 	}
 	return Experiment{
-		ID:       fmt.Sprintf("loadcurve-c%d-load%.3f", config, load),
+		ID:       fmt.Sprintf("loadcurve-c%d-load%g", config, load),
 		Title:    fmt.Sprintf("uniform load %.2f on %s", load, ft.Name),
 		Kind:     Throughput,
-		Duration: end,
-		Bin:      bin,
+		Duration: ms(1),
+		Bin:      sim.CyclesFromNS(50_000),
 		Build: func(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
 			n, err := network.Build(ft.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ft.DETTieBreak})
 			if err != nil {

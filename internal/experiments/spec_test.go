@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -102,14 +105,15 @@ func TestSpecValidation(t *testing.T) {
 		{"loadcurve bad load", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{1.5}}}},
 		{"ms past the clock", Spec{Experiments: []string{"fig7a"}, MS: 1e30}},
 		{"ms below a cycle", Spec{Experiments: []string{"fig7a"}, MS: 1e-9}},
-		{"loadcurve ms below a cycle", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: 1e-9}}},
+		{"loadcurve ms below a cycle", Spec{Schemes: []string{"1Q"}, MS: 1e-9, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
 		{"negative ms", Spec{Experiments: []string{"fig7a"}, MS: -1}},
 		{"NaN ms", Spec{Experiments: []string{"fig7a"}, MS: math.NaN()}},
-		{"loadcurve negative ms", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: -1}}},
-		{"loadcurve NaN ms", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}, MS: math.NaN()}}},
+		{"loadcurve negative ms", Spec{Schemes: []string{"1Q"}, MS: -1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
+		{"loadcurve NaN ms", Spec{Schemes: []string{"1Q"}, MS: math.NaN(), LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
 		{"seeds past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: 1 << 62}},
 		{"cells past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: MaxCells}},
 		{"loadcurve cells past the bound", Spec{Schemes: []string{"1Q", "CCFIT"}, Seeds: MaxCells/2 + 1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
+		{"bad fault script", Spec{Experiments: []string{"fig7a"}, Faults: &fault.Script{Events: []fault.Event{{Kind: "nope"}}}}},
 		{"seeds across seed 0", Spec{Experiments: []string{"fig7a"}, Seed: -1, Seeds: 2}},
 		{"seeds past the last seed", Spec{Experiments: []string{"fig7a"}, Seed: math.MaxInt64, Seeds: 2}},
 	}
@@ -123,18 +127,20 @@ func TestSpecValidation(t *testing.T) {
 func TestSpecLoadCurveExpansion(t *testing.T) {
 	s := Spec{
 		Schemes:   []string{"1Q", "CCFIT"},
-		LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.3, 0.8}, MS: 0.5},
+		MS:        0.5,
+		LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.3, 0.8}},
 	}
 	cells, err := s.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scheme-major then load, matching the loadcurve CLI's cursor.
+	// Load-major then scheme, like every other spec; the id names the
+	// exact load.
 	wantIDs := []string{
-		"loadcurve-c2-load0.300", "loadcurve-c2-load0.800",
-		"loadcurve-c2-load0.300", "loadcurve-c2-load0.800",
+		"loadcurve-c2-load0.3", "loadcurve-c2-load0.3",
+		"loadcurve-c2-load0.8", "loadcurve-c2-load0.8",
 	}
-	wantSchemes := []string{"1Q", "1Q", "CCFIT", "CCFIT"}
+	wantSchemes := []string{"1Q", "CCFIT", "1Q", "CCFIT"}
 	if len(cells) != len(wantIDs) {
 		t.Fatalf("expanded %d cells, want %d", len(cells), len(wantIDs))
 	}
@@ -142,12 +148,40 @@ func TestSpecLoadCurveExpansion(t *testing.T) {
 		if c.Exp.ID != wantIDs[i] || c.Scheme != wantSchemes[i] {
 			t.Errorf("cell %d = %s/%s, want %s/%s", i, c.Exp.ID, c.Scheme, wantIDs[i], wantSchemes[i])
 		}
+		// Spec.MS sets a load point's run length, as it does any experiment's.
 		if c.Exp.Duration != sim.CyclesFromMS(0.5) {
 			t.Errorf("cell %d duration = %d, want %d", i, c.Exp.Duration, sim.CyclesFromMS(0.5))
 		}
 		if c.Exp.Build == nil {
 			t.Errorf("cell %d has no build closure", i)
 		}
+	}
+	s.MS = 0
+	full, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := full[0].Exp.Duration; d != sim.CyclesFromMS(1) {
+		t.Errorf("a load point's full length is %d cycles, want 1 ms (%d)", d, sim.CyclesFromMS(1))
+	}
+}
+
+// TestSpecRefusesIDsPastTheBound: a spec naming more ids than MaxCells
+// is refused before any id is resolved — a 16 MiB body holds about 2 M
+// ids, and resolving each one costs a registry.
+func TestSpecRefusesIDsPastTheBound(t *testing.T) {
+	ids := make([]string, MaxCells+1)
+	for i := range ids {
+		ids[i] = "fig7a"
+	}
+	s := Spec{Experiments: ids}
+	var err error
+	allocs := testing.AllocsPerRun(3, func() { _, err = s.Expand() })
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d cells", MaxCells)) {
+		t.Fatalf("Expand of %d ids: %v, want the cell bound's error", len(ids), err)
+	}
+	if allocs > 8 {
+		t.Fatalf("refusing %d ids allocated %.0f times; resolving before the bound?", len(ids), allocs)
 	}
 }
 
@@ -162,11 +196,32 @@ func TestSpecSeedList(t *testing.T) {
 
 // FuzzSpec decodes arbitrary JSON into a Spec (seed corpus:
 // testdata/fuzz/FuzzSpec, the bodies POST /campaigns once answered 201
-// or crashed on): Expand never panics, and what it accepts is bounded,
-// has a positive bin no longer than the run, and re-expands cell by cell
-// from each Source — the contract WireJob.Job relies on.
+// or crashed on, plus a plain, a load-curve and a faulted one-cell
+// spec): Expand never panics, and what it accepts is bounded, has a
+// positive bin no longer than the run, and re-expands cell by cell from
+// each Source after a trip through JSON, what a worker decodes from a
+// claim and runs through OneCell.
 func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"experiments":["fig7a"],"schemes":["CCFIT"],"seeds":2,"ms":0.5}`))
+	sw := 0
+	for _, s := range []Spec{
+		{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: 2, MS: 0.1},
+		{Schemes: []string{"CCFIT"}, Seed: 1, MS: 0.1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.4}}},
+		{Experiments: []string{"fig7a"}, Schemes: []string{"1Q"}, MS: 0.1, Watchdog: -1,
+			Faults: &fault.Script{Name: "stall-sw0", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Duration: 100, Switch: &sw}}}},
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	fingerprint := func(s *fault.Script) string {
+		if s == nil {
+			return ""
+		}
+		return s.Fingerprint()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Spec
 		if json.Unmarshal(data, &s) != nil {
@@ -183,15 +238,24 @@ func FuzzSpec(f *testing.F) {
 			if c.Exp.Bin < 1 || c.Exp.Bin > c.Exp.Duration {
 				t.Fatalf("cell %d: bin %d, duration %d", i, c.Exp.Bin, c.Exp.Duration)
 			}
-			again, err := c.Source.Expand()
-			if err != nil || len(again) != 1 {
-				t.Fatalf("cell %d: Source %+v re-expands to %d cells (%v)", i, c.Source, len(again), err)
+			wire, err := json.Marshal(c.Source)
+			if err != nil {
+				t.Fatal(err)
 			}
-			a, b := again[0], c
+			var src Spec
+			if err := json.Unmarshal(wire, &src); err != nil {
+				t.Fatal(err)
+			}
+			a, err := src.OneCell()
+			if err != nil {
+				t.Fatalf("cell %d: Source %s is not one cell: %v", i, wire, err)
+			}
+			b := c
 			if a.Exp.ID != b.Exp.ID || a.Exp.Duration != b.Exp.Duration || a.Exp.Bin != b.Exp.Bin ||
-				a.Scheme != b.Scheme || a.Seed != b.Seed || a.Params != b.Params ||
+				a.Scheme != b.Scheme || a.Seed != b.Seed || !reflect.DeepEqual(a.Params, b.Params) ||
+				fingerprint(a.Faults) != fingerprint(b.Faults) || a.Watchdog != b.Watchdog ||
 				!reflect.DeepEqual(a.Source, b.Source) {
-				t.Fatalf("cell %d: Source re-expands to %s/%s@%d, not %s/%s@%d", i, a.Exp.ID, a.Scheme, a.Seed, b.Exp.ID, b.Scheme, b.Seed)
+				t.Fatalf("cell %d: Source re-expands to %s, not %s", i, a, b)
 			}
 		}
 	})

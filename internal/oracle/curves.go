@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // CurveSeed fixes the seed the golden-curve runs use; the engine is
@@ -14,24 +13,15 @@ import (
 // exactly.
 const CurveSeed int64 = 1
 
-// CurveSpec selects one figure's curves. DurationMS, when non-zero,
-// overrides the registry duration — Fig. 8a is trimmed from 4 ms to
-// 3 ms, which still covers the full [1,2] ms hot burst plus 1 ms of
-// recovery at a quarter less cost.
-type CurveSpec struct {
-	Fig        string
-	DurationMS float64
-	Schemes    []string
-}
-
-// CurveSpecs lists the golden-curve figures: Fig. 7a (Config #1
-// throughput collapse and recovery), Fig. 8a (Config #3 hot-burst
-// response) and Fig. 9 (Config #1 per-flow fairness).
-func CurveSpecs() []CurveSpec {
-	return []CurveSpec{
-		{Fig: "fig7a", Schemes: []string{"1Q", "ITh", "FBICM", "CCFIT"}},
-		{Fig: "fig8a", DurationMS: 3, Schemes: []string{"1Q", "ITh", "FBICM", "CCFIT", "VOQnet"}},
-		{Fig: "fig9", Schemes: []string{"1Q", "ITh", "FBICM", "CCFIT"}},
+// CurveSpecs lists the golden-curve figures, each under its own
+// schemes: Fig. 7a (Config #1 throughput collapse and recovery), Fig. 9
+// (Config #1 per-flow fairness) and Fig. 8a (Config #3 hot-burst
+// response), trimmed from 4 ms to 3 ms, which still covers the full
+// [1,2] ms hot burst plus 1 ms of recovery at a quarter less cost.
+func CurveSpecs() []experiments.Spec {
+	return []experiments.Spec{
+		{Experiments: []string{"fig7a", "fig9"}, Seed: CurveSeed},
+		{Experiments: []string{"fig8a"}, Seed: CurveSeed, MS: 3},
 	}
 }
 
@@ -43,16 +33,11 @@ func curveKey(fig, scheme string) string { return fig + "/" + scheme }
 func RunCurves() (map[string]*experiments.Result, error) {
 	var jobs []runner.Job
 	for _, spec := range CurveSpecs() {
-		exp, err := experiments.ByID(spec.Fig)
+		cells, err := runner.FromSpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		if spec.DurationMS > 0 {
-			exp.Duration = sim.CyclesFromMS(spec.DurationMS)
-		}
-		for _, s := range spec.Schemes {
-			jobs = append(jobs, runner.Job{Scheme: s, Seed: CurveSeed, Exp: &exp})
-		}
+		jobs = append(jobs, cells...)
 	}
 	results, err := runner.Run(context.Background(), jobs, runner.Options{})
 	if err != nil {

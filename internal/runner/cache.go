@@ -186,9 +186,9 @@ func (c *Cache) Holds(job Job) Outcome {
 	r, err := resolve(job)
 	switch {
 	case err != nil:
-	case c.Has(r.key(r.seed)):
+	case c.Has(cacheKey(r, r.Seed)):
 		return OutcomeCached
-	case c.Has(r.quarantineKey()):
+	case c.Has(quarantineKey(r)):
 		return OutcomeQuarantined
 	}
 	return ""
@@ -201,11 +201,11 @@ func (c *Cache) Recall(job Job) (jr JobResult, ok bool) {
 	if err != nil {
 		return JobResult{Job: job, Err: err}, false
 	}
-	key := r.key(r.seed)
+	key := cacheKey(r, r.Seed)
 	if res, ok, _ := c.Get(key); ok {
 		return JobResult{Job: job, Result: res, Cached: true, Key: key}, true
 	}
-	if w, ok, _ := c.get(r.quarantineKey(), true); ok {
+	if w, ok, _ := c.get(quarantineKey(r), true); ok {
 		return w.JobResult(job), true
 	}
 	return JobResult{Job: job, Key: key}, false

@@ -100,7 +100,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	}
 	var key, qkey string
 	if e.Cache != nil {
-		key = r.key(r.seed)
+		key = cacheKey(r, r.Seed)
 	}
 	emit(Event{Type: JobStart, Job: job})
 	t0 := time.Now()
@@ -119,7 +119,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 			return jr
 		}
 		corrupt(key, gerr)
-		qkey = r.quarantineKey()
+		qkey = quarantineKey(r)
 		w, ok, qerr := e.Cache.get(qkey, true)
 		if ok {
 			jr := w.JobResult(job)
@@ -129,14 +129,14 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		}
 		corrupt(qkey, qerr)
 	}
-	free := r.key(0)
+	free := cacheKey(r, 0)
 	var (
 		jr   JobResult
 		o    outcome
 		ran  bool
 		done = JobDone
 	)
-	if jr.Result = e.seedFree.get(free, r.seed); jr.Result != nil {
+	if jr.Result = e.seedFree.get(free, r.Seed); jr.Result != nil {
 		jr.Cached, ran, done = true, true, JobCached
 	}
 	if !ran && via != nil {
@@ -145,7 +145,7 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 		}
 	}
 	if !ran {
-		jr, o = e.simulate(ctx, job, r)
+		jr, o = e.simulate(ctx, r)
 	}
 	jr.Job, jr.Elapsed = job, time.Since(t0)
 	if e.Cache != nil {
@@ -174,10 +174,10 @@ func (e *LocalExecutor) ExecuteVia(ctx context.Context, job Job, emit func(Event
 	return jr
 }
 
-// simulate runs a resolved job in-process, once, quarantining an
+// simulate runs a job resolve returned in-process, once, quarantining an
 // invariant violation.
-func (e *LocalExecutor) simulate(ctx context.Context, job Job, r resolved) (jr JobResult, o outcome) {
-	o = executeBounded(ctx, job, r, e.Timeout)
+func (e *LocalExecutor) simulate(ctx context.Context, job Job) (jr JobResult, o outcome) {
+	o = executeBounded(ctx, job, e.Timeout)
 	jr.Result, jr.Err, jr.Attempts = o.res, o.err, 1
 	var v *invariant.Violation
 	if errors.As(jr.Err, &v) {
@@ -209,17 +209,8 @@ func Backoff(base time.Duration, attempt int, max time.Duration) time.Duration {
 
 // FromSpec expands a declarative spec into runner jobs in its cell
 // order: local runs, the service and its clients all expand a Spec
-// with it, so result index i is the same cell everywhere.
+// with it, so result index i is the same cell everywhere. It is
+// Spec.Expand under the name bench/ compiles against.
 func FromSpec(s experiments.Spec) ([]Job, error) {
-	cells, err := s.Expand()
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]Job, 0, len(cells))
-	for _, c := range cells {
-		e := c.Exp
-		src := c.Source
-		jobs = append(jobs, Job{ExpID: e.ID, Scheme: c.Scheme, Seed: c.Seed, Params: c.Params, Exp: &e, Source: &src})
-	}
-	return jobs, nil
+	return s.Expand()
 }

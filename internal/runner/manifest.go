@@ -59,7 +59,7 @@ func NewManifest(tool string, opt Options, startedAt time.Time, results []JobRes
 	for _, r := range results {
 		outcome := r.Outcome()
 		run := ManifestRun{
-			Experiment: r.Job.ExperimentID(),
+			Experiment: r.Job.Exp.ID,
 			Scheme:     r.Job.Scheme,
 			Seed:       r.Job.Seed,
 			CacheKey:   r.Key,

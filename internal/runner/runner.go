@@ -23,55 +23,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fault"
-	"repro/internal/sim"
 )
 
-// Job is one unit of work: an experiment run under one scheme and one
-// seed, optionally with overridden parameters (ablation sweeps).
-type Job struct {
-	ExpID string // a registered experiment (experiments.ByID), unless Exp is set
-	// Scheme is the preset name ("CCFIT", "ITh", ...). With Params set
-	// it only labels the result (defaulting to Params.Name).
-	Scheme string
-	Seed   int64        // drives every random stream of the simulation
-	Params *core.Params // overrides the preset (ablations); in the cache key
-	// Exp, when non-nil, supplies the experiment directly (load curves,
-	// time-scaled copies). Distinct traffic needs distinct IDs or
-	// durations: those, not the Build closure, enter the cache key.
-	Exp *experiments.Experiment
-	// Faults, when non-nil, is a deterministic fault script injected
-	// after Build and before Run; its fingerprint is in the cache key.
-	Faults *fault.Script
-	// Watchdog is the invariant checker's forward-progress window in
-	// cycles: 0 default, <0 disabled.
-	Watchdog sim.Cycle
-	// Source, when non-nil, is a one-cell spec that re-expands to
-	// exactly this job (set by FromSpec): what lets a job cross a
-	// process boundary, which the Exp closure cannot. Hand-built jobs
-	// leave it nil and run only locally.
-	Source *experiments.Spec
-}
-
-// ExperimentID names the job's experiment: ExpID, else Exp's id.
-func (j Job) ExperimentID() string {
-	if j.ExpID == "" && j.Exp != nil {
-		return j.Exp.ID
-	}
-	return j.ExpID
-}
-
-// String labels a job for telemetry and error messages.
-func (j Job) String() string {
-	id := j.ExperimentID()
-	scheme := j.Scheme
-	if scheme == "" && j.Params != nil {
-		scheme = j.Params.Name
-	}
-	return fmt.Sprintf("%s/%s seed=%d", id, scheme, j.Seed)
-}
+// Job is one unit of work, a spec's cell. A job built by hand
+// (time-scaled copies) has no Source and runs only locally; distinct
+// traffic needs distinct experiment IDs or durations, since those, not
+// the Build closure, enter the cache key.
+type Job = experiments.Cell
 
 // JobResult is the outcome of one job: Result, or Err (build failure,
 // panic, timeout, cancellation).
@@ -178,66 +137,48 @@ type Event struct {
 	Engine string
 }
 
-// resolved is a job after fail-fast validation.
-type resolved struct {
-	exp      experiments.Experiment
-	params   core.Params
-	scheme   string
-	seed     int64
-	faults   *fault.Script
-	watchdog sim.Cycle
-}
-
-// resolve validates one job: a runnable experiment, valid scheme and
-// parameters.
-func resolve(j Job) (r resolved, err error) {
-	r = resolved{scheme: j.Scheme, seed: j.Seed, watchdog: j.Watchdog}
-	if j.Exp != nil {
-		r.exp = *j.Exp
-	} else if r.exp, err = experiments.ByID(j.ExpID); err != nil {
-		return r, err
+// resolve validates one job — a runnable experiment, valid scheme,
+// parameters and fault script — and returns it with Params and Scheme
+// filled in.
+func resolve(j Job) (Job, error) {
+	if j.Exp.Build == nil { // a static table has none
+		return j, fmt.Errorf("%s is not a runnable experiment", j.Exp.ID)
 	}
-	switch {
-	case r.exp.Kind == experiments.ConfigTable:
-		return r, fmt.Errorf("%s is a static table, not a runnable experiment", r.exp.ID)
-	case r.exp.Build == nil:
-		return r, fmt.Errorf("%s has no Build function", r.exp.ID)
-	}
+	p, err := experiments.SchemeByName(j.Scheme)
 	if j.Params != nil {
-		r.params = *j.Params
-	} else if r.params, err = experiments.SchemeByName(j.Scheme); err != nil {
-		return r, err
+		p, err = *j.Params, j.Params.Validate()
 	}
-	if err := r.params.Validate(); err != nil {
-		return r, err
+	if err != nil {
+		return j, err
 	}
-	if r.scheme == "" {
-		r.scheme = r.params.Name
+	j.Params = &p
+	if j.Scheme == "" {
+		j.Scheme = p.Name
 	}
 	if j.Faults != nil {
 		if err := j.Faults.Validate(); err != nil {
-			return r, err
+			return j, err
 		}
-		r.faults = j.Faults
 	}
-	return r, nil
+	return j, nil
 }
 
-// key is the job's cache address when run at seed (key(0), the
-// seed-free table's, stands for every seed), facets after the fault
-// script's. The watchdog window is not in it: it can only turn a run
-// into a failure, which is never cached as a result.
-func (r resolved) key(seed int64, facets ...string) string {
-	if r.faults != nil {
-		facets = append([]string{"faults=" + r.faults.Fingerprint()}, facets...)
+// cacheKey is the cache address of a job resolve returned, run at seed
+// (cacheKey(j, 0), the seed-free table's, stands for every seed),
+// facets after the fault script's. The watchdog window is not in it:
+// it can only turn a run into a failure, never cached as a result.
+func cacheKey(j Job, seed int64, facets ...string) string {
+	if j.Faults != nil {
+		facets = append([]string{"faults=" + j.Faults.Fingerprint()}, facets...)
 	}
-	return Key(r.exp, r.scheme, seed, r.params, facets...)
+	return Key(j.Exp, j.Scheme, seed, *j.Params, facets...)
 }
 
-// quarantineKey is where the job's quarantined outcome is cached: the
-// result key plus the watchdog window, which a violation depends on.
-func (r resolved) quarantineKey() string {
-	return r.key(r.seed, fmt.Sprintf("watchdog=%d", r.watchdog))
+// quarantineKey is where the quarantined outcome of a job resolve
+// returned is cached: the result key plus the watchdog window, which a
+// violation depends on.
+func quarantineKey(j Job) string {
+	return cacheKey(j, j.Seed, fmt.Sprintf("watchdog=%d", j.Watchdog))
 }
 
 // Run executes a campaign: it validates every job up front, runs the
@@ -316,9 +257,9 @@ type outcome struct {
 // executeBounded runs the simulation on its own goroutine to enforce
 // the timeout and cancellation; an abandoned run (the simulator has no
 // preemption points) finishes in the background, unread.
-func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Duration) outcome {
+func executeBounded(ctx context.Context, job Job, timeout time.Duration) outcome {
 	ch := make(chan outcome, 1)
-	go func() { ch <- execute(r) }()
+	go func() { ch <- execute(job) }()
 	var timer <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -335,35 +276,23 @@ func executeBounded(ctx context.Context, job Job, r resolved, timeout time.Durat
 	}
 }
 
-// execute builds, runs and harvests one simulation, converting a panic
-// anywhere in the stack into a job error. An invariant violation —
-// raised by the always-on checker or the final audit — comes back from
-// RunAudited as the *invariant.Violation itself, for quarantine.
-func execute(r resolved) (o outcome) {
+// execute simulates and harvests one job resolve returned, converting
+// a panic anywhere in the stack into a job error. An invariant
+// violation — raised by the always-on checker or the final audit —
+// comes back from Simulate as the *invariant.Violation itself, for
+// quarantine.
+func execute(j Job) (o outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			o = outcome{err: fmt.Errorf("runner: job panicked: %v\n%s", p, debug.Stack())}
 		}
 	}()
-	n, err := r.exp.Build(r.params, r.seed, r.exp.Bin, r.exp.Duration, experiments.BuildOpts{})
+	n, err := j.Simulate()
 	if err != nil {
 		return outcome{err: err}
 	}
-	if r.faults != nil {
-		if _, err := n.InjectFaults(r.faults); err != nil {
-			return outcome{err: err}
-		}
-	}
-	if r.watchdog != 0 && n.Checker != nil {
-		n.Checker.SetWatchdogWindow(r.watchdog)
-	}
-	// Terminal audit included: corruption inside the last check interval
-	// must not slip out as a plausible result.
-	if err := n.RunAudited(r.exp.Duration); err != nil {
-		return outcome{err: err}
-	}
 	engine := fmt.Sprintf("elided: %+v", n.Elided())
-	return outcome{res: experiments.Harvest(r.exp, r.scheme, r.seed, n), engine: engine, seedFree: !n.Eng.SeedSeen()}
+	return outcome{res: experiments.Harvest(j.Exp, j.Scheme, j.Seed, n), engine: engine, seedFree: !n.Eng.SeedSeen()}
 }
 
 // Failed filters a campaign's failures (nil when everything ran).

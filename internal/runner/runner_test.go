@@ -50,7 +50,7 @@ func grid(exps []experiments.Experiment, schemes []string, seeds []int64) []Job 
 		}
 		for _, s := range ss {
 			for _, seed := range seeds {
-				jobs = append(jobs, Job{ExpID: exps[i].ID, Scheme: s, Seed: seed, Exp: &exps[i]})
+				jobs = append(jobs, Job{Scheme: s, Seed: seed, Exp: exps[i]})
 			}
 		}
 	}
@@ -120,9 +120,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestRunFailsFastOnInvalidJobs(t *testing.T) {
 	for _, jobs := range [][]Job{
-		{{ExpID: "nope", Scheme: "CCFIT", Seed: 1}},
-		{{ExpID: "fig7a", Scheme: "bogus", Seed: 1}},
-		{{ExpID: "table1", Scheme: "CCFIT", Seed: 1}},
+		{{Exp: experiments.Experiment{ID: "nope"}, Scheme: "CCFIT", Seed: 1}},
+		{{Exp: byID(t, "fig7a"), Scheme: "bogus", Seed: 1}},
+		{{Exp: byID(t, "table1"), Scheme: "CCFIT", Seed: 1}},
 	} {
 		results, err := Run(context.Background(), jobs, Options{})
 		if err == nil {
@@ -138,15 +138,25 @@ func TestRunFailsFastOnInvalidJobs(t *testing.T) {
 	// Bad params fail before anything runs too.
 	p := core.PresetCCFIT()
 	p.NumCFQs = 0
-	_, err := Run(context.Background(), []Job{{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1, Params: &p}}, Options{})
+	_, err := Run(context.Background(), []Job{{Exp: byID(t, "fig7a"), Scheme: "CCFIT", Seed: 1, Params: &p}}, Options{})
 	if err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
 
+// byID is a registered experiment.
+func byID(t *testing.T, id string) experiments.Experiment {
+	t.Helper()
+	e, err := experiments.ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // syntheticExp wraps a Build function as a runnable experiment.
-func syntheticExp(id string, build func(core.Params, int64, sim.Cycle, sim.Cycle, experiments.BuildOpts) (*network.Network, error)) *experiments.Experiment {
-	return &experiments.Experiment{
+func syntheticExp(id string, build func(core.Params, int64, sim.Cycle, sim.Cycle, experiments.BuildOpts) (*network.Network, error)) experiments.Experiment {
+	return experiments.Experiment{
 		ID:       id,
 		Kind:     experiments.Throughput,
 		Duration: sim.CyclesFromMS(0.05),
@@ -166,7 +176,7 @@ func TestPanicBecomesJobFailure(t *testing.T) {
 	good.Duration = sim.CyclesFromMS(0.05)
 	jobs := []Job{
 		{Scheme: "CCFIT", Seed: 1, Exp: boom},
-		{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1, Exp: &good},
+		{Scheme: "CCFIT", Seed: 1, Exp: good},
 	}
 	results, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
@@ -656,7 +666,7 @@ func TestQuarantineIsCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cache.path(r.quarantineKey()), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(cache.path(quarantineKey(r)), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	corrupt := 0
@@ -682,6 +692,44 @@ func TestQuarantineIsCached(t *testing.T) {
 	}
 	if jr := e.ExecuteVia(context.Background(), remote, nil, refuse); !jr.Quarantined || jr.Diagnostics != "swA on a worker" || builds.Load() != 3 {
 		t.Fatalf("remote quarantine reads quarantined=%v %q, builds=%d", jr.Quarantined, jr.Diagnostics, builds.Load())
+	}
+}
+
+// TestLoadPointsKeyTheirExactLoad: two loads that read alike at three
+// decimals are two cells — distinct cache keys, and through one cache
+// the second load is simulated, not served the first one's result.
+func TestLoadPointsKeyTheirExactLoad(t *testing.T) {
+	jobs, err := FromSpec(experiments.Spec{Schemes: []string{"1Q"}, MS: 1,
+		LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.1234, 0.1226}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, err := JobKey(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, err := JobKey(jobs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k0 == k1 {
+		t.Fatalf("loads 0.1234 and 0.1226 share the cache key %s", k0)
+	}
+	var own [2]int64
+	for i, job := range jobs {
+		own[i] = mustRun(t, []Job{job}, Options{Workers: 1})[0].Result.Summary.DeliveredPkts
+	}
+	if own[0] == own[1] {
+		t.Fatalf("both loads deliver %d packets: the case no longer tells them apart", own[0])
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range mustRun(t, jobs, Options{Workers: 1, Cache: cache}) {
+		if got := jr.Result.Summary.DeliveredPkts; jr.Cached || got != own[i] {
+			t.Errorf("%s through the cache: cached=%v, %d packets, want a run delivering %d", jr.Job, jr.Cached, got, own[i])
+		}
 	}
 }
 

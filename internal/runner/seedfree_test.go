@@ -61,7 +61,7 @@ func TestSeedFreeMeansSeedIndependent(t *testing.T) {
 				continue
 			}
 			free = append(free, id+"/"+job.Scheme)
-			r.seed = 1014
+			r.Seed = 1014
 			other := execute(r)
 			if other.err != nil {
 				t.Fatalf("%s at seed 1014: %v", job, other.err)

@@ -3,56 +3,10 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fault"
-	"repro/internal/sim"
 )
-
-// A Job cannot cross a process boundary (its Experiment carries a Build
-// closure), so the wire form carries its one-cell source spec, which
-// both sides expand with the same deterministic function: cell, cache
-// key and rendered bytes agree between the service and every worker.
-
-// WireJob is the serializable identity of one Job: its one-cell spec
-// and the service-level options (fault script, watchdog window).
-// Registry drift between builds fails the decode, never runs the wrong
-// cell.
-type WireJob struct {
-	Spec     experiments.Spec `json:"spec"`
-	Faults   *fault.Script    `json:"faults,omitempty"`
-	Watchdog int64            `json:"watchdog,omitempty"` // cycles: 0 default, <0 disable
-}
-
-// WireFromJob captures a job's serializable identity; a hand-built job
-// has no source spec and cannot be shipped.
-func WireFromJob(j Job) (WireJob, error) {
-	if j.Source == nil {
-		return WireJob{}, fmt.Errorf("runner: job %s carries no source spec and cannot be serialized for remote execution", j)
-	}
-	w := WireJob{Spec: *j.Source, Faults: j.Faults}
-	w.Watchdog = int64(j.Watchdog)
-	return w, nil
-}
-
-// Job re-expands the wire form into a runnable Job. The spec must
-// expand to exactly one cell: anything else means the sides disagree
-// about what a cell is.
-func (w WireJob) Job() (Job, error) {
-	jobs, err := FromSpec(w.Spec)
-	if err != nil {
-		return Job{}, fmt.Errorf("runner: expanding wire job: %w", err)
-	}
-	if len(jobs) != 1 {
-		return Job{}, fmt.Errorf("runner: wire job spec expands to %d cells, want exactly 1", len(jobs))
-	}
-	j := jobs[0]
-	j.Faults = w.Faults
-	j.Watchdog = sim.Cycle(w.Watchdog)
-	return j, nil
-}
 
 // WireResult is the serializable form of a JobResult. Errors travel as
 // text beside the outcome they meant, so a cancelled cell still reads
@@ -129,5 +83,5 @@ func JobKey(job Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.key(r.seed), nil
+	return cacheKey(r, r.Seed), nil
 }

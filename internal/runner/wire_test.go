@@ -18,16 +18,38 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestWireJobRoundTrip proves the serialization contract remote
+// sourceTrip sends a job's Source through JSON and OneCell, as a lease
+// carries it to a worker.
+func sourceTrip(t *testing.T, job Job) Job {
+	t.Helper()
+	if job.Source == nil {
+		t.Fatalf("%s carries no source spec", job)
+	}
+	data, err := json.Marshal(job.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded experiments.Spec
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	back, err := decoded.OneCell()
+	if err != nil {
+		t.Fatalf("OneCell(%s): %v", data, err)
+	}
+	return back
+}
+
+// TestSourceRoundTrip proves the serialization contract remote
 // execution rests on: for every cell of a registered-experiment spec
-// AND a load-curve spec, WireFromJob → JSON → WireJob.Job() recovers a
-// job with the identical cache key, and running both sides produces
+// AND a load-curve spec, Source → JSON → OneCell recovers a job with
+// the identical cache key, and running both sides produces
 // byte-identical results.
-func TestWireJobRoundTrip(t *testing.T) {
+func TestSourceRoundTrip(t *testing.T) {
 	specs := map[string]experiments.Spec{
 		"registered": {Experiments: []string{"fig7a"}, MS: 0.1, Seeds: 2},
-		"loadcurve": {Schemes: []string{"CCFIT"},
-			LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4, 0.9}, MS: 0.1}},
+		"loadcurve": {Schemes: []string{"CCFIT"}, MS: 0.1,
+			LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4, 0.9}}},
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
@@ -39,22 +61,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 				t.Fatalf("spec expanded to %d jobs, want >= 2", len(jobs))
 			}
 			for _, job := range jobs {
-				w, err := WireFromJob(job)
-				if err != nil {
-					t.Fatalf("WireFromJob(%s): %v", job, err)
-				}
-				data, err := json.Marshal(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var decoded WireJob
-				if err := json.Unmarshal(data, &decoded); err != nil {
-					t.Fatal(err)
-				}
-				back, err := decoded.Job()
-				if err != nil {
-					t.Fatalf("WireJob.Job(%s): %v", job, err)
-				}
+				back := sourceTrip(t, job)
 				k1, err := JobKey(job)
 				if err != nil {
 					t.Fatal(err)
@@ -76,46 +83,34 @@ func TestWireJobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireJobCarriesServiceOptions checks the fields that ride along
-// with the spec (fault script, watchdog) survive the round trip and
-// keep the cache keys of faulted vs clean runs distinct.
-func TestWireJobCarriesServiceOptions(t *testing.T) {
-	jobs, err := FromSpec(experiments.Spec{Experiments: []string{"fig7a"}, MS: 0.1})
+// TestSourceCarriesFaultsAndWatchdog checks that a spec's fault script
+// and watchdog window reach every job and its Source, survive the
+// round trip, and keep the cache keys of faulted vs clean runs
+// distinct.
+func TestSourceCarriesFaultsAndWatchdog(t *testing.T) {
+	spec := experiments.Spec{Experiments: []string{"fig7a"}, MS: 0.1}
+	clean, err := FromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := jobs[0]
 	sw := 0
-	job.Faults = &fault.Script{Name: "stall-sw0", Events: []fault.Event{
+	spec.Faults = &fault.Script{Name: "stall-sw0", Events: []fault.Event{
 		{Kind: fault.SwitchStall, At: 1_000, Duration: 100, Switch: &sw},
 	}}
-	job.Watchdog = -1
-
-	w, err := WireFromJob(job)
+	spec.Watchdog = -1
+	faulted, err := FromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded WireJob
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decoded.Job()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Faults == nil || back.Faults.Fingerprint() != job.Faults.Fingerprint() {
+	job := faulted[0]
+	back := sourceTrip(t, job)
+	if back.Faults == nil || back.Faults.Fingerprint() != spec.Faults.Fingerprint() {
 		t.Fatalf("fault script lost or changed across the wire: %+v", back.Faults)
 	}
-	if back.Watchdog != job.Watchdog {
-		t.Fatalf("watchdog lost across the wire: got %d want %d", back.Watchdog, job.Watchdog)
+	if back.Watchdog != spec.Watchdog {
+		t.Fatalf("watchdog lost across the wire: got %d want %d", back.Watchdog, spec.Watchdog)
 	}
-	clean, _ := WireFromJob(jobs[0])
-	cj, _ := clean.Job()
-	kClean, err := JobKey(cj)
+	kClean, err := JobKey(sourceTrip(t, clean[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +123,23 @@ func TestWireJobCarriesServiceOptions(t *testing.T) {
 	}
 }
 
-// TestWireJobRejectsHandBuilt: jobs without a source spec must refuse
-// serialization instead of shipping a guess.
-func TestWireJobRejectsHandBuilt(t *testing.T) {
+// TestOneCellRejectsManyCells: a hand-built job carries no source spec
+// (it runs only in-process), and a worker refuses a claimed spec that
+// is not exactly one cell instead of running a guess.
+func TestOneCellRejectsManyCells(t *testing.T) {
 	reg := scaledRegistry()
-	job := grid(reg[:1], nil, []int64{1})[0]
-	if _, err := WireFromJob(job); err == nil {
-		t.Fatal("WireFromJob accepted a job with no source spec")
+	if job := grid(reg[:1], nil, []int64{1})[0]; job.Source != nil {
+		t.Fatalf("hand-built job %s carries a source spec", job)
+	}
+	for name, s := range map[string]experiments.Spec{
+		"two seeds":   {Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seeds: 2},
+		"all schemes": {Experiments: []string{"fig7a"}},
+		"a table":     {Experiments: []string{"table1"}},
+		"invalid":     {Experiments: []string{"fig7a"}, Schemes: []string{"bogus"}},
+	} {
+		if c, err := s.OneCell(); err == nil {
+			t.Errorf("%s: OneCell accepted %+v as the one cell %s", name, s, c)
+		}
 	}
 }
 
@@ -238,31 +243,32 @@ func TestCacheErrKeepsResultUsable(t *testing.T) {
 	}
 }
 
-// FuzzWireJob decodes arbitrary JSON into a WireJob, what a worker reads
-// from a claim (seed corpus: the jobs of the round-trip tests above):
-// Job never panics, and a job it accepts keys the cache and survives a
-// second trip over the wire with the same key.
+// FuzzWireJob decodes arbitrary JSON into the one-cell Spec a lease
+// carries, as a worker reads it from a claim (seed corpus: a plain, a
+// load-curve and a faulted one-cell spec): OneCell never panics, and a
+// job it accepts keys the cache and keeps that key over a second trip
+// of its Source. FuzzSpec checks the cell itself; the key is the
+// runner's.
 func FuzzWireJob(f *testing.F) {
 	sw := 0
-	for _, w := range []WireJob{
-		{Spec: experiments.Spec{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: 2, MS: 0.1}},
-		{Spec: experiments.Spec{Schemes: []string{"CCFIT"}, Seed: 1,
-			LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4}, MS: 0.1}}},
-		{Spec: experiments.Spec{Experiments: []string{"fig7a"}, Schemes: []string{"1Q"}, MS: 0.1}, Watchdog: -1,
+	for _, s := range []experiments.Spec{
+		{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: 2, MS: 0.1},
+		{Schemes: []string{"CCFIT"}, Seed: 1, MS: 0.1, LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4}}},
+		{Experiments: []string{"fig7a"}, Schemes: []string{"1Q"}, MS: 0.1, Watchdog: -1,
 			Faults: &fault.Script{Name: "stall-sw0", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Duration: 100, Switch: &sw}}}},
 	} {
-		data, err := json.Marshal(w)
+		data, err := json.Marshal(s)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var w WireJob
-		if json.Unmarshal(data, &w) != nil {
+		var s experiments.Spec
+		if json.Unmarshal(data, &s) != nil {
 			return
 		}
-		job, err := w.Job()
+		job, err := s.OneCell()
 		if err != nil {
 			return
 		}
@@ -270,21 +276,17 @@ func FuzzWireJob(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := WireFromJob(job)
-		if err != nil {
-			t.Fatalf("accepted job %s cannot go back on the wire: %v", job, err)
-		}
-		data, err = json.Marshal(again)
+		again, err := json.Marshal(job.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back WireJob
-		if err := json.Unmarshal(data, &back); err != nil {
+		var back experiments.Spec
+		if err := json.Unmarshal(again, &back); err != nil {
 			t.Fatal(err)
 		}
-		job2, err := back.Job()
+		job2, err := back.OneCell()
 		if err != nil {
-			t.Fatalf("%s: the second trip over the wire fails: %v", job, err)
+			t.Fatalf("%s: the second trip of its Source fails: %v", job, err)
 		}
 		if key2, err := JobKey(job2); err != nil || key2 != key {
 			t.Fatalf("%s: cache key %s after a second trip, %s before (%v)", job, key2, key, err)
