@@ -74,7 +74,8 @@ func serve(t *testing.T) string {
 }
 
 // TestServerRendersLikeLocal: every tool prints byte-identical stdout
-// whether its campaign runs in-process or on a ccfit-serve instance.
+// whether its campaign runs in-process or on a ccfit-serve instance, and
+// no line of the sweep's or the load curve's stdout ends in a blank.
 func TestServerRendersLikeLocal(t *testing.T) {
 	url := serve(t)
 	for _, tool := range tools {
@@ -89,6 +90,13 @@ func TestServerRendersLikeLocal(t *testing.T) {
 			}
 			if remote != local {
 				t.Errorf("-server stdout differs from local\n--- local\n%s--- remote\n%s", local, remote)
+			}
+			// Table I keeps its padded lines (results/figures.txt pins
+			// them); the sweep and load-curve tables end each line on ink.
+			for i, l := range strings.Split(local, "\n") {
+				if (tool.name == "ccfit-sweep" || tool.name == "ccfit-loadcurve") && strings.TrimRight(l, " \t") != l {
+					t.Errorf("stdout line %d ends in a blank: %q", i+1, l)
+				}
 			}
 			if !strings.Contains(stderr, "submitted to "+url) {
 				t.Errorf("-server run did not announce its campaign id:\n%s", stderr)

@@ -68,7 +68,7 @@ func (a *app) loadCurve(args []string) error {
 
 	w := a.stdout
 	fmt.Fprintf(w, "uniform load curve on %s (%g ms per point, seed %d, workers %d)\n", ft.Name, a.MS, a.Seed, a.Workers)
-	fmt.Fprintf(w, "%-8s %-8s %-10s %-12s %-12s\n", "scheme", "offered", "accepted", "p50lat(ns)", "p99lat(ns)")
+	fmt.Fprintf(w, "%-8s %-8s %-10s %-12s %s\n", "scheme", "offered", "accepted", "p50lat(ns)", "p99lat(ns)")
 	for si, name := range schemes {
 		for li, load := range loads {
 			jr := results[li*len(schemes)+si]
@@ -77,7 +77,7 @@ func (a *app) loadCurve(args []string) error {
 			}
 			// Steady state: skip the warm-up third.
 			accepted := experiments.SteadyMean(jr.Result.Normalized, 2.0/3.0)
-			fmt.Fprintf(w, "%-8s %-8.2f %-10.3f %-12.0f %-12.0f\n",
+			fmt.Fprintf(w, "%-8s %-8.2f %-10.3f %-12.0f %.0f\n",
 				name, load, accepted, jr.Result.Summary.P50LatencyNS, jr.Result.Summary.P99LatencyNS)
 		}
 	}

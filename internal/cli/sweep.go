@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -111,15 +112,18 @@ func (a *app) sweep(args []string) error {
 	hasFCT := slices.ContainsFunc(results, func(jr runner.JobResult) bool {
 		return jr.Err == nil && jr.Result != nil && jr.Result.FCT != nil
 	})
+	// Columns are padded to line up; each line is printed with its last
+	// column's padding trimmed.
+	var line string
 	if a.Seeds > 1 {
-		fmt.Fprintf(w, "%-12s %-16s %-10s %-16s", *param, "mean±sd", "worstBin", "delivered±sd")
+		line = fmt.Sprintf("%-12s %-16s %-10s %-16s", *param, "mean±sd", "worstBin", "delivered±sd")
 	} else {
-		fmt.Fprintf(w, "%-12s %-10s %-10s %-10s", *param, "mean", "worstBin", "delivered")
+		line = fmt.Sprintf("%-12s %-10s %-10s %-10s", *param, "mean", "worstBin", "delivered")
 	}
 	if hasFCT {
-		fmt.Fprintf(w, " %-12s %-12s", "fctP50", "fctP99")
+		line += fmt.Sprintf(" %-12s %-12s", "fctP50", "fctP99")
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(w, strings.TrimRight(line, " "))
 	cursor := results
 	for _, pt := range points {
 		if pt.invalid != nil {
@@ -151,18 +155,18 @@ func (a *app) sweep(args []string) error {
 		}
 		worst /= float64(len(rs))
 		if a.Seeds > 1 {
-			fmt.Fprintf(w, "%-12s %6.3f ±%5.3f   %-10.3f %8.0f ±%6.0f",
+			line = fmt.Sprintf("%-12s %6.3f ±%5.3f   %-10.3f %8.0f ±%6.0f",
 				pt.label, rep.MeanNormalized, rep.StdNormalized, worst, rep.MeanDelivered, rep.StdDelivered)
 			if hasFCT && rep.HasFCT {
-				fmt.Fprintf(w, " %5.2f ±%4.2f %5.2f ±%4.2f", rep.MeanFCTP50, rep.StdFCTP50, rep.MeanFCTP99, rep.StdFCTP99)
+				line += fmt.Sprintf(" %5.2f ±%4.2f %5.2f ±%4.2f", rep.MeanFCTP50, rep.StdFCTP50, rep.MeanFCTP99, rep.StdFCTP99)
 			}
 		} else {
-			fmt.Fprintf(w, "%-12s %-10.3f %-10.3f %-10.0f", pt.label, rep.MeanNormalized, worst, rep.MeanDelivered)
+			line = fmt.Sprintf("%-12s %-10.3f %-10.3f %-10.0f", pt.label, rep.MeanNormalized, worst, rep.MeanDelivered)
 			if hasFCT && rep.HasFCT {
-				fmt.Fprintf(w, " %-12.2f %-12.2f", rep.MeanFCTP50, rep.MeanFCTP99)
+				line += fmt.Sprintf(" %-12.2f %-12.2f", rep.MeanFCTP50, rep.MeanFCTP99)
 			}
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
 	return a.report(results)
 }

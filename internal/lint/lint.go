@@ -93,17 +93,6 @@ func All() []*Analyzer {
 	}
 }
 
-// KnownRules returns the rule ids a suppression directive may name.
-func KnownRules() []string {
-	var ids []string
-	for _, a := range All() {
-		ids = append(ids, a.Name)
-	}
-	ids = append(ids, RuleBadDirective)
-	sort.Strings(ids)
-	return ids
-}
-
 // Run executes the given analyzers over pkgs, applies //lint:ignore
 // suppressions, and returns the surviving diagnostics in deterministic
 // (file, line, col, rule, message) order — CI diffs must be stable, so

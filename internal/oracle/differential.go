@@ -19,10 +19,9 @@ import (
 // every destination carries strictly less than its link bandwidth, so
 // the lossless engine never stalls a source and both simulators are
 // source-limited. Under that precondition (asserted at run time via
-// Stats.Rejected == 0) delivered counts must match the reference
-// EXACTLY; latencies are compared within modelling bands because the
-// engine adds a crossbar transfer per switch and routes equal-cost
-// paths differently (see the package doc).
+// Stats.Rejected == 0) delivered counts match the reference exactly,
+// and latencies as the package doc says: packet for packet on an
+// unshared path, within one MTU serialization of the mean on a shared one.
 
 // DiffScenario is one differential test case.
 type DiffScenario struct {
@@ -171,26 +170,6 @@ func leakOrSurplus(got, want int) string {
 	return "appeared from nowhere"
 }
 
-// LatencyBand bounds how far the engine's latencies may sit from the
-// reference. Either side may be the slower one (see the package doc),
-// so the band is asymmetric: a hard analytic floor below, a scaled
-// reference ceiling above.
-type LatencyBand struct {
-	MeanFactor float64 // engine mean <= ref mean * MeanFactor + MeanSlack
-	MeanSlack  sim.Cycle
-	MaxFactor  float64 // engine max <= ref max * MaxFactor + MaxSlack
-	MaxSlack   sim.Cycle
-}
-
-// DefaultBand is calibrated on the stock scenarios, where engine/ref
-// mean ratios span 0.29–1.64: above 1 on star4 and config1 by the
-// crossbar transfers, below 1 on tree22 where the reference queues on
-// the one uplink its routes share. A regression that roughly doubles
-// engine latency escapes the band.
-func DefaultBand() LatencyBand {
-	return LatencyBand{MeanFactor: 2, MeanSlack: 32, MaxFactor: 2, MaxSlack: 128}
-}
-
 // DiffReport is the outcome of one scenario × scheme differential run.
 type DiffReport struct {
 	Scenario string
@@ -217,8 +196,9 @@ func (r *DiffReport) String() string {
 
 // RunDiff executes one scenario under one scheme on both simulators
 // and compares them: exact per-flow offered/delivered counts and
-// bytes, banded latency distributions, and the analytic floor.
-func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64, band LatencyBand) (*DiffReport, error) {
+// bytes, exact latencies on unshared paths, mean latencies on shared
+// ones, and the analytic floor.
+func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64) (*DiffReport, error) {
 	t, tb := sc.Build()
 	rep := &DiffReport{Scenario: sc.Name, Scheme: schemeName}
 
@@ -254,6 +234,25 @@ func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64, band
 		miss("engine failed to drain: %d offered, %d delivered after %d extra chunks", op, dp, maxDrainIters)
 	}
 
+	// shared[id]: the flow's path shares a directed link with a flow
+	// whose activation window overlaps its own.
+	shared, onLink := map[int]bool{}, map[int][]RefFlow{}
+	for _, f := range sc.Flows {
+		for _, li := range rs.path(f.Src, f.Dst) {
+			for _, g := range onLink[li] {
+				if f.Start < g.End && g.Start < f.End {
+					shared[f.ID], shared[g.ID] = true, true
+				}
+			}
+			onLink[li] = append(onLink[li], f)
+		}
+	}
+	slowest := math.MaxInt
+	for _, l := range t.Links {
+		slowest = min(slowest, l.BytesPerCycle)
+	}
+	mtuSer := float64(ser(pkt.MTU, slowest))
+
 	for _, id := range flowIDs(ref.Flows) {
 		r, e := ref.Flows[id], eng.Flows[id]
 		rep.RefPkts += r.DeliveredPkts
@@ -263,25 +262,16 @@ func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64, band
 				id, e.DeliveredPkts, e.DeliveredBytes, r.DeliveredPkts, r.DeliveredBytes)
 			continue
 		}
-		if r.DeliveredPkts == 0 {
-			continue
-		}
-		for _, l := range e.Latencies {
-			if l < r.MinPossible {
-				miss("flow %d: engine latency %d cycles beats the analytic floor %d (timing bug)",
-					id, l, r.MinPossible)
+		for i, l := range e.Latencies {
+			if l < r.MinPossible || !shared[id] && l != r.Latencies[i] {
+				miss("flow %d: engine packet %d took %d cycles, reference %d, analytic floor %d",
+					id, i, l, r.Latencies[i], r.MinPossible)
 				break
 			}
 		}
-		em, rm := e.MeanLatency(), r.MeanLatency()
-		if limit := rm*band.MeanFactor + float64(band.MeanSlack); em > limit {
-			miss("flow %d: engine mean latency %.1f outside band (ref mean %.1f, limit %.1f)",
-				id, em, rm, limit)
-		}
-		ex, rx := e.MaxLatency(), r.MaxLatency()
-		if limit := sim.Cycle(float64(rx)*band.MaxFactor) + band.MaxSlack; ex > limit {
-			miss("flow %d: engine max latency %d outside band (ref max %d, limit %d)",
-				id, ex, rx, limit)
+		if em, rm := e.MeanLatency(), r.MeanLatency(); shared[id] && math.Abs(em-rm) > mtuSer {
+			miss("flow %d: engine mean latency %.1f, reference %.1f: more than one MTU serialization (%.0f) apart",
+				id, em, rm, mtuSer)
 		}
 	}
 	return rep, nil

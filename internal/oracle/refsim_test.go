@@ -23,7 +23,7 @@ func twoHop(bpc int, d sim.Cycle) *topo.Topology {
 
 // TestRefSimHandComputed pins the reference model against arithmetic
 // done by hand: one packet over two store-and-forward hops takes
-// 2*(serialization + delay) cycles.
+// 2*(serialization + delay) cycles plus one crossbar transfer.
 func TestRefSimHandComputed(t *testing.T) {
 	// bpc=64, size=2048 => ser=32; delay=4. At rate 1 the accumulator
 	// reaches one packet at cycle 31, the last cycle of the window.
@@ -38,10 +38,12 @@ func TestRefSimHandComputed(t *testing.T) {
 	if st.OfferedPkts != 1 || st.DeliveredPkts != 1 {
 		t.Fatalf("offered=%d delivered=%d, want 1/1", st.OfferedPkts, st.DeliveredPkts)
 	}
-	// From emission: hop 1 serializes 32 cycles then propagates 4; hop
-	// 2 repeats. 2*(32+4) = 72 cycles end to end.
-	if got := st.Latencies[0]; got != 72 {
-		t.Errorf("latency = %d, want 72", got)
+	// From emission: hop 1 serializes 32 cycles then propagates 4; the
+	// switch's crossbar (xbar = 64, its fastest link) moves the packet
+	// in 2048/64 = 32 cycles; hop 2 serializes 32 and propagates 4.
+	// 2*(32+4) + 32 = 104 cycles end to end.
+	if got := st.Latencies[0]; got != 104 {
+		t.Errorf("latency = %d, want 104", got)
 	}
 	// Floor: one serialization (32) + two delays (8) = 40.
 	if st.MinPossible != 40 {
@@ -71,11 +73,39 @@ func TestRefSimQueueing(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := rs.Run(sim.Cycle(math.MaxInt64 / 2))
-	// Both packets emit the same cycle and reach the switch together;
-	// flow 0 wins the shared egress (FIFO, enqueued first), flow 1
-	// waits one serialization time behind it.
-	if l0, l1 := res.Flows[0].Latencies[0], res.Flows[1].Latencies[0]; l0 != 64 || l1 != 96 {
-		t.Errorf("latencies = %d, %d, want 64, 96", l0, l1)
+	// Both packets emit the same cycle and reach the switch together at
+	// 32 (2048/64); both cross the crossbar in 32 more and reach the
+	// shared egress at 64. Flow 0 wins it (FIFO, enqueued first) and
+	// lands at 64+32 = 96; flow 1 waits one serialization behind it and
+	// lands at 96+32 = 128.
+	if l0, l1 := res.Flows[0].Latencies[0], res.Flows[1].Latencies[0]; l0 != 96 || l1 != 128 {
+		t.Errorf("latencies = %d, %d, want 96, 128", l0, l1)
+	}
+}
+
+// TestRefSimDETRoutes pins the reference's DET rule on the 2-ary
+// 2-tree by hand. Endpoints 0 and 1 hang off leaf switch <0,0>
+// (level 0: one hop from an endpoint, less one), whose ports 2 and 3
+// go up to the two roots at equal cost. DET takes up port k + digit 0
+// of the destination, 2 + dst%2: flow 0->3 leaves on port 3, where the
+// lowest equal-cost port would be 2, and flow 1->2 leaves on port 2.
+func TestRefSimDETRoutes(t *testing.T) {
+	f, err := topo.KaryNTree(2, 2, sim.FlitBytes, topo.DefaultLinkDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewRefSim(f.Topology, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := f.Devices[f.EndpointDevice(0)].Ports[0].Peer
+	if f.Devices[f.EndpointDevice(1)].Ports[0].Peer != leaf {
+		t.Fatal("endpoints 0 and 1 do not share a leaf switch")
+	}
+	for _, c := range []struct{ src, dst, port int }{{0, 3, 3}, {1, 2, 2}} {
+		if got := rs.nextPort[leaf][c.dst]; got != c.port {
+			t.Errorf("flow %d->%d leaves the leaf on port %d, want %d", c.src, c.dst, got, c.port)
+		}
 	}
 }
 

@@ -58,9 +58,9 @@ func Scenarios() []DiffScenario {
 			},
 		},
 		{
-			// A 2-ary 2-tree: multi-stage fat-tree routing with
-			// DET-style tie-breaks on the engine side and independently
-			// computed BFS routes on the reference side.
+			// A 2-ary 2-tree: multi-stage fat-tree routing with the
+			// engine's DET tie-break on one side and the reference's
+			// own DET rule on the other.
 			Name: "tree22",
 			Build: func() (*topo.Topology, route.TieBreak) {
 				f, err := topo.KaryNTree(2, 2, sim.FlitBytes, topo.DefaultLinkDelay)

@@ -194,8 +194,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 		}
 	}
 	if len(invalid) > 0 {
-		return nil, fmt.Errorf("runner: %d invalid job(s):\n  %s\nvalid experiment ids: %s",
-			len(invalid), strings.Join(invalid, "\n  "), strings.Join(experiments.ValidIDs(), " "))
+		return nil, fmt.Errorf("runner: %d invalid job(s):\n  %s", len(invalid), strings.Join(invalid, "\n  "))
 	}
 	exec := opt.Executor
 	if exec == nil {

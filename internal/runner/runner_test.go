@@ -119,20 +119,23 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunFailsFastOnInvalidJobs(t *testing.T) {
-	for _, jobs := range [][]Job{
-		{{Exp: experiments.Experiment{ID: "nope"}, Scheme: "CCFIT", Seed: 1}},
-		{{Exp: byID(t, "fig7a"), Scheme: "bogus", Seed: 1}},
-		{{Exp: byID(t, "table1"), Scheme: "CCFIT", Seed: 1}},
+	for _, c := range []struct {
+		job    Job
+		reason string
+	}{
+		{Job{Exp: experiments.Experiment{ID: "nope"}, Scheme: "CCFIT", Seed: 1}, "nope is not a runnable experiment"},
+		{Job{Exp: byID(t, "fig7a"), Scheme: "bogus", Seed: 1}, `unknown scheme "bogus"`},
+		{Job{Exp: byID(t, "table1"), Scheme: "CCFIT", Seed: 1}, "table1 is not a runnable experiment"},
 	} {
-		results, err := Run(context.Background(), jobs, Options{})
+		results, err := Run(context.Background(), []Job{c.job}, Options{})
 		if err == nil {
-			t.Fatalf("jobs %v accepted", jobs)
+			t.Fatalf("job %v accepted", c.job)
 		}
 		if results != nil {
 			t.Fatal("invalid campaign still produced results")
 		}
-		if !strings.Contains(err.Error(), "valid experiment ids") {
-			t.Fatalf("error does not list valid ids: %v", err)
+		if !strings.Contains(err.Error(), c.reason) {
+			t.Errorf("job %v: error %q does not give its reason %q", c.job, err, c.reason)
 		}
 	}
 	// Bad params fail before anything runs too.
