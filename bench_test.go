@@ -77,7 +77,7 @@ func BenchmarkTable1Configs(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, tree := range []*topo.FatTree{topo.Config2(), topo.Config3()} {
-			if _, err := network.Build(tree.Topology, core.PresetCCFIT(), network.Options{TieBreak: tree.DETTieBreak}); err != nil {
+			if _, err := network.Build(tree.Topology, core.PresetCCFIT(), network.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -69,14 +69,14 @@ func TestPublicBuildAndRun(t *testing.T) {
 }
 
 func TestPublicFatTree(t *testing.T) {
-	tree, err := topo.KaryNTree(2, 2, 64, 4)
+	tree, err := topo.KaryNTree(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tree.NumEndpoints() != 4 {
 		t.Fatalf("2-ary 2-tree has %d endpoints", tree.NumEndpoints())
 	}
-	net, err := network.Build(tree.Topology, core.PresetFBICM(), network.Options{Seed: 2, TieBreak: tree.DETTieBreak})
+	net, err := network.Build(tree.Topology, core.PresetFBICM(), network.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,9 +308,9 @@ var fattreeRuns = sync.OnceValue(func() map[string]*network.Network {
 	for _, name := range fattreeSchemes {
 		p, err := experiments.SchemeByName(name)
 		must(err)
-		tree, err := topo.KaryNTree(2, 4, 64, 4)
+		tree, err := topo.KaryNTree(2, 4)
 		must(err)
-		net, err := network.Build(tree.Topology, p, network.Options{Seed: 5, TieBreak: tree.DETTieBreak})
+		net, err := network.Build(tree.Topology, p, network.Options{Seed: 5})
 		must(err)
 		end := sim.CyclesFromMS(2)
 		hotDests := []int{1, 5, 9}

@@ -53,7 +53,7 @@ func Defaults() Flags {
 func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.Int64Var(&f.Seed, "seed", f.Seed, "base simulation seed (identical seeds give identical runs)")
-	all.IntVar(&f.Seeds, "seeds", f.Seeds, "replications per scheme or sweep point (seeds seed..seed+N-1); >1 prints mean±sd tables; a cell that never observes its seed runs once per process (per worker on -server) and its other seeds read cached")
+	all.IntVar(&f.Seeds, "seeds", f.Seeds, "replications per scheme or sweep point (seeds seed..seed+N-1); >1 prints mean±sd tables; a cell that never observes its seed runs in each slot that claims one of its seeds before its first run ends (in each worker on -server), and its other seeds read cached")
 	all.StringVar(&f.Schemes, "schemes", f.Schemes, "comma-separated scheme list (empty = each experiment's own set)")
 	all.Float64Var(&f.MS, "ms", f.MS, "simulated milliseconds per cell: truncates registered experiments (0 = full length; distinct cache keys)")
 	// Kept only for bench/'s command lines (DESIGN.md §9 lists the bench-only names).

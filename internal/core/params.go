@@ -91,7 +91,8 @@ type Params struct {
 	PropagateThreshold int
 	// HoldDown: a drained CFQ must stay idle this long before its
 	// resources are deallocated (implementation hysteresis to avoid
-	// alloc/dealloc churn; the paper leaves the exact rule open).
+	// alloc/dealloc churn; the paper leaves the exact rule open). At
+	// least 1 cycle.
 	HoldDown sim.Cycle
 	// PostMovesPerCycle bounds post-processing NFQ->CFQ moves per
 	// cycle per port.
@@ -317,6 +318,10 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("core: AdVOQ capacity must be positive")
 	case p.PostMovesPerCycle <= 0 || p.DetectScan <= 0:
 		return fmt.Errorf("core: post-processing parameters must be positive")
+	case p.HoldDown < 1:
+		// At 0 the Update of the cycle a line is detected frees it before
+		// a packet can enter it: DESIGN.md §3.
+		return fmt.Errorf("core: HoldDown %d: a CFQ line must outlive the cycle it is allocated in", p.HoldDown)
 	}
 	return nil
 }

@@ -77,6 +77,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		"no advoq":       func(p *Params) { p.AdVOQCap = 0 },
 		"no cfqs":        func(p *Params) { p.NumCFQs = 0 },
 		"no post":        func(p *Params) { p.PostMovesPerCycle = 0 },
+		"no hold-down":   func(p *Params) { p.HoldDown = 0 },
 		"neg cctitimer":  func(p *Params) { p.CCTITimer = 0 },
 		"no dbbm queues": func(p *Params) { p.Disc = DBBM; p.DBBMQueues = 0 },
 		"unknown disc":   func(p *Params) { p.Disc = Discipline(len(disciplines)) },

@@ -80,7 +80,7 @@ func TestSkippedNodeCyclesAreIdleFuzzed(t *testing.T) {
 		in.Flows = make([]byte, 8*(2+rng.Intn(5))) // 2 to 6 flow records, as oracle.Sweep draws them
 		rng.Read(in.Flows)
 		cfg := in.Decode()
-		tp, tb, err := oracle.TopoByName(cfg.Topo)
+		tp, err := oracle.TopoByName(cfg.Topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestSkippedNodeCyclesAreIdleFuzzed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var counts []*int
-		er, err := oracle.RunEngine(tp, p, network.Options{Seed: cfg.Seed, TieBreak: tb}, cfg.Flows, func(n *network.Network) {
+		er, err := oracle.RunEngine(tp, p, network.Options{Seed: cfg.Seed}, cfg.Flows, func(n *network.Network) {
 			for _, nd := range n.Nodes {
 				counts = append(counts, endnode.InstallReference(nd, func(format string, args ...any) {
 					t.Errorf("config %d (%s/%s): "+format, append([]any{i, cfg.Topo, cfg.Scheme}, args...)...)

@@ -165,7 +165,7 @@ func BuildConfig1(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*
 // case (2 or 3).
 func BuildConfig2(p core.Params, seed int64, bin, end sim.Cycle, caseNo int, _ BuildOpts) (*network.Network, error) {
 	f := topo.Config2()
-	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak})
+	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin})
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,7 @@ func BuildConfig2(p core.Params, seed int64, bin, end sim.Cycle, caseNo int, _ B
 // BuildConfig3 wires Configuration #3 with the scheme and Case #4.
 func BuildConfig3(p core.Params, seed int64, bin, end sim.Cycle, trees int, _ BuildOpts) (*network.Network, error) {
 	f := topo.Config3()
-	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak})
+	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin})
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func BuildConfig3(p core.Params, seed int64, bin, end sim.Cycle, trees int, _ Bu
 // scheme and the hotspot+victims scenario.
 func BuildConfig4(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
 	f := topo.Config4()
-	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: f.DETTieBreak})
+	n, err := network.Build(f.Topology, p, network.Options{Seed: seed, BinCycles: bin})
 	if err != nil {
 		return nil, err
 	}

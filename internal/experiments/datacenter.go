@@ -66,7 +66,7 @@ func ShuffleFlows(numEndpoints int, bytes int64, stagger, horizon sim.Cycle) []t
 // x 4 endpoints over 2 spines (16 endpoints, 2:1 oversubscribed) with
 // the paper's standard 2.5 GB/s links.
 func dcLeafSpine() (*topo.LeafSpine, error) {
-	return topo.NewLeafSpine(4, 4, 2, 1, sim.FlitBytes, topo.DefaultLinkDelay)
+	return topo.NewLeafSpine(4, 4, 2, 1)
 }
 
 // BuildLeafIncast wires the xleafincast experiment: a 15-into-1 incast
@@ -78,7 +78,7 @@ func BuildLeafIncast(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts)
 	if err != nil {
 		return nil, err
 	}
-	n, err := network.Build(ls.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ls.DETTieBreak})
+	n, err := network.Build(ls.Topology, p, network.Options{Seed: seed, BinCycles: bin})
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func BuildLeafShuffle(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts
 	if err != nil {
 		return nil, err
 	}
-	n, err := network.Build(ls.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ls.DETTieBreak})
+	n, err := network.Build(ls.Topology, p, network.Options{Seed: seed, BinCycles: bin})
 	if err != nil {
 		return nil, err
 	}

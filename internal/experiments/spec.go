@@ -340,7 +340,7 @@ func LoadPoint(config int, load float64) (Experiment, error) {
 		Duration: ms(1),
 		Bin:      sim.CyclesFromNS(50_000),
 		Build: func(p core.Params, seed int64, bin, end sim.Cycle, _ BuildOpts) (*network.Network, error) {
-			n, err := network.Build(ft.Topology, p, network.Options{Seed: seed, BinCycles: bin, TieBreak: ft.DETTieBreak})
+			n, err := network.Build(ft.Topology, p, network.Options{Seed: seed, BinCycles: bin})
 			if err != nil {
 				return nil, err
 			}

@@ -42,10 +42,9 @@ var simScope = map[string]string{
 	"network":     "topology wiring and simulated routing fabric",
 	"oracle":      "differential oracle re-executes the engine",
 	"pkt":         "packet/flit state is replayed byte-for-byte",
-	"route":       "deterministic routing decisions",
 	"sim":         "the event-driven engine itself",
 	"switchfab":   "switch fabric: ingress/egress pipeline state",
-	"topo":        "topology construction must be seed-stable",
+	"topo":        "topology construction and its deterministic routes must be seed-stable",
 	"trace":       "event vocabulary core emits through, and tracers called inside the cycle",
 	"traffic":     "traffic generators draw from seeded PRNGs",
 }

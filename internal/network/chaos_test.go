@@ -42,7 +42,7 @@ func TestChaosControlMessages(t *testing.T) {
 			name: "config2",
 			build: func() (*Network, error) {
 				f := topo.Config2()
-				return Build(f.Topology, core.PresetCCFIT(), Options{Seed: 23, TieBreak: f.DETTieBreak})
+				return Build(f.Topology, core.PresetCCFIT(), Options{Seed: 23})
 			},
 			nEnd: 8, end: 150_000, run: 500_000,
 		},
@@ -50,7 +50,7 @@ func TestChaosControlMessages(t *testing.T) {
 			name: "config3",
 			build: func() (*Network, error) {
 				f := topo.Config3()
-				return Build(f.Topology, core.PresetCCFIT(), Options{Seed: 23, TieBreak: f.DETTieBreak})
+				return Build(f.Topology, core.PresetCCFIT(), Options{Seed: 23})
 			},
 			nEnd: 64, end: 50_000, run: 300_000,
 		},

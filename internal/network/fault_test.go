@@ -24,6 +24,32 @@ func hotspotFlows(e sim.Cycle) []traffic.Flow {
 	}
 }
 
+// A hold-down either runs the hot spot clean or Build refuses it. At 0
+// a CFQ line that Post detects is freed by the same cycle's Update,
+// before any packet can enter it: when both of a cycle's Post moves go
+// to detecting two destinations, the NFQ head matches a line it never
+// reaches, and CCFIT livelocks on Config #1 (swB p4 detects and frees
+// dests 3 and 4 every cycle).
+func TestHoldDownRefusedOrClean(t *testing.T) {
+	for _, preset := range []func() core.Params{core.PresetCCFIT, core.PresetFBICM} {
+		for _, hd := range []sim.Cycle{0, 1, 128} {
+			p := preset()
+			p.HoldDown = hd
+			n, err := Build(topo.Config1(), p, Options{Seed: 1})
+			if err != nil {
+				if hd == 0 && strings.Contains(err.Error(), "HoldDown") {
+					continue
+				}
+				t.Fatalf("%s HoldDown %d: %v", p.Name, hd, err)
+			}
+			addFlows(t, n, hotspotFlows(sim.CyclesFromMS(0.75)))
+			if err := n.RunAudited(sim.CyclesFromMS(15)); err != nil {
+				t.Errorf("%s HoldDown %d: %v", p.Name, hd, err)
+			}
+		}
+	}
+}
+
 // digest captures everything a replay must reproduce: totals, per-node
 // stats, latency shape, injector activity, and the engine clock.
 func digest(t *testing.T, n *Network) string {

@@ -45,7 +45,7 @@ func TestZeroLoadLatency(t *testing.T) {
 // occupy their own per-destination queues.
 func TestVOQnetHotspotDoesNotSpreadCongestion(t *testing.T) {
 	f := topo.Config2()
-	n, err := Build(f.Topology, core.PresetVOQnet(), Options{Seed: 4, TieBreak: f.DETTieBreak})
+	n, err := Build(f.Topology, core.PresetVOQnet(), Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCCFITLeavesNoResidue(t *testing.T) {
 		},
 		"config2": func() (*Network, []traffic.Flow) {
 			f := topo.Config2()
-			n, err := Build(f.Topology, core.PresetCCFIT(), Options{Seed: 2, TieBreak: f.DETTieBreak})
+			n, err := Build(f.Topology, core.PresetCCFIT(), Options{Seed: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func TestBECNPriorityEndToEnd(t *testing.T) {
 func TestThroughputConservation(t *testing.T) {
 	for _, p := range []core.Params{core.PresetCCFIT(), core.PresetITh()} {
 		f := topo.Config2()
-		n, err := Build(f.Topology, p, Options{Seed: 8, TieBreak: f.DETTieBreak})
+		n, err := Build(f.Topology, p, Options{Seed: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,11 +316,11 @@ func TestReleaseWhileBufferedFailsConservation(t *testing.T) {
 // oversubscribed leaf-spine fabric: losslessness and victim protection
 // must hold on topologies beyond the paper's three configurations.
 func TestLeafSpineOversubscribed(t *testing.T) {
-	ls, err := topo.NewLeafSpine(4, 4, 2, 1, 64, 4) // 16 nodes, 2:1 oversubscribed
+	ls, err := topo.NewLeafSpine(4, 4, 2, 1) // 16 nodes, 2:1 oversubscribed
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Build(ls.Topology, core.PresetCCFIT(), Options{Seed: 17, TieBreak: ls.DETTieBreak})
+	n, err := Build(ls.Topology, core.PresetCCFIT(), Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

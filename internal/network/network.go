@@ -1,8 +1,8 @@
 // Package network assembles a runnable simulation out of the building
-// blocks: it instantiates switches and end nodes for a topology,
-// computes routing tables, wires both directions of every link with
-// the configured bandwidth and delay, sizes the credit loops, and
-// attaches metrics collection and traffic generation.
+// blocks: it instantiates switches and end nodes for a topology, has the
+// switches forward by the topology's routes, wires both directions of
+// every link with the configured bandwidth and delay, sizes the credit
+// loops, and attaches metrics collection and traffic generation.
 package network
 
 import (
@@ -15,7 +15,6 @@ import (
 	"repro/internal/link"
 	"repro/internal/metrics"
 	"repro/internal/pkt"
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/switchfab"
 	"repro/internal/topo"
@@ -29,9 +28,6 @@ type Options struct {
 	Seed int64
 	// BinCycles is the metrics bin width (default: 50 us).
 	BinCycles sim.Cycle
-	// TieBreak selects equal-cost routes (nil = route.DefaultTieBreak;
-	// fat trees should pass (*topo.FatTree).DETTieBreak).
-	TieBreak route.TieBreak
 	// DisableInvariants opts out of the always-on runtime checker
 	// (micro-benchmarks squeezing the last cycles; everything else
 	// should leave it on — it audits once per ~1k cycles and is
@@ -46,7 +42,6 @@ type Options struct {
 type Network struct {
 	Eng       *sim.Engine
 	Topo      *topo.Topology
-	Tables    *route.Tables
 	Params    core.Params
 	Switches  []*switchfab.Switch // indexed in device-id order of switches
 	Nodes     []*endnode.Node     // indexed by endpoint id
@@ -84,14 +79,9 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 				d.Label, len(d.Ports), switchfab.MaxPorts)
 		}
 	}
-	tables, err := route.Compute(t, opt.TieBreak)
-	if err != nil {
-		return nil, err
-	}
 	n := &Network{
 		Eng:    sim.NewEngine(opt.Seed),
 		Topo:   t,
-		Tables: tables,
 		Params: p,
 		byDev:  make(map[int]*switchfab.Switch),
 	}
@@ -133,14 +123,14 @@ func Build(t *topo.Topology, p core.Params, opt Options) (*Network, error) {
 			}
 		}
 		sw := switchfab.New(eng, dev, d.Label, len(d.Ports), &n.Params,
-			func(dest int) int { return tables.OutPort(dev, dest) }, ne, xbar)
+			func(dest int) int { return t.OutPort(dev, dest) }, ne, xbar)
 		ports := d.Ports
 		sw.SetLookahead(func(out, dest int) int {
 			c := ports[out]
 			if c.Peer < 0 || t.Devices[c.Peer].Kind == topo.Endpoint {
 				return 0
 			}
-			nh := tables.OutPort(c.Peer, dest)
+			nh := t.OutPort(c.Peer, dest)
 			if nh < 0 {
 				return 0
 			}
@@ -318,15 +308,8 @@ func (n *Network) IdealFCT(src, dst int, size int64, pktSize int) (sim.Cycle, er
 	target := n.Topo.EndpointDevice(dst)
 	var total sim.Cycle
 	bottleneck := 0
-	for hops := 0; dev != target; hops++ {
-		if hops > len(n.Topo.Devices) {
-			return 0, fmt.Errorf("network: routing loop computing ideal FCT %d->%d", src, dst)
-		}
-		port := n.Tables.OutPort(dev, dst)
-		if port < 0 || port >= len(n.Topo.Devices[dev].Ports) {
-			return 0, fmt.Errorf("network: no route %d->%d at device %d", src, dst, dev)
-		}
-		c := n.Topo.Devices[dev].Ports[port]
+	for dev != target {
+		c := n.Topo.Devices[dev].Ports[n.Topo.OutPort(dev, dst)]
 		l := n.Topo.Links[c.Link]
 		bpc := int64(l.BytesPerCycle)
 		total += sim.Cycle((first+bpc-1)/bpc) + l.Delay

@@ -98,6 +98,55 @@ func TestPartitionInfoCounters(t *testing.T) {
 	}
 }
 
+// Build routes every fat tree by DET without the caller naming a rule:
+// all traffic to one destination converges on one per-destination tree
+// (Table I), the property the paper's congestion trees rest on. A
+// level-1 switch of Config #3 climbs on port k plus the destination's
+// level-1 digit, and a leaf of a trunked leaf-spine fabric climbs to
+// spine dest mod Spines.
+func TestBuildRoutesByDET(t *testing.T) {
+	tree := topo.Config3()
+	n, err := Build(tree.Topology, core.Preset1Q(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, sw := range tree.Switches() {
+		if tree.Level(sw) != 1 {
+			continue
+		}
+		for dest := 0; dest < tree.NumEndpoints(); dest++ {
+			if tree.InSubtree(sw, dest) {
+				continue
+			}
+			want := tree.K + dest/tree.K%tree.K
+			if got := n.Topo.OutPort(sw, dest); got != want {
+				t.Fatalf("level-1 switch %d climbs towards %d on port %d, want %d", sw, dest, got, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no level-1 up-port checked")
+	}
+
+	ls, err := topo.NewLeafSpine(3, 4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err = Build(ls.Topology, core.Preset1Q(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dest := 0; dest < ls.NumEndpoints(); dest++ {
+		leaf := ls.LeafDevice((ls.LeafOf(dest) + 1) % ls.Leaves) // a leaf not hosting dest
+		port := n.Topo.OutPort(leaf, dest)
+		if spine := ls.Devices[leaf].Ports[port].Peer; spine != ls.SpineDevice(dest%ls.Spines) {
+			t.Fatalf("leaf %d climbs towards %d to device %d, want spine %d", leaf, dest, spine, dest%ls.Spines)
+		}
+	}
+}
+
 func addFlows(t *testing.T, n *Network, flows []traffic.Flow) {
 	t.Helper()
 	if err := n.AddFlows(flows); err != nil {
@@ -345,7 +394,7 @@ func TestFiniteFlowsShareIDRejected(t *testing.T) {
 func TestFatTreeUniformTraffic(t *testing.T) {
 	f := topo.Config2()
 	p := core.PresetCCFIT()
-	n, err := Build(f.Topology, p, Options{Seed: 3, TieBreak: f.DETTieBreak})
+	n, err := Build(f.Topology, p, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

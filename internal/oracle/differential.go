@@ -9,7 +9,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/network"
 	"repro/internal/pkt"
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -26,10 +25,9 @@ import (
 // DiffScenario is one differential test case.
 type DiffScenario struct {
 	Name string
-	// Build returns the topology and the routing tie-break the engine
-	// should use (nil = default; the reference computes its own routes
-	// either way).
-	Build func() (*topo.Topology, route.TieBreak)
+	// Build returns the topology, routed by its own rule; the reference
+	// computes its own routes.
+	Build func() *topo.Topology
 	Flows []RefFlow
 }
 
@@ -199,7 +197,7 @@ func (r *DiffReport) String() string {
 // bytes, exact latencies on unshared paths, mean latencies on shared
 // ones, and the analytic floor.
 func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64) (*DiffReport, error) {
-	t, tb := sc.Build()
+	t := sc.Build()
 	rep := &DiffReport{Scenario: sc.Name, Scheme: schemeName}
 
 	rs, err := NewRefSim(t, sc.Flows)
@@ -214,7 +212,7 @@ func RunDiff(sc DiffScenario, schemeName string, p core.Params, seed int64) (*Di
 		return nil, fmt.Errorf("oracle: %s: reference did not drain (scenario bug)", sc.Name)
 	}
 
-	eng, err := RunEngine(t, p, network.Options{Seed: seed, TieBreak: tb}, sc.Flows)
+	eng, err := RunEngine(t, p, network.Options{Seed: seed}, sc.Flows)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s/%s: engine build: %w", sc.Name, schemeName, err)
 	}

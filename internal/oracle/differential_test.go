@@ -55,10 +55,10 @@ func TestEngineRerunExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			top, tb := sc.Build()
+			top := sc.Build()
 			runs := make([]*EngineRun, 2)
 			for i := range runs {
-				if runs[i], err = RunEngine(top, p, network.Options{Seed: 1, TieBreak: tb}, sc.Flows); err != nil {
+				if runs[i], err = RunEngine(top, p, network.Options{Seed: 1}, sc.Flows); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -28,12 +27,12 @@ type FuzzConfig struct {
 // TopoByName resolves the fuzzer's topology namespace: "starN" (one
 // switch, N endpoints, 3 <= N <= 16), "config1" (the paper's 7-node
 // network), "tree22"/"tree23" (2-ary 2- and 3-trees).
-func TopoByName(name string) (*topo.Topology, route.TieBreak, error) {
+func TopoByName(name string) (*topo.Topology, error) {
 	switch {
 	case strings.HasPrefix(name, "star"):
 		n, err := strconv.Atoi(name[len("star"):])
 		if err != nil || n < 3 || n > 16 {
-			return nil, nil, fmt.Errorf("oracle: bad star size in %q (want star3..star16)", name)
+			return nil, fmt.Errorf("oracle: bad star size in %q (want star3..star16)", name)
 		}
 		b := topo.NewBuilder(name)
 		sw := b.AddSwitch("sw", n)
@@ -41,30 +40,29 @@ func TopoByName(name string) (*topo.Topology, route.TieBreak, error) {
 			e := b.AddEndpoint("")
 			b.Connect(sw, i, e, 0)
 		}
-		t, err := b.Build()
-		return t, nil, err
+		return b.Build()
 	case name == "config1":
-		return topo.Config1(), nil, nil
+		return topo.Config1(), nil
 	case name == "tree22" || name == "tree23":
 		levels := 2
 		if name == "tree23" {
 			levels = 3
 		}
-		f, err := topo.KaryNTree(2, levels, sim.FlitBytes, topo.DefaultLinkDelay)
+		f, err := topo.KaryNTree(2, levels)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return f.Topology, f.DETTieBreak, nil
+		return f.Topology, nil
 	case name == "leafspine":
 		// 3 leaves x 2 endpoints over 2 spines: the smallest fabric that
 		// exercises both the intra-leaf and the cross-spine path shapes.
-		ls, err := topo.NewLeafSpine(3, 2, 2, 1, sim.FlitBytes, topo.DefaultLinkDelay)
+		ls, err := topo.NewLeafSpine(3, 2, 2, 1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return ls.Topology, ls.DETTieBreak, nil
+		return ls.Topology, nil
 	default:
-		return nil, nil, fmt.Errorf("oracle: unknown topology %q (want starN, config1, tree22, tree23 or leafspine)", name)
+		return nil, fmt.Errorf("oracle: unknown topology %q (want starN, config1, tree22, tree23 or leafspine)", name)
 	}
 }
 
@@ -110,7 +108,7 @@ func (in FuzzInput) Decode() FuzzConfig {
 		Scheme: fuzzSchemes[int(in.Scheme)%len(fuzzSchemes)],
 		Seed:   int64(in.Seed%1_000_000) + 1,
 	}
-	t, _, err := TopoByName(cfg.Topo)
+	t, err := TopoByName(cfg.Topo)
 	if err != nil {
 		panic(err) // decoder and namespace ship together
 	}

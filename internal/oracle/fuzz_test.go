@@ -84,7 +84,7 @@ func TestDecodeConfigValid(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		in := randomInput(rng)
 		cfg := in.Decode()
-		tp, _, err := TopoByName(cfg.Topo)
+		tp, err := TopoByName(cfg.Topo)
 		if err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}
@@ -122,12 +122,12 @@ func TestCorpusFile(t *testing.T) {
 func TestTopoByName(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"star3", "star16", "config1", "tree22", "tree23", "leafspine"} {
-		if _, _, err := TopoByName(name); err != nil {
+		if _, err := TopoByName(name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 	for _, name := range []string{"star2", "star17", "starx", "mesh44", ""} {
-		if _, _, err := TopoByName(name); err == nil {
+		if _, err := TopoByName(name); err == nil {
 			t.Errorf("%s: want error, got topology", name)
 		}
 	}

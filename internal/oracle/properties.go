@@ -48,7 +48,7 @@ func CheckConfig(cfg FuzzConfig) []error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	t, tb, err := TopoByName(cfg.Topo)
+	t, err := TopoByName(cfg.Topo)
 	if err != nil {
 		return []error{err}
 	}
@@ -57,7 +57,7 @@ func CheckConfig(cfg FuzzConfig) []error {
 		return []error{err}
 	}
 
-	base, err := RunEngine(t, p, network.Options{Seed: cfg.Seed, TieBreak: tb}, cfg.Flows)
+	base, err := RunEngine(t, p, network.Options{Seed: cfg.Seed}, cfg.Flows)
 	if err != nil {
 		return []error{fmt.Errorf("base run: %w", err)}
 	}
@@ -96,7 +96,7 @@ func CheckConfig(cfg FuzzConfig) []error {
 
 	// Property 3: seed invariance.
 	if base.Rejected == 0 {
-		reseeded, rerr := RunEngine(t, p, network.Options{Seed: cfg.Seed + seedStride, TieBreak: tb}, cfg.Flows)
+		reseeded, rerr := RunEngine(t, p, network.Options{Seed: cfg.Seed + seedStride}, cfg.Flows)
 		if rerr != nil {
 			fail("reseeded run: %v", rerr)
 		} else if reseeded.Rejected == 0 {
@@ -116,7 +116,7 @@ func CheckConfig(cfg FuzzConfig) []error {
 		f.ID += relabelOffset
 		renamed[i] = f
 	}
-	relab, err := RunEngine(t, p, network.Options{Seed: cfg.Seed, TieBreak: tb}, renamed)
+	relab, err := RunEngine(t, p, network.Options{Seed: cfg.Seed}, renamed)
 	if err != nil {
 		fail("relabeled run: %v", err)
 	} else {

@@ -108,8 +108,8 @@ func runTampered(t *testing.T, tamper func(*network.Network)) *EngineRun {
 		t.Fatal(err)
 	}
 	sc := Scenarios()[0]
-	tp, tb := sc.Build()
-	run, err := RunEngine(tp, p, network.Options{Seed: 1, TieBreak: tb}, sc.Flows, tamper)
+	tp := sc.Build()
+	run, err := RunEngine(tp, p, network.Options{Seed: 1}, sc.Flows, tamper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestHealthyRunHasNoViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scenarios()[0]
-	tp, tb := sc.Build()
-	run, err := RunEngine(tp, p, network.Options{Seed: 1, TieBreak: tb}, sc.Flows)
+	tp := sc.Build()
+	run, err := RunEngine(tp, p, network.Options{Seed: 1}, sc.Flows)
 	if err != nil {
 		t.Fatal(err)
 	}

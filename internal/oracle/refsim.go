@@ -14,18 +14,14 @@
 // no congestion management — a few hundred lines whose behaviour can
 // be checked by eye. As in the engine, a link lands a packet's tail
 // after serialization plus propagation, and a switch forwards it one
-// crossbar transfer, ceil(size/xbar) cycles, later. On non-saturating
-// traffic both simulators are lossless and source-limited, so per-flow
-// delivered counts and bytes agree exactly, and so does every latency
-// of a flow whose path shares no directed link with a concurrent flow.
-// A shared flow's mean agrees within one MTU serialization on the
-// slowest link: the engine's input adapter round-robins per
-// destination and iSLIP arbitrates a shared output, both unlike the
-// reference's FIFO, and an input port's crossbar carries one transfer
-// at a time where the reference's is a pure delay. star4's f4 (+21
-// cycles) hits the last, not round robin or iSLIP: its 700 B packets
-// land 11 cycles behind f0's 2048 B ones, whose 32-cycle transfer
-// still holds the port.
+// crossbar transfer, ceil(size/xbar) cycles, later, each input port
+// carrying one transfer at a time. On non-saturating traffic both
+// simulators are lossless and source-limited, so per-flow delivered
+// counts and bytes agree exactly, and so does every latency of a flow
+// whose path shares no directed link with a concurrent flow. A shared
+// flow's mean agrees within one MTU serialization on the slowest link:
+// the engine's input adapter round-robins per destination and iSLIP
+// arbitrates a shared output, both unlike the reference's FIFO.
 package oracle
 
 import (
@@ -98,7 +94,8 @@ type RefResult struct {
 }
 
 // refLink is one direction of a physical link: an unbounded FIFO in
-// front of a serializing server.
+// front of a serializing server. xbarFree is when the crossbar of the
+// input port it lands on finishes its last transfer.
 type refLink struct {
 	toDev    int
 	toPort   int
@@ -106,6 +103,7 @@ type refLink struct {
 	delay    sim.Cycle
 	fifo     []*pkt.Packet
 	busyTill sim.Cycle
+	xbarFree sim.Cycle
 }
 
 // refEvent is a scheduled callback of the reference engine's private
@@ -202,11 +200,11 @@ func NewRefSim(t *topo.Topology, flows []RefFlow) (*RefSim, error) {
 }
 
 // computeRoutes fills nextPort with DET shortest-path next hops,
-// purposely independent of the engine's routing tables (route.Compute,
-// topo's tie-breaks): a shared routing bug would otherwise escape the
-// differential. A switch's level is its hop distance to the nearest
-// endpoint, less one; among equal-cost ports a 2k-port switch at level
-// l takes up port k + the destination's radix-k digit l, else the lowest.
+// purposely independent of the topology's own routes (Topology.OutPort):
+// a shared routing bug would otherwise escape the differential. A
+// switch's level is its hop distance to the nearest endpoint, less one;
+// among equal-cost ports a 2k-port switch at level l takes up port k +
+// the destination's radix-k digit l, else the lowest.
 func (s *RefSim) computeRoutes() error {
 	nd := len(s.t.Devices)
 	ne := s.t.NumEndpoints()
@@ -440,7 +438,9 @@ func (s *RefSim) tryStart(li int) {
 
 // arrive lands a fully received packet at the link's far device:
 // endpoints consume it, switches forward it into the next output FIFO
-// after one crossbar transfer.
+// after one crossbar transfer. An input port carries one transfer at a
+// time, so a packet that lands while the port's last one is crossing
+// waits for it.
 func (s *RefSim) arrive(li int, p *pkt.Packet) {
 	dev := s.links[li].toDev
 	d := &s.t.Devices[dev]
@@ -454,5 +454,7 @@ func (s *RefSim) arrive(li int, p *pkt.Packet) {
 		s.res.LastDelivery = s.now
 		return
 	}
-	s.at(s.now+ser(p.Size, s.xbar[dev]), func() { s.enqueue(s.outLink[dev][s.nextPort[dev][p.Dst]], p) })
+	l := &s.links[li]
+	l.xbarFree = max(s.now, l.xbarFree) + ser(p.Size, s.xbar[dev])
+	s.at(l.xbarFree, func() { s.enqueue(s.outLink[dev][s.nextPort[dev][p.Dst]], p) })
 }

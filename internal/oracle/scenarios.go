@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -24,14 +23,14 @@ func Scenarios() []DiffScenario {
 			// A single crossbar: the minimal case — no multi-hop
 			// routing, pure injection/arbitration/sink behaviour.
 			Name: "star4",
-			Build: func() (*topo.Topology, route.TieBreak) {
+			Build: func() *topo.Topology {
 				b := topo.NewBuilder("star4")
 				sw := b.AddSwitch("sw", 4)
 				for i := 0; i < 4; i++ {
 					e := b.AddEndpoint("")
 					b.Connect(sw, i, e, 0)
 				}
-				return b.MustBuild(), nil
+				return b.MustBuild()
 			},
 			Flows: []RefFlow{
 				{ID: 0, Src: 0, Dst: 1, Start: 0, End: ms1, Rate: 0.80, Size: 2048},
@@ -46,8 +45,8 @@ func Scenarios() []DiffScenario {
 			// 2.5/5 GB/s links, staggered activation windows crossing
 			// the inter-switch trunk in both directions.
 			Name: "config1",
-			Build: func() (*topo.Topology, route.TieBreak) {
-				return topo.Config1(), nil
+			Build: func() *topo.Topology {
+				return topo.Config1()
 			},
 			Flows: []RefFlow{
 				{ID: 0, Src: 0, Dst: 3, Start: 0, End: ms1, Rate: 0.40, Size: 2048},
@@ -59,15 +58,15 @@ func Scenarios() []DiffScenario {
 		},
 		{
 			// A 2-ary 2-tree: multi-stage fat-tree routing with the
-			// engine's DET tie-break on one side and the reference's
+			// topology's DET routes on one side and the reference's
 			// own DET rule on the other.
 			Name: "tree22",
-			Build: func() (*topo.Topology, route.TieBreak) {
-				f, err := topo.KaryNTree(2, 2, sim.FlitBytes, topo.DefaultLinkDelay)
+			Build: func() *topo.Topology {
+				f, err := topo.KaryNTree(2, 2)
 				if err != nil {
 					panic(err) // fixed parameters, cannot fail
 				}
-				return f.Topology, f.DETTieBreak
+				return f.Topology
 			},
 			Flows: []RefFlow{
 				{ID: 0, Src: 0, Dst: 3, Start: 0, End: ms1, Rate: 0.70, Size: 2048},

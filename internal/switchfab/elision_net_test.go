@@ -95,7 +95,7 @@ func TestElidedSwitchWorkIsIdleFuzzed(t *testing.T) {
 		in.Flows = make([]byte, 8*(2+rng.Intn(5))) // 2 to 6 flow records, as oracle.Sweep draws them
 		rng.Read(in.Flows)
 		cfg := in.Decode()
-		tp, tb, err := oracle.TopoByName(cfg.Topo)
+		tp, err := oracle.TopoByName(cfg.Topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestElidedSwitchWorkIsIdleFuzzed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var counts []*switchfab.RefCounts
-		er, err := oracle.RunEngine(tp, p, network.Options{Seed: cfg.Seed, TieBreak: tb}, cfg.Flows, func(n *network.Network) {
+		er, err := oracle.RunEngine(tp, p, network.Options{Seed: cfg.Seed}, cfg.Flows, func(n *network.Network) {
 			for _, sw := range n.Switches {
 				sw := sw
 				counts = append(counts, switchfab.InstallReference(sw, func(format string, args ...any) {

@@ -19,8 +19,7 @@ const (
 
 // Config1 builds the paper's Configuration #1: 7 endpoints, 2 switches.
 func Config1() *Topology {
-	b := NewBuilder("config#1 (ad-hoc, 7 nodes, 2 switches)")
-	b.SetDefaultLink(sim.FlitBytes, DefaultLinkDelay) // 2.5 GB/s
+	b := NewBuilder("config#1 (ad-hoc, 7 nodes, 2 switches)") // 2.5 GB/s links
 	for i := 0; i < 7; i++ {
 		b.AddEndpoint("node" + string(rune('0'+i)))
 	}
@@ -41,7 +40,7 @@ func Config1() *Topology {
 // Config2 builds the paper's Configuration #2: a 2-ary 3-tree with
 // 8 endpoints and 12 switches, all links 2.5 GB/s.
 func Config2() *FatTree {
-	f, err := KaryNTree(2, 3, sim.FlitBytes, DefaultLinkDelay)
+	f, err := KaryNTree(2, 3)
 	if err != nil {
 		panic(err)
 	}
@@ -52,7 +51,7 @@ func Config2() *FatTree {
 // Config3 builds the paper's Configuration #3: a 4-ary 3-tree with
 // 64 endpoints and 48 switches, all links 2.5 GB/s.
 func Config3() *FatTree {
-	f, err := KaryNTree(4, 3, sim.FlitBytes, DefaultLinkDelay)
+	f, err := KaryNTree(4, 3)
 	if err != nil {
 		panic(err)
 	}
@@ -64,7 +63,7 @@ func Config3() *FatTree {
 // 8-ary 3-tree with 512 endpoints and 192 switches (16 ports each), all
 // links 2.5 GB/s: the largest fabric the benchmarks run on.
 func Config4() *FatTree {
-	f, err := KaryNTree(8, 3, sim.FlitBytes, DefaultLinkDelay)
+	f, err := KaryNTree(8, 3)
 	if err != nil {
 		panic(err)
 	}

@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // FatTree is a k-ary n-tree topology plus the structural metadata
 // needed for deterministic (DET) routing: every switch's level and
@@ -50,28 +46,32 @@ func valueOf(d []int, k int) int {
 	return v
 }
 
-// KaryNTree builds a k-ary n-tree with uniform link parameters
-// (bytesPerCycle per direction, delay cycles). k >= 2, n >= 2.
-func KaryNTree(k, n, bytesPerCycle int, delay sim.Cycle) (*FatTree, error) {
+// KaryNTree builds a k-ary n-tree routed by DET, with the paper's
+// 2.5 GB/s links throughout. k >= 2, n >= 2.
+func KaryNTree(k, n int) (*FatTree, error) {
 	if k < 2 || n < 2 {
 		return nil, fmt.Errorf("topo: k-ary n-tree needs k>=2, n>=2 (got k=%d n=%d)", k, n)
 	}
 	numEP := pow(k, n)
 	perLevel := pow(k, n-1)
 	b := NewBuilder(fmt.Sprintf("%d-ary %d-tree", k, n))
-	b.SetDefaultLink(bytesPerCycle, delay)
-
-	ft := &FatTree{K: k, N: n}
 
 	// Endpoints first: device ids 0..numEP-1 == endpoint ids.
 	for e := 0; e < numEP; e++ {
 		b.AddEndpoint(fmt.Sprintf("node%d", e))
 	}
 	// Switches: device id = numEP + l*perLevel + wval.
+	nd := numEP + n*perLevel
+	ft := &FatTree{K: k, N: n, level: make([]int, nd), windx: make([][]int, nd)}
+	for e := 0; e < numEP; e++ {
+		ft.level[e] = -1
+	}
 	swID := func(l, wval int) int { return numEP + l*perLevel + wval }
 	for l := 0; l < n; l++ {
 		for w := 0; w < perLevel; w++ {
-			b.AddSwitch(fmt.Sprintf("sw<%d,%d>", l, w), 2*k)
+			id := b.AddSwitch(fmt.Sprintf("sw<%d,%d>", l, w), 2*k)
+			ft.level[id] = l
+			ft.windx[id] = digitsOf(w, k, n-1)
 		}
 	}
 
@@ -96,23 +96,11 @@ func KaryNTree(k, n, bytesPerCycle int, delay sim.Cycle) (*FatTree, error) {
 		}
 	}
 
-	t, err := b.Build()
+	t, err := b.build(ft.det)
 	if err != nil {
 		return nil, err
 	}
 	ft.Topology = t
-	ft.level = make([]int, len(t.Devices))
-	ft.windx = make([][]int, len(t.Devices))
-	for i := range ft.level {
-		ft.level[i] = -1
-	}
-	for l := 0; l < n; l++ {
-		for w := 0; w < perLevel; w++ {
-			id := swID(l, w)
-			ft.level[id] = l
-			ft.windx[id] = digitsOf(w, k, n-1)
-		}
-	}
 	return ft, nil
 }
 
@@ -133,16 +121,13 @@ func (f *FatTree) InSubtree(dev, e int) bool {
 	return true
 }
 
-// DETTieBreak is the deterministic up-path rule from "Deterministic
-// versus adaptive routing in fat-trees" (Gomez et al., cited as the DET
+// det is the deterministic up-path rule from "Deterministic versus
+// adaptive routing in fat-trees" (Gomez et al., cited as the DET
 // algorithm in Table I): when ascending at level l towards destination
 // e, take up port k + e_l (the destination's level-l digit). All
 // traffic addressed to e thereby converges on a single per-destination
 // tree, the property the congestion-management study depends on.
-//
-// It implements route.TieBreak: candidates are the equal-cost ports at
-// device dev for destination dest; returns the chosen port.
-func (f *FatTree) DETTieBreak(dev, dest int, candidates []int) int {
+func (f *FatTree) det(dev, dest int, candidates []int) int {
 	l := f.level[dev]
 	if l < 0 || len(candidates) == 1 {
 		return candidates[0]

@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // LeafSpine is a two-level Clos ("leaf-spine") fabric plus the
 // structural metadata needed for deterministic routing: `Leaves` leaf
@@ -17,7 +13,7 @@ import (
 // full-bisection k-ary n-trees.
 //
 // Endpoints are numbered leaf-major: leaf L hosts endpoints
-// L*Down .. L*Down+Down-1. All links share bytesPerCycle and delay.
+// L*Down .. L*Down+Down-1. All links run at the paper's 2.5 GB/s.
 type LeafSpine struct {
 	*Topology
 	Leaves, Down, Spines, Trunk int
@@ -25,13 +21,14 @@ type LeafSpine struct {
 	leafStart, spineStart int // device ids of the first leaf / spine
 }
 
-// NewLeafSpine builds the fabric. leaves >= 2; down, spines, trunk >= 1.
+// NewLeafSpine builds the fabric, routed by DET. leaves >= 2; down,
+// spines, trunk >= 1.
 //
 // Port map: leaf L uses ports 0..down-1 for its endpoints and port
 // down + s*trunk + k for trunk member k towards spine s; spine s uses
 // port L*trunk + k for the same link, so every leaf-spine pair is
 // joined by exactly `trunk` parallel links.
-func NewLeafSpine(leaves, down, spines, trunk, bytesPerCycle int, delay sim.Cycle) (*LeafSpine, error) {
+func NewLeafSpine(leaves, down, spines, trunk int) (*LeafSpine, error) {
 	if leaves < 2 || down < 1 || spines < 1 || trunk < 1 {
 		return nil, fmt.Errorf("topo: leaf-spine needs >=2 leaves, >=1 down, >=1 spine, >=1 trunk (got %d/%d/%d/%d)", leaves, down, spines, trunk)
 	}
@@ -40,7 +37,6 @@ func NewLeafSpine(leaves, down, spines, trunk, bytesPerCycle int, delay sim.Cycl
 		name += fmt.Sprintf(" x%d trunks", trunk)
 	}
 	b := NewBuilder(name)
-	b.SetDefaultLink(bytesPerCycle, delay)
 
 	ls := &LeafSpine{Leaves: leaves, Down: down, Spines: spines, Trunk: trunk}
 
@@ -71,7 +67,7 @@ func NewLeafSpine(leaves, down, spines, trunk, bytesPerCycle int, delay sim.Cycl
 			}
 		}
 	}
-	t, err := b.Build()
+	t, err := b.build(ls.det)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +102,13 @@ func (ls *LeafSpine) UpPorts() []int {
 	return out
 }
 
-// DETTieBreak implements route.TieBreak with the DET property: every
-// packet addressed to endpoint e climbs to spine e mod Spines over
-// trunk member (e / Spines) mod Trunk and descends over the same trunk
-// member, so all traffic to one destination converges on a single
+// det is the fabric's DET rule: every packet addressed to endpoint e
+// climbs to spine e mod Spines over trunk member (e / Spines) mod Trunk
+// and descends over the same trunk member, so all traffic to one destination converges on a single
 // per-destination tree — the invariant the congestion-management study
 // depends on — while distinct destinations spread across the whole
 // spine layer and all trunk members.
-func (ls *LeafSpine) DETTieBreak(dev, dest int, candidates []int) int {
+func (ls *LeafSpine) det(dev, dest int, candidates []int) int {
 	if len(candidates) == 1 {
 		return candidates[0]
 	}

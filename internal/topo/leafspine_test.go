@@ -6,7 +6,7 @@ import (
 )
 
 func TestLeafSpineShape(t *testing.T) {
-	ls, err := NewLeafSpine(4, 4, 2, 1, 64, 4)
+	ls, err := NewLeafSpine(4, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestLeafSpineShape(t *testing.T) {
 
 func TestLeafSpineValidation(t *testing.T) {
 	for _, args := range [][4]int{{1, 4, 2, 1}, {4, 0, 2, 1}, {4, 4, 0, 1}, {4, 4, 2, 0}} {
-		if _, err := NewLeafSpine(args[0], args[1], args[2], args[3], 64, 4); err == nil {
+		if _, err := NewLeafSpine(args[0], args[1], args[2], args[3]); err == nil {
 			t.Fatalf("accepted %v", args)
 		}
 	}
@@ -53,7 +53,7 @@ func TestLeafSpineValidation(t *testing.T) {
 // connected.
 func TestLeafSpinePortCounts(t *testing.T) {
 	const leaves, down, spines, trunk = 3, 4, 2, 2
-	ls, err := NewLeafSpine(leaves, down, spines, trunk, 64, 4)
+	ls, err := NewLeafSpine(leaves, down, spines, trunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLeafSpinePortCounts(t *testing.T) {
 // exactly `trunk` parallel links.
 func TestLeafSpineTrunkMultiplicity(t *testing.T) {
 	const leaves, down, spines, trunk = 3, 4, 2, 2
-	ls, err := NewLeafSpine(leaves, down, spines, trunk, 64, 4)
+	ls, err := NewLeafSpine(leaves, down, spines, trunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLeafSpineOversubscription(t *testing.T) {
 		{4, 2, 4, 1, 0.5}, // over-provisioned
 	}
 	for _, c := range cases {
-		ls, err := NewLeafSpine(c.leaves, c.down, c.spines, c.trunk, 64, 4)
+		ls, err := NewLeafSpine(c.leaves, c.down, c.spines, c.trunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestLeafSpineOversubscription(t *testing.T) {
 }
 
 func TestLeafSpineUpPorts(t *testing.T) {
-	ls, err := NewLeafSpine(2, 3, 2, 2, 64, 4)
+	ls, err := NewLeafSpine(2, 3, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestLeafSpineUpPorts(t *testing.T) {
 // picks a real candidate, and distinct destinations spread over all
 // spines and trunk members.
 func TestLeafSpineDETTieBreakPure(t *testing.T) {
-	ls, err := NewLeafSpine(4, 4, 2, 2, 64, 4)
+	ls, err := NewLeafSpine(4, 4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestLeafSpineDETTieBreakPure(t *testing.T) {
 	chosen := map[int]bool{}
 	for dest := 0; dest < ls.NumEndpoints(); dest++ {
 		leaf := ls.LeafDevice(ls.LeafOf(dest) ^ 1) // any leaf not hosting dest
-		p := ls.DETTieBreak(leaf, dest, up)
-		q := ls.DETTieBreak(leaf, dest, up)
+		p := ls.det(leaf, dest, up)
+		q := ls.det(leaf, dest, up)
 		if p != q {
 			t.Fatalf("tie-break not pure for dest %d: %d vs %d", dest, p, q)
 		}

@@ -1,25 +1,19 @@
-package route
+package topo
 
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/topo"
 )
 
 func TestConfig1Routing(t *testing.T) {
-	tp := topo.Config1()
-	r, err := Compute(tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := Config1()
 	// Every src->dst pair delivers.
 	for s := 0; s < 7; s++ {
 		for d := 0; d < 7; d++ {
 			if s == d {
 				continue
 			}
-			path, err := r.Path(tp, s, d)
+			path, err := tp.Path(s, d)
 			if err != nil {
 				t.Fatalf("%d->%d: %v", s, d, err)
 			}
@@ -34,24 +28,20 @@ func TestConfig1Routing(t *testing.T) {
 		}
 	}
 	// At the destination there is no out port.
-	if r.OutPort(tp.EndpointDevice(4), 4) != -1 {
+	if tp.OutPort(tp.EndpointDevice(4), 4) != -1 {
 		t.Fatal("destination endpoint has an out port to itself")
 	}
 }
 
 func TestFatTreeRoutingDelivers(t *testing.T) {
-	f := topo.Config2()
-	r, err := Compute(f.Topology, f.DETTieBreak)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := Config2()
 	n := f.NumEndpoints()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
-			path, err := r.Path(f.Topology, s, d)
+			path, err := f.Path(s, d)
 			if err != nil {
 				t.Fatalf("%d->%d: %v", s, d, err)
 			}
@@ -70,11 +60,7 @@ func TestFatTreeRoutingDelivers(t *testing.T) {
 // form a single tree — once two flows to dest d meet at a device they
 // follow the identical suffix.
 func TestFatTreePerDestinationTree(t *testing.T) {
-	for _, cfg := range []*topo.FatTree{topo.Config2(), topo.Config3()} {
-		r, err := Compute(cfg.Topology, cfg.DETTieBreak)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, cfg := range []*FatTree{Config2(), Config3()} {
 		n := cfg.NumEndpoints()
 		for d := 0; d < n; d++ {
 			// Per-destination next hop is a function of the device
@@ -86,7 +72,7 @@ func TestFatTreePerDestinationTree(t *testing.T) {
 				if s == d {
 					continue
 				}
-				if _, err := r.Path(cfg.Topology, s, d); err != nil {
+				if _, err := cfg.Path(s, d); err != nil {
 					t.Fatalf("%s: %v", cfg.Name, err)
 				}
 			}
@@ -99,11 +85,7 @@ func TestFatTreePerDestinationTree(t *testing.T) {
 // 64 destinations split 16/16/16/16 over the 4 up ports (for
 // destinations outside its subtree).
 func TestDETUpLinkSpread(t *testing.T) {
-	f := topo.Config3()
-	r, err := Compute(f.Topology, f.DETTieBreak)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := Config3()
 	sw := f.Switches()[0] // a level-0 switch
 	if f.Level(sw) != 0 {
 		t.Fatalf("expected level-0 switch first, got level %d", f.Level(sw))
@@ -113,7 +95,7 @@ func TestDETUpLinkSpread(t *testing.T) {
 		if f.InSubtree(sw, d) {
 			continue
 		}
-		counts[r.OutPort(sw, d)]++
+		counts[f.OutPort(sw, d)]++
 	}
 	if len(counts) != f.K {
 		t.Fatalf("up ports used = %v, want %d distinct", counts, f.K)
@@ -131,11 +113,7 @@ func TestRandomFatTreesRouteProperty(t *testing.T) {
 	f := func(k8, n8 uint8, s16, d16 uint16) bool {
 		k := int(k8%3) + 2 // 2..4
 		n := int(n8%2) + 2 // 2..3
-		ft, err := topo.KaryNTree(k, n, 64, 4)
-		if err != nil {
-			return false
-		}
-		r, err := Compute(ft.Topology, ft.DETTieBreak)
+		ft, err := KaryNTree(k, n)
 		if err != nil {
 			return false
 		}
@@ -145,7 +123,7 @@ func TestRandomFatTreesRouteProperty(t *testing.T) {
 		if s == d {
 			return true
 		}
-		_, err = r.Path(ft.Topology, s, d)
+		_, err = ft.Path(s, d)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -154,19 +132,15 @@ func TestRandomFatTreesRouteProperty(t *testing.T) {
 }
 
 func TestNoTransitThroughEndpoints(t *testing.T) {
-	tp := topo.Config1()
-	r, err := Compute(tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := Config1()
 	for s := 0; s < 7; s++ {
 		for d := 0; d < 7; d++ {
 			if s == d {
 				continue
 			}
-			path, _ := r.Path(tp, s, d)
+			path, _ := tp.Path(s, d)
 			for _, dev := range path[1 : len(path)-1] {
-				if tp.Devices[dev].Kind == topo.Endpoint {
+				if tp.Devices[dev].Kind == Endpoint {
 					t.Fatalf("%d->%d transits endpoint device %d: %v", s, d, dev, path)
 				}
 			}
@@ -175,23 +149,19 @@ func TestNoTransitThroughEndpoints(t *testing.T) {
 }
 
 func TestBadTieBreakRejected(t *testing.T) {
-	tp := topo.Config1()
-	_, err := Compute(tp, func(dev, dest int, c []int) int { return 99 })
+	tp := Config1()
+	err := tp.route(func(dev, dest int, c []int) int { return 99 })
 	if err == nil {
 		t.Fatal("tie-break returning junk accepted")
 	}
 }
 
 func TestLeafSpineRouting(t *testing.T) {
-	ls, err := topo.NewLeafSpine(4, 4, 2, 1, 64, 4)
+	ls, err := NewLeafSpine(4, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp := ls.Topology
-	r, err := Compute(tp, ls.DETTieBreak)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ne := tp.NumEndpoints()
 	spineUse := map[int]int{}
 	for s := 0; s < ne; s++ {
@@ -199,7 +169,7 @@ func TestLeafSpineRouting(t *testing.T) {
 			if s == d {
 				continue
 			}
-			path, err := r.Path(tp, s, d)
+			path, err := tp.Path(s, d)
 			if err != nil {
 				t.Fatalf("%d->%d: %v", s, d, err)
 			}
@@ -224,15 +194,11 @@ func TestLeafSpineRouting(t *testing.T) {
 
 // TestLeafSpineTrunkedReachability demands that on a trunked,
 // oversubscribed fabric every ordered endpoint pair resolves a
-// loop-free path under DET routing (Tables.Path errors on loops and
+// loop-free path under DET routing (Path errors on loops and
 // dead ends), with the expected hop structure, and that all traffic to
 // one destination converges on a single spine and trunk member.
 func TestLeafSpineTrunkedReachability(t *testing.T) {
-	ls, err := topo.NewLeafSpine(3, 4, 2, 2, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Compute(ls.Topology, ls.DETTieBreak)
+	ls, err := NewLeafSpine(3, 4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +208,7 @@ func TestLeafSpineTrunkedReachability(t *testing.T) {
 			if s == d {
 				continue
 			}
-			path, err := r.Path(ls.Topology, s, d)
+			path, err := ls.Path(s, d)
 			if err != nil {
 				t.Fatalf("%d->%d: %v", s, d, err)
 			}
@@ -263,9 +229,9 @@ func TestLeafSpineTrunkedReachability(t *testing.T) {
 			if s == d || ls.LeafOf(s) == ls.LeafOf(d) {
 				continue
 			}
-			path, _ := r.Path(ls.Topology, s, d)
+			path, _ := ls.Path(s, d)
 			leaf := path[1]
-			port := r.OutPort(leaf, d)
+			port := ls.OutPort(leaf, d)
 			if spine == -1 {
 				spine, upPort = path[2], port-ls.Down
 			} else {
@@ -284,22 +250,18 @@ func TestLeafSpinePerDestinationTree(t *testing.T) {
 	// All traffic to one destination crosses the same spine
 	// (deterministic per-destination routing, as congestion
 	// management requires).
-	ls, err := topo.NewLeafSpine(4, 4, 2, 1, 64, 4)
+	ls, err := NewLeafSpine(4, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp := ls.Topology
-	r, err := Compute(tp, ls.DETTieBreak)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for d := 0; d < tp.NumEndpoints(); d++ {
 		spine := -1
 		for s := 0; s < tp.NumEndpoints(); s++ {
 			if s == d || s/4 == d/4 {
 				continue
 			}
-			path, _ := r.Path(tp, s, d)
+			path, _ := tp.Path(s, d)
 			if spine == -1 {
 				spine = path[2]
 			} else if path[2] != spine {

@@ -1,8 +1,9 @@
 // Package topo describes interconnection network topologies: endpoints
-// (compute nodes with an input adapter), switches, and the links wiring
-// them. It provides a general builder plus generators for the paper's
-// evaluated networks: the ad-hoc 7-node/2-switch Configuration #1 and
-// k-ary n-trees (Configurations #2 and #3, Table I).
+// (compute nodes with an input adapter), switches, the links wiring
+// them, and the deterministic routes over them. It provides a general
+// builder plus generators for the paper's evaluated networks: the ad-hoc
+// 7-node/2-switch Configuration #1 and k-ary n-trees (Configurations #2
+// and #3, Table I), routed by DET, and leaf-spine fabrics.
 package topo
 
 import (
@@ -55,11 +56,12 @@ type Device struct {
 	EndpointID int
 }
 
-// Topology is an immutable network description.
+// Topology is an immutable network description, routes included.
 type Topology struct {
 	Devices   []Device
 	Links     []LinkSpec
-	endpoints []int // device id per endpoint index
+	endpoints []int   // device id per endpoint index
+	next      []int16 // next[dev*NumEndpoints()+dest]: see OutPort
 	Name      string
 }
 
@@ -81,8 +83,8 @@ func (t *Topology) Switches() []int {
 }
 
 // Validate checks structural soundness: endpoints have exactly one
-// connected port, link references are consistent, and the graph over
-// connected devices is connected.
+// connected port and link references are consistent. Connectivity is
+// the routes' check: Build fails when a device cannot reach an endpoint.
 func (t *Topology) Validate() error {
 	for _, d := range t.Devices {
 		conn := 0
@@ -108,25 +110,6 @@ func (t *Topology) Validate() error {
 	}
 	if len(t.Devices) == 0 {
 		return fmt.Errorf("topo %q: empty", t.Name)
-	}
-	// Connectivity via BFS from device 0.
-	seen := make([]bool, len(t.Devices))
-	queue := []int{0}
-	seen[0] = true
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		for _, c := range t.Devices[d].Ports {
-			if c.Peer >= 0 && !seen[c.Peer] {
-				seen[c.Peer] = true
-				queue = append(queue, c.Peer)
-			}
-		}
-	}
-	for id, s := range seen {
-		if !s {
-			return fmt.Errorf("topo %q: device %d unreachable from device 0", t.Name, id)
-		}
 	}
 	return nil
 }
@@ -203,10 +186,17 @@ func (b *Builder) ConnectLink(devA, portA, devB, portB, bytesPerCycle int, delay
 	b.t.Devices[devB].Ports[portB] = Conn{Peer: devA, PeerPort: portA, Link: li}
 }
 
-// Build finalizes and validates the topology.
-func (b *Builder) Build() (*Topology, error) {
+// Build finalizes and validates the topology and routes it, spreading
+// equal-cost next hops across destinations by index.
+func (b *Builder) Build() (*Topology, error) { return b.build(spread) }
+
+// build is Build with the generator's own tie-break rule.
+func (b *Builder) build(tb tieBreak) (*Topology, error) {
 	t := b.t
 	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	if err := t.route(tb); err != nil {
 		return nil, err
 	}
 	return &t, nil

@@ -117,10 +117,10 @@ func TestKaryNTreeSizesMatchTable1(t *testing.T) {
 }
 
 func TestKaryNTreeRejectsBadParams(t *testing.T) {
-	if _, err := KaryNTree(1, 3, 64, 4); err == nil {
+	if _, err := KaryNTree(1, 3); err == nil {
 		t.Fatal("k=1 accepted")
 	}
-	if _, err := KaryNTree(2, 1, 64, 4); err == nil {
+	if _, err := KaryNTree(2, 1); err == nil {
 		t.Fatal("n=1 accepted")
 	}
 }
@@ -216,10 +216,10 @@ func TestDETTieBreakPicksDestinationDigit(t *testing.T) {
 	}
 	cands := []int{4, 5, 6, 7}
 	for e := 0; e < 16; e++ {
-		got := f.DETTieBreak(sw0, e, cands)
+		got := f.det(sw0, e, cands)
 		want := 4 + e%4
 		if got != want {
-			t.Fatalf("DETTieBreak(dest=%d) = %d, want %d", e, got, want)
+			t.Fatalf("det(dest=%d) = %d, want %d", e, got, want)
 		}
 	}
 }
