@@ -26,8 +26,8 @@
 // Example_quickstart (example_test.go) runs a victim flow beside a hot
 // spot on Configuration #1 under CCFIT and prints the victim's
 // bandwidth; Example_hotspot and Example_fattree compare the schemes.
-// Their output is pinned and a test beside each asserts its claim:
-// go test -run Example_ -v .
+// Their output is pinned (go test -run Example_ -v .); a test beside
+// each asserts its claim, Example_hotspot's in internal/oracle's claims.
 //
 // To reproduce a figure directly:
 //

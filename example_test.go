@@ -1,7 +1,9 @@
 package ccfit_test
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/network"
+	"repro/internal/oracle"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -184,7 +188,7 @@ var hotspotRuns = sync.OnceValue(func() map[string]hotspotRun {
 // Isolation (FBICM) frees the victim but leaves the parking lot, where
 // F5 and F6 get twice F1's and F2's share; throttling (ITh) equalises
 // the shares; CCFIT does both. Then the first protocol events of the
-// CCFIT run.
+// CCFIT run. TestHeadlineClaim asserts it on the same load.
 func Example_hotspot() {
 	runs := hotspotRuns()
 	fmt.Println("Config #1 hot spot: victim 0->3 beside F1,F2,F5,F6->4 (GB/s, second half of 5 ms)")
@@ -234,38 +238,49 @@ func Example_hotspot() {
 // CCFIT keeps the victim as well off as isolation (FBICM) and the
 // per-destination reference (VOQnet) do, and shares the hot link as
 // fairly as throttling (ITh) does; the schemes without throttling
-// leave the parking lot in place.
+// leave the parking lot in place. The thresholds are the hotspot/ rows
+// of internal/oracle's claims table, read over [2.5, 5) ms.
 func TestHeadlineClaim(t *testing.T) {
-	runs := hotspotRuns()
-	oneq, cc, voq := runs["1Q"], runs["CCFIT"], runs["VOQnet"]
+	holdClaims(t, "hotspot/")
+}
 
-	// Victim protection: isolation restores what HoL blocking under 1Q
-	// takes, CCFIT within 10% of VOQnet's.
-	for _, name := range []string{"FBICM", "CCFIT"} {
-		if v := runs[name].victim; v < 2.0 {
-			t.Errorf("%s victim %.2f GB/s < 2.0: not protected", name, v)
+// holdClaims runs, each once and in one campaign, the cells of the
+// claims whose ids start with one of prefixes, and fails each such
+// claim whose margin is not positive.
+func holdClaims(t *testing.T, prefixes ...string) {
+	var rows []oracle.Claim
+	var jobs []runner.Job
+	for _, c := range oracle.Claims() {
+		if slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(c.ID, p) }) {
+			rows = append(rows, c)
+			for _, cell := range c.Cells {
+				if !slices.ContainsFunc(jobs, func(j runner.Job) bool { return j.String() == cell.String() }) {
+					jobs = append(jobs, cell)
+				}
+			}
 		}
 	}
-	if oneq.victim > cc.victim*0.5 {
-		t.Errorf("1Q victim %.2f GB/s not visibly HoL-blocked beside CCFIT's %.2f", oneq.victim, cc.victim)
+	if len(rows) == 0 {
+		t.Fatalf("no claim id starts with one of %q", prefixes)
 	}
-	if cc.victim < 0.9*voq.victim {
-		t.Errorf("CCFIT victim %.2f GB/s < 0.9 x VOQnet's %.2f", cc.victim, voq.victim)
+	results, err := runner.Run(context.Background(), jobs, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if voq.victim <= 4*oneq.victim {
-		t.Errorf("VOQnet victim %.2f GB/s not > 4 x 1Q's %.2f", voq.victim, oneq.victim)
-	}
-
-	// Fairness: per-flow throttling equalises the four shares; without
-	// it F5 and F6 take about twice F1's and F2's (Jain 0.9).
-	for _, name := range []string{"ITh", "CCFIT"} {
-		if j := runs[name].jain; j < 0.99 {
-			t.Errorf("%s Jain %.3f < 0.99: throttling did not equalise %.2f", name, j, runs[name].shares)
+	byCell := map[string]*experiments.Result{}
+	for i, jr := range results {
+		if jr.Err != nil {
+			t.Fatalf("%s: %v", jr.Job, jr.Err)
 		}
+		byCell[jobs[i].String()] = jr.Result
 	}
-	for _, name := range []string{"1Q", "FBICM"} {
-		if j := runs[name].jain; j > 0.91 {
-			t.Errorf("%s Jain %.3f > 0.91: parking lot not reproduced", name, j)
+	for _, c := range rows {
+		runs := oracle.Runs{}
+		for _, cell := range c.Cells {
+			runs[cell.Scheme] = byCell[cell.String()]
+		}
+		if v := c.Score(runs); !(v.Margin > 0) {
+			t.Errorf("%s %+.3f  %s", c.ID, v.Margin, v.Detail)
 		}
 	}
 }

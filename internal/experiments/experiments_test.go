@@ -440,18 +440,3 @@ func TestExtraFaultFlapRegistered(t *testing.T) {
 		t.Fatal("xfaultflap delivered nothing")
 	}
 }
-
-func TestExtraFairnessRuns(t *testing.T) {
-	exp, err := ByID("xfairness")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp.Duration = ms(0.4)
-	r, err := Run(exp, "OBQA", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Flows) != 4 || r.Summary.DeliveredPkts == 0 {
-		t.Fatalf("xfairness result incomplete: %d flows, %d pkts", len(r.Flows), r.Summary.DeliveredPkts)
-	}
-}

@@ -195,44 +195,3 @@ func TestRecoveryTime(t *testing.T) {
 		t.Fatalf("hold-1 recovery at %v", got)
 	}
 }
-
-// TestReactionTimeOrdering quantifies the paper's central timing claim
-// on Case #1: after the last contributors join at 6 ms, the victim
-// flow recovers to >2.3 GB/s essentially immediately under the
-// isolation schemes (FBICM, CCFIT), while pure throttling (ITh) takes
-// longer and 1Q never recovers.
-func TestReactionTimeOrdering(t *testing.T) {
-	exp, err := ByID("fig9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovery := func(scheme string) float64 {
-		r, err := Run(exp, scheme, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var victim []float64
-		for _, f := range r.Flows {
-			if f.ID == 0 {
-				victim = f.GBs
-			}
-		}
-		return RecoveryTime(r, victim, 6.0, 2.3, 4)
-	}
-	fbicm := recovery("FBICM")
-	ccfit := recovery("CCFIT")
-	ith := recovery("ITh")
-	oneq := recovery("1Q")
-	if fbicm < 0 || ccfit < 0 {
-		t.Fatalf("isolation schemes never recovered (fbicm=%v ccfit=%v)", fbicm, ccfit)
-	}
-	if fbicm > 6.5 || ccfit > 6.5 {
-		t.Fatalf("isolation not immediate: fbicm=%.2f ccfit=%.2f ms", fbicm, ccfit)
-	}
-	if ith >= 0 && ith < ccfit {
-		t.Fatalf("throttling alone (%.2f ms) beat isolation (%.2f ms)", ith, ccfit)
-	}
-	if oneq >= 0 {
-		t.Fatalf("1Q recovered at %.2f ms; HoL blocking should persist", oneq)
-	}
-}

@@ -44,6 +44,9 @@ var (
 	digests   = gate{pkg: "./internal/experiments", run: "TestGoldenDigests", sub: "TestGoldenDigests/digests"}
 	ledger    = gate{pkg: "./internal/experiments", run: "TestGoldenDigests", sub: "TestGoldenDigests/ledger"}
 	zeroAlloc = gate{pkg: ".", run: "TestSteadyStateZeroAlloc"}
+	// claims is the paper's claims table: does a mechanism defect
+	// change what the reproduction claims, not just its digests?
+	claims = gate{pkg: "./internal/oracle", run: "TestClaims"}
 )
 
 var table = []mutant{
@@ -150,7 +153,7 @@ var table = []mutant{
 		edits: []edit{{"internal/core/isolation.go",
 			"\t\t\treturn true // no CFQ free: head proceeds as normal traffic\n",
 			"\t\t\treturn acted // no CFQ free: head proceeds as normal traffic\n"}},
-		gates: []gate{digests, ledger},
+		gates: []gate{digests, ledger, claims},
 	},
 
 	// The isolation protocol's parameters and the reference model.
@@ -160,7 +163,7 @@ var table = []mutant{
 		edits: []edit{{"internal/core/isolation.go",
 			"\t\tif line.valid && line.Root && line.Out == out && line.Dest == dest {\n",
 			"\t\tif line.valid && line.Root && line.Out == out {\n"}},
-		gates: []gate{digests, ledger},
+		gates: []gate{digests, ledger, claims},
 	},
 	{
 		name:   "ccfit-marking-rate",
@@ -168,7 +171,7 @@ var table = []mutant{
 		edits: []edit{{"internal/core/params.go",
 			"\t\tMarkingRate:        0.85,\n",
 			"\t\tMarkingRate:        0.80,\n"}},
-		gates: []gate{digests, {pkg: "./internal/oracle", run: "TestGoldenCurves"}},
+		gates: []gate{digests, {pkg: "./internal/oracle", run: "TestGoldenCurves"}, claims},
 	},
 	{
 		name:   "link-hop-plus-16",

@@ -52,6 +52,11 @@ const drainChunk sim.Cycle = 1 << 15
 // engine has livelocked, which is itself a differential failure.
 const maxDrainIters = 256
 
+// traffic is the flow as the engine's traffic package takes it.
+func (f RefFlow) traffic() traffic.Flow {
+	return traffic.Flow{ID: f.ID, Src: f.Src, Dst: f.Dst, Start: f.Start, End: f.End, Rate: f.Rate, PktSize: f.Size}
+}
+
 // RunEngine executes the scenario on the real engine and drains it:
 // after the last activation window closes it keeps running in chunks
 // until every offered packet is delivered (or the iteration cap turns
@@ -73,8 +78,7 @@ func RunEngine(t *topo.Topology, p core.Params, opt network.Options, flows []Ref
 	tfs := make([]traffic.Flow, len(flows))
 	var maxEnd sim.Cycle
 	for i, f := range flows {
-		tfs[i] = traffic.Flow{ID: f.ID, Src: f.Src, Dst: f.Dst,
-			Start: f.Start, End: f.End, Rate: f.Rate, PktSize: f.Size}
+		tfs[i] = f.traffic()
 		er.Flows[f.ID] = &RefFlowStats{}
 		if f.End > maxEnd {
 			maxEnd = f.End

@@ -153,80 +153,12 @@ func hotspotFlows(end sim.Cycle) []RefFlow {
 }
 
 // hotspotSeed and hotspotTol are the seed and the relative tolerance
-// of the two hot-spot checks below; the tolerance absorbs arbitration
-// noise.
+// of the hot-spot checks (CheckIRDStepMonotonic and the dominance
+// claims); the tolerance absorbs arbitration noise.
 const (
 	hotspotSeed int64 = 1
 	hotspotTol        = 0.05
 )
-
-// CheckSchemeDominance asserts the paper's headline ordering on a
-// hot-spot scenario (Section IV): VOQnet, the per-destination ideal,
-// bounds every practical scheme; CCFIT recovers throughput 1Q loses
-// to HoL blocking; and each of FBICM and ITh also beats 1Q. The
-// comparison metric is total delivered bytes over the whole run, within
-// hotspotTol.
-//
-// Deliberately NOT asserted: strict CCFIT > FBICM or CCFIT > ITh on
-// this small config — the paper's separation between the combined
-// scheme and its halves only opens up at Config #3 scale (Fig. 8),
-// and pretending it holds everywhere would make the property flaky.
-func CheckSchemeDominance() []error {
-	var errs []error
-	end := sim.CyclesFromMS(0.75)
-	flows := hotspotFlows(end)
-	total := map[string]float64{}
-	victim := map[string]float64{}
-	for _, name := range PaperSchemes {
-		p, err := experiments.SchemeByName(name)
-		if err != nil {
-			return []error{err}
-		}
-		run, err := RunEngine(topo.Config1(), p, network.Options{Seed: hotspotSeed}, flows)
-		if err != nil {
-			return []error{fmt.Errorf("dominance: %s: %w", name, err)}
-		}
-		for _, v := range run.Violations {
-			errs = append(errs, fmt.Errorf("dominance: %s: invariant violation: %s", name, v))
-		}
-		_, db := run.Net.TotalDelivered()
-		total[name] = float64(db)
-		victim[name] = float64(run.Flows[0].DeliveredBytes)
-	}
-	geq := func(a, b string) {
-		if total[a] < total[b]*(1-hotspotTol) {
-			errs = append(errs, fmt.Errorf(
-				"dominance: %s delivered %.0f B < %s's %.0f B (tolerance %.0f%%) — paper ordering inverted",
-				a, total[a], b, total[b], hotspotTol*100))
-		}
-	}
-	geq("VOQnet", "CCFIT")
-	geq("VOQnet", "FBICM")
-	geq("VOQnet", "ITh")
-	geq("VOQnet", "1Q")
-	geq("CCFIT", "1Q")
-	geq("FBICM", "1Q")
-	geq("ITh", "1Q")
-
-	// The central claim (Figs. 7/9): the victim flow, starved by HoL
-	// blocking under 1Q, recovers a multiple of its bandwidth under
-	// every congestion-management scheme. Measured margins on this
-	// scenario are 1.8x (ITh) to 2.6x (CCFIT/FBICM/VOQnet); the
-	// asserted factors leave room for seed-to-seed noise without ever
-	// letting a broken scheme slip to 1Q levels.
-	recovers := func(name string, factor float64) {
-		if victim[name] < victim["1Q"]*factor {
-			errs = append(errs, fmt.Errorf(
-				"dominance: victim flow under %s delivered %.0f B, less than %.1fx its 1Q starvation level %.0f B — congestion management is not protecting the victim",
-				name, victim[name], factor, victim["1Q"]))
-		}
-	}
-	recovers("CCFIT", 1.5)
-	recovers("VOQnet", 1.5)
-	recovers("FBICM", 1.5)
-	recovers("ITh", 1.2)
-	return errs
-}
 
 // CheckCCTMonotonic asserts the CCT-depth ⇒ injection-rate relation
 // at the unit level, with no simulator in the loop: a deeper CCT

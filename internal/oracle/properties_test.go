@@ -85,20 +85,6 @@ func TestIRDStepMonotonic(t *testing.T) {
 	}
 }
 
-// TestSchemeDominance checks the paper's headline ordering under the
-// hot-spot scenario: VOQnet >= CCFIT >= {FBICM, ITh} >= 1Q on
-// delivered bytes within tolerance, and every isolating scheme
-// recovers the victim flow versus the 1Q baseline.
-func TestSchemeDominance(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("five 0.75 ms hot-spot runs; skipped in -short")
-	}
-	for _, err := range CheckSchemeDominance() {
-		t.Error(err)
-	}
-}
-
 // runTampered executes the star scenario under CCFIT, handing the built
 // network to tamper before any traffic is installed.
 func runTampered(t *testing.T, tamper func(*network.Network)) *EngineRun {

@@ -2,10 +2,10 @@
 // its tests are the harness's only front door: a deliberately simple
 // reference simulator the optimized engine is differentially tested
 // against, a metamorphic property suite over fuzzed configurations, and
-// the paper's headline figures pinned by exact digests plus their
-// qualitative claims as inequalities. Every refactor or performance
-// change is judged by `go test ./internal/oracle` (-short keeps the
-// cheap gates and an 8-config sweep).
+// the paper's claims as one table of scored inequalities (Claims),
+// whose figure runs are also pinned by exact digests. Every refactor or
+// performance change is judged by `go test ./internal/oracle` (-short
+// keeps the cheap gates and an 8-config sweep; it checks no claim).
 //
 // The reference simulator (RefSim) shares only the pkt and topo types
 // with the real engine. It is store-and-forward with a single
