@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -51,23 +50,39 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	dataDir := flag.String("data", ".ccfit-serve", "state directory (campaign specs under data/campaigns, cache under data/cache)")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // once draining, a second signal kills the process
+	if err := run(ctx, nil, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "ccfit-serve:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until ctx ends or the listener fails, then drains and
+// returns the listener's error, if any. It listens on -addr unless ln
+// is non-nil.
+func run(ctx context.Context, ln net.Listener, args []string) error {
+	fs := flag.NewFlagSet("ccfit-serve", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
+	dataDir := fs.String("data", ".ccfit-serve", "state directory (campaign specs under data/campaigns, cache under data/cache)")
 	// The execution flags are the campaign tools' own, declared once in
 	// internal/cli; the cache defaults to <data>/cache here.
 	f := cli.Defaults()
-	f.Register(flag.CommandLine, "cache", "workers", "timeout", "cache-max-bytes")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open HTTP connections")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "remote worker lease TTL (a job whose worker stops heartbeating this long is reclaimed and requeued)")
-	maxReassign := flag.Int("max-reassign", 3, "give up on a job after this many lease reclaims (bounds crash-requeue loops)")
-	flag.Parse()
+	f.Register(fs, "cache", "workers", "timeout", "cache-max-bytes")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open HTTP connections")
+	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "remote worker lease TTL (a job whose worker stops heartbeating this long is reclaimed and requeued)")
+	maxReassign := fs.Int("max-reassign", 3, "give up on a job after this many lease reclaims (bounds crash-requeue loops)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if f.Cache == "" {
 		f.Cache = filepath.Join(*dataDir, "cache")
 	}
 	cache, err := f.OpenCache()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ccfit-serve: "+format+"\n", args...)
@@ -89,12 +104,16 @@ func main() {
 		Log:      logf,
 	})
 	if err != nil {
-		fatal(err)
+		board.Close()
+		return err
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
+	if ln == nil {
+		if ln, err = net.Listen("tcp", *addr); err != nil {
+			_ = sched.Close()
+			board.Close()
+			return err
+		}
 	}
 	// Event streams hold their connections open indefinitely; deriving
 	// every request context from baseCtx lets shutdown cut them loose so
@@ -106,9 +125,9 @@ func main() {
 	// shape stable.
 	fmt.Printf("ccfit-serve: listening on http://%s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Periodic GC so a busy server bounds its cache between restarts.
+	// Periodic GC so a busy server bounds its cache between restarts; it
+	// ends when the drain begins.
+	ctx, cancel := context.WithCancel(ctx)
 	if f.CacheMaxBytes > 0 {
 		go func() {
 			t := time.NewTicker(5 * time.Minute)
@@ -127,14 +146,12 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
+	var served error
 	select {
-	case err := <-serveErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
-		}
+	case served = <-serveErr:
 	case <-ctx.Done():
 	}
-	stop() // a second signal now kills the process immediately
+	cancel()
 	fmt.Fprintln(os.Stderr, "ccfit-serve: draining (in-flight jobs finish; queued jobs resume next start)")
 
 	baseCancel() // release long-lived event streams and parked claims
@@ -144,14 +161,15 @@ func main() {
 	if err := sched.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "ccfit-serve: scheduler close: %v\n", err)
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
+	shutCtx, shutCancel := context.WithTimeout(context.Background(), *drainTimeout)
+	defer shutCancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "ccfit-serve: http shutdown: %v\n", err)
 	}
 	board.Close()
 	f.SettleCache(cache, logf)
 	fmt.Fprintln(os.Stderr, "ccfit-serve: drained")
+	return served
 }
 
 // newServer bounds what a client may hold open without sending: the
@@ -168,9 +186,4 @@ func newServer(h http.Handler, base context.Context) *http.Server {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccfit-serve:", err)
-	os.Exit(1)
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // TestSlowHeaderDisconnected: a client that opens a connection and
@@ -95,4 +97,66 @@ func TestRetryFlagsUnknown(t *testing.T) {
 			t.Errorf("ccfit-serve %s: %v, output:\n%s", args, err, out)
 		}
 	}
+}
+
+// failingListener is a bound listener whose Accept fails, as one does
+// when the process runs out of file descriptors for good.
+type failingListener struct{ net.Listener }
+
+var errAccept = errors.New("accept: no more descriptors")
+
+func (failingListener) Accept() (net.Conn, error) { return nil, errAccept }
+
+// TestServeErrorReturned: when the listener fails, run drains and
+// returns the listener's error instead of serving nothing until a
+// signal comes.
+func TestServeErrorReturned(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, failingListener{ln}, []string{"-data", t.TempDir(), "-workers", "1"}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errAccept) {
+			t.Fatalf("run returned %v, want the listener's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		cancel()
+		t.Fatalf("run still serving 10 s after its listener failed; it returned %v once cancelled", <-done)
+	}
+}
+
+// TestShutdownEndsEveryGoroutine: with the periodic cache GC on, every
+// goroutine run starts has ended once its context is cancelled and run
+// has returned.
+func TestShutdownEndsEveryGoroutine(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, ln, []string{"-data", t.TempDir(), "-workers", "1", "-cache-max-bytes", "1000000"})
+	}()
+	// Serving proves run is past starting its goroutines.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	check()
 }

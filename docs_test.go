@@ -96,10 +96,11 @@ func loadLiveNames(t *testing.T) liveNames {
 		t.Fatalf("read verbs %q and figure flags %v off ccfit-run -h", tools, live.flags[""])
 	}
 
-	// The servers' flags are their main.go's flag.* declarations plus the
-	// shared flags they register, which the figures take too.
-	decl := regexp.MustCompile(`flag\.(\w+)\((?:&[\w.]+, )?"([\w-]+)"`)
-	register := regexp.MustCompile(`\.Register\(flag\.CommandLine((?:, "[\w-]+")+)\)`)
+	// The servers' flags are their main.go's declarations on
+	// flag.CommandLine or a flag set named fs, plus the shared flags they
+	// register, which the figures take too.
+	decl := regexp.MustCompile(`\b(?:flag|fs)\.(\w+)\((?:&[\w.]+, )?"([\w-]+)"`)
+	register := regexp.MustCompile(`\.Register\((?:flag\.CommandLine|fs)((?:, "[\w-]+")+)\)`)
 	quoted := regexp.MustCompile(`"([\w-]+)"`)
 	for _, tool := range []string{"ccfit-serve", "ccfit-worker"} {
 		src, err := os.ReadFile(filepath.Join("cmd", tool, "main.go"))
@@ -108,7 +109,9 @@ func loadLiveNames(t *testing.T) liveNames {
 		}
 		flags := map[string]bool{"h": false, "help": false}
 		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			flags[m[2]] = !strings.HasPrefix(m[1], "Bool")
+			if m[1] != "NewFlagSet" {
+				flags[m[2]] = !strings.HasPrefix(m[1], "Bool")
+			}
 		}
 		for _, m := range register.FindAllStringSubmatch(string(src), -1) {
 			for _, q := range quoted.FindAllStringSubmatch(m[1], -1) {

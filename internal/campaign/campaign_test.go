@@ -288,7 +288,9 @@ func TestForwardRelaysLeaseEvents(t *testing.T) {
 // TestCancelMidRun: cancelling a running campaign drops its queued
 // jobs, drains the in-flight one as cancelled, and finalizes the
 // campaign as cancelled — all observable through events and the view.
+// Closing the schedulers leaves no goroutine running.
 func TestCancelMidRun(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
 	dir := t.TempDir()
 	exec := &blockingExecutor{started: make(chan string, 1)}
 	s := openScheduler(t, dir, Options{Workers: 1, Executor: exec})
@@ -336,6 +338,10 @@ func TestCancelMidRun(t *testing.T) {
 	if resumed.Status != StatusCancelled || resumed.Cancelled != resumed.Total {
 		t.Fatalf("after restart: %+v, want fully cancelled", resumed)
 	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check()
 }
 
 // gateExecutor runs the first `after` jobs normally, then parks every

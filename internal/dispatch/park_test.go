@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/testutil"
 )
 
 // Park/wake tests: a claim that finds the board empty is held and must
@@ -197,6 +198,7 @@ func TestParkReleasedByCancel(t *testing.T) {
 }
 
 func TestParkReleasedByClose(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
 	b, _ := testBoard(t, Options{})
 	w := mustRegister(t, b, "idle")
 	ch := park(context.Background(), b, w, time.Hour)
@@ -209,6 +211,7 @@ func TestParkReleasedByClose(t *testing.T) {
 	if _, ok, err := b.ClaimWait(context.Background(), w, time.Hour); ok || err != nil {
 		t.Fatalf("claim after Close: ok=%v err=%v", ok, err)
 	}
+	check() // the sweeper and the released claim have ended
 }
 
 // TestParkKeepsWorkerLive: a worker whose only sign of life is an open

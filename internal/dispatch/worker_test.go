@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/testutil"
 )
 
 // slowStopExec signals when it picks up a job, then runs until its
@@ -31,6 +32,7 @@ func (e *slowStopExec) Execute(ctx context.Context, job runner.Job, _ func(runne
 // when Run returns, so a Run that returned before its slots would claim
 // a drain while a job is still in flight and its abandon report unsent.
 func TestRunWaitsForAbandonReport(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
 	b, _ := testBoard(t, Options{LeaseTTL: time.Hour})
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()
@@ -64,4 +66,9 @@ func TestRunWaitsForAbandonReport(t *testing.T) {
 	if got := b.Snapshot()["jobs_abandoned"].(int64); got != 1 {
 		t.Fatalf("jobs_abandoned = %d when Run returned, want 1: Run returned before its slot reported", got)
 	}
+	// The slots, their heartbeats, the board and the HTTP connections
+	// all end with the drain.
+	srv.Close()
+	b.Close()
+	check()
 }

@@ -5,45 +5,6 @@ import (
 	"go/types"
 )
 
-// funcDecls maps each function and method a package declares with a
-// body to its declaration: the body a `go f()` runs, for
-// goroutine-lifecycle.
-func funcDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-		}
-	}
-	return decls
-}
-
-// stmtInBlock locates the innermost block under root directly
-// containing target, and target's index there.
-func stmtInBlock(root ast.Node, target ast.Stmt) (*ast.BlockStmt, int) {
-	var blk *ast.BlockStmt
-	idx := -1
-	ast.Inspect(root, func(n ast.Node) bool {
-		b, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range b.List {
-			if s == target {
-				blk, idx = b, i
-			}
-		}
-		return true
-	})
-	return blk, idx
-}
-
 // recvNamed returns the named type of f's receiver (through pointers),
 // or nil for plain functions.
 func recvNamed(f *types.Func) *types.Named {
@@ -73,4 +34,28 @@ func funcFromExpr(info *types.Info, e ast.Expr) *types.Func {
 		return f
 	}
 	return nil
+}
+
+// refObj resolves an expression to the declared object it denotes: a
+// variable identifier or a struct-field selector. The lock tracker keys
+// mutexes and guarded fields on these objects, so `w.mu` in one method
+// matches `w.mu` in another regardless of receiver spelling.
+func refObj(info *types.Info, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return objOf(info, x)
+	case *ast.SelectorExpr:
+		if s, ok := info.Selections[x]; ok && s.Kind() == types.FieldVal {
+			return s.Obj()
+		}
+	}
+	return nil
+}
+
+// objOf returns the object id declares or refers to.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
 }

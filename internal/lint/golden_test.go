@@ -27,8 +27,8 @@ func testModule(t *testing.T) *Module {
 }
 
 // runTestdata loads one seeded-violation package under a synthetic
-// internal/ import path (so analyzer scoping treats it exactly like
-// simulation code) and runs the full suite over it.
+// internal/ import path (so both rules cover it, as they cover every
+// internal/ package) and runs the full suite over it.
 func runTestdata(t *testing.T, name string) ([]Diagnostic, string) {
 	t.Helper()
 	m := testModule(t)
@@ -110,10 +110,8 @@ func checkGolden(t *testing.T, diags []Diagnostic, file string, wants []want) {
 	}
 }
 
-func TestGoldenDeterminism(t *testing.T)        { testGolden(t, "detviol") }
-func TestGoldenGoroutineLifecycle(t *testing.T) { testGolden(t, "goroviol") }
-func TestGoldenGuardedField(t *testing.T)       { testGolden(t, "guardviol") }
-func TestGoldenUncheckedErr(t *testing.T)       { testGolden(t, "errviol") }
+func TestGoldenGuardedField(t *testing.T) { testGolden(t, "guardviol") }
+func TestGoldenUncheckedErr(t *testing.T) { testGolden(t, "errviol") }
 
 func testGolden(t *testing.T, name string) {
 	diags, file := runTestdata(t, name)
@@ -126,10 +124,10 @@ func testGolden(t *testing.T, name string) {
 func TestGoldenSuppressed(t *testing.T) {
 	diags, file := runTestdata(t, "suppressed")
 	wants := []want{
-		{line: 28, rule: RuleBadDirective, substr: "gives no reason"},
-		{line: 29, rule: "determinism", substr: "time.Now"},
-		{line: 34, rule: RuleBadDirective, substr: `unknown rule "determinsim"`},
-		{line: 35, rule: "determinism", substr: "time.Now"},
+		{line: 31, rule: RuleBadDirective, substr: "gives no reason"},
+		{line: 32, rule: "unchecked-err", substr: "Remove discarded"},
+		{line: 37, rule: RuleBadDirective, substr: `unknown rule "unchecked-eror"`},
+		{line: 38, rule: "unchecked-err", substr: "Remove discarded"},
 	}
 	checkGolden(t, diags, file, wants)
 }

@@ -4,6 +4,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // GuardedField enforces the `// guarded by <mu>` annotation on struct
@@ -35,6 +36,12 @@ func GuardedField() *Analyzer {
 		},
 		Run: runGuardedField,
 	}
+}
+
+// isInternal reports whether path is under internal/: the scope of both
+// rules.
+func isInternal(m *Module, path string) bool {
+	return strings.HasPrefix(path, m.Name+"/internal/")
 }
 
 func runGuardedField(pass *Pass) {

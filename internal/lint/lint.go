@@ -1,16 +1,13 @@
-// Package lint is the repo's determinism, error and concurrency
-// static-analysis suite: a stdlib-only engine (go/parser + go/types + go/importer, no
-// x/tools dependency) that loads every package in the module and runs
-// a pluggable set of analyzers over the type-checked ASTs.
-//
-// The rules exist because the repo's verification stack — golden
-// digests (PR 2), scripted fault replay (PR 3), the differential
-// oracle (PR 4) — all assume the engine is byte-identically replayable
-// from (seed, config). Nothing about Go enforces that: one time.Now,
-// one global math/rand draw, one ranged map feeding simulation state,
-// or one stray goroutine silently breaks replay, and the breakage only
-// surfaces later as a flaky golden test. These analyzers move those
-// rules into the build.
+// Package lint is the repo's static analysis: a stdlib-only engine
+// (go/parser + go/types + go/importer, no x/tools dependency) that loads
+// every package in the module and runs two rules over the type-checked
+// ASTs of its internal/ packages. guarded-field holds the service's lock
+// invariants, which the -race tests see only on the interleavings they
+// happen to run; unchecked-err keeps errors from vanishing on the
+// durable write paths, which no test makes fail. Each rule stays for
+// the kill-matrix rows only it rejects (DESIGN.md §7); what a test can
+// see — replay from (seed, config), goroutines that outlive shutdown —
+// is left to the tests.
 //
 // Diagnostics are suppressible per line with
 //
@@ -50,7 +47,7 @@ type Analyzer struct {
 	Name string // rule id, used in output and //lint:ignore directives
 
 	// Applies reports whether the analyzer should run on pkg at all
-	// (scope filtering: most rules only cover simulation packages).
+	// (both rules cover the internal/ packages only).
 	Applies func(m *Module, pkg *Package) bool
 
 	// Run inspects one package and reports findings through pass.
@@ -69,13 +66,9 @@ type Pass struct {
 // Report records a finding at pos.
 func (p *Pass) Report(pos token.Pos, msg, suggestion string) {
 	position := p.Fset.Position(pos)
-	file := position.Filename
-	if rel, err := filepath.Rel(p.Module.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
 	*p.sink = append(*p.sink, Diagnostic{
 		Rule:       p.analyzer.Name,
-		File:       file,
+		File:       relFile(p.Module, position.Filename),
 		Line:       position.Line,
 		Col:        position.Column,
 		Message:    msg,
@@ -86,8 +79,6 @@ func (p *Pass) Report(pos token.Pos, msg, suggestion string) {
 // All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism(),
-		GoroutineLifecycle(),
 		GuardedField(),
 		UncheckedErr(),
 	}
@@ -130,15 +121,7 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 	SortDiagnostics(kept)
-	// A site can be reached through two analysis routes (e.g. a ticker
-	// closure nested in a hot method); identical findings collapse.
-	dedup := kept[:0]
-	for i, d := range kept {
-		if i == 0 || d != kept[i-1] {
-			dedup = append(dedup, d)
-		}
-	}
-	return dedup
+	return kept
 }
 
 // SortDiagnostics orders diagnostics by (file, line, col, rule,

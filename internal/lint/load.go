@@ -16,7 +16,6 @@ import (
 // Package is one type-checked package of the module under analysis.
 type Package struct {
 	Path      string // import path ("repro/internal/sim")
-	Dir       string // absolute directory
 	Files     []*ast.File
 	Filenames []string // parallel to Files, absolute, sorted
 	Types     *types.Package
@@ -118,9 +117,6 @@ func (m *Module) LoadDir(dir, asPath string) (*Package, error) {
 	return m.load(asPath, dir)
 }
 
-// Lookup returns the loaded package with the given import path.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
-
 // load parses and type-checks one directory under the given import
 // path, memoized by path.
 func (m *Module) load(ip, dir string) (*Package, error) {
@@ -140,7 +136,7 @@ func (m *Module) load(ip, dir string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no buildable Go files in %s", dir)
 	}
-	p := &Package{Path: ip, Dir: dir}
+	p := &Package{Path: ip}
 	for _, name := range names {
 		full := filepath.Join(dir, name)
 		f, err := parser.ParseFile(m.Fset, full, nil, parser.ParseComments)
@@ -155,8 +151,6 @@ func (m *Module) load(ip, dir string) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	conf := types.Config{
 		Importer: importFunc(func(path string) (*types.Package, error) { return m.importPkg(path, dir) }),

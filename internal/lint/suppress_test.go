@@ -14,19 +14,19 @@ func parseSuppressSrc(t *testing.T, src string) ([]suppression, []Diagnostic) {
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
-	known := map[string]bool{"determinism": true, "guarded-field": true, "unchecked-err": true}
+	known := map[string]bool{"guarded-field": true, "unchecked-err": true}
 	return parseFileSuppressions(fset, f, known)
 }
 
 func TestParseSuppressionsValid(t *testing.T) {
 	src := `package s
 
-//lint:file-ignore determinism fixture is wall-clock test scaffolding
+//lint:file-ignore unchecked-err fixture is best-effort test scaffolding
 
 func f() {
 	//lint:ignore guarded-field read before the mutex exists
 	_ = 1
-	_ = 2 //lint:ignore determinism,unchecked-err both rules misfire on generated code
+	_ = 2 //lint:ignore guarded-field,unchecked-err both rules misfire on generated code
 }
 `
 	supps, bad := parseSuppressSrc(t, src)
@@ -37,7 +37,7 @@ func f() {
 		t.Fatalf("got %d suppressions, want 3", len(supps))
 	}
 	fileWide := supps[0]
-	if !fileWide.fileWide || !fileWide.rules["determinism"] || fileWide.line != 3 {
+	if !fileWide.fileWide || !fileWide.rules["unchecked-err"] || fileWide.line != 3 {
 		t.Errorf("file-ignore parsed wrong: %+v", fileWide)
 	}
 	single := supps[1]
@@ -48,7 +48,7 @@ func f() {
 		t.Errorf("reason lost: %q", single.reason)
 	}
 	multi := supps[2]
-	if !multi.rules["determinism"] || !multi.rules["unchecked-err"] || len(multi.rules) != 2 || multi.line != 8 {
+	if !multi.rules["guarded-field"] || !multi.rules["unchecked-err"] || len(multi.rules) != 2 || multi.line != 8 {
 		t.Errorf("comma-list ignore parsed wrong: %+v", multi)
 	}
 }
@@ -57,7 +57,7 @@ func TestParseSuppressionsMalformed(t *testing.T) {
 	src := `package s
 
 //lint:ignore
-//lint:ignore determinism
+//lint:ignore unchecked-err
 //lint:ignore not-a-rule because reasons
 `
 	supps, bad := parseSuppressSrc(t, src)
@@ -92,7 +92,7 @@ func TestSuppressedMatching(t *testing.T) {
 	supp := suppression{
 		file:  "/abs/path/internal/x/x.go",
 		line:  10,
-		rules: map[string]bool{"determinism": true},
+		rules: map[string]bool{"unchecked-err": true},
 	}
 	diag := func(line int, rule, file string) Diagnostic {
 		return Diagnostic{Rule: rule, File: file, Line: line}
@@ -103,12 +103,12 @@ func TestSuppressedMatching(t *testing.T) {
 		d    Diagnostic
 		want bool
 	}{
-		{"same line", diag(10, "determinism", rel), true},
-		{"line below", diag(11, "determinism", rel), true},
-		{"two below", diag(12, "determinism", rel), false},
-		{"line above", diag(9, "determinism", rel), false},
+		{"same line", diag(10, "unchecked-err", rel), true},
+		{"line below", diag(11, "unchecked-err", rel), true},
+		{"two below", diag(12, "unchecked-err", rel), false},
+		{"line above", diag(9, "unchecked-err", rel), false},
 		{"other rule", diag(10, "guarded-field", rel), false},
-		{"other file", diag(10, "determinism", "internal/y/x.go"), false},
+		{"other file", diag(10, "unchecked-err", "internal/y/x.go"), false},
 	}
 	for _, c := range cases {
 		if got := suppressed(c.d, []suppression{supp}); got != c.want {
@@ -118,10 +118,10 @@ func TestSuppressedMatching(t *testing.T) {
 
 	wide := supp
 	wide.fileWide = true
-	if !suppressed(diag(999, "determinism", rel), []suppression{wide}) {
+	if !suppressed(diag(999, "unchecked-err", rel), []suppression{wide}) {
 		t.Error("file-wide suppression must cover every line of the file")
 	}
-	if suppressed(diag(999, "unchecked-err", rel), []suppression{wide}) {
+	if suppressed(diag(999, "guarded-field", rel), []suppression{wide}) {
 		t.Error("file-wide suppression must still be rule-scoped")
 	}
 }

@@ -7,35 +7,43 @@
 // directive under test.
 package suppressed
 
-import "time"
+import (
+	"os"
+	"sync"
+)
 
-//lint:file-ignore unchecked-err fixture demonstrates file-wide suppression
+//lint:file-ignore guarded-field fixture demonstrates file-wide suppression
 
 // Above is silenced by a directive on the preceding line.
-func Above() int64 {
-	//lint:ignore determinism fixture: wall-clock only labels output here
-	return time.Now().UnixNano()
+func Above(path string) {
+	//lint:ignore unchecked-err fixture: best-effort cleanup
+	os.Remove(path)
 }
 
 // Trailing is silenced by a directive on the offending line itself.
-func Trailing() int64 {
-	return time.Now().UnixNano() //lint:ignore determinism fixture: trailing form
+func Trailing(path string) {
+	os.Remove(path) //lint:ignore unchecked-err fixture: trailing form
 }
 
 // NoReason carries a directive with no justification: the directive is
 // reported and the violation below still fires.
-func NoReason() int64 {
-	//lint:ignore determinism
-	return time.Now().UnixNano()
+func NoReason(path string) {
+	//lint:ignore unchecked-err
+	os.Remove(path)
 }
 
 // UnknownRule misspells the rule id: same outcome.
-func UnknownRule() int64 {
-	//lint:ignore determinsim typo in the rule id
-	return time.Now().UnixNano()
+func UnknownRule(path string) {
+	//lint:ignore unchecked-eror typo in the rule id
+	os.Remove(path)
 }
 
-// Drop discards an error; the file-wide directive covers it.
-func Drop(f func() error) {
-	f()
+// Counter's n is read without its lock; the file-wide directive covers
+// it.
+type Counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
+
+// Peek reads n unlocked.
+func (c *Counter) Peek() int { return c.n }

@@ -98,6 +98,16 @@ func (c *Collector) FlowSeries(flow, bins int) []float64 {
 	return c.series(0, nil, bins)
 }
 
+// FlowBytes returns the bytes flow id delivered.
+func (c *Collector) FlowBytes(flow int) (sum int64) {
+	if i, ok := c.index[flow]; ok {
+		for _, b := range c.recs[i].bins {
+			sum += b
+		}
+	}
+	return sum
+}
+
 // TotalSeries returns aggregate delivered bandwidth in GB/s per bin.
 func (c *Collector) TotalSeries(bins int) []float64 {
 	return c.series(0, c.totalBins, bins)

@@ -47,6 +47,8 @@ var (
 	// claims is the paper's claims table: does a mechanism defect
 	// change what the reproduction claims, not just its digests?
 	claims = gate{pkg: "./internal/oracle", run: "TestClaims"}
+	// rerun runs one scenario twice and compares every packet's latency.
+	rerun = gate{pkg: "./internal/oracle", run: "TestEngineRerunExact"}
 )
 
 var table = []mutant{
@@ -197,7 +199,9 @@ var table = []mutant{
 		edits: []edit{{"internal/endnode/node.go",
 			"\tif n.onDeliver != nil {\n\t\tn.onDeliver(p, now)\n",
 			"\tif n.onDeliver != nil && n.stats.Delivered%1000 != 0 {\n\t\tn.onDeliver(p, now)\n"}},
-		gates: []gate{digests, {pkg: "./internal/oracle", run: "FuzzProperties"}},
+		gates: []gate{digests,
+			{pkg: "./internal/oracle", run: "FuzzProperties"},
+			{pkg: "./internal/oracle", run: "TestMetricsAccountEveryDelivery"}},
 	},
 	{
 		name:   "incast-raw-seed",
@@ -238,21 +242,45 @@ var table = []mutant{
 		gates: []gate{digests},
 	},
 
-	// Determinism and the per-cycle hot path.
+	// Replay from (seed, config): constructs the engine must not use,
+	// each written where it changes a run.
 	{
-		name:   "refsim-map-range",
-		reason: "the reference simulator's drained check ranges over a map",
-		edits: []edit{{"internal/oracle/refsim.go",
-			"\tfor _, id := range flowIDs(s.res.Flows) {\n\t\tif st := s.res.Flows[id]; st.DeliveredPkts != st.OfferedPkts {\n",
-			"\tfor _, st := range s.res.Flows {\n\t\tif st.DeliveredPkts != st.OfferedPkts {\n"}},
+		name:   "arbiter-wallclock-tiebreak",
+		reason: "an input granted by two outputs keeps the one the wall clock picks, not the one nearer its accept pointer",
+		edits: []edit{
+			{"internal/arbiter/islip.go",
+				"\t\"math/bits\"\n)\n",
+				"\t\"math/bits\"\n\t\"time\"\n)\n"},
+			{"internal/arbiter/islip.go",
+				"if grantedIn&(1<<pick) == 0 || s.closerOutput(pick, o, s.granted[pick]) {\n",
+				"if grantedIn&(1<<pick) == 0 || time.Now().UnixNano()%2 == 0 {\n"}},
+		gates: []gate{digests, rerun},
 	},
 	{
-		name:   "engine-map-range-sum",
-		reason: "a helper summing a map's values by ranging over it, in the engine's package",
+		name:   "traffic-global-rand",
+		reason: "a uniform-destination flow draws its destination from the process-global math/rand stream",
+		edits: []edit{{"internal/traffic/traffic.go",
+			"\t\t\tdst = f.rng.Intn(len(g.nodes) - 1)\n",
+			"\t\t\tdst = rand.Intn(len(g.nodes) - 1)\n"}},
+		gates: []gate{digests, rerun},
+	},
+	{
+		name:   "metrics-flows-map-order",
+		reason: "Collector.Flows lists the flows in the order its id index map ranges, unsorted",
+		edits: []edit{{"internal/metrics/metrics.go",
+			"\tfor i := range c.recs {\n\t\tif c.recs[i].bins != nil {\n\t\t\tids = append(ids, c.recs[i].id)\n\t\t}\n\t}\n\tsort.Ints(ids)\n",
+			"\tfor id, i := range c.index {\n\t\tif c.recs[i].bins != nil {\n\t\t\tids = append(ids, id)\n\t\t}\n\t}\n\t_ = sort.Ints\n"}},
+	},
+	{
+		name:   "engine-event-goroutine",
+		reason: "the engine runs each wheel event on a goroutine of its own and does not wait for it",
 		edits: []edit{{"internal/sim/sim.go",
-			"\treturn e.seq - uint64(e.Pending()) - e.heapFired, e.heapFired, e.ticks\n}\n",
-			"\treturn e.seq - uint64(e.Pending()) - e.heapFired, e.heapFired, e.ticks\n}\n\nfunc sumValues(m map[int]int) (sum int) {\n\tfor _, v := range m {\n\t\tsum += v\n\t}\n\treturn sum\n}\n"}},
+			"\t\te.queued--\n\t\tfn()\n",
+			"\t\te.queued--\n\t\tgo fn()\n"}},
+		gates: []gate{digests, rerun},
 	},
+
+	// The per-cycle hot path.
 	{
 		name:   "switch-tick-sprint",
 		reason: "the switch's registered ticker formats the cycle number every cycle",
@@ -277,12 +305,22 @@ var table = []mutant{
 			"\te.free, ev.fn, ev.next = ev.next, func() { fn() }, 0\n"}},
 		gates: []gate{zeroAlloc},
 	},
+
+	// Errors dropped on the durable write paths: behaviour only on a
+	// failing disk, which no test here makes.
 	{
-		name:   "store-remove-unchecked",
-		reason: "the campaign store drops os.Remove's error without saying so",
+		name:   "cache-put-close-unchecked",
+		reason: "Cache.put drops tmp.Close's error and renames the entry into place even if the close failed",
+		edits: []edit{{"internal/runner/cache.go",
+			"\t_, err = tmp.Write(b)\n\tif cerr := tmp.Close(); err == nil {\n\t\terr = cerr\n\t}\n",
+			"\t_, err = tmp.Write(b)\n\ttmp.Close()\n"}},
+	},
+	{
+		name:   "store-sync-unchecked",
+		reason: "writeDurable drops tmp.Sync's error, so a spec file the disk never took reads as durable",
 		edits: []edit{{"internal/campaign/store.go",
-			"\t\t_ = os.Remove(tmp.Name())\n",
-			"\t\tos.Remove(tmp.Name())\n"}},
+			"\tif err == nil {\n\t\terr = tmp.Sync()\n\t}\n",
+			"\tif err == nil {\n\t\ttmp.Sync()\n\t}\n"}},
 	},
 
 	// Locks: the job queue, the lease board, the campaign scheduler.

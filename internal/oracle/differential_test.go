@@ -40,8 +40,8 @@ func TestDifferentialAllSchemes(t *testing.T) {
 }
 
 // TestEngineRerunExact checks that the engine is a function of its
-// inputs: two runs of the same scenario (CCFIT, seed 1) deliver every
-// flow's packets with exactly the same latencies.
+// inputs: two runs of the same scenario (CCFIT, seed 1) deliver packets
+// of every flow, with exactly the same latencies.
 func TestEngineRerunExact(t *testing.T) {
 	scenarios := Scenarios()
 	if len(scenarios) > 2 {
@@ -60,6 +60,12 @@ func TestEngineRerunExact(t *testing.T) {
 			for i := range runs {
 				if runs[i], err = RunEngine(top, p, network.Options{Seed: 1}, sc.Flows); err != nil {
 					t.Fatal(err)
+				}
+			}
+			// Two runs that deliver nothing agree too.
+			for id, f := range runs[0].Flows {
+				if f.DeliveredPkts == 0 {
+					t.Fatalf("flow %d of %s delivered nothing", id, sc.Name)
 				}
 			}
 			if len(runs[0].Flows) == 0 || !reflect.DeepEqual(runs[0].Flows, runs[1].Flows) {

@@ -42,6 +42,8 @@ const seedStride = 1009
 //  4. Relabeling invariance: flow ids are metric labels; renaming
 //     every flow must permute the per-flow results and change nothing
 //     else, stalls included.
+//  5. Metrics accounting: the bytes the metrics collector credits to
+//     flows sum to the bytes the sinks delivered (checkAccounting).
 func CheckConfig(cfg FuzzConfig) []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -75,6 +77,11 @@ func CheckConfig(cfg FuzzConfig) []error {
 	dp, db := base.Net.TotalDelivered()
 	if base.Drained && (op != dp || ob != db) {
 		fail("conservation: offered %d pkts/%d B, delivered %d pkts/%d B", op, ob, dp, db)
+	}
+
+	// Property 5: metrics accounting.
+	if err := checkAccounting(base.Net); err != nil {
+		fail("%v", err)
 	}
 
 	// Property 2: reference agreement (unstalled runs only).
@@ -136,6 +143,20 @@ func CheckConfig(cfg FuzzConfig) []error {
 		}
 	}
 	return errs
+}
+
+// checkAccounting is property 5: every delivery a sink counts reaches
+// the metrics collector, so the per-flow bytes there sum to
+// Network.TotalDelivered's.
+func checkAccounting(n *network.Network) error {
+	var sum int64
+	for _, id := range n.Collector.Flows() {
+		sum += n.Collector.FlowBytes(id)
+	}
+	if _, db := n.TotalDelivered(); sum != int64(db) {
+		return fmt.Errorf("metrics accounting: the flows hold %d B, the sinks delivered %d B", sum, db)
+	}
+	return nil
 }
 
 // hotspotFlows is a compressed Case #1-style hot spot on Config #1:

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // pushN queues n tasks whose run calls fn with the task's index.
@@ -81,7 +83,9 @@ func TestForEachZeroItems(t *testing.T) {
 // TestQueueCloseStopsDispatch: once Close begins no further task is
 // claimed (the run already claimed completes), and what was never
 // claimed is still queued, so ran + queued accounts for every task.
+// Close leaves no slot running.
 func TestQueueCloseStopsDispatch(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
 	const total = 1000
 	q := NewQueue()
 	third, release := make(chan struct{}), make(chan struct{})
@@ -112,12 +116,14 @@ func TestQueueCloseStopsDispatch(t *testing.T) {
 	pushN(q, 1, func(int) { t.Error("a closed queue ran a task") })
 	q.Serve(1)
 	q.Close()
+	check()
 }
 
 // TestRunCancelledMidCampaign: after ctx ends Run dispatches nothing
 // more; a job claimed since is reported cancelled without running, and
-// Run returns the context's error.
+// Run returns the context's error, leaving no goroutine behind.
 func TestRunCancelledMidCampaign(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	exec := &countExec{after: 3, cancel: cancel}
@@ -137,6 +143,7 @@ func TestRunCancelledMidCampaign(t *testing.T) {
 	if n := int(exec.n.Load()); ran != n || n < 3 || n >= len(jobs) {
 		t.Fatalf("%d jobs ran, %d executed, of %d", ran, n, len(jobs))
 	}
+	check()
 }
 
 // countExec succeeds every job and cancels the campaign at the after-th.

@@ -3,7 +3,8 @@
 // canonical JSON digests, and golden-file load/compare/update plumbing
 // with the conventional -update flag workflow. Extracting them here
 // keeps the digest format identical everywhere, so "what exactly is
-// pinned" has one answer (and one place to change it).
+// pinned" has one answer (and one place to change it). GoroutineBaseline
+// is the one leak check the service packages' shutdown tests end with.
 //
 // The package deliberately depends on nothing but the standard library:
 // in-package test files (package foo, not foo_test) may import it

@@ -2,8 +2,10 @@ package testutil
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestDigest(t *testing.T) {
@@ -90,4 +92,27 @@ func TestReadGoldenJSON(t *testing.T) {
 	if back["n"] != 7 {
 		t.Fatalf("round trip lost data: %v", back)
 	}
+}
+
+// TestGoroutineBaseline: the count settles once a goroutine the test
+// started has ended, and a count that never falls to the baseline gives
+// up after the wait. (Asserting that it does not settle while the extra
+// goroutine runs would race with the previous test's goroutine, which
+// may still be exiting when this one starts.)
+func TestGoroutineBaseline(t *testing.T) {
+	if n, ok := settle(0, 20*time.Millisecond); ok {
+		t.Fatalf("settled at %d goroutines, below the test's own", n)
+	}
+	base := runtime.NumGoroutine()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		<-stop
+	}()
+	close(stop)
+	<-done
+	if n, ok := settle(base, 5*time.Second); !ok {
+		t.Fatalf("%d goroutines after the extra one ended, %d before", n, base)
+	}
+	GoroutineBaseline(t)()
 }
