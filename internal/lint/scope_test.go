@@ -35,6 +35,45 @@ func TestScopeComplete(t *testing.T) {
 	}
 }
 
+// findPackage returns the loaded package at internal/<rel>, failing the
+// test if the module load did not see it.
+func findPackage(t *testing.T, m *Module, rel string) *Package {
+	t.Helper()
+	for _, pkg := range m.Packages {
+		if pkg.Path == m.Name+"/internal/"+rel {
+			return pkg
+		}
+	}
+	t.Fatalf("module load did not find internal/%s", rel)
+	return nil
+}
+
+// TestCampaignScope: service code is linted by every remaining rule —
+// there is no service-scope exemption left — so internal/campaign keeps
+// unchecked-err and guarded-field alike.
+func TestCampaignScope(t *testing.T) {
+	m := testModule(t)
+	campaign := findPackage(t, m, "campaign")
+	for _, name := range []string{"unchecked-err", "guarded-field"} {
+		if a := rule(t, name); a.Applies != nil && !a.Applies(m, campaign) {
+			t.Errorf("rule %s does not apply to internal/campaign; service code must stay linted", name)
+		}
+	}
+}
+
+// TestSimScopeApplies is the inverse guard: a core simulation package
+// must be covered by every rule, so narrowing a rule's scope cannot
+// silently shrink coverage of the engine.
+func TestSimScopeApplies(t *testing.T) {
+	m := testModule(t)
+	core := findPackage(t, m, "core")
+	for _, a := range All() {
+		if a.Applies != nil && !a.Applies(m, core) {
+			t.Errorf("rule %s does not apply to internal/core; sim packages must keep full coverage", a.Name)
+		}
+	}
+}
+
 // TestScopeDefaultsClosed: a package the module load never saw — as the
 // testdata packages loaded under synthetic internal/ paths are — is
 // linted by every rule, so a new package needs no entry anywhere to be
