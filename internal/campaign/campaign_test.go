@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/runner"
@@ -520,6 +521,65 @@ func TestSpecWithSimWorkersResumes(t *testing.T) {
 			t.Errorf("%s: resumed digest %s != local digest %s", id, got, want)
 		}
 	}
+}
+
+// TestResumeRacesParkedClaim: a board handed to Open may already hold a
+// parked claim, which takes the first resumed task as resume queues it
+// and runs it while resume is still adding campaigns. Under -race the
+// task's status write and resume's fail unless both hold the
+// scheduler's lock (matrix row scheduler-resume-unlocked). Campaigns of
+// 32 cells keep resume busy long enough for the claim to run beside it
+// even on a loaded machine.
+func TestResumeRacesParkedClaim(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
+	dir := t.TempDir()
+	sdir := filepath.Join(dir, "campaigns")
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"c000000", "c000001", "c000002", "c000003"}
+	for _, id := range ids {
+		spec := `{"id":"` + id + `","at":"2026-01-01T00:00:00Z","sub":{"experiments":["fig7a"],"ms":0.2,"seeds":8}}`
+		if err := os.WriteFile(filepath.Join(sdir, id+".spec.json"), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	board := dispatch.NewBoard(dispatch.Options{})
+	defer board.Close()
+	w, err := board.Register("idle", "test-build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	claimDone := make(chan struct{})
+	go func() {
+		defer close(claimDone)
+		// noopExecutor settles each task on the service, so the claim
+		// takes the next one and parks again once the queue is empty.
+		_, _, _ = board.ClaimWait(ctx, w, time.Minute)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); board.Snapshot()["claims_parked"].(int) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the claim never parked")
+		}
+	}
+
+	s := openScheduler(t, dir, Options{Dispatch: board, Executor: noopExecutor{}})
+	defer s.Close()
+	for _, id := range ids {
+		waitTerminal(t, s, id)
+		if final, err := s.View(id, false); err != nil || final.Status != StatusDone {
+			t.Errorf("%s: %+v, %v; want done", id, final, err)
+		}
+	}
+	cancel()
+	<-claimDone
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	board.Close()
+	check()
 }
 
 // TestSubmitValidation: a bad spec is rejected up front, before any

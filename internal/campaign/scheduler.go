@@ -34,6 +34,8 @@ type Options struct {
 	// its queue, where ccfit-worker processes claim them, and the
 	// default executor is a dispatch.RemoteExecutor over it. An explicit
 	// Executor runs remote claims too, so it should offload as that does.
+	// The board may already hold parked claims when it is passed to
+	// Open: they start resumed tasks before Open returns.
 	Dispatch *dispatch.Board
 	Log      func(format string, args ...any) // operational notices, when non-nil
 }
@@ -139,8 +141,11 @@ func (s *Scheduler) Draining() bool {
 
 // resume rebuilds every campaign in the data directory: each cell the
 // cache holds is finished, a cancelled campaign's others are
-// cancelled, and the rest are queued. It holds s.mu like every other
-// writer of campaign state, though no slot exists yet.
+// cancelled, and the rest are queued. It holds s.mu because no slot
+// exists yet but a claim may: a board passed to Open can already hold
+// parked claims, and each takes a resumed task as soon as it is queued
+// and runs it while resume is still adding campaigns
+// (TestResumeRacesParkedClaim).
 func (s *Scheduler) resume() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

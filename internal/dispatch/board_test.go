@@ -5,11 +5,13 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/testutil"
 )
 
 // fakeClock is a manually advanced clock: with it and manual sweep()
@@ -229,6 +231,44 @@ func TestDuplicateResultDropped(t *testing.T) {
 	if snap["remote_jobs_done"].(int64) != 1 {
 		t.Fatalf("remote_jobs_done double-counted: %v", snap)
 	}
+}
+
+// TestCompleteRacesWorkers: a delivery takes its lease off the worker's
+// record while GET /workers lists that record's leases, so under -race
+// either one touching workerRec.active without Board.mu fails (matrix
+// row board-drop-lease-unlocks). A race shows only on a schedule that
+// overlaps the two, hence Workers in a loop for as long as Complete
+// runs, and the rounds.
+func TestCompleteRacesWorkers(t *testing.T) {
+	check := testutil.GoroutineBaseline(t)
+	b, _ := testBoard(t, Options{})
+	w := mustRegister(t, b, "w")
+	for range 500 {
+		_, done := enqueue(context.Background(), b, &eventLog{})
+		c := claimSoon(t, b, w)
+		var delivered atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer delivered.Store(true)
+			if err := b.Complete(w, c.LeaseID, runner.WireResult{Key: "k"}, false); err != nil {
+				t.Errorf("Complete: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for !delivered.Load() {
+				b.Workers()
+			}
+		}()
+		wg.Wait()
+		if got := <-done; got.jr.Key != "k" {
+			t.Fatalf("result lost: %+v", got.jr)
+		}
+	}
+	b.Close()
+	check()
 }
 
 // TestMaxReassignExhaustion: a job that outlives MaxReassign leases

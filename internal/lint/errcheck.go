@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // UncheckedErr flags expression statements in internal/ packages that
@@ -29,6 +30,11 @@ func UncheckedErr() *Analyzer {
 		},
 		Run: runUncheckedErr,
 	}
+}
+
+// isInternal reports whether path is under internal/: the rule's scope.
+func isInternal(m *Module, path string) bool {
+	return strings.HasPrefix(path, m.Name+"/internal/")
 }
 
 func runUncheckedErr(pass *Pass) {
@@ -103,4 +109,35 @@ func errExempt(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// recvNamed returns the named type of f's receiver (through pointers),
+// or nil for plain functions.
+func recvNamed(f *types.Func) *types.Named {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// funcFromExpr resolves an expression denoting a function or method
+// (n.post, tickFn; a call's Fun) to its *types.Func, unwrapping
+// parens. Returns nil for builtins, type conversions and function
+// values.
+func funcFromExpr(info *types.Info, e ast.Expr) *types.Func {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[e].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := info.Uses[e.Sel].(*types.Func)
+		return f
+	}
+	return nil
 }

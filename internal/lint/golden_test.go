@@ -27,7 +27,7 @@ func testModule(t *testing.T) *Module {
 }
 
 // runTestdata loads one seeded-violation package under a synthetic
-// internal/ import path (so both rules cover it, as they cover every
+// internal/ import path (so the rule covers it, as it covers every
 // internal/ package) and runs the full suite over it.
 func runTestdata(t *testing.T, name string) ([]Diagnostic, string) {
 	t.Helper()
@@ -110,38 +110,9 @@ func checkGolden(t *testing.T, diags []Diagnostic, file string, wants []want) {
 	}
 }
 
-func TestGoldenGuardedField(t *testing.T) { testGolden(t, "guardviol") }
-func TestGoldenUncheckedErr(t *testing.T) { testGolden(t, "errviol") }
-
-func testGolden(t *testing.T, name string) {
-	diags, file := runTestdata(t, name)
-	checkGolden(t, diags, file, parseWants(t, name))
-}
-
-// TestGoldenSuppressed pins the end-to-end suppression semantics. The
-// expectations are hard-coded (not want comments) because a malformed
-// directive under test cannot share its line with another comment.
-func TestGoldenSuppressed(t *testing.T) {
-	diags, file := runTestdata(t, "suppressed")
-	wants := []want{
-		{line: 31, rule: RuleBadDirective, substr: "gives no reason"},
-		{line: 32, rule: "unchecked-err", substr: "Remove discarded"},
-		{line: 37, rule: RuleBadDirective, substr: `unknown rule "unchecked-eror"`},
-		{line: 38, rule: "unchecked-err", substr: "Remove discarded"},
-	}
-	checkGolden(t, diags, file, wants)
-}
-
-// rule is the suite's analyzer with the given id.
-func rule(t *testing.T, name string) *Analyzer {
-	t.Helper()
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	t.Fatalf("no rule %q in the suite", name)
-	return nil
+func TestGoldenUncheckedErr(t *testing.T) {
+	diags, file := runTestdata(t, "errviol")
+	checkGolden(t, diags, file, parseWants(t, "errviol"))
 }
 
 // TestModuleSelfClean is the gate: the simulator's own source must
@@ -175,6 +146,15 @@ func TestRunOrderDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("diagnostic %d differs across runs: %s vs %s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestDiagnosticString pins the line format TestModuleSelfClean prints
+// for each finding.
+func TestDiagnosticString(t *testing.T) {
+	d := Diagnostic{Rule: "unchecked-err", File: "internal/x/x.go", Line: 3, Col: 2, Message: "m"}
+	if got, want := d.String(), "internal/x/x.go:3:2: [unchecked-err] m"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 

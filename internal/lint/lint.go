@@ -1,21 +1,12 @@
 // Package lint is the repo's static analysis: a stdlib-only engine
 // (go/parser + go/types + go/importer, no x/tools dependency) that loads
-// every package in the module and runs two rules over the type-checked
-// ASTs of its internal/ packages. guarded-field holds the service's lock
-// invariants, which the -race tests see only on the interleavings they
-// happen to run; unchecked-err keeps errors from vanishing on the
-// durable write paths, which no test makes fail. Each rule stays for
-// the kill-matrix rows only it rejects (DESIGN.md §7); what a test can
-// see — replay from (seed, config), goroutines that outlive shutdown —
-// is left to the tests.
-//
-// Diagnostics are suppressible per line with
-//
-//	//lint:ignore RULE reason
-//
-// placed on, or on the line above, the offending code, or per file
-// with //lint:file-ignore RULE reason. The reason is mandatory: a
-// suppression without a justification is itself a diagnostic.
+// every package in the module and runs one rule over the type-checked
+// ASTs of its internal/ packages. unchecked-err keeps errors from
+// vanishing on the durable write paths, which no test makes fail. A
+// rule stays only for the kill-matrix rows no test rejects (DESIGN.md
+// §7); what a test can see — replay from (seed, config), goroutines
+// that outlive shutdown, fields written without their lock — is left
+// to the tests.
 package lint
 
 import (
@@ -44,10 +35,10 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one pluggable rule.
 type Analyzer struct {
-	Name string // rule id, used in output and //lint:ignore directives
+	Name string // rule id, used in output and the kill matrix's columns
 
 	// Applies reports whether the analyzer should run on pkg at all
-	// (both rules cover the internal/ packages only).
+	// (unchecked-err covers the internal/ packages only).
 	Applies func(m *Module, pkg *Package) bool
 
 	// Run inspects one package and reports findings through pass.
@@ -79,32 +70,17 @@ func (p *Pass) Report(pos token.Pos, msg, suggestion string) {
 // All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		GuardedField(),
 		UncheckedErr(),
 	}
 }
 
-// Run executes the given analyzers over pkgs, applies //lint:ignore
-// suppressions, and returns the surviving diagnostics in deterministic
-// (file, line, col, rule, message) order — CI diffs must be stable, so
-// the ordering is part of the contract and covered by tests.
+// Run executes the given analyzers over pkgs and returns their
+// diagnostics in deterministic (file, line, col, rule, message) order —
+// CI diffs must be stable, so the ordering is part of the contract and
+// covered by tests.
 func Run(m *Module, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	known := map[string]bool{}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-
-	var supps []suppression
 	for _, pkg := range pkgs {
-		for i, f := range pkg.Files {
-			fs, bad := parseFileSuppressions(m.Fset, f, known)
-			supps = append(supps, fs...)
-			for _, d := range bad {
-				d.File = relFile(m, pkg.Filenames[i])
-				diags = append(diags, d)
-			}
-		}
 		for _, a := range analyzers {
 			if a.Applies != nil && !a.Applies(m, pkg) {
 				continue
@@ -113,15 +89,8 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-
-	kept := diags[:0]
-	for _, d := range diags {
-		if !suppressed(d, supps) {
-			kept = append(kept, d)
-		}
-	}
-	SortDiagnostics(kept)
-	return kept
+	SortDiagnostics(diags)
+	return diags
 }
 
 // SortDiagnostics orders diagnostics by (file, line, col, rule,

@@ -20,8 +20,6 @@ type Package struct {
 	Filenames []string // parallel to Files, absolute, sorted
 	Types     *types.Package
 	Info      *types.Info
-
-	locks *lockFacts // built on first use by the concurrency rules
 }
 
 // Module is the loaded module: every non-test package, parsed and
@@ -147,10 +145,8 @@ func (m *Module) load(ip, dir string) (*Package, error) {
 		p.Filenames = append(p.Filenames, full)
 	}
 	p.Info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
 		Importer: importFunc(func(path string) (*types.Package, error) { return m.importPkg(path, dir) }),

@@ -476,8 +476,10 @@ func render(results []map[string]string) []byte {
 #	go test ./internal/mutants -run TestKillMatrix -update
 #
 # killed: the gate fails. timeout: it hangs (a rejection that names no
-# line). survived: it passes. vet is CI's analyzer set; each lint: column
-# is one rule of TestModuleSelfClean; each test gate is a go test run.
+# line). survived: it passes. vet is CI's analyzer set; the lint: column
+# is TestModuleSelfClean's rule; each test gate is a go test run. A -race
+# gate sees a race only on a schedule that overlaps its two accesses, so
+# its lock rows' tests are written to overlap them.
 `)
 	var gates []string
 	sole := map[string][]string{}
