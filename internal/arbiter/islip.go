@@ -31,7 +31,7 @@ type ISlip struct {
 // NewISlip returns a scheduler for in input ports and out output ports
 // running the given number of request/grant/accept iterations per cycle
 // (the paper does not state the count; 2 is a common hardware choice
-// and the results are insensitive to it — see BenchmarkAblationISlip).
+// and the results are insensitive to it — see `ccfit-run sweep -param islip`).
 func NewISlip(in, out, iters int) *ISlip {
 	if in <= 0 || out <= 0 || iters <= 0 {
 		panic("arbiter: NewISlip needs positive dimensions and iterations")

@@ -318,6 +318,11 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("core: AdVOQ capacity must be positive")
 	case p.PostMovesPerCycle <= 0 || p.DetectScan <= 0:
 		return fmt.Errorf("core: post-processing parameters must be positive")
+	case p.Disc == NFQCFQ && p.DetectScan*pkt.MTU < p.DetectionThreshold/2:
+		// detect needs the dominant destination to hold half the
+		// detection threshold among the first DetectScan entries: DESIGN.md §3.
+		return fmt.Errorf("core: DetectScan %d holds at most %d B, below half the detection threshold (%d B): no flow is ever isolated",
+			p.DetectScan, p.DetectScan*pkt.MTU, p.DetectionThreshold/2)
 	case p.HoldDown < 1:
 		// At 0 the Update of the cycle a line is detected frees it before
 		// a packet can enter it: DESIGN.md §3.

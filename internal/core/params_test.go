@@ -91,6 +91,36 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestValidateDetectScan: an isolating scheme refuses a scan depth whose
+// entries cannot hold half the detection threshold, at which detection
+// never fires (DESIGN.md §3); schemes that do not isolate ignore it.
+func TestValidateDetectScan(t *testing.T) {
+	for _, tc := range []struct {
+		p         Params
+		scan      int
+		threshold int // bytes; 0 keeps the preset's
+		ok        bool
+	}{
+		{PresetFBICM(), 1, 0, false},
+		{PresetCCFIT(), 1, 0, false},
+		{PresetFBICM(), 2, 0, true},
+		{PresetCCFIT(), 2, 0, true},
+		{Preset1Q(), 1, 0, true},
+		{PresetITh(), 1, 0, true},
+		{PresetCCFIT(), 1, 2 * pkt.MTU, true},
+	} {
+		p := tc.p
+		p.DetectScan = tc.scan
+		if tc.threshold != 0 {
+			p.DetectionThreshold = tc.threshold
+		}
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s, DetectScan %d, DetectionThreshold %d B: Validate() = %v, want ok %v",
+				p.Name, p.DetectScan, p.DetectionThreshold, err, tc.ok)
+		}
+	}
+}
+
 func TestDisciplineStrings(t *testing.T) {
 	for d, want := range map[Discipline]string{
 		OneQ: "1Q", VOQSw: "VOQsw", VOQNet: "VOQnet", DBBM: "DBBM", OBQA: "OBQA",

@@ -20,8 +20,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/lint"
 )
 
 var update = flag.Bool("update", false, "run every mutant and rewrite testdata/kill_matrix.txt")
@@ -36,6 +34,8 @@ const (
 	workers = 2
 	// vetFlags is CI's analyzer set (.github/workflows/ci.yml, Vet).
 	vetFlags = "-copylocks -loopclosure -atomic -unusedresult"
+	// lintColumn is TestModuleSelfClean's column.
+	lintColumn = "lint:unchecked-err"
 )
 
 const (
@@ -43,15 +43,6 @@ const (
 	survived = "survived"
 	timedOut = "timeout"
 )
-
-// rules names TestModuleSelfClean's rules, one matrix column each.
-func rules() []string {
-	var names []string
-	for _, a := range lint.All() {
-		names = append(names, a.Name)
-	}
-	return names
-}
 
 func (g gate) String() string {
 	s := "test "
@@ -91,10 +82,7 @@ func (m mutant) testGates() []gate {
 
 // columns lists m's gates in matrix order.
 func (m mutant) columns() []string {
-	cols := []string{"vet"}
-	for _, r := range rules() {
-		cols = append(cols, "lint:"+r)
-	}
+	cols := []string{"vet", lintColumn}
 	for _, g := range m.testGates() {
 		cols = append(cols, g.String())
 	}
@@ -215,10 +203,10 @@ func TestKillMatrix(t *testing.T) {
 			}
 		}
 	}
-	res := runGates(t, dirs[0], "HEAD", baseline)
+	res, out := runGates(t, dirs[0], "HEAD", baseline)
 	for g, got := range res {
 		if got != survived {
-			t.Errorf("%s at HEAD: %s", g, got)
+			t.Errorf("%s at HEAD: %s; its output ends:\n%s", g, got, tail(out[g], 40))
 		}
 	}
 	if t.Failed() {
@@ -270,40 +258,45 @@ func mutate(t *testing.T, dir string, m mutant) map[string]string {
 		t.Errorf("mutant %s: %v", m.name, err)
 		return nil
 	}
-	return runGates(t, dir, m.name, m.testGates())
+	res, _ := runGates(t, dir, m.name, m.testGates())
+	return res
 }
 
 // runGates builds the copy in dir, then runs go vet, the lint
-// self-gate and the test gates on it: a matrix column to its outcome.
-// A copy that does not build is an error in the table, not a kill.
-func runGates(t *testing.T, dir, name string, tests []gate) map[string]string {
-	if out, err := goCmd(dir, "build", "./..."); err != nil {
-		t.Errorf("%s does not build: %v\n%s", name, err, out)
-		return nil
+// self-gate and the test gates on it: a matrix column to its outcome
+// and to the output of the run that decided it. A copy that does not
+// build is an error in the table, not a kill.
+func runGates(t *testing.T, dir, name string, tests []gate) (res map[string]string, out map[string][]byte) {
+	if b, err := goCmd(dir, "build", "./..."); err != nil {
+		t.Errorf("%s does not build: %v\n%s", name, err, b)
+		return nil, nil
 	}
 	// go vet and the lint self-gate run beside the tests: each of the
 	// three is mostly one process on one core.
-	res := map[string]string{}
-	var static map[string]string
+	res, out = map[string]string{}, map[string][]byte{}
+	var lintRes, vetRes string
+	var lintOut, vetOut []byte
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		static = runLint(t, dir)
-		static["vet"] = runVet(dir)
+		lintRes, lintOut = runLint(t, dir)
+		vetRes, vetOut = runVet(dir)
 	}()
 	runs := map[gate]goTest{}
 	for _, g := range tests {
-		res[g.String()] = runGate(dir, g, runs)
+		res[g.String()], out[g.String()] = runGate(dir, g, runs)
 	}
 	wg.Wait()
-	for r, got := range static {
-		if r != "vet" {
-			r = "lint:" + r
-		}
-		res[r] = got
-	}
-	return res
+	res[lintColumn], out[lintColumn] = lintRes, lintOut
+	res["vet"], out["vet"] = vetRes, vetOut
+	return res, out
+}
+
+// tail returns the last n lines of out.
+func tail(out []byte, n int) []byte {
+	lines := bytes.SplitAfter(bytes.TrimRight(out, "\n"), []byte("\n"))
+	return bytes.Join(lines[max(0, len(lines)-n):], nil)
 }
 
 // apply makes m's edits in the copy and returns what puts the files back.
@@ -387,43 +380,29 @@ func goCmd(dir, sub string, args ...string) ([]byte, error) {
 	return cmd.CombinedOutput()
 }
 
-func runVet(dir string) string {
-	if _, err := goCmd(dir, "vet", append(strings.Fields(vetFlags), "./...")...); err != nil {
-		return killed
+func runVet(dir string) (string, []byte) {
+	out, err := goCmd(dir, "vet", append(strings.Fields(vetFlags), "./...")...)
+	if err != nil {
+		return killed, out
 	}
-	return survived
+	return survived, out
 }
 
-// ruleTag finds the rule of each TestModuleSelfClean finding.
-var ruleTag = regexp.MustCompile(`module must lint clean, found: \S+ \[([a-z-]+)\]`)
+// ruleTag finds a TestModuleSelfClean finding.
+var ruleTag = regexp.MustCompile(`module must lint clean, found: \S+ \[unchecked-err\]`)
 
-// runLint runs the lint self-gate and reads each rule's verdict off the
-// [rule] tags of its findings.
-func runLint(t *testing.T, dir string) map[string]string {
+// runLint runs the lint self-gate: killed when it reports a finding.
+func runLint(t *testing.T, dir string) (string, []byte) {
 	out, err := goCmd(dir, "test", "-count=1", "-timeout", gateTimeout, "-run", "^TestModuleSelfClean$", "./internal/lint/")
-	res := map[string]string{}
-	for _, r := range rules() {
-		res[r] = survived
+	switch {
+	case isTimeout(out):
+		return timedOut, out
+	case ruleTag.Match(out):
+		return killed, out
+	case err != nil:
+		t.Errorf("lint self-gate failed with no [unchecked-err] finding: %v\n%s", err, out)
 	}
-	if isTimeout(out) {
-		for r := range res {
-			res[r] = timedOut
-		}
-		return res
-	}
-	found := false
-	for _, m := range ruleTag.FindAllSubmatch(out, -1) {
-		r := string(m[1])
-		if _, ok := res[r]; !ok {
-			t.Errorf("lint reports a rule the matrix has no column for: %s", r)
-		}
-		res[r] = killed
-		found = true
-	}
-	if err != nil && !found {
-		t.Errorf("lint self-gate failed with no [rule] finding: %v\n%s", err, out)
-	}
-	return res
+	return survived, out
 }
 
 // goTest is the output of one go test run, and whether it passed.
@@ -436,7 +415,7 @@ type goTest struct {
 // it hangs past -timeout, killed otherwise. A gate with a sub reads its
 // subtest's outcome off a -v run, which runs keeps for the gates that
 // share it.
-func runGate(dir string, g gate, runs map[gate]goTest) string {
+func runGate(dir string, g gate, runs map[gate]goTest) (string, []byte) {
 	run := gate{pkg: g.pkg, run: g.run, race: g.race}
 	r, ok := runs[run]
 	if !ok {
@@ -453,11 +432,11 @@ func runGate(dir string, g gate, runs map[gate]goTest) string {
 	}
 	switch {
 	case isTimeout(r.out):
-		return timedOut
+		return timedOut, r.out
 	case g.sub == "" && r.ok, g.sub != "" && bytes.Contains(r.out, []byte("--- PASS: "+g.sub+" (")):
-		return survived
+		return survived, r.out
 	}
-	return killed
+	return killed, r.out
 }
 
 func isTimeout(out []byte) bool { return bytes.Contains(out, []byte("panic: test timed out after")) }
@@ -477,9 +456,9 @@ func render(results []map[string]string) []byte {
 #
 # killed: the gate fails. timeout: it hangs (a rejection that names no
 # line). survived: it passes. vet is CI's analyzer set; the lint: column
-# is TestModuleSelfClean's rule; each test gate is a go test run. A -race
-# gate sees a race only on a schedule that overlaps its two accesses, so
-# its lock rows' tests are written to overlap them.
+# is TestModuleSelfClean, the one static check; each test gate is a go
+# test run. A -race gate sees a race only on a schedule that overlaps
+# its two accesses, so its lock rows' tests are written to overlap them.
 `)
 	var gates []string
 	sole := map[string][]string{}
