@@ -67,6 +67,7 @@ type Scheduler struct {
 	exec    runner.Executor
 	metrics *Metrics
 	queue   *runner.Queue
+	disk    disk // writes the spec files and cancel marks
 
 	ctx    context.Context // hard-stop scope for every job
 	cancel context.CancelFunc
@@ -110,6 +111,7 @@ func Open(opt Options) (*Scheduler, error) {
 		exec:      exec,
 		metrics:   NewMetrics(opt.Workers),
 		queue:     queue,
+		disk:      osDisk,
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: map[string]*campaign{},
@@ -267,7 +269,7 @@ func (s *Scheduler) Submit(sub Submission) (View, error) {
 	}
 	c := &campaign{id: fmt.Sprintf("c%06d", s.seq), sub: sub, submitted: time.Now(), jobs: jobs}
 	s.seq++
-	if err := writeSpec(s.opt.Dir, specFile{ID: c.id, At: c.submitted, Sub: sub}); err != nil {
+	if err := s.disk.writeSpec(s.opt.Dir, specFile{ID: c.id, At: c.submitted, Sub: sub}); err != nil {
 		return View{}, err
 	}
 	c.states = make([]jobState, len(jobs))
@@ -394,7 +396,7 @@ func (s *Scheduler) Cancel(id string) (View, error) {
 	if c.status.Terminal() {
 		return s.viewLocked(c, true), nil
 	}
-	if err := writeDurable(s.opt.Dir, id+".cancel", nil); err != nil {
+	if err := s.disk.writeDurable(s.opt.Dir, id+".cancel", nil); err != nil {
 		return View{}, fmt.Errorf("campaign: writing cancel mark: %w", err)
 	}
 	c.cancelled = true

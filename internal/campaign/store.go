@@ -20,15 +20,35 @@ type specFile struct {
 	Sub Submission `json:"sub"`
 }
 
+// syncFile is what writeDurable needs of an *os.File.
+type syncFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
+	Name() string
+}
+
+// disk opens writeDurable's files: a temp file in dir named after
+// pattern, or with no pattern dir itself. osDisk is the file system; a
+// test gives a Scheduler a disk whose fsync fails.
+type disk func(dir, pattern string) (syncFile, error)
+
+func osDisk(dir, pattern string) (syncFile, error) {
+	if pattern == "" {
+		return os.Open(dir)
+	}
+	return os.CreateTemp(dir, pattern)
+}
+
 // writeSpec stores an accepted submission; it never replaces a spec.
-func writeSpec(dir string, sf specFile) error {
+func (d disk) writeSpec(dir string, sf specFile) error {
 	name := sf.ID + ".spec.json"
 	if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
 		return fmt.Errorf("campaign: spec %s already exists", name)
 	}
 	data, err := json.Marshal(sf)
 	if err == nil {
-		err = writeDurable(dir, name, data)
+		err = d.writeDurable(dir, name, data)
 	}
 	if err != nil {
 		return fmt.Errorf("campaign: writing spec: %w", err)
@@ -39,8 +59,8 @@ func writeSpec(dir string, sf specFile) error {
 // writeDurable writes dir/name so that it survives a crash once the call
 // returns: temp file, fsync, rename, directory fsync. A crash midway
 // leaves at most a stray name.tmp-* file, which nothing reads.
-func writeDurable(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+func (d disk) writeDurable(dir, name string, data []byte) error {
+	tmp, err := d(dir, name+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -58,10 +78,10 @@ func writeDurable(dir, name string, data []byte) error {
 		_ = os.Remove(tmp.Name())
 		return err
 	}
-	d, err := os.Open(dir)
+	df, err := d(dir, "")
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	defer df.Close()
+	return df.Sync()
 }

@@ -188,8 +188,8 @@ func TestRunTinyExperiment(t *testing.T) {
 	}
 }
 
-// TestRunIsAudited: Run is the library's one-call front door (RunSeeds,
-// the package example, the root benchmarks), so a corrupted run must
+// TestRunIsAudited: Run is the library's one-call front door (the
+// package example, the root benchmarks), so a corrupted run must
 // come back as an error, never as a Result (and never as a panic). A spurious 1-byte
 // credit return to an idle receiver is seeded early — the next periodic
 // audit, every 1024 cycles, raises it mid-run — and then after the last

@@ -37,27 +37,9 @@ type Replication struct {
 	Results []*Result
 }
 
-// RunSeeds executes an experiment under one scheme for every seed and
-// aggregates the replication statistics.
-func RunSeeds(exp Experiment, scheme string, seeds []int64) (*Replication, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiments: RunSeeds needs at least one seed")
-	}
-	var results []*Result
-	for _, seed := range seeds {
-		r, err := Run(exp, scheme, seed)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	return Aggregate(exp, scheme, results)
-}
-
 // Aggregate builds the replication statistics from already-computed
-// per-seed results — the single mean±sd path shared by RunSeeds and
-// the runner-based CLIs (which compute the per-seed results in
-// parallel and aggregate afterwards).
+// per-seed results — the one mean±sd path: the runner-based CLIs
+// compute the per-seed results in parallel and aggregate afterwards.
 func Aggregate(exp Experiment, scheme string, results []*Result) (*Replication, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("experiments: Aggregate needs at least one result")

@@ -27,6 +27,25 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
+// runSeeds runs exp under scheme once per seed and aggregates the
+// results, as the runner-based CLIs do.
+func runSeeds(t *testing.T, exp Experiment, scheme string, seeds ...int64) *Replication {
+	t.Helper()
+	var results []*Result
+	for _, seed := range seeds {
+		r, err := Run(exp, scheme, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
+	}
+	rep, err := Aggregate(exp, scheme, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestRunSeedsDeterministicPerSeed(t *testing.T) {
 	exp, err := ByID("fig7a")
 	if err != nil {
@@ -34,10 +53,7 @@ func TestRunSeedsDeterministicPerSeed(t *testing.T) {
 	}
 	exp.Duration = ms(0.4)
 	// Same seed twice: zero variance (the simulator is deterministic).
-	rep, err := RunSeeds(exp, "CCFIT", []int64{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSeeds(t, exp, "CCFIT", 5, 5)
 	if rep.StdNormalized != 0 || rep.StdDelivered != 0 {
 		t.Fatalf("same-seed variance nonzero: %+v", rep)
 	}
@@ -62,10 +78,7 @@ func TestRunSeedsVariesAcrossSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp.Duration = ms(0.5)
-	rep, err := RunSeeds(exp, "1Q", []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSeeds(t, exp, "1Q", 1, 2, 3)
 	if rep.StdDelivered == 0 {
 		t.Fatal("uniform traffic identical across seeds — RNG streams broken")
 	}
@@ -95,42 +108,6 @@ func TestAggregateValidation(t *testing.T) {
 	}
 }
 
-func TestAggregateMatchesRunSeeds(t *testing.T) {
-	exp, err := ByID("fig7a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp.Duration = ms(0.3)
-	seeds := []int64{3, 4}
-	direct, err := RunSeeds(exp, "CCFIT", seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The runner path: results computed independently, then aggregated
-	// through the same code.
-	var results []*Result
-	for _, s := range seeds {
-		r, err := Run(exp, "CCFIT", s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, r)
-	}
-	agg, err := Aggregate(exp, "CCFIT", results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.MeanNormalized != direct.MeanNormalized || agg.StdNormalized != direct.StdNormalized ||
-		agg.MeanDelivered != direct.MeanDelivered || agg.StdDelivered != direct.StdDelivered {
-		t.Fatalf("aggregate diverged from RunSeeds:\n%+v\n%+v", agg, direct)
-	}
-	for i := range agg.SeriesMean {
-		if agg.SeriesMean[i] != direct.SeriesMean[i] {
-			t.Fatal("series mean diverged")
-		}
-	}
-}
-
 func TestResolveIDs(t *testing.T) {
 	exps, err := ResolveIDs([]string{"fig7a", "table1", "xfairness"})
 	if err != nil || len(exps) != 3 {
@@ -150,13 +127,16 @@ func TestResolveIDs(t *testing.T) {
 	}
 }
 
+// TestRunSeedsValidation: no seeds aggregate to an error, and a bogus
+// scheme fails its run before any aggregation.
 func TestRunSeedsValidation(t *testing.T) {
 	exp, _ := ByID("fig7a")
-	if _, err := RunSeeds(exp, "CCFIT", nil); err == nil {
+	var none []*Result
+	if _, err := Aggregate(exp, "CCFIT", none); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 	exp.Duration = ms(0.2)
-	if _, err := RunSeeds(exp, "bogus", []int64{1}); err == nil {
+	if _, err := Run(exp, "bogus", 1); err == nil {
 		t.Fatal("bogus scheme accepted")
 	}
 }
@@ -164,10 +144,7 @@ func TestRunSeedsValidation(t *testing.T) {
 func TestRenderReplications(t *testing.T) {
 	exp, _ := ByID("fig7a")
 	exp.Duration = ms(0.3)
-	rep, err := RunSeeds(exp, "1Q", []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSeeds(t, exp, "1Q", 1, 2)
 	var buf bytes.Buffer
 	RenderReplications(&buf, exp, []*Replication{rep})
 	out := buf.String()

@@ -13,7 +13,6 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -34,8 +33,6 @@ const (
 	workers = 2
 	// vetFlags is CI's analyzer set (.github/workflows/ci.yml, Vet).
 	vetFlags = "-copylocks -loopclosure -atomic -unusedresult"
-	// lintColumn is TestModuleSelfClean's column.
-	lintColumn = "lint:unchecked-err"
 )
 
 const (
@@ -82,7 +79,7 @@ func (m mutant) testGates() []gate {
 
 // columns lists m's gates in matrix order.
 func (m mutant) columns() []string {
-	cols := []string{"vet", lintColumn}
+	cols := []string{"vet"}
 	for _, g := range m.testGates() {
 		cols = append(cols, g.String())
 	}
@@ -262,34 +259,21 @@ func mutate(t *testing.T, dir string, m mutant) map[string]string {
 	return res
 }
 
-// runGates builds the copy in dir, then runs go vet, the lint
-// self-gate and the test gates on it: a matrix column to its outcome
-// and to the output of the run that decided it. A copy that does not
-// build is an error in the table, not a kill.
+// runGates builds the copy in dir, then runs go vet and the test gates
+// on it: a matrix column to its outcome and to the output of the run
+// that decided it. A copy that does not build is an error in the table,
+// not a kill.
 func runGates(t *testing.T, dir, name string, tests []gate) (res map[string]string, out map[string][]byte) {
 	if b, err := goCmd(dir, "build", "./..."); err != nil {
 		t.Errorf("%s does not build: %v\n%s", name, err, b)
 		return nil, nil
 	}
-	// go vet and the lint self-gate run beside the tests: each of the
-	// three is mostly one process on one core.
 	res, out = map[string]string{}, map[string][]byte{}
-	var lintRes, vetRes string
-	var lintOut, vetOut []byte
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		lintRes, lintOut = runLint(t, dir)
-		vetRes, vetOut = runVet(dir)
-	}()
+	res["vet"], out["vet"] = runVet(dir)
 	runs := map[gate]goTest{}
 	for _, g := range tests {
 		res[g.String()], out[g.String()] = runGate(dir, g, runs)
 	}
-	wg.Wait()
-	res[lintColumn], out[lintColumn] = lintRes, lintOut
-	res["vet"], out["vet"] = vetRes, vetOut
 	return res, out
 }
 
@@ -357,26 +341,14 @@ func copyModule(src, dst string) error {
 	})
 }
 
-// goroot is the toolchain's, which a -trimpath test binary does not
-// know: the lint self-gate type-checks against the standard library's
-// source there.
-var goroot = sync.OnceValues(func() ([]byte, error) {
-	return exec.Command("go", "env", "GOROOT").Output()
-})
-
 // goCmd runs a go subcommand in dir, cut off well past any gate's own
 // -timeout. -trimpath keeps the copies' build actions free of their
 // paths, so the copies share one build cache.
 func goCmd(dir, sub string, args ...string) ([]byte, error) {
-	root, err := goroot()
-	if err != nil {
-		return nil, fmt.Errorf("go env GOROOT: %w", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, "go", append([]string{sub, "-trimpath"}, args...)...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOROOT="+strings.TrimSpace(string(root)))
 	return cmd.CombinedOutput()
 }
 
@@ -384,23 +356,6 @@ func runVet(dir string) (string, []byte) {
 	out, err := goCmd(dir, "vet", append(strings.Fields(vetFlags), "./...")...)
 	if err != nil {
 		return killed, out
-	}
-	return survived, out
-}
-
-// ruleTag finds a TestModuleSelfClean finding.
-var ruleTag = regexp.MustCompile(`module must lint clean, found: \S+ \[unchecked-err\]`)
-
-// runLint runs the lint self-gate: killed when it reports a finding.
-func runLint(t *testing.T, dir string) (string, []byte) {
-	out, err := goCmd(dir, "test", "-count=1", "-timeout", gateTimeout, "-run", "^TestModuleSelfClean$", "./internal/lint/")
-	switch {
-	case isTimeout(out):
-		return timedOut, out
-	case ruleTag.Match(out):
-		return killed, out
-	case err != nil:
-		t.Errorf("lint self-gate failed with no [unchecked-err] finding: %v\n%s", err, out)
 	}
 	return survived, out
 }
@@ -455,9 +410,8 @@ func render(results []map[string]string) []byte {
 #	go test ./internal/mutants -run TestKillMatrix -update
 #
 # killed: the gate fails. timeout: it hangs (a rejection that names no
-# line). survived: it passes. vet is CI's analyzer set; the lint: column
-# is TestModuleSelfClean, the one static check; each test gate is a go
-# test run. A -race gate sees a race only on a schedule that overlaps
+# line). survived: it passes. vet is CI's analyzer set; each test gate
+# is a go test run. A -race gate sees a race only on a schedule that overlaps
 # its two accesses, so its lock rows' tests are written to overlap them.
 `)
 	var gates []string

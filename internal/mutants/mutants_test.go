@@ -29,8 +29,8 @@ type gate struct {
 }
 
 // mutant is one defect. Beyond the gates every mutant runs (go vet's CI
-// set, every lint rule, the tests of each package it edits), it names
-// the gates that say something about it, killers or not.
+// set, the tests of each package it edits), it names the gates that say
+// something about it, killers or not.
 type mutant struct {
 	name, reason string
 	edits        []edit
@@ -306,14 +306,24 @@ var table = []mutant{
 		gates: []gate{zeroAlloc},
 	},
 
-	// Errors dropped on the durable write paths: behaviour only on a
-	// failing disk, which no test here makes.
+	// Errors dropped on the durable write paths: each one shows only
+	// on a failing disk, which the tests make through each writer's
+	// file seam (Cache.create, the Scheduler's disk).
 	{
 		name:   "cache-put-close-unchecked",
 		reason: "Cache.put drops tmp.Close's error and renames the entry into place even if the close failed",
 		edits: []edit{{"internal/runner/cache.go",
 			"\t_, err = tmp.Write(b)\n\tif cerr := tmp.Close(); err == nil {\n\t\terr = cerr\n\t}\n",
 			"\t_, err = tmp.Write(b)\n\ttmp.Close()\n"}},
+		gates: []gate{{pkg: "./internal/runner", run: "TestPutCloseFails"}},
+	},
+	{
+		name:   "cache-put-rename-unchecked",
+		reason: "Cache.put drops os.Rename's error, so a store whose entry never reached its path reads as done",
+		edits: []edit{{"internal/runner/cache.go",
+			"\t\terr = os.Rename(tmp.Name(), c.path(key))\n",
+			"\t\tos.Rename(tmp.Name(), c.path(key))\n"}},
+		gates: []gate{{pkg: "./internal/runner", run: "TestPutRenameFails"}},
 	},
 	{
 		name:   "store-sync-unchecked",
@@ -321,6 +331,23 @@ var table = []mutant{
 		edits: []edit{{"internal/campaign/store.go",
 			"\tif err == nil {\n\t\terr = tmp.Sync()\n\t}\n",
 			"\tif err == nil {\n\t\ttmp.Sync()\n\t}\n"}},
+		gates: []gate{{pkg: "./internal/campaign", run: "TestWriteDurableSyncFails"}},
+	},
+	{
+		name:   "store-dir-sync-unchecked",
+		reason: "writeDurable drops the directory fsync's error, so a rename the disk never took reads as durable",
+		edits: []edit{{"internal/campaign/store.go",
+			"\tdefer df.Close()\n\treturn df.Sync()\n",
+			"\tdefer df.Close()\n\tdf.Sync()\n\treturn nil\n"}},
+		gates: []gate{{pkg: "./internal/campaign", run: "TestWriteDurableDirSyncFails"}},
+	},
+	{
+		name:   "cancel-mark-unchecked",
+		reason: "Scheduler.Cancel drops the cancel mark's write error and cancels a campaign a restart would resume",
+		edits: []edit{{"internal/campaign/scheduler.go",
+			"\tif err := s.disk.writeDurable(s.opt.Dir, id+\".cancel\", nil); err != nil {\n\t\treturn View{}, fmt.Errorf(\"campaign: writing cancel mark: %w\", err)\n\t}\n",
+			"\t_ = s.disk.writeDurable(s.opt.Dir, id+\".cancel\", nil)\n"}},
+		gates: []gate{{pkg: "./internal/campaign", run: "TestCancelMarkFails"}},
 	},
 
 	// Locks: the job queue, the lease board, the campaign scheduler.

@@ -31,7 +31,19 @@ const schemaVersion = 2
 // evictions; the files are the whole state.
 type Cache struct {
 	dir string
+	// create makes put's temp file: os.CreateTemp, or a failing disk
+	// in a test.
+	create func(dir, pattern string) (tempFile, error)
 }
+
+// tempFile is what put needs of an *os.File.
+type tempFile interface {
+	Write([]byte) (int, error)
+	Close() error
+	Name() string
+}
+
+func createTemp(dir, pattern string) (tempFile, error) { return os.CreateTemp(dir, pattern) }
 
 // OpenCache opens (creating if needed) a cache rooted at dir.
 func OpenCache(dir string) (*Cache, error) {
@@ -41,7 +53,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: opening cache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	return &Cache{dir: dir, create: createTemp}, nil
 }
 
 // Dir returns the cache root.
@@ -133,7 +145,7 @@ func (c *Cache) put(key string, w WireResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, key+".tmp-*")
+	tmp, err := c.create(dir, key+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -141,11 +153,13 @@ func (c *Cache) put(key string, w WireResult) error {
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
+	}
 	if err != nil {
 		_ = os.Remove(tmp.Name())
-		return err
 	}
-	return os.Rename(tmp.Name(), c.path(key))
+	return err
 }
 
 var (

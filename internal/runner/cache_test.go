@@ -3,8 +3,11 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -121,4 +124,65 @@ func TestCacheHoldsTheRun(t *testing.T) {
 	if !ok || !jr.Cached || jr.Key != run.Key || !bytes.Equal(jsonBytes(t, jr.Result), want) {
 		t.Fatalf("Recall reads (ok %v, cached %v, key %q), or a Result other than the run's", ok, jr.Cached, jr.Key)
 	}
+}
+
+// closeFails is a temp file whose Close closes it and then fails, as a
+// disk that loses the write-back does.
+type closeFails struct{ *os.File }
+
+func (f closeFails) Close() error {
+	if err := f.File.Close(); err != nil {
+		return err
+	}
+	return errors.New("close: disk full")
+}
+
+// putFails stores a result under key and requires the store to fail and
+// to leave nothing but what the shard held: no entry, no temp file.
+func putFails(t *testing.T, c *Cache, key string) {
+	t.Helper()
+	// The shard may not exist yet: a missing one reads as empty.
+	before, _ := os.ReadDir(filepath.Dir(c.path(key)))
+	if err := c.Put(key, &experiments.Result{ExpID: "fig7a", Scheme: "CCFIT", Seed: 1}); err == nil {
+		t.Fatal("Put returned nil after the disk refused the entry")
+	}
+	after, _ := os.ReadDir(filepath.Dir(c.path(key)))
+	if len(after) != len(before) {
+		t.Fatalf("a failed Put left %d files in the shard, want %d", len(after), len(before))
+	}
+}
+
+// TestPutCloseFails: an entry whose temp file fails to close is an
+// error, and is not renamed into place.
+func TestPutCloseFails(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.create = func(dir, pattern string) (tempFile, error) {
+		f, err := os.CreateTemp(dir, pattern)
+		if err != nil {
+			return nil, err
+		}
+		return closeFails{f}, nil
+	}
+	key := strings.Repeat("c1", 32)
+	putFails(t, c, key)
+	if _, err := os.Lstat(c.path(key)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the entry is in place after its close failed (Lstat: %v)", err)
+	}
+}
+
+// TestPutRenameFails: an entry that cannot be renamed into place (a
+// directory holds its path) is an error, and its temp file goes.
+func TestPutRenameFails(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("e2", 32)
+	if err := os.MkdirAll(c.path(key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	putFails(t, c, key)
 }
