@@ -21,7 +21,7 @@
 // API: POST /campaigns, GET /campaigns[/{id}[/results|/events]],
 // DELETE /campaigns/{id}, GET /metrics, GET /healthz. Remote workers
 // (ccfit-worker) attach through POST /dispatch/* under lease-based
-// claims (-lease-ttl, -max-reassign); the connected fleet is visible
+// claims (-lease-ttl); the connected fleet is visible
 // at GET /workers. The -workers in-process slots take jobs only while
 // no worker is live, so with none attached jobs simply run in-process.
 //
@@ -72,7 +72,6 @@ func run(ctx context.Context, ln net.Listener, args []string) error {
 	f.Register(fs, "cache", "workers", "timeout", "cache-max-bytes")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open HTTP connections")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "remote worker lease TTL (a job whose worker stops heartbeating this long is reclaimed and requeued)")
-	maxReassign := fs.Int("max-reassign", 3, "give up on a job after this many lease reclaims (bounds crash-requeue loops)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -90,11 +89,7 @@ func run(ctx context.Context, ln net.Listener, args []string) error {
 	// Bounds the cache at startup, periodically and at shutdown.
 	f.SettleCache(cache, logf)
 
-	board := dispatch.NewBoard(dispatch.Options{
-		LeaseTTL:    *leaseTTL,
-		MaxReassign: *maxReassign,
-		Log:         logf,
-	})
+	board := dispatch.NewBoard(dispatch.Options{LeaseTTL: *leaseTTL, Log: logf})
 	sched, err := campaign.Open(campaign.Options{
 		Dir:      filepath.Join(*dataDir, "campaigns"),
 		Cache:    cache,

@@ -523,6 +523,34 @@ func TestSpecWithSimWorkersResumes(t *testing.T) {
 	}
 }
 
+// TestLoadCurveSpecResumesFailed: a spec file an older build wrote with
+// a "load_curve" (load points now are experiment ids) decodes to a spec
+// that names no experiments, so it resumes as a failed campaign and
+// Open still succeeds.
+func TestLoadCurveSpecResumesFailed(t *testing.T) {
+	dir := t.TempDir()
+	sdir := filepath.Join(dir, "campaigns")
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"id":"c000000","at":"2026-01-01T00:00:00Z","sub":{"schemes":["1Q"],"ms":0.2,"load_curve":{"config":2,"loads":[0.4]}}}`
+	if err := os.WriteFile(filepath.Join(sdir, "c000000.spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openScheduler(t, dir, Options{Workers: 1})
+	defer s.Close()
+	if got := s.Metrics().CampaignsResumed.Load(); got != 0 {
+		t.Errorf("CampaignsResumed = %d, want 0", got)
+	}
+	v, err := s.View("c000000", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != StatusFailed || v.Failed != 1 {
+		t.Errorf("load_curve spec reads %+v, want a failed campaign", v)
+	}
+}
+
 // TestResumeRacesParkedClaim: a board handed to Open may already hold a
 // parked claim, which takes the first resumed task as resume queues it
 // and runs it while resume is still adding campaigns. Under -race the

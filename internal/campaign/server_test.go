@@ -109,14 +109,16 @@ func TestHTTPRejectsBadSubmission(t *testing.T) {
 		// whose expansion crashed the handler.
 		`{"experiments":["fig7a"],"ms":1e30}`,
 		`{"experiments":["fig7a"],"ms":1e-9}`,
-		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5],"ms":1e-9}}`,
-		// Negative durations once ran at full length (default length for a load curve).
+		`{"experiments":["loadcurve-c2-load0.5"],"schemes":["1Q"],"ms":1e-9}`,
+		// Negative durations once ran at full length (default length for a load point).
 		`{"experiments":["fig7a"],"ms":-1}`,
-		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5],"ms":-1}}`,
+		`{"experiments":["loadcurve-c2-load0.5"],"schemes":["1Q"],"ms":-1}`,
 		`{"experiments":["fig7a"],"seeds":4611686018427387904}`,
 		`{"experiments":["fig7a"],"seeds":100000000}`,
-		// The field of the deleted partitioned engine is unknown now.
+		// The field of the deleted partitioned engine is unknown now, and
+		// so is the load curve's own form (its points are ids).
 		`{"experiments":["fig7a"],"sim_workers":2}`,
+		`{"schemes":["1Q"],"load_curve":{"config":2,"loads":[0.5]}}`,
 	} {
 		resp, err := client.http().Post(client.url("/campaigns"), "application/json", strings.NewReader(body))
 		if err != nil {

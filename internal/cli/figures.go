@@ -136,9 +136,7 @@ func (a *app) render(exps []experiments.Experiment, schemes []string, results []
 		} else {
 			experiments.RenderFlows(w, exp, rs)
 		}
-		if a.Summary {
-			experiments.RenderSummary(w, rs)
-		}
+		experiments.RenderSummary(w, rs)
 		// FCT tables only exist for finite-flow (datacenter) workloads;
 		// RenderFCT is silent for pure CBR results.
 		experiments.RenderFCT(w, rs)

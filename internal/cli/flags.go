@@ -38,13 +38,12 @@ type Flags struct {
 	// output: what is written besides the rendered tables
 	CSV      string
 	Manifest string
-	Summary  bool
 	List     bool
 }
 
 // Defaults returns the shared flags' default values.
 func Defaults() Flags {
-	return Flags{Seed: 1, Seeds: 1, Workers: runtime.GOMAXPROCS(0), Summary: true}
+	return Flags{Seed: 1, Seeds: 1, Workers: runtime.GOMAXPROCS(0)}
 }
 
 // Register is the one declaration of every shared flag. It binds the
@@ -72,7 +71,6 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 
 	all.StringVar(&f.CSV, "csv", f.CSV, "also write one CSV per experiment (and manifest.json) into this directory")
 	all.StringVar(&f.Manifest, "manifest", f.Manifest, "write the JSON run manifest here (default: <csv>/manifest.json when -csv is set)")
-	all.BoolVar(&f.Summary, "summary", f.Summary, "print per-scheme congestion-management counters")
 	all.BoolVar(&f.List, "list", f.List, "list valid experiment ids and exit")
 	all.VisitAll(func(fl *flag.Flag) {
 		if len(names) == 0 || slices.Contains(names, fl.Name) {

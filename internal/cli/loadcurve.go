@@ -36,13 +36,20 @@ func (a *app) loadCurve(args []string) error {
 	if err := a.parse(args); err != nil {
 		return err
 	}
-	var loads []float64
+	var (
+		loads []float64
+		ids   []string
+	)
 	for _, s := range strings.Split(*points, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil || !(v > 0 && v <= 1) {
 			return fmt.Errorf("bad load %q (want a number in (0, 1])", s)
 		}
-		loads = append(loads, v)
+		p, err := experiments.LoadPoint(*cfg, v)
+		if err != nil {
+			return err
+		}
+		loads, ids = append(loads, v), append(ids, p.ID)
 	}
 	ft := topo.Config2()
 	if *cfg == 3 {
@@ -50,14 +57,13 @@ func (a *app) loadCurve(args []string) error {
 	}
 
 	// Expansion is load-major then scheme; the table below is
-	// scheme-major, so it reads each point by (load, scheme). Expansion
-	// also rejects any other -config.
+	// scheme-major, so it reads each point by (load, scheme).
 	schemes := a.schemeList()
 	results, err := a.Run(a.submission(experiments.Spec{
-		Schemes:   schemes,
-		MS:        a.MS,
-		LoadCurve: &experiments.LoadCurveSpec{Config: *cfg, Loads: loads},
-		Label:     fmt.Sprintf("loadcurve config %d", *cfg),
+		Experiments: ids,
+		Schemes:     schemes,
+		MS:          a.MS,
+		Label:       fmt.Sprintf("loadcurve config %d", *cfg),
 	}))
 	if err != nil {
 		return err

@@ -15,29 +15,13 @@ type Options struct {
 	// LeaseTTL is how long a claimed job may go without a heartbeat
 	// before it is reclaimed. Default 15s.
 	LeaseTTL time.Duration
-	// MaxReassign bounds how often one job is requeued before the board
-	// fails it instead of looping forever. Default 3.
-	MaxReassign int
-	// Liveness is how long a worker may go without any request before
-	// it is pruned and stops counting as live. Default 2×LeaseTTL (above
-	// both the claim hold and the heartbeat interval).
-	Liveness time.Duration
 	// Log, when non-nil, receives operational notices.
 	Log func(format string, args ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 15 * time.Second
-	}
-	if o.MaxReassign <= 0 {
-		o.MaxReassign = 3
-	}
-	if o.Liveness <= 0 {
-		o.Liveness = 2 * o.LeaseTTL
-	}
-	return o
-}
+// maxReassign bounds how often one job is requeued before the board
+// fails it instead of looping forever.
+const maxReassign = 3
 
 // lease is one grant of one task to one worker; only the expiry moves
 // (heartbeats). Whoever takes the lease off the board — a delivery, a
@@ -90,6 +74,10 @@ type Board struct {
 	// now is the board's clock (time.Now outside tests), so the lease
 	// lifecycle is testable without wall-clock sleeps.
 	now func() time.Time
+	// liveness is how long a worker may go without any request before
+	// it is pruned and stops counting as live: 2×LeaseTTL, above both
+	// the claim hold and the heartbeat interval (tests stretch it).
+	liveness time.Duration
 
 	mu        sync.Mutex
 	leases    map[string]*lease     // guarded by mu
@@ -104,11 +92,15 @@ type Board struct {
 
 // NewBoard starts a board, its queue and its reclaim sweeper.
 func NewBoard(opt Options) *Board {
+	if opt.LeaseTTL <= 0 {
+		opt.LeaseTTL = 15 * time.Second
+	}
 	b := &Board{
-		opt:       opt.withDefaults(),
+		opt:       opt,
 		q:         runner.NewQueue(),
 		sweepDone: make(chan struct{}),
 		now:       time.Now,
+		liveness:  2 * opt.LeaseTTL,
 		leases:    map[string]*lease{},
 		workers:   map[string]*workerRec{},
 	}
@@ -150,7 +142,7 @@ func (b *Board) Register(name, module string) (string, error) {
 func (b *Board) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range b.workers {
-		if w.live(now, b.opt.Liveness) {
+		if w.live(now, b.liveness) {
 			n++
 		}
 	}
@@ -325,10 +317,10 @@ func (b *Board) Complete(workerID, leaseID string, wres runner.WireResult, aband
 }
 
 // reclaim returns a lost lease's task (already off the board) to the
-// front of the queue, or fails the job once MaxReassign are spent.
+// front of the queue, or fails the job once maxReassign are spent.
 func (b *Board) reclaim(l *lease) {
 	job := l.task.Job
-	if b.q.Requeue(l.task, b.opt.MaxReassign) {
+	if b.q.Requeue(l.task, maxReassign) {
 		b.cReclaimed.Add(1)
 		l.emit(runner.Event{Type: runner.JobReassigned, Job: job, Worker: l.worker.name})
 		l.outcome <- runner.JobResult{Job: job, Err: runner.ErrRequeued}
@@ -336,7 +328,7 @@ func (b *Board) reclaim(l *lease) {
 	}
 	b.cExhausted.Add(1)
 	l.outcome <- runner.JobResult{Job: job, Err: fmt.Errorf(
-		"dispatch: %s: lease lost %d times (worker crashes, stalls or partitions); giving up", job, b.opt.MaxReassign+1)}
+		"dispatch: %s: lease lost %d times (worker crashes, stalls or partitions); giving up", job, maxReassign+1)}
 }
 
 // sweeper reclaims expired leases and prunes dead workers every TTL/4.
@@ -366,7 +358,7 @@ func (b *Board) sweep(now time.Time) {
 		}
 	}
 	for id, w := range b.workers {
-		if !w.live(now, b.opt.Liveness) {
+		if !w.live(now, b.liveness) {
 			delete(b.workers, id)
 			b.cPruned.Add(1)
 			b.logf("dispatch: worker %s (%s) not seen for %v; pruned", w.name, id, now.Sub(w.lastSeen).Round(time.Millisecond))

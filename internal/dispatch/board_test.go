@@ -70,20 +70,19 @@ func (l *eventLog) count(t runner.EventType) int {
 	return n
 }
 
-// testBoard builds a board on a fake clock. Its lease TTL is a minute or
-// more, so the background sweeper (every TTL/4 of real time) never fires
-// inside a test; tests drive sweep by hand.
+// testBoard builds a board on a fake clock, with a liveness window of
+// 30 minutes unless the test sets b.liveness. Its lease TTL is a minute
+// or more, so the background sweeper (every TTL/4 of real time) never
+// fires inside a test; tests drive sweep by hand.
 func testBoard(t *testing.T, opt Options) (*Board, *fakeClock) {
 	t.Helper()
 	if opt.LeaseTTL == 0 {
 		opt.LeaseTTL = time.Minute
 	}
-	if opt.Liveness == 0 {
-		opt.Liveness = 30 * time.Minute
-	}
 	clock := newFakeClock()
 	b := NewBoard(opt)
 	b.now = clock.Now
+	b.liveness = 30 * time.Minute
 	t.Cleanup(b.Close)
 	return b, clock
 }
@@ -271,15 +270,16 @@ func TestCompleteRacesWorkers(t *testing.T) {
 	check()
 }
 
-// TestMaxReassignExhaustion: a job that outlives MaxReassign leases
+// TestMaxReassignExhaustion: a job that outlives maxReassign leases
 // fails instead of looping through the fleet forever.
 func TestMaxReassignExhaustion(t *testing.T) {
-	b, clock := testBoard(t, Options{LeaseTTL: time.Minute, MaxReassign: 2, Liveness: 24 * time.Hour})
+	b, clock := testBoard(t, Options{LeaseTTL: time.Minute})
+	b.liveness = 24 * time.Hour
 	w := mustRegister(t, b, "doomed")
 	log := &eventLog{}
 	_, ch := enqueue(context.Background(), b, log)
 
-	for round := 0; round < 3; round++ {
+	for round := 0; round <= maxReassign; round++ {
 		claimSoon(t, b, w)
 		clock.Advance(61 * time.Second)
 		b.sweep(clock.Now())
@@ -292,7 +292,7 @@ func TestMaxReassignExhaustion(t *testing.T) {
 		t.Fatalf("want a lease-lost failure, got %v", got.jr.Err)
 	}
 	snap := b.Snapshot()
-	if snap["jobs_reassign_exhausted"].(int64) != 1 || snap["jobs_reclaimed"].(int64) != 2 {
+	if snap["jobs_reassign_exhausted"].(int64) != 1 || snap["jobs_reclaimed"].(int64) != maxReassign {
 		t.Fatalf("exhaustion not counted: %v", snap)
 	}
 	// The failure is the envelope's to report: the board emits no
@@ -307,7 +307,8 @@ func TestMaxReassignExhaustion(t *testing.T) {
 // fleet the in-process slot takes a job at once, and a queued job whose
 // last worker dies goes to the slot at the sweep that prunes it.
 func TestNoWorkersFallsBack(t *testing.T) {
-	b, clock := testBoard(t, Options{LeaseTTL: time.Minute, Liveness: 2 * time.Minute})
+	b, clock := testBoard(t, Options{LeaseTTL: time.Minute})
+	b.liveness = 2 * time.Minute
 	b.Queue().Serve(1)
 	t.Cleanup(b.Queue().Close)
 	log := &eventLog{}
@@ -337,7 +338,8 @@ func TestNoWorkersFallsBack(t *testing.T) {
 // TestHeartbeatExtendsLease: renewals move the expiry forward, so a
 // slow-but-alive worker keeps its job past the original TTL.
 func TestHeartbeatExtendsLease(t *testing.T) {
-	b, clock := testBoard(t, Options{LeaseTTL: time.Minute, Liveness: 24 * time.Hour})
+	b, clock := testBoard(t, Options{LeaseTTL: time.Minute})
+	b.liveness = 24 * time.Hour
 	w := mustRegister(t, b, "steady")
 	log := &eventLog{}
 	_, ch := enqueue(context.Background(), b, log)

@@ -18,7 +18,7 @@
 //   - service restart: workers get "unknown worker", re-register and
 //     carry on, while the spec file and the cache resume the jobs.
 //
-// A job is requeued at most Options.MaxReassign times before it fails.
+// A job is requeued at most maxReassign (3) times before it fails.
 // The service's in-process slots take jobs only while no worker is
 // live, so a fleet of zero degrades to the service alone. Workers run
 // the full LocalExecutor stack against their own cache, and results
@@ -36,8 +36,9 @@ import (
 
 // Protocol is the wire-protocol version; a worker speaking another is
 // refused at registration rather than handed a misdecoded job. A
-// version 2 claim carries the job's one-cell source spec.
-const Protocol = 2
+// version 2 claim carries the job's one-cell source spec; version 3
+// names a load point by its experiment id, as every other cell.
+const Protocol = 3
 
 // The wire messages of the four worker endpoints, all POST and JSON.
 

@@ -25,7 +25,8 @@ import (
 // with no terminal event; the second simulates once and emits the one
 // terminal event.
 func TestLostLeaseFallsBackInProcess(t *testing.T) {
-	b, clock := testBoard(t, Options{LeaseTTL: time.Minute, Liveness: 2 * time.Minute})
+	b, clock := testBoard(t, Options{LeaseTTL: time.Minute})
+	b.liveness = 2 * time.Minute
 	cache, err := runner.OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,8 @@ func TestParkReleasedByClose(t *testing.T) {
 // claim is capacity — the sweep must not prune it, and the job queued
 // next goes to it — and leaving the park counts as having been seen.
 func TestParkKeepsWorkerLive(t *testing.T) {
-	b, clock := testBoard(t, Options{Liveness: 2 * time.Minute})
+	b, clock := testBoard(t, Options{})
+	b.liveness = 2 * time.Minute
 	w := mustRegister(t, b, "patient")
 	ch := park(context.Background(), b, w, time.Hour)
 	waitGauge(t, b, "claims_parked", 1)

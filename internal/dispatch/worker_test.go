@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,4 +72,21 @@ func TestRunWaitsForAbandonReport(t *testing.T) {
 	srv.Close()
 	b.Close()
 	check()
+}
+
+// TestRegisterRefusesOtherProtocol: a worker of protocol 2, whose claims
+// carried a load point as a "load_curve", is refused at registration
+// instead of being handed a job whose spec it cannot expand.
+func TestRegisterRefusesOtherProtocol(t *testing.T) {
+	b := NewBoard(Options{})
+	defer b.Close()
+	srv := httptest.NewServer(b.Handler())
+	defer srv.Close()
+	_, err := (&Client{Base: srv.URL}).Register(context.Background(), RegisterRequest{Name: "old", Protocol: 2})
+	if err == nil || !strings.Contains(err.Error(), "protocol 2") {
+		t.Fatalf("a protocol-2 worker registered (err %v), want it refused", err)
+	}
+	if n := b.Snapshot()["workers_registered"].(int64); n != 0 {
+		t.Fatalf("workers_registered = %d after a refused registration", n)
+	}
 }

@@ -159,15 +159,13 @@ func Registry() []Experiment {
 	return ordered
 }
 
-// ByID finds an experiment, searching the paper registry first and the
-// extras (Extras) second.
+// ByID finds one experiment: ResolveIDs of one id.
 func ByID(id string) (Experiment, error) {
-	for _, e := range append(Registry(), Extras()...) {
-		if e.ID == id {
-			return e, nil
-		}
+	exps, err := ResolveIDs([]string{id})
+	if err != nil {
+		return Experiment{}, err
 	}
-	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
+	return exps[0], nil
 }
 
 // ValidIDs returns every known experiment id — the paper registry in
@@ -180,10 +178,12 @@ func ValidIDs() []string {
 	return ids
 }
 
-// ResolveIDs maps experiment ids to experiments, building the registry
-// once and reporting every unknown id at once (instead of erroring
-// mid-campaign after earlier experiments already ran) together with
-// the list of valid ids.
+// ResolveIDs maps experiment ids to experiments: the registered ids
+// (ValidIDs) and the load points, which only LoadPoint's own id names
+// (loadcurve-c2-load0.4, never load0.40), so a point has exactly one
+// cache key. It builds the registry once and reports every unknown id
+// at once (instead of erroring mid-campaign after earlier experiments
+// already ran) together with the valid ids.
 func ResolveIDs(ids []string) ([]Experiment, error) {
 	all := append(Registry(), Extras()...)
 	var (
@@ -191,16 +191,30 @@ func ResolveIDs(ids []string) ([]Experiment, error) {
 		unknown []string
 	)
 	for _, id := range ids {
-		i := slices.IndexFunc(all, func(e Experiment) bool { return e.ID == id })
-		if i < 0 {
+		if i := slices.IndexFunc(all, func(e Experiment) bool { return e.ID == id }); i >= 0 {
+			exps = append(exps, all[i])
+		} else if e, ok := loadPointByID(id); ok {
+			exps = append(exps, e)
+		} else {
 			unknown = append(unknown, id)
-			continue
 		}
-		exps = append(exps, all[i])
 	}
 	if len(unknown) > 0 {
-		return nil, fmt.Errorf("experiments: unknown experiment id(s) %s (valid: %s)",
+		return nil, fmt.Errorf("experiments: unknown experiment id(s) %s (valid: %s, or a load point loadcurve-c<2|3>-load<%%g in (0,1]>)",
 			strings.Join(unknown, ", "), strings.Join(ValidIDs(), " "))
 	}
 	return exps, nil
+}
+
+// loadPointByID resolves id if it is a load point's canonical id.
+func loadPointByID(id string) (Experiment, bool) {
+	var (
+		config int
+		load   float64
+	)
+	if _, err := fmt.Sscanf(id, "loadcurve-c%d-load%g", &config, &load); err != nil {
+		return Experiment{}, false
+	}
+	e, err := LoadPoint(config, load)
+	return e, err == nil && e.ID == id
 }

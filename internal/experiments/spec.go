@@ -19,12 +19,11 @@ import (
 // same order, which is what makes a resume and remote rendering line
 // up with local runs.
 type Spec struct {
-	// Experiments lists registered experiment ids (ValidIDs). Static
-	// tables are skipped during expansion.
-	// Mutually exclusive with LoadCurve.
+	// Experiments lists experiment ids (ResolveIDs): registered ones
+	// and load points. Static tables are skipped during expansion.
 	Experiments []string `json:"experiments,omitempty"`
 	// Schemes overrides the scheme set; nil uses each experiment's own.
-	// LoadCurve specs must name schemes explicitly.
+	// A load point has none, so a spec naming one must name schemes.
 	Schemes []string `json:"schemes,omitempty"`
 	// Seed is the base seed (default 1); Seeds the replication count
 	// (default 1), covering Seed..Seed+Seeds-1.
@@ -39,9 +38,6 @@ type Spec struct {
 	// Params, when non-nil, overrides the scheme preset for every cell
 	// (the ablation path). The named scheme still labels results.
 	Params *core.Params `json:"params,omitempty"`
-	// LoadCurve expands into synthetic uniform-traffic load points
-	// instead of registered experiments.
-	LoadCurve *LoadCurveSpec `json:"load_curve,omitempty"`
 	// Label is a free-form display label (sweep point, submitter note).
 	Label string `json:"label,omitempty"`
 	// Faults, when non-nil, is a deterministic fault script injected
@@ -50,15 +46,6 @@ type Spec struct {
 	// Watchdog is every cell's forward-progress window in cycles: 0 the
 	// invariant checker's default, <0 disabled.
 	Watchdog sim.Cycle `json:"watchdog,omitempty"`
-}
-
-// LoadCurveSpec describes an accepted-vs-offered load sweep: uniform
-// traffic on one configuration across a list of offered loads.
-type LoadCurveSpec struct {
-	// Config selects the network configuration (2 or 3).
-	Config int `json:"config"`
-	// Loads are offered loads in (0, 1], fractions of the link rate.
-	Loads []float64 `json:"loads"`
 }
 
 // Cell is one expanded unit of a Spec, and the one description of a
@@ -170,12 +157,12 @@ func (s Spec) OneCell() (Cell, error) {
 }
 
 // Expand resolves a spec into its cells in deterministic
-// experiment-major order (experiment or load point, then scheme, then
-// seed), the one order every renderer's cursor walks, locally and
-// against a server. Every id, scheme, parameter set, fault script, seed
-// range and duration, and the cell count (at most MaxCells), is
-// validated before anything is returned (fail-fast: a typo in a
-// submitted campaign is a 4xx, never a mid-campaign failure).
+// experiment-major order (experiment, then scheme, then seed), the one
+// order every renderer's cursor walks, locally and against a server.
+// Every id, scheme, parameter set, fault script, seed range and
+// duration, and the cell count (at most MaxCells), is validated before
+// anything is returned (fail-fast: a typo in a submitted campaign is a
+// 4xx, never a mid-campaign failure).
 func (s Spec) Expand() ([]Cell, error) {
 	if s.Params != nil {
 		if err := s.Params.Validate(); err != nil {
@@ -207,13 +194,21 @@ func (s Spec) Expand() ([]Cell, error) {
 			return nil, err
 		}
 	}
-	exps, err := s.experimentList(nseeds)
+	if len(s.Experiments) == 0 {
+		return nil, fmt.Errorf("experiments: spec names no experiments")
+	}
+	// Every runnable id yields at least one cell: refuse a list past
+	// MaxCells before resolving any of it.
+	if _, err := addCells(0, len(s.Experiments), 1); err != nil {
+		return nil, err
+	}
+	exps, err := ResolveIDs(s.Experiments)
 	if err != nil {
 		return nil, err
 	}
 	seeds := s.SeedList()
 	var cells []Cell
-	for i, e := range exps {
+	for _, e := range exps {
 		if e.Kind == ConfigTable {
 			continue
 		}
@@ -225,19 +220,17 @@ func (s Spec) Expand() ([]Cell, error) {
 		if schemes == nil {
 			schemes = e.Schemes
 		}
+		if len(schemes) == 0 {
+			return nil, fmt.Errorf("experiments: %s has no schemes of its own; the spec must name them", e.ID)
+		}
 		if _, err := addCells(len(cells), len(schemes), nseeds); err != nil {
 			return nil, err
 		}
 		for _, scheme := range schemes {
 			for _, seed := range seeds {
 				one := &Spec{
-					Schemes: []string{scheme}, Seed: seed, Seeds: 1, MS: s.MS,
+					Experiments: []string{e.ID}, Schemes: []string{scheme}, Seed: seed, Seeds: 1, MS: s.MS,
 					Params: s.Params, Faults: s.Faults, Watchdog: s.Watchdog,
-				}
-				if s.LoadCurve != nil {
-					one.LoadCurve = &LoadCurveSpec{Config: s.LoadCurve.Config, Loads: []float64{s.LoadCurve.Loads[i]}}
-				} else {
-					one.Experiments = []string{e.ID}
 				}
 				cells = append(cells, Cell{
 					Exp: e, Scheme: scheme, Seed: seed, Params: s.Params,
@@ -250,44 +243,6 @@ func (s Spec) Expand() ([]Cell, error) {
 		return nil, fmt.Errorf("experiments: spec expands to zero runnable cells")
 	}
 	return cells, nil
-}
-
-// experimentList returns the experiments a spec names, registry ids or
-// load points, one per entry in order, refusing a list whose cells
-// would pass MaxCells before resolving or building any of them: every
-// runnable id yields at least one cell, and a load point exactly
-// len(Schemes)×nseeds.
-func (s Spec) experimentList(nseeds int) ([]Experiment, error) {
-	lc := s.LoadCurve
-	switch {
-	case lc != nil && len(s.Experiments) > 0:
-		return nil, fmt.Errorf("experiments: spec mixes experiments and load_curve; use one")
-	case lc == nil && len(s.Experiments) == 0:
-		return nil, fmt.Errorf("experiments: spec names no experiments")
-	case lc == nil:
-		if _, err := addCells(0, len(s.Experiments), 1); err != nil {
-			return nil, err
-		}
-		return ResolveIDs(s.Experiments)
-	case len(s.Schemes) == 0:
-		return nil, fmt.Errorf("experiments: load_curve spec must name schemes")
-	case len(lc.Loads) == 0:
-		return nil, fmt.Errorf("experiments: load_curve spec has no loads")
-	}
-	ncells, err := addCells(0, len(lc.Loads), len(s.Schemes))
-	if err == nil {
-		_, err = addCells(0, ncells, nseeds)
-	}
-	if err != nil {
-		return nil, err
-	}
-	exps := make([]Experiment, len(lc.Loads))
-	for i, load := range lc.Loads {
-		if exps[i], err = LoadPoint(lc.Config, load); err != nil {
-			return nil, err
-		}
-	}
-	return exps, nil
 }
 
 // MSCycles converts the run length field (a spec's or a flag's) to
@@ -319,9 +274,9 @@ func addCells(total, groups, per int) (int, error) {
 // `load` of the link rate on the chosen configuration for 1 ms. The
 // exact load is baked into the id (%g reads back to the same float64)
 // because it changes the traffic — and the id is where it enters the
-// cache key.
+// cache key, and what ResolveIDs reads a point back from.
 func LoadPoint(config int, load float64) (Experiment, error) {
-	if load <= 0 || load > 1 {
+	if !(load > 0 && load <= 1) { // NaN too
 		return Experiment{}, fmt.Errorf("experiments: offered load must be in (0, 1], got %g", load)
 	}
 	var ft *topo.FatTree

@@ -98,21 +98,23 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown experiment", Spec{Experiments: []string{"fig99"}}},
 		{"unknown scheme", Spec{Experiments: []string{"fig7a"}, Schemes: []string{"nope"}}},
 		{"tables only", Spec{Experiments: []string{"table1"}}},
-		{"mixed modes", Spec{Experiments: []string{"fig7a"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
-		{"loadcurve without schemes", Spec{LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
-		{"loadcurve without loads", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2}}},
-		{"loadcurve bad config", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 7, Loads: []float64{0.5}}}},
-		{"loadcurve bad load", Spec{Schemes: []string{"1Q"}, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{1.5}}}},
+		{"loadcurve without schemes", Spec{Experiments: []string{"loadcurve-c2-load0.5"}}},
+		{"loadcurve without schemes beside a figure", Spec{Experiments: []string{"fig7a", "loadcurve-c2-load0.5"}}},
+		{"loadcurve bad config", Spec{Schemes: []string{"1Q"}, Experiments: []string{"loadcurve-c7-load0.5"}}},
+		{"loadcurve bad load", Spec{Schemes: []string{"1Q"}, Experiments: []string{"loadcurve-c2-load1.5"}}},
+		{"loadcurve NaN load", Spec{Schemes: []string{"1Q"}, Experiments: []string{"loadcurve-c2-loadNaN"}}},
+		{"loadcurve non-canonical load", Spec{Schemes: []string{"1Q"}, Experiments: []string{"loadcurve-c2-load0.40"}}},
+		{"loadcurve trailing text", Spec{Schemes: []string{"1Q"}, Experiments: []string{"loadcurve-c2-load0.4x"}}},
 		{"ms past the clock", Spec{Experiments: []string{"fig7a"}, MS: 1e30}},
 		{"ms below a cycle", Spec{Experiments: []string{"fig7a"}, MS: 1e-9}},
-		{"loadcurve ms below a cycle", Spec{Schemes: []string{"1Q"}, MS: 1e-9, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
+		{"loadcurve ms below a cycle", Spec{Schemes: []string{"1Q"}, MS: 1e-9, Experiments: []string{"loadcurve-c2-load0.5"}}},
 		{"negative ms", Spec{Experiments: []string{"fig7a"}, MS: -1}},
 		{"NaN ms", Spec{Experiments: []string{"fig7a"}, MS: math.NaN()}},
-		{"loadcurve negative ms", Spec{Schemes: []string{"1Q"}, MS: -1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
-		{"loadcurve NaN ms", Spec{Schemes: []string{"1Q"}, MS: math.NaN(), LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
+		{"loadcurve negative ms", Spec{Schemes: []string{"1Q"}, MS: -1, Experiments: []string{"loadcurve-c2-load0.5"}}},
+		{"loadcurve NaN ms", Spec{Schemes: []string{"1Q"}, MS: math.NaN(), Experiments: []string{"loadcurve-c2-load0.5"}}},
 		{"seeds past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: 1 << 62}},
 		{"cells past the bound", Spec{Experiments: []string{"fig7a"}, Seeds: MaxCells}},
-		{"loadcurve cells past the bound", Spec{Schemes: []string{"1Q", "CCFIT"}, Seeds: MaxCells/2 + 1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.5}}}},
+		{"loadcurve cells past the bound", Spec{Schemes: []string{"1Q", "CCFIT"}, Seeds: MaxCells/2 + 1, Experiments: []string{"loadcurve-c2-load0.5"}}},
 		{"bad fault script", Spec{Experiments: []string{"fig7a"}, Faults: &fault.Script{Events: []fault.Event{{Kind: "nope"}}}}},
 		{"seeds across seed 0", Spec{Experiments: []string{"fig7a"}, Seed: -1, Seeds: 2}},
 		{"seeds past the last seed", Spec{Experiments: []string{"fig7a"}, Seed: math.MaxInt64, Seeds: 2}},
@@ -126,16 +128,16 @@ func TestSpecValidation(t *testing.T) {
 
 func TestSpecLoadCurveExpansion(t *testing.T) {
 	s := Spec{
-		Schemes:   []string{"1Q", "CCFIT"},
-		MS:        0.5,
-		LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.3, 0.8}},
+		Experiments: []string{"loadcurve-c2-load0.3", "loadcurve-c2-load0.8"},
+		Schemes:     []string{"1Q", "CCFIT"},
+		MS:          0.5,
 	}
 	cells, err := s.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Load-major then scheme, like every other spec; the id names the
-	// exact load.
+	// exact load, and the point is LoadPoint's.
 	wantIDs := []string{
 		"loadcurve-c2-load0.3", "loadcurve-c2-load0.3",
 		"loadcurve-c2-load0.8", "loadcurve-c2-load0.8",
@@ -154,6 +156,9 @@ func TestSpecLoadCurveExpansion(t *testing.T) {
 		}
 		if c.Exp.Build == nil {
 			t.Errorf("cell %d has no build closure", i)
+		}
+		if want := (Spec{Experiments: []string{c.Exp.ID}, Schemes: []string{c.Scheme}, Seed: 1, Seeds: 1, MS: 0.5}); !reflect.DeepEqual(*c.Source, want) {
+			t.Errorf("cell %d source = %+v, want %+v", i, *c.Source, want)
 		}
 	}
 	s.MS = 0
@@ -196,7 +201,7 @@ func TestSpecSeedList(t *testing.T) {
 
 // FuzzSpec decodes arbitrary JSON into a Spec (seed corpus:
 // testdata/fuzz/FuzzSpec, the bodies POST /campaigns once answered 201
-// or crashed on, plus a plain, a load-curve and a faulted one-cell
+// or crashed on, plus a plain, a load-point and a faulted one-cell
 // spec): Expand never panics, and what it accepts is bounded, has a
 // positive bin no longer than the run, and re-expands cell by cell from
 // each Source after a trip through JSON, what a worker decodes from a
@@ -206,7 +211,7 @@ func FuzzSpec(f *testing.F) {
 	sw := 0
 	for _, s := range []Spec{
 		{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: 2, MS: 0.1},
-		{Schemes: []string{"CCFIT"}, Seed: 1, MS: 0.1, LoadCurve: &LoadCurveSpec{Config: 2, Loads: []float64{0.4}}},
+		{Experiments: []string{"loadcurve-c2-load0.4"}, Schemes: []string{"CCFIT"}, Seed: 1, MS: 0.1},
 		{Experiments: []string{"fig7a"}, Schemes: []string{"1Q"}, MS: 0.1, Watchdog: -1,
 			Faults: &fault.Script{Name: "stall-sw0", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Duration: 100, Switch: &sw}}}},
 	} {

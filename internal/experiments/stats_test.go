@@ -127,20 +127,6 @@ func TestResolveIDs(t *testing.T) {
 	}
 }
 
-// TestRunSeedsValidation: no seeds aggregate to an error, and a bogus
-// scheme fails its run before any aggregation.
-func TestRunSeedsValidation(t *testing.T) {
-	exp, _ := ByID("fig7a")
-	var none []*Result
-	if _, err := Aggregate(exp, "CCFIT", none); err == nil {
-		t.Fatal("empty seed list accepted")
-	}
-	exp.Duration = ms(0.2)
-	if _, err := Run(exp, "bogus", 1); err == nil {
-		t.Fatal("bogus scheme accepted")
-	}
-}
-
 func TestRenderReplications(t *testing.T) {
 	exp, _ := ByID("fig7a")
 	exp.Duration = ms(0.3)

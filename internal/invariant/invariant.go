@@ -77,10 +77,6 @@ type Config struct {
 	// checker wakes, audits, and sleeps again, so the cost is one
 	// component walk per interval regardless of network activity.
 	CheckEvery sim.Cycle
-	// LeakWindow is how long the fabric may sit fully drained with
-	// CAM/CFQ lines still allocated before they are declared leaked
-	// (default 8192 cycles, comfortably past the hold-down).
-	LeakWindow sim.Cycle
 	// OnViolation consumes violations (tests, runner). nil panics with
 	// the *Violation — a correctness bug must never scroll past.
 	OnViolation func(*Violation)
@@ -108,17 +104,19 @@ func Attach(eng *sim.Engine, cfg Config) *Checker {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 1024
 	}
-	if cfg.LeakWindow <= 0 {
-		cfg.LeakWindow = 8192
-	}
 	c := &Checker{eng: eng, cfg: cfg, watchdog: defaultWatchdog, stalledSince: -1, drainedSince: -1}
 	eng.AddTicker(sim.PhaseDevice, c.tick)
 	return c
 }
 
 // defaultWatchdog is the watchdog window of a new checker: 262 144
-// cycles ≈ 0.67 ms of simulated time.
+// cycles ≈ 6.7 ms of simulated time.
 const defaultWatchdog sim.Cycle = 262_144
+
+// leakWindow is how long the fabric may sit fully drained with CAM/CFQ
+// lines still allocated before they are declared leaked: comfortably
+// past the hold-down.
+const leakWindow sim.Cycle = 8192
 
 // SetWatchdogWindow sets how long buffered traffic may sit with zero
 // global progress before the watchdog declares deadlock (runner jobs
@@ -220,7 +218,7 @@ func (c *Checker) check(now sim.Cycle) {
 	if buffered == 0 {
 		if c.drainedSince < 0 {
 			c.drainedSince = now
-		} else if now-c.drainedSince >= c.cfg.LeakWindow {
+		} else if now-c.drainedSince >= leakWindow {
 			if leak := c.findCAMLeak(); leak != "" {
 				c.fail(c.violation(now, "cam-leak", leak))
 				return

@@ -32,10 +32,8 @@ type Collector struct {
 	DeliveredPkts  int64
 	DeliveredBytes int64
 
-	latencySum   int64 // cycles
-	latencyCount int64
-	latencyMax   sim.Cycle
-	latencyHist  *Histogram
+	latencySum  int64      // cycles
+	latencyHist *Histogram // counts the samples and keeps the maximum
 }
 
 // New builds a collector. binCycles is the time-bin width; linkBPC the
@@ -76,10 +74,6 @@ func (c *Collector) Delivered(p *pkt.Packet, now sim.Cycle) {
 	}
 	lat := now - p.Injected
 	c.latencySum += int64(lat)
-	c.latencyCount++
-	if lat > c.latencyMax {
-		c.latencyMax = lat
-	}
 	c.latencyHist.Observe(lat)
 }
 
@@ -150,14 +144,15 @@ func (c *Collector) series(first int, bins []int64, want int) []float64 {
 
 // AvgLatencyNS returns the mean sink latency (injection to delivery).
 func (c *Collector) AvgLatencyNS() float64 {
-	if c.latencyCount == 0 {
+	n := c.latencyHist.Count()
+	if n == 0 {
 		return 0
 	}
-	return sim.NSFromCycles(sim.Cycle(c.latencySum / c.latencyCount))
+	return sim.NSFromCycles(sim.Cycle(c.latencySum / n))
 }
 
 // MaxLatencyNS returns the worst observed latency.
-func (c *Collector) MaxLatencyNS() float64 { return sim.NSFromCycles(c.latencyMax) }
+func (c *Collector) MaxLatencyNS() float64 { return c.latencyHist.MaxNS() }
 
 // LatencyPercentileNS returns an upper bound on the p-quantile of sink
 // latency in nanoseconds (log-bucketed; see Histogram).

@@ -702,8 +702,8 @@ func TestQuarantineIsCached(t *testing.T) {
 // decimals are two cells — distinct cache keys, and through one cache
 // the second load is simulated, not served the first one's result.
 func TestLoadPointsKeyTheirExactLoad(t *testing.T) {
-	jobs, err := FromSpec(experiments.Spec{Schemes: []string{"1Q"}, MS: 1,
-		LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.1234, 0.1226}}})
+	jobs, err := FromSpec(experiments.Spec{Experiments: []string{"loadcurve-c2-load0.1234", "loadcurve-c2-load0.1226"},
+		Schemes: []string{"1Q"}, MS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,15 @@ func sourceTrip(t *testing.T, job Job) Job {
 
 // TestSourceRoundTrip proves the serialization contract remote
 // execution rests on: for every cell of a registered-experiment spec
-// AND a load-curve spec, Source → JSON → OneCell recovers a job with
-// the identical cache key, and running both sides produces
-// byte-identical results.
+// AND a spec of load points, Source → JSON → OneCell recovers a job
+// with the identical cache key, and running both sides produces
+// byte-identical results. A load point's key is also that of a job
+// hand-built on LoadPoint's experiment: naming a point by id moves no
+// cache key.
 func TestSourceRoundTrip(t *testing.T) {
 	specs := map[string]experiments.Spec{
 		"registered": {Experiments: []string{"fig7a"}, MS: 0.1, Seeds: 2},
-		"loadcurve": {Schemes: []string{"CCFIT"}, MS: 0.1,
-			LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4, 0.9}}},
+		"loadcurve":  {Experiments: []string{"loadcurve-c2-load0.4", "loadcurve-c2-load0.9"}, Schemes: []string{"CCFIT"}, MS: 0.1},
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
@@ -80,6 +81,29 @@ func TestSourceRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+	exp, err := experiments.LoadPoint(2, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Duration, err = experiments.MSCycles("ms", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	exp.Bin = min(exp.Bin, exp.Duration)
+	byID, err := FromSpec(experiments.Spec{Experiments: []string{exp.ID}, Schemes: []string{"CCFIT"}, MS: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, err := JobKey(byID[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := JobKey(Job{Exp: exp, Scheme: "CCFIT", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Fatalf("%s keys %s by id, %s built from LoadPoint", exp.ID, k1, k2)
 	}
 }
 
@@ -245,7 +269,7 @@ func TestCacheErrKeepsResultUsable(t *testing.T) {
 
 // FuzzWireJob decodes arbitrary JSON into the one-cell Spec a lease
 // carries, as a worker reads it from a claim (seed corpus: a plain, a
-// load-curve and a faulted one-cell spec): OneCell never panics, and a
+// load-point and a faulted one-cell spec): OneCell never panics, and a
 // job it accepts keys the cache and keeps that key over a second trip
 // of its Source. FuzzSpec checks the cell itself; the key is the
 // runner's.
@@ -253,7 +277,7 @@ func FuzzWireJob(f *testing.F) {
 	sw := 0
 	for _, s := range []experiments.Spec{
 		{Experiments: []string{"fig7a"}, Schemes: []string{"CCFIT"}, Seed: 2, MS: 0.1},
-		{Schemes: []string{"CCFIT"}, Seed: 1, MS: 0.1, LoadCurve: &experiments.LoadCurveSpec{Config: 2, Loads: []float64{0.4}}},
+		{Experiments: []string{"loadcurve-c2-load0.4"}, Schemes: []string{"CCFIT"}, Seed: 1, MS: 0.1},
 		{Experiments: []string{"fig7a"}, Schemes: []string{"1Q"}, MS: 0.1, Watchdog: -1,
 			Faults: &fault.Script{Name: "stall-sw0", Events: []fault.Event{{Kind: fault.SwitchStall, At: 1_000, Duration: 100, Switch: &sw}}}},
 	} {

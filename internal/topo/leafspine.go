@@ -75,13 +75,6 @@ func NewLeafSpine(leaves, down, spines, trunk int) (*LeafSpine, error) {
 	return ls, nil
 }
 
-// Oversubscription returns the leaf oversubscription ratio
-// Down / (Spines*Trunk): 1 means full bisection, 2 means the classic
-// 2:1 under-provisioned fabric.
-func (ls *LeafSpine) Oversubscription() float64 {
-	return float64(ls.Down) / float64(ls.Spines*ls.Trunk)
-}
-
 // LeafOf returns the index of the leaf switch hosting endpoint e.
 func (ls *LeafSpine) LeafOf(e int) int { return e / ls.Down }
 
@@ -90,17 +83,6 @@ func (ls *LeafSpine) LeafDevice(l int) int { return ls.leafStart + l }
 
 // SpineDevice returns the device id of spine switch s.
 func (ls *LeafSpine) SpineDevice(s int) int { return ls.spineStart + s }
-
-// UpPorts enumerates a leaf's equal-cost up ports — the ECMP candidate
-// set towards the spine layer. The same port numbering holds on every
-// leaf.
-func (ls *LeafSpine) UpPorts() []int {
-	out := make([]int, ls.Spines*ls.Trunk)
-	for i := range out {
-		out[i] = ls.Down + i
-	}
-	return out
-}
 
 // det is the fabric's DET rule: every packet addressed to endpoint e
 // climbs to spine e mod Spines over trunk member (e / Spines) mod Trunk

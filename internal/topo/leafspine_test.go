@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestLeafSpineShape(t *testing.T) {
 	ls, err := NewLeafSpine(4, 4, 2, 1)
@@ -111,54 +108,6 @@ func TestLeafSpineTrunkMultiplicity(t *testing.T) {
 			}
 		}
 	}
-	if got := ls.Oversubscription(); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("4 down over 2x2 up: oversubscription %v, want 1.0", got)
-	}
-}
-
-func TestLeafSpineOversubscription(t *testing.T) {
-	cases := []struct {
-		leaves, down, spines, trunk int
-		want                        float64
-	}{
-		{4, 4, 2, 1, 2.0}, // the classic 2:1 fabric
-		{2, 2, 2, 1, 1.0},
-		{4, 8, 2, 2, 2.0},
-		{4, 2, 4, 1, 0.5}, // over-provisioned
-	}
-	for _, c := range cases {
-		ls, err := NewLeafSpine(c.leaves, c.down, c.spines, c.trunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ls.Oversubscription(); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("%dx%d/%dx%d: oversubscription %v, want %v", c.leaves, c.down, c.spines, c.trunk, got, c.want)
-		}
-		if err := ls.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestLeafSpineUpPorts(t *testing.T) {
-	ls, err := NewLeafSpine(2, 3, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := ls.UpPorts()
-	if len(up) != 4 {
-		t.Fatalf("up ports %v, want 4 of them", up)
-	}
-	for i, p := range up {
-		if p != 3+i {
-			t.Fatalf("up ports %v, want [3 4 5 6]", up)
-		}
-		// Each must actually face a spine.
-		c := ls.Devices[ls.LeafDevice(0)].Ports[p]
-		if c.Peer < ls.SpineDevice(0) {
-			t.Fatalf("up port %d of leaf 0 faces device %d, not a spine", p, c.Peer)
-		}
-	}
 }
 
 // TestLeafSpineDETTieBreakPure pins the per-destination convergence
@@ -170,7 +119,7 @@ func TestLeafSpineDETTieBreakPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := ls.UpPorts()
+	up := []int{4, 5, 6, 7} // a leaf's Down ports come first, then Spines×Trunk up ports
 	chosen := map[int]bool{}
 	for dest := 0; dest < ls.NumEndpoints(); dest++ {
 		leaf := ls.LeafDevice(ls.LeafOf(dest) ^ 1) // any leaf not hosting dest
